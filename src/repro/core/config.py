@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Approximate in-memory bytes per MHT bin pointer (blob id + offset + length).
-BYTES_PER_BIN_POINTER = 20
+#: In-memory (and on-disk) bytes of one non-empty bin's pointer row: a u32 bin
+#: id, offset and length.  (20 once a superpost blob outgrows 4 GiB and the
+#: offset/length columns widen to u64.)
+BYTES_PER_BIN_POINTER = 12
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,8 @@ class SketchConfig:
     ) -> "SketchConfig":
         """Derive the bin budget from a Searcher memory limit.
 
-        The MHT footprint is dominated by one pointer per bin, so
-        B ≈ memory / bytes-per-pointer.
+        The MHT holds one pointer row per non-empty bin, so a budget of B
+        bins can never cost more than B × bytes-per-pointer.
         """
         if memory_bytes <= 0:
             raise ValueError("memory_bytes must be positive")
@@ -96,7 +98,11 @@ class SketchConfig:
 
     @property
     def estimated_memory_bytes(self) -> int:
-        """Approximate Searcher memory footprint of the MHT."""
+        """Upper bound on the Searcher-resident MHT: every bin non-empty.
+
+        The table is sparse (:meth:`MultilayerHashTable.memory_bytes` reports
+        what an opened index really holds), so small corpora cost far less.
+        """
         return self.num_bins * BYTES_PER_BIN_POINTER
 
     def with_layers(self, num_layers: int) -> "SketchConfig":

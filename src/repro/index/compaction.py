@@ -3,14 +3,21 @@
 Section IV-C: to avoid creating one tiny blob per bin (or one enormous blob
 containing everything), the Builder serializes every superpost and
 concatenates them into a single *superpost blob*; a *header blob* stores, for
-every bin, the (offset, length) of its superpost within that blob, plus the
-hash seeds, string table, common-word pointers, and metadata.  A Searcher
-downloads only the header at initialization and can afterwards fetch any
-superpost with a single range read.
+every non-empty bin, the (offset, length) of its superpost within that blob,
+plus the hash seeds, string table, common-word pointers, and metadata.  A
+Searcher downloads only the header at initialization and can afterwards fetch
+any superpost with a single range read.
 
-The header also carries the superpost codec ``format_version`` (see
-:mod:`repro.index.serialization`): v1 headers are readable forever, and the
-Searcher dispatches its decoder on whatever version the header declares.
+The header is **container format v3** (byte layout in
+``docs/ARCHITECTURE.md``): magic, container version and a small JSON
+preamble, then the sparse pointer table of :mod:`repro.core.mht` as
+little-endian integer columns that are handed to the table without a copy.
+Its preamble carries the superpost ``codec_version`` (see
+:mod:`repro.index.serialization`) — a different number from the container
+version: v1-coded superposts are readable forever, and the Searcher
+dispatches its decoder on whatever codec the header declares.  The JSON
+headers of earlier builds (leading ``{``) stay readable through one legacy
+decoder; every writer emits v3, so the next compaction upgrades them.
 Inside the blob, superposts are placed either layer-major (``plain``) or in
 co-access order (``coaccess``; see :mod:`repro.index.layout`) — placement is
 invisible to readers, which only ever follow pointers.
@@ -19,10 +26,13 @@ invisible to readers, which only ever follow pointers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.mht import BinPointer, MultilayerHashTable
+import numpy as np
+
+from repro.core.mht import MultilayerHashTable
 from repro.core.hashing import LayeredHasher
 from repro.core.sketch import IoUSketch
 from repro.core.superpost import Superpost
@@ -43,12 +53,20 @@ from repro.index.serialization import (
 )
 from repro.observability.registry import get_registry
 
-#: Blob name suffixes for the two persisted pieces of an index.
+#: Blob name suffixes for the two persisted pieces of an index.  The header
+#: key predates the binary container and stays: catalog discovery, snapshots
+#: and external tooling all find an index by it.
 SUPERPOST_BLOB_SUFFIX = "superposts.bin"
 HEADER_BLOB_SUFFIX = "header.json"
 
-#: Magic marker of the header format (helps catch accidental blob mixups).
-_HEADER_MAGIC = "airphant-header"
+#: Leading bytes of a v3 header; a legacy JSON header starts with ``{``.
+HEADER_MAGIC = b"AIRPHDR\n"
+#: Version of the header container (not of the superpost codec).
+HEADER_CONTAINER_VERSION = 3
+#: Magic, then container version and preamble length as little-endian u32.
+_HEADER_PREFIX = struct.Struct("<8sII")
+#: Magic marker inside legacy JSON headers.
+_LEGACY_HEADER_MAGIC = "airphant-header"
 
 
 @dataclass
@@ -56,18 +74,27 @@ class CompactedSketch:
     """Result of compacting an in-memory IoU Sketch.
 
     ``superpost_blob_data`` is the byte concatenation of all serialized
-    superposts; ``mht`` holds the per-bin pointers into it.
+    superposts (empty when decoded from a header — the superposts themselves
+    stay in cloud storage); ``mht`` holds the pointers into it.
     ``format_version`` names the superpost codec the blob was written with —
     readers must hand it to ``decode_superpost``.
     """
 
-    superpost_blob_name: str
     superpost_blob_data: bytes
     mht: MultilayerHashTable
     string_table: StringTable
     metadata: IndexMetadata | None = None
-    common_word_list: list[str] = field(default_factory=list)
     format_version: int = DEFAULT_FORMAT_VERSION
+
+    @property
+    def superpost_blob_name(self) -> str:
+        """Name of the blob the pointers point into."""
+        return self.mht.blob
+
+
+def _pointer_dtype(blob_bytes: int) -> type:
+    """u32 pointer columns, widening to u64 only when an offset needs it."""
+    return np.uint32 if blob_bytes < 1 << 32 else np.uint64
 
 
 def compact_sketch(
@@ -88,8 +115,8 @@ def compact_sketch(
     to co-access whenever ``word_weights`` (word → document frequency,
     supplied by the builder) are available.
 
-    Empty bins produce zero-length pointers so the Searcher can skip them
-    without issuing a request.
+    Only non-empty bins are placed, encoded and given a pointer row; a bin
+    without a row is empty and the Searcher skips it without a request.
     """
     if format_version is None:
         format_version = DEFAULT_FORMAT_VERSION
@@ -103,66 +130,43 @@ def compact_sketch(
     if layout == LAYOUT_COACCESS:
         placement = coaccess_order(sketch, word_weights or {})
     else:
-        placement = plain_order(sketch.num_layers, sketch.bins_per_layer)
+        placement = plain_order(sketch)
 
     string_table = StringTable()
     blob = bytearray()
     raw_bytes = 0
-    pointer_by_node: dict[tuple[int, int], BinPointer] = {}
-    for layer, bin_index in placement:
-        superpost = sketch.layers[layer][bin_index]
-        pointer_by_node[(layer, bin_index)] = _append_superpost(
-            blob, superpost, superpost_blob_name, string_table, format_version
-        )
-        raw_bytes += uncompressed_superpost_bytes(superpost) if len(superpost) else 0
-    pointers = [
-        [
-            pointer_by_node[(layer, bin_index)]
-            for bin_index in range(sketch.bins_per_layer)
-        ]
-        for layer in range(sketch.num_layers)
-    ]
 
-    common_word_pointers: dict[str, BinPointer] = {}
-    common_word_list = sorted(sketch.common_words.postings_by_word)
-    for word in common_word_list:
-        superpost = sketch.common_words.postings_by_word[word]
-        common_word_pointers[word] = _append_superpost(
-            blob, superpost, superpost_blob_name, string_table, format_version
-        )
-        raw_bytes += uncompressed_superpost_bytes(superpost) if len(superpost) else 0
+    def append(superpost: Superpost) -> int:
+        """Encode one superpost onto the blob; returns its encoded length."""
+        nonlocal raw_bytes
+        if len(superpost) == 0:  # only a registered common word nothing used
+            return 0
+        encoded = encode_superpost(superpost, string_table, format_version)
+        blob.extend(encoded)
+        raw_bytes += uncompressed_superpost_bytes(superpost)
+        return len(encoded)
 
+    common_words = sorted(sketch.common_words.postings_by_word)
+    sizes = [append(sketch.layers[layer][bin_index]) for layer, bin_index in placement]
+    sizes += [append(sketch.common_words.postings_by_word[word]) for word in common_words]
     _record_codec_bytes(format_version, raw_bytes, len(blob))
 
+    # Superposts are concatenated without padding, so offsets are the running
+    # sum of lengths in placement order; the table wants them in bin-id order.
+    dtype = _pointer_dtype(len(blob))
+    lengths = np.array(sizes, dtype=np.uint64)
+    offsets, lengths = (np.cumsum(lengths) - lengths).astype(dtype), lengths.astype(dtype)
+    count = len(placement)
+    bin_ids = np.array(
+        [layer * sketch.bins_per_layer + bin_index for layer, bin_index in placement], np.uint32
+    )
+    by_id = np.argsort(bin_ids)
     mht = MultilayerHashTable(
-        hasher=sketch.hasher,
-        pointers=pointers,
-        common_word_pointers=common_word_pointers,
+        sketch.hasher, superpost_blob_name, len(blob),
+        bin_ids[by_id], offsets[:count][by_id], lengths[:count][by_id],
+        common_words, offsets[count:], lengths[count:],
     )
-    return CompactedSketch(
-        superpost_blob_name=superpost_blob_name,
-        superpost_blob_data=bytes(blob),
-        mht=mht,
-        string_table=string_table,
-        metadata=metadata,
-        common_word_list=common_word_list,
-        format_version=format_version,
-    )
-
-
-def _append_superpost(
-    blob: bytearray,
-    superpost: Superpost,
-    blob_name: str,
-    string_table: StringTable,
-    format_version: int,
-) -> BinPointer:
-    if len(superpost) == 0:
-        return BinPointer(blob=blob_name, offset=len(blob), length=0)
-    encoded = encode_superpost(superpost, string_table, format_version)
-    pointer = BinPointer(blob=blob_name, offset=len(blob), length=len(encoded))
-    blob += encoded
-    return pointer
+    return CompactedSketch(bytes(blob), mht, string_table, metadata, format_version)
 
 
 def _record_codec_bytes(format_version: int, raw_bytes: int, encoded_bytes: int) -> None:
@@ -184,76 +188,122 @@ def _record_codec_bytes(format_version: int, raw_bytes: int, encoded_bytes: int)
 def encode_header(compacted: CompactedSketch) -> bytes:
     """Serialize the header blob (hash seeds, pointers, string table, metadata).
 
-    The header is JSON so it stays debuggable with standard tooling; its size
-    is proportional to the bin budget B and matches the paper's observation
-    that the Searcher-resident state is a few megabytes at B = 10⁵.
+    Container v3: ``magic | u32 version | u32 preamble length | JSON preamble
+    (space-padded to 8 bytes) | offsets | lengths | common offsets | common
+    lengths | bin ids``.  Its size is proportional to what the index holds —
+    12 bytes per non-empty bin — not to the bin budget B.
     """
     mht = compacted.mht
-    payload = {
-        "magic": _HEADER_MAGIC,
-        "format_version": compacted.format_version,
-        "seed": mht.hasher.seed,
-        "num_layers": mht.num_layers,
-        "bins_per_layer": mht.bins_per_layer,
-        "superpost_blob": compacted.superpost_blob_name,
-        "string_table": compacted.string_table.to_list(),
-        "pointers": [
-            [[pointer.offset, pointer.length] for pointer in layer]
-            for layer in mht.pointers
-        ],
-        "common_words": {
-            word: [pointer.offset, pointer.length]
-            for word, pointer in mht.common_word_pointers.items()
+    preamble = json.dumps(
+        {
+            "codec_version": compacted.format_version,
+            "seed": mht.hasher.seed,
+            "num_layers": mht.num_layers,
+            "bins_per_layer": mht.bins_per_layer,
+            "superpost_blob": mht.blob,
+            "superpost_bytes": mht.blob_bytes,
+            "num_pointers": len(mht.bin_ids),
+            "pointer_width": mht.offsets.itemsize,
+            "common_words": list(mht.common_words),
+            "string_table": compacted.string_table.to_list(),
+            "metadata": compacted.metadata.to_dict() if compacted.metadata else None,
         },
-        "metadata": compacted.metadata.to_dict() if compacted.metadata else None,
-    }
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        separators=(",", ":"),
+    ).encode("utf-8")
+    preamble += b" " * (-len(preamble) % 8)
+    prefix = _HEADER_PREFIX.pack(HEADER_MAGIC, HEADER_CONTAINER_VERSION, len(preamble))
+    columns = (np.asarray(c).astype(f"<u{c.itemsize}", copy=False) for c in mht.columns)
+    return b"".join([prefix, preamble, *(column.tobytes() for column in columns)])
 
 
 def decode_header(data: bytes) -> CompactedSketch:
-    """Inverse of :func:`encode_header`.
+    """Inverse of :func:`encode_header`; also reads legacy JSON headers.
 
-    Accepts any supported ``format_version`` — a v2 searcher reads v1 indexes
-    forever.  The returned :class:`CompactedSketch` has an empty
-    ``superpost_blob_data`` (the superposts themselves stay in cloud
-    storage); its ``mht`` and ``string_table`` are fully reconstructed.
+    The leading byte negotiates the container (``{`` is a v1/v2-era JSON
+    header, converted straight into the same pointer columns); any supported
+    superpost codec version is accepted.  Nothing in ``data`` is trusted:
+    every malformed, truncated or out-of-bounds header is a ``ValueError``.
+    The returned :class:`CompactedSketch` has an empty
+    ``superpost_blob_data``; its ``mht`` and ``string_table`` are complete.
     """
-    payload = json.loads(data.decode("utf-8"))
-    if payload.get("magic") != _HEADER_MAGIC:
-        raise ValueError("not an Airphant header blob")
-    format_version = payload.get("format_version")
-    if format_version not in SUPPORTED_FORMAT_VERSIONS:
-        raise ValueError(f"unsupported header version {format_version}")
+    try:
+        if data[:1] == b"{":
+            return _decode_legacy_header(data)
+        return _decode_v3_header(data)
+    except (KeyError, TypeError, OverflowError, struct.error) as error:
+        raise ValueError(f"malformed Airphant header: {error!r}") from error
 
-    superpost_blob = payload["superpost_blob"]
-    hasher = LayeredHasher.build(
-        num_layers=payload["num_layers"],
-        bins_per_layer=payload["bins_per_layer"],
-        seed=payload["seed"],
-    )
-    pointers = [
-        [
-            BinPointer(blob=superpost_blob, offset=offset, length=length)
-            for offset, length in layer
-        ]
-        for layer in payload["pointers"]
-    ]
-    common_word_pointers = {
-        word: BinPointer(blob=superpost_blob, offset=offset, length=length)
-        for word, (offset, length) in payload["common_words"].items()
-    }
+
+def _decode_v3_header(data: bytes) -> CompactedSketch:
+    magic, version, preamble_bytes = _HEADER_PREFIX.unpack_from(data)
+    if magic != HEADER_MAGIC:
+        raise ValueError("not an Airphant header blob")
+    if version != HEADER_CONTAINER_VERSION:
+        raise ValueError(f"unsupported header container version {version}")
+    position = _HEADER_PREFIX.size + preamble_bytes
+    if position > len(data):
+        raise ValueError("header truncated inside its preamble")
+    fields = json.loads(data[_HEADER_PREFIX.size : position])
+    count, width = fields["num_pointers"], fields["pointer_width"]
+    common_words = fields["common_words"]
+    if width not in (4, 8) or not isinstance(count, int) or count < 0:
+        raise ValueError("bad pointer column description")
+    shapes = [(count, width)] * 2 + [(len(common_words), width)] * 2 + [(count, 4)]
+    if position + sum(rows * size for rows, size in shapes) != len(data):
+        raise ValueError("header length does not match its pointer columns")
+    columns = []
+    for rows, size in shapes:
+        column = np.frombuffer(data, dtype=f"<u{size}", count=rows, offset=position)
+        columns.append(column.astype(column.dtype.newbyteorder("="), copy=False))
+        position += rows * size
+    offsets, lengths, common_offsets, common_lengths, bin_ids = columns
     mht = MultilayerHashTable(
-        hasher=hasher, pointers=pointers, common_word_pointers=common_word_pointers
+        _hasher_of(fields), fields["superpost_blob"], fields["superpost_bytes"],
+        bin_ids, offsets, lengths, common_words, common_offsets, common_lengths,
     )
-    metadata = (
-        IndexMetadata.from_dict(payload["metadata"]) if payload.get("metadata") else None
+    return _decoded_sketch(mht, fields, fields["codec_version"])
+
+
+def _decode_legacy_header(data: bytes) -> CompactedSketch:
+    """Read a JSON header (one ``[offset, length]`` pair per bin, empty or not)."""
+    fields = json.loads(data)
+    if fields["magic"] != _LEGACY_HEADER_MAGIC:
+        raise ValueError("not an Airphant header blob")
+    hasher = _hasher_of(fields)
+    table = np.array(fields["pointers"], dtype=np.uint64)
+    table = table.reshape(hasher.num_layers * hasher.bins_per_layer, 2)
+    common_words = sorted(fields["common_words"])
+    common = np.array([fields["common_words"][word] for word in common_words], np.uint64)
+    common = common.reshape(len(common_words), 2)
+    bin_ids = np.flatnonzero(table[:, 1])
+    table = table[bin_ids]
+    blob_bytes = int(max(table.sum(axis=1).max(initial=0), common.sum(axis=1).max(initial=0)))
+    dtype = _pointer_dtype(blob_bytes)
+    mht = MultilayerHashTable(
+        hasher, fields["superpost_blob"], blob_bytes,
+        bin_ids.astype(np.uint32), table[:, 0].astype(dtype), table[:, 1].astype(dtype),
+        common_words, common[:, 0].astype(dtype), common[:, 1].astype(dtype),
     )
+    return _decoded_sketch(mht, fields, fields["format_version"])
+
+
+def _hasher_of(fields: Mapping[str, object]) -> LayeredHasher:
+    layers, bins = fields["num_layers"], fields["bins_per_layer"]
+    if not (isinstance(layers, int) and isinstance(bins, int) and 0 < layers * bins <= 1 << 32):
+        raise ValueError("header layer shape out of range")
+    return LayeredHasher.build(num_layers=layers, bins_per_layer=bins, seed=fields["seed"])
+
+
+def _decoded_sketch(
+    mht: MultilayerHashTable, fields: Mapping[str, object], codec_version: object
+) -> CompactedSketch:
+    if codec_version not in SUPPORTED_FORMAT_VERSIONS:
+        raise ValueError(f"unsupported superpost codec version {codec_version}")
+    metadata = fields.get("metadata")
     return CompactedSketch(
-        superpost_blob_name=superpost_blob,
         superpost_blob_data=b"",
         mht=mht,
-        string_table=StringTable.from_list(payload["string_table"]),
-        metadata=metadata,
-        common_word_list=sorted(common_word_pointers),
-        format_version=format_version,
+        string_table=StringTable.from_list(fields["string_table"]),
+        metadata=IndexMetadata.from_dict(metadata) if metadata else None,
+        format_version=codec_version,
     )

@@ -45,31 +45,34 @@ LAYOUTS = (LAYOUT_PLAIN, LAYOUT_COACCESS)
 LayoutNode = tuple[int, int]
 
 
-def plain_order(num_layers: int, bins_per_layer: int) -> list[LayoutNode]:
-    """Layer-major placement: all of layer 0, then layer 1, and so on."""
+def plain_order(sketch: "IoUSketch") -> list[LayoutNode]:
+    """Layer-major placement of the non-empty bins: layer 0, then layer 1, ..."""
     return [
         (layer, bin_index)
-        for layer in range(num_layers)
-        for bin_index in range(bins_per_layer)
+        for layer, superposts in enumerate(sketch.layers)
+        for bin_index, superpost in enumerate(superposts)
+        if superpost.postings
     ]
 
 
 def coaccess_order(
     sketch: "IoUSketch", word_weights: Mapping[str, int]
 ) -> list[LayoutNode]:
-    """Blob placement order of the hashed bins, heaviest co-access first.
+    """Blob placement order of the non-empty hashed bins, heaviest co-access first.
 
     ``word_weights`` maps each inserted word to its weight (document
     frequency); common words are skipped — they are answered from a single
     exact pointer, so adjacency buys them nothing.  The returned order
-    contains every ``(layer, bin)`` node exactly once and is deterministic
-    for a given sketch + weights (ties break on node index).
+    contains every non-empty ``(layer, bin)`` node exactly once and is
+    deterministic for a given sketch + weights (ties break on node index).
+    Empty bins occupy no bytes and are left out; the walk still passes
+    *through* weighted empty nodes, so the non-empty ones keep the relative
+    order they had when every bin was placed (``superposts.bin`` is
+    byte-identical across that change).
     """
-    num_layers = sketch.num_layers
-    bins_per_layer = sketch.bins_per_layer
-    every_node = plain_order(num_layers, bins_per_layer)
-    if num_layers < 2 or not word_weights:
-        return every_node
+    nonempty = plain_order(sketch)
+    if sketch.num_layers < 2 or not word_weights:
+        return nonempty
 
     edge_weights: dict[tuple[LayoutNode, LayoutNode], int] = defaultdict(int)
     node_weights: dict[LayoutNode, int] = defaultdict(int)
@@ -89,23 +92,23 @@ def coaccess_order(
     for candidates in neighbours.values():
         candidates.sort(key=lambda item: (-item[0], item[1]))
 
-    seeds = sorted(every_node, key=lambda node: (-node_weights.get(node, 0), node))
+    # Unweighted nodes have no neighbours, so they are never reached by the
+    # walk: they follow it in plain order.
+    seeds = sorted(node_weights, key=lambda node: (-node_weights[node], node))
+    seeds += [node for node in nonempty if node not in node_weights]
+    keep = set(nonempty)
     order: list[LayoutNode] = []
     placed: set[LayoutNode] = set()
     for seed in seeds:
         if seed in placed:
             continue
         current = seed
-        order.append(current)
-        placed.add(current)
-        while True:
-            following = next(
+        while current is not None:
+            if current in keep:
+                order.append(current)
+            placed.add(current)
+            current = next(
                 (node for _, node in neighbours.get(current, ()) if node not in placed),
                 None,
             )
-            if following is None:
-                break
-            order.append(following)
-            placed.add(following)
-            current = following
     return order

@@ -374,22 +374,16 @@ class AppendOnlyIndexManager:
             if not self._store.exists(header_blob):
                 continue
             compacted = decode_header(self._store.get(header_blob))
-            pointers = [
-                pointer
-                for layer in compacted.mht.pointers
-                for pointer in layer
-                if not pointer.is_empty
-            ]
-            pointers.extend(
-                pointer
-                for pointer in compacted.mht.common_word_pointers.values()
-                if not pointer.is_empty
-            )
-            for pointer in pointers:
-                payload = self._store.get_range(pointer.blob, pointer.offset, pointer.length)
-                postings |= decode_superpost(
-                    payload, compacted.string_table, compacted.format_version
-                ).postings
+            # One read of the member's superpost blob, sliced by the pointer
+            # columns: never a dependent range read per bin.
+            blob = self._store.get(compacted.superpost_blob_name)
+            for offset, length in compacted.mht.ranges():
+                if length:
+                    postings |= decode_superpost(
+                        blob[offset : offset + length],
+                        compacted.string_table,
+                        compacted.format_version,
+                    ).postings
         documents = []
         for posting in sorted(postings - set(exclude)):
             data = self._store.get_range(posting.blob, posting.offset, posting.length)

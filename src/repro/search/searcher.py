@@ -159,8 +159,8 @@ class AirphantSearcher:
     def initialize(self) -> float:
         """Download and decode the header blob; returns the simulated latency.
 
-        Happens once per corpus (the MHT fits in a few MB of memory); all
-        later queries reuse the in-memory MHT.
+        Happens once per corpus (the MHT is 12 bytes per non-empty bin, held
+        as views over the downloaded header); all later queries reuse it.
         """
         header_blob = f"{self._index_name}/{HEADER_BLOB_SUFFIX}"
         if isinstance(self._store, SimulatedCloudStore):

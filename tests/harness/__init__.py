@@ -12,7 +12,10 @@ directory on ``sys.path``):
   exactly what traffic reached a backend;
 * :mod:`harness.crashpoints` — a fault-point store wrapper that simulates
   process death at exact WAL/flush/compaction mutation points, for
-  crash-consistency tests of the mutable-document lifecycle.
+  crash-consistency tests of the mutable-document lifecycle;
+* :mod:`harness.legacy_header` — the pre-v3 JSON header writer (fixtures for
+  the legacy reader) and the old place-every-bin blob layout (the reference
+  ``superposts.bin`` must stay byte-identical to).
 """
 
 from harness.crashpoints import FaultPoint, FaultPointStore, SimulatedCrash

@@ -43,7 +43,10 @@ class TestBuildFromDocuments:
         built = builder.build_from_documents(small_documents, index_name="idx")
         decoded = decode_header(sim_store.backend.get(built.header_blob))
         assert decoded.mht.num_layers == built.mht.num_layers
-        assert decoded.mht.pointers == built.mht.pointers
+        for column in ("bin_ids", "offsets", "lengths", "common_offsets", "common_lengths"):
+            assert getattr(decoded.mht, column) == getattr(built.mht, column)
+        assert len(decoded.mht.bin_ids) > 0
+        assert decoded.mht.blob_bytes == sim_store.size(built.superpost_blob)
 
     def test_expected_false_positives_respects_target(
         self, sim_store, small_documents, small_config
@@ -65,7 +68,8 @@ class TestBuildFromDocuments:
         builder = AirphantBuilder(sim_store, config=config)
         built = builder.build_from_documents(small_documents)
         assert built.metadata.num_common_words > 0
-        assert len(built.mht.common_word_pointers) == built.metadata.num_common_words
+        assert len(built.mht.common_words) == built.metadata.num_common_words
+        assert all(built.mht.is_common(word) for word in built.mht.common_words)
 
     def test_empty_corpus_builds_an_empty_index(self, sim_store, small_config):
         builder = AirphantBuilder(sim_store, config=small_config)

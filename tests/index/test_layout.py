@@ -14,9 +14,25 @@ def _sketch(num_layers: int = 3, total_bins: int = 24, seed: int = 5) -> IoUSket
     return IoUSketch.build(num_layers=num_layers, total_bins=total_bins, seed=seed)
 
 
+def _nonempty(sketch: IoUSketch) -> list[tuple[int, int]]:
+    return [
+        (layer, bin_index)
+        for layer in range(sketch.num_layers)
+        for bin_index in range(sketch.bins_per_layer)
+        if len(sketch.layers[layer][bin_index])
+    ]
+
+
 class TestPlainOrder:
     def test_layer_major_enumeration(self):
-        assert plain_order(2, 3) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+        sketch = IoUSketch.build(num_layers=2, total_bins=6, seed=0)
+        assert plain_order(sketch) == []  # empty bins occupy no bytes: not placed
+        for layer in sketch.layers:
+            for superpost in layer:
+                superpost.add_all([_posting(0)])
+        assert plain_order(sketch) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+        sketch.layers[0][1] = type(sketch.layers[0][1])()
+        assert plain_order(sketch) == [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
 class TestCoaccessOrder:
@@ -24,8 +40,12 @@ class TestCoaccessOrder:
         sketch = _sketch()
         sketch.insert("alpha", [_posting(0), _posting(1)])
         sketch.insert("beta", [_posting(2)])
-        order = coaccess_order(sketch, {"alpha": 2, "beta": 1})
-        assert sorted(order) == plain_order(sketch.num_layers, sketch.bins_per_layer)
+        sketch.insert("unweighted", [_posting(3)])
+        # "ghost" was never inserted: the walk may pass through its (possibly
+        # empty) bins but must not place them.
+        order = coaccess_order(sketch, {"alpha": 2, "beta": 1, "ghost": 5})
+        assert sorted(order) == _nonempty(sketch) == plain_order(sketch)
+        assert len(order) == len(set(order))
 
     def test_heaviest_word_chain_is_contiguous(self):
         sketch = _sketch()
@@ -45,9 +65,8 @@ class TestCoaccessOrder:
 
     def test_no_weights_falls_back_to_plain(self):
         sketch = _sketch()
-        assert coaccess_order(sketch, {}) == plain_order(
-            sketch.num_layers, sketch.bins_per_layer
-        )
+        sketch.insert("alpha", [_posting(0)])
+        assert coaccess_order(sketch, {}) == plain_order(sketch) == _nonempty(sketch)
 
 
 class TestLayoutInCompaction:
@@ -63,7 +82,7 @@ class TestLayoutInCompaction:
         )
         chain = list(enumerate(sketch.hasher.bins_of("heavy")))
         pointers = sorted(
-            (compacted.mht.pointers[layer][bin_index] for layer, bin_index in set(chain)),
+            (compacted.mht.pointer_of(layer, bin_index) for layer, bin_index in set(chain)),
             key=lambda pointer: pointer.offset,
         )
         # Each chain member's superpost ends exactly where the next begins, so
@@ -86,7 +105,7 @@ class TestLayoutInCompaction:
             for bin_index in range(sketch.bins_per_layer):
                 expected = sketch.layers[layer][bin_index].postings
                 for compacted in (plain, coaccess):
-                    pointer = compacted.mht.pointers[layer][bin_index]
+                    pointer = compacted.mht.pointer_of(layer, bin_index)
                     if pointer.is_empty:
                         assert expected == set()
                         continue

@@ -195,7 +195,7 @@ class TestCommonWordPath:
         builder.build_from_documents(small_documents, index_name="common")
         searcher = AirphantSearcher.open(sim_store, index_name="common")
         assert searcher.mht.num_common_words == 5
-        common_word = next(iter(searcher.mht.common_word_pointers))
+        common_word = searcher.mht.common_words[0]
         result = searcher.search(common_word)
         assert result.false_positive_count == 0
         for document in result.documents:
