@@ -114,7 +114,7 @@ def _run_corpus(kind: str, settings) -> dict:
             result = searcher.search(word)
             latencies.append(result.latency.total_ms)
             results += result.num_results
-        stats = searcher.pipeline.stats
+        stats = searcher.searchers[0].pipeline.stats
         searcher.close()
         record[label] = {
             "format_version": format_version,
@@ -158,12 +158,12 @@ def _decode_microbench(settings) -> dict:
     )
     payloads = []
     for word in words:
-        for pointer in searcher.mht.pointers_for(word):
+        for pointer in searcher.searchers[0].mht.pointers_for(word):
             if not pointer.is_empty:
                 payloads.append(
                     store.backend.get_range(pointer.blob, pointer.offset, pointer.length)
                 )
-    table = searcher._string_table  # noqa: SLF001 - bench-only header access
+    table = searcher.searchers[0].shards[0].string_table
     searcher.close()
 
     rounds = 3 if smoke_mode() else 10

@@ -29,7 +29,7 @@ def _run(catalog):
     parallel_ms = []
     sequential_ms = []
     for word in words:
-        reads = searcher.mht.range_reads_for(word)
+        reads = searcher.searchers[0].mht.range_reads_for(word)
         _, batch = catalog.store.timed_batch(reads, max_concurrency=32)
         parallel_ms.append(batch.total_ms)
         _, records = catalog.store.timed_sequential(reads)

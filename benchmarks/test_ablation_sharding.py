@@ -25,7 +25,7 @@ from repro.index.builder import AirphantBuilder
 from repro.observability import get_registry
 from repro.observability.tracing import Tracer
 from repro.parsing.tokenizer import WhitespaceAnalyzer
-from repro.search.sharded import ShardedSearcher
+from repro.search.searcher import AirphantSearcher
 from repro.storage.latency import AffineLatencyModel
 from repro.storage.simulated import SimulatedCloudStore
 from repro.workloads.logs import generate_log_corpus
@@ -70,7 +70,7 @@ def _run(catalog):
         builder.build_from_documents(corpus.documents, index_name=index_name)
         build_seconds = time.perf_counter() - started
 
-        searcher = ShardedSearcher.open(
+        searcher = AirphantSearcher.open(
             store, index_name=index_name, coalesce_gap=COALESCE_GAP
         )
         latencies = []
@@ -79,7 +79,7 @@ def _run(catalog):
             result = searcher.search(query)
             latencies.append(result.latency.total_ms)
             results += result.num_results
-        stats = searcher.pipeline.stats
+        stats = searcher.searchers[0].pipeline.stats
         searcher.close()
 
         mean_latency = sum(latencies) / len(latencies)
@@ -135,7 +135,7 @@ def _metrics_overhead(store, queries):
     index_name = "ablation/sharding-04"
 
     def _replay(sim_store):
-        searcher = ShardedSearcher.open(
+        searcher = AirphantSearcher.open(
             sim_store, index_name=index_name, coalesce_gap=COALESCE_GAP
         )
         started = time.perf_counter()
@@ -186,7 +186,7 @@ def _tracing_overhead(store, queries):
         )
 
     def _replay(sim_store, tracer=None):
-        searcher = ShardedSearcher.open(
+        searcher = AirphantSearcher.open(
             sim_store, index_name=index_name, coalesce_gap=COALESCE_GAP
         )
         started = time.perf_counter()

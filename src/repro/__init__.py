@@ -71,9 +71,8 @@ from repro.index import (
 from repro.ingest import (
     IngestCoordinator,
     LiveIndex,
-    LiveSearcher,
     Memtable,
-    MemtableSearcher,
+    MemtableMember,
     WriteAheadLog,
 )
 from repro.parsing import (
@@ -90,11 +89,11 @@ from repro.search import (
     AirphantSearcher,
     And,
     HedgingPolicy,
-    MultiIndexSearcher,
+    IndexMember,
+    Member,
     Or,
     RegexSearcher,
     SearchResult,
-    ShardedSearcher,
     Term,
 )
 from repro.service import (
@@ -151,19 +150,19 @@ __all__ = [
     "HedgingPolicy",
     "IndexCatalog",
     "IndexInfo",
+    "IndexMember",
     "IndexMetadata",
     "IngestCoordinator",
     "InMemoryObjectStore",
     "IoUSketch",
     "LineDelimitedCorpusParser",
     "LiveIndex",
-    "LiveSearcher",
     "LocalObjectStore",
     "LuceneLikeEngine",
+    "Member",
     "Memtable",
-    "MemtableSearcher",
+    "MemtableMember",
     "MetricsRegistry",
-    "MultiIndexSearcher",
     "MultilayerHashTable",
     "ObjectStore",
     "Or",
@@ -185,7 +184,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceError",
     "ShardManifest",
-    "ShardedSearcher",
     "SimpleAnalyzer",
     "SimulatedCloudStore",
     "SketchConfig",

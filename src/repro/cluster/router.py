@@ -534,7 +534,7 @@ class QueryRouter:
         Shard partitions are disjoint, so documents de-duplicate by their
         storage reference and sort back into the global posting order —
         the exact order a single node produces.  Latency merges like
-        :class:`~repro.search.multi.MultiIndexSearcher`: nodes proceed in
+        :meth:`~repro.search.results.LatencyBreakdown.merged`: nodes proceed in
         parallel (max) while bytes and round trips are real work (sum).
         """
         seen: set[tuple[str, int, int]] = set()

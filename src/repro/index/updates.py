@@ -10,7 +10,7 @@ pattern on top of the unchanged Builder and Searcher:
 * :meth:`AppendOnlyIndexManager.append` builds a new delta index over just
   the new documents (same Builder, same configuration);
 * :meth:`AppendOnlyIndexManager.open_searcher` returns a
-  :class:`~repro.search.multi.MultiIndexSearcher` over the base plus all
+  :class:`~repro.search.searcher.AirphantSearcher` over the base plus all
   deltas;
 * :meth:`AppendOnlyIndexManager.compact` folds every delta back into a single
   base index by enumerating all indexed documents from cloud storage and
@@ -44,8 +44,8 @@ from repro.parsing.tokenizer import Tokenizer
 from repro.storage.base import ObjectStore
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a runtime import cycle
-    from repro.search.multi import MultiIndexSearcher
     from repro.search.replication import HedgingPolicy
+    from repro.search.searcher import AirphantSearcher
 
 
 #: Path fragment that marks a generational base build (written by
@@ -325,14 +325,14 @@ class AppendOnlyIndexManager:
         max_concurrency: int = 32,
         hedging: "HedgingPolicy | None" = None,
         query_cache_size: int = 0,
-    ) -> "MultiIndexSearcher":
+    ) -> "AirphantSearcher":
         """Open a searcher spanning the base index and every delta."""
         # Imported lazily: repro.search depends on repro.index, so importing
         # the searcher at module load time would create an import cycle.
-        from repro.search.multi import MultiIndexSearcher
+        from repro.search.searcher import AirphantSearcher
 
         manifest = self.manifest()
-        return MultiIndexSearcher.open(
+        return AirphantSearcher.open(
             self._store,
             manifest.all_indexes,
             tokenizer=self._tokenizer,

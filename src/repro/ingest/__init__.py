@@ -15,8 +15,9 @@ write path a serving node can expose:
 * :class:`~repro.ingest.live.LiveIndex` — one index's write path: append →
   WAL → memtable, flush → delta index (via ``AppendOnlyIndexManager``),
   compact → generational base swap;
-* :class:`~repro.ingest.live.LiveSearcher` — the combined
-  memtable ∪ deltas ∪ base view every query mode routes through;
+* :class:`~repro.ingest.memtable.MemtableMember` — a memtable behind the
+  query executor's member contract, so the combined memtable ∪ deltas ∪ base
+  view every query mode routes through is just a longer member list;
 * :class:`~repro.ingest.live.IngestCoordinator` — the service's registry of
   live indexes plus the background worker that applies the flush/compaction
   policies.
@@ -26,9 +27,8 @@ from repro.ingest.live import (
     IngestCoordinator,
     IngestOverloadedError,
     LiveIndex,
-    LiveSearcher,
 )
-from repro.ingest.memtable import Memtable, MemtableSearcher
+from repro.ingest.memtable import Memtable, MemtableMember
 from repro.ingest.wal import IngestManifest, WriteAheadLog
 
 __all__ = [
@@ -36,8 +36,7 @@ __all__ = [
     "IngestManifest",
     "IngestOverloadedError",
     "LiveIndex",
-    "LiveSearcher",
     "Memtable",
-    "MemtableSearcher",
+    "MemtableMember",
     "WriteAheadLog",
 ]

@@ -10,14 +10,16 @@ Lifecycle of an appended document (read-your-writes at every step):
    is invalidated so the next open includes the delta, and only then are the
    sealed memtable dropped and its WAL segments retired.  At no instant is a
    document invisible; at worst it is briefly visible twice, which the
-   combined view's de-duplication by ``(blob, offset, length)`` absorbs.
+   query executor's de-duplication by ``(blob, offset, length)`` absorbs.
 3. ``compact`` — deltas fold into a fresh generational base via the
    manager's atomic manifest swap (see :mod:`repro.index.updates`).
 
-:class:`LiveSearcher` is the combined memtable ∪ deltas ∪ base view: a
-:class:`~repro.search.multi.MultiIndexSearcher` whose member list is computed
-*per call*, so catalog invalidations (new delta, new generation) and memtable
-swaps are picked up without any notification plumbing.
+The combined memtable ∪ deltas ∪ base view is not an object: per query, the
+service facade resolves the catalog's (cached) persisted members plus
+:meth:`LiveIndex.memtable_members` and hands them, with the pending
+tombstones, to one :class:`~repro.search.searcher.AirphantSearcher` — so
+catalog invalidations (new delta, new generation) and memtable swaps are
+picked up without any notification plumbing.
 
 :class:`IngestCoordinator` owns every live index of a service plus one
 background worker thread that applies the flush/compaction policies from
@@ -32,13 +34,10 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.index.updates import AppendOnlyIndexManager
-from repro.ingest.memtable import Memtable, MemtableSearcher
+from repro.ingest.memtable import Memtable, MemtableMember
 from repro.ingest.wal import WriteAheadLog, ingest_manifest_blob
 from repro.observability import MetricsRegistry
-from repro.observability.tracing import span
-from repro.parsing.documents import Document, Posting
-from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
-from repro.search.multi import MultiIndexSearcher
+from repro.parsing.documents import Posting
 from repro.storage.base import ObjectStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -220,12 +219,12 @@ class LiveIndex:
                 table.approximate_bytes for table in (*self._sealed, self._active)
             )
 
-    def memtable_searchers(self) -> list[MemtableSearcher]:
-        """One searcher per live memtable (sealed first, active last)."""
+    def memtable_members(self) -> list[MemtableMember]:
+        """One query member per non-empty live memtable (sealed first, active last)."""
         with self._write_lock:
             tables = [*self._sealed, self._active]
         return [
-            MemtableSearcher(table, f"{self._index_name}/memtable")
+            MemtableMember(table, f"{self._index_name}/memtable")
             for table in tables
             if len(table) > 0
         ]
@@ -608,42 +607,6 @@ class LiveIndex:
         }
 
 
-class LiveSearcher(MultiIndexSearcher):
-    """Combined memtable ∪ deltas ∪ base view over one index.
-
-    A :class:`~repro.search.multi.MultiIndexSearcher` whose members are
-    resolved *per call* from a provider: the catalog's (cached) searcher for
-    the persisted members plus one exact searcher per live memtable.  Every
-    inherited query path — keyword, Boolean (hence regex filtering), and
-    ``lookup_postings`` — therefore sees freshly appended documents with no
-    further wiring, and picks up flush/compaction invalidations on its next
-    call.  ``close`` is a no-op: the catalog owns the persisted members'
-    lifecycles, the memtables own nothing closable.
-    """
-
-    def __init__(
-        self, members: Callable[[], list[Any]], tokenizer: Tokenizer | None = None
-    ) -> None:
-        # Deliberately no super().__init__: members are computed per call.
-        self._provider = members
-        self._tokenizer = tokenizer if tokenizer is not None else WhitespaceAnalyzer()
-        self.init_latency_ms = 0.0
-
-    @property
-    def _searchers(self) -> list[Any]:  # type: ignore[override]
-        with span("live.members") as members_span:
-            members = self._provider()
-            members_span.set(members=len(members))
-        return members
-
-    def initialize(self) -> float:
-        """Members are initialized by their owners; nothing to do."""
-        return 0.0
-
-    def close(self) -> None:
-        """No-op: the catalog and the live index own the member lifecycles."""
-
-
 class IngestCoordinator:
     """Registry of live indexes plus the background flush/compaction worker.
 
@@ -718,11 +681,6 @@ class IngestCoordinator:
             self._lives[name] = live
             self._ensure_worker()
             return live
-
-    def members(self, name: str) -> list[MemtableSearcher]:
-        """Memtable searchers to splice into ``name``'s combined view."""
-        live = self.live(name)
-        return live.memtable_searchers() if live is not None else []
 
     def tombstone_refs(self, name: str) -> frozenset[Posting]:
         """Pending deletes of ``name`` (empty when it has no live state)."""

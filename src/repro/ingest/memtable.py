@@ -7,25 +7,22 @@ a memtable keeps an **exact** inverted map — it is bounded by the flush
 policy to at most a few thousand documents, so exact per-word postings cost
 almost nothing and introduce zero false positives.
 
-:class:`MemtableSearcher` adapts a memtable to the searcher interface
-:class:`~repro.search.multi.MultiIndexSearcher` expects of its members
-(``search`` / ``search_boolean`` / ``lookup_postings`` with the same merging
-semantics), so the combined live view is just "one more member index" — no
-special cases anywhere in the query path.
+:class:`MemtableMember` puts a memtable behind the same
+:class:`~repro.search.member.Member` contract a persisted index answers, so
+the combined live view is just "one more member" — no special cases anywhere
+in the query path.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from repro.core.superpost import Superpost
 from repro.index.stats import IndexStats, build_stats
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
-from repro.search.boolean import BooleanQuery, Term, parse_boolean_query
-from repro.search.ranking import BM25Params, execute_topk
-from repro.search.results import LatencyBreakdown, SearchResult
+from repro.search.results import LatencyBreakdown
 
 
 class Memtable:
@@ -112,57 +109,34 @@ class Memtable:
             return self._documents.get(posting)
 
 
-class MemtableSearcher:
-    """Searcher-interface adapter over a :class:`Memtable`.
+class MemtableMember:
+    """A :class:`Memtable` behind the :class:`~repro.search.member.Member` contract.
 
-    Implements exactly the member contract of
-    :class:`~repro.search.multi.MultiIndexSearcher`: the same query entry
-    points returning :class:`~repro.search.results.SearchResult` /
-    ``(postings, LatencyBreakdown)``.  All latencies are zero — memtable
-    reads touch no storage — so merged accounting (max of lookups, sum of
-    bytes) is unaffected by this member.
+    The map is exact — no false positives — and its reads touch no storage,
+    so every latency stays zero and merged accounting (max of lookups, sum
+    of bytes) is unaffected by this member.  Deletes are applied to a
+    memtable physically, so it never holds a condemned document.
     """
 
-    def __init__(self, memtable: Memtable, index_name: str = "memtable") -> None:
-        self._memtable = memtable
-        self._index_name = index_name
-        self.init_latency_ms = 0.0
+    expected_false_positives = 0.0
 
-    @property
-    def memtable(self) -> Memtable:
-        """The underlying memtable."""
-        return self._memtable
+    def __init__(self, memtable: Memtable, name: str = "memtable") -> None:
+        self.memtable = memtable
+        self.name = name
 
-    def initialize(self) -> float:
-        """Nothing to download; present for interface parity."""
-        return 0.0
+    def lookup(
+        self, words: Sequence[str], latency: LatencyBreakdown, fail_fast: bool = False
+    ) -> dict[str, Superpost]:
+        """Exact postings per word (no storage round trips)."""
+        return {word: Superpost(self.memtable.postings(word)) for word in words}
 
-    def close(self) -> None:
-        """Nothing to release; present for interface parity."""
-
-    # -- query entry points --------------------------------------------------------
-
-    def search(self, query: str, top_k: int | None = None) -> SearchResult:
-        """AND-of-keywords search (the keyword mode contract)."""
-        words = list(dict.fromkeys(self._memtable.tokenizer.tokenize(query)))
-        if not words:
-            return SearchResult(query=query)
-        predicate = parse_boolean_query(" AND ".join(words))
-        return self._execute(predicate, query, top_k)
-
-    def search_boolean(
-        self, query: BooleanQuery | str, top_k: int | None = None
-    ) -> SearchResult:
-        """Boolean (AND/OR tree) search."""
-        tree = parse_boolean_query(query) if isinstance(query, str) else query
-        label = query if isinstance(query, str) else " ".join(sorted(tree.terms()))
-        return self._execute(tree, label, top_k)
-
-    def lookup_postings(self, word: str) -> tuple[list[Posting], LatencyBreakdown]:
-        """Exact term lookup (no storage round trips, hence zero latency)."""
-        return sorted(self._memtable.postings(word)), LatencyBreakdown()
-
-    # -- ranked retrieval (mode="topk_bm25") ---------------------------------------
+    def fetch_documents(
+        self, postings: Sequence[Posting], latency: LatencyBreakdown
+    ) -> list[Document]:
+        """Resolve postings straight from memory (a document evicted since
+        the lookup is simply absent)."""
+        found = (self.memtable.document(posting) for posting in postings)
+        return [document for document in found if document is not None]
 
     def ranking_stats(self) -> IndexStats:
         """Exact ranking statistics over the held documents.
@@ -171,69 +145,11 @@ class MemtableSearcher:
         the persisted stats blobs, so an unflushed document scores exactly as
         it will after the flush persists it.
         """
-        return build_stats(self._memtable.documents(), self._memtable.tokenizer)
+        return build_stats(self.memtable.documents(), self.memtable.tokenizer)
 
-    def ranked_candidates(
-        self, words: Sequence[str], latency: LatencyBreakdown
-    ) -> Superpost:
-        """Conjunctive candidates for a ranked query (exact, zero latency)."""
-        return Superpost.intersect_all(
-            Superpost(self._memtable.postings(word)) for word in words
-        )
-
-    def fetch_documents(
-        self, postings: Sequence[Posting], latency: LatencyBreakdown
-    ) -> list[Document]:
-        """Resolve postings straight from memory (member protocol)."""
-        documents: list[Document] = []
-        for posting in postings:
-            document = self._memtable.document(posting)
-            if document is not None:
-                documents.append(document)
-        return documents
-
-    def search_topk(
-        self,
-        query: str,
-        k: int,
-        weights: dict[str, float] | None = None,
-        params: BM25Params | None = None,
-    ) -> SearchResult:
-        """BM25 top-k over the memtable alone (read-your-writes for ranks)."""
-        words = list(dict.fromkeys(self._memtable.tokenizer.tokenize(query)))
-        return execute_topk([self], words, query, k, params=params, weights=weights)
-
-    # -- execution -----------------------------------------------------------------
-
-    def _execute(
-        self, tree: BooleanQuery, label: str, top_k: int | None
-    ) -> SearchResult:
-        candidates = tree.candidates(lambda word: Superpost(self._memtable.postings(word)))
-        postings = candidates.sorted_postings()
-        documents: list[Document] = []
-        for posting in postings:
-            document = self._memtable.document(posting)
-            # The exact map admits no false positives; the predicate check
-            # mirrors the persisted searchers' final filter all the same
-            # (e.g. a document evicted between candidates() and here).
-            if document is not None and tree.matches(
-                self._memtable.tokenizer.distinct_terms(document.text)
-            ):
-                documents.append(document)
-        if top_k is not None:
-            documents = documents[:top_k]
-        return SearchResult(
-            query=label,
-            documents=documents,
-            candidate_postings=postings,
-            false_positive_count=0,
-            latency=LatencyBreakdown(),
-        )
-
-
-def single_term(word: str) -> BooleanQuery:
-    """A one-word query tree (convenience for tests and tools)."""
-    return Term(word)
+    def restrict(self, ordinals: Collection[int]) -> "MemtableMember | None":
+        """Unsharded: rides with ordinal 0."""
+        return self if 0 in ordinals else None
 
 
 def memtable_from_documents(

@@ -1,0 +1,518 @@
+"""The member contract: what the query executor needs from one index tier.
+
+A query runs over an ordered list of *members* — the persisted base index,
+its delta indexes, the live memtables — and every one of them answers the
+same six-name contract, :class:`Member`.  The executor
+(:class:`~repro.search.searcher.AirphantSearcher`) owns everything that is
+the same for all tiers (tokenizing, the Boolean tree, tombstone exclusion,
+top-K sampling, false-positive filtering, merging); a member owns only what
+differs: where a word's postings come from and where a document's bytes are.
+
+There are exactly two implementations: :class:`IndexMember` here (a persisted
+IoU Sketch index — a plain index *is* the one-shard case of a sharded one)
+and :class:`~repro.ingest.memtable.MemtableMember` (the exact in-memory map
+of not-yet-flushed documents).
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Collection, Protocol, Sequence
+
+from repro.core.mht import MultilayerHashTable
+from repro.core.superpost import Superpost
+from repro.index.compaction import HEADER_BLOB_SUFFIX, CompactedSketch, decode_header
+from repro.index.metadata import IndexMetadata, ShardManifest, merge_shard_metadata
+from repro.index.serialization import StringTable, decode_superpost
+from repro.index.stats import (
+    IndexStats,
+    RankingUnsupportedError,
+    decode_stats,
+    merge_stats,
+    stats_blob_name,
+)
+from repro.observability.tracing import span
+from repro.parsing.documents import Document, Posting
+from repro.search.replication import HedgingPolicy
+from repro.search.results import LatencyBreakdown
+from repro.storage.base import BlobNotFoundError, ObjectStore, RangeRead
+from repro.storage.parallel import ParallelFetcher
+from repro.storage.pipeline import ReadPipeline
+from repro.storage.simulated import SimulatedCloudStore
+
+
+class Member(Protocol):
+    """One tier of an index, as the query executor sees it."""
+
+    #: Index (or memtable) name, for catalogs and diagnostics.
+    name: str
+    #: The sketch's expected false positives per query (Equation 6 input);
+    #: 0.0 for exact members.
+    expected_false_positives: float
+
+    def lookup(
+        self, words: Sequence[str], latency: LatencyBreakdown, fail_fast: bool = False
+    ) -> dict[str, Superpost]:
+        """Wave 1: every word's final postings list (its layers intersected).
+
+        All words resolve in one parallel read wave.  With ``fail_fast`` (a
+        pure conjunction) a word with no postings dooms the query, so a
+        member may answer every word empty without reading anything.
+        """
+        ...
+
+    def fetch_documents(
+        self, postings: Sequence[Posting], latency: LatencyBreakdown
+    ) -> list[Document]:
+        """Wave 2: the named documents in one parallel read wave, unfiltered."""
+        ...
+
+    def ranking_stats(self) -> IndexStats:
+        """This member's exact BM25 statistics (may raise
+        :class:`~repro.index.stats.RankingUnsupportedError`)."""
+        ...
+
+    def restrict(self, ordinals: Collection[int]) -> "Member | None":
+        """The part of this member living on the given shard ordinals.
+
+        ``None`` when it holds none of them.  Unsharded members ride with
+        ordinal 0, so disjoint ordinal subsets across the nodes of a cluster
+        partition any member list exactly.
+        """
+        ...
+
+
+@dataclass(frozen=True)
+class ShardState:
+    """In-memory header state of one opened shard.
+
+    ``format_version`` is per-shard: shards written by builders of different
+    vintages may mix codecs, and each decodes with its own header's version.
+    """
+
+    name: str
+    mht: MultilayerHashTable
+    string_table: StringTable
+    metadata: IndexMetadata | None
+    format_version: int = 1
+
+    @classmethod
+    def from_header(cls, name: str, header: CompactedSketch) -> "ShardState":
+        return cls(
+            name, header.mht, header.string_table, header.metadata, header.format_version
+        )
+
+
+#: Ceiling on how far a sharded index widens its fetcher on its own.  A
+#: query's lookup wave carries every shard's layer reads at once, so the
+#: fan-out budget scales with the shard count — but a real store's thread
+#: pool should not grow unboundedly with pathological shard counts.
+MAX_SHARDED_CONCURRENCY = 128
+
+
+class _StatsCache:
+    """Lazily-loaded ranking statistics, shared by every view of one index.
+
+    Whichever view loads the stats first, every view scores with the
+    identical full-corpus statistics afterwards.  Like the header, the stats
+    are a one-time download amortized over every later ranked query; the
+    simulated latency is recorded in ``load_ms`` rather than charged to any
+    single query.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.stats: IndexStats | None = None
+        self.load_ms = 0.0
+
+
+def _timed_get(store: ObjectStore, blob: str) -> tuple[bytes, float]:
+    """One dependent whole-blob read and its simulated latency (0 on real stores)."""
+    if isinstance(store, SimulatedCloudStore):
+        data, record = store.timed_get(blob)
+        return data, record.total_ms
+    return store.get(blob), 0.0
+
+
+class IndexMember:
+    """A persisted IoU Sketch index — every shard of it, or a subset.
+
+    All lookup and document-fetch batches go through a
+    :class:`~repro.storage.pipeline.ReadPipeline`, which deduplicates and
+    coalesces the batch's range reads (and, when ``read_cache_bytes`` is set,
+    serves repeats from a bounded block cache) before the parallel fetcher
+    touches the store.  A word's superpost reads are collected across *every*
+    shard and issued as a single batch; per shard the layers intersect, and
+    the per-shard answers union (partitions are disjoint, so the union is
+    exact) — a constant two round-trip waves per query however many shards.
+
+    Hedged lookups (Section IV-G) bypass the pipeline: hedging reasons about
+    individual request latencies, which coalescing would merge away.  They
+    apply to unsharded indexes only — with shards a query already fans out
+    wide.
+    """
+
+    def __init__(
+        self,
+        store: ObjectStore,
+        name: str,
+        fetcher: ParallelFetcher,
+        pipeline: ReadPipeline,
+        hedging: HedgingPolicy,
+        shard_manifest: ShardManifest | None,
+        shards: Sequence[ShardState],
+        stats_cache: _StatsCache,
+        init_latency_ms: float = 0.0,
+        query_cache_size: int = 0,
+    ) -> None:
+        self.name = name
+        self._store = store
+        self._fetcher = fetcher
+        self.pipeline = pipeline
+        self._hedging = hedging
+        #: The shard manifest (``None`` for a plain, single-header index).
+        self.shard_manifest = shard_manifest
+        self.shards = tuple(shards)
+        self._stats_cache = stats_cache
+        self.init_latency_ms = init_latency_ms
+        if shard_manifest is None:
+            self.metadata = self.shards[0].metadata
+        else:
+            # Corpus-wide metadata aggregated over the shards this view holds.
+            self.metadata = merge_shard_metadata(
+                [shard.metadata for shard in self.shards if shard.metadata is not None],
+                partitioner=shard_manifest.partitioner,
+            )
+        self.expected_false_positives = (
+            self.metadata.expected_false_positives if self.metadata is not None else 0.0
+        )
+        # Optional per-word memoization of final postings lists (Section IV-A
+        # suggests query caching to bound the worst-case deviation).  Valid
+        # because the paper targets read-oriented corpora that rarely change.
+        self._query_cache_size = max(0, query_cache_size)
+        self._query_cache: OrderedDict[str, Superpost] = OrderedDict()
+        # The cache is shared across server threads (ThreadingHTTPServer);
+        # guard its mutations so LRU bookkeeping stays consistent.
+        self._cache_lock = threading.Lock()
+        self.cache_hits = 0
+        self.cache_misses = 0
+
+    @classmethod
+    def open(
+        cls,
+        store: ObjectStore,
+        name: str,
+        max_concurrency: int = 32,
+        hedging: HedgingPolicy | None = None,
+        query_cache_size: int = 0,
+        coalesce_gap: int = 0,
+        read_cache_bytes: int = 0,
+    ) -> "IndexMember":
+        """Download and decode the index's header(s).
+
+        Happens once per index (the MHT is 12 bytes per non-empty bin, held
+        as views over the downloaded header); all later queries reuse it.
+        The shard manifest is probed with one GET, not exists()+get(): plain
+        indexes (the common case, e.g. every delta) pay a single missed
+        probe and then read their one header.  A manifest's shard headers
+        are independent and go out as one parallel fetcher batch, so the
+        simulated init latency is ``manifest + one header batch``.
+        """
+        fetcher = ParallelFetcher(store, max_concurrency=max_concurrency)
+        manifest: ShardManifest | None = None
+        try:
+            data, init_ms = _timed_get(store, ShardManifest.blob_name(name))
+            manifest = ShardManifest.from_json(data)
+        except BlobNotFoundError:
+            init_ms = 0.0
+        if manifest is None or manifest.num_shards == 0:
+            manifest = None
+            data, init_ms = _timed_get(store, f"{name}/{HEADER_BLOB_SUFFIX}")
+            shards = [ShardState.from_header(name, decode_header(data))]
+        else:
+            # Keep the *per-shard* concurrency budget constant as shards are
+            # added: a lookup wave carries num_shards × layers reads, and with
+            # the single-shard ceiling it would spill into extra concurrency
+            # waves, stacking each shard's first-byte wait instead of
+            # amortizing it (the measured 16-shard regression).
+            fetcher.scale_concurrency(
+                min(max_concurrency * manifest.num_shards, MAX_SHARDED_CONCURRENCY)
+            )
+            fetch = fetcher.fetch(
+                [
+                    RangeRead(blob=f"{entry.name}/{HEADER_BLOB_SUFFIX}")
+                    for entry in manifest.shards
+                ]
+            )
+            init_ms += fetch.batch.total_ms
+            shards = [
+                ShardState.from_header(entry.name, decode_header(payload))
+                for entry, payload in zip(manifest.shards, fetch.payloads)
+            ]
+        return cls(
+            store,
+            name,
+            fetcher,
+            ReadPipeline(fetcher, max_gap=coalesce_gap, cache_bytes=read_cache_bytes),
+            hedging if hedging is not None else HedgingPolicy(),
+            manifest,
+            shards,
+            _StatsCache(),
+            init_latency_ms=init_ms,
+            query_cache_size=query_cache_size,
+        )
+
+    def close(self) -> None:
+        """Release the fetcher's thread pool and the pipeline's block cache."""
+        self.pipeline.close()
+
+    @property
+    def num_shards(self) -> int:
+        """Shards this member answers for (1 for a plain index)."""
+        return len(self.shards)
+
+    @property
+    def mht(self) -> MultilayerHashTable:
+        """The in-memory Multilayer Hash Table (of the first shard)."""
+        return self.shards[0].mht
+
+    @property
+    def stats_load_ms(self) -> float:
+        """Simulated latency of the one-time ranking-statistics download."""
+        return self._stats_cache.load_ms
+
+    def restrict(self, ordinals: Collection[int]) -> "IndexMember | None":
+        """A view answering only the given shard ordinals (``None`` if it holds none).
+
+        The scatter half of the cluster tier's scatter-gather: a router
+        assigns each node a subset of ordinals, and the node answers its
+        subset through this view while the router unions the partial
+        answers (partitions are disjoint, so the union is exact).
+
+        The view shares this member's pipeline, fetcher, block cache and
+        ranking statistics — only the shard list (and the metadata merged
+        over it) differs.  The per-word query cache is disabled on the view:
+        its entries would describe just the subset while being keyed like
+        whole-index answers.
+        """
+        held = sorted({o for o in ordinals if 0 <= o < len(self.shards)})
+        if not held:
+            return None
+        if len(held) == len(self.shards):
+            return self
+        return IndexMember(
+            self._store,
+            self.name,
+            self._fetcher,
+            self.pipeline,
+            self._hedging,
+            self.shard_manifest,
+            [self.shards[ordinal] for ordinal in held],
+            self._stats_cache,
+            init_latency_ms=self.init_latency_ms,
+        )
+
+    # -- wave 1: superpost fetch + per-word intersection ---------------------------
+
+    def lookup(
+        self, words: Sequence[str], latency: LatencyBreakdown, fail_fast: bool = False
+    ) -> dict[str, Superpost]:
+        """Resolve each word's final postings list with one parallel fetch wave.
+
+        Every (shard, word, layer) superpost read goes out in a *single*
+        pipeline batch, so a Boolean query over N terms costs the same
+        number of round-trip waves as a one-word query.  Per shard a word's
+        layers intersect with each other only; across shards the per-shard
+        answers union.  A word that hits an empty bin in a shard is simply
+        absent from that shard; only a word absent from *every* shard is
+        globally empty.
+
+        With ``fail_fast`` (the AND path) such a word dooms the whole
+        conjunction, so nothing is fetched and no latency is charged —
+        matching a real engine that short-circuits on a missing term.
+        Without it (the general Boolean path) doomed words resolve to empty
+        postings lists while the remaining words are still fetched.
+        """
+        results, pending = self._cache_partition(words)
+        if not pending:
+            return results
+
+        # Collect pointers per (shard, pending word), remembering which
+        # requests belong to whom.
+        requests: list[RangeRead] = []
+        layers: dict[tuple[int, str], range] = {}
+        fetch_words: list[str] = []
+        for word in pending:
+            alive = False
+            for shard_index, shard in enumerate(self.shards):
+                pointers = shard.mht.pointers_for(word)
+                if any(pointer.is_empty for pointer in pointers):
+                    continue  # the word has no postings in this shard
+                layers[(shard_index, word)] = range(
+                    len(requests), len(requests) + len(pointers)
+                )
+                requests.extend(pointer.to_range_read() for pointer in pointers)
+                alive = True
+            if alive:
+                fetch_words.append(word)
+            else:
+                results[word] = Superpost()
+
+        if not requests or (fail_fast and len(fetch_words) < len(pending)):
+            for word in fetch_words:
+                results[word] = Superpost()
+            return results
+
+        hedged = (
+            self._hedging.enabled
+            and self.shard_manifest is None
+            and len(fetch_words) == 1
+            and not self.mht.is_common(fetch_words[0])
+        )
+        with span(
+            "search.lookup",
+            words=fetch_words,
+            requests=len(requests),
+            shards=len(self.shards),
+            hedged=hedged,
+        ):
+            if hedged:
+                # Hedging needs per-request latencies, so it bypasses the pipeline.
+                required = self._hedging.required_of(len(requests))
+                fetch = self._fetcher.fetch_hedged(requests, required=required)
+            else:
+                fetch = self.pipeline.fetch(requests)
+        if fetch.batch.requests:
+            latency.add_lookup(
+                fetch.batch.total_ms,
+                fetch.batch.wait_ms,
+                fetch.batch.download_ms,
+                fetch.batch.nbytes,
+            )
+
+        for word in fetch_words:
+            per_shard: list[Superpost] = []
+            for shard_index, shard in enumerate(self.shards):
+                # A hedged-away straggler's payload is None: skip that layer
+                # (the intersection of the rest is still a valid superset).
+                superposts = [
+                    decode_superpost(payload, shard.string_table, shard.format_version)
+                    for index in layers.get((shard_index, word), ())
+                    if (payload := fetch.payloads[index]) is not None
+                ]
+                if superposts:
+                    per_shard.append(Superpost.intersect_all(superposts))
+            result = per_shard[0] if len(per_shard) == 1 else Superpost.union_all(per_shard)
+            self._remember_lookup(word, result)
+            results[word] = result
+        return results
+
+    def _cache_partition(
+        self, words: Sequence[str]
+    ) -> tuple[dict[str, Superpost], list[str]]:
+        """Split ``words`` into memoized results and words still to fetch.
+
+        Cache-hit words resolve with no storage traffic and no added latency;
+        a query whose words all hit counts as one cache hit, anything else as
+        one miss.
+        """
+        if self._query_cache_size <= 0:
+            return {}, list(dict.fromkeys(words))
+        results: dict[str, Superpost] = {}
+        pending: list[str] = []
+        with self._cache_lock:
+            for word in dict.fromkeys(words):
+                if word in self._query_cache:
+                    self._query_cache.move_to_end(word)
+                    results[word] = Superpost(set(self._query_cache[word].postings))
+                else:
+                    pending.append(word)
+            if not pending:
+                self.cache_hits += 1
+            else:
+                self.cache_misses += 1
+        return results, pending
+
+    def _remember_lookup(self, word: str, result: Superpost) -> None:
+        """Memoize a word's final postings list (bounded LRU)."""
+        if self._query_cache_size <= 0:
+            return
+        with self._cache_lock:
+            self._query_cache[word] = Superpost(set(result.postings))
+            self._query_cache.move_to_end(word)
+            while len(self._query_cache) > self._query_cache_size:
+                self._query_cache.popitem(last=False)
+
+    # -- wave 2: document retrieval ------------------------------------------------
+
+    def fetch_documents(
+        self, postings: Sequence[Posting], latency: LatencyBreakdown
+    ) -> list[Document]:
+        """Retrieve the named documents in one pipelined batch, unfiltered."""
+        if not postings:
+            return []
+        fetch = self.pipeline.fetch([posting.to_range_read() for posting in postings])
+        if fetch.batch.requests:
+            latency.add_retrieval(
+                fetch.batch.total_ms,
+                fetch.batch.wait_ms,
+                fetch.batch.download_ms,
+                fetch.batch.nbytes,
+            )
+        return [
+            Document(ref=posting, text=payload.decode("utf-8", errors="replace"))
+            for posting, payload in zip(postings, fetch.payloads)
+            if payload is not None
+        ]
+
+    # -- ranking statistics --------------------------------------------------------
+
+    def ranking_stats(self) -> IndexStats:
+        """The index's persisted ranking statistics (loaded once, cached).
+
+        Always the **whole** index's statistics — loaded over the manifest's
+        complete shard list, never the restricted subset — so a
+        shard-restricted view scores with exactly the same corpus-wide IDF
+        and average length as the full member (and as every other node of a
+        routed cluster).
+
+        Raises :class:`~repro.index.stats.RankingUnsupportedError` when the
+        index was built before ranked retrieval existed (no stats blob).
+        """
+        cache = self._stats_cache
+        with cache.lock:
+            if cache.stats is None:
+                cache.stats = self._load_stats()
+            return cache.stats
+
+    def _load_stats(self) -> IndexStats:
+        names = (
+            [entry.name for entry in self.shard_manifest.shards]
+            if self.shard_manifest is not None
+            else [self.name]
+        )
+        with span("rank.stats_load", index=self.name, shards=len(names)):
+            try:
+                if self.shard_manifest is None:
+                    data, load_ms = _timed_get(self._store, stats_blob_name(self.name))
+                    payloads = [data]
+                else:
+                    fetch = self._fetcher.fetch(
+                        [RangeRead(blob=stats_blob_name(name)) for name in names]
+                    )
+                    payloads, load_ms = fetch.payloads, fetch.batch.total_ms
+            except BlobNotFoundError:
+                raise RankingUnsupportedError(
+                    self.name, "no ranking statistics blob"
+                ) from None
+        self._stats_cache.load_ms += load_ms
+        stats = [
+            decode_stats(payload, index_name=name)
+            for name, payload in zip(names, payloads)
+        ]
+        return stats[0] if self.shard_manifest is None else merge_stats(stats)
+
+
+__all__ = ["IndexMember", "MAX_SHARDED_CONCURRENCY", "Member", "ShardState"]

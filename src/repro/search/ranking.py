@@ -35,13 +35,15 @@ single-node ones.
 from __future__ import annotations
 
 import math
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.superpost import Superpost
-from repro.index.stats import IndexStats, idf, merge_stats
+from repro.index.stats import idf, merge_stats, prune_stats
 from repro.observability.tracing import span
 from repro.parsing.documents import Document, Posting
+from repro.search.member import Member
 from repro.search.results import LatencyBreakdown, SearchResult
 
 #: Default ranked result count when neither the request nor the service
@@ -66,41 +68,6 @@ class BM25Params:
             raise ValueError(f"k1 must be non-negative, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be within [0, 1], got {self.b}")
-
-
-@dataclass(frozen=True)
-class ScoredHit:
-    """One ranked result: the document reference plus its normalized score."""
-
-    posting: Posting
-    score: float
-
-
-class RankedMember(Protocol):
-    """What :func:`execute_topk` needs from each member searcher.
-
-    Implemented by :class:`~repro.search.searcher.AirphantSearcher` (hence
-    :class:`~repro.search.sharded.ShardedSearcher` and its shard-restricted
-    views) and :class:`~repro.ingest.memtable.MemtableSearcher`, so the
-    combined live view ranks memtable ∪ deltas ∪ base with no special cases.
-    """
-
-    def ranking_stats(self) -> IndexStats:
-        """This member's exact stats contribution (may raise
-        :class:`~repro.index.stats.RankingUnsupportedError`)."""
-        ...
-
-    def ranked_candidates(
-        self, words: Sequence[str], latency: LatencyBreakdown
-    ) -> Superpost:
-        """Conjunctive candidate postings for ``words`` (membership superset)."""
-        ...
-
-    def fetch_documents(
-        self, postings: Sequence[Posting], latency: LatencyBreakdown
-    ) -> list[Document]:
-        """Retrieve document text for ``postings`` (one batch, no filtering)."""
-        ...
 
 
 def normalize_weights(
@@ -155,19 +122,27 @@ def score_posting(
 
 
 def execute_topk(
-    members: Sequence[RankedMember],
+    members: Sequence[Member],
     words: Sequence[str],
     label: str,
     k: int,
     params: BM25Params | None = None,
     weights: Mapping[str, float] | None = None,
+    exclude: AbstractSet[Posting] = frozenset(),
 ) -> SearchResult:
     """Run one BM25 top-k query over ``members`` and merge deterministically.
 
-    The shared flow behind every execution tier: a standalone searcher, a
-    sharded index, the live memtable ∪ deltas ∪ base view, and each node of
+    The shared flow behind every execution tier: a standalone index, a
+    sharded one, the live memtable ∪ deltas ∪ base view, and each node of
     a routed cluster all funnel through here, which is what keeps their
     ranked lists identical.
+
+    ``exclude`` names condemned (tombstoned) postings.  BM25 scores depend
+    on corpus-wide aggregates (``N``, ``df``, ``avgdl``), so dropping
+    deleted documents from the list alone would keep scoring the survivors
+    against the *pre-delete* corpus; each member's statistics are therefore
+    pruned with :func:`~repro.index.stats.prune_stats` — exact integer
+    surgery, so every score equals a fresh rebuild over the survivors.
 
     Raises :class:`~repro.index.stats.RankingUnsupportedError` if any member
     index lacks ranking statistics, and ``ValueError`` for an invalid ``k``.
@@ -183,6 +158,8 @@ def execute_topk(
     # document mid-flush) never double-count.
     with span("rank.stats", members=len(members)):
         member_stats = [member.ranking_stats() for member in members]
+        if exclude:
+            member_stats = [prune_stats(stats, exclude) for stats in member_stats]
     merged = merge_stats(member_stats)
     avg_doc_length = merged.average_length
     idf_by_word = {
@@ -207,10 +184,11 @@ def execute_topk(
     with span("rank.score", k=k, words=list(words)) as score_span:
         for member_index, member in enumerate(members):
             member_latency = LatencyBreakdown()
-            candidates = member.ranked_candidates(words, member_latency)
+            per_word = member.lookup(words, member_latency, fail_fast=True)
+            candidates = Superpost.intersect_all(per_word[word] for word in words)
             member_latencies.append(member_latency)
             for posting in candidates.sorted_postings():
-                if posting in candidate_seen:
+                if posting in candidate_seen or posting in exclude:
                     continue
                 candidate_seen.add(posting)
                 candidate_postings.append(posting)
@@ -238,7 +216,8 @@ def execute_topk(
 
     # Retrieve text only for the winners, each posting through the member
     # that produced it (the memtable answers from memory, persisted members
-    # batch range reads through their pipelines).
+    # batch range reads through their pipelines).  The exact stats already
+    # refuted the false positives, so no text check is needed.
     retrieval_latencies: list[LatencyBreakdown] = []
     documents_by_posting: dict[Posting, Document] = {}
     for member_index, member in enumerate(members):
@@ -250,7 +229,9 @@ def execute_topk(
         if not wanted:
             continue
         retrieval_latency = LatencyBreakdown()
-        for document in member.fetch_documents(wanted, retrieval_latency):
+        with span("search.fetch_documents", postings=len(wanted)):
+            fetched = member.fetch_documents(wanted, retrieval_latency)
+        for document in fetched:
             documents_by_posting[document.ref] = document
         retrieval_latencies.append(retrieval_latency)
 
@@ -270,21 +251,7 @@ def execute_topk(
         scores=scores,
         candidate_postings=candidate_postings,
         false_positive_count=len(candidate_postings) - len(scored),
-        latency=_merge_latencies(member_latencies + retrieval_latencies),
-    )
-
-
-def _merge_latencies(latencies: Sequence[LatencyBreakdown]) -> LatencyBreakdown:
-    """Parallel-member latency merge (max elapsed, summed bytes/trips)."""
-    if not latencies:
-        return LatencyBreakdown()
-    return LatencyBreakdown(
-        lookup_ms=max(latency.lookup_ms for latency in latencies),
-        retrieval_ms=max(latency.retrieval_ms for latency in latencies),
-        wait_ms=max(latency.wait_ms for latency in latencies),
-        download_ms=sum(latency.download_ms for latency in latencies),
-        bytes_fetched=sum(latency.bytes_fetched for latency in latencies),
-        round_trips=sum(latency.round_trips for latency in latencies),
+        latency=LatencyBreakdown.merged(member_latencies + retrieval_latencies),
     )
 
 
@@ -292,8 +259,6 @@ __all__ = [
     "DEFAULT_RANKED_K",
     "MAX_RANKED_K",
     "BM25Params",
-    "RankedMember",
-    "ScoredHit",
     "execute_topk",
     "normalize_weights",
     "score_posting",

@@ -17,15 +17,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
 
 from repro.parsing.documents import Document
 from repro.search.boolean import And, BooleanQuery, Term
 from repro.search.results import SearchResult
 from repro.search.searcher import AirphantSearcher
-
-if TYPE_CHECKING:  # pragma: no cover - avoids a runtime import cycle
-    from repro.search.multi import MultiIndexSearcher
 
 #: Regex metacharacters that end a literal run.
 _META_CHARACTERS = set(".^$*+?{}[]\\|()")
@@ -118,14 +114,12 @@ class RegexSearcher:
     Parameters
     ----------
     searcher:
-        An initialized :class:`AirphantSearcher` (or
-        :class:`~repro.search.multi.MultiIndexSearcher` — anything with a
-        ``search_boolean`` method works).
+        An initialized :class:`AirphantSearcher`.
     min_literal_length:
         Minimum length of extracted literal words used for filtering.
     """
 
-    searcher: Union[AirphantSearcher, "MultiIndexSearcher"]
+    searcher: AirphantSearcher
     min_literal_length: int = 2
 
     def search(self, pattern: str, top_k: int | None = None) -> SearchResult:

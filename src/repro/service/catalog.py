@@ -4,12 +4,12 @@ A query node serves whatever indexes exist in its bucket.  The catalog
 discovers them by listing header and shard-manifest blobs, opens each on
 first use (downloading only the headers, as the paper's Figure 3 query node
 does), and keeps the opened searcher for reuse.  An index with an
-append-only manifest (see :mod:`repro.index.updates`) is opened as a
-:class:`~repro.search.multi.MultiIndexSearcher` over the base plus all
+append-only manifest (see :mod:`repro.index.updates`) is opened as an
+:class:`~repro.search.searcher.AirphantSearcher` over the base plus all
 deltas; a plain index is the degenerate single-member case of the same type,
 so callers always get one uniform searcher interface.  Sharded indexes
 (a ``shards.json`` manifest plus ``shard-NNNN/`` sub-indexes) are handled by
-the member searchers themselves; their shard sub-indexes — like delta
+the index members themselves; their shard sub-indexes — like delta
 indexes — are not directly addressable catalog entries.
 """
 
@@ -29,7 +29,7 @@ from repro.index.updates import (
     SNAPSHOT_MARKER,
     AppendOnlyIndexManager,
 )
-from repro.search.multi import MultiIndexSearcher
+from repro.search.searcher import AirphantSearcher
 from repro.service.api import IndexInfo
 from repro.service.config import ServiceConfig
 from repro.storage.base import ObjectStore, RangeRead
@@ -45,7 +45,7 @@ class IndexCatalog:
     def __init__(self, store: ObjectStore, config: ServiceConfig | None = None) -> None:
         self._store = store
         self._config = config if config is not None else ServiceConfig()
-        self._searchers: dict[str, MultiIndexSearcher] = {}
+        self._searchers: dict[str, AirphantSearcher] = {}
         self._lock = RLock()
 
     @property
@@ -116,18 +116,25 @@ class IndexCatalog:
         with self._lock:
             return len(self._searchers)
 
-    def open_searchers(self) -> list[MultiIndexSearcher]:
+    def open_searchers(self) -> list[AirphantSearcher]:
         """Every currently opened searcher (for cache/occupancy accounting)."""
         with self._lock:
             return list(self._searchers.values())
 
     # -- opening --------------------------------------------------------------------
 
-    def open(self, name: str) -> MultiIndexSearcher:
+    def open(self, name: str) -> AirphantSearcher:
         """Return the searcher for ``name``, opening it on first use.
+
+        An already-open index is returned without taking the catalog lock:
+        the lock is held across header downloads, and one slow open must not
+        stall queries to every index that is already in memory.
 
         Raises ``KeyError`` if no such index exists in the store.
         """
+        searcher = self._searchers.get(name)
+        if searcher is not None:
+            return searcher
         with self._lock:
             searcher = self._searchers.get(name)
             if searcher is not None:
@@ -135,12 +142,11 @@ class IndexCatalog:
             if not self.contains(name):
                 raise KeyError(name)
             manifest = AppendOnlyIndexManager(self._store, base_index=name).manifest()
-            searcher = MultiIndexSearcher.open(
+            searcher = AirphantSearcher.open(
                 self._store,
                 manifest.all_indexes,
                 tokenizer=self._config.make_tokenizer(),
                 max_concurrency=self._config.max_concurrency,
-                hedging=self._config.make_hedging(),
                 top_k_delta=self._config.top_k_delta,
                 query_cache_size=self._config.query_cache_size,
                 coalesce_gap=self._config.coalesce_gap,
@@ -185,7 +191,7 @@ class IndexCatalog:
         shard_manifest: ShardManifest | None = None
         searcher = self._searchers.get(name)
         if searcher is not None:
-            base = searcher.searchers[0]
+            base = searcher.opened[0]
             metadata = base.metadata
             delta_names = tuple(searcher.index_names[1:])
             shard_manifest = base.shard_manifest

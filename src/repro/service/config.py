@@ -2,10 +2,9 @@
 
 One :class:`ServiceConfig` governs every index the service opens: the
 tokenizer (which must match the one used at build time for exact keyword
-semantics), the fetch concurrency, the hedging policy of Section IV-G, and
-the per-word query cache.  It replaces the previous pattern of threading the
-same half-dozen constructor kwargs through ``AirphantSearcher``,
-``MultiIndexSearcher``, and the CLI by hand.
+semantics), the fetch concurrency, and the per-word query cache.  It
+replaces the previous pattern of threading the same half-dozen constructor
+kwargs through ``AirphantSearcher`` and the CLI by hand.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Any, Mapping
 
 from repro.observability import NULL_REGISTRY
 from repro.parsing.tokenizer import SimpleAnalyzer, Tokenizer, WhitespaceAnalyzer
-from repro.search.replication import HedgingPolicy
 from repro.storage.base import ObjectStore
 from repro.storage.resilient import ResilientStore
 from repro.storage.simulated import SimulatedCloudStore
@@ -35,9 +33,6 @@ class ServiceConfig:
         (lowercasing + punctuation stripping).
     max_concurrency:
         In-flight range reads per fetch batch (the paper uses 32).
-    drop_slowest:
-        Superpost requests a query may abandon (hedging, Section IV-G);
-        0 disables hedging.
     query_cache_size:
         Per-word postings-list LRU capacity; 0 disables the cache.
     top_k_delta:
@@ -144,7 +139,6 @@ class ServiceConfig:
 
     tokenizer: str = "whitespace"
     max_concurrency: int = 32
-    drop_slowest: int = 0
     query_cache_size: int = 0
     top_k_delta: float = 1e-6
     min_literal_length: int = 2
@@ -183,8 +177,6 @@ class ServiceConfig:
             )
         if self.max_concurrency <= 0:
             raise ValueError("max_concurrency must be positive")
-        if self.drop_slowest < 0:
-            raise ValueError("drop_slowest must be non-negative")
         if self.query_cache_size < 0:
             raise ValueError("query_cache_size must be non-negative")
         if self.default_top_k is not None and self.default_top_k <= 0:
@@ -251,10 +243,6 @@ class ServiceConfig:
             return SimpleAnalyzer()
         return WhitespaceAnalyzer()
 
-    def make_hedging(self) -> HedgingPolicy:
-        """Instantiate the configured hedging policy."""
-        return HedgingPolicy(drop_slowest=self.drop_slowest)
-
     @property
     def resilience_enabled(self) -> bool:
         """Whether any retry / timeout / hedged-read knob is active."""
@@ -298,7 +286,6 @@ class ServiceConfig:
         return {
             "tokenizer": self.tokenizer,
             "max_concurrency": self.max_concurrency,
-            "drop_slowest": self.drop_slowest,
             "query_cache_size": self.query_cache_size,
             "top_k_delta": self.top_k_delta,
             "min_literal_length": self.min_literal_length,

@@ -21,20 +21,31 @@ from typing import Any, Iterator, Sequence
 
 from repro.cluster.router import QueryRouter
 from repro.core.config import SketchConfig
-from repro.observability import NULL_REGISTRY, MetricsRegistry, get_registry
-from repro.observability.tracing import Tracer, current_span, explain_payload
+from repro.observability import (
+    NULL_REGISTRY,
+    Counter,
+    Histogram,
+    MetricsRegistry,
+    get_registry,
+)
+from repro.observability.tracing import (
+    TraceHandle,
+    Tracer,
+    current_span,
+    explain_payload,
+    span,
+)
 from repro.index.builder import AirphantBuilder
 from repro.index.stats import RankingUnsupportedError
 from repro.index.updates import AppendOnlyIndexManager, SnapshotRestoreError
-from repro.ingest.live import IngestCoordinator, IngestOverloadedError, LiveSearcher
+from repro.ingest.live import IngestCoordinator, IngestOverloadedError
 from repro.ingest.wal import WriteAheadLog
 from repro.parsing.documents import Posting
-from repro.search.multi import MultiIndexSearcher
+from repro.search.member import Member
 from repro.search.ranking import DEFAULT_RANKED_K
 from repro.search.regexsearch import RegexSearcher
 from repro.search.results import LatencyBreakdown, SearchResult
-from repro.search.sharded import ShardedSearcher
-from repro.search.visibility import apply_tombstones
+from repro.search.searcher import AirphantSearcher
 from repro.service.api import IndexInfo, SearchRequest, SearchResponse, ServiceError
 from repro.service.catalog import IndexCatalog
 from repro.service.config import ServiceConfig
@@ -46,6 +57,16 @@ from repro.storage.base import (
     TransientStoreError,
 )
 from repro.storage.registry import open_store
+
+
+def _error_code(error: Exception) -> str:
+    """The typed code a failure is counted and traced under.
+
+    Anything without one (a corrupted index blob, a programming error)
+    surfaces as HTTP 500 — label it all the same, so the worst outage class
+    is never a flat line.
+    """
+    return error.info.error if isinstance(error, ServiceError) else "internal_error"
 
 
 class AirphantService:
@@ -149,8 +170,8 @@ class AirphantService:
         """Current block-cache occupancy summed over every open searcher."""
         return sum(
             member.pipeline.cached_bytes
-            for multi in self._catalog.open_searchers()
-            for member in multi.searchers
+            for searcher in self._catalog.open_searchers()
+            for member in searcher.opened
         )
 
     @contextmanager
@@ -171,6 +192,35 @@ class AirphantService:
             raise ServiceError(403, "store_access_denied", str(error)) from error
         except ReadOnlyStoreError as error:
             raise ServiceError(400, "store_read_only", str(error)) from error
+
+    @contextmanager
+    def _accounted(
+        self, done: Counter, seconds: Histogram, **labels: str
+    ) -> Iterator[None]:
+        """Account one request: ``done`` + wall-clock ``seconds`` when it is
+        answered, the error counter (by typed code) when it is rejected."""
+        started = time.perf_counter()
+        try:
+            yield
+        except Exception as error:
+            self._query_errors_metric.inc(error=_error_code(error))
+            raise
+        done.inc(**labels)
+        seconds.observe(time.perf_counter() - started, **labels)
+
+    @staticmethod
+    @contextmanager
+    def _traced(handle: TraceHandle | None) -> Iterator[None]:
+        """Finish a request's root span, stamped with the error code if it failed."""
+        try:
+            yield
+        except Exception as error:
+            if handle is not None:
+                handle.root.set(error=_error_code(error))
+            raise
+        finally:
+            if handle is not None:
+                handle.finish()
 
     @classmethod
     def from_uri(cls, uri: str, config: ServiceConfig | None = None) -> "AirphantService":
@@ -371,27 +421,13 @@ class AirphantService:
             mode=request.mode,
             query=request.query,
         )
-        try:
+        with self._traced(handle):
             if self._router is not None and request.shards is None:
                 response = self._router.route(request)
             else:
                 response = SearchResponse.from_result(request, self.execute(request))
-        except ServiceError as error:
-            if handle is not None:
-                handle.root.set(error=error.info.error)
-                handle.finish()
-            raise
-        except Exception:
-            if handle is not None:
-                handle.root.set(error="internal_error")
-                handle.finish()
-            raise
-        if handle is not None:
-            root = handle.finish()
-            if request.explain or propagated:
-                response = dataclasses.replace(
-                    response, trace=explain_payload(root)
-                )
+        if handle is not None and (request.explain or propagated):
+            response = dataclasses.replace(response, trace=explain_payload(handle.root))
         return response
 
     def _ranked_k(self, top_k: int | None) -> int:
@@ -411,7 +447,6 @@ class AirphantService:
         accounted: answered queries by mode with end-to-end wall-clock
         latency, rejected ones by typed error code.
         """
-        started = time.perf_counter()
         # Callers arriving through search() already run inside that root
         # span; direct callers (the CLI's document-rendering path, library
         # embedders) get their own so sampling and the slow-query log still
@@ -423,30 +458,13 @@ class AirphantService:
             if current_span() is None
             else None
         )
-        try:
-            result = self._execute(request)
-        except ServiceError as error:
-            self._query_errors_metric.inc(error=error.info.error)
-            if handle is not None:
-                handle.root.set(error=error.info.error)
-                handle.finish()
-            raise
-        except Exception:
-            # Anything without a typed code (a corrupted index blob, a
-            # programming error) surfaces as HTTP 500 — count it under the
-            # same label so the worst outage class is never a flat line.
-            self._query_errors_metric.inc(error="internal_error")
-            if handle is not None:
-                handle.root.set(error="internal_error")
-                handle.finish()
-            raise
-        self._queries_metric.inc(mode=request.mode, index=request.index)
-        self._query_seconds_metric.observe(
-            time.perf_counter() - started, mode=request.mode, index=request.index
-        )
-        if handle is not None:
-            handle.finish()
-        return result
+        with self._traced(handle), self._accounted(
+            self._queries_metric,
+            self._query_seconds_metric,
+            mode=request.mode,
+            index=request.index,
+        ):
+            return self._execute(request)
 
     def _execute(self, request: SearchRequest) -> SearchResult:
         searcher = self._open(request.index, shards=request.shards)
@@ -480,43 +498,44 @@ class AirphantService:
 
     def lookup_postings(self, index: str, word: str) -> tuple[list[Posting], LatencyBreakdown]:
         """Term-index lookup only (the paper's Figure 14 operation)."""
-        started = time.perf_counter()
-        try:
-            with self._store_errors():
-                outcome = self._open(index).lookup_postings(word)
-        except ServiceError as error:
-            self._query_errors_metric.inc(error=error.info.error)
-            raise
-        except Exception:
-            self._query_errors_metric.inc(error="internal_error")
-            raise
-        self._queries_metric.inc(mode="lookup", index=index)
-        self._query_seconds_metric.observe(
-            time.perf_counter() - started, mode="lookup", index=index
-        )
-        return outcome
+        with self._accounted(
+            self._queries_metric, self._query_seconds_metric, mode="lookup", index=index
+        ), self._store_errors():
+            return self._open(index).lookup_postings(word)
 
-    def searcher(self, index: str) -> MultiIndexSearcher:
-        """The underlying searcher, for callers needing raw :class:`SearchResult`.
+    def searcher(self, index: str) -> AirphantSearcher:
+        """A searcher over ``index`` as it stands now, for callers needing raw
+        :class:`SearchResult` — persisted members plus live memtables, with
+        the pending deletes excluded.  It is a snapshot: take a fresh one to
+        see later flushes and compactions.
 
         Raises :class:`ServiceError` (404) if the index does not exist.
         """
         return self._open(index)
 
-    def _open(self, index: str, shards: Sequence[int] | None = None) -> MultiIndexSearcher:
+    def _open(self, index: str, shards: Sequence[int] | None = None) -> AirphantSearcher:
+        """Resolve ``index``'s members, once, into the searcher for one request.
+
+        The combined live view: the catalog's (cached) persisted members —
+        re-resolved per request, so flush/compaction invalidations take
+        effect on the next query — plus one exact member per live memtable,
+        with the pending deletes excluded on every route a condemned
+        document could surface through (local, shard-pinned, or
+        cluster-scattered).  For an index with no write state this is
+        exactly the catalog searcher's members.
+        """
         try:
-            # _store_errors: header/manifest reads failing before open.
+            # _store_errors: header/manifest reads failing before open, or
+            # the first touch of the index's WAL state.
             with self._store_errors():
-                self._catalog.open(index)
+                opened = self._catalog.open(index)
+                live = self._ingest.live(index)
         except KeyError:
             raise ServiceError(404, "index_not_found", f"no index named {index!r}") from None
         if shards is not None:
             # Validate eagerly (typed 400, not a silent empty answer): every
             # requested ordinal must exist somewhere among the members.
-            num_shards = max(
-                (member.num_shards for member in self._catalog.open(index).searchers),
-                default=1,
-            )
+            num_shards = max(member.num_shards for member in opened.opened)
             invalid = [ordinal for ordinal in shards if ordinal >= num_shards]
             if invalid:
                 raise ServiceError(
@@ -525,39 +544,25 @@ class AirphantService:
                     f"index {index!r} has {num_shards} shard(s); "
                     f"ordinal(s) {invalid} do not exist",
                 )
-        # The combined live view: the catalog's (cached) persisted members —
-        # re-resolved per call, so flush/compaction invalidations take effect
-        # on the next query — plus one exact searcher per live memtable.
-        # For an index with no write state this degenerates to exactly the
-        # catalog searcher's members.
-        return LiveSearcher(lambda: self._live_members(index, shards))
-
-    def _live_members(self, index: str, shards: Sequence[int] | None = None) -> list[Any]:
-        members = [*self._catalog.open(index).searchers, *self._ingest.members(index)]
-        if shards is not None:
-            # Shard-subset execution (the scatter half of the cluster tier):
-            # a sharded member answers with a view over the requested
-            # ordinals it actually holds; everything unsharded — plain
-            # indexes, deltas, live memtables — rides with ordinal 0.
-            # Disjoint ordinal subsets across nodes therefore partition the
-            # full member set exactly: each shard is answered once, and the
-            # write-path members exactly once (by whichever node owns
-            # ordinal 0).
-            restricted: list[Any] = []
-            for member in members:
-                if isinstance(member, ShardedSearcher):
-                    held = [o for o in shards if o < member.num_shards]
-                    if held:
-                        restricted.append(member.restrict(held))
-                elif 0 in shards:
-                    restricted.append(member)
-            members = restricted
-        # Pending deletes filter *after* shard restriction, so every route a
-        # condemned document could surface through — local, shard-pinned, or
-        # cluster-scattered — is covered by the same wrapper.  Memtable
-        # members carry no condemned documents (deletes are physical there),
-        # but wrapping them too is harmless and keeps this one line.
-        return apply_tombstones(members, self._ingest.tombstone_refs(index))
+        with span("live.members") as members_span:
+            members: list[Member] = opened.searchers
+            exclude: frozenset[Posting] = frozenset()
+            if live is not None:
+                members += live.memtable_members()
+                exclude = live.tombstone_refs()
+            searcher = opened.with_members(members, exclude)
+            if shards is not None:
+                # Shard-subset execution (the scatter half of the cluster
+                # tier): a sharded member answers with a view over the
+                # requested ordinals it actually holds; everything unsharded
+                # — plain indexes, deltas, live memtables — rides with
+                # ordinal 0.  Disjoint ordinal subsets across nodes therefore
+                # partition the full member set exactly: each shard is
+                # answered once, and the write-path members exactly once (by
+                # whichever node owns ordinal 0).
+                searcher = searcher.restrict(shards)
+            members_span.set(members=len(searcher.searchers))
+        return searcher
 
     # -- live ingestion ----------------------------------------------------------------
 
@@ -796,9 +801,8 @@ class AirphantService:
         Any previously cached searcher for ``name`` is invalidated so the
         next query reopens the fresh header(s).
         """
-        started = time.perf_counter()
-        try:
-            info = self._build_index(
+        with self._accounted(self._builds_metric, self._build_seconds_metric):
+            return self._build_index(
                 name,
                 blobs,
                 sketch_config=sketch_config,
@@ -806,15 +810,6 @@ class AirphantService:
                 partitioner=partitioner,
                 format_version=format_version,
             )
-        except ServiceError as error:
-            self._query_errors_metric.inc(error=error.info.error)
-            raise
-        except Exception:
-            self._query_errors_metric.inc(error="internal_error")
-            raise
-        self._builds_metric.inc()
-        self._build_seconds_metric.observe(time.perf_counter() - started)
-        return info
 
     def _build_index(
         self,

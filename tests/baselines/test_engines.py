@@ -141,7 +141,7 @@ class TestEngineQueryCache:
         first = engine.search("error")
         second = engine.search("error")
         assert engine._searcher is not None
-        assert engine._searcher.cache_hits == 1
+        assert engine._searcher.searchers[0].cache_hits == 1
         assert {d.text for d in second.documents} == {d.text for d in first.documents}
 
     def test_cache_disabled_by_default(self, sim_store, small_documents):
@@ -153,4 +153,4 @@ class TestEngineQueryCache:
         engine.search("error")
         engine.search("error")
         assert engine._searcher is not None
-        assert engine._searcher.cache_hits == 0
+        assert engine._searcher.searchers[0].cache_hits == 0

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.router import http_transport
+from repro.cluster.topology import ClusterTopology
 from repro.service.api import SearchRequest, ServiceError
 from repro.service.config import ServiceConfig
 from repro.service.facade import AirphantService
@@ -401,17 +402,33 @@ class TestDegradedCluster:
     def test_dead_node_yields_typed_partial_response(self, cluster):
         # A dedicated RF=1 router over one live and one dead peer: the dead
         # node's shards have no surviving replica, so the answer degrades.
-        dead = "http://127.0.0.1:1"  # port 1: connection refused
+        # The live peer's ephemeral port feeds the consistent-hash ring, so
+        # the dead address (a low port: connection refused) is picked such
+        # that each peer owns at least one shard — all four on the dead one
+        # would rightly be a 503, not a partial answer.
+        live = cluster.peers[0]
+
+        def owners(peers: tuple[str, str]) -> set[str]:
+            placement = ClusterTopology(peers, replication_factor=1)
+            return {nodes[0] for nodes in placement.assignments("logs", NUM_SHARDS).values()}
+
+        dead = next(
+            candidate
+            for candidate in (f"http://127.0.0.1:{port}" for port in range(1, 20))
+            if owners((live, candidate)) == {live, candidate}
+        )
         router = AirphantService(
             cluster.store,
             ServiceConfig(
-                peers=(cluster.peers[0], dead),
+                peers=(live, dead),
                 replication_factor=1,
                 shard_timeout_s=2.0,
                 probe_interval_s=0,
             ),
         )
         try:
+            placed = router.router.topology.assignments("logs", NUM_SHARDS)
+            assert {nodes[0] for nodes in placed.values()} == {live, dead}
             response = router.search(SearchRequest(query="INFO", index="logs"))
         finally:
             router.close()

@@ -17,7 +17,6 @@ from repro.index.serialization import DEFAULT_FORMAT_VERSION, FORMAT_V1, FORMAT_
 from repro.index.updates import AppendOnlyIndexManager
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.search.searcher import AirphantSearcher
-from repro.search.sharded import ShardedSearcher
 from repro.service.api import SearchRequest
 from repro.service.facade import AirphantService
 from repro.storage.memory import InMemoryObjectStore
@@ -112,7 +111,7 @@ class TestShardedByteIdentity:
                 store.get(ShardManifest.blob_name(name))
             )
             assert manifest.index_format_version == version
-            searcher = ShardedSearcher(store, name)
+            searcher = AirphantSearcher(store, name)
             searcher.initialize()
             payloads[version] = json.dumps(
                 {

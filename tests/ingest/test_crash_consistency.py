@@ -27,7 +27,6 @@ from repro.ingest.live import LiveIndex
 from repro.observability import MetricsRegistry
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Posting
-from repro.search.visibility import apply_tombstones
 from repro.service.config import ServiceConfig
 from repro.storage.memory import InMemoryObjectStore
 
@@ -70,10 +69,10 @@ def _restart(store) -> LiveIndex:
 def _visible_texts(live: LiveIndex, query: str) -> set[str]:
     """What the full live view (memtable ∪ deltas ∪ base) answers."""
     searcher = live.manager.open_searcher()
-    members = apply_tombstones(
-        [*live.memtable_searchers(), searcher], live.tombstone_refs()
+    view = searcher.with_members(
+        [*live.memtable_members(), *searcher.searchers], live.tombstone_refs()
     )
-    texts = {d.text for member in members for d in member.search(query).documents}
+    texts = {d.text for d in view.search(query).documents}
     searcher.close()
     return texts
 
@@ -177,8 +176,12 @@ class TestFlushCrashes:
         assert recovered.memtable_documents() == 1
         assert recovered.manager.manifest().delta_indexes != ()
         searcher = recovered.manager.open_searcher()
-        members = [*recovered.memtable_searchers(), searcher]
-        hits = [d for m in members for d in m.search("fresh").documents]
+        members = [*recovered.memtable_members(), *searcher.searchers]
+        hits = [
+            d
+            for m in members
+            for d in searcher.with_members([m]).search("fresh").documents
+        ]
         # Both tiers answer, but they answer with the *same reference* — the
         # query path's posting-keyed merge keeps exactly one copy.
         assert {(d.blob, d.offset, d.length) for d in hits} == {

@@ -9,6 +9,7 @@ from repro.index.builder import AirphantBuilder
 from repro.ingest.live import IngestCoordinator, LiveIndex
 from repro.observability import MetricsRegistry
 from repro.parsing.corpus import LineDelimitedCorpusParser
+from repro.search.searcher import AirphantSearcher
 from repro.service.config import ServiceConfig
 from repro.storage.base import TransientStoreError
 from repro.storage.memory import InMemoryObjectStore
@@ -37,9 +38,9 @@ def _live(store, **config) -> tuple[LiveIndex, list[str]]:
 
 
 def _memtable_texts(live: LiveIndex) -> set[str]:
+    searcher = AirphantSearcher(members=live.memtable_members())
     return {
         document.text
-        for searcher in live.memtable_searchers()
         for document in searcher.search_boolean("error OR info OR warn OR fresh").documents
     }
 
@@ -219,11 +220,9 @@ class TestCoordinator:
         # A second coordinator (fresh process) discovers the WAL on first
         # query-side touch and replays it.
         reader, _ = self._coordinator(store)
-        members = reader.members("idx")
+        members = reader.live("idx").memtable_members()
         assert len(members) == 1
-        assert {d.text for d in members[0].search("fresh").documents} == {
-            "error fresh one"
-        }
+        assert _memtable_texts(reader.live("idx")) == {"error fresh one"}
         reader.close()
 
     def test_run_maintenance_applies_the_policies(self):

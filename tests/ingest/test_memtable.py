@@ -1,10 +1,11 @@
-"""Tests for the exact in-memory memtable and its searcher adapter."""
+"""Tests for the exact in-memory memtable and its query member."""
 
 from __future__ import annotations
 
-from repro.ingest.memtable import Memtable, MemtableSearcher, memtable_from_documents
+from repro.ingest.memtable import Memtable, MemtableMember, memtable_from_documents
 from repro.parsing.documents import Document, DocumentRef
 from repro.search.boolean import And, Or, Term
+from repro.search.searcher import AirphantSearcher
 
 
 def _doc(blob: str, offset: int, text: str) -> Document:
@@ -18,6 +19,11 @@ def _table(*texts: str) -> Memtable:
         documents.append(_doc("seg", offset, text))
         offset += len(text) + 1
     return memtable_from_documents(documents)
+
+
+def _searcher(*texts: str) -> AirphantSearcher:
+    """The query executor over one memtable member."""
+    return AirphantSearcher(members=[MemtableMember(_table(*texts))])
 
 
 class TestMemtable:
@@ -38,7 +44,7 @@ class TestMemtable:
 
 class TestMemtableSearcher:
     def test_keyword_search_is_and_of_words(self):
-        searcher = MemtableSearcher(_table("error disk full", "error net", "warn disk"))
+        searcher = _searcher("error disk full", "error net", "warn disk")
         assert {d.text for d in searcher.search("error").documents} == {
             "error disk full",
             "error net",
@@ -50,7 +56,7 @@ class TestMemtableSearcher:
         assert searcher.search("absent").documents == []
 
     def test_boolean_search(self):
-        searcher = MemtableSearcher(_table("error disk", "warn net", "info ok"))
+        searcher = _searcher("error disk", "warn net", "info ok")
         result = searcher.search_boolean(Or(Term("error"), Term("warn")))
         assert {d.text for d in result.documents} == {"error disk", "warn net"}
         result = searcher.search_boolean(And(Term("error"), Term("net")))
@@ -60,11 +66,11 @@ class TestMemtableSearcher:
         assert {d.text for d in result.documents} == {"error disk", "info ok"}
 
     def test_top_k_truncates(self):
-        searcher = MemtableSearcher(_table("error a", "error b", "error c"))
+        searcher = _searcher("error a", "error b", "error c")
         assert len(searcher.search("error", top_k=2).documents) == 2
 
     def test_lookup_postings_is_sorted_and_latency_free(self):
-        searcher = MemtableSearcher(_table("error a", "info b", "error c"))
+        searcher = _searcher("error a", "info b", "error c")
         postings, latency = searcher.lookup_postings("error")
         assert postings == sorted(postings)
         assert len(postings) == 2
@@ -72,7 +78,7 @@ class TestMemtableSearcher:
         assert latency.round_trips == 0
 
     def test_no_false_positives_by_construction(self):
-        searcher = MemtableSearcher(_table("error disk", "warn net"))
+        searcher = _searcher("error disk", "warn net")
         result = searcher.search("error")
         assert result.false_positive_count == 0
         assert len(result.candidate_postings) == len(result.documents)

@@ -1,7 +1,7 @@
 """Tests for the mutable-document lifecycle: tombstone deletes and updates.
 
 Covers every layer a delete travels through: the WAL tombstone records, the
-memtable's exact removal, the query-time :class:`TombstoneView` filter, the
+memtable's exact removal, the query executor's ``exclude`` filter, the
 ranking-stats pruning, the flush-time survivor filter, and the compaction
 that finally drops deleted documents from the physical index.
 """
@@ -24,7 +24,7 @@ from repro.observability import MetricsRegistry
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import SimpleAnalyzer
-from repro.search.visibility import TombstoneView, apply_tombstones
+from repro.search.searcher import AirphantSearcher
 from repro.service.config import ServiceConfig
 from repro.storage.memory import InMemoryObjectStore
 
@@ -53,6 +53,13 @@ def _live(store, **config) -> LiveIndex:
         ServiceConfig(ingest_interval_s=0, **config),
         MetricsRegistry(),
         lambda name: None,
+    )
+
+
+def _memtable_view(live: LiveIndex) -> AirphantSearcher:
+    """The query executor over ``live``'s memtable tier, pending deletes excluded."""
+    return AirphantSearcher(
+        members=live.memtable_members(), exclude=live.tombstone_refs()
     )
 
 
@@ -183,48 +190,50 @@ class TestPruneStats:
 
 
 class TestTombstoneView:
-    def _searcher(self):
-        from repro.search.searcher import AirphantSearcher
+    """The executor's ``exclude`` set, standing where the tombstone view stood."""
 
+    def _searcher(self):
         store = InMemoryObjectStore()
         _base(store)
         return AirphantSearcher.open(store, index_name="idx")
 
     def test_filters_documents_and_candidates(self):
         searcher = self._searcher()
-        view = TombstoneView(searcher, {BASE_REFS[0]})
+        view = searcher.with_members(searcher.searchers, frozenset({BASE_REFS[0]}))
         result = view.search("error")
         assert {d.text for d in result.documents} == set()
         assert BASE_REFS[0] not in result.candidate_postings
+        assert BASE_REFS[0] not in view.lookup_postings("error")[0]
         searcher.close()
 
     def test_empty_tombstones_pass_through(self):
         searcher = self._searcher()
-        view = TombstoneView(searcher, frozenset())
+        view = searcher.with_members(searcher.searchers, frozenset())
         assert {d.text for d in view.search("error").documents} == {"error disk full"}
         searcher.close()
 
-    def test_apply_tombstones_wraps_only_when_pending(self):
-        searcher = self._searcher()
-        members = apply_tombstones([searcher], frozenset())
-        assert members[0] is searcher
-        members = apply_tombstones([searcher], frozenset({BASE_REFS[0]}))
-        assert isinstance(members[0], TombstoneView)
-        searcher.close()
-
     def test_ranking_stats_are_pruned(self):
+        # Ranked scores under a pending delete equal a rebuild over the survivors.
         searcher = self._searcher()
-        view = TombstoneView(searcher, {BASE_REFS[0]})
-        stats = view.ranking_stats()
-        assert stats.num_documents == 2
-        assert BASE_REFS[0] not in stats.doc_lengths
+        view = searcher.with_members(searcher.searchers, frozenset({BASE_REFS[0]}))
+        store = InMemoryObjectStore()
+        store.put("corpus/base.txt", CORPUS)
+        survivors = [
+            document
+            for document in LineDelimitedCorpusParser().parse(store, ["corpus/base.txt"])
+            if document.ref != BASE_REFS[0]
+        ]
+        AirphantBuilder(store, config=SketchConfig(num_bins=64, seed=3)).build_from_documents(
+            survivors, index_name="survivors"
+        )
+        rebuilt = AirphantSearcher.open(store, index_name="survivors")
+        assert view.search_topk("error", k=3).documents == []
+        for query in ("ok", "slow response"):
+            pruned, fresh = view.search_topk(query, k=3), rebuilt.search_topk(query, k=3)
+            assert pruned.postings == fresh.postings
+            assert pruned.scores == fresh.scores != []
         searcher.close()
-
-    def test_delegates_unfiltered_attributes(self):
-        searcher = self._searcher()
-        view = TombstoneView(searcher, {BASE_REFS[0]})
-        assert view.metadata is searcher.metadata
-        searcher.close()
+        rebuilt.close()
 
 
 class TestLiveDelete:
@@ -237,10 +246,9 @@ class TestLiveDelete:
         assert outcome["memtable_removed"] == 0
         assert store.exists(outcome["tombstone_record"])
         assert live.tombstone_refs() == frozenset({BASE_REFS[0]})
-        members = apply_tombstones(live.memtable_searchers(), live.tombstone_refs())
         # The memtable tier returns nothing for the deleted base doc, and the
-        # base tier (wrapped the same way by the service facade) filters it.
-        assert all(not m.search("error").documents for m in members)
+        # base tier (excluded the same way by the service facade) filters it.
+        assert not _memtable_view(live).search("error").documents
 
     def test_delete_removes_memtable_documents(self):
         store = InMemoryObjectStore()
@@ -277,11 +285,7 @@ class TestLiveDelete:
         reopened = _live(store)
         reopened.replay()
         assert reopened.memtable_documents() == 1
-        texts = {
-            d.text
-            for searcher in reopened.memtable_searchers()
-            for d in searcher.search("fresh").documents
-        }
+        texts = {d.text for d in _memtable_view(reopened).search("fresh").documents}
         assert texts == {"info fresh two"}
         assert reopened.tombstone_refs() == frozenset({ref})
 
@@ -299,11 +303,7 @@ class TestLiveUpdate:
             "length": BASE_REFS[0].length,
         }
         assert live.tombstone_refs() == frozenset({BASE_REFS[0]})
-        texts = {
-            d.text
-            for searcher in live.memtable_searchers()
-            for d in searcher.search("replacement").documents
-        }
+        texts = {d.text for d in _memtable_view(live).search("replacement").documents}
         assert texts == {"error replacement text"}
         # One manifest swap carries both the new segment and the tombstone.
         manifest = live.wal.manifest()
@@ -319,11 +319,7 @@ class TestLiveUpdate:
         old_ref = Posting(**appended["refs"][0])
         live.update(old_ref, "warn replacement")
         assert live.memtable_documents() == 1
-        texts = {
-            d.text
-            for searcher in live.memtable_searchers()
-            for d in searcher.search("replacement").documents
-        }
+        texts = {d.text for d in _memtable_view(live).search("replacement").documents}
         assert texts == {"warn replacement"}
 
     def test_update_rejects_multiline_text(self):

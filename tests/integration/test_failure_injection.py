@@ -161,8 +161,10 @@ class TestResilienceCounters:
         # 250 ms, its hedge fires after the 10 ms floor, answers instantly,
         # and wins the race — deterministically, whichever of the query's
         # concurrent reads consumed the scripted outcome.
-        flaky.script(["slow"])
+        # (Scripted after the open, whose first read is the shard-manifest
+        # probe: a 404 there would consume the straggler without a winner.)
         searcher = AirphantSearcher.open(store, index_name="small-index")
+        flaky.script(["slow"])
         result = searcher.search("error")
         assert len(result.documents) == 4
         searcher.close()

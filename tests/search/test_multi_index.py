@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
 from repro.parsing.corpus import LineDelimitedCorpusParser
-from repro.search.multi import MultiIndexSearcher
 from repro.search.searcher import AirphantSearcher
 
 
@@ -29,10 +28,10 @@ def two_indexes(sim_store):
 class TestMultiIndexSearcher:
     def test_requires_at_least_one_index(self, sim_store):
         with pytest.raises(ValueError):
-            MultiIndexSearcher(sim_store, [])
+            AirphantSearcher(sim_store, [])
 
     def test_merges_results_across_indexes(self, sim_store, two_indexes):
-        searcher = MultiIndexSearcher.open(sim_store, two_indexes)
+        searcher = AirphantSearcher.open(sim_store, two_indexes)
         result = searcher.search("error")
         assert {doc.text for doc in result.documents} == {
             "error disk alpha",
@@ -41,7 +40,7 @@ class TestMultiIndexSearcher:
         }
 
     def test_word_unique_to_one_index_found(self, sim_store, two_indexes):
-        searcher = MultiIndexSearcher.open(sim_store, two_indexes)
+        searcher = AirphantSearcher.open(sim_store, two_indexes)
         assert [doc.text for doc in searcher.search("delta").documents] == ["info stop delta"]
 
     def test_deduplicates_documents(self, sim_store, two_indexes):
@@ -50,31 +49,34 @@ class TestMultiIndexSearcher:
         builder = AirphantBuilder(sim_store, config=SketchConfig(num_bins=64, seed=3))
         documents = list(parser.parse(sim_store, ["corpus/part1.txt"]))
         builder.build_from_documents(documents, index_name="dup-index")
-        searcher = MultiIndexSearcher.open(sim_store, ["part1-index", "dup-index"])
+        searcher = AirphantSearcher.open(sim_store, ["part1-index", "dup-index"])
         result = searcher.search("alpha")
         refs = [doc.ref for doc in result.documents]
         assert len(refs) == len(set(refs)) == 2
 
     def test_top_k_applies_after_merge(self, sim_store, two_indexes):
-        searcher = MultiIndexSearcher.open(sim_store, two_indexes)
+        searcher = AirphantSearcher.open(sim_store, two_indexes)
         assert len(searcher.search("error", top_k=2).documents) == 2
 
     def test_latency_charges_parallel_indexes(self, sim_store, two_indexes):
-        searcher = MultiIndexSearcher.open(sim_store, two_indexes)
+        searcher = AirphantSearcher.open(sim_store, two_indexes)
         result = searcher.search("error")
-        per_index = [s.search("error") for s in searcher.searchers]
+        per_index = [
+            searcher.with_members([member]).search("error")
+            for member in searcher.searchers
+        ]
         assert result.latency.lookup_ms == pytest.approx(
             max(r.latency.lookup_ms for r in per_index), rel=0.5
         )
 
     def test_init_latency_is_max_of_indexes(self, sim_store, two_indexes):
-        searcher = MultiIndexSearcher(sim_store, two_indexes)
+        searcher = AirphantSearcher(sim_store, two_indexes)
         init = searcher.initialize()
         assert init > 0
         assert searcher.index_names == two_indexes
 
     def test_boolean_search_merges_across_indexes(self, sim_store, two_indexes):
-        searcher = MultiIndexSearcher.open(sim_store, two_indexes)
+        searcher = AirphantSearcher.open(sim_store, two_indexes)
         result = searcher.search_boolean("disk OR stop")
         assert {doc.text for doc in result.documents} == {
             "error disk alpha",
@@ -83,7 +85,7 @@ class TestMultiIndexSearcher:
         }
 
     def test_lookup_postings_merges_and_deduplicates(self, sim_store, two_indexes):
-        searcher = MultiIndexSearcher.open(sim_store, two_indexes)
+        searcher = AirphantSearcher.open(sim_store, two_indexes)
         postings, latency = searcher.lookup_postings("error")
         assert len(postings) == len(set(postings)) >= 3
         assert latency.round_trips == 2  # one lookup batch per index
@@ -97,7 +99,7 @@ class TestQueryCache:
         first = searcher.search("error")
         sim_store.metrics.reset()
         second = searcher.search("error")
-        assert searcher.cache_hits == 1
+        assert searcher.searchers[0].cache_hits == 1
         assert {d.text for d in second.documents} == {d.text for d in first.documents}
         # Only document retrieval hits storage on the cached query.
         assert second.latency.lookup_ms == 0.0
@@ -106,7 +108,7 @@ class TestQueryCache:
         searcher = AirphantSearcher.open(sim_store, index_name=built_small_index.index_name)
         searcher.search("error")
         searcher.search("error")
-        assert searcher.cache_hits == 0
+        assert searcher.searchers[0].cache_hits == 0
 
     def test_cache_eviction_respects_capacity(self, sim_store, built_small_index):
         searcher = AirphantSearcher.open(
@@ -114,7 +116,7 @@ class TestQueryCache:
         )
         for word in ["error", "info", "warn", "debug"]:
             searcher.search(word)
-        assert len(searcher._query_cache) <= 2
+        assert len(searcher.searchers[0]._query_cache) <= 2
 
     def test_cached_results_stay_correct(self, sim_store, built_small_index, small_documents):
         searcher = AirphantSearcher.open(

@@ -9,7 +9,6 @@ from repro.index.stats import RankingUnsupportedError, stats_blob_name
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.search.ranking import BM25Params, MAX_RANKED_K
 from repro.search.searcher import AirphantSearcher
-from repro.search.sharded import ShardedSearcher
 
 
 @pytest.fixture
@@ -102,7 +101,7 @@ class TestRankingUnsupported:
             small_documents, index_name="sh-missing"
         )
         sim_store.delete(stats_blob_name(built.shards[0].index_name))
-        searcher = ShardedSearcher.open(sim_store, index_name="sh-missing")
+        searcher = AirphantSearcher.open(sim_store, index_name="sh-missing")
         with pytest.raises(RankingUnsupportedError):
             searcher.search_topk("error", k=3)
 
@@ -116,7 +115,7 @@ class TestShardedRanking:
             small_documents, index_name="split"
         )
         flat = AirphantSearcher.open(sim_store, index_name="flat")
-        split = ShardedSearcher.open(sim_store, index_name="split")
+        split = AirphantSearcher.open(sim_store, index_name="split")
         for query in ("error", "error timeout", "info node1", "warn"):
             a = flat.search_topk(query, k=5)
             b = split.search_topk(query, k=5)
@@ -129,7 +128,7 @@ class TestShardedRanking:
         AirphantBuilder(sim_store, config=small_config, num_shards=3).build_from_documents(
             small_documents, index_name="rv"
         )
-        searcher = ShardedSearcher.open(sim_store, index_name="rv")
+        searcher = AirphantSearcher.open(sim_store, index_name="rv")
         full = searcher.search_topk("error", k=5)
         partial_hits = []
         for ordinals in ([0], [1, 2]):

@@ -17,7 +17,7 @@ def searcher(sim_store, built_small_index) -> AirphantSearcher:
 class TestInitialization:
     def test_open_initializes(self, searcher):
         assert searcher.is_initialized
-        assert searcher.metadata is not None
+        assert searcher.searchers[0].metadata is not None
         assert searcher.init_latency_ms > 0
 
     def test_query_before_initialize_raises(self, sim_store, built_small_index):
@@ -32,7 +32,7 @@ class TestInitialization:
         assert sim_store.metrics.round_trips == 1
 
     def test_mht_accessible_after_init(self, searcher, built_small_index):
-        assert searcher.mht.num_layers == built_small_index.mht.num_layers
+        assert searcher.searchers[0].mht.num_layers == built_small_index.mht.num_layers
 
 
 class TestSingleKeywordSearch:
@@ -194,8 +194,9 @@ class TestCommonWordPath:
         builder = AirphantBuilder(sim_store, config=config)
         builder.build_from_documents(small_documents, index_name="common")
         searcher = AirphantSearcher.open(sim_store, index_name="common")
-        assert searcher.mht.num_common_words == 5
-        common_word = searcher.mht.common_words[0]
+        mht = searcher.searchers[0].mht
+        assert mht.num_common_words == 5
+        common_word = mht.common_words[0]
         result = searcher.search(common_word)
         assert result.false_positive_count == 0
         for document in result.documents:

@@ -1,4 +1,4 @@
-"""Equivalence and behaviour tests for the sharded searcher.
+"""Equivalence and behaviour tests for sharded index members.
 
 The acceptance bar for sharding: a sharded build (N >= 4) must answer
 keyword, Boolean, and regex queries — directly, through the service facade,
@@ -14,8 +14,9 @@ import pytest
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
+from repro.search.member import MAX_SHARDED_CONCURRENCY, IndexMember
 from repro.search.regexsearch import RegexSearcher
-from repro.search.sharded import ShardedSearcher
+from repro.search.searcher import AirphantSearcher
 from repro.service import AirphantService, SearchRequest, ServiceConfig
 from repro.service.http import create_server
 from repro.workloads.logs import generate_log_corpus
@@ -35,9 +36,15 @@ def searchers(sim_store, corpus):
     AirphantBuilder(sim_store, config=config, num_shards=4).build_from_documents(
         corpus.documents, index_name="sharded"
     )
-    single = ShardedSearcher.open(sim_store, index_name="single")
-    sharded = ShardedSearcher.open(sim_store, index_name="sharded")
+    single = AirphantSearcher.open(sim_store, index_name="single")
+    sharded = AirphantSearcher.open(sim_store, index_name="sharded")
     return single, sharded
+
+
+def member(searcher) -> IndexMember:
+    """The one index member behind a single-index searcher."""
+    (only,) = searcher.searchers
+    return only
 
 
 def doc_keys(result):
@@ -47,15 +54,18 @@ def doc_keys(result):
 class TestShardedEquivalence:
     def test_opens_all_shards(self, searchers):
         single, sharded = searchers
-        assert single.num_shards == 1
-        assert sharded.num_shards == 4
-        assert sharded.shard_manifest is not None
+        assert member(single).num_shards == 1
+        assert member(sharded).num_shards == 4
+        assert member(sharded).shard_manifest is not None
         assert sharded.is_initialized
 
     def test_merged_metadata_covers_whole_corpus(self, searchers, corpus):
         single, sharded = searchers
-        assert sharded.metadata.num_documents == len(corpus.documents)
-        assert sharded.metadata.num_documents == single.metadata.num_documents
+        assert member(sharded).metadata.num_documents == len(corpus.documents)
+        assert (
+            member(sharded).metadata.num_documents
+            == member(single).metadata.num_documents
+        )
 
     def test_keyword_queries_match_single_shard(self, searchers):
         single, sharded = searchers
@@ -107,15 +117,15 @@ class TestShardedEquivalence:
         AirphantBuilder(sim_store, config=config, num_shards=4).build_from_documents(
             corpus.documents, index_name="cached"
         )
-        searcher = ShardedSearcher.open(sim_store, index_name="cached", query_cache_size=8)
+        searcher = AirphantSearcher.open(sim_store, index_name="cached", query_cache_size=8)
         first = searcher.search("ERROR")
         second = searcher.search("ERROR")
         assert doc_keys(first) == doc_keys(second)
-        assert searcher.cache_hits == 1
+        assert member(searcher).cache_hits == 1
         assert second.latency.lookup_ms == 0.0  # postings memoized, no superpost fetch
 
     def test_uninitialized_query_raises(self, sim_store, searchers):
-        searcher = ShardedSearcher(sim_store, index_name="sharded")
+        searcher = AirphantSearcher(sim_store, index_name="sharded")
         with pytest.raises(RuntimeError):
             searcher.search("ERROR")
 
@@ -209,28 +219,30 @@ class TestShardRestriction:
         ]:
             expected = doc_keys(run(single))
             union = set()
-            for ordinal in range(sharded.num_shards):
+            for ordinal in range(member(sharded).num_shards):
                 union |= doc_keys(run(sharded.restrict([ordinal])))
             assert union == expected
 
     def test_full_subset_returns_self(self, searchers):
         _, sharded = searchers
-        assert sharded.restrict(range(sharded.num_shards)) is sharded
+        assert sharded.restrict(range(member(sharded).num_shards)) is sharded
+        assert member(sharded).restrict(range(4)) is member(sharded)
 
-    def test_view_shares_fetcher_but_not_query_cache(self, searchers):
-        _, sharded = searchers
+    def test_view_shares_fetcher_but_not_query_cache(self, sim_store, searchers):
+        sharded = AirphantSearcher.open(sim_store, index_name="sharded", query_cache_size=8)
         view = sharded.restrict([1])
         assert view is not sharded
-        assert view._fetcher is sharded._fetcher
+        assert member(view)._fetcher is member(sharded)._fetcher
+        assert member(view).pipeline is member(sharded).pipeline
         view.search("ERROR")
         view.search("ERROR")
-        assert view.cache_hits == 0  # cache disabled on views
+        assert member(view).cache_hits == 0  # cache disabled on views
 
     def test_view_metadata_covers_only_the_subset(self, searchers):
         _, sharded = searchers
-        view = sharded.restrict([0, 1])
+        view = member(sharded.restrict([0, 1]))
         assert view.num_shards == 2
-        assert 0 < view.metadata.num_documents < sharded.metadata.num_documents
+        assert 0 < view.metadata.num_documents < member(sharded).metadata.num_documents
 
     def test_empty_subset_raises(self, searchers):
         _, sharded = searchers
@@ -240,7 +252,7 @@ class TestShardRestriction:
     def test_out_of_range_ordinal_raises(self, searchers):
         _, sharded = searchers
         with pytest.raises(ValueError):
-            sharded.restrict([sharded.num_shards])
+            sharded.restrict([member(sharded).num_shards])
 
     def test_single_shard_index_only_accepts_ordinal_zero(self, searchers):
         single, _ = searchers
@@ -249,7 +261,7 @@ class TestShardRestriction:
             single.restrict([1])
 
     def test_uninitialized_restrict_raises(self, sim_store, searchers):
-        searcher = ShardedSearcher(sim_store, index_name="sharded")
+        searcher = AirphantSearcher(sim_store, index_name="sharded")
         with pytest.raises(RuntimeError):
             searcher.restrict([0])
 
@@ -258,25 +270,17 @@ class TestShardedConcurrencyScaling:
     """The 16-shard regression fix: the fetcher widens with the shard count."""
 
     def test_initialize_scales_fetcher_concurrency(self, sim_store, corpus):
-        from repro.search.sharded import MAX_SHARDED_CONCURRENCY
-
         config = SketchConfig(num_bins=512, target_false_positives=1.0, seed=7)
         AirphantBuilder(sim_store, config=config, num_shards=4).build_from_documents(
             corpus.documents, index_name="scaled"
         )
-        searcher = ShardedSearcher(sim_store, index_name="scaled")
-        base = searcher._fetcher.max_concurrency
-        searcher.initialize()
-        assert searcher._fetcher.max_concurrency == min(
-            base * 4, MAX_SHARDED_CONCURRENCY
-        )
+        opened = IndexMember.open(sim_store, "scaled", max_concurrency=8)
+        assert opened._fetcher.max_concurrency == min(8 * 4, MAX_SHARDED_CONCURRENCY)
 
     def test_single_shard_keeps_base_concurrency(self, sim_store, corpus):
         config = SketchConfig(num_bins=512, target_false_positives=1.0, seed=7)
         AirphantBuilder(sim_store, config=config).build_from_documents(
             corpus.documents, index_name="plain"
         )
-        searcher = ShardedSearcher(sim_store, index_name="plain")
-        base = searcher._fetcher.max_concurrency
-        searcher.initialize()
-        assert searcher._fetcher.max_concurrency == base
+        opened = IndexMember.open(sim_store, "plain", max_concurrency=8)
+        assert opened._fetcher.max_concurrency == 8

@@ -1,13 +1,18 @@
 """Tests for the index catalog: discovery, lazy open, reuse, invalidation."""
 
+import threading
+
 import pytest
+from harness.corpora import SMALL_CORPUS_TEXT
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
 from repro.index.updates import AppendOnlyIndexManager
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.service.catalog import IndexCatalog
+from repro.service import AirphantService, SearchRequest
 from repro.service.config import ServiceConfig
+from repro.storage.memory import InMemoryObjectStore
 
 
 @pytest.fixture
@@ -63,7 +68,55 @@ class TestLazyOpen:
         searcher = catalog.open("small-index")
         inner = searcher.searchers[0]
         assert inner._query_cache_size == 4
-        assert inner._top_k_delta == 0.01
+        assert inner._fetcher.max_concurrency == 8
+        assert searcher._top_k_delta == 0.01
+
+    def test_slow_open_of_one_index_does_not_block_an_open_one(self):
+        class GateStore(InMemoryObjectStore):
+            """Parks every read under ``slow/`` until the gate opens."""
+
+            def __init__(self) -> None:
+                super().__init__()
+                self.gate = threading.Event()
+                self.parked = threading.Event()
+
+            def get(self, name: str) -> bytes:
+                if name.startswith("slow/") and not self.gate.is_set():
+                    self.parked.set()
+                    self.gate.wait(timeout=30)
+                return super().get(name)
+
+        store = GateStore()
+        store.gate.set()
+        store.put("corpus/small.txt", SMALL_CORPUS_TEXT.encode("utf-8"))
+        documents = list(LineDelimitedCorpusParser().parse(store, ["corpus/small.txt"]))
+        for name in ("slow", "fast"):
+            AirphantBuilder(store, config=SketchConfig(num_bins=32, seed=1)).build_from_documents(
+                documents, index_name=name
+            )
+        service = AirphantService(store, ServiceConfig(ingest_interval_s=0))
+        service.search(SearchRequest(query="error", index="fast"))
+        store.gate.clear()
+        slow = threading.Thread(target=service.catalog.open, args=("slow",), daemon=True)
+        slow.start()
+        assert store.parked.wait(timeout=5), "the slow open never reached the store"
+        answers: list[int] = []
+        fast = threading.Thread(
+            target=lambda: answers.append(
+                service.search(SearchRequest(query="error", index="fast")).num_results
+            ),
+            daemon=True,
+        )
+        fast.start()
+        fast.join(timeout=5)
+        try:
+            assert answers and answers[0] > 0, "query to the open index blocked"
+            assert not service.catalog.is_open("slow")
+        finally:
+            store.gate.set()
+            slow.join(timeout=5)
+        assert service.catalog.is_open("slow")
+        service.close()
 
     def test_invalidate_forces_reopen(self, catalog):
         first = catalog.open("small-index")

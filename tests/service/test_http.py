@@ -521,7 +521,9 @@ class TestJsonRequestLog:
         lines = self._wait_lines(buffer, 2)
         records = [json.loads(line) for line in lines]
         assert [r["event"] for r in records] == ["request", "request"]
-        health, search = records
+        # Each line is written after its response, on the handler's own thread,
+        # so the two may land in either order.
+        health, search = sorted(records, key=lambda r: r["method"])
         assert health["method"] == "GET"
         assert health["path"] == "/healthz"
         assert health["status"] == 200
