@@ -30,10 +30,8 @@ def _run(catalog):
     sequential_ms = []
     for word in words:
         reads = searcher.searchers[0].mht.range_reads_for(word)
-        _, batch = catalog.store.timed_batch(reads, max_concurrency=32)
-        parallel_ms.append(batch.total_ms)
-        _, records = catalog.store.timed_sequential(reads)
-        sequential_ms.append(sum(record.total_ms for record in records))
+        parallel_ms.append(catalog.store.read_batch(reads, max_concurrency=32).total_ms)
+        sequential_ms.append(sum(catalog.store.read_batch([read]).total_ms for read in reads))
     return built, parallel_ms, sequential_ms
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from benchmarks.conftest import new_store, save_result
 from repro.bench.tables import format_table
+from repro.storage.base import RangeRead
 
 #: The fetch sizes of the paper's Figure 2 (1 KB ... 64 MB; the largest sizes
 #: are dropped to keep the simulated blob small).
@@ -26,8 +27,7 @@ def _measure_latency_curve() -> list[list[object]]:
     for size in FETCH_SIZES:
         samples = []
         for _ in range(RUNS_PER_SIZE):
-            _, record = store.timed_get_range("payload.bin", 0, size)
-            samples.append(record.total_ms)
+            samples.append(store.read_batch([RangeRead("payload.bin", 0, size)]).total_ms)
         label = f"{size // 1024}KB" if size < 1024 * 1024 else f"{size // (1024 * 1024)}MB"
         rows.append([label, float(np.mean(samples)), float(np.std(samples))])
     return rows

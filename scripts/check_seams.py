@@ -9,12 +9,16 @@ duck-typing that seam replaced creeps back in under
 * a ``__getattr__`` pass-through (a wrapper pretending to be its inner
   object),
 * a ``list[Any]`` member list,
-* an ``isinstance(..., ...Searcher)`` dispatch on a searcher type;
+* an ``isinstance(..., ...Searcher)`` dispatch on a searcher type.
 
-and when more than ``MAX_SIMULATOR_CHECKS`` ``isinstance(...,
-SimulatedCloudStore)`` clock-seam checks exist outside ``storage/`` and
-``baselines/`` (the simulated clock is read through the store type; each
-such check is a place that has to change when that seam is made explicit).
+The read path has one clock seam — ``ObjectStore.read_batch`` — and one
+fetch pool per store.  This script also fails on:
+
+* any ``isinstance(..., SimulatedCloudStore)`` outside ``storage/`` (the
+  simulator is just another store; what a read cost is what ``read_batch``
+  says it cost),
+* a ``ThreadPoolExecutor(`` under ``storage/`` anywhere but the one pool
+  helper (``parallel.py``) and ``resilient.py``'s hedge pool.
 
 Comments and docstrings are ignored.  Exit code 1 lists every finding.
 
@@ -34,8 +38,10 @@ SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: Packages in which the duck-typing patterns are forbidden outright.
 SEAM_PACKAGES = ("search", "ingest", "service")
 #: Packages allowed to know the simulator's type.
-SIMULATOR_PACKAGES = ("storage", "baselines")
-MAX_SIMULATOR_CHECKS = 4
+SIMULATOR_PACKAGES = ("storage",)
+MAX_SIMULATOR_CHECKS = 0
+#: The only files under ``storage/`` that may build a thread pool.
+POOL_FILES = ("parallel.py", "resilient.py")
 
 _FORBIDDEN = {
     "__getattr__ pass-through": re.compile(r"def\s+__getattr__\b"),
@@ -43,6 +49,7 @@ _FORBIDDEN = {
     "isinstance on a searcher type": re.compile(r"isinstance\([^)]*Searcher\b"),
 }
 _SIMULATOR_CHECK = re.compile(r"isinstance\([^)]*\bSimulatedCloudStore\b")
+_POOL_CONSTRUCTION = re.compile(r"\bThreadPoolExecutor\(")
 
 
 def code_lines(path: Path) -> list[tuple[int, str]]:
@@ -77,6 +84,12 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 )
             if package not in SIMULATOR_PACKAGES and _SIMULATOR_CHECK.search(text):
                 simulator_checks.append(where)
+            if (
+                package == "storage"
+                and path.name not in POOL_FILES
+                and _POOL_CONSTRUCTION.search(text)
+            ):
+                problems.append(f"{where}: thread pool outside the storage pool helper")
     if len(simulator_checks) > MAX_SIMULATOR_CHECKS:
         problems.append(
             f"{len(simulator_checks)} isinstance(..., SimulatedCloudStore) checks outside "

@@ -1,24 +1,27 @@
-"""Timed single-read helper shared by the hierarchical-index baselines.
+"""The dependent read shared by the hierarchical-index baselines.
 
 Hierarchical term indexes traverse node by node: each step is a *dependent*
 read whose location is only known after the previous read completes, so the
-simulated latencies of those reads add up sequentially.  This helper issues
-one read and returns both payload and timing regardless of whether the store
-is simulated.
+costs of those reads add up sequentially — a loop of one-request batches,
+the opposite of Airphant's one concurrent wave.
 """
 
 from __future__ import annotations
 
-from repro.storage.base import ObjectStore
-from repro.storage.metrics import RequestRecord
-from repro.storage.simulated import SimulatedCloudStore
+from repro.search.results import LatencyBreakdown
+from repro.storage.base import ObjectStore, RangeRead
 
 
-def timed_single_read(
-    store: ObjectStore, blob: str, offset: int, length: int | None
-) -> tuple[bytes, RequestRecord]:
-    """Read one byte range, returning its (possibly zero) simulated timing."""
-    if isinstance(store, SimulatedCloudStore):
-        return store.timed_get_range(blob, offset, length)
-    data = store.get_range(blob, offset, length)
-    return data, RequestRecord(blob=blob, nbytes=len(data), wait_ms=0.0, download_ms=0.0)
+def dependent_read(
+    store: ObjectStore,
+    blob: str,
+    offset: int,
+    length: int | None,
+    latency: LatencyBreakdown | None,
+) -> bytes:
+    """Read one byte range as its own round trip, charging ``latency`` for it."""
+    fetch = store.read_batch([RangeRead(blob, offset, length)])
+    if latency is not None:
+        batch = fetch.batch
+        latency.add_lookup(batch.total_ms, batch.wait_ms, batch.download_ms, batch.nbytes)
+    return fetch.payloads[0]

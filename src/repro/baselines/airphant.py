@@ -58,7 +58,7 @@ class AirphantEngine(SearchEngine):
             self._store,
             index_name=self._index_name,
             tokenizer=self._tokenizer,
-            max_concurrency=self._fetcher.max_concurrency,
+            max_concurrency=self._max_concurrency,
             hedging=self._hedging,
             top_k_delta=self._config.top_k_delta,
             query_cache_size=self._query_cache_size,

@@ -9,7 +9,6 @@ from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
 from repro.search.results import LatencyBreakdown, SearchResult
 from repro.storage.base import ObjectStore
-from repro.storage.parallel import ParallelFetcher
 
 
 class SearchEngine(ABC):
@@ -33,7 +32,7 @@ class SearchEngine(ABC):
         self._store = store
         self._index_name = index_name
         self._tokenizer = tokenizer if tokenizer is not None else WhitespaceAnalyzer()
-        self._fetcher = ParallelFetcher(store, max_concurrency=max_concurrency)
+        self._max_concurrency = max_concurrency
 
     @property
     def store(self) -> ObjectStore:
@@ -83,7 +82,7 @@ class SearchEngine(ABC):
         if not postings:
             return []
         requests = [posting.to_range_read() for posting in postings]
-        fetch = self._fetcher.fetch(requests)
+        fetch = self._store.read_batch(requests, self._max_concurrency)
         latency.add_retrieval(
             fetch.batch.total_ms, fetch.batch.wait_ms, fetch.batch.download_ms, fetch.batch.nbytes
         )

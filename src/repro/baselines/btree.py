@@ -18,7 +18,7 @@ import json
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.baselines._io import timed_single_read
+from repro.baselines._io import dependent_read
 from repro.core.mht import BinPointer
 from repro.search.results import LatencyBreakdown
 from repro.storage.base import ObjectStore
@@ -130,9 +130,7 @@ class BTreeIndex:
 
     def initialize(self, latency: LatencyBreakdown | None = None) -> None:
         """Read the header blob (one round-trip) and reset the page cache."""
-        data, record = timed_single_read(self._store, self.header_blob, 0, None)
-        if latency is not None:
-            latency.add_lookup(record.total_ms, record.wait_ms, record.download_ms, record.nbytes)
+        data = dependent_read(self._store, self.header_blob, 0, None, latency)
         header = json.loads(data.decode("utf-8"))
         self._root = _PageRef(offset=header["root"][0], length=header["root"][1])
         self._cache.clear()
@@ -167,8 +165,7 @@ class BTreeIndex:
         if cached is not None:
             self._cache.move_to_end(ref.offset)
             return cached
-        data, record = timed_single_read(self._store, self.pages_blob, ref.offset, ref.length)
-        latency.add_lookup(record.total_ms, record.wait_ms, record.download_ms, record.nbytes)
+        data = dependent_read(self._store, self.pages_blob, ref.offset, ref.length, latency)
         page = json.loads(data.decode("utf-8"))
         self._cache[ref.offset] = page
         self._cache_used += ref.length

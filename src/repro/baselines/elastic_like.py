@@ -14,7 +14,7 @@ import hashlib
 from collections import OrderedDict
 from typing import Sequence
 
-from repro.baselines._io import timed_single_read
+from repro.baselines._io import dependent_read
 from repro.baselines.lucene_like import LuceneLikeEngine
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer
@@ -90,8 +90,7 @@ class ElasticLikeEngine(LuceneLikeEngine):
             return
         offset = chunk_index * self._hydration_chunk_bytes
         length = min(self._hydration_chunk_bytes, self._snapshot_size - offset)
-        _, record = timed_single_read(self._store, self._snapshot_blob, offset, length)
-        latency.add_lookup(record.total_ms, record.wait_ms, record.download_ms, record.nbytes)
+        dependent_read(self._store, self._snapshot_blob, offset, length, latency)
         self._hydrated[chunk_index] = True
         while len(self._hydrated) > self._hydration_cache_chunks:
             self._hydrated.popitem(last=False)

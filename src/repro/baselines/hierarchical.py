@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Protocol, Sequence
 
-from repro.baselines._io import timed_single_read
+from repro.baselines._io import dependent_read
 from repro.baselines.base import SearchEngine
 from repro.baselines.inverted import InvertedIndex, PostingsFile
 from repro.core.mht import BinPointer
@@ -68,8 +68,7 @@ class HierarchicalEngine(SearchEngine):
 
     def initialize(self) -> float:
         latency = LatencyBreakdown()
-        meta_data, record = timed_single_read(self._store, self._meta_blob, 0, None)
-        latency.add_lookup(record.total_ms, record.wait_ms, record.download_ms, record.nbytes)
+        meta_data = dependent_read(self._store, self._meta_blob, 0, None, latency)
         meta = json.loads(meta_data.decode("utf-8"))
         self._string_table = StringTable.from_list(meta["string_table"])
         self._term_index.initialize(latency)
@@ -86,10 +85,9 @@ class HierarchicalEngine(SearchEngine):
         pointer = self._term_index.lookup(word, latency)
         if pointer is None or pointer.length == 0:
             return [], latency
-        payload, record = timed_single_read(
-            self._store, pointer.blob, pointer.offset, pointer.length
+        payload = dependent_read(
+            self._store, pointer.blob, pointer.offset, pointer.length, latency
         )
-        latency.add_lookup(record.total_ms, record.wait_ms, record.download_ms, record.nbytes)
         postings = decode_superpost(payload, self._string_table).sorted_postings()
         return postings, latency
 

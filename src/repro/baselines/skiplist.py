@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.core.mht import BinPointer
-from repro.baselines._io import timed_single_read
+from repro.baselines._io import dependent_read
 from repro.search.results import LatencyBreakdown
 from repro.storage.base import ObjectStore
 
@@ -159,21 +159,14 @@ class SkipListIndex:
 
     def initialize(self, latency: LatencyBreakdown | None = None) -> None:
         """Load the header (and, if small enough, the whole node region)."""
-        data, record = timed_single_read(self._store, self.header_blob, 0, None)
-        if latency is not None:
-            latency.add_lookup(record.total_ms, record.wait_ms, record.download_ms, record.nbytes)
+        data = dependent_read(self._store, self.header_blob, 0, None, latency)
         header = json.loads(data.decode("utf-8"))
         self._heads = [int(offset) for offset in header["heads"]]
         self._node_sizes = {int(offset): size for offset, size in header["node_sizes"].items()}
         self._region_length = int(header["region_length"])
         self._cached_region = None
         if 0 < self._region_length <= self._cache_bytes:
-            region, record = timed_single_read(self._store, self.nodes_blob, 0, None)
-            if latency is not None:
-                latency.add_lookup(
-                    record.total_ms, record.wait_ms, record.download_ms, record.nbytes
-                )
-            self._cached_region = region
+            self._cached_region = dependent_read(self._store, self.nodes_blob, 0, None, latency)
 
     def lookup(self, term: str, latency: LatencyBreakdown) -> BinPointer | None:
         """Find the postings pointer of ``term`` via skip-list traversal.
@@ -222,8 +215,6 @@ class SkipListIndex:
         if self._cached_region is not None:
             node = _decode_node(self._cached_region[offset : offset + size])
         else:
-            data, record = timed_single_read(self._store, self.nodes_blob, offset, size)
-            latency.add_lookup(record.total_ms, record.wait_ms, record.download_ms, record.nbytes)
-            node = _decode_node(data)
+            node = _decode_node(dependent_read(self._store, self.nodes_blob, offset, size, latency))
         query_cache[offset] = node
         return node

@@ -80,7 +80,6 @@ from repro.service import (
     serve_forever,
 )
 from repro.storage.base import ObjectStore, StoreError
-from repro.storage.latency import AffineLatencyModel
 from repro.storage.local import LocalObjectStore
 from repro.storage.registry import StoreURIError, open_store
 from repro.storage.simulated import SimulatedCloudStore
@@ -134,11 +133,10 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
 def _open_store(args: argparse.Namespace, config: ServiceConfig | None = None) -> ObjectStore:
     """Resolve ``--bucket DIR`` / ``--store URI`` (plus wrappers) to a store.
 
-    The resilience wrapper is applied *inside* the simulated-latency layer:
-    the fetcher must see the simulator on top (virtual-clock batch timing),
-    while retries/timeouts/hedging still guard the real backend underneath —
-    so ``--simulate-latency`` and ``--retries`` compose instead of one
-    silently disabling the other.
+    The resilience wrapper is applied *inside* the simulated-latency layer
+    (see :meth:`repro.storage.ResilientStore.wrap`), so
+    ``--simulate-latency`` and ``--retries`` compose instead of one silently
+    disabling the other.
     """
     config = config if config is not None else _service_config(args)
     if args.store:
@@ -146,8 +144,8 @@ def _open_store(args: argparse.Namespace, config: ServiceConfig | None = None) -
     else:
         store = LocalObjectStore(args.bucket)
     store = config.wrap_store(store)
-    if args.simulate_latency and not isinstance(store, SimulatedCloudStore):
-        store = SimulatedCloudStore(backend=store, latency_model=AffineLatencyModel())
+    if args.simulate_latency:
+        store = SimulatedCloudStore.wrap(store)
     return store
 
 

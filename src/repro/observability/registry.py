@@ -13,8 +13,8 @@ into.  Design constraints:
 * **Bounded memory** — histograms keep fixed bucket counts (plus sum / count
   / min / max) per label set, never raw samples, so a registry's footprint
   is independent of traffic volume.
-* **Thread safety** — every layer records from pool threads (the parallel
-  fetcher, the hedge pool, HTTP server threads); each metric guards its
+* **Thread safety** — every layer records from pool threads (the stores'
+  fetch pools, the hedge pool, HTTP server threads); each metric guards its
   series map with its own lock.
 
 The registry renders itself three ways: :meth:`MetricsRegistry.snapshot`

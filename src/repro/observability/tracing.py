@@ -31,7 +31,7 @@ Ambient propagation uses a :mod:`contextvars` variable: instrumented code
 calls :func:`span` and gets a real child span when a trace is active in the
 current context, or a shared no-op object (a single contextvar read, no
 allocation) when not.  Worker threads do not inherit contextvars from their
-submitter, so pool-based fan-out (the parallel fetcher, the router's
+submitter, so pool-based fan-out (a store's ``read_batch`` pool, the router's
 scatter pool, hedge pools) captures :func:`current_span` at submit time and
 re-attaches it inside the worker with :func:`attach`.
 """

@@ -38,9 +38,7 @@ from repro.parsing.documents import Document, Posting
 from repro.search.replication import HedgingPolicy
 from repro.search.results import LatencyBreakdown
 from repro.storage.base import BlobNotFoundError, ObjectStore, RangeRead
-from repro.storage.parallel import ParallelFetcher
 from repro.storage.pipeline import ReadPipeline
-from repro.storage.simulated import SimulatedCloudStore
 
 
 class Member(Protocol):
@@ -105,7 +103,7 @@ class ShardState:
         )
 
 
-#: Ceiling on how far a sharded index widens its fetcher on its own.  A
+#: Ceiling on the concurrency a sharded index asks for on its own.  A
 #: query's lookup wave carries every shard's layer reads at once, so the
 #: fan-out budget scales with the shard count — but a real store's thread
 #: pool should not grow unboundedly with pathological shard counts.
@@ -117,9 +115,9 @@ class _StatsCache:
 
     Whichever view loads the stats first, every view scores with the
     identical full-corpus statistics afterwards.  Like the header, the stats
-    are a one-time download amortized over every later ranked query; the
-    simulated latency is recorded in ``load_ms`` rather than charged to any
-    single query.
+    are a one-time download amortized over every later ranked query; what
+    it cost on the store's clock is recorded in ``load_ms`` rather than
+    charged to any single query.
     """
 
     def __init__(self) -> None:
@@ -128,37 +126,29 @@ class _StatsCache:
         self.load_ms = 0.0
 
 
-def _timed_get(store: ObjectStore, blob: str) -> tuple[bytes, float]:
-    """One dependent whole-blob read and its simulated latency (0 on real stores)."""
-    if isinstance(store, SimulatedCloudStore):
-        data, record = store.timed_get(blob)
-        return data, record.total_ms
-    return store.get(blob), 0.0
-
-
 class IndexMember:
     """A persisted IoU Sketch index — every shard of it, or a subset.
 
     All lookup and document-fetch batches go through a
     :class:`~repro.storage.pipeline.ReadPipeline`, which deduplicates and
     coalesces the batch's range reads (and, when ``read_cache_bytes`` is set,
-    serves repeats from a bounded block cache) before the parallel fetcher
-    touches the store.  A word's superpost reads are collected across *every*
-    shard and issued as a single batch; per shard the layers intersect, and
-    the per-shard answers union (partitions are disjoint, so the union is
-    exact) — a constant two round-trip waves per query however many shards.
+    serves repeats from a bounded block cache) before the store's
+    ``read_batch`` runs them as one wave.  A word's superpost reads are
+    collected across *every* shard and issued as a single batch; per shard
+    the layers intersect, and the per-shard answers union (partitions are
+    disjoint, so the union is exact) — a constant two round-trip waves per
+    query however many shards.
 
-    Hedged lookups (Section IV-G) bypass the pipeline: hedging reasons about
-    individual request latencies, which coalescing would merge away.  They
-    apply to unsharded indexes only — with shards a query already fans out
-    wide.
+    Hedged lookups (Section IV-G) bypass the pipeline and hand the store's
+    ``read_batch`` their ``required`` count: hedging reasons about individual
+    request latencies, which coalescing would merge away.  They apply to
+    unsharded indexes only — with shards a query already fans out wide.
     """
 
     def __init__(
         self,
         store: ObjectStore,
         name: str,
-        fetcher: ParallelFetcher,
         pipeline: ReadPipeline,
         hedging: HedgingPolicy,
         shard_manifest: ShardManifest | None,
@@ -169,7 +159,6 @@ class IndexMember:
     ) -> None:
         self.name = name
         self._store = store
-        self._fetcher = fetcher
         self.pipeline = pipeline
         self._hedging = hedging
         #: The shard manifest (``None`` for a plain, single-header index).
@@ -217,36 +206,38 @@ class IndexMember:
         The shard manifest is probed with one GET, not exists()+get(): plain
         indexes (the common case, e.g. every delta) pay a single missed
         probe and then read their one header.  A manifest's shard headers
-        are independent and go out as one parallel fetcher batch, so the
-        simulated init latency is ``manifest + one header batch``.
+        are independent and go out as one ``read_batch`` wave, so the init
+        latency (on the store's clock) is ``manifest + one header batch``.
         """
-        fetcher = ParallelFetcher(store, max_concurrency=max_concurrency)
         manifest: ShardManifest | None = None
         try:
-            data, init_ms = _timed_get(store, ShardManifest.blob_name(name))
-            manifest = ShardManifest.from_json(data)
+            fetch = store.read_batch([RangeRead(blob=ShardManifest.blob_name(name))])
+            manifest = ShardManifest.from_json(fetch.payloads[0])
+            init_ms = fetch.total_ms
         except BlobNotFoundError:
-            init_ms = 0.0
+            pass
         if manifest is None or manifest.num_shards == 0:
             manifest = None
-            data, init_ms = _timed_get(store, f"{name}/{HEADER_BLOB_SUFFIX}")
-            shards = [ShardState.from_header(name, decode_header(data))]
+            fetch = store.read_batch([RangeRead(blob=f"{name}/{HEADER_BLOB_SUFFIX}")])
+            init_ms = fetch.total_ms
+            shards = [ShardState.from_header(name, decode_header(fetch.payloads[0]))]
         else:
             # Keep the *per-shard* concurrency budget constant as shards are
             # added: a lookup wave carries num_shards × layers reads, and with
             # the single-shard ceiling it would spill into extra concurrency
             # waves, stacking each shard's first-byte wait instead of
             # amortizing it (the measured 16-shard regression).
-            fetcher.scale_concurrency(
-                min(max_concurrency * manifest.num_shards, MAX_SHARDED_CONCURRENCY)
+            max_concurrency = min(
+                max_concurrency * manifest.num_shards, MAX_SHARDED_CONCURRENCY
             )
-            fetch = fetcher.fetch(
+            fetch = store.read_batch(
                 [
                     RangeRead(blob=f"{entry.name}/{HEADER_BLOB_SUFFIX}")
                     for entry in manifest.shards
-                ]
+                ],
+                max_concurrency,
             )
-            init_ms += fetch.batch.total_ms
+            init_ms += fetch.total_ms
             shards = [
                 ShardState.from_header(entry.name, decode_header(payload))
                 for entry, payload in zip(manifest.shards, fetch.payloads)
@@ -254,8 +245,9 @@ class IndexMember:
         return cls(
             store,
             name,
-            fetcher,
-            ReadPipeline(fetcher, max_gap=coalesce_gap, cache_bytes=read_cache_bytes),
+            ReadPipeline(
+                store, max_concurrency, max_gap=coalesce_gap, cache_bytes=read_cache_bytes
+            ),
             hedging if hedging is not None else HedgingPolicy(),
             manifest,
             shards,
@@ -265,8 +257,8 @@ class IndexMember:
         )
 
     def close(self) -> None:
-        """Release the fetcher's thread pool and the pipeline's block cache."""
-        self.pipeline.close()
+        """Drop the pipeline's block cache (the worker pool belongs to the store)."""
+        self.pipeline.clear_cache()
 
     @property
     def num_shards(self) -> int:
@@ -280,7 +272,7 @@ class IndexMember:
 
     @property
     def stats_load_ms(self) -> float:
-        """Simulated latency of the one-time ranking-statistics download."""
+        """What the one-time ranking-statistics download cost on the store's clock."""
         return self._stats_cache.load_ms
 
     def restrict(self, ordinals: Collection[int]) -> "IndexMember | None":
@@ -291,8 +283,8 @@ class IndexMember:
         subset through this view while the router unions the partial
         answers (partitions are disjoint, so the union is exact).
 
-        The view shares this member's pipeline, fetcher, block cache and
-        ranking statistics — only the shard list (and the metadata merged
+        The view shares this member's pipeline, block cache and ranking
+        statistics — only the shard list (and the metadata merged
         over it) differs.  The per-word query cache is disabled on the view:
         its entries would describe just the subset while being keyed like
         whole-index answers.
@@ -305,7 +297,6 @@ class IndexMember:
         return IndexMember(
             self._store,
             self.name,
-            self._fetcher,
             self.pipeline,
             self._hedging,
             self.shard_manifest,
@@ -381,7 +372,9 @@ class IndexMember:
             if hedged:
                 # Hedging needs per-request latencies, so it bypasses the pipeline.
                 required = self._hedging.required_of(len(requests))
-                fetch = self._fetcher.fetch_hedged(requests, required=required)
+                fetch = self._store.read_batch(
+                    requests, self.pipeline.max_concurrency, required=required
+                )
             else:
                 fetch = self.pipeline.fetch(requests)
         if fetch.batch.requests:
@@ -495,22 +488,18 @@ class IndexMember:
         )
         with span("rank.stats_load", index=self.name, shards=len(names)):
             try:
-                if self.shard_manifest is None:
-                    data, load_ms = _timed_get(self._store, stats_blob_name(self.name))
-                    payloads = [data]
-                else:
-                    fetch = self._fetcher.fetch(
-                        [RangeRead(blob=stats_blob_name(name)) for name in names]
-                    )
-                    payloads, load_ms = fetch.payloads, fetch.batch.total_ms
+                fetch = self._store.read_batch(
+                    [RangeRead(blob=stats_blob_name(name)) for name in names],
+                    self.pipeline.max_concurrency,
+                )
             except BlobNotFoundError:
                 raise RankingUnsupportedError(
                     self.name, "no ranking statistics blob"
                 ) from None
-        self._stats_cache.load_ms += load_ms
+        self._stats_cache.load_ms += fetch.total_ms
         stats = [
             decode_stats(payload, index_name=name)
-            for name, payload in zip(names, payloads)
+            for name, payload in zip(names, fetch.payloads)
         ]
         return stats[0] if self.shard_manifest is None else merge_stats(stats)
 

@@ -146,7 +146,7 @@ class AirphantSearcher:
         return self.init_latency_ms
 
     def close(self) -> None:
-        """Release the fetcher pools and caches of the members this searcher opened."""
+        """Release the block caches of the members this searcher opened."""
         for member in self._opened:
             member.close()
 

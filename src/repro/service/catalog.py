@@ -160,7 +160,7 @@ class IndexCatalog:
 
         Call after rebuilding an index (or appending a delta); with ``None``
         the whole cache is cleared.  Dropped searchers are closed, releasing
-        their fetcher thread pools and block caches.
+        their block caches.
         """
         with self._lock:
             if name is None:

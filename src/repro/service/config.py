@@ -9,14 +9,13 @@ kwargs through ``AirphantSearcher`` and the CLI by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 from repro.observability import NULL_REGISTRY
 from repro.parsing.tokenizer import SimpleAnalyzer, Tokenizer, WhitespaceAnalyzer
 from repro.storage.base import ObjectStore
 from repro.storage.resilient import ResilientStore
-from repro.storage.simulated import SimulatedCloudStore
 
 #: Named tokenizers a config (or an HTTP client) can select.
 TOKENIZERS = ("whitespace", "simple")
@@ -254,27 +253,20 @@ class ServiceConfig:
         Returns
         -------
         ``store`` untouched when every resilience knob is off (no wrapper,
-        no overhead), else a
-        :class:`~repro.storage.resilient.ResilientStore` around it.  Stores
-        that are already resilient are not double-wrapped.  A simulated
-        store is never wrapped *on top* — that would hide the simulator
-        from the fetcher's batch-timing path and silently zero every
-        simulated latency — instead the resilience wrapper slides
-        *underneath* the simulation layer, guarding the real backend while
-        virtual-clock timing stays in charge.
+        no overhead), else :meth:`ResilientStore.wrap
+        <repro.storage.resilient.ResilientStore.wrap>` of it (which keeps a
+        simulator on top and never double-wraps).
         """
-        if not self.resilience_enabled or isinstance(store, ResilientStore):
+        if not self.resilience_enabled:
             return store
-        if isinstance(store, SimulatedCloudStore):
-            return store.with_backend(self.wrap_store(store.backend))
-        return ResilientStore(
+        return ResilientStore.wrap(
             store,
             retries=self.retries,
             backoff_ms=self.retry_backoff_ms,
             timeout_s=self.request_timeout_s,
             hedge_ms=self.hedge_ms,
             hedge_percentile=self.hedge_percentile,
-            # Twice the fetcher's batch concurrency: a fully-slow wave must
+            # Twice the read-batch concurrency: a fully-slow wave must
             # not saturate the hedge pool, or the duplicates would queue
             # behind the very stragglers they are meant to race.
             hedge_concurrency=2 * self.max_concurrency,
@@ -282,41 +274,13 @@ class ServiceConfig:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable representation (reported by ``/healthz``)."""
-        return {
-            "tokenizer": self.tokenizer,
-            "max_concurrency": self.max_concurrency,
-            "query_cache_size": self.query_cache_size,
-            "top_k_delta": self.top_k_delta,
-            "min_literal_length": self.min_literal_length,
-            "default_top_k": self.default_top_k,
-            "coalesce_gap": self.coalesce_gap,
-            "read_cache_bytes": self.read_cache_bytes,
-            "retries": self.retries,
-            "retry_backoff_ms": self.retry_backoff_ms,
-            "request_timeout_s": self.request_timeout_s,
-            "hedge_ms": self.hedge_ms,
-            "hedge_percentile": self.hedge_percentile,
-            "ingest_flush_docs": self.ingest_flush_docs,
-            "ingest_flush_bytes": self.ingest_flush_bytes,
-            "ingest_compact_deltas": self.ingest_compact_deltas,
-            "ingest_compact_ratio": self.ingest_compact_ratio,
-            "ingest_interval_s": self.ingest_interval_s,
-            "ingest_max_memtable_docs": self.ingest_max_memtable_docs,
-            "ingest_max_memtable_bytes": self.ingest_max_memtable_bytes,
-            "ingest_overload_wait_s": self.ingest_overload_wait_s,
-            "peers": list(self.peers),
-            "replication_factor": self.replication_factor,
-            "shard_timeout_s": self.shard_timeout_s,
-            "node_hedge_ms": self.node_hedge_ms,
-            "node_retries": self.node_retries,
-            "probe_interval_s": self.probe_interval_s,
-            "metrics_enabled": self.metrics_enabled,
-            "tracing_enabled": self.tracing_enabled,
-            "trace_sample_rate": self.trace_sample_rate,
-            "trace_buffer": self.trace_buffer,
-            "slow_query_ms": self.slow_query_ms,
-        }
+        """JSON-serializable representation (reported by ``/healthz``).
+
+        Derived from the dataclass fields, so a new field cannot be missed.
+        """
+        data = {field.name: getattr(self, field.name) for field in fields(self)}
+        data["peers"] = list(self.peers)
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServiceConfig":

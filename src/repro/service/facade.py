@@ -121,7 +121,7 @@ class AirphantService:
         # answers (set_function re-binds), matching the one-node-per-process
         # deployment every other facade metric assumes.  The binding is weak:
         # a registry-held strong reference would pin the service (and its
-        # fetcher threads) for the life of the process.
+        # store's fetch threads) for the life of the process.
         service_ref = weakref.ref(self)
         self._metrics.gauge(
             "airphant_open_indexes",
@@ -277,16 +277,16 @@ class AirphantService:
         return self._catalog
 
     def close(self) -> None:
-        """Close every opened searcher, releasing fetcher pools and caches.
+        """Close every opened searcher and the store, releasing caches and threads.
 
         First stops the background ingest worker and drains any in-flight
         flush/compaction (unflushed memtable documents stay durable in their
         WAL segments and replay on the next open).  Then closes each
-        catalog-opened searcher (which shuts down its — possibly sharded —
-        members' pipelines and fetcher thread pools) *and* the store's own
-        lazy ``read_many`` pipeline, so no worker thread outlives the
-        service.  The service stays usable: the next query simply reopens
-        its index (and with it a fresh long-lived fetcher pool).
+        catalog-opened searcher (dropping its members' block caches) *and*
+        the store, whose one ``read_batch`` pool every member shared, so no
+        worker thread outlives the service.  The service stays usable: the
+        next query simply reopens its index, and the store's next batch
+        builds a fresh pool.
         """
         if self._router is not None:
             self._router.close()

@@ -27,10 +27,12 @@ object storage (GCS / S3).  This package provides:
   per-region round-trip times; :class:`~repro.storage.faults.FlakyStore` is
   its *wall-clock* counterpart, injecting real delays and transient errors
   to exercise the resilience layer.
-* :class:`~repro.storage.parallel.ParallelFetcher` — issues a *batch* of range
-  reads concurrently, the primitive that IoU Sketch relies on.
-* :class:`~repro.storage.pipeline.ReadPipeline` — sits between callers and the
-  fetcher, deduplicating identical ranges, coalescing adjacent/overlapping
+* :meth:`ObjectStore.read_batch <repro.storage.base.ObjectStore.read_batch>`
+  — issues a *batch* of range reads concurrently and reports what the wave
+  cost, the primitive that IoU Sketch relies on; it returns a
+  :class:`~repro.storage.parallel.FetchResult`.
+* :class:`~repro.storage.pipeline.ReadPipeline` — sits between callers and
+  ``read_batch``, deduplicating identical ranges, coalescing adjacent/overlapping
   ones into fewer larger requests, and serving repeats from a bounded LRU
   block cache.  All of this composes: a pipeline over a resilient store over
   an HTTP backend coalesces, caches, retries, and hedges remote range reads.
@@ -52,7 +54,7 @@ from repro.storage.listing import LISTING_BLOB, write_listing
 from repro.storage.local import LocalObjectStore
 from repro.storage.memory import InMemoryObjectStore
 from repro.storage.metrics import RequestRecord, StorageMetrics
-from repro.storage.parallel import ParallelFetcher
+from repro.storage.parallel import FetchResult
 from repro.storage.pipeline import PipelineStats, ReadPipeline
 from repro.storage.registry import (
     StoreURIError,
@@ -72,13 +74,13 @@ from repro.storage.simulated import SimulatedCloudStore
 __all__ = [
     "AffineLatencyModel",
     "BlobNotFoundError",
+    "FetchResult",
     "FlakyStore",
     "HTTPRangeStore",
     "InMemoryObjectStore",
     "LISTING_BLOB",
     "LocalObjectStore",
     "ObjectStore",
-    "ParallelFetcher",
     "PipelineStats",
     "RangeRead",
     "ReadOnlyStoreError",

@@ -9,14 +9,13 @@ postings.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable
 
-#: Guards lazy creation of each store's ``read_many`` pipeline (stores don't
-#: define ``__init__``, so there is no per-instance lock to use instead).
-_READ_MANY_LOCK = threading.Lock()
+from repro.observability.tracing import attach, current_span
+from repro.storage.metrics import BatchRecord, RequestRecord
+from repro.storage.parallel import FetchPool, FetchResult
 
 
 class StoreError(Exception):
@@ -145,63 +144,99 @@ class ObjectStore(ABC):
         """
         return self.get_range(request.blob, request.offset, request.length)
 
-    def read_many(self, requests: Iterable[RangeRead]) -> list[bytes]:
-        """Execute several range reads as one batched, pipeline-aware fetch.
+    def read_batch(
+        self,
+        requests: Iterable[RangeRead],
+        max_concurrency: int = 32,
+        required: int | None = None,
+    ) -> FetchResult:
+        """Read ``requests`` as one concurrent wave and report what it cost.
 
-        The requests are routed through a per-store
-        :class:`~repro.storage.pipeline.ReadPipeline` (deduplicating and
-        coalescing adjacent/overlapping ranges) over a long-lived
-        :class:`~repro.storage.parallel.ParallelFetcher`, so callers get
-        batch semantics without wiring up either object themselves.
+        The single entry point for the paper's primitive — independent range
+        reads issued at once, never sequentially — and the one place a store
+        reports elapsed time.  A *dependent* chain of reads is a loop of
+        one-request batches, whose costs the caller adds up.
 
-        Timing semantics for simulated stores: the whole call is charged as a
-        *single concurrent batch* (one logical round trip whose wait time is
-        the slowest first-byte latency per concurrency wave), not as
-        dependent back-to-back reads.  Callers modelling a *sequential*
-        access pattern must use
-        :meth:`~repro.storage.simulated.SimulatedCloudStore.timed_sequential`
-        instead.
+        Parameters
+        ----------
+        requests:
+            Independent range reads.
+        max_concurrency:
+            Most requests in flight at once (the paper uses 32 download
+            threads).  This default implementation runs on one pool per
+            store, as wide as the widest value any caller has asked for.
+        required:
+            When set, the caller needs only this many of the payloads (the
+            L⁺ replication of Section IV-G: issue all, continue when
+            ``required`` have arrived).  A store returns *at least* that
+            many; the stragglers it gave up on are ``None``.  This default
+            simply waits for all of them.
 
         Returns
         -------
-        One payload per request, in request order.
+        A :class:`~repro.storage.parallel.FetchResult`: one payload per
+        request, in request order, plus the batch's timing — zero here
+        (wall-clock timing is the caller's job); a store with a clock of its
+        own (:class:`~repro.storage.simulated.SimulatedCloudStore`)
+        overrides this method to report it.
         """
-        requests = list(requests)
+        requests = self._checked_batch(requests, max_concurrency, required)
         if not requests:
-            return []
-        return self._batch_pipeline().fetch(requests).payloads
+            return FetchResult()
+        # Pool threads do not inherit contextvars from the submitter, so the
+        # active trace span (if any) is captured here and re-attached inside
+        # each worker — store-level attempt spans then nest under the right
+        # request instead of vanishing.
+        parent = current_span()
+        if parent is None:
+            reader = self.read
+        else:
 
-    def _batch_pipeline(self):
-        """The lazily-created pipeline backing :meth:`read_many`.
+            def reader(request: RangeRead) -> bytes:
+                with attach(parent):
+                    return self.read(request)
 
-        Cached per store so repeated calls reuse one fetcher pool; the
-        fetcher shuts its pool down via a finalizer when the store is
-        collected, so nothing requires an explicit close.
-        """
-        # Imported lazily: the pipeline modules depend on this one.
-        from repro.storage.pipeline import ReadPipeline
+        # Stores need not define ``__init__``, so the pool is attached on
+        # first use; ``setdefault`` is atomic, and a racing loser's pool has
+        # no threads yet.
+        pool: FetchPool | None = self.__dict__.get("_fetch_pool")
+        if pool is None:
+            pool = self.__dict__.setdefault("_fetch_pool", FetchPool())
+        payloads = list(pool.map(max_concurrency, reader, requests))
+        records = tuple(
+            RequestRecord(blob=request.blob, nbytes=len(data))
+            for request, data in zip(requests, payloads)
+        )
+        return FetchResult(payloads=payloads, batch=BatchRecord(requests=records))
 
-        with _READ_MANY_LOCK:
-            pipeline = getattr(self, "_read_many_pipeline", None)
-            if pipeline is None:
-                pipeline = ReadPipeline.for_store(self)
-                self._read_many_pipeline = pipeline
-            return pipeline
+    @staticmethod
+    def _checked_batch(
+        requests: Iterable[RangeRead], max_concurrency: int, required: int | None
+    ) -> list[RangeRead]:
+        """Validate :meth:`read_batch` arguments; returns the requests as a list."""
+        if max_concurrency <= 0:
+            raise ValueError("max_concurrency must be positive")
+        if required is not None and required <= 0:
+            raise ValueError("required must be positive")
+        return list(requests)
+
+    def read_many(self, requests: Iterable[RangeRead]) -> list[bytes]:
+        """The payloads of :meth:`read_batch`, for callers that keep no time."""
+        return self.read_batch(requests).payloads
 
     def close(self) -> None:
-        """Release the lazily-created ``read_many`` pipeline, if any.
+        """Release the :meth:`read_batch` worker pool, if one was created.
 
-        Shuts down the pipeline's fetcher thread pool *now* instead of
-        waiting for the store to be garbage-collected.  Non-poisoning and
-        idempotent: the next :meth:`read_many` call transparently builds a
-        fresh pipeline, so closing a store that is still shared is safe.
-        Wrapper stores (simulated, resilient, flaky) extend this to close
-        their inner store as well.
+        Shuts the pool's threads down *now* instead of waiting for the store
+        to be garbage-collected.  Non-poisoning and idempotent: the next
+        :meth:`read_batch` call transparently builds a fresh pool, so
+        closing a store that is still shared is safe.  Wrapper stores
+        (simulated, resilient, flaky) extend this to close their inner store
+        as well.
         """
-        with _READ_MANY_LOCK:
-            pipeline = self.__dict__.pop("_read_many_pipeline", None)
-        if pipeline is not None:
-            pipeline.close()
+        pool: FetchPool | None = self.__dict__.get("_fetch_pool")
+        if pool is not None:
+            pool.close()
 
     def __enter__(self) -> "ObjectStore":
         return self

@@ -15,17 +15,26 @@ real backends' request latencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.observability import MirroredStats, get_registry
 
-#: Registry counters one StorageMetrics mirrors into: name -> help.
-_SIM_COUNTERS: dict[str, str] = {
-    "airphant_sim_requests_total": "Simulated storage requests recorded",
-    "airphant_sim_round_trips_total": "Logical round trips charged on the virtual clock",
-    "airphant_sim_bytes_total": "Bytes transferred by simulated requests",
-    "airphant_sim_wait_ms_total": "Summed first-byte wait time of simulated requests (ms)",
-    "airphant_sim_download_ms_total": "Summed transfer time of simulated requests (ms)",
+#: StorageMetrics field -> (registry counter name, help) mirrored on update.
+_SIM_COUNTERS: dict[str, tuple[str, str]] = {
+    "request_count": ("airphant_sim_requests_total", "Simulated storage requests recorded"),
+    "round_trips": (
+        "airphant_sim_round_trips_total",
+        "Logical round trips charged on the virtual clock",
+    ),
+    "total_bytes": ("airphant_sim_bytes_total", "Bytes transferred by simulated requests"),
+    "total_wait_ms": (
+        "airphant_sim_wait_ms_total",
+        "Summed first-byte wait time of simulated requests (ms)",
+    ),
+    "total_download_ms": (
+        "airphant_sim_download_ms_total",
+        "Summed transfer time of simulated requests (ms)",
+    ),
 }
 
 
@@ -35,8 +44,8 @@ class RequestRecord:
 
     blob: str
     nbytes: int
-    wait_ms: float
-    download_ms: float
+    wait_ms: float = 0.0
+    download_ms: float = 0.0
 
     @property
     def total_ms(self) -> float:
@@ -53,9 +62,9 @@ class BatchRecord:
     transfer of all payloads.
     """
 
-    requests: tuple[RequestRecord, ...]
-    wait_ms: float
-    download_ms: float
+    requests: tuple[RequestRecord, ...] = ()
+    wait_ms: float = 0.0
+    download_ms: float = 0.0
 
     @property
     def total_ms(self) -> float:
@@ -70,73 +79,47 @@ class BatchRecord:
 
 @dataclass
 class StorageMetrics(MirroredStats):
-    """Accumulates request records for one engine / one experiment.
+    """Running totals of the requests one simulated store was charged.
 
-    Recording is thread-safe (batches arrive from fetcher pool threads) and
-    every record is mirrored as ``airphant_sim_*`` counter increments into
-    the bound registry — the process-wide one unless
-    :meth:`~repro.observability.MirroredStats.bind` says otherwise.  The
-    mirror is batch-shaped (one round trip covers many requests), so
-    :meth:`_mirror` replaces the base class's per-field ``add`` path.
+    Recording is O(1) in time and memory — five totals, no per-request
+    state — and thread-safe, and every increment is mirrored as an
+    ``airphant_sim_*`` counter into the bound registry: the process-wide one
+    unless :meth:`~repro.observability.MirroredStats.bind` says otherwise.
     """
 
-    #: Keyed by metric name (the mirror aggregates whole batches, so the
-    #: table maps each counter to itself rather than to a field).
-    _COUNTER_TABLE = {name: (name, help) for name, help in _SIM_COUNTERS.items()}
+    _COUNTER_TABLE = _SIM_COUNTERS
 
-    records: list[RequestRecord] = field(default_factory=list)
+    #: Number of individual requests issued.
+    request_count: int = 0
+    #: Logical round trips: one per single request, one per concurrent batch.
     round_trips: int = 0
+    #: Total bytes fetched.
+    total_bytes: int = 0
+    #: Sum of first-byte wait times across all requests.
+    total_wait_ms: float = 0.0
+    #: Sum of transfer times across all requests.
+    total_download_ms: float = 0.0
 
     def __post_init__(self) -> None:
         super().__post_init__()
         self.bind(get_registry())
 
-    def _mirror(self, requests: tuple[RequestRecord, ...] | list[RequestRecord]) -> None:
-        counters = self._counters
-        if counters is None or not requests:
-            return
-        counters["airphant_sim_requests_total"].inc(len(requests))
-        counters["airphant_sim_round_trips_total"].inc(1)
-        counters["airphant_sim_bytes_total"].inc(sum(r.nbytes for r in requests))
-        counters["airphant_sim_wait_ms_total"].inc(sum(r.wait_ms for r in requests))
-        counters["airphant_sim_download_ms_total"].inc(sum(r.download_ms for r in requests))
-
     def record(self, record: RequestRecord) -> None:
         """Add a single request (counts as one round-trip)."""
-        with self._lock:
-            self.records.append(record)
-            self.round_trips += 1
-        self._mirror([record])
+        self.record_batch(BatchRecord(requests=(record,)))
 
     def record_batch(self, batch: BatchRecord) -> None:
         """Add a concurrent batch (counts as one *logical* round-trip)."""
-        with self._lock:
-            self.records.extend(batch.requests)
-            self.round_trips += 1
-        self._mirror(batch.requests)
+        self.add(
+            request_count=len(batch.requests),
+            round_trips=1,
+            total_bytes=batch.nbytes,
+            total_wait_ms=sum(record.wait_ms for record in batch.requests),
+            total_download_ms=sum(record.download_ms for record in batch.requests),
+        )
 
     def reset(self) -> None:
-        """Clear all accumulated records (registry counters stay monotonic)."""
+        """Zero the totals (registry counters stay monotonic)."""
         with self._lock:
-            self.records.clear()
-            self.round_trips = 0
-
-    @property
-    def total_bytes(self) -> int:
-        """Total bytes fetched."""
-        return sum(record.nbytes for record in self.records)
-
-    @property
-    def total_wait_ms(self) -> float:
-        """Sum of first-byte wait times across all requests."""
-        return sum(record.wait_ms for record in self.records)
-
-    @property
-    def total_download_ms(self) -> float:
-        """Sum of transfer times across all requests."""
-        return sum(record.download_ms for record in self.records)
-
-    @property
-    def request_count(self) -> int:
-        """Number of individual requests issued."""
-        return len(self.records)
+            self.request_count = self.round_trips = self.total_bytes = 0
+            self.total_wait_ms = self.total_download_ms = 0.0

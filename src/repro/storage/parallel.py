@@ -1,11 +1,11 @@
-"""Batched parallel fetches against an object store.
+"""The worker pool and the result type of a batched read.
 
 IoU Sketch's key systems idea is replacing *dependent sequential* reads with
-a *single batch of concurrent* reads.  :class:`ParallelFetcher` is the
-primitive that executes such a batch.  Against a
-:class:`~repro.storage.simulated.SimulatedCloudStore` the timing follows the
-batch semantics of the latency model; against a real backend it simply runs
-the requests on a thread pool.
+a *single batch of concurrent* reads.  The primitive that executes such a
+batch is :meth:`ObjectStore.read_batch
+<repro.storage.base.ObjectStore.read_batch>`; this module holds the two
+things it is made of: :class:`FetchPool`, the one thread pool a store owns
+for it, and :class:`FetchResult`, what it returns.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ import os
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from repro.observability.tracing import attach, current_span
-from repro.storage.base import ObjectStore, RangeRead
-from repro.storage.metrics import BatchRecord, RequestRecord
-from repro.storage.simulated import SimulatedCloudStore
+from repro.storage.metrics import BatchRecord
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 def _shutdown_pool(pool: ThreadPoolExecutor, owner_pid: int) -> None:
@@ -36,264 +37,97 @@ def _shutdown_pool(pool: ThreadPoolExecutor, owner_pid: int) -> None:
 
 @dataclass(frozen=True)
 class FetchResult:
-    """Payloads plus the timing of the batch that fetched them."""
+    """Payloads plus the timing of the batch that fetched them.
 
-    payloads: list[bytes]
-    batch: BatchRecord
+    The default is the empty batch: nothing read, nothing charged.
+    """
+
+    payloads: list[bytes] = field(default_factory=list)
+    batch: BatchRecord = BatchRecord()
 
     @property
     def total_ms(self) -> float:
-        """Simulated wall-clock latency of the batch."""
+        """What the batch cost on the store's clock (0 on untimed stores)."""
         return self.batch.total_ms
 
 
-class ParallelFetcher:
-    """Issues batches of range reads with bounded concurrency.
+class FetchPool:
+    """One lazily created, fork-safe, grow-only pool of fetch workers.
 
-    Parameters
-    ----------
-    store:
-        Object store to read from.
-    max_concurrency:
-        Maximum number of in-flight requests (the paper uses 32 download
-        threads).
-    hedge_extra:
-        When positive, the fetcher is allowed to drop the ``hedge_extra``
-        slowest requests of a batch and still return (used by the built-in
-        replication mechanism of Section IV-G: issue L⁺ requests, wait for L).
+    One long-lived pool serves every batch of its store: spinning up a fresh
+    ``ThreadPoolExecutor`` per batch costs thread creation on the query hot
+    path and defeats OS-level thread reuse.  The pool is as wide as the
+    widest ``max_concurrency`` any caller has asked for — a sharded index
+    multiplies every lookup wave's request count by its shard count and asks
+    for proportionally more — and never shrinks.
     """
 
-    def __init__(
-        self,
-        store: ObjectStore,
-        max_concurrency: int = 32,
-        hedge_extra: int = 0,
-    ) -> None:
-        if max_concurrency <= 0:
-            raise ValueError("max_concurrency must be positive")
-        if hedge_extra < 0:
-            raise ValueError("hedge_extra must be non-negative")
-        self._store = store
-        self._max_concurrency = max_concurrency
-        self._hedge_extra = hedge_extra
-        # One long-lived pool shared by every batch (created on first use):
-        # spinning up a fresh ThreadPoolExecutor per batch costs thread
-        # creation on the query hot path and defeats OS-level thread reuse.
+    def __init__(self) -> None:
         self._pool: ThreadPoolExecutor | None = None
-        self._pool_pid: int = 0
+        self._pool_pid = 0
         self._pool_finalizer: weakref.finalize | None = None
-        self._pool_lock = threading.Lock()
+        self._lock = threading.Lock()
+        #: Widest ``max_concurrency`` asked for so far.
+        self.width = 0
 
-    @property
-    def max_concurrency(self) -> int:
-        """Maximum number of concurrent requests per batch."""
-        return self._max_concurrency
+    def map(
+        self, width: int, function: Callable[[T], R], items: Iterable[T]
+    ) -> Iterator[R]:
+        """Submit ``function(item)`` for every item at once; results in item order.
 
-    def scale_concurrency(self, minimum: int) -> None:
-        """Raise the concurrency ceiling to at least ``minimum`` (never lower).
+        The executor is at least ``width`` workers wide.  A pool inherited
+        across ``os.fork()`` is unusable in the child (its worker threads
+        live only in the parent), so a pid mismatch drops the stale
+        reference without a shutdown and builds a fresh pool; a pool that is
+        too narrow is replaced by a wider one.
 
-        A sharded index multiplies every lookup wave's request count by the
-        shard count; with a fixed ceiling those batches spill into extra
-        concurrency waves and per-shard overhead stacks instead of
-        amortizing.  Callers that know their fan-out (the sharded searcher
-        at initialize time) widen the ceiling up front.  An existing thread
-        pool is discarded so the next threaded batch builds one at the new
-        width; simulated batches pick the new ceiling up immediately.
+        Submission happens under the pool's lock, so neither :meth:`close`
+        nor a widening swap can land between choosing the executor and
+        handing it the batch: work already submitted always finishes on the
+        executor it was given to, and no batch ever meets a shut-down pool.
         """
-        if minimum <= self._max_concurrency:
-            return
-        with self._pool_lock:
-            if minimum <= self._max_concurrency:
-                return
-            self._max_concurrency = minimum
-            pool, self._pool = self._pool, None
-            owner_pid, self._pool_pid = self._pool_pid, 0
-            finalizer, self._pool_finalizer = self._pool_finalizer, None
-        if finalizer is not None:
-            finalizer.detach()
-        if pool is not None and owner_pid == os.getpid():
-            pool.shutdown(wait=False)
-
-    def close(self) -> None:
-        """Shut down the current thread pool (idempotent, fork-safe).
-
-        Closing releases the worker threads *now*; it does not poison the
-        fetcher — a later threaded fetch transparently creates a fresh pool,
-        so closing is safe even while another thread still holds this
-        fetcher (e.g. a catalog invalidating a searcher mid-query).
-        Double-close is a no-op.  In a process forked while the pool was
-        alive, the inherited pool's threads do not exist, so close drops the
-        reference without attempting a shutdown (and the pool's finalizer is
-        likewise pid-guarded).  Simulated batches never touch the pool.
-        """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-            owner_pid = self._pool_pid
-            finalizer, self._pool_finalizer = self._pool_finalizer, None
-        if finalizer is not None:
-            # The pool is shut down explicitly below; detach so the
-            # finalizer does not linger until garbage collection.
-            finalizer.detach()
-        if pool is not None and owner_pid == os.getpid():
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ParallelFetcher":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        """Return the live thread pool, creating (or re-creating) it lazily.
-
-        A pool inherited across ``os.fork()`` is unusable in the child (its
-        worker threads live only in the parent), so a pid mismatch discards
-        the stale reference and builds a fresh pool.
-        """
-        with self._pool_lock:
+        with self._lock:
             if self._pool is not None and self._pool_pid != os.getpid():
-                # Forked child: the inherited pool has no threads here.
-                # Drop it without shutdown and start over.
-                if self._pool_finalizer is not None:
-                    self._pool_finalizer.detach()
-                    self._pool_finalizer = None
-                self._pool = None
+                self._detach()
+            elif self._pool is not None and width > self.width:
+                self._detach().shutdown(wait=False)
             if self._pool is None:
+                self.width = max(self.width, width)
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self._max_concurrency,
-                    thread_name_prefix="airphant-fetch",
+                    max_workers=self.width, thread_name_prefix="airphant-fetch"
                 )
                 self._pool_pid = os.getpid()
-                # Owners that never call close() (or drop the fetcher in a
-                # reference cycle) must not strand idle worker threads until
-                # interpreter exit: shut the pool down when the fetcher is
-                # collected.  The callback references only the pool (and the
-                # owning pid), so it cannot keep the fetcher or its store
+                # Owners that never call close() must not strand idle worker
+                # threads until interpreter exit: shut the pool down when
+                # this object is collected.  The callback references only
+                # the pool (and the owning pid), so it cannot keep the store
                 # alive, and it no-ops in forked children.
                 self._pool_finalizer = weakref.finalize(
                     self, _shutdown_pool, self._pool, self._pool_pid
                 )
-            return self._pool
+            return self._pool.map(function, items)
 
-    def fetch(self, requests: list[RangeRead]) -> FetchResult:
-        """Fetch all ``requests`` as one concurrent batch.
+    def _detach(self) -> ThreadPoolExecutor | None:
+        """Forget the current executor (caller holds the lock) and return it."""
+        pool, self._pool = self._pool, None
+        if self._pool_finalizer is not None:
+            self._pool_finalizer.detach()
+            self._pool_finalizer = None
+        return pool
 
-        Parameters
-        ----------
-        requests:
-            Independent range reads; they are issued concurrently (bounded by
-            ``max_concurrency``), never sequentially.
+    def close(self) -> None:
+        """Shut down the current executor (idempotent, fork-safe).
 
-        Returns
-        -------
-        A :class:`FetchResult` with one payload per request, in request
-        order, plus the batch timing.  Against a
-        :class:`~repro.storage.simulated.SimulatedCloudStore` the timing is
-        the virtual-clock batch cost (max first-byte wait per concurrency
-        wave + shared-bandwidth transfer); against real backends the
-        requests run on the thread pool and the recorded timing is zero
-        (wall-clock timing is the caller's job).
+        Closing releases the worker threads *now* (after the batches already
+        submitted finish); it does not poison the pool — a later batch
+        transparently creates a fresh executor, so closing is safe even
+        while another thread is mid-batch (e.g. a catalog invalidating a
+        searcher mid-query).  In a process forked while the pool was alive,
+        the inherited executor's threads do not exist, so close drops the
+        reference without attempting a shutdown.
         """
-        if not requests:
-            empty = BatchRecord(requests=(), wait_ms=0.0, download_ms=0.0)
-            return FetchResult(payloads=[], batch=empty)
-        if isinstance(self._store, SimulatedCloudStore):
-            return self._fetch_simulated(requests)
-        return self._fetch_threaded(requests)
-
-    def fetch_hedged(self, requests: list[RangeRead], required: int) -> FetchResult:
-        """Fetch ``requests`` but only charge for the ``required`` fastest.
-
-        Models the L⁺ replication strategy: all requests are issued, the
-        result of the slowest ``len(requests) - required`` is discarded, and
-        latency is determined by the ``required``-th fastest completion.  The
-        *payloads* of the dropped requests are replaced by ``None`` markers so
-        callers know which layers to skip.
-
-        Only meaningful against a :class:`SimulatedCloudStore` (hedging
-        reasons about per-request latencies, which only the simulator
-        reports); on real backends this falls back to a plain :meth:`fetch`.
-
-        Returns
-        -------
-        A :class:`FetchResult` whose payload list still has one entry per
-        request — dropped stragglers are ``None`` — and whose batch record
-        contains only the kept requests.
-        """
-        if required <= 0:
-            raise ValueError("required must be positive")
-        if required > len(requests):
-            required = len(requests)
-        if not isinstance(self._store, SimulatedCloudStore):
-            # Without a latency model there is nothing to hedge; fall back.
-            return self.fetch(requests)
-
-        store = self._store
-        payloads: list[bytes | None] = []
-        records: list[RequestRecord] = []
-        for request in requests:
-            data, record = store.timed_read(request)
-            payloads.append(data)
-            records.append(record)
-        # Keep the `required` fastest requests; drop the rest.
-        order = sorted(range(len(records)), key=lambda i: records[i].total_ms)
-        kept = set(order[:required])
-        ambient = current_span()
-        if ambient is not None:
-            ambient.child(
-                "fetch.hedged",
-                requests=len(requests),
-                required=required,
-                dropped=len(requests) - len(kept),
-            ).finish()
-        kept_records = [records[i] for i in sorted(kept)]
-        for index in range(len(payloads)):
-            if index not in kept:
-                payloads[index] = None
-        wait_ms = max(record.wait_ms for record in kept_records)
-        download_ms = store.latency_model.batch_transfer_ms(
-            [record.nbytes for record in kept_records]
-        )
-        batch = BatchRecord(
-            requests=tuple(kept_records), wait_ms=wait_ms, download_ms=download_ms
-        )
-        return FetchResult(payloads=payloads, batch=batch)  # type: ignore[arg-type]
-
-    # -- strategies --------------------------------------------------------------
-
-    def _fetch_simulated(self, requests: list[RangeRead]) -> FetchResult:
-        payloads, batch = self._store.timed_batch(  # type: ignore[union-attr]
-            requests, max_concurrency=self._max_concurrency
-        )
-        return FetchResult(payloads=payloads, batch=batch)
-
-    def _fetch_threaded(self, requests: list[RangeRead]) -> FetchResult:
-        # Pool threads do not inherit contextvars from the submitter, so the
-        # active trace span (if any) is captured here and re-attached inside
-        # each worker — store-level attempt spans then nest under the right
-        # request instead of vanishing.
-        parent = current_span()
-        if parent is None:
-            reader = self._store.read
-        else:
-
-            def reader(request: RangeRead) -> bytes:
-                with attach(parent):
-                    return self._store.read(request)
-
-        try:
-            payloads = list(self._ensure_pool().map(reader, requests))
-        except RuntimeError as error:
-            # close() raced this fetch and shut the pool down between
-            # _ensure_pool() and submission.  Range reads are idempotent, so
-            # retry the batch once on a fresh pool; any other RuntimeError
-            # (e.g. from the store itself) propagates untouched.
-            if "shutdown" not in str(error):
-                raise
-            payloads = list(self._ensure_pool().map(reader, requests))
-        records = tuple(
-            RequestRecord(blob=request.blob, nbytes=len(data), wait_ms=0.0, download_ms=0.0)
-            for request, data in zip(requests, payloads)
-        )
-        batch = BatchRecord(requests=records, wait_ms=0.0, download_ms=0.0)
-        return FetchResult(payloads=payloads, batch=batch)
+        with self._lock:
+            owner_pid = self._pool_pid
+            pool = self._detach()
+        if pool is not None and owner_pid == os.getpid():
+            pool.shutdown(wait=True)

@@ -1,11 +1,12 @@
-"""Coalescing read pipeline between callers and the parallel fetcher.
+"""Coalescing read pipeline between callers and a store's ``read_batch``.
 
 Airphant's query path issues *batches* of small range reads against one or
 two blobs (superposts inside the compacted blob, documents inside corpus
 blobs).  Issuing each logical read as its own store request wastes request
 quota and first-byte waits whenever ranges repeat or sit next to each other.
 :class:`ReadPipeline` sits between callers and
-:class:`~repro.storage.parallel.ParallelFetcher` and, per batch:
+:meth:`ObjectStore.read_batch <repro.storage.base.ObjectStore.read_batch>`
+and, per batch:
 
 1. **deduplicates** identical ranges (one physical request serves them all);
 2. **coalesces** adjacent/overlapping ranges on the same blob — optionally
@@ -29,8 +30,7 @@ from typing import Any
 from repro.observability import MetricsRegistry, MirroredStats, get_registry
 from repro.observability.tracing import span
 from repro.storage.base import ObjectStore, RangeRead
-from repro.storage.metrics import BatchRecord
-from repro.storage.parallel import FetchResult, ParallelFetcher
+from repro.storage.parallel import FetchResult
 
 #: Cache key of one bounded logical range.
 _RangeKey = tuple[str, int, int]
@@ -153,8 +153,11 @@ class ReadPipeline:
 
     Parameters
     ----------
-    fetcher:
-        The :class:`ParallelFetcher` that executes physical batches.
+    store:
+        The store whose :meth:`~repro.storage.base.ObjectStore.read_batch`
+        executes the physical batches.
+    max_concurrency:
+        Most physical requests in flight at once, handed to ``read_batch``.
     max_gap:
         Two bounded ranges on the same blob are merged into one physical read
         when the gap between them is at most this many bytes.  ``0`` (the
@@ -176,16 +179,20 @@ class ReadPipeline:
 
     def __init__(
         self,
-        fetcher: ParallelFetcher,
+        store: ObjectStore,
+        max_concurrency: int = 32,
         max_gap: int = 0,
         cache_bytes: int = 0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
+        if max_concurrency <= 0:
+            raise ValueError("max_concurrency must be positive")
         if max_gap < 0:
             raise ValueError("max_gap must be non-negative")
         if cache_bytes < 0:
             raise ValueError("cache_bytes must be non-negative")
-        self._fetcher = fetcher
+        self._store = store
+        self._max_concurrency = max_concurrency
         self._max_gap = max_gap
         self._cache_bytes = cache_bytes
         self._cache: OrderedDict[_RangeKey, bytes] = OrderedDict()
@@ -198,27 +205,10 @@ class ReadPipeline:
             metrics if metrics is not None else get_registry()
         )
 
-    @classmethod
-    def for_store(
-        cls,
-        store: ObjectStore,
-        max_concurrency: int = 32,
-        max_gap: int = 0,
-        cache_bytes: int = 0,
-        metrics: MetricsRegistry | None = None,
-    ) -> "ReadPipeline":
-        """Build a pipeline with its own fetcher over ``store``."""
-        return cls(
-            ParallelFetcher(store, max_concurrency=max_concurrency),
-            max_gap=max_gap,
-            cache_bytes=cache_bytes,
-            metrics=metrics,
-        )
-
     @property
-    def fetcher(self) -> ParallelFetcher:
-        """The fetcher executing this pipeline's physical batches."""
-        return self._fetcher
+    def max_concurrency(self) -> int:
+        """Most physical requests in flight per batch."""
+        return self._max_concurrency
 
     @property
     def max_gap(self) -> int:
@@ -241,25 +231,15 @@ class ReadPipeline:
             self._cache.clear()
             self._cached_bytes = 0
 
-    def close(self) -> None:
-        """Release the underlying fetcher's thread pool and the cache."""
-        self.clear_cache()
-        self._fetcher.close()
-
-    def __enter__(self) -> "ReadPipeline":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # -- fetching ----------------------------------------------------------------
 
     def fetch(self, requests: list[RangeRead]) -> FetchResult:
         """Fetch all ``requests``, returning payloads in request order.
 
         At most one physical batch is issued; a batch fully served from the
-        cache issues none (its :class:`BatchRecord` is empty with zero
-        latency, which callers can detect via ``batch.requests``).
+        cache issues none (its :class:`~repro.storage.metrics.BatchRecord` is
+        empty with zero latency, which callers can detect via
+        ``batch.requests``).
 
         Parameters
         ----------
@@ -278,8 +258,7 @@ class ReadPipeline:
         replay of the same logical batch.
         """
         if not requests:
-            empty = BatchRecord(requests=(), wait_ms=0.0, download_ms=0.0)
-            return FetchResult(payloads=[], batch=empty)
+            return FetchResult()
 
         with span("pipeline.fetch") as trace_span:
             placements, physical, deltas = self._plan(requests)
@@ -291,13 +270,8 @@ class ReadPipeline:
             deltas["requests_out"] = len(physical)
             deltas["batches"] = 1 if physical else 0
             self.stats.add(**deltas)
-            if physical:
-                fetch = self._fetcher.fetch(physical)
-            else:
-                fetch = FetchResult(
-                    payloads=[],
-                    batch=BatchRecord(requests=(), wait_ms=0.0, download_ms=0.0),
-                )
+            # An empty physical batch costs nothing and reads nothing.
+            fetch = self._store.read_batch(physical, self._max_concurrency)
 
             payloads = self._resolve(requests, placements, fetch.payloads)
             fetched_bytes = sum(len(data) for data in fetch.payloads)

@@ -58,9 +58,10 @@ from repro.storage.base import (
     TransientStoreError,
 )
 
-# The pid-guarded pool finalizer is shared with the parallel fetcher: the
+# The pid-guarded pool finalizer is shared with the fetch pool: the
 # fork-safety semantics must stay identical for both pools.
 from repro.storage.parallel import _shutdown_pool
+from repro.storage.simulated import SimulatedCloudStore
 
 T = TypeVar("T")
 
@@ -225,9 +226,9 @@ class ResilientStore(ObjectStore):
     hedge_concurrency:
         Worker threads of the shared hedge pool.  Size it *above* the
         largest concurrent read batch the caller issues (e.g. twice the
-        fetcher's ``max_concurrency``), or a fully-slow wave parks a primary
-        on every worker and the hedges queue behind the stragglers they are
-        meant to race.
+        ``max_concurrency`` of its ``read_batch`` calls), or a fully-slow
+        wave parks a primary on every worker and the hedges queue behind the
+        stragglers they are meant to race.
     seed:
         Seed of the private jitter RNG, for reproducible backoff schedules.
     sleep / clock:
@@ -296,6 +297,27 @@ class ResilientStore(ObjectStore):
             metrics if metrics is not None else get_registry()
         )
 
+    @classmethod
+    def wrap(cls, store: ObjectStore, **options: Any) -> ObjectStore:
+        """``store`` guarded by a :class:`ResilientStore` built from ``options``.
+
+        Stores that are already resilient are not double-wrapped.  A
+        simulated store is never wrapped *on top* — that would hide the
+        simulator's ``read_batch`` clock and silently zero every simulated
+        latency — instead the resilience wrapper slides *underneath* the
+        simulation layer, guarding the real backend while virtual-clock
+        timing stays in charge (the complement of
+        :meth:`SimulatedCloudStore.wrap
+        <repro.storage.simulated.SimulatedCloudStore.wrap>`).
+        """
+        if isinstance(store, ResilientStore):
+            return store
+        if isinstance(store, SimulatedCloudStore):
+            return SimulatedCloudStore(
+                backend=cls.wrap(store.backend, **options), latency_model=store.latency_model
+            )
+        return cls(store, **options)
+
     # -- plumbing ----------------------------------------------------------------
 
     @property
@@ -347,8 +369,8 @@ class ResilientStore(ObjectStore):
                 )
                 # Owners that never call close() (the one-shot CLI among
                 # them) must not strand idle hedge workers until interpreter
-                # exit — same pid-guarded finalizer backstop the parallel
-                # fetcher uses; it references only the pool, never self.
+                # exit — same pid-guarded finalizer backstop the fetch
+                # pool uses; it references only the pool, never self.
                 weakref.finalize(self, _shutdown_pool, self._pool, os.getpid())
             return self._pool
 
@@ -444,7 +466,7 @@ class ResilientStore(ObjectStore):
         Both racers run on the shared hedge pool (racing needs futures); a
         sustained burst of timed-out reads can therefore queue behind
         abandoned workers until the backend's socket timeout frees them —
-        size ``hedge_concurrency`` above the fetcher's ``max_concurrency``
+        size ``hedge_concurrency`` above the batches' ``max_concurrency``
         when combining hedging with tight timeouts.
         """
         pool = self._ensure_pool()

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.observability.tracing import current_span
 from repro.storage.base import ObjectStore, RangeRead
 from repro.storage.latency import AffineLatencyModel
 from repro.storage.memory import InMemoryObjectStore
 from repro.storage.metrics import BatchRecord, RequestRecord, StorageMetrics
+from repro.storage.parallel import FetchResult
 
 
 class SimulatedCloudStore(ObjectStore):
@@ -28,21 +30,32 @@ class SimulatedCloudStore(ObjectStore):
         Where blob bytes actually live (defaults to an in-memory store).
     latency_model:
         The affine latency model used to cost every request.
-    record_metrics:
-        When true (default), every timed request is appended to
-        :attr:`metrics`.
+
+    Every request charged is added to the running totals in :attr:`metrics`.
     """
 
     def __init__(
         self,
         backend: ObjectStore | None = None,
         latency_model: AffineLatencyModel | None = None,
-        record_metrics: bool = True,
     ) -> None:
         self._backend = backend if backend is not None else InMemoryObjectStore()
         self._latency = latency_model if latency_model is not None else AffineLatencyModel()
-        self._record_metrics = record_metrics
         self.metrics = StorageMetrics()
+
+    @classmethod
+    def wrap(cls, store: ObjectStore) -> "SimulatedCloudStore":
+        """``store`` under simulated timing — itself when it already is simulated.
+
+        The simulator belongs *on top* of a store stack: whatever wraps it
+        hides its clock from :meth:`read_batch` callers and silently zeroes
+        every simulated latency (see :meth:`ResilientStore.wrap
+        <repro.storage.resilient.ResilientStore.wrap>`, the other half of
+        the composition).
+        """
+        if isinstance(store, SimulatedCloudStore):
+            return store
+        return cls(backend=store)
 
     # -- plumbing --------------------------------------------------------------
 
@@ -62,25 +75,7 @@ class SimulatedCloudStore(ObjectStore):
         Used by the cross-region experiments: the data stays in one place
         while compute "moves" further away.
         """
-        return SimulatedCloudStore(
-            backend=self._backend,
-            latency_model=latency_model,
-            record_metrics=self._record_metrics,
-        )
-
-    def with_backend(self, backend: ObjectStore) -> "SimulatedCloudStore":
-        """Return a simulated view of a *different* backend, same model.
-
-        The complement of :meth:`with_latency_model` — used to slide a
-        wrapper (e.g. a :class:`~repro.storage.resilient.ResilientStore`)
-        *underneath* the simulation layer, so virtual-clock timing stays on
-        top while the wrapper guards the real backend.
-        """
-        return SimulatedCloudStore(
-            backend=backend,
-            latency_model=self._latency,
-            record_metrics=self._record_metrics,
-        )
+        return SimulatedCloudStore(backend=self._backend, latency_model=latency_model)
 
     # -- ObjectStore interface (pass-through data, metered timing) -------------
 
@@ -88,11 +83,13 @@ class SimulatedCloudStore(ObjectStore):
         self._backend.put(name, data)
 
     def get(self, name: str) -> bytes:
-        data, _ = self.timed_get(name)
+        data = self._backend.get(name)
+        self.metrics.record(self._make_record(name, len(data)))
         return data
 
     def get_range(self, name: str, offset: int, length: int | None = None) -> bytes:
-        data, _ = self.timed_get_range(name, offset, length)
+        data = self._backend.get_range(name, offset, length)
+        self.metrics.record(self._make_record(name, len(data)))
         return data
 
     def size(self, name: str) -> int:
@@ -108,119 +105,75 @@ class SimulatedCloudStore(ObjectStore):
         return self._backend.list_blobs(prefix)
 
     def close(self) -> None:
-        """Close this store's lazy pipeline and the backend's."""
+        """Close this store and the backend."""
         super().close()
         self._backend.close()
 
-    # -- timed operations -------------------------------------------------------
+    # -- the timed batch --------------------------------------------------------
 
-    def timed_get(self, name: str) -> tuple[bytes, RequestRecord]:
-        """Fetch a whole blob, returning its simulated request timing.
-
-        Returns
-        -------
-        ``(data, record)`` — the blob bytes plus the virtual-clock
-        :class:`RequestRecord` this request was charged (no real time
-        passes; the simulator never sleeps).
-        """
-        data = self._backend.get(name)
-        record = self._make_record(name, len(data))
-        if self._record_metrics:
-            self.metrics.record(record)
-        return data, record
-
-    def timed_get_range(
-        self, name: str, offset: int, length: int | None = None
-    ) -> tuple[bytes, RequestRecord]:
-        """Fetch a byte range, returning its simulated request timing.
-
-        Returns
-        -------
-        ``(data, record)`` like :meth:`timed_get`, with the transfer time
-        charged for the truncated range actually returned.
-        """
-        data = self._backend.get_range(name, offset, length)
-        record = self._make_record(name, len(data))
-        if self._record_metrics:
-            self.metrics.record(record)
-        return data, record
-
-    def timed_read(self, request: RangeRead) -> tuple[bytes, RequestRecord]:
-        """Execute one :class:`RangeRead` with timing.
-
-        Returns
-        -------
-        ``(data, record)`` exactly as :meth:`timed_get_range` would for the
-        request's ``(blob, offset, length)``.
-        """
-        return self.timed_get_range(request.blob, request.offset, request.length)
-
-    def timed_sequential(
-        self, requests: Iterable[RangeRead]
-    ) -> tuple[list[bytes], list[RequestRecord]]:
-        """Execute dependent, back-to-back reads (each waits for the previous).
-
-        This is the access pattern of hierarchical indexes (B-trees, skip
-        lists) traversing node by node; the total simulated latency is the
-        *sum* of the individual request latencies — the opposite timing
-        semantics of :meth:`timed_batch`, which charges one concurrent wave.
-
-        Returns
-        -------
-        ``(payloads, records)`` in request order; callers sum the records'
-        ``total_ms`` to get the end-to-end sequential latency.
-        """
-        payloads: list[bytes] = []
-        records: list[RequestRecord] = []
-        for request in requests:
-            data, record = self.timed_read(request)
-            payloads.append(data)
-            records.append(record)
-        return payloads, records
-
-    def timed_batch(
-        self, requests: Iterable[RangeRead], max_concurrency: int = 32
-    ) -> tuple[list[bytes], BatchRecord]:
-        """Execute independent reads as a single concurrent batch.
+    def read_batch(
+        self,
+        requests: Iterable[RangeRead],
+        max_concurrency: int = 32,
+        required: int | None = None,
+    ) -> FetchResult:
+        """Execute independent reads as one concurrent batch on the virtual clock.
 
         This is the access pattern of IoU Sketch: all requests are issued at
-        once, so the batch's wait time is the *maximum* first-byte latency
-        (per concurrency wave) rather than the sum, and the download time is
-        bounded by aggregate bandwidth.
+        once, so a wave's wait time is the *maximum* first-byte latency
+        rather than the sum, and its download time is bounded by aggregate
+        bandwidth; requests beyond ``max_concurrency`` run in successive
+        waves.  Every request draws exactly one first-byte sample, in request
+        order, so a seeded model replays identically.
+
+        With ``required`` below the batch size the ``required`` fastest
+        requests are kept and the rest dropped (their payloads are ``None``):
+        latency is that of the kept ones, issued as a single wave.
 
         Returns
         -------
-        ``(payloads, batch)`` — payloads in request order plus one
-        :class:`BatchRecord` covering the whole concurrent batch.
+        Payloads in request order plus one
+        :class:`~repro.storage.metrics.BatchRecord` holding the kept
+        requests and the batch's virtual-clock cost (no real time passes).
         """
-        request_list = list(requests)
-        if max_concurrency <= 0:
-            raise ValueError("max_concurrency must be positive")
-        payloads: list[bytes] = []
+        request_list = self._checked_batch(requests, max_concurrency, required)
+        if not request_list:
+            return FetchResult()
+        payloads: list[bytes | None] = []
         records: list[RequestRecord] = []
-        total_wait = 0.0
-        total_download = 0.0
-        # Requests beyond the thread-pool size run in successive waves.
-        for start in range(0, len(request_list), max_concurrency):
-            wave = request_list[start : start + max_concurrency]
-            wave_records = []
-            for request in wave:
-                data = self._backend.get_range(request.blob, request.offset, request.length)
-                record = self._make_record(request.blob, len(data))
-                payloads.append(data)
-                wave_records.append(record)
-            if wave_records:
-                total_wait += max(record.wait_ms for record in wave_records)
-                total_download += self._latency.batch_transfer_ms(
-                    [record.nbytes for record in wave_records]
-                )
-            records.extend(wave_records)
+        for request in request_list:
+            data = self._backend.get_range(request.blob, request.offset, request.length)
+            payloads.append(data)
+            records.append(self._make_record(request.blob, len(data)))
+        if required is not None and required < len(records):
+            fastest = sorted(range(len(records)), key=lambda i: records[i].total_ms)
+            for index in fastest[required:]:
+                payloads[index] = None
+            records = [records[index] for index in sorted(fastest[:required])]
+            waves = [records]
+            ambient = current_span()
+            if ambient is not None:
+                ambient.child(
+                    "fetch.hedged",
+                    requests=len(request_list),
+                    required=required,
+                    dropped=len(request_list) - required,
+                ).finish()
+        else:
+            waves = [
+                records[start : start + max_concurrency]
+                for start in range(0, len(records), max_concurrency)
+            ]
         batch = BatchRecord(
-            requests=tuple(records), wait_ms=total_wait, download_ms=total_download
+            requests=tuple(records),
+            wait_ms=sum(max(record.wait_ms for record in wave) for wave in waves),
+            download_ms=sum(
+                self._latency.batch_transfer_ms([record.nbytes for record in wave])
+                for wave in waves
+            ),
         )
-        if self._record_metrics:
-            self.metrics.record_batch(batch)
-        return payloads, batch
+        self.metrics.record_batch(batch)
+        return FetchResult(payloads=payloads, batch=batch)  # type: ignore[arg-type]
 
     # -- helpers ----------------------------------------------------------------
 

@@ -9,7 +9,8 @@ directory on ``sys.path``):
 * :mod:`harness.prometheus` — a strict parser for the Prometheus text
   exposition format, used to assert ``GET /metrics`` payloads are valid;
 * :mod:`harness.stores` — counting/observing store wrappers for asserting
-  exactly what traffic reached a backend;
+  exactly what traffic reached a backend, plus observers of the stores'
+  ``airphant-fetch*`` pool threads (and a time-bounded ``os.fork()`` runner);
 * :mod:`harness.crashpoints` — a fault-point store wrapper that simulates
   process death at exact WAL/flush/compaction mutation points, for
   crash-consistency tests of the mutable-document lifecycle;

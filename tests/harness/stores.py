@@ -4,11 +4,19 @@
 and counts what actually reaches the backend — read calls and bytes
 returned — so tests can assert that pipeline/resilience metrics are *exactly
 consistent* with observed store traffic, not merely plausible.
+:func:`fetch_threads` / :func:`assert_no_fetch_threads` observe the other
+thing a store owns: the ``airphant-fetch*`` workers of its ``read_batch``
+pool.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import signal
 import threading
+import time
+from typing import Callable
 
 from repro.storage.base import ObjectStore
 
@@ -75,3 +83,51 @@ class CountingStore(ObjectStore):
     def close(self) -> None:
         super().close()
         self._backend.close()
+
+
+def fetch_threads() -> list[threading.Thread]:
+    """Every live ``read_batch`` pool worker in this process."""
+    return [
+        thread for thread in threading.enumerate() if thread.name.startswith("airphant-fetch")
+    ]
+
+
+def assert_no_fetch_threads(timeout: float = 3.0) -> None:
+    """Assert all fetch workers are gone, tolerating asynchronous drains.
+
+    Stores dropped unclosed earlier in the test session shut their pools
+    down from a finalizer with ``wait=False`` — so force collection and give
+    those threads a moment.
+    """
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        gc.collect()
+        if not fetch_threads():
+            return
+        time.sleep(0.05)
+    assert not fetch_threads()
+
+
+def passes_in_forked_child(check: Callable[[], bool], timeout: float = 30.0) -> bool:
+    """Run ``check`` in a forked child; whether it returned true in time.
+
+    The child leaves through ``os._exit`` (no pytest teardown, no atexit);
+    a child that hangs — say on a pool whose threads stayed in the parent —
+    is killed after ``timeout`` seconds and counts as a failure.
+    """
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            status = 0 if check() else 2
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        finished, status = os.waitpid(pid, os.WNOHANG)
+        if finished:
+            return os.waitstatus_to_exitcode(status) == 0
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    return False

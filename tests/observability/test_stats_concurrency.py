@@ -20,7 +20,6 @@ from repro.storage.memory import InMemoryObjectStore
 from repro.storage.pipeline import PipelineStats, ReadPipeline
 from repro.storage.resilient import ResilientStore
 from repro.storage.resilient import RetriesExhaustedError
-from repro.storage.parallel import ParallelFetcher
 
 
 def _hammer(worker, threads: int) -> None:
@@ -73,7 +72,7 @@ class TestConcurrentComponents:
         base = InMemoryObjectStore()
         base.put("blob", bytes(i % 251 for i in range(4096)))
         counting = CountingStore(base)
-        pipeline = ReadPipeline.for_store(
+        pipeline = ReadPipeline(
             counting, max_concurrency=8, cache_bytes=0, metrics=MetricsRegistry()
         )
         threads, batches_per_thread, batch_size = 8, 40, 5
@@ -96,7 +95,7 @@ class TestConcurrentComponents:
         assert stats["requests_out"] == counting.read_calls
         assert stats["bytes_fetched"] == counting.bytes_returned
         assert stats["cache_hits"] + stats["cache_misses"] == stats["requests_in"]
-        pipeline.close()
+        counting.close()
 
     def test_concurrent_resilient_reads_account_exactly(self):
         base = InMemoryObjectStore()
@@ -128,18 +127,18 @@ class TestConcurrentComponents:
         store.close()
 
     def test_fetcher_pool_reads_through_resilient_store_stay_consistent(self):
-        """The full stack: fetcher pool -> resilient wrapper -> flaky store."""
+        """The full stack: fetch pool -> resilient wrapper -> flaky store."""
         base = InMemoryObjectStore()
         base.put("blob", bytes(range(256)))
         flaky = FlakyStore(base, error_rate=0.15, seed=5)
         store = ResilientStore(
             flaky, retries=5, backoff_ms=0.05, backoff_jitter=0.0, metrics=MetricsRegistry()
         )
-        fetcher = ParallelFetcher(store, max_concurrency=8)
         for _ in range(20):
-            result = fetcher.fetch([RangeRead("blob", i * 8, 8) for i in range(16)])
+            result = store.read_batch(
+                [RangeRead("blob", i * 8, 8) for i in range(16)], max_concurrency=8
+            )
             assert result.payloads == [bytes(range(i * 8, i * 8 + 8)) for i in range(16)]
-        fetcher.close()
         assert store.stats.operations == 20 * 16
         assert store.stats.attempts == store.stats.operations + store.stats.retries
         assert store.stats.failures == 0

@@ -6,7 +6,7 @@ Two seeded Hypothesis properties over random range-read workloads:
   zero-length, open-ended, and past-end-of-blob ranges a query batch
   contains, and whatever coalescing gap / cache budget the pipeline runs
   with, callers receive byte-for-byte what a raw
-  :class:`~repro.storage.parallel.ParallelFetcher` would return.
+  :meth:`~repro.storage.base.ObjectStore.read_batch` would return.
 * **Accounting exactness** — the pipeline's reported metrics are not merely
   plausible but *exactly* consistent with the traffic a counting wrapper
   observed reaching the store (physical request count, bytes transferred),
@@ -23,7 +23,6 @@ from harness.stores import CountingStore
 from repro.observability import MetricsRegistry
 from repro.storage.base import RangeRead
 from repro.storage.memory import InMemoryObjectStore
-from repro.storage.parallel import ParallelFetcher
 from repro.storage.pipeline import ReadPipeline
 
 #: Fixed blob layout: an empty blob, a small one, and one spanning several
@@ -62,8 +61,8 @@ def test_pipeline_is_byte_identical_to_raw_fetching_and_exactly_accounted(
 ):
     counting = CountingStore(_make_store())
     registry = MetricsRegistry()
-    raw = ParallelFetcher(_make_store(), max_concurrency=4)
-    pipeline = ReadPipeline.for_store(
+    raw = _make_store()
+    pipeline = ReadPipeline(
         counting,
         max_concurrency=4,
         max_gap=max_gap,
@@ -72,7 +71,7 @@ def test_pipeline_is_byte_identical_to_raw_fetching_and_exactly_accounted(
     )
     try:
         for batch in batches:
-            assert pipeline.fetch(batch).payloads == raw.fetch(batch).payloads
+            assert pipeline.fetch(batch).payloads == raw.read_batch(batch, max_concurrency=4).payloads
 
         stats = pipeline.stats.snapshot()
         requests = [request for batch in batches for request in batch]
@@ -119,7 +118,7 @@ def test_pipeline_is_byte_identical_to_raw_fetching_and_exactly_accounted(
             == stats["cache_hits"]
         )
     finally:
-        pipeline.close()
+        counting.close()
         raw.close()
 
 
@@ -128,7 +127,7 @@ def test_pipeline_is_byte_identical_to_raw_fetching_and_exactly_accounted(
 def test_repeating_a_batch_with_cache_serves_bounded_reads_from_memory(batch):
     """Second replay of an identical batch must not re-fetch bounded ranges."""
     counting = CountingStore(_make_store())
-    pipeline = ReadPipeline.for_store(
+    pipeline = ReadPipeline(
         counting, max_concurrency=4, cache_bytes=1 << 20, metrics=MetricsRegistry()
     )
     try:
@@ -140,4 +139,4 @@ def test_repeating_a_batch_with_cache_serves_bounded_reads_from_memory(batch):
         # Only open-ended reads (never cached) may hit the store again.
         assert counting.read_calls - calls_after_first == open_ended
     finally:
-        pipeline.close()
+        counting.close()

@@ -228,11 +228,10 @@ class TestShardRestriction:
         assert sharded.restrict(range(member(sharded).num_shards)) is sharded
         assert member(sharded).restrict(range(4)) is member(sharded)
 
-    def test_view_shares_fetcher_but_not_query_cache(self, sim_store, searchers):
+    def test_view_shares_pipeline_but_not_query_cache(self, sim_store, searchers):
         sharded = AirphantSearcher.open(sim_store, index_name="sharded", query_cache_size=8)
         view = sharded.restrict([1])
         assert view is not sharded
-        assert member(view)._fetcher is member(sharded)._fetcher
         assert member(view).pipeline is member(sharded).pipeline
         view.search("ERROR")
         view.search("ERROR")
@@ -267,15 +266,15 @@ class TestShardRestriction:
 
 
 class TestShardedConcurrencyScaling:
-    """The 16-shard regression fix: the fetcher widens with the shard count."""
+    """The 16-shard regression fix: the concurrency asked for widens with the shard count."""
 
-    def test_initialize_scales_fetcher_concurrency(self, sim_store, corpus):
+    def test_initialize_scales_pipeline_concurrency(self, sim_store, corpus):
         config = SketchConfig(num_bins=512, target_false_positives=1.0, seed=7)
         AirphantBuilder(sim_store, config=config, num_shards=4).build_from_documents(
             corpus.documents, index_name="scaled"
         )
         opened = IndexMember.open(sim_store, "scaled", max_concurrency=8)
-        assert opened._fetcher.max_concurrency == min(8 * 4, MAX_SHARDED_CONCURRENCY)
+        assert opened.pipeline.max_concurrency == min(8 * 4, MAX_SHARDED_CONCURRENCY)
 
     def test_single_shard_keeps_base_concurrency(self, sim_store, corpus):
         config = SketchConfig(num_bins=512, target_false_positives=1.0, seed=7)
@@ -283,4 +282,4 @@ class TestShardedConcurrencyScaling:
             corpus.documents, index_name="plain"
         )
         opened = IndexMember.open(sim_store, "plain", max_concurrency=8)
-        assert opened._fetcher.max_concurrency == 8
+        assert opened.pipeline.max_concurrency == 8

@@ -267,3 +267,40 @@ class TestShardErrorInfo:
         rebuilt = SearchResponse.from_dict(payload)
         assert rebuilt.partial is False
         assert rebuilt.shard_errors == ()
+
+
+class TestServiceConfigRoundTrip:
+    def test_to_dict_names_every_field(self):
+        from dataclasses import fields
+
+        from repro.service.config import ServiceConfig
+
+        config = ServiceConfig()
+        assert set(config.to_dict()) == {field.name for field in fields(ServiceConfig)}
+        assert len(fields(ServiceConfig)) == 32
+        json.dumps(config.to_dict())  # what /healthz serializes
+
+    def test_non_default_config_survives_the_round_trip(self):
+        from repro.service.config import ServiceConfig
+
+        config = ServiceConfig(
+            tokenizer="simple",
+            max_concurrency=7,
+            query_cache_size=3,
+            coalesce_gap=512,
+            read_cache_bytes=4096,
+            retries=2,
+            request_timeout_s=1.5,
+            hedge_ms=12.0,
+            ingest_flush_docs=99,
+            ingest_max_memtable_docs=1000,
+            peers=("http://n1:1/", "http://n2:2"),
+            replication_factor=2,
+            metrics_enabled=False,
+            trace_sample_rate=0.25,
+            slow_query_ms=80.0,
+        )
+        payload = config.to_dict()
+        assert payload["peers"] == ["http://n1:1", "http://n2:2"]
+        assert ServiceConfig.from_dict(payload) == config
+        assert ServiceConfig.from_dict(json.loads(json.dumps(payload))) == config

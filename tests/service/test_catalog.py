@@ -68,7 +68,7 @@ class TestLazyOpen:
         searcher = catalog.open("small-index")
         inner = searcher.searchers[0]
         assert inner._query_cache_size == 4
-        assert inner._fetcher.max_concurrency == 8
+        assert inner.pipeline.max_concurrency == 8
         assert searcher._top_k_delta == 0.01
 
     def test_slow_open_of_one_index_does_not_block_an_open_one(self):

@@ -1,14 +1,16 @@
-"""Unit tests for the parallel fetcher (including hedged requests)."""
+"""Unit tests for ``ObjectStore.read_batch`` and the store-owned fetch pool
+(including hedged batches)."""
 
 import os
 import threading
 
 import pytest
+from harness.stores import assert_no_fetch_threads, fetch_threads, passes_in_forked_child
 
 from repro.storage.base import RangeRead
 from repro.storage.latency import AffineLatencyModel
 from repro.storage.memory import InMemoryObjectStore
-from repro.storage.parallel import ParallelFetcher
+from repro.storage.parallel import FetchPool
 from repro.storage.simulated import SimulatedCloudStore
 
 
@@ -22,38 +24,35 @@ def store() -> SimulatedCloudStore:
 
 class TestFetch:
     def test_payloads_match_requests(self, store):
-        fetcher = ParallelFetcher(store)
         requests = [RangeRead("blob", 0, 4), RangeRead("blob", 4, 4)]
-        result = fetcher.fetch(requests)
+        result = store.read_batch(requests)
         assert result.payloads == [bytes([0, 1, 2, 3]), bytes([4, 5, 6, 7])]
 
     def test_empty_fetch(self, store):
-        fetcher = ParallelFetcher(store)
-        result = fetcher.fetch([])
+        result = store.read_batch([])
         assert result.payloads == []
         assert result.total_ms == 0.0
 
     def test_batch_latency_is_one_round_trip(self, store):
-        fetcher = ParallelFetcher(store, max_concurrency=32)
         requests = [RangeRead("blob", i, 8) for i in range(16)]
-        result = fetcher.fetch(requests)
+        result = store.read_batch(requests, max_concurrency=32)
         assert result.batch.wait_ms == pytest.approx(50.0)
 
     def test_invalid_concurrency_rejected(self, store):
         with pytest.raises(ValueError):
-            ParallelFetcher(store, max_concurrency=0)
-
-    def test_negative_hedge_rejected(self, store):
+            store.read_batch([RangeRead("blob", 0, 1)], max_concurrency=0)
         with pytest.raises(ValueError):
-            ParallelFetcher(store, hedge_extra=-1)
+            InMemoryObjectStore().read_batch([], max_concurrency=0)
 
     def test_plain_backend_uses_thread_pool(self):
         backend = InMemoryObjectStore()
         backend.put("b", b"0123456789")
-        fetcher = ParallelFetcher(backend)
-        result = fetcher.fetch([RangeRead("b", 0, 5), RangeRead("b", 5, 5)])
+        result = backend.read_batch([RangeRead("b", 0, 5), RangeRead("b", 5, 5)])
         assert result.payloads == [b"01234", b"56789"]
         assert result.total_ms == 0.0
+        assert [record.nbytes for record in result.batch.requests] == [5, 5]
+        assert fetch_threads()
+        backend.close()
 
 
 class TestHedgedFetch:
@@ -71,122 +70,110 @@ class TestHedgedFetch:
 
     def test_hedged_fetch_drops_slowest_requests(self):
         store = self._straggler_store()
-        fetcher = ParallelFetcher(store)
         requests = [RangeRead("blob", i * 10, 10) for i in range(6)]
-        result = fetcher.fetch_hedged(requests, required=4)
+        result = store.read_batch(requests, required=4)
         dropped = sum(1 for payload in result.payloads if payload is None)
         assert dropped == 2
         assert len(result.batch.requests) == 4
 
     def test_hedged_latency_not_worse_than_waiting_for_all(self):
         store = self._straggler_store()
-        fetcher = ParallelFetcher(store)
         requests = [RangeRead("blob", i * 10, 10) for i in range(6)]
-        hedged = fetcher.fetch_hedged(requests, required=3)
-        full_store = self._straggler_store()
-        full = ParallelFetcher(full_store).fetch(requests)
+        hedged = store.read_batch(requests, required=3)
+        full = self._straggler_store().read_batch(requests)
         assert hedged.total_ms <= full.total_ms + 1e-9
 
     def test_required_larger_than_requests_keeps_everything(self, store):
-        fetcher = ParallelFetcher(store)
         requests = [RangeRead("blob", 0, 4), RangeRead("blob", 4, 4)]
-        result = fetcher.fetch_hedged(requests, required=10)
+        result = store.read_batch(requests, required=10)
         assert all(payload is not None for payload in result.payloads)
 
     def test_required_must_be_positive(self, store):
-        fetcher = ParallelFetcher(store)
         with pytest.raises(ValueError):
-            fetcher.fetch_hedged([RangeRead("blob", 0, 1)], required=0)
+            store.read_batch([RangeRead("blob", 0, 1)], required=0)
+        with pytest.raises(ValueError):
+            InMemoryObjectStore().read_batch([RangeRead("blob", 0, 1)], required=0)
 
-    def test_hedged_on_plain_backend_falls_back_to_full_fetch(self):
+    def test_hedged_on_plain_backend_waits_for_all(self):
         backend = InMemoryObjectStore()
         backend.put("b", b"0123456789")
-        fetcher = ParallelFetcher(backend)
-        result = fetcher.fetch_hedged([RangeRead("b", 0, 5), RangeRead("b", 5, 5)], required=1)
+        result = backend.read_batch([RangeRead("b", 0, 5), RangeRead("b", 5, 5)], required=1)
         assert result.payloads == [b"01234", b"56789"]
-
-
-def _fetch_worker_threads() -> list[threading.Thread]:
-    return [
-        thread
-        for thread in threading.enumerate()
-        if thread.name.startswith("airphant-fetch")
-    ]
-
-
-def _assert_no_fetch_threads(timeout: float = 3.0) -> None:
-    """Assert all fetch workers are gone, tolerating asynchronous drains.
-
-    Unrelated fetchers leaked earlier in the test session may sit in
-    reference cycles (store → pipeline → fetcher → store) that only the
-    cyclic GC breaks, and their finalizers shut pools down with
-    ``wait=False`` — so force collection and give those threads a moment.
-    """
-    import gc
-    import time
-
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        gc.collect()
-        if not _fetch_worker_threads():
-            return
-        time.sleep(0.05)
-    assert not _fetch_worker_threads()
+        backend.close()
 
 
 class TestLifecycle:
-    def _plain_fetcher(self) -> ParallelFetcher:
+    def _plain_store(self) -> InMemoryObjectStore:
         backend = InMemoryObjectStore()
         backend.put("b", b"0123456789")
-        return ParallelFetcher(backend, max_concurrency=2)
+        return backend
+
+    @staticmethod
+    def _pool(store: InMemoryObjectStore) -> FetchPool:
+        """The store's lazily attached fetch pool."""
+        return store.__dict__["_fetch_pool"]
 
     def test_double_close_is_a_noop(self):
-        fetcher = self._plain_fetcher()
-        fetcher.fetch([RangeRead("b", 0, 5)])
-        fetcher.close()
-        fetcher.close()  # second close must not raise or hang
-        # ...and close does not poison the fetcher: a fresh pool appears.
-        assert fetcher.fetch([RangeRead("b", 0, 5)]).payloads == [b"01234"]
-        fetcher.close()
+        store = self._plain_store()
+        store.read_batch([RangeRead("b", 0, 5)], max_concurrency=2)
+        store.close()
+        store.close()  # second close must not raise or hang
+        # ...and close does not poison the store: a fresh pool appears.
+        assert store.read_batch([RangeRead("b", 0, 5)]).payloads == [b"01234"]
+        store.close()
 
     def test_close_before_any_fetch(self):
-        self._plain_fetcher().close()
+        self._plain_store().close()
 
     def test_close_joins_worker_threads(self):
-        fetcher = self._plain_fetcher()
-        fetcher.fetch([RangeRead("b", 0, 5)])
-        assert _fetch_worker_threads()
-        fetcher.close()
-        _assert_no_fetch_threads()
+        store = self._plain_store()
+        store.read_batch([RangeRead("b", 0, 5)], max_concurrency=2)
+        assert fetch_threads()
+        store.close()
+        assert_no_fetch_threads()
 
     def test_close_after_fork_drops_inherited_pool_without_shutdown(self, monkeypatch):
         """Simulated fork: the recorded owner pid no longer matches ours."""
-        fetcher = self._plain_fetcher()
-        fetcher.fetch([RangeRead("b", 0, 5)])
-        pool = fetcher._pool
+        store = self._plain_store()
+        store.read_batch([RangeRead("b", 0, 5)], max_concurrency=2)
+        fetch_pool = self._pool(store)
+        pool = fetch_pool._pool
         assert pool is not None
-        monkeypatch.setattr(fetcher, "_pool_pid", os.getpid() + 1)
-        fetcher.close()
+        monkeypatch.setattr(fetch_pool, "_pool_pid", os.getpid() + 1)
+        store.close()
         # The parent's pool must not have been shut down from the "child".
         assert not pool._shutdown
-        assert fetcher._pool is None
+        assert fetch_pool._pool is None
         pool.shutdown(wait=True)
 
     def test_fetch_after_fork_builds_a_fresh_pool(self, monkeypatch):
-        fetcher = self._plain_fetcher()
-        fetcher.fetch([RangeRead("b", 0, 5)])
-        inherited = fetcher._pool
-        monkeypatch.setattr(fetcher, "_pool_pid", os.getpid() + 1)
-        result = fetcher.fetch([RangeRead("b", 2, 3)])
+        store = self._plain_store()
+        store.read_batch([RangeRead("b", 0, 5)], max_concurrency=2)
+        fetch_pool = self._pool(store)
+        inherited = fetch_pool._pool
+        monkeypatch.setattr(fetch_pool, "_pool_pid", os.getpid() + 1)
+        result = store.read_batch([RangeRead("b", 2, 3)], max_concurrency=2)
         assert result.payloads == [b"234"]
-        assert fetcher._pool is not inherited
+        assert fetch_pool._pool is not inherited
         assert not inherited._shutdown  # parent's pool untouched
-        fetcher.close()
+        store.close()
         inherited.shutdown(wait=True)
 
+    def test_a_real_forked_child_reads_on_a_fresh_pool(self):
+        store = self._plain_store()
+        store.read_batch([RangeRead("b", 0, 5)], max_concurrency=2)
+        # The inherited executor has no threads in the child.
+        assert passes_in_forked_child(
+            lambda: store.read_batch([RangeRead("b", 2, 3), RangeRead("b", 0, 2)]).payloads
+            == [b"234", b"01"]
+        )
+        # The parent's pool still works after the child came and went.
+        assert store.read_batch([RangeRead("b", 0, 1)]).payloads == [b"0"]
+        store.close()
+
     def test_service_close_leaves_no_fetch_threads(self, tmp_path):
-        """AirphantService.close() must close catalog searchers' fetchers
-        (including sharded members) and the store's read_many pipeline."""
+        """AirphantService.close() must close the catalog's searchers and
+        the store's fetch pool, which every member (sharded ones too) shares."""
         from repro.core.config import SketchConfig
         from repro.service import AirphantService, SearchRequest
         from repro.storage.local import LocalObjectStore
@@ -201,50 +188,91 @@ class TestLifecycle:
             num_shards=2,
         )
         assert service.search(SearchRequest(query="error", index="logs")).num_results == 2
-        # Exercise the store-level read_many pipeline too (shard headers).
+        # Exercise the store-level read_many path too (shard headers).
         service.index_info("logs")
-        assert _fetch_worker_threads()
-        assert store.__dict__.get("_read_many_pipeline") is not None
+        assert fetch_threads()
+        assert self._pool(store)._pool is not None
         service.close()
         # Direct evidence close() did the work (not the garbage collector):
-        # the store's lazy pipeline is gone and no catalog searcher remains.
-        assert store.__dict__.get("_read_many_pipeline") is None
+        # the store's executor is gone and no catalog searcher remains.
+        assert self._pool(store)._pool is None
         assert not service.catalog.is_open("logs")
-        _assert_no_fetch_threads()
+        assert_no_fetch_threads()
         # Close is non-poisoning: querying again just reopens everything.
         assert service.search(SearchRequest(query="error", index="logs")).num_results == 2
         service.close()
-        _assert_no_fetch_threads()
+        assert_no_fetch_threads()
 
 
-class TestScaleConcurrency:
-    def test_raises_the_ceiling(self, store):
-        fetcher = ParallelFetcher(store, max_concurrency=4)
-        fetcher.scale_concurrency(16)
-        assert fetcher.max_concurrency == 16
+class TestPoolWidth:
+    """The pool is as wide as the widest ``max_concurrency`` asked for."""
 
-    def test_never_shrinks(self, store):
-        fetcher = ParallelFetcher(store, max_concurrency=16)
-        fetcher.scale_concurrency(4)
-        assert fetcher.max_concurrency == 16
+    def test_raises_the_ceiling(self):
+        pool = FetchPool()
+        assert list(pool.map(4, abs, [-1])) == [1]
+        assert list(pool.map(16, abs, [-2])) == [2]
+        assert pool.width == 16
+        assert pool._pool._max_workers == 16
+        pool.close()
+
+    def test_never_shrinks(self):
+        pool = FetchPool()
+        list(pool.map(16, abs, [-1]))
+        wide = pool._pool
+        list(pool.map(4, abs, [-1]))
+        assert pool._pool is wide
+        assert pool.width == 16
+        pool.close()
+        # Not even across a close: the next executor is as wide as before.
+        list(pool.map(2, abs, [-1]))
+        assert pool._pool._max_workers == 16
+        pool.close()
 
     def test_existing_pool_is_replaced(self):
         backend = InMemoryObjectStore()
         backend.put("a", b"aa")
         backend.put("b", b"bb")
-        fetcher = ParallelFetcher(backend, max_concurrency=2)
-        fetcher.fetch([RangeRead("a")])  # builds the 2-wide pool
-        fetcher.scale_concurrency(8)
-        result = fetcher.fetch([RangeRead("a"), RangeRead("b")])
+        backend.read_batch([RangeRead("a")], max_concurrency=2)  # builds the 2-wide pool
+        narrow = backend.__dict__["_fetch_pool"]._pool
+        result = backend.read_batch([RangeRead("a"), RangeRead("b")], max_concurrency=8)
         assert result.payloads == [b"aa", b"bb"]
-        assert fetcher.max_concurrency == 8
-        fetcher.close()
+        assert backend.__dict__["_fetch_pool"].width == 8
+        assert narrow._shutdown
+        backend.close()
+        assert_no_fetch_threads()
 
-    def test_scaled_batch_is_one_concurrency_wave(self, store):
-        fetcher = ParallelFetcher(store, max_concurrency=2)
-        fetcher.scale_concurrency(64)
+    def test_wide_batch_is_one_concurrency_wave(self, store):
         requests = [RangeRead("blob", i, 8) for i in range(48)]
-        result = fetcher.fetch(requests)
         # One wave: the batch charges a single 50ms first-byte wait, where
-        # the unscaled 2-wide pool would stack 24 of them.
-        assert result.batch.wait_ms == pytest.approx(50.0)
+        # a 2-wide batch stacks 24 of them.
+        assert store.read_batch(requests, max_concurrency=64).batch.wait_ms == pytest.approx(50.0)
+        assert store.read_batch(requests, max_concurrency=2).batch.wait_ms == pytest.approx(
+            24 * 50.0
+        )
+
+    def test_batches_survive_pool_swaps_and_closes(self):
+        """Many threads widening and closing the pool under each other's batches."""
+        backend = InMemoryObjectStore()
+        backend.put("b", bytes(range(64)))
+        requests = [RangeRead("b", i, 4) for i in range(16)]
+        expected = [bytes(range(i, i + 4)) for i in range(16)]
+        failures: list[BaseException] = []
+
+        def hammer(width: int) -> None:
+            try:
+                for round_number in range(40):
+                    assert backend.read_batch(requests, max_concurrency=width).payloads == expected
+                    if round_number % 7 == 0:
+                        backend.close()
+            except BaseException as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        threads = [threading.Thread(target=hammer, args=(width,)) for width in (2, 3, 5, 8, 13, 21)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        backend.close()
+        assert_no_fetch_threads()

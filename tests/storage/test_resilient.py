@@ -292,7 +292,7 @@ class TestLifecycle:
 class TestServiceConfigWrap:
     def test_wrap_store_slides_resilience_under_the_simulator(self):
         """sim:// + resilience must compose: sim on top (virtual clock
-        visible to the fetcher), ResilientStore guarding the real backend."""
+        visible through read_batch), ResilientStore guarding the real backend."""
         from repro.service.config import ServiceConfig
 
         inner = _mem(blob=b"abc")

@@ -37,6 +37,11 @@ class TestDataPassThrough:
         store = SimulatedCloudStore(backend=backend)
         assert store.get("pre") == b"existing"
 
+    def test_wrap_never_stacks_two_simulators(self, store):
+        assert SimulatedCloudStore.wrap(store) is store
+        inner = InMemoryObjectStore()
+        assert SimulatedCloudStore.wrap(inner).backend is inner
+
     def test_with_latency_model_shares_backend(self, store):
         store.put("a", b"shared")
         other = store.with_latency_model(AffineLatencyModel(first_byte_ms=500.0, jitter_sigma=0.0))
@@ -47,54 +52,53 @@ class TestDataPassThrough:
 class TestTiming:
     def test_timed_get_charges_first_byte_plus_transfer(self, store):
         store.put("a", b"x" * (1024 * 1024))
-        _, record = store.timed_get("a")
-        assert record.wait_ms == pytest.approx(50.0)
-        assert record.download_ms == pytest.approx(1000.0, rel=0.01)
+        batch = store.read_batch([RangeRead("a")]).batch
+        assert batch.wait_ms == pytest.approx(50.0)
+        assert batch.download_ms == pytest.approx(1000.0, rel=0.01)
 
     def test_timed_get_range_charges_only_fetched_bytes(self, store):
         store.put("a", b"x" * (2 * 1024 * 1024))
-        _, record = store.timed_get_range("a", 0, 1024)
-        assert record.nbytes == 1024
-        assert record.download_ms < 2.0
+        batch = store.read_batch([RangeRead("a", 0, 1024)]).batch
+        assert batch.nbytes == 1024
+        assert batch.download_ms < 2.0
 
     def test_sequential_reads_accumulate_latency(self, store):
         store.put("a", b"x" * 4096)
         requests = [RangeRead("a", i * 10, 10) for i in range(5)]
-        _, records = store.timed_sequential(requests)
-        assert len(records) == 5
-        total = sum(record.total_ms for record in records)
+        # A dependent chain is a loop of one-request batches.
+        total = sum(store.read_batch([request]).total_ms for request in requests)
         assert total >= 5 * 50.0
+        assert store.metrics.round_trips == 5
 
     def test_batch_wait_is_single_round_trip(self, store):
         store.put("a", b"x" * 4096)
         requests = [RangeRead("a", i * 10, 10) for i in range(5)]
-        _, batch = store.timed_batch(requests, max_concurrency=32)
+        batch = store.read_batch(requests, max_concurrency=32).batch
         assert batch.wait_ms == pytest.approx(50.0)
         assert len(batch.requests) == 5
 
     def test_batch_beyond_concurrency_runs_in_waves(self, store):
         store.put("a", b"x" * 4096)
         requests = [RangeRead("a", i, 1) for i in range(10)]
-        _, batch = store.timed_batch(requests, max_concurrency=4)
+        batch = store.read_batch(requests, max_concurrency=4).batch
         # 10 requests at concurrency 4 -> 3 waves of first-byte latency.
         assert batch.wait_ms == pytest.approx(150.0)
 
     def test_batch_is_faster_than_sequential(self, store):
         store.put("a", b"x" * 4096)
         requests = [RangeRead("a", i * 100, 100) for i in range(8)]
-        _, sequential_records = store.timed_sequential(requests)
-        _, batch = store.timed_batch(requests)
-        assert batch.total_ms < sum(record.total_ms for record in sequential_records)
+        sequential_ms = sum(store.read_batch([request]).total_ms for request in requests)
+        assert store.read_batch(requests).total_ms < sequential_ms
 
     def test_batch_invalid_concurrency_rejected(self, store):
         store.put("a", b"1234")
         with pytest.raises(ValueError):
-            store.timed_batch([RangeRead("a", 0, 1)], max_concurrency=0)
+            store.read_batch([RangeRead("a", 0, 1)], max_concurrency=0)
 
     def test_empty_batch(self, store):
-        payloads, batch = store.timed_batch([])
-        assert payloads == []
-        assert batch.total_ms == 0.0
+        result = store.read_batch([])
+        assert result.payloads == []
+        assert result.total_ms == 0.0
 
 
 class TestMetricsRecording:
@@ -108,7 +112,7 @@ class TestMetricsRecording:
 
     def test_batch_counts_one_round_trip(self, store):
         store.put("a", b"x" * 100)
-        store.timed_batch([RangeRead("a", 0, 10), RangeRead("a", 10, 10)])
+        store.read_batch([RangeRead("a", 0, 10), RangeRead("a", 10, 10)])
         assert store.metrics.round_trips == 1
         assert store.metrics.request_count == 2
 
@@ -119,11 +123,27 @@ class TestMetricsRecording:
         assert store.metrics.request_count == 0
         assert store.metrics.total_bytes == 0
 
-    def test_recording_can_be_disabled(self):
-        store = SimulatedCloudStore(record_metrics=False)
-        store.put("a", b"abc")
-        store.get("a")
-        assert store.metrics.request_count == 0
+    def test_recording_keeps_no_per_request_state(self, store):
+        """50 000 batched reads: five running totals, nothing per request."""
+        store.put("a", bytes(64))
+        requests = [RangeRead("a", offset, 4) for offset in range(0, 40, 4)]
+        expected = {"wait": 0.0, "download": 0.0}
+        for _ in range(5_000):
+            batch = store.read_batch(requests).batch
+            expected["wait"] += sum(record.wait_ms for record in batch.requests)
+            expected["download"] += sum(record.download_ms for record in batch.requests)
+        metrics = store.metrics
+        assert metrics.request_count == 50_000
+        assert metrics.round_trips == 5_000
+        assert metrics.total_bytes == 200_000
+        assert metrics.total_wait_ms == pytest.approx(expected["wait"])
+        assert metrics.total_download_ms == pytest.approx(expected["download"])
+        # Nothing on the metrics object grew with the traffic.
+        assert not hasattr(metrics, "records")
+        assert not any(
+            isinstance(value, (list, tuple, dict, set)) and len(value) > 16
+            for value in vars(metrics).values()
+        )
 
     def test_put_does_not_count_as_request(self, store):
         store.put("a", b"abc")

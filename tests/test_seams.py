@@ -42,3 +42,41 @@ def test_checker_sees_through_comments_but_not_code(tmp_path):
         "list[Any] member list",
         "isinstance on a searcher type",
     ]
+
+
+def test_checker_guards_the_clock_seam_and_the_one_pool(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("storage", "baselines", "search"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the simulator's own package knows its type, and the two pool
+    # files build their executors.
+    (root / "storage" / "simulated.py").write_text(
+        "def wrap(store):\n    return isinstance(store, SimulatedCloudStore)\n", encoding="utf-8"
+    )
+    for name in ("parallel.py", "resilient.py"):
+        (root / "storage" / name).write_text(
+            "pool = ThreadPoolExecutor(max_workers=2)\n", encoding="utf-8"
+        )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a second pool in storage/, and the simulator's type anywhere
+    # above storage/ — baselines/ included, the budget is zero.
+    (root / "storage" / "pipeline.py").write_text(
+        '"""ThreadPoolExecutor( in a docstring is fine."""\n'
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "pool = ThreadPoolExecutor(max_workers=2)\n",
+        encoding="utf-8",
+    )
+    (root / "baselines" / "_io.py").write_text(
+        "def timed(store):\n    return isinstance(store, SimulatedCloudStore)\n", encoding="utf-8"
+    )
+    (root / "search" / "member.py").write_text(
+        "def timed(store):\n    return isinstance(store, (Other, SimulatedCloudStore))\n",
+        encoding="utf-8",
+    )
+    found = check_seams.findings(root)
+    assert len(found) == 2
+    assert found[0].endswith("storage/pipeline.py:3: thread pool outside the storage pool helper")
+    assert found[1].startswith("2 isinstance(..., SimulatedCloudStore) checks outside storage")
+    assert "baselines/_io.py:2" in found[1] and "search/member.py:2" in found[1]
