@@ -2,14 +2,18 @@
 
 Every benchmark regenerates one of the paper's tables or figures on
 scaled-down corpora (the scale factors are recorded in EXPERIMENTS.md).  The
-rendered rows/series are written to ``results/<experiment>.txt`` so they can
-be inspected after a run and copied into EXPERIMENTS.md.
+rendered rows/series are written to ``<results dir>/<experiment>.txt`` so
+they can be inspected after a run; only a run that sets
+``AIRPHANT_RUN_FIGURES=1`` writes them into the tracked ``results/`` (see
+:func:`results_dir`), so the tier-1 suite leaves the working tree clean.
 """
 
 from __future__ import annotations
 
+import getpass
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -28,7 +32,7 @@ from repro.workloads.synthetic import (
     generate_zipf,
 )
 
-#: Directory where every benchmark writes its rendered table/series.
+#: The tracked records, regenerated only on request (``AIRPHANT_RUN_FIGURES=1``).
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 #: Scaled-down corpus sizes (documents) used across the benchmark suite.
@@ -47,16 +51,31 @@ CORPUS_SIZES = {
 DEFAULT_BENCH_CONFIG = SketchConfig(num_bins=2048, target_false_positives=1.0, seed=7)
 
 
+def results_dir() -> Path:
+    """Where this run's rendered tables and records go (created on demand).
+
+    The tracked ``results/`` when ``AIRPHANT_RUN_FIGURES`` is set; otherwise
+    ``airphant-results/`` under pytest's temp root
+    (``$TMPDIR/pytest-of-<user>/``), which no commit ever sees.
+    """
+    if os.environ.get("AIRPHANT_RUN_FIGURES", "") not in ("", "0"):
+        directory = RESULTS_DIR
+    else:
+        directory = (
+            Path(tempfile.gettempdir()) / f"pytest-of-{getpass.getuser()}" / "airphant-results"
+        )
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
+
 def save_result(name: str, text: str) -> None:
-    """Persist the rendered output of one experiment under ``results/``."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    """Persist the rendered output of one experiment in :func:`results_dir`."""
+    (results_dir() / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 
 
 def save_json(name: str, payload: object) -> None:
-    """Persist a machine-readable experiment record under ``results/``."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / f"{name}.json").write_text(
+    """Persist a machine-readable experiment record in :func:`results_dir`."""
+    (results_dir() / f"{name}.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 

@@ -20,6 +20,18 @@ fetch pool per store.  This script also fails on:
 * a ``ThreadPoolExecutor(`` under ``storage/`` anywhere but the one pool
   helper (``parallel.py``) and ``resilient.py``'s hedge pool.
 
+The on-store index layout has one owner — ``index/store_layout.py`` — and
+one opener.  This script also fails on:
+
+* a layout literal (a blob name such as ``header.json``, a member marker
+  such as ``/delta-``, a WAL ``seg-``/``tomb-`` pattern) in a string literal
+  of any other file under ``src/repro``.  Two homonyms that are not index
+  layout are named in ``LAYOUT_HOMONYMS``: the bucket-root *listing*
+  manifest of ``storage/listing.py`` and the ``/snapshots/`` URL route of
+  ``service/http.py``;
+* a ``decode_header(`` or ``ShardManifest.from_json(`` call outside
+  ``index/`` (the opener is the one caller that reads them off a store).
+
 Comments and docstrings are ignored.  Exit code 1 lists every finding.
 
 Usage: ``python scripts/check_seams.py``
@@ -48,6 +60,33 @@ _FORBIDDEN = {
     "list[Any] member list": re.compile(r"\blist\[Any\]"),
     "isinstance on a searcher type": re.compile(r"isinstance\([^)]*Searcher\b"),
 }
+#: The one file that may spell the on-store layout.
+LAYOUT_FILE = ("index", "store_layout.py")
+LAYOUT_LITERALS = (
+    "header.json",
+    "superposts.bin",
+    "stats.json",
+    "shards.json",
+    "manifest.json",
+    "ingest.json",
+    "/shard-",
+    "/delta-",
+    "/gen-",
+    "/snapshots/",
+    "seg-",
+    "tomb-",
+)
+#: Same spelling, different thing: (file, literal) pairs that are not index layout.
+LAYOUT_HOMONYMS = {
+    (("storage", "listing.py"), "manifest.json"),
+    (("service", "http.py"), "/snapshots/"),
+}
+#: Header/manifest decoders only ``index/`` may call.
+_STORE_DECODERS = re.compile(r"\b(?:decode_header|ShardManifest\.from_json)\(")
+_STRING_PARTS = (tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING))
+_STATEMENT_BREAKS = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING)
+_INSIGNIFICANT = (tokenize.NL, tokenize.COMMENT)
+
 _SIMULATOR_CHECK = re.compile(r"isinstance\([^)]*\bSimulatedCloudStore\b")
 _POOL_CONSTRUCTION = re.compile(r"\bThreadPoolExecutor\(")
 
@@ -68,12 +107,44 @@ def code_lines(path: Path) -> list[tuple[int, str]]:
     return list(enumerate(lines, start=1))
 
 
+def string_literals(path: Path) -> list[tuple[int, str]]:
+    """``(line number, source text)`` of every string literal except docstrings.
+
+    A docstring is a string that is a whole statement: it starts one and the
+    line ends right after it.
+    """
+    source = path.read_text(encoding="utf-8")
+    tokens = [
+        token
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type not in _INSIGNIFICANT
+    ]
+    literals: list[tuple[int, str]] = []
+    for index, token in enumerate(tokens):
+        if token.type not in _STRING_PARTS:
+            continue
+        starts_statement = index == 0 or tokens[index - 1].type in _STATEMENT_BREAKS
+        ends_statement = tokens[index + 1].type == tokenize.NEWLINE
+        if not (starts_statement and ends_statement):
+            literals.append((token.start[0], token.string))
+    return literals
+
+
 def findings(root: Path = SOURCE_ROOT) -> list[str]:
     """Every violation under ``root``, as ``path:line: what`` strings."""
     problems: list[str] = []
     simulator_checks: list[str] = []
     for path in sorted(root.rglob("*.py")):
-        package = path.relative_to(root).parts[0]
+        parts = path.relative_to(root).parts
+        package = parts[0]
+        if parts != LAYOUT_FILE:
+            problems.extend(
+                f"{path.relative_to(root.parent.parent)}:{number}: "
+                f"layout literal {literal!r} outside {'/'.join(LAYOUT_FILE)}"
+                for number, text in string_literals(path)
+                for literal in LAYOUT_LITERALS
+                if literal in text and (parts, literal) not in LAYOUT_HOMONYMS
+            )
         for number, text in code_lines(path):
             where = f"{path.relative_to(root.parent.parent)}:{number}"
             if package in SEAM_PACKAGES:
@@ -82,6 +153,8 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                     for what, pattern in _FORBIDDEN.items()
                     if pattern.search(text)
                 )
+            if package != LAYOUT_FILE[0] and _STORE_DECODERS.search(text):
+                problems.append(f"{where}: header/manifest decoder called outside index/")
             if package not in SIMULATOR_PACKAGES and _SIMULATOR_CHECK.search(text):
                 simulator_checks.append(where)
             if (

@@ -786,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--listing",
         action="store_true",
-        help="also write the bucket's listing manifest (manifest.json), "
+        help="also write the bucket's listing manifest, "
         "enabling catalog discovery over plain http(s):// exports",
     )
     build.set_defaults(func=_cmd_build)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
+from repro.index.store_layout import shard_index_name
 from repro.search.replication import HashRing, place_replicas
 
 
@@ -69,7 +70,7 @@ class ClusterTopology:
     @staticmethod
     def shard_key(index: str, ordinal: int) -> str:
         """The ring key of one shard (mirrors the shard blob prefix)."""
-        return f"{index}/shard-{ordinal:04d}"
+        return shard_index_name(index, ordinal)
 
     def replicas(self, index: str, ordinal: int) -> list[str]:
         """Ordered replica set for one shard: owner first, failovers after."""

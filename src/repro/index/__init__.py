@@ -9,26 +9,20 @@ IV-C).
 
 from repro.index.builder import AirphantBuilder, BuiltIndex, BuiltShardedIndex
 from repro.index.compaction import (
-    HEADER_BLOB_SUFFIX,
-    SUPERPOST_BLOB_SUFFIX,
     CompactedSketch,
     compact_sketch,
     decode_header,
     encode_header,
 )
-from repro.index.metadata import (
+from repro.index.metadata import IndexMetadata, ShardEntry, ShardManifest
+from repro.index.sharding import PARTITIONERS, partition_documents
+from repro.index.store_layout import (
+    HEADER_BLOB_SUFFIX,
     SHARD_MANIFEST_SUFFIX,
-    IndexMetadata,
-    ShardEntry,
-    ShardManifest,
-)
-from repro.index.sharding import (
-    PARTITIONERS,
     SHARD_MARKER,
-    partition_documents,
+    SUPERPOST_BLOB_SUFFIX,
     read_shard_manifest,
     shard_index_name,
-    write_shard_manifest,
 )
 from repro.index.layout import (
     LAYOUT_COACCESS,
@@ -87,5 +81,4 @@ __all__ = [
     "read_shard_manifest",
     "shard_index_name",
     "uncompressed_superpost_bytes",
-    "write_shard_manifest",
 ]

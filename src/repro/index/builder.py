@@ -26,24 +26,20 @@ from repro.core.mht import MultilayerHashTable
 from repro.core.optimizer import minimize_layers
 from repro.core.analysis import expected_false_positives
 from repro.core.sketch import IoUSketch
-from repro.index.compaction import (
-    HEADER_BLOB_SUFFIX,
-    SUPERPOST_BLOB_SUFFIX,
-    CompactedSketch,
-    compact_sketch,
-    encode_header,
-)
+from repro.index.compaction import CompactedSketch, compact_sketch, encode_header
 from repro.index.layout import LAYOUTS
 from repro.index.metadata import IndexMetadata, ShardEntry, ShardManifest
 from repro.index.serialization import DEFAULT_FORMAT_VERSION, SUPPORTED_FORMAT_VERSIONS
-from repro.index.sharding import (
-    PARTITIONERS,
-    SHARD_MARKER,
-    partition_documents,
+from repro.index.sharding import PARTITIONERS, partition_documents
+from repro.index.stats import build_stats, encode_stats
+from repro.index.store_layout import (
+    build_blobs,
+    build_bytes,
+    header_blob_name,
     shard_index_name,
-    write_shard_manifest,
+    stats_blob_name,
+    superpost_blob_name,
 )
-from repro.index.stats import build_stats, encode_stats, stats_blob_name
 from repro.parsing.corpus import CorpusParser, LineDelimitedCorpusParser
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
@@ -66,10 +62,7 @@ class BuiltIndex:
 
     def storage_bytes(self, store: ObjectStore) -> int:
         """Total bytes the index occupies in cloud storage."""
-        total = store.size(self.header_blob) + store.size(self.superpost_blob)
-        if self.stats_blob:
-            total += store.size(self.stats_blob)
-        return total
+        return build_bytes(store, self.index_name)
 
 
 @dataclass
@@ -92,8 +85,7 @@ class BuiltShardedIndex:
 
     def storage_bytes(self, store: ObjectStore) -> int:
         """Total bytes the sharded index occupies in cloud storage."""
-        manifest_bytes = store.size(ShardManifest.blob_name(self.index_name))
-        return manifest_bytes + sum(shard.storage_bytes(store) for shard in self.shards)
+        return build_bytes(store, self.index_name)
 
 
 class AirphantBuilder:
@@ -203,9 +195,21 @@ class AirphantBuilder:
             built: Union[BuiltIndex, BuiltShardedIndex] = self._build_sharded(
                 documents, index_name, corpus_name
             )
+            shards = built.shards
+            written = {ShardManifest.blob_name(index_name)}
         else:
             built = self._build_single(documents, index_name, corpus_name)
-        self._cleanup_stale_layout(index_name, num_shards=self._num_shards)
+            shards = [built]
+            written = set()
+        for shard in shards:
+            written.update((shard.header_blob, shard.superpost_blob, shard.stats_blob))
+        # The builder makes a rebuild authoritative: whatever a previous
+        # layout of this name left behind (the shard manifest readers check
+        # first, a top-level header, shards beyond the new count) goes.  Once
+        # per top-level build, never per shard sub-build.
+        for blob in build_blobs(self._store, index_name):
+            if blob not in written:
+                self._store.delete(blob)
         return built
 
     # -- single-shard build ---------------------------------------------------------
@@ -229,7 +233,7 @@ class AirphantBuilder:
         self._store.put(stats_blob, encode_stats(build_stats(documents, self._tokenizer)))
         return BuiltIndex(
             index_name=index_name,
-            header_blob=f"{index_name}/{HEADER_BLOB_SUFFIX}",
+            header_blob=header_blob_name(index_name),
             superpost_blob=compacted.superpost_blob_name,
             metadata=metadata,
             mht=compacted.mht,
@@ -298,33 +302,8 @@ class AirphantBuilder:
                 for shard in shards
             ),
         )
-        write_shard_manifest(self._store, manifest)
+        self._store.put(ShardManifest.blob_name(index_name), manifest.to_json().encode("utf-8"))
         return BuiltShardedIndex(index_name=index_name, manifest=manifest, shards=shards)
-
-    def _cleanup_stale_layout(self, index_name: str, num_shards: int) -> None:
-        """Remove blobs left over from a previous layout of ``index_name``.
-
-        The builder owns the blob layout, so it is responsible for making a
-        rebuild authoritative: a single-shard rebuild over a previously
-        sharded name must drop the stale ``shards.json`` (readers check the
-        manifest first) and orphaned ``shard-NNNN/`` sub-indexes; a sharded
-        rebuild over a previously single-shard name must drop the old
-        top-level header/superpost blobs; resharding to fewer shards must
-        drop the shards beyond the new count.  Runs once per top-level build
-        (never per shard sub-build, where it would only waste round trips).
-        """
-        if num_shards <= 1:
-            keep: set[str] = set()
-            self._store.delete(ShardManifest.blob_name(index_name))
-        else:
-            keep = {shard_index_name(index_name, shard) for shard in range(num_shards)}
-            self._store.delete(f"{index_name}/{HEADER_BLOB_SUFFIX}")
-            self._store.delete(f"{index_name}/{SUPERPOST_BLOB_SUFFIX}")
-            self._store.delete(stats_blob_name(index_name))
-        for blob in self._store.list_blobs(prefix=f"{index_name}{SHARD_MARKER}"):
-            shard_name = blob.rsplit("/", 1)[0]
-            if shard_name not in keep:
-                self._store.delete(blob)
 
     # -- build steps ----------------------------------------------------------------
 
@@ -411,8 +390,8 @@ class AirphantBuilder:
         index_name: str,
         word_weights: dict[str, int] | None = None,
     ) -> CompactedSketch:
-        superpost_blob = f"{index_name}/{SUPERPOST_BLOB_SUFFIX}"
-        header_blob = f"{index_name}/{HEADER_BLOB_SUFFIX}"
+        superpost_blob = superpost_blob_name(index_name)
+        header_blob = header_blob_name(index_name)
         compacted = compact_sketch(
             sketch,
             superpost_blob,

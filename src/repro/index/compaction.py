@@ -51,13 +51,8 @@ from repro.index.serialization import (
     encode_superpost,
     uncompressed_superpost_bytes,
 )
+from repro.index.store_layout import HEADER_BLOB_SUFFIX, SUPERPOST_BLOB_SUFFIX  # noqa: F401
 from repro.observability.registry import get_registry
-
-#: Blob name suffixes for the two persisted pieces of an index.  The header
-#: key predates the binary container and stays: catalog discovery, snapshots
-#: and external tooling all find an index by it.
-SUPERPOST_BLOB_SUFFIX = "superposts.bin"
-HEADER_BLOB_SUFFIX = "header.json"
 
 #: Leading bytes of a v3 header; a legacy JSON header starts with ``{``.
 HEADER_MAGIC = b"AIRPHDR\n"

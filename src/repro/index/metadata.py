@@ -12,8 +12,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
-#: Blob name (under the index prefix) of the shard manifest.
-SHARD_MANIFEST_SUFFIX = "shards.json"
+from repro.index.store_layout import SHARD_MANIFEST_SUFFIX
 
 #: Magic marker of the shard-manifest format.
 _SHARD_MANIFEST_MAGIC = "airphant-shards"
@@ -149,6 +148,17 @@ class ShardManifest:
     def from_json(cls, payload: str | bytes) -> "ShardManifest":
         """Rebuild from :meth:`to_json` output."""
         return cls.from_dict(json.loads(payload))
+
+
+def index_metadata(
+    manifest: ShardManifest | None, metadatas: list[IndexMetadata | None]
+) -> IndexMetadata | None:
+    """The metadata of one opened build: its header's, or its shards' merged."""
+    if manifest is None:
+        return metadatas[0]
+    return merge_shard_metadata(
+        [entry for entry in metadatas if entry is not None], partitioner=manifest.partitioner
+    )
 
 
 def merge_shard_metadata(

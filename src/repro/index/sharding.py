@@ -21,20 +21,11 @@ from __future__ import annotations
 import zlib
 from typing import Sequence
 
-from repro.index.metadata import ShardManifest
+from repro.index.store_layout import read_shard_manifest, shard_index_name  # noqa: F401
 from repro.parsing.documents import Document
-from repro.storage.base import ObjectStore
 
 #: Partitioner names a sharded build may select.
 PARTITIONERS = ("hash", "round-robin")
-
-#: Path fragment marking a shard sub-index (not a directly servable index).
-SHARD_MARKER = "/shard-"
-
-
-def shard_index_name(index_name: str, shard: int) -> str:
-    """Sub-index name of shard ``shard`` of ``index_name``."""
-    return f"{index_name}{SHARD_MARKER}{shard:04d}"
 
 
 def shard_of(document: Document, position: int, num_shards: int, partitioner: str) -> int:
@@ -61,18 +52,3 @@ def partition_documents(
     for position, document in enumerate(documents):
         partitions[shard_of(document, position, num_shards, partitioner)].append(document)
     return partitions
-
-
-def read_shard_manifest(store: ObjectStore, index_name: str) -> ShardManifest | None:
-    """The shard manifest of ``index_name``, or ``None`` for single-shard layouts."""
-    blob = ShardManifest.blob_name(index_name)
-    if not store.exists(blob):
-        return None
-    return ShardManifest.from_json(store.get(blob))
-
-
-def write_shard_manifest(store: ObjectStore, manifest: ShardManifest) -> str:
-    """Persist ``manifest``, returning the blob name it was written to."""
-    blob = ShardManifest.blob_name(manifest.index_name)
-    store.put(blob, manifest.to_json().encode("utf-8"))
-    return blob

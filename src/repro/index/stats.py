@@ -32,11 +32,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Sequence
 
+from repro.index.store_layout import STATS_BLOB_SUFFIX, stats_blob_name
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer
-
-#: Blob name suffix of the persisted ranking statistics.
-STATS_BLOB_SUFFIX = "stats.json"
 
 #: Current (and only) stats blob format.
 STATS_FORMAT_V1 = 1
@@ -234,11 +232,6 @@ def decode_stats(data: bytes, index_name: str = "index") -> IndexStats:
         doc_lengths=doc_lengths,
         term_frequencies=term_frequencies,
     )
-
-
-def stats_blob_name(index_name: str) -> str:
-    """The stats blob of ``index_name``."""
-    return f"{index_name}/{STATS_BLOB_SUFFIX}"
 
 
 def idf(num_documents: int, doc_frequency: int) -> float:

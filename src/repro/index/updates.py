@@ -17,13 +17,14 @@ pattern on top of the unchanged Builder and Searcher:
   re-running the Builder, then resets the manifest.
 
 Compaction is *generation-safe*: every compaction builds the new base under a
-fresh ``gen-NNNNNNNN/`` prefix and commits it with one atomic manifest write,
+fresh generational prefix and commits it with one atomic manifest write,
 so a concurrent reader either sees the complete old snapshot or the complete
-new one — never a half-built mix.  The blobs a swap strands (the previous
+new one — never a half-built mix.  The builds a swap strands (the previous
 base build and the folded deltas) are recorded in the manifest's ``retired``
 list and physically deleted one compaction *later*, giving readers that
 opened the old manifest a full generation of grace before their blobs
-disappear.
+disappear.  Where each of these lives in the bucket, and which blobs one
+build owns, is :mod:`repro.index.store_layout`'s business alone.
 """
 
 from __future__ import annotations
@@ -36,46 +37,32 @@ from typing import TYPE_CHECKING, AbstractSet, Sequence
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder, BuiltIndex, BuiltShardedIndex
-from repro.index.compaction import HEADER_BLOB_SUFFIX, decode_header
 from repro.index.serialization import decode_superpost
-from repro.index.sharding import read_shard_manifest
+from repro.index.store_layout import (
+    build_blobs,
+    build_exists,
+    delta_index_name,
+    generation_index_name,
+    open_headers,
+    read_shard_manifest,
+    snapshot_blob_name,
+    snapshot_blobs,
+    update_manifest_blob_name,
+)
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer
-from repro.storage.base import ObjectStore
+from repro.storage.base import BlobNotFoundError, ObjectStore
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a runtime import cycle
     from repro.search.replication import HedgingPolicy
     from repro.search.searcher import AirphantSearcher
 
 
-#: Path fragment that marks a generational base build (written by
-#: :meth:`AppendOnlyIndexManager.compact`; never a directly addressable
-#: catalog entry, like ``/delta-`` and ``/shard-`` members).
-GENERATION_MARKER = "/gen-"
-
-
-def generation_index_name(base_index: str, generation: int) -> str:
-    """Blob prefix of ``base_index``'s generation-``generation`` base build."""
-    return f"{base_index}{GENERATION_MARKER}{generation:08d}"
-
-
-#: Path fragment holding an index's point-in-time snapshots (never a
-#: directly addressable catalog entry).
-SNAPSHOT_MARKER = "/snapshots/"
-
-#: Blob-name suffix of one snapshot record.
-SNAPSHOT_SUFFIX = ".snap.json"
-
 #: Snapshot record format version.
 SNAPSHOT_FORMAT_V1 = 1
 
 #: Names a snapshot may carry: filesystem-safe, no separators.
 _SNAPSHOT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-
-
-def snapshot_blob_name(base_index: str, snapshot: str) -> str:
-    """Blob holding snapshot ``snapshot`` of ``base_index``."""
-    return f"{base_index}{SNAPSHOT_MARKER}{snapshot}{SNAPSHOT_SUFFIX}"
 
 
 class SnapshotRestoreError(Exception):
@@ -104,7 +91,7 @@ class IndexManifest:
     ``base_index`` is the *logical* name (the catalog entry and blob-prefix
     root); ``active_base`` is the blob prefix actually holding the current
     base build — equal to ``base_index`` until the first compaction moves it
-    under a ``gen-NNNNNNNN/`` prefix.  ``next_delta`` numbers deltas
+    under a generational prefix.  ``next_delta`` numbers deltas
     monotonically across compactions so a fresh delta never reuses (and
     overwrites) the prefix of a retired one that readers may still hold.
     ``retired`` lists prefixes stranded by the previous swap, physically
@@ -189,8 +176,6 @@ class SnapshotInfo:
 class AppendOnlyIndexManager:
     """Manages a base IoU Sketch index plus append-only delta indexes."""
 
-    MANIFEST_SUFFIX = "manifest.json"
-
     def __init__(
         self,
         store: ObjectStore,
@@ -217,7 +202,7 @@ class AppendOnlyIndexManager:
     @property
     def manifest_blob(self) -> str:
         """Blob holding the manifest."""
-        return f"{self._base_index}/{self.MANIFEST_SUFFIX}"
+        return update_manifest_blob_name(self._base_index)
 
     # -- manifest ------------------------------------------------------------------
 
@@ -297,7 +282,7 @@ class AppendOnlyIndexManager:
         if not documents:
             raise ValueError("append() needs at least one document")
         manifest = self.manifest()
-        delta_name = f"{self._base_index}/delta-{manifest.next_delta:04d}"
+        delta_name = delta_index_name(self._base_index, manifest.next_delta)
         builder = AirphantBuilder(
             self._store,
             config=self._delta_config,
@@ -343,22 +328,6 @@ class AppendOnlyIndexManager:
 
     # -- compaction ------------------------------------------------------------------
 
-    def _member_indexes(self) -> list[str]:
-        """Every single-shard sub-index behind the base and its deltas.
-
-        A sharded base has no top-level header blob; its shard sub-indexes
-        (named by ``shards.json``) stand in for it, so enumeration and
-        compaction work against sharded bases too.
-        """
-        names: list[str] = []
-        for index_name in self.manifest().all_indexes:
-            shard_manifest = read_shard_manifest(self._store, index_name)
-            if shard_manifest is not None:
-                names.extend(shard_manifest.shard_names)
-            else:
-                names.append(index_name)
-        return names
-
     def indexed_documents(self, exclude: AbstractSet[Posting] = frozenset()) -> list[Document]:
         """Enumerate every document covered by the base and delta indexes.
 
@@ -367,23 +336,26 @@ class AppendOnlyIndexManager:
         bytes, so the documents can be re-read directly from cloud storage.
         ``exclude`` (the pending tombstone set) drops condemned postings
         *before* their bytes are fetched — deleted documents cost no reads.
+        A sharded build's shard sub-indexes stand in for it; a base that was
+        never built (deltas only) contributes nothing.
         """
         postings: set[Posting] = set()
-        for index_name in self._member_indexes():
-            header_blob = f"{index_name}/{HEADER_BLOB_SUFFIX}"
-            if not self._store.exists(header_blob):
+        for index_name in self.manifest().all_indexes:
+            try:
+                members = open_headers(self._store, index_name).members
+            except BlobNotFoundError:
                 continue
-            compacted = decode_header(self._store.get(header_blob))
-            # One read of the member's superpost blob, sliced by the pointer
-            # columns: never a dependent range read per bin.
-            blob = self._store.get(compacted.superpost_blob_name)
-            for offset, length in compacted.mht.ranges():
-                if length:
-                    postings |= decode_superpost(
-                        blob[offset : offset + length],
-                        compacted.string_table,
-                        compacted.format_version,
-                    ).postings
+            for _, compacted in members:
+                # One read of the member's superpost blob, sliced by the
+                # pointer columns: never a dependent range read per bin.
+                blob = self._store.get(compacted.superpost_blob_name)
+                for offset, length in compacted.mht.ranges():
+                    if length:
+                        postings |= decode_superpost(
+                            blob[offset : offset + length],
+                            compacted.string_table,
+                            compacted.format_version,
+                        ).postings
         documents = []
         for posting in sorted(postings - set(exclude)):
             data = self._store.get_range(posting.blob, posting.offset, posting.length)
@@ -397,8 +369,8 @@ class AppendOnlyIndexManager:
     ) -> BuiltIndex | "BuiltShardedIndex":
         """Fold all deltas into a fresh generational base and swap atomically.
 
-        The new base is built under ``<name>/gen-NNNNNNNN/`` (keeping the old
-        base's shard count and partitioner; a sharded base returns a
+        The new base is built under the next generational prefix (keeping the
+        old base's shard count and partitioner; a sharded base returns a
         :class:`~repro.index.builder.BuiltShardedIndex`), then committed with
         a single manifest write — the swap.  Readers that already hold the
         old manifest keep a complete, untouched snapshot: the blobs it
@@ -429,8 +401,7 @@ class AppendOnlyIndexManager:
             documents, index_name=new_base, corpus_name=corpus_name
         )
         # The whole old snapshot — including a legacy in-place base — gets
-        # one generation of grace before deletion.  (_purge_index_blobs
-        # deletes an in-place base's own blobs only, never the shared prefix.)
+        # one generation of grace before deletion.
         stranded = tuple(manifest.all_indexes)
         # Grace expired for what the *previous* swap stranded — except what a
         # snapshot still pins, which stays on the retired list for later.
@@ -487,10 +458,6 @@ class AppendOnlyIndexManager:
 
     # -- snapshots -----------------------------------------------------------------
 
-    def snapshot_blob(self, snapshot: str) -> str:
-        """Blob holding snapshot ``snapshot`` of this index."""
-        return snapshot_blob_name(self._base_index, snapshot)
-
     def _snapshot_pins(self) -> set[str]:
         """Every index prefix some snapshot still references (purge guard)."""
         pinned: set[str] = set()
@@ -523,24 +490,22 @@ class AppendOnlyIndexManager:
             tombstones=tuple(sorted(set(tombstones))),
         )
         self._store.put(
-            self.snapshot_blob(snapshot), json.dumps(info.to_dict()).encode("utf-8")
+            snapshot_blob_name(self._base_index, snapshot),
+            json.dumps(info.to_dict()).encode("utf-8"),
         )
         return info
 
     def get_snapshot(self, snapshot: str) -> SnapshotInfo:
         """Read one snapshot record; raises ``KeyError`` if it does not exist."""
-        blob = self.snapshot_blob(snapshot)
+        blob = snapshot_blob_name(self._base_index, snapshot)
         if not self._store.exists(blob):
             raise KeyError(snapshot)
         return SnapshotInfo.from_dict(json.loads(self._store.get(blob).decode("utf-8")))
 
     def list_snapshots(self) -> list[SnapshotInfo]:
         """Every snapshot of this index, sorted by name."""
-        prefix = f"{self._base_index}{SNAPSHOT_MARKER}"
         infos: list[SnapshotInfo] = []
-        for blob in self._store.list_blobs(prefix=prefix):
-            if not blob.endswith(SNAPSHOT_SUFFIX):
-                continue
+        for blob in snapshot_blobs(self._store, self._base_index):
             try:
                 infos.append(
                     SnapshotInfo.from_dict(json.loads(self._store.get(blob).decode("utf-8")))
@@ -555,19 +520,14 @@ class AppendOnlyIndexManager:
         The blobs it pinned become purgeable at the next compaction (they
         stay on the manifest's retired list until then).
         """
-        blob = self.snapshot_blob(snapshot)
+        blob = snapshot_blob_name(self._base_index, snapshot)
         if not self._store.exists(blob):
             raise KeyError(snapshot)
         self._store.delete(blob)
 
     def delete_all_snapshots(self) -> int:
         """Drop every snapshot (the full-rebuild path); returns how many."""
-        prefix = f"{self._base_index}{SNAPSHOT_MARKER}"
-        blobs = [
-            blob
-            for blob in self._store.list_blobs(prefix=prefix)
-            if blob.endswith(SNAPSHOT_SUFFIX)
-        ]
+        blobs = snapshot_blobs(self._store, self._base_index)
         for blob in blobs:
             self._store.delete(blob)
         return len(blobs)
@@ -585,7 +545,7 @@ class AppendOnlyIndexManager:
         info = self.get_snapshot(snapshot)
         target = info.manifest
         missing = [
-            name for name in target.all_indexes if not self._index_build_exists(name)
+            name for name in target.all_indexes if not build_exists(self._store, name)
         ]
         if missing:
             raise SnapshotRestoreError(self._base_index, snapshot, missing)
@@ -608,30 +568,7 @@ class AppendOnlyIndexManager:
         )
         return info
 
-    def _index_build_exists(self, index_name: str) -> bool:
-        """Whether a base/delta build still has its header (restore guard)."""
-        if self._store.exists(f"{index_name}/{HEADER_BLOB_SUFFIX}"):
-            return True
-        return read_shard_manifest(self._store, index_name) is not None
-
     def _purge_index_blobs(self, index_name: str) -> None:
-        """Physically delete one retired base/delta build.
-
-        Generational bases and deltas own their whole prefix; the legacy
-        in-place base shares its prefix with the manifest, deltas, and
-        generation directories, so only its own blobs (header, superposts,
-        shard manifest, ``shard-NNNN/`` members) are deleted.
-        """
-        if index_name != self._base_index:
-            for blob in self._store.list_blobs(prefix=f"{index_name}/"):
-                self._store.delete(blob)
-            return
-        from repro.index.compaction import SUPERPOST_BLOB_SUFFIX
-        from repro.index.metadata import ShardManifest
-        from repro.index.sharding import SHARD_MARKER
-
-        self._store.delete(f"{index_name}/{HEADER_BLOB_SUFFIX}")
-        self._store.delete(f"{index_name}/{SUPERPOST_BLOB_SUFFIX}")
-        self._store.delete(ShardManifest.blob_name(index_name))
-        for blob in self._store.list_blobs(prefix=f"{index_name}{SHARD_MARKER}"):
+        """Physically delete every blob one retired base/delta build owns."""
+        for blob in build_blobs(self._store, index_name):
             self._store.delete(blob)

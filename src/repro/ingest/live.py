@@ -33,6 +33,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from repro.index.store_layout import build_bytes
 from repro.index.updates import AppendOnlyIndexManager
 from repro.ingest.memtable import Memtable, MemtableMember
 from repro.ingest.wal import WriteAheadLog, ingest_manifest_blob
@@ -525,36 +526,15 @@ class LiveIndex:
         ratio = self._config.ingest_compact_ratio
         if ratio > 0 and self._ratio_dirty:
             manifest = self._manager.manifest()
-            base_bytes = self._base_bytes(manifest.active_base)
+            # Own blobs only: an in-place base shares its prefix with the deltas.
+            base_bytes = build_bytes(self._store, manifest.active_base)
             delta_bytes = sum(
-                self._store.total_bytes(prefix=f"{delta}/")
-                for delta in manifest.delta_indexes
+                build_bytes(self._store, delta) for delta in manifest.delta_indexes
             )
             self._ratio_dirty = False
             if base_bytes > 0 and delta_bytes / base_bytes >= ratio:
                 return True
         return False
-
-    def _base_bytes(self, active_base: str) -> int:
-        """Bytes of the base build's own blobs (the ratio denominator).
-
-        A generational base owns its whole ``gen-NNNNNNNN/`` prefix, but the
-        legacy in-place base shares its prefix with deltas, WAL segments,
-        and manifests — summing the shared prefix would fold the deltas into
-        the denominator and structurally understate the ratio (a configured
-        ratio >= 1.0 could then never fire).
-        """
-        if active_base != self._index_name:
-            return self._store.total_bytes(prefix=f"{active_base}/")
-        from repro.index.compaction import HEADER_BLOB_SUFFIX, SUPERPOST_BLOB_SUFFIX
-        from repro.index.sharding import SHARD_MARKER
-
-        nbytes = self._store.total_bytes(prefix=f"{active_base}{SHARD_MARKER}")
-        for suffix in (HEADER_BLOB_SUFFIX, SUPERPOST_BLOB_SUFFIX):
-            blob = f"{active_base}/{suffix}"
-            if self._store.exists(blob):
-                nbytes += self._store.size(blob)
-        return nbytes
 
     def compact(self) -> dict[str, Any] | None:
         """Flush, then fold every delta into a new base generation.

@@ -41,34 +41,15 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.index.store_layout import (
+    ingest_manifest_blob,
+    ingest_prefix,
+    segment_blob,
+    tombstone_blob,
+)
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Document, Posting
 from repro.storage.base import ObjectStore
-
-#: Directory (blob-prefix) fragment holding an index's WAL state.
-INGEST_DIR = "ingest"
-
-#: Manifest blob name within the ingest directory.
-INGEST_MANIFEST = "ingest.json"
-
-
-def ingest_manifest_blob(index_name: str) -> str:
-    """Blob holding ``index_name``'s ingest manifest."""
-    return f"{index_name}/{INGEST_DIR}/{INGEST_MANIFEST}"
-
-
-def segment_blob(index_name: str, sequence: int) -> str:
-    """Blob holding WAL segment number ``sequence`` of ``index_name``."""
-    return f"{index_name}/{INGEST_DIR}/seg-{sequence:08d}.log"
-
-
-def tombstone_blob(index_name: str, sequence: int) -> str:
-    """Blob holding tombstone record number ``sequence`` of ``index_name``.
-
-    Tombstones draw from the same monotonic counter as document segments, so
-    a sequence number is never reused across the two record kinds either.
-    """
-    return f"{index_name}/{INGEST_DIR}/tomb-{sequence:08d}.json"
 
 
 @dataclass(frozen=True)
@@ -424,6 +405,6 @@ class WriteAheadLog:
         Only valid when the documents are no longer referenced — i.e. the
         whole index is being rebuilt from scratch over a new corpus.
         """
-        for blob in self._store.list_blobs(prefix=f"{self._index_name}/{INGEST_DIR}/"):
+        for blob in self._store.list_blobs(prefix=ingest_prefix(self._index_name)):
             self._store.delete(blob)
         self._manifest = IngestManifest()

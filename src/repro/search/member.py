@@ -23,16 +23,11 @@ from typing import Collection, Protocol, Sequence
 
 from repro.core.mht import MultilayerHashTable
 from repro.core.superpost import Superpost
-from repro.index.compaction import HEADER_BLOB_SUFFIX, CompactedSketch, decode_header
-from repro.index.metadata import IndexMetadata, ShardManifest, merge_shard_metadata
+from repro.index.compaction import CompactedSketch
+from repro.index.metadata import IndexMetadata, ShardManifest, index_metadata
 from repro.index.serialization import StringTable, decode_superpost
-from repro.index.stats import (
-    IndexStats,
-    RankingUnsupportedError,
-    decode_stats,
-    merge_stats,
-    stats_blob_name,
-)
+from repro.index.stats import IndexStats, RankingUnsupportedError, decode_stats, merge_stats
+from repro.index.store_layout import MAX_SHARDED_CONCURRENCY, open_headers, stats_blob_name
 from repro.observability.tracing import span
 from repro.parsing.documents import Document, Posting
 from repro.search.replication import HedgingPolicy
@@ -103,13 +98,6 @@ class ShardState:
         )
 
 
-#: Ceiling on the concurrency a sharded index asks for on its own.  A
-#: query's lookup wave carries every shard's layer reads at once, so the
-#: fan-out budget scales with the shard count — but a real store's thread
-#: pool should not grow unboundedly with pathological shard counts.
-MAX_SHARDED_CONCURRENCY = 128
-
-
 class _StatsCache:
     """Lazily-loaded ranking statistics, shared by every view of one index.
 
@@ -166,14 +154,10 @@ class IndexMember:
         self.shards = tuple(shards)
         self._stats_cache = stats_cache
         self.init_latency_ms = init_latency_ms
-        if shard_manifest is None:
-            self.metadata = self.shards[0].metadata
-        else:
-            # Corpus-wide metadata aggregated over the shards this view holds.
-            self.metadata = merge_shard_metadata(
-                [shard.metadata for shard in self.shards if shard.metadata is not None],
-                partitioner=shard_manifest.partitioner,
-            )
+        #: Corpus-wide metadata, aggregated over the shards this view holds.
+        self.metadata = index_metadata(
+            shard_manifest, [shard.metadata for shard in self.shards]
+        )
         self.expected_false_positives = (
             self.metadata.expected_false_positives if self.metadata is not None else 0.0
         )
@@ -203,56 +187,25 @@ class IndexMember:
 
         Happens once per index (the MHT is 12 bytes per non-empty bin, held
         as views over the downloaded header); all later queries reuse it.
-        The shard manifest is probed with one GET, not exists()+get(): plain
-        indexes (the common case, e.g. every delta) pay a single missed
-        probe and then read their one header.  A manifest's shard headers
-        are independent and go out as one ``read_batch`` wave, so the init
-        latency (on the store's clock) is ``manifest + one header batch``.
+        :func:`~repro.index.store_layout.open_headers` resolves the name —
+        plain or sharded — so the init latency (on the store's clock) is
+        ``manifest probe + one header batch``.
         """
-        manifest: ShardManifest | None = None
-        try:
-            fetch = store.read_batch([RangeRead(blob=ShardManifest.blob_name(name))])
-            manifest = ShardManifest.from_json(fetch.payloads[0])
-            init_ms = fetch.total_ms
-        except BlobNotFoundError:
-            pass
-        if manifest is None or manifest.num_shards == 0:
-            manifest = None
-            fetch = store.read_batch([RangeRead(blob=f"{name}/{HEADER_BLOB_SUFFIX}")])
-            init_ms = fetch.total_ms
-            shards = [ShardState.from_header(name, decode_header(fetch.payloads[0]))]
-        else:
-            # Keep the *per-shard* concurrency budget constant as shards are
-            # added: a lookup wave carries num_shards × layers reads, and with
-            # the single-shard ceiling it would spill into extra concurrency
-            # waves, stacking each shard's first-byte wait instead of
-            # amortizing it (the measured 16-shard regression).
-            max_concurrency = min(
-                max_concurrency * manifest.num_shards, MAX_SHARDED_CONCURRENCY
-            )
-            fetch = store.read_batch(
-                [
-                    RangeRead(blob=f"{entry.name}/{HEADER_BLOB_SUFFIX}")
-                    for entry in manifest.shards
-                ],
-                max_concurrency,
-            )
-            init_ms += fetch.total_ms
-            shards = [
-                ShardState.from_header(entry.name, decode_header(payload))
-                for entry, payload in zip(manifest.shards, fetch.payloads)
-            ]
+        opened = open_headers(store, name, max_concurrency)
         return cls(
             store,
             name,
             ReadPipeline(
-                store, max_concurrency, max_gap=coalesce_gap, cache_bytes=read_cache_bytes
+                store,
+                opened.max_concurrency,
+                max_gap=coalesce_gap,
+                cache_bytes=read_cache_bytes,
             ),
             hedging if hedging is not None else HedgingPolicy(),
-            manifest,
-            shards,
+            opened.manifest,
+            [ShardState.from_header(*member) for member in opened.members],
             _StatsCache(),
-            init_latency_ms=init_ms,
+            init_latency_ms=opened.elapsed_ms,
             query_cache_size=query_cache_size,
         )
 

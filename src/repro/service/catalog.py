@@ -17,26 +17,18 @@ from __future__ import annotations
 
 from threading import RLock
 
-from repro.index.compaction import HEADER_BLOB_SUFFIX, decode_header
-from repro.index.metadata import (
-    SHARD_MANIFEST_SUFFIX,
-    ShardManifest,
-    merge_shard_metadata,
+from repro.index.metadata import index_metadata
+from repro.index.store_layout import (
+    discovery_blobs,
+    index_name_of,
+    is_index_name,
+    open_headers,
 )
-from repro.index.sharding import SHARD_MARKER, read_shard_manifest
-from repro.index.updates import (
-    GENERATION_MARKER,
-    SNAPSHOT_MARKER,
-    AppendOnlyIndexManager,
-)
+from repro.index.updates import AppendOnlyIndexManager
 from repro.search.searcher import AirphantSearcher
 from repro.service.api import IndexInfo
 from repro.service.config import ServiceConfig
-from repro.storage.base import ObjectStore, RangeRead
-
-#: Path fragment that marks a delta index (a member of some base index, not a
-#: directly addressable catalog entry).
-_DELTA_MARKER = "/delta-"
+from repro.storage.base import BlobNotFoundError, ObjectStore
 
 
 class IndexCatalog:
@@ -69,42 +61,13 @@ class IndexCatalog:
         index their append-only manifest names — an index whose base has
         moved fully generational is discovered through that manifest alone.
         """
-        header_suffix = f"/{HEADER_BLOB_SUFFIX}"
-        shard_suffix = f"/{SHARD_MANIFEST_SUFFIX}"
-        updates_suffix = f"/{AppendOnlyIndexManager.MANIFEST_SUFFIX}"
-        names = set()
-        for blob in self._store.list_blobs():
-            if blob.endswith(header_suffix):
-                name = blob[: -len(header_suffix)]
-            elif blob.endswith(shard_suffix):
-                name = blob[: -len(shard_suffix)]
-            elif blob.endswith(updates_suffix):
-                name = blob[: -len(updates_suffix)]
-            else:
-                continue
-            if (
-                _DELTA_MARKER in name
-                or SHARD_MARKER in name
-                or GENERATION_MARKER in name
-                or SNAPSHOT_MARKER in name
-            ):
-                continue
-            names.add(name)
-        return sorted(names)
+        names = {index_name_of(blob) for blob in self._store.list_blobs()}
+        return sorted(name for name in names if name is not None)
 
     def contains(self, name: str) -> bool:
         """Whether ``name`` is a servable index."""
-        if (
-            _DELTA_MARKER in name
-            or SHARD_MARKER in name
-            or GENERATION_MARKER in name
-            or SNAPSHOT_MARKER in name
-        ):
-            return False
-        return (
-            self._store.exists(f"{name}/{HEADER_BLOB_SUFFIX}")
-            or self._store.exists(ShardManifest.blob_name(name))
-            or self._store.exists(f"{name}/{AppendOnlyIndexManager.MANIFEST_SUFFIX}")
+        return is_index_name(name) and any(
+            self._store.exists(blob) for blob in discovery_blobs(name)
         )
 
     def is_open(self, name: str) -> bool:
@@ -188,7 +151,6 @@ class IndexCatalog:
 
         Raises ``KeyError`` if no such index exists.
         """
-        shard_manifest: ShardManifest | None = None
         searcher = self._searchers.get(name)
         if searcher is not None:
             base = searcher.opened[0]
@@ -196,34 +158,23 @@ class IndexCatalog:
             delta_names = tuple(searcher.index_names[1:])
             shard_manifest = base.shard_manifest
         else:
-            if _DELTA_MARKER in name or SHARD_MARKER in name or GENERATION_MARKER in name:
+            if not is_index_name(name):
                 raise KeyError(name)
             # Resolve through the append-only manifest first: after a
-            # compaction the live base sits under a gen-NNNNNNNN/ prefix
+            # compaction the live base sits under a generational prefix
             # (and retired in-place blobs may linger for one generation of
             # reader grace — reading those would report stale metadata).
             manifest = AppendOnlyIndexManager(self._store, base_index=name).manifest()
-            base_name = manifest.active_base
-            header_blob = f"{base_name}/{HEADER_BLOB_SUFFIX}"
-            if self._store.exists(header_blob):
-                metadata = decode_header(self._store.get(header_blob)).metadata
-            else:
-                shard_manifest = read_shard_manifest(self._store, base_name)
-                if shard_manifest is None:
-                    raise KeyError(name)
-                # One batched (pipeline-aware) fetch for all shard headers
-                # rather than N dependent reads.
-                payloads = self._store.read_many(
-                    [
-                        RangeRead(blob=f"{entry.name}/{HEADER_BLOB_SUFFIX}")
-                        for entry in shard_manifest.shards
-                    ]
+            try:
+                opened = open_headers(
+                    self._store, manifest.active_base, self._config.max_concurrency
                 )
-                shard_metadatas = [decode_header(payload).metadata for payload in payloads]
-                metadata = merge_shard_metadata(
-                    [entry for entry in shard_metadatas if entry is not None],
-                    partitioner=shard_manifest.partitioner,
-                )
+            except BlobNotFoundError:
+                raise KeyError(name) from None
+            shard_manifest = opened.manifest
+            metadata = index_metadata(
+                shard_manifest, [header.metadata for _, header in opened.members]
+            )
             delta_names = manifest.delta_indexes
         assert metadata is not None
         return IndexInfo(

@@ -37,6 +37,7 @@ from repro.observability.tracing import (
 )
 from repro.index.builder import AirphantBuilder
 from repro.index.stats import RankingUnsupportedError
+from repro.index.store_layout import is_index_name
 from repro.index.updates import AppendOnlyIndexManager, SnapshotRestoreError
 from repro.ingest.live import IngestCoordinator, IngestOverloadedError
 from repro.ingest.wal import WriteAheadLog
@@ -820,14 +821,7 @@ class AirphantService:
         partitioner: str = "hash",
         format_version: int | None = None,
     ) -> IndexInfo:
-        if (
-            not name
-            or not name.strip("/")
-            or "/delta-" in name
-            or "/shard-" in name
-            or "/gen-" in name
-            or "/snapshots/" in name
-        ):
+        if not is_index_name(name):
             raise ServiceError(400, "bad_index_name", f"invalid index name {name!r}")
         blobs = list(blobs)
         if not blobs:

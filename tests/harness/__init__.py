@@ -8,9 +8,10 @@ directory on ``sys.path``):
   end-to-end tests without a real service;
 * :mod:`harness.prometheus` — a strict parser for the Prometheus text
   exposition format, used to assert ``GET /metrics`` payloads are valid;
-* :mod:`harness.stores` — counting/observing store wrappers for asserting
-  exactly what traffic reached a backend, plus observers of the stores'
-  ``airphant-fetch*`` pool threads (and a time-bounded ``os.fork()`` runner);
+* :mod:`harness.stores` — counting/recording store wrappers for asserting
+  exactly what traffic (and which call sequence) reached a backend, plus
+  observers of the stores' ``airphant-fetch*`` pool threads (and a
+  time-bounded ``os.fork()`` runner);
 * :mod:`harness.crashpoints` — a fault-point store wrapper that simulates
   process death at exact WAL/flush/compaction mutation points, for
   crash-consistency tests of the mutable-document lifecycle;
@@ -22,13 +23,14 @@ directory on ``sys.path``):
 from harness.crashpoints import FaultPoint, FaultPointStore, SimulatedCrash
 from harness.prometheus import MetricFamily, parse_prometheus
 from harness.s3_emulator import S3Emulator
-from harness.stores import CountingStore
+from harness.stores import CountingStore, RecordingStore
 
 __all__ = [
     "CountingStore",
     "FaultPoint",
     "FaultPointStore",
     "MetricFamily",
+    "RecordingStore",
     "S3Emulator",
     "SimulatedCrash",
     "parse_prometheus",

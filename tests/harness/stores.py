@@ -6,7 +6,8 @@ returned — so tests can assert that pipeline/resilience metrics are *exactly
 consistent* with observed store traffic, not merely plausible.
 :func:`fetch_threads` / :func:`assert_no_fetch_threads` observe the other
 thing a store owns: the ``airphant-fetch*`` workers of its ``read_batch``
-pool.
+pool.  :class:`RecordingStore` keeps the ordered ``(method, blob, offset,
+length)`` log of every call, for golden call-sequence tests.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import os
 import signal
 import threading
 import time
-from typing import Callable
+from typing import Callable, Iterable
 
-from repro.storage.base import ObjectStore
+from repro.storage.base import ObjectStore, RangeRead
+from repro.storage.parallel import FetchResult
 
 
 class CountingStore(ObjectStore):
@@ -78,6 +80,77 @@ class CountingStore(ObjectStore):
         self._backend.delete(name)
 
     def list_blobs(self, prefix: str = "") -> list[str]:
+        return self._backend.list_blobs(prefix)
+
+    def close(self) -> None:
+        super().close()
+        self._backend.close()
+
+
+class RecordingStore(ObjectStore):
+    """Pass-through wrapper logging every call as ``[method, blob, offset, length]``.
+
+    A ``read_batch`` is one ``["read_batch", "", 0, n]`` entry followed by its
+    ``n`` requests in request order (the backend then serves the batch
+    unrecorded, so pool scheduling never reorders the log); ``length`` is -1
+    for an open-ended read.  :attr:`round_trips` counts what a caller waits
+    for one after another: every direct call and every batch, once.
+    """
+
+    def __init__(self, backend: ObjectStore) -> None:
+        self._backend = backend
+        self._lock = threading.Lock()
+        self.calls: list[list] = []
+
+    @property
+    def round_trips(self) -> int:
+        return sum(1 for call in self.calls if call[0] != "batch_read")
+
+    def _record(self, method: str, blob: str, offset: int = 0, length: int | None = None) -> None:
+        with self._lock:
+            self.calls.append([method, blob, offset, -1 if length is None else length])
+
+    def put(self, name: str, data: bytes) -> None:
+        self._record("put", name, 0, len(data))
+        self._backend.put(name, data)
+
+    def get(self, name: str) -> bytes:
+        self._record("get", name)
+        return self._backend.get(name)
+
+    def get_range(self, name: str, offset: int, length: int | None = None) -> bytes:
+        self._record("get_range", name, offset, length)
+        return self._backend.get_range(name, offset, length)
+
+    def read_batch(
+        self,
+        requests: Iterable[RangeRead],
+        max_concurrency: int = 32,
+        required: int | None = None,
+    ) -> FetchResult:
+        requests = list(requests)
+        with self._lock:
+            self.calls.append(["read_batch", "", 0, len(requests)])
+            self.calls.extend(
+                ["batch_read", r.blob, r.offset, -1 if r.length is None else r.length]
+                for r in requests
+            )
+        return self._backend.read_batch(requests, max_concurrency, required)
+
+    def size(self, name: str) -> int:
+        self._record("size", name)
+        return self._backend.size(name)
+
+    def exists(self, name: str) -> bool:
+        self._record("exists", name)
+        return self._backend.exists(name)
+
+    def delete(self, name: str) -> None:
+        self._record("delete", name)
+        self._backend.delete(name)
+
+    def list_blobs(self, prefix: str = "") -> list[str]:
+        self._record("list_blobs", prefix)
         return self._backend.list_blobs(prefix)
 
     def close(self) -> None:

@@ -166,8 +166,10 @@ class TestCompactionUpgradesHeaders:
             SMALL_CORPUS_TEXT.split("\n")
         )
         # Per member: its header and its superpost blob, whole — never a range
-        # read per bin.  The only range reads left fetch the documents.
-        assert counting.range_calls == len(documents)
+        # read per bin.  The only range reads left fetch the documents, plus
+        # each of the two members' headers (the opener's batch reads a whole
+        # blob as an open-ended range from 0).
+        assert counting.range_calls == len(documents) + 2
 
 
 class TestSuperpostBlobDidNotMove:

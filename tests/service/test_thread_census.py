@@ -34,7 +34,7 @@ def test_base_deltas_and_shards_share_one_pool_and_close_ends_it():
     assert service.search(SearchRequest(query="error", index="wide")).num_results == 5
     assert service.search(SearchRequest(query="error OR warn", index="live", mode="boolean"))
     assert service.search(SearchRequest(query="error", index="wide", mode="topk_bm25", top_k=3))
-    service.index_info("wide")  # shard headers through read_many
+    service.index_info("wide")  # answered from the opened member
 
     live = service.searcher("live")
     assert len(live.searchers) >= 3  # base + deltas, each once a pool of its own

@@ -80,3 +80,50 @@ def test_checker_guards_the_clock_seam_and_the_one_pool(tmp_path):
     assert found[0].endswith("storage/pipeline.py:3: thread pool outside the storage pool helper")
     assert found[1].startswith("2 isinstance(..., SimulatedCloudStore) checks outside storage")
     assert "baselines/_io.py:2" in found[1] and "search/member.py:2" in found[1]
+
+
+def test_checker_guards_the_store_layout_and_its_one_opener(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("index", "service", "storage"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the layout module spells the names and calls the decoders'
+    # package-mates; docstrings anywhere may mention them; the two homonyms
+    # (bucket listing manifest, snapshot URL route) are not index layout.
+    (root / "index" / "store_layout.py").write_text(
+        'HEADER = "header.json"\nDELTA = "/delta-"\nSEGMENT = f"{x}/seg-{n:08d}.log"\n',
+        encoding="utf-8",
+    )
+    (root / "index" / "updates.py").write_text(
+        'def compact():\n    """Builds ``gen-NNNNNNNN/`` beside ``manifest.json``."""\n'
+        "    return decode_header(payload)\n",
+        encoding="utf-8",
+    )
+    (root / "storage" / "listing.py").write_text(
+        'LISTING_BLOB = "manifest.json"\n', encoding="utf-8"
+    )
+    (root / "service" / "http.py").write_text('marker = "/snapshots/"\n', encoding="utf-8")
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a name re-spelled elsewhere (plain or inside an f-string,
+    # even in index/), a homonym outside its one file, a decoder call above
+    # index/.
+    (root / "index" / "builder.py").write_text(
+        'blob = f"{name}/header.json"\n', encoding="utf-8"
+    )
+    (root / "service" / "catalog.py").write_text(
+        '"""Module docstrings may say /delta- and stats.json."""\n'
+        'MARKER = "/delta-"\n'
+        'ROUTE = "/snapshots/"\n'
+        "metadata = decode_header(store.get(blob)).metadata\n"
+        "manifest = ShardManifest.from_json(payload)\n",
+        encoding="utf-8",
+    )
+    found = [problem.split(": ", 1) for problem in check_seams.findings(root)]
+    assert [(where.split("repro/")[1], what.split(" outside")[0]) for where, what in found] == [
+        ("index/builder.py:1", "layout literal 'header.json'"),
+        ("service/catalog.py:2", "layout literal '/delta-'"),
+        ("service/catalog.py:3", "layout literal '/snapshots/'"),
+        ("service/catalog.py:4", "header/manifest decoder called"),
+        ("service/catalog.py:5", "header/manifest decoder called"),
+    ]
