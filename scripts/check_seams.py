@@ -11,6 +11,14 @@ duck-typing that seam replaced creeps back in under
 * a ``list[Any]`` member list,
 * an ``isinstance(..., ...Searcher)`` dispatch on a searcher type.
 
+Members do no I/O on the query path: the executor issues each wave once for
+all of them.  Under ``search/`` and in ``ingest/memtable.py`` this script
+fails on:
+
+* a ``pipeline.fetch(`` anywhere but ``search/searcher.py``,
+* a ``read_batch(`` anywhere but there (the hedged wave) and
+  ``search/member.py`` (the one-time ranking-statistics download).
+
 The read path has one clock seam — ``ObjectStore.read_batch`` — and one
 fetch pool per store.  This script also fails on:
 
@@ -59,6 +67,13 @@ _FORBIDDEN = {
     "__getattr__ pass-through": re.compile(r"def\s+__getattr__\b"),
     "list[Any] member list": re.compile(r"\blist\[Any\]"),
     "isinstance on a searcher type": re.compile(r"isinstance\([^)]*Searcher\b"),
+}
+#: Where members live, and the only files there that may issue a read
+#: (call pattern -> the files allowed to make it).
+MEMBER_FILES = (("search",), ("ingest", "memtable.py"))
+_WAVE_CALLS = {
+    re.compile(r"\bpipeline\.fetch\("): {("search", "searcher.py")},
+    re.compile(r"\bread_batch\("): {("search", "searcher.py"), ("search", "member.py")},
 }
 #: The one file that may spell the on-store layout.
 LAYOUT_FILE = ("index", "store_layout.py")
@@ -152,6 +167,12 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                     f"{where}: {what}"
                     for what, pattern in _FORBIDDEN.items()
                     if pattern.search(text)
+                )
+            if any(parts[: len(prefix)] == prefix for prefix in MEMBER_FILES):
+                problems.extend(
+                    f"{where}: a read wave issued outside the executor"
+                    for pattern, allowed in _WAVE_CALLS.items()
+                    if pattern.search(text) and parts not in allowed
                 )
             if package != LAYOUT_FILE[0] and _STORE_DECODERS.search(text):
                 problems.append(f"{where}: header/manifest decoder called outside index/")

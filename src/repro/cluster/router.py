@@ -533,9 +533,10 @@ class QueryRouter:
 
         Shard partitions are disjoint, so documents de-duplicate by their
         storage reference and sort back into the global posting order —
-        the exact order a single node produces.  Latency merges like
-        :meth:`~repro.search.results.LatencyBreakdown.merged`: nodes proceed in
-        parallel (max) while bytes and round trips are real work (sum).
+        the exact order a single node produces.  Nodes really do proceed in
+        parallel, so elapsed times take the maximum across them, while bytes
+        and round trips are real work and add up.  (Within one node nothing
+        is merged: its executor waits for two waves and reports their sum.)
         """
         seen: set[tuple[str, int, int]] = set()
         documents: list[DocumentHit] = []

@@ -22,7 +22,7 @@ from repro.core.superpost import Superpost
 from repro.index.stats import IndexStats, build_stats
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
-from repro.search.results import LatencyBreakdown
+from repro.search.member import LookupPlan
 
 
 class Memtable:
@@ -112,10 +112,11 @@ class Memtable:
 class MemtableMember:
     """A :class:`Memtable` behind the :class:`~repro.search.member.Member` contract.
 
-    The map is exact — no false positives — and its reads touch no storage,
-    so every latency stays zero and merged accounting (max of lookups, sum
-    of bytes) is unaffected by this member.  Deletes are applied to a
-    memtable physically, so it never holds a condemned document.
+    The map is exact — no false positives — and everything it holds is
+    resident, so this member plans no reads in wave 1 and asks for none in
+    wave 2: a query's round trips, bytes and latency are those of the
+    persisted members alone.  Deletes are applied to a memtable physically,
+    so it never holds a condemned document.
     """
 
     expected_false_positives = 0.0
@@ -124,19 +125,16 @@ class MemtableMember:
         self.memtable = memtable
         self.name = name
 
-    def lookup(
-        self, words: Sequence[str], latency: LatencyBreakdown, fail_fast: bool = False
-    ) -> dict[str, Superpost]:
-        """Exact postings per word (no storage round trips)."""
-        return {word: Superpost(self.memtable.postings(word)) for word in words}
+    def plan(self, words: Sequence[str], fail_fast: bool = False) -> LookupPlan:
+        """Exact postings per word, with nothing to read."""
+        return LookupPlan(
+            (), lambda _: {word: Superpost(self.memtable.postings(word)) for word in words}
+        )
 
-    def fetch_documents(
-        self, postings: Sequence[Posting], latency: LatencyBreakdown
-    ) -> list[Document]:
-        """Resolve postings straight from memory (a document evicted since
-        the lookup is simply absent)."""
-        found = (self.memtable.document(posting) for posting in postings)
-        return [document for document in found if document is not None]
+    def resident(self, posting: Posting) -> Document | None:
+        """The held document (``None`` once a flush has evicted it: its bytes
+        are in its durable WAL segment, where wave 2 reads them)."""
+        return self.memtable.document(posting)
 
     def ranking_stats(self) -> IndexStats:
         """Exact ranking statistics over the held documents.

@@ -2,11 +2,14 @@
 
 A query runs over an ordered list of *members* — the persisted base index,
 its delta indexes, the live memtables — and every one of them answers the
-same six-name contract, :class:`Member`.  The executor
-(:class:`~repro.search.searcher.AirphantSearcher`) owns everything that is
-the same for all tiers (tokenizing, the Boolean tree, tombstone exclusion,
-top-K sampling, false-positive filtering, merging); a member owns only what
-differs: where a word's postings come from and where a document's bytes are.
+same six-name contract, :class:`Member`.  Members do no I/O on the query
+path.  The executor (:class:`~repro.search.searcher.AirphantSearcher`) owns
+everything that is the same for all tiers (tokenizing, the two read waves,
+the Boolean tree, tombstone exclusion, top-K sampling, false-positive
+filtering, latency accounting); a member owns only what differs: which
+ranges hold a word's postings and what their bytes mean
+(:meth:`Member.plan`), and which documents it already holds in memory
+(:meth:`Member.resident`).
 
 There are exactly two implementations: :class:`IndexMember` here (a persisted
 IoU Sketch index — a plain index *is* the one-shard case of a sharded one)
@@ -19,7 +22,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Collection, Protocol, Sequence
+from typing import Callable, Collection, Protocol, Sequence
 
 from repro.core.mht import MultilayerHashTable
 from repro.core.superpost import Superpost
@@ -27,13 +30,29 @@ from repro.index.compaction import CompactedSketch
 from repro.index.metadata import IndexMetadata, ShardManifest, index_metadata
 from repro.index.serialization import StringTable, decode_superpost
 from repro.index.stats import IndexStats, RankingUnsupportedError, decode_stats, merge_stats
-from repro.index.store_layout import MAX_SHARDED_CONCURRENCY, open_headers, stats_blob_name
+from repro.index.store_layout import MAX_SHARDED_CONCURRENCY, stats_blob_name
 from repro.observability.tracing import span
 from repro.parsing.documents import Document, Posting
-from repro.search.replication import HedgingPolicy
-from repro.search.results import LatencyBreakdown
 from repro.storage.base import BlobNotFoundError, ObjectStore, RangeRead
 from repro.storage.pipeline import ReadPipeline
+
+
+@dataclass(frozen=True)
+class LookupPlan:
+    """One member's share of wave 1: what to read, and what the bytes mean."""
+
+    #: The superpost ranges to read — none when every word is memoized, has
+    #: no postings, or belongs to a doomed conjunction.
+    reads: Sequence[RangeRead]
+    #: Turns the payloads of ``reads`` (same order; ``None`` for a straggler
+    #: the L⁺ drop gave up on) into every queried word's final postings list.
+    resolve: Callable[[Sequence[bytes | None]], dict[str, Superpost]]
+    #: The words ``reads`` serve, and over how many shards (diagnostics).
+    words: Sequence[str] = ()
+    shards: int = 0
+    #: One unsharded member's one non-common word: when this plan is a whole
+    #: wave, a hedging executor may drop its slowest reads (Section IV-G).
+    hedgeable: bool = False
 
 
 class Member(Protocol):
@@ -45,21 +64,18 @@ class Member(Protocol):
     #: 0.0 for exact members.
     expected_false_positives: float
 
-    def lookup(
-        self, words: Sequence[str], latency: LatencyBreakdown, fail_fast: bool = False
-    ) -> dict[str, Superpost]:
-        """Wave 1: every word's final postings list (its layers intersected).
+    def plan(self, words: Sequence[str], fail_fast: bool = False) -> LookupPlan:
+        """Wave 1, planned: the reads resolving every word's final postings
+        list (its layers intersected), and the step that decodes them.
 
-        All words resolve in one parallel read wave.  With ``fail_fast`` (a
-        pure conjunction) a word with no postings dooms the query, so a
-        member may answer every word empty without reading anything.
+        With ``fail_fast`` (a pure conjunction) a word with no postings dooms
+        the query, so a member may plan no reads and answer every word empty.
         """
         ...
 
-    def fetch_documents(
-        self, postings: Sequence[Posting], latency: LatencyBreakdown
-    ) -> list[Document]:
-        """Wave 2: the named documents in one parallel read wave, unfiltered."""
+    def resident(self, posting: Posting) -> Document | None:
+        """The document at ``posting`` if this member holds it in memory;
+        ``None`` when its bytes must come from the store in wave 2."""
         ...
 
     def ranking_stats(self) -> IndexStats:
@@ -117,20 +133,13 @@ class _StatsCache:
 class IndexMember:
     """A persisted IoU Sketch index — every shard of it, or a subset.
 
-    All lookup and document-fetch batches go through a
-    :class:`~repro.storage.pipeline.ReadPipeline`, which deduplicates and
-    coalesces the batch's range reads (and, when ``read_cache_bytes`` is set,
-    serves repeats from a bounded block cache) before the store's
-    ``read_batch`` runs them as one wave.  A word's superpost reads are
-    collected across *every* shard and issued as a single batch; per shard
-    the layers intersect, and the per-shard answers union (partitions are
-    disjoint, so the union is exact) — a constant two round-trip waves per
-    query however many shards.
-
-    Hedged lookups (Section IV-G) bypass the pipeline and hand the store's
-    ``read_batch`` their ``required`` count: hedging reasons about individual
-    request latencies, which coalescing would merge away.  They apply to
-    unsharded indexes only — with shards a query already fans out wide.
+    A word's superpost reads are collected across *every* shard into one
+    plan; per shard the layers intersect, and the per-shard answers union
+    (partitions are disjoint, so the union is exact).  The executor runs the
+    plan — with every other member's — as one batch through ``pipeline``,
+    the :class:`~repro.storage.pipeline.ReadPipeline` of the opened index
+    this member belongs to (a base and its deltas share one), so the member
+    itself reads nothing but its ranking statistics, once.
     """
 
     def __init__(
@@ -138,21 +147,25 @@ class IndexMember:
         store: ObjectStore,
         name: str,
         pipeline: ReadPipeline,
-        hedging: HedgingPolicy,
         shard_manifest: ShardManifest | None,
         shards: Sequence[ShardState],
-        stats_cache: _StatsCache,
+        max_concurrency: int,
         init_latency_ms: float = 0.0,
         query_cache_size: int = 0,
+        stats_cache: _StatsCache | None = None,
     ) -> None:
         self.name = name
         self._store = store
+        #: The opened index's one read pipeline (the executor reads through it).
         self.pipeline = pipeline
-        self._hedging = hedging
         #: The shard manifest (``None`` for a plain, single-header index).
         self.shard_manifest = shard_manifest
         self.shards = tuple(shards)
-        self._stats_cache = stats_cache
+        self._stats_cache = stats_cache if stats_cache is not None else _StatsCache()
+        #: Most requests this member alone wants in flight (scaled by its
+        #: shard count); the opened index's pipeline is as wide as all its
+        #: members together.
+        self.max_concurrency = max_concurrency
         self.init_latency_ms = init_latency_ms
         #: Corpus-wide metadata, aggregated over the shards this view holds.
         self.metadata = index_metadata(
@@ -171,47 +184,6 @@ class IndexMember:
         self._cache_lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
-
-    @classmethod
-    def open(
-        cls,
-        store: ObjectStore,
-        name: str,
-        max_concurrency: int = 32,
-        hedging: HedgingPolicy | None = None,
-        query_cache_size: int = 0,
-        coalesce_gap: int = 0,
-        read_cache_bytes: int = 0,
-    ) -> "IndexMember":
-        """Download and decode the index's header(s).
-
-        Happens once per index (the MHT is 12 bytes per non-empty bin, held
-        as views over the downloaded header); all later queries reuse it.
-        :func:`~repro.index.store_layout.open_headers` resolves the name —
-        plain or sharded — so the init latency (on the store's clock) is
-        ``manifest probe + one header batch``.
-        """
-        opened = open_headers(store, name, max_concurrency)
-        return cls(
-            store,
-            name,
-            ReadPipeline(
-                store,
-                opened.max_concurrency,
-                max_gap=coalesce_gap,
-                cache_bytes=read_cache_bytes,
-            ),
-            hedging if hedging is not None else HedgingPolicy(),
-            opened.manifest,
-            [ShardState.from_header(*member) for member in opened.members],
-            _StatsCache(),
-            init_latency_ms=opened.elapsed_ms,
-            query_cache_size=query_cache_size,
-        )
-
-    def close(self) -> None:
-        """Drop the pipeline's block cache (the worker pool belongs to the store)."""
-        self.pipeline.clear_cache()
 
     @property
     def num_shards(self) -> int:
@@ -236,11 +208,10 @@ class IndexMember:
         subset through this view while the router unions the partial
         answers (partitions are disjoint, so the union is exact).
 
-        The view shares this member's pipeline, block cache and ranking
-        statistics — only the shard list (and the metadata merged
-        over it) differs.  The per-word query cache is disabled on the view:
-        its entries would describe just the subset while being keyed like
-        whole-index answers.
+        The view shares this member's pipeline and ranking statistics —
+        only the shard list (and the metadata merged over it) differs.  The
+        per-word query cache is disabled on the view: its entries would
+        describe just the subset while being keyed like whole-index answers.
         """
         held = sorted({o for o in ordinals if 0 <= o < len(self.shards)})
         if not held:
@@ -251,37 +222,31 @@ class IndexMember:
             self._store,
             self.name,
             self.pipeline,
-            self._hedging,
             self.shard_manifest,
             [self.shards[ordinal] for ordinal in held],
-            self._stats_cache,
+            self.max_concurrency,
             init_latency_ms=self.init_latency_ms,
+            stats_cache=self._stats_cache,
         )
 
-    # -- wave 1: superpost fetch + per-word intersection ---------------------------
+    # -- wave 1: superpost reads + per-word intersection ---------------------------
 
-    def lookup(
-        self, words: Sequence[str], latency: LatencyBreakdown, fail_fast: bool = False
-    ) -> dict[str, Superpost]:
-        """Resolve each word's final postings list with one parallel fetch wave.
+    def plan(self, words: Sequence[str], fail_fast: bool = False) -> LookupPlan:
+        """Every (shard, word, layer) superpost read of ``words``, as one plan.
 
-        Every (shard, word, layer) superpost read goes out in a *single*
-        pipeline batch, so a Boolean query over N terms costs the same
-        number of round-trip waves as a one-word query.  Per shard a word's
-        layers intersect with each other only; across shards the per-shard
-        answers union.  A word that hits an empty bin in a shard is simply
-        absent from that shard; only a word absent from *every* shard is
-        globally empty.
+        A Boolean query over N terms therefore costs the same single wave as
+        a one-word query.  Per shard a word's layers intersect with each
+        other only; across shards the per-shard answers union.  A word that
+        hits an empty bin in a shard is simply absent from that shard; only
+        a word absent from *every* shard is globally empty.
 
         With ``fail_fast`` (the AND path) such a word dooms the whole
-        conjunction, so nothing is fetched and no latency is charged —
-        matching a real engine that short-circuits on a missing term.
-        Without it (the general Boolean path) doomed words resolve to empty
-        postings lists while the remaining words are still fetched.
+        conjunction, so nothing is planned — matching a real engine that
+        short-circuits on a missing term.  Without it (the general Boolean
+        path) doomed words resolve to empty postings lists while the
+        remaining words are still read.
         """
         results, pending = self._cache_partition(words)
-        if not pending:
-            return results
 
         # Collect pointers per (shard, pending word), remembering which
         # requests belong to whom.
@@ -304,56 +269,40 @@ class IndexMember:
             else:
                 results[word] = Superpost()
 
-        if not requests or (fail_fast and len(fetch_words) < len(pending)):
+        if fail_fast and len(fetch_words) < len(pending):
             for word in fetch_words:
                 results[word] = Superpost()
+            return LookupPlan((), lambda _: results)
+
+        def resolve(payloads: Sequence[bytes | None]) -> dict[str, Superpost]:
+            for word in fetch_words:
+                per_shard: list[Superpost] = []
+                for shard_index, shard in enumerate(self.shards):
+                    # A hedged-away straggler's payload is None: skip that layer
+                    # (the intersection of the rest is still a valid superset).
+                    superposts = [
+                        decode_superpost(payload, shard.string_table, shard.format_version)
+                        for index in layers.get((shard_index, word), ())
+                        if (payload := payloads[index]) is not None
+                    ]
+                    if superposts:
+                        per_shard.append(Superpost.intersect_all(superposts))
+                result = (
+                    per_shard[0] if len(per_shard) == 1 else Superpost.union_all(per_shard)
+                )
+                self._remember_lookup(word, result)
+                results[word] = result
             return results
 
-        hedged = (
-            self._hedging.enabled
-            and self.shard_manifest is None
-            and len(fetch_words) == 1
-            and not self.mht.is_common(fetch_words[0])
-        )
-        with span(
-            "search.lookup",
+        return LookupPlan(
+            requests,
+            resolve,
             words=fetch_words,
-            requests=len(requests),
             shards=len(self.shards),
-            hedged=hedged,
-        ):
-            if hedged:
-                # Hedging needs per-request latencies, so it bypasses the pipeline.
-                required = self._hedging.required_of(len(requests))
-                fetch = self._store.read_batch(
-                    requests, self.pipeline.max_concurrency, required=required
-                )
-            else:
-                fetch = self.pipeline.fetch(requests)
-        if fetch.batch.requests:
-            latency.add_lookup(
-                fetch.batch.total_ms,
-                fetch.batch.wait_ms,
-                fetch.batch.download_ms,
-                fetch.batch.nbytes,
-            )
-
-        for word in fetch_words:
-            per_shard: list[Superpost] = []
-            for shard_index, shard in enumerate(self.shards):
-                # A hedged-away straggler's payload is None: skip that layer
-                # (the intersection of the rest is still a valid superset).
-                superposts = [
-                    decode_superpost(payload, shard.string_table, shard.format_version)
-                    for index in layers.get((shard_index, word), ())
-                    if (payload := fetch.payloads[index]) is not None
-                ]
-                if superposts:
-                    per_shard.append(Superpost.intersect_all(superposts))
-            result = per_shard[0] if len(per_shard) == 1 else Superpost.union_all(per_shard)
-            self._remember_lookup(word, result)
-            results[word] = result
-        return results
+            hedgeable=self.shard_manifest is None
+            and len(fetch_words) == 1
+            and not self.mht.is_common(fetch_words[0]),
+        )
 
     def _cache_partition(
         self, words: Sequence[str]
@@ -391,27 +340,9 @@ class IndexMember:
             while len(self._query_cache) > self._query_cache_size:
                 self._query_cache.popitem(last=False)
 
-    # -- wave 2: document retrieval ------------------------------------------------
-
-    def fetch_documents(
-        self, postings: Sequence[Posting], latency: LatencyBreakdown
-    ) -> list[Document]:
-        """Retrieve the named documents in one pipelined batch, unfiltered."""
-        if not postings:
-            return []
-        fetch = self.pipeline.fetch([posting.to_range_read() for posting in postings])
-        if fetch.batch.requests:
-            latency.add_retrieval(
-                fetch.batch.total_ms,
-                fetch.batch.wait_ms,
-                fetch.batch.download_ms,
-                fetch.batch.nbytes,
-            )
-        return [
-            Document(ref=posting, text=payload.decode("utf-8", errors="replace"))
-            for posting, payload in zip(postings, fetch.payloads)
-            if payload is not None
-        ]
+    def resident(self, posting: Posting) -> None:
+        """A persisted index holds no document in memory."""
+        return None
 
     # -- ranking statistics --------------------------------------------------------
 
@@ -443,7 +374,7 @@ class IndexMember:
             try:
                 fetch = self._store.read_batch(
                     [RangeRead(blob=stats_blob_name(name)) for name in names],
-                    self.pipeline.max_concurrency,
+                    self.max_concurrency,
                 )
             except BlobNotFoundError:
                 raise RankingUnsupportedError(
@@ -457,4 +388,10 @@ class IndexMember:
         return stats[0] if self.shard_manifest is None else merge_stats(stats)
 
 
-__all__ = ["IndexMember", "MAX_SHARDED_CONCURRENCY", "Member", "ShardState"]
+__all__ = [
+    "IndexMember",
+    "LookupPlan",
+    "MAX_SHARDED_CONCURRENCY",
+    "Member",
+    "ShardState",
+]

@@ -24,12 +24,16 @@ scoring on top of it:
 
 Cross-tier identity hinges on one invariant: *every* execution scores with
 the same corpus-wide statistics.  Members therefore expose their exact
-stats contribution (:meth:`ranking_stats`), the executor merges them by
-posting (so a document counts once even if it is transiently visible in two
-members mid-flush), and a shard-restricted view still reports its *full*
+stats contribution (:meth:`ranking_stats`), :func:`corpus_stats` merges them
+by posting (so a document counts once even if it is transiently visible in
+two members mid-flush), and a shard-restricted view still reports its *full*
 index stats — a node answering shards {2,3} uses the same IDF as the node
 answering {0,1}, which is what makes routed answers byte-identical to
 single-node ones.
+
+This module is the BM25 maths only.  The query itself — both read waves,
+over every member at once — is run by
+:meth:`AirphantSearcher.search_topk <repro.search.searcher.AirphantSearcher.search_topk>`.
 """
 
 from __future__ import annotations
@@ -37,14 +41,10 @@ from __future__ import annotations
 import math
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from repro.core.superpost import Superpost
-from repro.index.stats import idf, merge_stats, prune_stats
-from repro.observability.tracing import span
-from repro.parsing.documents import Document, Posting
-from repro.search.member import Member
-from repro.search.results import LatencyBreakdown, SearchResult
+from repro.index.stats import IndexStats, idf, merge_stats, prune_stats
+from repro.parsing.documents import Posting
 
 #: Default ranked result count when neither the request nor the service
 #: config pins one (the "bounded k" contract: ranked queries never return
@@ -121,145 +121,74 @@ def score_posting(
     return min(score / max_score, 1.0)
 
 
-def execute_topk(
-    members: Sequence[Member],
-    words: Sequence[str],
-    label: str,
-    k: int,
-    params: BM25Params | None = None,
-    weights: Mapping[str, float] | None = None,
-    exclude: AbstractSet[Posting] = frozenset(),
-) -> SearchResult:
-    """Run one BM25 top-k query over ``members`` and merge deterministically.
+def corpus_stats(
+    member_stats: Sequence[IndexStats], exclude: AbstractSet[Posting] = frozenset()
+) -> IndexStats:
+    """The statistics one query scores against: every member's, merged.
 
-    The shared flow behind every execution tier: a standalone index, a
-    sharded one, the live memtable ∪ deltas ∪ base view, and each node of
-    a routed cluster all funnel through here, which is what keeps their
-    ranked lists identical.
-
-    ``exclude`` names condemned (tombstoned) postings.  BM25 scores depend
-    on corpus-wide aggregates (``N``, ``df``, ``avgdl``), so dropping
-    deleted documents from the list alone would keep scoring the survivors
-    against the *pre-delete* corpus; each member's statistics are therefore
-    pruned with :func:`~repro.index.stats.prune_stats` — exact integer
-    surgery, so every score equals a fresh rebuild over the survivors.
-
-    Raises :class:`~repro.index.stats.RankingUnsupportedError` if any member
-    index lacks ranking statistics, and ``ValueError`` for an invalid ``k``.
+    Merged by posting, so overlapping members (a document mid-flush) never
+    double-count.  ``exclude`` names condemned (tombstoned) postings: BM25
+    scores depend on corpus-wide aggregates (``N``, ``df``, ``avgdl``), so
+    dropping deleted documents from the ranked list alone would keep scoring
+    the survivors against the *pre-delete* corpus; each member's statistics
+    are therefore pruned with :func:`~repro.index.stats.prune_stats` — exact
+    integer surgery, so every score equals a fresh rebuild over the survivors.
     """
-    if k <= 0:
-        raise ValueError(f"ranked queries need a positive k, got {k}")
-    k = min(k, MAX_RANKED_K)
-    params = params if params is not None else BM25Params()
-    if not words:
-        return SearchResult(query=label, scores=[])
+    if exclude:
+        member_stats = [prune_stats(stats, exclude) for stats in member_stats]
+    return merge_stats(member_stats)
 
-    # Corpus-wide statistics, merged by posting so overlapping members (a
-    # document mid-flush) never double-count.
-    with span("rank.stats", members=len(members)):
-        member_stats = [member.ranking_stats() for member in members]
-        if exclude:
-            member_stats = [prune_stats(stats, exclude) for stats in member_stats]
-    merged = merge_stats(member_stats)
-    avg_doc_length = merged.average_length
+
+def rank_candidates(
+    candidates: Iterable[Posting],
+    words: Sequence[str],
+    stats: IndexStats,
+    weights: Mapping[str, float] | None = None,
+    params: BM25Params | None = None,
+) -> list[tuple[Posting, float]]:
+    """Score ``candidates`` against ``stats``: ``(posting, score)``, best first.
+
+    The shared scoring behind every execution tier — a standalone index, a
+    sharded one, the live memtable ∪ deltas ∪ base view, and each node of a
+    routed cluster — which is what keeps their ranked lists identical.
+    Candidates the exact statistics disprove (``tf == 0`` or unknown
+    document) are refuted here, without ever fetching their bytes; ties
+    break on the posting, so the order is deterministic.
+    """
+    params = params if params is not None else BM25Params()
     idf_by_word = {
-        word: idf(merged.num_documents, merged.doc_frequency(word)) for word in words
+        word: idf(stats.num_documents, stats.doc_frequency(word)) for word in words
     }
     weight_by_word = normalize_weights(words, weights)
     max_score = sum(
         weight_by_word[word] * idf_by_word[word] * (params.k1 + 1.0) for word in words
     )
-    term_frequencies = {
-        word: merged.term_frequencies.get(word, {}) for word in words
-    }
-
-    # Candidates per member (their superpost intersections), scored against
-    # the *global* statistics.  Latencies merge with the multi-index
-    # convention: members proceed in parallel (max) while bytes and round
-    # trips are real work (sum).
-    member_latencies: list[LatencyBreakdown] = []
-    candidate_postings: list[Posting] = []
-    candidate_seen: set[Posting] = set()
-    scored: dict[Posting, tuple[float, int]] = {}
-    with span("rank.score", k=k, words=list(words)) as score_span:
-        for member_index, member in enumerate(members):
-            member_latency = LatencyBreakdown()
-            per_word = member.lookup(words, member_latency, fail_fast=True)
-            candidates = Superpost.intersect_all(per_word[word] for word in words)
-            member_latencies.append(member_latency)
-            for posting in candidates.sorted_postings():
-                if posting in candidate_seen or posting in exclude:
-                    continue
-                candidate_seen.add(posting)
-                candidate_postings.append(posting)
-                score = score_posting(
-                    posting,
-                    words,
-                    term_frequencies,
-                    merged.doc_lengths,
-                    idf_by_word,
-                    weight_by_word,
-                    params,
-                    avg_doc_length,
-                    max_score,
-                )
-                if score is not None:
-                    scored[posting] = (score, member_index)
-        # Candidates the exact statistics disprove (tf == 0 or unknown doc)
-        # are refuted without ever fetching their bytes.
-        score_span.set(
-            candidates=len(candidate_postings),
-            refuted=len(candidate_postings) - len(scored),
+    term_frequencies = {word: stats.term_frequencies.get(word, {}) for word in words}
+    scored: list[tuple[Posting, float]] = []
+    for posting in candidates:
+        score = score_posting(
+            posting,
+            words,
+            term_frequencies,
+            stats.doc_lengths,
+            idf_by_word,
+            weight_by_word,
+            params,
+            stats.average_length,
+            max_score,
         )
-
-    ranked = sorted(scored.items(), key=lambda item: (-item[1][0], item[0]))[:k]
-
-    # Retrieve text only for the winners, each posting through the member
-    # that produced it (the memtable answers from memory, persisted members
-    # batch range reads through their pipelines).  The exact stats already
-    # refuted the false positives, so no text check is needed.
-    retrieval_latencies: list[LatencyBreakdown] = []
-    documents_by_posting: dict[Posting, Document] = {}
-    for member_index, member in enumerate(members):
-        wanted = [
-            posting
-            for posting, (_, owner) in ranked
-            if owner == member_index
-        ]
-        if not wanted:
-            continue
-        retrieval_latency = LatencyBreakdown()
-        with span("search.fetch_documents", postings=len(wanted)):
-            fetched = member.fetch_documents(wanted, retrieval_latency)
-        for document in fetched:
-            documents_by_posting[document.ref] = document
-        retrieval_latencies.append(retrieval_latency)
-
-    documents: list[Document] = []
-    scores: list[float] = []
-    for posting, (score, _) in ranked:
-        document = documents_by_posting.get(posting)
-        if document is None:
-            continue
-        documents.append(document)
-        scores.append(score)
-
-    candidate_postings.sort()
-    return SearchResult(
-        query=label,
-        documents=documents,
-        scores=scores,
-        candidate_postings=candidate_postings,
-        false_positive_count=len(candidate_postings) - len(scored),
-        latency=LatencyBreakdown.merged(member_latencies + retrieval_latencies),
-    )
+        if score is not None:
+            scored.append((posting, score))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored
 
 
 __all__ = [
     "DEFAULT_RANKED_K",
     "MAX_RANKED_K",
     "BM25Params",
-    "execute_topk",
+    "corpus_stats",
     "normalize_weights",
+    "rank_candidates",
     "score_posting",
 ]

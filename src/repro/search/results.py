@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from repro.parsing.documents import Document, Posting
 
@@ -50,25 +50,6 @@ class LatencyBreakdown:
         self.download_ms += download_ms
         self.bytes_fetched += nbytes
         self.round_trips += 1
-
-    @classmethod
-    def merged(cls, latencies: Sequence["LatencyBreakdown"]) -> "LatencyBreakdown":
-        """One query's cost over several members.
-
-        The members' waves are independent, so a real deployment runs them
-        in parallel: elapsed times take the *maximum* across members, while
-        bytes and round trips are real work and are summed.
-        """
-        if not latencies:
-            return cls()
-        return cls(
-            lookup_ms=max(latency.lookup_ms for latency in latencies),
-            retrieval_ms=max(latency.retrieval_ms for latency in latencies),
-            wait_ms=max(latency.wait_ms for latency in latencies),
-            download_ms=sum(latency.download_ms for latency in latencies),
-            bytes_fetched=sum(latency.bytes_fetched for latency in latencies),
-            round_trips=sum(latency.round_trips for latency in latencies),
-        )
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable representation (includes the derived total)."""

@@ -4,40 +4,51 @@ Query-time component (Figure 3, right half).  Initialization downloads each
 index's header blob once and reconstructs its Multilayer Hash Table; every
 query then runs the paper's two-wave algorithm, once, over an ordered list
 of :class:`~repro.search.member.Member` tiers (base index, deltas, live
-memtables).  Per member:
+memtables) — and each wave is **one** batch, however many members:
 
-1. hash the query word(s) through the MHT to collect superpost pointers and
-   fetch all required superposts in a *single batch of parallel range reads*
-   (``member.lookup``);
-2. combine them through the query tree into the final (slightly
-   over-complete) candidate list, and drop the condemned (tombstoned) ones;
-3. fetch the candidate documents in a second parallel batch (optionally only
-   a top-K sample, Equation 6) (``member.fetch_documents``);
-4. filter out false positives by checking the fetched text, restoring perfect
-   precision.
+1. every member hashes the query word(s) through its MHT into a plan of
+   superpost reads (``member.plan``); the plans of all members go out as a
+   *single batch of parallel range reads* through the opened index's one
+   :class:`~repro.storage.pipeline.ReadPipeline`;
+2. each member's payloads decode into per-word postings lists, the query
+   tree combines them **per member** into that member's (slightly
+   over-complete) candidates, the condemned (tombstoned) ones are dropped,
+   and the rest concatenate in member order (the first member producing a
+   posting owns it);
+3. the candidate documents no member holds in memory (``member.resident``)
+   are fetched in a second single batch — optionally only a top-K sample of
+   the merged list (Equation 6);
+4. false positives are filtered out by checking the fetched text, restoring
+   perfect precision.
 
-The members' answers are then merged and de-duplicated by document
-reference.  Because each member answers with a single parallel batch per
-wave, querying several of them stays a constant number of round-trip waves.
+A query therefore waits for exactly two dependent round trips, regardless of
+term, shard, delta or memtable count, and its
+:class:`~repro.search.results.LatencyBreakdown` is the sum of those two.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from contextlib import nullcontext
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
 from repro.core.analysis import top_k_sample_size
-from repro.core.superpost import Superpost
+from repro.index.store_layout import MAX_SHARDED_CONCURRENCY, open_headers
 from repro.observability.tracing import span
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
-from repro.search.boolean import BooleanQuery, Term, parse_boolean_query
-from repro.search.member import IndexMember, Member
-from repro.search.ranking import BM25Params, execute_topk
+from repro.search.boolean import And, BooleanQuery, Term, parse_boolean_query
+from repro.search.member import IndexMember, Member, ShardState
+from repro.search.ranking import MAX_RANKED_K, BM25Params, corpus_stats, rank_candidates
 from repro.search.replication import HedgingPolicy
 from repro.search.results import LatencyBreakdown, SearchResult
-from repro.storage.base import ObjectStore
+from repro.storage.base import ObjectStore, RangeRead
+from repro.storage.pipeline import ReadPipeline
+
+
+def _conjunction(words: Sequence[str]) -> BooleanQuery:
+    """All of ``words``, taken as tokens — never re-parsed as Boolean syntax."""
+    return Term(words[0]) if len(words) == 1 else And(*map(Term, words))
 
 
 class AirphantSearcher:
@@ -75,22 +86,26 @@ class AirphantSearcher:
         if (store is None) == (members is None):
             raise ValueError("pass either a store (with index_name) or members=")
         self._tokenizer = tokenizer if tokenizer is not None else WhitespaceAnalyzer()
+        self._hedging = hedging if hedging is not None else HedgingPolicy()
         self._top_k_delta = top_k_delta
         self._exclude = exclude
         self._members = list(members) if members is not None else None
         #: The members this searcher opened itself (and so closes).
         self._opened: list[IndexMember] = []
+        #: The one read pipeline both waves of every query go through: built
+        #: by :meth:`initialize`, or the one ``members`` were opened with
+        #: (``None`` while there is nothing persisted to read).
+        self.pipeline: ReadPipeline | None = next(
+            (m.pipeline for m in members or () if isinstance(m, IndexMember)), None
+        )
         self._store = store
         self._index_names = [index_name] if isinstance(index_name, str) else list(index_name)
         if store is not None and not self._index_names:
             raise ValueError("AirphantSearcher needs at least one index")
-        self._member_options = {
-            "max_concurrency": max_concurrency,
-            "hedging": hedging,
-            "query_cache_size": query_cache_size,
-            "coalesce_gap": coalesce_gap,
-            "read_cache_bytes": read_cache_bytes,
-        }
+        self._max_concurrency = max_concurrency
+        self._query_cache_size = query_cache_size
+        self._coalesce_gap = coalesce_gap
+        self._read_cache_bytes = read_cache_bytes
         self.init_latency_ms = 0.0
 
     @classmethod
@@ -122,33 +137,59 @@ class AirphantSearcher:
         return searcher
 
     def initialize(self) -> float:
-        """Open every named index; returns the simulated latency.
+        """Download and decode every named index's header(s); returns the
+        simulated latency.
 
-        Headers are independent, so a real deployment downloads them
-        concurrently; the simulated init latency is therefore the maximum of
-        the per-index init latencies.  A searcher built over ``members=`` has
-        nothing to open.
+        Happens once per index (the MHT is 12 bytes per non-empty bin, held
+        as views over the downloaded header); all later queries reuse it.
+        :func:`~repro.index.store_layout.open_headers` resolves each name —
+        plain or sharded — so a member's init latency (on the store's clock)
+        is ``manifest probe + one header batch``.  Headers are independent,
+        so a real deployment downloads them concurrently; the simulated init
+        latency is therefore the maximum of the per-index init latencies.
+        The members share **one** read pipeline, as wide as all of them
+        together, so ``read_cache_bytes`` is the budget of the whole opened
+        index.  A searcher built over ``members=`` has nothing to open.
         """
         if self._store is None:
             return 0.0
         self.close()
-        opened: list[IndexMember] = []
-        try:
-            for name in self._index_names:
-                opened.append(IndexMember.open(self._store, name, **self._member_options))
-        except BaseException:
-            for member in opened:
-                member.close()
-            raise
-        self._opened = opened
-        self._members = list(opened)
-        self.init_latency_ms = max(member.init_latency_ms for member in opened)
+        opened = [
+            open_headers(self._store, name, self._max_concurrency)
+            for name in self._index_names
+        ]
+        widths = [headers.max_concurrency for headers in opened]
+        self.pipeline = ReadPipeline(
+            self._store,
+            # Every wave carries all members' reads at once, so it is as wide
+            # as all of them together — up to the ceiling that bounds one
+            # sharded member, and never narrower than any one of them.
+            max(min(sum(widths), MAX_SHARDED_CONCURRENCY), *widths),
+            max_gap=self._coalesce_gap,
+            cache_bytes=self._read_cache_bytes,
+        )
+        self._opened = [
+            IndexMember(
+                self._store,
+                name,
+                self.pipeline,
+                headers.manifest,
+                [ShardState.from_header(*shard) for shard in headers.members],
+                headers.max_concurrency,
+                init_latency_ms=headers.elapsed_ms,
+                query_cache_size=self._query_cache_size,
+            )
+            for name, headers in zip(self._index_names, opened)
+        ]
+        self._members = list(self._opened)
+        self.init_latency_ms = max(member.init_latency_ms for member in self._opened)
         return self.init_latency_ms
 
     def close(self) -> None:
-        """Release the block caches of the members this searcher opened."""
-        for member in self._opened:
-            member.close()
+        """Drop the block cache of the pipeline this searcher opened (the
+        worker pool belongs to the store)."""
+        if self._opened:
+            self.pipeline.clear_cache()
 
     @property
     def opened(self) -> list[IndexMember]:
@@ -174,11 +215,13 @@ class AirphantSearcher:
     def with_members(
         self, members: Sequence[Member], exclude: AbstractSet[Posting] = frozenset()
     ) -> "AirphantSearcher":
-        """A searcher over other members with this one's tokenizer and top-K bound."""
+        """A searcher over other members with this one's tokenizer, hedging
+        policy and top-K bound."""
         return AirphantSearcher(
             members=members,
             exclude=exclude,
             tokenizer=self._tokenizer,
+            hedging=self._hedging,
             top_k_delta=self._top_k_delta,
         )
 
@@ -216,32 +259,16 @@ class AirphantSearcher:
         paper's Figure 14 — everything up to (but excluding) document
         retrieval.
         """
-        latencies: list[LatencyBreakdown] = []
-        postings: dict[Posting, None] = {}
-        for member in self._require_members():
-            latency = LatencyBreakdown()
-            latencies.append(latency)
-            found = member.lookup([word], latency, fail_fast=True)[word]
-            postings.update(
-                (posting, None)
-                for posting in found.sorted_postings()
-                if posting not in self._exclude
-            )
-        return list(postings), LatencyBreakdown.merged(latencies)
-
-    def query_word(self, word: str, top_k: int | None = None) -> SearchResult:
-        """Search for documents containing a single keyword."""
-        return self._execute(Term(word), [word], word, top_k, fail_fast=True)
+        latency = LatencyBreakdown()
+        owners, _ = self._lookup(Term(word), [word], True, latency)
+        return list(owners), latency
 
     def search(self, query: str, top_k: int | None = None) -> SearchResult:
         """Search for documents containing *all* keywords of ``query``."""
         words = list(dict.fromkeys(self._tokenizer.tokenize(query)))
         if not words:
             return SearchResult(query=query)
-        tree = (
-            Term(words[0]) if len(words) == 1 else parse_boolean_query(" AND ".join(words))
-        )
-        return self._execute(tree, words, query, top_k, fail_fast=True)
+        return self._execute(_conjunction(words), words, query, top_k, fail_fast=True)
 
     def search_boolean(
         self, query: BooleanQuery | str, top_k: int | None = None
@@ -266,20 +293,44 @@ class AirphantSearcher:
 
         Every member contributes its exact ranking statistics; they are
         merged by posting (a document transiently visible in two members
-        mid-flush counts once) and all members' candidates are scored
-        against the merged, corpus-wide statistics — so the ranked list
-        matches what a fresh single-index rebuild over the same documents
-        would return.
+        mid-flush counts once, a condemned one not at all) and all members'
+        candidates are scored against the merged, corpus-wide statistics —
+        so the ranked list matches what a fresh single-index rebuild over
+        the same documents would return.  The exact statistics already
+        refute the false positives, so text is fetched for the winners only
+        and needs no check.
+
+        Raises :class:`~repro.index.stats.RankingUnsupportedError` if any
+        member index lacks ranking statistics, and ``ValueError`` for an
+        invalid ``k``.
         """
+        if k <= 0:
+            raise ValueError(f"ranked queries need a positive k, got {k}")
         words = list(dict.fromkeys(self._tokenizer.tokenize(query)))
-        return execute_topk(
-            self._require_members(),
-            words,
-            query,
-            k,
-            params=params,
-            weights=weights,
-            exclude=self._exclude,
+        if not words:
+            return SearchResult(query=query, scores=[])
+        members = self._require_members()
+        with span("rank.stats", members=len(members)):
+            stats = corpus_stats(
+                [member.ranking_stats() for member in members], self._exclude
+            )
+        latency = LatencyBreakdown()
+        with span("rank.score", k=k, words=words) as score_span:
+            owners, _ = self._lookup(_conjunction(words), words, True, latency)
+            scored = rank_candidates(owners, words, stats, weights, params)
+            score_span.set(candidates=len(owners), refuted=len(owners) - len(scored))
+        ranked = dict(scored[: min(k, MAX_RANKED_K)])
+        documents: list[Document] = []
+        if ranked:
+            with span("search.fetch_documents", postings=len(ranked)):
+                documents = self._fetch(list(ranked), owners, latency)
+        return SearchResult(
+            query=query,
+            documents=documents,
+            scores=[ranked[document.ref] for document in documents],
+            candidate_postings=sorted(owners),
+            false_positive_count=len(owners) - len(scored),
+            latency=latency,
         )
 
     # -- execution ------------------------------------------------------------------
@@ -292,91 +343,158 @@ class AirphantSearcher:
         top_k: int | None,
         fail_fast: bool,
     ) -> SearchResult:
-        """Both waves on every member in order, then the merge."""
-        latencies: list[LatencyBreakdown] = []
-        documents: dict[Posting, Document] = {}
-        candidates: dict[Posting, None] = {}
-        false_positives = 0
-        for member in self._require_members():
-            latency = LatencyBreakdown()
-            latencies.append(latency)
-            with (
-                span("visibility.filter", tombstones=len(self._exclude))
-                if self._exclude
-                else nullcontext()
-            ):
-                per_word = member.lookup(words, latency, fail_fast=fail_fast)
-                matched, postings, wasted = self._retrieve(
-                    member, tree.candidates(per_word.__getitem__), tree, top_k, latency
-                )
-            for document in matched:
-                documents.setdefault(document.ref, document)
-            candidates.update(dict.fromkeys(postings))
-            false_positives += wasted
+        """Both waves of a membership query, each once for every member."""
+        latency = LatencyBreakdown()
+        with (
+            span("visibility.filter", tombstones=len(self._exclude))
+            if self._exclude
+            else nullcontext()
+        ):
+            owners, condemned = self._lookup(tree, words, fail_fast, latency)
+            postings = list(owners)
+            with span("search.retrieve", candidates=len(postings)) as retrieve_span:
+                if condemned:
+                    retrieve_span.set(
+                        excluded=len(condemned),
+                        refunded_bytes=sum(p.length for p in condemned),
+                    )
+                matched, fetched = self._retrieve(postings, owners, tree, top_k, latency)
+                if postings:
+                    retrieve_span.set(
+                        fetched=fetched,
+                        matched=len(matched),
+                        false_positives=fetched - len(matched),
+                    )
         return SearchResult(
             query=label,
-            documents=list(documents.values())[:top_k],
-            candidate_postings=list(candidates),
-            false_positive_count=false_positives,
-            latency=LatencyBreakdown.merged(latencies),
+            documents=matched,
+            candidate_postings=postings,
+            false_positive_count=fetched - len(matched),
+            latency=latency,
         )
+
+    def _lookup(
+        self,
+        tree: BooleanQuery,
+        words: Sequence[str],
+        fail_fast: bool,
+        latency: LatencyBreakdown,
+    ) -> tuple[dict[Posting, int], set[Posting]]:
+        """Wave 1, once: every member's plan in one batch, then the merge.
+
+        Returns the surviving candidates in member order — each mapped to
+        the index of the first member that produced it, its owner — and the
+        condemned candidates dropped on the way: they never reach the fetch
+        wave, so their bytes are refunded outright and top-k sampling stays
+        effective.
+        """
+        plans = [member.plan(words, fail_fast) for member in self._require_members()]
+        reading = [plan for plan in plans if plan.reads]
+        payloads: list[bytes | None] = []
+        if reading:
+            requests = [read for plan in reading for read in plan.reads]
+            # The L+ drop reasons about one word's layer reads, and with
+            # shards (or several members) a query already fans out wide.
+            hedged = self._hedging.enabled and len(reading) == 1 and reading[0].hedgeable
+            with span(
+                "search.lookup",
+                words=list(dict.fromkeys(word for plan in reading for word in plan.words)),
+                requests=len(requests),
+                shards=sum(plan.shards for plan in reading),
+                hedged=hedged,
+            ):
+                payloads = self._wave(
+                    requests,
+                    latency.add_lookup,
+                    self._hedging.required_of(len(requests)) if hedged else None,
+                )
+        owners: dict[Posting, int] = {}
+        condemned: set[Posting] = set()
+        start = 0
+        for index, plan in enumerate(plans):
+            per_word = plan.resolve(payloads[start : start + len(plan.reads)])
+            start += len(plan.reads)
+            postings = tree.candidates(per_word.__getitem__).sorted_postings()
+            if self._exclude:
+                condemned.update(p for p in postings if p in self._exclude)
+                postings = [p for p in postings if p not in self._exclude]
+            for posting in postings:
+                owners.setdefault(posting, index)
+        return owners, condemned
 
     def _retrieve(
         self,
-        member: Member,
-        candidates: Superpost,
+        postings: list[Posting],
+        owners: dict[Posting, int],
         predicate: BooleanQuery,
         top_k: int | None,
         latency: LatencyBreakdown,
-    ) -> tuple[list[Document], list[Posting], int]:
-        """Wave 2 on one member: its true matches, its candidates, its wasted fetches."""
-        postings = candidates.sorted_postings()
-        # Pre-retrieval tombstone filtering: condemned candidates never reach
-        # the fetch wave, so their bytes are refunded outright and top-k
-        # sampling stays effective.
-        condemned = [p for p in postings if p in self._exclude] if self._exclude else []
-        if condemned:
-            postings = [p for p in postings if p not in self._exclude]
-        with span("search.retrieve", candidates=len(postings)) as retrieve_span:
-            if condemned:
-                retrieve_span.set(
-                    excluded=len(condemned),
-                    refunded_bytes=sum(p.length for p in condemned),
-                )
-            if not postings:
-                return [], [], 0
-            fetched = len(postings)
-            if top_k is not None and top_k > 0:
-                fetched = top_k_sample_size(
-                    top_k, len(postings), member.expected_false_positives, self._top_k_delta
-                )
-            matched = self._fetch_matching(member, postings[:fetched], predicate, latency)
-            if top_k is not None and len(matched) < top_k and fetched < len(postings):
-                # The probabilistic sample came up short (probability <= delta);
-                # fall back to fetching the remaining candidates.
-                matched += self._fetch_matching(
-                    member, postings[fetched:], predicate, latency
-                )
-                fetched = len(postings)
-            if top_k is not None:
-                matched = matched[:top_k]
-            retrieve_span.set(
-                fetched=fetched,
-                matched=len(matched),
-                false_positives=fetched - len(matched),
-            )
-        return matched, postings, fetched - len(matched)
+    ) -> tuple[list[Document], int]:
+        """Wave 2 of a membership query: the true matches among ``postings``
+        (the first ``top_k`` of them), and how many documents it took."""
 
-    def _fetch_matching(
+        def matching(wanted: list[Posting]) -> list[Document]:
+            return [
+                document
+                for document in self._fetch(wanted, owners, latency)
+                if predicate.matches(self._tokenizer.distinct_terms(document.text))
+            ]
+
+        if top_k is None:
+            return matching(postings), len(postings)
+        fetched = len(postings)
+        if top_k > 0:
+            # Equation 6, once over the merged list: F0 adds up because any
+            # member's false positives may sit in the sampled prefix.
+            expected = sum(m.expected_false_positives for m in self._require_members())
+            fetched = top_k_sample_size(top_k, len(postings), expected, self._top_k_delta)
+        matched = matching(postings[:fetched])
+        if len(matched) < top_k and fetched < len(postings):
+            # The probabilistic sample came up short (probability <= delta);
+            # fall back to fetching the remaining candidates.
+            matched += matching(postings[fetched:])
+            fetched = len(postings)
+        return matched[:top_k], fetched
+
+    def _fetch(
         self,
-        member: Member,
-        postings: list[Posting],
-        predicate: BooleanQuery,
+        postings: Sequence[Posting],
+        owners: dict[Posting, int],
         latency: LatencyBreakdown,
     ) -> list[Document]:
-        """Fetch documents for ``postings`` and keep only true matches."""
-        return [
-            document
-            for document in member.fetch_documents(postings, latency)
-            if predicate.matches(self._tokenizer.distinct_terms(document.text))
-        ]
+        """Wave 2, once: the named documents, unfiltered, in the order given —
+        from their owner's memory when resident, else in one batch."""
+        members = self._require_members()
+        documents = [members[owners[posting]].resident(posting) for posting in postings]
+        remote = [at for at, document in enumerate(documents) if document is None]
+        if remote:
+            payloads = self._wave(
+                [postings[at].to_range_read() for at in remote], latency.add_retrieval
+            )
+            for at, payload in zip(remote, payloads):
+                if payload is not None:
+                    documents[at] = Document(
+                        ref=postings[at], text=payload.decode("utf-8", errors="replace")
+                    )
+        return [document for document in documents if document is not None]
+
+    def _wave(
+        self,
+        requests: list[RangeRead],
+        account: Callable[[float, float, float, int], None],
+        required: int | None = None,
+    ) -> list[bytes | None]:
+        """One batch of range reads; what the query waited for it goes to
+        ``account``."""
+        assert self.pipeline is not None, "no member of this searcher was opened on a store"
+        if required is None:
+            fetch = self.pipeline.fetch(requests)
+        else:
+            # Hedging needs per-request latencies, so it bypasses the pipeline.
+            fetch = self.pipeline.store.read_batch(
+                requests, self.pipeline.max_concurrency, required=required
+            )
+        if fetch.batch.requests:
+            batch = fetch.batch
+            account(batch.total_ms, batch.wait_ms, batch.download_ms, batch.nbytes)
+        return fetch.payloads

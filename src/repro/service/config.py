@@ -46,7 +46,8 @@ class ServiceConfig:
         adjacent range reads into one request; 0 merges only
         overlapping/adjacent ranges.
     read_cache_bytes:
-        Byte budget of the read pipeline's LRU block cache; 0 disables it.
+        Byte budget of the read pipeline's LRU block cache — one pipeline
+        per opened index, shared by its base and deltas; 0 disables it.
     retries:
         Transient store failures retried per request by the
         :class:`~repro.storage.resilient.ResilientStore` wrapper; 0 leaves

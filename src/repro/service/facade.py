@@ -170,9 +170,7 @@ class AirphantService:
     def _read_cache_bytes(self) -> int:
         """Current block-cache occupancy summed over every open searcher."""
         return sum(
-            member.pipeline.cached_bytes
-            for searcher in self._catalog.open_searchers()
-            for member in searcher.opened
+            searcher.pipeline.cached_bytes for searcher in self._catalog.open_searchers()
         )
 
     @contextmanager

@@ -220,10 +220,6 @@ class ObjectStore(ABC):
             raise ValueError("required must be positive")
         return list(requests)
 
-    def read_many(self, requests: Iterable[RangeRead]) -> list[bytes]:
-        """The payloads of :meth:`read_batch`, for callers that keep no time."""
-        return self.read_batch(requests).payloads
-
     def close(self) -> None:
         """Release the :meth:`read_batch` worker pool, if one was created.
 

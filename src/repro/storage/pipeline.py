@@ -206,6 +206,11 @@ class ReadPipeline:
         )
 
     @property
+    def store(self) -> ObjectStore:
+        """The store the physical batches run on."""
+        return self._store
+
+    @property
     def max_concurrency(self) -> int:
         """Most physical requests in flight per batch."""
         return self._max_concurrency

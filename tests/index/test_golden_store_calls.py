@@ -3,11 +3,11 @@
 ``AirphantService.searcher(name)`` on a cold node, then one keyword and one
 ``topk_bm25`` query, over a plain, a 4-shard and a base + 2-delta index: the
 ordered ``(method, blob, offset, length)`` log of a recording store must equal
-the capture in ``golden_store_calls.json``, taken before the on-store layout
-had one owning module.  Moving who resolves name → manifest → members →
-headers must not move a single store call on the open/query path; a change
-that *means* to (fewer probes on a cold open) regenerates the golden on
-purpose::
+the capture in ``golden_store_calls.json``.  Moving who resolves name → manifest
+→ members → headers, or who issues a wave, must not move a single store call
+on the open/query path; a change that *means* to regenerates the golden on
+purpose (last: one lookup wave and one document wave per query over base +
+deltas, where each member used to issue its own)::
 
     PYTHONPATH=src:tests python tests/index/test_golden_store_calls.py
 """
@@ -81,6 +81,17 @@ def test_the_sequence_covers_open_lookup_and_stats():
     for name, headers in (("deltas", 3), ("sharded", 4)):
         read = [blob for method, blob, _, _ in golden[name] if method == "batch_read"]
         assert sum(1 for blob in read if blob.endswith("/header.json")) == headers
+
+
+def test_a_query_costs_two_batches_however_many_members():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for name, members in (("plain", 1), ("sharded", 1), ("deltas", 3)):
+        batches = [length for method, _, _, length in golden[name] if method == "read_batch"]
+        # Per member: the open (shards.json probe + header wave) and, on the
+        # first ranked query, its statistics.  Per query: lookup + documents.
+        assert len(batches) == 2 * members + 2 + members + 2, (name, batches)
+        assert batches[2 * members + 1] == 62, name  # the keyword query's documents
+        assert batches[-1] == 10, name  # the ranked query's winners
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from repro.index.store_layout import (
 from repro.index.updates import AppendOnlyIndexManager
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Posting
-from repro.search.member import IndexMember
+from repro.search.searcher import AirphantSearcher
 from repro.service.api import SearchRequest, ServiceError
 from repro.service.config import ServiceConfig
 from repro.service.facade import AirphantService
@@ -79,7 +79,7 @@ def _assert_opens_like_a_direct_read(store, name):
         assert list(header.mht.ranges()) == list(expected.mht.ranges())
         assert header.mht.common_words == expected.mht.common_words
     # The query path's member is a view over the very same result.
-    member = IndexMember.open(store, name)
+    (member,) = AirphantSearcher.open(store, name).opened
     assert [shard.name for shard in member.shards] == names
     assert member.shard_manifest == manifest
     if manifest is None:
@@ -164,7 +164,7 @@ class TestOpener:
             _documents(backend), index_name="sharded"
         )
         budget = RecordingStore(backend)
-        IndexMember.open(budget, "sharded")
+        AirphantSearcher.open(budget, "sharded")
         AppendOnlyIndexManager(budget, "sharded").manifest()
         assert budget.round_trips == 3  # shards.json probe, header wave, manifest probe
 

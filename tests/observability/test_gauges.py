@@ -108,3 +108,24 @@ class TestServiceOccupancyGauges:
         service.close()
         assert open_gauge.value() == 0
         assert cache_gauge.value() == 0
+
+    def test_read_cache_budget_covers_a_base_and_its_deltas_together(self):
+        registry = MetricsRegistry()
+        store = InMemoryObjectStore()
+        budget = 2048
+        config = ServiceConfig(ingest_interval_s=0, read_cache_bytes=budget)
+        lines = [f"error disk failure number {n} on node{n % 7}" for n in range(300)]
+        store.put("corpus/a.txt", "\n".join(lines[:100]).encode())
+        with AirphantService(store, config, metrics=registry) as service:
+            service.build_index("idx", ["corpus/a.txt"], sketch_config=SketchConfig(num_bins=512))
+            for batch in (lines[100:200], lines[200:]):
+                service.append_documents("idx", batch)
+                assert service.flush_index("idx")["delta"]
+            assert service.execute(SearchRequest(query="error", index="idx")).num_results == 300
+            searcher = service.catalog.open("idx")
+            members = searcher.opened
+            assert len(members) == 3
+            # One opened index, one pipeline, one budget — not one per member.
+            assert all(member.pipeline is searcher.pipeline for member in members)
+            used = registry.gauge("airphant_read_cache_bytes_used").value()
+            assert 0 < used == searcher.pipeline.cached_bytes <= budget

@@ -4,12 +4,13 @@ Every tier a query runs over — a plain index, a 4-shard index, a
 shard-restricted view of it, a live memtable — answers the same
 :class:`~repro.search.member.Member` contract, and the one executor
 (:class:`~repro.search.searcher.AirphantSearcher`) does everything else.
-This suite pins both halves: the per-member obligations (``lookup`` is a
-superset of the truth, ``restrict`` partitions exactly, pruned ranking
-statistics equal a rebuild over the survivors, an excluded document's bytes
-are never requested), each with and without pending deletes, and — at the
-executor level — that one corpus served as a plain index, as 4 shards, or as
-base + 2 deltas + memtable yields the same answers in every query mode.
+This suite pins both halves: the per-member obligations (a resolved ``plan``
+is a superset of the truth and the member itself reads nothing, ``restrict``
+partitions exactly, pruned ranking statistics equal a rebuild over the
+survivors, an excluded document's bytes are never requested), each with and
+without pending deletes, and — at the executor level — that one corpus
+served as a plain index, as 4 shards, or as base + 2 deltas + memtable
+yields the same answers in every query mode.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.parsing.documents import Document
 from repro.parsing.tokenizer import WhitespaceAnalyzer
 from repro.search.member import IndexMember, Member
 from repro.search.regexsearch import RegexSearcher
-from repro.search.results import LatencyBreakdown
 from repro.search.searcher import AirphantSearcher
 from repro.storage.memory import InMemoryObjectStore
 from repro.workloads.logs import generate_log_corpus
@@ -85,7 +85,7 @@ class Site:
         AirphantBuilder(self.store, config=CONFIG, num_shards=shards).build_from_documents(
             self.documents, index_name="idx"
         )
-        self.owner = IndexMember.open(self.store, "idx")
+        (self.owner,) = AirphantSearcher.open(self.store, "idx").opened
         self.member = self.owner
         if kind == "view":
             view = self.owner.restrict(VIEW_ORDINALS)
@@ -103,13 +103,22 @@ class Site:
             return frozenset()
         return frozenset(sorted(self.truth("ERROR"))[::3])
 
+    def resolve(self, words, fail_fast: bool = False) -> dict:
+        """The member's plan, read the way the executor reads it: one batch."""
+        plan = self.member.plan(words, fail_fast)
+        assert self.reads == [], "planning must not touch the store"
+        return plan.resolve(self.store.read_batch(plan.reads).payloads)
+
+    @property
+    def reads(self) -> list:
+        return self.store.reads
+
 
 @pytest.fixture(params=MEMBER_KINDS)
 def site(request):
     site = Site(request.param)
-    yield site
-    if site.owner is not None:
-        site.owner.close()
+    site.reads.clear()
+    return site
 
 
 @pytest.fixture(params=[False, True], ids=["no-deletes", "pending-deletes"])
@@ -118,17 +127,19 @@ def pending(request) -> bool:
 
 
 class TestMemberContract:
-    def test_lookup_is_a_superset_of_the_truth(self, site):
-        per_word = site.member.lookup(WORDS, LatencyBreakdown())
+    def test_a_resolved_plan_is_a_superset_of_the_truth(self, site):
+        per_word = site.resolve(WORDS)
         assert set(per_word) == set(WORDS)
         for word in WORDS:
             assert per_word[word].postings >= site.truth(word), word
         assert per_word["nonexistentzzz"].postings == set()
 
-    def test_fail_fast_lookup_reads_nothing_for_a_doomed_conjunction(self, site):
+    def test_a_doomed_conjunction_plans_nothing(self, site):
         if site.owner is None:
-            # An exact member has no waves to save: it answers either way.
-            per_word = site.member.lookup(["ERROR", "absent"], LatencyBreakdown(), True)
+            # An exact member never has anything to read: it answers either way.
+            plan = site.member.plan(["ERROR", "absent"], True)
+            assert list(plan.reads) == []
+            per_word = plan.resolve([])
             assert per_word["ERROR"].postings == site.truth("ERROR")
             assert per_word["absent"].postings == set()
             return
@@ -141,21 +152,21 @@ class TestMemberContract:
                 for shard in site.member.shards
             )
         )
-        site.store.reads.clear()
-        latency = LatencyBreakdown()
-        per_word = site.member.lookup(["ERROR", doomed], latency, fail_fast=True)
+        plan = site.member.plan(["ERROR", doomed], fail_fast=True)
+        assert list(plan.reads) == []
+        per_word = plan.resolve([])
         assert per_word["ERROR"].postings == per_word[doomed].postings == set()
-        assert site.store.reads == [] and latency.round_trips == 0
-        # Without fail_fast the other word is still resolved, in one wave.
-        per_word = site.member.lookup(["ERROR", doomed], latency)
+        assert site.reads == []
+        # Without fail_fast the other word is still planned and resolved.
+        per_word = site.resolve(["ERROR", doomed])
         assert per_word["ERROR"].postings >= site.truth("ERROR")
         assert per_word[doomed].postings == set()
-        assert latency.round_trips == 1
 
-    def test_fetch_documents_returns_the_named_documents_unfiltered(self, site):
+    def test_only_an_exact_member_holds_documents_resident(self, site):
         wanted = site.held[:5]
-        fetched = site.member.fetch_documents([d.ref for d in wanted], LatencyBreakdown())
-        assert fetched == wanted
+        resident = [site.member.resident(d.ref) for d in wanted]
+        assert resident == (wanted if site.owner is None else [None] * 5)
+        assert site.reads == []
 
     def test_exact_members_expect_no_false_positives(self, site):
         if site.owner is None:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
+from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.tokenizer import WhitespaceAnalyzer
 from repro.search.replication import HedgingPolicy
 from repro.search.searcher import AirphantSearcher
@@ -98,6 +99,27 @@ class TestMultiKeywordSearch:
 
     def test_conjunction_with_unknown_word_is_empty(self, searcher):
         assert searcher.search("error zzzznotaword").documents == []
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            # Keyword mode has no syntax: parentheses and operator words are
+            # tokens like any other, never re-parsed as a Boolean expression.
+            ("alpha (beta)", ["alpha (beta) gamma"]),
+            ("alpha OR beta", ["alpha OR beta delta"]),
+            ("(beta)", ["alpha (beta) gamma"]),
+        ],
+    )
+    def test_keyword_tokens_are_never_boolean_syntax(self, sim_store, query, expected):
+        sim_store.put(
+            "corpus/syntax.txt", b"alpha (beta) gamma\nalpha OR beta delta\nalpha beta"
+        )
+        documents = list(LineDelimitedCorpusParser().parse(sim_store, ["corpus/syntax.txt"]))
+        AirphantBuilder(sim_store, config=SketchConfig(num_bins=64, seed=7)).build_from_documents(
+            documents, index_name="syntax"
+        )
+        searcher = AirphantSearcher.open(sim_store, index_name="syntax")
+        assert [d.text for d in searcher.search(query).documents] == expected
 
 
 class TestTopK:

@@ -273,7 +273,8 @@ class TestShardedConcurrencyScaling:
         AirphantBuilder(sim_store, config=config, num_shards=4).build_from_documents(
             corpus.documents, index_name="scaled"
         )
-        opened = IndexMember.open(sim_store, "scaled", max_concurrency=8)
+        opened = AirphantSearcher.open(sim_store, "scaled", max_concurrency=8)
+        assert member(opened).max_concurrency == min(8 * 4, MAX_SHARDED_CONCURRENCY)
         assert opened.pipeline.max_concurrency == min(8 * 4, MAX_SHARDED_CONCURRENCY)
 
     def test_single_shard_keeps_base_concurrency(self, sim_store, corpus):
@@ -281,5 +282,5 @@ class TestShardedConcurrencyScaling:
         AirphantBuilder(sim_store, config=config).build_from_documents(
             corpus.documents, index_name="plain"
         )
-        opened = IndexMember.open(sim_store, "plain", max_concurrency=8)
-        assert opened.pipeline.max_concurrency == 8
+        opened = AirphantSearcher.open(sim_store, "plain", max_concurrency=8)
+        assert member(opened).max_concurrency == opened.pipeline.max_concurrency == 8

@@ -27,6 +27,14 @@ class TestSearchDispatch:
         assert all("error" in hit.text and "timeout" in hit.text for hit in response.documents)
         assert response.num_results == 2
 
+    def test_keyword_mode_finds_tokens_that_look_like_boolean_syntax(self, service, sim_store):
+        sim_store.put("corpus/syntax.txt", b"alpha (beta) gamma\nalpha beta")
+        service.build_index(
+            "syntax", ["corpus/syntax.txt"], sketch_config=SketchConfig(num_bins=64, seed=7)
+        )
+        response = service.search(SearchRequest(query="alpha (beta)", index="syntax"))
+        assert [hit.text for hit in response.documents] == ["alpha (beta) gamma"]
+
     def test_boolean_mode(self, service):
         response = service.search(
             SearchRequest(query="error AND (disk OR timeout)", index="small-index", mode="boolean")

@@ -2,7 +2,7 @@
 
 Before the store owned the ``read_batch`` pool, every opened index member —
 the base, each delta, each sharded index — ran its own ``airphant-fetch``
-pool and the store lazily grew one more behind ``read_many``.  Now there is
+pool and the store lazily grew one more behind its batch reads.  Now there is
 one per store, however many members read through it, and
 ``AirphantService.close()`` ends it.
 """

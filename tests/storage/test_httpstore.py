@@ -143,12 +143,12 @@ class TestReads:
         with pytest.raises(BlobNotFoundError):
             store.size("missing.bin")
 
-    def test_read_many_pipeline_over_http(self, store):
+    def test_read_batch_over_http(self, store):
         from repro.storage.base import RangeRead
 
-        payloads = store.read_many(
+        payloads = store.read_batch(
             [RangeRead("data/blob.bin", 0, 8), RangeRead("data/blob.bin", 8, 8)]
-        )
+        ).payloads
         assert payloads == [BLOB[:8], BLOB[8:16]]
         store.close()
 

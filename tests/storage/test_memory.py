@@ -62,11 +62,11 @@ class TestRangeReads:
         store.put("a", b"abcdef")
         assert store.read(RangeRead(blob="a", offset=1, length=3)) == b"bcd"
 
-    def test_read_many_preserves_order(self):
+    def test_read_batch_preserves_order(self):
         store = InMemoryObjectStore()
         store.put("a", b"abcdef")
         requests = [RangeRead("a", 0, 2), RangeRead("a", 4, 2), RangeRead("a", 2, 2)]
-        assert store.read_many(requests) == [b"ab", b"ef", b"cd"]
+        assert store.read_batch(requests).payloads == [b"ab", b"ef", b"cd"]
 
 
 class TestMetadataOperations:

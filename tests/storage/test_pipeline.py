@@ -205,18 +205,15 @@ class TestBlockCache:
             assert pipeline.fetch(requests).payloads == direct(memory_store, requests)
 
 
-class TestReadManyDelegation:
-    def test_read_many_is_batched_on_simulated_stores(self, sim_store):
+class TestReadBatchDelegation:
+    def test_read_batch_is_one_round_trip_on_simulated_stores(self, sim_store):
         sim_store.metrics.reset()
-        payloads = sim_store.read_many(
+        payloads = sim_store.read_batch(
             [RangeRead("blob", 0, 4), RangeRead("blob", 4, 4), RangeRead("blob", 100, 4)]
-        )
+        ).payloads
         assert payloads == [BLOB_DATA[0:4], BLOB_DATA[4:8], BLOB_DATA[100:104]]
         # One logical round trip for the whole call, not one per request.
         assert sim_store.metrics.round_trips == 1
-
-    def test_read_many_empty(self, memory_store):
-        assert memory_store.read_many([]) == []
 
 
 class TestLifecycle:

@@ -246,9 +246,9 @@ class TestHedging:
             ),
         )
         store = ResilientStore(simulated, retries=1, hedge_ms=5.0)
-        payloads = store.read_many(
+        payloads = store.read_batch(
             [RangeRead("blob", i * 10, 10) for i in range(10)]
-        )
+        ).payloads
         assert payloads == [blob[i * 10 : i * 10 + 10] for i in range(10)]
         # The simulator returns instantly on its virtual clock: no hedges.
         assert store.stats.hedges == 0

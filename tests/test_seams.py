@@ -127,3 +127,47 @@ def test_checker_guards_the_store_layout_and_its_one_opener(tmp_path):
         ("service/catalog.py:4", "header/manifest decoder called"),
         ("service/catalog.py:5", "header/manifest decoder called"),
     ]
+
+
+def test_checker_keeps_read_waves_in_the_executor(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("search", "ingest", "storage"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the executor issues both waves (and the hedged one straight on
+    # the store), a member downloads its ranking statistics, and storage/ is
+    # where read_batch lives.
+    (root / "search" / "searcher.py").write_text(
+        "fetch = self.pipeline.fetch(requests, width)\n"
+        "fetch = self.pipeline.store.read_batch(requests, width, required=required)\n",
+        encoding="utf-8",
+    )
+    (root / "search" / "member.py").write_text(
+        '"""A member never calls pipeline.fetch( itself."""\n'
+        "fetch = self._store.read_batch(stats_requests, self.max_concurrency)\n",
+        encoding="utf-8",
+    )
+    (root / "storage" / "pipeline.py").write_text(
+        "fetch = self._store.read_batch(physical, width)\n", encoding="utf-8"
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a member reading on the query path, in either spelling.
+    (root / "search" / "member.py").write_text(
+        "fetch = self.pipeline.fetch(requests)\n", encoding="utf-8"
+    )
+    (root / "search" / "ranking.py").write_text(
+        "fetch = store.read_batch(requests)\n", encoding="utf-8"
+    )
+    (root / "ingest" / "memtable.py").write_text(
+        "fetch = store.read_batch(requests)\n", encoding="utf-8"
+    )
+    (root / "ingest" / "wal.py").write_text(
+        "fetch = store.read_batch(segments)\n", encoding="utf-8"
+    )
+    found = check_seams.findings(root)
+    assert [problem.split("repro/")[1] for problem in found] == [
+        "ingest/memtable.py:1: a read wave issued outside the executor",
+        "search/member.py:1: a read wave issued outside the executor",
+        "search/ranking.py:1: a read wave issued outside the executor",
+    ]
