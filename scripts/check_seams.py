@@ -40,6 +40,14 @@ one opener.  This script also fails on:
 * a ``decode_header(`` or ``ShardManifest.from_json(`` call outside
   ``index/`` (the opener is the one caller that reads them off a store).
 
+Opening an index is at most two dependent waves of "missing is an answer"
+reads — never an ``exists`` before a ``get``.  This script also fails on:
+
+* a ``.exists(`` call anywhere under ``search/`` or in ``ingest/wal.py``, in
+  ``service/catalog.py`` outside the public ``contains()``, in the openers
+  of ``index/store_layout.py`` (``open_headers``, ``open_index``,
+  ``read_shard_manifest``) or in ``IngestCoordinator.live``.
+
 Comments and docstrings are ignored.  Exit code 1 lists every finding.
 
 Usage: ``python scripts/check_seams.py``
@@ -47,6 +55,7 @@ Usage: ``python scripts/check_seams.py``
 
 from __future__ import annotations
 
+import ast
 import io
 import re
 import sys
@@ -102,6 +111,18 @@ _STRING_PARTS = (tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.S
 _STATEMENT_BREAKS = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING)
 _INSIGNIFICANT = (tokenize.NL, tokenize.COMMENT)
 
+#: The open path: file (or package) -> the functions it runs through there
+#: (``None``: all of them), and the functions that may probe all the same.
+OPEN_PATH: dict[tuple[str, ...], frozenset[str] | None] = {
+    ("search",): None,
+    ("ingest", "wal.py"): None,
+    ("service", "catalog.py"): None,
+    ("index", "store_layout.py"): frozenset({"open_headers", "open_index", "read_shard_manifest"}),
+    ("ingest", "live.py"): frozenset({"live"}),
+}
+PROBES_ALLOWED = {(("service", "catalog.py"), "contains")}
+_EXISTS_CALL = re.compile(r"\.exists\(")
+
 _SIMULATOR_CHECK = re.compile(r"isinstance\([^)]*\bSimulatedCloudStore\b")
 _POOL_CONSTRUCTION = re.compile(r"\bThreadPoolExecutor\(")
 
@@ -145,6 +166,19 @@ def string_literals(path: Path) -> list[tuple[int, str]]:
     return literals
 
 
+def enclosing_functions(path: Path) -> dict[int, str]:
+    """Line number -> name of the innermost function the line belongs to."""
+    functions = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    owner: dict[int, str] = {}
+    for node in sorted(functions, key=lambda node: node.lineno):  # inner ones overwrite
+        owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.name))
+    return owner
+
+
 def findings(root: Path = SOURCE_ROOT) -> list[str]:
     """Every violation under ``root``, as ``path:line: what`` strings."""
     problems: list[str] = []
@@ -160,8 +194,19 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 for literal in LAYOUT_LITERALS
                 if literal in text and (parts, literal) not in LAYOUT_HOMONYMS
             )
+        open_path = next(
+            (prefix for prefix in OPEN_PATH if parts[: len(prefix)] == prefix), None
+        )
+        functions = enclosing_functions(path) if open_path is not None else {}
         for number, text in code_lines(path):
             where = f"{path.relative_to(root.parent.parent)}:{number}"
+            if open_path is not None and _EXISTS_CALL.search(text):
+                function = functions.get(number, "")
+                checked = OPEN_PATH[open_path]
+                if (checked is None or function in checked) and (
+                    (parts, function) not in PROBES_ALLOWED
+                ):
+                    problems.append(f"{where}: exists() probe on the open path")
             if package in SEAM_PACKAGES:
                 problems.extend(
                     f"{where}: {what}"

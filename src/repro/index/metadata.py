@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
-from repro.index.store_layout import SHARD_MANIFEST_SUFFIX
+from repro.index.store_layout import shard_manifest_blob_name
 
 #: Magic marker of the shard-manifest format.
 _SHARD_MANIFEST_MAGIC = "airphant-shards"
@@ -111,7 +111,7 @@ class ShardManifest:
     @staticmethod
     def blob_name(index_name: str) -> str:
         """Blob holding the manifest of ``index_name``."""
-        return f"{index_name}/{SHARD_MANIFEST_SUFFIX}"
+        return shard_manifest_blob_name(index_name)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable representation (includes magic + version)."""

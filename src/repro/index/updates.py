@@ -116,6 +116,26 @@ class IndexManifest:
         """Active base first, then deltas in creation order."""
         return [self.active_base, *self.delta_indexes]
 
+    @classmethod
+    def from_bytes(cls, base_index: str, data: bytes | None) -> "IndexManifest":
+        """Parse a manifest blob (``None``: none was written yet — the empty one).
+
+        Pre-generation manifests (no ``generation``/``active_base`` fields)
+        load with their defaults, so indexes written by older builds keep
+        working unchanged.
+        """
+        if data is None:
+            return cls(base_index=base_index)
+        payload = json.loads(data.decode("utf-8"))
+        return cls(
+            base_index=payload["base_index"],
+            delta_indexes=tuple(payload["delta_indexes"]),
+            generation=int(payload.get("generation", 0)),
+            active_base=payload.get("active_base"),
+            next_delta=payload.get("next_delta"),
+            retired=tuple(payload.get("retired", ())),
+        )
+
 
 @dataclass(frozen=True)
 class SnapshotInfo:
@@ -209,22 +229,14 @@ class AppendOnlyIndexManager:
     def manifest(self) -> IndexManifest:
         """Read the current manifest (an empty one if none was written yet).
 
-        Pre-generation manifests (no ``generation``/``active_base`` fields)
-        load with their defaults, so indexes written by older builds keep
-        working unchanged.
+        One ``get``: a manifest purged between a probe and the read would
+        otherwise surface as a missing blob instead of the empty manifest.
         """
-        if not self._store.exists(self.manifest_blob):
-            return IndexManifest(base_index=self._base_index)
-        payload = json.loads(self._store.get(self.manifest_blob).decode("utf-8"))
-        deltas = tuple(payload["delta_indexes"])
-        return IndexManifest(
-            base_index=payload["base_index"],
-            delta_indexes=deltas,
-            generation=int(payload.get("generation", 0)),
-            active_base=payload.get("active_base"),
-            next_delta=payload.get("next_delta"),
-            retired=tuple(payload.get("retired", ())),
-        )
+        try:
+            data = self._store.get(self.manifest_blob)
+        except BlobNotFoundError:
+            data = None
+        return IndexManifest.from_bytes(self._base_index, data)
 
     def _write_manifest(self, manifest: IndexManifest) -> None:
         """Commit one snapshot atomically (a single blob PUT is the swap)."""
@@ -342,10 +354,10 @@ class AppendOnlyIndexManager:
         postings: set[Posting] = set()
         for index_name in self.manifest().all_indexes:
             try:
-                members = open_headers(self._store, index_name).members
+                (build,) = open_headers(self._store, [index_name]).builds
             except BlobNotFoundError:
                 continue
-            for _, compacted in members:
+            for _, compacted in build.members:
                 # One read of the member's superpost blob, sliced by the
                 # pointer columns: never a dependent range read per bin.
                 blob = self._store.get(compacted.superpost_blob_name)
@@ -497,10 +509,11 @@ class AppendOnlyIndexManager:
 
     def get_snapshot(self, snapshot: str) -> SnapshotInfo:
         """Read one snapshot record; raises ``KeyError`` if it does not exist."""
-        blob = snapshot_blob_name(self._base_index, snapshot)
-        if not self._store.exists(blob):
-            raise KeyError(snapshot)
-        return SnapshotInfo.from_dict(json.loads(self._store.get(blob).decode("utf-8")))
+        try:
+            data = self._store.get(snapshot_blob_name(self._base_index, snapshot))
+        except BlobNotFoundError:
+            raise KeyError(snapshot) from None
+        return SnapshotInfo.from_dict(json.loads(data.decode("utf-8")))
 
     def list_snapshots(self) -> list[SnapshotInfo]:
         """Every snapshot of this index, sorted by name."""

@@ -31,15 +31,15 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro.index.store_layout import build_bytes
-from repro.index.updates import AppendOnlyIndexManager
+from repro.index.store_layout import OpenedIndex, build_bytes
+from repro.index.updates import AppendOnlyIndexManager, IndexManifest
 from repro.ingest.memtable import Memtable, MemtableMember
 from repro.ingest.wal import WriteAheadLog, ingest_manifest_blob
 from repro.observability import MetricsRegistry
 from repro.parsing.documents import Posting
-from repro.storage.base import ObjectStore
+from repro.storage.base import ObjectStore, RangeRead
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.config import ServiceConfig
@@ -71,7 +71,12 @@ class IngestOverloadedError(RuntimeError):
 
 
 class LiveIndex:
-    """The write path of one index: WAL, memtables, flush, compaction."""
+    """The write path of one index: WAL, memtables, flush, compaction.
+
+    ``manifest`` (the update manifest) and ``fetched`` (WAL blobs, see
+    :class:`~repro.ingest.wal.WriteAheadLog`) are what the opener of the
+    index already read; without them the store is asked.
+    """
 
     def __init__(
         self,
@@ -80,6 +85,8 @@ class LiveIndex:
         config: "ServiceConfig",
         metrics: MetricsRegistry,
         invalidate: Callable[[str], None],
+        manifest: IndexManifest | None = None,
+        fetched: Mapping[str, bytes | None] | None = None,
     ) -> None:
         self._store = store
         self._index_name = index_name
@@ -87,7 +94,7 @@ class LiveIndex:
         self._invalidate = invalidate
         tokenizer = config.make_tokenizer()
         self._tokenizer_factory = config.make_tokenizer
-        self._wal = WriteAheadLog(store, index_name)
+        self._wal = WriteAheadLog(store, index_name, fetched)
         self._manager = AppendOnlyIndexManager(
             store, base_index=index_name, tokenizer=tokenizer
         )
@@ -98,7 +105,9 @@ class LiveIndex:
         # manual POST /flush and the background worker never interleave.
         self._write_lock = threading.RLock()
         self._maintenance_lock = threading.RLock()
-        self._delta_count = len(self._manager.manifest().delta_indexes)
+        if manifest is None:
+            manifest = self._manager.manifest()
+        self._delta_count = len(manifest.delta_indexes)
         self._ratio_dirty = self._delta_count > 0
         # Pending deletes, keyed by tombstone record blob; the flattened
         # frozenset is what query-time filtering and flush-survivor selection
@@ -622,29 +631,50 @@ class IngestCoordinator:
 
     # -- registry -----------------------------------------------------------------
 
-    def live(self, name: str, create: bool = False) -> LiveIndex | None:
+    def probed(self, name: str) -> bool:
+        """Whether ``name``'s leftover WAL state has been looked for already."""
+        with self._lock:
+            return name in self._probed
+
+    def live(
+        self, name: str, create: bool = False, opened: OpenedIndex | None = None
+    ) -> LiveIndex | None:
         """The live index for ``name``, or ``None`` if it has no write state.
 
         With ``create=True`` (the append path) a missing live index is
-        created.  Either way, the first touch of a name probes the store
-        once for unflushed WAL segments and replays them — this is the
-        crash-recovery path, and it also serves reopened processes.
+        created.  Either way, the first touch of a name looks once for
+        unflushed WAL segments and replays them — this is the crash-recovery
+        path, and it also serves reopened processes.  ``opened`` is an
+        :func:`~repro.index.store_layout.open_index` of ``name`` that probed
+        the ingest manifest: the first touch then reads nothing further.
         """
         with self._lock:
             existing = self._lives.get(name)
             if existing is not None:
                 return existing
-            needs_replay = False
+            manifest_blob = ingest_manifest_blob(name)
+            fetched: dict[str, bytes | None] = {}
             if name not in self._probed:
                 # Mark probed only after the probe (and replay below)
                 # succeed: a transient store failure here must leave the
                 # leftover-WAL check pending, not silently skipped forever.
-                needs_replay = self._store.exists(ingest_manifest_blob(name))
+                if opened is not None:
+                    fetched = {manifest_blob: opened.ingest, **opened.wal}
+                else:
+                    probe = RangeRead(manifest_blob, optional=True)
+                    fetched = {manifest_blob: self._store.read(probe)}
+            needs_replay = fetched.get(manifest_blob) is not None
             if not create and not needs_replay:
                 self._probed.add(name)
                 return None
             live = LiveIndex(
-                self._store, name, self._config, self._metrics, self._invalidate
+                self._store,
+                name,
+                self._config,
+                self._metrics,
+                self._invalidate,
+                opened.manifest if opened is not None else None,
+                fetched,
             )
             if needs_replay:
                 live.replay()

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.index.store_layout import (
     ingest_manifest_blob,
@@ -49,7 +49,7 @@ from repro.index.store_layout import (
 )
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Document, Posting
-from repro.storage.base import ObjectStore
+from repro.storage.base import BlobNotFoundError, ObjectStore, RangeRead
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,11 @@ class IngestManifest:
     active_segments: tuple[str, ...] = ()
     tombstone_segments: tuple[str, ...] = ()
 
+    @property
+    def recovery_blobs(self) -> tuple[str, ...]:
+        """Every blob a reopening node reads back: segments, then tombstone records."""
+        return self.active_segments + self.tombstone_segments
+
     def to_bytes(self) -> bytes:
         """Serialize for the manifest blob."""
         payload = {
@@ -76,8 +81,10 @@ class IngestManifest:
         return json.dumps(payload).encode("utf-8")
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "IngestManifest":
-        """Parse a manifest blob."""
+    def from_bytes(cls, data: bytes | None) -> "IngestManifest":
+        """Parse a manifest blob (``None``: none was written — the empty one)."""
+        if data is None:
+            return cls()
         payload = json.loads(data.decode("utf-8"))
         return cls(
             next_segment=int(payload["next_segment"]),
@@ -165,12 +172,25 @@ class WriteAheadLog:
     Not itself thread-safe: :class:`~repro.ingest.live.LiveIndex` serializes
     all WAL mutations under its write lock (the manifest is a single-writer
     blob, like every other manifest in the repository).
+
+    ``fetched`` is what the opener of the index already read of this WAL
+    (blob → payload; ``None`` for a manifest that is not there): the
+    manifest and the recovery reads take it from there, once, instead of
+    asking the store again.
     """
 
-    def __init__(self, store: ObjectStore, index_name: str) -> None:
+    def __init__(
+        self,
+        store: ObjectStore,
+        index_name: str,
+        fetched: Mapping[str, bytes | None] | None = None,
+    ) -> None:
         self._store = store
         self._index_name = index_name
+        self._fetched = dict(fetched or {})
         self._manifest: IngestManifest | None = None
+        if self.manifest_blob in self._fetched:
+            self._manifest = IngestManifest.from_bytes(self._fetched.pop(self.manifest_blob))
         #: In-process floor on segment numbers: reservations whose PUT is
         #: still in flight (not yet in the manifest) must not be reissued.
         self._reserved = 0
@@ -188,12 +208,11 @@ class WriteAheadLog:
     def manifest(self, refresh: bool = False) -> IngestManifest:
         """The current manifest (cached after the first read)."""
         if self._manifest is None or refresh:
-            if self._store.exists(self.manifest_blob):
-                self._manifest = IngestManifest.from_bytes(
-                    self._store.get(self.manifest_blob)
-                )
-            else:
-                self._manifest = IngestManifest()
+            try:
+                data = self._store.get(self.manifest_blob)
+            except BlobNotFoundError:
+                data = None
+            self._manifest = IngestManifest.from_bytes(data)
         return self._manifest
 
     def _commit(self, manifest: IngestManifest) -> None:
@@ -379,12 +398,30 @@ class WriteAheadLog:
 
     # -- recovery ------------------------------------------------------------------
 
+    def _recovered(self, blobs: Sequence[str]) -> list[bytes]:
+        """Payloads of ``blobs`` (segments or tombstone records), in order.
+
+        What is not in hand is read as **one** batch together with every
+        other blob the manifest names, so a reopening node pays one wave for
+        its segments and its tombstone records; each payload is handed out
+        once (segments are the documents' storage, not a cache to keep).
+        """
+        if any(blob not in self._fetched for blob in blobs):
+            missing = [
+                blob for blob in self.manifest().recovery_blobs if blob not in self._fetched
+            ]
+            fetch = self._store.read_batch([RangeRead(blob) for blob in missing])
+            self._fetched.update(zip(missing, fetch.payloads))
+        return [self._fetched.pop(blob) for blob in blobs]
+
     def replay(self) -> list[Document]:
         """Documents of every active (unflushed) segment, in append order."""
-        documents: list[Document] = []
-        for blob in self.manifest(refresh=True).active_segments:
-            documents.extend(parse_segment(blob, self._store.get(blob)))
-        return documents
+        segments = self.manifest().active_segments
+        return [
+            document
+            for blob, data in zip(segments, self._recovered(segments))
+            for document in parse_segment(blob, data)
+        ]
 
     def load_tombstones(self, refresh: bool = False) -> dict[str, tuple[Posting, ...]]:
         """Pending deletes, per tombstone record blob (crash recovery).
@@ -394,9 +431,10 @@ class WriteAheadLog:
         :class:`~repro.ingest.live.LiveIndex` filters queries with until the
         next compaction applies the deletes physically.
         """
+        records = self.manifest(refresh=refresh).tombstone_segments
         return {
-            blob: tuple(parse_tombstones(self._store.get(blob)))
-            for blob in self.manifest(refresh=refresh).tombstone_segments
+            blob: tuple(parse_tombstones(data))
+            for blob, data in zip(records, self._recovered(records))
         }
 
     def destroy(self) -> None:
@@ -408,3 +446,4 @@ class WriteAheadLog:
         for blob in self._store.list_blobs(prefix=ingest_prefix(self._index_name)):
             self._store.delete(blob)
         self._manifest = IngestManifest()
+        self._fetched.clear()

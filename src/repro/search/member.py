@@ -150,7 +150,6 @@ class IndexMember:
         shard_manifest: ShardManifest | None,
         shards: Sequence[ShardState],
         max_concurrency: int,
-        init_latency_ms: float = 0.0,
         query_cache_size: int = 0,
         stats_cache: _StatsCache | None = None,
     ) -> None:
@@ -166,7 +165,6 @@ class IndexMember:
         #: shard count); the opened index's pipeline is as wide as all its
         #: members together.
         self.max_concurrency = max_concurrency
-        self.init_latency_ms = init_latency_ms
         #: Corpus-wide metadata, aggregated over the shards this view holds.
         self.metadata = index_metadata(
             shard_manifest, [shard.metadata for shard in self.shards]
@@ -225,7 +223,6 @@ class IndexMember:
             self.shard_manifest,
             [self.shards[ordinal] for ordinal in held],
             self.max_concurrency,
-            init_latency_ms=self.init_latency_ms,
             stats_cache=self._stats_cache,
         )
 

@@ -33,7 +33,12 @@ from contextlib import nullcontext
 from typing import Callable, Collection, Sequence
 
 from repro.core.analysis import top_k_sample_size
-from repro.index.store_layout import MAX_SHARDED_CONCURRENCY, open_headers
+from repro.index.store_layout import (
+    MAX_SHARDED_CONCURRENCY,
+    OpenedHeaders,
+    OpenedIndex,
+    open_headers,
+)
 from repro.observability.tracing import span
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
@@ -120,8 +125,10 @@ class AirphantSearcher:
         query_cache_size: int = 0,
         coalesce_gap: int = 0,
         read_cache_bytes: int = 0,
+        opened: OpenedHeaders | OpenedIndex | None = None,
     ) -> "AirphantSearcher":
-        """Create a Searcher and immediately load the index header(s)."""
+        """Create a Searcher and immediately load the index header(s) — or
+        adopt the ``opened`` ones, when the caller's open already has them."""
         searcher = cls(
             store,
             index_name,
@@ -133,32 +140,31 @@ class AirphantSearcher:
             coalesce_gap=coalesce_gap,
             read_cache_bytes=read_cache_bytes,
         )
-        searcher.initialize()
+        searcher.initialize(opened)
         return searcher
 
-    def initialize(self) -> float:
-        """Download and decode every named index's header(s); returns the
-        simulated latency.
+    def initialize(self, opened: OpenedHeaders | OpenedIndex | None = None) -> float:
+        """Download and decode every named index's header(s); returns what
+        the open cost on the store's clock.
 
         Happens once per index (the MHT is 12 bytes per non-empty bin, held
         as views over the downloaded header); all later queries reuse it.
-        :func:`~repro.index.store_layout.open_headers` resolves each name —
-        plain or sharded — so a member's init latency (on the store's clock)
-        is ``manifest probe + one header batch``.  Headers are independent,
-        so a real deployment downloads them concurrently; the simulated init
-        latency is therefore the maximum of the per-index init latencies.
-        The members share **one** read pipeline, as wide as all of them
-        together, so ``read_cache_bytes`` is the budget of the whole opened
-        index.  A searcher built over ``members=`` has nothing to open.
+        :func:`~repro.index.store_layout.open_headers` opens all the names
+        together — one batch, plus one for shard headers if any name is
+        sharded — and ``init_latency_ms`` is the sum of the waves issued;
+        ``opened`` is that result (or a whole
+        :func:`~repro.index.store_layout.open_index`) when the caller
+        already holds it.  The members share **one** read pipeline, as wide
+        as all of them together, so ``read_cache_bytes`` is the budget of
+        the whole opened index.  A searcher built over ``members=`` has
+        nothing to open.
         """
         if self._store is None:
             return 0.0
         self.close()
-        opened = [
-            open_headers(self._store, name, self._max_concurrency)
-            for name in self._index_names
-        ]
-        widths = [headers.max_concurrency for headers in opened]
+        if opened is None:
+            opened = open_headers(self._store, self._index_names, self._max_concurrency)
+        widths = [build.max_concurrency for build in opened.builds]
         self.pipeline = ReadPipeline(
             self._store,
             # Every wave carries all members' reads at once, so it is as wide
@@ -171,18 +177,17 @@ class AirphantSearcher:
         self._opened = [
             IndexMember(
                 self._store,
-                name,
+                build.name,
                 self.pipeline,
-                headers.manifest,
-                [ShardState.from_header(*shard) for shard in headers.members],
-                headers.max_concurrency,
-                init_latency_ms=headers.elapsed_ms,
+                build.manifest,
+                [ShardState.from_header(*shard) for shard in build.members],
+                build.max_concurrency,
                 query_cache_size=self._query_cache_size,
             )
-            for name, headers in zip(self._index_names, opened)
+            for build in opened.builds
         ]
         self._members = list(self._opened)
-        self.init_latency_ms = max(member.init_latency_ms for member in self._opened)
+        self.init_latency_ms = opened.elapsed_ms
         return self.init_latency_ms
 
     def close(self) -> None:

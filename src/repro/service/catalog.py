@@ -16,19 +16,24 @@ indexes — are not directly addressable catalog entries.
 from __future__ import annotations
 
 from threading import RLock
+from typing import TYPE_CHECKING
 
 from repro.index.metadata import index_metadata
 from repro.index.store_layout import (
+    OpenedIndex,
     discovery_blobs,
     index_name_of,
     is_index_name,
-    open_headers,
+    open_index,
 )
-from repro.index.updates import AppendOnlyIndexManager
+from repro.index.updates import IndexManifest
 from repro.search.searcher import AirphantSearcher
 from repro.service.api import IndexInfo
 from repro.service.config import ServiceConfig
 from repro.storage.base import BlobNotFoundError, ObjectStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ingest.live import IngestCoordinator
 
 
 class IndexCatalog:
@@ -38,6 +43,11 @@ class IndexCatalog:
         self._store = store
         self._config = config if config is not None else ServiceConfig()
         self._searchers: dict[str, AirphantSearcher] = {}
+        #: Names an update manifest has been seen for: from then on it alone
+        #: says where the base lives (survives invalidation — a reopen must
+        #: not re-read an in-place header that may be a retired leftover).
+        #: Only ever added to / discarded from, so ``info`` needs no lock.
+        self._manifested: set[str] = set()
         self._lock = RLock()
 
     @property
@@ -86,12 +96,38 @@ class IndexCatalog:
 
     # -- opening --------------------------------------------------------------------
 
-    def open(self, name: str) -> AirphantSearcher:
+    def _open_index(self, name: str, probe_ingest: bool, base_only: bool = False) -> OpenedIndex:
+        """One :func:`~repro.index.store_layout.open_index` of ``name``
+        (``KeyError`` when it is no index, or its base build is gone)."""
+        if not is_index_name(name):
+            raise KeyError(name)
+        try:
+            found = open_index(
+                self._store,
+                name,
+                self._config.max_concurrency,
+                known=name in self._manifested,
+                probe_ingest=probe_ingest,
+                base_only=base_only,
+            )
+        except BlobNotFoundError:
+            raise KeyError(name) from None
+        if found.manifest == IndexManifest(base_index=name):
+            self._manifested.discard(name)  # nothing was written: the build is in place
+        else:
+            self._manifested.add(name)
+        return found
+
+    def open(self, name: str, ingest: "IngestCoordinator | None" = None) -> AirphantSearcher:
         """Return the searcher for ``name``, opening it on first use.
 
         An already-open index is returned without taking the catalog lock:
         the lock is held across header downloads, and one slow open must not
         stall queries to every index that is already in memory.
+
+        A cold open hands ``ingest`` — when it has not looked for ``name``'s
+        leftover WAL state yet — the ingest manifest and the WAL blobs that
+        rode the open's waves, so recovery reads nothing of its own.
 
         Raises ``KeyError`` if no such index exists in the store.
         """
@@ -102,21 +138,25 @@ class IndexCatalog:
             searcher = self._searchers.get(name)
             if searcher is not None:
                 return searcher
-            if not self.contains(name):
-                raise KeyError(name)
-            manifest = AppendOnlyIndexManager(self._store, base_index=name).manifest()
+            probe = ingest is not None and not ingest.probed(name)
+            found = self._open_index(name, probe_ingest=probe)
             searcher = AirphantSearcher.open(
                 self._store,
-                manifest.all_indexes,
+                found.manifest.all_indexes,
                 tokenizer=self._config.make_tokenizer(),
                 max_concurrency=self._config.max_concurrency,
                 top_k_delta=self._config.top_k_delta,
                 query_cache_size=self._config.query_cache_size,
                 coalesce_gap=self._config.coalesce_gap,
                 read_cache_bytes=self._config.read_cache_bytes,
+                opened=found,
             )
             self._searchers[name] = searcher
-            return searcher
+        if probe:
+            # Outside the lock: parsing the replayed segments must not stall
+            # the opening of other indexes.
+            ingest.live(name, opened=found)
+        return searcher
 
     def invalidate(self, name: str | None = None) -> None:
         """Drop cached searcher(s) so the next use re-reads headers.
@@ -134,6 +174,12 @@ class IndexCatalog:
                 dropped = [searcher] if searcher is not None else []
         for searcher in dropped:
             searcher.close()
+
+    def manifest_written(self, name: str) -> None:
+        """This node just committed ``name``'s update manifest (a flush, a
+        compaction): invalidate it, and reopen through that manifest alone."""
+        self._manifested.add(name)
+        self.invalidate(name)
 
     def close(self) -> None:
         """Close every opened searcher (the catalog stays usable afterwards)."""
@@ -158,24 +204,17 @@ class IndexCatalog:
             delta_names = tuple(searcher.index_names[1:])
             shard_manifest = base.shard_manifest
         else:
-            if not is_index_name(name):
-                raise KeyError(name)
-            # Resolve through the append-only manifest first: after a
-            # compaction the live base sits under a generational prefix
-            # (and retired in-place blobs may linger for one generation of
-            # reader grace — reading those would report stale metadata).
-            manifest = AppendOnlyIndexManager(self._store, base_index=name).manifest()
-            try:
-                opened = open_headers(
-                    self._store, manifest.active_base, self._config.max_concurrency
-                )
-            except BlobNotFoundError:
-                raise KeyError(name) from None
-            shard_manifest = opened.manifest
+            # Resolved through the update manifest: after a compaction the
+            # live base sits under a generational prefix (and retired
+            # in-place blobs may linger for one generation of reader grace —
+            # reading those would report stale metadata).
+            found = self._open_index(name, probe_ingest=False, base_only=True)
+            (base,) = found.builds
+            shard_manifest = base.manifest
             metadata = index_metadata(
-                shard_manifest, [header.metadata for _, header in opened.members]
+                shard_manifest, [header.metadata for _, header in base.members]
             )
-            delta_names = manifest.delta_indexes
+            delta_names = found.manifest.delta_indexes
         assert metadata is not None
         return IndexInfo(
             name=name,

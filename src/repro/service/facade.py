@@ -149,7 +149,7 @@ class AirphantService:
         # The live write path: per-index ingesters (WAL + memtable) plus the
         # background flush/compaction worker.
         self._ingest = IngestCoordinator(
-            self.store, self._config, self._metrics, self._catalog.invalidate
+            self.store, self._config, self._metrics, self._catalog.manifest_written
         )
         # The scale-out query tier: with peers configured this node doubles
         # as a router — whole queries scatter over the peers' shard subsets
@@ -524,10 +524,10 @@ class AirphantService:
         exactly the catalog searcher's members.
         """
         try:
-            # _store_errors: header/manifest reads failing before open, or
-            # the first touch of the index's WAL state.
+            # _store_errors: the open's waves failing (they carry the first
+            # touch of the index's WAL state too).
             with self._store_errors():
-                opened = self._catalog.open(index)
+                opened = self._catalog.open(index, self._ingest)
                 live = self._ingest.live(index)
         except KeyError:
             raise ServiceError(404, "index_not_found", f"no index named {index!r}") from None

@@ -77,11 +77,15 @@ class RangeRead:
 
     ``length`` of ``None`` means "read to the end of the blob", matching the
     open-ended ``Range: bytes=offset-`` header of HTTP range requests.
+    With ``optional`` a missing blob is an answer, not a failure: the payload
+    is ``None`` and the rest of the batch is unaffected (how an index is
+    opened — "is there a shard manifest?" costs no round trip of its own).
     """
 
     blob: str
     offset: int = 0
     length: int | None = None
+    optional: bool = False
 
     def __post_init__(self) -> None:
         if self.offset < 0:
@@ -134,15 +138,21 @@ class ObjectStore(ABC):
 
     # Convenience helpers shared by every backend -------------------------------
 
-    def read(self, request: RangeRead) -> bytes:
+    def read(self, request: RangeRead) -> bytes | None:
         """Execute a single :class:`RangeRead`.
 
         Returns
         -------
         The requested bytes (truncated at end-of-blob, like
-        :meth:`get_range`).
+        :meth:`get_range`); ``None`` for an ``optional`` request whose blob
+        does not exist.
         """
-        return self.get_range(request.blob, request.offset, request.length)
+        try:
+            return self.get_range(request.blob, request.offset, request.length)
+        except BlobNotFoundError:
+            if request.optional:
+                return None
+            raise
 
     def read_batch(
         self,
@@ -175,7 +185,8 @@ class ObjectStore(ABC):
         Returns
         -------
         A :class:`~repro.storage.parallel.FetchResult`: one payload per
-        request, in request order, plus the batch's timing — zero here
+        request, in request order (``None`` for a missing ``optional``
+        blob, recorded as 0 bytes), plus the batch's timing — zero here
         (wall-clock timing is the caller's job); a store with a clock of its
         own (:class:`~repro.storage.simulated.SimulatedCloudStore`)
         overrides this method to report it.
@@ -192,7 +203,7 @@ class ObjectStore(ABC):
             reader = self.read
         else:
 
-            def reader(request: RangeRead) -> bytes:
+            def reader(request: RangeRead) -> bytes | None:
                 with attach(parent):
                     return self.read(request)
 
@@ -204,7 +215,7 @@ class ObjectStore(ABC):
             pool = self.__dict__.setdefault("_fetch_pool", FetchPool())
         payloads = list(pool.map(max_concurrency, reader, requests))
         records = tuple(
-            RequestRecord(blob=request.blob, nbytes=len(data))
+            RequestRecord(blob=request.blob, nbytes=len(data) if data is not None else 0)
             for request, data in zip(requests, payloads)
         )
         return FetchResult(payloads=payloads, batch=BatchRecord(requests=records))

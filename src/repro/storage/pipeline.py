@@ -264,6 +264,10 @@ class ReadPipeline:
         """
         if not requests:
             return FetchResult()
+        if any(request.optional for request in requests):
+            # Coalescing merges ranges and the cache keys them by offset: a
+            # "missing" answer fits neither (the open path reads the store).
+            raise ValueError("the read pipeline does not take optional reads")
 
         with span("pipeline.fetch") as trace_span:
             placements, physical, deltas = self._plan(requests)

@@ -126,6 +126,9 @@ class SimulatedCloudStore(ObjectStore):
         waves.  Every request draws exactly one first-byte sample, in request
         order, so a seeded model replays identically.
 
+        An ``optional`` request whose blob is missing yields ``None`` and is
+        charged like any other answer: a first-byte wait and 0 bytes.
+
         With ``required`` below the batch size the ``required`` fastest
         requests are kept and the rest dropped (their payloads are ``None``):
         latency is that of the kept ones, issued as a single wave.
@@ -142,9 +145,9 @@ class SimulatedCloudStore(ObjectStore):
         payloads: list[bytes | None] = []
         records: list[RequestRecord] = []
         for request in request_list:
-            data = self._backend.get_range(request.blob, request.offset, request.length)
+            data = self._backend.read(request)
             payloads.append(data)
-            records.append(self._make_record(request.blob, len(data)))
+            records.append(self._make_record(request.blob, len(data) if data is not None else 0))
         if required is not None and required < len(records):
             fastest = sorted(range(len(records)), key=lambda i: records[i].total_ms)
             for index in fastest[required:]:

@@ -6,8 +6,9 @@ ordered ``(method, blob, offset, length)`` log of a recording store must equal
 the capture in ``golden_store_calls.json``.  Moving who resolves name → manifest
 → members → headers, or who issues a wave, must not move a single store call
 on the open/query path; a change that *means* to regenerates the golden on
-purpose (last: one lookup wave and one document wave per query over base +
-deltas, where each member used to issue its own)::
+purpose (last: the open is one batch of "missing is an answer" reads for every
+blob that says what the index is, plus one for the members it names — it used
+to be 5 dependent round trips for a plain index and 10 for base + 2 deltas)::
 
     PYTHONPATH=src:tests python tests/index/test_golden_store_calls.py
 """
@@ -78,19 +79,23 @@ def test_the_sequence_covers_open_lookup_and_stats():
         assert any(blob.endswith("/header.json") for blob in blobs), name
         assert any(blob.endswith("/superposts.bin") for blob in blobs), name
         assert any(blob.endswith("/stats.json") for blob in blobs), name
-    for name, headers in (("deltas", 3), ("sharded", 4)):
+    # A sharded build has no header of its own; the discovery batch asks anyway.
+    for name, headers in (("deltas", 3), ("sharded", 1 + 4)):
         read = [blob for method, blob, _, _ in golden[name] if method == "batch_read"]
         assert sum(1 for blob in read if blob.endswith("/header.json")) == headers
 
 
 def test_a_query_costs_two_batches_however_many_members():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    for name, members in (("plain", 1), ("sharded", 1), ("deltas", 3)):
+    for name, members, opens in (("plain", 1, 1), ("sharded", 1, 2), ("deltas", 3, 2)):
+        assert not any(method == "exists" for method, _, _, _ in golden[name]), name
         batches = [length for method, _, _, length in golden[name] if method == "read_batch"]
-        # Per member: the open (shards.json probe + header wave) and, on the
-        # first ranked query, its statistics.  Per query: lookup + documents.
-        assert len(batches) == 2 * members + 2 + members + 2, (name, batches)
-        assert batches[2 * members + 1] == 62, name  # the keyword query's documents
+        # The open: the discovery batch, then (shards or deltas) the headers
+        # it names.  Per member, on the first ranked query: its statistics.
+        # Per query: lookup + documents.
+        assert len(batches) == opens + 2 + members + 2, (name, batches)
+        assert batches[0] == 4, name  # shards.json, header.json, manifest.json, ingest.json
+        assert batches[opens + 1] == 62, name  # the keyword query's documents
         assert batches[-1] == 10, name  # the ranked query's winners
 
 

@@ -69,8 +69,8 @@ def _read_directly(store, name):
 
 def _assert_opens_like_a_direct_read(store, name):
     manifest, names, headers = _read_directly(store, name)
-    opened = open_headers(store, name)
-    assert opened.manifest == manifest
+    (opened,) = open_headers(store, [name]).builds
+    assert opened.name == name and opened.manifest == manifest
     assert [member for member, _ in opened.members] == names
     for (_, header), expected in zip(opened.members, headers):
         assert header.metadata == expected.metadata
@@ -109,8 +109,8 @@ class TestOpener:
         assert [name for name, _ in opened.members] == [
             f"sharded/shard-000{shard}" for shard in range(4)
         ]
-        assert open_headers(store, "sharded", max_concurrency=8).max_concurrency == 32
-        assert open_headers(store, "sharded", max_concurrency=64).max_concurrency == 128
+        assert open_headers(store, ["sharded"], 8).builds[0].max_concurrency == 32
+        assert open_headers(store, ["sharded"], 64).builds[0].max_concurrency == 128
 
     def test_base_plus_two_deltas_then_generational(self):
         store = InMemoryObjectStore()
@@ -156,7 +156,7 @@ class TestOpener:
 
     def test_a_missing_build_is_a_missing_blob(self):
         with pytest.raises(BlobNotFoundError):
-            open_headers(InMemoryObjectStore(), "nothing-here")
+            open_headers(InMemoryObjectStore(), ["nothing-here"])
 
     def test_index_info_round_trips_are_the_openers_plus_the_update_manifest(self):
         backend = InMemoryObjectStore()
@@ -166,7 +166,7 @@ class TestOpener:
         budget = RecordingStore(backend)
         AirphantSearcher.open(budget, "sharded")
         AppendOnlyIndexManager(budget, "sharded").manifest()
-        assert budget.round_trips == 3  # shards.json probe, header wave, manifest probe
+        assert budget.round_trips == 3  # shards.json + header.json, shard headers, manifest
 
         observed = RecordingStore(backend)
         with AirphantService(observed, ServiceConfig(ingest_interval_s=0)) as service:
@@ -394,7 +394,7 @@ def test_the_documented_table_names_exactly_what_the_module_spells():
         "header_blob_name": store_layout.header_blob_name("idx"),
         "superpost_blob_name": store_layout.superpost_blob_name("idx"),
         "stats_blob_name": store_layout.stats_blob_name("idx"),
-        "ShardManifest.blob_name": ShardManifest.blob_name("idx"),
+        "shard_manifest_blob_name": ShardManifest.blob_name("idx"),
         "shard_index_name": store_layout.shard_index_name("idx", 7) + "/…",
         "delta_index_name": store_layout.delta_index_name("idx", 7) + "/…",
         "generation_index_name": store_layout.generation_index_name("idx", 7) + "/…",
@@ -405,7 +405,7 @@ def test_the_documented_table_names_exactly_what_the_module_spells():
         "tombstone_blob": store_layout.tombstone_blob("idx", 7),
     }
     # Every function of the module that spells a name is in the list above ...
-    assert set(namers) - {"ShardManifest.blob_name"} | {"is_index_name"} == {
+    assert set(namers) | {"is_index_name"} == {
         name
         for name, value in vars(store_layout).items()
         if inspect.isfunction(value) and name.endswith(("_blob_name", "_blob", "_index_name"))

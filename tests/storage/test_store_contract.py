@@ -181,3 +181,78 @@ def test_a_forked_child_builds_a_fresh_pool(store):
     )
     # The parent's pool is untouched by the child's coming and going.
     assert store.read_batch(REQUESTS, max_concurrency=4).payloads == expected
+
+
+# -- optional reads: a missing blob is an answer --------------------------------------
+
+
+def test_an_optional_miss_is_none_in_request_order_and_zero_bytes(store):
+    requests = [
+        RangeRead("no/such/blob", optional=True),
+        RangeRead("dir/blob.bin", 0, 16, optional=True),
+        RangeRead("other.bin", 10, 5),
+        RangeRead("also/missing", 4, 4, optional=True),
+    ]
+    result = store.read_batch(requests, max_concurrency=4)
+    assert result.payloads == [None, bytes(range(16)), BLOBS["other.bin"][10:15], None]
+    assert [record.blob for record in result.batch.requests] == [r.blob for r in requests]
+    assert [record.nbytes for record in result.batch.requests] == [0, 16, 5, 0]
+    assert result.batch.nbytes == 21
+    assert store.read(requests[0]) is None
+    assert store.read(requests[1]) == bytes(range(16))
+
+
+def test_a_required_miss_still_raises_beside_optional_ones(store):
+    with pytest.raises(BlobNotFoundError) as caught:
+        store.read_batch(
+            [RangeRead("no/such/blob", optional=True), RangeRead("not/there/either", 0, 4)]
+        )
+    assert caught.value.name == "not/there/either"
+    assert type(caught.value) is BlobNotFoundError
+    with pytest.raises(BlobNotFoundError):
+        store.read(RangeRead("no/such/blob"))
+
+
+def test_an_optional_miss_is_an_answer_to_the_resilience_layer():
+    """No retry, no hedge, no failure counted: the store answered, the answer was "no"."""
+    slept: list[float] = []
+    resilient = ResilientStore(
+        InMemoryObjectStore(), retries=3, hedge_ms=1.0, timeout_s=5.0, sleep=slept.append
+    )
+    resilient.put("there", b"payload")
+    try:
+        for _ in range(20):  # enough samples for the adaptive hedge delay to engage
+            result = resilient.read_batch(
+                [RangeRead("missing", optional=True), RangeRead("there")]
+            )
+            assert result.payloads == [None, b"payload"]
+        stats = resilient.stats
+        assert stats.operations == stats.attempts == 1 + 40  # the put, then the reads
+        assert (stats.retries, stats.failures, stats.timeouts, stats.hedges) == (0, 0, 0, 0)
+        assert slept == []
+    finally:
+        resilient.close()
+
+
+def test_the_simulator_charges_a_missed_probe_a_first_byte_wait_and_no_bytes():
+    simulated = SimulatedCloudStore()
+    simulated.put("there", b"x" * 1000)
+    result = simulated.read_batch([RangeRead("missing", optional=True), RangeRead("there")])
+    missed, hit = result.batch.requests
+    assert missed.wait_ms > 0 and missed.download_ms == 0 and missed.nbytes == 0
+    assert hit.nbytes == 1000 and hit.download_ms > 0
+    assert simulated.metrics.request_count == 2 and simulated.metrics.total_bytes == 1000
+    assert result.total_ms >= max(missed.wait_ms, hit.wait_ms)
+
+
+def test_the_read_pipeline_rejects_optional_reads_rather_than_cache_a_none():
+    from repro.storage.pipeline import ReadPipeline
+
+    backend = InMemoryObjectStore()
+    backend.put("there", b"payload")
+    pipeline = ReadPipeline(backend, 4, max_gap=0, cache_bytes=1 << 16)
+    with pytest.raises(ValueError):
+        pipeline.fetch([RangeRead("there", 0, 4), RangeRead("missing", 0, 4, optional=True)])
+    assert pipeline.cached_bytes == 0
+    assert pipeline.fetch([RangeRead("there", 0, 4)]).payloads == [b"payl"]
+    backend.close()

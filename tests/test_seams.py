@@ -171,3 +171,68 @@ def test_checker_keeps_read_waves_in_the_executor(tmp_path):
         "search/member.py:1: a read wave issued outside the executor",
         "search/ranking.py:1: a read wave issued outside the executor",
     ]
+
+
+def test_checker_keeps_exists_probes_off_the_open_path(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("search", "service", "index", "ingest"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the catalog's public contains(), store_layout functions that are
+    # not openers, the coordinator outside live(), docstrings and comments.
+    (root / "service" / "catalog.py").write_text(
+        "class IndexCatalog:\n"
+        "    def contains(self, name):\n"
+        "        return any(self._store.exists(blob) for blob in discovery_blobs(name))\n",
+        encoding="utf-8",
+    )
+    (root / "index" / "store_layout.py").write_text(
+        "def build_exists(store, name):\n"
+        "    return store.exists(name)\n"
+        "def open_index(store, name):\n"
+        '    """Never asks store.exists( first."""\n'
+        "    return store.read_batch([name])  # not store.exists(name)\n",
+        encoding="utf-8",
+    )
+    (root / "ingest" / "live.py").write_text(
+        "class IngestCoordinator:\n"
+        "    def discard(self, name):\n"
+        "        return self._store.exists(name)\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a probe planted in each place the open path runs through.
+    (root / "service" / "catalog.py").write_text(
+        "class IndexCatalog:\n"
+        "    def open(self, name):\n"
+        "        if not self._store.exists(name):\n"
+        "            raise KeyError(name)\n",
+        encoding="utf-8",
+    )
+    (root / "index" / "store_layout.py").write_text(
+        "def open_headers(store, names):\n"
+        "    return [name for name in names if store.exists(name)]\n",
+        encoding="utf-8",
+    )
+    (root / "ingest" / "live.py").write_text(
+        "class IngestCoordinator:\n"
+        "    def live(self, name):\n"
+        "        return self._store.exists(name)\n",
+        encoding="utf-8",
+    )
+    (root / "ingest" / "wal.py").write_text(
+        "def manifest(self):\n    return self._store.exists(self.manifest_blob)\n",
+        encoding="utf-8",
+    )
+    (root / "search" / "searcher.py").write_text(
+        "def initialize(self):\n    return self._store.exists(self._name)\n", encoding="utf-8"
+    )
+    found = check_seams.findings(root)
+    assert [problem.split("repro/")[1] for problem in found] == [
+        "index/store_layout.py:2: exists() probe on the open path",
+        "ingest/live.py:3: exists() probe on the open path",
+        "ingest/wal.py:2: exists() probe on the open path",
+        "search/searcher.py:2: exists() probe on the open path",
+        "service/catalog.py:3: exists() probe on the open path",
+    ]
