@@ -10,9 +10,9 @@ Each fig06 corpus is built twice — v1/plain layout (the legacy format) and
 v2/co-access (the default) — and an identical occurrence-weighted keyword
 workload is replayed against both over identically seeded simulated stores,
 recording blob bytes, bytes fetched per query, raw-vs-pipeline request
-counts, and p50/p99 latency.  A decode micro-benchmark quantifies the
-``Superpost.from_sorted`` hot-path fix (decoders emit sorted postings, so
-the old per-decode re-sort is gone).
+counts, and p50/p99 latency.  A decode micro-benchmark quantifies what an
+ordered-by-construction ``Superpost`` saves (decoders emit sorted postings,
+so the old per-decode hash-and-re-sort is gone).
 
 The machine-readable record lands in ``results/BENCH_compression.json`` so
 codec regressions are caught PR over PR.  Set ``AIRPHANT_BENCH_SMOKE=1`` for
@@ -26,7 +26,6 @@ import time
 from benchmarks.conftest import new_store, save_json, save_result, smoke_mode
 from repro.bench.tables import format_table
 from repro.core.config import SketchConfig
-from repro.core.superpost import Superpost
 from repro.index.builder import AirphantBuilder
 from repro.index.serialization import decode_superpost
 from repro.observability import get_registry
@@ -139,11 +138,11 @@ def _run_corpus(kind: str, settings) -> dict:
 
 
 def _decode_microbench(settings) -> dict:
-    """The decode hot-path fix: decoders hand sorted postings to
-    ``Superpost.from_sorted``, so ``sorted_postings`` never re-sorts.
+    """The decode hot path: a decoded ``Superpost`` is adopted in the
+    payload's order, so nothing hashes or re-sorts it.
 
-    Measures decode + sorted_postings per superpost through the current fast
-    path versus a simulation of the old path (rebuild the set, then sort it
+    Measures decode + the ordered postings per superpost through the current
+    path versus a simulation of the old one (rebuild the set, then sort it
     from scratch) over the same v2 payloads.
     """
     store = new_store(seed=1)
@@ -170,14 +169,14 @@ def _decode_microbench(settings) -> dict:
     started = time.perf_counter()
     for _ in range(rounds):
         for payload in payloads:
-            decode_superpost(payload, table, 2).sorted_postings()
+            decode_superpost(payload, table, 2).take()
     fast_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     for _ in range(rounds):
         for payload in payloads:
             # The pre-fix path: a fresh set, then a from-scratch sort.
-            Superpost(set(decode_superpost(payload, table, 2).postings)).sorted_postings()
+            sorted(set(decode_superpost(payload, table, 2)))
     resort_seconds = time.perf_counter() - started
 
     decodes = rounds * len(payloads)
@@ -225,7 +224,7 @@ def test_ablation_compression(benchmark, catalog):
         rows,
     )
     note = (
-        "decode hot path: {fast:.1f}us/superpost via from_sorted vs "
+        "decode hot path: {fast:.1f}us/superpost adopted in order vs "
         "{slow:.1f}us with the old re-sort ({speedup:.2f}x)".format(
             fast=decode_bench["fast_path_us_per_decode"],
             slow=decode_bench["resort_path_us_per_decode"],

@@ -48,6 +48,15 @@ reads — never an ``exists`` before a ``get``.  This script also fails on:
   of ``index/store_layout.py`` (``open_headers``, ``open_index``,
   ``read_shard_manifest``) or in ``IngestCoordinator.live``.
 
+Posting lists have one type — ``core/superpost.py``'s ``Superpost`` — and
+the array code lives behind it.  This script also fails on:
+
+* ``np.`` / ``numpy`` in ``search/searcher.py``, ``search/member.py``,
+  ``search/boolean.py`` or ``ingest/memtable.py``,
+* a ``sorted(`` of anything but a query tree's ``.terms()``, or a
+  ``.sorted_postings()`` call, in ``search/searcher.py`` (candidates arrive
+  in order; the executor never re-sorts them).
+
 Comments and docstrings are ignored.  Exit code 1 lists every finding.
 
 Usage: ``python scripts/check_seams.py``
@@ -122,6 +131,16 @@ OPEN_PATH: dict[tuple[str, ...], frozenset[str] | None] = {
 }
 PROBES_ALLOWED = {(("service", "catalog.py"), "contains")}
 _EXISTS_CALL = re.compile(r"\.exists\(")
+
+#: The query-path files that handle posting lists only through ``Superpost``.
+POSTING_LIST_FILES = {
+    ("search", "searcher.py"),
+    ("search", "member.py"),
+    ("search", "boolean.py"),
+    ("ingest", "memtable.py"),
+}
+_ARRAY_CODE = re.compile(r"\bnp\.|\bnumpy\b")
+_RESORT = re.compile(r"\bsorted\((?!\w+\.terms\(\)\))|\.sorted_postings\(")
 
 _SIMULATOR_CHECK = re.compile(r"isinstance\([^)]*\bSimulatedCloudStore\b")
 _POOL_CONSTRUCTION = re.compile(r"\bThreadPoolExecutor\(")
@@ -219,6 +238,10 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                     for pattern, allowed in _WAVE_CALLS.items()
                     if pattern.search(text) and parts not in allowed
                 )
+            if parts in POSTING_LIST_FILES and _ARRAY_CODE.search(text):
+                problems.append(f"{where}: array code outside the posting-list type")
+            if parts == ("search", "searcher.py") and _RESORT.search(text):
+                problems.append(f"{where}: the executor re-sorts candidates")
             if package != LAYOUT_FILE[0] and _STORE_DECODERS.search(text):
                 problems.append(f"{where}: header/manifest decoder called outside index/")
             if package not in SIMULATOR_PACKAGES and _SIMULATOR_CHECK.search(text):

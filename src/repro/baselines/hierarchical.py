@@ -88,7 +88,7 @@ class HierarchicalEngine(SearchEngine):
         payload = dependent_read(
             self._store, pointer.blob, pointer.offset, pointer.length, latency
         )
-        postings = decode_superpost(payload, self._string_table).sorted_postings()
+        postings = list(decode_superpost(payload, self._string_table))
         return postings, latency
 
     def search(self, query: str, top_k: int | None = None) -> SearchResult:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.mht import BinPointer
-from repro.core.superpost import Superpost
 from repro.index.serialization import StringTable, decode_superpost, encode_superpost
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
@@ -71,7 +70,7 @@ class PostingsFile:
         blob = bytearray()
         pointers: dict[str, BinPointer] = {}
         for word in index.vocabulary:
-            encoded = encode_superpost(Superpost(index.postings_by_word[word]), string_table)
+            encoded = encode_superpost(index.postings_by_word[word], string_table)
             pointers[word] = BinPointer(blob=blob_name, offset=len(blob), length=len(encoded))
             blob += encoded
         store.put(blob_name, bytes(blob))
@@ -79,4 +78,4 @@ class PostingsFile:
 
     def decode(self, payload: bytes) -> list[Posting]:
         """Decode one postings list payload fetched from the blob."""
-        return decode_superpost(payload, self.string_table).sorted_postings()
+        return list(decode_superpost(payload, self.string_table))

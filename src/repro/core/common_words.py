@@ -31,7 +31,7 @@ def select_common_words(profile: CorpusProfile, num_slots: int) -> list[str]:
 class CommonWordTable:
     """Exact word → postings map for the reserved common-word bins."""
 
-    postings_by_word: dict[str, Superpost] = field(default_factory=dict)
+    postings_by_word: dict[str, set[Posting]] = field(default_factory=dict)
 
     def __contains__(self, word: str) -> bool:
         return word in self.postings_by_word
@@ -51,16 +51,12 @@ class CommonWordTable:
         sketch's insert path routes their postings here instead of polluting
         the hashed bins.
         """
-        self.postings_by_word.setdefault(word, Superpost())
+        self.postings_by_word.setdefault(word, set())
 
     def add(self, word: str, postings: Iterable[Posting]) -> None:
         """Record (or extend) the exact postings list of ``word``."""
-        superpost = self.postings_by_word.setdefault(word, Superpost())
-        superpost.add_all(postings)
+        self.postings_by_word.setdefault(word, set()).update(postings)
 
     def query(self, word: str) -> Superpost:
         """Exact postings list of ``word`` (empty if not a common word)."""
-        superpost = self.postings_by_word.get(word)
-        if superpost is None:
-            return Superpost()
-        return Superpost(set(superpost.postings))
+        return Superpost(self.postings_by_word.get(word, ()))

@@ -10,6 +10,7 @@ it without any storage).
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -33,7 +34,9 @@ class IoUSketch:
     """
 
     hasher: LayeredHasher
-    layers: list[list[Superpost]]
+    #: Per layer, the non-empty bins only: bin index → the postings unioned
+    #: into it.  A sketch costs what it holds, not the bin budget B.
+    layers: list[dict[int, set[Posting]]]
     common_words: CommonWordTable
 
     @classmethod
@@ -55,10 +58,9 @@ class IoUSketch:
             raise ValueError("total_bins must be at least num_layers")
         bins_per_layer = max(1, total_bins // num_layers)
         hasher = LayeredHasher.build(num_layers, bins_per_layer, seed=seed)
-        layers = [[Superpost() for _ in range(bins_per_layer)] for _ in range(num_layers)]
         return cls(
             hasher=hasher,
-            layers=layers,
+            layers=[{} for _ in range(num_layers)],
             common_words=common_words if common_words is not None else CommonWordTable(),
         )
 
@@ -72,7 +74,7 @@ class IoUSketch:
     @property
     def bins_per_layer(self) -> int:
         """Number of bins in each layer."""
-        return len(self.layers[0]) if self.layers else 0
+        return self.hasher.bins_per_layer
 
     @property
     def total_bins(self) -> int:
@@ -95,17 +97,17 @@ class IoUSketch:
             self.common_words.add(word, postings)
             return
         for layer_index, bin_index in enumerate(self.hasher.bins_of(word)):
-            self.layers[layer_index][bin_index].add_all(postings)
+            self.layers[layer_index].setdefault(bin_index, set()).update(postings)
 
     def insert_postings_map(self, postings_by_word: Mapping[str, Iterable[Posting]]) -> None:
         """Insert an entire word → postings mapping (builder convenience)."""
         for word, postings in postings_by_word.items():
             self.insert(word, postings)
 
-    def layer_superposts(self, word: str) -> list[Superpost]:
+    def layer_superposts(self, word: str) -> list[AbstractSet[Posting]]:
         """The L superposts a query for ``word`` would fetch."""
         return [
-            self.layers[layer_index][bin_index]
+            self.layers[layer_index].get(bin_index, frozenset())
             for layer_index, bin_index in enumerate(self.hasher.bins_of(word))
         ]
 
@@ -117,7 +119,8 @@ class IoUSketch:
         """
         if word in self.common_words:
             return self.common_words.query(word)
-        return Superpost.intersect_all(self.layer_superposts(word))
+        first, *rest = self.layer_superposts(word)
+        return Superpost(set(first).intersection(*rest))
 
     # -- diagnostics -----------------------------------------------------------------
 
@@ -127,9 +130,11 @@ class IoUSketch:
         Used by the accuracy experiments to compare the observed count with
         the analytical expectation F(L).
         """
-        returned = self.query(word).postings
-        return len(returned - true_postings)
+        return len(set(self.query(word)) - true_postings)
 
     def bin_sizes(self) -> list[list[int]]:
         """Superpost sizes per layer, for storage-usage analysis."""
-        return [[len(superpost) for superpost in layer] for layer in self.layers]
+        return [
+            [len(layer.get(bin_index, ())) for bin_index in range(self.bins_per_layer)]
+            for layer in self.layers
+        ]

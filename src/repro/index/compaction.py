@@ -28,14 +28,13 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
 from repro.core.mht import MultilayerHashTable
 from repro.core.hashing import LayeredHasher
 from repro.core.sketch import IoUSketch
-from repro.core.superpost import Superpost
 from repro.index.layout import (
     LAYOUT_COACCESS,
     LAYOUT_PLAIN,
@@ -53,6 +52,7 @@ from repro.index.serialization import (
 )
 from repro.index.store_layout import HEADER_BLOB_SUFFIX, SUPERPOST_BLOB_SUFFIX  # noqa: F401
 from repro.observability.registry import get_registry
+from repro.parsing.documents import Posting
 
 #: Leading bytes of a v3 header; a legacy JSON header starts with ``{``.
 HEADER_MAGIC = b"AIRPHDR\n"
@@ -131,10 +131,10 @@ def compact_sketch(
     blob = bytearray()
     raw_bytes = 0
 
-    def append(superpost: Superpost) -> int:
+    def append(superpost: Collection[Posting]) -> int:
         """Encode one superpost onto the blob; returns its encoded length."""
         nonlocal raw_bytes
-        if len(superpost) == 0:  # only a registered common word nothing used
+        if not superpost:  # only a registered common word nothing used
             return 0
         encoded = encode_superpost(superpost, string_table, format_version)
         blob.extend(encoded)

@@ -49,9 +49,9 @@ def plain_order(sketch: "IoUSketch") -> list[LayoutNode]:
     """Layer-major placement of the non-empty bins: layer 0, then layer 1, ..."""
     return [
         (layer, bin_index)
-        for layer, superposts in enumerate(sketch.layers)
-        for bin_index, superpost in enumerate(superposts)
-        if superpost.postings
+        for layer, bins in enumerate(sketch.layers)
+        for bin_index in sorted(bins)
+        if bins[bin_index]
     ]
 
 

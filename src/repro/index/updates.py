@@ -363,11 +363,13 @@ class AppendOnlyIndexManager:
                 blob = self._store.get(compacted.superpost_blob_name)
                 for offset, length in compacted.mht.ranges():
                     if length:
-                        postings |= decode_superpost(
-                            blob[offset : offset + length],
-                            compacted.string_table,
-                            compacted.format_version,
-                        ).postings
+                        postings.update(
+                            decode_superpost(
+                                blob[offset : offset + length],
+                                compacted.string_table,
+                                compacted.format_version,
+                            )
+                        )
         documents = []
         for posting in sorted(postings - set(exclude)):
             data = self._store.get_range(posting.blob, posting.offset, posting.length)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Protocol, Sequence
 
 from repro.core.mht import MultilayerHashTable
-from repro.core.superpost import Superpost
+from repro.core.superpost import EMPTY, Superpost
 from repro.index.compaction import CompactedSketch
 from repro.index.metadata import IndexMetadata, ShardManifest, index_metadata
 from repro.index.serialization import StringTable, decode_superpost
@@ -264,11 +264,11 @@ class IndexMember:
             if alive:
                 fetch_words.append(word)
             else:
-                results[word] = Superpost()
+                results[word] = EMPTY
 
         if fail_fast and len(fetch_words) < len(pending):
             for word in fetch_words:
-                results[word] = Superpost()
+                results[word] = EMPTY
             return LookupPlan((), lambda _: results)
 
         def resolve(payloads: Sequence[bytes | None]) -> dict[str, Superpost]:
@@ -318,7 +318,7 @@ class IndexMember:
             for word in dict.fromkeys(words):
                 if word in self._query_cache:
                     self._query_cache.move_to_end(word)
-                    results[word] = Superpost(set(self._query_cache[word].postings))
+                    results[word] = self._query_cache[word]
                 else:
                     pending.append(word)
             if not pending:
@@ -332,7 +332,7 @@ class IndexMember:
         if self._query_cache_size <= 0:
             return
         with self._cache_lock:
-            self._query_cache[word] = Superpost(set(result.postings))
+            self._query_cache[word] = result
             self._query_cache.move_to_end(word)
             while len(self._query_cache) > self._query_cache_size:
                 self._query_cache.popitem(last=False)

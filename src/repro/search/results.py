@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import chain
+from typing import Any, Iterator, Sequence
 
+from repro.core.superpost import Superpost
 from repro.parsing.documents import Document, Posting
 
 
@@ -64,13 +66,60 @@ class LatencyBreakdown:
         }
 
 
+class Candidates(Sequence[Posting]):
+    """A query's merged candidates, in member order.
+
+    Each member's *share* — the postings no earlier member produced, as the
+    sorted :class:`~repro.core.superpost.Superpost` it computed — follows the
+    previous member's, so the first member producing a posting owns it.
+    ``len`` is the candidate count; ``Posting`` objects are created only for
+    the positions somebody asks for (:meth:`owned`), which on the query path
+    is the prefix wave 2 fetches.
+    """
+
+    def __init__(self, shares: Sequence[tuple[int, Superpost]] = ()) -> None:
+        #: ``(owning member's index, its share)``, in member order.
+        self.shares = shares
+        self._length = sum([len(share) for _, share in shares])
+
+    def __len__(self) -> int:
+        return self._length
+
+    def owned(self, start: int = 0, stop: int | None = None) -> tuple[list[Posting], list[int]]:
+        """Candidates ``[start:stop]`` and, aligned, the member owning each."""
+        stop = self._length if stop is None else stop
+        postings: list[Posting] = []
+        owners: list[int] = []
+        for owner, share in self.shares:
+            size = len(share)
+            if start < size and stop > 0:
+                taken = share.take(max(start, 0), min(stop, size))
+                postings += taken
+                owners += [owner] * len(taken)
+            start -= size
+            stop -= size
+        return postings, owners
+
+    def __getitem__(self, index: int | slice) -> Posting | list[Posting]:
+        if isinstance(index, slice):
+            return list(self)[index]
+        at = range(self._length)[index]
+        return self.owned(at, at + 1)[0][0]
+
+    def __iter__(self) -> Iterator[Posting]:
+        return chain.from_iterable(share for _, share in self.shares)
+
+
 @dataclass
 class SearchResult:
     """Outcome of one search query."""
 
     query: str
     documents: list[Document] = field(default_factory=list)
-    candidate_postings: list[Posting] = field(default_factory=list)
+    #: Every candidate the lookup produced — a lazy sequence on the query
+    #: path (:class:`Candidates`, or one sorted ``Superpost`` for a ranked
+    #: query), whose ``len`` is :attr:`num_candidates`.
+    candidate_postings: Sequence[Posting] = field(default_factory=list)
     false_positive_count: int = 0
     latency: LatencyBreakdown = field(default_factory=LatencyBreakdown)
     #: Ranked modes only: normalized BM25 scores aligned with ``documents``

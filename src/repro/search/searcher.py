@@ -10,14 +10,16 @@ memtables) — and each wave is **one** batch, however many members:
    superpost reads (``member.plan``); the plans of all members go out as a
    *single batch of parallel range reads* through the opened index's one
    :class:`~repro.storage.pipeline.ReadPipeline`;
-2. each member's payloads decode into per-word postings lists, the query
-   tree combines them **per member** into that member's (slightly
-   over-complete) candidates, the condemned (tombstoned) ones are dropped,
-   and the rest concatenate in member order (the first member producing a
-   posting owns it);
+2. each member's payloads decode into per-word postings lists
+   (:class:`~repro.core.superpost.Superpost`: sorted, immutable, columns when
+   long), the query tree combines them **per member** into that member's
+   (slightly over-complete) candidates, the condemned (tombstoned) ones are
+   dropped, and the rest concatenate in member order (the first member
+   producing a posting owns it) — all as list operations, without creating
+   a ``Posting``;
 3. the candidate documents no member holds in memory (``member.resident``)
    are fetched in a second single batch — optionally only a top-K sample of
-   the merged list (Equation 6);
+   the merged list (Equation 6), the only candidates that become objects;
 4. false positives are filtered out by checking the fetched text, restoring
    perfect precision.
 
@@ -33,6 +35,7 @@ from contextlib import nullcontext
 from typing import Callable, Collection, Sequence
 
 from repro.core.analysis import top_k_sample_size
+from repro.core.superpost import Superpost
 from repro.index.store_layout import (
     MAX_SHARDED_CONCURRENCY,
     OpenedHeaders,
@@ -46,7 +49,7 @@ from repro.search.boolean import And, BooleanQuery, Term, parse_boolean_query
 from repro.search.member import IndexMember, Member, ShardState
 from repro.search.ranking import MAX_RANKED_K, BM25Params, corpus_stats, rank_candidates
 from repro.search.replication import HedgingPolicy
-from repro.search.results import LatencyBreakdown, SearchResult
+from repro.search.results import Candidates, LatencyBreakdown, SearchResult
 from repro.storage.base import ObjectStore, RangeRead
 from repro.storage.pipeline import ReadPipeline
 
@@ -265,8 +268,8 @@ class AirphantSearcher:
         retrieval.
         """
         latency = LatencyBreakdown()
-        owners, _ = self._lookup(Term(word), [word], True, latency)
-        return list(owners), latency
+        candidates, _ = self._lookup(Term(word), [word], True, latency)
+        return list(candidates), latency
 
     def search(self, query: str, top_k: int | None = None) -> SearchResult:
         """Search for documents containing *all* keywords of ``query``."""
@@ -321,20 +324,25 @@ class AirphantSearcher:
             )
         latency = LatencyBreakdown()
         with span("rank.score", k=k, words=words) as score_span:
-            owners, _ = self._lookup(_conjunction(words), words, True, latency)
-            scored = rank_candidates(owners, words, stats, weights, params)
-            score_span.set(candidates=len(owners), refuted=len(owners) - len(scored))
+            candidates, _ = self._lookup(_conjunction(words), words, True, latency)
+            # The statistics are keyed by posting, so scoring needs them all.
+            postings, owners = candidates.owned()
+            scored = rank_candidates(postings, words, stats, weights, params)
+            score_span.set(candidates=len(postings), refuted=len(postings) - len(scored))
         ranked = dict(scored[: min(k, MAX_RANKED_K)])
         documents: list[Document] = []
         if ranked:
+            owner_of = dict(zip(postings, owners))
             with span("search.fetch_documents", postings=len(ranked)):
-                documents = self._fetch(list(ranked), owners, latency)
+                documents = self._fetch(
+                    list(ranked), [owner_of[posting] for posting in ranked], latency
+                )
         return SearchResult(
             query=query,
             documents=documents,
             scores=[ranked[document.ref] for document in documents],
-            candidate_postings=sorted(owners),
-            false_positive_count=len(owners) - len(scored),
+            candidate_postings=Superpost.union_all(share for _, share in candidates.shares),
+            false_positive_count=len(postings) - len(scored),
             latency=latency,
         )
 
@@ -355,16 +363,14 @@ class AirphantSearcher:
             if self._exclude
             else nullcontext()
         ):
-            owners, condemned = self._lookup(tree, words, fail_fast, latency)
-            postings = list(owners)
-            with span("search.retrieve", candidates=len(postings)) as retrieve_span:
+            candidates, condemned = self._lookup(tree, words, fail_fast, latency)
+            with span("search.retrieve", candidates=len(candidates)) as retrieve_span:
                 if condemned:
                     retrieve_span.set(
-                        excluded=len(condemned),
-                        refunded_bytes=sum(p.length for p in condemned),
+                        excluded=len(condemned), refunded_bytes=condemned.document_bytes()
                     )
-                matched, fetched = self._retrieve(postings, owners, tree, top_k, latency)
-                if postings:
+                matched, fetched = self._retrieve(candidates, tree, top_k, latency)
+                if candidates:
                     retrieve_span.set(
                         fetched=fetched,
                         matched=len(matched),
@@ -373,7 +379,7 @@ class AirphantSearcher:
         return SearchResult(
             query=label,
             documents=matched,
-            candidate_postings=postings,
+            candidate_postings=candidates,
             false_positive_count=fetched - len(matched),
             latency=latency,
         )
@@ -384,14 +390,14 @@ class AirphantSearcher:
         words: Sequence[str],
         fail_fast: bool,
         latency: LatencyBreakdown,
-    ) -> tuple[dict[Posting, int], set[Posting]]:
+    ) -> tuple[Candidates, Superpost]:
         """Wave 1, once: every member's plan in one batch, then the merge.
 
-        Returns the surviving candidates in member order — each mapped to
-        the index of the first member that produced it, its owner — and the
-        condemned candidates dropped on the way: they never reach the fetch
-        wave, so their bytes are refunded outright and top-k sampling stays
-        effective.
+        Returns the surviving candidates in member order — each member's
+        share being what no earlier member produced, so the first member
+        producing a posting owns it — and the condemned candidates dropped
+        on the way: they never reach the fetch wave, so their bytes are
+        refunded outright and top-k sampling stays effective.
         """
         plans = [member.plan(words, fail_fast) for member in self._require_members()]
         reading = [plan for plan in plans if plan.reads]
@@ -413,64 +419,70 @@ class AirphantSearcher:
                     latency.add_lookup,
                     self._hedging.required_of(len(requests)) if hedged else None,
                 )
-        owners: dict[Posting, int] = {}
-        condemned: set[Posting] = set()
+        shares: list[tuple[int, Superpost]] = []
+        condemned: list[Superpost] = []
         start = 0
         for index, plan in enumerate(plans):
             per_word = plan.resolve(payloads[start : start + len(plan.reads)])
             start += len(plan.reads)
-            postings = tree.candidates(per_word.__getitem__).sorted_postings()
+            found = tree.candidates(per_word.__getitem__)
+            if not found:
+                continue
             if self._exclude:
-                condemned.update(p for p in postings if p in self._exclude)
-                postings = [p for p in postings if p not in self._exclude]
-            for posting in postings:
-                owners.setdefault(posting, index)
-        return owners, condemned
+                found, dropped = found.split(self._exclude)
+                condemned.append(dropped)
+            for _, earlier in shares:
+                found = found.difference(earlier)
+            if found:
+                shares.append((index, found))
+        return Candidates(shares), Superpost.union_all(condemned)
 
     def _retrieve(
         self,
-        postings: list[Posting],
-        owners: dict[Posting, int],
+        candidates: Candidates,
         predicate: BooleanQuery,
         top_k: int | None,
         latency: LatencyBreakdown,
     ) -> tuple[list[Document], int]:
-        """Wave 2 of a membership query: the true matches among ``postings``
+        """Wave 2 of a membership query: the true matches among ``candidates``
         (the first ``top_k`` of them), and how many documents it took."""
 
-        def matching(wanted: list[Posting]) -> list[Document]:
+        def matching(start: int, stop: int) -> list[Document]:
             return [
                 document
-                for document in self._fetch(wanted, owners, latency)
+                for document in self._fetch(*candidates.owned(start, stop), latency)
                 if predicate.matches(self._tokenizer.distinct_terms(document.text))
             ]
 
+        total = len(candidates)
         if top_k is None:
-            return matching(postings), len(postings)
-        fetched = len(postings)
+            return matching(0, total), total
+        fetched = total
         if top_k > 0:
             # Equation 6, once over the merged list: F0 adds up because any
             # member's false positives may sit in the sampled prefix.
             expected = sum(m.expected_false_positives for m in self._require_members())
-            fetched = top_k_sample_size(top_k, len(postings), expected, self._top_k_delta)
-        matched = matching(postings[:fetched])
-        if len(matched) < top_k and fetched < len(postings):
+            fetched = top_k_sample_size(top_k, total, expected, self._top_k_delta)
+        matched = matching(0, fetched)
+        if len(matched) < top_k and fetched < total:
             # The probabilistic sample came up short (probability <= delta);
             # fall back to fetching the remaining candidates.
-            matched += matching(postings[fetched:])
-            fetched = len(postings)
+            matched += matching(fetched, total)
+            fetched = total
         return matched[:top_k], fetched
 
     def _fetch(
         self,
         postings: Sequence[Posting],
-        owners: dict[Posting, int],
+        owners: Sequence[int],
         latency: LatencyBreakdown,
     ) -> list[Document]:
         """Wave 2, once: the named documents, unfiltered, in the order given —
         from their owner's memory when resident, else in one batch."""
         members = self._require_members()
-        documents = [members[owners[posting]].resident(posting) for posting in postings]
+        documents = [
+            members[owner].resident(posting) for posting, owner in zip(postings, owners)
+        ]
         remote = [at for at, document in enumerate(documents) if document is None]
         if remote:
             payloads = self._wave(

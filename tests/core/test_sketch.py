@@ -44,9 +44,9 @@ class TestConstruction:
 class TestNoFalseNegatives:
     def test_query_always_contains_true_postings(self):
         sketch = _paper_example_sketch()
-        assert {_posting(2), _posting(3)} <= sketch.query("w2").postings
-        assert {_posting(1)} <= sketch.query("w1").postings
-        assert {_posting(2), _posting(3), _posting(4), _posting(5)} <= sketch.query("w4").postings
+        assert {_posting(2), _posting(3)} <= set(sketch.query("w2"))
+        assert {_posting(1)} <= set(sketch.query("w1"))
+        assert {_posting(2), _posting(3), _posting(4), _posting(5)} <= set(sketch.query("w4"))
 
     def test_no_false_negatives_across_many_words(self):
         sketch = IoUSketch.build(num_layers=3, total_bins=30, seed=2)
@@ -57,13 +57,14 @@ class TestNoFalseNegatives:
             truth[word] = postings
             sketch.insert(word, postings)
         for word, postings in truth.items():
-            assert postings <= sketch.query(word).postings
+            assert postings <= set(sketch.query(word))
 
     def test_unknown_word_query_returns_a_superset_possibly_empty(self):
         sketch = _paper_example_sketch()
         result = sketch.query("never-inserted")
-        # No guarantee other than that it is a set of postings (false positives allowed).
-        assert isinstance(result.postings, set)
+        # No guarantee other than that it is a list of distinct postings in
+        # order (false positives allowed).
+        assert list(result) == sorted(set(result))
 
 
 class TestFalsePositiveBehaviour:
@@ -89,7 +90,7 @@ class TestFalsePositiveBehaviour:
         sketch = _paper_example_sketch()
         word_truth = {_posting(2), _posting(3)}
         count = sketch.false_positives("w2", word_truth)
-        returned = sketch.query("w2").postings
+        returned = set(sketch.query("w2"))
         assert count == len(returned - word_truth)
 
 
@@ -100,7 +101,7 @@ class TestCommonWords:
         sketch = IoUSketch.build(num_layers=2, total_bins=4, seed=0, common_words=common)
         sketch.insert("the", [_posting(1), _posting(2)])
         sketch.insert("rare", [_posting(3)])
-        assert sketch.query("the").postings == {_posting(1), _posting(2)}
+        assert set(sketch.query("the")) == {_posting(1), _posting(2)}
 
     def test_common_word_does_not_pollute_hashed_bins(self):
         common = CommonWordTable()
@@ -109,12 +110,12 @@ class TestCommonWords:
         sketch.insert("the", [_posting(index) for index in range(50)])
         sketch.insert("rare", [_posting(999)])
         # The single hashed bin should only contain the rare word's posting.
-        assert sketch.query("rare").postings == {_posting(999)}
+        assert set(sketch.query("rare")) == {_posting(999)}
 
     def test_query_of_unregistered_common_word_goes_through_layers(self):
         sketch = IoUSketch.build(num_layers=2, total_bins=8, seed=0)
         sketch.insert("word", [_posting(1)])
-        assert _posting(1) in sketch.query("word").postings
+        assert _posting(1) in set(sketch.query("word"))
 
 
 class TestDiagnostics:
@@ -127,8 +128,8 @@ class TestDiagnostics:
     def test_insert_postings_map(self):
         sketch = IoUSketch.build(num_layers=2, total_bins=8)
         sketch.insert_postings_map({"a": [_posting(1)], "b": [_posting(2)]})
-        assert _posting(1) in sketch.query("a").postings
-        assert _posting(2) in sketch.query("b").postings
+        assert _posting(1) in set(sketch.query("a"))
+        assert _posting(2) in set(sketch.query("b"))
 
     def test_layer_superposts_length_matches_layers(self):
         sketch = _paper_example_sketch()

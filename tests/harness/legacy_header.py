@@ -151,7 +151,7 @@ def legacy_superpost_blob(
         placement = _legacy_coaccess_order(sketch, word_weights)
     else:
         placement = _legacy_plain_order(sketch.num_layers, sketch.bins_per_layer)
-    superposts = [sketch.layers[layer][bin_index] for layer, bin_index in placement]
+    superposts = [sketch.layers[layer].get(bin_index, ()) for layer, bin_index in placement]
     superposts += [
         sketch.common_words.postings_by_word[word]
         for word in sorted(sketch.common_words.postings_by_word)

@@ -19,7 +19,7 @@ def _nonempty(sketch: IoUSketch) -> list[tuple[int, int]]:
         (layer, bin_index)
         for layer in range(sketch.num_layers)
         for bin_index in range(sketch.bins_per_layer)
-        if len(sketch.layers[layer][bin_index])
+        if sketch.layers[layer].get(bin_index)
     ]
 
 
@@ -28,10 +28,10 @@ class TestPlainOrder:
         sketch = IoUSketch.build(num_layers=2, total_bins=6, seed=0)
         assert plain_order(sketch) == []  # empty bins occupy no bytes: not placed
         for layer in sketch.layers:
-            for superpost in layer:
-                superpost.add_all([_posting(0)])
+            for bin_index in reversed(range(sketch.bins_per_layer)):
+                layer[bin_index] = {_posting(0)}
         assert plain_order(sketch) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-        sketch.layers[0][1] = type(sketch.layers[0][1])()
+        sketch.layers[0][1] = set()
         assert plain_order(sketch) == [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
@@ -103,7 +103,7 @@ class TestLayoutInCompaction:
         )
         for layer in range(sketch.num_layers):
             for bin_index in range(sketch.bins_per_layer):
-                expected = sketch.layers[layer][bin_index].postings
+                expected = sketch.layers[layer].get(bin_index, set())
                 for compacted in (plain, coaccess):
                     pointer = compacted.mht.pointer_of(layer, bin_index)
                     if pointer.is_empty:
@@ -115,4 +115,4 @@ class TestLayoutInCompaction:
                     decoded = decode_superpost(
                         payload, compacted.string_table, compacted.format_version
                     )
-                    assert decoded.postings == expected
+                    assert set(decoded) == expected

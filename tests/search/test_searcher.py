@@ -3,11 +3,15 @@
 import pytest
 
 from repro.core.config import SketchConfig
+from repro.core.superpost import CROSSOVER, Superpost
 from repro.index.builder import AirphantBuilder
+from repro.ingest.memtable import MemtableMember, memtable_from_documents
+from repro.observability.tracing import Tracer
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.tokenizer import WhitespaceAnalyzer
 from repro.search.replication import HedgingPolicy
 from repro.search.searcher import AirphantSearcher
+from repro.storage.memory import InMemoryObjectStore
 
 
 @pytest.fixture
@@ -232,3 +236,142 @@ class TestTokenizerConsistency:
         result = searcher.search("node1")
         for document in result.documents:
             assert "node1" in WhitespaceAnalyzer().tokenize(document.text)
+
+
+class BigSite:
+    """2 500 documents sharing one word ("common"), a seventh of them "rare"."""
+
+    def __init__(self) -> None:
+        self.store = InMemoryObjectStore()
+        lines = [
+            f"common line{i} {'rare' if i % 7 == 0 else 'filler'} tok{i % 50}" for i in range(2500)
+        ]
+        lines += [f"other entry{i} tok{i % 50}" for i in range(500)]
+        self.store.put("corpus/big.txt", ("\n".join(lines) + "\n").encode())
+        self.documents = list(LineDelimitedCorpusParser().parse(self.store, ["corpus/big.txt"]))
+        config = SketchConfig(num_bins=96, target_false_positives=4.0, seed=7)
+        AirphantBuilder(self.store, config=config).build_from_documents(
+            self.documents, index_name="big"
+        )
+        self.searcher = AirphantSearcher.open(self.store, "big")
+
+    def holders(self, word: str) -> list:
+        return [d for d in self.documents if word in d.text.split()]
+
+
+@pytest.fixture(scope="module")
+def big() -> BigSite:
+    return BigSite()
+
+
+def _resolved(member, store, word: str) -> Superpost:
+    """``word``'s final postings list as ``member`` resolves it."""
+    plan = member.plan([word])
+    return plan.resolve(store.read_batch(plan.reads).payloads)[word]
+
+
+def _traced(search):
+    """Run ``search()`` under a trace; returns its result and the attributes
+    of its ``search.retrieve`` span."""
+    handle = Tracer(sample_rate=1.0).begin("query")
+    try:
+        result = search()
+    finally:
+        root = handle.finish()
+    (retrieve,) = [node for node in root.walk() if node.name == "search.retrieve"]
+    return result, retrieve.attrs
+
+
+class TestCandidatesStayColumns:
+    """The executor materialises the prefix it fetches, and merges members exactly."""
+
+    def test_top_k_creates_postings_for_the_fetched_prefix_only(self, big, monkeypatch):
+        made = []
+        take = Superpost.take
+
+        def spy(self, start=0, stop=None):
+            postings = take(self, start, stop)
+            made.append(len(postings))
+            return postings
+
+        monkeypatch.setattr(Superpost, "take", spy)
+        assert "columns" in repr(_resolved(big.searcher.searchers[0], big.store, "common"))
+        result = big.searcher.search("common", top_k=10)
+        fetched = result.false_positive_count + len(result.documents)
+        assert result.num_candidates == 2500 and fetched == 23  # Equation 6's sample
+        assert sum(made) <= fetched + 2
+        # The candidates are still all there, lazily.
+        assert len(result.candidate_postings) == 2500
+        assert result.candidate_postings[2499] == big.holders("common")[-1].ref
+
+    def test_answers_are_what_they_were_before_postings_were_columns(self, big):
+        # Captured at the parent commit (sets of Posting objects) on this scenario.
+        search = big.searcher.search
+        head = [0, 23, 48, 73, 98, 123, 148, 173, 196, 221]
+        sampled = search("common", top_k=10)
+        assert (sampled.num_candidates, sampled.false_positive_count) == (2500, 13)
+        assert [d.offset for d in sampled.documents] == head
+        assert sampled.latency.bytes_fetched == 21084 and sampled.latency.round_trips == 2
+        everything = search("common")
+        assert (everything.num_candidates, everything.false_positive_count) == (2500, 0)
+        assert everything.documents == big.holders("common")
+        assert everything.latency.bytes_fetched == 88188
+        both = search("common rare", top_k=10)
+        assert (both.num_candidates, both.false_positive_count) == (358, 13)
+        assert [d.offset for d in both.documents] == [0, 173, 354, 541, 728, 915, 1102, 1289, 1470, 1653]
+        scan = search("tok7")
+        assert (scan.num_candidates, scan.false_positive_count) == (60, 0)
+        assert scan.documents == big.holders("tok7")
+        ranked = big.searcher.search_topk("common rare", k=5)
+        assert (ranked.num_candidates, ranked.false_positive_count) == (358, 0)
+        assert [d.offset for d in ranked.documents] == [0, 173, 354, 541, 728]
+        assert list(ranked.candidate_postings) == sorted(ranked.candidate_postings)
+
+    @pytest.mark.parametrize("long_side", ["index", "memtable"])
+    def test_posting_in_two_members_belongs_to_the_first_and_counts_once(self, long_side):
+        # Mid-flush: the fresh delta already holds what the sealed memtable
+        # still does.  One member's list is long (columns), the other's short.
+        store = InMemoryObjectStore()
+        lines = [f"common doc{i}" for i in range(2 * CROSSOVER + 44)]
+        store.put("ingest/seg.log", ("\n".join(lines) + "\n").encode())
+        documents = list(LineDelimitedCorpusParser().parse(store, ["ingest/seg.log"]))
+        few = documents[10:15] + documents[-2:]
+        many = documents[:-2]
+        indexed, unflushed = (many, few) if long_side == "index" else (few, many)
+        AirphantBuilder(store, config=SketchConfig(num_bins=64, seed=3)).build_from_documents(
+            indexed, index_name="delta"
+        )
+        (delta,) = AirphantSearcher.open(store, "delta").opened
+        memtable = MemtableMember(memtable_from_documents(unflushed))
+        forms = {repr(_resolved(m, store, "common")).split(", ")[1] for m in (delta, memtable)}
+        assert forms == {"columns)", "tuple)"}
+        result = AirphantSearcher(members=[delta, memtable]).search("common")
+        assert result.num_candidates == len(documents) == len(result.documents)
+        assert len(set(result.postings)) == len(documents)
+        (first, first_share), (second, second_share) = result.candidate_postings.shares
+        assert (first, second) == (0, 1)
+        # The delta owns everything it indexed; the memtable only what is new.
+        assert set(first_share) >= {d.ref for d in indexed}
+        assert set(second_share) == {d.ref for d in unflushed} - {d.ref for d in indexed}
+        # Member order, each share in posting order.
+        assert result.postings == list(first_share) + list(second_share)
+
+    def test_condemned_candidates_never_reach_the_sample(self, big, searcher, small_documents):
+        # Long side: the three postings that would head the sample are condemned.
+        holders = big.holders("common")
+        exclude = frozenset(d.ref for d in holders[:3])
+        live = big.searcher.with_members(big.searcher.searchers, exclude)
+        result, attrs = _traced(lambda: live.search("common", top_k=10))
+        assert result.documents == holders[3:13]
+        assert result.num_candidates == 2497
+        assert result.false_positive_count == 13  # the sample is as large as ever
+        assert attrs["excluded"] == 3
+        assert attrs["refunded_bytes"] == sum(d.length for d in holders[:3])
+        # Short side: a tuple-sized list, same contract.
+        errors = [d for d in small_documents if "error" in d.text.split()]
+        assert "tuple" in repr(_resolved(searcher.searchers[0], searcher.pipeline.store, "error"))
+        live = searcher.with_members(searcher.searchers, frozenset({errors[0].ref}))
+        result, attrs = _traced(lambda: live.search("error", top_k=2))
+        assert result.documents == errors[1:3]
+        assert errors[0].ref not in result.candidate_postings
+        assert (attrs["excluded"], attrs["refunded_bytes"]) == (1, errors[0].length)

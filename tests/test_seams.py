@@ -236,3 +236,53 @@ def test_checker_keeps_exists_probes_off_the_open_path(tmp_path):
         "search/searcher.py:2: exists() probe on the open path",
         "service/catalog.py:3: exists() probe on the open path",
     ]
+
+
+def test_checker_keeps_array_code_behind_the_posting_list_type(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("core", "index", "search", "ingest"):
+        (root / package).mkdir(parents=True)
+    # Allowed: numpy behind the type and in the codec; the executor ordering
+    # a query's words; any other search/ file sorting what it likes.
+    (root / "core" / "superpost.py").write_text(
+        "import numpy as np\nkey = np.searchsorted(a, b)\n", encoding="utf-8"
+    )
+    (root / "index" / "serialization.py").write_text(
+        "import numpy as np\nraw = np.frombuffer(data, np.uint8)\n", encoding="utf-8"
+    )
+    (root / "search" / "searcher.py").write_text(
+        '"""np.array and sorted(candidates) in a docstring are fine."""\n'
+        "words = sorted(tree.terms())\n",
+        encoding="utf-8",
+    )
+    (root / "search" / "ranking.py").write_text("best = sorted(scored)\n", encoding="utf-8")
+    assert check_seams.findings(root) == []
+
+    # Forbidden: arrays in the four query-path files, a re-sort in the executor.
+    (root / "search" / "searcher.py").write_text(
+        "import numpy as np\n"
+        "def lookup(owners, found):\n"
+        "    postings = sorted(owners)\n"
+        "    return found.sorted_postings()\n",
+        encoding="utf-8",
+    )
+    (root / "search" / "member.py").write_text(
+        "def keys(columns):\n    return np.concatenate(columns)\n", encoding="utf-8"
+    )
+    (root / "search" / "boolean.py").write_text("from numpy import intersect1d\n", encoding="utf-8")
+    (root / "ingest" / "memtable.py").write_text(
+        "def postings(held):\n    return np.array(held)\n", encoding="utf-8"
+    )
+    found = [
+        problem.split(": ", 1)[0].rsplit("/", 1)[-1] + " " + problem.split(": ", 1)[1]
+        for problem in check_seams.findings(root)
+    ]
+    assert sorted(found) == [
+        "boolean.py:1 array code outside the posting-list type",
+        "member.py:2 array code outside the posting-list type",
+        "memtable.py:2 array code outside the posting-list type",
+        "searcher.py:1 array code outside the posting-list type",
+        "searcher.py:3 the executor re-sorts candidates",
+        "searcher.py:4 the executor re-sorts candidates",
+    ]
