@@ -57,6 +57,12 @@ the array code lives behind it.  This script also fails on:
   ``.sorted_postings()`` call, in ``search/searcher.py`` (candidates arrive
   in order; the executor never re-sorts them).
 
+Every HTTP request the program makes rides a pooled keep-alive connection
+(``storage/connections.py``).  This script also fails on:
+
+* a ``urlopen(``, ``HTTPConnection(`` or ``HTTPSConnection(`` anywhere under
+  ``src/repro`` but that module and ``cli.py`` (whose calls are one-shot).
+
 Comments and docstrings are ignored.  Exit code 1 lists every finding.
 
 Usage: ``python scripts/check_seams.py``
@@ -141,6 +147,10 @@ POSTING_LIST_FILES = {
 }
 _ARRAY_CODE = re.compile(r"\bnp\.|\bnumpy\b")
 _RESORT = re.compile(r"\bsorted\((?!\w+\.terms\(\)\))|\.sorted_postings\(")
+
+#: The only files that may open an HTTP connection themselves.
+HTTP_CLIENT_FILES = {("storage", "connections.py"), ("cli.py",)}
+_HTTP_CONNECTION = re.compile(r"\b(?:urlopen|HTTPS?Connection)\(")
 
 _SIMULATOR_CHECK = re.compile(r"isinstance\([^)]*\bSimulatedCloudStore\b")
 _POOL_CONSTRUCTION = re.compile(r"\bThreadPoolExecutor\(")
@@ -244,6 +254,8 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 problems.append(f"{where}: the executor re-sorts candidates")
             if package != LAYOUT_FILE[0] and _STORE_DECODERS.search(text):
                 problems.append(f"{where}: header/manifest decoder called outside index/")
+            if parts not in HTTP_CLIENT_FILES and _HTTP_CONNECTION.search(text):
+                problems.append(f"{where}: HTTP connection outside the pooled client")
             if package not in SIMULATOR_PACKAGES and _SIMULATOR_CHECK.search(text):
                 simulator_checks.append(where)
             if (

@@ -24,21 +24,27 @@ mark-down/mark-up deterministically without sockets or sleeps.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
-import urllib.error
-import urllib.request
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.observability import NULL_REGISTRY, MetricsRegistry
+from repro.storage.connections import ConnectionPool, send
 
 
-def http_probe(url: str, timeout_s: float) -> None:
-    """Default probe: GET ``{url}/healthz``; raises on any failure."""
-    with urllib.request.urlopen(f"{url}/healthz", timeout=timeout_s) as response:
-        response.read()
+def http_probe(
+    url: str, timeout_s: float, pools: Mapping[str, ConnectionPool] | None = None
+) -> None:
+    """Default probe: GET ``{url}/healthz`` on ``pools[url]`` (one-shot without).
+
+    Raises on any failure, a non-2xx answer included.
+    """
+    status, _, _ = send((pools or {}).get(url), "GET", f"{url}/healthz", timeout_s)
+    if not 200 <= status < 300:
+        raise ConnectionError(f"{url}/healthz answered {status}")
 
 
 @dataclass
@@ -105,7 +111,12 @@ class HealthTracker:
         self._probe_timeout_s = probe_timeout_s
         self._backoff_ms = backoff_ms
         self._max_backoff_ms = max_backoff_ms
-        self._probe = probe if probe is not None else http_probe
+        #: The default probe's keep-alive pools, one per peer.
+        self._connections: dict[str, ConnectionPool] = {}
+        if probe is None:
+            self._connections = {url: ConnectionPool(url) for url in self._nodes}
+            probe = functools.partial(http_probe, pools=self._connections)
+        self._probe = probe
         self._clock = clock
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -153,11 +164,13 @@ class HealthTracker:
         self._thread.start()
 
     def close(self) -> None:
-        """Stop the probe thread (idempotent)."""
+        """Stop the probe thread and close its idle connections (idempotent)."""
         self._stop.set()
         thread, self._thread = self._thread, None
         if thread is not None:
             thread.join(timeout=self._probe_interval_s + self._probe_timeout_s + 1.0)
+        for pool in self._connections.values():
+            pool.close()
 
     def _run(self) -> None:
         while not self._stop.wait(self._probe_interval_s):

@@ -29,20 +29,21 @@ the partial answers back into a single typed
   ``partial: true`` response instead of failing the query; only a query
   no shard could answer raises (``503 cluster_unavailable``).
 
-The router is transport-agnostic: the default transport speaks JSON over
-``urllib``, tests inject an in-process one.  A node answering with a 4xx
-body (bad query, unknown index) fails the whole query with that same typed
-error — a *request* defect is not a node failure and must not fail over.
+The router is transport-agnostic: the default transport speaks JSON over a
+keep-alive connection pool per peer (shared with the health probes), tests
+inject an in-process one.  A node answering with a 4xx body (bad query,
+unknown index) fails the whole query with that same typed error — a
+*request* defect is not a node failure and must not fail over.
 """
 
 from __future__ import annotations
 
+import functools
+import http.client
 import inspect
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
@@ -67,6 +68,7 @@ from repro.service.api import (
     ServiceError,
     ShardErrorInfo,
 )
+from repro.storage.connections import ConnectionPool, send
 
 #: How a router reaches a node: ``(base_url, path, json_payload, timeout_s)``
 #: → decoded JSON.  ``payload=None`` means GET.  Implementations raise
@@ -93,41 +95,43 @@ def http_transport(
     payload: Mapping[str, Any] | None,
     timeout_s: float,
     headers: Mapping[str, str] | None = None,
+    pools: Mapping[str, ConnectionPool] | None = None,
 ) -> Any:
-    """Default JSON-over-HTTP transport (stdlib ``urllib`` only)."""
-    request_headers = {"Content-Type": "application/json"}
-    if headers:
-        request_headers.update(headers)
-    request = urllib.request.Request(
-        f"{url}{path}",
-        data=None if payload is None else json.dumps(payload).encode("utf-8"),
-        headers=request_headers,
-        method="GET" if payload is None else "POST",
-    )
+    """Default JSON-over-HTTP transport: one request on ``pools[url]``.
+
+    The router passes its keep-alive pools, one per peer; a URL without one
+    gets a one-shot connection.
+    """
+    request_headers = {"Content-Type": "application/json", **(headers or {})}
+    body = None if payload is None else json.dumps(payload).encode("utf-8")
     try:
-        with urllib.request.urlopen(request, timeout=timeout_s) as response:
-            return json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        body = error.read()
-        if 400 <= error.code < 500:
-            # The node answered definitively: the request is at fault, not
-            # the node.  Re-raise the node's own typed error.
-            try:
-                info = ErrorInfo.from_json(body)
-            except (ValueError, KeyError):
-                info = ErrorInfo(status=error.code, error="bad_request", message=str(error))
-            raise ServiceError(info.status, info.error, info.message) from error
-        raise NodeQueryError("node_error", f"{url} answered {error.code}") from error
+        status, _, answer = send(
+            (pools or {}).get(url),
+            "GET" if payload is None else "POST",
+            f"{url}{path}",
+            timeout_s,
+            request_headers,
+            body,
+        )
     except TimeoutError as error:
         raise NodeQueryError("node_timeout", f"{url} timed out after {timeout_s}s") from error
-    except (urllib.error.URLError, OSError) as error:
-        reason = getattr(error, "reason", error)
-        if isinstance(reason, TimeoutError) or "timed out" in str(reason):
-            raise NodeQueryError(
-                "node_timeout", f"{url} timed out after {timeout_s}s"
-            ) from error
-        raise NodeQueryError("node_unreachable", f"{url}: {reason}") from error
-    except (ValueError, json.JSONDecodeError) as error:
+    except (OSError, http.client.HTTPException) as error:
+        raise NodeQueryError("node_unreachable", f"{url}: {error}") from error
+    if 400 <= status < 500:
+        # The node answered definitively: the request is at fault, not the
+        # node.  Re-raise the node's own typed error.
+        try:
+            info = ErrorInfo.from_json(answer)
+        except (ValueError, KeyError):
+            info = ErrorInfo(
+                status=status, error="bad_request", message=f"{url} answered {status}"
+            )
+        raise ServiceError(info.status, info.error, info.message)
+    if not 200 <= status < 300:
+        raise NodeQueryError("node_error", f"{url} answered {status}")
+    try:
+        return json.loads(answer)
+    except ValueError as error:
         raise NodeQueryError("node_error", f"{url} answered non-JSON: {error}") from error
 
 
@@ -169,7 +173,13 @@ class QueryRouter:
         self._shard_timeout_s = shard_timeout_s
         self._node_hedge_ms = node_hedge_ms
         self._node_retries = node_retries
-        self._transport: Transport = transport if transport is not None else http_transport
+        #: The default transport's keep-alive pools, one per peer (routed
+        #: requests and health probes alike).
+        self._connections: dict[str, ConnectionPool] = {}
+        if transport is None:
+            self._connections = {peer: ConnectionPool(peer) for peer in self._topology.peers}
+            transport = functools.partial(http_transport, pools=self._connections)
+        self._transport: Transport = transport
         # Trace headers are an optional transport capability: carry them
         # only when the transport's signature declares a ``headers``
         # parameter (older 4-arg transports keep working unchanged).
@@ -251,11 +261,13 @@ class QueryRouter:
         return self._health
 
     def close(self) -> None:
-        """Stop probing and release the scatter pools (idempotent)."""
+        """Stop probing, release the scatter pools and idle connections (idempotent)."""
         if self._owns_health:
             self._health.close()
         self._pool.shutdown(wait=False)
         self._hedge_pool.shutdown(wait=False)
+        for pool in self._connections.values():
+            pool.close()
 
     def __enter__(self) -> "QueryRouter":
         return self

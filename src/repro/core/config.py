@@ -2,9 +2,11 @@
 
 Mirrors the knobs described in Sections III-C and V-A: the bin budget B (or a
 memory limit from which B is derived), the accuracy target F₀, the fraction
-of bins reserved for common words, the top-K failure probability δ, and the
-download concurrency.  The number of layers is normally chosen by the
-optimizer; users can pin it explicitly to skip profiling and optimization.
+of bins reserved for common words and the top-K failure probability δ.  The
+download concurrency is a query-side knob (``AirphantSearcher``,
+``ServiceConfig``), not part of an index.  The number of layers is normally
+chosen by the optimizer; users can pin it explicitly to skip profiling and
+optimization.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ class SketchConfig:
     top_k_delta:
         Failure probability δ of the top-K sampling guarantee (paper default
         10⁻⁶).
-    max_concurrency:
-        Number of parallel download threads (paper default 32).
     seed:
         Seed of the layer hash functions.
     max_layers:
@@ -50,7 +50,6 @@ class SketchConfig:
     num_layers: int | None = None
     common_word_fraction: float = 0.01
     top_k_delta: float = 1e-6
-    max_concurrency: int = 32
     seed: int = 0
     max_layers: int = 64
     metadata: dict[str, str] = field(default_factory=dict)
@@ -66,8 +65,6 @@ class SketchConfig:
             raise ValueError("common_word_fraction must be in [0, 1)")
         if not 0.0 < self.top_k_delta < 1.0:
             raise ValueError("top_k_delta must be in (0, 1)")
-        if self.max_concurrency <= 0:
-            raise ValueError("max_concurrency must be positive")
         if self.max_layers <= 0:
             raise ValueError("max_layers must be positive")
 
@@ -113,7 +110,6 @@ class SketchConfig:
             num_layers=num_layers,
             common_word_fraction=self.common_word_fraction,
             top_k_delta=self.top_k_delta,
-            max_concurrency=self.max_concurrency,
             seed=self.seed,
             max_layers=self.max_layers,
             metadata=dict(self.metadata),

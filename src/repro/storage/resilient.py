@@ -292,6 +292,7 @@ class ResilientStore(ObjectStore):
         self._rng = random.Random(seed)
         self._latencies: deque[float] = deque(maxlen=self._LATENCY_WINDOW)
         self._pool: ThreadPoolExecutor | None = None
+        self._pool_pid = 0
         self._lock = threading.Lock()
         self.stats = ResilienceStats().bind(
             metrics if metrics is not None else get_registry()
@@ -362,16 +363,20 @@ class ResilientStore(ObjectStore):
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._lock:
-            if self._pool is None:
+            # A pool inherited across os.fork() has no threads in this
+            # process — work submitted to it would wait forever — so a
+            # child builds its own, as the fetch pool does.
+            if self._pool is None or self._pool_pid != os.getpid():
                 self._pool = ThreadPoolExecutor(
                     max_workers=self._hedge_concurrency,
                     thread_name_prefix="airphant-hedge",
                 )
+                self._pool_pid = os.getpid()
                 # Owners that never call close() (the one-shot CLI among
                 # them) must not strand idle hedge workers until interpreter
                 # exit — same pid-guarded finalizer backstop the fetch
                 # pool uses; it references only the pool, never self.
-                weakref.finalize(self, _shutdown_pool, self._pool, os.getpid())
+                weakref.finalize(self, _shutdown_pool, self._pool, self._pool_pid)
             return self._pool
 
     # -- retry / timeout / hedge machinery ----------------------------------------

@@ -16,7 +16,8 @@ disabled) or signed with **AWS Signature Version 4** when credentials are
 available — from an explicit :class:`S3Credentials` or the conventional
 ``AWS_ACCESS_KEY_ID`` / ``AWS_SECRET_ACCESS_KEY`` / ``AWS_SESSION_TOKEN``
 environment variables.  Everything is stdlib (``hmac``/``hashlib``/
-``urllib``); no SDK is required.
+``http.client``, through the pooled keep-alive connections the HTTP store
+owns); no SDK is required.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ class TestDefaults:
         assert config.target_false_positives == 1.0
         assert config.common_word_fraction == pytest.approx(0.01)
         assert config.top_k_delta == pytest.approx(1e-6)
-        assert config.max_concurrency == 32
         assert config.num_layers is None
 
     def test_common_word_bins_are_one_percent(self):
@@ -50,11 +49,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             SketchConfig(top_k_delta=1.0)
 
-    def test_invalid_concurrency_and_max_layers(self):
-        with pytest.raises(ValueError):
-            SketchConfig(max_concurrency=0)
+    def test_invalid_max_layers(self):
         with pytest.raises(ValueError):
             SketchConfig(max_layers=0)
+
+    def test_download_concurrency_is_not_an_index_setting(self):
+        with pytest.raises(TypeError):
+            SketchConfig(max_concurrency=32)
 
 
 class TestDerivedConstructors:

@@ -311,6 +311,53 @@ class TestSearch:
         finally:
             connection.close()
 
+    def test_every_response_is_one_write(self, server, monkeypatch):
+        # Status line, headers and body leave in one write, error answers
+        # included: two writes on a keep-alive connection meet Nagle and the
+        # client's delayed ACK.
+        from repro.service.http import AirphantRequestHandler
+
+        _build_index(server)
+        writes = []
+
+        class CountingWriter:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return self._inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        setup = AirphantRequestHandler.setup
+
+        def counting_setup(handler):
+            setup(handler)
+            handler.wfile = CountingWriter(handler.wfile)
+
+        monkeypatch.setattr(AirphantRequestHandler, "setup", counting_setup)
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        exchanges = [
+            ("GET", "/healthz", None, 200),
+            ("POST", "/search", json.dumps({"index": "logs-index", "query": "error"}), 200),
+            ("GET", "/metrics", None, 200),
+            ("GET", "/nothing/here", None, 404),
+            ("POST", "/search", "{not json", 400),
+            ("POST", "/searches", json.dumps({"padding": "x" * 4096}), 404),
+        ]
+        try:
+            for method, path, body, status in exchanges:
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                assert response.status == status
+                assert len(response.read()) == int(response.headers["Content-Length"])
+        finally:
+            connection.close()
+        assert len(writes) == len(exchanges)
+        assert all(write.startswith(b"HTTP/1.1 ") for write in writes)
+
     def test_concurrent_requests(self, server):
         _build_index(server)
         results = []

@@ -264,6 +264,19 @@ class TestLifecycle:
         assert store.get("blob") == b"abc"  # pool transparently rebuilt
         store.close()
 
+    def test_a_forked_child_hedges_on_a_pool_of_its_own(self):
+        from harness.stores import passes_in_forked_child
+
+        store = ResilientStore(_mem(blob=b"abcdefgh"), hedge_ms=20.0)
+        # Concurrent hedged reads leave the parent's pool with idle workers
+        # — which exist only in the parent.
+        requests = [RangeRead("blob", offset, 1) for offset in range(8)]
+        payloads = store.read_batch(requests, max_concurrency=8).payloads
+        assert payloads == [bytes([char]) for char in b"abcdefgh"]
+        assert passes_in_forked_child(lambda: store.get_range("blob", 2, 3) == b"cde", timeout=5.0)
+        assert store.get("blob") == b"abcdefgh"
+        store.close()
+
     def test_invalid_parameters_rejected(self):
         inner = _mem()
         for kwargs in (

@@ -9,10 +9,12 @@ service facade.
 """
 
 import pytest
+from harness.connections import ConnectionCounter
 
 from repro.core.config import SketchConfig
+from repro.observability import MetricsRegistry
 from repro.service import AirphantService, SearchRequest
-from repro.storage.base import BlobNotFoundError
+from repro.storage.base import BlobNotFoundError, RangeRead
 from repro.storage.registry import open_store
 from repro.storage.s3 import S3Credentials, S3ObjectStore, sign_v4
 
@@ -66,6 +68,48 @@ class TestCrud:
         assert s3_emulator.objects == {"tenant-a/blob": b"abc"}
         assert scoped.list_blobs() == ["blob"]
         assert scoped.get_range("blob", 1, 1) == b"b"
+
+
+class TestConnections:
+    """``airphant_backend_connections_total`` is what the server accepted."""
+
+    @staticmethod
+    def _metered(s3_emulator):
+        registry = MetricsRegistry()
+        store = S3ObjectStore(
+            s3_emulator.bucket,
+            endpoint=s3_emulator.endpoint,
+            credentials=S3Credentials("AKIDEXAMPLE", "secret"),
+            metrics=registry,
+        )
+        # The emulator's server, to count what it accepts.
+        return store, registry, ConnectionCounter(s3_emulator._server)
+
+    @staticmethod
+    def _opened(registry):
+        return registry.get("airphant_backend_connections_total").value(backend="s3")
+
+    def test_every_verb_rides_one_connection(self, s3_emulator):
+        store, registry, connections = self._metered(s3_emulator)
+        for index in range(8):
+            store.put(f"idx/part-{index}", bytes(range(index + 1)))
+        assert store.get_range("idx/part-7", 2, 3) == bytes([2, 3, 4])
+        assert store.size("idx/part-3") == 4 and store.exists("idx/part-0")
+        assert len(store.list_blobs("idx/")) == 8  # three signed ListObjectsV2 pages
+        store.delete("idx/part-0")
+        with pytest.raises(BlobNotFoundError):
+            store.get("idx/part-0")
+        assert connections.count == self._opened(registry) == 1
+
+    def test_a_64_read_wave_at_width_32_opens_at_most_32(self, s3_emulator):
+        store, registry, connections = self._metered(s3_emulator)
+        blob = bytes(range(256)) * 4
+        store.put("blob", blob)
+        requests = [RangeRead("blob", 16 * index, 16) for index in range(64)]
+        result = store.read_batch(requests, max_concurrency=32)
+        assert result.payloads == [blob[16 * i : 16 * (i + 1)] for i in range(64)]
+        assert 1 <= connections.count == self._opened(registry) <= 32
+        store.close()
 
 
 class TestSigning:

@@ -286,3 +286,46 @@ def test_checker_keeps_array_code_behind_the_posting_list_type(tmp_path):
         "searcher.py:3 the executor re-sorts candidates",
         "searcher.py:4 the executor re-sorts candidates",
     ]
+
+
+def test_checker_keeps_http_connections_in_the_pooled_client(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("storage", "cluster"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the pooled client opens connections, the CLI's one-shot calls
+    # use urllib, and anyone may mention them in a docstring or comment.
+    (root / "storage" / "connections.py").write_text(
+        "connection = http.client.HTTPConnection(host, port)\n"
+        "secure = http.client.HTTPSConnection(host, port)\n",
+        encoding="utf-8",
+    )
+    (root / "cli.py").write_text(
+        "with urllib.request.urlopen(url, timeout=10.0) as response:\n    pass\n",
+        encoding="utf-8",
+    )
+    (root / "cluster" / "health.py").write_text(
+        '"""Probes used to call urllib.request.urlopen( per tick."""\n'
+        "status = send(pool, 'GET', url)  # not urlopen(url)\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a connection of its own anywhere else, in any spelling.
+    (root / "cluster" / "health.py").write_text(
+        "with urllib.request.urlopen(url) as response:\n    pass\n", encoding="utf-8"
+    )
+    (root / "storage" / "s3.py").write_text(
+        "from http.client import HTTPSConnection\nconnection = HTTPSConnection(host)\n",
+        encoding="utf-8",
+    )
+    (root / "cluster" / "router.py").write_text(
+        "connection = http.client.HTTPConnection(host, port, timeout=timeout_s)\n",
+        encoding="utf-8",
+    )
+    found = check_seams.findings(root)
+    assert [problem.split("repro/")[1] for problem in found] == [
+        "cluster/health.py:1: HTTP connection outside the pooled client",
+        "cluster/router.py:1: HTTP connection outside the pooled client",
+        "storage/s3.py:2: HTTP connection outside the pooled client",
+    ]
