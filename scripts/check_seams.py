@@ -15,9 +15,9 @@ Members do no I/O on the query path: the executor issues each wave once for
 all of them.  Under ``search/`` and in ``ingest/memtable.py`` this script
 fails on:
 
-* a ``pipeline.fetch(`` anywhere but ``search/searcher.py``,
-* a ``read_batch(`` anywhere but there (the hedged wave) and
-  ``search/member.py`` (the one-time ranking-statistics download).
+* a ``pipeline.fetch(`` or ``read_batch(`` anywhere but
+  ``search/searcher.py`` (the hedged wave) — a member's ranking statistics
+  ride the lookup wave too.
 
 The read path has one clock seam — ``ObjectStore.read_batch`` — and one
 fetch pool per store.  This script also fails on:
@@ -97,7 +97,7 @@ _FORBIDDEN = {
 MEMBER_FILES = (("search",), ("ingest", "memtable.py"))
 _WAVE_CALLS = {
     re.compile(r"\bpipeline\.fetch\("): {("search", "searcher.py")},
-    re.compile(r"\bread_batch\("): {("search", "searcher.py"), ("search", "member.py")},
+    re.compile(r"\bread_batch\("): {("search", "searcher.py")},
 }
 #: The one file that may spell the on-store layout.
 LAYOUT_FILE = ("index", "store_layout.py")

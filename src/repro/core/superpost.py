@@ -266,6 +266,26 @@ class Superpost(Sequence[Posting]):
             return self
         return self._select(self._mask(other), False)
 
+    def positions(self, postings: "Superpost") -> np.ndarray:
+        """Where each of ``postings`` sits in this list: one ``int64`` index
+        per posting, ``-1`` for a posting this list does not hold."""
+        names = self._universe(postings)
+        mine, theirs = self._columns(names), postings._columns(names)
+        if mine is None or theirs is None:  # a posting the packed key cannot hold
+            index = {posting: at for at, posting in enumerate(self)}
+            return np.array([index.get(posting, -1) for posting in postings], np.int64)
+        key, length, runs = mine
+        found = np.full(len(postings), -1, np.int64)
+        if len(key) and len(postings):
+            at = np.searchsorted(key, theirs[0])
+            last = len(key) - 1
+            for _ in range(runs):
+                np.minimum(at, last, out=at)
+                hit = (key[at] == theirs[0]) & (length[at] == theirs[1])
+                found[hit] = at[hit]
+                at += 1
+        return found
+
     def split(self, exclude: AbstractSet[Posting]) -> tuple["Superpost", "Superpost"]:
         """``(kept, condemned)``: this list without, and within, ``exclude``
         (the pending tombstones — any set of postings, in no order).

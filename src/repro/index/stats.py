@@ -13,35 +13,62 @@ three things the sketch deliberately throws away:
   contain it, so ranked queries never fetch document text just to discard
   it).
 
-The Builder persists them as one versioned *stats blob*
-(``{index}/stats.json``) written alongside the header and superpost blobs.
-Like the header it is JSON — debuggable with standard tooling, a few MB at
-the corpus scales the paper studies — and it is downloaded **once**, lazily,
-on a searcher's first ranked query; every later ranked query scores from
-memory.  Indexes built before this blob existed (any v1/v2 index without a
-``stats.json``) stay fully readable for membership queries and reject the
-ranked mode with the typed :class:`RankingUnsupportedError` instead of
-failing obscurely.
+The Builder persists them as one *stats blob* per build (``{index}/stats.json``
+— a name kept from the JSON era, as ``header.json``'s is), written alongside
+the header and superpost blobs.  Container v2 follows the header container
+(byte layout in ``docs/RANKING.md``): magic, container version and a JSON
+preamble, then little-endian columns, each in the narrowest unsigned dtype
+that holds it — the documents in ``(blob, offset, length)`` order with their
+lengths, the sorted terms with CSR starts, and per term its entries (document
+index ascending, tf).  A searcher reads the blob in the lookup wave of its
+first ranked query and keeps the columns; scoring
+(:mod:`repro.search.ranking`) touches only the query words' entries and the
+candidates' rows.  The v1 JSON blobs of earlier builds (leading ``{``) decode
+into the same columns; the builder writes only v2, so the next compaction
+upgrades them.  Indexes without a stats blob stay fully readable for
+membership queries and reject the ranked mode with the typed
+:class:`RankingUnsupportedError`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Container, Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
+from repro.core.superpost import POSTING_ORDER, Superpost
 from repro.index.store_layout import STATS_BLOB_SUFFIX, stats_blob_name
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer
 
-#: Current (and only) stats blob format.
-STATS_FORMAT_V1 = 1
-SUPPORTED_STATS_VERSIONS = (STATS_FORMAT_V1,)
+#: Leading bytes of a v2 stats blob; a v1 (JSON) blob starts with ``{``.
+STATS_MAGIC = b"AIRPSTA\n"
+#: Version of the stats container the builder writes.
+STATS_CONTAINER_VERSION = 2
+#: Magic, then container version and preamble length as little-endian u32.
+_STATS_PREFIX = struct.Struct("<8sII")
+#: Magic marker and version inside v1 JSON blobs.
+_LEGACY_STATS_MAGIC = "airphant-stats"
+_LEGACY_STATS_VERSION = 1
 
-#: Magic marker guarding against accidental blob mixups.
-_STATS_MAGIC = "airphant-stats"
+#: The columns of container v2, in blob order.
+COLUMNS = (
+    "doc_blob",  # rank of the document's blob name in ``blobs``
+    "doc_offset",
+    "doc_length",  # the posting's byte length
+    "doc_words",  # the document's length in analyzer tokens
+    "term_bytes",  # the sorted terms' UTF-8, concatenated
+    "term_ends",  # term i is term_bytes[term_ends[i]:term_ends[i + 1]]
+    "term_starts",  # term i's entries are [term_starts[i], term_starts[i + 1])
+    "entry_doc",  # document index, ascending within a term
+    "entry_tf",
+)
 
 
 class RankingUnsupportedError(Exception):
@@ -62,176 +89,232 @@ class RankingUnsupportedError(Exception):
         self.reason = reason
 
 
-@dataclass
 class IndexStats:
-    """Exact ranking statistics of one index (or index member).
+    """Exact ranking statistics of one build (or memtable), as columns.
 
-    ``doc_lengths`` maps every indexed document to its length in analyzer
-    tokens; ``term_frequencies`` maps each distinct term to its exact
-    ``{posting: tf}`` postings.  Document frequency is derived
-    (``len(term_frequencies[term])``), so it can never drift out of sync
-    with the postings that define it.
+    The columns of :data:`COLUMNS` are attributes.  Document ``i`` is
+    ``docs[i]`` — a sorted :class:`~repro.core.superpost.Superpost` over the
+    ``doc_*`` columns — and is ``doc_words[i]`` tokens long; :meth:`entries`
+    are a term's ``(document index, tf)`` columns.  Nothing here is ever
+    merged or copied per query: a query reads the rows of its candidates and
+    the entries of its words.  Construction refuses columns that disagree
+    with each other or point outside one another (``ValueError``).
     """
 
-    num_documents: int = 0
-    total_words: int = 0
-    doc_lengths: dict[Posting, int] = field(default_factory=dict)
-    term_frequencies: dict[str, dict[Posting, int]] = field(default_factory=dict)
+    def __init__(
+        self, num_documents: int, total_words: int, blobs: Sequence[str], **columns: np.ndarray
+    ) -> None:
+        self.num_documents = num_documents
+        self.total_words = total_words
+        self.blobs = tuple(blobs)
+        for name in COLUMNS:
+            setattr(self, name, columns[name])
+        self._check()
+        self.docs = Superpost.from_columns(
+            self.blobs, *(columns[name].astype(np.int64) for name in COLUMNS[:3])
+        )
+        self._terms = self.term_bytes.tobytes()
+
+    def _check(self) -> None:
+        ends, starts, entries = self.term_ends, self.term_starts, self.entry_doc
+        consistent = (
+            list(self.blobs) == sorted(set(self.blobs))
+            and {len(getattr(self, name)) for name in COLUMNS[:4]} == {self.num_documents}
+            and self.total_words == int(self.doc_words.sum(dtype=np.uint64))
+            and len(ends) == len(starts) >= 1
+            and len(entries) == len(self.entry_tf)
+        )
+        bounded = consistent and (
+            _below(self.doc_blob, len(self.blobs))
+            and _below(entries, self.num_documents)
+            and ends[0] == starts[0] == 0
+            and ends[-1] == len(self.term_bytes)
+            and starts[-1] == len(entries)
+            and bool((np.diff(ends) >= 0).all() and (np.diff(starts) >= 0).all())
+        )
+        if not bounded:
+            raise ValueError("ranking statistics columns disagree or point outside each other")
 
     @property
-    def average_length(self) -> float:
-        """Mean document length in tokens (0.0 for an empty corpus)."""
-        if self.num_documents == 0:
-            return 0.0
-        return self.total_words / self.num_documents
+    def num_terms(self) -> int:
+        return len(self.term_ends) - 1
 
-    def doc_frequency(self, term: str) -> int:
-        """Number of documents containing ``term``."""
-        return len(self.term_frequencies.get(term, ()))
+    def term(self, index: int) -> bytes:
+        """The UTF-8 of the ``index``-th term in sort order."""
+        return self._terms[self.term_ends[index] : self.term_ends[index + 1]]
 
-    def term_frequency(self, term: str, posting: Posting) -> int:
-        """Exact occurrences of ``term`` in the document at ``posting``."""
-        postings = self.term_frequencies.get(term)
-        if not postings:
-            return 0
-        return postings.get(posting, 0)
+    def entries(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(document indexes ascending, tfs)`` of ``term`` (empty when absent)."""
+        wanted = _term_key(term)
+        at = bisect_left(range(self.num_terms), wanted, key=self.term)
+        if at == self.num_terms or self.term(at) != wanted:
+            return self.entry_doc[:0], self.entry_tf[:0]
+        span = slice(self.term_starts[at], self.term_starts[at + 1])
+        return self.entry_doc[span], self.entry_tf[span]
+
+    def frequencies(self, term: str, rows: np.ndarray) -> np.ndarray:
+        """The tf of ``term`` in each document of ``rows`` (0 where absent)."""
+        docs, tfs = self.entries(term)
+        if not len(docs):
+            return np.zeros(len(rows), np.int64)
+        at = np.minimum(np.searchsorted(docs, rows), len(docs) - 1)
+        return np.where(docs[at] == rows, tfs[at], 0)
+
+
+def _term_key(term: str) -> bytes:
+    """A term's sort key and stored form (lone surrogates survive)."""
+    return term.encode("utf-8", "surrogatepass")
+
+
+def _narrowest(values: Iterable[int] | np.ndarray) -> np.ndarray:
+    """``values`` in the narrowest unsigned dtype that holds them."""
+    array = np.fromiter(values, np.uint64)
+    top = int(array.max(initial=0))
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dtype).max:
+            return array.astype(dtype)
+    return array
+
+
+def _assemble(
+    blobs: Sequence[str],
+    doc_columns: Sequence[Sequence[int] | np.ndarray],
+    terms: Mapping[str, tuple[Sequence[int], Sequence[int]]],
+) -> IndexStats:
+    """Statistics from documents already in ``(blob, offset, length)`` order
+    (``doc_columns`` as in :data:`COLUMNS`) and each term's entries."""
+    ordered = sorted((_term_key(term), entries) for term, entries in terms.items())
+    doc_words = _narrowest(doc_columns[3])
+    return IndexStats(
+        len(doc_words),
+        int(doc_words.sum(dtype=np.uint64)),
+        blobs,
+        **dict(zip(COLUMNS[:4], map(_narrowest, doc_columns))),
+        term_bytes=np.frombuffer(b"".join(term for term, _ in ordered), np.uint8),
+        term_ends=_narrowest(np.cumsum([0, *(len(term) for term, _ in ordered)])),
+        term_starts=_narrowest(np.cumsum([0, *(len(docs) for _, (docs, _) in ordered)])),
+        entry_doc=_narrowest(chain.from_iterable(docs for _, (docs, _) in ordered)),
+        entry_tf=_narrowest(chain.from_iterable(tfs for _, (_, tfs) in ordered)),
+    )
 
 
 def build_stats(documents: Iterable[Document], tokenizer: Tokenizer) -> IndexStats:
     """Compute exact ranking statistics over already-parsed documents.
 
     Uses the same analyzer as the sketch build, so a term's stats postings
-    agree exactly with its membership answer.
+    agree exactly with its membership answer.  A reference seen twice
+    counts once (its first text).
     """
-    stats = IndexStats()
+    unique: dict[Posting, Document] = {}
     for document in documents:
-        tokens = tokenizer.tokenize(document.text)
-        if document.ref in stats.doc_lengths:
-            continue
-        stats.doc_lengths[document.ref] = len(tokens)
-        stats.total_words += len(tokens)
+        unique.setdefault(document.ref, document)
+    ordered = sorted(unique, key=POSTING_ORDER)
+    blobs = sorted({ref.blob for ref in ordered})
+    rank = {blob: index for index, blob in enumerate(blobs)}
+    doc_words: list[int] = []
+    terms: dict[str, tuple[list[int], list[int]]] = {}
+    for index, ref in enumerate(ordered):
+        tokens = tokenizer.tokenize(unique[ref].text)
+        doc_words.append(len(tokens))
         for term, count in Counter(tokens).items():
-            stats.term_frequencies.setdefault(term, {})[document.ref] = count
-    stats.num_documents = len(stats.doc_lengths)
-    return stats
-
-
-def merge_stats(parts: Iterable[IndexStats]) -> IndexStats:
-    """Aggregate per-member stats into corpus-wide stats.
-
-    Members may transiently overlap (a document visible in both a fresh
-    delta and the memtable mid-flush); merging keys everything by posting,
-    so each document counts exactly once regardless.
-    """
-    merged = IndexStats()
-    for part in parts:
-        merged.doc_lengths.update(part.doc_lengths)
-        for term, postings in part.term_frequencies.items():
-            merged.term_frequencies.setdefault(term, {}).update(postings)
-    merged.num_documents = len(merged.doc_lengths)
-    merged.total_words = sum(merged.doc_lengths.values())
-    return merged
-
-
-def prune_stats(stats: IndexStats, removed: "Container[Posting]") -> IndexStats:
-    """Stats with every posting in ``removed`` excised (the delete path).
-
-    Ranking under pending deletes must score with the *surviving* corpus —
-    ``N``, ``df``, ``avgdl`` all shrink — or BM25 would diverge from a fresh
-    rebuild over the surviving documents.  Pruning is exact integer surgery
-    on the aggregates, so the result is byte-identical to recomputing the
-    stats from scratch without the condemned documents.  Returns ``stats``
-    unchanged (same object) when nothing held is being removed.
-    """
-    doc_lengths = {
-        posting: length
-        for posting, length in stats.doc_lengths.items()
-        if posting not in removed
-    }
-    if len(doc_lengths) == len(stats.doc_lengths):
-        return stats
-    term_frequencies: dict[str, dict[Posting, int]] = {}
-    for term, postings in stats.term_frequencies.items():
-        kept = {
-            posting: tf for posting, tf in postings.items() if posting not in removed
-        }
-        if kept:
-            term_frequencies[term] = kept
-    return IndexStats(
-        num_documents=len(doc_lengths),
-        total_words=sum(doc_lengths.values()),
-        doc_lengths=doc_lengths,
-        term_frequencies=term_frequencies,
+            docs, tfs = terms.setdefault(term, ([], []))
+            docs.append(index)
+            tfs.append(count)
+    doc_columns = (
+        [rank[ref.blob] for ref in ordered],
+        [ref.offset for ref in ordered],
+        [ref.length for ref in ordered],
+        doc_words,
     )
+    return _assemble(blobs, doc_columns, terms)
 
 
 def encode_stats(stats: IndexStats) -> bytes:
-    """Serialize the stats blob (versioned JSON, blob names interned).
+    """Serialize the stats blob (container v2).
 
-    Layout (v1): a ``blobs`` string table; ``docs`` as
-    ``[blob_idx, offset, length, doc_len]`` rows (row index = document id
-    within the blob); ``terms`` mapping each term to ``[doc_id, tf]`` pairs.
+    ``magic | u32 version | u32 preamble length | JSON preamble (space-padded
+    to 8 bytes) | the columns of`` :data:`COLUMNS`, each little-endian in
+    the width the preamble names.
     """
-    blob_ids: dict[str, int] = {}
-    doc_ids: dict[Posting, int] = {}
-    docs: list[list[int]] = []
-    for posting in sorted(stats.doc_lengths):
-        blob_id = blob_ids.setdefault(posting.blob, len(blob_ids))
-        doc_ids[posting] = len(docs)
-        docs.append(
-            [blob_id, posting.offset, posting.length, stats.doc_lengths[posting]]
-        )
-    terms = {
-        term: sorted(
-            [doc_ids[posting], tf] for posting, tf in postings.items()
-        )
-        for term, postings in sorted(stats.term_frequencies.items())
-    }
-    payload = {
-        "magic": _STATS_MAGIC,
-        "version": STATS_FORMAT_V1,
-        "num_documents": stats.num_documents,
-        "total_words": stats.total_words,
-        "blobs": [blob for blob, _ in sorted(blob_ids.items(), key=lambda kv: kv[1])],
-        "docs": docs,
-        "terms": terms,
-    }
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    columns = [getattr(stats, name) for name in COLUMNS]
+    preamble = json.dumps(
+        {
+            "num_documents": stats.num_documents,
+            "total_words": stats.total_words,
+            "blobs": list(stats.blobs),
+            "columns": [
+                [name, column.itemsize, len(column)] for name, column in zip(COLUMNS, columns)
+            ],
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    preamble += b" " * (-len(preamble) % 8)
+    prefix = _STATS_PREFIX.pack(STATS_MAGIC, STATS_CONTAINER_VERSION, len(preamble))
+    return b"".join(
+        [prefix, preamble, *(c.astype(f"<u{c.itemsize}", copy=False).tobytes() for c in columns)]
+    )
 
 
 def decode_stats(data: bytes, index_name: str = "index") -> IndexStats:
-    """Inverse of :func:`encode_stats`.
+    """Inverse of :func:`encode_stats`; also reads v1 JSON blobs.
 
-    Raises ``ValueError`` when the blob is not a stats blob at all, and the
-    typed :class:`RankingUnsupportedError` when it declares a format version
-    this reader does not know (the forward-compatibility contract of every
-    other versioned blob in the index).
+    Raises ``ValueError`` for anything that is not a well-formed stats blob —
+    malformed, truncated, or pointing outside its own columns — and the
+    typed :class:`RankingUnsupportedError` when it declares a container
+    version this reader does not know.
     """
+    try:
+        if data[:1] == b"{":
+            return _decode_legacy_stats(data, index_name)
+        return _decode_v2_stats(data, index_name)
+    except (KeyError, TypeError, IndexError, OverflowError, struct.error) as error:
+        raise ValueError(f"malformed Airphant stats blob: {error!r}") from error
+
+
+def _decode_v2_stats(data: bytes, index_name: str) -> IndexStats:
+    magic, version, preamble_bytes = _STATS_PREFIX.unpack_from(data)
+    if magic != STATS_MAGIC:
+        raise ValueError("not an Airphant stats blob")
+    if version != STATS_CONTAINER_VERSION:
+        raise RankingUnsupportedError(index_name, f"unknown stats blob version {version!r}")
+    position = _STATS_PREFIX.size + preamble_bytes
+    if position > len(data):
+        raise ValueError("stats blob truncated inside its preamble")
+    fields = json.loads(data[_STATS_PREFIX.size : position])
+    shapes = [(name, width, rows) for name, width, rows in fields["columns"]]
+    if [name for name, _, _ in shapes] != list(COLUMNS) or not all(
+        width in (1, 2, 4, 8) and isinstance(rows, int) and rows >= 0 for _, width, rows in shapes
+    ):
+        raise ValueError("bad stats column description")
+    if position + sum(width * rows for _, width, rows in shapes) != len(data):
+        raise ValueError("stats blob length does not match its columns")
+    columns = {}
+    for name, width, rows in shapes:
+        column = np.frombuffer(data, f"<u{width}", rows, position)
+        columns[name] = column.astype(column.dtype.newbyteorder("="), copy=False)
+        position += width * rows
+    return IndexStats(fields["num_documents"], fields["total_words"], fields["blobs"], **columns)
+
+
+def _below(column: np.ndarray, limit: int) -> bool:
+    return not len(column) or int(column.max()) < limit
+
+
+def _decode_legacy_stats(data: bytes, index_name: str) -> IndexStats:
+    """Read a v1 JSON blob: its writer interned blob names in sorted order,
+    wrote the documents in posting order and each term's pairs by document."""
     payload = json.loads(data.decode("utf-8"))
-    if payload.get("magic") != _STATS_MAGIC:
+    if payload.get("magic") != _LEGACY_STATS_MAGIC:
         raise ValueError("not an Airphant stats blob")
     version = payload.get("version")
-    if version not in SUPPORTED_STATS_VERSIONS:
-        raise RankingUnsupportedError(
-            index_name, f"unknown stats blob version {version!r}"
-        )
-    blobs: Sequence[str] = payload["blobs"]
-    postings: list[Posting] = []
-    doc_lengths: dict[Posting, int] = {}
-    for blob_id, offset, length, doc_len in payload["docs"]:
-        posting = Posting(blob=blobs[blob_id], offset=offset, length=length)
-        postings.append(posting)
-        doc_lengths[posting] = doc_len
-    term_frequencies = {
-        term: {postings[doc_id]: tf for doc_id, tf in pairs}
+    if version != _LEGACY_STATS_VERSION:
+        raise RankingUnsupportedError(index_name, f"unknown stats blob version {version!r}")
+    rows = np.array(payload["docs"], np.uint64).reshape(-1, 4)
+    terms = {
+        term: np.array(pairs, np.uint64).reshape(-1, 2).T
         for term, pairs in payload["terms"].items()
     }
-    return IndexStats(
-        num_documents=int(payload["num_documents"]),
-        total_words=int(payload["total_words"]),
-        doc_lengths=doc_lengths,
-        term_frequencies=term_frequencies,
-    )
+    return _assemble(payload["blobs"], rows.T, terms)
 
 
 def idf(num_documents: int, doc_frequency: int) -> float:
@@ -246,16 +329,15 @@ def idf(num_documents: int, doc_frequency: int) -> float:
 
 
 __all__ = [
+    "COLUMNS",
     "STATS_BLOB_SUFFIX",
-    "STATS_FORMAT_V1",
-    "SUPPORTED_STATS_VERSIONS",
+    "STATS_CONTAINER_VERSION",
+    "STATS_MAGIC",
     "IndexStats",
     "RankingUnsupportedError",
     "build_stats",
     "decode_stats",
     "encode_stats",
     "idf",
-    "merge_stats",
-    "prune_stats",
     "stats_blob_name",
 ]

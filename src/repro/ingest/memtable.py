@@ -34,6 +34,9 @@ class Memtable:
         self._postings: dict[str, set[Posting]] = {}
         self._documents: dict[Posting, Document] = {}
         self._bytes = 0
+        #: Bumped by every mutation; the ranking statistics are memoized per value.
+        self._version = 0
+        self._statistics: tuple[int, IndexStats] | None = None
 
     @property
     def tokenizer(self) -> Tokenizer:
@@ -67,6 +70,7 @@ class Memtable:
                 for word in self._tokenizer.distinct_terms(document.text):
                     self._postings.setdefault(word, set()).add(document.ref)
                 added += 1
+            self._version += bool(added)
         return added
 
     def remove(self, refs: Iterable[Posting]) -> int:
@@ -91,6 +95,7 @@ class Memtable:
                         if not postings:
                             del self._postings[word]
                 removed += 1
+            self._version += bool(removed)
         return removed
 
     def documents(self) -> list[Document]:
@@ -107,6 +112,25 @@ class Memtable:
         """The document at ``posting``, if held."""
         with self._lock:
             return self._documents.get(posting)
+
+    def statistics(self) -> IndexStats:
+        """Exact ranking statistics over the held documents.
+
+        Computed from the in-memory text with the same analyzer as the
+        persisted stats blobs, so an unflushed document scores exactly as it
+        will after the flush persists it — and only once per mutation: every
+        ranked query in between reuses them.
+        """
+        with self._lock:
+            version, memo = self._version, self._statistics
+            if memo is not None and memo[0] == version:
+                return memo[1]
+            documents = list(self._documents.values())
+        statistics = build_stats(documents, self._tokenizer)
+        with self._lock:
+            if self._version == version:
+                self._statistics = (version, statistics)
+        return statistics
 
 
 class MemtableMember:
@@ -125,25 +149,21 @@ class MemtableMember:
         self.memtable = memtable
         self.name = name
 
-    def plan(self, words: Sequence[str], fail_fast: bool = False) -> LookupPlan:
-        """Exact postings per word, with nothing to read."""
+    def plan(
+        self, words: Sequence[str], fail_fast: bool = False, ranked: bool = False
+    ) -> LookupPlan:
+        """Exact postings per word (and, ranked, the memtable's statistics),
+        with nothing to read."""
         return LookupPlan(
-            (), lambda _: {word: Superpost(self.memtable.postings(word)) for word in words}
+            (),
+            lambda _: {word: Superpost(self.memtable.postings(word)) for word in words},
+            statistics=(lambda: (self.memtable.statistics(),)) if ranked else None,
         )
 
     def resident(self, posting: Posting) -> Document | None:
         """The held document (``None`` once a flush has evicted it: its bytes
         are in its durable WAL segment, where wave 2 reads them)."""
         return self.memtable.document(posting)
-
-    def ranking_stats(self) -> IndexStats:
-        """Exact ranking statistics over the held documents.
-
-        Computed on demand from the in-memory text with the same analyzer as
-        the persisted stats blobs, so an unflushed document scores exactly as
-        it will after the flush persists it.
-        """
-        return build_stats(self.memtable.documents(), self.memtable.tokenizer)
 
     def restrict(self, ordinals: Collection[int]) -> "MemtableMember | None":
         """Unsharded: rides with ordinal 0."""

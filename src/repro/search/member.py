@@ -2,14 +2,14 @@
 
 A query runs over an ordered list of *members* — the persisted base index,
 its delta indexes, the live memtables — and every one of them answers the
-same six-name contract, :class:`Member`.  Members do no I/O on the query
+same five-name contract, :class:`Member`.  Members do no I/O on the query
 path.  The executor (:class:`~repro.search.searcher.AirphantSearcher`) owns
 everything that is the same for all tiers (tokenizing, the two read waves,
 the Boolean tree, tombstone exclusion, top-K sampling, false-positive
-filtering, latency accounting); a member owns only what differs: which
-ranges hold a word's postings and what their bytes mean
-(:meth:`Member.plan`), and which documents it already holds in memory
-(:meth:`Member.resident`).
+filtering, BM25, latency accounting); a member owns only what differs: which
+ranges hold a word's postings — and, for a ranked query, its statistics —
+and what their bytes mean (:meth:`Member.plan`), and which documents it
+already holds in memory (:meth:`Member.resident`).
 
 There are exactly two implementations: :class:`IndexMember` here (a persisted
 IoU Sketch index — a plain index *is* the one-shard case of a sharded one)
@@ -22,27 +22,30 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Collection, Protocol, Sequence
+from typing import Callable, Collection, NamedTuple, Protocol, Sequence
 
 from repro.core.mht import MultilayerHashTable
 from repro.core.superpost import EMPTY, Superpost
 from repro.index.compaction import CompactedSketch
 from repro.index.metadata import IndexMetadata, ShardManifest, index_metadata
 from repro.index.serialization import StringTable, decode_superpost
-from repro.index.stats import IndexStats, RankingUnsupportedError, decode_stats, merge_stats
+from repro.index.stats import IndexStats, RankingUnsupportedError, decode_stats
 from repro.index.store_layout import MAX_SHARDED_CONCURRENCY, stats_blob_name
-from repro.observability.tracing import span
 from repro.parsing.documents import Document, Posting
-from repro.storage.base import BlobNotFoundError, ObjectStore, RangeRead
+from repro.storage.base import RangeRead
 from repro.storage.pipeline import ReadPipeline
 
 
-@dataclass(frozen=True)
-class LookupPlan:
-    """One member's share of wave 1: what to read, and what the bytes mean."""
+class LookupPlan(NamedTuple):
+    """One member's share of wave 1: what to read, and what the bytes mean.
+
+    A tuple, not a dataclass: every query builds one per member, and a
+    frozen dataclass costs a microsecond more to build.
+    """
 
     #: The superpost ranges to read — none when every word is memoized, has
-    #: no postings, or belongs to a doomed conjunction.
+    #: no postings, or belongs to a doomed conjunction — then, on a ranked
+    #: plan of a member whose statistics are not resident yet, their reads.
     reads: Sequence[RangeRead]
     #: Turns the payloads of ``reads`` (same order; ``None`` for a straggler
     #: the L⁺ drop gave up on) into every queried word's final postings list.
@@ -53,6 +56,9 @@ class LookupPlan:
     #: One unsharded member's one non-common word: when this plan is a whole
     #: wave, a hedging executor may drop its slowest reads (Section IV-G).
     hedgeable: bool = False
+    #: Ranked plans: the member's exact BM25 statistics, one per shard —
+    #: valid once ``resolve`` has run.
+    statistics: Callable[[], Sequence[IndexStats]] | None = None
 
 
 class Member(Protocol):
@@ -64,23 +70,23 @@ class Member(Protocol):
     #: 0.0 for exact members.
     expected_false_positives: float
 
-    def plan(self, words: Sequence[str], fail_fast: bool = False) -> LookupPlan:
+    def plan(
+        self, words: Sequence[str], fail_fast: bool = False, ranked: bool = False
+    ) -> LookupPlan:
         """Wave 1, planned: the reads resolving every word's final postings
         list (its layers intersected), and the step that decodes them.
 
         With ``fail_fast`` (a pure conjunction) a word with no postings dooms
-        the query, so a member may plan no reads and answer every word empty.
+        the query, so a member may plan no superpost reads and answer every
+        word empty.  A ``ranked`` plan also yields the member's statistics
+        (its ``resolve`` may raise
+        :class:`~repro.index.stats.RankingUnsupportedError`).
         """
         ...
 
     def resident(self, posting: Posting) -> Document | None:
         """The document at ``posting`` if this member holds it in memory;
         ``None`` when its bytes must come from the store in wave 2."""
-        ...
-
-    def ranking_stats(self) -> IndexStats:
-        """This member's exact BM25 statistics (may raise
-        :class:`~repro.index.stats.RankingUnsupportedError`)."""
         ...
 
     def restrict(self, ordinals: Collection[int]) -> "Member | None":
@@ -114,22 +120,6 @@ class ShardState:
         )
 
 
-class _StatsCache:
-    """Lazily-loaded ranking statistics, shared by every view of one index.
-
-    Whichever view loads the stats first, every view scores with the
-    identical full-corpus statistics afterwards.  Like the header, the stats
-    are a one-time download amortized over every later ranked query; what
-    it cost on the store's clock is recorded in ``load_ms`` rather than
-    charged to any single query.
-    """
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.stats: IndexStats | None = None
-        self.load_ms = 0.0
-
-
 class IndexMember:
     """A persisted IoU Sketch index — every shard of it, or a subset.
 
@@ -139,28 +129,26 @@ class IndexMember:
     plan — with every other member's — as one batch through ``pipeline``,
     the :class:`~repro.storage.pipeline.ReadPipeline` of the opened index
     this member belongs to (a base and its deltas share one), so the member
-    itself reads nothing but its ranking statistics, once.
+    itself reads nothing.  Its ranking statistics ride the lookup wave of
+    its first ranked query and stay resident.
     """
 
     def __init__(
         self,
-        store: ObjectStore,
         name: str,
         pipeline: ReadPipeline,
         shard_manifest: ShardManifest | None,
         shards: Sequence[ShardState],
         max_concurrency: int,
         query_cache_size: int = 0,
-        stats_cache: _StatsCache | None = None,
+        whole: "IndexMember | None" = None,
     ) -> None:
         self.name = name
-        self._store = store
         #: The opened index's one read pipeline (the executor reads through it).
         self.pipeline = pipeline
         #: The shard manifest (``None`` for a plain, single-header index).
         self.shard_manifest = shard_manifest
         self.shards = tuple(shards)
-        self._stats_cache = stats_cache if stats_cache is not None else _StatsCache()
         #: Most requests this member alone wants in flight (scaled by its
         #: shard count); the opened index's pipeline is as wide as all its
         #: members together.
@@ -177,11 +165,15 @@ class IndexMember:
         # because the paper targets read-oriented corpora that rarely change.
         self._query_cache_size = max(0, query_cache_size)
         self._query_cache: OrderedDict[str, Superpost] = OrderedDict()
-        # The cache is shared across server threads (ThreadingHTTPServer);
-        # guard its mutations so LRU bookkeeping stays consistent.
-        self._cache_lock = threading.Lock()
+        # The cache and the statistics are shared across server threads
+        # (ThreadingHTTPServer); guard their mutations.
+        self._lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
+        #: The member whose shard list is the whole index (itself unless this
+        #: is a restricted view): it holds the statistics every view scores with.
+        self._whole = whole if whole is not None else self
+        self._statistics: tuple[IndexStats, ...] | None = None
 
     @property
     def num_shards(self) -> int:
@@ -192,11 +184,6 @@ class IndexMember:
     def mht(self) -> MultilayerHashTable:
         """The in-memory Multilayer Hash Table (of the first shard)."""
         return self.shards[0].mht
-
-    @property
-    def stats_load_ms(self) -> float:
-        """What the one-time ranking-statistics download cost on the store's clock."""
-        return self._stats_cache.load_ms
 
     def restrict(self, ordinals: Collection[int]) -> "IndexMember | None":
         """A view answering only the given shard ordinals (``None`` if it holds none).
@@ -217,18 +204,19 @@ class IndexMember:
         if len(held) == len(self.shards):
             return self
         return IndexMember(
-            self._store,
             self.name,
             self.pipeline,
             self.shard_manifest,
             [self.shards[ordinal] for ordinal in held],
             self.max_concurrency,
-            stats_cache=self._stats_cache,
+            whole=self._whole,
         )
 
     # -- wave 1: superpost reads + per-word intersection ---------------------------
 
-    def plan(self, words: Sequence[str], fail_fast: bool = False) -> LookupPlan:
+    def plan(
+        self, words: Sequence[str], fail_fast: bool = False, ranked: bool = False
+    ) -> LookupPlan:
         """Every (shard, word, layer) superpost read of ``words``, as one plan.
 
         A Boolean query over N terms therefore costs the same single wave as
@@ -238,10 +226,15 @@ class IndexMember:
         a word absent from *every* shard is globally empty.
 
         With ``fail_fast`` (the AND path) such a word dooms the whole
-        conjunction, so nothing is planned — matching a real engine that
+        conjunction, so no superpost is read — matching a real engine that
         short-circuits on a missing term.  Without it (the general Boolean
         path) doomed words resolve to empty postings lists while the
         remaining words are still read.
+
+        A ``ranked`` plan of a member whose statistics are not resident yet
+        also reads them (doomed or not: the other members' candidates score
+        against this member's documents too), and is never hedged — the L⁺
+        drop must not discard statistics.
         """
         results, pending = self._cache_partition(words)
 
@@ -269,9 +262,12 @@ class IndexMember:
         if fail_fast and len(fetch_words) < len(pending):
             for word in fetch_words:
                 results[word] = EMPTY
-            return LookupPlan((), lambda _: results)
+            requests, fetch_words = [], []
+        statistics = self._statistics_reads() if ranked else []
 
         def resolve(payloads: Sequence[bytes | None]) -> dict[str, Superpost]:
+            if statistics:
+                self._install(payloads[len(requests) :])
             for word in fetch_words:
                 per_shard: list[Superpost] = []
                 for shard_index, shard in enumerate(self.shards):
@@ -292,14 +288,67 @@ class IndexMember:
             return results
 
         return LookupPlan(
-            requests,
+            [*requests, *statistics],
             resolve,
             words=fetch_words,
             shards=len(self.shards),
-            hedgeable=self.shard_manifest is None
+            hedgeable=not statistics
+            and self.shard_manifest is None
             and len(fetch_words) == 1
             and not self.mht.is_common(fetch_words[0]),
+            statistics=self._resident_statistics if ranked else None,
         )
+
+    # -- ranking statistics --------------------------------------------------------
+
+    def _build_names(self) -> list[str]:
+        """Every build of the whole index — never just a view's shards."""
+        if self.shard_manifest is None:
+            return [self.name]
+        return [entry.name for entry in self.shard_manifest.shards]
+
+    def _statistics_reads(self) -> list[RangeRead]:
+        """The stats blob of every build, unless the statistics are resident.
+
+        Always the **whole** index's — so a shard-restricted view scores with
+        exactly the same corpus-wide IDF and average length as the full
+        member (and as every other node of a routed cluster).
+        """
+        if self._whole._statistics is not None:
+            return []
+        return [RangeRead(stats_blob_name(name), optional=True) for name in self._build_names()]
+
+    def _install(self, payloads: Sequence[bytes | None]) -> None:
+        """Decode the stats blobs and keep them (the first writer wins).
+
+        A missing blob — an index built before ranked retrieval existed — is
+        :class:`~repro.index.stats.RankingUnsupportedError`.
+        """
+        if any(payload is None for payload in payloads):
+            raise RankingUnsupportedError(self.name, "no ranking statistics blob")
+        decoded = tuple(
+            decode_stats(payload, index_name=name)
+            for name, payload in zip(self._build_names(), payloads)
+        )
+        with self._whole._lock:
+            if self._whole._statistics is None:
+                self._whole._statistics = decoded
+
+    def _resident_statistics(self) -> tuple[IndexStats, ...]:
+        statistics = self._whole._statistics
+        assert statistics is not None, "a ranked plan installs the statistics it scores with"
+        return statistics
+
+    def ranking_stats(self) -> tuple[IndexStats, ...]:
+        """This index's statistics, one per build — for tools and probes, not
+        part of the member contract (a query gets them from its ranked plan).
+
+        Unless a ranked query already installed them, the executor reads
+        them in one wave of this member's stats reads.
+        """
+        from repro.search.searcher import AirphantSearcher  # the executor imports members
+
+        return tuple(AirphantSearcher(members=[self]).ranking_statistics()[0])
 
     def _cache_partition(
         self, words: Sequence[str]
@@ -314,7 +363,7 @@ class IndexMember:
             return {}, list(dict.fromkeys(words))
         results: dict[str, Superpost] = {}
         pending: list[str] = []
-        with self._cache_lock:
+        with self._lock:
             for word in dict.fromkeys(words):
                 if word in self._query_cache:
                     self._query_cache.move_to_end(word)
@@ -331,7 +380,7 @@ class IndexMember:
         """Memoize a word's final postings list (bounded LRU)."""
         if self._query_cache_size <= 0:
             return
-        with self._cache_lock:
+        with self._lock:
             self._query_cache[word] = result
             self._query_cache.move_to_end(word)
             while len(self._query_cache) > self._query_cache_size:
@@ -340,49 +389,6 @@ class IndexMember:
     def resident(self, posting: Posting) -> None:
         """A persisted index holds no document in memory."""
         return None
-
-    # -- ranking statistics --------------------------------------------------------
-
-    def ranking_stats(self) -> IndexStats:
-        """The index's persisted ranking statistics (loaded once, cached).
-
-        Always the **whole** index's statistics — loaded over the manifest's
-        complete shard list, never the restricted subset — so a
-        shard-restricted view scores with exactly the same corpus-wide IDF
-        and average length as the full member (and as every other node of a
-        routed cluster).
-
-        Raises :class:`~repro.index.stats.RankingUnsupportedError` when the
-        index was built before ranked retrieval existed (no stats blob).
-        """
-        cache = self._stats_cache
-        with cache.lock:
-            if cache.stats is None:
-                cache.stats = self._load_stats()
-            return cache.stats
-
-    def _load_stats(self) -> IndexStats:
-        names = (
-            [entry.name for entry in self.shard_manifest.shards]
-            if self.shard_manifest is not None
-            else [self.name]
-        )
-        with span("rank.stats_load", index=self.name, shards=len(names)):
-            try:
-                fetch = self._store.read_batch(
-                    [RangeRead(blob=stats_blob_name(name)) for name in names],
-                    self.max_concurrency,
-                )
-            except BlobNotFoundError:
-                raise RankingUnsupportedError(
-                    self.name, "no ranking statistics blob"
-                ) from None
-        self._stats_cache.load_ms += fetch.total_ms
-        stats = [
-            decode_stats(payload, index_name=name)
-            for name, payload in zip(names, fetch.payloads)
-        ]
-        return stats[0] if self.shard_manifest is None else merge_stats(stats)
 
 
 __all__ = [

@@ -6,7 +6,7 @@ scoring on top of it:
 1. **candidates** come from the superposts exactly like a keyword query
    (every member's per-word layer intersections, unioned across shards) — a
    slight superset of the true matches;
-2. **scores** come from the persisted :mod:`~repro.index.stats` blob:
+2. **scores** come from the persisted :mod:`~repro.index.stats` columns:
    ``score(d) = Σ_t w_t · idf(t) · tf(t,d)·(k1+1) / (tf(t,d) + k1·(1 − b +
    b·|d|/avgdl))`` with the classic ``k1 = 1.2``, ``b = 0.75`` defaults and
    optional per-term field weights ``w_t``.  Because the stats are exact, a
@@ -23,13 +23,16 @@ scoring on top of it:
    list.
 
 Cross-tier identity hinges on one invariant: *every* execution scores with
-the same corpus-wide statistics.  Members therefore expose their exact
-stats contribution (:meth:`ranking_stats`), :func:`corpus_stats` merges them
-by posting (so a document counts once even if it is transiently visible in
-two members mid-flush), and a shard-restricted view still reports its *full*
-index stats — a node answering shards {2,3} uses the same IDF as the node
-answering {0,1}, which is what makes routed answers byte-identical to
-single-node ones.
+the same corpus-wide statistics.  :func:`rank_candidates` sums ``N``, the
+total length and each query word's ``df`` over every member's statistics
+(one :class:`~repro.index.stats.IndexStats` per shard), counting a document
+once — by the first member holding it, so a document transiently visible in
+two members mid-flush counts once — and not at all when it is condemned.  A
+shard-restricted view still brings its *full* index's statistics: a node
+answering shards {2,3} uses the same IDF as the node answering {0,1}, which
+is what makes routed answers byte-identical to single-node ones.  Nothing is
+merged or copied per query: a query reads its words' entries and its
+candidates' rows.
 
 This module is the BM25 maths only.  The query itself — both read waves,
 over every member at once — is run by
@@ -41,9 +44,12 @@ from __future__ import annotations
 import math
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from repro.index.stats import IndexStats, idf, merge_stats, prune_stats
+import numpy as np
+
+from repro.core.superpost import EMPTY, Superpost
+from repro.index.stats import IndexStats, idf
 from repro.parsing.documents import Posting
 
 #: Default ranked result count when neither the request nor the service
@@ -79,116 +85,143 @@ def normalize_weights(
     return {word: float(weights.get(word, 1.0)) for word in words}
 
 
-def score_posting(
-    posting: Posting,
-    words: Sequence[str],
-    term_frequencies: Mapping[str, Mapping[Posting, int]],
-    doc_lengths: Mapping[Posting, int],
-    idf_by_word: Mapping[str, float],
-    weights: Mapping[str, float],
+def bm25(
+    tf: np.ndarray,
+    doc_words: np.ndarray,
+    idf_by_word: Sequence[float],
+    weights: Sequence[float],
     params: BM25Params,
     avg_doc_length: float,
     max_score: float,
-) -> float | None:
-    """Normalized BM25 score of one candidate, or ``None`` to drop it.
+) -> np.ndarray:
+    """Normalized BM25 of documents holding every query word.
 
-    ``None`` means the exact stats refute the candidate: it misses at least
-    one query term (a sketch false positive, or a partial match under the
-    conjunctive contract), or it is unknown to the stats entirely.
+    ``tf`` has one row per word, one column per document; ``doc_words`` are
+    the documents' lengths.  The sum runs word by word, each term evaluated
+    as ``w·idf·(tf·(k1+1)) / (tf + k1·norm)`` in exactly that order, so a
+    document's score is the same double however many are scored at once.
     """
-    doc_length = doc_lengths.get(posting)
-    if doc_length is None:
-        return None
     if avg_doc_length > 0:
-        norm = 1.0 - params.b + params.b * (doc_length / avg_doc_length)
+        norm = 1.0 - params.b + params.b * (doc_words / avg_doc_length)
     else:
         norm = 1.0
-    score = 0.0
-    for word in words:
-        tf = term_frequencies[word].get(posting, 0)
-        if tf == 0:
-            return None
-        score += (
-            weights[word]
-            * idf_by_word[word]
-            * (tf * (params.k1 + 1.0))
-            / (tf + params.k1 * norm)
-        )
+    score = np.zeros(len(doc_words))
+    for row, weight, word_idf in zip(tf, weights, idf_by_word):
+        score += weight * word_idf * (row * (params.k1 + 1.0)) / (row + params.k1 * norm)
     if max_score <= 0.0 or not math.isfinite(max_score):
-        return 0.0
+        return np.zeros(len(doc_words))
     # At k1 = 0 the saturation term attains its supremum exactly and float
     # rounding can land a hair above 1.0; clamp to keep the [0, 1] contract.
-    return min(score / max_score, 1.0)
-
-
-def corpus_stats(
-    member_stats: Sequence[IndexStats], exclude: AbstractSet[Posting] = frozenset()
-) -> IndexStats:
-    """The statistics one query scores against: every member's, merged.
-
-    Merged by posting, so overlapping members (a document mid-flush) never
-    double-count.  ``exclude`` names condemned (tombstoned) postings: BM25
-    scores depend on corpus-wide aggregates (``N``, ``df``, ``avgdl``), so
-    dropping deleted documents from the ranked list alone would keep scoring
-    the survivors against the *pre-delete* corpus; each member's statistics
-    are therefore pruned with :func:`~repro.index.stats.prune_stats` — exact
-    integer surgery, so every score equals a fresh rebuild over the survivors.
-    """
-    if exclude:
-        member_stats = [prune_stats(stats, exclude) for stats in member_stats]
-    return merge_stats(member_stats)
+    return np.minimum(score / max_score, 1.0)
 
 
 def rank_candidates(
-    candidates: Iterable[Posting],
+    shares: Sequence[tuple[int, Superpost]],
+    statistics: Sequence[Sequence[IndexStats]],
     words: Sequence[str],
-    stats: IndexStats,
+    k: int,
+    exclude: AbstractSet[Posting] = frozenset(),
     weights: Mapping[str, float] | None = None,
     params: BM25Params | None = None,
-) -> list[tuple[Posting, float]]:
-    """Score ``candidates`` against ``stats``: ``(posting, score)``, best first.
+) -> tuple[list[tuple[Posting, float, int]], int]:
+    """The best ``k`` candidates: ``(posting, score, owner)``, best first,
+    and how many candidates the statistics did not refute.
 
-    The shared scoring behind every execution tier — a standalone index, a
-    sharded one, the live memtable ∪ deltas ∪ base view, and each node of a
-    routed cluster — which is what keeps their ranked lists identical.
-    Candidates the exact statistics disprove (``tf == 0`` or unknown
-    document) are refuted here, without ever fetching their bytes; ties
-    break on the posting, so the order is deterministic.
+    ``shares`` are the executor's ``(owning member's index, its
+    candidates)``; ``statistics[m]`` is member ``m``'s, one per shard, and
+    ``exclude`` the condemned postings.  A candidate's tf and length come
+    from its owner's statistics; one that misses a query word there
+    (``tf == 0``, or unknown) is refuted without its bytes ever being
+    fetched.  Ties break on the posting, so the order is deterministic.
     """
     params = params if params is not None else BM25Params()
-    idf_by_word = {
-        word: idf(stats.num_documents, stats.doc_frequency(word)) for word in words
-    }
+    num_documents, total_words, frequencies = _corpus(statistics, words, exclude)
+    idf_by_word = [idf(num_documents, df) for df in frequencies]
     weight_by_word = normalize_weights(words, weights)
-    max_score = sum(
-        weight_by_word[word] * idf_by_word[word] * (params.k1 + 1.0) for word in words
-    )
-    term_frequencies = {word: stats.term_frequencies.get(word, {}) for word in words}
-    scored: list[tuple[Posting, float]] = []
-    for posting in candidates:
-        score = score_posting(
-            posting,
-            words,
-            term_frequencies,
-            stats.doc_lengths,
-            idf_by_word,
-            weight_by_word,
-            params,
-            stats.average_length,
-            max_score,
+    weight = [weight_by_word[word] for word in words]
+    max_score = sum(w * word_idf * (params.k1 + 1.0) for w, word_idf in zip(weight, idf_by_word))
+    avg_doc_length = total_words / num_documents if num_documents else 0.0
+    scored = []
+    for owner, share in shares:
+        tf, doc_words = _rows(statistics[owner], share, words)
+        kept = np.flatnonzero((tf > 0).all(axis=0))
+        scores = bm25(
+            tf[:, kept], doc_words[kept], idf_by_word, weight, params, avg_doc_length, max_score
         )
-        if score is not None:
-            scored.append((posting, score))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored
+        scored.append((owner, share, kept, scores))
+    total = sum(len(kept) for _, _, kept, _ in scored)
+    floor = -math.inf
+    if total > k:  # only the k best (and whatever ties the k-th) become postings
+        every = np.concatenate([scores for *_, scores in scored])
+        floor = np.partition(every, total - k)[total - k]
+    winners = []
+    for owner, share, kept, scores in scored:
+        best = scores >= floor
+        winners += [
+            (share[index], score, owner)
+            for index, score in zip(kept[best].tolist(), scores[best].tolist())
+        ]
+    winners.sort(key=lambda winner: (-winner[1], winner[0]))
+    return winners[:k], total
+
+
+def _corpus(
+    statistics: Sequence[Sequence[IndexStats]],
+    words: Sequence[str],
+    exclude: AbstractSet[Posting],
+) -> tuple[int, int, list[int]]:
+    """``N``, total length and each word's ``df`` over the surviving corpus,
+    every document counted once."""
+    condemned = Superpost(exclude) if exclude else EMPTY
+    num_documents = total_words = 0
+    frequencies = [0] * len(words)
+    earlier: list[IndexStats] = []
+    for parts in statistics:
+        for part in parts:  # a member's shards are disjoint
+            dropped = _dropped(part, condemned, earlier)
+            num_documents += part.num_documents - len(dropped)
+            total_words += part.total_words - int(part.doc_words[dropped].sum())
+            for at, word in enumerate(words):
+                docs, _ = part.entries(word)
+                frequencies[at] += len(docs)
+                if len(dropped):
+                    frequencies[at] -= int(np.isin(docs, dropped).sum())
+        earlier.extend(parts)
+    return num_documents, total_words, frequencies
+
+
+def _dropped(part: IndexStats, condemned: Superpost, earlier: Sequence[IndexStats]) -> np.ndarray:
+    """The rows of ``part`` a query does not count: its condemned documents,
+    and those an earlier member already counted."""
+    found = [np.flatnonzero(other.docs.positions(part.docs) >= 0) for other in earlier]
+    if condemned:
+        rows = part.docs.positions(condemned)
+        found.append(rows[rows >= 0])
+    return np.unique(np.concatenate(found)) if found else np.empty(0, np.int64)
+
+
+def _rows(
+    parts: Sequence[IndexStats], share: Superpost, words: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each candidate's tf per word (0 where its statistics lack it) and length."""
+    tf = np.zeros((len(words), len(share)), np.int64)
+    doc_words = np.zeros(len(share), np.int64)
+    for part in parts:
+        rows = part.docs.positions(share)
+        held = np.flatnonzero(rows >= 0)
+        if len(held):
+            rows = rows[held]
+            doc_words[held] = part.doc_words[rows]
+            for at, word in enumerate(words):
+                tf[at, held] = part.frequencies(word, rows)
+    return tf, doc_words
 
 
 __all__ = [
     "DEFAULT_RANKED_K",
     "MAX_RANKED_K",
     "BM25Params",
-    "corpus_stats",
+    "bm25",
     "normalize_weights",
     "rank_candidates",
-    "score_posting",
 ]

@@ -36,6 +36,7 @@ from typing import Callable, Collection, Sequence
 
 from repro.core.analysis import top_k_sample_size
 from repro.core.superpost import Superpost
+from repro.index.stats import IndexStats
 from repro.index.store_layout import (
     MAX_SHARDED_CONCURRENCY,
     OpenedHeaders,
@@ -46,8 +47,8 @@ from repro.observability.tracing import span
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
 from repro.search.boolean import And, BooleanQuery, Term, parse_boolean_query
-from repro.search.member import IndexMember, Member, ShardState
-from repro.search.ranking import MAX_RANKED_K, BM25Params, corpus_stats, rank_candidates
+from repro.search.member import IndexMember, LookupPlan, Member, ShardState
+from repro.search.ranking import MAX_RANKED_K, BM25Params, rank_candidates
 from repro.search.replication import HedgingPolicy
 from repro.search.results import Candidates, LatencyBreakdown, SearchResult
 from repro.storage.base import ObjectStore, RangeRead
@@ -179,7 +180,6 @@ class AirphantSearcher:
         )
         self._opened = [
             IndexMember(
-                self._store,
                 build.name,
                 self.pipeline,
                 build.manifest,
@@ -268,7 +268,7 @@ class AirphantSearcher:
         retrieval.
         """
         latency = LatencyBreakdown()
-        candidates, _ = self._lookup(Term(word), [word], True, latency)
+        candidates, _, _ = self._lookup(Term(word), [word], True, latency)
         return list(candidates), latency
 
     def search(self, query: str, top_k: int | None = None) -> SearchResult:
@@ -299,14 +299,15 @@ class AirphantSearcher:
         """BM25 top-k ranked retrieval: the best ``k`` documents matching all
         query terms, scored into [0, 1] and ordered best-first.
 
-        Every member contributes its exact ranking statistics; they are
-        merged by posting (a document transiently visible in two members
-        mid-flush counts once, a condemned one not at all) and all members'
-        candidates are scored against the merged, corpus-wide statistics —
-        so the ranked list matches what a fresh single-index rebuild over
-        the same documents would return.  The exact statistics already
-        refute the false positives, so text is fetched for the winners only
-        and needs no check.
+        Every member's candidates are scored against the corpus-wide
+        statistics of the query's words, summed over all members (a
+        document transiently visible in two members mid-flush counts once, a
+        condemned one not at all) — so the ranked list matches what a fresh
+        single-index rebuild over the same documents would return.  A
+        member's first ranked query reads its statistics in the same lookup
+        wave as its superposts.  The exact statistics already refute the
+        false positives, so text is fetched for the winners only and needs
+        no check.
 
         Raises :class:`~repro.index.stats.RankingUnsupportedError` if any
         member index lacks ranking statistics, and ``ValueError`` for an
@@ -317,34 +318,46 @@ class AirphantSearcher:
         words = list(dict.fromkeys(self._tokenizer.tokenize(query)))
         if not words:
             return SearchResult(query=query, scores=[])
-        members = self._require_members()
-        with span("rank.stats", members=len(members)):
-            stats = corpus_stats(
-                [member.ranking_stats() for member in members], self._exclude
-            )
         latency = LatencyBreakdown()
         with span("rank.score", k=k, words=words) as score_span:
-            candidates, _ = self._lookup(_conjunction(words), words, True, latency)
-            # The statistics are keyed by posting, so scoring needs them all.
-            postings, owners = candidates.owned()
-            scored = rank_candidates(postings, words, stats, weights, params)
-            score_span.set(candidates=len(postings), refuted=len(postings) - len(scored))
-        ranked = dict(scored[: min(k, MAX_RANKED_K)])
+            candidates, _, statistics = self._lookup(
+                _conjunction(words), words, True, latency, ranked=True
+            )
+            ranked, scored = rank_candidates(
+                candidates.shares,
+                statistics,
+                words,
+                min(k, MAX_RANKED_K),
+                self._exclude,
+                weights,
+                params,
+            )
+            score_span.set(candidates=len(candidates), refuted=len(candidates) - scored)
         documents: list[Document] = []
         if ranked:
-            owner_of = dict(zip(postings, owners))
             with span("search.fetch_documents", postings=len(ranked)):
                 documents = self._fetch(
-                    list(ranked), [owner_of[posting] for posting in ranked], latency
+                    [posting for posting, _, _ in ranked],
+                    [owner for _, _, owner in ranked],
+                    latency,
                 )
+        score_of = {posting: score for posting, score, _ in ranked}
         return SearchResult(
             query=query,
             documents=documents,
-            scores=[ranked[document.ref] for document in documents],
+            scores=[score_of[document.ref] for document in documents],
             candidate_postings=Superpost.union_all(share for _, share in candidates.shares),
-            false_positive_count=len(postings) - len(scored),
+            false_positive_count=len(candidates) - scored,
             latency=latency,
         )
+
+    def ranking_statistics(self) -> list[Sequence[IndexStats]]:
+        """Every member's ranking statistics, in member order (for tools and
+        probes) — those not resident yet read in one wave, the reads a cold
+        ranked query adds to its lookup wave."""
+        plans = [member.plan((), ranked=True) for member in self._require_members()]
+        self._resolve(plans, LatencyBreakdown())
+        return [plan.statistics() for plan in plans]
 
     # -- execution ------------------------------------------------------------------
 
@@ -363,7 +376,7 @@ class AirphantSearcher:
             if self._exclude
             else nullcontext()
         ):
-            candidates, condemned = self._lookup(tree, words, fail_fast, latency)
+            candidates, condemned, _ = self._lookup(tree, words, fail_fast, latency)
             with span("search.retrieve", candidates=len(candidates)) as retrieve_span:
                 if condemned:
                     retrieve_span.set(
@@ -390,16 +403,39 @@ class AirphantSearcher:
         words: Sequence[str],
         fail_fast: bool,
         latency: LatencyBreakdown,
-    ) -> tuple[Candidates, Superpost]:
+        ranked: bool = False,
+    ) -> tuple[Candidates, Superpost, list[Sequence[IndexStats]]]:
         """Wave 1, once: every member's plan in one batch, then the merge.
 
         Returns the surviving candidates in member order — each member's
         share being what no earlier member produced, so the first member
-        producing a posting owns it — and the condemned candidates dropped
-        on the way: they never reach the fetch wave, so their bytes are
-        refunded outright and top-k sampling stays effective.
+        producing a posting owns it — the condemned candidates dropped on
+        the way (they never reach the fetch wave, so their bytes are
+        refunded outright and top-k sampling stays effective) and, for a
+        ``ranked`` lookup, every member's statistics.
         """
-        plans = [member.plan(words, fail_fast) for member in self._require_members()]
+        plans = [member.plan(words, fail_fast, ranked) for member in self._require_members()]
+        shares: list[tuple[int, Superpost]] = []
+        condemned: list[Superpost] = []
+        for index, per_word in enumerate(self._resolve(plans, latency)):
+            found = tree.candidates(per_word.__getitem__)
+            if not found:
+                continue
+            if self._exclude:
+                found, dropped = found.split(self._exclude)
+                condemned.append(dropped)
+            for _, earlier in shares:
+                found = found.difference(earlier)
+            if found:
+                shares.append((index, found))
+        statistics = [plan.statistics() for plan in plans] if ranked else []
+        return Candidates(shares), Superpost.union_all(condemned), statistics
+
+    def _resolve(
+        self, plans: Sequence[LookupPlan], latency: LatencyBreakdown
+    ) -> list[dict[str, Superpost]]:
+        """Wave 1, once: every plan's reads in one batch, then each plan
+        resolved from its share of the payloads."""
         reading = [plan for plan in plans if plan.reads]
         payloads: list[bytes | None] = []
         if reading:
@@ -419,23 +455,12 @@ class AirphantSearcher:
                     latency.add_lookup,
                     self._hedging.required_of(len(requests)) if hedged else None,
                 )
-        shares: list[tuple[int, Superpost]] = []
-        condemned: list[Superpost] = []
+        resolved = []
         start = 0
-        for index, plan in enumerate(plans):
-            per_word = plan.resolve(payloads[start : start + len(plan.reads)])
+        for plan in plans:
+            resolved.append(plan.resolve(payloads[start : start + len(plan.reads)]))
             start += len(plan.reads)
-            found = tree.candidates(per_word.__getitem__)
-            if not found:
-                continue
-            if self._exclude:
-                found, dropped = found.split(self._exclude)
-                condemned.append(dropped)
-            for _, earlier in shares:
-                found = found.difference(earlier)
-            if found:
-                shares.append((index, found))
-        return Candidates(shares), Superpost.union_all(condemned)
+        return resolved
 
     def _retrieve(
         self,

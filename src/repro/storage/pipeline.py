@@ -174,7 +174,9 @@ class ReadPipeline:
 
     Open-ended reads (``length=None``) pass through without coalescing or
     caching: their extent is unknown until the store answers, so neither
-    optimization is sound for them.
+    optimization is sound for them.  So do ``optional`` reads, whose answer
+    may be "missing" (a ``None`` payload) — a merged range or a cached block
+    could not say that.
     """
 
     def __init__(
@@ -264,10 +266,6 @@ class ReadPipeline:
         """
         if not requests:
             return FetchResult()
-        if any(request.optional for request in requests):
-            # Coalescing merges ranges and the cache keys them by offset: a
-            # "missing" answer fits neither (the open path reads the store).
-            raise ValueError("the read pipeline does not take optional reads")
 
         with span("pipeline.fetch") as trace_span:
             placements, physical, deltas = self._plan(requests)
@@ -283,7 +281,7 @@ class ReadPipeline:
             fetch = self._store.read_batch(physical, self._max_concurrency)
 
             payloads = self._resolve(requests, placements, fetch.payloads)
-            fetched_bytes = sum(len(data) for data in fetch.payloads)
+            fetched_bytes = sum(len(data) for data in fetch.payloads if data is not None)
             self.stats.add(bytes_fetched=fetched_bytes)
             # The span mirrors exactly the deltas committed to PipelineStats,
             # so explain output is checkable against the counters to the byte.
@@ -328,7 +326,7 @@ class ReadPipeline:
                     # Zero-length reads need no bytes at all.
                     placements[index] = _Placement(source="empty")
                     continue
-                if request.length is None:
+                if request.length is None or request.optional:
                     passthrough.append(index)
                     deltas["cache_misses"] += 1
                     continue
@@ -399,10 +397,10 @@ class ReadPipeline:
         self,
         requests: list[RangeRead],
         placements: list[_Placement],
-        physical_payloads: list[bytes],
-    ) -> list[bytes]:
+        physical_payloads: list[bytes | None],
+    ) -> list[bytes | None]:
         """Slice each logical payload out of its physical (or cached) source."""
-        payloads: list[bytes] = []
+        payloads: list[bytes | None] = []
         fills: list[tuple[_RangeKey, bytes]] = []
         for request, placement in zip(requests, placements):
             if placement.source == "empty":
@@ -412,6 +410,9 @@ class ReadPipeline:
                 payloads.append(placement.payload)
                 continue
             source = physical_payloads[placement.physical_index]
+            if source is None:  # an optional read of a missing blob
+                payloads.append(None)
+                continue
             if placement.length is None:
                 data = source[placement.start :]
             else:

@@ -6,9 +6,10 @@ ordered ``(method, blob, offset, length)`` log of a recording store must equal
 the capture in ``golden_store_calls.json``.  Moving who resolves name → manifest
 → members → headers, or who issues a wave, must not move a single store call
 on the open/query path; a change that *means* to regenerates the golden on
-purpose (last: the open is one batch of "missing is an answer" reads for every
-blob that says what the index is, plus one for the members it names — it used
-to be 5 dependent round trips for a plain index and 10 for base + 2 deltas)::
+purpose (last: the ranking statistics ride the first ranked query's lookup
+batch instead of a batch per member before it; before that, the open became
+one batch of "missing is an answer" reads for every blob that says what the
+index is, plus one for the members it names)::
 
     PYTHONPATH=src:tests python tests/index/test_golden_store_calls.py
 """
@@ -87,13 +88,13 @@ def test_the_sequence_covers_open_lookup_and_stats():
 
 def test_a_query_costs_two_batches_however_many_members():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    for name, members, opens in (("plain", 1, 1), ("sharded", 1, 2), ("deltas", 3, 2)):
+    for name, opens in (("plain", 1), ("sharded", 2), ("deltas", 2)):
         assert not any(method == "exists" for method, _, _, _ in golden[name]), name
         batches = [length for method, _, _, length in golden[name] if method == "read_batch"]
         # The open: the discovery batch, then (shards or deltas) the headers
-        # it names.  Per member, on the first ranked query: its statistics.
-        # Per query: lookup + documents.
-        assert len(batches) == opens + 2 + members + 2, (name, batches)
+        # it names.  Per query: lookup + documents — the first ranked query's
+        # lookup also reads every member's statistics.
+        assert len(batches) == opens + 2 + 2, (name, batches)
         assert batches[0] == 4, name  # shards.json, header.json, manifest.json, ingest.json
         assert batches[opens + 1] == 62, name  # the keyword query's documents
         assert batches[-1] == 10, name  # the ranked query's winners

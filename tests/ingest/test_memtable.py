@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.ingest.memtable import Memtable, MemtableMember, memtable_from_documents
 from repro.parsing.documents import Document, DocumentRef
+from repro.parsing.tokenizer import WhitespaceAnalyzer
 from repro.search.boolean import And, Or, Term
 from repro.search.searcher import AirphantSearcher
 
@@ -82,3 +83,52 @@ class TestMemtableSearcher:
         result = searcher.search("error")
         assert result.false_positive_count == 0
         assert len(result.candidate_postings) == len(result.documents)
+
+
+class CountingAnalyzer(WhitespaceAnalyzer):
+    """Counts the documents it tokenizes."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def tokenize(self, text: str) -> list[str]:
+        self.calls += 1
+        return super().tokenize(text)
+
+
+def _ranked(table: Memtable):
+    """A ranked query through a new member, as the service builds one per request."""
+    return AirphantSearcher(members=[MemtableMember(table)]).search_topk("error", k=5)
+
+
+class TestMemtableStatistics:
+    def test_ranked_queries_over_an_unchanged_memtable_tokenize_once(self):
+        analyzer = CountingAnalyzer()
+        table = Memtable(analyzer)
+        table.add([_doc("seg", 0, "error disk full"), _doc("seg", 16, "error net")])
+        before = analyzer.calls
+        first = _ranked(table)
+        assert analyzer.calls == before + 2  # each held document, once
+        second = _ranked(table)
+        assert analyzer.calls == before + 2
+        assert (second.postings, second.scores) == (first.postings, first.scores)
+
+    def test_a_mutation_between_ranked_queries_scores_like_a_rebuild(self):
+        table = Memtable(CountingAnalyzer())
+        table.add([_doc("seg", 0, "error disk full"), _doc("seg", 16, "error net")])
+        _ranked(table)
+        appended = _doc("seg", 26, "error error cascading")
+        table.add([appended])
+        result = _ranked(table)
+        assert result.documents[0] == appended
+        _assert_scores_like_a_rebuild(table, result)
+        table.remove([appended.ref])
+        result = _ranked(table)
+        assert appended not in result.documents
+        _assert_scores_like_a_rebuild(table, result)
+
+
+def _assert_scores_like_a_rebuild(table: Memtable, result) -> None:
+    fresh = _ranked(memtable_from_documents(table.documents()))
+    assert len(result.documents) == table.num_documents
+    assert (result.postings, result.scores) == (fresh.postings, fresh.scores)

@@ -1,8 +1,8 @@
 """Tests for the mutable-document lifecycle: tombstone deletes and updates.
 
 Covers every layer a delete travels through: the WAL tombstone records, the
-memtable's exact removal, the query executor's ``exclude`` filter, the
-ranking-stats pruning, the flush-time survivor filter, and the compaction
+memtable's exact removal, the query executor's ``exclude`` filter (ranked
+scores included), the flush-time survivor filter, and the compaction
 that finally drops deleted documents from the physical index.
 """
 
@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
-from repro.index.stats import IndexStats, build_stats, prune_stats
 from repro.ingest.live import IngestCoordinator, IngestOverloadedError, LiveIndex
 from repro.ingest.memtable import Memtable, memtable_from_documents
 from repro.ingest.wal import (
@@ -23,7 +22,6 @@ from repro.ingest.wal import (
 from repro.observability import MetricsRegistry
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Document, Posting
-from repro.parsing.tokenizer import SimpleAnalyzer
 from repro.search.searcher import AirphantSearcher
 from repro.service.config import ServiceConfig
 from repro.storage.memory import InMemoryObjectStore
@@ -156,37 +154,6 @@ class TestMemtableRemove:
         assert table.remove([ref]) == 1
         assert table.remove([ref]) == 0
         assert table.num_documents == 0
-
-
-class TestPruneStats:
-    def _stats(self) -> IndexStats:
-        documents = [
-            _doc("b", 0, "error disk full"),
-            _doc("b", 16, "error net"),
-            _doc("b", 26, "info ok"),
-        ]
-        return build_stats(documents, SimpleAnalyzer())
-
-    def test_prune_matches_fresh_computation(self):
-        stats = self._stats()
-        removed = {Posting(blob="b", offset=0, length=15)}
-        survivors = [_doc("b", 16, "error net"), _doc("b", 26, "info ok")]
-        expected = build_stats(survivors, SimpleAnalyzer())
-        pruned = prune_stats(stats, removed)
-        assert pruned.num_documents == expected.num_documents
-        assert pruned.total_words == expected.total_words
-        assert pruned.doc_lengths == expected.doc_lengths
-        assert pruned.term_frequencies == expected.term_frequencies
-
-    def test_prune_of_absent_postings_returns_same_object(self):
-        stats = self._stats()
-        assert prune_stats(stats, {Posting(blob="x", offset=0, length=1)}) is stats
-
-    def test_prune_drops_terms_with_no_surviving_postings(self):
-        stats = self._stats()
-        pruned = prune_stats(stats, {Posting(blob="b", offset=26, length=7)})
-        assert "info" not in pruned.term_frequencies
-        assert "ok" not in pruned.term_frequencies
 
 
 class TestTombstoneView:

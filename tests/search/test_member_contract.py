@@ -6,7 +6,7 @@ shard-restricted view of it, a live memtable — answers the same
 (:class:`~repro.search.searcher.AirphantSearcher`) does everything else.
 This suite pins both halves: the per-member obligations (a resolved ``plan``
 is a superset of the truth and the member itself reads nothing, ``restrict``
-partitions exactly, pruned ranking statistics equal a rebuild over the
+partitions exactly, scores under pending deletes equal a rebuild over the
 survivors, an excluded document's bytes are never requested), each with and
 without pending deletes, and — at the executor level — that one corpus
 served as a plain index, as 4 shards, or as base + 2 deltas + memtable
@@ -23,7 +23,6 @@ import pytest
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
 from repro.index.sharding import partition_documents
-from repro.index.stats import build_stats, prune_stats
 from repro.ingest.memtable import MemtableMember, memtable_from_documents
 from repro.parsing.documents import Document
 from repro.parsing.tokenizer import WhitespaceAnalyzer
@@ -206,11 +205,21 @@ class TestMemberContract:
             assert even is site.member
             assert odd is None
 
-    def test_pruned_ranking_stats_equal_a_rebuild_over_survivors(self, site, pending):
+    def test_scores_under_pending_tombstones_equal_a_rebuild_over_survivors(self, site, pending):
         exclude = site.excluded(pending)
         survivors = [d for d in site.ranked if d.ref not in exclude]
-        pruned = prune_stats(site.member.ranking_stats(), exclude)
-        assert pruned == build_stats(survivors, TOKENIZER)
+        AirphantBuilder(site.store, config=CONFIG).build_from_documents(
+            survivors, index_name="rebuilt"
+        )
+        rebuilt = AirphantSearcher.open(site.store, "rebuilt")
+        searcher = AirphantSearcher(members=[site.member], exclude=exclude)
+        held = {d.ref for d in site.held}
+        for query in ("ERROR", "INFO block"):
+            # A view ranks its own shards' documents against the whole index.
+            expected = rebuilt.search_topk(query, k=500)
+            expected = [(r, s) for r, s in zip(expected.postings, expected.scores) if r in held]
+            result = searcher.search_topk(query, k=500)
+            assert list(zip(result.postings, result.scores)) == expected, query
 
     def test_excluded_bytes_are_never_requested(self, site, pending):
         exclude = site.excluded(pending)

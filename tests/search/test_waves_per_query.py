@@ -3,9 +3,10 @@
 One live index — a base, two flushed deltas, a memtable still in memory and
 one pending tombstone — served through a recording store.  Every membership
 query must cost exactly two ``read_batch`` calls (one lookup wave over *all*
-members, one document wave), a term lookup one, a ranked query two once the
-ranking statistics are warm; the condemned document's bytes must never be
-requested; and the answers must equal a fresh rebuild over the survivors.
+members, one document wave), a term lookup one, a ranked query two — the
+first one on a fresh node too, its ranking statistics riding the lookup wave;
+the condemned document's bytes must never be requested; and the answers must
+equal a fresh rebuild over the survivors.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def live():
         service.delete_documents("live", [condemned.ref])
         searcher = service.searcher("live")
         assert len(searcher.searchers) == 4  # base, two deltas, the memtable
-        searcher.search_topk("ERROR", 5)  # the one-time statistics download
+        searcher.search_topk("ERROR", 5)  # statistics resident from here on
         survivors = [d for d in base + appended if d.ref != condemned.ref]
         AirphantBuilder(backend, config=CONFIG).build_from_documents(
             survivors, index_name="rebuilt"
@@ -105,6 +106,31 @@ def test_a_warm_ranked_query_is_two_waves_with_rebuild_scores(live):
         expected = reference.search_topk(query, 10)
         assert result.postings == expected.postings
         assert result.scores == expected.scores
+
+
+def test_a_cold_ranked_query_is_two_waves_with_rebuild_scores(live):
+    store, _, reference, _ = live
+    with AirphantService(store, ServiceConfig(ingest_interval_s=0)) as service:
+        fresh = service.searcher("live")
+        assert len(fresh.searchers) == 4
+        result, waves = _waves(store, lambda: fresh.search_topk("INFO block", 10))
+    assert len(waves) == 2 and waves[1] == len(result.documents) == 10
+    expected = reference.search_topk("INFO block", 10)
+    assert result.postings == expected.postings
+    assert result.scores == expected.scores
+
+
+def test_the_statistics_alone_are_one_wave_that_warms_the_ranked_query(live):
+    store, *_ = live
+    with AirphantService(store, ServiceConfig(ingest_interval_s=0)) as service:
+        fresh = service.searcher("live")
+        statistics, waves = _waves(store, fresh.ranking_statistics)
+        assert waves == [3]  # one stats blob per persisted member, none for the memtable
+        assert [len(member) for member in statistics] == [1, 1, 1, 1]
+        assert fresh.searchers[0].ranking_stats() == tuple(statistics[0])
+        start = len(store.calls)
+        fresh.search_topk("INFO block", 10)
+    assert not any(blob.endswith("/stats.json") for _, blob, _, _ in store.calls[start:])
 
 
 def test_the_condemned_documents_bytes_are_never_requested(live):

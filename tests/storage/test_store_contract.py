@@ -245,14 +245,26 @@ def test_the_simulator_charges_a_missed_probe_a_first_byte_wait_and_no_bytes():
     assert result.total_ms >= max(missed.wait_ms, hit.wait_ms)
 
 
-def test_the_read_pipeline_rejects_optional_reads_rather_than_cache_a_none():
+def test_the_read_pipeline_passes_optional_reads_through_uncached():
+    """A ranked lookup wave carries "missing is an answer" stats reads: they
+    pass through uncoalesced, a miss is ``None``, and nothing is cached for it."""
     from repro.storage.pipeline import ReadPipeline
 
     backend = InMemoryObjectStore()
     backend.put("there", b"payload")
     pipeline = ReadPipeline(backend, 4, max_gap=0, cache_bytes=1 << 16)
-    with pytest.raises(ValueError):
-        pipeline.fetch([RangeRead("there", 0, 4), RangeRead("missing", 0, 4, optional=True)])
-    assert pipeline.cached_bytes == 0
-    assert pipeline.fetch([RangeRead("there", 0, 4)]).payloads == [b"payl"]
+    requests = [
+        RangeRead("there", 0, 4),
+        RangeRead("missing", optional=True),
+        RangeRead("there", 4, 3),
+        RangeRead("there", optional=True),
+        RangeRead("missing", 0, 4, optional=True),
+    ]
+    fetch = pipeline.fetch(requests)
+    assert fetch.payloads == [b"payl", None, b"oad", b"payload", None]
+    stats = pipeline.stats
+    assert (stats.requests_in, stats.requests_out) == (5, 4)  # the two bounded reads merge
+    assert stats.bytes_fetched == 7 + 7
+    assert pipeline.fetch([RangeRead("missing", 0, 4, optional=True)]).payloads == [None]
+    assert pipeline.cached_bytes == 7  # the merged bounded run only
     backend.close()

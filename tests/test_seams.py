@@ -135,16 +135,16 @@ def test_checker_keeps_read_waves_in_the_executor(tmp_path):
     for package in ("search", "ingest", "storage"):
         (root / package).mkdir(parents=True)
     # Allowed: the executor issues both waves (and the hedged one straight on
-    # the store), a member downloads its ranking statistics, and storage/ is
-    # where read_batch lives.
+    # the store), a member may name read_batch( in a docstring, and storage/
+    # is where read_batch lives.
     (root / "search" / "searcher.py").write_text(
         "fetch = self.pipeline.fetch(requests, width)\n"
         "fetch = self.pipeline.store.read_batch(requests, width, required=required)\n",
         encoding="utf-8",
     )
     (root / "search" / "member.py").write_text(
-        '"""A member never calls pipeline.fetch( itself."""\n'
-        "fetch = self._store.read_batch(stats_requests, self.max_concurrency)\n",
+        '"""Statistics ride the plan, not a store.read_batch( of their own."""\n'
+        "reads = [RangeRead(stats_blob_name(name), optional=True) for name in names]\n",
         encoding="utf-8",
     )
     (root / "storage" / "pipeline.py").write_text(
@@ -152,9 +152,12 @@ def test_checker_keeps_read_waves_in_the_executor(tmp_path):
     )
     assert check_seams.findings(root) == []
 
-    # Forbidden: a member reading on the query path, in either spelling.
+    # Forbidden: a member reading on the query path, in either spelling —
+    # its ranking statistics included.
     (root / "search" / "member.py").write_text(
-        "fetch = self.pipeline.fetch(requests)\n", encoding="utf-8"
+        "fetch = self.pipeline.fetch(requests)\n"
+        "stats = self._store.read_batch(stats_requests, self.max_concurrency)\n",
+        encoding="utf-8",
     )
     (root / "search" / "ranking.py").write_text(
         "fetch = store.read_batch(requests)\n", encoding="utf-8"
@@ -169,6 +172,7 @@ def test_checker_keeps_read_waves_in_the_executor(tmp_path):
     assert [problem.split("repro/")[1] for problem in found] == [
         "ingest/memtable.py:1: a read wave issued outside the executor",
         "search/member.py:1: a read wave issued outside the executor",
+        "search/member.py:2: a read wave issued outside the executor",
         "search/ranking.py:1: a read wave issued outside the executor",
     ]
 
