@@ -57,6 +57,14 @@ the array code lives behind it.  This script also fails on:
   ``.sorted_postings()`` call, in ``search/searcher.py`` (candidates arrive
   in order; the executor never re-sorts them).
 
+The build side reads documents in waves and analyses them in one place: the
+Builder and compaction work from a build's statistics columns.  Under
+``index/`` this script also fails on:
+
+* a ``get_range(`` call (a dependent read per document),
+* a ``.tokenize(`` or ``.distinct_terms(`` call anywhere but
+  ``index/stats.py``.
+
 Every HTTP request the program makes rides a pooled keep-alive connection
 (``storage/connections.py``).  This script also fails on:
 
@@ -147,6 +155,12 @@ POSTING_LIST_FILES = {
 }
 _ARRAY_CODE = re.compile(r"\bnp\.|\bnumpy\b")
 _RESORT = re.compile(r"\bsorted\((?!\w+\.terms\(\)\))|\.sorted_postings\(")
+
+#: The build side's package, and the one file in it that analyses text.
+BUILD_PACKAGE = "index"
+ANALYSIS_FILE = ("index", "stats.py")
+_RANGE_READ = re.compile(r"\bget_range\(")
+_ANALYSIS = re.compile(r"\.(?:tokenize|distinct_terms)\(")
 
 #: The only files that may open an HTTP connection themselves.
 HTTP_CLIENT_FILES = {("storage", "connections.py"), ("cli.py",)}
@@ -254,6 +268,10 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 problems.append(f"{where}: the executor re-sorts candidates")
             if package != LAYOUT_FILE[0] and _STORE_DECODERS.search(text):
                 problems.append(f"{where}: header/manifest decoder called outside index/")
+            if package == BUILD_PACKAGE and _RANGE_READ.search(text):
+                problems.append(f"{where}: a dependent get_range on the build side")
+            if package == BUILD_PACKAGE and parts != ANALYSIS_FILE and _ANALYSIS.search(text):
+                problems.append(f"{where}: documents analysed outside index/stats.py")
             if parts not in HTTP_CLIENT_FILES and _HTTP_CONNECTION.search(text):
                 problems.append(f"{where}: HTTP connection outside the pooled client")
             if package not in SIMULATOR_PACKAGES and _SIMULATOR_CHECK.search(text):

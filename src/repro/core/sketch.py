@@ -1,23 +1,76 @@
-"""The in-memory IoU Sketch.
+"""The in-memory IoU Sketch, and the columns it is persisted from.
 
-This is the logical data structure of Section IV-A: L layers of bins, each
-bin holding a super postings list.  The Builder constructs one of these from
-a corpus, then splits it into the cloud-persisted superposts and the
-in-memory Multilayer Hash Table.  The in-memory form is also useful on its
-own (the false-positive experiments of Figures 5 and 16 run directly against
-it without any storage).
+:class:`IoUSketch` is the logical data structure of Section IV-A: L layers
+of bins, each bin holding a super postings list as a set of postings.  The
+false-positive experiments of Figures 5 and 16 run directly against it
+without any storage.
+
+The Builder never materialises those sets.  It derives the sketch straight
+from a build's exact inverted index as :class:`SketchColumns` — per
+non-empty bin and per common word, a sorted run of rows of one document
+table — which compaction splits into the cloud-persisted superposts and the
+in-memory Multilayer Hash Table.  :meth:`IoUSketch.columns` gives the same
+form for a set-based sketch.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.common_words import CommonWordTable
 from repro.core.hashing import LayeredHasher
-from repro.core.superpost import Superpost
+from repro.core.superpost import POSTING_ORDER, Superpost
 from repro.parsing.documents import Posting
+
+
+class PostingColumns(NamedTuple):
+    """Posting lists as runs of rows of one document table.
+
+    Document ``r`` is ``(names[rank[r]], offset[r], length[r])``, with
+    ``names`` sorted and the rows in ``(blob, offset, length)`` order.  List
+    ``i`` is the documents ``rows[starts[i]:starts[i] + counts[i]]``,
+    ascending.
+    """
+
+    names: Sequence[str]
+    rank: np.ndarray
+    offset: np.ndarray
+    length: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+
+@dataclass(frozen=True)
+class SketchColumns:
+    """An IoU Sketch whose lists are :class:`PostingColumns`.
+
+    The first ``len(bin_ids)`` lists are the non-empty hashed bins, by flat
+    id ``layer * bins_per_layer + bin`` (ascending in ``bin_ids``); the rest
+    are the exact lists of ``common_words`` (sorted).
+    """
+
+    hasher: LayeredHasher
+    bin_ids: np.ndarray
+    common_words: Sequence[str]
+    lists: PostingColumns
+
+    @property
+    def num_layers(self) -> int:
+        return self.hasher.num_layers
+
+    @property
+    def bins_per_layer(self) -> int:
+        return self.hasher.bins_per_layer
+
+    @property
+    def total_bins(self) -> int:
+        return self.num_layers * self.bins_per_layer
 
 
 @dataclass
@@ -131,6 +184,41 @@ class IoUSketch:
         the analytical expectation F(L).
         """
         return len(set(self.query(word)) - true_postings)
+
+    def columns(self) -> SketchColumns:
+        """This sketch as :class:`SketchColumns` (empty bins left out; a
+        registered common word nothing used keeps its empty list)."""
+        bins = sorted(
+            (
+                (layer * self.bins_per_layer + index, postings)
+                for layer, bins in enumerate(self.layers)
+                for index, postings in bins.items()
+                if postings
+            ),
+            key=lambda item: item[0],
+        )
+        common = sorted(self.common_words.postings_by_word.items())
+        every = set().union(*(postings for _, postings in chain(bins, common)))
+        docs = sorted(every, key=POSTING_ORDER)
+        row = {posting: at for at, posting in enumerate(docs)}
+        names = sorted({posting.blob for posting in docs})
+        position = {name: at for at, name in enumerate(names)}
+        lists = [sorted(row[posting] for posting in postings) for _, postings in chain(bins, common)]
+        counts = np.array([len(rows) for rows in lists], np.int64)
+        return SketchColumns(
+            self.hasher,
+            np.array([bin_id for bin_id, _ in bins], np.int64),
+            [word for word, _ in common],
+            PostingColumns(
+                names,
+                np.array([position[posting.blob] for posting in docs], np.int64),
+                np.array([posting.offset for posting in docs], np.uint64),
+                np.array([posting.length for posting in docs], np.uint64),
+                np.array([*chain(*lists)], np.int64),
+                np.cumsum(counts) - counts,
+                counts,
+            ),
+        )
 
     def bin_sizes(self) -> list[list[int]]:
         """Superpost sizes per layer, for storage-usage analysis."""

@@ -1,37 +1,45 @@
 """Airphant Builder.
 
 The Builder is the offline component that turns a corpus into a persisted
-IoU Sketch (Figure 3, left half):
+IoU Sketch (Figure 3, left half).  Its one input is a build's exact inverted
+index — the ranking statistics columns of :mod:`repro.index.stats` — and
+everything else derives from those columns:
 
-1. parse the corpus blobs into documents with byte-range references;
-2. profile the documents (single pass);
+1. parse the corpus blobs into documents with byte-range references, and
+   tokenize each document once into the statistics (:func:`build_stats`) —
+   or, when compacting, merge the members' statistics (:func:`union_stats`);
+2. profile the corpus from the columns;
 3. optimize the number of layers with Algorithm 1 (unless pinned);
 4. select the common words that receive exact bins;
-5. insert every word's postings into the in-memory sketch;
+5. union the other terms' document rows into their bins, as sorted columns;
 6. compact the superposts into a single blob and persist it;
-7. persist the header blob (hash seeds, bin pointers, string table, metadata).
+7. persist the header blob (hash seeds, bin pointers, string table, metadata)
+   and, last, the statistics themselves.
 """
 
 from __future__ import annotations
 
 import os
-from collections import defaultdict
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence, Union
 
-from repro.core.common_words import CommonWordTable, select_common_words
+import numpy as np
+
+from repro.core.common_words import select_common_words
 from repro.core.config import SketchConfig
+from repro.core.hashing import LayeredHasher
 from repro.core.mht import MultilayerHashTable
 from repro.core.optimizer import minimize_layers
 from repro.core.analysis import expected_false_positives
-from repro.core.sketch import IoUSketch
+from repro.core.sketch import PostingColumns, SketchColumns
 from repro.index.compaction import CompactedSketch, compact_sketch, encode_header
 from repro.index.layout import LAYOUTS
 from repro.index.metadata import IndexMetadata, ShardEntry, ShardManifest
 from repro.index.serialization import DEFAULT_FORMAT_VERSION, SUPPORTED_FORMAT_VERSIONS
-from repro.index.sharding import PARTITIONERS, partition_documents
-from repro.index.stats import build_stats, encode_stats
+from repro.index.sharding import PARTITIONERS, partition_documents, shard_of
+from repro.index.stats import IndexStats, build_stats, encode_stats, union_stats
 from repro.index.store_layout import (
     build_blobs,
     build_bytes,
@@ -41,9 +49,9 @@ from repro.index.store_layout import (
     superpost_blob_name,
 )
 from repro.parsing.corpus import CorpusParser, LineDelimitedCorpusParser
-from repro.parsing.documents import Document, Posting
+from repro.parsing.documents import Document
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
-from repro.profiling.profiler import CorpusProfile, profile_documents
+from repro.profiling.profiler import CorpusProfile
 from repro.storage.base import ObjectStore
 
 
@@ -192,13 +200,46 @@ class AirphantBuilder:
         """
         documents = list(documents)
         if self._num_shards > 1:
+            partitions = partition_documents(documents, self._num_shards, self._partitioner)
+        else:
+            partitions = [documents]
+        parts = [build_stats(partition, self._tokenizer) for partition in partitions]
+        return self._build(parts, index_name, corpus_name)
+
+    def build_from_stats(
+        self,
+        stats: IndexStats,
+        index_name: str = "airphant-index",
+        corpus_name: str = "corpus",
+    ) -> Union[BuiltIndex, BuiltShardedIndex]:
+        """Build an index over statistics already in hand (compaction's
+        merged columns): no document is read or analysed again.
+
+        A sharded builder routes the rows as :func:`partition_documents`
+        routes documents listed in row order.
+        """
+        if self._num_shards == 1:
+            return self._build([stats], index_name, corpus_name)
+        route = [
+            shard_of(ref, row, self._num_shards, self._partitioner)
+            for row, ref in enumerate(stats.docs)
+        ]
+        shards = np.array(route, np.int64)
+        parts = [union_stats([stats], keep=shards == shard) for shard in range(self._num_shards)]
+        return self._build(parts, index_name, corpus_name)
+
+    def _build(
+        self, parts: Sequence[IndexStats], index_name: str, corpus_name: str
+    ) -> Union[BuiltIndex, BuiltShardedIndex]:
+        """Persist one build per part (one part: the plain layout)."""
+        if self._num_shards > 1:
             built: Union[BuiltIndex, BuiltShardedIndex] = self._build_sharded(
-                documents, index_name, corpus_name
+                parts, index_name, corpus_name
             )
             shards = built.shards
             written = {ShardManifest.blob_name(index_name)}
         else:
-            built = self._build_single(documents, index_name, corpus_name)
+            built = self._build_single(parts[0], index_name, corpus_name)
             shards = [built]
             written = set()
         for shard in shards:
@@ -214,23 +255,19 @@ class AirphantBuilder:
 
     # -- single-shard build ---------------------------------------------------------
 
-    def _build_single(
-        self,
-        documents: Sequence[Document],
-        index_name: str,
-        corpus_name: str,
-    ) -> BuiltIndex:
-        profile = profile_documents(documents, self._tokenizer)
+    def _build_single(self, stats: IndexStats, index_name: str, corpus_name: str) -> BuiltIndex:
+        profile = stats.profile()
         num_layers = self._choose_layers(profile)
-        sketch, word_weights = self._populate_sketch(documents, profile, num_layers)
+        sketch = self._sketch(stats, profile, num_layers)
         metadata = self._make_metadata(corpus_name, profile, sketch, num_layers)
-        compacted = self._persist(sketch, metadata, index_name, word_weights)
+        compacted = self._persist(sketch, metadata, index_name, profile.document_frequencies)
         # Ranking statistics ride along with every build: exact doc lengths
         # and term frequencies (mode="topk_bm25" scores from them without
-        # touching document text).  Written last, so a crash mid-build leaves
-        # a membership-only index rather than stats for a missing sketch.
+        # touching document text; compaction merges them).  Written last, so
+        # a crash mid-build leaves a membership-only index rather than stats
+        # for a missing sketch.
         stats_blob = stats_blob_name(index_name)
-        self._store.put(stats_blob, encode_stats(build_stats(documents, self._tokenizer)))
+        self._store.put(stats_blob, encode_stats(stats))
         return BuiltIndex(
             index_name=index_name,
             header_blob=header_blob_name(index_name),
@@ -246,17 +283,16 @@ class AirphantBuilder:
 
     def _build_sharded(
         self,
-        documents: Sequence[Document],
+        parts: Sequence[IndexStats],
         index_name: str,
         corpus_name: str,
     ) -> BuiltShardedIndex:
-        """Partition the corpus, build one sub-index per shard, write the manifest.
+        """Build one sub-index per shard's statistics, then write the manifest.
 
         Shards are independent, so they build concurrently on a thread pool;
         each writes only its own ``shard-NNNN/`` blobs, which keeps the
         (single-writer) store contract intact per blob.
         """
-        partitions = partition_documents(documents, self._num_shards, self._partitioner)
 
         def build_shard(shard: int) -> BuiltIndex:
             shard_builder = AirphantBuilder(
@@ -273,7 +309,7 @@ class AirphantBuilder:
                 "parent_index": index_name,
             }
             return shard_builder._build_single(
-                partitions[shard],
+                parts[shard],
                 shard_index_name(index_name, shard),
                 f"{corpus_name}#shard-{shard:04d}",
             )
@@ -322,43 +358,55 @@ class AirphantBuilder:
         )
         return result.num_layers
 
-    def _populate_sketch(
-        self,
-        documents: Sequence[Document],
-        profile: CorpusProfile,
-        num_layers: int,
-    ) -> tuple[IoUSketch, dict[str, int]]:
-        """Build the in-memory sketch: common-word table plus hashed layers.
-
-        Also returns the per-word document frequencies, which the layout pass
-        uses as co-access weights (heavier words get contiguous chains).
-        """
-        common_table = CommonWordTable()
+    def _sketch(self, stats: IndexStats, profile: CorpusProfile, num_layers: int) -> SketchColumns:
+        """The IoU Sketch of the exact inverted index ``stats``: the common
+        words keep their own entries as exact lists, and every other term's
+        document rows are unioned into its bin of each layer."""
+        words = stats.words()
+        sizes = np.diff(stats.term_starts.astype(np.int64))
+        common = np.zeros(len(sizes), bool)
         for word in select_common_words(profile, self._config.common_word_bins):
-            common_table.register(word)
-
-        sketch = IoUSketch.build(
-            num_layers=num_layers,
-            total_bins=max(self._config.sketch_bins, num_layers),
-            seed=self._config.seed,
-            common_words=common_table,
+            common[bisect_left(words, word)] = True
+        total_bins = max(self._config.sketch_bins, num_layers)
+        hasher = LayeredHasher.build(
+            num_layers, max(1, total_bins // num_layers), seed=self._config.seed
         )
-
-        postings_by_word: dict[str, set[Posting]] = defaultdict(set)
-        for document in documents:
-            for word in self._tokenizer.distinct_terms(document.text):
-                postings_by_word[word].add(document.ref)
-        word_weights: dict[str, int] = {}
-        for word, postings in postings_by_word.items():
-            sketch.insert(word, postings)
-            word_weights[word] = len(postings)
-        return sketch, word_weights
+        hashed_terms = np.flatnonzero(~common).tolist()
+        chains = np.array([hasher.bins_of(words[term]) for term in hashed_terms], np.int64)
+        chains = chains.reshape(-1, num_layers) + np.arange(num_layers) * hasher.bins_per_layer
+        # Entry by entry: its term, and that term's place among the hashed ones.
+        term = np.repeat(np.arange(len(sizes)), sizes)
+        slot = np.cumsum(~common) - 1
+        rows = stats.entry_doc.astype(np.int64)
+        hashed = ~common[term]
+        width = max(stats.num_documents, 1)
+        # (flat bin, row) pairs of every layer, sorted and de-duplicated (a
+        # plain ``np.unique`` would import ``numpy.ma`` for a masked check).
+        keys = np.sort((chains[slot[term[hashed]]] * width + rows[hashed, None]).ravel())
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        bin_ids, bin_starts = np.unique(keys // width, return_index=True)
+        # The bins' lists, then the common words' (their own entries).
+        counts = np.concatenate([np.diff(np.append(bin_starts, len(keys))), sizes[common]])
+        return SketchColumns(
+            hasher,
+            bin_ids,
+            [words[term] for term in np.flatnonzero(common).tolist()],
+            PostingColumns(
+                stats.blobs,
+                stats.doc_blob.astype(np.int64),
+                stats.doc_offset,
+                stats.doc_length,
+                np.concatenate([keys % width, rows[~hashed]]),
+                np.cumsum(counts) - counts,
+                counts,
+            ),
+        )
 
     def _make_metadata(
         self,
         corpus_name: str,
         profile: CorpusProfile,
-        sketch: IoUSketch,
+        sketch: SketchColumns,
         num_layers: int,
     ) -> IndexMetadata:
         if profile.num_documents > 0 and profile.num_terms > 0:
@@ -385,7 +433,7 @@ class AirphantBuilder:
 
     def _persist(
         self,
-        sketch: IoUSketch,
+        sketch: SketchColumns,
         metadata: IndexMetadata,
         index_name: str,
         word_weights: dict[str, int] | None = None,

@@ -28,13 +28,13 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Collection, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from repro.core.mht import MultilayerHashTable
 from repro.core.hashing import LayeredHasher
-from repro.core.sketch import IoUSketch
+from repro.core.sketch import IoUSketch, SketchColumns
 from repro.index.layout import (
     LAYOUT_COACCESS,
     LAYOUT_PLAIN,
@@ -47,12 +47,11 @@ from repro.index.serialization import (
     DEFAULT_FORMAT_VERSION,
     SUPPORTED_FORMAT_VERSIONS,
     StringTable,
-    encode_superpost,
+    encode_superposts,
     uncompressed_superpost_bytes,
 )
 from repro.index.store_layout import HEADER_BLOB_SUFFIX, SUPERPOST_BLOB_SUFFIX  # noqa: F401
 from repro.observability.registry import get_registry
-from repro.parsing.documents import Posting
 
 #: Leading bytes of a v3 header; a legacy JSON header starts with ``{``.
 HEADER_MAGIC = b"AIRPHDR\n"
@@ -93,7 +92,7 @@ def _pointer_dtype(blob_bytes: int) -> type:
 
 
 def compact_sketch(
-    sketch: IoUSketch,
+    sketch: IoUSketch | SketchColumns,
     superpost_blob_name: str,
     metadata: IndexMetadata | None = None,
     format_version: int | None = None,
@@ -111,7 +110,10 @@ def compact_sketch(
     supplied by the builder) are available.
 
     Only non-empty bins are placed, encoded and given a pointer row; a bin
-    without a row is empty and the Searcher skips it without a request.
+    without a row is empty and the Searcher skips it without a request.  The
+    placed bins, then the common words in word order, are encoded straight
+    from their document rows (:func:`~repro.index.serialization.encode_superposts`);
+    an :class:`IoUSketch` is turned into columns first.
     """
     if format_version is None:
         format_version = DEFAULT_FORMAT_VERSION
@@ -121,47 +123,38 @@ def compact_sketch(
         layout = LAYOUT_COACCESS if word_weights else LAYOUT_PLAIN
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r} (expected one of {LAYOUTS})")
+    if isinstance(sketch, IoUSketch):
+        sketch = sketch.columns()
 
     if layout == LAYOUT_COACCESS:
         placement = coaccess_order(sketch, word_weights or {})
     else:
         placement = plain_order(sketch)
-
+    bin_ids = np.array(
+        [layer * sketch.bins_per_layer + bin_index for layer, bin_index in placement], np.int64
+    )
+    # Every superpost in blob order: the placed bins, then the common words.
+    lists = sketch.lists
+    order = np.concatenate(
+        [np.searchsorted(sketch.bin_ids, bin_ids), np.arange(len(sketch.bin_ids), len(lists.counts))]
+    )
+    columns = lists._replace(starts=lists.starts[order], counts=lists.counts[order])
     string_table = StringTable()
-    blob = bytearray()
-    raw_bytes = 0
-
-    def append(superpost: Collection[Posting]) -> int:
-        """Encode one superpost onto the blob; returns its encoded length."""
-        nonlocal raw_bytes
-        if not superpost:  # only a registered common word nothing used
-            return 0
-        encoded = encode_superpost(superpost, string_table, format_version)
-        blob.extend(encoded)
-        raw_bytes += uncompressed_superpost_bytes(superpost)
-        return len(encoded)
-
-    common_words = sorted(sketch.common_words.postings_by_word)
-    sizes = [append(sketch.layers[layer][bin_index]) for layer, bin_index in placement]
-    sizes += [append(sketch.common_words.postings_by_word[word]) for word in common_words]
-    _record_codec_bytes(format_version, raw_bytes, len(blob))
+    blob, sizes = encode_superposts(columns, string_table, format_version)
+    _record_codec_bytes(format_version, uncompressed_superpost_bytes(columns), len(blob))
 
     # Superposts are concatenated without padding, so offsets are the running
     # sum of lengths in placement order; the table wants them in bin-id order.
     dtype = _pointer_dtype(len(blob))
-    lengths = np.array(sizes, dtype=np.uint64)
-    offsets, lengths = (np.cumsum(lengths) - lengths).astype(dtype), lengths.astype(dtype)
+    offsets, lengths = (np.cumsum(sizes) - sizes).astype(dtype), sizes.astype(dtype)
     count = len(placement)
-    bin_ids = np.array(
-        [layer * sketch.bins_per_layer + bin_index for layer, bin_index in placement], np.uint32
-    )
     by_id = np.argsort(bin_ids)
     mht = MultilayerHashTable(
         sketch.hasher, superpost_blob_name, len(blob),
-        bin_ids[by_id], offsets[:count][by_id], lengths[:count][by_id],
-        common_words, offsets[count:], lengths[count:],
+        bin_ids[by_id].astype(np.uint32), offsets[:count][by_id], lengths[:count][by_id],
+        list(sketch.common_words), offsets[count:], lengths[count:],
     )
-    return CompactedSketch(bytes(blob), mht, string_table, metadata, format_version)
+    return CompactedSketch(blob, mht, string_table, metadata, format_version)
 
 
 def _record_codec_bytes(format_version: int, raw_bytes: int, encoded_bytes: int) -> None:

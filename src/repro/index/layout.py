@@ -29,10 +29,9 @@ frequent words land nearby, within reach of a small ``coalesce_gap``.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.sketch import IoUSketch
+from repro.core.sketch import SketchColumns
 
 #: Legacy layer-major placement (what v1 indexes always used).
 LAYOUT_PLAIN = "plain"
@@ -45,19 +44,13 @@ LAYOUTS = (LAYOUT_PLAIN, LAYOUT_COACCESS)
 LayoutNode = tuple[int, int]
 
 
-def plain_order(sketch: "IoUSketch") -> list[LayoutNode]:
+def plain_order(sketch: SketchColumns) -> list[LayoutNode]:
     """Layer-major placement of the non-empty bins: layer 0, then layer 1, ..."""
-    return [
-        (layer, bin_index)
-        for layer, bins in enumerate(sketch.layers)
-        for bin_index in sorted(bins)
-        if bins[bin_index]
-    ]
+    bins_per_layer = sketch.bins_per_layer
+    return [divmod(bin_id, bins_per_layer) for bin_id in sketch.bin_ids.tolist()]
 
 
-def coaccess_order(
-    sketch: "IoUSketch", word_weights: Mapping[str, int]
-) -> list[LayoutNode]:
+def coaccess_order(sketch: SketchColumns, word_weights: Mapping[str, int]) -> list[LayoutNode]:
     """Blob placement order of the non-empty hashed bins, heaviest co-access first.
 
     ``word_weights`` maps each inserted word to its weight (document
@@ -74,10 +67,11 @@ def coaccess_order(
     if sketch.num_layers < 2 or not word_weights:
         return nonempty
 
+    common = set(sketch.common_words)
     edge_weights: dict[tuple[LayoutNode, LayoutNode], int] = defaultdict(int)
     node_weights: dict[LayoutNode, int] = defaultdict(int)
     for word, weight in word_weights.items():
-        if weight <= 0 or word in sketch.common_words:
+        if weight <= 0 or word in common:
             continue
         chain = list(enumerate(sketch.hasher.bins_of(word)))
         for node in chain:

@@ -31,16 +31,22 @@ through the string table's name ranks) straight into columns, creating no
 ``Posting``.  The vectorised pass holds a varint in an ``int64``: it rejects
 10-byte varints (values from 2**63) where the scalar loop accepts them.
 
-The encoders take any collection of postings — the build side's plain sets.
+The build side writes a whole blob at once: :func:`encode_superposts` takes
+every superpost of the blob back to back as :class:`PostingColumns` and
+emits the blob's varint stream in one vectorised pass (:func:`encode_varints`,
+the twin of :func:`decode_varints`), byte-identical to concatenating
+:func:`encode_superpost` over them — which stays the scalar reference for
+one superpost, of any collection of postings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.core.sketch import PostingColumns
 from repro.core.superpost import CROSSOVER, POSTING_ORDER, Superpost
 from repro.parsing.documents import Posting
 
@@ -318,21 +324,129 @@ def decode_superpost_columns(
     return Superpost.from_columns(names, rank_of_key[keys], offsets, lengths)
 
 
-def _varint_length(value: int) -> int:
-    """Bytes :func:`encode_varint` spends on ``value`` (no allocation)."""
-    return 1 if value == 0 else (value.bit_length() + 6) // 7
+def varint_widths(values: np.ndarray) -> np.ndarray:
+    """Bytes :func:`encode_varint` spends on each of ``values`` (1 to 10)."""
+    values = np.asarray(values, np.uint64)
+    widths = np.ones(len(values), np.uint8)
+    for bits in range(7, 64, 7):
+        widths += (values >> np.uint64(bits)) != 0
+    return widths
 
 
-def uncompressed_superpost_bytes(postings: Collection[Posting]) -> int:
-    """Size of a superpost with blob names inline and absolute offsets.
+def encode_varints(values: np.ndarray, widths: np.ndarray | None = None) -> bytes:
+    """``values`` (non-negative) as LEB128 varints back to back: the twin of
+    :func:`decode_varints`, one masked shift per byte position."""
+    values = np.asarray(values, np.uint64)
+    if widths is None:
+        widths = varint_widths(values)
+    starts = np.cumsum(widths, dtype=np.int64) - widths
+    out = np.empty(int(widths.sum(dtype=np.int64)), np.uint8)
+    live = slice(None)
+    for position in range(int(widths.max(initial=0))):
+        if position:
+            live = np.flatnonzero(widths > position)
+        low = (values[live] >> np.uint64(7 * position)).astype(np.uint8) & 0x7F
+        out[starts[live] + position] = low | (widths[live] > position + 1).view(np.uint8) << 7
+    return out.tobytes()
+
+
+#: Postings one vectorised encoding pass takes on, in whole superposts (a
+#: longer list is a pass of its own): bounds the pass's temporary columns —
+#: some 100 bytes a posting — whatever the size of the blob.
+ENCODE_BLOCK = 1 << 15
+
+
+def encode_superposts(
+    columns: PostingColumns, string_table: StringTable, format_version: int
+) -> tuple[bytes, np.ndarray]:
+    """Encode the superposts of ``columns`` back to back, vectorised.
+
+    Returns the concatenation and each superpost's encoded length: exactly
+    what calling :func:`encode_superpost` on each in turn with one
+    ``string_table`` gives — blob names are interned in order of first
+    appearance — except that an empty superpost takes no bytes at all.  The
+    lists go through in passes of about :data:`ENCODE_BLOCK` postings.
+    """
+    if format_version not in SUPPORTED_FORMAT_VERSIONS:
+        raise ValueError(f"unsupported superpost codec version {format_version}")
+    key_of_rank = np.zeros(len(columns.names), np.uint64)
+    blob, sizes = [], [np.zeros(0, np.int64)]
+    for lists, rows in _passes(columns):
+        rank = columns.rank[rows]
+        present, seen = np.unique(rank, return_index=True)
+        for at in present[np.argsort(seen)].tolist():
+            key_of_rank[at] = string_table.intern(columns.names[at])
+        values, per_superpost = _superpost_values(
+            key_of_rank[rank],
+            columns.offset[rows].astype(np.uint64),
+            columns.length[rows].astype(np.uint64),
+            np.asarray(columns.counts[lists], np.int64),
+            format_version,
+        )
+        widths = varint_widths(values)
+        blob.append(encode_varints(values, widths))
+        sizes.append(np.diff(np.append(0, np.cumsum(widths))[np.cumsum(per_superpost)], prepend=0))
+    return b"".join(blob), np.concatenate(sizes)
+
+
+def _passes(columns: PostingColumns) -> Iterator[tuple[slice, np.ndarray]]:
+    """Whole superposts, about :data:`ENCODE_BLOCK` postings at a time: the
+    slice of the lists, and their rows back to back."""
+    counts = np.asarray(columns.counts, np.int64)
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(ENCODE_BLOCK, int(ends[-1:].sum()), ENCODE_BLOCK), "right")
+    bounds = sorted({0, *cuts.tolist(), len(counts)})
+    for first, last in zip(bounds, bounds[1:]):
+        lists = slice(first, last)
+        sizes = counts[lists]
+        # Each list's start in ``rows``, less its start within the pass.
+        shift = np.asarray(columns.starts[lists], np.int64) - (np.cumsum(sizes) - sizes)
+        yield lists, columns.rows[np.arange(int(sizes.sum())) + np.repeat(shift, sizes)]
+
+
+def _superpost_values(
+    keys: np.ndarray, offset: np.ndarray, length: np.ndarray, counts: np.ndarray, version: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The varint values of consecutive superposts (postings as columns,
+    ``counts`` of them each), and how many values each superpost takes."""
+    heads = (np.cumsum(counts) - counts)[counts > 0]  # each non-empty list's first posting
+    if version == FORMAT_V1:
+        values = np.insert(np.column_stack([keys, offset, length]).ravel(), 3 * heads, counts[counts > 0])
+        return values, np.where(counts > 0, 1 + 3 * counts, 0)
+    # A blob group opens at each list's first posting and wherever the blob changes.
+    opens = np.zeros(len(keys), bool)
+    opens[heads] = True
+    opens[1:] |= keys[1:] != keys[:-1]
+    group_starts = np.flatnonzero(opens)
+    group_sizes = np.diff(np.append(group_starts, len(keys))).astype(np.uint64)
+    previous = np.zeros(len(keys), np.uint64)
+    previous[1:] = offset[:-1]
+    previous[opens] = 0
+    groups = np.diff(np.searchsorted(group_starts, np.append(0, np.cumsum(counts))))
+    values = np.insert(
+        np.column_stack([offset - previous, length]).ravel(),
+        np.concatenate([2 * heads, np.repeat(2 * group_starts, 2)]),
+        np.concatenate(
+            [
+                groups[counts > 0].astype(np.uint64),
+                np.column_stack([keys[group_starts], group_sizes]).ravel(),
+            ]
+        ),
+    )
+    return values, np.where(counts > 0, 1 + 2 * groups + 2 * counts, 0)
+
+
+def uncompressed_superpost_bytes(columns: PostingColumns) -> int:
+    """Size of the non-empty superposts of ``columns`` with blob names inline
+    and absolute offsets.
 
     The no-compression baseline (no string table, no delta coding) that the
     compression ablation and the ``airphant_codec_bytes_raw_total`` metric
     measure actual encodings against.
     """
-    total = _varint_length(len(postings))
-    for posting in postings:
-        name_length = len(posting.blob.encode("utf-8"))
-        total += _varint_length(name_length) + name_length
-        total += _varint_length(posting.offset) + _varint_length(posting.length)
-    return total
+    name_bytes = np.array([len(name.encode("utf-8")) for name in columns.names], np.int64)
+    per_document = (varint_widths(name_bytes) + name_bytes)[np.asarray(columns.rank, np.int64)]
+    per_document += varint_widths(columns.offset) + varint_widths(columns.length)
+    counts = np.asarray(columns.counts, np.int64)
+    total = int(varint_widths(counts[counts > 0]).sum(dtype=np.int64))
+    return total + sum(int(per_document[rows].sum()) for _, rows in _passes(columns))

@@ -22,17 +22,16 @@ import zlib
 from typing import Sequence
 
 from repro.index.store_layout import read_shard_manifest, shard_index_name  # noqa: F401
-from repro.parsing.documents import Document
+from repro.parsing.documents import Document, Posting
 
 #: Partitioner names a sharded build may select.
 PARTITIONERS = ("hash", "round-robin")
 
 
-def shard_of(document: Document, position: int, num_shards: int, partitioner: str) -> int:
-    """The shard a document is routed to."""
+def shard_of(ref: Posting, position: int, num_shards: int, partitioner: str) -> int:
+    """The shard the document at ``ref`` (``position``-th in its corpus) is routed to."""
     if partitioner == "round-robin":
         return position % num_shards
-    ref = document.ref
     key = f"{ref.blob}:{ref.offset}:{ref.length}".encode("utf-8")
     # crc32 (not builtin hash()) so routing survives PYTHONHASHSEED changes.
     return zlib.crc32(key) % num_shards
@@ -50,5 +49,5 @@ def partition_documents(
         )
     partitions: list[list[Document]] = [[] for _ in range(num_shards)]
     for position, document in enumerate(documents):
-        partitions[shard_of(document, position, num_shards, partitioner)].append(document)
+        partitions[shard_of(document.ref, position, num_shards, partitioner)].append(document)
     return partitions

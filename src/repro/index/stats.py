@@ -35,10 +35,11 @@ from __future__ import annotations
 import json
 import math
 import struct
+from array import array
 from bisect import bisect_left
-from collections import Counter
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from collections import defaultdict
+from itertools import chain, count
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from repro.core.superpost import POSTING_ORDER, Superpost
 from repro.index.store_layout import STATS_BLOB_SUFFIX, stats_blob_name
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer
+from repro.profiling.profiler import CorpusProfile
 
 #: Leading bytes of a v2 stats blob; a v1 (JSON) blob starts with ``{``.
 STATS_MAGIC = b"AIRPSTA\n"
@@ -143,6 +145,32 @@ class IndexStats:
         """The UTF-8 of the ``index``-th term in sort order."""
         return self._terms[self.term_ends[index] : self.term_ends[index + 1]]
 
+    def terms(self) -> list[bytes]:
+        """Every term's UTF-8, in sort order."""
+        ends = self.term_ends.tolist()
+        return [self._terms[start:end] for start, end in zip(ends, ends[1:])]
+
+    def words(self) -> list[str]:
+        """Every term as the analyzer produced it, in sort order."""
+        return [term.decode("utf-8", "surrogatepass") for term in self.terms()]
+
+    def profile(self) -> CorpusProfile:
+        """The corpus profile Algorithm 1 reads, straight from the columns:
+        a document's distinct words are its entries, a word's document
+        frequency its entry count, its occurrences the sum of its tfs."""
+        words = self.words()
+        starts = self.term_starts.astype(np.int64)
+        totals = np.append(0, np.cumsum(self.entry_tf, dtype=np.int64))
+        distinct = np.bincount(self.entry_doc.astype(np.int64), minlength=self.num_documents)
+        return CorpusProfile(
+            num_documents=self.num_documents,
+            num_terms=self.num_terms,
+            num_words=self.total_words,
+            distinct_words_per_document=distinct.tolist(),
+            document_frequencies=dict(zip(words, np.diff(starts).tolist())),
+            word_counts=dict(zip(words, (totals[starts[1:]] - totals[starts[:-1]]).tolist())),
+        )
+
     def entries(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """``(document indexes ascending, tfs)`` of ``term`` (empty when absent)."""
         wanted = _term_key(term)
@@ -168,7 +196,10 @@ def _term_key(term: str) -> bytes:
 
 def _narrowest(values: Iterable[int] | np.ndarray) -> np.ndarray:
     """``values`` in the narrowest unsigned dtype that holds them."""
-    array = np.fromiter(values, np.uint64)
+    if isinstance(values, np.ndarray):
+        array = values.astype(np.uint64)
+    else:
+        array = np.fromiter(values, np.uint64)
     top = int(array.max(initial=0))
     for dtype in (np.uint8, np.uint16, np.uint32):
         if top <= np.iinfo(dtype).max:
@@ -179,31 +210,35 @@ def _narrowest(values: Iterable[int] | np.ndarray) -> np.ndarray:
 def _assemble(
     blobs: Sequence[str],
     doc_columns: Sequence[Sequence[int] | np.ndarray],
-    terms: Mapping[str, tuple[Sequence[int], Sequence[int]]],
+    terms: Sequence[bytes],
+    term_sizes: Sequence[int] | np.ndarray,
+    entry_doc: Iterable[int] | np.ndarray,
+    entry_tf: Iterable[int] | np.ndarray,
 ) -> IndexStats:
     """Statistics from documents already in ``(blob, offset, length)`` order
-    (``doc_columns`` as in :data:`COLUMNS`) and each term's entries."""
-    ordered = sorted((_term_key(term), entries) for term, entries in terms.items())
-    doc_words = _narrowest(doc_columns[3])
+    (``doc_columns`` as in :data:`COLUMNS`), the sorted ``terms`` and their
+    entries back to back (``term_sizes`` of them each, by document)."""
+    doc_words = _narrowest(np.asarray(doc_columns[3], np.uint64))
     return IndexStats(
         len(doc_words),
         int(doc_words.sum(dtype=np.uint64)),
         blobs,
-        **dict(zip(COLUMNS[:4], map(_narrowest, doc_columns))),
-        term_bytes=np.frombuffer(b"".join(term for term, _ in ordered), np.uint8),
-        term_ends=_narrowest(np.cumsum([0, *(len(term) for term, _ in ordered)])),
-        term_starts=_narrowest(np.cumsum([0, *(len(docs) for _, (docs, _) in ordered)])),
-        entry_doc=_narrowest(chain.from_iterable(docs for _, (docs, _) in ordered)),
-        entry_tf=_narrowest(chain.from_iterable(tfs for _, (_, tfs) in ordered)),
+        **dict(zip(COLUMNS[:3], (_narrowest(np.asarray(c, np.uint64)) for c in doc_columns))),
+        doc_words=doc_words,
+        term_bytes=np.frombuffer(b"".join(terms), np.uint8),
+        term_ends=_narrowest(np.cumsum([0, *map(len, terms)])),
+        term_starts=_narrowest(np.cumsum(np.append(0, term_sizes).astype(np.int64))),
+        entry_doc=_narrowest(entry_doc),
+        entry_tf=_narrowest(entry_tf),
     )
 
 
 def build_stats(documents: Iterable[Document], tokenizer: Tokenizer) -> IndexStats:
     """Compute exact ranking statistics over already-parsed documents.
 
-    Uses the same analyzer as the sketch build, so a term's stats postings
-    agree exactly with its membership answer.  A reference seen twice
-    counts once (its first text).
+    The one place the build side analyses text: every document is tokenized
+    once, and the sketch, its profile and its layout all derive from these
+    columns.  A reference seen twice counts once (its first text).
     """
     unique: dict[Posting, Document] = {}
     for document in documents:
@@ -212,21 +247,105 @@ def build_stats(documents: Iterable[Document], tokenizer: Tokenizer) -> IndexSta
     blobs = sorted({ref.blob for ref in ordered})
     rank = {blob: index for index, blob in enumerate(blobs)}
     doc_words: list[int] = []
-    terms: dict[str, tuple[list[int], list[int]]] = {}
-    for index, ref in enumerate(ordered):
-        tokens = tokenizer.tokenize(unique[ref].text)
-        doc_words.append(len(tokens))
-        for term, count in Counter(tokens).items():
-            docs, tfs = terms.setdefault(term, ([], []))
-            docs.append(index)
-            tfs.append(count)
+    # Each token as the number of its word in order of first appearance.
+    numbers: defaultdict[str, int] = defaultdict(count().__next__)
+    tokens = array("q")
+    for ref in ordered:
+        analysed = tokenizer.tokenize(unique[ref].text)
+        doc_words.append(len(analysed))
+        tokens.extend(map(numbers.__getitem__, analysed))
+    # Code-point order is UTF-8 byte order: the sorted words are the sorted terms.
+    words = sorted(numbers)
+    term_of = np.empty(len(words), np.int64)  # word number -> term index
+    term_of[[numbers[word] for word in words]] = np.arange(len(words))
+    width = max(len(ordered), 1)
+    keys = term_of[np.frombuffer(tokens, np.int64)] * width
+    keys += np.repeat(np.arange(len(ordered)), doc_words)
+    # One entry per distinct (term, document), counted: sorted by term, then document.
+    entries, tfs = np.unique(keys, return_counts=True)
     doc_columns = (
         [rank[ref.blob] for ref in ordered],
         [ref.offset for ref in ordered],
         [ref.length for ref in ordered],
         doc_words,
     )
-    return _assemble(blobs, doc_columns, terms)
+    sizes = np.bincount(entries // width, minlength=len(words))
+    return _assemble(blobs, doc_columns, [*map(_term_key, words)], sizes, entries % width, tfs)
+
+
+def union_stats(
+    members: Sequence[IndexStats],
+    exclude: AbstractSet[Posting] = frozenset(),
+    keep: np.ndarray | None = None,
+) -> IndexStats:
+    """One set of statistics over the documents of ``members`` minus ``exclude``.
+
+    Column for column what :func:`build_stats` gives over the surviving
+    documents: a document several members hold counts once, with the length
+    and entries of the first member (in the order given) that holds it;
+    excluded documents, and terms left without an entry, are dropped; rows
+    are renumbered in ``(blob, offset, length)`` order.  ``keep`` — a mask
+    over those renumbered rows — narrows the result further: how a merged
+    corpus is split into shards.  No text is read or analysed.
+    """
+    names = sorted(set(chain.from_iterable(member.blobs for member in members)))
+    position = {name: at for at, name in enumerate(names)}
+    condemned = [posting for posting in exclude if posting.blob in position]
+    # The condemned postings as holder -1, then every member's documents,
+    # sorted so that each distinct document's tombstone or first holder leads.
+    holder = np.repeat(
+        np.arange(-1, len(members)), [len(condemned), *(m.num_documents for m in members)]
+    )
+    rank = np.concatenate(
+        [
+            np.array([position[posting.blob] for posting in condemned], np.int64),
+            *(np.array([position[b] for b in m.blobs], np.int64)[m.doc_blob] for m in members),
+        ]
+    )
+    offset, length, doc_words = (
+        np.concatenate([np.array(tail, np.uint64), *(getattr(m, name) for m in members)])
+        for name, tail in (
+            ("doc_offset", [posting.offset for posting in condemned]),
+            ("doc_length", [posting.length for posting in condemned]),
+            ("doc_words", [0] * len(condemned)),
+        )
+    )
+    order = np.lexsort((holder, length, offset, rank))
+    leads = np.ones(len(order), bool)
+    leads[1:] = (np.diff(rank[order]) != 0) | (offset[order][1:] != offset[order][:-1])
+    leads[1:] |= length[order][1:] != length[order][:-1]
+    kept = order[leads & (holder[order] >= 0)]
+    if keep is not None:
+        kept = kept[keep]
+    row = np.full(len(order), -1, np.int64)
+    row[kept] = np.arange(len(kept))
+    used, doc_blob = np.unique(rank[kept], return_inverse=True)
+
+    # Each member's entries, on the merged vocabulary and the new rows.
+    term_lists = [member.terms() for member in members]
+    vocabulary = sorted(set(chain.from_iterable(term_lists)))
+    term_of = {term: at for at, term in enumerate(vocabulary)}
+    terms, docs, tfs = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    first_row = len(condemned)
+    for member, member_terms in zip(members, term_lists):
+        held = row[first_row + member.entry_doc.astype(np.int64)]
+        first_row += member.num_documents
+        mapped = np.fromiter(map(term_of.__getitem__, member_terms), np.int64, len(member_terms))
+        terms.append(np.repeat(mapped, np.diff(member.term_starts.astype(np.int64)))[held >= 0])
+        docs.append(held[held >= 0])
+        tfs.append(member.entry_tf[held >= 0].astype(np.int64))
+    terms, docs, tfs = map(np.concatenate, (terms, docs, tfs))
+    by_term = np.lexsort((docs, terms))
+    counts = np.bincount(terms, minlength=len(vocabulary))
+    present = np.flatnonzero(counts)
+    return _assemble(
+        [names[at] for at in used.tolist()],
+        (doc_blob, offset[kept], length[kept], doc_words[kept]),
+        [vocabulary[at] for at in present.tolist()],
+        counts[present],
+        docs[by_term],
+        tfs[by_term],
+    )
 
 
 def encode_stats(stats: IndexStats) -> bytes:
@@ -310,11 +429,10 @@ def _decode_legacy_stats(data: bytes, index_name: str) -> IndexStats:
     if version != _LEGACY_STATS_VERSION:
         raise RankingUnsupportedError(index_name, f"unknown stats blob version {version!r}")
     rows = np.array(payload["docs"], np.uint64).reshape(-1, 4)
-    terms = {
-        term: np.array(pairs, np.uint64).reshape(-1, 2).T
-        for term, pairs in payload["terms"].items()
-    }
-    return _assemble(payload["blobs"], rows.T, terms)
+    terms = sorted((_term_key(term), pairs) for term, pairs in payload["terms"].items())
+    pairs = np.array([pair for _, pairs in terms for pair in pairs], np.uint64).reshape(-1, 2)
+    sizes = [len(pairs) for _, pairs in terms]
+    return _assemble(payload["blobs"], rows.T, [term for term, _ in terms], sizes, *pairs.T)
 
 
 def idf(num_documents: int, doc_frequency: int) -> float:

@@ -13,8 +13,11 @@ pattern on top of the unchanged Builder and Searcher:
   :class:`~repro.search.searcher.AirphantSearcher` over the base plus all
   deltas;
 * :meth:`AppendOnlyIndexManager.compact` folds every delta back into a single
-  base index by enumerating all indexed documents from cloud storage and
-  re-running the Builder, then resets the manifest.
+  base index by *merging* the members' ranking statistics — each build's
+  exact inverted index — minus the pending deletes, and handing the merged
+  columns to the Builder; it reads no document and analyses no text, so the
+  new base is a fresh rebuild over the survivors by construction.  Then it
+  resets the manifest.
 
 Compaction is *generation-safe*: every compaction builds the new base under a
 fresh generational prefix and commits it with one atomic manifest write,
@@ -37,7 +40,9 @@ from typing import TYPE_CHECKING, AbstractSet, Sequence
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder, BuiltIndex, BuiltShardedIndex
+from repro.index.metadata import ShardManifest
 from repro.index.serialization import decode_superpost
+from repro.index.stats import IndexStats, build_stats, decode_stats, union_stats
 from repro.index.store_layout import (
     build_blobs,
     build_exists,
@@ -47,11 +52,12 @@ from repro.index.store_layout import (
     read_shard_manifest,
     snapshot_blob_name,
     snapshot_blobs,
+    stats_blob_name,
     update_manifest_blob_name,
 )
 from repro.parsing.documents import Document, Posting
-from repro.parsing.tokenizer import Tokenizer
-from repro.storage.base import BlobNotFoundError, ObjectStore
+from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
+from repro.storage.base import BlobNotFoundError, ObjectStore, RangeRead
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a runtime import cycle
     from repro.search.replication import HedgingPolicy
@@ -341,18 +347,24 @@ class AppendOnlyIndexManager:
     # -- compaction ------------------------------------------------------------------
 
     def indexed_documents(self, exclude: AbstractSet[Posting] = frozenset()) -> list[Document]:
-        """Enumerate every document covered by the base and delta indexes.
+        """Enumerate every document covered by the base and delta indexes."""
+        return self._read_documents(self.manifest().all_indexes, exclude)
+
+    def _read_documents(
+        self, index_names: Sequence[str], exclude: AbstractSet[Posting] = frozenset()
+    ) -> list[Document]:
+        """Every document the builds ``index_names`` index, re-read from storage.
 
         The union of all superposts (plus the common-word lists) of an index
-        is exactly its set of postings, and each posting locates a document's
-        bytes, so the documents can be re-read directly from cloud storage.
-        ``exclude`` (the pending tombstone set) drops condemned postings
-        *before* their bytes are fetched — deleted documents cost no reads.
-        A sharded build's shard sub-indexes stand in for it; a base that was
-        never built (deltas only) contributes nothing.
+        is exactly its set of postings — of documents with at least one
+        token — and each posting locates a document's bytes, fetched as one
+        wave.  ``exclude`` (the pending tombstone set) drops condemned
+        postings *before* their bytes are fetched — deleted documents cost no
+        reads.  A sharded build's shard sub-indexes stand in for it; a build
+        that is not there contributes nothing.
         """
         postings: set[Posting] = set()
-        for index_name in self.manifest().all_indexes:
+        for index_name in index_names:
             try:
                 (build,) = open_headers(self._store, [index_name]).builds
             except BlobNotFoundError:
@@ -370,11 +382,43 @@ class AppendOnlyIndexManager:
                                 compacted.format_version,
                             )
                         )
-        documents = []
-        for posting in sorted(postings - set(exclude)):
-            data = self._store.get_range(posting.blob, posting.offset, posting.length)
-            documents.append(Document(ref=posting, text=data.decode("utf-8", errors="replace")))
-        return documents
+        wanted = sorted(postings - set(exclude))
+        fetch = self._store.read_batch([posting.to_range_read() for posting in wanted])
+        return [
+            Document(ref=posting, text=data.decode("utf-8", errors="replace"))
+            for posting, data in zip(wanted, fetch.payloads)
+        ]
+
+    def _merged_stats(
+        self,
+        manifest: IndexManifest,
+        shard_manifest: ShardManifest | None,
+        exclude: AbstractSet[Posting],
+    ) -> IndexStats:
+        """The statistics of every member of ``manifest``, merged minus ``exclude``.
+
+        One wave reads every member build's stats blob (a sharded base's, per
+        shard).  A member without one — built before ranked retrieval —
+        contributes :func:`build_stats` over its documents, re-read from
+        storage, so old indexes still compact (and gain statistics).
+        """
+        members = [
+            *(shard_manifest.shard_names if shard_manifest else [manifest.active_base]),
+            *manifest.delta_indexes,
+        ]
+        fetch = self._store.read_batch(
+            [RangeRead(stats_blob_name(member), optional=True) for member in members]
+        )
+        tokenizer = self._tokenizer if self._tokenizer is not None else WhitespaceAnalyzer()
+        return union_stats(
+            [
+                decode_stats(payload, member)
+                if payload is not None
+                else build_stats(self._read_documents([member], exclude), tokenizer)
+                for member, payload in zip(members, fetch.payloads)
+            ],
+            exclude,
+        )
 
     def compact(
         self,
@@ -391,15 +435,19 @@ class AppendOnlyIndexManager:
         references are only *marked* retired now and physically deleted at
         the **next** compaction, after every reasonable reader has reopened.
 
-        ``exclude`` (the pending tombstone set) is how deletes become
-        physical: condemned documents are left out of the rebuilt base — and
-        out of its ranking stats — so after the swap no tombstone filtering
-        is needed for them anywhere.  Prefixes pinned by a snapshot are never
-        purged; they stay on the retired list until the snapshot is deleted.
+        The new base is built from the members' ranking statistics merged
+        into one exact inverted index (:func:`~repro.index.stats.union_stats`)
+        — no document is re-read and nothing re-analysed, so each document
+        keeps the analysis it was built with.  ``exclude`` (the pending
+        tombstone set) is how deletes become physical: condemned documents
+        are left out of the merged statistics, hence of the new base, so
+        after the swap no tombstone filtering is needed for them anywhere.
+        Prefixes pinned by a snapshot are never purged; they stay on the
+        retired list until the snapshot is deleted.
         """
         manifest = self.manifest()
         shard_manifest = read_shard_manifest(self._store, manifest.active_base)
-        documents = self.indexed_documents(exclude=exclude)
+        stats = self._merged_stats(manifest, shard_manifest, exclude)
         generation = manifest.generation + 1
         new_base = generation_index_name(self._base_index, generation)
         builder = AirphantBuilder(
@@ -411,9 +459,7 @@ class AppendOnlyIndexManager:
             format_version=self._format_version,
             layout=self._layout,
         )
-        built = builder.build_from_documents(
-            documents, index_name=new_base, corpus_name=corpus_name
-        )
+        built = builder.build_from_stats(stats, index_name=new_base, corpus_name=corpus_name)
         # The whole old snapshot — including a legacy in-place base — gets
         # one generation of grace before deletion.
         stranded = tuple(manifest.all_indexes)

@@ -13,7 +13,9 @@ prove nothing else changed:
   left behind (same ``superposts.bin``, same pointers);
 * :func:`legacy_superpost_blob` — the old placement walk over *all* bins and
   the concatenation it produced, as the reference ``superposts.bin`` must
-  stay byte-identical to.
+  stay byte-identical to;
+* :func:`reference_sketch` — the sketch as the builder once populated it,
+  word by word into sets of postings, for that walk to lay out.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import json
 from collections import defaultdict
 from typing import Mapping
 
+from repro.core.common_words import CommonWordTable, select_common_words
+from repro.core.config import SketchConfig
 from repro.core.sketch import IoUSketch
 from repro.index.compaction import (
     HEADER_BLOB_SUFFIX,
@@ -29,6 +33,9 @@ from repro.index.compaction import (
     decode_header,
 )
 from repro.index.serialization import StringTable, encode_superpost
+from repro.parsing.documents import Document, Posting
+from repro.parsing.tokenizer import Tokenizer
+from repro.profiling.profiler import profile_documents
 from repro.storage.base import ObjectStore
 
 LayoutNode = tuple[int, int]
@@ -162,3 +169,27 @@ def legacy_superpost_blob(
         if len(superpost):
             blob += encode_superpost(superpost, string_table, format_version)
     return bytes(blob), string_table.to_list()
+
+
+def reference_sketch(
+    documents: list[Document], tokenizer: Tokenizer, config: SketchConfig, num_layers: int
+) -> tuple[IoUSketch, dict[str, int]]:
+    """The in-memory sketch over ``documents`` and each word's document
+    frequency, populated one word's set of postings at a time."""
+    common_table = CommonWordTable()
+    profile = profile_documents(documents, tokenizer)
+    for word in select_common_words(profile, config.common_word_bins):
+        common_table.register(word)
+    sketch = IoUSketch.build(
+        num_layers=num_layers,
+        total_bins=max(config.sketch_bins, num_layers),
+        seed=config.seed,
+        common_words=common_table,
+    )
+    postings_by_word: dict[str, set[Posting]] = defaultdict(set)
+    for document in documents:
+        for word in tokenizer.distinct_terms(document.text):
+            postings_by_word[word].add(document.ref)
+    for word, postings in postings_by_word.items():
+        sketch.insert(word, postings)
+    return sketch, {word: len(postings) for word, postings in postings_by_word.items()}

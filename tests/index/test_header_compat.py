@@ -31,7 +31,6 @@ from repro.index.compaction import (
 from repro.index.serialization import FORMAT_V1, FORMAT_V2
 from repro.index.updates import AppendOnlyIndexManager
 from repro.parsing.corpus import LineDelimitedCorpusParser
-from repro.profiling.profiler import profile_documents
 from repro.service.api import SearchRequest
 from repro.service.facade import AirphantService
 from repro.storage.memory import InMemoryObjectStore
@@ -39,7 +38,7 @@ from repro.workloads.logs import generate_log_corpus
 
 from harness.corpora import SMALL_CORPUS_TEXT
 from harness.stores import CountingStore
-from harness.legacy_header import downgrade_headers, legacy_superpost_blob
+from harness.legacy_header import downgrade_headers, legacy_superpost_blob, reference_sketch
 
 CONFIG = SketchConfig(num_bins=256, num_layers=2, seed=11)
 
@@ -188,9 +187,8 @@ class TestSuperpostBlobDidNotMove:
         built = builder.build_from_documents(documents, index_name="idx")
 
         # Rebuild the sketch the builder compacted, then lay it out the old way.
-        profile = profile_documents(documents, builder._tokenizer)
-        sketch, word_weights = builder._populate_sketch(
-            documents, profile, built.metadata.num_layers
+        sketch, word_weights = reference_sketch(
+            documents, builder._tokenizer, config, built.metadata.num_layers
         )
         expected_blob, expected_strings = legacy_superpost_blob(
             sketch, codec, word_weights if layout is None else None

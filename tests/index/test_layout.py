@@ -26,13 +26,13 @@ def _nonempty(sketch: IoUSketch) -> list[tuple[int, int]]:
 class TestPlainOrder:
     def test_layer_major_enumeration(self):
         sketch = IoUSketch.build(num_layers=2, total_bins=6, seed=0)
-        assert plain_order(sketch) == []  # empty bins occupy no bytes: not placed
+        assert plain_order(sketch.columns()) == []  # empty bins occupy no bytes: not placed
         for layer in sketch.layers:
             for bin_index in reversed(range(sketch.bins_per_layer)):
                 layer[bin_index] = {_posting(0)}
-        assert plain_order(sketch) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+        assert plain_order(sketch.columns()) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
         sketch.layers[0][1] = set()
-        assert plain_order(sketch) == [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)]
+        assert plain_order(sketch.columns()) == [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
 class TestCoaccessOrder:
@@ -43,15 +43,15 @@ class TestCoaccessOrder:
         sketch.insert("unweighted", [_posting(3)])
         # "ghost" was never inserted: the walk may pass through its (possibly
         # empty) bins but must not place them.
-        order = coaccess_order(sketch, {"alpha": 2, "beta": 1, "ghost": 5})
-        assert sorted(order) == _nonempty(sketch) == plain_order(sketch)
+        order = coaccess_order(sketch.columns(), {"alpha": 2, "beta": 1, "ghost": 5})
+        assert sorted(order) == _nonempty(sketch) == plain_order(sketch.columns())
         assert len(order) == len(set(order))
 
     def test_heaviest_word_chain_is_contiguous(self):
         sketch = _sketch()
         sketch.insert("heavy", [_posting(index) for index in range(50)])
         sketch.insert("light", [_posting(0)])
-        order = coaccess_order(sketch, {"heavy": 50, "light": 1})
+        order = coaccess_order(sketch.columns(), {"heavy": 50, "light": 1})
         chain = list(enumerate(sketch.hasher.bins_of("heavy")))
         positions = sorted(order.index(node) for node in set(chain))
         assert positions == list(range(positions[0], positions[0] + len(positions)))
@@ -61,12 +61,14 @@ class TestCoaccessOrder:
         weights = {"a": 3, "b": 2, "c": 1}
         for word in weights:
             sketch.insert(word, [_posting(0)])
-        assert coaccess_order(sketch, weights) == coaccess_order(sketch, weights)
+        columns = sketch.columns()
+        assert coaccess_order(columns, weights) == coaccess_order(columns, weights)
 
     def test_no_weights_falls_back_to_plain(self):
         sketch = _sketch()
         sketch.insert("alpha", [_posting(0)])
-        assert coaccess_order(sketch, {}) == plain_order(sketch) == _nonempty(sketch)
+        columns = sketch.columns()
+        assert coaccess_order(columns, {}) == plain_order(columns) == _nonempty(sketch)
 
 
 class TestLayoutInCompaction:

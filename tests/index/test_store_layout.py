@@ -26,6 +26,7 @@ from repro.index.builder import AirphantBuilder
 from repro.index.compaction import decode_header
 from repro.index import store_layout
 from repro.index.metadata import ShardManifest, merge_shard_metadata
+from repro.index.stats import build_stats
 from repro.index.store_layout import (
     build_blobs,
     build_bytes,
@@ -38,6 +39,7 @@ from repro.index.store_layout import (
 from repro.index.updates import AppendOnlyIndexManager
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Posting
+from repro.parsing.tokenizer import WhitespaceAnalyzer
 from repro.search.searcher import AirphantSearcher
 from repro.service.api import SearchRequest, ServiceError
 from repro.service.config import ServiceConfig
@@ -346,8 +348,9 @@ def test_build_rejects_exactly_the_names_the_catalog_refuses_to_serve(name):
     store.put("corpus/base.txt", CORPUS)
     # Put a complete build under the name behind the service's back, so only
     # the name itself can be why the catalog refuses it.
+    documents = LineDelimitedCorpusParser().parse(store, ["corpus/base.txt"])
     AirphantBuilder(store, config=CONFIG)._build_single(
-        list(LineDelimitedCorpusParser().parse(store, ["corpus/base.txt"])), name, "planted"
+        build_stats(documents, WhitespaceAnalyzer()), name, "planted"
     )
     with AirphantService(store, ServiceConfig(ingest_interval_s=0)) as service:
         served = service.catalog.contains(name)

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.superpost import Superpost
+from repro.core.superpost import POSTING_ORDER, Superpost
+from repro.index import serialization
 from repro.index.serialization import (
     FORMAT_V1,
     FORMAT_V2,
+    PostingColumns,
     StringTable,
     decode_superpost,
     decode_superpost_columns,
@@ -17,7 +22,11 @@ from repro.index.serialization import (
     decode_varint,
     decode_varints,
     encode_superpost,
+    encode_superposts,
     encode_varint,
+    encode_varints,
+    uncompressed_superpost_bytes,
+    varint_widths,
 )
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Posting
@@ -50,6 +59,13 @@ class TestVarintProperties:
         # 1- to 9-byte varints, any mix: one column, the same values.
         data = b"".join(encode_varint(value) for value in values)
         assert decode_varints(data).tolist() == values
+
+    @given(values=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_vectorised_stream_encode_matches_scalar(self, values):
+        column = np.array(values, np.uint64)
+        assert encode_varints(column) == b"".join(encode_varint(value) for value in values)
+        assert varint_widths(column).tolist() == [len(encode_varint(value)) for value in values]
 
     @given(smaller=st.integers(0, 2**30), larger=st.integers(0, 2**30))
     @settings(max_examples=100, deadline=None)
@@ -217,3 +233,76 @@ class TestCorpusParsingProperties:
         for document in documents:
             fetched = store.get_range(document.blob, document.offset, document.length)
             assert fetched.decode("utf-8") == document.text
+
+
+#: Offsets either side of the 32-bit pointer width and the 44-bit packed key.
+_WIDE_OFFSETS = st.one_of(
+    st.integers(0, 300),
+    st.integers(2**32 - 2, 2**32 + 2),
+    st.integers(2**44 - 2, 2**44 + 2),
+    st.integers(0, 2**63 - 1),
+)
+#: Runs of superposts over up to nine blobs: many-blob groups, single
+#: postings, empty lists (which the blob writer skips).
+superpost_runs = st.lists(
+    st.sets(
+        st.builds(
+            Posting,
+            blob=st.sampled_from([f"blob-{n}" for n in range(9)] + ["corpus/é.txt"]),
+            offset=_WIDE_OFFSETS,
+            length=st.integers(0, 2**40),
+        ),
+        max_size=12,
+    ),
+    max_size=8,
+)
+
+
+class TestColumnarEncoderProperties:
+    """``encode_superposts`` ≡ ``encode_superpost`` over each list, in one table."""
+
+    @given(
+        run=superpost_runs,
+        version=st.sampled_from([FORMAT_V1, FORMAT_V2]),
+        block=st.sampled_from([1, 4, serialization.ENCODE_BLOCK]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_blob_matches_the_scalar_encoder(self, run, version, block):
+        names = sorted({posting.blob for postings in run for posting in postings})
+        ordered = [sorted(postings, key=POSTING_ORDER) for postings in run]
+        # One document table (sorted, distinct), each list a run of its rows.
+        table = sorted({posting for postings in run for posting in postings}, key=POSTING_ORDER)
+        row = {posting: at for at, posting in enumerate(table)}
+        counts = np.array([len(postings) for postings in run], np.int64)
+        columns = PostingColumns(
+            names,
+            np.array([names.index(posting.blob) for posting in table], np.int64),
+            np.array([posting.offset for posting in table], np.uint64),
+            np.array([posting.length for posting in table], np.uint64),
+            np.array([row[posting] for postings in ordered for posting in postings], np.int64),
+            np.cumsum(counts) - counts,
+            counts,
+        )
+        scalar_table, columnar_table = StringTable(), StringTable()
+        expected = [
+            encode_superpost(postings, scalar_table, version) if postings else b""
+            for postings in run
+        ]
+        # Small passes: lists spread over many vectorised passes (or one each).
+        with mock.patch.object(serialization, "ENCODE_BLOCK", block):
+            blob, sizes = encode_superposts(columns, columnar_table, version)
+            raw_bytes = uncompressed_superpost_bytes(columns)
+        assert blob == b"".join(expected)
+        assert sizes.tolist() == [len(payload) for payload in expected]
+        assert columnar_table.to_list() == scalar_table.to_list()
+        raw = sum(
+            len(encode_varint(len(postings)))
+            + sum(
+                len(encode_varint(len(p.blob.encode()))) + len(p.blob.encode())
+                + len(encode_varint(p.offset)) + len(encode_varint(p.length))
+                for p in postings
+            )
+            for postings in run
+            if postings
+        )
+        assert raw_bytes == raw

@@ -177,6 +177,46 @@ def test_checker_keeps_read_waves_in_the_executor(tmp_path):
     ]
 
 
+def test_checker_keeps_the_build_side_on_waves_and_one_analyser(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("index", "search"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the statistics module analyses text, index/ reads in waves,
+    # docstrings may name either call, and the read path is not the build side.
+    (root / "index" / "stats.py").write_text(
+        "analysed = tokenizer.tokenize(document.text)\n"
+        "terms = tokenizer.distinct_terms(document.text)\n",
+        encoding="utf-8",
+    )
+    (root / "index" / "updates.py").write_text(
+        '"""Never one store.get_range( per document, nor a .tokenize( here."""\n'
+        "fetch = self._store.read_batch(reads)\n",
+        encoding="utf-8",
+    )
+    (root / "search" / "searcher.py").write_text(
+        "words = self._tokenizer.tokenize(query)\n", encoding="utf-8"
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a dependent read per document, and a second analysis pass.
+    (root / "index" / "updates.py").write_text(
+        "data = self._store.get_range(posting.blob, posting.offset, posting.length)\n",
+        encoding="utf-8",
+    )
+    (root / "index" / "builder.py").write_text(
+        "for word in self._tokenizer.distinct_terms(document.text):\n"
+        "    tokens = self._tokenizer.tokenize(document.text)\n",
+        encoding="utf-8",
+    )
+    found = check_seams.findings(root)
+    assert [problem.split("repro/")[1] for problem in found] == [
+        "index/builder.py:1: documents analysed outside index/stats.py",
+        "index/builder.py:2: documents analysed outside index/stats.py",
+        "index/updates.py:1: a dependent get_range on the build side",
+    ]
+
+
 def test_checker_keeps_exists_probes_off_the_open_path(tmp_path):
     check_seams = _load()
     root = tmp_path / "src" / "repro"
