@@ -158,7 +158,6 @@ def _cluster_settings():
 def _node_config() -> ServiceConfig:
     return ServiceConfig(
         max_concurrency=1,  # sharded searchers scale this by num_shards
-        query_cache_size=0,
         read_cache_bytes=0,
         probe_interval_s=0,
     )

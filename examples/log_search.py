@@ -34,8 +34,8 @@ def main() -> None:
     print(f"corpus: {profile.num_documents} log lines, {profile.num_terms} distinct terms")
 
     # One service instance owns the whole query side: a catalog of indexes, a
-    # shared tokenizer/hedging/cache configuration, and all query modes.
-    service = AirphantService(store, ServiceConfig(query_cache_size=64))
+    # shared tokenizer/hedging/read-cache configuration, and all query modes.
+    service = AirphantService(store, ServiceConfig())
 
     # Build the index with the paper's default accuracy target (F0 = 1 false
     # positive per query in expectation).

@@ -71,6 +71,15 @@ Every HTTP request the program makes rides a pooled keep-alive connection
 * a ``urlopen(``, ``HTTPConnection(`` or ``HTTPSConnection(`` anywhere under
   ``src/repro`` but that module and ``cli.py`` (whose calls are one-shot).
 
+The read path has one cache and one coalescing rule: the block cache of the
+one ``ReadPipeline`` an opened index reads through, merging only overlapping
+or exactly adjacent ranges.  This script also fails on:
+
+* a ``ReadPipeline(`` construction anywhere but ``search/searcher.py``,
+* a ``coalesce_gap``, ``max_gap`` or ``query_cache…`` identifier (in code or
+  a string literal) anywhere under ``src/repro`` — the knobs of gap
+  bridging and of the per-word postings cache, both deleted.
+
 Comments and docstrings are ignored.  Exit code 1 lists every finding.
 
 Usage: ``python scripts/check_seams.py``
@@ -166,6 +175,12 @@ _ANALYSIS = re.compile(r"\.(?:tokenize|distinct_terms)\(")
 HTTP_CLIENT_FILES = {("storage", "connections.py"), ("cli.py",)}
 _HTTP_CONNECTION = re.compile(r"\b(?:urlopen|HTTPS?Connection)\(")
 
+#: The one file that builds a read pipeline (one per opened index).
+PIPELINE_OWNER = ("search", "searcher.py")
+_PIPELINE_CONSTRUCTION = re.compile(r"\bReadPipeline\(")
+#: Knobs of deleted read-path mechanisms: gap bridging, the per-word cache.
+_RETIRED_KNOBS = re.compile(r"\b(?:coalesce_gap|max_gap|query_cache\w*)\b")
+
 _SIMULATOR_CHECK = re.compile(r"isinstance\([^)]*\bSimulatedCloudStore\b")
 _POOL_CONSTRUCTION = re.compile(r"\bThreadPoolExecutor\(")
 
@@ -237,6 +252,11 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 for literal in LAYOUT_LITERALS
                 if literal in text and (parts, literal) not in LAYOUT_HOMONYMS
             )
+        problems.extend(
+            f"{path.relative_to(root.parent.parent)}:{number}: retired read-path knob"
+            for number, text in string_literals(path)
+            if _RETIRED_KNOBS.search(text)
+        )
         open_path = next(
             (prefix for prefix in OPEN_PATH if parts[: len(prefix)] == prefix), None
         )
@@ -274,6 +294,12 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 problems.append(f"{where}: documents analysed outside index/stats.py")
             if parts not in HTTP_CLIENT_FILES and _HTTP_CONNECTION.search(text):
                 problems.append(f"{where}: HTTP connection outside the pooled client")
+            if parts != PIPELINE_OWNER and _PIPELINE_CONSTRUCTION.search(text):
+                problems.append(
+                    f"{where}: read pipeline built outside {'/'.join(PIPELINE_OWNER)}"
+                )
+            if _RETIRED_KNOBS.search(text):
+                problems.append(f"{where}: retired read-path knob")
             if package not in SIMULATOR_PACKAGES and _SIMULATOR_CHECK.search(text):
                 simulator_checks.append(where)
             if (

@@ -28,12 +28,10 @@ class AirphantEngine(SearchEngine):
         max_concurrency: int = 32,
         config: SketchConfig | None = None,
         hedging: HedgingPolicy | None = None,
-        query_cache_size: int = 0,
     ) -> None:
         super().__init__(store, index_name, tokenizer, max_concurrency)
         self._config = config if config is not None else SketchConfig()
         self._hedging = hedging
-        self._query_cache_size = query_cache_size
         self._built: BuiltIndex | None = None
         self._searcher: AirphantSearcher | None = None
 
@@ -61,7 +59,6 @@ class AirphantEngine(SearchEngine):
             max_concurrency=self._max_concurrency,
             hedging=self._hedging,
             top_k_delta=self._config.top_k_delta,
-            query_cache_size=self._query_cache_size,
         )
         return self._searcher.initialize()
 

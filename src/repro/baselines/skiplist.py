@@ -176,14 +176,14 @@ class SkipListIndex:
         """
         if not self._heads:
             raise RuntimeError("SkipListIndex.initialize() must be called before lookup()")
-        query_cache: dict[int, _Node] = {}
+        visited: dict[int, _Node] = {}
         current_forwards: list[int] = list(self._heads)
 
         found: _Node | None = None
         for level in range(len(current_forwards) - 1, -1, -1):
             next_offset = current_forwards[level]
             while next_offset != _NO_NODE:
-                node = self._read_node(next_offset, query_cache, latency)
+                node = self._read_node(next_offset, visited, latency)
                 if node.term < term:
                     current_forwards = list(node.forwards) + current_forwards[len(node.forwards):]
                     next_offset = node.forwards[level] if level < len(node.forwards) else _NO_NODE
@@ -207,14 +207,14 @@ class SkipListIndex:
         self._postings_blob_hint = blob_name
 
     def _read_node(
-        self, offset: int, query_cache: dict[int, _Node], latency: LatencyBreakdown
+        self, offset: int, visited: dict[int, _Node], latency: LatencyBreakdown
     ) -> _Node:
-        if offset in query_cache:
-            return query_cache[offset]
+        if offset in visited:
+            return visited[offset]
         size = self._node_sizes[offset]
         if self._cached_region is not None:
             node = _decode_node(self._cached_region[offset : offset + size])
         else:
             node = _decode_node(dependent_read(self._store, self.nodes_blob, offset, size, latency))
-        query_cache[offset] = node
+        visited[offset] = node
         return node

@@ -92,9 +92,7 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
     """Translate the parsed CLI flags into one :class:`ServiceConfig`."""
     defaults = ServiceConfig()
     return ServiceConfig(
-        query_cache_size=getattr(args, "query_cache_size", 0),
-        coalesce_gap=getattr(args, "coalesce_gap", 0),
-        read_cache_bytes=getattr(args, "read_cache_bytes", 0),
+        read_cache_bytes=getattr(args, "read_cache_bytes", defaults.read_cache_bytes),
         retries=args.retries,
         retry_backoff_ms=args.retry_backoff_ms,
         request_timeout_s=args.timeout_s,
@@ -203,16 +201,11 @@ def _add_common_arguments(parser: argparse.ArgumentParser, allow_url: bool = Fal
 
 def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--coalesce-gap",
-        type=int,
-        default=0,
-        help="largest same-blob gap (bytes) merged into one range read",
-    )
-    parser.add_argument(
         "--read-cache-bytes",
         type=int,
-        default=0,
-        help="read-pipeline block cache budget in bytes (0 disables)",
+        default=ServiceConfig.read_cache_bytes,
+        help="read-pipeline block cache budget per opened index, in bytes "
+        "(0 disables; default %(default)s)",
     )
 
 
@@ -828,12 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace the query and print its span tree and per-wave fetch "
         "summary (requests, bytes, cache hits) after the results",
     )
-    search.add_argument(
-        "--query-cache-size",
-        type=int,
-        default=0,
-        help="per-word postings cache capacity (0 disables)",
-    )
     _add_pipeline_arguments(search)
     search.set_defaults(func=_cmd_search)
 
@@ -864,12 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot rendering: JSON registry dump or Prometheus exposition text",
     )
     _add_pipeline_arguments(stats)
-    stats.add_argument(
-        "--query-cache-size",
-        type=int,
-        default=0,
-        help="per-word postings cache capacity (0 disables)",
-    )
     stats.set_defaults(func=_cmd_stats)
 
     traces = subparsers.add_parser(
@@ -943,12 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(serve)
     serve.add_argument("--host", default="127.0.0.1", help="interface to bind")
     serve.add_argument("--port", type=int, default=8080, help="port to bind")
-    serve.add_argument(
-        "--query-cache-size",
-        type=int,
-        default=0,
-        help="per-word postings cache capacity shared by served queries (0 disables)",
-    )
     serve.add_argument(
         "--no-metrics",
         action="store_true",

@@ -22,8 +22,8 @@ the builder uses a deterministic greedy chain walk over the co-access graph:
 
 Frequent words therefore get their whole chain laid out contiguously (the
 superposts are concatenated with no padding, so chain members are *exactly*
-adjacent and merge even at ``coalesce_gap=0``), and words sharing bins with
-frequent words land nearby, within reach of a small ``coalesce_gap``.
+adjacent and the pipeline merges them without fetching a byte more), and
+words sharing bins with frequent words land nearby.
 """
 
 from __future__ import annotations

@@ -327,7 +327,6 @@ class AppendOnlyIndexManager:
         self,
         max_concurrency: int = 32,
         hedging: "HedgingPolicy | None" = None,
-        query_cache_size: int = 0,
     ) -> "AirphantSearcher":
         """Open a searcher spanning the base index and every delta."""
         # Imported lazily: repro.search depends on repro.index, so importing
@@ -341,7 +340,6 @@ class AppendOnlyIndexManager:
             tokenizer=self._tokenizer,
             max_concurrency=max_concurrency,
             hedging=hedging,
-            query_cache_size=query_cache_size,
         )
 
     # -- compaction ------------------------------------------------------------------

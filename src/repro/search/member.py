@@ -20,7 +20,6 @@ of not-yet-flushed documents).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Collection, NamedTuple, Protocol, Sequence
 
@@ -43,8 +42,8 @@ class LookupPlan(NamedTuple):
     frozen dataclass costs a microsecond more to build.
     """
 
-    #: The superpost ranges to read — none when every word is memoized, has
-    #: no postings, or belongs to a doomed conjunction — then, on a ranked
+    #: The superpost ranges to read — none when every word has no postings
+    #: or belongs to a doomed conjunction — then, on a ranked
     #: plan of a member whose statistics are not resident yet, their reads.
     reads: Sequence[RangeRead]
     #: Turns the payloads of ``reads`` (same order; ``None`` for a straggler
@@ -140,7 +139,6 @@ class IndexMember:
         shard_manifest: ShardManifest | None,
         shards: Sequence[ShardState],
         max_concurrency: int,
-        query_cache_size: int = 0,
         whole: "IndexMember | None" = None,
     ) -> None:
         self.name = name
@@ -160,16 +158,9 @@ class IndexMember:
         self.expected_false_positives = (
             self.metadata.expected_false_positives if self.metadata is not None else 0.0
         )
-        # Optional per-word memoization of final postings lists (Section IV-A
-        # suggests query caching to bound the worst-case deviation).  Valid
-        # because the paper targets read-oriented corpora that rarely change.
-        self._query_cache_size = max(0, query_cache_size)
-        self._query_cache: OrderedDict[str, Superpost] = OrderedDict()
-        # The cache and the statistics are shared across server threads
-        # (ThreadingHTTPServer); guard their mutations.
+        # The statistics are shared across server threads
+        # (ThreadingHTTPServer); guard their installation.
         self._lock = threading.Lock()
-        self.cache_hits = 0
-        self.cache_misses = 0
         #: The member whose shard list is the whole index (itself unless this
         #: is a restricted view): it holds the statistics every view scores with.
         self._whole = whole if whole is not None else self
@@ -193,10 +184,9 @@ class IndexMember:
         subset through this view while the router unions the partial
         answers (partitions are disjoint, so the union is exact).
 
-        The view shares this member's pipeline and ranking statistics —
-        only the shard list (and the metadata merged over it) differs.  The
-        per-word query cache is disabled on the view: its entries would
-        describe just the subset while being keyed like whole-index answers.
+        The view shares this member's pipeline — its block cache included —
+        and ranking statistics; only the shard list (and the metadata merged
+        over it) differs.
         """
         held = sorted({o for o in ordinals if 0 <= o < len(self.shards)})
         if not held:
@@ -236,14 +226,15 @@ class IndexMember:
         against this member's documents too), and is never hedged — the L⁺
         drop must not discard statistics.
         """
-        results, pending = self._cache_partition(words)
+        results: dict[str, Superpost] = {}
+        unique = list(dict.fromkeys(words))
 
-        # Collect pointers per (shard, pending word), remembering which
-        # requests belong to whom.
+        # Collect pointers per (shard, word), remembering which requests
+        # belong to whom.
         requests: list[RangeRead] = []
         layers: dict[tuple[int, str], range] = {}
         fetch_words: list[str] = []
-        for word in pending:
+        for word in unique:
             alive = False
             for shard_index, shard in enumerate(self.shards):
                 pointers = shard.mht.pointers_for(word)
@@ -259,7 +250,7 @@ class IndexMember:
             else:
                 results[word] = EMPTY
 
-        if fail_fast and len(fetch_words) < len(pending):
+        if fail_fast and len(fetch_words) < len(unique):
             for word in fetch_words:
                 results[word] = EMPTY
             requests, fetch_words = [], []
@@ -280,11 +271,9 @@ class IndexMember:
                     ]
                     if superposts:
                         per_shard.append(Superpost.intersect_all(superposts))
-                result = (
+                results[word] = (
                     per_shard[0] if len(per_shard) == 1 else Superpost.union_all(per_shard)
                 )
-                self._remember_lookup(word, result)
-                results[word] = result
             return results
 
         return LookupPlan(
@@ -349,42 +338,6 @@ class IndexMember:
         from repro.search.searcher import AirphantSearcher  # the executor imports members
 
         return tuple(AirphantSearcher(members=[self]).ranking_statistics()[0])
-
-    def _cache_partition(
-        self, words: Sequence[str]
-    ) -> tuple[dict[str, Superpost], list[str]]:
-        """Split ``words`` into memoized results and words still to fetch.
-
-        Cache-hit words resolve with no storage traffic and no added latency;
-        a query whose words all hit counts as one cache hit, anything else as
-        one miss.
-        """
-        if self._query_cache_size <= 0:
-            return {}, list(dict.fromkeys(words))
-        results: dict[str, Superpost] = {}
-        pending: list[str] = []
-        with self._lock:
-            for word in dict.fromkeys(words):
-                if word in self._query_cache:
-                    self._query_cache.move_to_end(word)
-                    results[word] = self._query_cache[word]
-                else:
-                    pending.append(word)
-            if not pending:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-        return results, pending
-
-    def _remember_lookup(self, word: str, result: Superpost) -> None:
-        """Memoize a word's final postings list (bounded LRU)."""
-        if self._query_cache_size <= 0:
-            return
-        with self._lock:
-            self._query_cache[word] = result
-            self._query_cache.move_to_end(word)
-            while len(self._query_cache) > self._query_cache_size:
-                self._query_cache.popitem(last=False)
 
     def resident(self, posting: Posting) -> None:
         """A persisted index holds no document in memory."""

@@ -75,6 +75,11 @@ class AirphantSearcher:
     purged by a compaction.  They are dropped between candidate computation
     and the document-fetch wave, so their bytes are never requested, and
     ranked queries score against statistics with them excised.
+
+    ``read_cache_bytes`` is the block-cache budget of the opened index's
+    pipeline.  The library default 0 keeps every query's I/O uncached — what
+    the simulated-clock figures measure; the service ships a cache
+    (:attr:`~repro.service.config.ServiceConfig.read_cache_bytes`).
     """
 
     def __init__(
@@ -85,8 +90,6 @@ class AirphantSearcher:
         max_concurrency: int = 32,
         hedging: HedgingPolicy | None = None,
         top_k_delta: float = 1e-6,
-        query_cache_size: int = 0,
-        coalesce_gap: int = 0,
         read_cache_bytes: int = 0,
         *,
         members: Sequence[Member] | None = None,
@@ -112,8 +115,6 @@ class AirphantSearcher:
         if store is not None and not self._index_names:
             raise ValueError("AirphantSearcher needs at least one index")
         self._max_concurrency = max_concurrency
-        self._query_cache_size = query_cache_size
-        self._coalesce_gap = coalesce_gap
         self._read_cache_bytes = read_cache_bytes
         self.init_latency_ms = 0.0
 
@@ -126,8 +127,6 @@ class AirphantSearcher:
         max_concurrency: int = 32,
         hedging: HedgingPolicy | None = None,
         top_k_delta: float = 1e-6,
-        query_cache_size: int = 0,
-        coalesce_gap: int = 0,
         read_cache_bytes: int = 0,
         opened: OpenedHeaders | OpenedIndex | None = None,
     ) -> "AirphantSearcher":
@@ -140,8 +139,6 @@ class AirphantSearcher:
             max_concurrency=max_concurrency,
             hedging=hedging,
             top_k_delta=top_k_delta,
-            query_cache_size=query_cache_size,
-            coalesce_gap=coalesce_gap,
             read_cache_bytes=read_cache_bytes,
         )
         searcher.initialize(opened)
@@ -175,7 +172,6 @@ class AirphantSearcher:
             # as all of them together — up to the ceiling that bounds one
             # sharded member, and never narrower than any one of them.
             max(min(sum(widths), MAX_SHARDED_CONCURRENCY), *widths),
-            max_gap=self._coalesce_gap,
             cache_bytes=self._read_cache_bytes,
         )
         self._opened = [
@@ -185,7 +181,6 @@ class AirphantSearcher:
                 build.manifest,
                 [ShardState.from_header(*shard) for shard in build.members],
                 build.max_concurrency,
-                query_cache_size=self._query_cache_size,
             )
             for build in opened.builds
         ]

@@ -146,8 +146,6 @@ class IndexCatalog:
                 tokenizer=self._config.make_tokenizer(),
                 max_concurrency=self._config.max_concurrency,
                 top_k_delta=self._config.top_k_delta,
-                query_cache_size=self._config.query_cache_size,
-                coalesce_gap=self._config.coalesce_gap,
                 read_cache_bytes=self._config.read_cache_bytes,
                 opened=found,
             )

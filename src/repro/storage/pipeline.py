@@ -9,10 +9,12 @@ quota and first-byte waits whenever ranges repeat or sit next to each other.
 and, per batch:
 
 1. **deduplicates** identical ranges (one physical request serves them all);
-2. **coalesces** adjacent/overlapping ranges on the same blob — optionally
-   bridging gaps up to ``max_gap`` bytes — into fewer, larger requests;
+2. **coalesces** overlapping or exactly adjacent ranges on the same blob
+   into fewer, larger requests — never transferring a byte that raw fetching
+   would not;
 3. serves repeated ranges from a bounded **LRU block cache** without touching
-   the store at all.
+   the store at all.  Every blob is immutable once written, so a range keyed
+   by ``(blob, offset, length)`` never goes stale while its searcher is open.
 
 Logical payloads are sliced back out of the physical payloads, so callers
 observe byte-for-byte the same results as raw fetching (including end-of-blob
@@ -67,7 +69,7 @@ _PIPELINE_COUNTERS: dict[str, tuple[str, str]] = {
     ),
     "bytes_fetched": (
         "airphant_pipeline_bytes_fetched_total",
-        "Bytes actually transferred from the store (includes bridged gaps)",
+        "Bytes actually transferred from the store",
     ),
 }
 
@@ -99,9 +101,10 @@ class PipelineStats(MirroredStats):
     cache_misses: int = 0
     #: Logical requests folded into a wider or shared physical request.
     coalesced_requests: int = 0
-    #: Bytes covered by logical requests (what raw fetching would transfer).
+    #: Bytes covered by logical requests (what raw fetching would transfer):
+    #: a pass-through read counts the bytes it returned.
     bytes_requested: int = 0
-    #: Bytes actually transferred from the store (includes bridged gaps).
+    #: Bytes actually transferred from the store (never more than requested).
     bytes_fetched: int = 0
 
     @property
@@ -158,11 +161,6 @@ class ReadPipeline:
         executes the physical batches.
     max_concurrency:
         Most physical requests in flight at once, handed to ``read_batch``.
-    max_gap:
-        Two bounded ranges on the same blob are merged into one physical read
-        when the gap between them is at most this many bytes.  ``0`` (the
-        default) merges only overlapping or exactly adjacent ranges, which
-        never transfers a byte more than raw fetching would.
     cache_bytes:
         Byte budget of the LRU block cache keyed by exact logical range.
         ``0`` (the default) disables caching, keeping the pipeline a pure
@@ -183,19 +181,15 @@ class ReadPipeline:
         self,
         store: ObjectStore,
         max_concurrency: int = 32,
-        max_gap: int = 0,
         cache_bytes: int = 0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_concurrency <= 0:
             raise ValueError("max_concurrency must be positive")
-        if max_gap < 0:
-            raise ValueError("max_gap must be non-negative")
         if cache_bytes < 0:
             raise ValueError("cache_bytes must be non-negative")
         self._store = store
         self._max_concurrency = max_concurrency
-        self._max_gap = max_gap
         self._cache_bytes = cache_bytes
         self._cache: OrderedDict[_RangeKey, bytes] = OrderedDict()
         self._cached_bytes = 0
@@ -216,11 +210,6 @@ class ReadPipeline:
     def max_concurrency(self) -> int:
         """Most physical requests in flight per batch."""
         return self._max_concurrency
-
-    @property
-    def max_gap(self) -> int:
-        """Largest same-blob gap (bytes) bridged by coalescing."""
-        return self._max_gap
 
     @property
     def cache_bytes(self) -> int:
@@ -244,9 +233,9 @@ class ReadPipeline:
         """Fetch all ``requests``, returning payloads in request order.
 
         At most one physical batch is issued; a batch fully served from the
-        cache issues none (its :class:`~repro.storage.metrics.BatchRecord` is
-        empty with zero latency, which callers can detect via
-        ``batch.requests``).
+        cache issues none and does not call the store at all (its
+        :class:`~repro.storage.metrics.BatchRecord` is empty with zero
+        latency, which callers can detect via ``batch.requests``).
 
         Parameters
         ----------
@@ -268,7 +257,7 @@ class ReadPipeline:
             return FetchResult()
 
         with span("pipeline.fetch") as trace_span:
-            placements, physical, deltas = self._plan(requests)
+            placements, physical, passed, deltas = self._plan(requests)
             # Commit everything known at planning time — including the physical
             # requests about to be issued — BEFORE the fetch: if the store fails
             # (e.g. retries exhausted), the batch must still be accounted, or
@@ -277,12 +266,18 @@ class ReadPipeline:
             deltas["requests_out"] = len(physical)
             deltas["batches"] = 1 if physical else 0
             self.stats.add(**deltas)
-            # An empty physical batch costs nothing and reads nothing.
-            fetch = self._store.read_batch(physical, self._max_concurrency)
+            fetch = (
+                self._store.read_batch(physical, self._max_concurrency)
+                if physical
+                else FetchResult()
+            )
 
             payloads = self._resolve(requests, placements, fetch.payloads)
             fetched_bytes = sum(len(data) for data in fetch.payloads if data is not None)
-            self.stats.add(bytes_fetched=fetched_bytes)
+            # A pass-through read's extent is what it returned: raw fetching
+            # would have transferred exactly that, so it is requested too.
+            passed_bytes = sum(len(data) for data in fetch.payloads[:passed] if data is not None)
+            self.stats.add(bytes_fetched=fetched_bytes, bytes_requested=passed_bytes)
             # The span mirrors exactly the deltas committed to PipelineStats,
             # so explain output is checkable against the counters to the byte.
             trace_span.set(
@@ -292,7 +287,7 @@ class ReadPipeline:
                 cache_hits=deltas["cache_hits"],
                 cache_misses=deltas["cache_misses"],
                 coalesced=deltas["coalesced_requests"],
-                bytes_requested=deltas["bytes_requested"],
+                bytes_requested=deltas["bytes_requested"] + passed_bytes,
                 bytes_fetched=fetched_bytes,
                 batch_ms=round(fetch.batch.total_ms, 3),
             )
@@ -302,12 +297,13 @@ class ReadPipeline:
 
     def _plan(
         self, requests: list[RangeRead]
-    ) -> tuple[list[_Placement], list[RangeRead], dict[str, int]]:
+    ) -> tuple[list[_Placement], list[RangeRead], int, dict[str, int]]:
         """Map logical requests to cache hits and coalesced physical reads.
 
-        Returns the placements, the physical reads to issue, and the stats
-        deltas of the planning phase — committed by :meth:`fetch` in one
-        atomic :meth:`PipelineStats.add` together with the fetch outcome.
+        Returns the placements, the physical reads to issue (the pass-through
+        reads first), how many of them pass through, and the stats deltas of
+        the planning phase — committed by :meth:`fetch` before the physical
+        batch is issued.
         """
         placements: list[_Placement | None] = [None] * len(requests)
         bounded: dict[_RangeKey, list[int]] = {}
@@ -341,7 +337,7 @@ class ReadPipeline:
                 bounded.setdefault(key, []).append(index)
 
         physical: list[RangeRead] = []
-        # Open-ended reads pass through one-to-one, uncoalesced.
+        # Open-ended and optional reads pass through one-to-one, uncoalesced.
         for index in passthrough:
             placements[index] = _Placement(
                 source="physical", physical_index=len(physical), start=0, length=None
@@ -368,24 +364,20 @@ class ReadPipeline:
         deltas["coalesced_requests"] = coalesced
 
         assert all(placement is not None for placement in placements)
-        return placements, physical, deltas  # type: ignore[return-value]
+        return placements, physical, len(passthrough), deltas  # type: ignore[return-value]
 
     def _coalesce(self, keys: list[_RangeKey]) -> list[_Run]:
         """Merge sorted unique ranges into physical runs.
 
         ``keys`` is sorted by (blob, offset, length); ranges on the same blob
-        merge while the next range starts within ``max_gap`` bytes of the
-        current run's end (overlap and exact adjacency are gap 0).
+        merge while the next range overlaps or exactly abuts the current
+        run, so a run never covers a byte no logical range asked for.
         """
         runs: list[_Run] = []
         current: _Run | None = None
         for key in keys:
             blob, offset, length = key
-            if (
-                current is None
-                or blob != current.blob
-                or offset > current.end + self._max_gap
-            ):
+            if current is None or blob != current.blob or offset > current.end:
                 current = _Run(blob=blob, start=offset, end=offset + length)
                 runs.append(current)
             else:
@@ -413,13 +405,12 @@ class ReadPipeline:
             if source is None:  # an optional read of a missing blob
                 payloads.append(None)
                 continue
-            if placement.length is None:
-                data = source[placement.start :]
-            else:
-                data = source[placement.start : placement.start + placement.length]
+            if placement.length is None:  # passed through: neither sliced nor cached
+                payloads.append(source)
+                continue
+            data = source[placement.start : placement.start + placement.length]
             payloads.append(data)
-            if request.length is not None:
-                fills.append(((request.blob, request.offset, request.length), data))
+            fills.append(((request.blob, request.offset, request.length), data))
         if fills and self._cache_bytes > 0:
             with self._lock:
                 for key, data in fills:

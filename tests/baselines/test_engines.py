@@ -128,29 +128,17 @@ class TestEngineLatencyShape:
         assert elastic_latency.bytes_fetched > lucene_latency.bytes_fetched
 
 
-class TestEngineQueryCache:
-    def test_query_cache_size_reaches_the_searcher(self, sim_store, small_documents):
+class TestEngineReadsUncached:
+    def test_a_repeated_query_pays_its_reads_again(self, sim_store, small_documents):
+        """The figures compare per-query I/O: the engine keeps no cache."""
         engine = AirphantEngine(
-            sim_store,
-            index_name="t/cached",
-            config=SketchConfig(num_bins=64, seed=1),
-            query_cache_size=16,
+            sim_store, index_name="t/uncached", config=SketchConfig(num_bins=64, seed=1)
         )
         engine.build(small_documents)
         engine.initialize()
         first = engine.search("error")
         second = engine.search("error")
         assert engine._searcher is not None
-        assert engine._searcher.searchers[0].cache_hits == 1
-        assert {d.text for d in second.documents} == {d.text for d in first.documents}
-
-    def test_cache_disabled_by_default(self, sim_store, small_documents):
-        engine = AirphantEngine(
-            sim_store, index_name="t/uncached", config=SketchConfig(num_bins=64, seed=1)
-        )
-        engine.build(small_documents)
-        engine.initialize()
-        engine.search("error")
-        engine.search("error")
-        assert engine._searcher is not None
-        assert engine._searcher.searchers[0].cache_hits == 0
+        assert engine._searcher.pipeline.stats.cache_hits == 0
+        assert second.latency.round_trips == first.latency.round_trips == 2
+        assert second.latency.bytes_fetched == first.latency.bytes_fetched > 0

@@ -332,6 +332,9 @@ class TestTracePropagation:
     """
 
     def test_routed_explain_returns_one_cross_node_tree(self, cluster):
+        # Cold block caches, so every peer's share reaches the store.
+        for server in cluster.servers:
+            server.service.catalog.open("logs").pipeline.clear_cache()
         body = http_transport(
             cluster.router_server.url,
             "/search",

@@ -94,6 +94,30 @@ class TestV1ReadableForever:
             sizes[version] = store.size(f"{name}/superposts.bin")
         assert sizes[FORMAT_V2] < sizes[FORMAT_V1]
 
+    def test_v2_queries_fetch_fewer_bytes_in_no_more_requests(self):
+        """The delta codec shrinks what a query downloads, and the co-access
+        layout costs no physical request over v1's plain layout."""
+        store = InMemoryObjectStore()
+        lines = [
+            f"error timeout node{index % 7} request {index} latency high"
+            for index in range(400)
+        ]
+        store.put("corpus.txt", "\n".join(lines).encode("utf-8"))
+        documents = _documents(store)
+        words = ["error", "timeout", "node3", "request", "latency", "17", "absent"]
+        answers, stats = {}, {}
+        for version, layout in ((FORMAT_V1, "plain"), (FORMAT_V2, "coaccess")):
+            name = f"idx-v{version}"
+            AirphantBuilder(
+                store, config=CONFIG, format_version=version, layout=layout
+            ).build_from_documents(documents, index_name=name)
+            searcher = AirphantSearcher.open(store, name)
+            answers[version] = [searcher.search(word).postings for word in words]
+            stats[version] = searcher.pipeline.stats
+        assert answers[FORMAT_V1] == answers[FORMAT_V2]
+        assert stats[FORMAT_V2].bytes_fetched < stats[FORMAT_V1].bytes_fetched
+        assert stats[FORMAT_V2].requests_out <= stats[FORMAT_V1].requests_out
+
 
 class TestShardedByteIdentity:
     def test_sharded_answers_byte_identical_across_formats(self):

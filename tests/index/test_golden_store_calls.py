@@ -3,7 +3,9 @@
 ``AirphantService.searcher(name)`` on a cold node, then one keyword and one
 ``topk_bm25`` query, over a plain, a 4-shard and a base + 2-delta index: the
 ordered ``(method, blob, offset, length)`` log of a recording store must equal
-the capture in ``golden_store_calls.json``.  Moving who resolves name → manifest
+the capture in ``golden_store_calls.json``.  The service runs with its block
+cache on (the default); the two queries share no range, so the cold log is
+the same as an uncached one.  Moving who resolves name → manifest
 → members → headers, or who issues a wave, must not move a single store call
 on the open/query path; a change that *means* to regenerates the golden on
 purpose (last: the ranking statistics ride the first ranked query's lookup

@@ -57,7 +57,7 @@ def s3_uri(s3_emulator):
 class TestS3EndToEnd:
     def test_build_shard_search_metrics_flow(self, s3_uri):
         metrics = MetricsRegistry()
-        config = ServiceConfig(retries=1, coalesce_gap=4096)
+        config = ServiceConfig(retries=1)
         service = AirphantService(
             config.wrap_store(open_store(s3_uri)),
             config,

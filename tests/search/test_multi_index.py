@@ -1,4 +1,4 @@
-"""Tests for multi-index search and the per-word query cache."""
+"""Tests for multi-index search and the read pipeline's block cache."""
 
 import pytest
 
@@ -91,36 +91,48 @@ class TestMultiIndexSearcher:
         assert latency.round_trips == 1  # one lookup batch, however many indexes
 
 
-class TestQueryCache:
-    def test_cache_hit_skips_storage_traffic(self, sim_store, built_small_index):
+class TestBlockCache:
+    """The opened index's one block cache: a repeated word costs no store read."""
+
+    def test_a_repeated_query_costs_no_store_read(self, sim_store, built_small_index):
         searcher = AirphantSearcher.open(
-            sim_store, index_name=built_small_index.index_name, query_cache_size=16
+            sim_store, index_name=built_small_index.index_name, read_cache_bytes=1 << 20
         )
         first = searcher.search("error")
         sim_store.metrics.reset()
         second = searcher.search("error")
-        assert searcher.searchers[0].cache_hits == 1
-        assert {d.text for d in second.documents} == {d.text for d in first.documents}
-        # Only document retrieval hits storage on the cached query.
-        assert second.latency.lookup_ms == 0.0
+        assert sim_store.metrics.round_trips == 0
+        assert second.latency.total_ms == 0.0
+        assert searcher.pipeline.stats.cache_hits > 0
+        assert [d.text for d in second.documents] == [d.text for d in first.documents]
+
+    def test_a_repeated_word_costs_no_lookup_read(self, sim_store, built_small_index):
+        searcher = AirphantSearcher.open(
+            sim_store, index_name=built_small_index.index_name, read_cache_bytes=1 << 20
+        )
+        searcher.search("error")
+        postings, latency = searcher.lookup_postings("error")
+        assert postings and latency.round_trips == 0 and latency.lookup_ms == 0.0
 
     def test_cache_disabled_by_default(self, sim_store, built_small_index):
         searcher = AirphantSearcher.open(sim_store, index_name=built_small_index.index_name)
         searcher.search("error")
-        searcher.search("error")
-        assert searcher.searchers[0].cache_hits == 0
+        second = searcher.search("error")
+        assert second.latency.round_trips == 2
+        assert searcher.pipeline.stats.cache_hits == 0
+        assert searcher.pipeline.cached_bytes == 0
 
-    def test_cache_eviction_respects_capacity(self, sim_store, built_small_index):
+    def test_cache_eviction_respects_the_byte_budget(self, sim_store, built_small_index):
         searcher = AirphantSearcher.open(
-            sim_store, index_name=built_small_index.index_name, query_cache_size=2
+            sim_store, index_name=built_small_index.index_name, read_cache_bytes=256
         )
         for word in ["error", "info", "warn", "debug"]:
             searcher.search(word)
-        assert len(searcher.searchers[0]._query_cache) <= 2
+        assert 0 < searcher.pipeline.cached_bytes <= 256
 
     def test_cached_results_stay_correct(self, sim_store, built_small_index, small_documents):
         searcher = AirphantSearcher.open(
-            sim_store, index_name=built_small_index.index_name, query_cache_size=8
+            sim_store, index_name=built_small_index.index_name, read_cache_bytes=1 << 20
         )
         expected = {d.text for d in small_documents if "info" in d.text.split()}
         for _ in range(3):

@@ -112,17 +112,17 @@ class TestShardedEquivalence:
         for document in sharded.search("ERROR").documents:
             assert "ERROR" in document.text.split()
 
-    def test_query_cache_works_across_shards(self, sim_store, corpus):
+    def test_block_cache_works_across_shards(self, sim_store, corpus):
         config = SketchConfig(num_bins=512, seed=7)
         AirphantBuilder(sim_store, config=config, num_shards=4).build_from_documents(
             corpus.documents, index_name="cached"
         )
-        searcher = AirphantSearcher.open(sim_store, index_name="cached", query_cache_size=8)
+        searcher = AirphantSearcher.open(sim_store, index_name="cached", read_cache_bytes=1 << 20)
         first = searcher.search("ERROR")
         second = searcher.search("ERROR")
         assert doc_keys(first) == doc_keys(second)
-        assert member(searcher).cache_hits == 1
-        assert second.latency.lookup_ms == 0.0  # postings memoized, no superpost fetch
+        assert searcher.pipeline.stats.cache_hits > 0
+        assert second.latency.round_trips == 0  # every shard's superposts and documents cached
 
     def test_uninitialized_query_raises(self, sim_store, searchers):
         searcher = AirphantSearcher(sim_store, index_name="sharded")
@@ -133,7 +133,7 @@ class TestShardedEquivalence:
 class TestShardedThroughService:
     @pytest.fixture
     def service(self, sim_store, corpus):
-        service = AirphantService(sim_store, ServiceConfig(coalesce_gap=128))
+        service = AirphantService(sim_store, ServiceConfig())
         config = SketchConfig(num_bins=512, seed=7)
         service.build_index("single", list(corpus.blob_names), sketch_config=config)
         service.build_index(
@@ -228,14 +228,19 @@ class TestShardRestriction:
         assert sharded.restrict(range(member(sharded).num_shards)) is sharded
         assert member(sharded).restrict(range(4)) is member(sharded)
 
-    def test_view_shares_pipeline_but_not_query_cache(self, sim_store, searchers):
-        sharded = AirphantSearcher.open(sim_store, index_name="sharded", query_cache_size=8)
+    def test_view_shares_the_pipeline_and_its_block_cache(self, sim_store, searchers):
+        sharded = AirphantSearcher.open(sim_store, index_name="sharded", read_cache_bytes=1 << 20)
         view = sharded.restrict([1])
         assert view is not sharded
-        assert member(view).pipeline is member(sharded).pipeline
-        view.search("ERROR")
-        view.search("ERROR")
-        assert member(view).cache_hits == 0  # cache disabled on views
+        assert member(view).pipeline is member(sharded).pipeline is view.pipeline
+        cold = view.search("ERROR")
+        warm = view.search("ERROR")
+        assert cold.latency.round_trips == 2 and warm.latency.round_trips == 0
+        # The cache is keyed by byte range, not by word: a view's warm answer
+        # is its own subset, exactly as cold, and the whole index's answer is
+        # still the whole one.
+        assert doc_keys(warm) == doc_keys(cold)
+        assert doc_keys(sharded.search("ERROR")) == doc_keys(searchers[0].search("ERROR"))
 
     def test_view_metadata_covers_only_the_subset(self, searchers):
         _, sharded = searchers

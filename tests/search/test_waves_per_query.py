@@ -1,12 +1,14 @@
 """Waves per query, pinned: two dependent round trips however many members.
 
 One live index — a base, two flushed deltas, a memtable still in memory and
-one pending tombstone — served through a recording store.  Every membership
-query must cost exactly two ``read_batch`` calls (one lookup wave over *all*
-members, one document wave), a term lookup one, a ranked query two — the
-first one on a fresh node too, its ranking statistics riding the lookup wave;
-the condemned document's bytes must never be requested; and the answers must
-equal a fresh rebuild over the survivors.
+one pending tombstone — served through a recording store, its block cache on
+(the service default).  On a cold cache every membership query must cost
+exactly two ``read_batch`` calls (one lookup wave over *all* members, one
+document wave), a term lookup one, a ranked query two — the first one on a
+fresh node too, its ranking statistics riding the lookup wave.  A warm query
+costs at most that, and one whose ranges are all cached calls the store not
+at all.  The condemned document's bytes must never be requested; and the
+answers must equal a fresh rebuild over the survivors.
 """
 
 from __future__ import annotations
@@ -71,7 +73,13 @@ def _waves(store: RecordingStore, run):
     return result, [call[3] for call in store.calls[start:] if call[0] == "read_batch"]
 
 
-@pytest.mark.parametrize(
+def _cold(store: RecordingStore, searcher, run):
+    """:func:`_waves` of ``run()`` with the searcher's block cache emptied first."""
+    searcher.pipeline.clear_cache()
+    return _waves(store, run)
+
+
+MEMBERSHIP_QUERIES = pytest.mark.parametrize(
     "run",
     [
         lambda s: s.search("ERROR"),
@@ -81,17 +89,40 @@ def _waves(store: RecordingStore, run):
     ],
     ids=["keyword", "keyword-top-k", "boolean", "regex"],
 )
+
+
+@MEMBERSHIP_QUERIES
 def test_a_membership_query_is_two_waves_and_equals_a_rebuild(live, run):
     store, searcher, reference, _ = live
-    result, waves = _waves(store, lambda: run(searcher))
+    result, waves = _cold(store, searcher, lambda: run(searcher))
     assert len(waves) == 2, waves
     assert result.postings and result.latency.round_trips == 2
     assert result.postings == run(reference).postings
 
 
+@MEMBERSHIP_QUERIES
+def test_a_repeated_query_served_from_the_cache_calls_no_store(live, run):
+    store, searcher, _, _ = live
+    cold, _ = _cold(store, searcher, lambda: run(searcher))
+    warm, waves = _waves(store, lambda: run(searcher))
+    assert waves == []
+    assert warm.latency.round_trips == 0
+    assert warm.postings == cold.postings
+    assert [d.text for d in warm.documents] == [d.text for d in cold.documents]
+
+
+def test_a_partly_cached_query_is_at_most_two_waves(live):
+    store, searcher, reference, _ = live
+    query = "ERROR AND (WRITE_BLOCK OR READ_BLOCK)"
+    _cold(store, searcher, lambda: searcher.search("ERROR"))
+    result, waves = _waves(store, lambda: searcher.search_boolean(query))
+    assert len(waves) <= 2, waves
+    assert result.postings == reference.search_boolean(query).postings
+
+
 def test_a_term_lookup_is_one_wave(live):
     store, searcher, reference, condemned = live
-    (postings, latency), waves = _waves(store, lambda: searcher.lookup_postings("ERROR"))
+    (postings, latency), waves = _cold(store, searcher, lambda: searcher.lookup_postings("ERROR"))
     assert len(waves) == 1 and latency.round_trips == 1
     assert condemned.ref not in postings
     truth = {d.ref for d in reference.search("ERROR").documents}
@@ -101,11 +132,14 @@ def test_a_term_lookup_is_one_wave(live):
 def test_a_warm_ranked_query_is_two_waves_with_rebuild_scores(live):
     store, searcher, reference, _ = live
     for query in ("ERROR", "INFO block"):
-        result, waves = _waves(store, lambda: searcher.search_topk(query, 10))
+        result, waves = _cold(store, searcher, lambda: searcher.search_topk(query, 10))
         assert len(waves) == 2 and waves[1] == len(result.documents) == 10
         expected = reference.search_topk(query, 10)
         assert result.postings == expected.postings
         assert result.scores == expected.scores
+        again, waves = _waves(store, lambda: searcher.search_topk(query, 10))
+        assert waves == []
+        assert (again.postings, again.scores) == (result.postings, result.scores)
 
 
 def test_a_cold_ranked_query_is_two_waves_with_rebuild_scores(live):

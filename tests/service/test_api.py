@@ -277,7 +277,7 @@ class TestServiceConfigRoundTrip:
 
         config = ServiceConfig()
         assert set(config.to_dict()) == {field.name for field in fields(ServiceConfig)}
-        assert len(fields(ServiceConfig)) == 32
+        assert len(fields(ServiceConfig)) == 30
         json.dumps(config.to_dict())  # what /healthz serializes
 
     def test_non_default_config_survives_the_round_trip(self):
@@ -286,8 +286,6 @@ class TestServiceConfigRoundTrip:
         config = ServiceConfig(
             tokenizer="simple",
             max_concurrency=7,
-            query_cache_size=3,
-            coalesce_gap=512,
             read_cache_bytes=4096,
             retries=2,
             request_timeout_s=1.5,

@@ -63,11 +63,11 @@ class TestLazyOpen:
     def test_open_applies_service_config(self, sim_store, built_small_index):
         catalog = IndexCatalog(
             sim_store,
-            ServiceConfig(query_cache_size=4, max_concurrency=8, top_k_delta=0.01),
+            ServiceConfig(read_cache_bytes=4096, max_concurrency=8, top_k_delta=0.01),
         )
         searcher = catalog.open("small-index")
         inner = searcher.searchers[0]
-        assert inner._query_cache_size == 4
+        assert inner.pipeline.cache_bytes == 4096
         assert inner.pipeline.max_concurrency == 8
         assert searcher._top_k_delta == 0.01
 

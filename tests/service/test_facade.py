@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import SketchConfig
+from repro.service.config import READ_CACHE_BYTES
 from repro.service import (
     AirphantService,
     SearchRequest,
@@ -13,7 +14,7 @@ from repro.service import (
 
 @pytest.fixture
 def service(sim_store, built_small_index) -> AirphantService:
-    return AirphantService(sim_store, ServiceConfig(query_cache_size=8))
+    return AirphantService(sim_store, ServiceConfig())
 
 
 class TestSearchDispatch:
@@ -62,12 +63,15 @@ class TestSearchDispatch:
         assert response.latency.total_ms > 0
         assert response.latency.round_trips >= 2  # one lookup wave + one retrieval wave
 
-    def test_query_cache_is_shared_across_requests(self, service):
-        service.search(SearchRequest(query="error", index="small-index"))
-        inner = service.catalog.open("small-index").searchers[0]
-        assert inner.cache_misses == 1
-        service.search(SearchRequest(query="error", index="small-index"))
-        assert inner.cache_hits == 1
+    def test_the_block_cache_is_on_and_shared_across_requests(self, service):
+        cold = service.search(SearchRequest(query="error", index="small-index"))
+        pipeline = service.catalog.open("small-index").pipeline
+        assert pipeline.cache_bytes == READ_CACHE_BYTES
+        assert pipeline.stats.cache_hits == 0
+        warm = service.search(SearchRequest(query="error", index="small-index"))
+        assert pipeline.stats.cache_hits == pipeline.stats.cache_misses > 0
+        assert cold.latency.round_trips == 2 and warm.latency.round_trips == 0
+        assert warm.to_dict()["documents"] == cold.to_dict()["documents"]
 
 
 class TestErrors:
@@ -139,7 +143,7 @@ class TestHealthAndListing:
         assert payload["status"] == "ok"
         assert payload["indexes"] == 1
         assert payload["open_indexes"] == 0
-        assert payload["config"]["query_cache_size"] == 8
+        assert payload["config"]["read_cache_bytes"] == READ_CACHE_BYTES
 
     def test_list_indexes(self, service):
         infos = service.list_indexes()

@@ -14,6 +14,7 @@ import urllib.request
 import pytest
 
 from repro.service import AirphantService, ServiceConfig, create_server
+from repro.service.config import READ_CACHE_BYTES
 from repro.storage.local import LocalObjectStore
 
 CORPUS = b"\n".join(
@@ -31,7 +32,7 @@ CORPUS = b"\n".join(
 def server(tmp_path):
     store = LocalObjectStore(str(tmp_path / "bucket"))
     store.put("corpora/logs.txt", CORPUS)
-    service = AirphantService(store, ServiceConfig(query_cache_size=8))
+    service = AirphantService(store, ServiceConfig())
     server = create_server(service, host="127.0.0.1", port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -78,7 +79,7 @@ class TestHealthz:
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["indexes"] == 0
-        assert payload["config"]["query_cache_size"] == 8
+        assert payload["config"]["read_cache_bytes"] == READ_CACHE_BYTES
 
     def test_healthz_counts_built_indexes(self, server):
         _build_index(server)
@@ -389,7 +390,7 @@ class TestStoreFailures:
         inner.put("corpora/logs.txt", CORPUS)
         flaky = FlakyStore(inner)
         store = ResilientStore(flaky, retries=1, backoff_ms=0.0)
-        service = AirphantService(store, ServiceConfig(query_cache_size=8))
+        service = AirphantService(store, ServiceConfig())
         server = create_server(service, host="127.0.0.1", port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

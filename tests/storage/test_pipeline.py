@@ -1,6 +1,7 @@
 """Unit tests for the coalescing read pipeline."""
 
 import pytest
+from harness.stores import RecordingStore
 
 from repro.storage.base import RangeRead
 from repro.storage.latency import AffineLatencyModel
@@ -49,23 +50,15 @@ class TestCoalescing:
         assert result.payloads == direct(memory_store, requests)
         assert pipeline.stats.requests_out == 1
 
-    def test_disjoint_ranges_stay_separate_at_gap_zero(self, memory_store):
-        pipeline = ReadPipeline(memory_store, max_gap=0)
+    def test_disjoint_ranges_stay_separate(self, memory_store):
+        pipeline = ReadPipeline(memory_store)
         requests = [RangeRead("blob", 0, 8), RangeRead("blob", 9, 8)]  # 1-byte gap
         result = pipeline.fetch(requests)
         assert result.payloads == direct(memory_store, requests)
         assert pipeline.stats.requests_out == 2
         assert pipeline.stats.coalesced_requests == 0
-        # Gap 0 never fetches a byte more than the raw requests would.
+        # A hole is never bridged: not a byte more than the raw requests.
         assert pipeline.stats.bytes_fetched == pipeline.stats.bytes_requested
-
-    def test_max_gap_bridges_small_holes(self, memory_store):
-        pipeline = ReadPipeline(memory_store, max_gap=4)
-        requests = [RangeRead("blob", 0, 8), RangeRead("blob", 12, 8)]  # 4-byte gap
-        result = pipeline.fetch(requests)
-        assert result.payloads == direct(memory_store, requests)
-        assert pipeline.stats.requests_out == 1
-        assert pipeline.stats.bytes_fetched == 20  # 16 useful + 4 bridged
 
     def test_ranges_on_different_blobs_never_merge(self, memory_store):
         pipeline = ReadPipeline(memory_store)
@@ -107,6 +100,22 @@ class TestCoalescing:
         assert result.payloads == direct(memory_store, requests)
         assert pipeline.stats.requests_out == 2
 
+    def test_pass_through_reads_count_what_they_return_as_requested(self, memory_store):
+        """Raw fetching would transfer a pass-through read's whole answer, so
+        the bytes it returned are requested bytes too, and nothing the
+        pipeline fetched is over-fetch."""
+        pipeline = ReadPipeline(memory_store)
+        requests = [
+            RangeRead("blob", 2000, None),  # open-ended: 48 bytes to the end
+            RangeRead("other", 0, 16, optional=True),
+            RangeRead("missing", 0, 16, optional=True),  # answered None
+            RangeRead("blob", 0, 8),
+        ]
+        result = pipeline.fetch(requests)
+        assert result.payloads == direct(memory_store, requests)
+        assert pipeline.stats.bytes_requested == 48 + 16 + 0 + 8
+        assert pipeline.stats.bytes_fetched == pipeline.stats.bytes_requested
+
     def test_zero_length_reads_cost_nothing(self, memory_store):
         pipeline = ReadPipeline(memory_store)
         result = pipeline.fetch([RangeRead("blob", 5, 0)])
@@ -121,14 +130,12 @@ class TestCoalescing:
 
     def test_invalid_parameters_rejected(self, memory_store):
         with pytest.raises(ValueError):
-            ReadPipeline(memory_store, max_gap=-1)
-        with pytest.raises(ValueError):
             ReadPipeline(memory_store, cache_bytes=-1)
 
 
 class TestEquivalenceOnSimulatedStore:
     def test_payloads_match_direct_reads(self, sim_store):
-        pipeline = ReadPipeline(sim_store, max_gap=16)
+        pipeline = ReadPipeline(sim_store, cache_bytes=4096)
         requests = [
             RangeRead("blob", 0, 32),
             RangeRead("blob", 8, 8),
@@ -168,6 +175,20 @@ class TestBlockCache:
         assert pipeline.stats.cache_hits == 2
         assert pipeline.stats.cache_misses == 2
 
+    def test_a_batch_served_wholly_from_the_cache_does_not_call_the_store(
+        self, memory_store
+    ):
+        store = RecordingStore(memory_store)
+        pipeline = ReadPipeline(store, cache_bytes=4096)
+        requests = [RangeRead("blob", 0, 8), RangeRead("blob", 64, 8), RangeRead("blob", 5, 0)]
+        pipeline.fetch(requests)
+        assert pipeline.fetch(requests).payloads == direct(memory_store, requests)
+        assert pipeline.fetch([RangeRead("blob", 9, 0)]).payloads == [b""]
+        assert [call for call in store.calls if call[0] == "read_batch"] == [
+            ["read_batch", "", 0, 2]
+        ]
+        assert pipeline.stats.batches == 1
+
     def test_partial_hit_fetches_only_the_misses(self, sim_store):
         pipeline = ReadPipeline(sim_store, cache_bytes=4096)
         pipeline.fetch([RangeRead("blob", 0, 8)])
@@ -199,7 +220,7 @@ class TestBlockCache:
         assert pipeline.stats.requests_out == 2
 
     def test_cache_serves_correct_bytes_after_many_mixed_batches(self, memory_store):
-        pipeline = ReadPipeline(memory_store, max_gap=8, cache_bytes=512)
+        pipeline = ReadPipeline(memory_store, cache_bytes=512)
         for offset in (0, 16, 64, 16, 0, 128, 64):
             requests = [RangeRead("blob", offset, 16), RangeRead("blob", offset + 20, 8)]
             assert pipeline.fetch(requests).payloads == direct(memory_store, requests)

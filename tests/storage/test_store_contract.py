@@ -252,7 +252,7 @@ def test_the_read_pipeline_passes_optional_reads_through_uncached():
 
     backend = InMemoryObjectStore()
     backend.put("there", b"payload")
-    pipeline = ReadPipeline(backend, 4, max_gap=0, cache_bytes=1 << 16)
+    pipeline = ReadPipeline(backend, 4, cache_bytes=1 << 16)
     requests = [
         RangeRead("there", 0, 4),
         RangeRead("missing", optional=True),
@@ -264,7 +264,7 @@ def test_the_read_pipeline_passes_optional_reads_through_uncached():
     assert fetch.payloads == [b"payl", None, b"oad", b"payload", None]
     stats = pipeline.stats
     assert (stats.requests_in, stats.requests_out) == (5, 4)  # the two bounded reads merge
-    assert stats.bytes_fetched == 7 + 7
+    assert stats.bytes_fetched == stats.bytes_requested == 7 + 7
     assert pipeline.fetch([RangeRead("missing", 0, 4, optional=True)]).payloads == [None]
     assert pipeline.cached_bytes == 7  # the merged bounded run only
     backend.close()

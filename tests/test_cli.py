@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service.config import READ_CACHE_BYTES
 
 
 @pytest.fixture
@@ -42,7 +43,7 @@ class TestParser:
         )
         assert args.regex and not args.boolean
         assert not args.json
-        assert args.query_cache_size == 0
+        assert args.read_cache_bytes == READ_CACHE_BYTES
 
     def test_ranked_mode_flags(self):
         args = build_parser().parse_args([
@@ -64,14 +65,19 @@ class TestParser:
         args = build_parser().parse_args(["serve", "--bucket", "/tmp/b"])
         assert args.host == "127.0.0.1"
         assert args.port == 8080
-        assert args.query_cache_size == 0
+        assert args.read_cache_bytes == READ_CACHE_BYTES
 
     def test_serve_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--bucket", "/tmp/b", "--port", "0", "--query-cache-size", "32"]
+            ["serve", "--bucket", "/tmp/b", "--port", "0", "--read-cache-bytes", "0"]
         )
         assert args.port == 0
-        assert args.query_cache_size == 32
+        assert args.read_cache_bytes == 0
+
+    def test_retired_read_path_flags_are_gone(self):
+        for flag in ("--query-cache-size", "--coalesce-gap"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", "--bucket", "/tmp/b", flag, "16"])
 
 
 class TestGenerate:
@@ -214,11 +220,11 @@ class TestBuildAndSearch:
         assert exit_code == 2
         assert "no index named" in captured.err
 
-    def test_search_with_query_cache_flag(self, bucket, capsys):
+    def test_search_with_read_cache_flag(self, bucket, capsys):
         _generate_and_build(bucket, capsys)
         exit_code = main([
             "search", "--bucket", bucket, "--index", "hdfs-index",
-            "--query", "ERROR", "--top-k", "3", "--query-cache-size", "16",
+            "--query", "ERROR", "--top-k", "3", "--read-cache-bytes", "4096",
         ])
         assert exit_code == 0
 

@@ -373,3 +373,45 @@ def test_checker_keeps_http_connections_in_the_pooled_client(tmp_path):
         "cluster/router.py:1: HTTP connection outside the pooled client",
         "storage/s3.py:2: HTTP connection outside the pooled client",
     ]
+
+
+def test_checker_keeps_one_pipeline_and_no_retired_read_knobs(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("search", "storage", "service"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the executor builds the one pipeline of an opened index, the
+    # pipeline module defines the class, and docstrings or comments may name
+    # what was deleted.
+    (root / "search" / "searcher.py").write_text(
+        "self.pipeline = ReadPipeline(store, width, cache_bytes=budget)\n", encoding="utf-8"
+    )
+    (root / "storage" / "pipeline.py").write_text(
+        '"""No max_gap, no query_cache: ReadPipeline( is built by the executor."""\n'
+        "class ReadPipeline:\n"
+        "    pass  # coalesce_gap bridging is gone\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a second pipeline, and any spelling of a retired knob.
+    (root / "search" / "member.py").write_text(
+        "pipeline = ReadPipeline(store)\n", encoding="utf-8"
+    )
+    (root / "storage" / "pipeline.py").write_text(
+        "def __init__(self, store, max_gap=0):\n    self._max_gap = max_gap\n",
+        encoding="utf-8",
+    )
+    (root / "service" / "config.py").write_text(
+        "coalesce_gap: int = 0\n"
+        "size = getattr(args, \"query_cache_size\", 0)\n",
+        encoding="utf-8",
+    )
+    found = check_seams.findings(root)
+    assert sorted(problem.split("repro/")[1] for problem in found) == [
+        "search/member.py:1: read pipeline built outside search/searcher.py",
+        "service/config.py:1: retired read-path knob",
+        "service/config.py:2: retired read-path knob",
+        "storage/pipeline.py:1: retired read-path knob",
+        "storage/pipeline.py:2: retired read-path knob",
+    ]
