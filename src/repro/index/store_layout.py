@@ -132,6 +132,16 @@ def segment_blob(index_name: str, sequence: int) -> str:
     return f"{ingest_prefix(index_name)}seg-{sequence:08d}.log"
 
 
+def update_blob(index_name: str, sequence: int) -> str:
+    """Blob holding the replacement text of an update numbered ``sequence``.
+
+    A segment in the same format as :func:`segment_blob`'s, named outside
+    the ``seg-`` range a reopening node probes: an update becomes visible
+    through the manifest that lists it, never through its own PUT.
+    """
+    return f"{ingest_prefix(index_name)}upd-{sequence:08d}.log"
+
+
 def tombstone_blob(index_name: str, sequence: int) -> str:
     """Blob holding tombstone record number ``sequence`` of ``index_name``.
 
@@ -177,8 +187,8 @@ class OpenedHeaders(NamedTuple):
     """What :func:`open_headers` found behind a list of build names."""
 
     builds: list[OpenedBuild]
-    #: Blob → payload of the ``riders``.
-    riders: dict[str, bytes]
+    #: Blob → payload of the ``riders`` (``None``: not there).
+    riders: dict[str, bytes | None]
     #: Sum of the waves issued, on the store's clock.
     elapsed_ms: float
 
@@ -190,8 +200,8 @@ class OpenedIndex(NamedTuple):
     manifest: IndexManifest
     #: The raw ingest manifest (``None``: absent, or not asked for).
     ingest: bytes | None
-    #: Payload of every WAL segment and tombstone record ``ingest`` names.
-    wal: dict[str, bytes]
+    #: Payload of every WAL blob ``ingest`` may need (``None``: not there).
+    wal: dict[str, bytes | None]
     #: The active base, then the deltas in creation order.
     builds: list[OpenedBuild]
     #: Sum of the waves issued, on the store's clock.
@@ -229,7 +239,7 @@ def open_headers(
     One batch asks each build for its shard manifest *and* its header (a
     plain build has no manifest, a sharded one no header of its own: either
     may be missing) and carries the ``riders`` — blobs the caller wants from
-    the same wave; the shard headers of the sharded builds are the only
+    the same wave, each read as "missing is an answer"; the shard headers of the sharded builds are the only
     possible second batch.  ``fetched`` holds what the caller already read
     (blob → payload, ``None`` for a blob that is not there): those are not
     asked for again, and shard headers a fetched manifest names ride the
@@ -244,7 +254,7 @@ def open_headers(
         for name in index_names
         for blob in (shard_manifest_blob_name(name), header_blob_name(name))
         if blob not in have
-    ] + [RangeRead(blob) for blob in riders]
+    ] + [RangeRead(blob, optional=True) for blob in riders]
     manifests: dict[str, ShardManifest | None] = {}
     width, elapsed_ms = max_concurrency, 0.0
     while True:
@@ -304,8 +314,9 @@ def open_index(
     update manifest and — with ``probe_ingest`` — the ingest manifest.  A
     plain index is fully open after it.  Wave 2, only when the manifests
     name more, is one :func:`open_headers` batch over every member not yet
-    in hand with every active WAL segment and tombstone record riding along
-    (a sharded member's shard headers are the only possible third).
+    in hand with every WAL blob the ingest manifest may need riding along —
+    the probed segment range, listed segments and tombstone records (a
+    sharded member's shard headers are the only possible third).
 
     ``known`` says this process has already seen an update manifest for
     ``name``: that manifest alone decides where the base lives, so wave 1
@@ -336,7 +347,7 @@ def open_index(
         [manifest.active_base] if base_only else manifest.all_indexes,
         max_concurrency,
         fetched=have,
-        riders=IngestManifest.from_bytes(ingest).recovery_blobs,
+        riders=IngestManifest.from_bytes(ingest).recovery_blobs(name),
     )
     return OpenedIndex(
         manifest, ingest, opened.riders, opened.builds, fetch.total_ms + opened.elapsed_ms

@@ -10,8 +10,9 @@ write path a serving node can expose:
   returns (no sketch: a memtable is small, so exact postings are cheap);
 * :mod:`repro.ingest.wal` — every appended batch is persisted first as a
   write-ahead-log *segment* blob (plain line-delimited corpus bytes, so the
-  segment doubles as the documents' permanent storage) plus an atomically
-  swapped ingest manifest; reopening a store replays unflushed segments;
+  segment doubles as the documents' permanent storage) whose one PUT commits
+  it; the ingest manifest reserves ranges of segment numbers and commits
+  deletes, updates and flushes; reopening a store replays unflushed segments;
 * :class:`~repro.ingest.live.LiveIndex` — one index's write path: append →
   WAL → memtable, flush → delta index (via ``AppendOnlyIndexManager``),
   compact → generational base swap;

@@ -2,8 +2,9 @@
 
 Lifecycle of an appended document (read-your-writes at every step):
 
-1. ``append`` — the batch becomes a durable WAL segment, then lands in the
-   *active* memtable.  Queries see it immediately through the combined view.
+1. ``append`` — the batch becomes a durable WAL segment (one PUT, the
+   commit point), then lands in the *active* memtable.  Queries see it
+   immediately through the combined view.
 2. ``flush`` — the active memtable is atomically *sealed* (a fresh active
    one takes over for concurrent appends), its documents are built into an
    Airphant delta index with ``AppendOnlyIndexManager.append``, the catalog
@@ -100,9 +101,13 @@ class LiveIndex:
         )
         self._active = Memtable(tokenizer)
         self._sealed: list[Memtable] = []
-        # _write_lock guards WAL commits and memtable swaps (short holds);
-        # _maintenance_lock serializes flushes/compactions (long holds) so a
-        # manual POST /flush and the background worker never interleave.
+        # _commit_lock serializes every WAL write (store calls: segment,
+        # tombstone and manifest PUTs); _write_lock guards the memtables and
+        # tombstone set (short holds, no I/O — queries take it); the order
+        # is always commit before write.  _maintenance_lock serializes
+        # flushes/compactions (long holds) so a manual POST /flush and the
+        # background worker never interleave.
+        self._commit_lock = threading.Lock()
         self._write_lock = threading.RLock()
         self._maintenance_lock = threading.RLock()
         if manifest is None:
@@ -254,7 +259,7 @@ class LiveIndex:
         return {
             "memtable_documents": self.memtable_documents(),
             "memtable_bytes": self.memtable_bytes(),
-            "wal_segments_active": len(self._wal.manifest().active_segments),
+            "wal_segments_active": len(self._wal.unflushed),
             "delta_indexes": self._delta_count,
             "tombstones_pending": len(self.tombstone_refs()),
         }
@@ -331,23 +336,23 @@ class LiveIndex:
         Raises ``ValueError`` for documents the WAL segment format cannot
         hold (empty, or containing newlines) and
         :class:`IngestOverloadedError` when the memtable is over its
-        configured limits (nothing durable happens in that case).
+        configured limits (nothing durable happens in that case).  A store
+        error leaves the batch's fate unknown: a segment PUT that landed
+        before it failed is replayed at the next open.
         """
-        from repro.ingest.wal import encode_segment, parse_segment
+        from repro.ingest.wal import encode_segment
 
         texts = list(texts)
-        data = encode_segment(texts)  # validation before any I/O or locking
+        encode_segment(texts)  # validation before any I/O or locking
         self._wait_for_capacity()
-        with self._write_lock:
-            sequence, blob = self._wal.reserve_segment()
-        # The heavyweight network write happens OUTSIDE the write lock, so
-        # concurrent queries (which briefly take the lock to snapshot the
-        # memtables) never stall behind a slow or retried segment upload.
-        self._store.put(blob, data)
-        documents = parse_segment(blob, data)
-        with self._write_lock:
-            self._wal.commit_segment(sequence, blob)
-            self._active.add(documents)
+        # The segment PUT runs under the commit lock only: queries (which
+        # briefly take the write lock to snapshot the memtables) never stall
+        # behind a slow or retried upload, and no append is in flight while
+        # a flush seals the memtable.
+        with self._commit_lock:
+            blob, documents = self._wal.append(texts)
+            with self._write_lock:
+                self._active.add(documents)
         nbytes = sum(document.length for document in documents)
         self._documents_metric.inc(len(documents), index=self._index_name)
         self._batches_metric.inc(index=self._index_name)
@@ -378,17 +383,14 @@ class LiveIndex:
         from repro.ingest.wal import encode_tombstones
 
         refs = list(dict.fromkeys(refs))
-        data = encode_tombstones(refs)  # validation before any I/O or locking
-        with self._write_lock:
-            sequence, blob = self._wal.reserve_tombstone()
-        # Like segment uploads, the record PUT happens outside the write lock.
-        self._store.put(blob, data)
-        with self._write_lock:
-            self._wal.commit_tombstone(sequence, blob)
-            self._record_tombstones(blob, refs)
-            removed = self._active.remove(refs)
-            for table in self._sealed:
-                removed += table.remove(refs)
+        encode_tombstones(refs)  # validation before any I/O or locking
+        with self._commit_lock:
+            blob = self._wal.append_tombstones(refs)
+            with self._write_lock:
+                self._record_tombstones(blob, refs)
+                removed = self._active.remove(refs)
+                for table in self._sealed:
+                    removed += table.remove(refs)
         self._deletes_metric.inc(len(refs), index=self._index_name)
         self._update_gauges()
         return {
@@ -409,26 +411,19 @@ class LiveIndex:
         ``ValueError`` for text the segment format cannot hold and
         :class:`IngestOverloadedError` under backpressure.
         """
-        from repro.ingest.wal import encode_segment, encode_tombstones, parse_segment
+        from repro.ingest.wal import encode_segment, encode_tombstones
 
         segment_data = encode_segment([text])  # validation before any I/O
-        tombstone_data = encode_tombstones([ref])
+        encode_tombstones([ref])
         self._wait_for_capacity()
-        with self._write_lock:
-            segment_sequence, segment = self._wal.reserve_segment()
-            tombstone_sequence, tombstone = self._wal.reserve_tombstone()
-        self._store.put(segment, segment_data)
-        self._store.put(tombstone, tombstone_data)
-        documents = parse_segment(segment, segment_data)
-        with self._write_lock:
-            self._wal.commit_update(
-                segment_sequence, segment, tombstone_sequence, tombstone
-            )
-            self._record_tombstones(tombstone, [ref])
-            self._active.remove([ref])
-            for table in self._sealed:
-                table.remove([ref])
-            self._active.add(documents)
+        with self._commit_lock:
+            segment, tombstone, documents = self._wal.update(ref, text)
+            with self._write_lock:
+                self._record_tombstones(tombstone, [ref])
+                self._active.remove([ref])
+                for table in self._sealed:
+                    table.remove([ref])
+                self._active.add(documents)
         self._updates_metric.inc(index=self._index_name)
         self._documents_metric.inc(len(documents), index=self._index_name)
         self._wal_segments_metric.inc(index=self._index_name)
@@ -472,8 +467,10 @@ class LiveIndex:
         """
         started = time.perf_counter()
         with self._maintenance_lock:
-            with self._write_lock:
-                segments = self._wal.manifest().active_segments
+            # The commit lock makes the seal exact: every segment the WAL
+            # holds unflushed has its documents in the memtable sealed here.
+            with self._commit_lock, self._write_lock:
+                segments = self._wal.unflushed
                 if len(self._active) == 0 and not segments:
                     return None
                 sealed = self._active
@@ -508,6 +505,7 @@ class LiveIndex:
                 self._invalidate(self._index_name)
             with self._write_lock:
                 self._sealed.remove(sealed)
+            with self._commit_lock:
                 self._wal.retire(segments)
         elapsed = time.perf_counter() - started
         self._flushes_metric.inc(index=self._index_name)
@@ -574,8 +572,9 @@ class LiveIndex:
             self._delta_count = 0
             self._ratio_dirty = False
             self._invalidate(self._index_name)
-            with self._write_lock:
+            with self._commit_lock:
                 self._wal.retire_tombstones(tombstone_records)
+            with self._write_lock:
                 for record in tombstone_records:
                     self._tombstones.pop(record, None)
                 self._tombstone_set = frozenset(
@@ -663,8 +662,8 @@ class IngestCoordinator:
                 else:
                     probe = RangeRead(manifest_blob, optional=True)
                     fetched = {manifest_blob: self._store.read(probe)}
-            needs_replay = fetched.get(manifest_blob) is not None
-            if not create and not needs_replay:
+            has_wal = fetched.get(manifest_blob) is not None
+            if not create and not has_wal:
                 self._probed.add(name)
                 return None
             live = LiveIndex(
@@ -676,8 +675,9 @@ class IngestCoordinator:
                 opened.manifest if opened is not None else None,
                 fetched,
             )
-            if needs_replay:
-                live.replay()
+            # Always: a WAL that has not replayed its range may not retire
+            # past it (without a manifest this reads nothing).
+            live.replay()
             self._probed.add(name)
             if (
                 not create
@@ -725,9 +725,7 @@ class IngestCoordinator:
         return {
             "live_indexes": len(lives),
             "memtable_documents": sum(live.memtable_documents() for live in lives),
-            "wal_segments_active": sum(
-                len(live.wal.manifest().active_segments) for live in lives
-            ),
+            "wal_segments_active": sum(len(live.wal.unflushed) for live in lives),
             "delta_indexes": sum(live.delta_count for live in lives),
             "tombstones_pending": sum(len(live.tombstone_refs()) for live in lives),
             "worker_running": self._worker is not None and self._worker.is_alive(),

@@ -2,8 +2,8 @@
 
 Cloud object stores have no append operation, so the WAL is *segmented*:
 every accepted ``append`` batch becomes one immutable segment blob under
-``<index>/ingest/seg-NNNNNNNN.log``, committed before the batch is
-acknowledged.  Two deliberate choices make the design cheap:
+``<index>/ingest/seg-NNNNNNNN.log``.  Two deliberate choices make the design
+cheap:
 
 * **A segment is plain line-delimited corpus bytes** — exactly the layout
   :class:`~repro.parsing.corpus.LineDelimitedCorpusParser` reads and the
@@ -11,24 +11,29 @@ acknowledged.  Two deliberate choices make the design cheap:
   storage: postings created at flush time point straight into it with
   ``(blob, offset, length)`` ranges, and compaction re-reads documents from
   it like from any corpus blob.  Nothing is ever copied out of the WAL.
-* **One manifest blob is the commit point** — ``<index>/ingest/ingest.json``
-  lists the segments not yet folded into a delta index (``active``) plus a
-  monotonic segment counter.  Replay after a crash reads the manifest and
-  re-parses the active segments; flushing rewrites the manifest with the
-  flushed segments removed.  A flush that crashes *between* writing the
-  delta and trimming the manifest replays those documents a second time —
-  harmless, because postings are ``(blob, offset, length)`` and the combined
-  view de-duplicates by exact reference.
+* **The segment PUT is an append's commit point** — one round trip per
+  acknowledged batch.  ``<index>/ingest/ingest.json`` does not list
+  segments; it records a *range* of sequence numbers, ``first_unflushed``
+  F to ``reserved_end`` L, that a writer reserves :data:`SEGMENT_BLOCK` at
+  a time with one manifest PUT before the first segment of each block.
+  Replay reads ``seg-F … seg-(L−1)`` as "missing is an answer" reads: a
+  missing segment is an append that was never acknowledged, not the end of
+  the log.  Flushing moves F past the flushed segments.  A flush that
+  crashes *between* writing the delta and moving F replays those documents
+  a second time — harmless, because postings are ``(blob, offset, length)``
+  and the combined view de-duplicates by exact reference.
 
-Segment numbering never resets (the counter outlives flushes), so a replayed
-or retried writer can never overwrite a segment readers may hold.
+Sequence numbers never repeat: a process starts numbering at the L it read,
+so a restarted or retried writer never overwrites a segment readers may
+hold.
 
-Deletes and updates ride the same machinery as **tombstone records**: a
-``DELETE`` writes a ``tomb-NNNNNNNN.json`` blob (numbered from the same
-monotonic counter as document segments) listing the condemned
-``(blob, offset, length)`` references, then commits it into the manifest's
-``tombstone_segments`` list.  An ``UPDATE`` is a document segment plus a
-tombstone for the old reference committed in **one** manifest write, so
+Deletes and updates must not become visible on their own PUT, so they still
+commit through the manifest.  A ``DELETE`` writes a ``tomb-NNNNNNNN.json``
+record (numbered from the same counter) listing the condemned
+``(blob, offset, length)`` references, then lists it in the manifest's
+``tombstone_segments``.  An ``UPDATE`` writes its replacement text as
+``upd-NNNNNNNN.log`` — a segment outside the probed ``seg-`` range — plus a
+tombstone for the old reference, and lists **both** in one manifest PUT, so
 readers never observe the delete without the replacement (or vice versa).
 Tombstones outlive flushes — they must keep shadowing copies of the document
 in delta and base indexes — and are retired (and their blobs deleted) only
@@ -38,7 +43,7 @@ when a compaction physically drops the condemned documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from repro.index.store_layout import (
@@ -46,51 +51,86 @@ from repro.index.store_layout import (
     ingest_prefix,
     segment_blob,
     tombstone_blob,
+    update_blob,
 )
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Document, Posting
 from repro.storage.base import BlobNotFoundError, ObjectStore, RangeRead
 
+#: Sequence numbers one manifest PUT reserves for appends.  The trade: a
+#: cold open probes up to ``SEGMENT_BLOCK - 1`` segments no append wrote
+#: (one optional read each, inside a wave it pays anyway), against one extra
+#: PUT per ``SEGMENT_BLOCK`` appends.
+SEGMENT_BLOCK = 32
+
+
+class IngestManifestError(ValueError):
+    """An ingest manifest this code cannot read (unknown version)."""
+
 
 @dataclass(frozen=True)
 class IngestManifest:
-    """Durable ingest state of one index: unflushed segments + counter.
+    """Durable ingest state of one index.
 
-    ``tombstone_segments`` lists the tombstone record blobs whose deletes
-    have not yet been applied physically by a compaction; manifests written
-    before deletes existed load with the empty default.
+    Every sequence number below ``reserved_end`` may have been used; the
+    segments ``first_unflushed`` … ``reserved_end - 1`` that exist hold the
+    unflushed appends.  ``listed_segments`` are unflushed segments named one
+    by one (update replacements, and segments a version-1 manifest listed);
+    ``tombstone_segments`` the tombstone records whose deletes have not yet
+    been applied physically by a compaction.
     """
 
-    next_segment: int = 0
-    active_segments: tuple[str, ...] = ()
+    first_unflushed: int = 0
+    reserved_end: int = 0
+    listed_segments: tuple[str, ...] = ()
     tombstone_segments: tuple[str, ...] = ()
 
-    @property
-    def recovery_blobs(self) -> tuple[str, ...]:
+    def segments(self, index_name: str) -> tuple[str, ...]:
+        """Every blob that may hold unflushed documents: the range, then the listed."""
+        probed = range(self.first_unflushed, self.reserved_end)
+        return tuple(segment_blob(index_name, n) for n in probed) + self.listed_segments
+
+    def recovery_blobs(self, index_name: str) -> tuple[str, ...]:
         """Every blob a reopening node reads back: segments, then tombstone records."""
-        return self.active_segments + self.tombstone_segments
+        return self.segments(index_name) + self.tombstone_segments
 
     def to_bytes(self) -> bytes:
-        """Serialize for the manifest blob."""
+        """Serialize for the manifest blob (always version 2)."""
         payload = {
-            "version": 1,
-            "next_segment": self.next_segment,
-            "active_segments": list(self.active_segments),
+            "version": 2,
+            "first_unflushed": self.first_unflushed,
+            "reserved_end": self.reserved_end,
+            "listed_segments": list(self.listed_segments),
             "tombstone_segments": list(self.tombstone_segments),
         }
         return json.dumps(payload).encode("utf-8")
 
     @classmethod
     def from_bytes(cls, data: bytes | None) -> "IngestManifest":
-        """Parse a manifest blob (``None``: none was written — the empty one)."""
+        """Parse a manifest blob (``None``: none was written — the empty one).
+
+        A version-1 manifest (a ``next_segment`` counter and an
+        ``active_segments`` list) reads as an empty range at the counter with
+        its segments listed, so the first commit rewrites it as version 2
+        without losing one.  Raises :class:`IngestManifestError` on any other
+        version.
+        """
         if data is None:
             return cls()
         payload = json.loads(data.decode("utf-8"))
-        return cls(
-            next_segment=int(payload["next_segment"]),
-            active_segments=tuple(payload["active_segments"]),
-            tombstone_segments=tuple(payload.get("tombstone_segments", ())),
-        )
+        version = payload.get("version")
+        tombstones = tuple(payload.get("tombstone_segments", ()))
+        if version == 1:
+            counter = int(payload["next_segment"])
+            return cls(counter, counter, tuple(payload["active_segments"]), tombstones)
+        if version == 2:
+            return cls(
+                int(payload["first_unflushed"]),
+                int(payload["reserved_end"]),
+                tuple(payload["listed_segments"]),
+                tombstones,
+            )
+        raise IngestManifestError(f"unknown ingest manifest version {version!r}")
 
 
 def encode_segment(texts: list[str]) -> bytes:
@@ -170,13 +210,13 @@ class WriteAheadLog:
     """The segmented WAL of one index on one object store.
 
     Not itself thread-safe: :class:`~repro.ingest.live.LiveIndex` serializes
-    all WAL mutations under its write lock (the manifest is a single-writer
-    blob, like every other manifest in the repository).
+    every WAL call on its commit lock (the manifest is a single-writer blob,
+    like every other manifest in the repository).
 
     ``fetched`` is what the opener of the index already read of this WAL
-    (blob → payload; ``None`` for a manifest that is not there): the
-    manifest and the recovery reads take it from there, once, instead of
-    asking the store again.
+    (blob → payload; ``None`` for a blob that is not there): the manifest
+    and the recovery reads take it from there, once, instead of asking the
+    store again.
     """
 
     def __init__(
@@ -189,11 +229,16 @@ class WriteAheadLog:
         self._index_name = index_name
         self._fetched = dict(fetched or {})
         self._manifest: IngestManifest | None = None
+        #: The next sequence number this process hands out.
+        self._next = 0
+        #: Sequence numbers below this one may hold a previous process's
+        #: segments that this process has not replayed: a flush must not
+        #: move ``first_unflushed`` past them.
+        self._replayed_from: int | None = None
+        #: Committed, unflushed segments this process knows are there.
+        self._unflushed: list[str] = []
         if self.manifest_blob in self._fetched:
-            self._manifest = IngestManifest.from_bytes(self._fetched.pop(self.manifest_blob))
-        #: In-process floor on segment numbers: reservations whose PUT is
-        #: still in flight (not yet in the manifest) must not be reissued.
-        self._reserved = 0
+            self._adopt(IngestManifest.from_bytes(self._fetched.pop(self.manifest_blob)))
 
     @property
     def index_name(self) -> str:
@@ -205,6 +250,11 @@ class WriteAheadLog:
         """Blob holding this WAL's manifest."""
         return ingest_manifest_blob(self._index_name)
 
+    @property
+    def unflushed(self) -> tuple[str, ...]:
+        """Committed segments not yet retired by a flush (replayed or appended here)."""
+        return tuple(self._unflushed)
+
     def manifest(self, refresh: bool = False) -> IngestManifest:
         """The current manifest (cached after the first read)."""
         if self._manifest is None or refresh:
@@ -212,138 +262,119 @@ class WriteAheadLog:
                 data = self._store.get(self.manifest_blob)
             except BlobNotFoundError:
                 data = None
-            self._manifest = IngestManifest.from_bytes(data)
+            self._adopt(IngestManifest.from_bytes(data))
+        assert self._manifest is not None
         return self._manifest
+
+    def _adopt(self, manifest: IngestManifest) -> None:
+        """Take a manifest read from the store: never number below its reservation."""
+        self._manifest = manifest
+        self._next = max(self._next, manifest.reserved_end)
+        if self._replayed_from is None:
+            self._replayed_from = manifest.reserved_end
 
     def _commit(self, manifest: IngestManifest) -> None:
         self._store.put(self.manifest_blob, manifest.to_bytes())
         self._manifest = manifest
 
+    def _allocate(self) -> int:
+        """The next sequence number (no I/O once the manifest is known)."""
+        self.manifest()
+        sequence, self._next = self._next, self._next + 1
+        return sequence
+
+    def _commit_with(self, **changes) -> None:
+        """Commit the manifest with ``changes`` and every number used so far reserved."""
+        manifest = self.manifest()
+        reserved_end = max(manifest.reserved_end, self._next)
+        self._commit(replace(manifest, reserved_end=reserved_end, **changes))
+
     # -- writing -------------------------------------------------------------------
-
-    def reserve_segment(self) -> tuple[int, str]:
-        """Allocate the next segment number and blob name (no I/O).
-
-        The caller serializes reservations (LiveIndex's write lock); the
-        in-process floor keeps numbers monotonic even while an earlier
-        reservation's PUT is still in flight.  A reservation whose PUT
-        crashes before :meth:`commit_segment` leaves at most an
-        *unreferenced* blob that a later process may overwrite — it was
-        never acknowledged, so nobody can hold a reference to it.
-        """
-        sequence = max(self.manifest().next_segment, self._reserved)
-        self._reserved = sequence + 1
-        return sequence, segment_blob(self._index_name, sequence)
-
-    def commit_segment(self, sequence: int, blob: str) -> None:
-        """Reference an already-written segment blob from the manifest.
-
-        The commit point of an append: the segment bytes are durable before
-        this runs, so the manifest never points at missing data.
-        """
-        manifest = self.manifest()
-        self._commit(
-            IngestManifest(
-                next_segment=max(manifest.next_segment, sequence + 1),
-                active_segments=manifest.active_segments + (blob,),
-                tombstone_segments=manifest.tombstone_segments,
-            )
-        )
-
-    def reserve_tombstone(self) -> tuple[int, str]:
-        """Allocate the next tombstone record number and blob name (no I/O).
-
-        Same contract as :meth:`reserve_segment` — one shared monotonic
-        counter, caller-serialized, crash-before-commit leaves at most an
-        unreferenced blob.
-        """
-        sequence = max(self.manifest().next_segment, self._reserved)
-        self._reserved = sequence + 1
-        return sequence, tombstone_blob(self._index_name, sequence)
-
-    def commit_tombstone(self, sequence: int, blob: str) -> None:
-        """Reference an already-written tombstone record from the manifest.
-
-        The commit point of a DELETE: until this manifest PUT lands, the
-        delete was never acknowledged and a crash simply strands the record
-        blob.
-        """
-        manifest = self.manifest()
-        self._commit(
-            IngestManifest(
-                next_segment=max(manifest.next_segment, sequence + 1),
-                active_segments=manifest.active_segments,
-                tombstone_segments=manifest.tombstone_segments + (blob,),
-            )
-        )
-
-    def commit_update(
-        self,
-        segment_sequence: int,
-        segment: str,
-        tombstone_sequence: int,
-        tombstone: str,
-    ) -> IngestManifest:
-        """Commit an UPDATE: new document segment + old-reference tombstone.
-
-        One manifest PUT references both blobs, so the operation is atomic:
-        a crash before it shows the old document untouched, after it the
-        replacement — never a window with both or neither visible.
-        """
-        manifest = self.manifest()
-        updated = IngestManifest(
-            next_segment=max(
-                manifest.next_segment, segment_sequence + 1, tombstone_sequence + 1
-            ),
-            active_segments=manifest.active_segments + (segment,),
-            tombstone_segments=manifest.tombstone_segments + (tombstone,),
-        )
-        self._commit(updated)
-        return updated
-
-    def append_tombstones(self, refs: Sequence[Posting]) -> str:
-        """Persist one batch of deletes as a tombstone record; returns its blob.
-
-        Convenience wrapper over reserve → PUT → commit for single-threaded
-        callers; LiveIndex drives the three steps itself so the record PUT
-        happens outside its write lock.
-        """
-        data = encode_tombstones(refs)
-        sequence, blob = self.reserve_tombstone()
-        self._store.put(blob, data)
-        self.commit_tombstone(sequence, blob)
-        return blob
 
     def append(self, texts: list[str]) -> tuple[str, list[Document]]:
         """Persist one batch as a new segment; returns ``(blob, documents)``.
 
-        Convenience wrapper over reserve → PUT → commit for single-threaded
-        callers (tests, tools); LiveIndex drives the three steps itself so
-        the segment PUT happens outside its write lock.
+        One PUT, the commit point — plus one manifest PUT reserving the next
+        :data:`SEGMENT_BLOCK` numbers when the reservation is used up.  A
+        segment PUT that raises burns its number: the hole it may leave is
+        skipped on replay.
         """
         data = encode_segment(texts)
-        sequence, blob = self.reserve_segment()
+        manifest = self.manifest()
+        if self._next >= manifest.reserved_end:
+            self._commit(replace(manifest, reserved_end=self._next + SEGMENT_BLOCK))
+        blob = segment_blob(self._index_name, self._allocate())
         self._store.put(blob, data)
-        self.commit_segment(sequence, blob)
+        self._unflushed.append(blob)
         return blob, parse_segment(blob, data)
 
-    def retire(self, segments: tuple[str, ...]) -> IngestManifest:
-        """Drop flushed ``segments`` from the active list (the flush commit).
+    def append_tombstones(self, refs: Sequence[Posting]) -> str:
+        """Persist one batch of deletes as a tombstone record; returns its blob.
 
-        The segment blobs themselves are **not** deleted: they hold the
-        document bytes the freshly built delta's postings point into.
+        The commit point is the manifest PUT listing the record: until it
+        lands, the delete was never acknowledged and a crash strands at most
+        an unreferenced record blob.
         """
+        data = encode_tombstones(refs)
+        blob = tombstone_blob(self._index_name, self._allocate())
+        self._store.put(blob, data)
+        self._commit_with(tombstone_segments=self.manifest().tombstone_segments + (blob,))
+        return blob
+
+    def update(self, ref: Posting, text: str) -> tuple[str, str, list[Document]]:
+        """Replace document ``ref`` by ``text``: ``(segment, tombstone, documents)``.
+
+        The replacement segment and the old reference's tombstone are
+        written first, then one manifest PUT lists both, so the operation is
+        atomic: a crash before it shows the old document untouched, after it
+        the replacement — never a window with both or neither visible.
+        """
+        segment_data = encode_segment([text])
+        tombstone_data = encode_tombstones([ref])
+        segment = update_blob(self._index_name, self._allocate())
+        tombstone = tombstone_blob(self._index_name, self._allocate())
+        self._store.put(segment, segment_data)
+        self._store.put(tombstone, tombstone_data)
         manifest = self.manifest()
-        remaining = tuple(
-            blob for blob in manifest.active_segments if blob not in set(segments)
+        self._commit_with(
+            listed_segments=manifest.listed_segments + (segment,),
+            tombstone_segments=manifest.tombstone_segments + (tombstone,),
         )
-        committed = IngestManifest(
-            next_segment=manifest.next_segment,
-            active_segments=remaining,
-            tombstone_segments=manifest.tombstone_segments,
+        self._unflushed.append(segment)
+        return segment, tombstone, parse_segment(segment, segment_data)
+
+    def retire(self, segments: Sequence[str]) -> IngestManifest:
+        """Retire flushed ``segments`` (the flush commit).
+
+        ``first_unflushed`` moves to the first number still holding an
+        unflushed segment (or, with none, past every number used), the
+        reservation is trimmed to the numbers used — so a cold open does not
+        probe what no append wrote — and the flushed listed segments are
+        dropped.  The segment blobs themselves are **not** deleted: they hold
+        the document bytes the freshly built delta's postings point into.
+        """
+        retired = set(segments)
+        remaining = [blob for blob in self._unflushed if blob not in retired]
+        manifest = self.manifest()
+        first = manifest.first_unflushed
+        if self._replayed_from is not None and first >= self._replayed_from:
+            kept = set(remaining)
+            first = next(
+                (n for n in range(first, self._next) if segment_blob(self._index_name, n) in kept),
+                self._next,
+            )
+        self._commit(
+            replace(
+                manifest,
+                first_unflushed=first,
+                reserved_end=self._next,
+                listed_segments=tuple(
+                    blob for blob in manifest.listed_segments if blob not in retired
+                ),
+            )
         )
-        self._commit(committed)
-        return committed
+        self._unflushed = remaining
+        return self.manifest()
 
     def retire_tombstones(self, tombstones: Sequence[str]) -> IngestManifest:
         """Drop applied ``tombstones`` from the manifest (the compaction commit).
@@ -355,73 +386,82 @@ class WriteAheadLog:
         """
         manifest = self.manifest()
         dropped = set(tombstones)
-        committed = IngestManifest(
-            next_segment=manifest.next_segment,
-            active_segments=manifest.active_segments,
-            tombstone_segments=tuple(
-                blob for blob in manifest.tombstone_segments if blob not in dropped
-            ),
+        self._commit(
+            replace(
+                manifest,
+                tombstone_segments=tuple(
+                    blob for blob in manifest.tombstone_segments if blob not in dropped
+                ),
+            )
         )
-        self._commit(committed)
         for blob in dropped:
             try:
                 self._store.delete(blob)
             except Exception:  # noqa: BLE001 - unreferenced blob, cleanup only
                 pass
-        return committed
+        return self.manifest()
 
     def restore(self, tombstones: Sequence[Posting] = ()) -> IngestManifest:
         """Reset the WAL to a snapshot's write state (the restore commit).
 
-        Active document segments are dropped (their blobs stay — persisted
-        indexes reference document bytes inside them) and the pending-delete
-        set is replaced by ``tombstones``, written as one fresh record.  The
-        segment counter is preserved so post-restore writers never reuse a
-        blob name from the abandoned timeline.
+        Unflushed segments are dropped (their blobs stay — persisted indexes
+        reference document bytes inside them) and the pending-delete set is
+        replaced by ``tombstones``, written as one fresh record.  The
+        sequence counter is kept, so post-restore writers never reuse a blob
+        name from the abandoned timeline.
         """
-        manifest = self.manifest(refresh=True)
-        next_segment = max(manifest.next_segment, self._reserved)
+        self.manifest(refresh=True)
         tombstone_segments: tuple[str, ...] = ()
         if tombstones:
-            blob = tombstone_blob(self._index_name, next_segment)
+            blob = tombstone_blob(self._index_name, self._allocate())
             self._store.put(blob, encode_tombstones(tombstones))
             tombstone_segments = (blob,)
-            next_segment += 1
-        committed = IngestManifest(
-            next_segment=next_segment,
-            active_segments=(),
-            tombstone_segments=tombstone_segments,
-        )
-        self._commit(committed)
-        self._reserved = next_segment
-        return committed
+        self._commit(IngestManifest(self._next, self._next, (), tombstone_segments))
+        self._unflushed = []
+        return self.manifest()
 
     # -- recovery ------------------------------------------------------------------
 
-    def _recovered(self, blobs: Sequence[str]) -> list[bytes]:
+    def _recovered(self, blobs: Sequence[str]) -> list[bytes | None]:
         """Payloads of ``blobs`` (segments or tombstone records), in order.
 
-        What is not in hand is read as **one** batch together with every
-        other blob the manifest names, so a reopening node pays one wave for
-        its segments and its tombstone records; each payload is handed out
-        once (segments are the documents' storage, not a cache to keep).
+        What is not in hand is read as **one** batch of optional reads
+        together with every other blob the manifest may need, so a reopening
+        node pays one wave for its segments and its tombstone records; each
+        payload is handed out once (segments are the documents' storage, not
+        a cache to keep).  ``None`` is a blob that is not there.
         """
         if any(blob not in self._fetched for blob in blobs):
             missing = [
-                blob for blob in self.manifest().recovery_blobs if blob not in self._fetched
+                blob
+                for blob in self.manifest().recovery_blobs(self._index_name)
+                if blob not in self._fetched
             ]
-            fetch = self._store.read_batch([RangeRead(blob) for blob in missing])
+            fetch = self._store.read_batch([RangeRead(blob, optional=True) for blob in missing])
             self._fetched.update(zip(missing, fetch.payloads))
         return [self._fetched.pop(blob) for blob in blobs]
 
     def replay(self) -> list[Document]:
-        """Documents of every active (unflushed) segment, in append order."""
-        segments = self.manifest().active_segments
-        return [
-            document
-            for blob, data in zip(segments, self._recovered(segments))
-            for document in parse_segment(blob, data)
-        ]
+        """Documents of every unflushed segment: the range, then the listed ones.
+
+        A probed segment that is not there was never acknowledged and is
+        skipped; a *listed* one that is not there is lost data
+        (:class:`~repro.storage.base.BlobNotFoundError`).
+        """
+        manifest = self.manifest()
+        blobs = manifest.segments(self._index_name)
+        present = []
+        documents: list[Document] = []
+        for blob, data in zip(blobs, self._recovered(blobs)):
+            if data is None:
+                if blob in manifest.listed_segments:
+                    raise BlobNotFoundError(blob)
+                continue
+            present.append(blob)
+            documents += parse_segment(blob, data)
+        self._unflushed = present
+        self._replayed_from = manifest.first_unflushed
+        return documents
 
     def load_tombstones(self, refresh: bool = False) -> dict[str, tuple[Posting, ...]]:
         """Pending deletes, per tombstone record blob (crash recovery).
@@ -432,10 +472,12 @@ class WriteAheadLog:
         next compaction applies the deletes physically.
         """
         records = self.manifest(refresh=refresh).tombstone_segments
-        return {
-            blob: tuple(parse_tombstones(data))
-            for blob, data in zip(records, self._recovered(records))
-        }
+        loaded = {}
+        for blob, data in zip(records, self._recovered(records)):
+            if data is None:
+                raise BlobNotFoundError(blob)
+            loaded[blob] = tuple(parse_tombstones(data))
+        return loaded
 
     def destroy(self) -> None:
         """Delete the manifest and every segment blob (full index rebuild).
@@ -447,3 +489,4 @@ class WriteAheadLog:
             self._store.delete(blob)
         self._manifest = IngestManifest()
         self._fetched.clear()
+        self._unflushed = []

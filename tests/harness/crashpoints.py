@@ -1,20 +1,24 @@
 """Fault-point store wrapper for crash-consistency tests.
 
 Every durable transition in the ingest lifecycle is one store mutation —
-a WAL segment PUT, the ingest-manifest commit PUT, a delta header PUT, the
-append-only index-manifest swap PUT, a retired-blob DELETE.  A crash test
+a WAL segment PUT (an append's commit point), an ingest-manifest PUT (a
+segment-block reservation, or the commit of a delete, update or flush), a
+delta header PUT, the append-only index-manifest swap PUT, a retired-blob
+DELETE.  A crash test
 therefore reduces to: kill the process at exactly one of those mutations,
 "restart" by opening a fresh service over the same backend, and assert the
 recovered state.  :class:`FaultPointStore` provides the kill switch — it
 passes everything through to a backend until an armed :class:`FaultPoint`
 matches, then raises :class:`SimulatedCrash` either *before* the mutation
 reaches the backend (the write is lost) or *after* it (the write is durable
-but the caller never learns of it).
+but the caller never learns of it).  Armed with ``error=``, the point raises
+that exception instead — a store call that *fails* (``"before"``) or whose
+outcome is ambiguous (``"after"``) while the process lives on.
 
 Typical use::
 
     store = FaultPointStore(InMemoryObjectStore())
-    store.arm("put", "ingest.json", when="before")   # die at commit point
+    store.arm("put", "/seg-", when="before")   # die at an append's commit point
     with pytest.raises(SimulatedCrash):
         live.append(["doc one", "doc two"])
     store.disarm()
@@ -59,13 +63,15 @@ class FaultPoint:
     ``op`` is the store method name (``"put"`` or ``"delete"``); ``pattern``
     is a substring of the blob name; ``when`` selects whether the backend
     sees the mutation (``"after"``) or not (``"before"``); ``skip`` ignores
-    the first N matching calls.
+    the first N matching calls; ``error`` (if given) is raised instead of
+    :class:`SimulatedCrash`.
     """
 
     op: str
     pattern: str
     when: str = "before"
     skip: int = 0
+    error: BaseException | None = None
     #: Whether this point has fired (it disarms itself after firing).
     fired: bool = field(default=False, init=False)
 
@@ -104,10 +110,17 @@ class FaultPointStore(ObjectStore):
 
     # -- arming ---------------------------------------------------------------------
 
-    def arm(self, op: str, pattern: str, when: str = "before", skip: int = 0) -> FaultPoint:
+    def arm(
+        self,
+        op: str,
+        pattern: str,
+        when: str = "before",
+        skip: int = 0,
+        error: BaseException | None = None,
+    ) -> FaultPoint:
         """Arm a one-shot kill point and return it (its ``fired`` flag is
         how a test asserts the crash actually happened where intended)."""
-        point = FaultPoint(op=op, pattern=pattern, when=when, skip=skip)
+        point = FaultPoint(op=op, pattern=pattern, when=when, skip=skip, error=error)
         with self._lock:
             self._points.append(point)
         return point
@@ -137,21 +150,25 @@ class FaultPointStore(ObjectStore):
 
     # -- ObjectStore interface -------------------------------------------------------
 
+    @staticmethod
+    def _fire(point: FaultPoint, op: str, name: str) -> BaseException:
+        return point.error if point.error is not None else SimulatedCrash(op, name, point.when)
+
     def put(self, name: str, data: bytes) -> None:
         point = self._check("put", name)
         if point is not None and point.when == "before":
-            raise SimulatedCrash("put", name, "before")
+            raise self._fire(point, "put", name)
         self._backend.put(name, data)
         if point is not None:
-            raise SimulatedCrash("put", name, "after")
+            raise self._fire(point, "put", name)
 
     def delete(self, name: str) -> None:
         point = self._check("delete", name)
         if point is not None and point.when == "before":
-            raise SimulatedCrash("delete", name, "before")
+            raise self._fire(point, "delete", name)
         self._backend.delete(name)
         if point is not None:
-            raise SimulatedCrash("delete", name, "after")
+            raise self._fire(point, "delete", name)
 
     def get(self, name: str) -> bytes:
         return self._backend.get(name)

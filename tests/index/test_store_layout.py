@@ -405,6 +405,7 @@ def test_the_documented_table_names_exactly_what_the_module_spells():
         "snapshot_blob_name": store_layout.snapshot_blob_name("idx", "cp"),
         "ingest_manifest_blob": store_layout.ingest_manifest_blob("idx"),
         "segment_blob": store_layout.segment_blob("idx", 7),
+        "update_blob": store_layout.update_blob("idx", 7),
         "tombstone_blob": store_layout.tombstone_blob("idx", 7),
     }
     # Every function of the module that spells a name is in the list above ...

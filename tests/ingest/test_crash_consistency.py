@@ -7,9 +7,13 @@ fresh :class:`LiveIndex` (replay) over the same backend.  The recovered
 state must honour the WAL contract:
 
 * an **acknowledged** operation (commit-point PUT reached the store)
-  survives the crash;
+  survives the crash — for an append that is its segment PUT, for a
+  delete, an update and a flush the ingest-manifest PUT;
 * an **unacknowledged** operation (killed before the commit point) vanishes
-  without a trace on the query path;
+  without a trace on the query path, and so does a killed segment-block
+  reservation;
+* a hole in the probed segment range (an append whose PUT failed) does not
+  end the log: later acknowledged appends still replay;
 * a crash *between* the index-manifest swap and the WAL retire leaves
   documents transiently in both a delta and the replayed memtable — the
   query path deduplicates by reference, so answers still equal a fresh
@@ -24,18 +28,23 @@ from harness.crashpoints import FaultPointStore, SimulatedCrash
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
 from repro.ingest.live import LiveIndex
+from repro.ingest.wal import SEGMENT_BLOCK
 from repro.observability import MetricsRegistry
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Posting
 from repro.service.config import ServiceConfig
+from repro.storage.base import TransientStoreError
 from repro.storage.memory import InMemoryObjectStore
 
 CORPUS = b"error disk full\ninfo service ok\nwarn slow response\n"
 
 BASE_REF = Posting(blob="corpus/base.txt", offset=0, length=15)
 
-#: Commit point of every ingest operation (the WAL manifest swap).
+#: Commit point of a delete, an update and a flush (the WAL manifest swap),
+#: and the segment-block reservation of an append.
 COMMIT = "ingest/ingest.json"
+#: Commit point of an append: its segment PUT.
+SEGMENT = "ingest/seg-"
 
 
 def _store() -> FaultPointStore:
@@ -77,25 +86,80 @@ def _visible_texts(live: LiveIndex, query: str) -> set[str]:
     return texts
 
 
+def _sequence(blob: str) -> int:
+    """The sequence number in a WAL blob name."""
+    return int(blob.rsplit("-", 1)[1].split(".")[0])
+
+
 class TestAppendCrashes:
     def test_killed_before_commit_loses_the_unacked_batch(self):
         store = _store()
         live = _live(store)
-        store.arm("put", COMMIT, when="before")
+        live.append(["error acked event"])
+        store.arm("put", SEGMENT, when="before")
         with pytest.raises(SimulatedCrash):
             live.append(["error fresh event"])
         recovered = _restart(store)
-        assert recovered.memtable_documents() == 0
-        assert "error fresh event" not in _visible_texts(recovered, "fresh")
+        assert recovered.memtable_documents() == 1
+        assert _visible_texts(recovered, "event") == {"error acked event"}
 
     def test_killed_after_commit_keeps_the_acked_batch(self):
         store = _store()
         live = _live(store)
-        store.arm("put", COMMIT, when="after")
+        store.arm("put", SEGMENT, when="after")
         with pytest.raises(SimulatedCrash):
             live.append(["error fresh event"])
         recovered = _restart(store)
         assert _visible_texts(recovered, "fresh") == {"error fresh event"}
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_a_killed_block_reservation_shows_nothing_and_is_never_reused(self, when):
+        store = _store()
+        live = _live(store)
+        for n in range(SEGMENT_BLOCK):  # use up the first block
+            live.append([f"error acked number{n}"])
+        reserved = live.wal.manifest().reserved_end
+        point = store.arm("put", COMMIT, when=when)
+        with pytest.raises(SimulatedCrash):
+            live.append(["error fresh event"])
+        assert point.fired
+        segments = store.backend.list_blobs(prefix=f"idx/{SEGMENT}")
+        assert max(_sequence(blob) for blob in segments) < reserved
+        recovered = _restart(store)
+        assert recovered.memtable_documents() == SEGMENT_BLOCK
+        assert "error fresh event" not in _visible_texts(recovered, "fresh")
+        blob = recovered.append(["error later event"])["wal_segment"]
+        assert _sequence(blob) >= reserved
+
+    def test_a_failed_segment_put_leaves_a_hole_that_does_not_end_the_log(self):
+        store = _store()
+        live = _live(store)
+        live.append(["error first event"])
+        store.arm("put", SEGMENT, error=TransientStoreError("injected"))
+        with pytest.raises(TransientStoreError):
+            live.append(["error failed event"])
+        live.append(["error second event"])
+        live.append(["error third event"])
+        assert _visible_texts(live, "event") == {
+            "error first event", "error second event", "error third event"
+        }
+        recovered = _restart(store)
+        assert _visible_texts(recovered, "event") == {
+            "error first event", "error second event", "error third event"
+        }
+
+    def test_an_ambiguous_segment_put_is_replayed_at_the_next_open(self):
+        # The PUT landed but the caller saw an error: the append was not
+        # acknowledged, yet its segment is in the probed range — the next
+        # open replays it.  A failed append's outcome is unknown, as with
+        # any store write that timed out.
+        store = _store()
+        live = _live(store)
+        store.arm("put", SEGMENT, when="after", error=TransientStoreError("injected"))
+        with pytest.raises(TransientStoreError):
+            live.append(["error ambiguous event"])
+        assert _visible_texts(live, "ambiguous") == set()
+        assert _visible_texts(_restart(store), "ambiguous") == {"error ambiguous event"}
 
 
 class TestDeleteCrashes:
@@ -129,7 +193,11 @@ class TestUpdateCrashes:
         store.arm("put", COMMIT, when="before")
         with pytest.raises(SimulatedCrash):
             live.update(BASE_REF, "error replacement text")
+        landed = store.backend.list_blobs(prefix="idx/ingest/")
+        assert any("/upd-" in blob for blob in landed)
+        assert any("/tomb-" in blob for blob in landed)
         recovered = _restart(store)
+        assert recovered.tombstone_refs() == frozenset()
         assert "error disk full" in _visible_texts(recovered, "error")
         assert "error replacement text" not in _visible_texts(recovered, "error")
 
@@ -166,9 +234,10 @@ class TestFlushCrashes:
         store = _store()
         live = _live(store)
         live.append(["error fresh one"])
-        # The delta is committed into the index manifest, but the WAL still
-        # lists the segment: recovery replays it into the memtable, so the
-        # document transiently exists in two tiers.
+        # The delta is committed into the index manifest, but the WAL's
+        # first unflushed number was not moved past the segment: recovery
+        # replays it into the memtable, so the document transiently exists
+        # in two tiers.
         store.arm("put", COMMIT, when="before")
         with pytest.raises(SimulatedCrash):
             live.flush()
@@ -190,7 +259,8 @@ class TestFlushCrashes:
         searcher.close()
         # The next flush retires the replayed segment for good.
         recovered.flush()
-        assert recovered.wal.manifest(refresh=True).active_segments == ()
+        assert recovered.wal.unflushed == ()
+        assert _restart(store).memtable_documents() == 0
 
     def test_failed_flush_with_concurrent_delete_keeps_exactly_survivors(self):
         store = _store()

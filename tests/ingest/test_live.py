@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.config import SketchConfig
@@ -63,7 +66,7 @@ class TestAppend:
         with pytest.raises(ValueError):
             live.append(["with\nnewline"])
         # Nothing durable, nothing searchable.
-        assert live.wal.manifest().active_segments == ()
+        assert live.wal.unflushed == ()
         assert live.memtable_documents() == 0
 
 
@@ -77,7 +80,7 @@ class TestFlush:
         assert outcome["flushed"] == 2
         assert outcome["delta"] == "idx/delta-0000"
         assert live.memtable_documents() == 0
-        assert live.wal.manifest().active_segments == ()
+        assert live.wal.unflushed == ()
         assert live.delta_count == 1
         assert invalidated == ["idx"]
         # The delta is searchable through the manager's combined searcher,
@@ -109,10 +112,77 @@ class TestFlush:
         # The documents fell back into the active memtable and the WAL still
         # lists their segment: the next flush retries them.
         assert "error fresh one" in _memtable_texts(live)
-        assert len(live.wal.manifest().active_segments) == 1
+        assert len(live.wal.unflushed) == 1
         monkeypatch.undo()
         outcome = live.flush()
         assert outcome is not None and outcome["flushed"] == 1
+
+
+class TestConcurrentAppendsAndFlushes:
+    def test_every_acked_append_survives_a_restart_exactly_once(self):
+        # More appenders than cores, flushes in between, a short switch
+        # interval: a flush that sealed while an append was between its
+        # segment PUT and the memtable would retire a segment whose
+        # documents never reached a delta, and the restart would lose them.
+        store = InMemoryObjectStore()
+        _base(store)
+        live, _ = _live(store)
+        acked: list[str] = []
+        lock = threading.Lock()
+
+        def appender(worker: int) -> None:
+            for n in range(30):
+                text = f"stress worker{worker} number{n}"
+                live.append([text])
+                with lock:
+                    acked.append(text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=appender, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            while any(thread.is_alive() for thread in threads):
+                live.flush()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        restarted, _ = _live(store)
+        restarted.replay()
+        searcher = restarted.manager.open_searcher()
+        view = searcher.with_members([*restarted.memtable_members(), *searcher.searchers])
+        found = [d.text for d in view.search("stress").documents]
+        searcher.close()
+        assert sorted(found) == sorted(acked) and len(acked) == 120
+
+    def test_a_flush_waits_for_an_append_between_its_segment_and_the_memtable(
+        self, monkeypatch
+    ):
+        store = InMemoryObjectStore()
+        _base(store)
+        live, _ = _live(store)
+        append = live.wal.append
+        flusher = threading.Thread(target=live.flush)
+
+        def append_then_flush(texts):
+            written = append(texts)  # durable, not yet in the memtable
+            flusher.start()
+            flusher.join(0.2)  # a flush that did not wait would be done by now
+            return written
+
+        monkeypatch.setattr(live.wal, "append", append_then_flush)
+        live.append(["error raced event"])
+        flusher.join(30)
+        assert not flusher.is_alive()
+        restarted, _ = _live(store)
+        restarted.replay()
+        searcher = restarted.manager.open_searcher()
+        view = searcher.with_members([*restarted.memtable_members(), *searcher.searchers])
+        assert [d.text for d in view.search("raced").documents] == ["error raced event"]
+        searcher.close()
 
 
 class TestCompact:

@@ -91,7 +91,7 @@ class TestTombstoneRecords:
         segment, _ = wal.append(["error fresh one"])
         tomb = wal.append_tombstones([BASE_REFS[0]])
         manifest = wal.retire((segment,))
-        assert manifest.active_segments == ()
+        assert manifest.segments("idx") == ()
         # Tombstones outlive the flush that retires their era's segments:
         # only compaction (which physically drops the documents) retires them.
         assert manifest.tombstone_segments == (tomb,)
@@ -107,23 +107,26 @@ class TestTombstoneRecords:
     def test_update_commit_is_one_manifest_swap(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
-        seg_seq, segment = wal.reserve_segment()
-        tomb_seq, tomb = wal.reserve_tombstone()
-        store.put(segment, b"replacement text\n")
-        store.put(tomb, encode_tombstones([BASE_REFS[0]]))
-        manifest = wal.commit_update(seg_seq, segment, tomb_seq, tomb)
-        assert manifest.active_segments == (segment,)
+        segment, tomb, documents = wal.update(BASE_REFS[0], "replacement text")
+        assert [d.text for d in documents] == ["replacement text"]
+        # Both blobs land first, then one manifest PUT lists both; the
+        # replacement is named outside the probed segment range.
+        puts = [name for name in store.list_blobs(prefix="idx/ingest/")]
+        assert sorted(puts) == sorted(["idx/ingest/ingest.json", segment, tomb])
+        assert segment == "idx/ingest/upd-00000000.log"
+        manifest = wal.manifest()
+        assert manifest.listed_segments == (segment,)
         assert manifest.tombstone_segments == (tomb,)
-        assert manifest.next_segment == max(seg_seq, tomb_seq) + 1
+        assert manifest.reserved_end == 2
 
     def test_restore_resets_segments_but_preserves_counter(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
         wal.append(["error one"])
         wal.append_tombstones([BASE_REFS[0]])
-        before = wal.manifest().next_segment
+        before = wal.manifest().reserved_end
         manifest = wal.restore([BASE_REFS[1]])
-        assert manifest.active_segments == ()
+        assert manifest.segments("idx") == ()
         # One fresh record holding exactly the restored tombstones.
         assert len(manifest.tombstone_segments) == 1
         assert wal.load_tombstones(refresh=True) == {
@@ -131,7 +134,7 @@ class TestTombstoneRecords:
         }
         # The counter never rewinds: blobs from the abandoned timeline are
         # permanent document storage and must not be overwritten.
-        assert manifest.next_segment > before
+        assert manifest.reserved_end > before
 
 
 class TestMemtableRemove:
@@ -274,7 +277,7 @@ class TestLiveUpdate:
         assert texts == {"error replacement text"}
         # One manifest swap carries both the new segment and the tombstone.
         manifest = live.wal.manifest()
-        assert outcome["wal_segment"] in manifest.active_segments
+        assert outcome["wal_segment"] in manifest.listed_segments
         assert outcome["tombstone_record"] in manifest.tombstone_segments
         assert new_ref.blob == outcome["wal_segment"]
 
@@ -328,7 +331,7 @@ class TestFlushUnderDeletes:
         assert flushed["delta"] is None
         # No delta was built, but the WAL segments are retired: the
         # tombstone record, not the segment list, carries the delete.
-        assert live.wal.manifest().active_segments == ()
+        assert live.wal.unflushed == ()
 
 
 class TestCompactionPurge:
@@ -391,7 +394,7 @@ class TestBackpressure:
         assert excinfo.value.documents == 1
         # Nothing durable, nothing searchable from the rejected batch.
         assert live.memtable_documents() == 1
-        assert len(live.wal.manifest().active_segments) == 1
+        assert len(live.wal.unflushed) == 1
 
     def test_byte_limit_also_triggers(self):
         store = InMemoryObjectStore()

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from harness.stores import RecordingStore
 
 from repro.ingest.wal import (
+    SEGMENT_BLOCK,
     IngestManifest,
+    IngestManifestError,
     WriteAheadLog,
     encode_segment,
     ingest_manifest_blob,
@@ -13,7 +18,21 @@ from repro.ingest.wal import (
     segment_blob,
 )
 from repro.parsing.corpus import LineDelimitedCorpusParser
+from repro.parsing.documents import Posting
 from repro.storage.memory import InMemoryObjectStore
+
+#: A version-1 WAL as the list-of-segments writer left it: three appends, a
+#: delete between the second and the third, the first append flushed.
+V1_WAL = {
+    "idx/ingest/ingest.json": b'{"version": 1, "next_segment": 4, "active_segments": '
+    b'["idx/ingest/seg-00000001.log", "idx/ingest/seg-00000003.log"], '
+    b'"tombstone_segments": ["idx/ingest/tomb-00000002.json"]}',
+    "idx/ingest/seg-00000000.log": b"error disk full\n",
+    "idx/ingest/seg-00000001.log": b"warn slow response\ninfo service ok\n",
+    "idx/ingest/seg-00000003.log": b"error late write\n",
+    "idx/ingest/tomb-00000002.json": b'{"version": 1, "refs": [["corpus/base.txt", 0, 15], '
+    b'["idx/ingest/seg-00000000.log", 0, 15]]}',
+}
 
 
 class TestSegmentFormat:
@@ -49,8 +68,18 @@ class TestSegmentFormat:
 
 class TestManifest:
     def test_round_trip(self):
-        manifest = IngestManifest(next_segment=7, active_segments=("a", "b"))
+        manifest = IngestManifest(3, 7, ("idx/ingest/upd-00000004.log",), ("t",))
         assert IngestManifest.from_bytes(manifest.to_bytes()) == manifest
+        assert json.loads(manifest.to_bytes())["version"] == 2
+
+    def test_the_range_is_probed_then_the_listed_segments(self):
+        manifest = IngestManifest(3, 5, ("idx/ingest/upd-00000001.log",), ("t",))
+        assert manifest.recovery_blobs("idx") == (
+            "idx/ingest/seg-00000003.log",
+            "idx/ingest/seg-00000004.log",
+            "idx/ingest/upd-00000001.log",
+            "t",
+        )
 
     def test_blob_names(self):
         assert ingest_manifest_blob("idx") == "idx/ingest/ingest.json"
@@ -58,7 +87,7 @@ class TestManifest:
 
 
 class TestWriteAheadLog:
-    def test_append_commits_segment_then_manifest(self):
+    def test_append_reserves_a_block_then_commits_at_the_segment_put(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
         blob, documents = wal.append(["error one", "info two"])
@@ -66,8 +95,32 @@ class TestWriteAheadLog:
         assert [d.text for d in documents] == ["error one", "info two"]
         assert store.exists(blob)
         manifest = WriteAheadLog(store, "idx").manifest()
-        assert manifest.next_segment == 1
-        assert manifest.active_segments == (blob,)
+        assert (manifest.first_unflushed, manifest.reserved_end) == (0, SEGMENT_BLOCK)
+        assert manifest.listed_segments == ()
+        assert wal.unflushed == (blob,)
+
+    def test_one_put_per_append_and_one_manifest_put_per_block(self):
+        store = RecordingStore(InMemoryObjectStore())
+        wal = WriteAheadLog(store, "idx")
+        for n in range(2 * SEGMENT_BLOCK + 1):
+            wal.append([f"document {n}"])
+        puts = [blob for method, blob, _, _ in store.calls if method == "put"]
+        assert len(puts) == 2 * SEGMENT_BLOCK + 1 + 3
+        assert puts.count(ingest_manifest_blob("idx")) == 3
+        assert [d.text for d in WriteAheadLog(store, "idx").replay()] == [
+            f"document {n}" for n in range(2 * SEGMENT_BLOCK + 1)
+        ]
+
+    def test_a_new_process_numbers_from_the_reservation_end(self):
+        store = InMemoryObjectStore()
+        WriteAheadLog(store, "idx").append(["error one"])
+        blob, _ = WriteAheadLog(store, "idx").append(["error two"])
+        # Numbers 1 … SEGMENT_BLOCK - 1 may be in flight in the first
+        # process: a second one never reuses them.
+        assert blob == segment_blob("idx", SEGMENT_BLOCK)
+        assert [d.text for d in WriteAheadLog(store, "idx").replay()] == [
+            "error one", "error two"
+        ]
 
     def test_segment_numbering_is_monotonic_across_retire(self):
         store = InMemoryObjectStore()
@@ -78,7 +131,8 @@ class TestWriteAheadLog:
         # The retired segment's number is never reused: a reader holding a
         # pre-flush manifest must never see its blob overwritten.
         assert second == "idx/ingest/seg-00000001.log"
-        assert wal.manifest().active_segments == (second,)
+        assert wal.unflushed == (second,)
+        assert wal.manifest().first_unflushed == 1
         # Retire never deletes blobs (they hold the document bytes).
         assert store.exists(first)
 
@@ -99,3 +153,51 @@ class TestWriteAheadLog:
         wal.destroy()
         assert store.list_blobs(prefix="idx/ingest/") == []
         assert WriteAheadLog(store, "idx").manifest() == IngestManifest()
+
+
+class TestFormatCompatibility:
+    def _v1_store(self) -> InMemoryObjectStore:
+        store = InMemoryObjectStore()
+        for blob, data in V1_WAL.items():
+            store.put(blob, data)
+        return store
+
+    def test_a_v1_manifest_replays_identically(self):
+        wal = WriteAheadLog(self._v1_store(), "idx")
+        assert [d.text for d in wal.replay()] == [
+            "warn slow response", "info service ok", "error late write"
+        ]
+        assert wal.load_tombstones() == {
+            "idx/ingest/tomb-00000002.json": (
+                Posting("corpus/base.txt", 0, 15),
+                Posting("idx/ingest/seg-00000000.log", 0, 15),
+            )
+        }
+        assert wal.unflushed == (
+            "idx/ingest/seg-00000001.log", "idx/ingest/seg-00000003.log"
+        )
+
+    def test_the_first_commit_rewrites_v1_as_v2_without_losing_a_segment(self):
+        store = self._v1_store()
+        wal = WriteAheadLog(store, "idx")
+        wal.replay()
+        blob, _ = wal.append(["info after upgrade"])
+        assert blob == segment_blob("idx", 4)  # the v1 counter carries over
+        payload = json.loads(store.get(ingest_manifest_blob("idx")))
+        assert payload["version"] == 2
+        reopened = WriteAheadLog(store, "idx")
+        assert [d.text for d in reopened.replay()] == [
+            "info after upgrade", "warn slow response", "info service ok", "error late write"
+        ]
+        assert list(reopened.load_tombstones()) == ["idx/ingest/tomb-00000002.json"]
+        # A flush of everything retires the upgraded segments too.
+        wal.retire(wal.unflushed)
+        assert WriteAheadLog(store, "idx").replay() == []
+
+    def test_an_unknown_manifest_version_is_a_typed_error_not_an_empty_wal(self):
+        store = InMemoryObjectStore()
+        store.put(ingest_manifest_blob("idx"), b'{"version": 3, "segments": "elsewhere"}')
+        with pytest.raises(IngestManifestError, match="version 3"):
+            WriteAheadLog(store, "idx").manifest()
+        with pytest.raises(IngestManifestError):
+            IngestManifest.from_bytes(b'{"next_segment": 4, "active_segments": []}')

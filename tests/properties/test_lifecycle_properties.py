@@ -219,15 +219,14 @@ def test_lifecycle_property_holds_under_crash_injection(initial, steps, crash):
     when = "after" if acked else "before"
     crashed = False
     if operation == 0:
-        store.arm("put", "ingest/ingest.json", when=when)
+        # An append commits at its segment PUT.
+        store.arm("put", "ingest/seg-", when=when)
         try:
             service.append_documents("live", ["error crash probe"])
-        except SimulatedCrash:
+        except SimulatedCrash as killed:
             crashed = True
-        if acked and crashed:
-            segments = store.backend.list_blobs(prefix="live/ingest/seg-")
-            last = sorted(segments)[-1]
-            model[Posting(blob=last, offset=0, length=17)] = "error crash probe"
+            if acked:
+                model[Posting(blob=killed.blob, offset=0, length=17)] = "error crash probe"
     elif operation == 1 and model:
         ref = _pick(model, selector)
         store.arm("put", "ingest/ingest.json", when=when)
@@ -246,7 +245,7 @@ def test_lifecycle_property_holds_under_crash_injection(initial, steps, crash):
             crashed = True
         if acked and crashed:
             del model[ref]
-            segments = store.backend.list_blobs(prefix="live/ingest/seg-")
+            segments = store.backend.list_blobs(prefix="live/ingest/upd-")
             last = sorted(segments)[-1]
             model[Posting(blob=last, offset=0, length=16)] = "warn crash probe"
     elif operation == 3:

@@ -110,7 +110,7 @@ class TestUpdateReadYourWrites:
     def test_update_swaps_text_at_query_time(self):
         service = _service()
         outcome = service.update_document("live", BASE_REF, "error replacement text")
-        assert outcome["ref"]["blob"].startswith("live/ingest/seg-")
+        assert outcome["ref"]["blob"].startswith("live/ingest/upd-")
         visible = _texts(service, "error")
         assert "error replacement text" in visible
         assert "error disk full" not in visible
@@ -300,7 +300,7 @@ class TestLifecycleHTTP:
             {"ref": ref, "document": "error replacement text"},
         )
         assert status == 200
-        assert body["ref"]["blob"].startswith("live/ingest/seg-")
+        assert body["ref"]["blob"].startswith("live/ingest/upd-")
         status, result = _post(
             server, "/search", {"index": "live", "query": "replacement"}
         )

@@ -216,8 +216,16 @@ def test_a_required_miss_still_raises_beside_optional_ones(store):
 def test_an_optional_miss_is_an_answer_to_the_resilience_layer():
     """No retry, no hedge, no failure counted: the store answered, the answer was "no"."""
     slept: list[float] = []
+    ticks = iter(range(1_000_000))
+    # Hedging is on, so every read runs the hedged path; its floor is an hour
+    # and the clock is a counter, so no scheduler stall can fire a hedge and
+    # the observed latencies (one tick each) are the same on every run.
     resilient = ResilientStore(
-        InMemoryObjectStore(), retries=3, hedge_ms=1.0, timeout_s=5.0, sleep=slept.append
+        InMemoryObjectStore(),
+        retries=3,
+        hedge_ms=3_600_000.0,
+        sleep=slept.append,
+        clock=lambda: float(next(ticks)),
     )
     resilient.put("there", b"payload")
     try:
@@ -230,6 +238,7 @@ def test_an_optional_miss_is_an_answer_to_the_resilience_layer():
         assert stats.operations == stats.attempts == 1 + 40  # the put, then the reads
         assert (stats.retries, stats.failures, stats.timeouts, stats.hedges) == (0, 0, 0, 0)
         assert slept == []
+        assert resilient.hedge_delay_s() == 3_600.0
     finally:
         resilient.close()
 
