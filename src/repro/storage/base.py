@@ -163,7 +163,7 @@ class ObjectStore(ABC):
         """Read ``requests`` as one concurrent wave and report what it cost.
 
         The single entry point for the paper's primitive — independent range
-        reads issued at once, never sequentially — and the one place a store
+        reads, none of which waits for another — and the one place a store
         reports elapsed time.  A *dependent* chain of reads is a loop of
         one-request batches, whose costs the caller adds up.
 
@@ -174,7 +174,10 @@ class ObjectStore(ABC):
         max_concurrency:
             Most requests in flight at once (the paper uses 32 download
             threads).  This default implementation runs on one pool per
-            store, as wide as the widest value any caller has asked for.
+            store, as wide as the widest value any caller has asked for, or
+            on the calling thread while the store's reads do not wait — the
+            first that does sends the rest of its batch to the pool
+            (:meth:`~repro.storage.parallel.FetchPool.run`).
         required:
             When set, the caller needs only this many of the payloads (the
             L⁺ replication of Section IV-G: issue all, continue when
@@ -197,13 +200,12 @@ class ObjectStore(ABC):
         # Pool threads do not inherit contextvars from the submitter, so the
         # active trace span (if any) is captured here and re-attached inside
         # each worker — store-level attempt spans then nest under the right
-        # request instead of vanishing.
+        # request instead of vanishing.  Inline reads need no such help.
         parent = current_span()
-        if parent is None:
-            reader = self.read
-        else:
+        pooled = None
+        if parent is not None:
 
-            def reader(request: RangeRead) -> bytes | None:
+            def pooled(request: RangeRead) -> bytes | None:
                 with attach(parent):
                     return self.read(request)
 
@@ -213,7 +215,7 @@ class ObjectStore(ABC):
         pool: FetchPool | None = self.__dict__.get("_fetch_pool")
         if pool is None:
             pool = self.__dict__.setdefault("_fetch_pool", FetchPool())
-        payloads = list(pool.map(max_concurrency, reader, requests))
+        payloads = pool.run(max_concurrency, self.read, requests, pooled)
         records = tuple(
             RequestRecord(blob=request.blob, nbytes=len(data) if data is not None else 0)
             for request, data in zip(requests, payloads)

@@ -6,6 +6,10 @@ batch is :meth:`ObjectStore.read_batch
 <repro.storage.base.ObjectStore.read_batch>`; this module holds the two
 things it is made of: :class:`FetchPool`, the one thread pool a store owns
 for it, and :class:`FetchResult`, what it returns.
+
+A batch uses that pool only if the store's reads wait: concurrency exists to
+overlap waiting, and a read of ``mem://`` or a page-cached ``file://`` that
+does not wait would pay a thread hand-off for nothing (:meth:`FetchPool.run`).
 """
 
 from __future__ import annotations
@@ -13,14 +17,44 @@ from __future__ import annotations
 import os
 import threading
 import weakref
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import count
+from time import perf_counter
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.storage.metrics import BatchRecord
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: A read that blocked and took longer than this is worth a thread.  On a
+#: 2-vCPU box a batch of in-memory reads costs 49 µs for 1 read and 0.91 ms
+#: for 40 on a warm pool, 142 µs and 1.27 ms on a fresh one, and 2 µs and
+#: 15 µs inline: a shorter wait is cheaper sat out in line.
+SLOW_READ_S = 100e-6
+
+#: Reads in a row that did not wait before a store that waited runs inline
+#: again.  One slow read flips a store to the pool, so free misses beside
+#: 10 ms hits cannot average their way back to serial reads: of the reads of
+#: ``perfbench``'s 10 ms stores only each store's first waited inline (1 of
+#: 3 356 on ``ranked_delay``, 3 of 3 222 on ``logsearch_s3``'s 3 set-ups).
+FAST_RUN = 64
+
+
+try:
+    from resource import RUSAGE_THREAD, getrusage
+except ImportError:  # no per-thread counts: every slow read counts as a wait
+    _blocked_count = count().__next__
+else:
+
+    def _blocked_count() -> int:
+        """How often the calling thread blocked (voluntary context switches):
+        a slow read that never blocked was computing (copy-on-write faults in
+        a forked child, a garbage collection) or preempted, and no thread
+        could have overlapped it."""
+        return getrusage(RUSAGE_THREAD).ru_nvcsw
 
 
 def _shutdown_pool(pool: ThreadPoolExecutor, owner_pid: int) -> None:
@@ -69,6 +103,48 @@ class FetchPool:
         self._lock = threading.Lock()
         #: Widest ``max_concurrency`` asked for so far.
         self.width = 0
+        #: Did each of the store's last :data:`FAST_RUN` reads wait?  Never
+        #: measured, a store probes inline; appends are atomic, so no lock.
+        self._recent = deque([False] * FAST_RUN, maxlen=FAST_RUN)
+
+    def run(
+        self,
+        width: int,
+        function: Callable[[T], R],
+        items: list[T],
+        pooled: Callable[[T], R] | None = None,
+    ) -> list[R]:
+        """``[function(item) for item in items]``, inline while no read waits.
+
+        A read waited if it took longer than :data:`SLOW_READ_S` and its
+        thread blocked.  The first that did sends the rest of the batch to
+        :meth:`map`; so do all batches of a store with a wait among its last
+        :data:`FAST_RUN` reads.  Results and the first exception come in item
+        order either way; ``pooled`` replaces ``function`` on the workers.
+        """
+        results: list[R] = []
+        if True not in self._recent:
+            blocked = _blocked_count()
+            for item in items:
+                started = perf_counter()
+                results.append(function(item))
+                # Only a slow read pays for the system call.
+                if perf_counter() - started > SLOW_READ_S and _blocked_count() > blocked:
+                    self._recent.append(True)
+                    break
+            else:
+                return results
+        worker = pooled or function
+
+        def timed(item: T) -> R:
+            started, blocked = perf_counter(), _blocked_count()
+            result = worker(item)
+            slow = perf_counter() - started > SLOW_READ_S
+            self._recent.append(slow and _blocked_count() > blocked)
+            return result
+
+        rest = items[len(results) :]
+        return results + list(self.map(width, timed, rest)) if rest else results
 
     def map(
         self, width: int, function: Callable[[T], R], items: Iterable[T]

@@ -11,7 +11,8 @@ directory on ``sys.path``):
 * :mod:`harness.stores` — counting/recording store wrappers for asserting
   exactly what traffic (and which call sequence) reached a backend, plus
   observers of the stores' ``airphant-fetch*`` pool threads (and a
-  time-bounded ``os.fork()`` runner);
+  time-bounded ``os.fork()`` runner), and a wrapper whose reads block, so
+  batches run on that pool;
 * :mod:`harness.crashpoints` — a fault-point store wrapper that simulates
   process death at exact WAL/flush/compaction mutation points, for
   crash-consistency tests of the mutable-document lifecycle;
@@ -23,9 +24,10 @@ directory on ``sys.path``):
 from harness.crashpoints import FaultPoint, FaultPointStore, SimulatedCrash
 from harness.prometheus import MetricFamily, parse_prometheus
 from harness.s3_emulator import S3Emulator
-from harness.stores import CountingStore, RecordingStore
+from harness.stores import BlockingStore, CountingStore, RecordingStore
 
 __all__ = [
+    "BlockingStore",
     "CountingStore",
     "FaultPoint",
     "FaultPointStore",

@@ -8,6 +8,9 @@ consistent* with observed store traffic, not merely plausible.
 thing a store owns: the ``airphant-fetch*`` workers of its ``read_batch``
 pool.  :class:`RecordingStore` keeps the ordered ``(method, blob, offset,
 length)`` log of every call, for golden call-sequence tests.
+:class:`BlockingStore` makes reads wait, so that ``read_batch`` — which runs
+a batch inline while a store's reads are measured to be fast — puts them
+on its pool.
 """
 
 from __future__ import annotations
@@ -151,6 +154,69 @@ class RecordingStore(ObjectStore):
 
     def list_blobs(self, prefix: str = "") -> list[str]:
         self._record("list_blobs", prefix)
+        return self._backend.list_blobs(prefix)
+
+    def close(self) -> None:
+        super().close()
+        self._backend.close()
+
+
+class BlockingStore(ObjectStore):
+    """Pass-through wrapper whose reads wait, like a cloud store's.
+
+    A read that finds its blob sleeps :attr:`delay_s` before it returns (set
+    it at any time; 0 makes the store fast); a miss raises at once — the
+    shape of a store whose 404s are free and whose hits cost a round trip.
+    Every read notes the name of the thread it ran on, and the store counts
+    the reads in flight, so tests can tell inline reads from pooled ones.
+    """
+
+    def __init__(self, backend: ObjectStore, delay_s: float = 0.005) -> None:
+        self._backend = backend
+        self.delay_s = delay_s
+        self._lock = threading.Lock()
+        self.inflight = 0
+        self.max_inflight = 0
+        #: ``threading.current_thread().name`` of every read, in start order.
+        self.read_threads: list[str] = []
+
+    def _read(self, call: Callable[[], bytes]) -> bytes:
+        with self._lock:
+            self.inflight += 1
+            self.max_inflight = max(self.max_inflight, self.inflight)
+            self.read_threads.append(threading.current_thread().name)
+        try:
+            data = call()
+            if self.delay_s:
+                time.sleep(self.delay_s)
+            return data
+        finally:
+            with self._lock:
+                self.inflight -= 1
+
+    def pooled_reads(self) -> int:
+        """How many reads so far ran on a ``read_batch`` pool worker."""
+        return sum(name.startswith("airphant-fetch") for name in self.read_threads)
+
+    def put(self, name: str, data: bytes) -> None:
+        self._backend.put(name, data)
+
+    def get(self, name: str) -> bytes:
+        return self._read(lambda: self._backend.get(name))
+
+    def get_range(self, name: str, offset: int, length: int | None = None) -> bytes:
+        return self._read(lambda: self._backend.get_range(name, offset, length))
+
+    def size(self, name: str) -> int:
+        return self._backend.size(name)
+
+    def exists(self, name: str) -> bool:
+        return self._backend.exists(name)
+
+    def delete(self, name: str) -> None:
+        self._backend.delete(name)
+
+    def list_blobs(self, prefix: str = "") -> list[str]:
         return self._backend.list_blobs(prefix)
 
     def close(self) -> None:

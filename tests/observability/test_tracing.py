@@ -137,6 +137,31 @@ class TestAmbientPropagation:
                 assert pool.submit(traced).result() is True
         assert [child.name for child in root.children] == ["store.attempt"]
 
+    @pytest.mark.parametrize("delay_s", [0.0, 0.005], ids=["inline", "pooled"])
+    def test_store_spans_of_a_batch_nest_under_the_request_span(self, delay_s):
+        """``read_batch`` runs a fast store's reads on the calling thread and a
+        waiting store's on its pool: either way each read's attempt span is a
+        child of the request's span."""
+        from harness.stores import BlockingStore
+
+        from repro.storage.base import RangeRead
+        from repro.storage.memory import InMemoryObjectStore
+        from repro.storage.resilient import ResilientStore
+
+        backend = BlockingStore(InMemoryObjectStore(), delay_s)
+        store = ResilientStore(backend, retries=0)
+        store.put("blob", b"0123456789")
+        store.read_batch([RangeRead("blob", 0, 1)])  # the probe measures the store
+        read_before = len(backend.read_threads)
+        root = Span("query")
+        with attach(root):
+            payloads = store.read_batch([RangeRead("blob", i, 2) for i in range(4)]).payloads
+        assert payloads == [b"01", b"12", b"23", b"34"]
+        assert [child.name for child in root.children] == ["store.attempt"] * 4
+        pooled = [name.startswith("airphant-fetch") for name in backend.read_threads[read_before:]]
+        assert pooled == [bool(delay_s)] * 4
+        store.close()
+
 
 class TestTraceStore:
     def _finished(self, name="query"):

@@ -1,7 +1,7 @@
 """Unit tests for the coalescing read pipeline."""
 
 import pytest
-from harness.stores import RecordingStore
+from harness.stores import BlockingStore, RecordingStore
 
 from repro.storage.base import RangeRead
 from repro.storage.latency import AffineLatencyModel
@@ -237,37 +237,48 @@ class TestReadBatchDelegation:
         assert sim_store.metrics.round_trips == 1
 
 
+@pytest.fixture
+def waiting_store() -> BlockingStore:
+    """A store whose reads wait, already measured slow: its batches use the pool."""
+    store = BlockingStore(InMemoryObjectStore())
+    store.put("blob", BLOB_DATA)
+    store.read_batch([RangeRead("blob", 0, 1)])  # the inline probe
+    return store
+
+
 class TestLifecycle:
-    def test_a_pipeline_owns_a_cache_not_a_pool(self, memory_store):
-        pipeline = ReadPipeline(memory_store, cache_bytes=64)
+    def test_a_pipeline_owns_a_cache_not_a_pool(self, waiting_store):
+        pipeline = ReadPipeline(waiting_store, cache_bytes=64)
         pipeline.fetch([RangeRead("blob", 0, 4)])
         assert pipeline.cached_bytes == 4
-        pool = memory_store.__dict__["_fetch_pool"]._pool
+        pool = waiting_store.__dict__["_fetch_pool"]._pool
+        assert pool is not None
         pipeline.clear_cache()
         assert pipeline.cached_bytes == 0
         # The worker pool is the store's: it outlives any pipeline over it.
-        assert memory_store.__dict__["_fetch_pool"]._pool is pool
-        memory_store.close()
+        assert waiting_store.__dict__["_fetch_pool"]._pool is pool
+        waiting_store.close()
 
-    def test_store_pool_is_reused_across_batches_and_pipelines(self, memory_store):
-        first = ReadPipeline(memory_store, max_concurrency=4)
+    def test_store_pool_is_reused_across_batches_and_pipelines(self, waiting_store):
+        first = ReadPipeline(waiting_store, max_concurrency=4)
         first.fetch([RangeRead("blob", 0, 4)])
-        fetch_pool = memory_store.__dict__["_fetch_pool"]
+        fetch_pool = waiting_store.__dict__["_fetch_pool"]
         pool = fetch_pool._pool
         assert pool is not None
-        ReadPipeline(memory_store, max_concurrency=4).fetch([RangeRead("blob", 4, 4)])
-        memory_store.read_batch([RangeRead("blob", 8, 4)], max_concurrency=4)
+        ReadPipeline(waiting_store, max_concurrency=4).fetch([RangeRead("blob", 4, 4)])
+        waiting_store.read_batch([RangeRead("blob", 8, 4)], max_concurrency=4)
         assert fetch_pool._pool is pool  # same executor, not a fresh one per batch
-        memory_store.close()
+        waiting_store.close()
         assert fetch_pool._pool is None
 
     def test_store_close_is_idempotent(self, memory_store):
         memory_store.close()
         memory_store.close()
 
-    def test_store_context_manager(self, memory_store):
-        with memory_store as store:
+    def test_store_context_manager(self, waiting_store):
+        with waiting_store as store:
             result = store.read_batch([RangeRead("blob", 0, 4)])
+            assert store.__dict__["_fetch_pool"]._pool is not None
         assert result.payloads == [BLOB_DATA[0:4]]
         assert store.__dict__["_fetch_pool"]._pool is None
 

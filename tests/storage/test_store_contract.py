@@ -2,9 +2,11 @@
 
 Parametrised over every :class:`~repro.storage.base.ObjectStore` in the tree
 — the three local backends, the two wrappers, the two socket backends
-(against ``harness/s3_emulator.py``) and a bare pass-through subclass that
+(against ``harness/s3_emulator.py``), a bare pass-through subclass that
 defines ``__init__`` without calling ``super().__init__()`` the way the
-``perfbench/`` and ``harness`` wrappers do.  Whatever the store, a batch
+``perfbench/`` and ``harness`` wrappers do, and a wrapper whose reads wait —
+the in-process stores' batches run inline, its run on the pool, so the
+contract holds on both paths.  Whatever the store, a batch
 returns what per-request ``get_range`` returns, in request order; errors come
 through untouched; and the pool behind it is the store's to close, rebuild
 and fork.
@@ -13,7 +15,12 @@ and fork.
 from __future__ import annotations
 
 import pytest
-from harness.stores import assert_no_fetch_threads, fetch_threads, passes_in_forked_child
+from harness.stores import (
+    BlockingStore,
+    assert_no_fetch_threads,
+    fetch_threads,
+    passes_in_forked_child,
+)
 
 from repro.storage.base import BlobNotFoundError, ObjectStore, RangeRead
 from repro.storage.faults import FlakyStore
@@ -80,6 +87,7 @@ STORE_KINDS = [
     "http",
     "s3",
     "bare-pass-through",
+    "blocking",
 ]
 
 
@@ -102,6 +110,8 @@ def store(request, tmp_path):
         built = S3ObjectStore(s3_emulator.bucket, endpoint=s3_emulator.endpoint, credentials=None)
     elif kind == "http":
         built = HTTPRangeStore(f"{s3_emulator.endpoint}/{s3_emulator.bucket}", timeout_s=5.0)
+    elif kind == "blocking":
+        built = BlockingStore(InMemoryObjectStore())
     else:
         built = BarePassThrough(InMemoryObjectStore())
     for name, data in BLOBS.items():
