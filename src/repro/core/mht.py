@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,9 +39,12 @@ class BinPointer:
         if self.offset < 0 or self.length < 0:
             raise ValueError("offset and length must be non-negative")
 
-    def to_range_read(self) -> RangeRead:
-        """The range read that fetches this superpost."""
-        return RangeRead(blob=self.blob, offset=self.offset, length=self.length)
+    def to_range_read(
+        self, decode: Callable[[bytes | memoryview], Any] | None = None
+    ) -> RangeRead:
+        """The range read that fetches this superpost (``decode``: what turns
+        its bytes into postings, see :attr:`RangeRead.decode`)."""
+        return RangeRead(self.blob, self.offset, self.length, decode=decode)
 
     @property
     def is_empty(self) -> bool:

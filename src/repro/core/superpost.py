@@ -60,6 +60,12 @@ from repro.parsing.documents import Posting
 #: and how to re-measure are in docs/ARCHITECTURE.md ("Posting lists").
 CROSSOVER = 128
 
+#: What a read cache charges per posting of a short (tuple) list: the memory
+#: one decoded ``Posting`` holds — its object and attribute dict, an offset
+#: ``int`` and a tuple slot — measured with ``tracemalloc`` at 140–180 bytes
+#: on CPython 3.11 (a long list costs the 16 bytes of its two columns).
+TUPLE_POSTING_BYTES = 144
+
 _OFFSET_BITS = 44
 #: Offsets a packed key can hold (exclusive).
 OFFSET_LIMIT = 1 << _OFFSET_BITS
@@ -182,6 +188,10 @@ class Superpost(Sequence[Posting]):
         if len(names) > BLOB_LIMIT or (len(offset) and int(offset.max()) >= OFFSET_LIMIT):
             return cls.ordered(_objects(names, rank, offset, length))
         key = (rank << _OFFSET_BITS) | offset
+        if length.base is not None:
+            # A view (the v1 decoder's, every third varint) would keep the
+            # decoder's whole column alive beyond what ``nbytes`` charges.
+            length = length.copy()
         return cls._adopt(None, names, key, length, _longest_run(key, length))
 
     # -- the sequence ---------------------------------------------------------------
@@ -212,6 +222,25 @@ class Superpost(Sequence[Posting]):
     def __repr__(self) -> str:
         form = "columns" if self._items is None else "tuple"
         return f"Superpost({len(self)} postings, {form})"
+
+    @property
+    def nbytes(self) -> int:
+        """What holding this list costs a read cache: its columns' ``nbytes``
+        when long, :data:`TUPLE_POSTING_BYTES` per posting when short."""
+        if self._items is None:
+            return self._key.nbytes + self._length.nbytes
+        return TUPLE_POSTING_BYTES * len(self._items)
+
+    def freeze(self) -> "Superpost":
+        """Make the columns read-only (this list, for chaining).
+
+        A cached list is shared by every query and server thread that reads
+        its range; no operation writes into its inputs, and a frozen column
+        turns an accidental in-place write into a ``ValueError``.
+        """
+        self._key.flags.writeable = False
+        self._length.flags.writeable = False
+        return self
 
     def document_bytes(self) -> int:
         """Sum of the postings' lengths: the bytes fetching them all would cost."""

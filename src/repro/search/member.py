@@ -45,10 +45,13 @@ class LookupPlan(NamedTuple):
     #: The superpost ranges to read — none when every word has no postings
     #: or belongs to a doomed conjunction — then, on a ranked
     #: plan of a member whose statistics are not resident yet, their reads.
+    #: A superpost read carries its shard's decoder, so its payload arrives
+    #: decoded (and, warm, from the read cache).
     reads: Sequence[RangeRead]
-    #: Turns the payloads of ``reads`` (same order; ``None`` for a straggler
-    #: the L⁺ drop gave up on) into every queried word's final postings list.
-    resolve: Callable[[Sequence[bytes | None]], dict[str, Superpost]]
+    #: Turns the payloads of ``reads`` (same order: a decoded superpost per
+    #: superpost read, ``None`` for a straggler the L⁺ drop gave up on, then
+    #: the statistics' bytes) into every queried word's final postings list.
+    resolve: Callable[[Sequence[Superpost | bytes | None]], dict[str, Superpost]]
     #: The words ``reads`` serve, and over how many shards (diagnostics).
     words: Sequence[str] = ()
     shards: int = 0
@@ -117,6 +120,11 @@ class ShardState:
         return cls(
             name, header.mht, header.string_table, header.metadata, header.format_version
         )
+
+    def decode(self, payload: bytes | memoryview) -> Superpost:
+        """One of this shard's superposts, decoded (every superpost read's
+        :attr:`~repro.storage.base.RangeRead.decode`)."""
+        return decode_superpost(payload, self.string_table, self.format_version)
 
 
 class IndexMember:
@@ -243,7 +251,8 @@ class IndexMember:
                 layers[(shard_index, word)] = range(
                     len(requests), len(requests) + len(pointers)
                 )
-                requests.extend(pointer.to_range_read() for pointer in pointers)
+                decode = shard.decode
+                requests.extend(pointer.to_range_read(decode) for pointer in pointers)
                 alive = True
             if alive:
                 fetch_words.append(word)
@@ -256,18 +265,18 @@ class IndexMember:
             requests, fetch_words = [], []
         statistics = self._statistics_reads() if ranked else []
 
-        def resolve(payloads: Sequence[bytes | None]) -> dict[str, Superpost]:
+        def resolve(payloads: Sequence[Superpost | bytes | None]) -> dict[str, Superpost]:
             if statistics:
                 self._install(payloads[len(requests) :])
             for word in fetch_words:
                 per_shard: list[Superpost] = []
-                for shard_index, shard in enumerate(self.shards):
+                for shard_index in range(len(self.shards)):
                     # A hedged-away straggler's payload is None: skip that layer
                     # (the intersection of the rest is still a valid superset).
                     superposts = [
-                        decode_superpost(payload, shard.string_table, shard.format_version)
+                        superpost
                         for index in layers.get((shard_index, word), ())
-                        if (payload := payloads[index]) is not None
+                        if (superpost := payloads[index]) is not None
                     ]
                     if superposts:
                         per_shard.append(Superpost.intersect_all(superposts))

@@ -432,7 +432,7 @@ class AirphantSearcher:
         """Wave 1, once: every plan's reads in one batch, then each plan
         resolved from its share of the payloads."""
         reading = [plan for plan in plans if plan.reads]
-        payloads: list[bytes | None] = []
+        payloads: list[Superpost | bytes | None] = []
         if reading:
             requests = [read for plan in reading for read in plan.reads]
             # The L+ drop reasons about one word's layer reads, and with
@@ -520,18 +520,21 @@ class AirphantSearcher:
         requests: list[RangeRead],
         account: Callable[[float, float, float, int], None],
         required: int | None = None,
-    ) -> list[bytes | None]:
-        """One batch of range reads; what the query waited for it goes to
-        ``account``."""
+    ) -> list[Superpost | bytes | None]:
+        """One batch of range reads, each payload as its read's decoder makes
+        it; what the query waited for it goes to ``account``."""
         assert self.pipeline is not None, "no member of this searcher was opened on a store"
         if required is None:
             fetch = self.pipeline.fetch(requests)
+            payloads = fetch.payloads
         else:
-            # Hedging needs per-request latencies, so it bypasses the pipeline.
+            # Hedging needs per-request latencies, so it bypasses the pipeline
+            # (and its cache), decoding through the same hook.
             fetch = self.pipeline.store.read_batch(
                 requests, self.pipeline.max_concurrency, required=required
             )
+            payloads = [read.decoded(data) for read, data in zip(requests, fetch.payloads)]
         if fetch.batch.requests:
             batch = fetch.batch
             account(batch.total_ms, batch.wait_ms, batch.download_ms, batch.nbytes)
-        return fetch.payloads
+        return payloads

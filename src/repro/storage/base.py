@@ -10,8 +10,8 @@ postings.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable
 
 from repro.observability.tracing import attach, current_span
 from repro.storage.metrics import BatchRecord, RequestRecord
@@ -80,18 +80,34 @@ class RangeRead:
     With ``optional`` a missing blob is an answer, not a failure: the payload
     is ``None`` and the rest of the batch is unaffected (how an index is
     opened — "is there a shard manifest?" costs no round trip of its own).
+
+    ``decode`` turns the bytes into what the reader wants (a superpost's
+    postings): a :class:`~repro.storage.pipeline.ReadPipeline` calls it once
+    per range — on a ``memoryview`` into the physical payload, which the
+    decoded value must not keep — and caches the result, so a warm read
+    decodes nothing.  It is not part of the range's identity — stores read
+    only the bytes — and every read of one range must carry the same decoder.
     """
 
     blob: str
     offset: int = 0
     length: int | None = None
     optional: bool = False
+    decode: Callable[[bytes | memoryview], Any] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.offset < 0:
             raise ValueError(f"offset must be non-negative, got {self.offset}")
         if self.length is not None and self.length < 0:
             raise ValueError(f"length must be non-negative, got {self.length}")
+
+    def decoded(self, payload: bytes | None) -> Any:
+        """``payload`` as this read's reader wants it (``None`` stays ``None``)."""
+        if self.decode is None or payload is None:
+            return payload
+        return self.decode(payload)
 
 
 class ObjectStore(ABC):

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import count
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.storage.metrics import BatchRecord
 
@@ -73,10 +73,13 @@ def _shutdown_pool(pool: ThreadPoolExecutor, owner_pid: int) -> None:
 class FetchResult:
     """Payloads plus the timing of the batch that fetched them.
 
-    The default is the empty batch: nothing read, nothing charged.
+    The default is the empty batch: nothing read, nothing charged.  A
+    store's payloads are bytes (``None`` for a missing optional blob); a
+    :class:`~repro.storage.pipeline.ReadPipeline` hands a read with a
+    decoder its decoded value instead.
     """
 
-    payloads: list[bytes] = field(default_factory=list)
+    payloads: list[Any] = field(default_factory=list)
     batch: BatchRecord = BatchRecord()
 
     @property

@@ -18,8 +18,12 @@ and, per batch:
 
 Logical payloads are sliced back out of the physical payloads, so callers
 observe byte-for-byte the same results as raw fetching (including end-of-blob
-truncation, which slicing reproduces exactly).  Everything the pipeline saved
-or spent is accounted in :class:`PipelineStats`.
+truncation, which slicing reproduces exactly).  A read that carries a decoder
+(:attr:`RangeRead.decode <repro.storage.base.RangeRead.decode>` — a
+superpost's) gets the decoded value instead: its slice is decoded once, and
+the cache holds the decoded value, frozen and charged its ``nbytes``, so a
+warm read decodes nothing.  Everything the pipeline saved or spent is
+accounted in :class:`PipelineStats`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Protocol
 
 from repro.observability import MetricsRegistry, MirroredStats, get_registry
 from repro.observability.tracing import span
@@ -36,6 +40,27 @@ from repro.storage.parallel import FetchResult
 
 #: Cache key of one bounded logical range.
 _RangeKey = tuple[str, int, int]
+
+
+class Decoded(Protocol):
+    """What a read's decoder returns, as the block cache holds it."""
+
+    #: What holding the value costs the cache's byte budget.
+    nbytes: int
+
+    def freeze(self) -> Any:
+        """Make the value read-only: a cached value is shared by every reader."""
+        ...
+
+
+#: One cached range: its bytes, or the decoded value of a read with a decoder.
+_Entry = bytes | Decoded
+
+
+def _charge(entry: _Entry) -> int:
+    """What ``entry`` costs the cache's byte budget."""
+    return len(entry) if isinstance(entry, bytes) else entry.nbytes
+
 
 #: PipelineStats field -> (registry counter name, help) mirrored on update.
 _PIPELINE_COUNTERS: dict[str, tuple[str, str]] = {
@@ -135,7 +160,7 @@ class _Placement:
     physical_index: int = 0
     start: int = 0  # slice start within the physical payload
     length: int | None = None  # slice length (None = to the end)
-    payload: bytes = b""  # resolved bytes for "cache"/"empty" placements
+    payload: _Entry = b""  # resolved value for "cache"/"empty" placements
 
 
 @dataclass
@@ -162,9 +187,10 @@ class ReadPipeline:
     max_concurrency:
         Most physical requests in flight at once, handed to ``read_batch``.
     cache_bytes:
-        Byte budget of the LRU block cache keyed by exact logical range.
-        ``0`` (the default) disables caching, keeping the pipeline a pure
-        per-batch optimizer with no cross-query state.
+        Byte budget of the LRU block cache keyed by exact logical range:
+        a range of bytes is charged its length, a decoded value its
+        ``nbytes``.  ``0`` (the default) disables caching, keeping the
+        pipeline a pure per-batch optimizer with no cross-query state.
     metrics:
         Registry the pipeline's :class:`PipelineStats` mirror into;
         defaults to the process-wide registry
@@ -191,7 +217,7 @@ class ReadPipeline:
         self._store = store
         self._max_concurrency = max_concurrency
         self._cache_bytes = cache_bytes
-        self._cache: OrderedDict[_RangeKey, bytes] = OrderedDict()
+        self._cache: OrderedDict[_RangeKey, _Entry] = OrderedDict()
         self._cached_bytes = 0
         # The cache is shared across server threads; all cache mutations
         # happen under this lock (the physical fetch itself runs outside it;
@@ -218,7 +244,8 @@ class ReadPipeline:
 
     @property
     def cached_bytes(self) -> int:
-        """Bytes currently held by the block cache."""
+        """What the block cache's entries are charged in total (never more
+        than :attr:`cache_bytes`)."""
         return self._cached_bytes
 
     def clear_cache(self) -> None:
@@ -230,7 +257,8 @@ class ReadPipeline:
     # -- fetching ----------------------------------------------------------------
 
     def fetch(self, requests: list[RangeRead]) -> FetchResult:
-        """Fetch all ``requests``, returning payloads in request order.
+        """Fetch all ``requests``, returning payloads in request order — a
+        read with a decoder gets its decoded value.
 
         At most one physical batch is issued; a batch fully served from the
         cache issues none and does not call the store at all (its
@@ -247,7 +275,8 @@ class ReadPipeline:
         -------
         A :class:`~repro.storage.parallel.FetchResult` whose payloads are
         byte-for-byte what raw fetching would have returned (end-of-blob
-        truncation included) and whose batch record carries the timing of
+        truncation included), or those bytes decoded by the read's decoder,
+        and whose batch record carries the timing of
         the *physical* batch.  Timing caveat: against a simulated store the
         recorded latency covers only the coalesced physical requests — the
         whole point — so it is not comparable with a raw per-request
@@ -390,52 +419,57 @@ class ReadPipeline:
         requests: list[RangeRead],
         placements: list[_Placement],
         physical_payloads: list[bytes | None],
-    ) -> list[bytes | None]:
-        """Slice each logical payload out of its physical (or cached) source."""
-        payloads: list[bytes | None] = []
-        fills: list[tuple[_RangeKey, bytes]] = []
+    ) -> list[Any]:
+        """Slice each logical payload out of its physical (or cached) source;
+        a read with a decoder gets its slice decoded, once per range."""
+        payloads: list[Any] = []
+        fills: dict[_RangeKey, _Entry] = {}
         for request, placement in zip(requests, placements):
-            if placement.source == "empty":
-                payloads.append(b"")
-                continue
-            if placement.source == "cache":
+            if placement.source != "physical":  # served from the cache, or empty
                 payloads.append(placement.payload)
                 continue
             source = physical_payloads[placement.physical_index]
-            if source is None:  # an optional read of a missing blob
-                payloads.append(None)
-                continue
             if placement.length is None:  # passed through: neither sliced nor cached
-                payloads.append(source)
+                payloads.append(request.decoded(source))
                 continue
-            data = source[placement.start : placement.start + placement.length]
-            payloads.append(data)
-            fills.append(((request.blob, request.offset, request.length), data))
+            key = (request.blob, request.offset, request.length)
+            entry = fills.get(key)
+            if entry is None:
+                end = placement.start + placement.length
+                if request.decode is None:
+                    entry = source[placement.start : end]
+                else:  # decoded straight from the physical payload: no copy
+                    entry = request.decode(memoryview(source)[placement.start : end])
+                fills[key] = entry
+            payloads.append(entry)
         if fills and self._cache_bytes > 0:
             with self._lock:
-                for key, data in fills:
-                    self._cache_put(key, data)
+                for key, entry in fills.items():
+                    self._cache_put(key, entry)
         return payloads
 
     # -- cache (callers hold self._lock) ------------------------------------------
 
-    def _cache_get(self, key: _RangeKey) -> bytes | None:
+    def _cache_get(self, key: _RangeKey) -> _Entry | None:
         if self._cache_bytes <= 0:
             return None
-        data = self._cache.get(key)
-        if data is None:
+        entry = self._cache.get(key)
+        if entry is None:
             return None
         self._cache.move_to_end(key)
-        return data
+        return entry
 
-    def _cache_put(self, key: _RangeKey, data: bytes) -> None:
-        if len(data) > self._cache_bytes:
-            return  # a block larger than the whole budget is never cached
+    def _cache_put(self, key: _RangeKey, entry: _Entry) -> None:
+        charge = _charge(entry)
+        if charge > self._cache_bytes:
+            return  # an entry larger than the whole budget is never cached
+        if not isinstance(entry, bytes):
+            entry.freeze()
         previous = self._cache.pop(key, None)
         if previous is not None:
-            self._cached_bytes -= len(previous)
-        self._cache[key] = data
-        self._cached_bytes += len(data)
+            self._cached_bytes -= _charge(previous)
+        self._cache[key] = entry
+        self._cached_bytes += charge
         while self._cached_bytes > self._cache_bytes:
             _, evicted = self._cache.popitem(last=False)
-            self._cached_bytes -= len(evicted)
+            self._cached_bytes -= _charge(evicted)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.superpost import CROSSOVER, OFFSET_LIMIT, Superpost
+from repro.core.superpost import CROSSOVER, OFFSET_LIMIT, TUPLE_POSTING_BYTES, Superpost
 from repro.parsing.documents import Posting
 
 
@@ -186,3 +186,47 @@ class TestSetAlgebra:
         merged = Superpost.union_all([left, right])
         assert list(merged) == sorted(set(left) | set(right))
         assert list(left.difference(right)) == sorted(set(left) - set(right))
+
+
+class TestFrozen:
+    """A read cache shares one decoded list across queries and threads."""
+
+    def test_an_in_place_write_to_a_frozen_list_raises(self):
+        superpost = _long(range(50)).freeze()
+        for column in (superpost._key, superpost._length):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        short = Superpost({_posting(1)}).freeze()
+        with pytest.raises(TypeError):
+            short._items[0] = _posting(2)  # a tuple never accepts a write
+
+    def test_every_operation_works_on_frozen_lists(self):
+        for make in (lambda ix: Superpost(map(_posting, ix)), _long):
+            left, right = make(range(0, 60)).freeze(), make(range(30, 90)).freeze()
+            expected_left, expected_right = set(make(range(0, 60))), set(make(range(30, 90)))
+            assert set(Superpost.intersect_all([left, right])) == expected_left & expected_right
+            assert set(Superpost.union_all([left, right])) == expected_left | expected_right
+            assert set(left.difference(right)) == expected_left - expected_right
+            condemned = {_posting(index) for index in range(0, 60, 7)}
+            kept, dropped = left.split(condemned)
+            assert set(kept) == expected_left - condemned and set(dropped) == condemned
+            assert left.take(2, 5) == sorted(expected_left)[2:5]
+            # One frozen input stays what it was: nothing wrote through it.
+            assert set(left) == expected_left and set(right) == expected_right
+
+    def test_a_one_layer_word_returns_the_frozen_list_itself(self):
+        superpost = _long(range(10)).freeze()
+        assert Superpost.intersect_all([superpost]) is superpost
+        assert Superpost.union_all([superpost]) is superpost
+
+
+class TestNbytes:
+    def test_a_long_list_is_charged_its_columns(self):
+        superpost = _long(range(10))
+        assert superpost.nbytes == superpost._key.nbytes + superpost._length.nbytes
+        assert superpost.nbytes == 16 * len(superpost)
+
+    def test_a_short_list_is_charged_per_posting(self):
+        superpost = Superpost(map(_posting, range(5)))
+        assert superpost.nbytes == TUPLE_POSTING_BYTES * 5
+        assert Superpost().nbytes == 0

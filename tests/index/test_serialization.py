@@ -197,6 +197,18 @@ class TestVectorisedDecoder:
         )
 
     @pytest.mark.parametrize("version", [FORMAT_V1, FORMAT_V2])
+    def test_a_long_list_owns_its_columns_and_reads_from_a_view(self, version):
+        # A read cache charges the columns' nbytes: they may keep no larger
+        # decoder array alive, nor the payload they were decoded from.
+        table = StringTable()
+        many = {Posting("b", 3 * at, 2) for at in range(2 * CROSSOVER + 1)}
+        data = encode_superpost(many, table, version)
+        decoded = decode_superpost(memoryview(b"pad" + data)[3:], table, version)
+        assert list(decoded) == sorted(many)
+        assert decoded._key.base is None and decoded._length.base is None
+        assert decoded.nbytes == decoded._key.nbytes + decoded._length.nbytes
+
+    @pytest.mark.parametrize("version", [FORMAT_V1, FORMAT_V2])
     def test_offsets_beyond_the_packed_key_still_round_trip(self, version):
         # 63-bit offsets (9-byte varints; v2 deltas of that size too) are
         # legal on the wire: such a list decodes exactly, as a tuple.

@@ -103,10 +103,12 @@ class Site:
         return frozenset(sorted(self.truth("ERROR"))[::3])
 
     def resolve(self, words, fail_fast: bool = False) -> dict:
-        """The member's plan, read the way the executor reads it: one batch."""
+        """The member's plan, read the way the executor reads it: one batch,
+        each payload decoded by its read's decoder."""
         plan = self.member.plan(words, fail_fast)
         assert self.reads == [], "planning must not touch the store"
-        return plan.resolve(self.store.read_batch(plan.reads).payloads)
+        payloads = self.store.read_batch(plan.reads).payloads
+        return plan.resolve([read.decoded(data) for read, data in zip(plan.reads, payloads)])
 
     @property
     def reads(self) -> list:

@@ -267,7 +267,8 @@ def big() -> BigSite:
 def _resolved(member, store, word: str) -> Superpost:
     """``word``'s final postings list as ``member`` resolves it."""
     plan = member.plan([word])
-    return plan.resolve(store.read_batch(plan.reads).payloads)[word]
+    payloads = store.read_batch(plan.reads).payloads
+    return plan.resolve([read.decoded(data) for read, data in zip(plan.reads, payloads)])[word]
 
 
 def _traced(search):

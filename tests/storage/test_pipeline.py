@@ -226,6 +226,115 @@ class TestBlockCache:
             assert pipeline.fetch(requests).payloads == direct(memory_store, requests)
 
 
+class _Decoded:
+    """A decoded range: its bytes reversed, charged ten bytes per byte."""
+
+    def __init__(self, data: memoryview) -> None:
+        self.data = bytes(data[::-1])
+        self.nbytes = 10 * len(data)
+        self.frozen = False
+
+    def freeze(self) -> "_Decoded":
+        self.frozen = True
+        return self
+
+
+class _Decoder:
+    """Decodes into :class:`_Decoded`, remembering every payload it decoded."""
+
+    def __init__(self) -> None:
+        self.calls: list[bytes] = []
+
+    def __call__(self, data: memoryview) -> _Decoded:
+        self.calls.append(bytes(data))
+        return _Decoded(data)
+
+
+def _decoded_reads(decoder, *ranges) -> list[RangeRead]:
+    return [RangeRead("blob", offset, length, decode=decoder) for offset, length in ranges]
+
+
+class TestDecodedEntries:
+    def test_the_decoder_is_not_part_of_a_reads_identity(self):
+        assert RangeRead("blob", 0, 8, decode=_Decoder()) == RangeRead("blob", 0, 8)
+        assert hash(RangeRead("blob", 0, 8, decode=_Decoder())) == hash(RangeRead("blob", 0, 8))
+
+    def test_a_coalesced_payload_is_split_and_each_range_decoded_once(self, memory_store):
+        decoder = _Decoder()
+        pipeline = ReadPipeline(memory_store)
+        requests = _decoded_reads(decoder, (0, 8), (8, 8), (0, 8))
+        payloads = pipeline.fetch(requests).payloads
+        assert pipeline.stats.requests_out == 1  # one physical read
+        assert decoder.calls == [BLOB_DATA[0:8], BLOB_DATA[8:16]]  # one decode per range
+        assert [p.data for p in payloads] == [BLOB_DATA[7::-1], BLOB_DATA[15:7:-1], BLOB_DATA[7::-1]]
+        assert payloads[0] is payloads[2]
+
+    def test_a_warm_read_returns_the_cached_value_without_decoding(self, memory_store):
+        decoder = _Decoder()
+        pipeline = ReadPipeline(memory_store, cache_bytes=4096)
+        requests = _decoded_reads(decoder, (0, 8), (100, 4))
+        first = pipeline.fetch(requests).payloads
+        second = pipeline.fetch(requests).payloads
+        assert len(decoder.calls) == 2
+        assert all(cold is warm and warm.frozen for cold, warm in zip(first, second))
+        assert pipeline.cached_bytes == 80 + 40  # charged nbytes, not length
+        assert (pipeline.stats.cache_hits, pipeline.stats.cache_misses) == (2, 2)
+
+    def test_an_uncached_pipeline_decodes_every_read(self, memory_store):
+        decoder = _Decoder()
+        pipeline = ReadPipeline(memory_store)
+        for _ in range(3):
+            pipeline.fetch(_decoded_reads(decoder, (0, 8)))
+        assert len(decoder.calls) == 3 and pipeline.cached_bytes == 0
+
+    def test_charged_total_never_exceeds_a_tiny_budget(self, memory_store):
+        decoder = _Decoder()
+        budget = 200
+        pipeline = ReadPipeline(memory_store, cache_bytes=budget)
+        for step in range(40):
+            offset = (step * 37) % 1000
+            pipeline.fetch(
+                [*_decoded_reads(decoder, (offset, 8), (offset + 500, 3)), RangeRead("other", offset, 30)]
+            )
+            charged = sum(
+                len(entry) if isinstance(entry, bytes) else entry.nbytes
+                for entry in pipeline._cache.values()
+            )
+            assert pipeline.cached_bytes == charged <= budget
+        assert pipeline.cached_bytes > 0
+        # A 21-byte range charges 210: larger than the whole budget, never cached.
+        pipeline.clear_cache()
+        pipeline.fetch(_decoded_reads(decoder, (0, 21)))
+        assert pipeline.cached_bytes == 0
+
+    def test_undecoded_and_pass_through_reads_keep_their_bytes(self, memory_store):
+        decoder = _Decoder()
+        pipeline = ReadPipeline(memory_store, cache_bytes=4096)
+        requests = [
+            RangeRead("blob", 0, 8),
+            RangeRead("blob", 8, 8, decode=decoder),
+            RangeRead("blob", 16, None, decode=decoder),
+            RangeRead("missing", optional=True, decode=decoder),
+        ]
+        payloads = pipeline.fetch(requests).payloads
+        assert payloads[0] == BLOB_DATA[0:8]
+        assert payloads[1].data == BLOB_DATA[15:7:-1]
+        assert payloads[2].data == BLOB_DATA[16:][::-1]  # decoded, never cached
+        assert payloads[3] is None
+        assert len(pipeline._cache) == 2
+
+    def test_stats_are_those_of_the_byte_cache(self, memory_store):
+        """Decoders change what a cached range holds, never what is read or counted."""
+        sequence = [[(0, 8), (8, 8)], [(0, 8), (64, 16)], [(8, 8), (0, 8), (300, 4)], [(64, 16)]]
+        counted = []
+        for decoder in (None, _Decoder()):
+            pipeline = ReadPipeline(memory_store, cache_bytes=1 << 20)
+            for batch in sequence:
+                pipeline.fetch(_decoded_reads(decoder, *batch))
+            counted.append(pipeline.stats.to_dict())
+        assert counted[0] == counted[1]
+
+
 class TestReadBatchDelegation:
     def test_read_batch_is_one_round_trip_on_simulated_stores(self, sim_store):
         sim_store.metrics.reset()
