@@ -20,9 +20,9 @@ Logical payloads are sliced back out of the physical payloads, so callers
 observe byte-for-byte the same results as raw fetching (including end-of-blob
 truncation, which slicing reproduces exactly).  A read that carries a decoder
 (:attr:`RangeRead.decode <repro.storage.base.RangeRead.decode>` — a
-superpost's) gets the decoded value instead: its slice is decoded once, and
-the cache holds the decoded value, frozen and charged its ``nbytes``, so a
-warm read decodes nothing.  Everything the pipeline saved or spent is
+superpost's) gets the decoded value instead: its range is decoded once,
+straight from the physical payload, and the cache holds the decoded value,
+frozen and charged its ``nbytes``, so a warm read decodes nothing.  Everything the pipeline saved or spent is
 accounted in :class:`PipelineStats`.
 """
 
