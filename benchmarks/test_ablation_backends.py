@@ -131,7 +131,6 @@ def _run():
             backoff_ms=2.0,
             backoff_jitter=0.1,
             hedge_ms=hedge_ms,
-            hedge_concurrency=64,
             seed=13,
             metrics=registry,
         )

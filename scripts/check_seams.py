@@ -20,13 +20,16 @@ fails on:
   ride the lookup wave too.
 
 The read path has one clock seam — ``ObjectStore.read_batch`` — and one
-fetch pool per store.  This script also fails on:
+fetch pool per store, which also runs a resilient store's hedge racers.
+This script also fails on:
 
 * any ``isinstance(..., SimulatedCloudStore)`` outside ``storage/`` (the
   simulator is just another store; what a read cost is what ``read_batch``
   says it cost),
-* a ``ThreadPoolExecutor(`` under ``storage/`` anywhere but the one pool
-  helper (``parallel.py``) and ``resilient.py``'s hedge pool.
+* a ``ThreadPoolExecutor(`` anywhere under ``src/repro`` but the three
+  pools of ``POOL_SITES``: the fetch pool (``storage/parallel.py``), the
+  builder's shard pool (``index/builder.py``) and the router's one pool
+  (``cluster/router.py``), one each.
 
 The on-store index layout has one owner — ``index/store_layout.py`` — and
 one opener.  This script also fails on:
@@ -101,8 +104,12 @@ SEAM_PACKAGES = ("search", "ingest", "service")
 #: Packages allowed to know the simulator's type.
 SIMULATOR_PACKAGES = ("storage",)
 MAX_SIMULATOR_CHECKS = 0
-#: The only files under ``storage/`` that may build a thread pool.
-POOL_FILES = ("parallel.py", "resilient.py")
+#: The only files that may build a thread pool -> how many sites each may have.
+POOL_SITES = {
+    ("storage", "parallel.py"): 1,
+    ("index", "builder.py"): 1,
+    ("cluster", "router.py"): 1,
+}
 
 _FORBIDDEN = {
     "__getattr__ pass-through": re.compile(r"def\s+__getattr__\b"),
@@ -261,6 +268,7 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
             (prefix for prefix in OPEN_PATH if parts[: len(prefix)] == prefix), None
         )
         functions = enclosing_functions(path) if open_path is not None else {}
+        pools = 0
         for number, text in code_lines(path):
             where = f"{path.relative_to(root.parent.parent)}:{number}"
             if open_path is not None and _EXISTS_CALL.search(text):
@@ -302,12 +310,10 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 problems.append(f"{where}: retired read-path knob")
             if package not in SIMULATOR_PACKAGES and _SIMULATOR_CHECK.search(text):
                 simulator_checks.append(where)
-            if (
-                package == "storage"
-                and path.name not in POOL_FILES
-                and _POOL_CONSTRUCTION.search(text)
-            ):
-                problems.append(f"{where}: thread pool outside the storage pool helper")
+            if _POOL_CONSTRUCTION.search(text):
+                pools += 1
+                if pools > POOL_SITES.get(parts, 0):
+                    problems.append(f"{where}: a thread pool beyond the allowed sites")
     if len(simulator_checks) > MAX_SIMULATOR_CHECKS:
         problems.append(
             f"{len(simulator_checks)} isinstance(..., SimulatedCloudStore) checks outside "

@@ -5,8 +5,8 @@ nodes are stateless (all index state lives in the object store), so a query
 tier can grow and shrink freely.  This package adds the missing serving
 layer on top of the single-node service:
 
-* :mod:`~repro.cluster.topology` — which node answers which shard, via the
-  consistent-hash placement math of :mod:`repro.search.replication`;
+* :mod:`~repro.cluster.topology` — which node answers which shard, via a
+  consistent-hash ring;
 * :mod:`~repro.cluster.health` — background ``/healthz`` probes with
   mark-down / mark-up and backoff, feeding routing decisions;
 * :mod:`~repro.cluster.router` — the scatter-gather

@@ -18,7 +18,9 @@ the partial answers back into a single typed
   *duplicated* to the next replica and the first answer wins — the
   storage layer's hedged-read defense (Section IV-G /
   :class:`~repro.storage.resilient.ResilientStore`) applied one level up,
-  across nodes instead of requests.
+  across nodes instead of requests.  The calling thread drives failover
+  and hedging for every group; the router's one pool runs only the node
+  requests themselves, so no pooled task ever waits on another.
 * **gather** — surviving answers merge exactly like a single node would:
   documents are de-duplicated by ``(blob, offset, length)`` and sorted in
   posting order (partitions are disjoint, so this reproduces the
@@ -44,7 +46,7 @@ import inspect
 import json
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
@@ -207,15 +209,11 @@ class QueryRouter:
         # routing costs zero extra round trips.  Invalidated on 404 replans.
         self._num_shards: dict[str, int] = {}
         self._num_shards_lock = threading.Lock()
-        # Scatter pool: wide enough for a full fan-out; hedge duplicates run
-        # on their own pool so they can never starve the primaries that
-        # spawned them.
-        workers = max(8, 2 * len(self._topology.peers))
+        # Node requests, primaries and hedges alike: wide enough for a full
+        # fan-out.  Its tasks never wait on one another (``_scatter``).
         self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="airphant-router"
-        )
-        self._hedge_pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="airphant-router-hedge"
+            max_workers=max(8, 2 * len(self._topology.peers)),
+            thread_name_prefix="airphant-router",
         )
 
         self._requests_metric = self._metrics.counter(
@@ -261,11 +259,10 @@ class QueryRouter:
         return self._health
 
     def close(self) -> None:
-        """Stop probing, release the scatter pools and idle connections (idempotent)."""
+        """Stop probing, release the scatter pool and idle connections (idempotent)."""
         if self._owns_health:
             self._health.close()
         self._pool.shutdown(wait=False)
-        self._hedge_pool.shutdown(wait=False)
         for pool in self._connections.values():
             pool.close()
 
@@ -362,42 +359,25 @@ class QueryRouter:
             shards=num_shards,
             groups=len(plan.groups),
         ):
-            # Pool threads do not inherit contextvars; re-attach the ambient
-            # span so each group's node spans land under this route span.
-            parent = current_span()
-
-            def query_group(
-                candidates: tuple[str, ...], ordinals: tuple[int, ...]
-            ) -> SearchResponse:
-                with attach(parent):
-                    return self._query_group(request, candidates, ordinals)
-
-            futures = {
-                self._pool.submit(query_group, candidates, ordinals): (
-                    candidates,
-                    ordinals,
-                )
-                for candidates, ordinals in plan.groups
-            }
+            outcomes = self._scatter(request, plan.groups)
             responses: list[SearchResponse] = []
             shard_errors: list[ShardErrorInfo] = []
             definitive: ServiceError | None = None
-            for future in futures:
-                candidates, ordinals = futures[future]
-                try:
-                    responses.append(future.result())
-                except ServiceError as error:
+            for (candidates, ordinals), outcome in zip(plan.groups, outcomes):
+                if isinstance(outcome, SearchResponse):
+                    responses.append(outcome)
+                elif isinstance(outcome, ServiceError):
                     # A typed 4xx from any node condemns the whole request
                     # (same query everywhere — the others would reject it too).
-                    definitive = definitive or error
-                except NodeQueryError as error:
+                    definitive = definitive or outcome
+                else:
                     self._shard_errors_metric.inc(len(ordinals))
                     shard_errors.extend(
                         ShardErrorInfo(
                             shard=ordinal,
                             node=candidates[-1] if candidates else "",
-                            error=error.code,
-                            message=str(error),
+                            error=outcome.code,
+                            message=str(outcome),
                         )
                         for ordinal in ordinals
                     )
@@ -413,77 +393,88 @@ class QueryRouter:
                 )
             return self._merge(request, responses, shard_errors)
 
-    def _query_group(
+    def _scatter(
         self,
         request: SearchRequest,
-        candidates: tuple[str, ...],
-        ordinals: tuple[int, ...],
-    ) -> SearchResponse:
-        """One group's answer, with failover, retries, and optional hedging.
+        groups: tuple[tuple[tuple[str, ...], tuple[int, ...]], ...],
+    ) -> list[SearchResponse | ServiceError | NodeQueryError]:
+        """Every group's answer, or the error that ended it, in plan order.
 
-        Tries the health-ordered candidates in sequence (``node_retries``
-        extra passes), marking each outcome in the health tracker.  With
-        hedging on, the first attempt races the primary against a
-        delay-started backup.  Raises the last :class:`NodeQueryError`
-        when every attempt fails.
+        This thread coordinates; the pool runs only :meth:`_query_node`
+        calls, so no pooled task waits on the pool it runs on.  A group tries
+        its health-ordered candidates one at a time, with ``node_retries``
+        extra passes over them.  With hedging on, a group whose primary is
+        still alone in flight after ``node_hedge_ms`` races a backup on the
+        second candidate and the first answer wins; a primary that fails
+        sooner skips the backup, and a failed race falls over to the
+        candidates after the pair.  A typed 4xx ends its group at once.
+        Losers of a race finish in the background, unwaited for.
         """
-        if not candidates:
-            raise NodeQueryError("no_replicas", "no replica assigned")
-        if self._node_hedge_ms > 0 and len(candidates) > 1:
-            try:
-                return self._query_hedged(request, candidates, ordinals)
-            except NodeQueryError as error:
-                last_error = error
-                remaining = list(candidates[2:])
-        else:
-            last_error = None
-            remaining = list(candidates)
-        attempts = remaining + list(candidates) * self._node_retries
-        first = last_error is None
-        for node in attempts:
-            if not first:
-                self._failovers_metric.inc()
-            first = False
-            try:
-                response = self._query_node(request, node, ordinals)
-            except NodeQueryError as error:
-                last_error = error
-                continue
-            return response
-        assert last_error is not None
-        raise last_error
-
-    def _query_hedged(
-        self,
-        request: SearchRequest,
-        candidates: tuple[str, ...],
-        ordinals: tuple[int, ...],
-    ) -> SearchResponse:
-        """Race the primary against a backup started ``node_hedge_ms`` later."""
+        # Pool threads do not inherit contextvars; re-attach the ambient
+        # span so each node span lands under the route span.
         parent = current_span()
 
-        def query_node(node: str) -> SearchResponse:
+        def query_node(node: str, ordinals: tuple[int, ...]) -> SearchResponse:
             with attach(parent):
                 return self._query_node(request, node, ordinals)
 
-        primary = self._hedge_pool.submit(query_node, candidates[0])
-        done, _ = wait([primary], timeout=self._node_hedge_ms / 1000.0)
-        if done:
-            return primary.result()  # raises the primary's NodeQueryError
-        self._hedges_metric.inc()
-        backup = self._hedge_pool.submit(query_node, candidates[1])
-        pending = {primary, backup}
-        last_error: NodeQueryError | None = None
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+        hedge_s = self._node_hedge_ms / 1000.0
+        outcomes: list[SearchResponse | ServiceError | NodeQueryError | None] = []
+        #: Per group: the nodes still to fall over to, in order.
+        queues: list[list[str]] = []
+        #: Group -> (when to hedge, the backup node) while its primary runs alone.
+        backups: dict[int, tuple[float, str]] = {}
+        running: dict[Future[SearchResponse], int] = {}
+
+        def launch(group: int, node: str) -> None:
+            running[self._pool.submit(query_node, node, groups[group][1])] = group
+
+        for group, (candidates, _) in enumerate(groups):
+            hedged = hedge_s > 0 and len(candidates) > 1
+            queues.append(
+                list(candidates[2 if hedged else 1 :]) + list(candidates) * self._node_retries
+            )
+            if not candidates:
+                outcomes.append(NodeQueryError("no_replicas", "no replica assigned"))
+                continue
+            outcomes.append(None)
+            if hedged:
+                backups[group] = (time.monotonic() + hedge_s, candidates[1])
+            launch(group, candidates[0])
+        while None in outcomes:
+            timeout = None
+            if backups:
+                next_hedge = min(at for at, _ in backups.values())
+                timeout = max(0.0, next_hedge - time.monotonic())
+            done, _ = wait(running, timeout=timeout, return_when=FIRST_COMPLETED)
             for future in done:
+                group = running.pop(future, None)
+                if group is None:
+                    continue  # the loser of a race its group already settled
                 try:
-                    return future.result()
+                    outcomes[group] = future.result()
+                except ServiceError as error:
+                    outcomes[group] = error
                 except NodeQueryError as error:
-                    last_error = error
-                # ServiceError (typed 4xx) propagates out of the loop.
-        assert last_error is not None
-        raise last_error
+                    if group in running.values():
+                        continue  # its racer is still out
+                    backups.pop(group, None)
+                    if not queues[group]:
+                        outcomes[group] = error
+                        continue
+                    self._failovers_metric.inc()
+                    launch(group, queues[group].pop(0))
+                    continue
+                backups.pop(group, None)
+                for loser in [f for f, owner in running.items() if owner == group]:
+                    del running[loser]
+            now = time.monotonic()
+            for group, (at, node) in list(backups.items()):
+                if at <= now:
+                    del backups[group]
+                    self._hedges_metric.inc()
+                    launch(group, node)
+        return outcomes  # type: ignore[return-value]
 
     def _query_node(
         self, request: SearchRequest, node: str, ordinals: tuple[int, ...]

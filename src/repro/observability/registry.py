@@ -14,8 +14,8 @@ into.  Design constraints:
   / min / max) per label set, never raw samples, so a registry's footprint
   is independent of traffic volume.
 * **Thread safety** — every layer records from pool threads (the stores'
-  fetch pools, the hedge pool, HTTP server threads); each metric guards its
-  series map with its own lock.
+  fetch pools, which also run hedged reads, the router's pool, HTTP server
+  threads); each metric guards its series map with its own lock.
 
 The registry renders itself three ways: :meth:`MetricsRegistry.snapshot`
 (JSON-able, used by ``/healthz`` and ``airphant stats``),

@@ -32,8 +32,8 @@ calls :func:`span` and gets a real child span when a trace is active in the
 current context, or a shared no-op object (a single contextvar read, no
 allocation) when not.  Worker threads do not inherit contextvars from their
 submitter, so pool-based fan-out (a store's ``read_batch`` pool, the router's
-scatter pool, hedge pools) captures :func:`current_span` at submit time and
-re-attaches it inside the worker with :func:`attach`.
+scatter pool) captures :func:`current_span` at submit time and re-attaches
+it inside the worker with :func:`attach`.
 """
 
 from __future__ import annotations

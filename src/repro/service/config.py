@@ -93,9 +93,6 @@ class ServiceConfig:
     hedge_ms:
         Floor of the hedged-read delay in milliseconds; 0 disables hedged
         duplicate reads.
-    hedge_percentile:
-        Latency percentile the adaptive hedge delay tracks (floored at
-        ``hedge_ms``).
     ingest_flush_docs:
         Memtable document count that triggers a background flush into a
         delta index.
@@ -181,7 +178,6 @@ class ServiceConfig:
     retry_backoff_ms: float = 20.0
     request_timeout_s: float | None = None
     hedge_ms: float = 0.0
-    hedge_percentile: float = 95.0
     ingest_flush_docs: int = 512
     ingest_flush_bytes: int = 1_048_576
     ingest_compact_deltas: int = 4
@@ -221,8 +217,6 @@ class ServiceConfig:
             raise ValueError("request_timeout_s must be positive when set")
         if self.hedge_ms < 0:
             raise ValueError("hedge_ms must be non-negative")
-        if not 0.0 < self.hedge_percentile <= 100.0:
-            raise ValueError("hedge_percentile must be in (0, 100]")
         if self.ingest_flush_docs <= 0:
             raise ValueError("ingest_flush_docs must be positive")
         if self.ingest_flush_bytes <= 0:
@@ -294,11 +288,6 @@ class ServiceConfig:
             backoff_ms=self.retry_backoff_ms,
             timeout_s=self.request_timeout_s,
             hedge_ms=self.hedge_ms,
-            hedge_percentile=self.hedge_percentile,
-            # Twice the read-batch concurrency: a fully-slow wave must
-            # not saturate the hedge pool, or the duplicates would queue
-            # behind the very stragglers they are meant to race.
-            hedge_concurrency=2 * self.max_concurrency,
             metrics=None if self.metrics_enabled else NULL_REGISTRY,
         )
 

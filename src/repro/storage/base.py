@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable
 
 from repro.observability.tracing import attach, current_span
 from repro.storage.metrics import BatchRecord, RequestRecord
-from repro.storage.parallel import FetchPool, FetchResult
+from repro.storage.parallel import FetchPool, FetchResult, fetch_pool
 
 
 class StoreError(Exception):
@@ -225,13 +225,7 @@ class ObjectStore(ABC):
                 with attach(parent):
                     return self.read(request)
 
-        # Stores need not define ``__init__``, so the pool is attached on
-        # first use; ``setdefault`` is atomic, and a racing loser's pool has
-        # no threads yet.
-        pool: FetchPool | None = self.__dict__.get("_fetch_pool")
-        if pool is None:
-            pool = self.__dict__.setdefault("_fetch_pool", FetchPool())
-        payloads = pool.run(max_concurrency, self.read, requests, pooled)
+        payloads = fetch_pool(self).run(max_concurrency, self.read, requests, pooled)
         records = tuple(
             RequestRecord(blob=request.blob, nbytes=len(data) if data is not None else 0)
             for request, data in zip(requests, payloads)

@@ -5,7 +5,9 @@ a *single batch of concurrent* reads.  The primitive that executes such a
 batch is :meth:`ObjectStore.read_batch
 <repro.storage.base.ObjectStore.read_batch>`; this module holds the two
 things it is made of: :class:`FetchPool`, the one thread pool a store owns
-for it, and :class:`FetchResult`, what it returns.
+for it, and :class:`FetchResult`, what it returns.  The same pool runs the
+racers of a :class:`~repro.storage.resilient.ResilientStore` wrapped around
+the store (:meth:`FetchPool.submit`).
 
 A batch uses that pool only if the store's reads wait: concurrency exists to
 overlap waiting, and a read of ``mem://`` or a page-cached ``file://`` that
@@ -18,7 +20,7 @@ import os
 import threading
 import weakref
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import count
 from time import perf_counter
@@ -67,6 +69,19 @@ def _shutdown_pool(pool: ThreadPoolExecutor, owner_pid: int) -> None:
     """
     if os.getpid() == owner_pid:
         pool.shutdown(wait=False)
+
+
+def fetch_pool(store: object) -> FetchPool:
+    """``store``'s one :class:`FetchPool`, attached on first use.
+
+    Stores need not define ``__init__``, so the pool lives in the instance
+    ``__dict__``; ``setdefault`` is atomic, and a racing loser's pool has no
+    threads yet.
+    """
+    pool: FetchPool | None = store.__dict__.get("_fetch_pool")
+    if pool is None:
+        pool = store.__dict__.setdefault("_fetch_pool", FetchPool())
+    return pool
 
 
 @dataclass(frozen=True)
@@ -152,39 +167,51 @@ class FetchPool:
     def map(
         self, width: int, function: Callable[[T], R], items: Iterable[T]
     ) -> Iterator[R]:
-        """Submit ``function(item)`` for every item at once; results in item order.
+        """Submit ``function(item)`` for every item at once; results in item order."""
+        with self._lock:
+            return self._executor(width).map(function, items)
 
-        The executor is at least ``width`` workers wide.  A pool inherited
-        across ``os.fork()`` is unusable in the child (its worker threads
-        live only in the parent), so a pid mismatch drops the stale
-        reference without a shutdown and builds a fresh pool; a pool that is
-        too narrow is replaced by a wider one.
+    def submit(self, width: int, function: Callable[[], R]) -> Future[R]:
+        """Run ``function()`` on the pool: one racer of a hedged read.
 
-        Submission happens under the pool's lock, so neither :meth:`close`
-        nor a widening swap can land between choosing the executor and
-        handing it the batch: work already submitted always finishes on the
-        executor it was given to, and no batch ever meets a shut-down pool.
+        A task submitted here must not wait on this pool's own futures: the
+        pool is bounded, and nested waits would deadlock it.
         """
         with self._lock:
-            if self._pool is not None and self._pool_pid != os.getpid():
-                self._detach()
-            elif self._pool is not None and width > self.width:
-                self._detach().shutdown(wait=False)
-            if self._pool is None:
-                self.width = max(self.width, width)
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.width, thread_name_prefix="airphant-fetch"
-                )
-                self._pool_pid = os.getpid()
-                # Owners that never call close() must not strand idle worker
-                # threads until interpreter exit: shut the pool down when
-                # this object is collected.  The callback references only
-                # the pool (and the owning pid), so it cannot keep the store
-                # alive, and it no-ops in forked children.
-                self._pool_finalizer = weakref.finalize(
-                    self, _shutdown_pool, self._pool, self._pool_pid
-                )
-            return self._pool.map(function, items)
+            return self._executor(width).submit(function)
+
+    def _executor(self, width: int) -> ThreadPoolExecutor:
+        """The executor, at least ``width`` workers wide (caller holds the lock).
+
+        A pool inherited across ``os.fork()`` is unusable in the child (its
+        worker threads live only in the parent), so a pid mismatch drops the
+        stale reference without a shutdown and builds a fresh pool; a pool
+        that is too narrow is replaced by a wider one.
+
+        Callers submit under the lock, so neither :meth:`close` nor a
+        widening swap can land between choosing the executor and handing it
+        the work: work already submitted always finishes on the executor it
+        was given to, and no batch ever meets a shut-down pool.
+        """
+        if self._pool is not None and self._pool_pid != os.getpid():
+            self._detach()
+        elif self._pool is not None and width > self.width:
+            self._detach().shutdown(wait=False)
+        if self._pool is None:
+            self.width = max(self.width, width)
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.width, thread_name_prefix="airphant-fetch"
+            )
+            self._pool_pid = os.getpid()
+            # Owners that never call close() must not strand idle worker
+            # threads until interpreter exit: shut the pool down when this
+            # object is collected.  The callback references only the pool
+            # (and the owning pid), so it cannot keep the store alive, and
+            # it no-ops in forked children.
+            self._pool_finalizer = weakref.finalize(
+                self, _shutdown_pool, self._pool, self._pool_pid
+            )
+        return self._pool
 
     def _detach(self) -> ThreadPoolExecutor | None:
         """Forget the current executor (caller holds the lock) and return it."""

@@ -18,9 +18,12 @@ the inner backend having to know:
 * **Hedged reads** — with ``hedge_ms > 0``, a ``get``/``get_range`` that has
   not answered after the hedge delay gets a *duplicate* request; whichever
   finishes first wins.  The delay adapts to the workload: it is the
-  ``hedge_percentile``-th percentile of recently observed read latencies,
-  floored at ``hedge_ms``, so only genuinely slow outliers are hedged.
-  Range reads are idempotent, which is what makes duplication safe.
+  :data:`HEDGE_PERCENTILE`-th percentile of recently observed read
+  latencies, floored at ``hedge_ms``, so only genuinely slow outliers are
+  hedged.  Range reads are idempotent, which is what makes duplication safe.
+  Both racers run on the *wrapped* store's fetch pool
+  (:meth:`~repro.storage.parallel.FetchPool.submit`); the wrapper keeps no
+  pool of its own beyond the one every store has for ``read_batch``.
 
 Everything is accounted in :class:`ResilienceStats` (attempts, retries,
 hedges, hedge wins, timeouts), which the fault-injection ablation
@@ -38,13 +41,11 @@ byte-for-byte unchanged).
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
-import weakref
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
@@ -57,13 +58,14 @@ from repro.storage.base import (
     ReadOnlyStoreError,
     TransientStoreError,
 )
-
-# The pid-guarded pool finalizer is shared with the fetch pool: the
-# fork-safety semantics must stay identical for both pools.
-from repro.storage.parallel import _shutdown_pool
+from repro.storage.parallel import fetch_pool
 from repro.storage.simulated import SimulatedCloudStore
 
 T = TypeVar("T")
+
+#: Percentile of recently observed read latencies that the adaptive hedge
+#: delay tracks (floored at ``hedge_ms``).
+HEDGE_PERCENTILE = 95.0
 
 
 class StoreTimeoutError(TransientStoreError):
@@ -140,7 +142,7 @@ class ResilienceStats(MirroredStats):
 
     Updates go through :meth:`~repro.observability.MirroredStats.add`,
     which is atomic (its own lock — the retry loop, the timeout guard, and
-    the hedge pool all report from different threads) and mirrors every
+    the hedge racers all report from different threads) and mirrors every
     increment into the bound
     :class:`~repro.observability.MetricsRegistry`.
     """
@@ -219,16 +221,9 @@ class ResilientStore(ObjectStore):
         out attempt's thread is abandoned (its result discarded), which is
         safe because reads are idempotent.
     hedge_ms:
-        Floor of the hedge delay in milliseconds; 0 disables hedging.
-    hedge_percentile:
-        Percentile of recently observed read latencies used as the adaptive
-        hedge delay (floored at ``hedge_ms``).
-    hedge_concurrency:
-        Worker threads of the shared hedge pool.  Size it *above* the
-        largest concurrent read batch the caller issues (e.g. twice the
-        ``max_concurrency`` of its ``read_batch`` calls), or a fully-slow
-        wave parks a primary on every worker and the hedges queue behind the
-        stragglers they are meant to race.
+        Floor of the hedge delay in milliseconds; 0 disables hedging.  The
+        delay itself is the :data:`HEDGE_PERCENTILE`-th percentile of
+        recently observed read latencies.
     seed:
         Seed of the private jitter RNG, for reproducible backoff schedules.
     sleep / clock:
@@ -254,8 +249,6 @@ class ResilientStore(ObjectStore):
         backoff_jitter: float = 0.25,
         timeout_s: float | None = None,
         hedge_ms: float = 0.0,
-        hedge_percentile: float = 95.0,
-        hedge_concurrency: int = 64,
         seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.perf_counter,
@@ -273,10 +266,6 @@ class ResilientStore(ObjectStore):
             raise ValueError("timeout_s must be positive when set")
         if hedge_ms < 0:
             raise ValueError("hedge_ms must be non-negative")
-        if not 0.0 < hedge_percentile <= 100.0:
-            raise ValueError("hedge_percentile must be in (0, 100]")
-        if hedge_concurrency <= 0:
-            raise ValueError("hedge_concurrency must be positive")
         self._backend = backend
         self._retries = retries
         self._backoff_ms = backoff_ms
@@ -285,14 +274,10 @@ class ResilientStore(ObjectStore):
         self._backoff_jitter = backoff_jitter
         self._timeout_s = timeout_s
         self._hedge_ms = hedge_ms
-        self._hedge_percentile = hedge_percentile
-        self._hedge_concurrency = hedge_concurrency
         self._sleep = sleep
         self._clock = clock
         self._rng = random.Random(seed)
         self._latencies: deque[float] = deque(maxlen=self._LATENCY_WINDOW)
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_pid = 0
         self._lock = threading.Lock()
         self.stats = ResilienceStats().bind(
             metrics if metrics is not None else get_registry()
@@ -336,7 +321,7 @@ class ResilientStore(ObjectStore):
 
         Returns
         -------
-        The ``hedge_percentile``-th percentile of recently observed read
+        The :data:`HEDGE_PERCENTILE`-th percentile of recently observed read
         latencies once enough samples exist, floored at ``hedge_ms``;
         before that, just the ``hedge_ms`` floor.
         """
@@ -345,39 +330,14 @@ class ResilientStore(ObjectStore):
             if len(self._latencies) < self._MIN_LATENCY_SAMPLES:
                 return floor
             ordered = sorted(self._latencies)
-        index = min(len(ordered) - 1, int(len(ordered) * self._hedge_percentile / 100.0))
+        index = min(len(ordered) - 1, int(len(ordered) * HEDGE_PERCENTILE / 100.0))
         return max(floor, ordered[index])
 
     def close(self) -> None:
-        """Shut down the hedge/timeout pool and close the wrapped store.
-
-        Idempotent and non-poisoning: the pool is rebuilt lazily if the
-        store is used again.
-        """
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
+        """Release this store's fetch pool and close the wrapped store (whose
+        pool ran the hedge racers).  Idempotent and non-poisoning."""
         super().close()
         self._backend.close()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            # A pool inherited across os.fork() has no threads in this
-            # process — work submitted to it would wait forever — so a
-            # child builds its own, as the fetch pool does.
-            if self._pool is None or self._pool_pid != os.getpid():
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._hedge_concurrency,
-                    thread_name_prefix="airphant-hedge",
-                )
-                self._pool_pid = os.getpid()
-                # Owners that never call close() (the one-shot CLI among
-                # them) must not strand idle hedge workers until interpreter
-                # exit — same pid-guarded finalizer backstop the fetch
-                # pool uses; it references only the pool, never self.
-                weakref.finalize(self, _shutdown_pool, self._pool, self._pool_pid)
-            return self._pool
 
     # -- retry / timeout / hedge machinery ----------------------------------------
 
@@ -431,7 +391,7 @@ class ResilientStore(ObjectStore):
         """One attempt, bounded by ``timeout_s`` when configured.
 
         Runs ``fn`` on a dedicated (ephemeral, daemon) thread rather than
-        the shared hedge pool: a timed-out attempt's thread keeps running
+        a pooled worker: a timed-out attempt's thread keeps running
         until the backend's own socket timeout releases it, and parking
         those zombies in a bounded pool would let a burst of timeouts starve
         every later retry on queue wait — cascading spurious timeouts even
@@ -468,15 +428,18 @@ class ResilientStore(ObjectStore):
     def _hedged_call(self, fn: Callable[[], T]) -> T:
         """One attempt that may launch a duplicate after the hedge delay.
 
-        Both racers run on the shared hedge pool (racing needs futures); a
-        sustained burst of timed-out reads can therefore queue behind
-        abandoned workers until the backend's socket timeout frees them —
-        size ``hedge_concurrency`` above the batches' ``max_concurrency``
-        when combining hedging with tight timeouts.
+        Both racers run on the wrapped store's fetch pool (racing needs
+        futures), never on this store's own: its workers are the threads
+        that wait here, and nested waits would deadlock a bounded pool.  The
+        racers ask for twice the width of this store's pool, so a wave that
+        parks a stalled primary on every worker still leaves one for each
+        hedge.  A sustained burst of timed-out reads can queue behind
+        abandoned workers until the backend's socket timeout frees them.
         """
-        pool = self._ensure_pool()
+        width = 2 * max(1, fetch_pool(self).width)
+        pool = fetch_pool(self._backend)
         started = self._clock()
-        primary: Future[T] = pool.submit(fn)
+        primary: Future[T] = pool.submit(width, fn)
         delay = self.hedge_delay_s()
         if self._timeout_s is not None:
             delay = min(delay, self._timeout_s)
@@ -500,7 +463,7 @@ class ResilientStore(ObjectStore):
         if attempt_span is not None:
             attempt_span.set(hedged=True)
         hedge_started = self._clock()
-        secondary: Future[T] = pool.submit(fn)
+        secondary: Future[T] = pool.submit(width, fn)
         pending: set[Future[T]] = {primary, secondary}
         errors: list[BaseException] = []
         while pending:

@@ -1,6 +1,7 @@
 """Unit tests for the scatter-gather router over an in-memory fake transport."""
 
 import threading
+import time
 
 import pytest
 
@@ -208,31 +209,71 @@ class TestFailover:
         assert response.partial is False
 
 
+def slow_primaries(cluster, router, delay):
+    """Make every group's first candidate run ``delay(url)`` before answering
+    that group's shards (the backups answer at once)."""
+    primaries = {
+        (candidates[0], ordinals) for candidates, ordinals in router.plan("logs", NUM_SHARDS).groups
+    }
+
+    def hook(url, path, payload):
+        if path == "/search" and (url, tuple(payload["shards"])) in primaries:
+            delay(url)
+
+    cluster.hooks = {url: hook for url in PEERS}
+    return primaries
+
+
 class TestHedging:
     def test_slow_primary_triggers_hedge(self, cluster):
         release = threading.Event()
-
-        def slow_n1(url, path, payload):
-            if path == "/search":
-                release.wait(5.0)
-
-        cluster.hooks = {"http://n1": slow_n1}
         registry = MetricsRegistry()
         router = make_router(cluster, node_hedge_ms=20.0, metrics=registry)
+        primaries = slow_primaries(cluster, router, lambda url: release.wait(5.0))
         try:
+            started = time.perf_counter()
             response = router.route(SearchRequest(query="doc", index="logs"))
+            elapsed = time.perf_counter() - started
         finally:
             release.set()
             router.close()
         assert list(response.documents) == ALL_DOCS
+        assert response.partial is False
         hedges = registry.get("airphant_router_hedges_total").total
-        n1_groups = sum(
-            1
-            for candidates, _ in router.plan("logs", NUM_SHARDS).groups
-            if candidates and candidates[0] == "http://n1"
-        )
-        if n1_groups:
-            assert hedges >= 1
+        assert hedges >= 1
+        assert hedges == len(primaries)
+        assert elapsed < 2.5  # the backups answered, not the released primaries
+
+    def test_concurrent_hedged_routes_outnumbering_the_pool_never_deadlock(self, cluster):
+        """No task waits on the pool it runs on: more concurrent routes than
+        the router has workers, every primary slow, all complete."""
+        registry = MetricsRegistry()
+        router = make_router(cluster, node_hedge_ms=10.0, metrics=registry)
+        slow_primaries(cluster, router, lambda url: time.sleep(0.2))
+        callers = 2 * router._pool._max_workers
+        answers: list[SearchResponse] = []
+        answers_lock = threading.Lock()
+
+        def route() -> None:
+            response = router.route(SearchRequest(query="doc", index="logs"))
+            with answers_lock:
+                answers.append(response)
+
+        threads = [threading.Thread(target=route, daemon=True) for _ in range(callers)]
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 20.0
+            for thread in threads:
+                thread.join(max(0.0, deadline - time.monotonic()))
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            router.close()
+        assert len(answers) == callers
+        for response in answers:
+            assert list(response.documents) == ALL_DOCS
+            assert response.partial is False
+        assert registry.get("airphant_router_hedges_total").total >= 1
 
     def test_fast_primary_skips_hedge(self, cluster):
         registry = MetricsRegistry()

@@ -277,7 +277,7 @@ class TestServiceConfigRoundTrip:
 
         config = ServiceConfig()
         assert set(config.to_dict()) == {field.name for field in fields(ServiceConfig)}
-        assert len(fields(ServiceConfig)) == 30
+        assert len(fields(ServiceConfig)) == 29
         json.dumps(config.to_dict())  # what /healthz serializes
 
     def test_non_default_config_survives_the_round_trip(self):
@@ -302,3 +302,11 @@ class TestServiceConfigRoundTrip:
         assert payload["peers"] == ["http://n1:1", "http://n2:2"]
         assert ServiceConfig.from_dict(payload) == config
         assert ServiceConfig.from_dict(json.loads(json.dumps(payload))) == config
+
+    def test_a_saved_config_with_the_retired_hedge_percentile_still_loads(self):
+        from repro.service.config import ServiceConfig
+
+        saved = {**ServiceConfig(hedge_ms=12.0).to_dict(), "hedge_percentile": 99.0}
+        config = ServiceConfig.from_dict(saved)
+        assert config == ServiceConfig(hedge_ms=12.0)
+        assert "hedge_percentile" not in config.to_dict()

@@ -5,19 +5,28 @@ the base, each delta, each sharded index — ran its own ``airphant-fetch``
 pool and the store lazily grew one more behind its batch reads.  Now there is
 one per store, however many members read through it, and
 ``AirphantService.close()`` ends it.  A store whose reads never wait needs
-no pool at all: its batches run on the calling thread.
+no pool at all: its batches run on the calling thread.  Hedges start no
+pool of their own: a resilient store's racers ride its wrapped store's
+fetch pool, and the router's ride its one scatter pool.
 """
 
 from __future__ import annotations
 
+import threading
+import time
+
 from harness.corpora import SMALL_CORPUS_TEXT
 from harness.stores import BlockingStore, assert_no_fetch_threads, fetch_threads
 
+from repro.cluster.router import QueryRouter
 from repro.core.config import SketchConfig
+from repro.observability import MetricsRegistry
 from repro.service import AirphantService, SearchRequest
+from repro.service.api import SearchResponse
 from repro.storage import parallel
-from repro.storage.base import ObjectStore
+from repro.storage.base import ObjectStore, RangeRead
 from repro.storage.memory import InMemoryObjectStore
+from repro.storage.resilient import ResilientStore
 
 
 def _serve(store: ObjectStore, after_each_step=lambda: None) -> AirphantService:
@@ -102,3 +111,51 @@ def test_a_memory_store_node_never_starts_a_fetch_thread(monkeypatch):
     assert seen == []
     assert executors == []
     assert store.__dict__["_fetch_pool"].width == 0
+
+
+def _thread_names() -> set[str]:
+    return {thread.name for thread in threading.enumerate()}
+
+
+def test_hedges_start_no_pool_and_close_ends_the_router_pool():
+    """Hedged reads and hedged routes both hedge, on pools that already exist:
+    no ``airphant-hedge*`` or ``airphant-router-hedge*`` thread ever runs, and
+    closing the router leaves none of its threads behind."""
+    seen: set[str] = set()
+    backend = BlockingStore(InMemoryObjectStore(), delay_s=0.02)
+    backend.put("blob", bytes(range(64)))
+    store = ResilientStore(backend, retries=0, hedge_ms=1.0)
+    requests = [RangeRead("blob", offset, 8) for offset in range(0, 64, 8)]
+    assert store.read_batch(requests, max_concurrency=8).payloads == [
+        bytes(range(offset, offset + 8)) for offset in range(0, 64, 8)
+    ]
+    seen |= _thread_names()
+    assert store.stats.hedges > 0
+
+    def transport(url, path, payload, timeout_s):
+        if path.startswith("/indexes/"):
+            return {"num_shards": 2}
+        time.sleep(0.02)  # every node request outlasts the hedge delay
+        return SearchResponse(query="q", index="logs", mode="keyword").to_dict()
+
+    peers = ("http://n1", "http://n2", "http://n3")
+    registry = MetricsRegistry()
+    router = QueryRouter(
+        peers, node_hedge_ms=1.0, probe_interval_s=0, transport=transport, metrics=registry
+    )
+    for _ in range(3):
+        assert not router.route(SearchRequest(query="q", index="logs")).partial
+        seen |= _thread_names()
+    assert registry.get("airphant_router_hedges_total").total > 0
+    store.close()
+    router.close()
+
+    assert not any(name.startswith(("airphant-hedge", "airphant-router-hedge")) for name in seen)
+    assert any(name.startswith("airphant-router") for name in seen)
+    router_threads = [
+        thread for thread in threading.enumerate() if thread.name.startswith("airphant-router")
+    ]
+    for thread in router_threads:
+        thread.join(5.0)
+    assert not any(thread.is_alive() for thread in router_threads)
+    assert_no_fetch_threads()

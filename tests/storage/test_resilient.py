@@ -234,6 +234,51 @@ class TestHedging:
         assert store.get("blob") == blob
         store.close()
 
+    def test_a_wave_as_wide_as_its_batch_wins_through_hedges(self):
+        """Every primary of a full-width wave stalls; every hedge still runs.
+
+        The racers ride the wrapped store's fetch pool at twice the width of
+        the resilient store's own, so a wave that parks a stalled primary on
+        every worker leaves a worker for each hedge.
+        """
+        width = 16
+        blob = bytes(range(width))
+        release = threading.Event()
+
+        class _StallFirst(FlakyStore):
+            """The first read of an offset stalls until released; a hedge takes 100 ms."""
+
+            def __init__(self, backend):
+                super().__init__(backend)
+                self._seen: set[int] = set()
+                self._seen_lock = threading.Lock()
+
+            def get_range(self, name, offset, length=None):
+                with self._seen_lock:
+                    first = offset not in self._seen
+                    self._seen.add(offset)
+                if first:
+                    release.wait(10.0)
+                else:
+                    time.sleep(0.1)
+                return super().get_range(name, offset, length)
+
+        store = ResilientStore(_StallFirst(_mem(blob=blob)), retries=0, hedge_ms=20.0)
+        requests = [RangeRead("blob", offset, 1) for offset in range(width)]
+        started = time.perf_counter()
+        try:
+            payloads = store.read_batch(requests, max_concurrency=width).payloads
+            elapsed = time.perf_counter() - started
+        finally:
+            release.set()
+        assert payloads == [bytes([char]) for char in blob]
+        assert store.stats.hedges == width
+        assert store.stats.hedge_wins == width
+        # Hedges queued one at a time behind the stalled primaries would
+        # take width x 100 ms.
+        assert elapsed < 1.0
+        store.close()
+
     def test_hedged_correctness_over_simulated_store_fault_injection(self):
         """Virtual-clock stragglers never trip wall-clock hedges, data intact."""
         backend = InMemoryObjectStore()
@@ -286,11 +331,13 @@ class TestLifecycle:
             {"backoff_jitter": -0.1},
             {"timeout_s": 0.0},
             {"hedge_ms": -1.0},
-            {"hedge_percentile": 0.0},
-            {"hedge_percentile": 101.0},
-            {"hedge_concurrency": 0},
         ):
             with pytest.raises(ValueError):
+                ResilientStore(inner, **kwargs)
+        # The hedge percentile is a module constant and the racers ride the
+        # wrapped store's pool: neither is a parameter any more.
+        for kwargs in ({"hedge_percentile": 95.0}, {"hedge_concurrency": 64}):
+            with pytest.raises(TypeError):
                 ResilientStore(inner, **kwargs)
 
     def test_stats_serialize(self):

@@ -49,15 +49,14 @@ def test_checker_guards_the_clock_seam_and_the_one_pool(tmp_path):
     root = tmp_path / "src" / "repro"
     for package in ("storage", "baselines", "search"):
         (root / package).mkdir(parents=True)
-    # Allowed: the simulator's own package knows its type, and the two pool
-    # files build their executors.
+    # Allowed: the simulator's own package knows its type, and the fetch
+    # pool helper builds its executor.
     (root / "storage" / "simulated.py").write_text(
         "def wrap(store):\n    return isinstance(store, SimulatedCloudStore)\n", encoding="utf-8"
     )
-    for name in ("parallel.py", "resilient.py"):
-        (root / "storage" / name).write_text(
-            "pool = ThreadPoolExecutor(max_workers=2)\n", encoding="utf-8"
-        )
+    (root / "storage" / "parallel.py").write_text(
+        "pool = ThreadPoolExecutor(max_workers=2)\n", encoding="utf-8"
+    )
     assert check_seams.findings(root) == []
 
     # Forbidden: a second pool in storage/, and the simulator's type anywhere
@@ -77,9 +76,39 @@ def test_checker_guards_the_clock_seam_and_the_one_pool(tmp_path):
     )
     found = check_seams.findings(root)
     assert len(found) == 2
-    assert found[0].endswith("storage/pipeline.py:3: thread pool outside the storage pool helper")
+    assert found[0].endswith("storage/pipeline.py:3: a thread pool beyond the allowed sites")
     assert found[1].startswith("2 isinstance(..., SimulatedCloudStore) checks outside storage")
     assert "baselines/_io.py:2" in found[1] and "search/member.py:2" in found[1]
+
+
+def test_checker_allows_three_thread_pools_and_no_hedge_pool(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    sites = {
+        ("storage", "parallel.py"): "fetch",
+        ("index", "builder.py"): "shard",
+        ("cluster", "router.py"): "router",
+    }
+    for (package, name), prefix in sites.items():
+        (root / package).mkdir(parents=True)
+        (root / package / name).write_text(
+            f"pool = ThreadPoolExecutor(thread_name_prefix={prefix!r})\n", encoding="utf-8"
+        )
+    assert check_seams.findings(root) == []
+
+    # A second router pool and a resilient store's own hedge pool both fail.
+    with (root / "cluster" / "router.py").open("a", encoding="utf-8") as router:
+        router.write("hedge_pool = ThreadPoolExecutor(thread_name_prefix='hedge')\n")
+    (root / "storage" / "resilient.py").write_text(
+        "def _ensure_pool(self):\n"
+        "    return ThreadPoolExecutor(thread_name_prefix='airphant-hedge')\n",
+        encoding="utf-8",
+    )
+    found = check_seams.findings(root)
+    assert [problem.rsplit("/", 2)[-2:] for problem in found] == [
+        ["cluster", "router.py:2: a thread pool beyond the allowed sites"],
+        ["storage", "resilient.py:2: a thread pool beyond the allowed sites"],
+    ]
 
 
 def test_checker_guards_the_store_layout_and_its_one_opener(tmp_path):
