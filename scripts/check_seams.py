@@ -29,7 +29,13 @@ This script also fails on:
 * a ``ThreadPoolExecutor(`` anywhere under ``src/repro`` but the three
   pools of ``POOL_SITES``: the fetch pool (``storage/parallel.py``), the
   builder's shard pool (``index/builder.py``) and the router's one pool
-  (``cluster/router.py``), one each.
+  (``cluster/router.py``), one each,
+* a ``.batch.`` attribute read anywhere under ``src/repro``: what a wave
+  cost is the ``requests``/``nbytes``/``wait_ms``/``download_ms`` of its
+  ``FetchResult``, with no per-request record behind it,
+* a ``_COUNTER_TABLE`` or a ``*_COUNTERS`` dict anywhere under
+  ``src/repro`` but ``observability/stats.py``: a stats counter is declared
+  once, on its dataclass field, which names its metric.
 
 The on-store index layout has one owner — ``index/store_layout.py`` — and
 one opener.  This script also fails on:
@@ -189,6 +195,10 @@ _PIPELINE_CONSTRUCTION = re.compile(r"\bReadPipeline\(")
 _RETIRED_KNOBS = re.compile(r"\b(?:coalesce_gap|max_gap|query_cache\w*)\b")
 
 _SIMULATOR_CHECK = re.compile(r"isinstance\([^)]*\bSimulatedCloudStore\b")
+_BATCH_RECORD = re.compile(r"\.batch\.")
+#: The one module that may hold a table of metric counters.
+STATS_FILE = ("observability", "stats.py")
+_COUNTER_TABLE = re.compile(r"\b_COUNTER_TABLE\b|\b\w*_COUNTERS\b[^=]*=\s*(?:\{|dict\()")
 _POOL_CONSTRUCTION = re.compile(r"\bThreadPoolExecutor\(")
 
 
@@ -308,6 +318,12 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 )
             if _RETIRED_KNOBS.search(text):
                 problems.append(f"{where}: retired read-path knob")
+            if _BATCH_RECORD.search(text):
+                problems.append(f"{where}: a per-request batch record read")
+            if parts != STATS_FILE and _COUNTER_TABLE.search(text):
+                problems.append(
+                    f"{where}: a metric-counter table outside {'/'.join(STATS_FILE)}"
+                )
             if package not in SIMULATOR_PACKAGES and _SIMULATOR_CHECK.search(text):
                 simulator_checks.append(where)
             if _POOL_CONSTRUCTION.search(text):

@@ -22,6 +22,5 @@ def dependent_read(
     """Read one byte range as its own round trip, charging ``latency`` for it."""
     fetch = store.read_batch([RangeRead(blob, offset, length)])
     if latency is not None:
-        batch = fetch.batch
-        latency.add_lookup(batch.total_ms, batch.wait_ms, batch.download_ms, batch.nbytes)
+        latency.add_lookup(fetch)
     return fetch.payloads[0]

@@ -83,9 +83,7 @@ class SearchEngine(ABC):
             return []
         requests = [posting.to_range_read() for posting in postings]
         fetch = self._store.read_batch(requests, self._max_concurrency)
-        latency.add_retrieval(
-            fetch.batch.total_ms, fetch.batch.wait_ms, fetch.batch.download_ms, fetch.batch.nbytes
-        )
+        latency.add_retrieval(fetch)
         documents = []
         for posting, payload in zip(postings, fetch.payloads):
             if payload is None:

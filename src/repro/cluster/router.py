@@ -47,7 +47,7 @@ import json
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.cluster.health import HealthTracker
@@ -64,7 +64,6 @@ from repro.observability.tracing import (
 from repro.service.api import (
     DocumentHit,
     ErrorInfo,
-    LatencyInfo,
     SearchRequest,
     SearchResponse,
     ServiceError,
@@ -537,9 +536,11 @@ class QueryRouter:
         Shard partitions are disjoint, so documents de-duplicate by their
         storage reference and sort back into the global posting order —
         the exact order a single node produces.  Nodes really do proceed in
-        parallel, so elapsed times take the maximum across them, while bytes
-        and round trips are real work and add up.  (Within one node nothing
-        is merged: its executor waits for two waves and reports their sum.)
+        parallel, so the elapsed times are the slowest node's (all four from
+        that one node, so ``wait_ms + download_ms`` still equals
+        ``total_ms``), while bytes and round trips are real work and add
+        up.  (Within one node nothing is merged: its executor waits for two
+        waves and reports their sum.)
         """
         seen: set[tuple[str, int, int]] = set()
         documents: list[DocumentHit] = []
@@ -561,11 +562,8 @@ class QueryRouter:
             documents.sort(key=lambda d: (d.blob, d.offset, d.length))
         if request.top_k is not None:
             documents = documents[: request.top_k]
-        latency = LatencyInfo(
-            lookup_ms=max(r.latency.lookup_ms for r in responses),
-            retrieval_ms=max(r.latency.retrieval_ms for r in responses),
-            wait_ms=max(r.latency.wait_ms for r in responses),
-            download_ms=sum(r.latency.download_ms for r in responses),
+        latency = replace(
+            max((r.latency for r in responses), key=lambda latency: latency.total_ms),
             bytes_fetched=sum(r.latency.bytes_fetched for r in responses),
             round_trips=sum(r.latency.round_trips for r in responses),
         )

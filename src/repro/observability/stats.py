@@ -6,30 +6,33 @@ whose every update must be (a) atomic — pool threads, hedge workers, and
 HTTP server threads report concurrently — and (b) mirrored into a
 :class:`~repro.observability.registry.MetricsRegistry` so live serving and
 the paper figures share one accounting path.  :class:`MirroredStats` is
-that pattern, written once: subclasses declare a ``_COUNTER_TABLE`` mapping
-field names to ``(metric name, help)`` and get :meth:`bind`, :meth:`add`,
-and :meth:`snapshot` for free.
+that pattern, written once: a subclass declares each counter once, as a
+dataclass field made by :func:`counter` (which names its metric), and gets
+:meth:`bind`, :meth:`add`, :meth:`snapshot` and :meth:`to_dict` for free.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import field, fields
 from typing import Any
 
 from repro.observability.registry import Counter, MetricsRegistry
 
 
+def counter(metric: str, help: str) -> Any:
+    """A stats field starting at 0, mirrored as the registry counter
+    ``metric`` (described by ``help``)."""
+    return field(default=0, metadata={"metric": (metric, help)})
+
+
 class MirroredStats:
     """Lock-protected counters that mirror increments into a registry.
 
-    Designed to be mixed into a ``@dataclass``: the dataclass-generated
-    ``__init__`` calls :meth:`__post_init__`, which sets up the lock.
-    Subclasses set ``_COUNTER_TABLE`` (field name → ``(metric_name, help)``)
-    and expose a ``to_dict()``; everything else is inherited.
+    Designed to be mixed into a ``@dataclass`` whose fields are
+    :func:`counter` s: the dataclass-generated ``__init__`` calls
+    :meth:`__post_init__`, which sets up the lock.
     """
-
-    #: Field name -> (registry counter name, help) mirrored by :meth:`add`.
-    _COUNTER_TABLE: dict[str, tuple[str, str]] = {}
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -38,12 +41,12 @@ class MirroredStats:
     def bind(self, metrics: MetricsRegistry) -> "MirroredStats":
         """Mirror future :meth:`add` increments into ``metrics``; returns self."""
         self._counters = {
-            field_name: metrics.counter(name, help)
-            for field_name, (name, help) in self._COUNTER_TABLE.items()
+            declared.name: metrics.counter(*declared.metadata["metric"])
+            for declared in fields(self)  # type: ignore[arg-type]
         }
         return self
 
-    def add(self, **deltas: int) -> None:
+    def add(self, **deltas: int | float) -> None:
         """Atomically add ``field=delta`` increments (and mirror them)."""
         with self._lock:
             for field_name, delta in deltas.items():
@@ -59,5 +62,7 @@ class MirroredStats:
         with self._lock:
             return self.to_dict()
 
-    def to_dict(self) -> dict[str, Any]:  # pragma: no cover - subclasses override
-        raise NotImplementedError
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-serializable representation: every counter by field name."""
+        counters = fields(self)  # type: ignore[arg-type]
+        return {declared.name: getattr(self, declared.name) for declared in counters}

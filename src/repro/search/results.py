@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.superpost import Superpost
 from repro.parsing.documents import Document, Posting
+from repro.storage.parallel import FetchResult
 
 
 @dataclass
@@ -21,6 +22,10 @@ class LatencyBreakdown:
     * ``wait_ms`` / ``download_ms`` — the network-communication split of
       Figures 8 and 11 (time blocked on first bytes vs time receiving data),
       summed over both phases.
+
+    Each phase adds the :class:`~repro.storage.parallel.FetchResult` of the
+    waves it waited for, so ``wait_ms + download_ms == total_ms``.  This is
+    also the ``latency`` block of a service response.
     """
 
     lookup_ms: float = 0.0
@@ -35,35 +40,31 @@ class LatencyBreakdown:
         """End-to-end simulated search latency."""
         return self.lookup_ms + self.retrieval_ms
 
-    def add_lookup(self, elapsed_ms: float, wait_ms: float, download_ms: float, nbytes: int) -> None:
-        """Account one lookup-phase batch."""
-        self.lookup_ms += elapsed_ms
-        self.wait_ms += wait_ms
-        self.download_ms += download_ms
-        self.bytes_fetched += nbytes
-        self.round_trips += 1
+    def add_lookup(self, fetch: FetchResult) -> None:
+        """Account one lookup-phase wave."""
+        self.lookup_ms += fetch.total_ms
+        self._add_wave(fetch)
 
-    def add_retrieval(
-        self, elapsed_ms: float, wait_ms: float, download_ms: float, nbytes: int
-    ) -> None:
-        """Account one document-retrieval batch."""
-        self.retrieval_ms += elapsed_ms
-        self.wait_ms += wait_ms
-        self.download_ms += download_ms
-        self.bytes_fetched += nbytes
+    def add_retrieval(self, fetch: FetchResult) -> None:
+        """Account one document-retrieval wave."""
+        self.retrieval_ms += fetch.total_ms
+        self._add_wave(fetch)
+
+    def _add_wave(self, fetch: FetchResult) -> None:
+        self.wait_ms += fetch.wait_ms
+        self.download_ms += fetch.download_ms
+        self.bytes_fetched += fetch.nbytes
         self.round_trips += 1
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable representation (includes the derived total)."""
-        return {
-            "lookup_ms": self.lookup_ms,
-            "retrieval_ms": self.retrieval_ms,
-            "wait_ms": self.wait_ms,
-            "download_ms": self.download_ms,
-            "bytes_fetched": self.bytes_fetched,
-            "round_trips": self.round_trips,
-            "total_ms": self.total_ms,
-        }
+        return {**vars(self), "total_ms": self.total_ms}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "LatencyBreakdown":
+        """Rebuild from :meth:`to_dict` output (the derived total is ignored)."""
+        known = {declared.name for declared in fields(cls)}
+        return cls(**{key: value for key, value in data.items() if key in known})
 
 
 class Candidates(Sequence[Posting]):

@@ -52,6 +52,7 @@ from repro.search.ranking import MAX_RANKED_K, BM25Params, rank_candidates
 from repro.search.replication import HedgingPolicy
 from repro.search.results import Candidates, LatencyBreakdown, SearchResult
 from repro.storage.base import ObjectStore, RangeRead
+from repro.storage.parallel import FetchResult
 from repro.storage.pipeline import ReadPipeline
 
 
@@ -518,7 +519,7 @@ class AirphantSearcher:
     def _wave(
         self,
         requests: list[RangeRead],
-        account: Callable[[float, float, float, int], None],
+        account: Callable[[FetchResult], None],
         required: int | None = None,
     ) -> list[Superpost | bytes | None]:
         """One batch of range reads, each payload as its read's decoder makes
@@ -534,7 +535,6 @@ class AirphantSearcher:
                 requests, self.pipeline.max_concurrency, required=required
             )
             payloads = [read.decoded(data) for read, data in zip(requests, fetch.payloads)]
-        if fetch.batch.requests:
-            batch = fetch.batch
-            account(batch.total_ms, batch.wait_ms, batch.download_ms, batch.nbytes)
+        if fetch.requests:
+            account(fetch)
         return payloads

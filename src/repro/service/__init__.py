@@ -14,7 +14,6 @@ from repro.service.api import (
     DocumentHit,
     ErrorInfo,
     IndexInfo,
-    LatencyInfo,
     SearchRequest,
     SearchResponse,
     ServiceError,
@@ -33,7 +32,6 @@ __all__ = [
     "ErrorInfo",
     "IndexCatalog",
     "IndexInfo",
-    "LatencyInfo",
     "SearchRequest",
     "SearchResponse",
     "ServiceConfig",

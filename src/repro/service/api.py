@@ -16,7 +16,7 @@ from typing import Any, Mapping
 # The per-shard stats on the wire are exactly the shard manifest's entries;
 # the alias keeps one definition while giving the API surface its own name.
 from repro.index.metadata import ShardEntry as ShardInfo
-from repro.search.results import SearchResult
+from repro.search.results import LatencyBreakdown, SearchResult
 
 #: Query modes the service can dispatch.
 SEARCH_MODES = ("keyword", "boolean", "regex", "topk_bm25")
@@ -26,7 +26,6 @@ __all__ = [
     "DocumentHit",
     "ErrorInfo",
     "IndexInfo",
-    "LatencyInfo",
     "SearchRequest",
     "SearchResponse",
     "ServiceError",
@@ -267,41 +266,6 @@ class DocumentHit:
 
 
 @dataclass(frozen=True)
-class LatencyInfo:
-    """Simulated latency breakdown of one answered query."""
-
-    lookup_ms: float = 0.0
-    retrieval_ms: float = 0.0
-    wait_ms: float = 0.0
-    download_ms: float = 0.0
-    bytes_fetched: int = 0
-    round_trips: int = 0
-
-    @property
-    def total_ms(self) -> float:
-        """End-to-end simulated latency."""
-        return self.lookup_ms + self.retrieval_ms
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable representation (includes the derived total)."""
-        return {
-            "lookup_ms": self.lookup_ms,
-            "retrieval_ms": self.retrieval_ms,
-            "wait_ms": self.wait_ms,
-            "download_ms": self.download_ms,
-            "bytes_fetched": self.bytes_fetched,
-            "round_trips": self.round_trips,
-            "total_ms": self.total_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LatencyInfo":
-        """Rebuild from :meth:`to_dict` output (the derived total is ignored)."""
-        known = set(cls.__dataclass_fields__)
-        return cls(**{key: value for key, value in data.items() if key in known})
-
-
-@dataclass(frozen=True)
 class ShardErrorInfo:
     """One shard a routed query could not answer (the degraded detail).
 
@@ -360,7 +324,7 @@ class SearchResponse:
     documents: tuple[DocumentHit, ...] = ()
     num_candidates: int = 0
     false_positive_count: int = 0
-    latency: LatencyInfo = field(default_factory=LatencyInfo)
+    latency: LatencyBreakdown = field(default_factory=LatencyBreakdown)
     partial: bool = False
     shard_errors: tuple[ShardErrorInfo, ...] = ()
     trace: Mapping[str, Any] | None = None
@@ -388,7 +352,6 @@ class SearchResponse:
             )
             for position, document in enumerate(result.documents)
         )
-        latency = result.latency
         return cls(
             query=request.query,
             index=request.index,
@@ -396,14 +359,7 @@ class SearchResponse:
             documents=documents,
             num_candidates=result.num_candidates,
             false_positive_count=result.false_positive_count,
-            latency=LatencyInfo(
-                lookup_ms=latency.lookup_ms,
-                retrieval_ms=latency.retrieval_ms,
-                wait_ms=latency.wait_ms,
-                download_ms=latency.download_ms,
-                bytes_fetched=latency.bytes_fetched,
-                round_trips=latency.round_trips,
-            ),
+            latency=result.latency,
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -441,7 +397,7 @@ class SearchResponse:
             ),
             num_candidates=int(data.get("num_candidates", 0)),
             false_positive_count=int(data.get("false_positive_count", 0)),
-            latency=LatencyInfo.from_dict(data.get("latency", {})),
+            latency=LatencyBreakdown.from_dict(data.get("latency", {})),
             partial=bool(data.get("partial", False)),
             shard_errors=tuple(
                 ShardErrorInfo.from_dict(entry) for entry in data.get("shard_errors", ())

@@ -72,8 +72,6 @@ class ServiceConfig:
         Sharded indexes widen this by their shard count, capped at 128.
     top_k_delta:
         Failure probability of the top-K sampling bound (Equation 6).
-    min_literal_length:
-        Shortest literal word the regex mode uses as an index filter.
     default_top_k:
         Applied when a request does not specify ``top_k``; ``None`` returns
         every match.
@@ -159,9 +157,6 @@ class ServiceConfig:
         Fraction of ordinary (non-explain) queries whose span trees are
         retained in the in-memory trace buffer; 0 keeps only explained,
         propagated, and slow queries, 1 keeps everything.
-    trace_buffer:
-        Capacity of the in-memory trace ring buffer served by ``GET
-        /traces`` (oldest traces evicted first).
     slow_query_ms:
         Queries slower than this emit a structured JSON line to the
         slow-query log and are always retained in the trace buffer
@@ -171,7 +166,6 @@ class ServiceConfig:
     tokenizer: str = "whitespace"
     max_concurrency: int = 128
     top_k_delta: float = 1e-6
-    min_literal_length: int = 2
     default_top_k: int | None = None
     read_cache_bytes: int = READ_CACHE_BYTES
     retries: int = 0
@@ -195,7 +189,6 @@ class ServiceConfig:
     metrics_enabled: bool = True
     tracing_enabled: bool = True
     trace_sample_rate: float = 0.0
-    trace_buffer: int = 256
     slow_query_ms: float = 1000.0
 
     def __post_init__(self) -> None:
@@ -254,8 +247,6 @@ class ServiceConfig:
             raise ValueError("probe_interval_s must be non-negative")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ValueError("trace_sample_rate must be within [0, 1]")
-        if self.trace_buffer <= 0:
-            raise ValueError("trace_buffer must be positive")
         if self.slow_query_ms < 0:
             raise ValueError("slow_query_ms must be non-negative")
 

@@ -143,7 +143,6 @@ class AirphantService:
         self._tracer = Tracer(
             enabled=self._config.tracing_enabled,
             sample_rate=self._config.trace_sample_rate,
-            capacity=self._config.trace_buffer,
             slow_query_ms=self._config.slow_query_ms,
         )
         # The live write path: per-index ingesters (WAL + memtable) plus the
@@ -475,10 +474,7 @@ class AirphantService:
                 if request.mode == "boolean":
                     return searcher.search_boolean(request.query, top_k=top_k)
                 if request.mode == "regex":
-                    regex = RegexSearcher(
-                        searcher, min_literal_length=self._config.min_literal_length
-                    )
-                    return regex.search(request.query, top_k=top_k)
+                    return RegexSearcher(searcher).search(request.query, top_k=top_k)
                 if request.mode == "topk_bm25":
                     return searcher.search_topk(
                         request.query,

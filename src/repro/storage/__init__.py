@@ -53,7 +53,7 @@ from repro.storage.latency import AffineLatencyModel, RegionProfile, REGION_PROF
 from repro.storage.listing import LISTING_BLOB, write_listing
 from repro.storage.local import LocalObjectStore
 from repro.storage.memory import InMemoryObjectStore
-from repro.storage.metrics import RequestRecord, StorageMetrics
+from repro.storage.metrics import StorageMetrics
 from repro.storage.parallel import FetchResult
 from repro.storage.pipeline import PipelineStats, ReadPipeline
 from repro.storage.registry import (
@@ -87,7 +87,6 @@ __all__ = [
     "ReadPipeline",
     "REGION_PROFILES",
     "RegionProfile",
-    "RequestRecord",
     "ResilienceStats",
     "ResilientStore",
     "RetriesExhaustedError",

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.observability.tracing import attach, current_span
-from repro.storage.metrics import BatchRecord, RequestRecord
 from repro.storage.parallel import FetchPool, FetchResult, fetch_pool
 
 
@@ -205,7 +204,7 @@ class ObjectStore(ABC):
         -------
         A :class:`~repro.storage.parallel.FetchResult`: one payload per
         request, in request order (``None`` for a missing ``optional``
-        blob, recorded as 0 bytes), plus the batch's timing — zero here
+        blob, counted as 0 bytes), plus the batch's cost — zero time here
         (wall-clock timing is the caller's job); a store with a clock of its
         own (:class:`~repro.storage.simulated.SimulatedCloudStore`)
         overrides this method to report it.
@@ -226,11 +225,8 @@ class ObjectStore(ABC):
                     return self.read(request)
 
         payloads = fetch_pool(self).run(max_concurrency, self.read, requests, pooled)
-        records = tuple(
-            RequestRecord(blob=request.blob, nbytes=len(data) if data is not None else 0)
-            for request, data in zip(requests, payloads)
-        )
-        return FetchResult(payloads=payloads, batch=BatchRecord(requests=records))
+        nbytes = sum(len(data) for data in payloads if data is not None)
+        return FetchResult(payloads=payloads, requests=len(requests), nbytes=nbytes)
 
     @staticmethod
     def _checked_batch(

@@ -60,4 +60,8 @@ class InMemoryObjectStore(ObjectStore):
             self._blobs.pop(name, None)
 
     def list_blobs(self, prefix: str = "") -> list[str]:
-        return sorted(name for name in self._blobs if name.startswith(prefix))
+        # Under the writers' lock: iterating the dict while a concurrent
+        # put adds a name raises "dictionary changed size during iteration".
+        with self._lock:
+            names = [name for name in self._blobs if name.startswith(prefix)]
+        return sorted(names)

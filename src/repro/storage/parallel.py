@@ -26,8 +26,6 @@ from itertools import count
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-from repro.storage.metrics import BatchRecord
-
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -86,21 +84,29 @@ def fetch_pool(store: object) -> FetchPool:
 
 @dataclass(frozen=True)
 class FetchResult:
-    """Payloads plus the timing of the batch that fetched them.
+    """Payloads plus what the wave that fetched them cost.
 
-    The default is the empty batch: nothing read, nothing charged.  A
+    The default is the empty wave: nothing read, nothing charged.  A
     store's payloads are bytes (``None`` for a missing optional blob); a
     :class:`~repro.storage.pipeline.ReadPipeline` hands a read with a
-    decoder its decoded value instead.
+    decoder its decoded value instead.  The cost is that of the physical
+    requests the store served: ``wait_ms`` is the wave's slowest first byte
+    (requests do not block each other) and ``download_ms`` the shared
+    transfer of all of them — both 0 on a store without a clock of its own.
     """
 
     payloads: list[Any] = field(default_factory=list)
-    batch: BatchRecord = BatchRecord()
+    #: Requests the store served (a hedged wave counts those it kept).
+    requests: int = 0
+    #: Bytes those requests returned.
+    nbytes: int = 0
+    wait_ms: float = 0.0
+    download_ms: float = 0.0
 
     @property
     def total_ms(self) -> float:
-        """What the batch cost on the store's clock (0 on untimed stores)."""
-        return self.batch.total_ms
+        """What the wave cost on the store's clock (0 on untimed stores)."""
+        return self.wait_ms + self.download_ms
 
 
 class FetchPool:

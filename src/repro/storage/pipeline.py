@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Protocol
 
 from repro.observability import MetricsRegistry, MirroredStats, get_registry
+from repro.observability.stats import counter
 from repro.observability.tracing import span
 from repro.storage.base import ObjectStore, RangeRead
 from repro.storage.parallel import FetchResult
@@ -62,43 +63,6 @@ def _charge(entry: _Entry) -> int:
     return len(entry) if isinstance(entry, bytes) else entry.nbytes
 
 
-#: PipelineStats field -> (registry counter name, help) mirrored on update.
-_PIPELINE_COUNTERS: dict[str, tuple[str, str]] = {
-    "requests_in": (
-        "airphant_pipeline_logical_requests_total",
-        "Logical range reads handed to the read pipeline",
-    ),
-    "requests_out": (
-        "airphant_pipeline_physical_requests_total",
-        "Physical range reads the pipeline issued to the store",
-    ),
-    "batches": (
-        "airphant_pipeline_batches_total",
-        "Physical batches issued (at most one per pipeline fetch)",
-    ),
-    "cache_hits": (
-        "airphant_pipeline_cache_hits_total",
-        "Logical requests answered from the block cache",
-    ),
-    "cache_misses": (
-        "airphant_pipeline_cache_misses_total",
-        "Logical requests that needed bytes from the store",
-    ),
-    "coalesced_requests": (
-        "airphant_pipeline_coalesced_requests_total",
-        "Logical requests folded into a wider or shared physical request",
-    ),
-    "bytes_requested": (
-        "airphant_pipeline_bytes_requested_total",
-        "Bytes covered by logical requests (what raw fetching would transfer)",
-    ),
-    "bytes_fetched": (
-        "airphant_pipeline_bytes_fetched_total",
-        "Bytes actually transferred from the store",
-    ),
-}
-
-
 @dataclass
 class PipelineStats(MirroredStats):
     """What one :class:`ReadPipeline` received, issued, and saved.
@@ -112,25 +76,40 @@ class PipelineStats(MirroredStats):
     point-in-time copy.
     """
 
-    _COUNTER_TABLE = _PIPELINE_COUNTERS
-
-    #: Logical range reads handed to :meth:`ReadPipeline.fetch`.
-    requests_in: int = 0
-    #: Physical range reads actually issued to the store.
-    requests_out: int = 0
-    #: Physical batches issued (at most one per :meth:`ReadPipeline.fetch`).
-    batches: int = 0
-    #: Logical requests answered from the block cache (no store traffic).
-    cache_hits: int = 0
-    #: Logical requests that needed bytes from the store.
-    cache_misses: int = 0
-    #: Logical requests folded into a wider or shared physical request.
-    coalesced_requests: int = 0
+    requests_in: int = counter(
+        "airphant_pipeline_logical_requests_total",
+        "Logical range reads handed to the read pipeline",
+    )
+    requests_out: int = counter(
+        "airphant_pipeline_physical_requests_total",
+        "Physical range reads the pipeline issued to the store",
+    )
+    batches: int = counter(
+        "airphant_pipeline_batches_total",
+        "Physical batches issued (at most one per pipeline fetch)",
+    )
+    cache_hits: int = counter(
+        "airphant_pipeline_cache_hits_total",
+        "Logical requests answered from the block cache",
+    )
+    cache_misses: int = counter(
+        "airphant_pipeline_cache_misses_total",
+        "Logical requests that needed bytes from the store",
+    )
+    coalesced_requests: int = counter(
+        "airphant_pipeline_coalesced_requests_total",
+        "Logical requests folded into a wider or shared physical request",
+    )
     #: Bytes covered by logical requests (what raw fetching would transfer):
     #: a pass-through read counts the bytes it returned.
-    bytes_requested: int = 0
-    #: Bytes actually transferred from the store (never more than requested).
-    bytes_fetched: int = 0
+    bytes_requested: int = counter(
+        "airphant_pipeline_bytes_requested_total",
+        "Bytes covered by logical requests (what raw fetching would transfer)",
+    )
+    bytes_fetched: int = counter(
+        "airphant_pipeline_bytes_fetched_total",
+        "Bytes actually transferred from the store",
+    )
 
     @property
     def requests_saved(self) -> int:
@@ -138,18 +117,8 @@ class PipelineStats(MirroredStats):
         return self.requests_in - self.requests_out
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable representation (used by benchmarks)."""
-        return {
-            "requests_in": self.requests_in,
-            "requests_out": self.requests_out,
-            "requests_saved": self.requests_saved,
-            "batches": self.batches,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "coalesced_requests": self.coalesced_requests,
-            "bytes_requested": self.bytes_requested,
-            "bytes_fetched": self.bytes_fetched,
-        }
+        """Every counter, plus :attr:`requests_saved`."""
+        return {**super().to_dict(), "requests_saved": self.requests_saved}
 
 
 @dataclass(frozen=True)
@@ -261,9 +230,8 @@ class ReadPipeline:
         read with a decoder gets its decoded value.
 
         At most one physical batch is issued; a batch fully served from the
-        cache issues none and does not call the store at all (its
-        :class:`~repro.storage.metrics.BatchRecord` is empty with zero
-        latency, which callers can detect via ``batch.requests``).
+        cache issues none and does not call the store at all (its result
+        counts zero ``requests`` and zero latency).
 
         Parameters
         ----------
@@ -276,51 +244,49 @@ class ReadPipeline:
         A :class:`~repro.storage.parallel.FetchResult` whose payloads are
         byte-for-byte what raw fetching would have returned (end-of-blob
         truncation included), or those bytes decoded by the read's decoder,
-        and whose batch record carries the timing of
-        the *physical* batch.  Timing caveat: against a simulated store the
-        recorded latency covers only the coalesced physical requests — the
-        whole point — so it is not comparable with a raw per-request
-        replay of the same logical batch.
+        and whose cost is that of the *physical* batch.  Timing caveat:
+        against a simulated store the recorded latency covers only the
+        coalesced physical requests — the whole point — so it is not
+        comparable with a raw per-request replay of the same logical batch.
         """
         if not requests:
             return FetchResult()
 
         with span("pipeline.fetch") as trace_span:
             placements, physical, passed, deltas = self._plan(requests)
-            # Commit everything known at planning time — including the physical
-            # requests about to be issued — BEFORE the fetch: if the store fails
-            # (e.g. retries exhausted), the batch must still be accounted, or
-            # the pipeline counters would flatline exactly when the backend
-            # counters spike and operators look at them.
             deltas["requests_out"] = len(physical)
             deltas["batches"] = 1 if physical else 0
-            self.stats.add(**deltas)
-            fetch = (
-                self._store.read_batch(physical, self._max_concurrency)
-                if physical
-                else FetchResult()
-            )
-
-            payloads = self._resolve(requests, placements, fetch.payloads)
-            fetched_bytes = sum(len(data) for data in fetch.payloads if data is not None)
-            # A pass-through read's extent is what it returned: raw fetching
-            # would have transferred exactly that, so it is requested too.
-            passed_bytes = sum(len(data) for data in fetch.payloads[:passed] if data is not None)
-            self.stats.add(bytes_fetched=fetched_bytes, bytes_requested=passed_bytes)
-            # The span mirrors exactly the deltas committed to PipelineStats,
-            # so explain output is checkable against the counters to the byte.
-            trace_span.set(
-                requests=deltas["requests_in"],
-                physical_requests=deltas["requests_out"],
-                batches=deltas["batches"],
-                cache_hits=deltas["cache_hits"],
-                cache_misses=deltas["cache_misses"],
-                coalesced=deltas["coalesced_requests"],
-                bytes_requested=deltas["bytes_requested"] + passed_bytes,
-                bytes_fetched=fetched_bytes,
-                batch_ms=round(fetch.batch.total_ms, 3),
-            )
-        return FetchResult(payloads=payloads, batch=fetch.batch)
+            fetch = FetchResult()
+            try:
+                if physical:
+                    fetch = self._store.read_batch(physical, self._max_concurrency)
+                payloads = self._resolve(requests, placements, fetch.payloads)
+            finally:
+                # One commit per wave, also when the store raised (retries
+                # exhausted): the pipeline counters must not flatline exactly
+                # when the backend counters spike and operators look at them.
+                # A pass-through read's extent is what it returned: raw
+                # fetching would have transferred exactly that, so it is
+                # requested too.
+                deltas["bytes_requested"] += sum(
+                    len(data) for data in fetch.payloads[:passed] if data is not None
+                )
+                deltas["bytes_fetched"] = fetch.nbytes
+                self.stats.add(**deltas)
+                # The span carries the very deltas committed, so explain
+                # output is checkable against the counters to the byte.
+                trace_span.set(
+                    requests=deltas["requests_in"],
+                    physical_requests=deltas["requests_out"],
+                    batches=deltas["batches"],
+                    cache_hits=deltas["cache_hits"],
+                    cache_misses=deltas["cache_misses"],
+                    coalesced=deltas["coalesced_requests"],
+                    bytes_requested=deltas["bytes_requested"],
+                    bytes_fetched=deltas["bytes_fetched"],
+                    batch_ms=round(fetch.total_ms, 3),
+                )
+        return replace(fetch, payloads=payloads)
 
     # -- planning ----------------------------------------------------------------
 
@@ -331,8 +297,7 @@ class ReadPipeline:
 
         Returns the placements, the physical reads to issue (the pass-through
         reads first), how many of them pass through, and the stats deltas of
-        the planning phase — committed by :meth:`fetch` before the physical
-        batch is issued.
+        the planning phase — completed and committed by :meth:`fetch`.
         """
         placements: list[_Placement | None] = [None] * len(requests)
         bounded: dict[_RangeKey, list[int]] = {}

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
 
 from repro.observability import MetricsRegistry, MirroredStats, get_registry
+from repro.observability.stats import counter
 from repro.observability.tracing import current_span, span
 from repro.storage.base import (
     BlobNotFoundError,
@@ -99,43 +100,6 @@ class RetriesExhaustedError(TransientStoreError):
         self.__cause__ = last_error
 
 
-#: ResilienceStats field -> (registry counter name, help) mirrored on update.
-_RESILIENCE_COUNTERS: dict[str, tuple[str, str]] = {
-    "operations": (
-        "airphant_resilience_operations_total",
-        "Store operations entering the retry/hedge machinery",
-    ),
-    "attempts": (
-        "airphant_resilience_attempts_total",
-        "Individual store attempts (each retry adds one)",
-    ),
-    "retries": (
-        "airphant_resilience_retries_total",
-        "Attempts beyond the first of their operation",
-    ),
-    "recoveries": (
-        "airphant_resilience_recoveries_total",
-        "Operations rescued by a later attempt after failing at least once",
-    ),
-    "failures": (
-        "airphant_resilience_failures_total",
-        "Operations that failed even after every allowed retry",
-    ),
-    "timeouts": (
-        "airphant_resilience_timeouts_total",
-        "Attempts abandoned for exceeding the per-request timeout",
-    ),
-    "hedges": (
-        "airphant_resilience_hedges_total",
-        "Duplicate (hedge) requests launched",
-    ),
-    "hedge_wins": (
-        "airphant_resilience_hedge_wins_total",
-        "Hedge requests that finished before their primary",
-    ),
-}
-
-
 @dataclass
 class ResilienceStats(MirroredStats):
     """What one :class:`ResilientStore` attempted, retried, and hedged.
@@ -147,24 +111,38 @@ class ResilienceStats(MirroredStats):
     :class:`~repro.observability.MetricsRegistry`.
     """
 
-    _COUNTER_TABLE = _RESILIENCE_COUNTERS
-
-    #: Top-level store operations entering the retry/hedge machinery.
-    operations: int = 0
-    #: Individual attempts (>= operations; each retry adds one).
-    attempts: int = 0
-    #: Attempts beyond the first of their operation.
-    retries: int = 0
-    #: Operations that failed at least once but succeeded on a later attempt.
-    recoveries: int = 0
-    #: Operations that failed even after every allowed retry.
-    failures: int = 0
-    #: Attempts abandoned for exceeding the per-request timeout.
-    timeouts: int = 0
-    #: Duplicate (hedge) requests launched.
-    hedges: int = 0
-    #: Hedge requests that finished before their primary.
-    hedge_wins: int = 0
+    operations: int = counter(
+        "airphant_resilience_operations_total",
+        "Store operations entering the retry/hedge machinery",
+    )
+    attempts: int = counter(
+        "airphant_resilience_attempts_total",
+        "Individual store attempts (each retry adds one)",
+    )
+    retries: int = counter(
+        "airphant_resilience_retries_total",
+        "Attempts beyond the first of their operation",
+    )
+    recoveries: int = counter(
+        "airphant_resilience_recoveries_total",
+        "Operations rescued by a later attempt after failing at least once",
+    )
+    failures: int = counter(
+        "airphant_resilience_failures_total",
+        "Operations that failed even after every allowed retry",
+    )
+    timeouts: int = counter(
+        "airphant_resilience_timeouts_total",
+        "Attempts abandoned for exceeding the per-request timeout",
+    )
+    hedges: int = counter(
+        "airphant_resilience_hedges_total",
+        "Duplicate (hedge) requests launched",
+    )
+    hedge_wins: int = counter(
+        "airphant_resilience_hedge_wins_total",
+        "Hedge requests that finished before their primary",
+    )
 
     @property
     def hedge_win_rate(self) -> float:
@@ -183,16 +161,9 @@ class ResilienceStats(MirroredStats):
         return self.recoveries / troubled if troubled else 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable representation (used by benchmarks and tests)."""
+        """Every counter, plus the two win rates."""
         return {
-            "operations": self.operations,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "recoveries": self.recoveries,
-            "failures": self.failures,
-            "timeouts": self.timeouts,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
+            **super().to_dict(),
             "hedge_win_rate": self.hedge_win_rate,
             "retry_win_rate": self.retry_win_rate,
         }

@@ -11,13 +11,13 @@ bandwidth contention, and cross-region RTT inflation).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.observability.tracing import current_span
 from repro.storage.base import ObjectStore, RangeRead
 from repro.storage.latency import AffineLatencyModel
 from repro.storage.memory import InMemoryObjectStore
-from repro.storage.metrics import BatchRecord, RequestRecord, StorageMetrics
+from repro.storage.metrics import StorageMetrics
 from repro.storage.parallel import FetchResult
 
 
@@ -84,12 +84,12 @@ class SimulatedCloudStore(ObjectStore):
 
     def get(self, name: str) -> bytes:
         data = self._backend.get(name)
-        self.metrics.record(self._make_record(name, len(data)))
+        self._charge_single(len(data))
         return data
 
     def get_range(self, name: str, offset: int, length: int | None = None) -> bytes:
         data = self._backend.get_range(name, offset, length)
-        self.metrics.record(self._make_record(name, len(data)))
+        self._charge_single(len(data))
         return data
 
     def size(self, name: str) -> int:
@@ -135,25 +135,27 @@ class SimulatedCloudStore(ObjectStore):
 
         Returns
         -------
-        Payloads in request order plus one
-        :class:`~repro.storage.metrics.BatchRecord` holding the kept
-        requests and the batch's virtual-clock cost (no real time passes).
+        Payloads in request order plus the kept requests' count, bytes and
+        virtual-clock cost (no real time passes).
         """
         request_list = self._checked_batch(requests, max_concurrency, required)
         if not request_list:
             return FetchResult()
         payloads: list[bytes | None] = []
-        records: list[RequestRecord] = []
+        sizes: list[int] = []
+        waits: list[float] = []
         for request in request_list:
             data = self._backend.read(request)
             payloads.append(data)
-            records.append(self._make_record(request.blob, len(data) if data is not None else 0))
-        if required is not None and required < len(records):
-            fastest = sorted(range(len(records)), key=lambda i: records[i].total_ms)
+            sizes.append(len(data) if data is not None else 0)
+            waits.append(self._latency.sample_first_byte_ms())
+        kept: Sequence[int] = range(len(request_list))
+        if required is not None and required < len(request_list):
+            fastest = sorted(kept, key=lambda i: waits[i] + self._latency.transfer_ms(sizes[i]))
             for index in fastest[required:]:
                 payloads[index] = None
-            records = [records[index] for index in sorted(fastest[:required])]
-            waves = [records]
+            kept = sorted(fastest[:required])
+            waves = [kept]
             ambient = current_span()
             if ambient is not None:
                 ambient.child(
@@ -164,26 +166,31 @@ class SimulatedCloudStore(ObjectStore):
                 ).finish()
         else:
             waves = [
-                records[start : start + max_concurrency]
-                for start in range(0, len(records), max_concurrency)
+                kept[start : start + max_concurrency]
+                for start in range(0, len(kept), max_concurrency)
             ]
-        batch = BatchRecord(
-            requests=tuple(records),
-            wait_ms=sum(max(record.wait_ms for record in wave) for wave in waves),
+        fetch = FetchResult(
+            payloads=payloads,
+            requests=len(kept),
+            nbytes=sum(sizes[index] for index in kept),
+            wait_ms=sum(max(waits[index] for index in wave) for wave in waves),
             download_ms=sum(
-                self._latency.batch_transfer_ms([record.nbytes for record in wave])
+                self._latency.batch_transfer_ms([sizes[index] for index in wave])
                 for wave in waves
             ),
         )
-        self.metrics.record_batch(batch)
-        return FetchResult(payloads=payloads, batch=batch)  # type: ignore[arg-type]
+        self.metrics.record(fetch)
+        return fetch
 
     # -- helpers ----------------------------------------------------------------
 
-    def _make_record(self, blob: str, nbytes: int) -> RequestRecord:
-        return RequestRecord(
-            blob=blob,
-            nbytes=nbytes,
-            wait_ms=self._latency.sample_first_byte_ms(),
-            download_ms=self._latency.transfer_ms(nbytes),
+    def _charge_single(self, nbytes: int) -> None:
+        """Charge one request on its own round trip."""
+        self.metrics.record(
+            FetchResult(
+                requests=1,
+                nbytes=nbytes,
+                wait_ms=self._latency.sample_first_byte_ms(),
+                download_ms=self._latency.transfer_ms(nbytes),
+            )
         )

@@ -8,6 +8,7 @@ import pytest
 from repro.cluster.health import HealthTracker
 from repro.cluster.router import NodeQueryError, QueryRouter
 from repro.observability import MetricsRegistry
+from repro.search.results import LatencyBreakdown
 from repro.service.api import (
     DocumentHit,
     SearchRequest,
@@ -104,6 +105,20 @@ class TestRouting:
         with make_router(cluster) as router:
             response = router.route(SearchRequest(query="doc", index="logs", top_k=2))
         assert list(response.documents) == ALL_DOCS[:2]
+
+    def test_merged_latency_is_the_slowest_node_s_with_summed_work(self, cluster):
+        request = SearchRequest(query="doc", index="logs")
+        # (lookup, retrieval, wait, download): the slow node's wait is the shorter.
+        fast = LatencyBreakdown(30.0, 10.0, 25.0, 15.0, bytes_fetched=100, round_trips=2)
+        slow = LatencyBreakdown(20.0, 40.0, 20.0, 40.0, bytes_fetched=300, round_trips=2)
+        responses = [
+            SearchResponse(query="doc", index="logs", mode="keyword", latency=latency)
+            for latency in (fast, slow)
+        ]
+        with make_router(cluster) as router:
+            merged = router._merge(request, responses, []).latency
+        assert merged == LatencyBreakdown(20.0, 40.0, 20.0, 40.0, bytes_fetched=400, round_trips=4)
+        assert merged.wait_ms + merged.download_ms == merged.total_ms == 60.0
 
     def test_num_shards_is_cached_until_invalidated(self, cluster):
         with make_router(cluster) as router:

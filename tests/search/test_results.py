@@ -4,13 +4,14 @@ import pytest
 
 from repro.parsing.documents import Document, DocumentRef
 from repro.search.results import LatencyBreakdown, SearchResult
+from repro.storage.parallel import FetchResult
 
 
 class TestLatencyBreakdown:
     def test_add_lookup_accumulates(self):
         latency = LatencyBreakdown()
-        latency.add_lookup(50.0, 45.0, 5.0, 1024)
-        latency.add_lookup(60.0, 55.0, 5.0, 2048)
+        latency.add_lookup(FetchResult(requests=1, nbytes=1024, wait_ms=45.0, download_ms=5.0))
+        latency.add_lookup(FetchResult(requests=1, nbytes=2048, wait_ms=55.0, download_ms=5.0))
         assert latency.lookup_ms == pytest.approx(110.0)
         assert latency.wait_ms == pytest.approx(100.0)
         assert latency.download_ms == pytest.approx(10.0)
@@ -19,8 +20,8 @@ class TestLatencyBreakdown:
 
     def test_add_retrieval_accumulates_separately(self):
         latency = LatencyBreakdown()
-        latency.add_lookup(50.0, 50.0, 0.0, 10)
-        latency.add_retrieval(70.0, 60.0, 10.0, 500)
+        latency.add_lookup(FetchResult(requests=1, nbytes=10, wait_ms=50.0, download_ms=0.0))
+        latency.add_retrieval(FetchResult(requests=1, nbytes=500, wait_ms=60.0, download_ms=10.0))
         assert latency.lookup_ms == pytest.approx(50.0)
         assert latency.retrieval_ms == pytest.approx(70.0)
         assert latency.total_ms == pytest.approx(120.0)
@@ -52,7 +53,7 @@ class TestSearchResult:
 
     def test_latency_ms_property(self):
         latency = LatencyBreakdown()
-        latency.add_lookup(10.0, 10.0, 0.0, 1)
+        latency.add_lookup(FetchResult(requests=1, nbytes=1, wait_ms=10.0, download_ms=0.0))
         result = SearchResult(query="q", latency=latency)
         assert result.latency_ms == pytest.approx(10.0)
 
@@ -66,8 +67,8 @@ class TestSearchResult:
 class TestSerialization:
     def test_latency_to_dict_includes_derived_total(self):
         latency = LatencyBreakdown()
-        latency.add_lookup(40.0, 30.0, 10.0, 512)
-        latency.add_retrieval(20.0, 15.0, 5.0, 256)
+        latency.add_lookup(FetchResult(requests=1, nbytes=512, wait_ms=30.0, download_ms=10.0))
+        latency.add_retrieval(FetchResult(requests=1, nbytes=256, wait_ms=15.0, download_ms=5.0))
         payload = latency.to_dict()
         assert payload["lookup_ms"] == pytest.approx(40.0)
         assert payload["retrieval_ms"] == pytest.approx(20.0)

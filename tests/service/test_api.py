@@ -10,12 +10,12 @@ from repro.service.api import (
     DocumentHit,
     ErrorInfo,
     IndexInfo,
-    LatencyInfo,
     SearchRequest,
     SearchResponse,
     ServiceError,
     ShardErrorInfo,
 )
+from repro.storage.parallel import FetchResult
 
 
 class TestSearchRequest:
@@ -68,8 +68,8 @@ class TestSearchResponse:
     def _result(self) -> SearchResult:
         posting = Posting(blob="corpus/a.txt", offset=0, length=9)
         latency = LatencyBreakdown()
-        latency.add_lookup(4.0, 1.0, 3.0, 128)
-        latency.add_retrieval(6.0, 2.0, 4.0, 256)
+        latency.add_lookup(FetchResult(requests=1, nbytes=128, wait_ms=1.0, download_ms=3.0))
+        latency.add_retrieval(FetchResult(requests=1, nbytes=256, wait_ms=2.0, download_ms=4.0))
         return SearchResult(
             query="error",
             documents=[Document(ref=posting, text="error one")],
@@ -101,6 +101,18 @@ class TestSearchResponse:
         rebuilt = SearchResponse.from_json(response.to_json())
         assert rebuilt == response
 
+    def test_wire_format_is_pinned(self):
+        request = SearchRequest(query="error", index="logs")
+        response = SearchResponse.from_result(request, self._result())
+        assert response.to_json() == (
+            '{"query": "error", "index": "logs", "mode": "keyword", "num_results": 1, '
+            '"num_candidates": 2, "false_positive_count": 1, "documents": [{"blob": '
+            '"corpus/a.txt", "offset": 0, "length": 9, "text": "error one"}], "latency": '
+            '{"lookup_ms": 4.0, "retrieval_ms": 6.0, "wait_ms": 3.0, "download_ms": 7.0, '
+            '"bytes_fetched": 384, "round_trips": 2, "total_ms": 10.0}}'
+        )
+        assert SearchResponse.from_dict(json.loads(response.to_json())) == response
+
     def test_to_dict_reports_derived_totals(self):
         request = SearchRequest(query="error", index="logs")
         payload = SearchResponse.from_result(request, self._result()).to_dict()
@@ -118,10 +130,10 @@ class TestDocumentHit:
         assert DocumentHit.from_dict(hit.to_dict()) == hit
 
 
-class TestLatencyInfo:
+class TestLatencyBreakdownFromDict:
     def test_round_trip_ignores_derived_total(self):
-        info = LatencyInfo(lookup_ms=3.0, retrieval_ms=4.0, bytes_fetched=10, round_trips=2)
-        assert LatencyInfo.from_dict(info.to_dict()) == info
+        info = LatencyBreakdown(lookup_ms=3.0, retrieval_ms=4.0, bytes_fetched=10, round_trips=2)
+        assert LatencyBreakdown.from_dict(info.to_dict()) == info
 
 
 class TestIndexInfo:
@@ -277,7 +289,7 @@ class TestServiceConfigRoundTrip:
 
         config = ServiceConfig()
         assert set(config.to_dict()) == {field.name for field in fields(ServiceConfig)}
-        assert len(fields(ServiceConfig)) == 29
+        assert len(fields(ServiceConfig)) == 27
         json.dumps(config.to_dict())  # what /healthz serializes
 
     def test_non_default_config_survives_the_round_trip(self):
@@ -310,3 +322,11 @@ class TestServiceConfigRoundTrip:
         config = ServiceConfig.from_dict(saved)
         assert config == ServiceConfig(hedge_ms=12.0)
         assert "hedge_percentile" not in config.to_dict()
+
+    def test_a_saved_config_with_the_retired_regex_and_trace_knobs_still_loads(self):
+        from repro.service.config import ServiceConfig
+
+        saved = {**ServiceConfig().to_dict(), "min_literal_length": 3, "trace_buffer": 64}
+        config = ServiceConfig.from_dict(saved)
+        assert config == ServiceConfig()
+        assert not {"min_literal_length", "trace_buffer"} & set(config.to_dict())

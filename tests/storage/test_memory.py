@@ -1,5 +1,9 @@
 """Unit tests for the in-memory object store."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.storage.base import BlobNotFoundError, RangeRead
@@ -98,6 +102,32 @@ class TestMetadataOperations:
         store.put("b/one", b"1")
         assert store.list_blobs() == ["a/one", "b/one", "b/two"]
         assert store.list_blobs("b/") == ["b/one", "b/two"]
+
+    def test_listing_beside_a_concurrent_writer_never_raises(self):
+        """A flush lists a build's blobs while appends put WAL segments."""
+        store = InMemoryObjectStore()
+        done = threading.Event()
+
+        def writer() -> None:
+            n = 0
+            while not done.is_set():
+                store.put(f"p/{n % 64}", b"x")
+                store.delete(f"p/{(n + 32) % 64}")
+                n += 1
+
+        thread = threading.Thread(target=writer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline:
+                assert all(name.startswith("p/") for name in store.list_blobs("p/"))
+        finally:
+            done.set()
+            thread.join(timeout=5)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
 
     def test_total_bytes_sums_sizes_under_prefix(self):
         store = InMemoryObjectStore()

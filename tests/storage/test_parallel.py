@@ -61,7 +61,7 @@ class TestFetch:
     def test_batch_latency_is_one_round_trip(self, store):
         requests = [RangeRead("blob", i, 8) for i in range(16)]
         result = store.read_batch(requests, max_concurrency=32)
-        assert result.batch.wait_ms == pytest.approx(50.0)
+        assert result.wait_ms == pytest.approx(50.0)
 
     def test_invalid_concurrency_rejected(self, store):
         with pytest.raises(ValueError):
@@ -74,7 +74,7 @@ class TestFetch:
         result = backend.read_batch([RangeRead("b", 0, 5), RangeRead("b", 5, 5)])
         assert result.payloads == [b"01234", b"56789"]
         assert result.total_ms == 0.0
-        assert [record.nbytes for record in result.batch.requests] == [5, 5]
+        assert (result.requests, result.nbytes) == (2, 10)
         assert fetch_threads()
         backend.close()
 
@@ -98,7 +98,7 @@ class TestHedgedFetch:
         result = store.read_batch(requests, required=4)
         dropped = sum(1 for payload in result.payloads if payload is None)
         assert dropped == 2
-        assert len(result.batch.requests) == 4
+        assert result.requests == 4
 
     def test_hedged_latency_not_worse_than_waiting_for_all(self):
         store = self._straggler_store()
@@ -271,8 +271,8 @@ class TestPoolWidth:
         requests = [RangeRead("blob", i, 8) for i in range(48)]
         # One wave: the batch charges a single 50ms first-byte wait, where
         # a 2-wide batch stacks 24 of them.
-        assert store.read_batch(requests, max_concurrency=64).batch.wait_ms == pytest.approx(50.0)
-        assert store.read_batch(requests, max_concurrency=2).batch.wait_ms == pytest.approx(
+        assert store.read_batch(requests, max_concurrency=64).wait_ms == pytest.approx(50.0)
+        assert store.read_batch(requests, max_concurrency=2).wait_ms == pytest.approx(
             24 * 50.0
         )
 
@@ -506,7 +506,7 @@ class TestParityAcrossPaths:
         ]
         result = either_path.read_batch(requests, max_concurrency=4)
         assert result.payloads == [None, b"56789", b"01", None, b"89"]
-        assert [record.nbytes for record in result.batch.requests] == [0, 5, 2, 0, 2]
+        assert (result.requests, result.nbytes) == (5, 9)
         assert result.total_ms == 0.0
 
     def test_a_required_miss_raises_blob_not_found(self, either_path):

@@ -3,7 +3,7 @@
 import pytest
 from harness.stores import BlockingStore, RecordingStore
 
-from repro.storage.base import RangeRead
+from repro.storage.base import RangeRead, TransientStoreError
 from repro.storage.latency import AffineLatencyModel
 from repro.storage.memory import InMemoryObjectStore
 from repro.storage.pipeline import ReadPipeline
@@ -156,7 +156,7 @@ class TestEquivalenceOnSimulatedStore:
         pipeline = ReadPipeline(sim_store)
         requests = [RangeRead("blob", i * 8, 8) for i in range(10)]  # all adjacent
         result = pipeline.fetch(requests)
-        assert len(result.batch.requests) == 1
+        assert result.requests == 1
         assert result.payloads == direct(sim_store, requests)
 
 
@@ -165,11 +165,11 @@ class TestBlockCache:
         pipeline = ReadPipeline(sim_store, cache_bytes=4096)
         requests = [RangeRead("blob", 0, 8), RangeRead("blob", 100, 8)]
         first = pipeline.fetch(requests)
-        assert first.batch.requests  # physical traffic happened
+        assert first.requests  # physical traffic happened
         sim_store.metrics.reset()
         second = pipeline.fetch(requests)
         assert second.payloads == first.payloads
-        assert not second.batch.requests  # fully served from cache
+        assert not second.requests  # fully served from cache
         assert second.total_ms == 0.0
         assert sim_store.metrics.round_trips == 0
         assert pipeline.stats.cache_hits == 2
@@ -396,20 +396,22 @@ class TestLifecycle:
             ReadPipeline(memory_store, max_concurrency=0)
 
 
+class _DownStore(InMemoryObjectStore):
+    """Holds blobs but every range read fails, as a backend that is down."""
+
+    def get_range(self, name, offset, length=None):
+        raise TransientStoreError("backend down")
+
+
 class TestFailureAccounting:
     def test_failed_physical_fetch_still_accounts_the_batch(self, memory_store):
         """A store failure must not erase the batch from the pipeline counters.
 
         When the backend is down, the pipeline counters are exactly what an
-        operator correlates with the spiking backend counters — planning-side
-        accounting therefore commits before the physical fetch.
+        operator correlates with the spiking backend counters — the wave is
+        therefore committed whether or not the physical fetch returns.
         """
         from repro.observability import MetricsRegistry
-        from repro.storage.base import TransientStoreError
-
-        class _DownStore(InMemoryObjectStore):
-            def get_range(self, name, offset, length=None):
-                raise TransientStoreError("backend down")
 
         store = _DownStore()
         store.put("blob", BLOB_DATA)
@@ -424,4 +426,29 @@ class TestFailureAccounting:
         assert (
             registry.counter("airphant_pipeline_physical_requests_total").value() == 1
         )
+        store.close()
+
+    def test_a_failed_wave_s_span_carries_the_counted_deltas(self):
+        """The explain tree of a failed query agrees with the counters too."""
+        from repro.observability import MetricsRegistry
+        from repro.observability.tracing import Tracer
+
+        store = _DownStore()
+        store.put("blob", BLOB_DATA)
+        pipeline = ReadPipeline(store, max_concurrency=2, metrics=MetricsRegistry())
+        pipeline.fetch([RangeRead("blob", 0, 0)])  # counted, reads nothing
+        before = pipeline.stats.snapshot()
+        handle = Tracer(sample_rate=1.0).begin("query")
+        try:
+            with pytest.raises(TransientStoreError):
+                pipeline.fetch([RangeRead("blob", 0, 8), RangeRead("blob", 0, 8)])
+        finally:
+            root = handle.finish()
+        (wave,) = [child for child in root.children if child.name == "pipeline.fetch"]
+        after = pipeline.stats.snapshot()
+        delta = {name: after[name] - before[name] for name in before}
+        assert (wave.attrs["requests"], delta["requests_in"]) == (2, 2)
+        assert (wave.attrs["physical_requests"], delta["requests_out"]) == (1, 1)
+        assert (wave.attrs["batches"], delta["batches"]) == (1, 1)
+        assert wave.attrs["bytes_fetched"] == delta["bytes_fetched"] == 0
         store.close()

@@ -52,13 +52,13 @@ class TestDataPassThrough:
 class TestTiming:
     def test_timed_get_charges_first_byte_plus_transfer(self, store):
         store.put("a", b"x" * (1024 * 1024))
-        batch = store.read_batch([RangeRead("a")]).batch
+        batch = store.read_batch([RangeRead("a")])
         assert batch.wait_ms == pytest.approx(50.0)
         assert batch.download_ms == pytest.approx(1000.0, rel=0.01)
 
     def test_timed_get_range_charges_only_fetched_bytes(self, store):
         store.put("a", b"x" * (2 * 1024 * 1024))
-        batch = store.read_batch([RangeRead("a", 0, 1024)]).batch
+        batch = store.read_batch([RangeRead("a", 0, 1024)])
         assert batch.nbytes == 1024
         assert batch.download_ms < 2.0
 
@@ -73,14 +73,14 @@ class TestTiming:
     def test_batch_wait_is_single_round_trip(self, store):
         store.put("a", b"x" * 4096)
         requests = [RangeRead("a", i * 10, 10) for i in range(5)]
-        batch = store.read_batch(requests, max_concurrency=32).batch
+        batch = store.read_batch(requests, max_concurrency=32)
         assert batch.wait_ms == pytest.approx(50.0)
-        assert len(batch.requests) == 5
+        assert batch.requests == 5
 
     def test_batch_beyond_concurrency_runs_in_waves(self, store):
         store.put("a", b"x" * 4096)
         requests = [RangeRead("a", i, 1) for i in range(10)]
-        batch = store.read_batch(requests, max_concurrency=4).batch
+        batch = store.read_batch(requests, max_concurrency=4)
         # 10 requests at concurrency 4 -> 3 waves of first-byte latency.
         assert batch.wait_ms == pytest.approx(150.0)
 
@@ -124,14 +124,15 @@ class TestMetricsRecording:
         assert store.metrics.total_bytes == 0
 
     def test_recording_keeps_no_per_request_state(self, store):
-        """50 000 batched reads: five running totals, nothing per request."""
+        """50 000 batched reads: five running totals — the sums of what the
+        5 000 round trips reported — and nothing per request."""
         store.put("a", bytes(64))
         requests = [RangeRead("a", offset, 4) for offset in range(0, 40, 4)]
         expected = {"wait": 0.0, "download": 0.0}
         for _ in range(5_000):
-            batch = store.read_batch(requests).batch
-            expected["wait"] += sum(record.wait_ms for record in batch.requests)
-            expected["download"] += sum(record.download_ms for record in batch.requests)
+            batch = store.read_batch(requests)
+            expected["wait"] += batch.wait_ms
+            expected["download"] += batch.download_ms
         metrics = store.metrics
         assert metrics.request_count == 50_000
         assert metrics.round_trips == 5_000

@@ -444,3 +444,45 @@ def test_checker_keeps_one_pipeline_and_no_retired_read_knobs(tmp_path):
         "storage/pipeline.py:1: retired read-path knob",
         "storage/pipeline.py:2: retired read-path knob",
     ]
+
+
+def test_checker_keeps_one_cost_record_and_counters_on_their_fields(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("observability", "search", "storage"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the stats module may hold a table; a wave's scalar cost, a
+    # ``_batch`` attribute and a docstring naming the old spelling are fine.
+    (root / "observability" / "stats.py").write_text(
+        "_COUNTER_TABLE: dict[str, str] = {}\n", encoding="utf-8"
+    )
+    (root / "search" / "searcher.py").write_text(
+        '"""Once read as fetch.batch.wait_ms and kept _WAVE_COUNTERS = {}."""\n'
+        "account(fetch.wait_ms, fetch.nbytes)\n"
+        "size = self._batch.size\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a per-request record read, and a counter table anywhere else.
+    (root / "search" / "member.py").write_text(
+        "account(fetch.batch.total_ms)\n", encoding="utf-8"
+    )
+    (root / "storage" / "pipeline.py").write_text(
+        "_PIPELINE_COUNTERS: dict[str, tuple[str, str]] = {\n"
+        '    "requests_in": ("airphant_x_total", "x"),\n'
+        "}\n"
+        "class PipelineStats:\n"
+        "    _COUNTER_TABLE = _PIPELINE_COUNTERS\n",
+        encoding="utf-8",
+    )
+    (root / "storage" / "metrics.py").write_text(
+        "_SIM_COUNTERS = dict(requests=1)\n", encoding="utf-8"
+    )
+    found = check_seams.findings(root)
+    assert sorted(problem.split("repro/")[1] for problem in found) == [
+        "search/member.py:1: a per-request batch record read",
+        "storage/metrics.py:1: a metric-counter table outside observability/stats.py",
+        "storage/pipeline.py:1: a metric-counter table outside observability/stats.py",
+        "storage/pipeline.py:5: a metric-counter table outside observability/stats.py",
+    ]
