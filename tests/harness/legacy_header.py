@@ -11,6 +11,9 @@ prove nothing else changed:
 * :func:`downgrade_headers` — rewrites the headers of already-built indexes
   in a store to that JSON form, yielding the index an older build would have
   left behind (same ``superposts.bin``, same pointers);
+* :func:`downgrade_codec` — rewrites the superposts of already-built indexes
+  as codec v1 in layer-major order, the index a pre-v2 builder wrote (the
+  v1 codec and that placement are read forever, written only here);
 * :func:`legacy_superpost_blob` — the old placement walk over *all* bins and
   the concatenation it produced, as the reference ``superposts.bin`` must
   stay byte-identical to;
@@ -22,17 +25,29 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from dataclasses import replace
 from typing import Mapping
+
+import numpy as np
 
 from repro.core.common_words import CommonWordTable, select_common_words
 from repro.core.config import SketchConfig
+from repro.core.mht import MultilayerHashTable
 from repro.core.sketch import IoUSketch
 from repro.index.compaction import (
     HEADER_BLOB_SUFFIX,
     CompactedSketch,
     decode_header,
+    encode_header,
 )
-from repro.index.serialization import StringTable, encode_superpost
+from repro.index.metadata import ShardManifest
+from repro.index.serialization import (
+    FORMAT_V1,
+    StringTable,
+    decode_superpost,
+    encode_superpost,
+)
+from repro.index.store_layout import SHARD_MANIFEST_SUFFIX
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer
 from repro.profiling.profiler import profile_documents
@@ -84,6 +99,51 @@ def downgrade_headers(store: ObjectStore, prefix: str = "") -> list[str]:
     ]
     for name in headers:
         store.put(name, encode_legacy_header(decode_header(store.get(name))))
+    return headers
+
+
+def downgrade_codec(store: ObjectStore, prefix: str = "") -> list[str]:
+    """Rewrite every build under ``prefix`` as a v1 build; returns its headers.
+
+    Each ``superposts.bin`` is re-encoded with the v1 codec in bin-id order
+    (layer-major), then the common words in word order, against a fresh
+    string table; the header gets the new pointers and codec, its metadata
+    ``format_version`` 1, and every shard manifest ``index_format_version``
+    1.  The result is what ``format_version=1, layout="plain"`` builds wrote.
+    """
+    blobs = store.list_blobs(prefix=prefix)
+    headers = [name for name in blobs if name.endswith(f"/{HEADER_BLOB_SUFFIX}")]
+    for name in headers:
+        compacted = decode_header(store.get(name))
+        mht, payload = compacted.mht, store.get(compacted.superpost_blob_name)
+        strings, blob, ends = StringTable(), bytearray(), []
+        for offset, length in mht.ranges():
+            if length:
+                postings = decode_superpost(
+                    payload[offset : offset + length],
+                    compacted.string_table,
+                    compacted.format_version,
+                )
+                blob += encode_superpost(postings, strings, FORMAT_V1)
+            ends.append(len(blob))
+        dtype = np.uint32 if len(blob) < 1 << 32 else np.uint64
+        lengths = np.diff(ends, prepend=0).astype(dtype)
+        offsets = (np.array(ends, np.int64) - lengths).astype(dtype)
+        count = len(mht.bin_ids)
+        downgraded = MultilayerHashTable(
+            mht.hasher, mht.blob, len(blob), np.asarray(mht.bin_ids),
+            offsets[:count], lengths[:count],
+            list(mht.common_words), offsets[count:], lengths[count:],
+        )
+        metadata = compacted.metadata
+        if metadata is not None:
+            metadata = replace(metadata, format_version=FORMAT_V1)
+        store.put(mht.blob, bytes(blob))
+        store.put(name, encode_header(CompactedSketch(b"", downgraded, strings, metadata, FORMAT_V1)))
+    for name in blobs:
+        if name.endswith(f"/{SHARD_MANIFEST_SUFFIX}"):
+            manifest = ShardManifest.from_json(store.get(name))
+            store.put(name, replace(manifest, index_format_version=FORMAT_V1).to_json().encode("utf-8"))
     return headers
 
 

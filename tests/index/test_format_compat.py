@@ -1,10 +1,12 @@
 """Cross-version compatibility of the superpost codec.
 
-The v2 (delta-coded) codec changes bytes on disk, never answers: these tests
-pin that a v1 index stays readable by the current searcher forever (over
-``mem://`` and the emulated ``s3://`` backend), that sharded/routed answers
-are byte-identical across formats, and that compaction of a live index
-upgrades its format in place.
+The v2 (delta-coded) codec changes bytes on disk, never answers.  Every
+build writes v2; the v1 indexes here are default builds rewritten by
+``harness.legacy_header.downgrade_codec`` into exactly what a pre-v2 builder
+left behind.  These tests pin that a v1 index stays readable by the current
+searcher forever (over ``mem://`` and the emulated ``s3://`` backend), that
+sharded/routed answers are byte-identical across formats, and that
+compaction of a live index upgrades its format in place.
 """
 
 import json
@@ -22,6 +24,7 @@ from repro.service.facade import AirphantService
 from repro.storage.memory import InMemoryObjectStore
 
 from harness.corpora import SMALL_CORPUS_TEXT
+from harness.legacy_header import downgrade_codec
 
 CONFIG = SketchConfig(num_bins=256, num_layers=2, seed=11)
 
@@ -36,6 +39,14 @@ def _documents(store):
     return list(LineDelimitedCorpusParser().parse(store, ["corpus.txt"]))
 
 
+def _build_both(store, documents, builder=None) -> None:
+    """``idx-v2`` as every build writes it, and ``idx-v1`` downgraded."""
+    builder = builder or AirphantBuilder(store, config=CONFIG)
+    for name in ("idx-v1", "idx-v2"):
+        builder.build_from_documents(documents, index_name=name)
+    downgrade_codec(store, "idx-v1/")
+
+
 def _lookup(searcher, word: str):
     postings, _ = searcher.lookup_postings(word)
     return sorted(
@@ -44,30 +55,18 @@ def _lookup(searcher, word: str):
 
 
 class TestV1ReadableForever:
-    def test_header_roundtrips_requested_format(self):
-        for version in (FORMAT_V1, FORMAT_V2):
-            store = _store_with_corpus()
-            builder = AirphantBuilder(store, config=CONFIG, format_version=version)
-            builder.build_from_documents(_documents(store), index_name="idx")
-            header = decode_header(store.get(f"idx/{HEADER_BLOB_SUFFIX}"))
+    def test_every_build_writes_v2_and_the_downgrade_declares_v1(self):
+        store = _store_with_corpus()
+        _build_both(store, _documents(store))
+        for name, version in (("idx-v2", FORMAT_V2), ("idx-v1", FORMAT_V1)):
+            header = decode_header(store.get(f"{name}/{HEADER_BLOB_SUFFIX}"))
             assert header.format_version == version
             assert header.metadata.format_version == version
-
-    def test_default_build_writes_v2(self):
-        store = _store_with_corpus()
-        AirphantBuilder(store, config=CONFIG).build_from_documents(
-            _documents(store), index_name="idx"
-        )
-        header = decode_header(store.get(f"idx/{HEADER_BLOB_SUFFIX}"))
-        assert header.format_version == DEFAULT_FORMAT_VERSION == FORMAT_V2
+        assert DEFAULT_FORMAT_VERSION == FORMAT_V2
 
     def test_v1_index_read_by_current_searcher_over_mem(self):
         store = _store_with_corpus()
-        documents = _documents(store)
-        for version, name in ((FORMAT_V1, "idx-v1"), (FORMAT_V2, "idx-v2")):
-            AirphantBuilder(
-                store, config=CONFIG, format_version=version
-            ).build_from_documents(documents, index_name=name)
+        _build_both(store, _documents(store))
         old = AirphantSearcher(store, "idx-v1")
         new = AirphantSearcher(store, "idx-v2")
         old.initialize()
@@ -85,14 +84,8 @@ class TestV1ReadableForever:
             for index in range(400)
         ]
         store.put("corpus.txt", "\n".join(lines).encode("utf-8"))
-        documents = _documents(store)
-        sizes = {}
-        for version, name in ((FORMAT_V1, "idx-v1"), (FORMAT_V2, "idx-v2")):
-            AirphantBuilder(
-                store, config=CONFIG, format_version=version
-            ).build_from_documents(documents, index_name=name)
-            sizes[version] = store.size(f"{name}/superposts.bin")
-        assert sizes[FORMAT_V2] < sizes[FORMAT_V1]
+        _build_both(store, _documents(store))
+        assert store.size("idx-v2/superposts.bin") < store.size("idx-v1/superposts.bin")
 
     def test_v2_queries_fetch_fewer_bytes_in_no_more_requests(self):
         """The delta codec shrinks what a query downloads, and the co-access
@@ -103,15 +96,11 @@ class TestV1ReadableForever:
             for index in range(400)
         ]
         store.put("corpus.txt", "\n".join(lines).encode("utf-8"))
-        documents = _documents(store)
+        _build_both(store, _documents(store))
         words = ["error", "timeout", "node3", "request", "latency", "17", "absent"]
         answers, stats = {}, {}
-        for version, layout in ((FORMAT_V1, "plain"), (FORMAT_V2, "coaccess")):
-            name = f"idx-v{version}"
-            AirphantBuilder(
-                store, config=CONFIG, format_version=version, layout=layout
-            ).build_from_documents(documents, index_name=name)
-            searcher = AirphantSearcher.open(store, name)
+        for version in (FORMAT_V1, FORMAT_V2):
+            searcher = AirphantSearcher.open(store, f"idx-v{version}")
             answers[version] = [searcher.search(word).postings for word in words]
             stats[version] = searcher.pipeline.stats
         assert answers[FORMAT_V1] == answers[FORMAT_V2]
@@ -122,15 +111,10 @@ class TestV1ReadableForever:
 class TestShardedByteIdentity:
     def test_sharded_answers_byte_identical_across_formats(self):
         store = _store_with_corpus()
-        documents = _documents(store)
+        _build_both(store, _documents(store), AirphantBuilder(store, config=CONFIG, num_shards=3))
         payloads = {}
-        for version, name in ((FORMAT_V1, "sh-v1"), (FORMAT_V2, "sh-v2")):
-            AirphantBuilder(
-                store,
-                config=CONFIG,
-                num_shards=3,
-                format_version=version,
-            ).build_from_documents(documents, index_name=name)
+        for version in (FORMAT_V1, FORMAT_V2):
+            name = f"idx-v{version}"
             manifest = ShardManifest.from_json(
                 store.get(ShardManifest.blob_name(name))
             )
@@ -149,15 +133,14 @@ class TestShardedByteIdentity:
     def test_routed_service_answers_byte_identical_across_formats(self):
         responses = {}
         for fmt in ("v1", "v2"):
-            service = AirphantService.from_uri("mem://")
-            service.store.put("corpus.txt", SMALL_CORPUS_TEXT.encode("utf-8"))
-            service.build_index(
-                f"logs-{fmt}",
-                ["corpus.txt"],
-                sketch_config=CONFIG,
-                num_shards=2,
-                format_version={"v1": 1, "v2": 2}[fmt],
-            )
+            with AirphantService.from_uri("mem://") as builder:
+                builder.store.put("corpus.txt", SMALL_CORPUS_TEXT.encode("utf-8"))
+                builder.build_index(
+                    f"logs-{fmt}", ["corpus.txt"], sketch_config=CONFIG, num_shards=2
+                )
+                if fmt == "v1":
+                    downgrade_codec(builder.store)
+            service = AirphantService(builder.store)
             response = service.search(
                 SearchRequest(query="error timeout", index=f"logs-{fmt}")
             )
@@ -170,14 +153,12 @@ class TestShardedByteIdentity:
 
 class TestS3Compat:
     def test_v1_index_read_over_emulated_s3(self, s3_emulator):
+        with AirphantService.from_uri(s3_emulator.uri()) as service:
+            service.store.put("corpus.txt", SMALL_CORPUS_TEXT.encode("utf-8"))
+            for name in ("logs-v1", "logs-v2"):
+                service.build_index(name, ["corpus.txt"], sketch_config=CONFIG)
+            downgrade_codec(service.store, "logs-v1/")
         service = AirphantService.from_uri(s3_emulator.uri())
-        service.store.put("corpus.txt", SMALL_CORPUS_TEXT.encode("utf-8"))
-        service.build_index(
-            "logs-v1", ["corpus.txt"], sketch_config=CONFIG, format_version=1
-        )
-        service.build_index(
-            "logs-v2", ["corpus.txt"], sketch_config=CONFIG, format_version=2
-        )
         old = service.search(SearchRequest(query="error timeout", index="logs-v1"))
         new = service.search(SearchRequest(query="error timeout", index="logs-v2"))
         assert [hit.to_dict() for hit in old.documents] == [
@@ -192,11 +173,10 @@ class TestIngestUpgrade:
         store = _store_with_corpus()
         documents = _documents(store)
         # A pre-v2 deployment: base and delta both written as v1.
-        legacy = AppendOnlyIndexManager(
-            store, "live", config=CONFIG, format_version=FORMAT_V1
-        )
+        legacy = AppendOnlyIndexManager(store, "live", config=CONFIG)
         legacy.build_base(documents[:6])
         legacy.append(documents[6:])
+        assert len(downgrade_codec(store, "live/")) == 2
         base_header = decode_header(store.get(f"live/{HEADER_BLOB_SUFFIX}"))
         assert base_header.format_version == FORMAT_V1
 

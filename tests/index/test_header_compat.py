@@ -5,13 +5,15 @@ the budget.  These tests build indexes as today's writers do, rewrite their
 headers into that JSON form (``harness.legacy_header`` — same superposts, same
 pointers, exactly what an older build left behind) and pin that
 
-* such indexes — plain, 4-shard, base + deltas, with either superpost codec —
+* such indexes — plain, 4-shard, base + deltas, with either superpost codec
+  (v1 ones are v2 builds rewritten by ``harness.legacy_header.downgrade_codec``) —
   answer keyword, Boolean and ``topk_bm25`` queries byte-identically to their
   v3-headed selves, over ``mem://`` and the S3 emulator;
 * compacting a JSON-headed live index leaves only v3 headers behind;
 * ``superposts.bin`` itself did not move: placing only the non-empty bins
   keeps their relative order, so the blob is byte-identical to the one the
-  old place-every-bin walk produced.
+  old place-every-bin walk produced — and so is its v1 downgrade to the old
+  walk's v1 layer-major blob.
 """
 
 from __future__ import annotations
@@ -38,7 +40,12 @@ from repro.workloads.logs import generate_log_corpus
 
 from harness.corpora import SMALL_CORPUS_TEXT
 from harness.stores import CountingStore
-from harness.legacy_header import downgrade_headers, legacy_superpost_blob, reference_sketch
+from harness.legacy_header import (
+    downgrade_codec,
+    downgrade_headers,
+    legacy_superpost_blob,
+    reference_sketch,
+)
 
 CONFIG = SketchConfig(num_bins=256, num_layers=2, seed=11)
 
@@ -60,13 +67,17 @@ APPENDS = [
 
 
 def _build_all(service: AirphantService, codec: int) -> list[str]:
-    """A plain, a 4-shard and a base + 2 deltas index, all on one corpus."""
+    """A plain, a 4-shard and a base + 2 deltas index, all on one corpus.
+
+    With ``codec`` v1 the builds are downgraded before the deltas are
+    appended, so the live index is a v1 base under v2 deltas.
+    """
     service.store.put("corpus.txt", SMALL_CORPUS_TEXT.encode("utf-8"))
     names = [f"plain-{codec}", f"sharded-{codec}", f"live-{codec}"]
     for name, shards in zip(names, (1, 4, 1)):
-        service.build_index(
-            name, ["corpus.txt"], sketch_config=CONFIG, num_shards=shards, format_version=codec
-        )
+        service.build_index(name, ["corpus.txt"], sketch_config=CONFIG, num_shards=shards)
+    if codec == FORMAT_V1:
+        assert len(downgrade_codec(service.store)) == 1 + 4 + 1
     for batch in APPENDS:
         service.append_documents(names[2], batch)
         assert service.flush_index(names[2])["delta"]
@@ -172,10 +183,9 @@ class TestCompactionUpgradesHeaders:
 
 
 class TestSuperpostBlobDidNotMove:
-    @pytest.mark.parametrize("codec", [FORMAT_V1, FORMAT_V2])
-    @pytest.mark.parametrize("layout", [None, "plain"])
+    @pytest.mark.parametrize("downgraded", [False, True])
     @pytest.mark.parametrize("layers", [None, 3])
-    def test_default_build_matches_the_place_every_bin_walk(self, codec, layout, layers):
+    def test_default_build_matches_the_place_every_bin_walk(self, downgraded, layers):
         store = InMemoryObjectStore()
         corpus = generate_log_corpus(store, "spark", 1500, seed=16)
         documents = list(LineDelimitedCorpusParser().parse(store, corpus.blob_names))
@@ -183,15 +193,18 @@ class TestSuperpostBlobDidNotMove:
         # optimizer settles on one layer for a corpus this small, so a pinned
         # three-layer build is what exercises the co-access chains.
         config = SketchConfig(num_layers=layers)
-        builder = AirphantBuilder(store, config=config, format_version=codec, layout=layout)
+        builder = AirphantBuilder(store, config=config)
         built = builder.build_from_documents(documents, index_name="idx")
+        if downgraded:
+            downgrade_codec(store)
 
         # Rebuild the sketch the builder compacted, then lay it out the old way.
         sketch, word_weights = reference_sketch(
             documents, builder._tokenizer, config, built.metadata.num_layers
         )
+        # A downgraded build is what v1 builds wrote: layer-major, unweighted.
         expected_blob, expected_strings = legacy_superpost_blob(
-            sketch, codec, word_weights if layout is None else None
+            sketch, FORMAT_V1 if downgraded else FORMAT_V2, None if downgraded else word_weights
         )
         assert store.get(f"idx/{SUPERPOST_BLOB_SUFFIX}") == expected_blob
         header = decode_header(store.get(f"idx/{HEADER_BLOB_SUFFIX}"))

@@ -28,6 +28,8 @@ from repro.storage.pipeline import ReadPipeline
 from repro.storage.simulated import SimulatedCloudStore
 from repro.workloads.logs import generate_log_corpus
 
+from harness.legacy_header import downgrade_codec
+
 CONFIG = SketchConfig(num_bins=256, target_false_positives=1.0, seed=7)
 INDEX = "idx"
 QUERIES = (
@@ -57,16 +59,12 @@ def _answers(service: AirphantService, queries=QUERIES) -> list[dict]:
     return answers
 
 
-def _store(num_shards: int = 1, format_version: int | None = None) -> InMemoryObjectStore:
+def _store(num_shards: int = 1) -> InMemoryObjectStore:
     store = InMemoryObjectStore()
     corpus = generate_log_corpus(store, "hdfs", 300, seed=5)
     with _service(store) as service:
         service.build_index(
-            INDEX,
-            corpus.blob_names,
-            sketch_config=CONFIG,
-            num_shards=num_shards,
-            format_version=format_version,
+            INDEX, corpus.blob_names, sketch_config=CONFIG, num_shards=num_shards
         )
     return store
 
@@ -122,7 +120,8 @@ class TestCacheOnEqualsCacheOff:
             assert cached.catalog.open(INDEX).pipeline.stats.cache_hits > hits
 
     def test_a_mix_of_v1_and_v2_codec_members(self):
-        store = _store(num_shards=4, format_version=1)
+        store = _store(num_shards=4)
+        downgrade_codec(store)
         with _service(store) as service:
             service.append_documents(INDEX, ["ERROR appended disk failure", "INFO block appended"])
             assert service.flush_index(INDEX)["delta"]  # written with the v2 default
