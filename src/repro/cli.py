@@ -257,7 +257,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
             sketch_config=config,
             num_shards=args.shards,
             partitioner=args.partitioner,
-            format_version={"v1": 1, "v2": 2}[args.format],
         )
     except ServiceError as error:
         print(f"error: {error.info.message}", file=sys.stderr)
@@ -283,16 +282,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _resolve_mode(args: argparse.Namespace) -> str:
-    """Query mode from ``--mode`` (preferred) or the legacy boolean flags."""
-    mode = getattr(args, "mode", None)
-    if mode is not None:
-        # CLI flag values use dashes; the API mode name uses an underscore.
-        return mode.replace("-", "_") if mode == "topk-bm25" else mode
-    if getattr(args, "regex", False):
-        return "regex"
-    if getattr(args, "boolean", False):
-        return "boolean"
-    return "keyword"
+    """The API query mode of ``--mode`` (flag values use dashes, modes underscores)."""
+    return args.mode.replace("-", "_")
 
 
 def _parse_weights(entries: list[str] | None) -> dict[str, float] | None:
@@ -770,13 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how documents are routed to shards",
     )
     build.add_argument(
-        "--format",
-        default="v2",
-        choices=["v1", "v2"],
-        help="superpost codec: v2 (delta-coded, default) or v1 (legacy, "
-        "readable by pre-v2 searchers)",
-    )
-    build.add_argument(
         "--listing",
         action="store_true",
         help="also write the bucket's listing manifest, "
@@ -799,11 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--mode",
         choices=("keyword", "boolean", "regex", "topk-bm25"),
-        default=None,
+        default="keyword",
         help="query mode (topk-bm25 returns BM25-scored results, best first)",
     )
-    search.add_argument("--boolean", action="store_true", help="treat the query as AND/OR syntax")
-    search.add_argument("--regex", action="store_true", help="treat the query as a regular expression")
     search.add_argument(
         "--weight",
         action="append",
@@ -836,11 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--mode",
         choices=("keyword", "boolean", "regex", "topk-bm25"),
-        default=None,
+        default="keyword",
         help="query mode for the replayed query",
     )
-    stats.add_argument("--boolean", action="store_true", help="treat the query as AND/OR syntax")
-    stats.add_argument("--regex", action="store_true", help="treat the query as a regular expression")
     stats.add_argument(
         "--repeat", type=int, default=1, help="times the query is replayed before the snapshot"
     )

@@ -24,13 +24,7 @@ from repro.index.store_layout import (
     read_shard_manifest,
     shard_index_name,
 )
-from repro.index.layout import (
-    LAYOUT_COACCESS,
-    LAYOUT_PLAIN,
-    LAYOUTS,
-    coaccess_order,
-    plain_order,
-)
+from repro.index.layout import coaccess_order, plain_order
 from repro.index.updates import AppendOnlyIndexManager, IndexManifest
 from repro.index.serialization import (
     DEFAULT_FORMAT_VERSION,
@@ -57,9 +51,6 @@ __all__ = [
     "FORMAT_V2",
     "HEADER_BLOB_SUFFIX",
     "IndexMetadata",
-    "LAYOUTS",
-    "LAYOUT_COACCESS",
-    "LAYOUT_PLAIN",
     "PARTITIONERS",
     "SHARD_MANIFEST_SUFFIX",
     "SHARD_MARKER",

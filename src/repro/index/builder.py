@@ -35,9 +35,8 @@ from repro.core.optimizer import minimize_layers
 from repro.core.analysis import expected_false_positives
 from repro.core.sketch import PostingColumns, SketchColumns
 from repro.index.compaction import CompactedSketch, compact_sketch, encode_header
-from repro.index.layout import LAYOUTS
 from repro.index.metadata import IndexMetadata, ShardEntry, ShardManifest
-from repro.index.serialization import DEFAULT_FORMAT_VERSION, SUPPORTED_FORMAT_VERSIONS
+from repro.index.serialization import DEFAULT_FORMAT_VERSION
 from repro.index.sharding import PARTITIONERS, partition_documents, shard_of
 from repro.index.stats import IndexStats, build_stats, encode_stats, union_stats
 from repro.index.store_layout import (
@@ -115,8 +114,6 @@ class AirphantBuilder:
         num_shards: int = 1,
         partitioner: str = "hash",
         build_concurrency: int | None = None,
-        format_version: int | None = None,
-        layout: str | None = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -126,25 +123,12 @@ class AirphantBuilder:
             )
         if build_concurrency is not None and build_concurrency < 1:
             raise ValueError("build_concurrency must be positive when set")
-        if format_version is not None and format_version not in SUPPORTED_FORMAT_VERSIONS:
-            raise ValueError(
-                f"unsupported format_version {format_version}; expected one of "
-                f"{SUPPORTED_FORMAT_VERSIONS}"
-            )
-        if layout is not None and layout not in LAYOUTS:
-            raise ValueError(
-                f"unknown layout {layout!r}; expected one of {', '.join(LAYOUTS)}"
-            )
         self._store = store
         self._config = config if config is not None else SketchConfig()
         self._tokenizer = tokenizer if tokenizer is not None else WhitespaceAnalyzer()
         self._num_shards = num_shards
         self._partitioner = partitioner
         self._build_concurrency = build_concurrency
-        self._format_version = (
-            format_version if format_version is not None else DEFAULT_FORMAT_VERSION
-        )
-        self._layout = layout
         self._metadata_extra: dict[str, Any] = {}
 
     @property
@@ -161,16 +145,6 @@ class AirphantBuilder:
     def partitioner(self) -> str:
         """Document partitioner used in sharded mode."""
         return self._partitioner
-
-    @property
-    def format_version(self) -> int:
-        """Superpost codec version this builder writes."""
-        return self._format_version
-
-    @property
-    def layout(self) -> str | None:
-        """Superpost placement order (``None`` = default for the codec)."""
-        return self._layout
 
     # -- public build entry points -----------------------------------------------
 
@@ -299,8 +273,6 @@ class AirphantBuilder:
                 self._store,
                 config=self._config,
                 tokenizer=self._tokenizer,
-                format_version=self._format_version,
-                layout=self._layout,
             )
             shard_builder._metadata_extra = {
                 "shard_index": shard,
@@ -328,7 +300,7 @@ class AirphantBuilder:
         manifest = ShardManifest(
             index_name=index_name,
             partitioner=self._partitioner,
-            index_format_version=self._format_version,
+            index_format_version=DEFAULT_FORMAT_VERSION,
             shards=tuple(
                 ShardEntry(
                     name=shard.index_name,
@@ -428,7 +400,7 @@ class AirphantBuilder:
             seed=self._config.seed,
             target_false_positives=self._config.target_false_positives,
             expected_false_positives=expected,
-            format_version=self._format_version,
+            format_version=DEFAULT_FORMAT_VERSION,
         )
 
     def _persist(
@@ -444,8 +416,6 @@ class AirphantBuilder:
             sketch,
             superpost_blob,
             metadata=metadata,
-            format_version=self._format_version,
-            layout=self._layout,
             word_weights=word_weights,
         )
         self._store.put(superpost_blob, compacted.superpost_blob_data)

@@ -18,9 +18,10 @@ version: v1-coded superposts are readable forever, and the Searcher
 dispatches its decoder on whatever codec the header declares.  The JSON
 headers of earlier builds (leading ``{``) stay readable through one legacy
 decoder; every writer emits v3, so the next compaction upgrades them.
-Inside the blob, superposts are placed either layer-major (``plain``) or in
-co-access order (``coaccess``; see :mod:`repro.index.layout`) — placement is
-invisible to readers, which only ever follow pointers.
+Every build writes codec v2 and places the superposts inside the blob in
+co-access order (:mod:`repro.index.layout`); placement is invisible to
+readers, which only ever follow pointers, so the layer-major blobs of older
+builds read the same way.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ import numpy as np
 from repro.core.mht import MultilayerHashTable
 from repro.core.hashing import LayeredHasher
 from repro.core.sketch import IoUSketch, SketchColumns
-from repro.index.layout import (
-    LAYOUT_COACCESS,
-    LAYOUT_PLAIN,
-    LAYOUTS,
-    coaccess_order,
-    plain_order,
-)
+from repro.index.layout import coaccess_order
 from repro.index.metadata import IndexMetadata
 from repro.index.serialization import (
     DEFAULT_FORMAT_VERSION,
@@ -95,19 +90,14 @@ def compact_sketch(
     sketch: IoUSketch | SketchColumns,
     superpost_blob_name: str,
     metadata: IndexMetadata | None = None,
-    format_version: int | None = None,
-    layout: str | None = None,
     word_weights: Mapping[str, int] | None = None,
 ) -> CompactedSketch:
-    """Serialize and concatenate all superposts of ``sketch``.
+    """Serialize and concatenate all superposts of ``sketch`` with the v2 codec.
 
-    ``format_version`` picks the superpost codec (defaults to the current
-    :data:`~repro.index.serialization.DEFAULT_FORMAT_VERSION`).  ``layout``
-    picks the placement order inside the blob: ``"plain"`` is layer-major,
-    ``"coaccess"`` places each word's layer chain adjacently so the read
-    pipeline can coalesce a query's fetches; when left ``None`` it defaults
-    to co-access whenever ``word_weights`` (word → document frequency,
-    supplied by the builder) are available.
+    The bins are placed in co-access order (:func:`coaccess_order`): each
+    word's layer chain adjacent, weighted by ``word_weights`` (word →
+    document frequency, supplied by the builder), so the read pipeline can
+    coalesce a query's fetches.  Without weights that order is layer-major.
 
     Only non-empty bins are placed, encoded and given a pointer row; a bin
     without a row is empty and the Searcher skips it without a request.  The
@@ -115,21 +105,10 @@ def compact_sketch(
     from their document rows (:func:`~repro.index.serialization.encode_superposts`);
     an :class:`IoUSketch` is turned into columns first.
     """
-    if format_version is None:
-        format_version = DEFAULT_FORMAT_VERSION
-    if format_version not in SUPPORTED_FORMAT_VERSIONS:
-        raise ValueError(f"unsupported superpost codec version {format_version}")
-    if layout is None:
-        layout = LAYOUT_COACCESS if word_weights else LAYOUT_PLAIN
-    if layout not in LAYOUTS:
-        raise ValueError(f"unknown layout {layout!r} (expected one of {LAYOUTS})")
     if isinstance(sketch, IoUSketch):
         sketch = sketch.columns()
 
-    if layout == LAYOUT_COACCESS:
-        placement = coaccess_order(sketch, word_weights or {})
-    else:
-        placement = plain_order(sketch)
+    placement = coaccess_order(sketch, word_weights or {})
     bin_ids = np.array(
         [layer * sketch.bins_per_layer + bin_index for layer, bin_index in placement], np.int64
     )
@@ -140,8 +119,8 @@ def compact_sketch(
     )
     columns = lists._replace(starts=lists.starts[order], counts=lists.counts[order])
     string_table = StringTable()
-    blob, sizes = encode_superposts(columns, string_table, format_version)
-    _record_codec_bytes(format_version, uncompressed_superpost_bytes(columns), len(blob))
+    blob, sizes = encode_superposts(columns, string_table)
+    _record_codec_bytes(uncompressed_superpost_bytes(columns), len(blob))
 
     # Superposts are concatenated without padding, so offsets are the running
     # sum of lengths in placement order; the table wants them in bin-id order.
@@ -154,13 +133,13 @@ def compact_sketch(
         bin_ids[by_id].astype(np.uint32), offsets[:count][by_id], lengths[:count][by_id],
         list(sketch.common_words), offsets[count:], lengths[count:],
     )
-    return CompactedSketch(blob, mht, string_table, metadata, format_version)
+    return CompactedSketch(blob, mht, string_table, metadata)
 
 
-def _record_codec_bytes(format_version: int, raw_bytes: int, encoded_bytes: int) -> None:
+def _record_codec_bytes(raw_bytes: int, encoded_bytes: int) -> None:
     """Expose compression effectiveness on live nodes via ``/metrics``."""
     registry = get_registry()
-    labels = {"format": f"v{format_version}"}
+    labels = {"format": f"v{DEFAULT_FORMAT_VERSION}"}
     registry.counter(
         "airphant_codec_bytes_raw_total",
         help="Superpost bytes before compression (inline names, absolute offsets).",

@@ -33,13 +33,6 @@ from typing import Mapping
 
 from repro.core.sketch import SketchColumns
 
-#: Legacy layer-major placement (what v1 indexes always used).
-LAYOUT_PLAIN = "plain"
-#: Greedy co-access chain placement (default for v2 indexes).
-LAYOUT_COACCESS = "coaccess"
-#: Valid layout names, for CLI/builder validation.
-LAYOUTS = (LAYOUT_PLAIN, LAYOUT_COACCESS)
-
 #: One placement slot: (layer index, bin index).
 LayoutNode = tuple[int, int]
 

@@ -7,7 +7,8 @@ small integer keys; we implement an equivalent varint-based codec so the
 bytes-per-superpost (and hence download volume) behaves the same way.
 
 Two on-disk codec versions exist (negotiated through the header blob's
-``format_version``; see :mod:`repro.index.compaction`):
+``format_version``; see :mod:`repro.index.compaction`); both are read
+forever, and every build writes v2:
 
 * **v1** — ``varint(count)`` then one ``(blob_key, offset, length)`` varint
   triple per posting in sorted order.  Offsets are absolute, so every
@@ -31,12 +32,12 @@ through the string table's name ranks) straight into columns, creating no
 ``Posting``.  The vectorised pass holds a varint in an ``int64``: it rejects
 10-byte varints (values from 2**63) where the scalar loop accepts them.
 
-The build side writes a whole blob at once: :func:`encode_superposts` takes
-every superpost of the blob back to back as :class:`PostingColumns` and
-emits the blob's varint stream in one vectorised pass (:func:`encode_varints`,
-the twin of :func:`decode_varints`), byte-identical to concatenating
-:func:`encode_superpost` over them — which stays the scalar reference for
-one superpost, of any collection of postings.
+The build side writes a whole v2 blob at once: :func:`encode_superposts`
+takes every superpost of the blob back to back as :class:`PostingColumns`
+and emits the blob's varint stream in one vectorised pass
+(:func:`encode_varints`, the twin of :func:`decode_varints`), byte-identical
+to concatenating :func:`encode_superpost` over them — which stays the scalar
+reference for one superpost, of any collection of postings, in either codec.
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ from repro.core.sketch import PostingColumns
 from repro.core.superpost import CROSSOVER, POSTING_ORDER, Superpost
 from repro.parsing.documents import Posting
 
-#: The original absolute-offset codec (readable forever).
+#: The original absolute-offset codec (read forever, written by no build).
 FORMAT_V1 = 1
-#: The blob-grouped, offset-delta codec (written by default).
+#: The blob-grouped, offset-delta codec (what every build writes).
 FORMAT_V2 = 2
 #: Codec versions this build can decode.
 SUPPORTED_FORMAT_VERSIONS = (FORMAT_V1, FORMAT_V2)
-#: Codec new indexes are written with unless the builder pins one.
+#: Codec every build writes.
 DEFAULT_FORMAT_VERSION = FORMAT_V2
 
 
@@ -357,18 +358,18 @@ ENCODE_BLOCK = 1 << 15
 
 
 def encode_superposts(
-    columns: PostingColumns, string_table: StringTable, format_version: int
+    columns: PostingColumns, string_table: StringTable
 ) -> tuple[bytes, np.ndarray]:
-    """Encode the superposts of ``columns`` back to back, vectorised.
+    """Encode the superposts of ``columns`` back to back with the v2 codec,
+    vectorised.
 
     Returns the concatenation and each superpost's encoded length: exactly
     what calling :func:`encode_superpost` on each in turn with one
-    ``string_table`` gives — blob names are interned in order of first
-    appearance — except that an empty superpost takes no bytes at all.  The
-    lists go through in passes of about :data:`ENCODE_BLOCK` postings.
+    ``string_table`` and :data:`FORMAT_V2` gives — blob names are interned
+    in order of first appearance — except that an empty superpost takes no
+    bytes at all.  The lists go through in passes of about
+    :data:`ENCODE_BLOCK` postings.
     """
-    if format_version not in SUPPORTED_FORMAT_VERSIONS:
-        raise ValueError(f"unsupported superpost codec version {format_version}")
     key_of_rank = np.zeros(len(columns.names), np.uint64)
     blob, sizes = [], [np.zeros(0, np.int64)]
     for lists, rows in _passes(columns):
@@ -381,7 +382,6 @@ def encode_superposts(
             columns.offset[rows].astype(np.uint64),
             columns.length[rows].astype(np.uint64),
             np.asarray(columns.counts[lists], np.int64),
-            format_version,
         )
         widths = varint_widths(values)
         blob.append(encode_varints(values, widths))
@@ -405,14 +405,11 @@ def _passes(columns: PostingColumns) -> Iterator[tuple[slice, np.ndarray]]:
 
 
 def _superpost_values(
-    keys: np.ndarray, offset: np.ndarray, length: np.ndarray, counts: np.ndarray, version: int
+    keys: np.ndarray, offset: np.ndarray, length: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The varint values of consecutive superposts (postings as columns,
+    """The v2 varint values of consecutive superposts (postings as columns,
     ``counts`` of them each), and how many values each superpost takes."""
     heads = (np.cumsum(counts) - counts)[counts > 0]  # each non-empty list's first posting
-    if version == FORMAT_V1:
-        values = np.insert(np.column_stack([keys, offset, length]).ravel(), 3 * heads, counts[counts > 0])
-        return values, np.where(counts > 0, 1 + 3 * counts, 0)
     # A blob group opens at each list's first posting and wherever the blob changes.
     opens = np.zeros(len(keys), bool)
     opens[heads] = True

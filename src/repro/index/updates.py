@@ -209,8 +209,6 @@ class AppendOnlyIndexManager:
         config: SketchConfig | None = None,
         delta_config: SketchConfig | None = None,
         tokenizer: Tokenizer | None = None,
-        format_version: int | None = None,
-        layout: str | None = None,
     ) -> None:
         self._store = store
         self._base_index = base_index
@@ -219,11 +217,6 @@ class AppendOnlyIndexManager:
         # budget keeps their headers tiny unless the caller overrides it.
         self._delta_config = delta_config if delta_config is not None else self._config
         self._tokenizer = tokenizer
-        # Every rebuild this manager performs — base builds, delta builds, and
-        # compactions — writes this codec version, so compacting a live index
-        # whose base was written as v1 upgrades it to the current default.
-        self._format_version = format_version
-        self._layout = layout
 
     @property
     def manifest_blob(self) -> str:
@@ -271,8 +264,6 @@ class AppendOnlyIndexManager:
             self._store,
             config=self._config,
             tokenizer=self._tokenizer,
-            format_version=self._format_version,
-            layout=self._layout,
         )
         built = builder.build_from_documents(
             documents, index_name=self._base_index, corpus_name=corpus_name
@@ -305,8 +296,6 @@ class AppendOnlyIndexManager:
             self._store,
             config=self._delta_config,
             tokenizer=self._tokenizer,
-            format_version=self._format_version,
-            layout=self._layout,
         )
         built = builder.build_from_documents(documents, index_name=delta_name, corpus_name=corpus_name)
         self._write_manifest(
@@ -440,6 +429,8 @@ class AppendOnlyIndexManager:
         tombstone set) is how deletes become physical: condemned documents
         are left out of the merged statistics, hence of the new base, so
         after the swap no tombstone filtering is needed for them anywhere.
+        Like every build, the new base is written with the v2 codec: a live
+        index whose members were written as v1 comes out upgraded.
         Prefixes pinned by a snapshot are never purged; they stay on the
         retired list until the snapshot is deleted.
         """
@@ -454,8 +445,6 @@ class AppendOnlyIndexManager:
             tokenizer=self._tokenizer,
             num_shards=shard_manifest.num_shards if shard_manifest is not None else 1,
             partitioner=shard_manifest.partitioner if shard_manifest is not None else "hash",
-            format_version=self._format_version,
-            layout=self._layout,
         )
         built = builder.build_from_stats(stats, index_name=new_base, corpus_name=corpus_name)
         # The whole old snapshot — including a legacy in-place base — gets

@@ -145,7 +145,6 @@ class IndexCatalog:
                 found.manifest.all_indexes,
                 tokenizer=self._config.make_tokenizer(),
                 max_concurrency=self._config.max_concurrency,
-                top_k_delta=self._config.top_k_delta,
                 read_cache_bytes=self._config.read_cache_bytes,
                 opened=found,
             )

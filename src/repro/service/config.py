@@ -70,11 +70,6 @@ class ServiceConfig:
         =====================  ========  =========
 
         Sharded indexes widen this by their shard count, capped at 128.
-    top_k_delta:
-        Failure probability of the top-K sampling bound (Equation 6).
-    default_top_k:
-        Applied when a request does not specify ``top_k``; ``None`` returns
-        every match.
     read_cache_bytes:
         Byte budget of the read pipeline's LRU block cache — one pipeline
         per opened index, shared by its base, its deltas and every
@@ -165,8 +160,6 @@ class ServiceConfig:
 
     tokenizer: str = "whitespace"
     max_concurrency: int = 128
-    top_k_delta: float = 1e-6
-    default_top_k: int | None = None
     read_cache_bytes: int = READ_CACHE_BYTES
     retries: int = 0
     retry_backoff_ms: float = 20.0
@@ -198,8 +191,6 @@ class ServiceConfig:
             )
         if self.max_concurrency <= 0:
             raise ValueError("max_concurrency must be positive")
-        if self.default_top_k is not None and self.default_top_k <= 0:
-            raise ValueError("default_top_k must be positive when set")
         if self.read_cache_bytes < 0:
             raise ValueError("read_cache_bytes must be non-negative")
         if self.retries < 0:

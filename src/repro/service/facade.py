@@ -404,7 +404,7 @@ class AirphantService:
             # Materialize the default k into the request *before* any
             # routing: the scattered sub-requests and the router's global
             # truncation must agree on the same explicit k.
-            request = dataclasses.replace(request, top_k=self._ranked_k(None))
+            request = dataclasses.replace(request, top_k=DEFAULT_RANKED_K)
         # A parent span id marks a routed sub-request (the caller grafts the
         # returned tree); a bare trace_id only *names* the trace — the HTTP
         # layer pre-generates one so access-log lines correlate — and must
@@ -427,14 +427,6 @@ class AirphantService:
         if handle is not None and (request.explain or propagated):
             response = dataclasses.replace(response, trace=explain_payload(handle.root))
         return response
-
-    def _ranked_k(self, top_k: int | None) -> int:
-        """The effective ranked k: explicit, else configured, else 10."""
-        if top_k is not None:
-            return top_k
-        if self._config.default_top_k is not None:
-            return self._config.default_top_k
-        return DEFAULT_RANKED_K
 
     def execute(self, request: SearchRequest) -> SearchResult:
         """Dispatch ``request`` to the right query mode, returning the raw result.
@@ -466,22 +458,21 @@ class AirphantService:
 
     def _execute(self, request: SearchRequest) -> SearchResult:
         searcher = self._open(request.index, shards=request.shards)
-        top_k = request.top_k if request.top_k is not None else self._config.default_top_k
         try:
             # _store_errors: the backend (not the request) failing — retries,
             # if configured, are already exhausted by the time it raises.
             with self._store_errors():
                 if request.mode == "boolean":
-                    return searcher.search_boolean(request.query, top_k=top_k)
+                    return searcher.search_boolean(request.query, top_k=request.top_k)
                 if request.mode == "regex":
-                    return RegexSearcher(searcher).search(request.query, top_k=top_k)
+                    return RegexSearcher(searcher).search(request.query, top_k=request.top_k)
                 if request.mode == "topk_bm25":
                     return searcher.search_topk(
                         request.query,
-                        k=self._ranked_k(request.top_k),
+                        k=request.top_k if request.top_k is not None else DEFAULT_RANKED_K,
                         weights=request.weight_map,
                     )
-                return searcher.search(request.query, top_k=top_k)
+                return searcher.search(request.query, top_k=request.top_k)
         except RankingUnsupportedError as error:
             # The index predates ranked retrieval (no stats blob): a typed
             # rejection telling the caller to rebuild, not a crash.
@@ -784,15 +775,12 @@ class AirphantService:
         sketch_config: SketchConfig | None = None,
         num_shards: int = 1,
         partitioner: str = "hash",
-        format_version: int | None = None,
     ) -> IndexInfo:
         """Build (or rebuild) index ``name`` over the given corpus blobs.
 
         ``num_shards > 1`` builds a sharded index: the corpus is partitioned
         (``"hash"`` or ``"round-robin"``), per-shard sub-indexes build in
         parallel, and queries later fan out across the shards in one batch.
-        ``format_version`` pins the superpost codec (``None`` = current
-        default, i.e. v2); pass 1 to write an index older readers can open.
         Any previously cached searcher for ``name`` is invalidated so the
         next query reopens the fresh header(s).
         """
@@ -803,7 +791,6 @@ class AirphantService:
                 sketch_config=sketch_config,
                 num_shards=num_shards,
                 partitioner=partitioner,
-                format_version=format_version,
             )
 
     def _build_index(
@@ -813,7 +800,6 @@ class AirphantService:
         sketch_config: SketchConfig | None = None,
         num_shards: int = 1,
         partitioner: str = "hash",
-        format_version: int | None = None,
     ) -> IndexInfo:
         if not is_index_name(name):
             raise ServiceError(400, "bad_index_name", f"invalid index name {name!r}")
@@ -832,10 +818,9 @@ class AirphantService:
                 tokenizer=self._config.make_tokenizer(),
                 num_shards=num_shards,
                 partitioner=partitioner,
-                format_version=format_version,
             )
         except ValueError as error:
-            # Bad num_shards / partitioner / format_version — the request is at fault.
+            # Bad num_shards / partitioner — the request is at fault.
             raise ServiceError(400, "bad_build_request", str(error)) from error
         # The builder removes any stale blobs from a previous layout of this
         # name (e.g. resharding, or sharded -> single-shard), so a rebuild is

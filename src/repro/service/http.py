@@ -52,7 +52,7 @@ import sys
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.config import SketchConfig
@@ -89,8 +89,16 @@ _BUILD_CONFIG_FIELDS = (
 #: the sketch configuration).
 _BUILD_SHARD_FIELDS = ("num_shards", "partitioner")
 
-#: Superpost codec names a build request's ``format`` field may use.
-_BUILD_FORMATS = {"v1": 1, "v2": 2}
+
+def _reject_unknown_fields(
+    body: Mapping[str, Any], allowed: Iterable[str], error: str, kind: str
+) -> None:
+    """400 ``error`` naming every field of ``body`` outside ``allowed``."""
+    unknown = set(body) - set(allowed)
+    if unknown:
+        raise ServiceError(
+            400, error, f"unknown {kind} field(s): {', '.join(sorted(unknown))}"
+        )
 
 
 def _parse_ref(entry: Any) -> "Posting":
@@ -102,13 +110,7 @@ def _parse_ref(entry: Any) -> "Posting":
             400, "bad_ingest_request", "a document reference must be a "
             "{blob, offset, length} object"
         )
-    unknown = set(entry) - {"blob", "offset", "length"}
-    if unknown:
-        raise ServiceError(
-            400,
-            "bad_ingest_request",
-            f"unknown reference field(s): {', '.join(sorted(unknown))}",
-        )
+    _reject_unknown_fields(entry, {"blob", "offset", "length"}, "bad_ingest_request", "reference")
     blob = entry.get("blob")
     offset = entry.get("offset")
     length = entry.get("length")
@@ -265,13 +267,7 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
                     "delete body needs a non-empty 'refs' list of "
                     "{blob, offset, length} objects",
                 )
-            unknown = set(body) - {"refs"}
-            if unknown:
-                raise ServiceError(
-                    400,
-                    "bad_ingest_request",
-                    f"unknown delete field(s): {', '.join(sorted(unknown))}",
-                )
+            _reject_unknown_fields(body, {"refs"}, "bad_ingest_request", "delete")
             return 200, service.delete_documents(
                 name, [_parse_ref(entry) for entry in refs]
             )
@@ -283,13 +279,7 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
                 raise ServiceError(
                     400, "bad_ingest_request", "update body needs a 'document' string"
                 )
-            unknown = set(body) - {"ref", "document"}
-            if unknown:
-                raise ServiceError(
-                    400,
-                    "bad_ingest_request",
-                    f"unknown update field(s): {', '.join(sorted(unknown))}",
-                )
+            _reject_unknown_fields(body, {"ref", "document"}, "bad_ingest_request", "update")
             return 200, service.update_document(name, _parse_ref(body.get("ref")), text)
         if path.startswith("/indexes/") and path.endswith("/docs"):
             name = path[len("/indexes/") : -len("/docs")]
@@ -305,13 +295,7 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
                     "bad_ingest_request",
                     "ingest body needs a non-empty 'documents' list of strings",
                 )
-            unknown = set(body) - {"documents"}
-            if unknown:
-                raise ServiceError(
-                    400,
-                    "bad_ingest_request",
-                    f"unknown ingest field(s): {', '.join(sorted(unknown))}",
-                )
+            _reject_unknown_fields(body, {"documents"}, "bad_ingest_request", "ingest")
             return 200, service.append_documents(name, documents)
         if path.startswith("/indexes/") and path.endswith("/flush"):
             name = path[len("/indexes/") : -len("/flush")]
@@ -327,13 +311,7 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
                 raise ServiceError(
                     400, "bad_snapshot_name", "snapshot body needs a 'snapshot' name"
                 )
-            unknown = set(body) - {"snapshot"}
-            if unknown:
-                raise ServiceError(
-                    400,
-                    "bad_snapshot_name",
-                    f"unknown snapshot field(s): {', '.join(sorted(unknown))}",
-                )
+            _reject_unknown_fields(body, {"snapshot"}, "bad_snapshot_name", "snapshot")
             return 200, service.create_snapshot(name, snapshot)
         if path.startswith("/indexes/") and path.endswith("/restore"):
             name, snapshot = _split_snapshot_path(path, "/restore")
@@ -352,16 +330,12 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
         overrides = {
             key: body[key] for key in _BUILD_CONFIG_FIELDS if body.get(key) is not None
         }
-        unknown = (
-            set(body)
-            - set(_BUILD_CONFIG_FIELDS)
-            - set(_BUILD_SHARD_FIELDS)
-            - {"blobs", "format"}
+        _reject_unknown_fields(
+            body,
+            {"blobs", *_BUILD_CONFIG_FIELDS, *_BUILD_SHARD_FIELDS},
+            "bad_build_request",
+            "build",
         )
-        if unknown:
-            raise ServiceError(
-                400, "bad_build_request", f"unknown build field(s): {', '.join(sorted(unknown))}"
-            )
         # Explicit nulls mean "unset", matching the sketch-config fields.
         num_shards = body.get("num_shards")
         if num_shards is None:
@@ -373,17 +347,6 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
             partitioner = "hash"
         if not isinstance(partitioner, str):
             raise ServiceError(400, "bad_build_request", "partitioner must be a string")
-        format_name = body.get("format")
-        format_version = None
-        if format_name is not None:
-            if format_name not in _BUILD_FORMATS:
-                raise ServiceError(
-                    400,
-                    "bad_build_request",
-                    f"unknown format {format_name!r}; expected one of "
-                    f"{', '.join(sorted(_BUILD_FORMATS))}",
-                )
-            format_version = _BUILD_FORMATS[format_name]
         try:
             config = SketchConfig(**overrides) if overrides else None
         except (ValueError, TypeError) as error:
@@ -394,7 +357,6 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
             sketch_config=config,
             num_shards=num_shards,
             partitioner=partitioner,
-            format_version=format_version,
         )
 
     # -- plumbing --------------------------------------------------------------------
@@ -423,11 +385,12 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
         return limit
 
     def _handle(self, route) -> None:
-        self._body_consumed = 0
+        self._body_length = self._body_consumed = 0
         self._trace_id: str | None = None
         self._last_status = 0
         started = time.perf_counter()
         try:
+            self._body_length = self._declared_body_length()
             status, payload = route()
         except ServiceError as error:
             self._send_json(error.status, error.info.to_dict())
@@ -455,8 +418,21 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
                 line["trace_id"] = self._trace_id
             sys.stderr.write(json.dumps(line) + "\n")
 
+    def _declared_body_length(self) -> int:
+        """The request's ``Content-Length`` (0 when absent).
+
+        Anything but a non-negative decimal integer is a 400 that closes the
+        connection: where the body ends, hence the next request starts, is
+        unknown.
+        """
+        value = self.headers.get("Content-Length") or "0"
+        if not (value.isascii() and value.isdigit()):
+            self.close_connection = True
+            raise ServiceError(400, "bad_request", f"invalid Content-Length: {value!r}")
+        return int(value)
+
     def _read_json_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._body_length
         raw = self.rfile.read(length) if length > 0 else b""
         self._body_consumed += len(raw)
         if not raw:
@@ -475,9 +451,7 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
     def _send_bytes(self, status: int, data: bytes, content_type: str) -> None:
         # Drain any unread request body first: HTTP/1.1 keep-alive would
         # otherwise parse the leftover bytes as the next request line.
-        remaining = int(self.headers.get("Content-Length") or 0) - getattr(
-            self, "_body_consumed", 0
-        )
+        remaining = self._body_length - self._body_consumed
         while remaining > 0:
             chunk = self.rfile.read(min(remaining, 65536))
             if not chunk:
@@ -488,6 +462,8 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(data)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             # Status line, headers and body in one write: as two segments on
             # a keep-alive connection the body waits for the client's delayed
             # ACK of the headers (Nagle), ~40 ms per response.

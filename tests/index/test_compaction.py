@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,8 +183,10 @@ class TestHeaderCodec:
             decode_header(legacy.replace(legacy_needle, b'"format_version":99'))
 
     def test_header_carries_codec_version(self):
+        assert compact_sketch(_sketch(), "s.bin").format_version == 2
         for version in (1, 2):
-            compacted = compact_sketch(_sketch(), "s.bin", format_version=version)
+            # The header carries whatever codec its superposts were written in.
+            compacted = replace(compact_sketch(_sketch(), "s.bin"), format_version=version)
             data = encode_header(compacted)
             # Container version and superpost codec version are different numbers.
             assert struct.unpack_from("<I", data, 8) == (HEADER_CONTAINER_VERSION,)
@@ -273,8 +276,9 @@ class TestHeaderCodec:
 class TestLegacyHeaderReader:
     def test_json_header_decodes_to_the_same_table(self):
         for version in (1, 2):
-            compacted = compact_sketch(
-                _sketch(), "index/superposts.bin", metadata=_metadata(), format_version=version
+            compacted = replace(
+                compact_sketch(_sketch(), "index/superposts.bin", metadata=_metadata()),
+                format_version=version,
             )
             legacy = decode_header(encode_legacy_header(compacted))
             assert legacy.format_version == version
@@ -314,7 +318,7 @@ class TestCodecMetrics:
         )
         raw_before = raw.value(format="v2")
         encoded_before = encoded.value(format="v2")
-        compacted = compact_sketch(_sketch(), "s.bin", format_version=2)
+        compacted = compact_sketch(_sketch(), "s.bin")
         raw_delta = raw.value(format="v2") - raw_before
         encoded_delta = encoded.value(format="v2") - encoded_before
         assert encoded_delta == len(compacted.superpost_blob_data) > 0

@@ -1,7 +1,7 @@
 """Unit tests for the co-access superpost layout pass."""
 
 from repro.core.sketch import IoUSketch
-from repro.index.layout import LAYOUT_COACCESS, coaccess_order, plain_order
+from repro.index.layout import coaccess_order, plain_order
 from repro.index.compaction import compact_sketch
 from repro.parsing.documents import Posting
 
@@ -76,12 +76,7 @@ class TestLayoutInCompaction:
         sketch = _sketch(num_layers=2, total_bins=16)
         sketch.insert("heavy", [_posting(index) for index in range(40)])
         sketch.insert("noise", [_posting(41)])
-        compacted = compact_sketch(
-            sketch,
-            "s.bin",
-            layout=LAYOUT_COACCESS,
-            word_weights={"heavy": 40, "noise": 1},
-        )
+        compacted = compact_sketch(sketch, "s.bin", word_weights={"heavy": 40, "noise": 1})
         chain = list(enumerate(sketch.hasher.bins_of("heavy")))
         pointers = sorted(
             (compacted.mht.pointer_of(layer, bin_index) for layer, bin_index in set(chain)),
@@ -99,10 +94,8 @@ class TestLayoutInCompaction:
         sketch.insert("alpha", [_posting(0), _posting(1)])
         sketch.insert("beta", [_posting(2), _posting(3)])
         weights = {"alpha": 2, "beta": 2}
-        plain = compact_sketch(sketch, "s.bin", layout="plain")
-        coaccess = compact_sketch(
-            sketch, "s.bin", layout=LAYOUT_COACCESS, word_weights=weights
-        )
+        plain = compact_sketch(sketch, "s.bin")  # no weights: layer-major
+        coaccess = compact_sketch(sketch, "s.bin", word_weights=weights)
         for layer in range(sketch.num_layers):
             for bin_index in range(sketch.bins_per_layer):
                 expected = sketch.layers[layer].get(bin_index, set())

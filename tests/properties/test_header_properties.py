@@ -54,12 +54,11 @@ class TestSketchHeaderRoundTrip:
         num_layers=st.integers(min_value=1, max_value=5),
         bins_per_layer=st.integers(min_value=1, max_value=40),
         seed=st.integers(0, 1000),
-        codec=st.sampled_from([1, 2]),
         weighted=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
     def test_pointers_survive_encode_decode(
-        self, corpus, common_share, num_layers, bins_per_layer, seed, codec, weighted
+        self, corpus, common_share, num_layers, bins_per_layer, seed, weighted
     ):
         words = sorted(corpus)
         common = CommonWordTable()
@@ -74,13 +73,12 @@ class TestSketchHeaderRoundTrip:
         before = compact_sketch(
             sketch,
             "idx/superposts.bin",
-            format_version=codec,
             word_weights=weights if weighted else None,
         )
         data = encode_header(before)
         after = decode_header(data)
 
-        assert after.format_version == codec
+        assert after.format_version == before.format_version == 2
         assert after.string_table.to_list() == before.string_table.to_list()
         assert after.mht.memory_bytes() == before.mht.memory_bytes()
         legacy = decode_header(encode_legacy_header(before))
@@ -102,7 +100,7 @@ class TestSketchHeaderRoundTrip:
                     pointer.offset : pointer.offset + pointer.length
                 ]
                 assert pointer.length > 0
-                decoded = decode_superpost(payload, after.string_table, codec)
+                decoded = decode_superpost(payload, after.string_table, after.format_version)
                 assert set(decoded) == superpost
 
     def test_all_empty_sketch_has_no_pointer_rows(self):

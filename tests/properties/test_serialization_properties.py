@@ -259,15 +259,14 @@ superpost_runs = st.lists(
 
 
 class TestColumnarEncoderProperties:
-    """``encode_superposts`` ≡ ``encode_superpost`` over each list, in one table."""
+    """``encode_superposts`` ≡ ``encode_superpost`` (v2) over each list, in one table."""
 
     @given(
         run=superpost_runs,
-        version=st.sampled_from([FORMAT_V1, FORMAT_V2]),
         block=st.sampled_from([1, 4, serialization.ENCODE_BLOCK]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_blob_matches_the_scalar_encoder(self, run, version, block):
+    def test_blob_matches_the_scalar_encoder(self, run, block):
         names = sorted({posting.blob for postings in run for posting in postings})
         ordered = [sorted(postings, key=POSTING_ORDER) for postings in run]
         # One document table (sorted, distinct), each list a run of its rows.
@@ -285,12 +284,12 @@ class TestColumnarEncoderProperties:
         )
         scalar_table, columnar_table = StringTable(), StringTable()
         expected = [
-            encode_superpost(postings, scalar_table, version) if postings else b""
+            encode_superpost(postings, scalar_table, FORMAT_V2) if postings else b""
             for postings in run
         ]
         # Small passes: lists spread over many vectorised passes (or one each).
         with mock.patch.object(serialization, "ENCODE_BLOCK", block):
-            blob, sizes = encode_superposts(columns, columnar_table, version)
+            blob, sizes = encode_superposts(columns, columnar_table)
             raw_bytes = uncompressed_superpost_bytes(columns)
         assert blob == b"".join(expected)
         assert sizes.tolist() == [len(payload) for payload in expected]

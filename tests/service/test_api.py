@@ -289,7 +289,7 @@ class TestServiceConfigRoundTrip:
 
         config = ServiceConfig()
         assert set(config.to_dict()) == {field.name for field in fields(ServiceConfig)}
-        assert len(fields(ServiceConfig)) == 27
+        assert len(fields(ServiceConfig)) == 25
         json.dumps(config.to_dict())  # what /healthz serializes
 
     def test_non_default_config_survives_the_round_trip(self):
@@ -322,6 +322,18 @@ class TestServiceConfigRoundTrip:
         config = ServiceConfig.from_dict(saved)
         assert config == ServiceConfig(hedge_ms=12.0)
         assert "hedge_percentile" not in config.to_dict()
+
+    def test_a_saved_config_with_the_retired_top_k_knobs_still_loads(self):
+        from repro.service.config import ServiceConfig
+
+        saved = {
+            **ServiceConfig(max_concurrency=7).to_dict(),
+            "default_top_k": 5,
+            "top_k_delta": 0.01,
+        }
+        config = ServiceConfig.from_dict(saved)
+        assert config == ServiceConfig(max_concurrency=7)
+        assert not {"default_top_k", "top_k_delta"} & set(config.to_dict())
 
     def test_a_saved_config_with_the_retired_regex_and_trace_knobs_still_loads(self):
         from repro.service.config import ServiceConfig

@@ -63,13 +63,14 @@ class TestLazyOpen:
     def test_open_applies_service_config(self, sim_store, built_small_index):
         catalog = IndexCatalog(
             sim_store,
-            ServiceConfig(read_cache_bytes=4096, max_concurrency=8, top_k_delta=0.01),
+            ServiceConfig(read_cache_bytes=4096, max_concurrency=8),
         )
         searcher = catalog.open("small-index")
         inner = searcher.searchers[0]
         assert inner.pipeline.cache_bytes == 4096
         assert inner.pipeline.max_concurrency == 8
-        assert searcher._top_k_delta == 0.01
+        # The sampling bound's failure probability is the searcher's own.
+        assert searcher._top_k_delta == 1e-6
 
     def test_slow_open_of_one_index_does_not_block_an_open_one(self):
         class GateStore(InMemoryObjectStore):

@@ -53,10 +53,10 @@ class TestSearchDispatch:
         response = service.search(SearchRequest(query="error", index="small-index", top_k=2))
         assert response.num_results == 2
 
-    def test_default_top_k_from_config(self, sim_store, built_small_index):
-        service = AirphantService(sim_store, ServiceConfig(default_top_k=1))
+    def test_keyword_search_without_top_k_returns_every_match(self, service):
+        capped = service.search(SearchRequest(query="error", index="small-index", top_k=1))
         response = service.search(SearchRequest(query="error", index="small-index"))
-        assert response.num_results == 1
+        assert capped.num_results == 1 < response.num_results
 
     def test_latency_breakdown_reported(self, service):
         response = service.search(SearchRequest(query="error", index="small-index"))

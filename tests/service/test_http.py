@@ -134,6 +134,19 @@ class TestIndexes:
         assert status == 400
         assert payload["error"] == "bad_build_request"
 
+    def test_build_format_field_is_an_unknown_build_field(self, server):
+        # Every build writes the v2 codec: there is no format to pick.
+        status, payload = _post(
+            server, "/indexes/x/build", {"blobs": ["corpora/logs.txt"], "format": "v1"}
+        )
+        assert status == 400
+        assert payload == {
+            "status": 400,
+            "error": "bad_build_request",
+            "message": "unknown build field(s): format",
+        }
+        assert _get(server, "/indexes/x")[0] == 404
+
 
 class TestSearch:
     def test_keyword_search_end_to_end(self, server):
@@ -311,6 +324,32 @@ class TestSearch:
             assert json.loads(response.read())["num_results"] == 3
         finally:
             connection.close()
+
+    @pytest.mark.parametrize(
+        "method, path, body",
+        [("POST", "/search", b'{"index": "logs-index", "query": "error"}'), ("GET", "/healthz", b"")],
+        ids=["search", "healthz"],
+    )
+    @pytest.mark.parametrize("length", ["abc", "-1", "12x"])
+    def test_malformed_content_length_is_400_and_closes(self, server, method, path, body, length):
+        _build_index(server)
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            connection.putrequest(method, path)
+            connection.putheader("Content-Length", length)
+            connection.endheaders(body)
+            response = connection.getresponse()
+            assert response.status == 400
+            assert response.headers["Connection"] == "close"
+            assert json.loads(response.read()) == {
+                "status": 400,
+                "error": "bad_request",
+                "message": f"invalid Content-Length: {length!r}",
+            }
+        finally:
+            connection.close()
+        # The server is still answering.
+        assert _get(server, "/healthz")[0] == 200
 
     def test_every_response_is_one_write(self, server, monkeypatch):
         # Status line, headers and body leave in one write, error answers

@@ -39,9 +39,9 @@ class TestParser:
 
     def test_search_flags(self):
         args = build_parser().parse_args(
-            ["search", "--bucket", "/tmp/b", "--index", "i", "--query", "q", "--regex"]
+            ["search", "--bucket", "/tmp/b", "--index", "i", "--query", "q", "--mode", "regex"]
         )
-        assert args.regex and not args.boolean
+        assert args.mode == "regex"
         assert not args.json
         assert args.read_cache_bytes == READ_CACHE_BYTES
 
@@ -78,6 +78,15 @@ class TestParser:
         for flag in ("--query-cache-size", "--coalesce-gap"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve", "--bucket", "/tmp/b", flag, "16"])
+        search = ["search", "--bucket", "/tmp/b", "--index", "i", "--query", "q"]
+        for argv in (
+            [*search, "--regex"],
+            [*search, "--boolean"],
+            ["build", "--bucket", "/tmp/b", "--blobs", "c.txt", "--index", "i", "--format", "v1"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv)
+            assert exit_info.value.code == 2
 
 
 class TestGenerate:
@@ -128,7 +137,7 @@ class TestBuildAndSearch:
         _generate_and_build(bucket, capsys)
         exit_code = main([
             "search", "--bucket", bucket, "--index", "hdfs-index",
-            "--query", "INFO AND dfs.DataNode", "--boolean", "--top-k", "3",
+            "--query", "INFO AND dfs.DataNode", "--mode", "boolean", "--top-k", "3",
         ])
         captured = capsys.readouterr()
         assert exit_code == 0
