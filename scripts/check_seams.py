@@ -46,16 +46,17 @@ one opener.  This script also fails on:
   layout are named in ``LAYOUT_HOMONYMS``: the bucket-root *listing*
   manifest of ``storage/listing.py`` and the ``/snapshots/`` URL route of
   ``service/http.py``;
-* a ``decode_header(`` or ``ShardManifest.from_json(`` call outside
-  ``index/`` (the opener is the one caller that reads them off a store).
+* a ``decode_build_header(``, ``decode_header(`` or
+  ``ShardManifest.from_json(`` call outside ``index/`` (the opener is the
+  one caller that reads them off a store).
 
 Opening an index is at most two dependent waves of "missing is an answer"
 reads — never an ``exists`` before a ``get``.  This script also fails on:
 
 * a ``.exists(`` call anywhere under ``search/`` or in ``ingest/wal.py``, in
   ``service/catalog.py`` outside the public ``contains()``, in the openers
-  of ``index/store_layout.py`` (``open_headers``, ``open_index``,
-  ``read_shard_manifest``) or in ``IngestCoordinator.live``.
+  of ``index/store_layout.py`` (``open_headers``, ``open_index``) or in
+  ``IngestCoordinator.live``.
 
 Posting lists have one type — ``core/superpost.py``'s ``Superpost`` — and
 the array code lives behind it.  This script also fails on:
@@ -151,7 +152,7 @@ LAYOUT_HOMONYMS = {
     (("service", "http.py"), "/snapshots/"),
 }
 #: Header/manifest decoders only ``index/`` may call.
-_STORE_DECODERS = re.compile(r"\b(?:decode_header|ShardManifest\.from_json)\(")
+_STORE_DECODERS = re.compile(r"\b(?:decode_build_header|decode_header|ShardManifest\.from_json)\(")
 _STRING_PARTS = (tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING))
 _STATEMENT_BREAKS = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING)
 _INSIGNIFICANT = (tokenize.NL, tokenize.COMMENT)
@@ -162,7 +163,7 @@ OPEN_PATH: dict[tuple[str, ...], frozenset[str] | None] = {
     ("search",): None,
     ("ingest", "wal.py"): None,
     ("service", "catalog.py"): None,
-    ("index", "store_layout.py"): frozenset({"open_headers", "open_index", "read_shard_manifest"}),
+    ("index", "store_layout.py"): frozenset({"open_headers", "open_index"}),
     ("ingest", "live.py"): frozenset({"live"}),
 }
 PROBES_ALLOWED = {(("service", "catalog.py"), "contains")}

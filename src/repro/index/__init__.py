@@ -21,7 +21,7 @@ from repro.index.store_layout import (
     SHARD_MANIFEST_SUFFIX,
     SHARD_MARKER,
     SUPERPOST_BLOB_SUFFIX,
-    read_shard_manifest,
+    CorruptIndexError,
     shard_index_name,
 )
 from repro.index.layout import coaccess_order, plain_order
@@ -46,6 +46,7 @@ __all__ = [
     "BuiltIndex",
     "BuiltShardedIndex",
     "CompactedSketch",
+    "CorruptIndexError",
     "DEFAULT_FORMAT_VERSION",
     "FORMAT_V1",
     "FORMAT_V2",
@@ -69,7 +70,6 @@ __all__ = [
     "encode_varint",
     "partition_documents",
     "plain_order",
-    "read_shard_manifest",
     "shard_index_name",
     "uncompressed_superpost_bytes",
 ]

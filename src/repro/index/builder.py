@@ -15,6 +15,8 @@ everything else derives from those columns:
 6. compact the superposts into a single blob and persist it;
 7. persist the header blob (hash seeds, bin pointers, string table, metadata)
    and, last, the statistics themselves.
+
+A sharded build runs 2–7 per shard, its headers going into one container.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.core.mht import MultilayerHashTable
 from repro.core.optimizer import minimize_layers
 from repro.core.analysis import expected_false_positives
 from repro.core.sketch import PostingColumns, SketchColumns
-from repro.index.compaction import CompactedSketch, compact_sketch, encode_header
+from repro.index.compaction import compact_sketch, encode_header, encode_sharded_header
 from repro.index.metadata import IndexMetadata, ShardEntry, ShardManifest
 from repro.index.serialization import DEFAULT_FORMAT_VERSION
 from repro.index.sharding import PARTITIONERS, partition_documents, shard_of
@@ -59,6 +61,7 @@ class BuiltIndex:
     """Handle to a freshly built (and persisted) index."""
 
     index_name: str
+    #: Empty for a shard: its header lives in its build's.
     header_blob: str
     superpost_blob: str
     metadata: IndexMetadata
@@ -99,11 +102,10 @@ class AirphantBuilder:
     """Creates and persists IoU Sketch indexes on an object store.
 
     With ``num_shards > 1`` the builder runs in *sharded mode*: documents are
-    partitioned (document-hash or round-robin), one ordinary sub-index is
-    built per shard on a thread pool, and a versioned
-    :class:`~repro.index.metadata.ShardManifest` blob ties them together.
-    Single-shard builds keep the exact legacy blob layout, so old indexes and
-    old readers are unaffected.
+    partitioned (document-hash or round-robin), one sub-index is built per
+    shard on a thread pool, and one header container — a versioned
+    :class:`~repro.index.metadata.ShardManifest` and every shard's header —
+    ties them together.  Single-shard builds keep the plain blob layout.
     """
 
     def __init__(
@@ -211,17 +213,16 @@ class AirphantBuilder:
                 parts, index_name, corpus_name
             )
             shards = built.shards
-            written = {ShardManifest.blob_name(index_name)}
         else:
             built = self._build_single(parts[0], index_name, corpus_name)
             shards = [built]
-            written = set()
+        written = {header_blob_name(index_name)}
         for shard in shards:
-            written.update((shard.header_blob, shard.superpost_blob, shard.stats_blob))
+            written.update((shard.superpost_blob, shard.stats_blob))
         # The builder makes a rebuild authoritative: whatever a previous
-        # layout of this name left behind (the shard manifest readers check
-        # first, a top-level header, shards beyond the new count) goes.  Once
-        # per top-level build, never per shard sub-build.
+        # layout of this name left behind (an older layout's shard manifest
+        # and shard headers, shards beyond the new count) goes.  Once per
+        # top-level build, never per shard sub-build.
         for blob in build_blobs(self._store, index_name):
             if blob not in written:
                 self._store.delete(blob)
@@ -229,12 +230,25 @@ class AirphantBuilder:
 
     # -- single-shard build ---------------------------------------------------------
 
-    def _build_single(self, stats: IndexStats, index_name: str, corpus_name: str) -> BuiltIndex:
+    def _build_single(
+        self, stats: IndexStats, index_name: str, corpus_name: str, headers: list[bytes] | None = None
+    ) -> BuiltIndex:
+        """Persist one build; a shard appends its header to ``headers`` (its
+        build's container) instead of writing it."""
         profile = stats.profile()
         num_layers = self._choose_layers(profile)
         sketch = self._sketch(stats, profile, num_layers)
         metadata = self._make_metadata(corpus_name, profile, sketch, num_layers)
-        compacted = self._persist(sketch, metadata, index_name, profile.document_frequencies)
+        superpost_blob = superpost_blob_name(index_name)
+        compacted = compact_sketch(
+            sketch, superpost_blob, metadata=metadata, word_weights=profile.document_frequencies
+        )
+        self._store.put(superpost_blob, compacted.superpost_blob_data)
+        header_blob = header_blob_name(index_name)
+        if headers is None:
+            self._store.put(header_blob, encode_header(compacted))
+        else:
+            headers.append(encode_header(compacted))
         # Ranking statistics ride along with every build: exact doc lengths
         # and term frequencies (mode="topk_bm25" scores from them without
         # touching document text; compaction merges them).  Written last, so
@@ -244,8 +258,8 @@ class AirphantBuilder:
         self._store.put(stats_blob, encode_stats(stats))
         return BuiltIndex(
             index_name=index_name,
-            header_blob=header_blob_name(index_name),
-            superpost_blob=compacted.superpost_blob_name,
+            header_blob=header_blob if headers is None else "",
+            superpost_blob=superpost_blob,
             metadata=metadata,
             mht=compacted.mht,
             profile=profile,
@@ -261,12 +275,15 @@ class AirphantBuilder:
         index_name: str,
         corpus_name: str,
     ) -> BuiltShardedIndex:
-        """Build one sub-index per shard's statistics, then write the manifest.
+        """Build one sub-index per shard's statistics, then write the header.
 
         Shards are independent, so they build concurrently on a thread pool;
-        each writes only its own ``shard-NNNN/`` blobs, which keeps the
-        (single-writer) store contract intact per blob.
+        each writes only its own ``shard-NNNN/`` superposts and statistics,
+        which keeps the (single-writer) store contract intact per blob.  The
+        build's one header — its manifest and every shard's header — is
+        written last: a crash mid-build leaves no blob that announces it.
         """
+        headers: list[list[bytes]] = [[] for _ in range(self._num_shards)]
 
         def build_shard(shard: int) -> BuiltIndex:
             shard_builder = AirphantBuilder(
@@ -284,6 +301,7 @@ class AirphantBuilder:
                 parts[shard],
                 shard_index_name(index_name, shard),
                 f"{corpus_name}#shard-{shard:04d}",
+                headers[shard],
             )
 
         workers = self._build_concurrency
@@ -310,7 +328,10 @@ class AirphantBuilder:
                 for shard in shards
             ),
         )
-        self._store.put(ShardManifest.blob_name(index_name), manifest.to_json().encode("utf-8"))
+        self._store.put(
+            header_blob_name(index_name),
+            encode_sharded_header(manifest, [header for (header,) in headers]),
+        )
         return BuiltShardedIndex(index_name=index_name, manifest=manifest, shards=shards)
 
     # -- build steps ----------------------------------------------------------------
@@ -402,22 +423,3 @@ class AirphantBuilder:
             expected_false_positives=expected,
             format_version=DEFAULT_FORMAT_VERSION,
         )
-
-    def _persist(
-        self,
-        sketch: SketchColumns,
-        metadata: IndexMetadata,
-        index_name: str,
-        word_weights: dict[str, int] | None = None,
-    ) -> CompactedSketch:
-        superpost_blob = superpost_blob_name(index_name)
-        header_blob = header_blob_name(index_name)
-        compacted = compact_sketch(
-            sketch,
-            superpost_blob,
-            metadata=metadata,
-            word_weights=word_weights,
-        )
-        self._store.put(superpost_blob, compacted.superpost_blob_data)
-        self._store.put(header_blob, encode_header(compacted))
-        return compacted

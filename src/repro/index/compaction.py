@@ -17,7 +17,9 @@ Its preamble carries the superpost ``codec_version`` (see
 version: v1-coded superposts are readable forever, and the Searcher
 dispatches its decoder on whatever codec the header declares.  The JSON
 headers of earlier builds (leading ``{``) stay readable through one legacy
-decoder; every writer emits v3, so the next compaction upgrades them.
+decoder; every writer emits v3, so the next compaction upgrades them.  A
+sharded build's header wraps its manifest and shards' v3 headers in one more
+container (:func:`encode_sharded_header`), so one read opens the whole build.
 Every build writes codec v2 and places the superposts inside the blob in
 co-access order (:mod:`repro.index.layout`); placement is invisible to
 readers, which only ever follow pointers, so the layer-major blobs of older
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from repro.core.mht import MultilayerHashTable
 from repro.core.hashing import LayeredHasher
 from repro.core.sketch import IoUSketch, SketchColumns
 from repro.index.layout import coaccess_order
-from repro.index.metadata import IndexMetadata
+from repro.index.metadata import IndexMetadata, ShardManifest
 from repro.index.serialization import (
     DEFAULT_FORMAT_VERSION,
     SUPPORTED_FORMAT_VERSIONS,
@@ -46,6 +49,7 @@ from repro.index.serialization import (
     uncompressed_superpost_bytes,
 )
 from repro.index.store_layout import HEADER_BLOB_SUFFIX, SUPERPOST_BLOB_SUFFIX  # noqa: F401
+from repro.index.store_layout import CorruptIndexError, header_blob_name
 from repro.observability.registry import get_registry
 
 #: Leading bytes of a v3 header; a legacy JSON header starts with ``{``.
@@ -56,6 +60,13 @@ HEADER_CONTAINER_VERSION = 3
 _HEADER_PREFIX = struct.Struct("<8sII")
 #: Magic marker inside legacy JSON headers.
 _LEGACY_HEADER_MAGIC = "airphant-header"
+#: Leading bytes and container version of a sharded build's header.
+SHARDED_HEADER_MAGIC = b"AIRPSHD\n"
+SHARDED_HEADER_VERSION = 1
+#: Its trailer: CRC-32 of every byte before it.
+_CHECKSUM = struct.Struct("<I")
+#: What a malformed blob makes the decoders' parsing steps raise.
+_MALFORMED = (KeyError, TypeError, AttributeError, OverflowError, struct.error)
 
 
 @dataclass
@@ -197,8 +208,51 @@ def decode_header(data: bytes) -> CompactedSketch:
         if data[:1] == b"{":
             return _decode_legacy_header(data)
         return _decode_v3_header(data)
-    except (KeyError, TypeError, OverflowError, struct.error) as error:
+    except _MALFORMED as error:
         raise ValueError(f"malformed Airphant header: {error!r}") from error
+
+
+def encode_sharded_header(manifest: ShardManifest, headers: Sequence[bytes]) -> bytes:
+    """A sharded build's header: ``magic | u32 version | u32 preamble length
+    | JSON preamble (the manifest and each shard header's length; space-padded
+    to 8 bytes) | the shards' v3 headers in order | u32 CRC-32 of the rest``."""
+    lengths = {"header_lengths": [len(header) for header in headers]}
+    preamble = json.dumps({**manifest.to_dict(), **lengths}, separators=(",", ":")).encode("utf-8")
+    preamble += b" " * (-len(preamble) % 8)
+    prefix = _HEADER_PREFIX.pack(SHARDED_HEADER_MAGIC, SHARDED_HEADER_VERSION, len(preamble))
+    body = b"".join([prefix, preamble, *headers])
+    return body + _CHECKSUM.pack(zlib.crc32(body))
+
+
+def decode_build_header(
+    data: bytes, build: str
+) -> tuple[ShardManifest | None, list[tuple[str, CompactedSketch]]]:
+    """What ``build``'s header says it is — no manifest and its own header,
+    or a sharded build's manifest and ``(shard, header)`` pairs — negotiated
+    by the leading bytes: ``{`` legacy JSON, :data:`HEADER_MAGIC` v3,
+    :data:`SHARDED_HEADER_MAGIC` a container whose checksum must hold and
+    whose shards must be ``build``'s own.  Any failure: ``CorruptIndexError``."""
+    try:
+        if not data.startswith(SHARDED_HEADER_MAGIC):
+            return None, [(build, decode_header(data))]
+        end = len(data) - _CHECKSUM.size
+        if zlib.crc32(memoryview(data)[:end]) != _CHECKSUM.unpack_from(data, end)[0]:
+            raise ValueError("sharded header fails its checksum")
+        _, version, preamble_bytes = _HEADER_PREFIX.unpack_from(data)
+        if version != SHARDED_HEADER_VERSION:
+            raise ValueError(f"unsupported sharded header version {version}")
+        position = _HEADER_PREFIX.size + preamble_bytes
+        fields = json.loads(data[_HEADER_PREFIX.size : position])
+        manifest, lengths = ShardManifest.from_dict(fields).validated(build), fields["header_lengths"]
+        if len(lengths) != manifest.num_shards or position + sum(lengths) != end:
+            raise ValueError("shard header lengths do not match the blob")
+        members = []
+        for shard, length in zip(manifest.shard_names, lengths):
+            members.append((shard, decode_header(data[position : position + length])))
+            position += length
+        return manifest, members
+    except (ValueError, *_MALFORMED) as error:
+        raise CorruptIndexError(header_blob_name(build), error) from error
 
 
 def _decode_v3_header(data: bytes) -> CompactedSketch:

@@ -1,9 +1,10 @@
 """Index metadata persisted alongside the MHT in the header block.
 
-Also defines the versioned *shard manifest* written by sharded builds: a
-tiny JSON blob (``<index>/shards.json``) naming the per-shard sub-indexes
-and their basic statistics.  Single-shard indexes never write one, so every
-pre-sharding index layout keeps opening unchanged.
+Also defines the versioned *shard manifest* of a sharded build, naming its
+per-shard sub-indexes and their basic statistics: it heads the build's
+header container (:func:`~repro.index.compaction.encode_sharded_header`);
+older sharded builds wrote it alone, as JSON, to ``<index>/shards.json``.
+Single-shard indexes have none.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
-from repro.index.store_layout import shard_manifest_blob_name
+from repro.index.store_layout import shard_index_name
 
 #: Magic marker of the shard-manifest format.
 _SHARD_MANIFEST_MAGIC = "airphant-shards"
@@ -82,7 +83,8 @@ class ShardEntry:
 class ShardManifest:
     """Versioned description of a sharded index's layout.
 
-    Persisted as ``<index>/shards.json``.  ``shards`` lists the per-shard
+    Persisted in the build's header container (older builds: as
+    ``<index>/shards.json``).  ``shards`` lists the per-shard
     sub-index names (each with its own header/superpost blobs) in shard
     order, which the partitioner relies on: documents are routed to
     ``shards[partition(doc)]``.
@@ -108,10 +110,13 @@ class ShardManifest:
         """Sub-index names in shard order."""
         return [shard.name for shard in self.shards]
 
-    @staticmethod
-    def blob_name(index_name: str) -> str:
-        """Blob holding the manifest of ``index_name``."""
-        return shard_manifest_blob_name(index_name)
+    def validated(self, build: str) -> "ShardManifest":
+        """This manifest, if it names exactly ``build``'s shards, in order
+        (``ValueError`` otherwise: none at all, or another index's)."""
+        expected = [shard_index_name(build, shard) for shard in range(self.num_shards)]
+        if not expected or self.shard_names != expected:
+            raise ValueError(f"the shard manifest of {build!r} names {self.shard_names}")
+        return self
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable representation (includes magic + version)."""
@@ -123,10 +128,6 @@ class ShardManifest:
             "index_format_version": self.index_format_version,
             "shards": [shard.to_dict() for shard in self.shards],
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        """Serialize as a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ShardManifest":
@@ -146,7 +147,7 @@ class ShardManifest:
 
     @classmethod
     def from_json(cls, payload: str | bytes) -> "ShardManifest":
-        """Rebuild from :meth:`to_json` output."""
+        """Rebuild from :meth:`to_dict` output as JSON."""
         return cls.from_dict(json.loads(payload))
 
 

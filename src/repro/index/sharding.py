@@ -21,7 +21,7 @@ from __future__ import annotations
 import zlib
 from typing import Sequence
 
-from repro.index.store_layout import read_shard_manifest, shard_index_name  # noqa: F401
+from repro.index.store_layout import shard_index_name  # noqa: F401
 from repro.parsing.documents import Document, Posting
 
 #: Partitioner names a sharded build may select.

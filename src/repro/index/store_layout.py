@@ -7,8 +7,9 @@ a test): the **names** and :func:`is_index_name`, the one "may a caller
 address this name" predicate; the **openers**, :func:`open_index` (logical
 name → every blob that says what the index is, as one batch of "missing is
 an answer" reads → every member header and WAL record those name, as a
-second: at most two dependent waves whatever the member, delta and segment
-count, three for a sharded generational base) and its second half
+second: at most two dependent waves whatever the member, delta, shard and
+segment count; a sharded build says all it is in its ``header.json``, the
+older ``shards.json`` layout costs one wave more) and its second half
 :func:`open_headers` (build names → decoded headers); one **ownership
 rule**, :func:`build_blobs` (what a purge deletes, a size sums and a rebuild
 may find stale).  What is *inside* a blob, and who writes when, stays with
@@ -29,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - the codec modules re-export these names
 
 # One build — a base, a delta or a shard sub-index.  The header key predates
 # the binary container and stays: catalog discovery, snapshots and external
-# tooling all find an index by it.  Sharded builds alone write a manifest.
+# tooling all find an index by it.  Older sharded builds wrote a manifest.
 HEADER_BLOB_SUFFIX = "header.json"
 SUPERPOST_BLOB_SUFFIX = "superposts.bin"
 STATS_BLOB_SUFFIX = "stats.json"
@@ -63,13 +64,22 @@ _DISCOVERY_SUFFIXES = (HEADER_BLOB_SUFFIX, SHARD_MANIFEST_SUFFIX, _UPDATE_MANIFE
 MAX_SHARDED_CONCURRENCY = 128
 
 
+class CorruptIndexError(ValueError):
+    """A stored header, shard manifest or superpost that does not decode
+    (the store's fault, never the request's), naming its blob."""
+
+    def __init__(self, blob: str, reason: object) -> None:
+        super().__init__(f"corrupt index blob {blob!r}: {reason}")
+        self.blob = blob
+
+
 def header_blob_name(index_name: str) -> str:
     """The header blob of build ``index_name``."""
     return f"{index_name}/{HEADER_BLOB_SUFFIX}"
 
 
 def shard_manifest_blob_name(index_name: str) -> str:
-    """The shard manifest of build ``index_name`` (sharded builds only)."""
+    """The JSON shard manifest of a sharded build in the older layout."""
     return f"{index_name}/{SHARD_MANIFEST_SUFFIX}"
 
 
@@ -208,23 +218,16 @@ class OpenedIndex(NamedTuple):
     elapsed_ms: float
 
 
-def _shard_manifest(payload: bytes | None) -> ShardManifest | None:
-    """The manifest in a ``shards.json`` payload (``None``: a plain build)."""
+def _legacy_manifest(build: str, payload: bytes) -> ShardManifest:
+    """The shard manifest in an older sharded build's ``shards.json``."""
     # Imported lazily, here and in the openers: the codec modules re-export
     # this module's names, so importing them at load time would be a cycle.
     from repro.index.metadata import ShardManifest
 
-    if payload is None:
-        return None
-    manifest = ShardManifest.from_json(payload)
-    return manifest if manifest.num_shards else None
-
-
-def read_shard_manifest(store: ObjectStore, index_name: str) -> ShardManifest | None:
-    """The shard manifest of ``index_name``, or ``None`` for single-shard layouts."""
-    return _shard_manifest(
-        store.read(RangeRead(shard_manifest_blob_name(index_name), optional=True))
-    )
+    try:
+        return ShardManifest.from_json(payload).validated(build)
+    except (ValueError, KeyError, TypeError, AttributeError) as error:
+        raise CorruptIndexError(shard_manifest_blob_name(build), error) from error
 
 
 def open_headers(
@@ -236,17 +239,17 @@ def open_headers(
 ) -> OpenedHeaders:
     """Download and decode the header(s) of every build in ``index_names``.
 
-    One batch asks each build for its shard manifest *and* its header (a
-    plain build has no manifest, a sharded one no header of its own: either
-    may be missing) and carries the ``riders`` — blobs the caller wants from
-    the same wave, each read as "missing is an answer"; the shard headers of the sharded builds are the only
-    possible second batch.  ``fetched`` holds what the caller already read
-    (blob → payload, ``None`` for a blob that is not there): those are not
-    asked for again, and shard headers a fetched manifest names ride the
-    first batch.  Raises :class:`~repro.storage.base.BlobNotFoundError` when
-    a named build is not there.
+    One batch asks each build for its header (a sharded build's holds every
+    shard header) *and* its older-layout ``shards.json`` (either may be
+    missing), and carries the ``riders`` — blobs the caller wants from the
+    same wave, each read as "missing is an answer"; the shard headers of an
+    older-layout build are the only possible second batch.  ``fetched`` holds
+    what the caller already read (blob → payload, ``None`` for a blob that is
+    not there): those are not asked for again.  Raises
+    :class:`~repro.storage.base.BlobNotFoundError` when a named build is not
+    there, :class:`CorruptIndexError` when a blob does not decode.
     """
-    from repro.index.compaction import decode_header
+    from repro.index.compaction import decode_build_header, decode_header
 
     have = dict(fetched or {})
     reads = [
@@ -255,16 +258,21 @@ def open_headers(
         for blob in (shard_manifest_blob_name(name), header_blob_name(name))
         if blob not in have
     ] + [RangeRead(blob, optional=True) for blob in riders]
-    manifests: dict[str, ShardManifest | None] = {}
+    found: dict[str, tuple[ShardManifest | None, list[tuple[str, CompactedSketch]]]] = {}
     width, elapsed_ms = max_concurrency, 0.0
     while True:
         for name in index_names:
-            blob = shard_manifest_blob_name(name)
-            if name in manifests or blob not in have:
+            header, legacy = header_blob_name(name), shard_manifest_blob_name(name)
+            if name in found or header not in have or legacy not in have:
                 continue
-            manifest = manifests[name] = _shard_manifest(have[blob])
-            if manifest is not None:
+            if have[header] is not None:
+                manifest, members = found[name] = decode_build_header(have[header], name)
+            elif have[legacy] is not None:
+                manifest, members = found[name] = _legacy_manifest(name, have[legacy]), []
                 reads += [RangeRead(header_blob_name(shard)) for shard in manifest.shard_names]
+            else:
+                raise BlobNotFoundError(header)
+            if manifest is not None:
                 width = max(width, _sharded_width(max_concurrency, manifest))
         if not reads:
             break
@@ -274,15 +282,18 @@ def open_headers(
         reads = []
     builds = []
     for name in index_names:
-        manifest = manifests[name]
-        names = [name] if manifest is None else manifest.shard_names
-        if have[header_blob_name(names[0])] is None:
-            raise BlobNotFoundError(header_blob_name(name))
+        manifest, members = found[name]
+        if not members:  # an older sharded build: its shard headers are blobs of their own
+            for shard in manifest.shard_names:
+                try:
+                    members.append((shard, decode_header(have[header_blob_name(shard)])))
+                except ValueError as error:
+                    raise CorruptIndexError(header_blob_name(shard), error) from error
         builds.append(
             OpenedBuild(
                 name,
                 manifest,
-                [(member, decode_header(have[header_blob_name(member)])) for member in names],
+                members,
                 max_concurrency if manifest is None else _sharded_width(max_concurrency, manifest),
             )
         )
@@ -310,13 +321,14 @@ def open_index(
     """Open logical index ``name`` in at most two dependent waves.
 
     Wave 1 is one batch of "missing is an answer" reads for every blob that
-    says what the index *is*: the in-place shard manifest and header, the
-    update manifest and — with ``probe_ingest`` — the ingest manifest.  A
-    plain index is fully open after it.  Wave 2, only when the manifests
-    name more, is one :func:`open_headers` batch over every member not yet
-    in hand with every WAL blob the ingest manifest may need riding along —
-    the probed segment range, listed segments and tombstone records (a
-    sharded member's shard headers are the only possible third).
+    says what the index *is*: the in-place header and older-layout shard
+    manifest, the update manifest and — with ``probe_ingest`` — the ingest
+    manifest.  A lone build, plain or sharded, is fully open after it.
+    Wave 2, only when the manifests name more, is one :func:`open_headers`
+    batch over every member not yet in hand with every WAL blob the ingest
+    manifest may need riding along — the probed segment range, listed
+    segments and tombstone records (an older-layout sharded member's shard
+    headers are the only possible third).
 
     ``known`` says this process has already seen an update manifest for
     ``name``: that manifest alone decides where the base lives, so wave 1

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, AbstractSet, Sequence
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder, BuiltIndex, BuiltShardedIndex
-from repro.index.metadata import ShardManifest
+from repro.index.compaction import CompactedSketch
 from repro.index.serialization import decode_superpost
 from repro.index.stats import IndexStats, build_stats, decode_stats, union_stats
 from repro.index.store_layout import (
@@ -49,7 +49,6 @@ from repro.index.store_layout import (
     delta_index_name,
     generation_index_name,
     open_headers,
-    read_shard_manifest,
     snapshot_blob_name,
     snapshot_blobs,
     stats_blob_name,
@@ -335,40 +334,36 @@ class AppendOnlyIndexManager:
 
     def indexed_documents(self, exclude: AbstractSet[Posting] = frozenset()) -> list[Document]:
         """Enumerate every document covered by the base and delta indexes."""
-        return self._read_documents(self.manifest().all_indexes, exclude)
+        builds = open_headers(self._store, self.manifest().all_indexes).builds
+        return self._read_documents([h for build in builds for _, h in build.members], exclude)
 
     def _read_documents(
-        self, index_names: Sequence[str], exclude: AbstractSet[Posting] = frozenset()
+        self, headers: Sequence[CompactedSketch], exclude: AbstractSet[Posting] = frozenset()
     ) -> list[Document]:
-        """Every document the builds ``index_names`` index, re-read from storage.
+        """Every document the builds (or shards) of ``headers`` index, re-read
+        from storage.
 
         The union of all superposts (plus the common-word lists) of an index
         is exactly its set of postings — of documents with at least one
         token — and each posting locates a document's bytes, fetched as one
         wave.  ``exclude`` (the pending tombstone set) drops condemned
         postings *before* their bytes are fetched — deleted documents cost no
-        reads.  A sharded build's shard sub-indexes stand in for it; a build
-        that is not there contributes nothing.
+        reads.
         """
         postings: set[Posting] = set()
-        for index_name in index_names:
-            try:
-                (build,) = open_headers(self._store, [index_name]).builds
-            except BlobNotFoundError:
-                continue
-            for _, compacted in build.members:
-                # One read of the member's superpost blob, sliced by the
-                # pointer columns: never a dependent range read per bin.
-                blob = self._store.get(compacted.superpost_blob_name)
-                for offset, length in compacted.mht.ranges():
-                    if length:
-                        postings.update(
-                            decode_superpost(
-                                blob[offset : offset + length],
-                                compacted.string_table,
-                                compacted.format_version,
-                            )
+        for compacted in headers:
+            # One read of the member's superpost blob, sliced by the
+            # pointer columns: never a dependent range read per bin.
+            blob = self._store.get(compacted.superpost_blob_name)
+            for offset, length in compacted.mht.ranges():
+                if length:
+                    postings.update(
+                        decode_superpost(
+                            blob[offset : offset + length],
+                            compacted.string_table,
+                            compacted.format_version,
                         )
+                    )
         wanted = sorted(postings - set(exclude))
         fetch = self._store.read_batch([posting.to_range_read() for posting in wanted])
         return [
@@ -377,32 +372,26 @@ class AppendOnlyIndexManager:
         ]
 
     def _merged_stats(
-        self,
-        manifest: IndexManifest,
-        shard_manifest: ShardManifest | None,
-        exclude: AbstractSet[Posting],
+        self, members: Sequence[tuple[str, CompactedSketch]], exclude: AbstractSet[Posting]
     ) -> IndexStats:
-        """The statistics of every member of ``manifest``, merged minus ``exclude``.
+        """The statistics of every opened member build (shards, not a sharded
+        build), merged minus ``exclude``.
 
-        One wave reads every member build's stats blob (a sharded base's, per
-        shard).  A member without one — built before ranked retrieval —
-        contributes :func:`build_stats` over its documents, re-read from
-        storage, so old indexes still compact (and gain statistics).
+        One wave reads every member's stats blob.  A member without one —
+        built before ranked retrieval — contributes :func:`build_stats` over
+        its documents, re-read from storage, so old indexes still compact
+        (and gain statistics).
         """
-        members = [
-            *(shard_manifest.shard_names if shard_manifest else [manifest.active_base]),
-            *manifest.delta_indexes,
-        ]
         fetch = self._store.read_batch(
-            [RangeRead(stats_blob_name(member), optional=True) for member in members]
+            [RangeRead(stats_blob_name(member), optional=True) for member, _ in members]
         )
         tokenizer = self._tokenizer if self._tokenizer is not None else WhitespaceAnalyzer()
         return union_stats(
             [
                 decode_stats(payload, member)
                 if payload is not None
-                else build_stats(self._read_documents([member], exclude), tokenizer)
-                for member, payload in zip(members, fetch.payloads)
+                else build_stats(self._read_documents([header], exclude), tokenizer)
+                for (member, header), payload in zip(members, fetch.payloads)
             ],
             exclude,
         )
@@ -435,8 +424,9 @@ class AppendOnlyIndexManager:
         retired list until the snapshot is deleted.
         """
         manifest = self.manifest()
-        shard_manifest = read_shard_manifest(self._store, manifest.active_base)
-        stats = self._merged_stats(manifest, shard_manifest, exclude)
+        builds = open_headers(self._store, manifest.all_indexes).builds
+        stats = self._merged_stats([member for build in builds for member in build.members], exclude)
+        shard_manifest = builds[0].manifest
         generation = manifest.generation + 1
         new_base = generation_index_name(self._base_index, generation)
         builder = AirphantBuilder(

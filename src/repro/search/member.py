@@ -29,7 +29,7 @@ from repro.index.compaction import CompactedSketch
 from repro.index.metadata import IndexMetadata, ShardManifest, index_metadata
 from repro.index.serialization import StringTable, decode_superpost
 from repro.index.stats import IndexStats, RankingUnsupportedError, decode_stats
-from repro.index.store_layout import MAX_SHARDED_CONCURRENCY, stats_blob_name
+from repro.index.store_layout import MAX_SHARDED_CONCURRENCY, CorruptIndexError, stats_blob_name
 from repro.parsing.documents import Document, Posting
 from repro.storage.base import RangeRead
 from repro.storage.pipeline import ReadPipeline
@@ -123,8 +123,12 @@ class ShardState:
 
     def decode(self, payload: bytes | memoryview) -> Superpost:
         """One of this shard's superposts, decoded (every superpost read's
-        :attr:`~repro.storage.base.RangeRead.decode`)."""
-        return decode_superpost(payload, self.string_table, self.format_version)
+        :attr:`~repro.storage.base.RangeRead.decode`); bytes that do not
+        decode are a :class:`~repro.index.store_layout.CorruptIndexError`."""
+        try:
+            return decode_superpost(payload, self.string_table, self.format_version)
+        except (ValueError, KeyError) as error:
+            raise CorruptIndexError(self.mht.blob, error) from error
 
 
 class IndexMember:

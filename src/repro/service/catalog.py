@@ -8,9 +8,11 @@ append-only manifest (see :mod:`repro.index.updates`) is opened as an
 :class:`~repro.search.searcher.AirphantSearcher` over the base plus all
 deltas; a plain index is the degenerate single-member case of the same type,
 so callers always get one uniform searcher interface.  Sharded indexes
-(a ``shards.json`` manifest plus ``shard-NNNN/`` sub-indexes) are handled by
-the index members themselves; their shard sub-indexes — like delta
-indexes — are not directly addressable catalog entries.
+(one header container naming ``shard-NNNN/`` sub-indexes, or the older
+``shards.json`` manifest) are handled by the index members themselves; their
+shard sub-indexes — like delta indexes — are not directly addressable
+catalog entries.  A stored blob that does not decode surfaces as
+:class:`~repro.index.store_layout.CorruptIndexError` from the open.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class IndexCatalog:
         """Names of all indexes in the store.
 
         Deltas fold into their base; shard sub-indexes fold into the sharded
-        index their ``shards.json`` manifest names; generational base builds
+        index whose header names them; generational base builds
         (``gen-NNNNNNNN/``, written by compaction) fold into the logical
         index their append-only manifest names — an index whose base has
         moved fully generational is discovered through that manifest alone.

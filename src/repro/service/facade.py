@@ -37,7 +37,7 @@ from repro.observability.tracing import (
 )
 from repro.index.builder import AirphantBuilder
 from repro.index.stats import RankingUnsupportedError
-from repro.index.store_layout import is_index_name
+from repro.index.store_layout import CorruptIndexError, is_index_name
 from repro.index.updates import AppendOnlyIndexManager, SnapshotRestoreError
 from repro.ingest.live import IngestCoordinator, IngestOverloadedError
 from repro.ingest.wal import WriteAheadLog
@@ -63,9 +63,8 @@ from repro.storage.registry import open_store
 def _error_code(error: Exception) -> str:
     """The typed code a failure is counted and traced under.
 
-    Anything without one (a corrupted index blob, a programming error)
-    surfaces as HTTP 500 — label it all the same, so the worst outage class
-    is never a flat line.
+    Anything without one (a programming error) surfaces as HTTP 500 — label
+    it all the same, so the worst outage class is never a flat line.
     """
     return error.info.error if isinstance(error, ServiceError) else "internal_error"
 
@@ -176,7 +175,9 @@ class AirphantService:
     def _store_errors(self) -> Iterator[None]:
         """Translate storage failures into the service's typed errors.
 
-        One definition for every endpoint: transient failures (including
+        One definition for every endpoint: stored index bytes that do not
+        decode become ``502 index_corrupt`` (before any ``ValueError`` can
+        read as the request's fault); transient failures (including
         exhausted retries) become ``503 store_unavailable``; definitive
         access denials become ``403 store_access_denied``; write refusals
         (builds or ingest against e.g. a static http:// export) become
@@ -184,6 +185,8 @@ class AirphantService:
         """
         try:
             yield
+        except CorruptIndexError as error:
+            raise ServiceError(502, "index_corrupt", str(error)) from error
         except TransientStoreError as error:
             raise ServiceError(503, "store_unavailable", str(error)) from error
         except StoreAccessError as error:

@@ -8,12 +8,18 @@ prove nothing else changed:
 
 * :func:`encode_legacy_header` — the old ``encode_header``, kept as the
   fixture writer for JSON-headed indexes;
+* :func:`split_shard_container` — rewrites every sharded build's header
+  container as the older sharded layout: a JSON ``shards.json`` and a
+  ``shard-NNNN/header.json`` per shard, blob for blob what a builder wrote
+  before the container existed;
 * :func:`downgrade_headers` — rewrites the headers of already-built indexes
   in a store to that JSON form, yielding the index an older build would have
-  left behind (same ``superposts.bin``, same pointers);
+  left behind (same ``superposts.bin``, same pointers; sharded builds split
+  first, as JSON headers predate the container);
 * :func:`downgrade_codec` — rewrites the superposts of already-built indexes
   as codec v1 in layer-major order, the index a pre-v2 builder wrote (the
-  v1 codec and that placement are read forever, written only here);
+  v1 codec and that placement are read forever, written only here; sharded
+  builds split first, as v1 builds predate the container);
 * :func:`legacy_superpost_blob` — the old placement walk over *all* bins and
   the concatenation it produced, as the reference ``superposts.bin`` must
   stay byte-identical to;
@@ -36,7 +42,9 @@ from repro.core.mht import MultilayerHashTable
 from repro.core.sketch import IoUSketch
 from repro.index.compaction import (
     HEADER_BLOB_SUFFIX,
+    SHARDED_HEADER_MAGIC,
     CompactedSketch,
+    decode_build_header,
     decode_header,
     encode_header,
 )
@@ -47,7 +55,11 @@ from repro.index.serialization import (
     decode_superpost,
     encode_superpost,
 )
-from repro.index.store_layout import SHARD_MANIFEST_SUFFIX
+from repro.index.store_layout import (
+    SHARD_MANIFEST_SUFFIX,
+    header_blob_name,
+    shard_manifest_blob_name,
+)
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer
 from repro.profiling.profiler import profile_documents
@@ -90,8 +102,34 @@ def encode_legacy_header(compacted: CompactedSketch) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
+def split_shard_container(store: ObjectStore, prefix: str = "") -> list[str]:
+    """Rewrite every sharded build under ``prefix`` in the older layout;
+    returns the builds split.
+
+    The container's shard headers become ``shard-NNNN/header.json`` blobs
+    and its manifest a JSON ``shards.json``; the container goes.  A store
+    holding no container is left as it is.
+    """
+    split = []
+    for name in store.list_blobs(prefix=prefix):
+        if not name.endswith(f"/{HEADER_BLOB_SUFFIX}"):
+            continue
+        payload = store.get(name)
+        if not payload.startswith(SHARDED_HEADER_MAGIC):
+            continue
+        build = name[: -len(HEADER_BLOB_SUFFIX) - 1]
+        manifest, members = decode_build_header(payload, build)
+        for shard, header in members:
+            store.put(header_blob_name(shard), encode_header(header))
+        store.put(shard_manifest_blob_name(build), json.dumps(manifest.to_dict()).encode("utf-8"))
+        store.delete(name)
+        split.append(build)
+    return split
+
+
 def downgrade_headers(store: ObjectStore, prefix: str = "") -> list[str]:
     """Rewrite every header under ``prefix`` as legacy JSON; returns their names."""
+    split_shard_container(store, prefix)
     headers = [
         name
         for name in store.list_blobs(prefix=prefix)
@@ -111,6 +149,7 @@ def downgrade_codec(store: ObjectStore, prefix: str = "") -> list[str]:
     ``format_version`` 1, and every shard manifest ``index_format_version``
     1.  The result is what ``format_version=1, layout="plain"`` builds wrote.
     """
+    split_shard_container(store, prefix)
     blobs = store.list_blobs(prefix=prefix)
     headers = [name for name in blobs if name.endswith(f"/{HEADER_BLOB_SUFFIX}")]
     for name in headers:
@@ -143,7 +182,8 @@ def downgrade_codec(store: ObjectStore, prefix: str = "") -> list[str]:
     for name in blobs:
         if name.endswith(f"/{SHARD_MANIFEST_SUFFIX}"):
             manifest = ShardManifest.from_json(store.get(name))
-            store.put(name, replace(manifest, index_format_version=FORMAT_V1).to_json().encode("utf-8"))
+            downgraded = replace(manifest, index_format_version=FORMAT_V1)
+            store.put(name, json.dumps(downgraded.to_dict()).encode("utf-8"))
     return headers
 
 

@@ -111,14 +111,30 @@ def test_compaction_reads_only_manifests_and_one_wave_of_statistics(shards, part
     reads = [call for call in recording.calls if call[0] in ("get", "get_range", "read_batch")]
     assert [call[:2] for call in reads] == [
         ["get", "live/manifest.json"],
-        ["get_range", "live/shards.json"],
+        ["read_batch", ""],
         ["read_batch", ""],
     ]
-    wave = [call[1] for call in recording.calls if call[0] == "batch_read"]
+    headers, stats = _waves(recording.calls)
+    # Every member's header (a sharded base's one container holds its shard
+    # headers and manifest), then every member's statistics.
+    assert sorted(headers) == sorted(
+        f"{member}/{blob}" for member in members for blob in ("shards.json", "header.json")
+    )
     expected_members = (
         [f"live/shard-{shard:04d}" for shard in range(shards)] if shards > 1 else members[:1]
     ) + members[1:]
-    assert wave == [stats_blob_name(member) for member in expected_members]
+    assert stats == [stats_blob_name(member) for member in expected_members]
+
+
+def _waves(calls):
+    """The blobs of each ``read_batch`` in ``calls``, in order."""
+    waves: list[list[str]] = []
+    for method, blob, *_ in calls:
+        if method == "read_batch":
+            waves.append([])
+        elif method == "batch_read":
+            waves[-1].append(blob)
+    return waves
 
 
 def _ranked(service: AirphantService, index: str, query: str) -> list[tuple[str, float]]:

@@ -14,7 +14,6 @@ import json
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
 from repro.index.compaction import HEADER_BLOB_SUFFIX, decode_header
-from repro.index.metadata import ShardManifest
 from repro.index.serialization import DEFAULT_FORMAT_VERSION, FORMAT_V1, FORMAT_V2
 from repro.index.updates import AppendOnlyIndexManager
 from repro.parsing.corpus import LineDelimitedCorpusParser
@@ -115,12 +114,9 @@ class TestShardedByteIdentity:
         payloads = {}
         for version in (FORMAT_V1, FORMAT_V2):
             name = f"idx-v{version}"
-            manifest = ShardManifest.from_json(
-                store.get(ShardManifest.blob_name(name))
-            )
-            assert manifest.index_format_version == version
             searcher = AirphantSearcher(store, name)
             searcher.initialize()
+            assert searcher.opened[0].shard_manifest.index_format_version == version
             payloads[version] = json.dumps(
                 {
                     word: _lookup(searcher, word)

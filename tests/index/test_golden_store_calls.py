@@ -8,10 +8,10 @@ cache on (the default); the two queries share no range, so the cold log is
 the same as an uncached one.  Moving who resolves name → manifest
 → members → headers, or who issues a wave, must not move a single store call
 on the open/query path; a change that *means* to regenerates the golden on
-purpose (last: the ranking statistics ride the first ranked query's lookup
-batch instead of a batch per member before it; before that, the open became
-one batch of "missing is an answer" reads for every blob that says what the
-index is, plus one for the members it names)::
+purpose (last: a sharded build's shard headers ride its own ``header.json``,
+so its open is the discovery batch alone; before that, the ranking
+statistics came to ride the first ranked query's lookup batch instead of a
+batch per member before it)::
 
     PYTHONPATH=src:tests python tests/index/test_golden_store_calls.py
 """
@@ -82,19 +82,18 @@ def test_the_sequence_covers_open_lookup_and_stats():
         assert any(blob.endswith("/header.json") for blob in blobs), name
         assert any(blob.endswith("/superposts.bin") for blob in blobs), name
         assert any(blob.endswith("/stats.json") for blob in blobs), name
-    # A sharded build has no header of its own; the discovery batch asks anyway.
-    for name, headers in (("deltas", 3), ("sharded", 1 + 4)):
+    # A sharded build's one header holds its shards': no shard header is read.
+    for name, headers in (("deltas", 3), ("sharded", 1)):
         read = [blob for method, blob, _, _ in golden[name] if method == "batch_read"]
         assert sum(1 for blob in read if blob.endswith("/header.json")) == headers
 
 
 def test_a_query_costs_two_batches_however_many_members():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    for name, opens in (("plain", 1), ("sharded", 2), ("deltas", 2)):
+    for name, opens in (("plain", 1), ("sharded", 1), ("deltas", 2)):
         assert not any(method == "exists" for method, _, _, _ in golden[name]), name
         batches = [length for method, _, _, length in golden[name] if method == "read_batch"]
-        # The open: the discovery batch, then (shards or deltas) the headers
-        # it names.  Per query: lookup + documents — the first ranked query's
+        # The open: the discovery batch, then (deltas) the headers it names.  Per query: lookup + documents — the first ranked query's
         # lookup also reads every member's statistics.
         assert len(batches) == opens + 2 + 2, (name, batches)
         assert batches[0] == 4, name  # shards.json, header.json, manifest.json, ingest.json

@@ -5,7 +5,9 @@ the budget.  These tests build indexes as today's writers do, rewrite their
 headers into that JSON form (``harness.legacy_header`` — same superposts, same
 pointers, exactly what an older build left behind) and pin that
 
-* such indexes — plain, 4-shard, base + deltas, with either superpost codec
+* such indexes — plain, 4-shard (split into the older ``shards.json``
+  layout, as JSON headers predate the sharded container), base + deltas,
+  with either superpost codec
   (v1 ones are v2 builds rewritten by ``harness.legacy_header.downgrade_codec``) —
   answer keyword, Boolean and ``topk_bm25`` queries byte-identically to their
   v3-headed selves, over ``mem://`` and the S3 emulator;
@@ -27,6 +29,7 @@ from repro.index.builder import AirphantBuilder
 from repro.index.compaction import (
     HEADER_BLOB_SUFFIX,
     HEADER_MAGIC,
+    SHARDED_HEADER_MAGIC,
     SUPERPOST_BLOB_SUFFIX,
     decode_header,
 )
@@ -114,13 +117,20 @@ class TestJsonHeadedIndexesAnswerIdentically:
             headers = [
                 name for name in store.list_blobs() if name.endswith(HEADER_BLOB_SUFFIX)
             ]
-            # plain + 4 shards + (base + 2 deltas), every one written as v3
-            assert len(headers) == 1 + 4 + 3
-            assert all(store.get(name).startswith(HEADER_MAGIC) for name in headers)
+            # plain + the 4-shard build's container (its 4 shard headers once
+            # downgraded to v1, which predates the container) + (base + 2
+            # deltas), every plain one written as v3
+            container = f"{names[1]}/{HEADER_BLOB_SUFFIX}"
+            assert len(headers) == 1 + (4 if codec == FORMAT_V1 else 1) + 3
+            for name in headers:
+                magic = SHARDED_HEADER_MAGIC if name == container else HEADER_MAGIC
+                assert store.get(name).startswith(magic)
             with_v3_headers = _answers(store_uri, names)
 
-            assert sorted(downgrade_headers(store)) == sorted(headers)
-            assert all(store.get(name).startswith(b"{") for name in headers)
+            # JSON headers predate the container: it splits into 4 first.
+            downgraded = downgrade_headers(store)
+            assert len(downgraded) == 1 + 4 + 3
+            assert all(store.get(name).startswith(b"{") for name in downgraded)
             assert _answers(store_uri, names) == with_v3_headers
             # ... and the answers are not vacuous.
             first = json.loads(with_v3_headers)[0]

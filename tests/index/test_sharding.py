@@ -1,15 +1,19 @@
 """Unit tests for sharded builds and the shard manifest format."""
 
+import json
+
 import pytest
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder, BuiltShardedIndex
-from repro.index.metadata import ShardManifest, merge_shard_metadata
-from repro.index.sharding import (
-    partition_documents,
-    read_shard_manifest,
-    shard_index_name,
-)
+from repro.index.metadata import ShardEntry, ShardManifest, merge_shard_metadata
+from repro.index.sharding import partition_documents, shard_index_name
+from repro.index.store_layout import open_headers
+
+
+def read_shard_manifest(store, name):
+    """The shard manifest of build ``name`` as the opener finds it (``None``: plain)."""
+    return open_headers(store, [name]).builds[0].manifest
 
 
 class TestPartitioning:
@@ -44,7 +48,7 @@ class TestShardManifest:
             partitioner="round-robin",
             shards=tuple(),
         )
-        assert ShardManifest.from_json(manifest.to_json()) == manifest
+        assert ShardManifest.from_json(json.dumps(manifest.to_dict())) == manifest
 
     def test_rejects_wrong_magic(self):
         with pytest.raises(ValueError):
@@ -56,8 +60,13 @@ class TestShardManifest:
         with pytest.raises(ValueError):
             ShardManifest.from_dict(payload)
 
-    def test_missing_manifest_reads_as_none(self, sim_store):
-        assert read_shard_manifest(sim_store, "nonexistent") is None
+    def test_shards_must_be_the_builds_own(self):
+        own = ShardManifest("x", shards=(ShardEntry("x/shard-0000"), ShardEntry("x/shard-0001")))
+        assert own.validated("x") is own
+        foreign = ShardManifest("x", shards=(ShardEntry("q/shard-0000"), ShardEntry("q/shard-0001")))
+        for manifest in (foreign, ShardManifest("x"), ShardManifest("x", shards=own.shards[1:])):
+            with pytest.raises(ValueError):
+                manifest.validated("x")
 
 
 class TestShardedBuild:
@@ -72,9 +81,14 @@ class TestShardedBuild:
         manifest = read_shard_manifest(sim_store, "sharded")
         assert manifest is not None
         assert manifest.shard_names == [shard_index_name("sharded", i) for i in range(4)]
+        # The build's one header holds the manifest and every shard header;
+        # a shard owns only its superposts and statistics.
+        assert sim_store.exists("sharded/header.json")
+        assert not sim_store.exists("sharded/shards.json")
         for name in manifest.shard_names:
-            assert sim_store.exists(f"{name}/header.json")
+            assert not sim_store.exists(f"{name}/header.json")
             assert sim_store.exists(f"{name}/superposts.bin")
+            assert sim_store.exists(f"{name}/stats.json")
 
     def test_manifest_stats_match_partition_sizes(
         self, sim_store, small_documents, small_config
@@ -156,7 +170,6 @@ class TestShardedBuild:
         AirphantBuilder(sim_store, config=small_config, num_shards=2).build_from_documents(
             small_documents, index_name="idx"
         )
-        assert not sim_store.exists("idx/header.json")
         assert not sim_store.exists("idx/superposts.bin")
         assert not sim_store.exists("idx/stats.json")
         assert read_shard_manifest(sim_store, "idx").num_shards == 2

@@ -13,21 +13,29 @@ endpoint agree on which names are addressable.
 from __future__ import annotations
 
 import inspect
+import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from harness.legacy_header import downgrade_headers
+from harness.legacy_header import downgrade_headers, split_shard_container
 from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
-from repro.index.compaction import decode_header
+from repro.index.compaction import (
+    SHARDED_HEADER_MAGIC,
+    decode_build_header,
+    decode_header,
+    encode_header,
+    encode_sharded_header,
+)
 from repro.index import store_layout
 from repro.index.metadata import ShardManifest, merge_shard_metadata
 from repro.index.stats import build_stats
 from repro.index.store_layout import (
+    CorruptIndexError,
     build_blobs,
     build_bytes,
     ingest_prefix,
@@ -61,11 +69,11 @@ def _documents(store: InMemoryObjectStore, count: int = 200):
 
 def _read_directly(store, name):
     """(shard manifest | None, member names, headers) by spelling the blobs out."""
-    if store.exists(f"{name}/shards.json"):
-        manifest = ShardManifest.from_json(store.get(f"{name}/shards.json"))
-        names = [entry.name for entry in manifest.shards]
-    else:
-        manifest, names = None, [name]
+    if store.exists(f"{name}/header.json"):
+        manifest, members = decode_build_header(store.get(f"{name}/header.json"), name)
+        return manifest, [n for n, _ in members], [header for _, header in members]
+    manifest = ShardManifest.from_json(store.get(f"{name}/shards.json"))
+    names = [entry.name for entry in manifest.shards]
     return manifest, names, [decode_header(store.get(f"{n}/header.json")) for n in names]
 
 
@@ -156,6 +164,48 @@ class TestOpener:
         _assert_opens_like_a_direct_read(store, "plain")
         _assert_opens_like_a_direct_read(store, "sharded")
 
+    def test_older_sharded_layout_answers_like_the_container_and_compacts_into_one(self):
+        store = InMemoryObjectStore()
+        store.put("corpus/base.txt", CORPUS)
+        with AirphantService(store, ServiceConfig(ingest_interval_s=0)) as service:
+            for name in ("container", "older"):
+                service.build_index(name, ["corpus/base.txt"], num_shards=3)
+        assert split_shard_container(store, "older/") == ["older"]
+        assert store.exists("older/shards.json") and not store.exists("older/header.json")
+        _assert_opens_like_a_direct_read(store, "older")
+        with AirphantService(store, ServiceConfig(ingest_interval_s=0)) as service:
+            container, older = (_answers(service, name, raw=True) for name in ("container", "older"))
+            assert older == container.replace(b'"container"', b'"older"')
+            service.append_documents("older", ["error appended to the older layout"])
+            assert service.compact_index("older")["compacted"]
+            base = AppendOnlyIndexManager(store, "older").manifest().active_base
+        assert store.get(f"{base}/header.json").startswith(SHARDED_HEADER_MAGIC)
+        assert not store.exists(f"{base}/shards.json")
+        assert _assert_opens_like_a_direct_read(store, base).manifest.num_shards == 3
+
+    def test_a_shard_manifest_naming_another_index_is_corrupt(self):
+        store = InMemoryObjectStore()
+        AirphantBuilder(store, config=CONFIG, num_shards=2).build_from_documents(
+            _documents(store), index_name="q"
+        )
+        manifest, members = decode_build_header(store.get("q/header.json"), "q")
+        store.put(
+            "x/header.json",
+            encode_sharded_header(manifest, [encode_header(header) for _, header in members]),
+        )
+        with pytest.raises(CorruptIndexError, match="x/header.json"):
+            open_headers(store, ["x"])
+        # The older layout: x/shards.json names q/shard-0000 and q/shard-0001.
+        split_shard_container(store, "q/")
+        store.delete("x/header.json")
+        store.put("x/shards.json", store.get("q/shards.json"))
+        with pytest.raises(CorruptIndexError, match="x/shards.json"):
+            open_headers(store, ["x"])
+        with AirphantService(store, ServiceConfig(ingest_interval_s=0)) as service:
+            with pytest.raises(ServiceError) as caught:
+                service.search(SearchRequest(index="x", query="INFO"))
+        assert (caught.value.info.status, caught.value.info.error) == (502, "index_corrupt")
+
     def test_a_missing_build_is_a_missing_blob(self):
         with pytest.raises(BlobNotFoundError):
             open_headers(InMemoryObjectStore(), ["nothing-here"])
@@ -168,7 +218,7 @@ class TestOpener:
         budget = RecordingStore(backend)
         AirphantSearcher.open(budget, "sharded")
         AppendOnlyIndexManager(budget, "sharded").manifest()
-        assert budget.round_trips == 3  # shards.json + header.json, shard headers, manifest
+        assert budget.round_trips == 2  # shards.json + header.json, manifest
 
         observed = RecordingStore(backend)
         with AirphantService(observed, ServiceConfig(ingest_interval_s=0)) as service:
@@ -217,18 +267,25 @@ def _service(num_shards: int = 1) -> AirphantService:
     return service
 
 
-def _answers(service: AirphantService, index: str = "idx") -> dict:
+def _answers(service: AirphantService, index: str = "idx", raw: bool = False) -> dict | bytes:
+    """Keyword, Boolean and ranked answers: sorted (score, text) pairs, or
+    with ``raw`` the responses' JSON, latency aside."""
+
     def ask(query, mode):
         response = service.search(SearchRequest(index=index, query=query, mode=mode)).to_dict()
+        if raw:
+            del response["latency"]
+            return response
         return sorted(
             (round(doc.get("score") or 0.0, 9), doc["text"]) for doc in response["documents"]
         )
 
-    return {
+    answers = {
         "keyword": ask("error", "keyword"),
         "boolean": ask("error OR (warn AND slow)", "boolean"),
         "topk_bm25": ask("error disk", "topk_bm25"),
     }
+    return json.dumps(answers, sort_keys=True).encode("utf-8") if raw else answers
 
 
 IN_PLACE_BASE_BLOBS = ("idx/header.json", "idx/superposts.bin", "idx/stats.json", "idx/shards.json")
@@ -274,7 +331,7 @@ class TestLifecycleOwnership:
         with _service(num_shards) as service:
             store = service.store
             assert set(_in_place_leftovers(store)) >= (
-                {"idx/shards.json"} if num_shards > 1 else set(IN_PLACE_BASE_BLOBS[:3])
+                {"idx/header.json"} if num_shards > 1 else set(IN_PLACE_BASE_BLOBS[:3])
             )
             appended = []
             for round_number in (1, 2, 3):
@@ -397,7 +454,7 @@ def test_the_documented_table_names_exactly_what_the_module_spells():
         "header_blob_name": store_layout.header_blob_name("idx"),
         "superpost_blob_name": store_layout.superpost_blob_name("idx"),
         "stats_blob_name": store_layout.stats_blob_name("idx"),
-        "shard_manifest_blob_name": ShardManifest.blob_name("idx"),
+        "shard_manifest_blob_name": store_layout.shard_manifest_blob_name("idx"),
         "shard_index_name": store_layout.shard_index_name("idx", 7) + "/…",
         "delta_index_name": store_layout.delta_index_name("idx", 7) + "/…",
         "generation_index_name": store_layout.generation_index_name("idx", 7) + "/…",

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
-from repro.index.sharding import read_shard_manifest
+from repro.index.store_layout import open_headers
 from repro.index.updates import AppendOnlyIndexManager
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Document
@@ -73,7 +73,8 @@ def _drive_full_lifecycle(store, num_shards: int) -> None:
     assert manifest.delta_indexes == ()
     assert manifest.active_base == "idx/gen-00000001"
     if num_shards > 1:
-        assert read_shard_manifest(store, manifest.active_base).num_shards == num_shards
+        (base,) = open_headers(store, [manifest.active_base]).builds
+        assert base.manifest.num_shards == num_shards
     searcher = manager.open_searcher()
     assert len(searcher.search("error").documents) == 4  # 3 base + 1 delta
     assert {d.text for d in searcher.search("fresh").documents} == {

@@ -1,18 +1,21 @@
 """Waves per open, pinned: at most two dependent batches before the first query.
 
 The open-path twin of ``tests/search/test_waves_per_query.py``.  A cold node
-asks for every blob that says what an index *is* — shard manifest, header,
-update manifest, ingest manifest — as one batch of "missing is an answer"
-reads; whatever those name (member headers, shard headers, WAL segments,
-tombstone records) is one more.  Only a sharded *generational* base needs a
-third (manifest → its ``shards.json`` → the shard headers).  No ``exists``
-anywhere, nothing re-read on a reopen that this process already knows, and a
-name that is not there costs the one discovery batch.
+asks for every blob that says what an index *is* — header (a sharded
+build's holds every shard header), older-layout shard manifest, update
+manifest, ingest manifest — as one batch of "missing is an answer" reads;
+whatever those name (member headers, WAL segments, tombstone records) is one
+more.  Only a sharded build in the older layout (``shards.json`` and a
+header per shard, ``harness.legacy_header.split_shard_container``) costs a
+wave more for its shard headers.  No ``exists`` anywhere, nothing re-read on
+a reopen that this process already knows, and a name that is not there costs
+the one discovery batch.
 """
 
 from __future__ import annotations
 
 import pytest
+from harness.legacy_header import split_shard_container
 from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
@@ -41,24 +44,27 @@ def bucket():
     corpus = generate_log_corpus(backend, "hdfs", 300, seed=31)
     documents = list(LineDelimitedCorpusParser().parse(backend, corpus.blob_names))
     AirphantBuilder(backend, config=CONFIG).build_from_documents(documents, index_name="plain")
-    AirphantBuilder(backend, config=CONFIG, num_shards=4).build_from_documents(
-        documents, index_name="sharded"
-    )
     deltas = AppendOnlyIndexManager(backend, "deltas", config=CONFIG)
     deltas.build_base(documents[:100])
     deltas.append(documents[100:200])
     deltas.append(documents[200:])
-    # A sharded base that a compaction moved under a generational prefix,
-    # with two deltas stacked on it since.
-    AirphantBuilder(backend, config=CONFIG, num_shards=3).build_from_documents(
-        documents[:100], index_name="generational"
-    )
-    generational = AppendOnlyIndexManager(backend, "generational", config=CONFIG)
-    generational.append(documents[100:150])
-    generational.compact()
-    generational.append(documents[150:200])
-    generational.append(documents[200:])
-    assert generational.manifest().active_base != "generational"
+    for prefix in ("", "legacy-"):
+        AirphantBuilder(backend, config=CONFIG, num_shards=4).build_from_documents(
+            documents, index_name=f"{prefix}sharded"
+        )
+        # A sharded base that a compaction moved under a generational
+        # prefix, with two deltas stacked on it since.
+        AirphantBuilder(backend, config=CONFIG, num_shards=3).build_from_documents(
+            documents[:100], index_name=f"{prefix}generational"
+        )
+        generational = AppendOnlyIndexManager(backend, f"{prefix}generational", config=CONFIG)
+        generational.append(documents[100:150])
+        generational.compact()
+        generational.append(documents[150:200])
+        generational.append(documents[200:])
+        assert generational.manifest().active_base != f"{prefix}generational"
+    for name in ("legacy-sharded", "legacy-generational"):
+        assert split_shard_container(backend, f"{name}/")
     # A live index another process left behind: base, one flushed delta, 20
     # unflushed one-document WAL segments, one tombstone record.
     with AirphantService(backend, SERVICE) as writer:
@@ -95,7 +101,15 @@ def _batches(calls):
 
 @pytest.mark.parametrize(
     "name, waves",
-    [("plain", 1), ("sharded", 2), ("deltas", 2), ("live", 2), ("generational", 3)],
+    [
+        ("plain", 1),
+        ("sharded", 1),
+        ("deltas", 2),
+        ("live", 2),
+        ("generational", 2),
+        ("legacy-sharded", 2),
+        ("legacy-generational", 3),
+    ],
 )
 def test_dependent_batches_before_the_first_query_wave(bucket, name, waves):
     backend, appended = bucket
@@ -187,7 +201,9 @@ class _BatchLog(SimulatedCloudStore):
         return fetch
 
 
-@pytest.mark.parametrize("name", ["plain", "sharded", "deltas", "generational"])
+@pytest.mark.parametrize(
+    "name", ["plain", "sharded", "deltas", "generational", "legacy-sharded", "legacy-generational"]
+)
 def test_init_latency_is_the_sum_of_the_waves_the_open_issued(bucket, name):
     backend, _ = bucket
     store = _BatchLog(backend)
@@ -207,9 +223,10 @@ def test_init_latency_is_the_sum_of_the_waves_the_open_issued(bucket, name):
             searcher.init_latency_ms
         )
         assert None in [payload for batch in store.batches for payload in batch.payloads]
-    # The library spelling opens the builds it is handed, all in one batch.
+    # The library spelling opens the builds it is handed, all in one batch
+    # (the older sharded layout: one more, for the shard headers).
     direct = _BatchLog(backend)
     manifest = AppendOnlyIndexManager(backend, name).manifest()
     opened = AirphantSearcher.open(direct, manifest.all_indexes)
     assert opened.init_latency_ms == pytest.approx(sum(b.total_ms for b in direct.batches))
-    assert len(direct.batches) == (2 if name in ("sharded", "generational") else 1)
+    assert len(direct.batches) == (2 if name.startswith("legacy-") else 1)

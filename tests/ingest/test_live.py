@@ -213,7 +213,7 @@ class TestCompact:
         assert live.compact() is None
 
     def test_compact_preserves_a_sharded_base_layout(self):
-        from repro.index.sharding import read_shard_manifest
+        from repro.index.store_layout import open_headers
 
         store = InMemoryObjectStore()
         _base(store, num_shards=2)
@@ -222,7 +222,7 @@ class TestCompact:
         outcome = live.compact()
         assert outcome is not None
         manifest = live.manager.manifest()
-        assert read_shard_manifest(store, manifest.active_base).num_shards == 2
+        assert open_headers(store, [manifest.active_base]).builds[0].manifest.num_shards == 2
 
 
 class TestPolicies:

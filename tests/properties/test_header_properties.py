@@ -5,27 +5,37 @@ a single layer, a table whose offsets need 64 bits — the table that comes out
 of ``decode_header(encode_header(...))`` answers ``pointers_for`` exactly as
 the table that went in, for inserted and absent words alike, and each pointer
 still decodes to the superpost of its bin.  The legacy JSON form of the same
-header decodes to the same answers.
+header decodes to the same answers.  A sharded build's container round-trips
+its manifest and shard headers, and every truncation and every single-byte
+flip of it is a ``CorruptIndexError`` — never another exception.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.common_words import CommonWordTable
+from repro.core.config import SketchConfig
 from repro.core.hashing import LayeredHasher
 from repro.core.mht import MultilayerHashTable
 from repro.core.sketch import IoUSketch
+from repro.index.builder import AirphantBuilder
 from repro.index.compaction import (
+    SHARDED_HEADER_MAGIC,
     CompactedSketch,
     compact_sketch,
+    decode_build_header,
     decode_header,
     encode_header,
+    encode_sharded_header,
 )
 from repro.index.serialization import StringTable, decode_superpost
+from repro.index.store_layout import CorruptIndexError
 from repro.parsing.documents import Posting
+from repro.storage.memory import InMemoryObjectStore
 
 from harness.legacy_header import encode_legacy_header
 
@@ -157,3 +167,46 @@ class TestWideTableRoundTrip:
                     assert (pointer.offset, pointer.length) == (0, 0)
         assert decoded.pointers_for("the") == table.pointers_for("the")
         assert decoded.pointers_for("the")[0].offset == common_offset
+
+
+def _sharded_header() -> bytes:
+    """A small three-shard build's header container."""
+    store = InMemoryObjectStore()
+    corpus = b"\n".join(
+        f"error node{n % 5} disk {n} info heartbeat warn{n % 3}".encode() for n in range(30)
+    )
+    store.put("corpus.txt", corpus)
+    AirphantBuilder(store, config=SketchConfig(num_bins=64, seed=3), num_shards=3).build_from_blobs(
+        ["corpus.txt"], index_name="idx"
+    )
+    return store.get("idx/header.json")
+
+
+SHARDED_HEADER = _sharded_header()
+
+
+class TestShardedHeaderContainer:
+    def test_round_trips_the_manifest_and_every_shard_header(self):
+        manifest, members = decode_build_header(SHARDED_HEADER, "idx")
+        assert SHARDED_HEADER.startswith(SHARDED_HEADER_MAGIC)
+        assert [name for name, _ in members] == manifest.shard_names
+        assert encode_sharded_header(manifest, [encode_header(h) for _, h in members]) == (
+            SHARDED_HEADER
+        )
+
+    @given(cut=st.integers(min_value=0, max_value=len(SHARDED_HEADER) - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_every_truncation_is_corrupt(self, cut):
+        with pytest.raises(CorruptIndexError, match="idx/header.json"):
+            decode_build_header(SHARDED_HEADER[:cut], "idx")
+
+    @given(
+        position=st.integers(min_value=0, max_value=len(SHARDED_HEADER) - 1),
+        flip=st.integers(min_value=1, max_value=255),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_every_single_byte_flip_is_corrupt(self, position, flip):
+        data = bytearray(SHARDED_HEADER)
+        data[position] ^= flip
+        with pytest.raises(CorruptIndexError, match="idx/header.json"):
+            decode_build_header(bytes(data), "idx")

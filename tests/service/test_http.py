@@ -416,6 +416,41 @@ class TestSearch:
         assert all(status == 200 and payload["num_results"] == 3 for status, payload in results)
 
 
+class TestCorruptIndex:
+    """Stored bytes that do not decode are the store's fault: a typed 502
+    naming the blob — never a 500, a 400 that blames the client, or a 404."""
+
+    def _search(self, server, index="logs-index"):
+        return _post(server, "/search", {"index": index, "query": "error"})
+
+    def test_truncated_header_is_502_index_corrupt(self, server, tmp_path):
+        _build_index(server)
+        header = tmp_path / "bucket" / "logs-index" / "header.json"
+        header.write_bytes(header.read_bytes()[:40])
+        status, payload = self._search(server)
+        assert (status, payload["error"]) == (502, "index_corrupt")
+        assert "logs-index/header.json" in payload["message"]
+
+    def test_garbled_superposts_are_502_index_corrupt(self, server, tmp_path):
+        _build_index(server)
+        blob = tmp_path / "bucket" / "logs-index" / "superposts.bin"
+        blob.write_bytes(b"\xff" * len(blob.read_bytes()))  # every varint runs off the end
+        status, payload = self._search(server)
+        assert (status, payload["error"]) == (502, "index_corrupt")
+        assert "logs-index/superposts.bin" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "manifest", [b'{"shards":[{}]}', b"[1,2]", b"not json"], ids=["entry", "list", "bytes"]
+    )
+    def test_corrupt_shard_manifest_is_502_index_corrupt(self, server, tmp_path, manifest):
+        directory = tmp_path / "bucket" / "broken"
+        directory.mkdir(parents=True)
+        (directory / "shards.json").write_bytes(manifest)
+        status, payload = self._search(server, "broken")
+        assert (status, payload["error"]) == (502, "index_corrupt")
+        assert "broken/shards.json" in payload["message"]
+
+
 class TestStoreFailures:
     """Backend failures must surface as typed JSON errors, not 500s."""
 

@@ -158,6 +158,28 @@ def test_checker_guards_the_store_layout_and_its_one_opener(tmp_path):
     ]
 
 
+def test_checker_keeps_the_build_header_decoder_under_index(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("index", "service", "search"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the opener decodes a build's header; a docstring may name it.
+    (root / "index" / "store_layout.py").write_text(
+        "found = decode_build_header(payload, name)\n", encoding="utf-8"
+    )
+    (root / "search" / "member.py").write_text(
+        '"""Members never call decode_build_header( themselves."""\n', encoding="utf-8"
+    )
+    assert check_seams.findings(root) == []
+    (root / "service" / "catalog.py").write_text(
+        "manifest, members = decode_build_header(store.get(blob), name)\n", encoding="utf-8"
+    )
+    found = [problem.split(": ", 1) for problem in check_seams.findings(root)]
+    assert [(where.split("repro/")[1], what.split(" outside")[0]) for where, what in found] == [
+        ("service/catalog.py:1", "header/manifest decoder called"),
+    ]
+
+
 def test_checker_keeps_read_waves_in_the_executor(tmp_path):
     check_seams = _load()
     root = tmp_path / "src" / "repro"
