@@ -17,8 +17,10 @@ than what the bin budget allows, and opening it creates no per-bin object.
 from __future__ import annotations
 
 from bisect import bisect_left
+from copy import copy
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
+from operator import lt
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -58,7 +60,8 @@ class MultilayerHashTable:
 
     ``bin_ids`` (u32, strictly increasing), ``offsets`` and ``lengths`` (u32,
     or u64 when the blob outgrows 4 GiB) describe the non-empty hashed bins;
-    ``common_offsets``/``common_lengths`` are parallel to ``common_words``.
+    ``common_offsets``/``common_lengths`` are parallel to ``common_words``
+    (strictly increasing, so a lookup bisects them as it does ``bin_ids``).
     Columns are anything exposing the buffer protocol (numpy arrays,
     ``memoryview.cast`` results); they are validated here, once, against the
     hasher's shape and ``blob_bytes``, so both header decoders and the writer
@@ -85,9 +88,9 @@ class MultilayerHashTable:
             ids[-1] < self.num_layers * self.bins_per_layer and np.all(ids[1:] > ids[:-1])
         ):
             raise ValueError("bin ids must be strictly increasing and within the table")
-        self._common_rows = {word: row for row, word in enumerate(self.common_words)}
-        if len(self._common_rows) != len(self.common_words):
-            raise ValueError("common words must be distinct")
+        words = self.common_words
+        if not all(map(lt, words, islice(words, 1, None))):
+            raise ValueError("common words must be strictly increasing")
         width = np.asarray(self.offsets).dtype
         if width not in (np.uint32, np.uint64):
             raise ValueError("pointer columns must be u32 or u64")
@@ -146,11 +149,45 @@ class MultilayerHashTable:
             zip(self.offsets, self.lengths), zip(self.common_offsets, self.common_lengths)
         )
 
+    def split(self, lengths: np.ndarray, common_lengths: np.ndarray) -> list[MultilayerHashTable]:
+        """One table per shard of a sharded build, whose every pointer is a
+        *run*: its shards' superposts back to back, in shard order.
+
+        ``lengths`` and ``common_lengths`` hold each shard's length in each
+        run (a row per shard, a column per pointer).  A shard's table shares
+        this one's hasher, ids and words and points at its share: it starts
+        where the shards before it end.  The columns must add up to the runs,
+        so every share lies inside this (validated) table's run.
+        """
+        width = np.asarray(self.offsets).dtype
+        tables = [copy(self) for _ in range(len(lengths))]
+        for runs, run_lengths, split, names in (
+            (self.offsets, self.lengths, lengths, ("offsets", "lengths")),
+            (self.common_offsets, self.common_lengths, common_lengths,
+             ("common_offsets", "common_lengths")),
+        ):
+            split, end = np.ascontiguousarray(split, width), np.array(runs, width)
+            if split.shape != (len(tables), len(runs)):
+                raise ValueError("the split needs a row per shard and a column per run")
+            for table, length in zip(tables, split):
+                setattr(table, names[0], memoryview(end.copy()))
+                setattr(table, names[1], memoryview(length))
+                end += length
+            if np.any(end != np.asarray(runs) + np.asarray(run_lengths)):
+                raise ValueError("a run's shares must add up to the run")
+        return tables
+
     # -- lookups ---------------------------------------------------------------------
+
+    def _common_row(self, word: str) -> int | None:
+        """The row of ``word`` among the sorted common words (``None``: not one)."""
+        words = self.common_words
+        row = bisect_left(words, word)
+        return row if row < len(words) and words[row] == word else None
 
     def is_common(self, word: str) -> bool:
         """Whether ``word`` is answered from an exact common-word bin."""
-        return word in self._common_rows
+        return self._common_row(word) is not None
 
     def pointer_of(self, layer: int, bin_index: int) -> BinPointer:
         """Pointer of one hashed bin; an absent id is the empty bin ``(0, 0)``."""
@@ -167,7 +204,7 @@ class MultilayerHashTable:
         otherwise.  Empty bins are included (the Searcher skips zero-length
         reads) so the caller always knows which layer produced which payload.
         """
-        row = self._common_rows.get(word)
+        row = self._common_row(word)
         if row is not None:
             return [BinPointer(self.blob, self.common_offsets[row], self.common_lengths[row])]
         return [

@@ -16,7 +16,9 @@ everything else derives from those columns:
 7. persist the header blob (hash seeds, bin pointers, string table, metadata)
    and, last, the statistics themselves.
 
-A sharded build runs 2–7 per shard, its headers going into one container.
+A sharded build runs 2–7 once, over the whole build, with each bin's and
+common word's list cut by shard (:func:`~repro.index.compaction.compact_sketch`),
+and writes one statistics blob per shard.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -36,10 +38,10 @@ from repro.core.mht import MultilayerHashTable
 from repro.core.optimizer import minimize_layers
 from repro.core.analysis import expected_false_positives
 from repro.core.sketch import PostingColumns, SketchColumns
-from repro.index.compaction import compact_sketch, encode_header, encode_sharded_header
+from repro.index.compaction import compact_sketch, encode_header
 from repro.index.metadata import IndexMetadata, ShardEntry, ShardManifest
 from repro.index.serialization import DEFAULT_FORMAT_VERSION
-from repro.index.sharding import PARTITIONERS, partition_documents, shard_of
+from repro.index.sharding import PARTITIONERS, Ref, shard_of
 from repro.index.stats import IndexStats, build_stats, encode_stats, union_stats
 from repro.index.store_layout import (
     build_blobs,
@@ -61,7 +63,7 @@ class BuiltIndex:
     """Handle to a freshly built (and persisted) index."""
 
     index_name: str
-    #: Empty for a shard: its header lives in its build's.
+    #: Empty for a shard: its header, like its superposts, is its build's.
     header_blob: str
     superpost_blob: str
     metadata: IndexMetadata
@@ -102,10 +104,11 @@ class AirphantBuilder:
     """Creates and persists IoU Sketch indexes on an object store.
 
     With ``num_shards > 1`` the builder runs in *sharded mode*: documents are
-    partitioned (document-hash or round-robin), one sub-index is built per
-    shard on a thread pool, and one header container — a versioned
-    :class:`~repro.index.metadata.ShardManifest` and every shard's header —
-    ties them together.  Single-shard builds keep the plain blob layout.
+    partitioned (document-hash or round-robin) and the build is one sketch
+    whose every list is cut by shard; one header — a versioned
+    :class:`~repro.index.metadata.ShardManifest` and each shard's split of
+    the runs — ties them together, and each shard keeps its own statistics,
+    written on a thread pool.  Single-shard builds keep the plain blob layout.
     """
 
     def __init__(
@@ -131,7 +134,9 @@ class AirphantBuilder:
         self._num_shards = num_shards
         self._partitioner = partitioner
         self._build_concurrency = build_concurrency
-        self._metadata_extra: dict[str, Any] = {}
+        # The configured hashed bins for each shard, so that adding shards
+        # does not crowd the bins (the header stores only the occupied ones).
+        self._sketch_bins = self._config.sketch_bins * num_shards
 
     @property
     def config(self) -> SketchConfig:
@@ -172,15 +177,16 @@ class AirphantBuilder:
 
         Returns a :class:`BuiltIndex` in single-shard mode and a
         :class:`BuiltShardedIndex` when the builder was created with
-        ``num_shards > 1``.
+        ``num_shards > 1``; a document goes to the shard
+        :func:`~repro.index.sharding.partition_documents` routes it to.
         """
         documents = list(documents)
-        if self._num_shards > 1:
-            partitions = partition_documents(documents, self._num_shards, self._partitioner)
-        else:
-            partitions = [documents]
-        parts = [build_stats(partition, self._tokenizer) for partition in partitions]
-        return self._build(parts, index_name, corpus_name)
+        positions: dict[Ref, int] = {}  # round-robin routes by a document's first place
+        for position, document in enumerate(documents if self._num_shards > 1 else ()):
+            ref = document.ref
+            positions.setdefault((ref.blob, ref.offset, ref.length), position)
+        stats = build_stats(documents, self._tokenizer)
+        return self._build(stats, index_name, corpus_name, positions)
 
     def build_from_stats(
         self,
@@ -194,145 +200,92 @@ class AirphantBuilder:
         A sharded builder routes the rows as :func:`partition_documents`
         routes documents listed in row order.
         """
-        if self._num_shards == 1:
-            return self._build([stats], index_name, corpus_name)
-        route = [
-            shard_of(ref, row, self._num_shards, self._partitioner)
-            for row, ref in enumerate(stats.docs)
-        ]
-        shards = np.array(route, np.int64)
-        parts = [union_stats([stats], keep=shards == shard) for shard in range(self._num_shards)]
-        return self._build(parts, index_name, corpus_name)
+        return self._build(stats, index_name, corpus_name, {})
 
     def _build(
-        self, parts: Sequence[IndexStats], index_name: str, corpus_name: str
+        self, stats: IndexStats, index_name: str, corpus_name: str, positions: Mapping[Ref, int]
     ) -> Union[BuiltIndex, BuiltShardedIndex]:
-        """Persist one build per part (one part: the plain layout)."""
-        if self._num_shards > 1:
-            built: Union[BuiltIndex, BuiltShardedIndex] = self._build_sharded(
-                parts, index_name, corpus_name
-            )
-            shards = built.shards
-        else:
-            built = self._build_single(parts[0], index_name, corpus_name)
-            shards = [built]
-        written = {header_blob_name(index_name)}
-        for shard in shards:
-            written.update((shard.superpost_blob, shard.stats_blob))
-        # The builder makes a rebuild authoritative: whatever a previous
-        # layout of this name left behind (an older layout's shard manifest
-        # and shard headers, shards beyond the new count) goes.  Once per
-        # top-level build, never per shard sub-build.
-        for blob in build_blobs(self._store, index_name):
-            if blob not in written:
-                self._store.delete(blob)
-        return built
-
-    # -- single-shard build ---------------------------------------------------------
-
-    def _build_single(
-        self, stats: IndexStats, index_name: str, corpus_name: str, headers: list[bytes] | None = None
-    ) -> BuiltIndex:
-        """Persist one build; a shard appends its header to ``headers`` (its
-        build's container) instead of writing it."""
+        """Persist the build of ``stats`` (for the partitioner, a document's
+        place in the corpus is in ``positions``, or else its row), then sweep
+        what an earlier layout of the name left behind.  A sharded build is
+        one sketch too, its lists cut by shard; each shard's statistics are
+        cut from ``stats`` on a thread pool, and the header comes last, so a
+        crash mid-build leaves no blob that announces the build."""
         profile = stats.profile()
         num_layers = self._choose_layers(profile)
         sketch = self._sketch(stats, profile, num_layers)
-        metadata = self._make_metadata(corpus_name, profile, sketch, num_layers)
-        superpost_blob = superpost_blob_name(index_name)
-        compacted = compact_sketch(
-            sketch, superpost_blob, metadata=metadata, word_weights=profile.document_frequencies
-        )
-        self._store.put(superpost_blob, compacted.superpost_blob_data)
-        header_blob = header_blob_name(index_name)
-        if headers is None:
+        superpost_blob, header_blob = superpost_blob_name(index_name), header_blob_name(index_name)
+        if self._num_shards == 1:
+            metadata = self._make_metadata(corpus_name, profile, sketch, num_layers)
+            weights = profile.document_frequencies
+            compacted = compact_sketch(sketch, superpost_blob, metadata, weights)
+            self._store.put(superpost_blob, compacted.superpost_blob_data)
             self._store.put(header_blob, encode_header(compacted))
-        else:
-            headers.append(encode_header(compacted))
-        # Ranking statistics ride along with every build: exact doc lengths
-        # and term frequencies (mode="topk_bm25" scores from them without
-        # touching document text; compaction merges them).  Written last, so
-        # a crash mid-build leaves a membership-only index rather than stats
-        # for a missing sketch.
-        stats_blob = stats_blob_name(index_name)
-        self._store.put(stats_blob, encode_stats(stats))
-        return BuiltIndex(
-            index_name=index_name,
-            header_blob=header_blob if headers is None else "",
-            superpost_blob=superpost_blob,
-            metadata=metadata,
-            mht=compacted.mht,
-            profile=profile,
-            config=self._config,
-            stats_blob=stats_blob,
-        )
-
-    # -- sharded build --------------------------------------------------------------
-
-    def _build_sharded(
-        self,
-        parts: Sequence[IndexStats],
-        index_name: str,
-        corpus_name: str,
-    ) -> BuiltShardedIndex:
-        """Build one sub-index per shard's statistics, then write the header.
-
-        Shards are independent, so they build concurrently on a thread pool;
-        each writes only its own ``shard-NNNN/`` superposts and statistics,
-        which keeps the (single-writer) store contract intact per blob.  The
-        build's one header — its manifest and every shard's header — is
-        written last: a crash mid-build leaves no blob that announces it.
-        """
-        headers: list[list[bytes]] = [[] for _ in range(self._num_shards)]
-
-        def build_shard(shard: int) -> BuiltIndex:
-            shard_builder = AirphantBuilder(
-                self._store,
-                config=self._config,
-                tokenizer=self._tokenizer,
+            # Ranking statistics ride along with every build: exact doc
+            # lengths and term frequencies (mode="topk_bm25" scores from them
+            # without touching document text; compaction merges them).
+            # Written last, so a crash mid-build leaves a membership-only
+            # index rather than stats for a missing sketch.
+            self._store.put(stats_blob_name(index_name), encode_stats(stats))
+            built: Union[BuiltIndex, BuiltShardedIndex] = BuiltIndex(
+                index_name, header_blob, superpost_blob, metadata, compacted.mht, profile,
+                self._config, stats_blob_name(index_name),
             )
-            shard_builder._metadata_extra = {
-                "shard_index": shard,
-                "num_shards": self._num_shards,
-                "partitioner": self._partitioner,
-                "parent_index": index_name,
-            }
-            return shard_builder._build_single(
-                parts[shard],
-                shard_index_name(index_name, shard),
-                f"{corpus_name}#shard-{shard:04d}",
-                headers[shard],
-            )
-
-        workers = self._build_concurrency
-        if workers is None:
-            workers = min(self._num_shards, os.cpu_count() or 1)
-        if workers > 1:
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="airphant-build"
-            ) as pool:
-                shards = list(pool.map(build_shard, range(self._num_shards)))
+            written = [built.stats_blob]
         else:
-            shards = [build_shard(shard) for shard in range(self._num_shards)]
+            refs = zip(
+                map(stats.blobs.__getitem__, stats.doc_blob.tolist()),
+                stats.doc_offset.tolist(),
+                stats.doc_length.tolist(),
+            )
+            route = [
+                shard_of(ref, positions.get(ref, row), self._num_shards, self._partitioner)
+                for row, ref in enumerate(refs)
+            ]
+            shard_of_row = np.array(route, np.int64)
+            names = [shard_index_name(index_name, shard) for shard in range(self._num_shards)]
 
-        manifest = ShardManifest(
-            index_name=index_name,
-            partitioner=self._partitioner,
-            index_format_version=DEFAULT_FORMAT_VERSION,
-            shards=tuple(
-                ShardEntry(
-                    name=shard.index_name,
-                    num_documents=shard.metadata.num_documents,
-                    num_terms=shard.metadata.num_terms,
+            def build_shard(shard: int) -> tuple[CorpusProfile, IndexMetadata]:
+                part = union_stats([stats], keep=shard_of_row == shard)
+                self._store.put(stats_blob_name(names[shard]), encode_stats(part))
+                extra = dict(shard_index=shard, num_shards=self._num_shards)
+                extra.update(partitioner=self._partitioner, parent_index=index_name)
+                corpus, part_profile = f"{corpus_name}#shard-{shard:04d}", part.profile()
+                metadata = self._make_metadata(corpus, part_profile, sketch, num_layers, extra)
+                return part_profile, metadata
+
+            workers = self._build_concurrency or min(self._num_shards, os.cpu_count() or 1)
+            with ThreadPoolExecutor(workers, thread_name_prefix="airphant-build") as pool:
+                parts = list(pool.map(build_shard, range(self._num_shards)))
+            entries = [
+                ShardEntry(name, metadata.num_documents, metadata.num_terms)
+                for name, (_, metadata) in zip(names, parts)
+            ]
+            manifest = ShardManifest(index_name, self._partitioner, tuple(entries))
+            compacted = compact_sketch(
+                sketch, superpost_blob, word_weights=profile.document_frequencies,
+                manifest=manifest, shard_metadata=[metadata for _, metadata in parts],
+                shard_of_row=shard_of_row,
+            )
+            self._store.put(superpost_blob, compacted.superpost_blob_data)
+            self._store.put(header_blob, encode_header(compacted))
+            members = compacted.members(index_name)
+            shards = [
+                BuiltIndex(
+                    name, "", superpost_blob, metadata, header.mht, part_profile, self._config,
+                    stats_blob_name(name),
                 )
-                for shard in shards
-            ),
-        )
-        self._store.put(
-            header_blob_name(index_name),
-            encode_sharded_header(manifest, [header for (header,) in headers]),
-        )
-        return BuiltShardedIndex(index_name=index_name, manifest=manifest, shards=shards)
+                for (name, header), (part_profile, metadata) in zip(members, parts)
+            ]
+            built = BuiltShardedIndex(index_name, manifest, shards)
+            written = [shard.stats_blob for shard in shards]
+        # The builder makes a rebuild authoritative: whatever a previous
+        # layout of this name left behind (a retired layout's shard manifest
+        # and shard headers, shards beyond the new count) goes.
+        for blob in build_blobs(self._store, index_name):
+            if blob not in {header_blob, superpost_blob, *written}:
+                self._store.delete(blob)
+        return built
 
     # -- build steps ----------------------------------------------------------------
 
@@ -343,7 +296,7 @@ class AirphantBuilder:
         if profile.num_documents == 0 or profile.num_terms == 0:
             return 1
         result = minimize_layers(
-            num_bins=self._config.sketch_bins,
+            num_bins=self._sketch_bins,
             target_false_positives=self._config.target_false_positives,
             profile=profile,
             distribution=None,
@@ -360,7 +313,7 @@ class AirphantBuilder:
         common = np.zeros(len(sizes), bool)
         for word in select_common_words(profile, self._config.common_word_bins):
             common[bisect_left(words, word)] = True
-        total_bins = max(self._config.sketch_bins, num_layers)
+        total_bins = max(self._sketch_bins, num_layers)
         hasher = LayeredHasher.build(
             num_layers, max(1, total_bins // num_layers), seed=self._config.seed
         )
@@ -401,6 +354,7 @@ class AirphantBuilder:
         profile: CorpusProfile,
         sketch: SketchColumns,
         num_layers: int,
+        extra: dict[str, Any] | None = None,
     ) -> IndexMetadata:
         if profile.num_documents > 0 and profile.num_terms > 0:
             expected = expected_false_positives(
@@ -410,7 +364,7 @@ class AirphantBuilder:
             expected = 0.0
         return IndexMetadata(
             corpus_name=corpus_name,
-            extra=dict(self._metadata_extra),
+            extra=dict(extra or {}),
             num_documents=profile.num_documents,
             num_terms=profile.num_terms,
             num_words=profile.num_words,

@@ -18,8 +18,8 @@ version: v1-coded superposts are readable forever, and the Searcher
 dispatches its decoder on whatever codec the header declares.  The JSON
 headers of earlier builds (leading ``{``) stay readable through one legacy
 decoder; every writer emits v3, so the next compaction upgrades them.  A
-sharded build's header wraps its manifest and shards' v3 headers in one more
-container (:func:`encode_sharded_header`), so one read opens the whole build.
+sharded build is one sketch whose header points at *runs* — a bin's shard
+superposts back to back — and splits them (:class:`ShardedRuns`).
 Every build writes codec v2 and places the superposts inside the blob in
 co-access order (:mod:`repro.index.layout`); placement is invisible to
 readers, which only ever follow pointers, so the layer-major blobs of older
@@ -31,14 +31,14 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.mht import MultilayerHashTable
 from repro.core.hashing import LayeredHasher
-from repro.core.sketch import IoUSketch, SketchColumns
+from repro.core.sketch import IoUSketch, PostingColumns, SketchColumns
 from repro.index.layout import coaccess_order
 from repro.index.metadata import IndexMetadata, ShardManifest
 from repro.index.serialization import (
@@ -48,8 +48,13 @@ from repro.index.serialization import (
     encode_superposts,
     uncompressed_superpost_bytes,
 )
+from repro.index.stats import narrowest
 from repro.index.store_layout import HEADER_BLOB_SUFFIX, SUPERPOST_BLOB_SUFFIX  # noqa: F401
-from repro.index.store_layout import CorruptIndexError, header_blob_name
+from repro.index.store_layout import (
+    CorruptIndexError,
+    UnsupportedIndexFormatError,
+    header_blob_name,
+)
 from repro.observability.registry import get_registry
 
 #: Leading bytes of a v3 header; a legacy JSON header starts with ``{``.
@@ -60,13 +65,25 @@ HEADER_CONTAINER_VERSION = 3
 _HEADER_PREFIX = struct.Struct("<8sII")
 #: Magic marker inside legacy JSON headers.
 _LEGACY_HEADER_MAGIC = "airphant-header"
-#: Leading bytes and container version of a sharded build's header.
-SHARDED_HEADER_MAGIC = b"AIRPSHD\n"
-SHARDED_HEADER_VERSION = 1
-#: Its trailer: CRC-32 of every byte before it.
+#: Leading bytes of the retired sharded-build container (a header per shard).
+RETIRED_SHARDED_MAGIC = b"AIRPSHD\n"
+#: A sharded header's trailer: CRC-32 of every byte before it.
 _CHECKSUM = struct.Struct("<I")
 #: What a malformed blob makes the decoders' parsing steps raise.
 _MALFORMED = (KeyError, TypeError, AttributeError, OverflowError, struct.error)
+
+
+@dataclass(frozen=True)
+class ShardedRuns:
+    """How a sharded build's runs — each bin's and common word's shard
+    superposts, back to back in shard order — divide among its shards (and
+    each shard's metadata): ``lengths`` and ``common_lengths`` have a row per
+    shard and a column per run, parallel to the pointer columns."""
+
+    manifest: ShardManifest
+    metadata: tuple[IndexMetadata | None, ...]
+    lengths: np.ndarray
+    common_lengths: np.ndarray
 
 
 @dataclass
@@ -77,7 +94,8 @@ class CompactedSketch:
     superposts (empty when decoded from a header — the superposts themselves
     stay in cloud storage); ``mht`` holds the pointers into it.
     ``format_version`` names the superpost codec the blob was written with —
-    readers must hand it to ``decode_superpost``.
+    readers must hand it to ``decode_superpost``.  A sharded build's ``mht``
+    points at whole runs and ``shards`` splits them (:meth:`members`).
     """
 
     superpost_blob_data: bytes
@@ -85,11 +103,23 @@ class CompactedSketch:
     string_table: StringTable
     metadata: IndexMetadata | None = None
     format_version: int = DEFAULT_FORMAT_VERSION
+    shards: ShardedRuns | None = None
 
     @property
     def superpost_blob_name(self) -> str:
         """Name of the blob the pointers point into."""
         return self.mht.blob
+
+    def members(self, build: str) -> list[tuple[str, "CompactedSketch"]]:
+        """``(name, header)`` of each shard, pointing at its share of every run."""
+        runs = self.shards
+        if runs is None:
+            return [(build, self)]
+        tables = self.mht.split(runs.lengths, runs.common_lengths)
+        return [
+            (name, CompactedSketch(b"", table, self.string_table, metadata, self.format_version))
+            for name, metadata, table in zip(runs.manifest.shard_names, runs.metadata, tables)
+        ]
 
 
 def _pointer_dtype(blob_bytes: int) -> type:
@@ -102,6 +132,10 @@ def compact_sketch(
     superpost_blob_name: str,
     metadata: IndexMetadata | None = None,
     word_weights: Mapping[str, int] | None = None,
+    *,
+    manifest: ShardManifest | None = None,
+    shard_metadata: Sequence[IndexMetadata] = (),
+    shard_of_row: np.ndarray | None = None,
 ) -> CompactedSketch:
     """Serialize and concatenate all superposts of ``sketch`` with the v2 codec.
 
@@ -115,6 +149,9 @@ def compact_sketch(
     placed bins, then the common words in word order, are encoded straight
     from their document rows (:func:`~repro.index.serialization.encode_superposts`);
     an :class:`IoUSketch` is turned into columns first.
+
+    With a shard ``manifest``, ``shard_of_row`` gives each document row's
+    shard: the pointers point at runs, and :class:`ShardedRuns` the split.
     """
     if isinstance(sketch, IoUSketch):
         sketch = sketch.columns()
@@ -129,9 +166,14 @@ def compact_sketch(
         [np.searchsorted(sketch.bin_ids, bin_ids), np.arange(len(sketch.bin_ids), len(lists.counts))]
     )
     columns = lists._replace(starts=lists.starts[order], counts=lists.counts[order])
+    num_shards = 1 if manifest is None else manifest.num_shards
+    if manifest is not None:
+        columns = _split_lists(columns, shard_of_row, num_shards)
     string_table = StringTable()
     blob, sizes = encode_superposts(columns, string_table)
     _record_codec_bytes(uncompressed_superpost_bytes(columns), len(blob))
+    split = sizes.reshape(-1, num_shards)
+    sizes = split.sum(axis=1)
 
     # Superposts are concatenated without padding, so offsets are the running
     # sum of lengths in placement order; the table wants them in bin-id order.
@@ -144,7 +186,26 @@ def compact_sketch(
         bin_ids[by_id].astype(np.uint32), offsets[:count][by_id], lengths[:count][by_id],
         list(sketch.common_words), offsets[count:], lengths[count:],
     )
-    return CompactedSketch(blob, mht, string_table, metadata)
+    shards = None
+    if manifest is not None:
+        hashed, common = narrowest(split[:count][by_id].T), narrowest(split[count:].T)
+        shards = ShardedRuns(manifest, tuple(shard_metadata), hashed, common)
+    return CompactedSketch(blob, mht, string_table, metadata, shards=shards)
+
+
+def _split_lists(
+    columns: PostingColumns, shard_of_row: np.ndarray, num_shards: int
+) -> PostingColumns:
+    """Each list of ``columns`` cut into one per shard, in shard order."""
+    counts = np.asarray(columns.counts, np.int64)
+    heads = np.cumsum(counts) - counts
+    entries = np.arange(int(counts.sum())) + np.repeat(columns.starts - heads, counts)
+    rows = columns.rows[entries]
+    key = np.repeat(np.arange(len(counts)), counts) * num_shards + shard_of_row[rows]
+    counts = np.bincount(key, minlength=len(counts) * num_shards)
+    return columns._replace(
+        rows=rows[np.argsort(key, kind="stable")], starts=np.cumsum(counts) - counts, counts=counts
+    )
 
 
 def _record_codec_bytes(raw_bytes: int, encoded_bytes: int) -> None:
@@ -169,29 +230,44 @@ def encode_header(compacted: CompactedSketch) -> bytes:
     Container v3: ``magic | u32 version | u32 preamble length | JSON preamble
     (space-padded to 8 bytes) | offsets | lengths | common offsets | common
     lengths | bin ids``.  Its size is proportional to what the index holds —
-    12 bytes per non-empty bin — not to the bin budget B.
+    12 bytes per non-empty bin — not to the bin budget B.  A sharded build's
+    preamble adds its manifest, each shard's metadata and the split's widths;
+    length columns hold the split instead — each shard's length in every
+    run, shard by shard, as narrow as their largest and zero-padded to the
+    pointer width — and a CRC-32 of every byte before it ends the blob.
     """
-    mht = compacted.mht
-    preamble = json.dumps(
-        {
-            "codec_version": compacted.format_version,
-            "seed": mht.hasher.seed,
-            "num_layers": mht.num_layers,
-            "bins_per_layer": mht.bins_per_layer,
-            "superpost_blob": mht.blob,
-            "superpost_bytes": mht.blob_bytes,
-            "num_pointers": len(mht.bin_ids),
-            "pointer_width": mht.offsets.itemsize,
-            "common_words": list(mht.common_words),
-            "string_table": compacted.string_table.to_list(),
-            "metadata": compacted.metadata.to_dict() if compacted.metadata else None,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
+    mht, runs = compacted.mht, compacted.shards
+    fields = {
+        "codec_version": compacted.format_version,
+        "seed": mht.hasher.seed,
+        "num_layers": mht.num_layers,
+        "bins_per_layer": mht.bins_per_layer,
+        "superpost_blob": mht.blob,
+        "superpost_bytes": mht.blob_bytes,
+        "num_pointers": len(mht.bin_ids),
+        "pointer_width": mht.offsets.itemsize,
+        "common_words": list(mht.common_words),
+        "string_table": compacted.string_table.to_list(),
+        "metadata": compacted.metadata.to_dict() if compacted.metadata else None,
+    }
+    offsets, lengths, common_offsets, common_lengths, bin_ids = mht.columns
+    if runs is not None:
+        lengths, common_lengths = narrowest(runs.lengths), narrowest(runs.common_lengths)
+        fields["shards"] = {
+            "manifest": runs.manifest.to_dict(),
+            "metadata": [entry.to_dict() if entry else None for entry in runs.metadata],
+            "widths": [lengths.itemsize, common_lengths.itemsize],
+        }
+    preamble = json.dumps(fields, separators=(",", ":")).encode("utf-8")
     preamble += b" " * (-len(preamble) % 8)
     prefix = _HEADER_PREFIX.pack(HEADER_MAGIC, HEADER_CONTAINER_VERSION, len(preamble))
-    columns = (np.asarray(c).astype(f"<u{c.itemsize}", copy=False) for c in mht.columns)
-    return b"".join([prefix, preamble, *(column.tobytes() for column in columns)])
+    blob = [prefix, preamble]
+    for column in (offsets, lengths, common_offsets, common_lengths, bin_ids):
+        blob.append(np.asarray(column).astype(f"<u{column.itemsize}", copy=False).tobytes())
+        # Zeros keep every column aligned to the pointer width.
+        blob.append(bytes(-len(blob[-1]) % offsets.itemsize))
+    body = b"".join(blob)
+    return body if runs is None else body + _CHECKSUM.pack(zlib.crc32(body))
 
 
 def decode_header(data: bytes) -> CompactedSketch:
@@ -212,47 +288,25 @@ def decode_header(data: bytes) -> CompactedSketch:
         raise ValueError(f"malformed Airphant header: {error!r}") from error
 
 
-def encode_sharded_header(manifest: ShardManifest, headers: Sequence[bytes]) -> bytes:
-    """A sharded build's header: ``magic | u32 version | u32 preamble length
-    | JSON preamble (the manifest and each shard header's length; space-padded
-    to 8 bytes) | the shards' v3 headers in order | u32 CRC-32 of the rest``."""
-    lengths = {"header_lengths": [len(header) for header in headers]}
-    preamble = json.dumps({**manifest.to_dict(), **lengths}, separators=(",", ":")).encode("utf-8")
-    preamble += b" " * (-len(preamble) % 8)
-    prefix = _HEADER_PREFIX.pack(SHARDED_HEADER_MAGIC, SHARDED_HEADER_VERSION, len(preamble))
-    body = b"".join([prefix, preamble, *headers])
-    return body + _CHECKSUM.pack(zlib.crc32(body))
-
-
 def decode_build_header(
     data: bytes, build: str
 ) -> tuple[ShardManifest | None, list[tuple[str, CompactedSketch]]]:
-    """What ``build``'s header says it is — no manifest and its own header,
-    or a sharded build's manifest and ``(shard, header)`` pairs — negotiated
-    by the leading bytes: ``{`` legacy JSON, :data:`HEADER_MAGIC` v3,
-    :data:`SHARDED_HEADER_MAGIC` a container whose checksum must hold and
-    whose shards must be ``build``'s own.  Any failure: ``CorruptIndexError``."""
+    """What ``build``'s header says it is: no manifest and its own header, or
+    a sharded build's manifest (of ``build``'s own shards) and each shard's
+    ``(name, header)``.  A retired sharded container is
+    :class:`UnsupportedIndexFormatError`, any other failure corrupt."""
+    blob = header_blob_name(build)
+    if data.startswith(RETIRED_SHARDED_MAGIC):
+        raise UnsupportedIndexFormatError(
+            blob, "a sharded header container v1", f"header container v{HEADER_CONTAINER_VERSION}"
+        )
     try:
-        if not data.startswith(SHARDED_HEADER_MAGIC):
-            return None, [(build, decode_header(data))]
-        end = len(data) - _CHECKSUM.size
-        if zlib.crc32(memoryview(data)[:end]) != _CHECKSUM.unpack_from(data, end)[0]:
-            raise ValueError("sharded header fails its checksum")
-        _, version, preamble_bytes = _HEADER_PREFIX.unpack_from(data)
-        if version != SHARDED_HEADER_VERSION:
-            raise ValueError(f"unsupported sharded header version {version}")
-        position = _HEADER_PREFIX.size + preamble_bytes
-        fields = json.loads(data[_HEADER_PREFIX.size : position])
-        manifest, lengths = ShardManifest.from_dict(fields).validated(build), fields["header_lengths"]
-        if len(lengths) != manifest.num_shards or position + sum(lengths) != end:
-            raise ValueError("shard header lengths do not match the blob")
-        members = []
-        for shard, length in zip(manifest.shard_names, lengths):
-            members.append((shard, decode_header(data[position : position + length])))
-            position += length
-        return manifest, members
+        header = decode_header(data)
+        if header.shards is None:
+            return None, [(build, header)]
+        return header.shards.manifest.validated(build), header.members(build)
     except (ValueError, *_MALFORMED) as error:
-        raise CorruptIndexError(header_blob_name(build), error) from error
+        raise CorruptIndexError(blob, error) from error
 
 
 def _decode_v3_header(data: bytes) -> CompactedSketch:
@@ -269,20 +323,41 @@ def _decode_v3_header(data: bytes) -> CompactedSketch:
     common_words = fields["common_words"]
     if width not in (4, 8) or not isinstance(count, int) or count < 0:
         raise ValueError("bad pointer column description")
-    shapes = [(count, width)] * 2 + [(len(common_words), width)] * 2 + [(count, 4)]
-    if position + sum(rows * size for rows, size in shapes) != len(data):
+    sharded = fields.get("shards")
+    num_shards, split_width, common_width = 1, width, width
+    if sharded is not None:
+        end = len(data) - _CHECKSUM.size
+        if end < position or _CHECKSUM.pack(zlib.crc32(memoryview(data)[:end])) != data[end:]:
+            raise ValueError("sharded header fails its checksum")
+        data, manifest = memoryview(data)[:end], ShardManifest.from_dict(sharded["manifest"])
+        num_shards, (split_width, common_width) = manifest.num_shards, sharded["widths"]
+        if not {split_width, common_width} <= {1, 2, 4, 8}:
+            raise ValueError("bad split column description")
+    common = len(common_words)
+    shapes = [(count, width), (count * num_shards, split_width), (common, width)]
+    shapes += [(common * num_shards, common_width), (count, 4)]
+    padded = [length * size + (-length * size % width) for length, size in shapes]
+    if position + sum(padded) != len(data):
         raise ValueError("header length does not match its pointer columns")
     columns = []
-    for rows, size in shapes:
-        column = np.frombuffer(data, dtype=f"<u{size}", count=rows, offset=position)
+    for (length, size), stored in zip(shapes, padded):
+        column = np.frombuffer(data, dtype=f"<u{size}", count=length, offset=position)
         columns.append(column.astype(column.dtype.newbyteorder("="), copy=False))
-        position += rows * size
+        position += stored
     offsets, lengths, common_offsets, common_lengths, bin_ids = columns
+    runs = None
+    if sharded is not None:
+        split = lengths.reshape(num_shards, count), common_lengths.reshape(num_shards, common)
+        metadata = tuple(IndexMetadata.from_dict(m) if m else None for m in sharded["metadata"])
+        if len(metadata) != num_shards:
+            raise ValueError("the shards' metadata does not match the manifest")
+        runs = ShardedRuns(manifest, metadata, *split)
+        lengths, common_lengths = (part.sum(axis=0, dtype=offsets.dtype) for part in split)
     mht = MultilayerHashTable(
         _hasher_of(fields), fields["superpost_blob"], fields["superpost_bytes"],
         bin_ids, offsets, lengths, common_words, common_offsets, common_lengths,
     )
-    return _decoded_sketch(mht, fields, fields["codec_version"])
+    return replace(_decoded_sketch(mht, fields, fields["codec_version"]), shards=runs)
 
 
 def _decode_legacy_header(data: bytes) -> CompactedSketch:

@@ -1,15 +1,13 @@
 """Index metadata persisted alongside the MHT in the header block.
 
 Also defines the versioned *shard manifest* of a sharded build, naming its
-per-shard sub-indexes and their basic statistics: it heads the build's
-header container (:func:`~repro.index.compaction.encode_sharded_header`);
-older sharded builds wrote it alone, as JSON, to ``<index>/shards.json``.
-Single-shard indexes have none.
+shards and their basic statistics: it rides in the preamble of the build's
+one header (:func:`~repro.index.compaction.encode_header`).  Single-shard
+indexes have none.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
@@ -83,22 +81,16 @@ class ShardEntry:
 class ShardManifest:
     """Versioned description of a sharded index's layout.
 
-    Persisted in the build's header container (older builds: as
-    ``<index>/shards.json``).  ``shards`` lists the per-shard
-    sub-index names (each with its own header/superpost blobs) in shard
-    order, which the partitioner relies on: documents are routed to
-    ``shards[partition(doc)]``.
+    Persisted in the preamble of the build's header.  ``shards`` lists the
+    shard names (each owning its own statistics blob; their superposts share
+    the build's) in shard order, which the partitioner relies on: documents
+    are routed to ``shards[partition(doc)]``.
     """
 
     index_name: str
     partitioner: str = "hash"
     shards: tuple[ShardEntry, ...] = ()
     format_version: int = SHARD_MANIFEST_VERSION
-    #: Superpost codec version the shard sub-indexes were written with
-    #: (distinct from ``format_version``, which versions this manifest's own
-    #: schema).  Informational — each shard header re-states its codec, so
-    #: shards of mixed vintage still open correctly.
-    index_format_version: int = 1
 
     @property
     def num_shards(self) -> int:
@@ -125,7 +117,6 @@ class ShardManifest:
             "format_version": self.format_version,
             "index_name": self.index_name,
             "partitioner": self.partitioner,
-            "index_format_version": self.index_format_version,
             "shards": [shard.to_dict() for shard in self.shards],
         }
 
@@ -142,13 +133,7 @@ class ShardManifest:
             partitioner=str(data.get("partitioner", "hash")),
             shards=tuple(ShardEntry.from_dict(entry) for entry in data.get("shards", [])),
             format_version=version,
-            index_format_version=int(data.get("index_format_version", 1)),
         )
-
-    @classmethod
-    def from_json(cls, payload: str | bytes) -> "ShardManifest":
-        """Rebuild from :meth:`to_dict` output as JSON."""
-        return cls.from_dict(json.loads(payload))
 
 
 def index_metadata(
@@ -169,10 +154,9 @@ def merge_shard_metadata(
 
     Counts sum across shards (the partitions are disjoint); ``num_terms``
     therefore counts a term once per shard it appears in.  Expected false
-    positives add too: each shard contributes its own independent candidate
-    set to a merged query answer.  Structural fields (bins, seed, accuracy
-    target) come from the first shard — every shard is built with the same
-    configuration.
+    positives add too: each shard contributes its own candidate set to a
+    merged query answer.  The rest — layers, bins, common words, seed,
+    accuracy target — is the build's, shared by every shard.
     """
     if not metadatas:
         return None
@@ -185,7 +169,7 @@ def merge_shard_metadata(
         num_layers=max(metadata.num_layers for metadata in metadatas),
         num_bins=first.num_bins,
         bins_per_layer=first.bins_per_layer,
-        num_common_words=sum(metadata.num_common_words for metadata in metadatas),
+        num_common_words=max(metadata.num_common_words for metadata in metadatas),
         seed=first.seed,
         target_false_positives=first.target_false_positives,
         expected_false_positives=sum(

@@ -1,11 +1,9 @@
 """Document partitioning for sharded index builds.
 
-A sharded index splits one corpus into N disjoint document partitions and
-builds an ordinary single-shard IoU Sketch over each.  Shards are
-independent, so builds parallelize across cores and a query fans its
-superpost reads across all shards in one batch (union of per-shard
-answers — the partitions are disjoint, so no candidate is lost or
-double-counted).
+A sharded index splits one corpus into N disjoint document partitions, the
+shards of one IoU Sketch (:mod:`repro.index.builder`): a query unions the
+per-shard answers, and the partitions are disjoint, so no candidate is lost
+or double-counted.
 
 Two partitioners are provided:
 
@@ -22,17 +20,21 @@ import zlib
 from typing import Sequence
 
 from repro.index.store_layout import shard_index_name  # noqa: F401
-from repro.parsing.documents import Document, Posting
+from repro.parsing.documents import Document
 
 #: Partitioner names a sharded build may select.
 PARTITIONERS = ("hash", "round-robin")
 
 
-def shard_of(ref: Posting, position: int, num_shards: int, partitioner: str) -> int:
+#: A document's place in storage: ``(blob, offset, length)``.
+Ref = tuple[str, int, int]
+
+
+def shard_of(ref: Ref, position: int, num_shards: int, partitioner: str) -> int:
     """The shard the document at ``ref`` (``position``-th in its corpus) is routed to."""
     if partitioner == "round-robin":
         return position % num_shards
-    key = f"{ref.blob}:{ref.offset}:{ref.length}".encode("utf-8")
+    key = "{}:{}:{}".format(*ref).encode("utf-8")
     # crc32 (not builtin hash()) so routing survives PYTHONHASHSEED changes.
     return zlib.crc32(key) % num_shards
 
@@ -49,5 +51,7 @@ def partition_documents(
         )
     partitions: list[list[Document]] = [[] for _ in range(num_shards)]
     for position, document in enumerate(documents):
-        partitions[shard_of(document.ref, position, num_shards, partitioner)].append(document)
+        ref = document.ref
+        key = (ref.blob, ref.offset, ref.length)
+        partitions[shard_of(key, position, num_shards, partitioner)].append(document)
     return partitions

@@ -194,7 +194,7 @@ def _term_key(term: str) -> bytes:
     return term.encode("utf-8", "surrogatepass")
 
 
-def _narrowest(values: Iterable[int] | np.ndarray) -> np.ndarray:
+def narrowest(values: Iterable[int] | np.ndarray) -> np.ndarray:
     """``values`` in the narrowest unsigned dtype that holds them."""
     if isinstance(values, np.ndarray):
         array = values.astype(np.uint64)
@@ -218,18 +218,18 @@ def _assemble(
     """Statistics from documents already in ``(blob, offset, length)`` order
     (``doc_columns`` as in :data:`COLUMNS`), the sorted ``terms`` and their
     entries back to back (``term_sizes`` of them each, by document)."""
-    doc_words = _narrowest(np.asarray(doc_columns[3], np.uint64))
+    doc_words = narrowest(np.asarray(doc_columns[3], np.uint64))
     return IndexStats(
         len(doc_words),
         int(doc_words.sum(dtype=np.uint64)),
         blobs,
-        **dict(zip(COLUMNS[:3], (_narrowest(np.asarray(c, np.uint64)) for c in doc_columns))),
+        **dict(zip(COLUMNS[:3], (narrowest(np.asarray(c, np.uint64)) for c in doc_columns))),
         doc_words=doc_words,
         term_bytes=np.frombuffer(b"".join(terms), np.uint8),
-        term_ends=_narrowest(np.cumsum([0, *map(len, terms)])),
-        term_starts=_narrowest(np.cumsum(np.append(0, term_sizes).astype(np.int64))),
-        entry_doc=_narrowest(entry_doc),
-        entry_tf=_narrowest(entry_tf),
+        term_ends=narrowest(np.cumsum([0, *map(len, terms)])),
+        term_starts=narrowest(np.cumsum(np.append(0, term_sizes).astype(np.int64))),
+        entry_doc=narrowest(entry_doc),
+        entry_tf=narrowest(entry_tf),
     )
 
 

@@ -8,9 +8,8 @@ address this name" predicate; the **openers**, :func:`open_index` (logical
 name → every blob that says what the index is, as one batch of "missing is
 an answer" reads → every member header and WAL record those name, as a
 second: at most two dependent waves whatever the member, delta, shard and
-segment count; a sharded build says all it is in its ``header.json``, the
-older ``shards.json`` layout costs one wave more) and its second half
-:func:`open_headers` (build names → decoded headers); one **ownership
+segment count; a sharded build says all it is in its ``header.json``) and
+its second half :func:`open_headers` (build names → decoded headers); one **ownership
 rule**, :func:`build_blobs` (what a purge deletes, a size sums and a rebuild
 may find stale).  What is *inside* a blob, and who writes when, stays with
 each subsystem; other modules re-export these names where callers already
@@ -30,7 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - the codec modules re-export these names
 
 # One build — a base, a delta or a shard sub-index.  The header key predates
 # the binary container and stays: catalog discovery, snapshots and external
-# tooling all find an index by it.  Older sharded builds wrote a manifest.
+# tooling all find an index by it.  Retired sharded builds wrote a manifest:
+# it is still probed, so that opening one is a typed error, not a 404.
 HEADER_BLOB_SUFFIX = "header.json"
 SUPERPOST_BLOB_SUFFIX = "superposts.bin"
 STATS_BLOB_SUFFIX = "stats.json"
@@ -73,13 +73,25 @@ class CorruptIndexError(ValueError):
         self.blob = blob
 
 
+class UnsupportedIndexFormatError(ValueError):
+    """A stored blob in a layout this engine no longer reads (neither the
+    store's fault nor the request's): the index must be rebuilt from its
+    corpus.  Names the blob, what it holds and what is read instead."""
+
+    def __init__(self, blob: str, found: str, expected: str) -> None:
+        super().__init__(
+            f"index blob {blob!r} holds {found}, not {expected}: rebuild the index"
+        )
+        self.blob, self.found, self.expected = blob, found, expected
+
+
 def header_blob_name(index_name: str) -> str:
     """The header blob of build ``index_name``."""
     return f"{index_name}/{HEADER_BLOB_SUFFIX}"
 
 
 def shard_manifest_blob_name(index_name: str) -> str:
-    """The JSON shard manifest of a sharded build in the older layout."""
+    """The JSON shard manifest of a sharded build in the retired layout."""
     return f"{index_name}/{SHARD_MANIFEST_SUFFIX}"
 
 
@@ -218,18 +230,6 @@ class OpenedIndex(NamedTuple):
     elapsed_ms: float
 
 
-def _legacy_manifest(build: str, payload: bytes) -> ShardManifest:
-    """The shard manifest in an older sharded build's ``shards.json``."""
-    # Imported lazily, here and in the openers: the codec modules re-export
-    # this module's names, so importing them at load time would be a cycle.
-    from repro.index.metadata import ShardManifest
-
-    try:
-        return ShardManifest.from_json(payload).validated(build)
-    except (ValueError, KeyError, TypeError, AttributeError) as error:
-        raise CorruptIndexError(shard_manifest_blob_name(build), error) from error
-
-
 def open_headers(
     store: ObjectStore,
     index_names: Sequence[str],
@@ -237,19 +237,19 @@ def open_headers(
     fetched: Mapping[str, bytes | None] | None = None,
     riders: Sequence[str] = (),
 ) -> OpenedHeaders:
-    """Download and decode the header(s) of every build in ``index_names``.
+    """Download and decode the header of every build in ``index_names``.
 
     One batch asks each build for its header (a sharded build's holds every
-    shard header) *and* its older-layout ``shards.json`` (either may be
+    shard's share of it) *and* its retired ``shards.json`` (either may be
     missing), and carries the ``riders`` — blobs the caller wants from the
-    same wave, each read as "missing is an answer"; the shard headers of an
-    older-layout build are the only possible second batch.  ``fetched`` holds
-    what the caller already read (blob → payload, ``None`` for a blob that is
-    not there): those are not asked for again.  Raises
+    same wave, each read as "missing is an answer".  ``fetched`` holds what
+    the caller already read (blob → payload, ``None`` for a blob that is not
+    there): those are not asked for again.  Raises
     :class:`~repro.storage.base.BlobNotFoundError` when a named build is not
-    there, :class:`CorruptIndexError` when a blob does not decode.
+    there, :class:`UnsupportedIndexFormatError` when it is in a retired
+    layout, :class:`CorruptIndexError` when a blob does not decode.
     """
-    from repro.index.compaction import decode_build_header, decode_header
+    from repro.index.compaction import decode_build_header
 
     have = dict(fetched or {})
     reads = [
@@ -258,55 +258,36 @@ def open_headers(
         for blob in (shard_manifest_blob_name(name), header_blob_name(name))
         if blob not in have
     ] + [RangeRead(blob, optional=True) for blob in riders]
-    found: dict[str, tuple[ShardManifest | None, list[tuple[str, CompactedSketch]]]] = {}
-    width, elapsed_ms = max_concurrency, 0.0
-    while True:
-        for name in index_names:
-            header, legacy = header_blob_name(name), shard_manifest_blob_name(name)
-            if name in found or header not in have or legacy not in have:
-                continue
-            if have[header] is not None:
-                manifest, members = found[name] = decode_build_header(have[header], name)
-            elif have[legacy] is not None:
-                manifest, members = found[name] = _legacy_manifest(name, have[legacy]), []
-                reads += [RangeRead(header_blob_name(shard)) for shard in manifest.shard_names]
-            else:
-                raise BlobNotFoundError(header)
-            if manifest is not None:
-                width = max(width, _sharded_width(max_concurrency, manifest))
-        if not reads:
-            break
-        fetch = store.read_batch(reads, width)
-        elapsed_ms += fetch.total_ms
-        have.update((read.blob, payload) for read, payload in zip(reads, fetch.payloads))
-        reads = []
-    builds = []
-    for name in index_names:
-        manifest, members = found[name]
-        if not members:  # an older sharded build: its shard headers are blobs of their own
-            for shard in manifest.shard_names:
-                try:
-                    members.append((shard, decode_header(have[header_blob_name(shard)])))
-                except ValueError as error:
-                    raise CorruptIndexError(header_blob_name(shard), error) from error
-        builds.append(
-            OpenedBuild(
-                name,
-                manifest,
-                members,
-                max_concurrency if manifest is None else _sharded_width(max_concurrency, manifest),
-            )
+
+    def opened(name: str) -> OpenedBuild:
+        header, retired = header_blob_name(name), shard_manifest_blob_name(name)
+        if have[header] is None:
+            if have[retired] is not None:
+                raise UnsupportedIndexFormatError(
+                    retired, "a shards.json manifest", f"a sharded {HEADER_BLOB_SUFFIX}"
+                )
+            raise BlobNotFoundError(header)
+        manifest, members = decode_build_header(have[header], name)
+        # A wave carries every shard's reads: a budget per shard.
+        width = max_concurrency if manifest is None else min(
+            max_concurrency * manifest.num_shards, MAX_SHARDED_CONCURRENCY
         )
-    return OpenedHeaders(builds, {blob: have[blob] for blob in riders}, elapsed_ms)
+        return OpenedBuild(name, manifest, members, width)
 
-
-def _sharded_width(max_concurrency: int, manifest: ShardManifest) -> int:
-    """Keep the *per-shard* concurrency budget constant as shards are added:
-    a lookup wave carries num_shards × layers reads, and with the
-    single-shard ceiling it would spill into extra concurrency waves,
-    stacking each shard's first-byte wait instead of amortizing it (the
-    measured 16-shard regression)."""
-    return min(max_concurrency * manifest.num_shards, MAX_SHARDED_CONCURRENCY)
+    # What the caller read already opens first: a sharded base widens the wave.
+    builds = {
+        name: opened(name)
+        for name in index_names
+        if {header_blob_name(name), shard_manifest_blob_name(name)} <= have.keys()
+    }
+    elapsed_ms = 0.0
+    if reads:
+        width = max([max_concurrency, *(build.max_concurrency for build in builds.values())])
+        fetch = store.read_batch(reads, width)
+        elapsed_ms = fetch.total_ms
+        have.update((read.blob, payload) for read, payload in zip(reads, fetch.payloads))
+    opened_builds = [builds.get(name) or opened(name) for name in index_names]
+    return OpenedHeaders(opened_builds, {blob: have[blob] for blob in riders}, elapsed_ms)
 
 
 def open_index(
@@ -321,14 +302,13 @@ def open_index(
     """Open logical index ``name`` in at most two dependent waves.
 
     Wave 1 is one batch of "missing is an answer" reads for every blob that
-    says what the index *is*: the in-place header and older-layout shard
+    says what the index *is*: the in-place header and retired shard
     manifest, the update manifest and — with ``probe_ingest`` — the ingest
     manifest.  A lone build, plain or sharded, is fully open after it.
     Wave 2, only when the manifests name more, is one :func:`open_headers`
     batch over every member not yet in hand with every WAL blob the ingest
     manifest may need riding along — the probed segment range, listed
-    segments and tombstone records (an older-layout sharded member's shard
-    headers are the only possible third).
+    segments and tombstone records.
 
     ``known`` says this process has already seen an update manifest for
     ``name``: that manifest alone decides where the base lives, so wave 1

@@ -225,7 +225,9 @@ class IndexMember:
         a one-word query.  Per shard a word's layers intersect with each
         other only; across shards the per-shard answers union.  A word that
         hits an empty bin in a shard is simply absent from that shard; only
-        a word absent from *every* shard is globally empty.
+        a word absent from *every* shard is globally empty.  The shards'
+        shares of a bin sit side by side in ``superposts.bin``, so the reads
+        of one bin merge into one request whatever the shard count.
 
         With ``fail_fast`` (the AND path) such a word dooms the whole
         conjunction, so no superpost is read — matching a real engine that
@@ -247,21 +249,21 @@ class IndexMember:
         layers: dict[tuple[int, str], range] = {}
         fetch_words: list[str] = []
         for word in unique:
-            alive = False
-            for shard_index, shard in enumerate(self.shards):
-                pointers = shard.mht.pointers_for(word)
-                if any(pointer.is_empty for pointer in pointers):
-                    continue  # the word has no postings in this shard
-                layers[(shard_index, word)] = range(
-                    len(requests), len(requests) + len(pointers)
-                )
-                decode = shard.decode
-                requests.extend(pointer.to_range_read(decode) for pointer in pointers)
-                alive = True
-            if alive:
-                fetch_words.append(word)
-            else:
+            pointers = [shard.mht.pointers_for(word) for shard in self.shards]
+            # A shard with an empty bin for the word has no postings for it.
+            alive = [all(pointer.length for pointer in shard) for shard in pointers]
+            if not any(alive):
                 results[word] = EMPTY
+                continue
+            fetch_words.append(word)
+            # Every shard's share is read — the ones without the word are
+            # ignored — so each bin's run stays one contiguous range, and a
+            # word's bins placed side by side one request, as with one shard.
+            for ordinal, (shard, shard_pointers) in enumerate(zip(self.shards, pointers)):
+                first, decode = len(requests), shard.decode
+                requests += [p.to_range_read(decode) for p in shard_pointers if p.length]
+                if alive[ordinal]:
+                    layers[(ordinal, word)] = range(first, len(requests))
 
         if fail_fast and len(fetch_words) < len(unique):
             for word in fetch_words:

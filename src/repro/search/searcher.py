@@ -152,9 +152,8 @@ class AirphantSearcher:
         Happens once per index (the MHT is 12 bytes per non-empty bin, held
         as views over the downloaded header); all later queries reuse it.
         :func:`~repro.index.store_layout.open_headers` opens all the names
-        together — one batch, a sharded build's shard headers included
-        (plus one when a build is in the older ``shards.json`` layout) — and
-        ``init_latency_ms`` is the sum of the waves issued;
+        together in one batch, and ``init_latency_ms`` is the sum of the
+        waves issued;
         ``opened`` is that result (or a whole
         :func:`~repro.index.store_layout.open_index`) when the caller
         already holds it.  The members share **one** read pipeline, as wide

@@ -8,11 +8,13 @@ append-only manifest (see :mod:`repro.index.updates`) is opened as an
 :class:`~repro.search.searcher.AirphantSearcher` over the base plus all
 deltas; a plain index is the degenerate single-member case of the same type,
 so callers always get one uniform searcher interface.  Sharded indexes
-(one header container naming ``shard-NNNN/`` sub-indexes, or the older
-``shards.json`` manifest) are handled by the index members themselves; their
-shard sub-indexes — like delta indexes — are not directly addressable
-catalog entries.  A stored blob that does not decode surfaces as
-:class:`~repro.index.store_layout.CorruptIndexError` from the open.
+(one header splitting one sketch among ``shard-NNNN/`` shards) are handled
+by the index members themselves; their shards — like delta indexes — are
+not directly addressable catalog entries.  A stored blob that does not
+decode surfaces as :class:`~repro.index.store_layout.CorruptIndexError`
+from the open, one in a retired layout (a ``shards.json`` manifest, a
+header container per shard) as
+:class:`~repro.index.store_layout.UnsupportedIndexFormatError`.
 """
 
 from __future__ import annotations

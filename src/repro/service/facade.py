@@ -37,7 +37,11 @@ from repro.observability.tracing import (
 )
 from repro.index.builder import AirphantBuilder
 from repro.index.stats import RankingUnsupportedError
-from repro.index.store_layout import CorruptIndexError, is_index_name
+from repro.index.store_layout import (
+    CorruptIndexError,
+    UnsupportedIndexFormatError,
+    is_index_name,
+)
 from repro.index.updates import AppendOnlyIndexManager, SnapshotRestoreError
 from repro.ingest.live import IngestCoordinator, IngestOverloadedError
 from repro.ingest.wal import WriteAheadLog
@@ -176,8 +180,9 @@ class AirphantService:
         """Translate storage failures into the service's typed errors.
 
         One definition for every endpoint: stored index bytes that do not
-        decode become ``502 index_corrupt`` (before any ``ValueError`` can
-        read as the request's fault); transient failures (including
+        decode become ``502 index_corrupt``, and an index in a retired
+        layout ``409 index_format`` (rebuild it) — both before any
+        ``ValueError`` can read as the request's fault; transient failures (including
         exhausted retries) become ``503 store_unavailable``; definitive
         access denials become ``403 store_access_denied``; write refusals
         (builds or ingest against e.g. a static http:// export) become
@@ -187,6 +192,8 @@ class AirphantService:
             yield
         except CorruptIndexError as error:
             raise ServiceError(502, "index_corrupt", str(error)) from error
+        except UnsupportedIndexFormatError as error:
+            raise ServiceError(409, "index_format", str(error)) from error
         except TransientStoreError as error:
             raise ServiceError(503, "store_unavailable", str(error)) from error
         except StoreAccessError as error:

@@ -131,3 +131,24 @@ class TestMultilayerHashTable:
     def test_ranges_cover_bins_then_common_words(self):
         mht = _mht(1, 2, common={"the": (500, 7)})
         assert list(mht.ranges()) == [(0, 10), (10, 10), (500, 7)]
+
+    def test_split_points_each_shard_at_its_share_of_every_run(self):
+        # Every bin is a 10-byte run; "the" a 7-byte one.  Three shards: the
+        # first holds 4 bytes of each bin run, the second none, the third 6.
+        mht = _mht(1, 2, common={"the": (500, 7)})
+        first, second, third = mht.split(
+            np.array([[4, 4], [0, 0], [6, 6]], np.uint8), np.array([[7], [0], [0]], np.uint16)
+        )
+        assert list(first.ranges()) == [(0, 4), (10, 4), (500, 7)]
+        assert list(second.ranges()) == [(4, 0), (14, 0), (507, 0)]
+        assert list(third.ranges()) == [(4, 6), (14, 6), (507, 0)]
+        assert third.pointers_for("the") == [BinPointer("superposts", 507, 0)]
+        assert first.bin_ids == mht.bin_ids and first.common_words == mht.common_words
+
+    def test_split_shares_must_add_up_to_the_runs(self):
+        mht = _mht(1, 2, common={"the": (500, 7)})
+        common = np.array([[7], [0]], np.uint8)
+        with pytest.raises(ValueError):
+            mht.split(np.array([[4, 4], [6, 7]], np.uint8), common)  # 11 bytes of a 10-byte run
+        with pytest.raises(ValueError):
+            mht.split(np.array([[4, 4, 4], [6, 6, 6]], np.uint8), common)  # a column per run

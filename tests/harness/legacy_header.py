@@ -8,18 +8,15 @@ prove nothing else changed:
 
 * :func:`encode_legacy_header` — the old ``encode_header``, kept as the
   fixture writer for JSON-headed indexes;
-* :func:`split_shard_container` — rewrites every sharded build's header
-  container as the older sharded layout: a JSON ``shards.json`` and a
-  ``shard-NNNN/header.json`` per shard, blob for blob what a builder wrote
-  before the container existed;
-* :func:`downgrade_headers` — rewrites the headers of already-built indexes
-  in a store to that JSON form, yielding the index an older build would have
-  left behind (same ``superposts.bin``, same pointers; sharded builds split
-  first, as JSON headers predate the container);
-* :func:`downgrade_codec` — rewrites the superposts of already-built indexes
-  as codec v1 in layer-major order, the index a pre-v2 builder wrote (the
-  v1 codec and that placement are read forever, written only here; sharded
-  builds split first, as v1 builds predate the container);
+* :func:`downgrade_headers` — rewrites the headers of already-built plain
+  indexes in a store to that JSON form, yielding the index an older build
+  would have left behind (same ``superposts.bin``, same pointers);
+* :func:`downgrade_codec` — rewrites the superposts of already-built plain
+  indexes as codec v1 in layer-major order, the index a pre-v2 builder wrote
+  (the v1 codec and that placement are read forever, written only here);
+* :func:`retire_sharded_layout` — makes a sharded build look, to the opener,
+  like one of the retired sharded layouts (which the downgraders leave
+  alone: opening one is a typed "rebuild" error, not a reader kept forever);
 * :func:`legacy_superpost_blob` — the old placement walk over *all* bins and
   the concatenation it produced, as the reference ``superposts.bin`` must
   stay byte-identical to;
@@ -42,23 +39,18 @@ from repro.core.mht import MultilayerHashTable
 from repro.core.sketch import IoUSketch
 from repro.index.compaction import (
     HEADER_BLOB_SUFFIX,
-    SHARDED_HEADER_MAGIC,
+    RETIRED_SHARDED_MAGIC,
     CompactedSketch,
     decode_build_header,
     decode_header,
     encode_header,
 )
-from repro.index.metadata import ShardManifest
+from repro.index.store_layout import header_blob_name, shard_manifest_blob_name
 from repro.index.serialization import (
     FORMAT_V1,
     StringTable,
     decode_superpost,
     encode_superpost,
-)
-from repro.index.store_layout import (
-    SHARD_MANIFEST_SUFFIX,
-    header_blob_name,
-    shard_manifest_blob_name,
 )
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer
@@ -102,56 +94,50 @@ def encode_legacy_header(compacted: CompactedSketch) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
-def split_shard_container(store: ObjectStore, prefix: str = "") -> list[str]:
-    """Rewrite every sharded build under ``prefix`` in the older layout;
-    returns the builds split.
+def _plain_headers(store: ObjectStore, prefix: str) -> list[str]:
+    """Every header blob under ``prefix`` of a plain (unsharded) build."""
+    return [
+        name
+        for name in store.list_blobs(prefix=prefix)
+        if name.endswith(f"/{HEADER_BLOB_SUFFIX}") and decode_header(store.get(name)).shards is None
+    ]
 
-    The container's shard headers become ``shard-NNNN/header.json`` blobs
-    and its manifest a JSON ``shards.json``; the container goes.  A store
-    holding no container is left as it is.
-    """
-    split = []
-    for name in store.list_blobs(prefix=prefix):
-        if not name.endswith(f"/{HEADER_BLOB_SUFFIX}"):
-            continue
-        payload = store.get(name)
-        if not payload.startswith(SHARDED_HEADER_MAGIC):
-            continue
-        build = name[: -len(HEADER_BLOB_SUFFIX) - 1]
-        manifest, members = decode_build_header(payload, build)
-        for shard, header in members:
-            store.put(header_blob_name(shard), encode_header(header))
-        store.put(shard_manifest_blob_name(build), json.dumps(manifest.to_dict()).encode("utf-8"))
-        store.delete(name)
-        split.append(build)
-    return split
+
+def retire_sharded_layout(store: ObjectStore, build: str, layout: str) -> None:
+    """Rewrite sharded ``build`` as far as its leading bytes in a retired
+    layout: ``"container"`` (a header container per shard behind the
+    ``AIRPSHD`` magic) or ``"shards.json"`` (a JSON manifest and no header
+    at the build)."""
+    header = header_blob_name(build)
+    payload = store.get(header)
+    if layout == "container":
+        store.put(header, RETIRED_SHARDED_MAGIC + payload[len(RETIRED_SHARDED_MAGIC) :])
+        return
+    manifest, _ = decode_build_header(payload, build)
+    store.put(shard_manifest_blob_name(build), json.dumps(manifest.to_dict()).encode("utf-8"))
+    store.delete(header)
 
 
 def downgrade_headers(store: ObjectStore, prefix: str = "") -> list[str]:
-    """Rewrite every header under ``prefix`` as legacy JSON; returns their names."""
-    split_shard_container(store, prefix)
-    headers = [
-        name
-        for name in store.list_blobs(prefix=prefix)
-        if name.endswith(f"/{HEADER_BLOB_SUFFIX}")
-    ]
+    """Rewrite every plain build's header under ``prefix`` as legacy JSON;
+    returns their names."""
+    headers = _plain_headers(store, prefix)
     for name in headers:
         store.put(name, encode_legacy_header(decode_header(store.get(name))))
     return headers
 
 
 def downgrade_codec(store: ObjectStore, prefix: str = "") -> list[str]:
-    """Rewrite every build under ``prefix`` as a v1 build; returns its headers.
+    """Rewrite every plain build under ``prefix`` as a v1 build; returns its
+    headers.
 
     Each ``superposts.bin`` is re-encoded with the v1 codec in bin-id order
     (layer-major), then the common words in word order, against a fresh
-    string table; the header gets the new pointers and codec, its metadata
-    ``format_version`` 1, and every shard manifest ``index_format_version``
-    1.  The result is what ``format_version=1, layout="plain"`` builds wrote.
+    string table; the header gets the new pointers and codec and its
+    metadata ``format_version`` 1.  The result is what ``format_version=1,
+    layout="plain"`` builds wrote.
     """
-    split_shard_container(store, prefix)
-    blobs = store.list_blobs(prefix=prefix)
-    headers = [name for name in blobs if name.endswith(f"/{HEADER_BLOB_SUFFIX}")]
+    headers = _plain_headers(store, prefix)
     for name in headers:
         compacted = decode_header(store.get(name))
         mht, payload = compacted.mht, store.get(compacted.superpost_blob_name)
@@ -179,11 +165,6 @@ def downgrade_codec(store: ObjectStore, prefix: str = "") -> list[str]:
             metadata = replace(metadata, format_version=FORMAT_V1)
         store.put(mht.blob, bytes(blob))
         store.put(name, encode_header(CompactedSketch(b"", downgraded, strings, metadata, FORMAT_V1)))
-    for name in blobs:
-        if name.endswith(f"/{SHARD_MANIFEST_SUFFIX}"):
-            manifest = ShardManifest.from_json(store.get(name))
-            downgraded = replace(manifest, index_format_version=FORMAT_V1)
-            store.put(name, json.dumps(downgraded.to_dict()).encode("utf-8"))
     return headers
 
 

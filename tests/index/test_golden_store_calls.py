@@ -8,10 +8,9 @@ cache on (the default); the two queries share no range, so the cold log is
 the same as an uncached one.  Moving who resolves name → manifest
 → members → headers, or who issues a wave, must not move a single store call
 on the open/query path; a change that *means* to regenerates the golden on
-purpose (last: a sharded build's shard headers ride its own ``header.json``,
-so its open is the discovery batch alone; before that, the ranking
-statistics came to ride the first ranked query's lookup batch instead of a
-batch per member before it)::
+purpose (last: a sharded build became one sketch, so its lookups read
+sub-ranges of one ``superposts.bin``; before that, its shard headers came to
+ride its own ``header.json``, so its open is the discovery batch alone)::
 
     PYTHONPATH=src:tests python tests/index/test_golden_store_calls.py
 """

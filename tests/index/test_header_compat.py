@@ -5,12 +5,12 @@ the budget.  These tests build indexes as today's writers do, rewrite their
 headers into that JSON form (``harness.legacy_header`` — same superposts, same
 pointers, exactly what an older build left behind) and pin that
 
-* such indexes — plain, 4-shard (split into the older ``shards.json``
-  layout, as JSON headers predate the sharded container), base + deltas,
-  with either superpost codec
-  (v1 ones are v2 builds rewritten by ``harness.legacy_header.downgrade_codec``) —
-  answer keyword, Boolean and ``topk_bm25`` queries byte-identically to their
-  v3-headed selves, over ``mem://`` and the S3 emulator;
+* such indexes — plain and base + deltas, with either superpost codec
+  (v1 ones are v2 builds rewritten by ``harness.legacy_header.downgrade_codec``),
+  beside a 4-shard build that stays as written (the sharded layouts of
+  those eras are retired) — answer keyword, Boolean and ``topk_bm25``
+  queries byte-identically to their v3-headed selves, over ``mem://`` and
+  the S3 emulator;
 * compacting a JSON-headed live index leaves only v3 headers behind;
 * ``superposts.bin`` itself did not move: placing only the non-empty bins
   keeps their relative order, so the blob is byte-identical to the one the
@@ -29,7 +29,6 @@ from repro.index.builder import AirphantBuilder
 from repro.index.compaction import (
     HEADER_BLOB_SUFFIX,
     HEADER_MAGIC,
-    SHARDED_HEADER_MAGIC,
     SUPERPOST_BLOB_SUFFIX,
     decode_header,
 )
@@ -72,7 +71,7 @@ APPENDS = [
 def _build_all(service: AirphantService, codec: int) -> list[str]:
     """A plain, a 4-shard and a base + 2 deltas index, all on one corpus.
 
-    With ``codec`` v1 the builds are downgraded before the deltas are
+    With ``codec`` v1 the plain builds are downgraded before the deltas are
     appended, so the live index is a v1 base under v2 deltas.
     """
     service.store.put("corpus.txt", SMALL_CORPUS_TEXT.encode("utf-8"))
@@ -80,7 +79,7 @@ def _build_all(service: AirphantService, codec: int) -> list[str]:
     for name, shards in zip(names, (1, 4, 1)):
         service.build_index(name, ["corpus.txt"], sketch_config=CONFIG, num_shards=shards)
     if codec == FORMAT_V1:
-        assert len(downgrade_codec(service.store)) == 1 + 4 + 1
+        assert len(downgrade_codec(service.store)) == 1 + 1
     for batch in APPENDS:
         service.append_documents(names[2], batch)
         assert service.flush_index(names[2])["delta"]
@@ -117,19 +116,15 @@ class TestJsonHeadedIndexesAnswerIdentically:
             headers = [
                 name for name in store.list_blobs() if name.endswith(HEADER_BLOB_SUFFIX)
             ]
-            # plain + the 4-shard build's container (its 4 shard headers once
-            # downgraded to v1, which predates the container) + (base + 2
-            # deltas), every plain one written as v3
-            container = f"{names[1]}/{HEADER_BLOB_SUFFIX}"
-            assert len(headers) == 1 + (4 if codec == FORMAT_V1 else 1) + 3
-            for name in headers:
-                magic = SHARDED_HEADER_MAGIC if name == container else HEADER_MAGIC
-                assert store.get(name).startswith(magic)
+            # plain + the 4-shard build's one header + (base + 2 deltas),
+            # every one written as v3
+            assert len(headers) == 1 + 1 + 3
+            assert all(store.get(name).startswith(HEADER_MAGIC) for name in headers)
             with_v3_headers = _answers(store_uri, names)
 
-            # JSON headers predate the container: it splits into 4 first.
+            # Every plain build's header goes JSON; the sharded one stays.
             downgraded = downgrade_headers(store)
-            assert len(downgraded) == 1 + 4 + 3
+            assert len(downgraded) == 1 + 3
             assert all(store.get(name).startswith(b"{") for name in downgraded)
             assert _answers(store_uri, names) == with_v3_headers
             # ... and the answers are not vacuous.

@@ -48,7 +48,7 @@ class TestShardManifest:
             partitioner="round-robin",
             shards=tuple(),
         )
-        assert ShardManifest.from_json(json.dumps(manifest.to_dict())) == manifest
+        assert ShardManifest.from_dict(json.loads(json.dumps(manifest.to_dict()))) == manifest
 
     def test_rejects_wrong_magic(self):
         with pytest.raises(ValueError):
@@ -81,14 +81,13 @@ class TestShardedBuild:
         manifest = read_shard_manifest(sim_store, "sharded")
         assert manifest is not None
         assert manifest.shard_names == [shard_index_name("sharded", i) for i in range(4)]
-        # The build's one header holds the manifest and every shard header;
-        # a shard owns only its superposts and statistics.
+        # The build's one header and one superpost blob hold every shard's
+        # share of one sketch; a shard owns only its statistics.
         assert sim_store.exists("sharded/header.json")
+        assert sim_store.exists("sharded/superposts.bin")
         assert not sim_store.exists("sharded/shards.json")
         for name in manifest.shard_names:
-            assert not sim_store.exists(f"{name}/header.json")
-            assert sim_store.exists(f"{name}/superposts.bin")
-            assert sim_store.exists(f"{name}/stats.json")
+            assert sim_store.list_blobs(f"{name}/") == [f"{name}/stats.json"]
 
     def test_manifest_stats_match_partition_sizes(
         self, sim_store, small_documents, small_config
@@ -170,7 +169,6 @@ class TestShardedBuild:
         AirphantBuilder(sim_store, config=small_config, num_shards=2).build_from_documents(
             small_documents, index_name="idx"
         )
-        assert not sim_store.exists("idx/superposts.bin")
         assert not sim_store.exists("idx/stats.json")
         assert read_shard_manifest(sim_store, "idx").num_shards == 2
 

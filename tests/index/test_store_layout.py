@@ -19,23 +19,17 @@ from pathlib import Path
 
 import pytest
 
-from harness.legacy_header import downgrade_headers, split_shard_container
+from harness.legacy_header import downgrade_headers, retire_sharded_layout
 from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
-from repro.index.compaction import (
-    SHARDED_HEADER_MAGIC,
-    decode_build_header,
-    decode_header,
-    encode_header,
-    encode_sharded_header,
-)
+from repro.index.compaction import decode_build_header
 from repro.index import store_layout
-from repro.index.metadata import ShardManifest, merge_shard_metadata
-from repro.index.stats import build_stats
+from repro.index.metadata import merge_shard_metadata
 from repro.index.store_layout import (
     CorruptIndexError,
+    UnsupportedIndexFormatError,
     build_blobs,
     build_bytes,
     ingest_prefix,
@@ -47,7 +41,6 @@ from repro.index.store_layout import (
 from repro.index.updates import AppendOnlyIndexManager
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Posting
-from repro.parsing.tokenizer import WhitespaceAnalyzer
 from repro.search.searcher import AirphantSearcher
 from repro.service.api import SearchRequest, ServiceError
 from repro.service.config import ServiceConfig
@@ -68,13 +61,9 @@ def _documents(store: InMemoryObjectStore, count: int = 200):
 
 
 def _read_directly(store, name):
-    """(shard manifest | None, member names, headers) by spelling the blobs out."""
-    if store.exists(f"{name}/header.json"):
-        manifest, members = decode_build_header(store.get(f"{name}/header.json"), name)
-        return manifest, [n for n, _ in members], [header for _, header in members]
-    manifest = ShardManifest.from_json(store.get(f"{name}/shards.json"))
-    names = [entry.name for entry in manifest.shards]
-    return manifest, names, [decode_header(store.get(f"{n}/header.json")) for n in names]
+    """(shard manifest | None, member names, headers) by spelling the blob out."""
+    manifest, members = decode_build_header(store.get(f"{name}/header.json"), name)
+    return manifest, [n for n, _ in members], [header for _, header in members]
 
 
 def _assert_opens_like_a_direct_read(store, name):
@@ -159,47 +148,42 @@ class TestOpener:
         AirphantBuilder(store, config=CONFIG, num_shards=4).build_from_documents(
             documents, index_name="sharded"
         )
-        assert len(downgrade_headers(store)) == 5
+        # The sharded build is not downgraded: its JSON-era layout is retired.
+        assert downgrade_headers(store) == ["plain/header.json"]
         assert store.get("plain/header.json").startswith(b"{")
         _assert_opens_like_a_direct_read(store, "plain")
         _assert_opens_like_a_direct_read(store, "sharded")
 
-    def test_older_sharded_layout_answers_like_the_container_and_compacts_into_one(self):
+    @pytest.mark.parametrize(
+        "layout, blob", [("container", "old/header.json"), ("shards.json", "old/shards.json")]
+    )
+    def test_a_retired_sharded_layout_is_a_typed_rebuild_error(self, layout, blob):
         store = InMemoryObjectStore()
         store.put("corpus/base.txt", CORPUS)
         with AirphantService(store, ServiceConfig(ingest_interval_s=0)) as service:
-            for name in ("container", "older"):
-                service.build_index(name, ["corpus/base.txt"], num_shards=3)
-        assert split_shard_container(store, "older/") == ["older"]
-        assert store.exists("older/shards.json") and not store.exists("older/header.json")
-        _assert_opens_like_a_direct_read(store, "older")
+            service.build_index("old", ["corpus/base.txt"], num_shards=3)
+        retire_sharded_layout(store, "old", layout)
+        with pytest.raises(UnsupportedIndexFormatError, match="rebuild") as caught:
+            open_headers(store, ["old"])
+        assert caught.value.blob == blob
         with AirphantService(store, ServiceConfig(ingest_interval_s=0)) as service:
-            container, older = (_answers(service, name, raw=True) for name in ("container", "older"))
-            assert older == container.replace(b'"container"', b'"older"')
-            service.append_documents("older", ["error appended to the older layout"])
-            assert service.compact_index("older")["compacted"]
-            base = AppendOnlyIndexManager(store, "older").manifest().active_base
-        assert store.get(f"{base}/header.json").startswith(SHARDED_HEADER_MAGIC)
-        assert not store.exists(f"{base}/shards.json")
-        assert _assert_opens_like_a_direct_read(store, base).manifest.num_shards == 3
+            with pytest.raises(ServiceError) as refused:
+                service.search(SearchRequest(index="old", query="error"))
+            assert (refused.value.info.status, refused.value.info.error) == (409, "index_format")
+            assert "rebuild" in refused.value.info.message
+            # A rebuild over the retired layout is the way out: it sweeps
+            # what the old layout left behind and answers again.
+            service.build_index("old", ["corpus/base.txt"], num_shards=3)
+            assert service.search(SearchRequest(index="old", query="error")).documents
+        assert not store.exists("old/shards.json")
 
     def test_a_shard_manifest_naming_another_index_is_corrupt(self):
         store = InMemoryObjectStore()
         AirphantBuilder(store, config=CONFIG, num_shards=2).build_from_documents(
             _documents(store), index_name="q"
         )
-        manifest, members = decode_build_header(store.get("q/header.json"), "q")
-        store.put(
-            "x/header.json",
-            encode_sharded_header(manifest, [encode_header(header) for _, header in members]),
-        )
+        store.put("x/header.json", store.get("q/header.json"))
         with pytest.raises(CorruptIndexError, match="x/header.json"):
-            open_headers(store, ["x"])
-        # The older layout: x/shards.json names q/shard-0000 and q/shard-0001.
-        split_shard_container(store, "q/")
-        store.delete("x/header.json")
-        store.put("x/shards.json", store.get("q/shards.json"))
-        with pytest.raises(CorruptIndexError, match="x/shards.json"):
             open_headers(store, ["x"])
         with AirphantService(store, ServiceConfig(ingest_interval_s=0)) as service:
             with pytest.raises(ServiceError) as caught:
@@ -406,9 +390,7 @@ def test_build_rejects_exactly_the_names_the_catalog_refuses_to_serve(name):
     # Put a complete build under the name behind the service's back, so only
     # the name itself can be why the catalog refuses it.
     documents = LineDelimitedCorpusParser().parse(store, ["corpus/base.txt"])
-    AirphantBuilder(store, config=CONFIG)._build_single(
-        build_stats(documents, WhitespaceAnalyzer()), name, "planted"
-    )
+    AirphantBuilder(store, config=CONFIG).build_from_documents(documents, name, "planted")
     with AirphantService(store, ServiceConfig(ingest_interval_s=0)) as service:
         served = service.catalog.contains(name)
         try:

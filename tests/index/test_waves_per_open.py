@@ -2,20 +2,20 @@
 
 The open-path twin of ``tests/search/test_waves_per_query.py``.  A cold node
 asks for every blob that says what an index *is* — header (a sharded
-build's holds every shard header), older-layout shard manifest, update
-manifest, ingest manifest — as one batch of "missing is an answer" reads;
+build's holds every shard's split of one sketch), retired shard manifest,
+update manifest, ingest manifest — as one batch of "missing is an answer" reads;
 whatever those name (member headers, WAL segments, tombstone records) is one
-more.  Only a sharded build in the older layout (``shards.json`` and a
-header per shard, ``harness.legacy_header.split_shard_container``) costs a
-wave more for its shard headers.  No ``exists`` anywhere, nothing re-read on
-a reopen that this process already knows, and a name that is not there costs
-the one discovery batch.
+more.  A sharded build in a retired layout (a header container per shard,
+or ``shards.json``; ``harness.legacy_header.retire_sharded_layout``) costs
+no wave more: it is a typed "rebuild" error.  No ``exists`` anywhere,
+nothing re-read on a reopen that this process already knows, and a name that
+is not there costs the one discovery batch.
 """
 
 from __future__ import annotations
 
 import pytest
-from harness.legacy_header import split_shard_container
+from harness.legacy_header import retire_sharded_layout
 from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
@@ -48,7 +48,7 @@ def bucket():
     deltas.build_base(documents[:100])
     deltas.append(documents[100:200])
     deltas.append(documents[200:])
-    for prefix in ("", "legacy-"):
+    for prefix in ("", "legacy-container-", "legacy-shards.json-"):
         AirphantBuilder(backend, config=CONFIG, num_shards=4).build_from_documents(
             documents, index_name=f"{prefix}sharded"
         )
@@ -63,8 +63,10 @@ def bucket():
         generational.append(documents[150:200])
         generational.append(documents[200:])
         assert generational.manifest().active_base != f"{prefix}generational"
-    for name in ("legacy-sharded", "legacy-generational"):
-        assert split_shard_container(backend, f"{name}/")
+    for layout in ("container", "shards.json"):
+        retire_sharded_layout(backend, f"legacy-{layout}-sharded", layout)
+        base = AppendOnlyIndexManager(backend, f"legacy-{layout}-generational").manifest()
+        retire_sharded_layout(backend, base.active_base, layout)
     # A live index another process left behind: base, one flushed delta, 20
     # unflushed one-document WAL segments, one tombstone record.
     with AirphantService(backend, SERVICE) as writer:
@@ -107,8 +109,6 @@ def _batches(calls):
         ("deltas", 2),
         ("live", 2),
         ("generational", 2),
-        ("legacy-sharded", 2),
-        ("legacy-generational", 3),
     ],
 )
 def test_dependent_batches_before_the_first_query_wave(bucket, name, waves):
@@ -139,6 +139,22 @@ def test_dependent_batches_before_the_first_query_wave(bucket, name, waves):
             # The segments replayed, not the width of the probed range.
             assert live.summary()["wal_segments_active"] == 20
         assert not any(method == "exists" for method, _, _, _ in store.calls)
+
+
+@pytest.mark.parametrize("layout", ["container", "shards.json"])
+@pytest.mark.parametrize("name, waves", [("sharded", 1), ("generational", 2)])
+def test_a_retired_sharded_layout_is_a_typed_error_after_the_same_waves(
+    bucket, layout, name, waves
+):
+    backend, _ = bucket
+    name = f"legacy-{layout}-{name}"
+    store = RecordingStore(backend)
+    with AirphantService(store, SERVICE) as service:
+        with pytest.raises(ServiceError) as caught:
+            service.searcher(name)
+    assert (caught.value.info.status, caught.value.info.error) == (409, "index_format")
+    assert "rebuild" in caught.value.info.message
+    assert len(_batches(store.calls)) == waves
 
 
 def test_a_reopen_after_this_nodes_own_flush_reads_only_what_it_does_not_know(bucket):
@@ -202,7 +218,7 @@ class _BatchLog(SimulatedCloudStore):
 
 
 @pytest.mark.parametrize(
-    "name", ["plain", "sharded", "deltas", "generational", "legacy-sharded", "legacy-generational"]
+    "name", ["plain", "sharded", "deltas", "generational"]
 )
 def test_init_latency_is_the_sum_of_the_waves_the_open_issued(bucket, name):
     backend, _ = bucket
@@ -223,10 +239,9 @@ def test_init_latency_is_the_sum_of_the_waves_the_open_issued(bucket, name):
             searcher.init_latency_ms
         )
         assert None in [payload for batch in store.batches for payload in batch.payloads]
-    # The library spelling opens the builds it is handed, all in one batch
-    # (the older sharded layout: one more, for the shard headers).
+    # The library spelling opens the builds it is handed, all in one batch.
     direct = _BatchLog(backend)
     manifest = AppendOnlyIndexManager(backend, name).manifest()
     opened = AirphantSearcher.open(direct, manifest.all_indexes)
     assert opened.init_latency_ms == pytest.approx(sum(b.total_ms for b in direct.batches))
-    assert len(direct.batches) == (2 if name.startswith("legacy-") else 1)
+    assert len(direct.batches) == 1

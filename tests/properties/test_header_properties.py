@@ -5,9 +5,11 @@ a single layer, a table whose offsets need 64 bits — the table that comes out
 of ``decode_header(encode_header(...))`` answers ``pointers_for`` exactly as
 the table that went in, for inserted and absent words alike, and each pointer
 still decodes to the superpost of its bin.  The legacy JSON form of the same
-header decodes to the same answers.  A sharded build's container round-trips
-its manifest and shard headers, and every truncation and every single-byte
-flip of it is a ``CorruptIndexError`` — never another exception.
+header decodes to the same answers.  A sharded build's header round-trips
+its manifest and its split of every run among the shards — whose shares,
+unioned, are exactly the one-shard build's superposts — and every
+truncation and every single-byte flip of it is a ``CorruptIndexError`` —
+never another exception.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ from repro.core.mht import MultilayerHashTable
 from repro.core.sketch import IoUSketch
 from repro.index.builder import AirphantBuilder
 from repro.index.compaction import (
-    SHARDED_HEADER_MAGIC,
+    HEADER_MAGIC,
     CompactedSketch,
     compact_sketch,
     decode_build_header,
     decode_header,
     encode_header,
-    encode_sharded_header,
 )
 from repro.index.serialization import StringTable, decode_superpost
 from repro.index.store_layout import CorruptIndexError
@@ -169,30 +170,83 @@ class TestWideTableRoundTrip:
         assert decoded.pointers_for("the")[0].offset == common_offset
 
 
-def _sharded_header() -> bytes:
-    """A small three-shard build's header container."""
+SHARD_CONFIG = SketchConfig(num_bins=64, seed=3, common_word_fraction=0.1)
+
+
+def _build(lines: list[str], num_shards: int, config: SketchConfig = SHARD_CONFIG):
+    """The store holding ``idx``, built over ``lines`` with ``num_shards`` shards."""
     store = InMemoryObjectStore()
-    corpus = b"\n".join(
-        f"error node{n % 5} disk {n} info heartbeat warn{n % 3}".encode() for n in range(30)
-    )
-    store.put("corpus.txt", corpus)
-    AirphantBuilder(store, config=SketchConfig(num_bins=64, seed=3), num_shards=3).build_from_blobs(
+    store.put("corpus.txt", "\n".join(lines).encode())
+    AirphantBuilder(store, config=config, num_shards=num_shards).build_from_blobs(
         ["corpus.txt"], index_name="idx"
     )
-    return store.get("idx/header.json")
+    return store
+
+
+def _one_shard_budget(num_shards: int) -> SketchConfig:
+    """The one-shard config of the same sketch as ``SHARD_CONFIG`` over
+    ``num_shards`` shards: each shard's hashed bins, and the common words once."""
+    common = SHARD_CONFIG.common_word_bins
+    num_bins = SHARD_CONFIG.sketch_bins * num_shards + common
+    return SketchConfig(num_bins=num_bins, seed=3, common_word_fraction=(common + 0.5) / num_bins)
+
+
+def _sharded_header() -> bytes:
+    """A small three-shard build's header."""
+    lines = [f"error node{n % 5} disk {n} info heartbeat warn{n % 3}" for n in range(30)]
+    return _build(lines, 3).get("idx/header.json")
 
 
 SHARDED_HEADER = _sharded_header()
 
 
-class TestShardedHeaderContainer:
-    def test_round_trips_the_manifest_and_every_shard_header(self):
+def _decoded(store: InMemoryObjectStore, header: CompactedSketch, offset: int, length: int):
+    payload = store.get("idx/superposts.bin")[offset : offset + length]
+    return set(decode_superpost(payload, header.string_table, header.format_version))
+
+
+class TestShardedHeader:
+    def test_round_trips_the_manifest_and_the_split_of_every_run(self):
         manifest, members = decode_build_header(SHARDED_HEADER, "idx")
-        assert SHARDED_HEADER.startswith(SHARDED_HEADER_MAGIC)
+        header = decode_header(SHARDED_HEADER)
+        assert SHARDED_HEADER.startswith(HEADER_MAGIC)
+        assert header.shards.manifest == manifest
         assert [name for name, _ in members] == manifest.shard_names
-        assert encode_sharded_header(manifest, [encode_header(h) for _, h in members]) == (
-            SHARDED_HEADER
-        )
+        assert encode_header(header) == SHARDED_HEADER
+        # Each run is its shards' shares back to back, in shard order.
+        shares = [list(member.mht.ranges()) for _, member in members]
+        for row, (offset, length) in enumerate(header.mht.ranges()):
+            end = offset
+            for share in shares:
+                assert share[row][0] == end
+                end += share[row][1]
+            assert end == offset + length
+
+    @given(
+        lines=st.lists(
+            st.lists(words_strategy, min_size=1, max_size=5).map(" ".join),
+            min_size=1,
+            max_size=25,
+        ),
+        num_shards=st.integers(min_value=2, max_value=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_the_shares_of_every_run_union_to_the_one_shard_superpost(self, lines, num_shards):
+        # A sharded build is the one-shard sketch of its budget, cut by shard.
+        whole, split = _build(lines, 1, _one_shard_budget(num_shards)), _build(lines, num_shards)
+        plain = decode_header(whole.get("idx/header.json"))
+        runs = decode_header(split.get("idx/header.json"))
+        _, members = decode_build_header(split.get("idx/header.json"), "idx")
+        assert encode_header(runs) == split.get("idx/header.json")
+        assert list(runs.mht.bin_ids) == list(plain.mht.bin_ids)
+        assert runs.mht.common_words == plain.mht.common_words
+        for row, (offset, length) in enumerate(plain.mht.ranges()):
+            union: set[Posting] = set()
+            for _, member in members:
+                share = list(member.mht.ranges())[row]
+                if share[1]:
+                    union |= _decoded(split, member, *share)
+            assert union == _decoded(whole, plain, offset, length)
 
     @given(cut=st.integers(min_value=0, max_value=len(SHARDED_HEADER) - 1))
     @settings(max_examples=300, deadline=None)

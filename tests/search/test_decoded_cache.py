@@ -120,7 +120,7 @@ class TestCacheOnEqualsCacheOff:
             assert cached.catalog.open(INDEX).pipeline.stats.cache_hits > hits
 
     def test_a_mix_of_v1_and_v2_codec_members(self):
-        store = _store(num_shards=4)
+        store = _store()
         downgrade_codec(store)
         with _service(store) as service:
             service.append_documents(INDEX, ["ERROR appended disk failure", "INFO block appended"])

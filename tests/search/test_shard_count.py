@@ -1,0 +1,132 @@
+"""The shard count changes neither what a lookup reads nor what a query answers.
+
+A sharded build is one sketch: its shards share the layer count, the hash
+family and the common words of the whole build, and each bin and common word
+is one run of ``superposts.bin`` holding its shards' superposts back to back.
+Pinned here for 1, 4 and 16 shards over the same documents:
+
+* keyword and Boolean answers and BM25 rankings — scores included — are
+  identical to the one-shard build's;
+* a whole-index lookup of a word issues one physical store read per bin,
+  whatever the shard count: L for a hashed word, one for a common word;
+* a shard-restricted view reads only its shards' sub-ranges, never more
+  bytes than the whole index.
+"""
+
+from __future__ import annotations
+
+import pytest
+from harness.stores import RecordingStore
+
+from repro.core.config import SketchConfig
+from repro.index.builder import AirphantBuilder
+from repro.parsing.corpus import LineDelimitedCorpusParser
+from repro.parsing.tokenizer import WhitespaceAnalyzer
+from repro.search.searcher import AirphantSearcher
+from repro.storage.memory import InMemoryObjectStore
+from repro.workloads.logs import generate_log_corpus
+
+SHARD_COUNTS = (1, 4, 16)
+QUERIES = ["ERROR", "INFO block", "PacketResponder terminating", "WARN", "nosuchtoken"]
+BOOLEAN = ["(INFO AND block) OR exception", "ERROR OR WARN", "INFO AND NOT block"]
+
+
+@pytest.fixture(scope="module", params=[1, 3], ids=["L1", "L3"])
+def bucket(request):
+    """``(backend, layers)``: the same documents built once per shard count."""
+    backend = InMemoryObjectStore()
+    corpus = generate_log_corpus(backend, "hdfs", 600, seed=41)
+    documents = list(LineDelimitedCorpusParser().parse(backend, corpus.blob_names))
+    config = SketchConfig(num_bins=3000, num_layers=request.param, seed=5)
+    for shards in SHARD_COUNTS:
+        AirphantBuilder(backend, config=config, num_shards=shards).build_from_documents(
+            documents, index_name=f"s{shards}"
+        )
+    return backend, request.param
+
+
+def _lookup(backend, name, word, ordinals=None):
+    """``(postings, [(offset, length) of each physical superpost read], searcher)``."""
+    store = RecordingStore(backend)
+    searcher = AirphantSearcher.open(store, name)
+    if ordinals is not None:
+        searcher = searcher.restrict(ordinals)
+    start = len(store.calls)
+    postings, _ = searcher.lookup_postings(word)
+    reads = [
+        (offset, length)
+        for method, blob, offset, length in store.calls[start:]
+        if method == "batch_read" and blob.endswith("/superposts.bin")
+    ]
+    return sorted(postings), reads, searcher
+
+
+def _words(backend):
+    """Five common words, and the hashed words of a few documents plus one
+    the corpus does not hold."""
+    (member,) = AirphantSearcher.open(backend, "s1").opened
+    texts = backend.get("corpora/hdfs.txt").decode().splitlines()[:40:8]
+    words = sorted({word for text in texts for word in WhitespaceAnalyzer().tokenize(text)})
+    hashed = [word for word in words if not member.mht.is_common(word)] + ["nosuchtoken"]
+    return list(member.mht.common_words)[:5], hashed
+
+
+@pytest.mark.parametrize("shards", SHARD_COUNTS[1:])
+def test_answers_and_scores_equal_the_one_shard_build(bucket, shards):
+    backend, _ = bucket
+    one, many = (AirphantSearcher.open(backend, f"s{n}") for n in (1, shards))
+    assert many.opened[0].num_shards == shards
+    for query in QUERIES:
+        assert many.search(query).documents == one.search(query).documents, query
+        ranked, expected = many.search_topk(query, k=10), one.search_topk(query, k=10)
+        assert [d.ref for d in ranked.documents] == [d.ref for d in expected.documents]
+        assert ranked.scores == expected.scores, query
+    for query in BOOLEAN:
+        assert many.search_boolean(query).documents == one.search_boolean(query).documents
+
+
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_a_lookup_reads_one_range_per_bin_whatever_the_shard_count(bucket, shards):
+    backend, layers = bucket
+    common, hashed = _words(backend)
+    present = 0
+    for word in common + hashed:
+        postings, reads, _ = _lookup(backend, f"s{shards}", word)
+        if not postings:
+            continue
+        present += 1
+        # Each bin's run — every shard's share of it — is one read: a common
+        # word is one, a hashed word L (fewer where the co-access layout put
+        # its bins side by side).
+        if word in common or layers == 1:
+            assert len(reads) == 1, word
+        else:
+            assert 1 <= len(reads) <= layers, word
+    assert present > len(common)
+
+
+def test_a_restricted_view_reads_only_its_shards_sub_ranges(bucket):
+    backend, _ = bucket
+    common, hashed = _words(backend)
+    for word in common + hashed:
+        whole_postings, whole_reads, whole = _lookup(backend, "s4", word)
+        postings, reads, _ = _lookup(backend, "s4", word, ordinals={0, 2})
+        (member,) = whole.opened
+        held = [
+            (pointer.offset, pointer.offset + pointer.length)
+            for shard in (member.shards[0], member.shards[2])
+            for pointer in shard.mht.pointers_for(word)
+            if pointer.length
+        ]
+        for offset, length in reads:
+            # Each physical read is one of the held sub-ranges, or adjacent
+            # held sub-ranges merged: it never spans a byte of shards 1 or 3.
+            covered = sum(
+                max(0, min(end, offset + length) - max(start, offset)) for start, end in held
+            )
+            assert covered == length, (word, offset, length)
+        assert sum(length for _, length in reads) <= sum(length for _, length in whole_reads)
+        # Its answer is exactly its shards' answers together.
+        alone = [set(_lookup(backend, "s4", word, ordinals={shard})[0]) for shard in (0, 2)]
+        assert set(postings) == alone[0] | alone[1]
+        assert set(postings) <= set(whole_postings)

@@ -418,7 +418,8 @@ class TestSearch:
 
 class TestCorruptIndex:
     """Stored bytes that do not decode are the store's fault: a typed 502
-    naming the blob — never a 500, a 400 that blames the client, or a 404."""
+    naming the blob — never a 500, a 400 that blames the client, or a 404;
+    a layout this engine no longer reads is a typed 409."""
 
     def _search(self, server, index="logs-index"):
         return _post(server, "/search", {"index": index, "query": "error"})
@@ -440,15 +441,23 @@ class TestCorruptIndex:
         assert "logs-index/superposts.bin" in payload["message"]
 
     @pytest.mark.parametrize(
-        "manifest", [b'{"shards":[{}]}', b"[1,2]", b"not json"], ids=["entry", "list", "bytes"]
+        "blob, payload",
+        [
+            ("shards.json", b'{"shards":[{}]}'),
+            ("shards.json", b"not json"),
+            ("header.json", b"AIRPSHD\n" + bytes(16)),
+        ],
+        ids=["shards.json", "shards.json-bytes", "container"],
     )
-    def test_corrupt_shard_manifest_is_502_index_corrupt(self, server, tmp_path, manifest):
+    def test_a_retired_sharded_layout_is_409_index_format(self, server, tmp_path, blob, payload):
+        # Whatever it holds, a retired layout is not read: the index is
+        # rebuilt from its corpus, and the answer says so.
         directory = tmp_path / "bucket" / "broken"
         directory.mkdir(parents=True)
-        (directory / "shards.json").write_bytes(manifest)
-        status, payload = self._search(server, "broken")
-        assert (status, payload["error"]) == (502, "index_corrupt")
-        assert "broken/shards.json" in payload["message"]
+        (directory / blob).write_bytes(payload)
+        status, answer = self._search(server, "broken")
+        assert (status, answer["error"]) == (409, "index_format")
+        assert f"broken/{blob}" in answer["message"] and "rebuild" in answer["message"]
 
 
 class TestStoreFailures:

@@ -214,7 +214,7 @@ class TestLifecycle:
             num_shards=2,
         )
         assert service.search(SearchRequest(query="error", index="logs")).num_results == 2
-        # Exercise the store-level batch path too (shard headers).
+        # Exercise the store-level batch path too (the sharded header).
         service.index_info("logs")
         assert fetch_threads()
         assert self._pool(store)._pool is not None
