@@ -15,7 +15,7 @@ from repro.index.compaction import (
     encode_header,
 )
 from repro.index.metadata import IndexMetadata, ShardEntry, ShardManifest
-from repro.index.sharding import PARTITIONERS, partition_documents
+from repro.index.sharding import PARTITIONERS, route_rows
 from repro.index.store_layout import (
     HEADER_BLOB_SUFFIX,
     SHARD_MANIFEST_SUFFIX,
@@ -68,8 +68,8 @@ __all__ = [
     "encode_header",
     "encode_superpost",
     "encode_varint",
-    "partition_documents",
     "plain_order",
+    "route_rows",
     "shard_index_name",
     "uncompressed_superpost_bytes",
 ]

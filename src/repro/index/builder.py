@@ -27,7 +27,7 @@ import os
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -41,8 +41,8 @@ from repro.core.sketch import PostingColumns, SketchColumns
 from repro.index.compaction import compact_sketch, encode_header
 from repro.index.metadata import IndexMetadata, ShardEntry, ShardManifest
 from repro.index.serialization import DEFAULT_FORMAT_VERSION
-from repro.index.sharding import PARTITIONERS, Ref, shard_of
-from repro.index.stats import IndexStats, build_stats, encode_stats, union_stats
+from repro.index.sharding import check_partitioning, route_rows
+from repro.index.stats import IndexStats, build_stats, encode_stats, split_stats
 from repro.index.store_layout import (
     build_blobs,
     build_bytes,
@@ -120,12 +120,7 @@ class AirphantBuilder:
         partitioner: str = "hash",
         build_concurrency: int | None = None,
     ) -> None:
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if partitioner not in PARTITIONERS:
-            raise ValueError(
-                f"unknown partitioner {partitioner!r}; expected one of {', '.join(PARTITIONERS)}"
-            )
+        check_partitioning(num_shards, partitioner)
         if build_concurrency is not None and build_concurrency < 1:
             raise ValueError("build_concurrency must be positive when set")
         self._store = store
@@ -178,14 +173,15 @@ class AirphantBuilder:
         Returns a :class:`BuiltIndex` in single-shard mode and a
         :class:`BuiltShardedIndex` when the builder was created with
         ``num_shards > 1``; a document goes to the shard
-        :func:`~repro.index.sharding.partition_documents` routes it to.
+        :func:`~repro.index.sharding.route_rows` gives its row (round-robin:
+        by its first place in ``documents``).
         """
         documents = list(documents)
-        positions: dict[Ref, int] = {}  # round-robin routes by a document's first place
-        for position, document in enumerate(documents if self._num_shards > 1 else ()):
-            ref = document.ref
-            positions.setdefault((ref.blob, ref.offset, ref.length), position)
         stats = build_stats(documents, self._tokenizer)
+        positions = None
+        if self._num_shards > 1 and self._partitioner == "round-robin":
+            first = {document.ref: at for at, document in reversed(list(enumerate(documents)))}
+            positions = [first[ref] for ref in stats.docs]
         return self._build(stats, index_name, corpus_name, positions)
 
     def build_from_stats(
@@ -197,20 +193,23 @@ class AirphantBuilder:
         """Build an index over statistics already in hand (compaction's
         merged columns): no document is read or analysed again.
 
-        A sharded builder routes the rows as :func:`partition_documents`
-        routes documents listed in row order.
+        A sharded builder routes the rows as documents listed in row order.
         """
-        return self._build(stats, index_name, corpus_name, {})
+        return self._build(stats, index_name, corpus_name)
 
     def _build(
-        self, stats: IndexStats, index_name: str, corpus_name: str, positions: Mapping[Ref, int]
+        self,
+        stats: IndexStats,
+        index_name: str,
+        corpus_name: str,
+        positions: Sequence[int] | None = None,
     ) -> Union[BuiltIndex, BuiltShardedIndex]:
-        """Persist the build of ``stats`` (for the partitioner, a document's
+        """Persist the build of ``stats`` (for the partitioner, each row's
         place in the corpus is in ``positions``, or else its row), then sweep
         what an earlier layout of the name left behind.  A sharded build is
         one sketch too, its lists cut by shard; each shard's statistics are
-        cut from ``stats`` on a thread pool, and the header comes last, so a
-        crash mid-build leaves no blob that announces the build."""
+        written on a thread pool, and the header comes last, so a crash
+        mid-build leaves no blob that announces the build."""
         profile = stats.profile()
         num_layers = self._choose_layers(profile)
         sketch = self._sketch(stats, profile, num_layers)
@@ -233,24 +232,15 @@ class AirphantBuilder:
             )
             written = [built.stats_blob]
         else:
-            refs = zip(
-                map(stats.blobs.__getitem__, stats.doc_blob.tolist()),
-                stats.doc_offset.tolist(),
-                stats.doc_length.tolist(),
-            )
-            route = [
-                shard_of(ref, positions.get(ref, row), self._num_shards, self._partitioner)
-                for row, ref in enumerate(refs)
-            ]
-            shard_of_row = np.array(route, np.int64)
+            shard_of_row = route_rows(stats, self._num_shards, self._partitioner, positions)
             names = [shard_index_name(index_name, shard) for shard in range(self._num_shards)]
+            split = split_stats(stats, shard_of_row, self._num_shards)
 
             def build_shard(shard: int) -> tuple[CorpusProfile, IndexMetadata]:
-                part = union_stats([stats], keep=shard_of_row == shard)
-                self._store.put(stats_blob_name(names[shard]), encode_stats(part))
+                self._store.put(stats_blob_name(names[shard]), encode_stats(split[shard]))
                 extra = dict(shard_index=shard, num_shards=self._num_shards)
                 extra.update(partitioner=self._partitioner, parent_index=index_name)
-                corpus, part_profile = f"{corpus_name}#shard-{shard:04d}", part.profile()
+                corpus, part_profile = f"{corpus_name}#shard-{shard:04d}", split[shard].profile()
                 metadata = self._make_metadata(corpus, part_profile, sketch, num_layers, extra)
                 return part_profile, metadata
 

@@ -233,8 +233,9 @@ def encode_header(compacted: CompactedSketch) -> bytes:
     12 bytes per non-empty bin — not to the bin budget B.  A sharded build's
     preamble adds its manifest, each shard's metadata and the split's widths;
     length columns hold the split instead — each shard's length in every
-    run, shard by shard, as narrow as their largest and zero-padded to the
-    pointer width — and a CRC-32 of every byte before it ends the blob.
+    run, shard by shard, as narrow as their largest — every column of it is
+    zero-padded to the pointer width, and a CRC-32 of every byte before it
+    ends the blob.  A plain header's columns are unpadded.
     """
     mht, runs = compacted.mht, compacted.shards
     fields = {
@@ -264,8 +265,10 @@ def encode_header(compacted: CompactedSketch) -> bytes:
     blob = [prefix, preamble]
     for column in (offsets, lengths, common_offsets, common_lengths, bin_ids):
         blob.append(np.asarray(column).astype(f"<u{column.itemsize}", copy=False).tobytes())
-        # Zeros keep every column aligned to the pointer width.
-        blob.append(bytes(-len(blob[-1]) % offsets.itemsize))
+        if runs is not None:
+            # Zeros keep every column after a narrow split aligned to the
+            # pointer width; a plain header's columns need none.
+            blob.append(bytes(-len(blob[-1]) % offsets.itemsize))
     body = b"".join(blob)
     return body if runs is None else body + _CHECKSUM.pack(zlib.crc32(body))
 
@@ -324,19 +327,20 @@ def _decode_v3_header(data: bytes) -> CompactedSketch:
     if width not in (4, 8) or not isinstance(count, int) or count < 0:
         raise ValueError("bad pointer column description")
     sharded = fields.get("shards")
-    num_shards, split_width, common_width = 1, width, width
+    num_shards, split_width, common_width, align = 1, width, width, 1
     if sharded is not None:
         end = len(data) - _CHECKSUM.size
         if end < position or _CHECKSUM.pack(zlib.crc32(memoryview(data)[:end])) != data[end:]:
             raise ValueError("sharded header fails its checksum")
         data, manifest = memoryview(data)[:end], ShardManifest.from_dict(sharded["manifest"])
         num_shards, (split_width, common_width) = manifest.num_shards, sharded["widths"]
+        align = width
         if not {split_width, common_width} <= {1, 2, 4, 8}:
             raise ValueError("bad split column description")
     common = len(common_words)
     shapes = [(count, width), (count * num_shards, split_width), (common, width)]
     shapes += [(common * num_shards, common_width), (count, 4)]
-    padded = [length * size + (-length * size % width) for length, size in shapes]
+    padded = [length * size + (-length * size % align) for length, size in shapes]
     if position + sum(padded) != len(data):
         raise ValueError("header length does not match its pointer columns")
     columns = []

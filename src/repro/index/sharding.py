@@ -19,39 +19,42 @@ from __future__ import annotations
 import zlib
 from typing import Sequence
 
+import numpy as np
+
 from repro.index.store_layout import shard_index_name  # noqa: F401
-from repro.parsing.documents import Document
+from repro.index.stats import IndexStats
 
 #: Partitioner names a sharded build may select.
 PARTITIONERS = ("hash", "round-robin")
 
 
-#: A document's place in storage: ``(blob, offset, length)``.
-Ref = tuple[str, int, int]
-
-
-def shard_of(ref: Ref, position: int, num_shards: int, partitioner: str) -> int:
-    """The shard the document at ``ref`` (``position``-th in its corpus) is routed to."""
-    if partitioner == "round-robin":
-        return position % num_shards
-    key = "{}:{}:{}".format(*ref).encode("utf-8")
-    # crc32 (not builtin hash()) so routing survives PYTHONHASHSEED changes.
-    return zlib.crc32(key) % num_shards
-
-
-def partition_documents(
-    documents: Sequence[Document], num_shards: int, partitioner: str = "hash"
-) -> list[list[Document]]:
-    """Split ``documents`` into ``num_shards`` disjoint partitions."""
+def check_partitioning(num_shards: int, partitioner: str) -> None:
+    """Refuse a shard count or partitioner no build can use (``ValueError``)."""
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
     if partitioner not in PARTITIONERS:
         raise ValueError(
             f"unknown partitioner {partitioner!r}; expected one of {', '.join(PARTITIONERS)}"
         )
-    partitions: list[list[Document]] = [[] for _ in range(num_shards)]
-    for position, document in enumerate(documents):
-        ref = document.ref
-        key = (ref.blob, ref.offset, ref.length)
-        partitions[shard_of(key, position, num_shards, partitioner)].append(document)
-    return partitions
+
+
+def route_rows(
+    stats: IndexStats,
+    num_shards: int,
+    partitioner: str = "hash",
+    positions: Sequence[int] | None = None,
+) -> np.ndarray:
+    """The shard of each document row of ``stats``.
+
+    Round-robin routes by ``positions``, each row's place in its corpus;
+    without them, by the row itself.
+    """
+    check_partitioning(num_shards, partitioner)
+    if partitioner == "round-robin":
+        places = range(stats.num_documents) if positions is None else positions
+        return np.asarray(places, np.int64) % num_shards
+    blobs = map(stats.blobs.__getitem__, stats.doc_blob.tolist())
+    keys = zip(blobs, stats.doc_offset.tolist(), stats.doc_length.tolist())
+    # crc32 (not builtin hash()) so routing survives PYTHONHASHSEED changes.
+    shards = (zlib.crc32(f"{b}:{o}:{n}".encode("utf-8")) % num_shards for b, o, n in keys)
+    return np.fromiter(shards, np.int64, stats.num_documents)

@@ -276,7 +276,6 @@ def build_stats(documents: Iterable[Document], tokenizer: Tokenizer) -> IndexSta
 def union_stats(
     members: Sequence[IndexStats],
     exclude: AbstractSet[Posting] = frozenset(),
-    keep: np.ndarray | None = None,
 ) -> IndexStats:
     """One set of statistics over the documents of ``members`` minus ``exclude``.
 
@@ -284,9 +283,8 @@ def union_stats(
     documents: a document several members hold counts once, with the length
     and entries of the first member (in the order given) that holds it;
     excluded documents, and terms left without an entry, are dropped; rows
-    are renumbered in ``(blob, offset, length)`` order.  ``keep`` — a mask
-    over those renumbered rows — narrows the result further: how a merged
-    corpus is split into shards.  No text is read or analysed.
+    are renumbered in ``(blob, offset, length)`` order.  No text is read or
+    analysed.
     """
     names = sorted(set(chain.from_iterable(member.blobs for member in members)))
     position = {name: at for at, name in enumerate(names)}
@@ -315,8 +313,6 @@ def union_stats(
     leads[1:] = (np.diff(rank[order]) != 0) | (offset[order][1:] != offset[order][:-1])
     leads[1:] |= length[order][1:] != length[order][:-1]
     kept = order[leads & (holder[order] >= 0)]
-    if keep is not None:
-        kept = kept[keep]
     row = np.full(len(order), -1, np.int64)
     row[kept] = np.arange(len(kept))
     used, doc_blob = np.unique(rank[kept], return_inverse=True)
@@ -346,6 +342,37 @@ def union_stats(
         docs[by_term],
         tfs[by_term],
     )
+
+
+def split_stats(stats: IndexStats, shard_of_row: np.ndarray, num_shards: int) -> list[IndexStats]:
+    """``stats`` cut into one set per shard, ``shard_of_row`` naming each
+    row's: column for column what :func:`build_stats` gives over the shard's
+    documents, cut from one stable grouping by shard of the rows and one of
+    the (term-major) entries."""
+    entry_doc = stats.entry_doc.astype(np.int64)
+    sizes = np.diff(stats.term_starts.astype(np.int64))
+    entry_term = np.repeat(np.arange(len(sizes)), sizes)
+    groups = [
+        np.split(np.argsort(of, kind="stable"), np.cumsum(np.bincount(of, minlength=num_shards)[:-1]))
+        for of in (shard_of_row, shard_of_row[entry_doc])
+    ]
+    terms, parts = stats.terms(), []
+    for own, picked in zip(*groups):
+        counts = np.bincount(entry_term[picked], minlength=len(sizes))
+        present = np.flatnonzero(counts).tolist()
+        used, doc_blob = np.unique(stats.doc_blob[own], return_inverse=True)
+        columns = [column[own] for column in (stats.doc_offset, stats.doc_length, stats.doc_words)]
+        parts.append(
+            _assemble(
+                [stats.blobs[at] for at in used.tolist()],
+                (doc_blob, *columns),
+                [terms[at] for at in present],
+                counts[present],
+                np.searchsorted(own, entry_doc[picked]),
+                stats.entry_tf[picked],
+            )
+        )
+    return parts
 
 
 def encode_stats(stats: IndexStats) -> bytes:

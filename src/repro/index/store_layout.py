@@ -240,11 +240,10 @@ def open_headers(
     """Download and decode the header of every build in ``index_names``.
 
     One batch asks each build for its header (a sharded build's holds every
-    shard's share of it) *and* its retired ``shards.json`` (either may be
-    missing), and carries the ``riders`` — blobs the caller wants from the
-    same wave, each read as "missing is an answer".  ``fetched`` holds what
-    the caller already read (blob → payload, ``None`` for a blob that is not
-    there): those are not asked for again.  Raises
+    shard's share of it) and carries the ``riders`` — blobs the caller wants
+    from the same wave, each read as "missing is an answer".  ``fetched``
+    holds what the caller already read (blob → payload, ``None`` for a blob
+    that is not there): those are not asked for again.  Raises
     :class:`~repro.storage.base.BlobNotFoundError` when a named build is not
     there, :class:`UnsupportedIndexFormatError` when it is in a retired
     layout, :class:`CorruptIndexError` when a blob does not decode.
@@ -253,19 +252,15 @@ def open_headers(
 
     have = dict(fetched or {})
     reads = [
-        RangeRead(blob, optional=True)
+        RangeRead(header_blob_name(name), optional=True)
         for name in index_names
-        for blob in (shard_manifest_blob_name(name), header_blob_name(name))
-        if blob not in have
+        if header_blob_name(name) not in have
     ] + [RangeRead(blob, optional=True) for blob in riders]
 
     def opened(name: str) -> OpenedBuild:
-        header, retired = header_blob_name(name), shard_manifest_blob_name(name)
+        header = header_blob_name(name)
         if have[header] is None:
-            if have[retired] is not None:
-                raise UnsupportedIndexFormatError(
-                    retired, "a shards.json manifest", f"a sharded {HEADER_BLOB_SUFFIX}"
-                )
+            _refuse_retired_layout(store, name)
             raise BlobNotFoundError(header)
         manifest, members = decode_build_header(have[header], name)
         # A wave carries every shard's reads: a budget per shard.
@@ -275,11 +270,7 @@ def open_headers(
         return OpenedBuild(name, manifest, members, width)
 
     # What the caller read already opens first: a sharded base widens the wave.
-    builds = {
-        name: opened(name)
-        for name in index_names
-        if {header_blob_name(name), shard_manifest_blob_name(name)} <= have.keys()
-    }
+    builds = {name: opened(name) for name in index_names if header_blob_name(name) in have}
     elapsed_ms = 0.0
     if reads:
         width = max([max_concurrency, *(build.max_concurrency for build in builds.values())])
@@ -288,6 +279,17 @@ def open_headers(
         have.update((read.blob, payload) for read, payload in zip(reads, fetch.payloads))
     opened_builds = [builds.get(name) or opened(name) for name in index_names]
     return OpenedHeaders(opened_builds, {blob: have[blob] for blob in riders}, elapsed_ms)
+
+
+def _refuse_retired_layout(store: ObjectStore, name: str) -> None:
+    """Raise :class:`UnsupportedIndexFormatError` when build ``name``, whose
+    header is missing, is a ``shards.json`` build.  Asked only once a header
+    is found missing, so no open that succeeds pays for it."""
+    retired = shard_manifest_blob_name(name)
+    if store.exists(retired):
+        raise UnsupportedIndexFormatError(
+            retired, "a shards.json manifest", f"a sharded {HEADER_BLOB_SUFFIX}"
+        )
 
 
 def open_index(
@@ -302,9 +304,8 @@ def open_index(
     """Open logical index ``name`` in at most two dependent waves.
 
     Wave 1 is one batch of "missing is an answer" reads for every blob that
-    says what the index *is*: the in-place header and retired shard
-    manifest, the update manifest and — with ``probe_ingest`` — the ingest
-    manifest.  A lone build, plain or sharded, is fully open after it.
+    says what the index *is*: the in-place header, the update manifest and
+    — with ``probe_ingest`` — the ingest manifest.  A lone build, plain or sharded, is fully open after it.
     Wave 2, only when the manifests name more, is one :func:`open_headers`
     batch over every member not yet in hand with every WAL blob the ingest
     manifest may need riding along — the probed segment range, listed
@@ -314,13 +315,14 @@ def open_index(
     ``name``: that manifest alone decides where the base lives, so wave 1
     does not speculate on an in-place build that may be a retired leftover.
     ``base_only`` leaves the deltas unopened (descriptions need the base).
-    Raises ``KeyError`` when none of the discovery blobs is there.
+    Raises ``KeyError`` when neither the header nor the update manifest is
+    there (:class:`UnsupportedIndexFormatError` for a retired sharded build).
     """
     from repro.index.updates import IndexManifest
     from repro.ingest.wal import IngestManifest
 
     manifest_blob, ingest_blob = update_manifest_blob_name(name), ingest_manifest_blob(name)
-    blobs = [manifest_blob] if known else discovery_blobs(name)
+    blobs = [manifest_blob] if known else [header_blob_name(name), manifest_blob]
     if probe_ingest:
         blobs.append(ingest_blob)
     fetch = store.read_batch([RangeRead(blob, optional=True) for blob in blobs], max_concurrency)
@@ -332,6 +334,7 @@ def open_index(
             store, name, max_concurrency, probe_ingest=probe_ingest, base_only=base_only
         )
     if all(payload is None for payload in have.values()):
+        _refuse_retired_layout(store, name)
         raise KeyError(name)
     manifest = IndexManifest.from_bytes(name, have.pop(manifest_blob))
     opened = open_headers(

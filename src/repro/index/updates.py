@@ -351,10 +351,12 @@ class AppendOnlyIndexManager:
         reads.
         """
         postings: set[Posting] = set()
+        blobs: dict[str, bytes] = {}
         for compacted in headers:
-            # One read of the member's superpost blob, sliced by the
-            # pointer columns: never a dependent range read per bin.
-            blob = self._store.get(compacted.superpost_blob_name)
+            # One read of each superpost blob (a sharded build's shards share
+            # one), sliced by the pointer columns: never a range read per bin.
+            name = compacted.superpost_blob_name
+            blob = blobs[name] = blobs[name] if name in blobs else self._store.get(name)
             for offset, length in compacted.mht.ranges():
                 if length:
                     postings.update(

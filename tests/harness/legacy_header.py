@@ -8,6 +8,9 @@ prove nothing else changed:
 
 * :func:`encode_legacy_header` — the old ``encode_header``, kept as the
   fixture writer for JSON-headed indexes;
+* :func:`encode_plain_v3_header` — a plain build's v3 header written column
+  after column with no padding, as every v3 writer has laid it out, which
+  the reader must keep opening byte for byte;
 * :func:`downgrade_headers` — rewrites the headers of already-built plain
   indexes in a store to that JSON form, yielding the index an older build
   would have left behind (same ``superposts.bin``, same pointers);
@@ -27,6 +30,7 @@ prove nothing else changed:
 from __future__ import annotations
 
 import json
+import struct
 from collections import defaultdict
 from dataclasses import replace
 from typing import Mapping
@@ -39,6 +43,7 @@ from repro.core.mht import MultilayerHashTable
 from repro.core.sketch import IoUSketch
 from repro.index.compaction import (
     HEADER_BLOB_SUFFIX,
+    HEADER_MAGIC,
     RETIRED_SHARDED_MAGIC,
     CompactedSketch,
     decode_build_header,
@@ -92,6 +97,34 @@ def encode_legacy_header(compacted: CompactedSketch) -> bytes:
         "metadata": compacted.metadata.to_dict() if compacted.metadata else None,
     }
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+def encode_plain_v3_header(compacted: CompactedSketch) -> bytes:
+    """A plain (unsharded) build's v3 header: prefix, preamble, then the five
+    pointer columns back to back — u32 bin ids after ``W``-wide pointers, so
+    with ``W`` = 8 and an odd number of bins the blob ends off an 8-byte
+    boundary, with nothing after the last id."""
+    mht = compacted.mht
+    preamble = json.dumps(
+        {
+            "codec_version": compacted.format_version,
+            "seed": mht.hasher.seed,
+            "num_layers": mht.num_layers,
+            "bins_per_layer": mht.bins_per_layer,
+            "superpost_blob": mht.blob,
+            "superpost_bytes": mht.blob_bytes,
+            "num_pointers": len(mht.bin_ids),
+            "pointer_width": mht.offsets.itemsize,
+            "common_words": list(mht.common_words),
+            "string_table": compacted.string_table.to_list(),
+            "metadata": compacted.metadata.to_dict() if compacted.metadata else None,
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    preamble += b" " * (-len(preamble) % 8)
+    prefix = struct.pack("<8sII", HEADER_MAGIC, 3, len(preamble))
+    columns = [np.asarray(c).astype(f"<u{c.itemsize}", copy=False) for c in mht.columns]
+    return b"".join([prefix, preamble, *(column.tobytes() for column in columns)])
 
 
 def _plain_headers(store: ObjectStore, prefix: str) -> list[str]:

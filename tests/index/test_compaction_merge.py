@@ -115,11 +115,9 @@ def test_compaction_reads_only_manifests_and_one_wave_of_statistics(shards, part
         ["read_batch", ""],
     ]
     headers, stats = _waves(recording.calls)
-    # Every member's header (a sharded base's one container holds its shard
-    # headers and manifest), then every member's statistics.
-    assert sorted(headers) == sorted(
-        f"{member}/{blob}" for member in members for blob in ("shards.json", "header.json")
-    )
+    # Every member's header (a sharded base's one header holds its shards'
+    # split and manifest), then every member's statistics.
+    assert sorted(headers) == sorted(f"{member}/header.json" for member in members)
     expected_members = (
         [f"live/shard-{shard:04d}" for shard in range(shards)] if shards > 1 else members[:1]
     ) + members[1:]

@@ -8,9 +8,9 @@ cache on (the default); the two queries share no range, so the cold log is
 the same as an uncached one.  Moving who resolves name → manifest
 → members → headers, or who issues a wave, must not move a single store call
 on the open/query path; a change that *means* to regenerates the golden on
-purpose (last: a sharded build became one sketch, so its lookups read
-sub-ranges of one ``superposts.bin``; before that, its shard headers came to
-ride its own ``header.json``, so its open is the discovery batch alone)::
+purpose (last: an open stopped asking for the retired ``shards.json``,
+which only a missing header now probes; before that, a sharded build became
+one sketch, so its lookups read sub-ranges of one ``superposts.bin``)::
 
     PYTHONPATH=src:tests python tests/index/test_golden_store_calls.py
 """
@@ -95,7 +95,7 @@ def test_a_query_costs_two_batches_however_many_members():
         # The open: the discovery batch, then (deltas) the headers it names.  Per query: lookup + documents — the first ranked query's
         # lookup also reads every member's statistics.
         assert len(batches) == opens + 2 + 2, (name, batches)
-        assert batches[0] == 4, name  # shards.json, header.json, manifest.json, ingest.json
+        assert batches[0] == 3, name  # header.json, manifest.json, ingest.json
         assert batches[opens + 1] == 62, name  # the keyword query's documents
         assert batches[-1] == 10, name  # the ranked query's winners
 

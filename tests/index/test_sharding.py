@@ -2,13 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder, BuiltShardedIndex
 from repro.index.metadata import ShardEntry, ShardManifest, merge_shard_metadata
-from repro.index.sharding import partition_documents, shard_index_name
+from repro.index.sharding import route_rows, shard_index_name
+from repro.index.stats import build_stats
 from repro.index.store_layout import open_headers
+from repro.parsing.tokenizer import WhitespaceAnalyzer
 
 
 def read_shard_manifest(store, name):
@@ -16,29 +19,32 @@ def read_shard_manifest(store, name):
     return open_headers(store, [name]).builds[0].manifest
 
 
+def _rows(documents):
+    return build_stats(documents, WhitespaceAnalyzer())
+
+
 class TestPartitioning:
     def test_partitions_are_disjoint_and_complete(self, small_documents):
-        partitions = partition_documents(small_documents, 3, "hash")
-        assert len(partitions) == 3
-        flattened = [document for partition in partitions for document in partition]
-        assert sorted(d.ref for d in flattened) == sorted(d.ref for d in small_documents)
+        shards = route_rows(_rows(small_documents), 3, "hash")
+        assert len(shards) == len(small_documents)
+        assert set(shards.tolist()) <= {0, 1, 2}
 
     def test_hash_partitioning_is_stable_across_orderings(self, small_documents):
-        forward = partition_documents(small_documents, 4, "hash")
-        backward = partition_documents(list(reversed(small_documents)), 4, "hash")
-        for shard in range(4):
-            assert {d.ref for d in forward[shard]} == {d.ref for d in backward[shard]}
+        forward, backward = _rows(small_documents), _rows(list(reversed(small_documents)))
+        assert dict(zip(forward.docs, route_rows(forward, 4).tolist())) == dict(
+            zip(backward.docs, route_rows(backward, 4).tolist())
+        )
 
     def test_round_robin_is_balanced(self, small_documents):
-        partitions = partition_documents(small_documents, 5, "round-robin")
-        sizes = [len(partition) for partition in partitions]
+        shards = route_rows(_rows(small_documents), 5, "round-robin")
+        sizes = np.bincount(shards, minlength=5)
         assert max(sizes) - min(sizes) <= 1
 
     def test_invalid_arguments_rejected(self, small_documents):
         with pytest.raises(ValueError):
-            partition_documents(small_documents, 0, "hash")
+            route_rows(_rows(small_documents), 0, "hash")
         with pytest.raises(ValueError):
-            partition_documents(small_documents, 2, "modulo")
+            route_rows(_rows(small_documents), 2, "modulo")
 
 
 class TestShardManifest:
@@ -94,9 +100,8 @@ class TestShardedBuild:
     ):
         builder = AirphantBuilder(sim_store, config=small_config, num_shards=3)
         built = builder.build_from_documents(small_documents, index_name="sharded")
-        partitions = partition_documents(small_documents, 3, "hash")
-        for entry, partition in zip(built.manifest.shards, partitions):
-            assert entry.num_documents == len(partition)
+        sizes = np.bincount(route_rows(_rows(small_documents), 3), minlength=3)
+        assert [entry.num_documents for entry in built.manifest.shards] == sizes.tolist()
 
     def test_single_shard_build_keeps_legacy_layout(
         self, sim_store, small_documents, small_config
@@ -194,6 +199,22 @@ class TestShardedBuild:
 
 
 class TestShardedBaseWithDeltas:
+    def test_enumerating_a_sharded_base_reads_its_superposts_once(
+        self, sim_store, small_documents, small_config
+    ):
+        from harness.stores import RecordingStore
+
+        from repro.index.updates import AppendOnlyIndexManager
+
+        AirphantBuilder(sim_store, config=small_config, num_shards=4).build_from_documents(
+            small_documents, index_name="idx"
+        )
+        store = RecordingStore(sim_store)
+        enumerated = AppendOnlyIndexManager(store, base_index="idx").indexed_documents()
+        assert {document.ref for document in enumerated} == {d.ref for d in small_documents}
+        reads = [blob for method, blob, _, _ in store.calls if method == "get"]
+        assert reads.count("idx/superposts.bin") == 1
+
     def test_append_and_compact_work_on_a_sharded_base(
         self, sim_store, small_documents, small_config
     ):

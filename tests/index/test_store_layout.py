@@ -202,7 +202,7 @@ class TestOpener:
         budget = RecordingStore(backend)
         AirphantSearcher.open(budget, "sharded")
         AppendOnlyIndexManager(budget, "sharded").manifest()
-        assert budget.round_trips == 2  # shards.json + header.json, manifest
+        assert budget.round_trips == 2  # header.json, manifest
 
         observed = RecordingStore(backend)
         with AirphantService(observed, ServiceConfig(ingest_interval_s=0)) as service:

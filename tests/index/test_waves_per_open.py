@@ -2,14 +2,15 @@
 
 The open-path twin of ``tests/search/test_waves_per_query.py``.  A cold node
 asks for every blob that says what an index *is* — header (a sharded
-build's holds every shard's split of one sketch), retired shard manifest,
-update manifest, ingest manifest — as one batch of "missing is an answer" reads;
-whatever those name (member headers, WAL segments, tombstone records) is one
-more.  A sharded build in a retired layout (a header container per shard,
-or ``shards.json``; ``harness.legacy_header.retire_sharded_layout``) costs
-no wave more: it is a typed "rebuild" error.  No ``exists`` anywhere,
-nothing re-read on a reopen that this process already knows, and a name that
-is not there costs the one discovery batch.
+build's holds every shard's split of one sketch), update manifest, ingest
+manifest — as one batch of "missing is an answer" reads; whatever those
+name (member headers, WAL segments, tombstone records) is one more.  A
+sharded build in a retired layout (a header container per shard, or
+``shards.json``; ``harness.legacy_header.retire_sharded_layout``) costs no
+wave more: it is a typed "rebuild" error.  No ``exists`` on any open that
+succeeds, nothing re-read on a reopen that this process already knows, and
+a name that is not there costs the one discovery batch and the one probe
+for a retired ``shards.json`` a missing header earns.
 """
 
 from __future__ import annotations
@@ -122,14 +123,13 @@ def test_dependent_batches_before_the_first_query_wave(bucket, name, waves):
         assert len(batches) == waves, batches
         assert sorted(batches[0]) == sorted(
             f"{name}/{blob}"
-            for blob in ("shards.json", "header.json", "manifest.json", "ingest/ingest.json")
+            for blob in ("header.json", "manifest.json", "ingest/ingest.json")
         )
         assert searcher.search("INFO", top_k=3).documents
         if name == "live":
-            # Replay rode wave 2 beside the delta's shards.json / header.json
-            # pair: the probed segment range (the 20 segments, plus at most
+            # Replay rode wave 2 beside the delta's header.json: the probed segment range (the 20 segments, plus at most
             # one block of numbers no append wrote) and the tombstone record.
-            assert len(batches[1]) <= 2 + 20 + SEGMENT_BLOCK + 1
+            assert len(batches[1]) <= 1 + 20 + SEGMENT_BLOCK + 1
             assert sum("/tomb-" in blob for blob in batches[1]) == 1
             assert len(searcher.searchers) == 3  # base, delta, the replayed memtable
             found = searcher.search("unflushed").documents
@@ -171,11 +171,7 @@ def test_a_reopen_after_this_nodes_own_flush_reads_only_what_it_does_not_know(bu
         # This node wrote the manifest, and its live index is registered: the
         # manifest alone is wave 1, base and delta headers are wave 2.
         assert first == ["idx/manifest.json"]
-        assert sorted(second) == sorted(
-            f"{build}/{blob}"
-            for build in ("idx", "idx/delta-0000")
-            for blob in ("shards.json", "header.json")
-        )
+        assert sorted(second) == ["idx/delta-0000/header.json", "idx/header.json"]
         # After a compaction the in-place header lingers, retired, for one
         # generation of reader grace: a reopen must not download it.
         service.append_documents("idx", ["reopen needle two"])
@@ -195,12 +191,13 @@ def test_a_name_that_is_not_there_costs_the_discovery_batch_and_a_404(bucket):
         with pytest.raises(ServiceError) as caught:
             service.searcher("nothing-here")
         assert caught.value.info.status == 404
-        assert [len(batch) for batch in _batches(store.calls)] == [4]
-        assert store.round_trips == 1
+        assert [len(batch) for batch in _batches(store.calls)] == [3]
+        assert store.calls[-1][:2] == ["exists", "nothing-here/shards.json"]
+        assert store.round_trips == 2
         # A member prefix is not an index: refused before any read.
         with pytest.raises(ServiceError):
             service.searcher("deltas/delta-0000")
-        assert store.round_trips == 1
+        assert store.round_trips == 2
 
 
 class _BatchLog(SimulatedCloudStore):
@@ -238,7 +235,9 @@ def test_init_latency_is_the_sum_of_the_waves_the_open_issued(bucket, name):
         assert metrics.total_wait_ms + metrics.total_download_ms == pytest.approx(
             searcher.init_latency_ms
         )
-        assert None in [payload for batch in store.batches for payload in batch.payloads]
+        # Only a lone build, plain or sharded, has no update manifest to find.
+        payloads = [payload for batch in store.batches for payload in batch.payloads]
+        assert (None in payloads) == (name in ("plain", "sharded"))
     # The library spelling opens the builds it is handed, all in one batch.
     direct = _BatchLog(backend)
     manifest = AppendOnlyIndexManager(backend, name).manifest()

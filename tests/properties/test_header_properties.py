@@ -38,7 +38,7 @@ from repro.index.store_layout import CorruptIndexError
 from repro.parsing.documents import Posting
 from repro.storage.memory import InMemoryObjectStore
 
-from harness.legacy_header import encode_legacy_header
+from harness.legacy_header import encode_legacy_header, encode_plain_v3_header
 
 words_strategy = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Nd")), min_size=1, max_size=8
@@ -152,7 +152,12 @@ class TestWideTableRoundTrip:
             common_offsets=np.array([common_offset], dtype=dtype),
             common_lengths=np.array([common_length], dtype=dtype),
         )
-        data = encode_header(CompactedSketch(b"", table, StringTable(["blob-a"])))
+        compacted = CompactedSketch(b"", table, StringTable(["blob-a"]))
+        data = encode_header(compacted)
+        # A plain header is unpadded, so one written before sharded headers
+        # padded their columns (u64 pointers, an odd number of bins) is
+        # exactly this blob and keeps opening.
+        assert data == encode_plain_v3_header(compacted)
         decoded = decode_header(data).mht
         assert decoded.offsets.itemsize == (4 if blob_bytes < 2**32 else 8)
         assert decoded.blob_bytes == blob_bytes
@@ -168,6 +173,30 @@ class TestWideTableRoundTrip:
                     assert (pointer.offset, pointer.length) == (0, 0)
         assert decoded.pointers_for("the") == table.pointers_for("the")
         assert decoded.pointers_for("the")[0].offset == common_offset
+
+    def test_a_wide_header_with_an_odd_number_of_bins_opens_as_written(self):
+        # u64 pointers and three u32 bin ids: the blob ends 4 bytes past an
+        # 8-byte boundary, with no padding after the last id.
+        wide = np.array([2**33, 2**33 + 7, 2**33 + 20], dtype=np.uint64)
+        table = MultilayerHashTable(
+            hasher=LayeredHasher.build(2, 10, seed=4),
+            blob="wide/superposts.bin",
+            blob_bytes=2**33 + 40,
+            bin_ids=np.array([1, 12, 19], dtype=np.uint32),
+            offsets=wide,
+            lengths=np.array([7, 13, 5], dtype=np.uint64),
+            common_words=["a", "the"],
+            common_offsets=np.array([2**33 + 25, 2**33 + 30], dtype=np.uint64),
+            common_lengths=np.array([5, 10], dtype=np.uint64),
+        )
+        data = encode_plain_v3_header(CompactedSketch(b"", table, StringTable(["blob-a"])))
+        assert len(data) % 8 == 4
+        decoded = decode_header(data).mht
+        assert decoded.offsets.itemsize == 8
+        for word in ["a", "the", "error", "disk"]:
+            assert decoded.pointers_for(word) == table.pointers_for(word)
+        assert decoded.pointer_of(1, 9) == table.pointer_of(1, 9)
+        assert decode_build_header(data, "wide")[0] is None
 
 
 SHARD_CONFIG = SketchConfig(num_bins=64, seed=3, common_word_fraction=0.1)

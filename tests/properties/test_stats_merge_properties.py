@@ -18,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harness.legacy_stats import encode_legacy_stats
-from repro.index.stats import COLUMNS, build_stats, decode_stats, encode_stats, union_stats
+from repro.index.stats import (
+    COLUMNS,
+    build_stats,
+    decode_stats,
+    encode_stats,
+    split_stats,
+    union_stats,
+)
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import SimpleAnalyzer, WhitespaceAnalyzer
 from repro.profiling.profiler import profile_documents
@@ -94,12 +101,12 @@ def test_the_profile_of_the_columns_is_the_profile_of_the_text(documents, simple
 
 
 @settings(max_examples=80, deadline=None)
-@given(documents=documents_strategy, shards=st.integers(1, 4))
-def test_a_row_mask_splits_like_the_documents(documents, shards):
+@given(documents=documents_strategy, shards=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_a_row_mask_splits_like_the_documents(documents, shards, seed):
     tokenizer = SimpleAnalyzer()
     stats = build_stats(documents, tokenizer)
+    shard_of_row = np.random.default_rng(seed).integers(0, shards, stats.num_documents)
     unique = sorted({document.ref: document for document in reversed(documents)}.items())
-    for shard in range(shards):
-        keep = np.arange(stats.num_documents) % shards == shard
-        kept = [document for at, (_, document) in enumerate(unique) if at % shards == shard]
-        _same_columns(union_stats([stats], keep=keep), build_stats(kept, tokenizer))
+    for shard, part in enumerate(split_stats(stats, shard_of_row, shards)):
+        kept = [document for at, (_, document) in enumerate(unique) if shard_of_row[at] == shard]
+        _same_columns(part, build_stats(kept, tokenizer))

@@ -8,9 +8,9 @@ baselines) against a jittered, straggler-prone latency model and compares every
 :class:`~repro.search.results.LatencyBreakdown` with values captured before
 the store-level ``read_batch`` seam existed (``golden_latency.json``).  A
 refactor of the read stack that moves a draw, splits a wave differently or
-charges a byte twice fails here first (last: a sharded build became one
-sketch — a lookup reads one range per bin, and the shards share one layer
-count and one set of bins; only ``sharded`` moved).
+charges a byte twice fails here first (last: an open no longer asks for
+the retired ``shards.json``, so every draw after the open's moved up one;
+before that, a sharded build became one sketch).
 
 Regenerate (only when a latency change is intended)::
 

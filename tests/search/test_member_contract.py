@@ -22,7 +22,8 @@ import pytest
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
-from repro.index.sharding import partition_documents
+from repro.index.sharding import route_rows
+from repro.index.stats import build_stats
 from repro.ingest.memtable import MemtableMember, memtable_from_documents
 from repro.parsing.documents import Document
 from repro.parsing.tokenizer import WhitespaceAnalyzer
@@ -90,8 +91,9 @@ class Site:
             view = self.owner.restrict(VIEW_ORDINALS)
             assert view is not None and view is not self.owner
             self.member = view
-            partitions = partition_documents(self.documents, NUM_SHARDS)
-            self.held = [d for ordinal in VIEW_ORDINALS for d in partitions[ordinal]]
+            stats = build_stats(self.documents, TOKENIZER)
+            shard_of = dict(zip(stats.docs, route_rows(stats, NUM_SHARDS).tolist()))
+            self.held = [d for d in self.documents if shard_of[d.ref] in VIEW_ORDINALS]
 
     def truth(self, word: str) -> set:
         return {d.ref for d in self.held if word in TOKENIZER.distinct_terms(d.text)}
