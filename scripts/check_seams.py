@@ -46,9 +46,8 @@ one opener.  This script also fails on:
   layout are named in ``LAYOUT_HOMONYMS``: the bucket-root *listing*
   manifest of ``storage/listing.py`` and the ``/snapshots/`` URL route of
   ``service/http.py``;
-* a ``decode_build_header(``, ``decode_header(`` or
-  ``ShardManifest.from_json(`` call outside ``index/`` (the opener is the
-  one caller that reads them off a store).
+* a ``decode_build_header(`` or ``decode_header(`` call outside ``index/``
+  (the opener is the one caller that reads them off a store).
 
 Opening an index is at most two dependent waves of "missing is an answer"
 reads — never an ``exists`` before a ``get``.  This script also fails on:
@@ -89,6 +88,14 @@ or exactly adjacent ranges.  This script also fails on:
 * a ``coalesce_gap``, ``max_gap`` or ``query_cache…`` identifier (in code or
   a string literal) anywhere under ``src/repro`` — the knobs of gap
   bridging and of the per-word postings cache, both deleted.
+
+Each kind of stored blob has one format the engine reads; an index in an
+older one is rebuilt from its corpus, not read by a decoder kept forever.
+This script also fails on:
+
+* a ``FORMAT_V1``, ``SUPPORTED_FORMAT_VERSIONS`` or ``_decode_legacy_…``
+  identifier anywhere under ``src/repro`` but ``baselines/`` (whose postings
+  codec is their own).
 
 Comments and docstrings are ignored.  Exit code 1 lists every finding.
 
@@ -151,8 +158,8 @@ LAYOUT_HOMONYMS = {
     (("storage", "listing.py"), "manifest.json"),
     (("service", "http.py"), "/snapshots/"),
 }
-#: Header/manifest decoders only ``index/`` may call.
-_STORE_DECODERS = re.compile(r"\b(?:decode_build_header|decode_header|ShardManifest\.from_json)\(")
+#: Header decoders only ``index/`` may call.
+_STORE_DECODERS = re.compile(r"\b(?:decode_build_header|decode_header)\(")
 _STRING_PARTS = (tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING))
 _STATEMENT_BREAKS = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING)
 _INSIGNIFICANT = (tokenize.NL, tokenize.COMMENT)
@@ -194,6 +201,9 @@ PIPELINE_OWNER = ("search", "searcher.py")
 _PIPELINE_CONSTRUCTION = re.compile(r"\bReadPipeline\(")
 #: Knobs of deleted read-path mechanisms: gap bridging, the per-word cache.
 _RETIRED_KNOBS = re.compile(r"\b(?:coalesce_gap|max_gap|query_cache\w*)\b")
+#: Readers of retired on-store formats, and the package they may live in.
+_RETIRED_FORMATS = re.compile(r"\b(?:FORMAT_V1|SUPPORTED_FORMAT_VERSIONS|_decode_legacy_\w*)\b")
+RETIRED_FORMATS_ALLOWED = "baselines"
 
 _SIMULATOR_CHECK = re.compile(r"isinstance\([^)]*\bSimulatedCloudStore\b")
 _BATCH_RECORD = re.compile(r"\.batch\.")
@@ -306,7 +316,7 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
             if parts == ("search", "searcher.py") and _RESORT.search(text):
                 problems.append(f"{where}: the executor re-sorts candidates")
             if package != LAYOUT_FILE[0] and _STORE_DECODERS.search(text):
-                problems.append(f"{where}: header/manifest decoder called outside index/")
+                problems.append(f"{where}: header decoder called outside index/")
             if package == BUILD_PACKAGE and _RANGE_READ.search(text):
                 problems.append(f"{where}: a dependent get_range on the build side")
             if package == BUILD_PACKAGE and parts != ANALYSIS_FILE and _ANALYSIS.search(text):
@@ -319,6 +329,8 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 )
             if _RETIRED_KNOBS.search(text):
                 problems.append(f"{where}: retired read-path knob")
+            if package != RETIRED_FORMATS_ALLOWED and _RETIRED_FORMATS.search(text):
+                problems.append(f"{where}: reader of a retired on-store format")
             if _BATCH_RECORD.search(text):
                 problems.append(f"{where}: a per-request batch record read")
             if parts != STATS_FILE and _COUNTER_TABLE.search(text):

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python scripts/measure_crossover.py
 
-For posting lists of several lengths, times (best of five, µs) decoding one v2
+For posting lists of several lengths, times (best of five, µs) decoding one
 payload through the scalar decoder (a tuple of ``Posting``) and through the
 vectorised one (columns), and one keyword lookup either way: three layers
 decoded, intersected, and the first 23 candidates materialised.  The crossover
@@ -18,7 +18,6 @@ import timeit
 
 from repro.core.superpost import CROSSOVER, Superpost
 from repro.index.serialization import (
-    FORMAT_V2,
     StringTable,
     decode_superpost_columns,
     decode_superpost_scalar,
@@ -47,13 +46,13 @@ def main() -> None:
             layer = set(shared)
             while len(layer) < count:
                 layer.add(posting())
-            payloads.append(encode_superpost(layer, table, FORMAT_V2))
+            payloads.append(encode_superpost(layer, table))
 
         def scalar(payload: bytes) -> Superpost:
-            return Superpost.ordered(decode_superpost_scalar(payload, table, FORMAT_V2))
+            return Superpost.ordered(decode_superpost_scalar(payload, table))
 
         def columns(payload: bytes) -> Superpost:
-            return decode_superpost_columns(payload, table, FORMAT_V2)
+            return decode_superpost_columns(payload, table)
 
         def lookup(decode) -> list[Posting]:
             return Superpost.intersect_all([decode(p) for p in payloads]).take(0, 23)

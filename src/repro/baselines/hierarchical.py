@@ -13,9 +13,9 @@ from typing import Protocol, Sequence
 
 from repro.baselines._io import dependent_read
 from repro.baselines.base import SearchEngine
-from repro.baselines.inverted import InvertedIndex, PostingsFile
+from repro.baselines.inverted import InvertedIndex, PostingsFile, decode_postings
 from repro.core.mht import BinPointer
-from repro.index.serialization import StringTable, decode_superpost
+from repro.index.serialization import StringTable
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer
 from repro.search.results import LatencyBreakdown, SearchResult
@@ -88,7 +88,7 @@ class HierarchicalEngine(SearchEngine):
         payload = dependent_read(
             self._store, pointer.blob, pointer.offset, pointer.length, latency
         )
-        postings = list(decode_superpost(payload, self._string_table))
+        postings = decode_postings(payload, self._string_table)
         return postings, latency
 
     def search(self, query: str, top_k: int | None = None) -> SearchResult:

@@ -27,10 +27,7 @@ from repro.index.store_layout import (
 from repro.index.layout import coaccess_order, plain_order
 from repro.index.updates import AppendOnlyIndexManager, IndexManifest
 from repro.index.serialization import (
-    DEFAULT_FORMAT_VERSION,
-    FORMAT_V1,
-    FORMAT_V2,
-    SUPPORTED_FORMAT_VERSIONS,
+    CODEC_VERSION,
     StringTable,
     decode_superpost,
     decode_varint,
@@ -45,18 +42,15 @@ __all__ = [
     "IndexManifest",
     "BuiltIndex",
     "BuiltShardedIndex",
+    "CODEC_VERSION",
     "CompactedSketch",
     "CorruptIndexError",
-    "DEFAULT_FORMAT_VERSION",
-    "FORMAT_V1",
-    "FORMAT_V2",
     "HEADER_BLOB_SUFFIX",
     "IndexMetadata",
     "PARTITIONERS",
     "SHARD_MANIFEST_SUFFIX",
     "SHARD_MARKER",
     "SUPERPOST_BLOB_SUFFIX",
-    "SUPPORTED_FORMAT_VERSIONS",
     "ShardEntry",
     "ShardManifest",
     "StringTable",

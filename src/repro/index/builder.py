@@ -40,7 +40,7 @@ from repro.core.analysis import expected_false_positives
 from repro.core.sketch import PostingColumns, SketchColumns
 from repro.index.compaction import compact_sketch, encode_header
 from repro.index.metadata import IndexMetadata, ShardEntry, ShardManifest
-from repro.index.serialization import DEFAULT_FORMAT_VERSION
+from repro.index.serialization import CODEC_VERSION
 from repro.index.sharding import check_partitioning, route_rows
 from repro.index.stats import IndexStats, build_stats, encode_stats, split_stats
 from repro.index.store_layout import (
@@ -365,5 +365,5 @@ class AirphantBuilder:
             seed=self._config.seed,
             target_false_positives=self._config.target_false_positives,
             expected_false_positives=expected,
-            format_version=DEFAULT_FORMAT_VERSION,
+            format_version=CODEC_VERSION,
         )

@@ -14,16 +14,16 @@ preamble, then the sparse pointer table of :mod:`repro.core.mht` as
 little-endian integer columns that are handed to the table without a copy.
 Its preamble carries the superpost ``codec_version`` (see
 :mod:`repro.index.serialization`) — a different number from the container
-version: v1-coded superposts are readable forever, and the Searcher
-dispatches its decoder on whatever codec the header declares.  The JSON
-headers of earlier builds (leading ``{``) stay readable through one legacy
-decoder; every writer emits v3, so the next compaction upgrades them.  A
-sharded build is one sketch whose header points at *runs* — a bin's shard
-superposts back to back — and splits them (:class:`ShardedRuns`).
-Every build writes codec v2 and places the superposts inside the blob in
-co-access order (:mod:`repro.index.layout`); placement is invisible to
-readers, which only ever follow pointers, so the layer-major blobs of older
-builds read the same way.
+version.  There is one format epoch: container v3 over codec 2 is what every
+build writes and all the engine reads.  A header in any other format — the
+JSON headers of early builds, codec v1, the retired sharded container,
+another container version — is :class:`UnsupportedIndexFormatError`: the
+index is derived data, and the way forward is to rebuild it from its corpus.
+A sharded build is one sketch whose header points at *runs* — a bin's shard
+superposts back to back — and splits them (:class:`ShardedRuns`).  Every
+build places the superposts inside the blob in co-access order
+(:mod:`repro.index.layout`); placement is invisible to readers, which only
+ever follow pointers.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,8 +42,7 @@ from repro.core.sketch import IoUSketch, PostingColumns, SketchColumns
 from repro.index.layout import coaccess_order
 from repro.index.metadata import IndexMetadata, ShardManifest
 from repro.index.serialization import (
-    DEFAULT_FORMAT_VERSION,
-    SUPPORTED_FORMAT_VERSIONS,
+    CODEC_VERSION,
     StringTable,
     encode_superposts,
     uncompressed_superpost_bytes,
@@ -57,16 +56,22 @@ from repro.index.store_layout import (
 )
 from repro.observability.registry import get_registry
 
-#: Leading bytes of a v3 header; a legacy JSON header starts with ``{``.
+#: Leading bytes of a v3 header.
 HEADER_MAGIC = b"AIRPHDR\n"
 #: Version of the header container (not of the superpost codec).
 HEADER_CONTAINER_VERSION = 3
 #: Magic, then container version and preamble length as little-endian u32.
 _HEADER_PREFIX = struct.Struct("<8sII")
-#: Magic marker inside legacy JSON headers.
-_LEGACY_HEADER_MAGIC = "airphant-header"
 #: Leading bytes of the retired sharded-build container (a header per shard).
 RETIRED_SHARDED_MAGIC = b"AIRPSHD\n"
+#: Leading bytes of each header format this engine no longer reads -> what
+#: the blob holds.
+_RETIRED_HEADERS = {
+    b"{": "a JSON header",
+    RETIRED_SHARDED_MAGIC: "a sharded header container v1",
+}
+#: The one header format read.
+_READ_FORMAT = f"header container v{HEADER_CONTAINER_VERSION} over superpost codec v{CODEC_VERSION}"
 #: A sharded header's trailer: CRC-32 of every byte before it.
 _CHECKSUM = struct.Struct("<I")
 #: What a malformed blob makes the decoders' parsing steps raise.
@@ -92,17 +97,15 @@ class CompactedSketch:
 
     ``superpost_blob_data`` is the byte concatenation of all serialized
     superposts (empty when decoded from a header — the superposts themselves
-    stay in cloud storage); ``mht`` holds the pointers into it.
-    ``format_version`` names the superpost codec the blob was written with —
-    readers must hand it to ``decode_superpost``.  A sharded build's ``mht``
-    points at whole runs and ``shards`` splits them (:meth:`members`).
+    stay in cloud storage); ``mht`` holds the pointers into it.  A sharded
+    build's ``mht`` points at whole runs and ``shards`` splits them
+    (:meth:`members`).
     """
 
     superpost_blob_data: bytes
     mht: MultilayerHashTable
     string_table: StringTable
     metadata: IndexMetadata | None = None
-    format_version: int = DEFAULT_FORMAT_VERSION
     shards: ShardedRuns | None = None
 
     @property
@@ -117,14 +120,9 @@ class CompactedSketch:
             return [(build, self)]
         tables = self.mht.split(runs.lengths, runs.common_lengths)
         return [
-            (name, CompactedSketch(b"", table, self.string_table, metadata, self.format_version))
+            (name, CompactedSketch(b"", table, self.string_table, metadata))
             for name, metadata, table in zip(runs.manifest.shard_names, runs.metadata, tables)
         ]
-
-
-def _pointer_dtype(blob_bytes: int) -> type:
-    """u32 pointer columns, widening to u64 only when an offset needs it."""
-    return np.uint32 if blob_bytes < 1 << 32 else np.uint64
 
 
 def compact_sketch(
@@ -176,8 +174,9 @@ def compact_sketch(
     sizes = split.sum(axis=1)
 
     # Superposts are concatenated without padding, so offsets are the running
-    # sum of lengths in placement order; the table wants them in bin-id order.
-    dtype = _pointer_dtype(len(blob))
+    # sum of lengths in placement order; the table wants them in bin-id order,
+    # as u32 columns widened to u64 only when an offset needs it.
+    dtype = np.uint32 if len(blob) < 1 << 32 else np.uint64
     offsets, lengths = (np.cumsum(sizes) - sizes).astype(dtype), sizes.astype(dtype)
     count = len(placement)
     by_id = np.argsort(bin_ids)
@@ -211,7 +210,7 @@ def _split_lists(
 def _record_codec_bytes(raw_bytes: int, encoded_bytes: int) -> None:
     """Expose compression effectiveness on live nodes via ``/metrics``."""
     registry = get_registry()
-    labels = {"format": f"v{DEFAULT_FORMAT_VERSION}"}
+    labels = {"format": f"v{CODEC_VERSION}"}
     registry.counter(
         "airphant_codec_bytes_raw_total",
         help="Superpost bytes before compression (inline names, absolute offsets).",
@@ -239,7 +238,7 @@ def encode_header(compacted: CompactedSketch) -> bytes:
     """
     mht, runs = compacted.mht, compacted.shards
     fields = {
-        "codec_version": compacted.format_version,
+        "codec_version": CODEC_VERSION,
         "seed": mht.hasher.seed,
         "num_layers": mht.num_layers,
         "bins_per_layer": mht.bins_per_layer,
@@ -273,20 +272,22 @@ def encode_header(compacted: CompactedSketch) -> bytes:
     return body if runs is None else body + _CHECKSUM.pack(zlib.crc32(body))
 
 
-def decode_header(data: bytes) -> CompactedSketch:
-    """Inverse of :func:`encode_header`; also reads legacy JSON headers.
+def decode_header(data: bytes, blob: str = HEADER_BLOB_SUFFIX) -> CompactedSketch:
+    """Inverse of :func:`encode_header`.
 
-    The leading byte negotiates the container (``{`` is a v1/v2-era JSON
-    header, converted straight into the same pointer columns); any supported
-    superpost codec version is accepted.  Nothing in ``data`` is trusted:
-    every malformed, truncated or out-of-bounds header is a ``ValueError``.
-    The returned :class:`CompactedSketch` has an empty
-    ``superpost_blob_data``; its ``mht`` and ``string_table`` are complete.
+    A header in a format this engine does not read (a JSON header, the
+    retired sharded container, another container version or superpost
+    codec) is :class:`UnsupportedIndexFormatError` naming ``blob``.  Nothing
+    else in ``data`` is trusted: every malformed, truncated or out-of-bounds
+    header is a ``ValueError``.  The returned :class:`CompactedSketch` has
+    an empty ``superpost_blob_data``; its ``mht`` and ``string_table`` are
+    complete.
     """
+    for magic, found in _RETIRED_HEADERS.items():
+        if data.startswith(magic):
+            raise UnsupportedIndexFormatError(blob, found, _READ_FORMAT)
     try:
-        if data[:1] == b"{":
-            return _decode_legacy_header(data)
-        return _decode_v3_header(data)
+        return _decode_v3_header(data, blob)
     except _MALFORMED as error:
         raise ValueError(f"malformed Airphant header: {error!r}") from error
 
@@ -296,32 +297,33 @@ def decode_build_header(
 ) -> tuple[ShardManifest | None, list[tuple[str, CompactedSketch]]]:
     """What ``build``'s header says it is: no manifest and its own header, or
     a sharded build's manifest (of ``build``'s own shards) and each shard's
-    ``(name, header)``.  A retired sharded container is
+    ``(name, header)``.  A header in a format this engine does not read is
     :class:`UnsupportedIndexFormatError`, any other failure corrupt."""
     blob = header_blob_name(build)
-    if data.startswith(RETIRED_SHARDED_MAGIC):
-        raise UnsupportedIndexFormatError(
-            blob, "a sharded header container v1", f"header container v{HEADER_CONTAINER_VERSION}"
-        )
     try:
-        header = decode_header(data)
+        header = decode_header(data, blob)
         if header.shards is None:
             return None, [(build, header)]
         return header.shards.manifest.validated(build), header.members(build)
+    except UnsupportedIndexFormatError:
+        raise
     except (ValueError, *_MALFORMED) as error:
         raise CorruptIndexError(blob, error) from error
 
 
-def _decode_v3_header(data: bytes) -> CompactedSketch:
+def _decode_v3_header(data: bytes, blob: str) -> CompactedSketch:
     magic, version, preamble_bytes = _HEADER_PREFIX.unpack_from(data)
     if magic != HEADER_MAGIC:
         raise ValueError("not an Airphant header blob")
     if version != HEADER_CONTAINER_VERSION:
-        raise ValueError(f"unsupported header container version {version}")
+        raise UnsupportedIndexFormatError(blob, f"header container v{version}", _READ_FORMAT)
     position = _HEADER_PREFIX.size + preamble_bytes
     if position > len(data):
         raise ValueError("header truncated inside its preamble")
     fields = json.loads(data[_HEADER_PREFIX.size : position])
+    codec = fields["codec_version"]
+    if codec != CODEC_VERSION:
+        raise UnsupportedIndexFormatError(blob, f"superpost codec v{codec}", _READ_FORMAT)
     count, width = fields["num_pointers"], fields["pointer_width"]
     common_words = fields["common_words"]
     if width not in (4, 8) or not isinstance(count, int) or count < 0:
@@ -361,30 +363,14 @@ def _decode_v3_header(data: bytes) -> CompactedSketch:
         _hasher_of(fields), fields["superpost_blob"], fields["superpost_bytes"],
         bin_ids, offsets, lengths, common_words, common_offsets, common_lengths,
     )
-    return replace(_decoded_sketch(mht, fields, fields["codec_version"]), shards=runs)
-
-
-def _decode_legacy_header(data: bytes) -> CompactedSketch:
-    """Read a JSON header (one ``[offset, length]`` pair per bin, empty or not)."""
-    fields = json.loads(data)
-    if fields["magic"] != _LEGACY_HEADER_MAGIC:
-        raise ValueError("not an Airphant header blob")
-    hasher = _hasher_of(fields)
-    table = np.array(fields["pointers"], dtype=np.uint64)
-    table = table.reshape(hasher.num_layers * hasher.bins_per_layer, 2)
-    common_words = sorted(fields["common_words"])
-    common = np.array([fields["common_words"][word] for word in common_words], np.uint64)
-    common = common.reshape(len(common_words), 2)
-    bin_ids = np.flatnonzero(table[:, 1])
-    table = table[bin_ids]
-    blob_bytes = int(max(table.sum(axis=1).max(initial=0), common.sum(axis=1).max(initial=0)))
-    dtype = _pointer_dtype(blob_bytes)
-    mht = MultilayerHashTable(
-        hasher, fields["superpost_blob"], blob_bytes,
-        bin_ids.astype(np.uint32), table[:, 0].astype(dtype), table[:, 1].astype(dtype),
-        common_words, common[:, 0].astype(dtype), common[:, 1].astype(dtype),
+    metadata = fields.get("metadata")
+    return CompactedSketch(
+        superpost_blob_data=b"",
+        mht=mht,
+        string_table=StringTable.from_list(fields["string_table"]),
+        metadata=IndexMetadata.from_dict(metadata) if metadata else None,
+        shards=runs,
     )
-    return _decoded_sketch(mht, fields, fields["format_version"])
 
 
 def _hasher_of(fields: Mapping[str, object]) -> LayeredHasher:
@@ -392,18 +378,3 @@ def _hasher_of(fields: Mapping[str, object]) -> LayeredHasher:
     if not (isinstance(layers, int) and isinstance(bins, int) and 0 < layers * bins <= 1 << 32):
         raise ValueError("header layer shape out of range")
     return LayeredHasher.build(num_layers=layers, bins_per_layer=bins, seed=fields["seed"])
-
-
-def _decoded_sketch(
-    mht: MultilayerHashTable, fields: Mapping[str, object], codec_version: object
-) -> CompactedSketch:
-    if codec_version not in SUPPORTED_FORMAT_VERSIONS:
-        raise ValueError(f"unsupported superpost codec version {codec_version}")
-    metadata = fields.get("metadata")
-    return CompactedSketch(
-        superpost_blob_data=b"",
-        mht=mht,
-        string_table=StringTable.from_list(fields["string_table"]),
-        metadata=IndexMetadata.from_dict(metadata) if metadata else None,
-        format_version=codec_version,
-    )

@@ -6,38 +6,32 @@ compression table that replaces repeated blob names inside postings with
 small integer keys; we implement an equivalent varint-based codec so the
 bytes-per-superpost (and hence download volume) behaves the same way.
 
-Two on-disk codec versions exist (negotiated through the header blob's
-``format_version``; see :mod:`repro.index.compaction`); both are read
-forever, and every build writes v2:
+The codec — :data:`CODEC_VERSION` 2, which the header blob declares (see
+:mod:`repro.index.compaction`); the absolute-offset v1 of early builds is
+not read, and an index written in it is rebuilt — groups postings by blob
+key: each group stores its key and count once, then its postings sorted by
+offset with **delta-coded** offsets (lengths stay absolute). Deltas between
+neighbouring documents are tiny compared to absolute offsets, so the varints
+collapse to one or two bytes. It emits postings in the global ``(blob,
+offset, length)`` sort order, which is the order a
+:class:`~repro.core.superpost.Superpost` keeps, so :func:`decode_superpost`
+adopts what it decodes and nothing re-sorts. It has two decoders, chosen by
+payload size (:data:`~repro.core.superpost.CROSSOVER`): a short payload goes
+through the scalar varint loop into a tuple of ``Posting`` — also the
+reference the tests hold the other one to — and a long one through a
+vectorised LEB128 pass (``np.frombuffer`` → the varints' last bytes → one
+masked shift-and-or per byte position, ``cumsum`` for the offset deltas,
+blob keys mapped through the string table's name ranks) straight into
+columns, creating no ``Posting``. The vectorised pass holds a varint in an
+``int64``: it rejects 10-byte varints (values from 2**63) where the scalar
+loop accepts them.
 
-* **v1** — ``varint(count)`` then one ``(blob_key, offset, length)`` varint
-  triple per posting in sorted order.  Offsets are absolute, so every
-  posting pays the full magnitude of its byte offset.
-* **v2** — postings are grouped by blob key; each group stores its key and
-  count once, then its postings sorted by offset with **delta-coded**
-  offsets (lengths stay absolute).  Deltas between neighbouring documents
-  are tiny compared to absolute offsets, so the varints collapse to one or
-  two bytes — the dominant term in the measured ≥1.5× size reduction.
-
-Both codecs emit postings in the global ``(blob, offset, length)`` sort
-order, which is the order a :class:`~repro.core.superpost.Superpost` keeps,
-so :func:`decode_superpost` adopts what it decodes and nothing re-sorts.  It
-has two decoders per codec, chosen by payload size
-(:data:`~repro.core.superpost.CROSSOVER`): a short payload goes through the
-scalar varint loop into a tuple of ``Posting`` — also the reference the
-tests hold the other one to — and a long one through a vectorised LEB128
-pass (``np.frombuffer`` → the varints' last bytes → one masked shift-and-or
-per byte position, ``cumsum`` for v2's offset deltas, blob keys mapped
-through the string table's name ranks) straight into columns, creating no
-``Posting``.  The vectorised pass holds a varint in an ``int64``: it rejects
-10-byte varints (values from 2**63) where the scalar loop accepts them.
-
-The build side writes a whole v2 blob at once: :func:`encode_superposts`
+The build side writes a whole blob at once: :func:`encode_superposts`
 takes every superpost of the blob back to back as :class:`PostingColumns`
 and emits the blob's varint stream in one vectorised pass
 (:func:`encode_varints`, the twin of :func:`decode_varints`), byte-identical
 to concatenating :func:`encode_superpost` over them — which stays the scalar
-reference for one superpost, of any collection of postings, in either codec.
+reference for one superpost, of any collection of postings.
 """
 
 from __future__ import annotations
@@ -51,14 +45,8 @@ from repro.core.sketch import PostingColumns
 from repro.core.superpost import CROSSOVER, POSTING_ORDER, Superpost
 from repro.parsing.documents import Posting
 
-#: The original absolute-offset codec (read forever, written by no build).
-FORMAT_V1 = 1
-#: The blob-grouped, offset-delta codec (what every build writes).
-FORMAT_V2 = 2
-#: Codec versions this build can decode.
-SUPPORTED_FORMAT_VERSIONS = (FORMAT_V1, FORMAT_V2)
-#: Codec every build writes.
-DEFAULT_FORMAT_VERSION = FORMAT_V2
+#: The superpost codec every build writes and the engine reads.
+CODEC_VERSION = 2
 
 
 def encode_varint(value: int) -> bytes:
@@ -159,46 +147,20 @@ class StringTable:
         return cls(names=list(names))
 
 
-def encode_superpost(
-    postings: Iterable[Posting], string_table: StringTable, format_version: int = FORMAT_V1
-) -> bytes:
-    """Serialize a superpost (any collection of distinct postings) to bytes
-    in the requested codec version.
+def encode_superpost(postings: Iterable[Posting], string_table: StringTable) -> bytes:
+    """Serialize a superpost (any collection of distinct postings) to bytes.
 
-    v1 layout: ``varint(count)`` followed by, for each posting in sorted
-    order, ``varint(blob_key) varint(offset) varint(length)``.  Sorting makes
-    the encoding deterministic and keeps offsets of adjacent documents close,
-    which helps the varints stay short.
-
-    v2 layout: ``varint(num_groups)`` followed by one group per distinct
-    blob — ``varint(blob_key) varint(count)`` then ``count`` postings sorted
-    by ``(offset, length)`` as ``varint(offset_delta) varint(length)``, where
-    the first delta is the absolute offset and each later delta is the gap to
-    the previous posting's offset.
+    Layout: ``varint(num_groups)`` followed by one group per distinct blob —
+    ``varint(blob_key) varint(count)`` then ``count`` postings sorted by
+    ``(offset, length)`` as ``varint(offset_delta) varint(length)``, where
+    the first delta is the absolute offset and each later delta is the gap
+    to the previous posting's offset.
     """
-    if format_version not in SUPPORTED_FORMAT_VERSIONS:
-        raise ValueError(f"unsupported superpost codec version {format_version}")
-    ordered = sorted(postings, key=POSTING_ORDER)
-    if format_version == FORMAT_V1:
-        return _encode_v1(ordered, string_table)
-    return _encode_v2(ordered, string_table)
-
-
-def _encode_v1(postings: list[Posting], string_table: StringTable) -> bytes:
-    out = bytearray(encode_varint(len(postings)))
-    for posting in postings:
-        out += encode_varint(string_table.intern(posting.blob))
-        out += encode_varint(posting.offset)
-        out += encode_varint(posting.length)
-    return bytes(out)
-
-
-def _encode_v2(postings: list[Posting], string_table: StringTable) -> bytes:
     # Sorted by (blob, offset, length), the postings of one blob form a
     # consecutive run already sorted by offset — exactly the group order the
     # codec wants, with non-negative offset deltas.
     groups: list[tuple[str, list[Posting]]] = []
-    for posting in postings:
+    for posting in sorted(postings, key=POSTING_ORDER):
         if groups and groups[-1][0] == posting.blob:
             groups[-1][1].append(posting)
         else:
@@ -215,37 +177,24 @@ def _encode_v2(postings: list[Posting], string_table: StringTable) -> bytes:
     return bytes(out)
 
 
-def decode_superpost(
-    data: bytes, string_table: StringTable, format_version: int = FORMAT_V1
-) -> Superpost:
-    """Inverse of :func:`encode_superpost`, dispatching on the codec version
-    and on the payload's size: at most ``2 * CROSSOVER`` bytes decode through
-    the scalar loop into a tuple of postings, more through the vectorised
-    pass into columns.  Either way the list arrives in order and is adopted
-    as is — no per-decode sort or hash on the query hot path.
+def decode_superpost(data: bytes, string_table: StringTable) -> Superpost:
+    """Inverse of :func:`encode_superpost`, dispatching on the payload's
+    size: at most ``2 * CROSSOVER`` bytes decode through the scalar loop
+    into a tuple of postings, more through the vectorised pass into columns.
+    Either way the list arrives in order and is adopted as is — no
+    per-decode sort or hash on the query hot path.
     """
-    if format_version not in SUPPORTED_FORMAT_VERSIONS:
-        raise ValueError(f"unsupported superpost codec version {format_version}")
     if len(data) > 2 * CROSSOVER:
-        return decode_superpost_columns(data, string_table, format_version)
-    return Superpost.ordered(decode_superpost_scalar(data, string_table, format_version))
+        return decode_superpost_columns(data, string_table)
+    return Superpost.ordered(decode_superpost_scalar(data, string_table))
 
 
-def decode_superpost_scalar(
-    data: bytes, string_table: StringTable, format_version: int
-) -> list[Posting]:
+def decode_superpost_scalar(data: bytes, string_table: StringTable) -> list[Posting]:
     """One varint at a time, one ``Posting`` per posting: the short-payload
     path, and the reference decoder."""
     postings: list[Posting] = []
-    leading, pos = decode_varint(data, 0)  # v1: postings; v2: blob groups
-    if format_version == FORMAT_V1:
-        for _ in range(leading):
-            blob_key, pos = decode_varint(data, pos)
-            offset, pos = decode_varint(data, pos)
-            length, pos = decode_varint(data, pos)
-            postings.append(Posting(string_table.lookup(blob_key), offset, length))
-        return postings
-    for _ in range(leading):
+    groups, pos = decode_varint(data, 0)
+    for _ in range(groups):
         blob_key, pos = decode_varint(data, pos)
         blob = string_table.lookup(blob_key)
         count, pos = decode_varint(data, pos)
@@ -287,39 +236,31 @@ def decode_varints(data: bytes) -> np.ndarray:
     return values
 
 
-def decode_superpost_columns(
-    data: bytes, string_table: StringTable, format_version: int
-) -> Superpost:
+def decode_superpost_columns(data: bytes, string_table: StringTable) -> Superpost:
     """The vectorised decoder: the payload's varints as one column, cut into
     blob-rank, offset and length columns without creating a ``Posting``."""
     values = decode_varints(data)
     names, rank_of_key = string_table.ranks()
     if not len(values):
         raise ValueError("truncated varint")
-    if format_version == FORMAT_V1:
-        body = values[1 : 1 + 3 * int(values[0])]
-        if len(body) != 3 * int(values[0]):
+    group_keys: list[int] = []
+    counts: list[int] = []
+    bodies: list[np.ndarray] = []
+    pos = 1
+    for _ in range(int(values[0])):
+        if pos + 2 > len(values):
             raise ValueError("truncated varint")
-        keys, offsets, lengths = body[0::3], body[1::3], body[2::3]
-    else:
-        group_keys: list[int] = []
-        counts: list[int] = []
-        bodies: list[np.ndarray] = []
-        pos = 1
-        for _ in range(int(values[0])):
-            if pos + 2 > len(values):
-                raise ValueError("truncated varint")
-            count = int(values[pos + 1])
-            body = values[pos + 2 : pos + 2 + 2 * count]
-            if len(body) != 2 * count:
-                raise ValueError("truncated varint")
-            group_keys.append(int(values[pos]))
-            counts.append(count)
-            bodies.append(body)
-            pos += 2 + 2 * count
-        keys = np.repeat(np.array(group_keys, np.int64), counts)
-        offsets = np.concatenate([np.cumsum(body[0::2]) for body in bodies] or [keys])
-        lengths = np.concatenate([body[1::2] for body in bodies] or [keys])
+        count = int(values[pos + 1])
+        body = values[pos + 2 : pos + 2 + 2 * count]
+        if len(body) != 2 * count:
+            raise ValueError("truncated varint")
+        group_keys.append(int(values[pos]))
+        counts.append(count)
+        bodies.append(body)
+        pos += 2 + 2 * count
+    keys = np.repeat(np.array(group_keys, np.int64), counts)
+    offsets = np.concatenate([np.cumsum(body[0::2]) for body in bodies] or [keys])
+    lengths = np.concatenate([body[1::2] for body in bodies] or [keys])
     if len(keys) and int(keys.max()) >= len(rank_of_key):
         raise KeyError(f"unknown string-table key {int(keys.max())}")
     return Superpost.from_columns(names, rank_of_key[keys], offsets, lengths)
@@ -360,12 +301,11 @@ ENCODE_BLOCK = 1 << 15
 def encode_superposts(
     columns: PostingColumns, string_table: StringTable
 ) -> tuple[bytes, np.ndarray]:
-    """Encode the superposts of ``columns`` back to back with the v2 codec,
-    vectorised.
+    """Encode the superposts of ``columns`` back to back, vectorised.
 
     Returns the concatenation and each superpost's encoded length: exactly
     what calling :func:`encode_superpost` on each in turn with one
-    ``string_table`` and :data:`FORMAT_V2` gives — blob names are interned
+    ``string_table`` gives — blob names are interned
     in order of first appearance — except that an empty superpost takes no
     bytes at all.  The lists go through in passes of about
     :data:`ENCODE_BLOCK` postings.
@@ -407,7 +347,7 @@ def _passes(columns: PostingColumns) -> Iterator[tuple[slice, np.ndarray]]:
 def _superpost_values(
     keys: np.ndarray, offset: np.ndarray, length: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The v2 varint values of consecutive superposts (postings as columns,
+    """The varint values of consecutive superposts (postings as columns,
     ``counts`` of them each), and how many values each superpost takes."""
     heads = (np.cumsum(counts) - counts)[counts > 0]  # each non-empty list's first posting
     # A blob group opens at each list's first posting and wherever the blob changes.

@@ -23,11 +23,11 @@ lengths, the sorted terms with CSR starts, and per term its entries (document
 index ascending, tf).  A searcher reads the blob in the lookup wave of its
 first ranked query and keeps the columns; scoring
 (:mod:`repro.search.ranking`) touches only the query words' entries and the
-candidates' rows.  The v1 JSON blobs of earlier builds (leading ``{``) decode
-into the same columns; the builder writes only v2, so the next compaction
-upgrades them.  Indexes without a stats blob stay fully readable for
-membership queries and reject the ranked mode with the typed
-:class:`RankingUnsupportedError`.
+candidates' rows.  Container v2 is the one version read: an index without a
+stats blob, or with the v1 JSON blob of early builds (leading ``{``) or any
+other version, stays fully readable for membership queries and rejects the
+ranked mode with the typed :class:`RankingUnsupportedError` — rebuilding
+the index writes current statistics.
 """
 
 from __future__ import annotations
@@ -49,15 +49,12 @@ from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer
 from repro.profiling.profiler import CorpusProfile
 
-#: Leading bytes of a v2 stats blob; a v1 (JSON) blob starts with ``{``.
+#: Leading bytes of a v2 stats blob.
 STATS_MAGIC = b"AIRPSTA\n"
 #: Version of the stats container the builder writes.
 STATS_CONTAINER_VERSION = 2
 #: Magic, then container version and preamble length as little-endian u32.
 _STATS_PREFIX = struct.Struct("<8sII")
-#: Magic marker and version inside v1 JSON blobs.
-_LEGACY_STATS_MAGIC = "airphant-stats"
-_LEGACY_STATS_VERSION = 1
 
 #: The columns of container v2, in blob order.
 COLUMNS = (
@@ -77,7 +74,7 @@ class RankingUnsupportedError(Exception):
     """The index cannot answer ranked queries (typed, maps to HTTP 400).
 
     Raised when an index has no stats blob (it predates ranked retrieval)
-    or its stats blob declares an unknown format version.  Membership
+    or its stats blob is in a format this engine does not read.  Membership
     queries against the same index keep working; rebuilding the index
     writes current stats and enables ``mode="topk_bm25"``.
     """
@@ -402,16 +399,16 @@ def encode_stats(stats: IndexStats) -> bytes:
 
 
 def decode_stats(data: bytes, index_name: str = "index") -> IndexStats:
-    """Inverse of :func:`encode_stats`; also reads v1 JSON blobs.
+    """Inverse of :func:`encode_stats`.
 
-    Raises ``ValueError`` for anything that is not a well-formed stats blob —
-    malformed, truncated, or pointing outside its own columns — and the
-    typed :class:`RankingUnsupportedError` when it declares a container
-    version this reader does not know.
+    Raises the typed :class:`RankingUnsupportedError` for a blob in a format
+    this reader does not know — a v1 JSON blob or another container
+    version — and ``ValueError`` for anything else that is not a well-formed
+    stats blob: malformed, truncated, or pointing outside its own columns.
     """
+    if data[:1] == b"{":
+        raise RankingUnsupportedError(index_name, "a JSON stats blob (v1)")
     try:
-        if data[:1] == b"{":
-            return _decode_legacy_stats(data, index_name)
         return _decode_v2_stats(data, index_name)
     except (KeyError, TypeError, IndexError, OverflowError, struct.error) as error:
         raise ValueError(f"malformed Airphant stats blob: {error!r}") from error
@@ -444,22 +441,6 @@ def _decode_v2_stats(data: bytes, index_name: str) -> IndexStats:
 
 def _below(column: np.ndarray, limit: int) -> bool:
     return not len(column) or int(column.max()) < limit
-
-
-def _decode_legacy_stats(data: bytes, index_name: str) -> IndexStats:
-    """Read a v1 JSON blob: its writer interned blob names in sorted order,
-    wrote the documents in posting order and each term's pairs by document."""
-    payload = json.loads(data.decode("utf-8"))
-    if payload.get("magic") != _LEGACY_STATS_MAGIC:
-        raise ValueError("not an Airphant stats blob")
-    version = payload.get("version")
-    if version != _LEGACY_STATS_VERSION:
-        raise RankingUnsupportedError(index_name, f"unknown stats blob version {version!r}")
-    rows = np.array(payload["docs"], np.uint64).reshape(-1, 4)
-    terms = sorted((_term_key(term), pairs) for term, pairs in payload["terms"].items())
-    pairs = np.array([pair for _, pairs in terms for pair in pairs], np.uint64).reshape(-1, 2)
-    sizes = [len(pairs) for _, pairs in terms]
-    return _assemble(payload["blobs"], rows.T, [term for term, _ in terms], sizes, *pairs.T)
 
 
 def idf(num_documents: int, doc_frequency: int) -> float:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import re
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Sequence
 
@@ -42,7 +43,13 @@ from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder, BuiltIndex, BuiltShardedIndex
 from repro.index.compaction import CompactedSketch
 from repro.index.serialization import decode_superpost
-from repro.index.stats import IndexStats, build_stats, decode_stats, union_stats
+from repro.index.stats import (
+    IndexStats,
+    RankingUnsupportedError,
+    build_stats,
+    decode_stats,
+    union_stats,
+)
 from repro.index.store_layout import (
     build_blobs,
     build_exists,
@@ -360,11 +367,7 @@ class AppendOnlyIndexManager:
             for offset, length in compacted.mht.ranges():
                 if length:
                     postings.update(
-                        decode_superpost(
-                            blob[offset : offset + length],
-                            compacted.string_table,
-                            compacted.format_version,
-                        )
+                        decode_superpost(blob[offset : offset + length], compacted.string_table)
                     )
         wanted = sorted(postings - set(exclude))
         fetch = self._store.read_batch([posting.to_range_read() for posting in wanted])
@@ -380,21 +383,23 @@ class AppendOnlyIndexManager:
         build), merged minus ``exclude``.
 
         One wave reads every member's stats blob.  A member without one —
-        built before ranked retrieval — contributes :func:`build_stats` over
-        its documents, re-read from storage, so old indexes still compact
-        (and gain statistics).
+        built before ranked retrieval, or whose blob is in a format no longer
+        read — contributes :func:`build_stats` over its documents, re-read
+        from storage, so old indexes still compact (and gain statistics).
         """
         fetch = self._store.read_batch(
             [RangeRead(stats_blob_name(member), optional=True) for member, _ in members]
         )
         tokenizer = self._tokenizer if self._tokenizer is not None else WhitespaceAnalyzer()
+
+        def statistics(member: str, header: CompactedSketch, payload: bytes | None) -> IndexStats:
+            if payload is not None:
+                with suppress(RankingUnsupportedError):
+                    return decode_stats(payload, member)
+            return build_stats(self._read_documents([header], exclude), tokenizer)
+
         return union_stats(
-            [
-                decode_stats(payload, member)
-                if payload is not None
-                else build_stats(self._read_documents([header], exclude), tokenizer)
-                for (member, header), payload in zip(members, fetch.payloads)
-            ],
+            [statistics(*member, payload) for member, payload in zip(members, fetch.payloads)],
             exclude,
         )
 
@@ -420,8 +425,6 @@ class AppendOnlyIndexManager:
         tombstone set) is how deletes become physical: condemned documents
         are left out of the merged statistics, hence of the new base, so
         after the swap no tombstone filtering is needed for them anywhere.
-        Like every build, the new base is written with the v2 codec: a live
-        index whose members were written as v1 comes out upgraded.
         Prefixes pinned by a snapshot are never purged; they stay on the
         retired list until the snapshot is deleted.
         """

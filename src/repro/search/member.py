@@ -103,30 +103,23 @@ class Member(Protocol):
 
 @dataclass(frozen=True)
 class ShardState:
-    """In-memory header state of one opened shard.
-
-    ``format_version`` is per-shard: shards written by builders of different
-    vintages may mix codecs, and each decodes with its own header's version.
-    """
+    """In-memory header state of one opened shard."""
 
     name: str
     mht: MultilayerHashTable
     string_table: StringTable
     metadata: IndexMetadata | None
-    format_version: int = 1
 
     @classmethod
     def from_header(cls, name: str, header: CompactedSketch) -> "ShardState":
-        return cls(
-            name, header.mht, header.string_table, header.metadata, header.format_version
-        )
+        return cls(name, header.mht, header.string_table, header.metadata)
 
     def decode(self, payload: bytes | memoryview) -> Superpost:
         """One of this shard's superposts, decoded (every superpost read's
         :attr:`~repro.storage.base.RangeRead.decode`); bytes that do not
         decode are a :class:`~repro.index.store_layout.CorruptIndexError`."""
         try:
-            return decode_superpost(payload, self.string_table, self.format_version)
+            return decode_superpost(payload, self.string_table)
         except (ValueError, KeyError) as error:
             raise CorruptIndexError(self.mht.blob, error) from error
 

@@ -16,9 +16,9 @@ directory on ``sys.path``):
 * :mod:`harness.crashpoints` — a fault-point store wrapper that simulates
   process death at exact WAL/flush/compaction mutation points, for
   crash-consistency tests of the mutable-document lifecycle;
-* :mod:`harness.legacy_header` — the pre-v3 JSON header writer (fixtures for
-  the legacy reader) and the old place-every-bin blob layout (the reference
-  ``superposts.bin`` must stay byte-identical to).
+* :mod:`harness.legacy_header` — forgers of the retired on-store formats
+  (each opens as a typed "rebuild" error) and the old place-every-bin blob
+  layout (the reference ``superposts.bin`` must stay byte-identical to).
 """
 
 from harness.crashpoints import FaultPoint, FaultPointStore, SimulatedCrash

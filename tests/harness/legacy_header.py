@@ -1,25 +1,19 @@
-"""Legacy (pre-v3) header fixtures and the reference blob placement.
+"""Forgers of retired on-store formats and the reference blob placement.
 
-Until header container v3 every index carried a JSON ``header.json`` with one
-``[offset, length]`` pair for *every* bin of the budget, and the compactor
-placed (and tried to encode) every bin, empty or not.  Production code keeps
-only a *reader* for that format; this module keeps what the tests need to
-prove nothing else changed:
+Each kind of stored blob has one format the engine reads; an index in an
+older one — a JSON header, superpost codec v1, a JSON stats blob, either
+retired sharded layout — is a typed "rebuild" error, not a reader kept
+forever.  This module keeps what the tests need to prove that, and that
+nothing else changed:
 
-* :func:`encode_legacy_header` — the old ``encode_header``, kept as the
-  fixture writer for JSON-headed indexes;
 * :func:`encode_plain_v3_header` — a plain build's v3 header written column
   after column with no padding, as every v3 writer has laid it out, which
   the reader must keep opening byte for byte;
-* :func:`downgrade_headers` — rewrites the headers of already-built plain
-  indexes in a store to that JSON form, yielding the index an older build
-  would have left behind (same ``superposts.bin``, same pointers);
-* :func:`downgrade_codec` — rewrites the superposts of already-built plain
-  indexes as codec v1 in layer-major order, the index a pre-v2 builder wrote
-  (the v1 codec and that placement are read forever, written only here);
 * :func:`retire_sharded_layout` — makes a sharded build look, to the opener,
-  like one of the retired sharded layouts (which the downgraders leave
-  alone: opening one is a typed "rebuild" error, not a reader kept forever);
+  like one of the retired sharded layouts;
+* :func:`retire_format` — rewrites a build in any retired format: those,
+  or its header or statistics from a few literal bytes or one replaced
+  field;
 * :func:`legacy_superpost_blob` — the old placement walk over *all* bins and
   the concatenation it produced, as the reference ``superposts.bin`` must
   stay byte-identical to;
@@ -32,71 +26,27 @@ from __future__ import annotations
 import json
 import struct
 from collections import defaultdict
-from dataclasses import replace
 from typing import Mapping
 
 import numpy as np
 
 from repro.core.common_words import CommonWordTable, select_common_words
 from repro.core.config import SketchConfig
-from repro.core.mht import MultilayerHashTable
 from repro.core.sketch import IoUSketch
 from repro.index.compaction import (
-    HEADER_BLOB_SUFFIX,
     HEADER_MAGIC,
     RETIRED_SHARDED_MAGIC,
     CompactedSketch,
     decode_build_header,
-    decode_header,
-    encode_header,
 )
-from repro.index.store_layout import header_blob_name, shard_manifest_blob_name
-from repro.index.serialization import (
-    FORMAT_V1,
-    StringTable,
-    decode_superpost,
-    encode_superpost,
-)
+from repro.index.serialization import CODEC_VERSION, StringTable, encode_superpost
+from repro.index.store_layout import header_blob_name, shard_manifest_blob_name, stats_blob_name
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer
 from repro.profiling.profiler import profile_documents
 from repro.storage.base import ObjectStore
 
 LayoutNode = tuple[int, int]
-
-
-def encode_legacy_header(compacted: CompactedSketch) -> bytes:
-    """The JSON header of format versions 1 and 2, dense over the bin budget.
-
-    Empty bins carried a zero length and whatever offset the blob had reached
-    when they were visited; the end of the blob stands in for that here, so a
-    reader that keyed emptiness on the offset would be caught.
-    """
-    mht = compacted.mht
-    pointers = [
-        [[mht.blob_bytes, 0] for _ in range(mht.bins_per_layer)]
-        for _ in range(mht.num_layers)
-    ]
-    for flat, offset, length in zip(mht.bin_ids, mht.offsets, mht.lengths):
-        pointers[flat // mht.bins_per_layer][flat % mht.bins_per_layer] = [offset, length]
-    payload = {
-        "magic": "airphant-header",
-        "format_version": compacted.format_version,
-        "seed": mht.hasher.seed,
-        "num_layers": mht.num_layers,
-        "bins_per_layer": mht.bins_per_layer,
-        "superpost_blob": compacted.superpost_blob_name,
-        "string_table": compacted.string_table.to_list(),
-        "pointers": pointers,
-        "common_words": {
-            word: [offset, length]
-            for word, offset, length in zip(
-                mht.common_words, mht.common_offsets, mht.common_lengths
-            )
-        },
-        "metadata": compacted.metadata.to_dict() if compacted.metadata else None,
-    }
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
 def encode_plain_v3_header(compacted: CompactedSketch) -> bytes:
@@ -107,7 +57,7 @@ def encode_plain_v3_header(compacted: CompactedSketch) -> bytes:
     mht = compacted.mht
     preamble = json.dumps(
         {
-            "codec_version": compacted.format_version,
+            "codec_version": CODEC_VERSION,
             "seed": mht.hasher.seed,
             "num_layers": mht.num_layers,
             "bins_per_layer": mht.bins_per_layer,
@@ -127,15 +77,6 @@ def encode_plain_v3_header(compacted: CompactedSketch) -> bytes:
     return b"".join([prefix, preamble, *(column.tobytes() for column in columns)])
 
 
-def _plain_headers(store: ObjectStore, prefix: str) -> list[str]:
-    """Every header blob under ``prefix`` of a plain (unsharded) build."""
-    return [
-        name
-        for name in store.list_blobs(prefix=prefix)
-        if name.endswith(f"/{HEADER_BLOB_SUFFIX}") and decode_header(store.get(name)).shards is None
-    ]
-
-
 def retire_sharded_layout(store: ObjectStore, build: str, layout: str) -> None:
     """Rewrite sharded ``build`` as far as its leading bytes in a retired
     layout: ``"container"`` (a header container per shard behind the
@@ -151,54 +92,25 @@ def retire_sharded_layout(store: ObjectStore, build: str, layout: str) -> None:
     store.delete(header)
 
 
-def downgrade_headers(store: ObjectStore, prefix: str = "") -> list[str]:
-    """Rewrite every plain build's header under ``prefix`` as legacy JSON;
-    returns their names."""
-    headers = _plain_headers(store, prefix)
-    for name in headers:
-        store.put(name, encode_legacy_header(decode_header(store.get(name))))
-    return headers
-
-
-def downgrade_codec(store: ObjectStore, prefix: str = "") -> list[str]:
-    """Rewrite every plain build under ``prefix`` as a v1 build; returns its
-    headers.
-
-    Each ``superposts.bin`` is re-encoded with the v1 codec in bin-id order
-    (layer-major), then the common words in word order, against a fresh
-    string table; the header gets the new pointers and codec and its
-    metadata ``format_version`` 1.  The result is what ``format_version=1,
-    layout="plain"`` builds wrote.
-    """
-    headers = _plain_headers(store, prefix)
-    for name in headers:
-        compacted = decode_header(store.get(name))
-        mht, payload = compacted.mht, store.get(compacted.superpost_blob_name)
-        strings, blob, ends = StringTable(), bytearray(), []
-        for offset, length in mht.ranges():
-            if length:
-                postings = decode_superpost(
-                    payload[offset : offset + length],
-                    compacted.string_table,
-                    compacted.format_version,
-                )
-                blob += encode_superpost(postings, strings, FORMAT_V1)
-            ends.append(len(blob))
-        dtype = np.uint32 if len(blob) < 1 << 32 else np.uint64
-        lengths = np.diff(ends, prepend=0).astype(dtype)
-        offsets = (np.array(ends, np.int64) - lengths).astype(dtype)
-        count = len(mht.bin_ids)
-        downgraded = MultilayerHashTable(
-            mht.hasher, mht.blob, len(blob), np.asarray(mht.bin_ids),
-            offsets[:count], lengths[:count],
-            list(mht.common_words), offsets[count:], lengths[count:],
-        )
-        metadata = compacted.metadata
-        if metadata is not None:
-            metadata = replace(metadata, format_version=FORMAT_V1)
-        store.put(mht.blob, bytes(blob))
-        store.put(name, encode_header(CompactedSketch(b"", downgraded, strings, metadata, FORMAT_V1)))
-    return headers
+def retire_format(store: ObjectStore, build: str, layout: str) -> None:
+    """Rewrite one blob of ``build`` in a format this engine no longer reads:
+    either retired sharded layout (:func:`retire_sharded_layout`),
+    ``"json-header"`` (a JSON header, as builds before header container v3
+    wrote), ``"codec-v1"`` (its v3 header declaring superpost codec v1) or
+    ``"json-stats"`` (a v1 JSON stats blob in place of its — a sharded
+    build's first shard's — statistics)."""
+    header = header_blob_name(build)
+    payload = store.get(header)
+    if layout in ("container", "shards.json"):
+        retire_sharded_layout(store, build, layout)
+    elif layout == "json-stats":
+        _, members = decode_build_header(payload, build)
+        store.put(stats_blob_name(members[0][0]), b'{"magic":"airphant-stats","version":1}')
+    elif layout == "json-header":
+        store.put(header, b'{"magic":"airphant-header","format_version":2}')
+    else:
+        assert layout == "codec-v1" and b'"codec_version":2' in payload
+        store.put(header, payload.replace(b'"codec_version":2', b'"codec_version":1'))
 
 
 def _legacy_plain_order(num_layers: int, bins_per_layer: int) -> list[LayoutNode]:
@@ -258,9 +170,7 @@ def _legacy_coaccess_order(
 
 
 def legacy_superpost_blob(
-    sketch: IoUSketch,
-    format_version: int,
-    word_weights: Mapping[str, int] | None = None,
+    sketch: IoUSketch, word_weights: Mapping[str, int] | None = None
 ) -> tuple[bytes, list[str]]:
     """``superposts.bin`` and the string table as the old compactor wrote them.
 
@@ -281,7 +191,7 @@ def legacy_superpost_blob(
     blob = bytearray()
     for superpost in superposts:
         if len(superpost):
-            blob += encode_superpost(superpost, string_table, format_version)
+            blob += encode_superpost(superpost, string_table)
     return bytes(blob), string_table.to_list()
 
 

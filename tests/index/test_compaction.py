@@ -2,27 +2,35 @@
 
 import json
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.common_words import CommonWordTable
-from repro.core.config import BYTES_PER_BIN_POINTER
+from repro.core.config import BYTES_PER_BIN_POINTER, SketchConfig
 from repro.core.sketch import IoUSketch
+from repro.index.builder import AirphantBuilder
 from repro.index.compaction import (
+    HEADER_BLOB_SUFFIX,
     HEADER_CONTAINER_VERSION,
     HEADER_MAGIC,
+    SUPERPOST_BLOB_SUFFIX,
     compact_sketch,
+    decode_build_header,
     decode_header,
     encode_header,
 )
 from repro.index.metadata import IndexMetadata
-from repro.index.serialization import decode_superpost
+from repro.index.serialization import CODEC_VERSION, decode_superpost
+from repro.index.store_layout import UnsupportedIndexFormatError
+from repro.index.updates import AppendOnlyIndexManager
 from repro.observability.registry import get_registry
+from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Posting
+from repro.storage.memory import InMemoryObjectStore
+from repro.workloads.logs import generate_log_corpus
 
-from harness.legacy_header import encode_legacy_header
+from harness.legacy_header import legacy_superpost_blob, reference_sketch
 
 
 def _posting(index: int) -> Posting:
@@ -94,19 +102,14 @@ class TestCompaction:
                 assert expected == set()
                 continue
             payload = blob[pointer.offset : pointer.offset + pointer.length]
-            decoded = decode_superpost(
-                payload, compacted.string_table, compacted.format_version
-            )
-            assert set(decoded) == expected
+            assert set(decode_superpost(payload, compacted.string_table)) == expected
 
     def test_common_word_pointer_decodes_exact_postings(self):
         sketch = _sketch()
         compacted = compact_sketch(sketch, "index/superposts.bin")
         pointer = _common_pointers(compacted.mht)["the"]
         payload = compacted.superpost_blob_data[pointer.offset : pointer.offset + pointer.length]
-        decoded = decode_superpost(
-            payload, compacted.string_table, compacted.format_version
-        )
+        decoded = decode_superpost(payload, compacted.string_table)
         assert set(decoded) == set(sketch.common_words.query("the"))
 
     def test_registered_but_unused_common_word_keeps_an_empty_pointer(self):
@@ -162,35 +165,37 @@ class TestHeaderCodec:
             assert decoded.mht.hasher.bins_of(word) == compacted.mht.hasher.bins_of(word)
 
     def test_wrong_magic_rejected(self):
-        with pytest.raises(ValueError):
-            decode_header(b'{"magic": "not-airphant"}')
         data = encode_header(compact_sketch(_sketch(), "s.bin"))
         with pytest.raises(ValueError):
             decode_header(b"NOTMAGIC" + data[8:])
 
-    def test_wrong_version_rejected(self):
-        compacted = compact_sketch(_sketch(), "s.bin")
-        data = encode_header(compacted)
-        needle = f'"codec_version":{compacted.format_version}'.encode()
-        assert needle in data
-        with pytest.raises(ValueError):  # unknown superpost codec
-            decode_header(data.replace(needle, b'"codec_version":9'))
-        with pytest.raises(ValueError):  # unknown container
-            decode_header(data[:8] + struct.pack("<I", 99) + data[12:])
-        legacy = encode_legacy_header(compacted)
-        legacy_needle = f'"format_version":{compacted.format_version}'.encode()
-        with pytest.raises(ValueError):
-            decode_header(legacy.replace(legacy_needle, b'"format_version":99'))
+    @pytest.mark.parametrize(
+        "forge, found",
+        [
+            (lambda data: b'{"magic":"airphant-header","format_version":2}', "a JSON header"),
+            (lambda data: b"AIRPSHD\n" + data[8:], "a sharded header container v1"),
+            (lambda data: data[:8] + struct.pack("<I", 99) + data[12:], "header container v99"),
+            (lambda data: data.replace(b'"codec_version":2', b'"codec_version":1'), "codec v1"),
+            (lambda data: data.replace(b'"codec_version":2', b'"codec_version":9'), "codec v9"),
+        ],
+        ids=["json", "sharded-container", "container-v99", "codec-v1", "codec-v9"],
+    )
+    def test_a_format_this_engine_does_not_read_is_a_typed_error(self, forge, found):
+        forged = forge(encode_header(compact_sketch(_sketch(), "s.bin", metadata=_metadata())))
+        with pytest.raises(UnsupportedIndexFormatError, match="rebuild") as caught:
+            decode_header(forged)
+        assert found in caught.value.found
+        # Not corruption: the opener's decoder passes it on, naming the blob.
+        with pytest.raises(UnsupportedIndexFormatError) as caught:
+            decode_build_header(forged, "old")
+        assert caught.value.blob == "old/header.json"
+        assert caught.value.expected == "header container v3 over superpost codec v2"
 
-    def test_header_carries_codec_version(self):
-        assert compact_sketch(_sketch(), "s.bin").format_version == 2
-        for version in (1, 2):
-            # The header carries whatever codec its superposts were written in.
-            compacted = replace(compact_sketch(_sketch(), "s.bin"), format_version=version)
-            data = encode_header(compacted)
-            # Container version and superpost codec version are different numbers.
-            assert struct.unpack_from("<I", data, 8) == (HEADER_CONTAINER_VERSION,)
-            assert decode_header(data).format_version == version
+    def test_every_header_declares_container_v3_over_codec_v2(self):
+        data = encode_header(compact_sketch(_sketch(), "s.bin"))
+        # Container version and superpost codec version are different numbers.
+        assert struct.unpack_from("<I", data, 8) == (HEADER_CONTAINER_VERSION,) == (3,)
+        assert b'"codec_version":2' in data and CODEC_VERSION == 2
 
     def test_header_without_metadata(self):
         compacted = compact_sketch(_sketch(), "s.bin", metadata=None)
@@ -273,40 +278,6 @@ class TestHeaderCodec:
                 decode_header(blob)
 
 
-class TestLegacyHeaderReader:
-    def test_json_header_decodes_to_the_same_table(self):
-        for version in (1, 2):
-            compacted = replace(
-                compact_sketch(_sketch(), "index/superposts.bin", metadata=_metadata()),
-                format_version=version,
-            )
-            legacy = decode_header(encode_legacy_header(compacted))
-            assert legacy.format_version == version
-            assert legacy.superpost_blob_name == "index/superposts.bin"
-            assert legacy.metadata == _metadata()
-            assert legacy.string_table.to_list() == compacted.string_table.to_list()
-            assert legacy.mht.bin_ids == compacted.mht.bin_ids
-            assert _all_pointers(legacy.mht) == _all_pointers(compacted.mht)
-            for word in ["error", "timeout", "the", "absent"]:
-                assert legacy.mht.pointers_for(word) == compacted.mht.pointers_for(word)
-
-    def test_malformed_json_headers_are_value_errors(self):
-        compacted = compact_sketch(_sketch(), "s.bin")
-        payload = json.loads(encode_legacy_header(compacted))
-        broken = [
-            {**payload, "pointers": payload["pointers"][:1]},  # a layer missing
-            {**payload, "pointers": [[[0, -1]] * 4] * 2},  # negative length
-            {**payload, "pointers": "none"},
-            {key: value for key, value in payload.items() if key != "superpost_blob"},
-            {**payload, "common_words": {"the": [1]}},
-        ]
-        for fields in broken:
-            with pytest.raises(ValueError):
-                decode_header(json.dumps(fields).encode("utf-8"))
-        with pytest.raises(ValueError):
-            decode_header(encode_legacy_header(compacted)[:-20])
-
-
 class TestCodecMetrics:
     def test_compaction_records_raw_and_encoded_bytes(self):
         registry = get_registry()
@@ -324,3 +295,51 @@ class TestCodecMetrics:
         assert encoded_delta == len(compacted.superpost_blob_data) > 0
         # The string table plus delta coding must actually compress.
         assert raw_delta > encoded_delta
+
+
+class TestSuperpostBlobDidNotMove:
+    @pytest.mark.parametrize("layers", [None, 3])
+    def test_default_build_matches_the_place_every_bin_walk(self, layers):
+        store = InMemoryObjectStore()
+        corpus = generate_log_corpus(store, "spark", 1500, seed=16)
+        documents = list(LineDelimitedCorpusParser().parse(store, corpus.blob_names))
+        # The default 100 000-bin budget the old walk seeded from; the
+        # optimizer settles on one layer for a corpus this small, so a pinned
+        # three-layer build is what exercises the co-access chains.
+        config = SketchConfig(num_layers=layers)
+        builder = AirphantBuilder(store, config=config)
+        built = builder.build_from_documents(documents, index_name="idx")
+
+        # Rebuild the sketch the builder compacted, then lay it out the old way.
+        sketch, word_weights = reference_sketch(
+            documents, builder._tokenizer, config, built.metadata.num_layers
+        )
+        expected_blob, expected_strings = legacy_superpost_blob(sketch, word_weights)
+        assert store.get(f"idx/{SUPERPOST_BLOB_SUFFIX}") == expected_blob
+        header = decode_header(store.get(f"idx/{HEADER_BLOB_SUFFIX}"))
+        assert header.string_table.to_list() == expected_strings
+        assert header.mht.blob_bytes == len(expected_blob) > 10_000
+        assert 1000 < len(header.mht.bin_ids) < sketch.total_bins // 10
+
+
+class TestHeaderSizeBudget:
+    def test_512_document_delta_header_is_proportional_to_its_superposts(self):
+        # Log lines carrying unique ids, as ingested traffic does: ~2 000
+        # distinct terms per 512 documents, so the delta has hashed bins and
+        # not only the 1 000 exact common-word lists.
+        store = InMemoryObjectStore()
+        lines = [
+            f"error request req-{index} from user-{index * 7} took {index * 13 + 5} ms "
+            f"on node{index % 13} block blk_{index * 31}"
+            for index in range(1024)
+        ]
+        store.put("corpus.txt", "\n".join(lines).encode("utf-8"))
+        documents = list(LineDelimitedCorpusParser().parse(store, ["corpus.txt"]))
+        manager = AppendOnlyIndexManager(store, "live")  # default SketchConfig
+        manager.build_base(documents[:512])
+        delta = manager.append(documents[512:])
+        header = store.get(f"{delta.index_name}/{HEADER_BLOB_SUFFIX}")
+        superposts = store.size(f"{delta.index_name}/{SUPERPOST_BLOB_SUFFIX}")
+        assert len(decode_header(header).mht.bin_ids) > 500
+        # The JSON header was ~840 KB beside ~22 KB of superposts (38x).
+        assert len(header) <= 2 * superposts + 8 * 1024

@@ -70,15 +70,19 @@ def _build_blobs(store, prefix: str) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("config", CONFIGS, ids=["optimized", "two-layer"])
 @pytest.mark.parametrize("shards,partitioner", BASES, ids=["plain", "hash4", "round-robin4"])
-@pytest.mark.parametrize("stats_less_delta", [False, True], ids=["stats", "fallback"])
-def test_compaction_equals_a_fresh_build_over_survivors(
-    config, shards, partitioner, stats_less_delta
-):
+@pytest.mark.parametrize(
+    "delta_stats", ["stats", "missing", "json"], ids=["stats", "fallback", "json-fallback"]
+)
+def test_compaction_equals_a_fresh_build_over_survivors(config, shards, partitioner, delta_stats):
     store = InMemoryObjectStore()
     manager, base, appended = _live_index(store, config, shards, partitioner)
-    if stats_less_delta:
-        # A delta written before ranked retrieval: its documents are re-read.
-        store.delete(stats_blob_name(manager.manifest().delta_indexes[1]))
+    delta = stats_blob_name(manager.manifest().delta_indexes[1])
+    # A delta written before ranked retrieval, or with statistics in a format
+    # no longer read: its documents are re-read.
+    if delta_stats == "missing":
+        store.delete(delta)
+    elif delta_stats == "json":
+        store.put(delta, b'{"magic":"airphant-stats","version":1}')
     tombstones = {d.ref for d in base[3:40:7]} | {d.ref for d in appended[5:100:11]}
 
     built = manager.compact(exclude=tombstones)

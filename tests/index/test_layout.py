@@ -107,7 +107,5 @@ class TestLayoutInCompaction:
                     payload = compacted.superpost_blob_data[
                         pointer.offset : pointer.offset + pointer.length
                     ]
-                    decoded = decode_superpost(
-                        payload, compacted.string_table, compacted.format_version
-                    )
+                    decoded = decode_superpost(payload, compacted.string_table)
                     assert set(decoded) == expected

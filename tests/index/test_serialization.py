@@ -4,8 +4,6 @@ import pytest
 
 from repro.core.superpost import CROSSOVER, OFFSET_LIMIT, Superpost
 from repro.index.serialization import (
-    FORMAT_V1,
-    FORMAT_V2,
     StringTable,
     decode_superpost,
     decode_superpost_columns,
@@ -153,10 +151,10 @@ class TestVectorisedVarints:
             decode_varints(b"\xff" * 11 + b"\x01")
 
 
-def _decoders(data, table, version):
+def _decoders(data, table):
     """``data`` through the scalar (reference) and the vectorised decoder."""
-    scalar = decode_superpost_scalar(data, table, version)
-    columns = decode_superpost_columns(data, table, version)
+    scalar = decode_superpost_scalar(data, table)
+    columns = decode_superpost_columns(data, table)
     return scalar, list(columns)
 
 
@@ -177,86 +175,78 @@ class TestVectorisedDecoder:
             "same offset": twins | one_blob,
         }
 
-    @pytest.mark.parametrize("version", [FORMAT_V1, FORMAT_V2])
-    def test_matches_scalar_and_round_trips(self, version):
+    def test_matches_scalar_and_round_trips(self):
         for label, postings in self._cases().items():
             table = StringTable(["zz", "corpus/a.txt"])  # interned out of name order
-            data = encode_superpost(postings, table, version)
-            scalar, columns = _decoders(data, table, version)
+            data = encode_superpost(postings, table)
+            scalar, columns = _decoders(data, table)
             assert scalar == columns == sorted(postings), label
-            assert list(decode_superpost(data, table, version)) == sorted(postings), label
+            assert list(decode_superpost(data, table)) == sorted(postings), label
 
-    @pytest.mark.parametrize("version", [FORMAT_V1, FORMAT_V2])
-    def test_payload_size_picks_the_decoder(self, version):
+    def test_payload_size_picks_the_decoder(self):
         table = StringTable()
         few = {Posting("b", 3 * at, 2) for at in range(20)}
         many = {Posting("b", 3 * at, 2) for at in range(2 * CROSSOVER + 1)}
-        assert "tuple" in repr(decode_superpost(encode_superpost(few, table, version), table, version))
-        assert "columns" in repr(
-            decode_superpost(encode_superpost(many, table, version), table, version)
-        )
+        assert "tuple" in repr(decode_superpost(encode_superpost(few, table), table))
+        assert "columns" in repr(decode_superpost(encode_superpost(many, table), table))
 
-    @pytest.mark.parametrize("version", [FORMAT_V1, FORMAT_V2])
-    def test_a_long_list_owns_its_columns_and_reads_from_a_view(self, version):
+    def test_a_long_list_owns_its_columns_and_reads_from_a_view(self):
         # A read cache charges the columns' nbytes: they may keep no larger
         # decoder array alive, nor the payload they were decoded from.
         table = StringTable()
         many = {Posting("b", 3 * at, 2) for at in range(2 * CROSSOVER + 1)}
-        data = encode_superpost(many, table, version)
-        decoded = decode_superpost(memoryview(b"pad" + data)[3:], table, version)
+        data = encode_superpost(many, table)
+        decoded = decode_superpost(memoryview(b"pad" + data)[3:], table)
         assert list(decoded) == sorted(many)
         assert decoded._key.base is None and decoded._length.base is None
         assert decoded.nbytes == decoded._key.nbytes + decoded._length.nbytes
 
-    @pytest.mark.parametrize("version", [FORMAT_V1, FORMAT_V2])
-    def test_offsets_beyond_the_packed_key_still_round_trip(self, version):
-        # 63-bit offsets (9-byte varints; v2 deltas of that size too) are
+    def test_offsets_beyond_the_packed_key_still_round_trip(self):
+        # 63-bit offsets (9-byte varints; deltas of that size too) are
         # legal on the wire: such a list decodes exactly, as a tuple.
         postings = {Posting("b", 3 * at, 2) for at in range(2 * CROSSOVER)}
         postings |= {Posting("b", OFFSET_LIMIT, 1), Posting("b", 2**62, 1), Posting("c", 2**63 - 1, 5)}
         table = StringTable()
-        data = encode_superpost(postings, table, version)
-        scalar, columns = _decoders(data, table, version)
+        data = encode_superpost(postings, table)
+        scalar, columns = _decoders(data, table)
         assert scalar == columns == sorted(postings)
-        decoded = decode_superpost(data, table, version)
+        decoded = decode_superpost(data, table)
         assert "tuple" in repr(decoded) and list(decoded) == sorted(postings)
 
-    @pytest.mark.parametrize("version", [FORMAT_V1, FORMAT_V2])
-    def test_truncated_payloads_fail_in_both_decoders(self, version):
+    def test_truncated_payloads_fail_in_both_decoders(self):
         postings = {Posting("corpus/a.txt", 1000 * at, 300) for at in range(200)}
         table = StringTable()
-        data = encode_superpost(postings, table, version)
+        data = encode_superpost(postings, table)
         for cut in (0, 1, 2, 3, len(data) // 2, len(data) - 2, len(data) - 1):
             for decode in (decode_superpost_scalar, decode_superpost_columns):
                 with pytest.raises(ValueError):
-                    decode(data[:cut], table, version)
+                    decode(data[:cut], table)
 
-    @pytest.mark.parametrize("version", [FORMAT_V1, FORMAT_V2])
-    def test_overlong_varints_fail_in_both_decoders(self, version):
+    def test_overlong_varints_fail_in_both_decoders(self):
         postings = {Posting("corpus/a.txt", 1000 * at, 300) for at in range(200)}
         table = StringTable()
-        data = encode_superpost(postings, table, version)
+        data = encode_superpost(postings, table)
         poisoned = data[:40] + b"\xff" * 11 + data[40:]
         for decode in (decode_superpost_scalar, decode_superpost_columns):
             with pytest.raises(ValueError):
-                decode(poisoned, table, version)
+                decode(poisoned, table)
 
     def test_unknown_blob_key_fails_in_both_decoders(self):
         postings = {Posting("corpus/a.txt", at, 1) for at in range(300)}
-        data = encode_superpost(postings, StringTable(["x", "y"]), FORMAT_V2)
+        data = encode_superpost(postings, StringTable(["x", "y"]))
         for decode in (decode_superpost_scalar, decode_superpost_columns):
             with pytest.raises(KeyError):
-                decode(data, StringTable(["x", "y"]), FORMAT_V2)
+                decode(data, StringTable(["x", "y"]))
 
     def test_ranks_follow_the_table_as_it_grows(self):
         table = StringTable(["m"])
-        first = encode_superpost({Posting("m", at, 1) for at in range(300)}, table, FORMAT_V2)
+        first = encode_superpost({Posting("m", at, 1) for at in range(300)}, table)
         assert table.ranks()[0] == ("m",)
         second = encode_superpost(
-            {Posting("a", at, 1) for at in range(300)} | {Posting("m", 1, 1)}, table, FORMAT_V2
+            {Posting("a", at, 1) for at in range(300)} | {Posting("m", 1, 1)}, table
         )
         assert table.ranks()[0] == ("a", "m") and table.ranks()[1].tolist() == [1, 0]
         merged = Superpost.intersect_all(
-            [decode_superpost(first, table, FORMAT_V2), decode_superpost(second, table, FORMAT_V2)]
+            [decode_superpost(first, table), decode_superpost(second, table)]
         )
         assert list(merged) == [Posting("m", 1, 1)]

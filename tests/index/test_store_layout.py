@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from harness.legacy_header import downgrade_headers, retire_sharded_layout
+from harness.legacy_header import retire_format
 from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
@@ -73,7 +73,6 @@ def _assert_opens_like_a_direct_read(store, name):
     assert [member for member, _ in opened.members] == names
     for (_, header), expected in zip(opened.members, headers):
         assert header.metadata == expected.metadata
-        assert header.format_version == expected.format_version
         assert header.superpost_blob_name == expected.superpost_blob_name
         assert list(header.mht.ranges()) == list(expected.mht.ranges())
         assert header.mht.common_words == expected.mht.common_words
@@ -141,28 +140,21 @@ class TestOpener:
             d.ref for d in documents
         )
 
-    def test_json_headed_legacy_indexes(self):
-        store = InMemoryObjectStore()
-        documents = _documents(store)
-        AirphantBuilder(store, config=CONFIG).build_from_documents(documents, index_name="plain")
-        AirphantBuilder(store, config=CONFIG, num_shards=4).build_from_documents(
-            documents, index_name="sharded"
-        )
-        # The sharded build is not downgraded: its JSON-era layout is retired.
-        assert downgrade_headers(store) == ["plain/header.json"]
-        assert store.get("plain/header.json").startswith(b"{")
-        _assert_opens_like_a_direct_read(store, "plain")
-        _assert_opens_like_a_direct_read(store, "sharded")
-
     @pytest.mark.parametrize(
-        "layout, blob", [("container", "old/header.json"), ("shards.json", "old/shards.json")]
+        "layout, blob",
+        [
+            ("container", "old/header.json"),
+            ("shards.json", "old/shards.json"),
+            ("json-header", "old/header.json"),
+            ("codec-v1", "old/header.json"),
+        ],
     )
-    def test_a_retired_sharded_layout_is_a_typed_rebuild_error(self, layout, blob):
+    def test_a_retired_format_is_a_typed_rebuild_error(self, layout, blob):
         store = InMemoryObjectStore()
         store.put("corpus/base.txt", CORPUS)
         with AirphantService(store, ServiceConfig(ingest_interval_s=0)) as service:
             service.build_index("old", ["corpus/base.txt"], num_shards=3)
-        retire_sharded_layout(store, "old", layout)
+        retire_format(store, "old", layout)
         with pytest.raises(UnsupportedIndexFormatError, match="rebuild") as caught:
             open_headers(store, ["old"])
         assert caught.value.blob == blob

@@ -5,9 +5,11 @@ asks for every blob that says what an index *is* — header (a sharded
 build's holds every shard's split of one sketch), update manifest, ingest
 manifest — as one batch of "missing is an answer" reads; whatever those
 name (member headers, WAL segments, tombstone records) is one more.  A
-sharded build in a retired layout (a header container per shard, or
-``shards.json``; ``harness.legacy_header.retire_sharded_layout``) costs no
-wave more: it is a typed "rebuild" error.  No ``exists`` on any open that
+build in a retired format (a sharded layout with a header container per
+shard, or ``shards.json``; a JSON header; a header over superpost codec v1 —
+``harness.legacy_header``) costs no wave more: it is a typed "rebuild"
+error; one whose statistics are a JSON blob opens, answers membership
+queries and refuses ranked ones.  No ``exists`` on any open that
 succeeds, nothing re-read on a reopen that this process already knows, and
 a name that is not there costs the one discovery batch and the one probe
 for a retired ``shards.json`` a missing header earns.
@@ -16,7 +18,7 @@ for a retired ``shards.json`` a missing header earns.
 from __future__ import annotations
 
 import pytest
-from harness.legacy_header import retire_sharded_layout
+from harness.legacy_header import retire_format
 from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
@@ -26,7 +28,7 @@ from repro.ingest.wal import SEGMENT_BLOCK
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Posting
 from repro.search.searcher import AirphantSearcher
-from repro.service.api import ServiceError
+from repro.service.api import SearchRequest, ServiceError
 from repro.service.config import ServiceConfig
 from repro.service.facade import AirphantService
 from repro.storage.latency import AffineLatencyModel
@@ -36,6 +38,8 @@ from repro.workloads.logs import generate_log_corpus
 
 CONFIG = SketchConfig(num_bins=256, target_false_positives=1.0, seed=7)
 SERVICE = ServiceConfig(ingest_interval_s=0)
+#: Each retired format ``retire_format`` can leave a build in.
+RETIRED = ("container", "shards.json", "json-header", "codec-v1", "json-stats")
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +53,7 @@ def bucket():
     deltas.build_base(documents[:100])
     deltas.append(documents[100:200])
     deltas.append(documents[200:])
-    for prefix in ("", "legacy-container-", "legacy-shards.json-"):
+    for prefix in ("", *(f"legacy-{layout}-" for layout in RETIRED)):
         AirphantBuilder(backend, config=CONFIG, num_shards=4).build_from_documents(
             documents, index_name=f"{prefix}sharded"
         )
@@ -64,10 +68,10 @@ def bucket():
         generational.append(documents[150:200])
         generational.append(documents[200:])
         assert generational.manifest().active_base != f"{prefix}generational"
-    for layout in ("container", "shards.json"):
-        retire_sharded_layout(backend, f"legacy-{layout}-sharded", layout)
+    for layout in RETIRED:
+        retire_format(backend, f"legacy-{layout}-sharded", layout)
         base = AppendOnlyIndexManager(backend, f"legacy-{layout}-generational").manifest()
-        retire_sharded_layout(backend, base.active_base, layout)
+        retire_format(backend, base.active_base, layout)
     # A live index another process left behind: base, one flushed delta, 20
     # unflushed one-document WAL segments, one tombstone record.
     with AirphantService(backend, SERVICE) as writer:
@@ -141,9 +145,9 @@ def test_dependent_batches_before_the_first_query_wave(bucket, name, waves):
         assert not any(method == "exists" for method, _, _, _ in store.calls)
 
 
-@pytest.mark.parametrize("layout", ["container", "shards.json"])
+@pytest.mark.parametrize("layout", RETIRED)
 @pytest.mark.parametrize("name, waves", [("sharded", 1), ("generational", 2)])
-def test_a_retired_sharded_layout_is_a_typed_error_after_the_same_waves(
+def test_a_retired_format_is_a_typed_error_after_the_same_waves(
     bucket, layout, name, waves
 ):
     backend, _ = bucket
@@ -151,10 +155,16 @@ def test_a_retired_sharded_layout_is_a_typed_error_after_the_same_waves(
     store = RecordingStore(backend)
     with AirphantService(store, SERVICE) as service:
         with pytest.raises(ServiceError) as caught:
-            service.searcher(name)
-    assert (caught.value.info.status, caught.value.info.error) == (409, "index_format")
+            service.search(SearchRequest(query="INFO", index=name, mode="topk_bm25", top_k=3))
+        if layout == "json-stats":
+            # The index opened in the same waves; only ranking is refused.
+            assert len(_batches(store.calls)) == waves + 1
+            assert service.search(SearchRequest(query="INFO", index=name, top_k=3)).documents
+    expected = (400, "ranking_unavailable") if layout == "json-stats" else (409, "index_format")
+    assert (caught.value.info.status, caught.value.info.error) == expected
     assert "rebuild" in caught.value.info.message
-    assert len(_batches(store.calls)) == waves
+    if layout != "json-stats":
+        assert len(_batches(store.calls)) == waves
 
 
 def test_a_reopen_after_this_nodes_own_flush_reads_only_what_it_does_not_know(bucket):

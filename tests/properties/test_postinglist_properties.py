@@ -20,7 +20,7 @@ NAMES = ["a", "b", "corpus/with/long/name.txt"]
 
 @st.composite
 def operands(draw, long: bool | None = None) -> tuple[frozenset[Posting], Superpost]:
-    """A set of postings and the ``Superpost`` of it, built one of three ways."""
+    """A set of postings and the ``Superpost`` of it, built one of two ways."""
     long = draw(st.booleans()) if long is None else long
     names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
     cells = st.builds(
@@ -33,13 +33,11 @@ def operands(draw, long: bool | None = None) -> tuple[frozenset[Posting], Superp
         postings = draw(st.frozensets(cells, min_size=CROSSOVER + 1, max_size=3 * CROSSOVER))
     else:
         postings = draw(st.frozensets(cells, max_size=40))
-    version = draw(st.sampled_from([None, 1, 2]))
-    if version is None:
+    if draw(st.booleans()):
         return postings, Superpost(postings)
     # A table that already interned some names, in an order of its own.
     table = StringTable(draw(st.lists(st.sampled_from(NAMES + ["zz"]), unique=True)))
-    decoded = decode_superpost(encode_superpost(postings, table, version), table, version)
-    return postings, decoded
+    return postings, decode_superpost(encode_superpost(postings, table), table)
 
 
 def _is(result: Superpost, expected) -> bool:

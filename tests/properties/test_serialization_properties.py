@@ -5,15 +5,12 @@ from __future__ import annotations
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.superpost import POSTING_ORDER, Superpost
 from repro.index import serialization
 from repro.index.serialization import (
-    FORMAT_V1,
-    FORMAT_V2,
     PostingColumns,
     StringTable,
     decode_superpost,
@@ -126,48 +123,21 @@ pathological_postings_strategy = st.sets(
 
 
 class TestV2CodecProperties:
-    """The delta codec must be a pure re-encoding of v1's semantics."""
+    """The delta codec round-trips every set of postings, in sorted order."""
 
     @given(postings=postings_strategy | pathological_postings_strategy)
     @settings(max_examples=150, deadline=None)
     def test_v2_round_trip_preserves_postings(self, postings):
         table = StringTable()
-        encoded = encode_superpost(Superpost(postings), table, FORMAT_V2)
-        assert set(decode_superpost(encoded, table, FORMAT_V2)) == postings
-
-    @given(postings=postings_strategy | pathological_postings_strategy)
-    @settings(max_examples=150, deadline=None)
-    def test_v2_decodes_identically_to_v1(self, postings):
-        superpost = Superpost(postings)
-        table_v1, table_v2 = StringTable(), StringTable()
-        from_v1 = decode_superpost(
-            encode_superpost(superpost, table_v1, FORMAT_V1), table_v1, FORMAT_V1
-        )
-        from_v2 = decode_superpost(
-            encode_superpost(superpost, table_v2, FORMAT_V2), table_v2, FORMAT_V2
-        )
-        assert set(from_v1) == set(from_v2) == postings
-        assert list(from_v1) == list(from_v2)
+        encoded = encode_superpost(Superpost(postings), table)
+        assert set(decode_superpost(encoded, table)) == postings
 
     @given(postings=postings_strategy)
     @settings(max_examples=50, deadline=None)
     def test_v2_encoding_deterministic(self, postings):
-        assert encode_superpost(
-            Superpost(postings), StringTable(), FORMAT_V2
-        ) == encode_superpost(Superpost(postings), StringTable(), FORMAT_V2)
-
-    @given(postings=postings_strategy)
-    @settings(max_examples=100, deadline=None)
-    def test_v2_never_larger_than_v1_plus_group_overhead(self, postings):
-        # Per blob group v2 spends one count varint v1 doesn't, but saves the
-        # per-posting blob key and shortens every offset varint; with < 128
-        # postings per group the count costs 1 byte, so the worst case is
-        # exactly one byte per distinct blob.
-        superpost = Superpost(postings)
-        v1 = encode_superpost(superpost, StringTable(), FORMAT_V1)
-        v2 = encode_superpost(superpost, StringTable(), FORMAT_V2)
-        num_groups = len({posting.blob for posting in postings})
-        assert len(v2) <= len(v1) + num_groups
+        assert encode_superpost(Superpost(postings), StringTable()) == encode_superpost(
+            Superpost(postings), StringTable()
+        )
 
     @given(postings=postings_strategy)
     @settings(max_examples=50, deadline=None)
@@ -175,10 +145,8 @@ class TestV2CodecProperties:
         # The decode hot path adopts the payload's order as the list's;
         # it must match a from-scratch sort.
         table = StringTable()
-        for version in (FORMAT_V1, FORMAT_V2):
-            encoded = encode_superpost(Superpost(postings), table, version)
-            decoded = decode_superpost(encoded, table, version)
-            assert list(decoded) == sorted(postings)
+        decoded = decode_superpost(encode_superpost(Superpost(postings), table), table)
+        assert list(decoded) == sorted(postings)
 
     @given(
         postings=postings_strategy | pathological_postings_strategy,
@@ -190,24 +158,15 @@ class TestV2CodecProperties:
         # vectorised decoder must agree with it on every payload, whatever
         # its size, group count, varint widths (up to 9 bytes) or the order
         # the table interned the names in.
-        for version in (FORMAT_V1, FORMAT_V2):
-            table = StringTable(list(preinterned))
-            encoded = encode_superpost(postings, table, version)
-            scalar = decode_superpost_scalar(encoded, table, version)
-            assert list(decode_superpost_columns(encoded, table, version)) == scalar
-            assert scalar == sorted(postings)
+        table = StringTable(list(preinterned))
+        encoded = encode_superpost(postings, table)
+        scalar = decode_superpost_scalar(encoded, table)
+        assert list(decode_superpost_columns(encoded, table)) == scalar
+        assert scalar == sorted(postings)
 
-    def test_empty_superpost_round_trips_in_both_formats(self):
+    def test_empty_superpost_round_trips(self):
         table = StringTable()
-        for version in (FORMAT_V1, FORMAT_V2):
-            encoded = encode_superpost(Superpost(), table, version)
-            assert set(decode_superpost(encoded, table, version)) == set()
-
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError):
-            encode_superpost(Superpost(), StringTable(), 99)
-        with pytest.raises(ValueError):
-            decode_superpost(b"\x00", StringTable(), 99)
+        assert set(decode_superpost(encode_superpost(Superpost(), table), table)) == set()
 
 
 class TestCorpusParsingProperties:
@@ -284,7 +243,7 @@ class TestColumnarEncoderProperties:
         )
         scalar_table, columnar_table = StringTable(), StringTable()
         expected = [
-            encode_superpost(postings, scalar_table, FORMAT_V2) if postings else b""
+            encode_superpost(postings, scalar_table) if postings else b""
             for postings in run
         ]
         # Small passes: lists spread over many vectorised passes (or one each).

@@ -5,7 +5,7 @@ members' statistics instead of re-reading and re-analysing the documents.
 That is exact only if the merge equals :func:`build_stats` over the
 surviving documents column for column — overlapping members (a document in
 two members counts once, as its first member has it), a member decoded from
-a v1 JSON blob, documents with no indexable token, and tombstones on any
+its stored blob, documents with no indexable token, and tombstones on any
 member included.  The splitting half (a row mask) must equal the statistics
 of the documents it keeps, and the profile the builder reads off the
 columns must equal the profile of the text.
@@ -17,7 +17,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harness.legacy_stats import encode_legacy_stats
 from repro.index.stats import (
     COLUMNS,
     build_stats,
@@ -65,16 +64,16 @@ def _same_columns(left, right) -> None:
     documents=documents_strategy,
     cuts=st.lists(st.integers(0, 24), max_size=3),
     doomed=st.sets(st.integers(0, 23), max_size=6),
-    legacy=st.integers(0, 3),
+    stored=st.integers(0, 3),
     simple=st.booleans(),
 )
-def test_merge_equals_statistics_over_survivors(documents, cuts, doomed, legacy, simple):
+def test_merge_equals_statistics_over_survivors(documents, cuts, doomed, stored, simple):
     tokenizer = SimpleAnalyzer() if simple else WhitespaceAnalyzer()
     bounds = sorted({0, len(documents), *(min(cut, len(documents)) for cut in cuts)})
     members = [build_stats(documents[a:b], tokenizer) for a, b in zip(bounds, bounds[1:])]
-    if legacy < len(members):
-        # One member as an older build left it: a v1 JSON blob.
-        members[legacy] = decode_stats(encode_legacy_stats(members[legacy]))
+    if stored < len(members):
+        # One member as compaction reads it: decoded from its stats blob.
+        members[stored] = decode_stats(encode_stats(members[stored]))
     exclude = {documents[at].ref for at in doomed if at < len(documents)}
     exclude.add(Posting("corpus/never-indexed.txt", 0, 1))
 

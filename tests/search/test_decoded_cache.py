@@ -28,8 +28,6 @@ from repro.storage.pipeline import ReadPipeline
 from repro.storage.simulated import SimulatedCloudStore
 from repro.workloads.logs import generate_log_corpus
 
-from harness.legacy_header import downgrade_codec
-
 CONFIG = SketchConfig(num_bins=256, target_false_positives=1.0, seed=7)
 INDEX = "idx"
 QUERIES = (
@@ -119,18 +117,12 @@ class TestCacheOnEqualsCacheOff:
             assert _answers(cached, views) == expected
             assert cached.catalog.open(INDEX).pipeline.stats.cache_hits > hits
 
-    def test_a_mix_of_v1_and_v2_codec_members(self):
+    def test_a_base_and_a_delta(self):
         store = _store()
-        downgrade_codec(store)
         with _service(store) as service:
             service.append_documents(INDEX, ["ERROR appended disk failure", "INFO block appended"])
-            assert service.flush_index(INDEX)["delta"]  # written with the v2 default
-            versions = {
-                shard.format_version
-                for member in service.catalog.open(INDEX).opened
-                for shard in member.shards
-            }
-        assert versions == {1, 2}
+            assert service.flush_index(INDEX)["delta"]
+            assert len(service.catalog.open(INDEX).opened) == 2
         _assert_cache_changes_no_answer(store)
 
     def test_the_hedged_lplus_path_under_a_flaky_store(self, monkeypatch):

@@ -7,6 +7,7 @@ requests go through the real socket with ``urllib``.
 
 import http.client
 import json
+import struct
 import threading
 import urllib.error
 import urllib.request
@@ -65,6 +66,11 @@ def _post(server, path, body):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def _codec(header: bytes, version: int) -> bytes:
+    """``header`` declaring superpost codec ``version`` instead of 2."""
+    return header.replace(b'"codec_version":2', b'"codec_version":%d' % version)
 
 
 def _build_index(server, name="logs-index"):
@@ -441,23 +447,44 @@ class TestCorruptIndex:
         assert "logs-index/superposts.bin" in payload["message"]
 
     @pytest.mark.parametrize(
-        "blob, payload",
+        "blob, forge",
         [
-            ("shards.json", b'{"shards":[{}]}'),
-            ("shards.json", b"not json"),
-            ("header.json", b"AIRPSHD\n" + bytes(16)),
+            ("shards.json", lambda header: b'{"shards":[{}]}'),
+            ("shards.json", lambda header: b"not json"),
+            ("header.json", lambda header: b"AIRPSHD\n" + bytes(16)),
+            ("header.json", lambda header: b'{"magic":"airphant-header","format_version":2}'),
+            ("header.json", lambda header: _codec(header, 1)),
+            ("header.json", lambda header: _codec(header, 9)),
+            ("header.json", lambda header: header[:8] + struct.pack("<I", 4) + header[12:]),
+            ("stats.json", lambda header: b'{"magic":"airphant-stats","version":1}'),
         ],
-        ids=["shards.json", "shards.json-bytes", "container"],
+        ids=[
+            "shards.json", "shards.json-bytes", "container", "json-header", "codec-v1",
+            "codec-v9", "container-v4", "json-stats",
+        ],
     )
-    def test_a_retired_sharded_layout_is_409_index_format(self, server, tmp_path, blob, payload):
-        # Whatever it holds, a retired layout is not read: the index is
-        # rebuilt from its corpus, and the answer says so.
-        directory = tmp_path / "bucket" / "broken"
-        directory.mkdir(parents=True)
-        (directory / blob).write_bytes(payload)
+    def test_a_retired_format_is_a_typed_error(self, server, tmp_path, blob, forge):
+        # Whatever it holds, a format this engine does not read is not read:
+        # the index is rebuilt from its corpus, and the answer says so.  The
+        # index is built by another node: the server opens it cold.
+        bucket = tmp_path / "bucket"
+        with AirphantService(LocalObjectStore(str(bucket)), ServiceConfig()) as builder:
+            builder.build_index("broken", ["corpora/logs.txt"])
+        header = (bucket / "broken" / "header.json").read_bytes()
+        if blob == "shards.json":
+            (bucket / "broken" / "header.json").unlink()
+        (bucket / "broken" / blob).write_bytes(forge(header))
+        ranked = {"index": "broken", "query": "error", "mode": "topk_bm25", "top_k": 2}
+        status, answer = _post(server, "/search", ranked)
+        assert "rebuild" in answer["message"]
+        if blob != "stats.json":
+            assert (status, answer["error"]) == (409, "index_format")
+            assert f"broken/{blob}" in answer["message"]
+            return
+        # Only ranking needs the statistics: membership still answers.
+        assert (status, answer["error"]) == (400, "ranking_unavailable")
         status, answer = self._search(server, "broken")
-        assert (status, answer["error"]) == (409, "index_format")
-        assert f"broken/{blob}" in answer["message"] and "rebuild" in answer["message"]
+        assert (status, answer["num_results"]) == (200, 3)
 
 
 class TestStoreFailures:

@@ -144,8 +144,7 @@ def test_checker_guards_the_store_layout_and_its_one_opener(tmp_path):
         '"""Module docstrings may say /delta- and stats.json."""\n'
         'MARKER = "/delta-"\n'
         'ROUTE = "/snapshots/"\n'
-        "metadata = decode_header(store.get(blob)).metadata\n"
-        "manifest = ShardManifest.from_json(payload)\n",
+        "metadata = decode_header(store.get(blob)).metadata\n",
         encoding="utf-8",
     )
     found = [problem.split(": ", 1) for problem in check_seams.findings(root)]
@@ -153,8 +152,7 @@ def test_checker_guards_the_store_layout_and_its_one_opener(tmp_path):
         ("index/builder.py:1", "layout literal 'header.json'"),
         ("service/catalog.py:2", "layout literal '/delta-'"),
         ("service/catalog.py:3", "layout literal '/snapshots/'"),
-        ("service/catalog.py:4", "header/manifest decoder called"),
-        ("service/catalog.py:5", "header/manifest decoder called"),
+        ("service/catalog.py:4", "header decoder called"),
     ]
 
 
@@ -176,7 +174,7 @@ def test_checker_keeps_the_build_header_decoder_under_index(tmp_path):
     )
     found = [problem.split(": ", 1) for problem in check_seams.findings(root)]
     assert [(where.split("repro/")[1], what.split(" outside")[0]) for where, what in found] == [
-        ("service/catalog.py:1", "header/manifest decoder called"),
+        ("service/catalog.py:1", "header decoder called"),
     ]
 
 
@@ -465,6 +463,40 @@ def test_checker_keeps_one_pipeline_and_no_retired_read_knobs(tmp_path):
         "service/config.py:2: retired read-path knob",
         "storage/pipeline.py:1: retired read-path knob",
         "storage/pipeline.py:2: retired read-path knob",
+    ]
+
+
+def test_checker_keeps_no_reader_of_a_retired_format(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("index", "baselines", "ingest"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the baselines' own postings codec, other blobs' version
+    # constants that merely end alike, and docstrings or comments that name
+    # what was deleted.
+    (root / "baselines" / "inverted.py").write_text(
+        "FORMAT_V1 = 1\ndef _decode_legacy_postings(data):\n    pass\n", encoding="utf-8"
+    )
+    (root / "ingest" / "wal.py").write_text("TOMBSTONE_FORMAT_V1 = 1\n", encoding="utf-8")
+    (root / "index" / "compaction.py").write_text(
+        '"""No _decode_legacy_header, no SUPPORTED_FORMAT_VERSIONS."""\n'
+        "CODEC_VERSION = 2  # FORMAT_V1 is gone\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: any of them brought back outside the baselines.
+    (root / "index" / "serialization.py").write_text(
+        "FORMAT_V1 = 1\nSUPPORTED_FORMAT_VERSIONS = (FORMAT_V1, 2)\n", encoding="utf-8"
+    )
+    (root / "index" / "stats.py").write_text(
+        "stats = _decode_legacy_stats(data, index_name)\n", encoding="utf-8"
+    )
+    found = check_seams.findings(root)
+    assert sorted(problem.split("repro/")[1] for problem in found) == [
+        "index/serialization.py:1: reader of a retired on-store format",
+        "index/serialization.py:2: reader of a retired on-store format",
+        "index/stats.py:1: reader of a retired on-store format",
     ]
 
 
