@@ -27,9 +27,12 @@ from repro.index.updates import AppendOnlyIndexManager
 from repro.observability.registry import get_registry
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Posting
+from repro.service.api import SearchRequest
+from repro.service.facade import AirphantService
 from repro.storage.memory import InMemoryObjectStore
 from repro.workloads.logs import generate_log_corpus
 
+from harness.corpora import SMALL_CORPUS_TEXT
 from harness.legacy_header import legacy_superpost_blob, reference_sketch
 
 
@@ -191,6 +194,13 @@ class TestHeaderCodec:
         assert caught.value.blob == "old/header.json"
         assert caught.value.expected == "header container v3 over superpost codec v2"
 
+    def test_a_json_header_is_a_format_error_however_malformed(self):
+        # Nothing after the ``{`` is parsed: a torn or hand-edited JSON header
+        # is still an old index to rebuild (409), never corruption (502).
+        for forged in (b"{", b'{"pointers": "none"}', b'{"magic":"airphant-header","form'):
+            with pytest.raises(UnsupportedIndexFormatError, match="a JSON header"):
+                decode_build_header(forged, "old")
+
     def test_every_header_declares_container_v3_over_codec_v2(self):
         data = encode_header(compact_sketch(_sketch(), "s.bin"))
         # Container version and superpost codec version are different numbers.
@@ -343,3 +353,91 @@ class TestHeaderSizeBudget:
         assert len(decode_header(header).mht.bin_ids) > 500
         # The JSON header was ~840 KB beside ~22 KB of superposts (38x).
         assert len(header) <= 2 * superposts + 8 * 1024
+
+
+SERVICE_CONFIG = SketchConfig(num_bins=256, num_layers=2, seed=11)
+
+REQUESTS = [
+    {"query": "error", "top_k": None},
+    {"query": "error timeout"},
+    {"query": "absent-term"},
+    {"query": "(error AND disk) OR heartbeat", "mode": "boolean"},
+    {"query": "error disk", "mode": "topk_bm25", "top_k": 3},
+    {"query": "appended", "mode": "topk_bm25", "top_k": 5, "weights": {"appended": 2.0}},
+]
+
+
+def _build(service: AirphantService, name: str, shards: int) -> None:
+    """``name`` over the small corpus, then two flushed appends (a base + 2 deltas)."""
+    service.store.put("corpus.txt", SMALL_CORPUS_TEXT.encode("utf-8"))
+    service.build_index(name, ["corpus.txt"], sketch_config=SERVICE_CONFIG, num_shards=shards)
+    for batch in (["error appended first on node7"], ["error disk appended second"]):
+        service.append_documents(name, batch)
+        assert service.flush_index(name)["delta"]
+
+
+def _answers(service: AirphantService, names: list[str]) -> list[dict]:
+    """Every request against every index, latency aside."""
+    answers = []
+    for name in names:
+        for fields in REQUESTS:
+            payload = service.search(SearchRequest.from_dict({"index": name, **fields})).to_dict()
+            del payload["latency"]
+            answers.append(payload)
+    return answers
+
+
+def _headers(store, prefix: str = "") -> list[bytes]:
+    return [
+        store.get(name)
+        for name in store.list_blobs(prefix=prefix)
+        if name.endswith(HEADER_BLOB_SUFFIX)
+    ]
+
+
+class TestEveryIndexShapeWritesV3Headers:
+    @pytest.mark.parametrize("backend", ["mem", "s3"])
+    def test_a_cold_node_answers_as_the_writer_does(self, request, backend):
+        uri = f"mem://v3-headers-{id(request)}"
+        if backend == "s3":
+            uri = request.getfixturevalue("s3_emulator").uri()
+        names = ["plain", "sharded"]
+        with AirphantService.from_uri(uri) as service:
+            service.store.put("corpus.txt", SMALL_CORPUS_TEXT.encode("utf-8"))
+            for name, shards in zip(names, (1, 4)):
+                service.build_index(
+                    name, ["corpus.txt"], sketch_config=SERVICE_CONFIG, num_shards=shards
+                )
+            _build(service, "live", 1)
+            names.append("live")
+            # plain + the 4-shard build's one header + (base + 2 deltas)
+            headers = _headers(service.store)
+            assert len(headers) == 1 + 1 + 3
+            assert all(header.startswith(HEADER_MAGIC) for header in headers)
+            written = _answers(service, names)
+        with AirphantService.from_uri(uri) as cold:
+            assert _answers(cold, names) == written
+        # ... and the answers are not vacuous.
+        assert written[0]["num_results"] == 5 and written[0]["mode"] == "keyword"
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_compaction_leaves_one_live_v3_header(self, request, shards):
+        uri = f"mem://v3-compaction-{id(request)}"
+        with AirphantService.from_uri(uri) as service:
+            _build(service, "live", shards)
+            before = _answers(service, ["live"])
+        with AirphantService.from_uri(uri) as service:
+            assert service.compact_index("live")["compacted"] is True
+            manifest = AppendOnlyIndexManager(service.store, base_index="live").manifest()
+            assert manifest.all_indexes == [manifest.active_base]
+            header = service.store.get(f"{manifest.active_base}/{HEADER_BLOB_SUFFIX}")
+            assert header.startswith(HEADER_MAGIC)
+            shard_manifest, members = decode_build_header(header, manifest.active_base)
+            assert len(members) == shards and (shard_manifest is None) == (shards == 1)
+        with AirphantService.from_uri(uri) as cold:
+            assert _answers(cold, ["live"]) == before
+            # The next compaction purges the retired members; what is left is v3.
+            cold.append_documents("live", ["error appended third"])
+            assert cold.compact_index("live")["compacted"] is True
+            remaining = _headers(cold.store, prefix="live/")
+            assert remaining and all(header.startswith(HEADER_MAGIC) for header in remaining)
