@@ -321,6 +321,12 @@ def _decode_v3_header(data: bytes, blob: str) -> CompactedSketch:
     if position > len(data):
         raise ValueError("header truncated inside its preamble")
     fields = json.loads(data[_HEADER_PREFIX.size : position])
+    sharded = fields.get("shards")
+    if sharded is not None:
+        end = len(data) - _CHECKSUM.size
+        if end < position or _CHECKSUM.pack(zlib.crc32(memoryview(data)[:end])) != data[end:]:
+            raise ValueError("sharded header fails its checksum")
+        data = memoryview(data)[:end]
     codec = fields["codec_version"]
     if codec != CODEC_VERSION:
         raise UnsupportedIndexFormatError(blob, f"superpost codec v{codec}", _READ_FORMAT)
@@ -328,13 +334,9 @@ def _decode_v3_header(data: bytes, blob: str) -> CompactedSketch:
     common_words = fields["common_words"]
     if width not in (4, 8) or not isinstance(count, int) or count < 0:
         raise ValueError("bad pointer column description")
-    sharded = fields.get("shards")
     num_shards, split_width, common_width, align = 1, width, width, 1
     if sharded is not None:
-        end = len(data) - _CHECKSUM.size
-        if end < position or _CHECKSUM.pack(zlib.crc32(memoryview(data)[:end])) != data[end:]:
-            raise ValueError("sharded header fails its checksum")
-        data, manifest = memoryview(data)[:end], ShardManifest.from_dict(sharded["manifest"])
+        manifest = ShardManifest.from_dict(sharded["manifest"])
         num_shards, (split_width, common_width) = manifest.num_shards, sharded["widths"]
         align = width
         if not {split_width, common_width} <= {1, 2, 4, 8}:

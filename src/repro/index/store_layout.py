@@ -76,11 +76,18 @@ class CorruptIndexError(ValueError):
 class UnsupportedIndexFormatError(ValueError):
     """A stored blob in a layout this engine no longer reads (neither the
     store's fault nor the request's): the index must be rebuilt from its
-    corpus.  Names the blob, what it holds and what is read instead."""
+    corpus.  Names the blob, what it holds and what is read instead.
+
+    The rebuild is lossless only for an index without live writes: a build
+    has no tombstones, so a live index rebuilt over its corpus and its
+    ingest segments gets back the documents its deletes and updates
+    condemned."""
 
     def __init__(self, blob: str, found: str, expected: str) -> None:
         super().__init__(
-            f"index blob {blob!r} holds {found}, not {expected}: rebuild the index"
+            f"index blob {blob!r} holds {found}, not {expected}: rebuild the index "
+            "from its corpus (a live index also from its ingest segments, losing "
+            "the deletes and updates its tombstones record)"
         )
         self.blob, self.found, self.expected = blob, found, expected
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from collections import defaultdict
 from typing import Mapping
 
@@ -96,7 +97,8 @@ def retire_format(store: ObjectStore, build: str, layout: str) -> None:
     """Rewrite one blob of ``build`` in a format this engine no longer reads:
     either retired sharded layout (:func:`retire_sharded_layout`),
     ``"json-header"`` (a JSON header, as builds before header container v3
-    wrote), ``"codec-v1"`` (its v3 header declaring superpost codec v1) or
+    wrote), ``"codec-v1"`` (its v3 header declaring superpost codec v1, a sharded
+    header's checksum recomputed to match) or
     ``"json-stats"`` (a v1 JSON stats blob in place of its — a sharded
     build's first shard's — statistics)."""
     header = header_blob_name(build)
@@ -110,7 +112,13 @@ def retire_format(store: ObjectStore, build: str, layout: str) -> None:
         store.put(header, b'{"magic":"airphant-header","format_version":2}')
     else:
         assert layout == "codec-v1" and b'"codec_version":2' in payload
-        store.put(header, payload.replace(b'"codec_version":2', b'"codec_version":1'))
+        forged = payload.replace(b'"codec_version":2', b'"codec_version":1')
+        manifest, _ = decode_build_header(payload, build)
+        if manifest is not None:
+            # A sharded header ends in a CRC-32 of the rest: keep it valid,
+            # so the forged header declares codec v1 rather than corruption.
+            forged = forged[:-4] + struct.pack("<I", zlib.crc32(forged[:-4]))
+        store.put(header, forged)
 
 
 def _legacy_plain_order(num_layers: int, bins_per_layer: int) -> list[LayoutNode]:

@@ -8,8 +8,8 @@ still decodes to the superpost of its bin.  A sharded build's header round-trips
 its manifest and its split of every run among the shards — whose shares,
 unioned, are exactly the one-shard build's superposts — and every
 truncation and every single-byte flip of it is a ``CorruptIndexError`` (or,
-for a flip of the format it declares, ``UnsupportedIndexFormatError``) —
-never another exception.
+for a flip of its leading byte to ``{`` or of its container version,
+``UnsupportedIndexFormatError``) — never another exception.
 """
 
 from __future__ import annotations
@@ -287,10 +287,11 @@ class TestShardedHeader:
     def test_every_single_byte_flip_is_corrupt(self, position, flip):
         data = bytearray(SHARDED_HEADER)
         data[position] ^= flip
-        # Unless the flip changes the format the header declares — a leading
-        # ``{`` (JSON), its container version or its codec version — which is
-        # the typed "rebuild" error instead; checked before the checksum.
-        declares = {0, *range(8, 12), SHARDED_HEADER.index(b'"codec_version":2') + 16}
-        error = UnsupportedIndexFormatError if position in declares else CorruptIndexError
-        with pytest.raises((CorruptIndexError, error), match="idx/header.json"):
+        # Unless the flip declares another container — a leading ``{`` (a
+        # JSON header) or another container version — which is the typed
+        # "rebuild" error instead.  The codec version sits under the checksum:
+        # flipping it is corruption like any other byte.
+        declares = data[0] == ord("{") or position in range(8, 12)
+        error = UnsupportedIndexFormatError if declares else CorruptIndexError
+        with pytest.raises(error, match="idx/header.json"):
             decode_build_header(bytes(data), "idx")
