@@ -29,7 +29,8 @@ def _run(catalog):
     parallel_ms = []
     sequential_ms = []
     for word in words:
-        reads = searcher.searchers[0].mht.range_reads_for(word)
+        pointers = searcher.searchers[0].mht.pointers_for(word)
+        reads = [pointer.to_range_read() for pointer in pointers if not pointer.is_empty]
         parallel_ms.append(catalog.store.read_batch(reads, max_concurrency=32).total_ms)
         sequential_ms.append(sum(catalog.store.read_batch([read]).total_ms for read in reads))
     return built, parallel_ms, sequential_ms

@@ -17,7 +17,6 @@ than what the bin budget allows, and opening it creates no per-bin object.
 from __future__ import annotations
 
 from bisect import bisect_left
-from copy import copy
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import lt
@@ -36,6 +35,10 @@ class BinPointer:
     blob: str
     offset: int
     length: int
+    #: The pointer's row in the table — the hashed bins' rows, then the
+    #: common words' (``-1``: the empty bin).  A sharded build's run split
+    #: is indexed by it.
+    row: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
         if self.offset < 0 or self.length < 0:
@@ -149,34 +152,6 @@ class MultilayerHashTable:
             zip(self.offsets, self.lengths), zip(self.common_offsets, self.common_lengths)
         )
 
-    def split(self, lengths: np.ndarray, common_lengths: np.ndarray) -> list[MultilayerHashTable]:
-        """One table per shard of a sharded build, whose every pointer is a
-        *run*: its shards' superposts back to back, in shard order.
-
-        ``lengths`` and ``common_lengths`` hold each shard's length in each
-        run (a row per shard, a column per pointer).  A shard's table shares
-        this one's hasher, ids and words and points at its share: it starts
-        where the shards before it end.  The columns must add up to the runs,
-        so every share lies inside this (validated) table's run.
-        """
-        width = np.asarray(self.offsets).dtype
-        tables = [copy(self) for _ in range(len(lengths))]
-        for runs, run_lengths, split, names in (
-            (self.offsets, self.lengths, lengths, ("offsets", "lengths")),
-            (self.common_offsets, self.common_lengths, common_lengths,
-             ("common_offsets", "common_lengths")),
-        ):
-            split, end = np.ascontiguousarray(split, width), np.array(runs, width)
-            if split.shape != (len(tables), len(runs)):
-                raise ValueError("the split needs a row per shard and a column per run")
-            for table, length in zip(tables, split):
-                setattr(table, names[0], memoryview(end.copy()))
-                setattr(table, names[1], memoryview(length))
-                end += length
-            if np.any(end != np.asarray(runs) + np.asarray(run_lengths)):
-                raise ValueError("a run's shares must add up to the run")
-        return tables
-
     # -- lookups ---------------------------------------------------------------------
 
     def _common_row(self, word: str) -> int | None:
@@ -194,7 +169,7 @@ class MultilayerHashTable:
         flat = layer * self.bins_per_layer + bin_index
         row = bisect_left(self.bin_ids, flat)
         if row < len(self.bin_ids) and self.bin_ids[row] == flat:
-            return BinPointer(self.blob, self.offsets[row], self.lengths[row])
+            return BinPointer(self.blob, self.offsets[row], self.lengths[row], row)
         return BinPointer(self.blob, 0, 0)
 
     def pointers_for(self, word: str) -> list[BinPointer]:
@@ -206,16 +181,13 @@ class MultilayerHashTable:
         """
         row = self._common_row(word)
         if row is not None:
-            return [BinPointer(self.blob, self.common_offsets[row], self.common_lengths[row])]
+            return [
+                BinPointer(
+                    self.blob, self.common_offsets[row], self.common_lengths[row],
+                    len(self.bin_ids) + row,
+                )
+            ]
         return [
             self.pointer_of(layer, bin_index)
             for layer, bin_index in enumerate(self.hasher.bins_of(word))
-        ]
-
-    def range_reads_for(self, word: str) -> list[RangeRead]:
-        """Range reads for the non-empty superposts of ``word``."""
-        return [
-            pointer.to_range_read()
-            for pointer in self.pointers_for(word)
-            if not pointer.is_empty
         ]

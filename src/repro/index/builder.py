@@ -63,7 +63,7 @@ class BuiltIndex:
     """Handle to a freshly built (and persisted) index."""
 
     index_name: str
-    #: Empty for a shard: its header, like its superposts, is its build's.
+    #: Empty for a shard: its header, like its superposts and ``mht``, is its build's.
     header_blob: str
     superpost_blob: str
     metadata: IndexMetadata
@@ -259,13 +259,12 @@ class AirphantBuilder:
             )
             self._store.put(superpost_blob, compacted.superpost_blob_data)
             self._store.put(header_blob, encode_header(compacted))
-            members = compacted.members(index_name)
             shards = [
                 BuiltIndex(
-                    name, "", superpost_blob, metadata, header.mht, part_profile, self._config,
-                    stats_blob_name(name),
+                    name, "", superpost_blob, metadata, compacted.mht, part_profile,
+                    self._config, stats_blob_name(name),
                 )
-                for (name, header), (part_profile, metadata) in zip(members, parts)
+                for name, (part_profile, metadata) in zip(names, parts)
             ]
             built = BuiltShardedIndex(index_name, manifest, shards)
             written = [shard.stats_blob for shard in shards]

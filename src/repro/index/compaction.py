@@ -20,7 +20,9 @@ JSON headers of early builds, codec v1, the retired sharded container,
 another container version — is :class:`UnsupportedIndexFormatError`: the
 index is derived data, and the way forward is to rebuild it from its corpus.
 A sharded build is one sketch whose header points at *runs* — a bin's shard
-superposts back to back — and splits them (:class:`ShardedRuns`).  Every
+superposts back to back — and splits them (:class:`ShardedRuns`); a run is
+read whole and decoded by cutting it at the split
+(:meth:`CompactedSketch.decode_run`).  Every
 build places the superposts inside the blob in co-access order
 (:mod:`repro.index.layout`); placement is invisible to readers, which only
 ever follow pointers.
@@ -32,6 +34,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,11 +42,13 @@ import numpy as np
 from repro.core.mht import MultilayerHashTable
 from repro.core.hashing import LayeredHasher
 from repro.core.sketch import IoUSketch, PostingColumns, SketchColumns
+from repro.core.superpost import Superpost
 from repro.index.layout import coaccess_order
 from repro.index.metadata import IndexMetadata, ShardManifest
 from repro.index.serialization import (
     CODEC_VERSION,
     StringTable,
+    decode_superpost,
     encode_superposts,
     uncompressed_superpost_bytes,
 )
@@ -90,6 +95,12 @@ class ShardedRuns:
     lengths: np.ndarray
     common_lengths: np.ndarray
 
+    @cached_property
+    def by_run(self) -> np.ndarray:
+        """The split with a row per run — the hashed bins', then the common
+        words' — as :attr:`~repro.core.mht.BinPointer.row` indexes them."""
+        return np.ascontiguousarray(np.concatenate([self.lengths, self.common_lengths], 1).T)
+
 
 @dataclass
 class CompactedSketch:
@@ -98,8 +109,7 @@ class CompactedSketch:
     ``superpost_blob_data`` is the byte concatenation of all serialized
     superposts (empty when decoded from a header — the superposts themselves
     stay in cloud storage); ``mht`` holds the pointers into it.  A sharded
-    build's ``mht`` points at whole runs and ``shards`` splits them
-    (:meth:`members`).
+    build's ``mht`` points at whole runs and ``shards`` splits them.
     """
 
     superpost_blob_data: bytes
@@ -113,16 +123,45 @@ class CompactedSketch:
         """Name of the blob the pointers point into."""
         return self.mht.blob
 
-    def members(self, build: str) -> list[tuple[str, "CompactedSketch"]]:
-        """``(name, header)`` of each shard, pointing at its share of every run."""
-        runs = self.shards
-        if runs is None:
-            return [(build, self)]
-        tables = self.mht.split(runs.lengths, runs.common_lengths)
-        return [
-            (name, CompactedSketch(b"", table, self.string_table, metadata))
-            for name, metadata, table in zip(runs.manifest.shard_names, runs.metadata, tables)
-        ]
+    @property
+    def manifest(self) -> ShardManifest | None:
+        """A sharded build's shard manifest (``None`` for a plain build)."""
+        return None if self.shards is None else self.shards.manifest
+
+    def share_range(
+        self, run: int, offset: int, length: int, first: int, last: int | None
+    ) -> tuple[int, int]:
+        """``(offset, length)`` of the shares of shards ``first`` to
+        ``last - 1`` in run ``run`` (a pointer's row) at ``offset`` — the
+        whole run ``length`` bytes long for ``last`` ``None``."""
+        if last is None:
+            return offset, length
+        shares = self.shards.by_run[run]
+        return offset + int(shares[:first].sum()), int(shares[first:last].sum())
+
+    def decode_run(
+        self, run: int, first: int, last: int | None, payload: bytes | memoryview
+    ) -> Superpost:
+        """The postings of shards ``first`` to ``last - 1`` (to the last, for
+        ``None``) in run ``run`` (a pointer's row), whose shares ``payload``
+        holds back to back — a plain build's run is one superpost.
+
+        Each non-empty share decodes on its own and the shares union: shards
+        partition the documents, so the union is exact.  A payload that is
+        not its shares' length, or a share that does not decode, is a
+        :class:`~repro.index.store_layout.CorruptIndexError` naming the blob.
+        """
+        runs, pieces, start = self.shards, [], 0
+        shares = [len(payload)] if runs is None else runs.by_run[run, first:last].tolist()
+        try:
+            if sum(shares) != len(payload):
+                raise ValueError(f"run {run} holds {len(payload)} bytes, its shares {sum(shares)}")
+            for share in filter(None, shares):
+                pieces.append(decode_superpost(payload[start : start + share], self.string_table))
+                start += share
+        except (ValueError, KeyError) as error:
+            raise CorruptIndexError(self.mht.blob, error) from error
+        return Superpost.union_all(pieces)
 
 
 def compact_sketch(
@@ -292,19 +331,16 @@ def decode_header(data: bytes, blob: str = HEADER_BLOB_SUFFIX) -> CompactedSketc
         raise ValueError(f"malformed Airphant header: {error!r}") from error
 
 
-def decode_build_header(
-    data: bytes, build: str
-) -> tuple[ShardManifest | None, list[tuple[str, CompactedSketch]]]:
-    """What ``build``'s header says it is: no manifest and its own header, or
-    a sharded build's manifest (of ``build``'s own shards) and each shard's
-    ``(name, header)``.  A header in a format this engine does not read is
-    :class:`UnsupportedIndexFormatError`, any other failure corrupt."""
+def decode_build_header(data: bytes, build: str) -> CompactedSketch:
+    """``build``'s header, plain or sharded (whose manifest must name
+    ``build``'s own shards).  A header in a format this engine does not read
+    is :class:`UnsupportedIndexFormatError`, any other failure corrupt."""
     blob = header_blob_name(build)
     try:
         header = decode_header(data, blob)
-        if header.shards is None:
-            return None, [(build, header)]
-        return header.shards.manifest.validated(build), header.members(build)
+        if header.manifest is not None:
+            header.manifest.validated(build)
+        return header
     except UnsupportedIndexFormatError:
         raise
     except (ValueError, *_MALFORMED) as error:
@@ -360,6 +396,9 @@ def _decode_v3_header(data: bytes, blob: str) -> CompactedSketch:
         if len(metadata) != num_shards:
             raise ValueError("the shards' metadata does not match the manifest")
         runs = ShardedRuns(manifest, metadata, *split)
+        # A run is its shares added up (a float sum cannot wrap): a pointer holds it.
+        if any(part.size and part.sum(0, float).max() >= 2.0 ** (8 * width) for part in split):
+            raise ValueError("a run's shares do not add up to a run")
         lengths, common_lengths = (part.sum(axis=0, dtype=offsets.dtype) for part in split)
     mht = MultilayerHashTable(
         _hasher_of(fields), fields["superpost_blob"], fields["superpost_bytes"],

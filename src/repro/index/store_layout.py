@@ -57,10 +57,10 @@ _UPDATE_MANIFEST_SUFFIX = "manifest.json"
 #: entry, in the order an existence check probes them.
 _DISCOVERY_SUFFIXES = (HEADER_BLOB_SUFFIX, SHARD_MANIFEST_SUFFIX, _UPDATE_MANIFEST_SUFFIX)
 
-#: Ceiling on the concurrency a sharded index asks for on its own.  A
-#: query's lookup wave carries every shard's layer reads at once, so the
-#: fan-out budget scales with the shard count — but a real store's thread
-#: pool should not grow unboundedly with pathological shard counts.
+#: Ceiling on the concurrency a sharded index asks for on its own.  Its
+#: fan-out budget scales with the shard count — a wave fetches the
+#: candidates of every shard — but a real store's thread pool should not
+#: grow unboundedly with pathological shard counts.
 MAX_SHARDED_CONCURRENCY = 128
 
 
@@ -201,15 +201,18 @@ def index_name_of(blob: str) -> str | None:
 
 
 class OpenedBuild(NamedTuple):
-    """One build — a base, a delta or a generation — with its header(s) decoded."""
+    """One build — a base, a delta or a generation — with its header decoded."""
 
     name: str
-    #: The shard manifest (``None`` for a plain, single-header build).
-    manifest: ShardManifest | None
-    #: ``(name, decoded header)`` of the build itself, or of its shards in order.
-    members: list[tuple[str, CompactedSketch]]
+    #: The decoded header (a sharded build's splits its runs among its shards).
+    header: CompactedSketch
     #: Width of every later wave over this build (scaled by its shard count).
     max_concurrency: int
+
+    @property
+    def manifest(self) -> ShardManifest | None:
+        """The shard manifest (``None`` for a plain build)."""
+        return self.header.manifest
 
 
 class OpenedHeaders(NamedTuple):
@@ -269,12 +272,13 @@ def open_headers(
         if have[header] is None:
             _refuse_retired_layout(store, name)
             raise BlobNotFoundError(header)
-        manifest, members = decode_build_header(have[header], name)
-        # A wave carries every shard's reads: a budget per shard.
+        decoded = decode_build_header(have[header], name)
+        # A wave carries every shard's candidates: a budget per shard.
+        manifest = decoded.manifest
         width = max_concurrency if manifest is None else min(
             max_concurrency * manifest.num_shards, MAX_SHARDED_CONCURRENCY
         )
-        return OpenedBuild(name, manifest, members, width)
+        return OpenedBuild(name, decoded, width)
 
     # What the caller read already opens first: a sharded base widens the wave.
     builds = {name: opened(name) for name in index_names if header_blob_name(name) in have}

@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING, AbstractSet, Sequence
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder, BuiltIndex, BuiltShardedIndex
 from repro.index.compaction import CompactedSketch
-from repro.index.serialization import decode_superpost
 from repro.index.stats import (
     IndexStats,
     RankingUnsupportedError,
@@ -51,6 +50,7 @@ from repro.index.stats import (
     union_stats,
 )
 from repro.index.store_layout import (
+    OpenedBuild,
     build_blobs,
     build_exists,
     delta_index_name,
@@ -342,13 +342,15 @@ class AppendOnlyIndexManager:
     def indexed_documents(self, exclude: AbstractSet[Posting] = frozenset()) -> list[Document]:
         """Enumerate every document covered by the base and delta indexes."""
         builds = open_headers(self._store, self.manifest().all_indexes).builds
-        return self._read_documents([h for build in builds for _, h in build.members], exclude)
+        return self._read_documents([(build.header, None) for build in builds], exclude)
 
     def _read_documents(
-        self, headers: Sequence[CompactedSketch], exclude: AbstractSet[Posting] = frozenset()
+        self,
+        parts: Sequence[tuple[CompactedSketch, int | None]],
+        exclude: AbstractSet[Posting] = frozenset(),
     ) -> list[Document]:
-        """Every document the builds (or shards) of ``headers`` index, re-read
-        from storage.
+        """Every document the builds of ``parts`` index — each whole, or the
+        one shard its ordinal names — re-read from storage.
 
         The union of all superposts (plus the common-word lists) of an index
         is exactly its set of postings — of documents with at least one
@@ -359,15 +361,17 @@ class AppendOnlyIndexManager:
         """
         postings: set[Posting] = set()
         blobs: dict[str, bytes] = {}
-        for compacted in headers:
-            # One read of each superpost blob (a sharded build's shards share
-            # one), sliced by the pointer columns: never a range read per bin.
-            name = compacted.superpost_blob_name
+        for header, shard in parts:
+            # One read of each superpost blob, sliced by the pointer columns:
+            # never a range read per bin.
+            name = header.superpost_blob_name
             blob = blobs[name] = blobs[name] if name in blobs else self._store.get(name)
-            for offset, length in compacted.mht.ranges():
+            first, last = (0, None) if shard is None else (shard, shard + 1)
+            for row, run in enumerate(header.mht.ranges()):
+                offset, length = header.share_range(row, *run, first, last)
                 if length:
                     postings.update(
-                        decode_superpost(blob[offset : offset + length], compacted.string_table)
+                        header.decode_run(row, first, last, blob[offset : offset + length])
                     )
         wanted = sorted(postings - set(exclude))
         fetch = self._store.read_batch([posting.to_range_read() for posting in wanted])
@@ -377,26 +381,35 @@ class AppendOnlyIndexManager:
         ]
 
     def _merged_stats(
-        self, members: Sequence[tuple[str, CompactedSketch]], exclude: AbstractSet[Posting]
+        self, builds: Sequence[OpenedBuild], exclude: AbstractSet[Posting]
     ) -> IndexStats:
-        """The statistics of every opened member build (shards, not a sharded
-        build), merged minus ``exclude``.
+        """The statistics of every opened build's members (its shards, for a
+        sharded build), merged minus ``exclude``.
 
         One wave reads every member's stats blob.  A member without one —
         built before ranked retrieval, or whose blob is in a format no longer
         read — contributes :func:`build_stats` over its documents, re-read
         from storage, so old indexes still compact (and gain statistics).
         """
+        members = [
+            (name, build.header, shard if build.manifest else None)
+            for build in builds
+            for shard, name in enumerate(
+                build.manifest.shard_names if build.manifest else [build.name]
+            )
+        ]
         fetch = self._store.read_batch(
-            [RangeRead(stats_blob_name(member), optional=True) for member, _ in members]
+            [RangeRead(stats_blob_name(member), optional=True) for member, _, _ in members]
         )
         tokenizer = self._tokenizer if self._tokenizer is not None else WhitespaceAnalyzer()
 
-        def statistics(member: str, header: CompactedSketch, payload: bytes | None) -> IndexStats:
+        def statistics(
+            member: str, header: CompactedSketch, shard: int | None, payload: bytes | None
+        ) -> IndexStats:
             if payload is not None:
                 with suppress(RankingUnsupportedError):
                     return decode_stats(payload, member)
-            return build_stats(self._read_documents([header], exclude), tokenizer)
+            return build_stats(self._read_documents([(header, shard)], exclude), tokenizer)
 
         return union_stats(
             [statistics(*member, payload) for member, payload in zip(members, fetch.payloads)],
@@ -430,7 +443,7 @@ class AppendOnlyIndexManager:
         """
         manifest = self.manifest()
         builds = open_headers(self._store, manifest.all_indexes).builds
-        stats = self._merged_stats([member for build in builds for member in build.members], exclude)
+        stats = self._merged_stats(builds, exclude)
         shard_manifest = builds[0].manifest
         generation = manifest.generation + 1
         new_base = generation_index_name(self._base_index, generation)

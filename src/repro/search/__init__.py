@@ -10,7 +10,7 @@ answering the :class:`Member` contract.
 """
 
 from repro.search.boolean import And, BooleanQuery, Or, Term, parse_boolean_query
-from repro.search.member import IndexMember, Member, ShardState
+from repro.search.member import IndexMember, Member
 from repro.search.regexsearch import RegexSearcher, extract_required_terms
 from repro.search.replication import HedgingPolicy
 from repro.search.results import LatencyBreakdown, SearchResult
@@ -27,7 +27,6 @@ __all__ = [
     "Or",
     "RegexSearcher",
     "SearchResult",
-    "ShardState",
     "Term",
     "extract_required_terms",
     "parse_boolean_query",

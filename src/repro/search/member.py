@@ -20,16 +20,14 @@ of not-yet-flushed documents).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Collection, NamedTuple, Protocol, Sequence
 
-from repro.core.mht import MultilayerHashTable
 from repro.core.superpost import EMPTY, Superpost
 from repro.index.compaction import CompactedSketch
-from repro.index.metadata import IndexMetadata, ShardManifest, index_metadata
-from repro.index.serialization import StringTable, decode_superpost
+from repro.index.metadata import index_metadata
 from repro.index.stats import IndexStats, RankingUnsupportedError, decode_stats
-from repro.index.store_layout import MAX_SHARDED_CONCURRENCY, CorruptIndexError, stats_blob_name
+from repro.index.store_layout import MAX_SHARDED_CONCURRENCY, stats_blob_name
 from repro.parsing.documents import Document, Posting
 from repro.storage.base import RangeRead
 from repro.storage.pipeline import ReadPipeline
@@ -45,7 +43,7 @@ class LookupPlan(NamedTuple):
     #: The superpost ranges to read — none when every word has no postings
     #: or belongs to a doomed conjunction — then, on a ranked
     #: plan of a member whose statistics are not resident yet, their reads.
-    #: A superpost read carries its shard's decoder, so its payload arrives
+    #: A superpost read carries its build's decoder, so its payload arrives
     #: decoded (and, warm, from the read cache).
     reads: Sequence[RangeRead]
     #: Turns the payloads of ``reads`` (same order: a decoded superpost per
@@ -101,38 +99,16 @@ class Member(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class ShardState:
-    """In-memory header state of one opened shard."""
-
-    name: str
-    mht: MultilayerHashTable
-    string_table: StringTable
-    metadata: IndexMetadata | None
-
-    @classmethod
-    def from_header(cls, name: str, header: CompactedSketch) -> "ShardState":
-        return cls(name, header.mht, header.string_table, header.metadata)
-
-    def decode(self, payload: bytes | memoryview) -> Superpost:
-        """One of this shard's superposts, decoded (every superpost read's
-        :attr:`~repro.storage.base.RangeRead.decode`); bytes that do not
-        decode are a :class:`~repro.index.store_layout.CorruptIndexError`."""
-        try:
-            return decode_superpost(payload, self.string_table)
-        except (ValueError, KeyError) as error:
-            raise CorruptIndexError(self.mht.blob, error) from error
-
-
 class IndexMember:
     """A persisted IoU Sketch index — every shard of it, or a subset.
 
-    A word's superpost reads are collected across *every* shard into one
-    plan; per shard the layers intersect, and the per-shard answers union
-    (partitions are disjoint, so the union is exact).  The executor runs the
-    plan — with every other member's — as one batch through ``pipeline``,
-    the :class:`~repro.storage.pipeline.ReadPipeline` of the opened index
-    this member belongs to (a base and its deltas share one), so the member
+    A build is one table; a sharded build's points at *runs*, each bin's
+    shard superposts side by side.  A word is hashed once and read as one
+    range per run (per block of held shards, in a restricted view), decoded
+    into the union of its shares.  The executor runs the plan — with every
+    other member's — as one batch through ``pipeline``, the
+    :class:`~repro.storage.pipeline.ReadPipeline` of the opened index this
+    member belongs to (a base and its deltas share one), so the member
     itself reads nothing.  Its ranking statistics ride the lookup wave of
     its first ranked query and stay resident.
     """
@@ -141,28 +117,43 @@ class IndexMember:
         self,
         name: str,
         pipeline: ReadPipeline,
-        shard_manifest: ShardManifest | None,
-        shards: Sequence[ShardState],
+        header: CompactedSketch,
         max_concurrency: int,
+        held: Sequence[int] | None = None,
         whole: "IndexMember | None" = None,
     ) -> None:
         self.name = name
         #: The opened index's one read pipeline (the executor reads through it).
         self.pipeline = pipeline
+        #: The build's decoded header: its one table, string table and run split.
+        self.header = header
+        #: The in-memory Multilayer Hash Table (of the whole build).
+        self.mht = header.mht
         #: The shard manifest (``None`` for a plain, single-header index).
-        self.shard_manifest = shard_manifest
-        self.shards = tuple(shards)
+        manifest = self.shard_manifest = header.manifest
+        runs = header.shards
+        #: The shard ordinals this view answers for, ascending.
+        self.held = tuple(range(manifest.num_shards if manifest else 1) if held is None else held)
         #: Most requests this member alone wants in flight (scaled by its
         #: shard count); the opened index's pipeline is as wide as all its
         #: members together.
         self.max_concurrency = max_concurrency
         #: Corpus-wide metadata, aggregated over the shards this view holds.
         self.metadata = index_metadata(
-            shard_manifest, [shard.metadata for shard in self.shards]
+            self.shard_manifest,
+            [header.metadata] if runs is None else [runs.metadata[o] for o in self.held],
         )
         self.expected_false_positives = (
             self.metadata.expected_false_positives if self.metadata is not None else 0.0
         )
+        #: ``[first, last)`` of each block of adjacent held shards, a read per
+        #: run each: ``[0, None)``, the whole run, unless this is a view.
+        self._blocks: list[list] = [[0, None]] if held is None else []
+        for ordinal in () if held is None else self.held:
+            if self._blocks and self._blocks[-1][1] == ordinal:
+                self._blocks[-1][1] = ordinal + 1
+            else:
+                self._blocks.append([ordinal, ordinal + 1])
         # The statistics are shared across server threads
         # (ThreadingHTTPServer); guard their installation.
         self._lock = threading.Lock()
@@ -174,37 +165,28 @@ class IndexMember:
     @property
     def num_shards(self) -> int:
         """Shards this member answers for (1 for a plain index)."""
-        return len(self.shards)
-
-    @property
-    def mht(self) -> MultilayerHashTable:
-        """The in-memory Multilayer Hash Table (of the first shard)."""
-        return self.shards[0].mht
+        return len(self.held)
 
     def restrict(self, ordinals: Collection[int]) -> "IndexMember | None":
-        """A view answering only the given shard ordinals (``None`` if it holds none).
+        """A view answering only the given shard ordinals — positions among
+        the shards this member holds — (``None`` if it holds none).
 
         The scatter half of the cluster tier's scatter-gather: a router
         assigns each node a subset of ordinals, and the node answers its
         subset through this view while the router unions the partial
         answers (partitions are disjoint, so the union is exact).
 
-        The view shares this member's pipeline — its block cache included —
-        and ranking statistics; only the shard list (and the metadata merged
-        over it) differs.
+        The view shares this member's table, pipeline — its block cache
+        included — and ranking statistics; only the held ordinals (and the
+        metadata merged over them) differ.
         """
-        held = sorted({o for o in ordinals if 0 <= o < len(self.shards)})
+        held = [self.held[o] for o in sorted({o for o in ordinals if 0 <= o < len(self.held)})]
         if not held:
             return None
-        if len(held) == len(self.shards):
+        if len(held) == len(self.held):
             return self
         return IndexMember(
-            self.name,
-            self.pipeline,
-            self.shard_manifest,
-            [self.shards[ordinal] for ordinal in held],
-            self.max_concurrency,
-            whole=self._whole,
+            self.name, self.pipeline, self.header, self.max_concurrency, held, self._whole
         )
 
     # -- wave 1: superpost reads + per-word intersection ---------------------------
@@ -212,15 +194,12 @@ class IndexMember:
     def plan(
         self, words: Sequence[str], fail_fast: bool = False, ranked: bool = False
     ) -> LookupPlan:
-        """Every (shard, word, layer) superpost read of ``words``, as one plan.
+        """Every word's reads — one per run of its layers — as one plan.
 
         A Boolean query over N terms therefore costs the same single wave as
-        a one-word query.  Per shard a word's layers intersect with each
-        other only; across shards the per-shard answers union.  A word that
-        hits an empty bin in a shard is simply absent from that shard; only
-        a word absent from *every* shard is globally empty.  The shards'
-        shares of a bin sit side by side in ``superposts.bin``, so the reads
-        of one bin merge into one request whatever the shard count.
+        a one-word query.  A word's layers intersect over its runs' decoded
+        unions — exact, since shards partition the documents.  A word that
+        no held shard has in all its bins is empty, and nothing is read for it.
 
         With ``fail_fast`` (the AND path) such a word dooms the whole
         conjunction, so no superpost is read — matching a real engine that
@@ -235,28 +214,32 @@ class IndexMember:
         """
         results: dict[str, Superpost] = {}
         unique = list(dict.fromkeys(words))
+        header, runs = self.header, self.header.shards
 
-        # Collect pointers per (shard, word), remembering which requests
-        # belong to whom.
+        # Collect the reads per word, remembering which belong to which layer.
         requests: list[RangeRead] = []
-        layers: dict[tuple[int, str], range] = {}
-        fetch_words: list[str] = []
+        layers: dict[str, list[range]] = {}
         for word in unique:
-            pointers = [shard.mht.pointers_for(word) for shard in self.shards]
-            # A shard with an empty bin for the word has no postings for it.
-            alive = [all(pointer.length for pointer in shard) for shard in pointers]
-            if not any(alive):
+            pointers = self.mht.pointers_for(word)
+            # Alive: some held shard has a share in every one of its runs.
+            if not all(pointer.length for pointer in pointers) or (
+                runs is not None
+                and not runs.by_run[[p.row for p in pointers]][:, self.held].all(0).any()
+            ):
                 results[word] = EMPTY
                 continue
-            fetch_words.append(word)
-            # Every shard's share is read — the ones without the word are
-            # ignored — so each bin's run stays one contiguous range, and a
-            # word's bins placed side by side one request, as with one shard.
-            for ordinal, (shard, shard_pointers) in enumerate(zip(self.shards, pointers)):
-                first, decode = len(requests), shard.decode
-                requests += [p.to_range_read(decode) for p in shard_pointers if p.length]
-                if alive[ordinal]:
-                    layers[(ordinal, word)] = range(first, len(requests))
+            spans = layers[word] = []
+            for pointer in pointers:
+                start = len(requests)
+                for first, last in self._blocks:
+                    offset, length = header.share_range(
+                        pointer.row, pointer.offset, pointer.length, first, last
+                    )
+                    if length:
+                        decode = partial(header.decode_run, pointer.row, first, last)
+                        requests.append(RangeRead(pointer.blob, offset, length, decode=decode))
+                spans.append(range(start, len(requests)))
+        fetch_words = list(layers)
 
         if fail_fast and len(fetch_words) < len(unique):
             for word in fetch_words:
@@ -268,29 +251,23 @@ class IndexMember:
             if statistics:
                 self._install(payloads[len(requests) :])
             for word in fetch_words:
-                per_shard: list[Superpost] = []
-                for shard_index in range(len(self.shards)):
-                    # A hedged-away straggler's payload is None: skip that layer
-                    # (the intersection of the rest is still a valid superset).
-                    superposts = [
-                        superpost
-                        for index in layers.get((shard_index, word), ())
-                        if (superpost := payloads[index]) is not None
-                    ]
-                    if superposts:
-                        per_shard.append(Superpost.intersect_all(superposts))
-                results[word] = (
-                    per_shard[0] if len(per_shard) == 1 else Superpost.union_all(per_shard)
-                )
+                # A hedged-away straggler's payload is None: skip that layer
+                # (the intersection of the rest is still a valid superset).
+                unions = [
+                    Superpost.union_all(shares)
+                    for span in layers[word]
+                    if None not in (shares := [payloads[index] for index in span])
+                ]
+                results[word] = Superpost.intersect_all(unions)
             return results
 
         return LookupPlan(
             [*requests, *statistics],
             resolve,
             words=fetch_words,
-            shards=len(self.shards),
+            shards=len(self.held),
             hedgeable=not statistics
-            and self.shard_manifest is None
+            and runs is None
             and len(fetch_words) == 1
             and not self.mht.is_common(fetch_words[0]),
             statistics=self._resident_statistics if ranked else None,
@@ -357,5 +334,4 @@ __all__ = [
     "LookupPlan",
     "MAX_SHARDED_CONCURRENCY",
     "Member",
-    "ShardState",
 ]

@@ -47,7 +47,7 @@ from repro.observability.tracing import span
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
 from repro.search.boolean import And, BooleanQuery, Term, parse_boolean_query
-from repro.search.member import IndexMember, LookupPlan, Member, ShardState
+from repro.search.member import IndexMember, LookupPlan, Member
 from repro.search.ranking import MAX_RANKED_K, BM25Params, rank_candidates
 from repro.search.replication import HedgingPolicy
 from repro.search.results import Candidates, LatencyBreakdown, SearchResult
@@ -176,13 +176,7 @@ class AirphantSearcher:
             cache_bytes=self._read_cache_bytes,
         )
         self._opened = [
-            IndexMember(
-                build.name,
-                self.pipeline,
-                build.manifest,
-                [ShardState.from_header(*shard) for shard in build.members],
-                build.max_concurrency,
-            )
+            IndexMember(build.name, self.pipeline, build.header, build.max_concurrency)
             for build in opened.builds
         ]
         self._members = list(self._opened)

@@ -212,8 +212,9 @@ class IndexCatalog:
             found = self._open_index(name, probe_ingest=False, base_only=True)
             (base,) = found.builds
             shard_manifest = base.manifest
+            runs = base.header.shards
             metadata = index_metadata(
-                shard_manifest, [header.metadata for _, header in base.members]
+                shard_manifest, [base.header.metadata] if runs is None else list(runs.metadata)
             )
             delta_names = found.manifest.delta_indexes
         assert metadata is not None

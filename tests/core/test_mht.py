@@ -107,13 +107,13 @@ class TestMultilayerHashTable:
     def test_absent_id_is_the_canonical_empty_bin(self):
         mht = _mht(2, 4, skip=frozenset(range(8)))
         assert mht.pointers_for("keyword") == [BinPointer("superposts", 0, 0)] * 2
-        assert mht.range_reads_for("keyword") == []
+        assert all(pointer.is_empty for pointer in mht.pointers_for("keyword"))
 
     def test_range_reads_skip_empty_bins(self):
         word = "keyword"
         first_bin = LayeredHasher.build(2, 4, seed=1).bins_of(word)[0]
         mht = _mht(2, 4, skip=frozenset({first_bin}))
-        reads = mht.range_reads_for(word)
+        reads = [p.to_range_read() for p in mht.pointers_for(word) if not p.is_empty]
         assert len(reads) == 1
 
     def test_u64_columns_answer_like_u32(self):
@@ -132,23 +132,14 @@ class TestMultilayerHashTable:
         mht = _mht(1, 2, common={"the": (500, 7)})
         assert list(mht.ranges()) == [(0, 10), (10, 10), (500, 7)]
 
-    def test_split_points_each_shard_at_its_share_of_every_run(self):
-        # Every bin is a 10-byte run; "the" a 7-byte one.  Three shards: the
-        # first holds 4 bytes of each bin run, the second none, the third 6.
-        mht = _mht(1, 2, common={"the": (500, 7)})
-        first, second, third = mht.split(
-            np.array([[4, 4], [0, 0], [6, 6]], np.uint8), np.array([[7], [0], [0]], np.uint16)
-        )
-        assert list(first.ranges()) == [(0, 4), (10, 4), (500, 7)]
-        assert list(second.ranges()) == [(4, 0), (14, 0), (507, 0)]
-        assert list(third.ranges()) == [(4, 6), (14, 6), (507, 0)]
-        assert third.pointers_for("the") == [BinPointer("superposts", 507, 0)]
-        assert first.bin_ids == mht.bin_ids and first.common_words == mht.common_words
-
-    def test_split_shares_must_add_up_to_the_runs(self):
-        mht = _mht(1, 2, common={"the": (500, 7)})
-        common = np.array([[7], [0]], np.uint8)
-        with pytest.raises(ValueError):
-            mht.split(np.array([[4, 4], [6, 7]], np.uint8), common)  # 11 bytes of a 10-byte run
-        with pytest.raises(ValueError):
-            mht.split(np.array([[4, 4, 4], [6, 6, 6]], np.uint8), common)  # a column per run
+    def test_a_pointer_names_its_row_in_range_order(self):
+        # Hashed bins first, then the common words; the empty bin has none.
+        mht = _mht(2, 4, skip=frozenset({1}), common={"rare": (300, 3), "the": (500, 7)})
+        ranges = list(mht.ranges())
+        for word in ["keyword", "error", "the", "rare"]:
+            for pointer in mht.pointers_for(word):
+                if pointer.is_empty:
+                    assert pointer.row == -1
+                else:
+                    assert ranges[pointer.row] == (pointer.offset, pointer.length)
+        assert [p.row for p in mht.pointers_for("the")] == [len(mht.bin_ids) + 1]

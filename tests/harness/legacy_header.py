@@ -88,7 +88,7 @@ def retire_sharded_layout(store: ObjectStore, build: str, layout: str) -> None:
     if layout == "container":
         store.put(header, RETIRED_SHARDED_MAGIC + payload[len(RETIRED_SHARDED_MAGIC) :])
         return
-    manifest, _ = decode_build_header(payload, build)
+    manifest = decode_build_header(payload, build).manifest
     store.put(shard_manifest_blob_name(build), json.dumps(manifest.to_dict()).encode("utf-8"))
     store.delete(header)
 
@@ -106,15 +106,15 @@ def retire_format(store: ObjectStore, build: str, layout: str) -> None:
     if layout in ("container", "shards.json"):
         retire_sharded_layout(store, build, layout)
     elif layout == "json-stats":
-        _, members = decode_build_header(payload, build)
-        store.put(stats_blob_name(members[0][0]), b'{"magic":"airphant-stats","version":1}')
+        manifest = decode_build_header(payload, build).manifest
+        first = build if manifest is None else manifest.shard_names[0]
+        store.put(stats_blob_name(first), b'{"magic":"airphant-stats","version":1}')
     elif layout == "json-header":
         store.put(header, b'{"magic":"airphant-header","format_version":2}')
     else:
         assert layout == "codec-v1" and b'"codec_version":2' in payload
         forged = payload.replace(b'"codec_version":2', b'"codec_version":1')
-        manifest, _ = decode_build_header(payload, build)
-        if manifest is not None:
+        if decode_build_header(payload, build).manifest is not None:
             # A sharded header ends in a CRC-32 of the rest: keep it valid,
             # so the forged header declares codec v1 rather than corruption.
             forged = forged[:-4] + struct.pack("<I", zlib.crc32(forged[:-4]))

@@ -61,30 +61,30 @@ def _documents(store: InMemoryObjectStore, count: int = 200):
 
 
 def _read_directly(store, name):
-    """(shard manifest | None, member names, headers) by spelling the blob out."""
-    manifest, members = decode_build_header(store.get(f"{name}/header.json"), name)
-    return manifest, [n for n, _ in members], [header for _, header in members]
+    """The header of build ``name``, by spelling the blob out."""
+    return decode_build_header(store.get(f"{name}/header.json"), name)
 
 
 def _assert_opens_like_a_direct_read(store, name):
-    manifest, names, headers = _read_directly(store, name)
+    expected = _read_directly(store, name)
+    manifest = expected.manifest
     (opened,) = open_headers(store, [name]).builds
     assert opened.name == name and opened.manifest == manifest
-    assert [member for member, _ in opened.members] == names
-    for (_, header), expected in zip(opened.members, headers):
-        assert header.metadata == expected.metadata
-        assert header.superpost_blob_name == expected.superpost_blob_name
-        assert list(header.mht.ranges()) == list(expected.mht.ranges())
-        assert header.mht.common_words == expected.mht.common_words
+    header = opened.header
+    assert header.metadata == expected.metadata
+    assert header.superpost_blob_name == expected.superpost_blob_name
+    assert list(header.mht.ranges()) == list(expected.mht.ranges())
+    assert header.mht.common_words == expected.mht.common_words
     # The query path's member is a view over the very same result.
     (member,) = AirphantSearcher.open(store, name).opened
-    assert [shard.name for shard in member.shards] == names
+    assert member.header.mht.blob == header.mht.blob
     assert member.shard_manifest == manifest
     if manifest is None:
-        assert member.metadata == headers[0].metadata
+        assert member.metadata == expected.metadata
     else:
+        assert member.held == tuple(range(manifest.num_shards))
         assert member.metadata == merge_shard_metadata(
-            [header.metadata for header in headers], partitioner=manifest.partitioner
+            list(expected.shards.metadata), partitioner=manifest.partitioner
         )
     return opened
 
@@ -104,9 +104,7 @@ class TestOpener:
             _documents(store), index_name="sharded"
         )
         opened = _assert_opens_like_a_direct_read(store, "sharded")
-        assert [name for name, _ in opened.members] == [
-            f"sharded/shard-000{shard}" for shard in range(4)
-        ]
+        assert opened.manifest.shard_names == [f"sharded/shard-000{shard}" for shard in range(4)]
         assert open_headers(store, ["sharded"], 8).builds[0].max_concurrency == 32
         assert open_headers(store, ["sharded"], 64).builds[0].max_concurrency == 128
 
@@ -123,7 +121,7 @@ class TestOpener:
         manager.compact()
         assert manager.manifest().all_indexes == ["idx/gen-00000002"]
         opened = _assert_opens_like_a_direct_read(store, "idx/gen-00000002")
-        assert opened.members[0][1].metadata.num_documents == len(documents)
+        assert opened.header.metadata.num_documents == len(documents)
 
     def test_sharded_base_stays_sharded_through_compaction(self):
         store = InMemoryObjectStore()

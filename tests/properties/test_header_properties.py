@@ -192,7 +192,7 @@ class TestWideTableRoundTrip:
         for word in ["a", "the", "error", "disk"]:
             assert decoded.pointers_for(word) == table.pointers_for(word)
         assert decoded.pointer_of(1, 9) == table.pointer_of(1, 9)
-        assert decode_build_header(data, "wide")[0] is None
+        assert decode_build_header(data, "wide").manifest is None
 
 
 SHARD_CONFIG = SketchConfig(num_bins=64, seed=3, common_word_fraction=0.1)
@@ -232,20 +232,21 @@ def _decoded(store: InMemoryObjectStore, header: CompactedSketch, offset: int, l
 
 class TestShardedHeader:
     def test_round_trips_the_manifest_and_the_split_of_every_run(self):
-        manifest, members = decode_build_header(SHARDED_HEADER, "idx")
+        manifest = decode_build_header(SHARDED_HEADER, "idx").manifest
         header = decode_header(SHARDED_HEADER)
         assert SHARDED_HEADER.startswith(HEADER_MAGIC)
         assert header.shards.manifest == manifest
-        assert [name for name, _ in members] == manifest.shard_names
+        assert manifest.shard_names == [f"idx/shard-000{shard}" for shard in range(3)]
         assert encode_header(header) == SHARDED_HEADER
         # Each run is its shards' shares back to back, in shard order.
-        shares = [list(member.mht.ranges()) for _, member in members]
         for row, (offset, length) in enumerate(header.mht.ranges()):
             end = offset
-            for share in shares:
-                assert share[row][0] == end
-                end += share[row][1]
+            for shard in range(3):
+                share = header.share_range(row, offset, length, shard, shard + 1)
+                assert share[0] == end
+                end += share[1]
             assert end == offset + length
+            assert header.share_range(row, offset, length, 0, 3) == (offset, length)
 
     @given(
         lines=st.lists(
@@ -261,17 +262,20 @@ class TestShardedHeader:
         whole, split = _build(lines, 1, _one_shard_budget(num_shards)), _build(lines, num_shards)
         plain = decode_header(whole.get("idx/header.json"))
         runs = decode_header(split.get("idx/header.json"))
-        _, members = decode_build_header(split.get("idx/header.json"), "idx")
         assert encode_header(runs) == split.get("idx/header.json")
         assert list(runs.mht.bin_ids) == list(plain.mht.bin_ids)
         assert runs.mht.common_words == plain.mht.common_words
-        for row, (offset, length) in enumerate(plain.mht.ranges()):
+        blob = split.get("idx/superposts.bin")
+        for row, ((offset, length), run) in enumerate(zip(plain.mht.ranges(), runs.mht.ranges())):
             union: set[Posting] = set()
-            for _, member in members:
-                share = list(member.mht.ranges())[row]
+            for shard in range(num_shards):
+                share = runs.share_range(row, *run, shard, shard + 1)
                 if share[1]:
-                    union |= _decoded(split, member, *share)
+                    union |= _decoded(split, runs, *share)
             assert union == _decoded(whole, plain, offset, length)
+            # The run decoder cuts the whole run by the split and unions.
+            decoded = runs.decode_run(row, 0, None, blob[run[0] : run[0] + run[1]])
+            assert set(decoded) == union
 
     @given(cut=st.integers(min_value=0, max_value=len(SHARDED_HEADER) - 1))
     @settings(max_examples=300, deadline=None)

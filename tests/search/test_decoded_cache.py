@@ -1,6 +1,6 @@
 """The read cache holds decoded superposts: warm queries decode nothing.
 
-A superpost read carries its shard's decoder
+A superpost read carries its build's decoder
 (:attr:`~repro.storage.base.RangeRead.decode`); the pipeline decodes each
 missed range once and caches the frozen :class:`~repro.core.superpost.Superpost`,
 so a warm repeat of a query resolves from the cached lists.  What a cache may
@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-import repro.search.member as member_module
+import repro.index.compaction as compaction_module
 from repro.core.config import SketchConfig
 from repro.core.superpost import Superpost
 from repro.observability import MetricsRegistry
@@ -81,13 +81,13 @@ class _DecodeCounter:
 
     def __init__(self, monkeypatch) -> None:
         self.calls = 0
-        decode = member_module.decode_superpost
+        decode = compaction_module.decode_superpost
 
         def counted(*args, **kwargs) -> Superpost:
             self.calls += 1
             return decode(*args, **kwargs)
 
-        monkeypatch.setattr(member_module, "decode_superpost", counted)
+        monkeypatch.setattr(compaction_module, "decode_superpost", counted)
 
     def during(self, action) -> int:
         before = self.calls
@@ -213,7 +213,9 @@ class TestDecodeCount:
 
 def test_a_tiny_budget_evicts_and_the_charged_total_stays_within_it():
     store = _store(num_shards=4)
-    budget = 3000
+    # A cached entry is a decoded run — a bin's four shard shares unioned, up
+    # to 7 344 bytes charged here — so the budget holds one, never all.
+    budget = 8000
     misses, answers = {}, {}
     for cache_bytes in (budget, 1 << 20):
         with _service(store, read_cache_bytes=cache_bytes) as service:

@@ -19,6 +19,7 @@ import re
 import threading
 
 import pytest
+from harness.shards import shard_pointers
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
@@ -151,8 +152,8 @@ class TestMemberContract:
             word
             for word in (f"absent{n}" for n in range(100_000))
             if all(
-                any(pointer.is_empty for pointer in shard.mht.pointers_for(word))
-                for shard in site.member.shards
+                any(pointer.is_empty for pointer in shard)
+                for shard in shard_pointers(site.member, word)
             )
         )
         plan = site.member.plan(["ERROR", doomed], fail_fast=True)

@@ -9,13 +9,15 @@ Pinned here for 1, 4 and 16 shards over the same documents:
   identical to the one-shard build's;
 * a whole-index lookup of a word issues one physical store read per bin,
   whatever the shard count: L for a hashed word, one for a common word;
-* a shard-restricted view reads only its shards' sub-ranges, never more
-  bytes than the whole index.
+* a shard-restricted view reads only its shards' sub-ranges — one range
+  per run for each block of adjacent held shards — never more bytes than
+  the whole index.
 """
 
 from __future__ import annotations
 
 import pytest
+from harness.shards import shard_pointers
 from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
@@ -112,10 +114,11 @@ def test_a_restricted_view_reads_only_its_shards_sub_ranges(bucket):
         whole_postings, whole_reads, whole = _lookup(backend, "s4", word)
         postings, reads, _ = _lookup(backend, "s4", word, ordinals={0, 2})
         (member,) = whole.opened
+        shards = shard_pointers(member, word)
         held = [
             (pointer.offset, pointer.offset + pointer.length)
-            for shard in (member.shards[0], member.shards[2])
-            for pointer in shard.mht.pointers_for(word)
+            for shard in (shards[0], shards[2])
+            for pointer in shard
             if pointer.length
         ]
         for offset, length in reads:
@@ -130,3 +133,21 @@ def test_a_restricted_view_reads_only_its_shards_sub_ranges(bucket):
         alone = [set(_lookup(backend, "s4", word, ordinals={shard})[0]) for shard in (0, 2)]
         assert set(postings) == alone[0] | alone[1]
         assert set(postings) <= set(whole_postings)
+
+
+def test_a_restricted_view_plans_one_read_per_block_of_held_shards(bucket):
+    backend, _ = bucket
+    common, hashed = _words(backend)
+    (member,) = AirphantSearcher.open(backend, "s4").opened
+    checked = 0
+    for word in common + hashed:
+        runs = [pointer for pointer in member.mht.pointers_for(word) if pointer.length]
+        shares = shard_pointers(member, word)[:3]
+        if not runs or not all(pointer.length for shard in shares for pointer in shard):
+            continue
+        checked += 1
+        # Shards 0 and 2 are two blocks of a run, 1 and 2 one.
+        assert len(member.plan([word]).reads) == len(runs), word
+        assert len(member.restrict({0, 2}).plan([word]).reads) == 2 * len(runs), word
+        assert len(member.restrict({1, 2}).plan([word]).reads) == len(runs), word
+    assert checked

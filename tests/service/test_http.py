@@ -11,9 +11,12 @@ import struct
 import threading
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.index.compaction import decode_header, encode_header
 from repro.service import AirphantService, ServiceConfig, create_server
 from repro.service.config import READ_CACHE_BYTES
 from repro.storage.local import LocalObjectStore
@@ -445,6 +448,26 @@ class TestCorruptIndex:
         status, payload = self._search(server)
         assert (status, payload["error"]) == (502, "index_corrupt")
         assert "logs-index/superposts.bin" in payload["message"]
+
+    def test_a_split_that_does_not_add_up_to_its_runs_is_502_index_corrupt(
+        self, server, tmp_path
+    ):
+        # A sharded header's runs are their shards' shares added up: a share
+        # 2**32 too long wraps a u32 run back to its length, and is corrupt.
+        bucket = tmp_path / "bucket"
+        with AirphantService(LocalObjectStore(str(bucket)), ServiceConfig()) as builder:
+            builder.build_index("split", ["corpora/logs.txt"], num_shards=2)
+        path = bucket / "split" / "header.json"
+        header = decode_header(path.read_bytes())
+        assert header.mht.offsets.itemsize == 4
+        common = header.shards.common_lengths.astype(np.uint64)
+        common[0, 0] += 1 << 32
+        path.write_bytes(
+            encode_header(replace(header, shards=replace(header.shards, common_lengths=common)))
+        )
+        status, payload = self._search(server, "split")
+        assert (status, payload["error"]) == (502, "index_corrupt")
+        assert "split/header.json" in payload["message"]
 
     @pytest.mark.parametrize(
         "blob, forge",
