@@ -95,7 +95,12 @@ This script also fails on:
 
 * a ``FORMAT_V1``, ``SUPPORTED_FORMAT_VERSIONS`` or ``_decode_legacy_…``
   identifier anywhere under ``src/repro`` but ``baselines/`` (whose postings
-  codec is their own).
+  codec is their own);
+* a stats decoder named for a retired container (``decode_v1_stats``,
+  ``_decode_v2_stats``) anywhere under ``src/repro``, and the retired v2
+  stats magic ``AIRPSTA`` in a string literal anywhere but
+  ``index/stats.py`` — which names it only to refuse it with the typed
+  "rebuild" error.
 
 Comments and docstrings are ignored.  Exit code 1 lists every finding.
 
@@ -204,6 +209,10 @@ _RETIRED_KNOBS = re.compile(r"\b(?:coalesce_gap|max_gap|query_cache\w*)\b")
 #: Readers of retired on-store formats, and the package they may live in.
 _RETIRED_FORMATS = re.compile(r"\b(?:FORMAT_V1|SUPPORTED_FORMAT_VERSIONS|_decode_legacy_\w*)\b")
 RETIRED_FORMATS_ALLOWED = "baselines"
+#: Decoders of the retired stats containers, and the v2 magic with its one owner.
+_RETIRED_STATS_DECODER = re.compile(r"\b_?decode_v[12]_stats\b")
+RETIRED_STATS_MAGIC = "AIRPSTA"
+STATS_FORMAT_FILE = ("index", "stats.py")
 
 _SIMULATOR_CHECK = re.compile(r"isinstance\([^)]*\bSimulatedCloudStore\b")
 _BATCH_RECORD = re.compile(r"\.batch\.")
@@ -285,6 +294,13 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
             for number, text in string_literals(path)
             if _RETIRED_KNOBS.search(text)
         )
+        if parts != STATS_FORMAT_FILE:
+            problems.extend(
+                f"{path.relative_to(root.parent.parent)}:{number}: "
+                "retired v2 stats magic outside index/stats.py"
+                for number, text in string_literals(path)
+                if RETIRED_STATS_MAGIC in text
+            )
         open_path = next(
             (prefix for prefix in OPEN_PATH if parts[: len(prefix)] == prefix), None
         )
@@ -331,6 +347,8 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 problems.append(f"{where}: retired read-path knob")
             if package != RETIRED_FORMATS_ALLOWED and _RETIRED_FORMATS.search(text):
                 problems.append(f"{where}: reader of a retired on-store format")
+            if _RETIRED_STATS_DECODER.search(text):
+                problems.append(f"{where}: decoder of a retired stats container")
             if _BATCH_RECORD.search(text):
                 problems.append(f"{where}: a per-request batch record read")
             if parts != STATS_FILE and _COUNTER_TABLE.search(text):

@@ -267,11 +267,12 @@ def decode_superpost_columns(data: bytes, string_table: StringTable) -> Superpos
 
 
 def varint_widths(values: np.ndarray) -> np.ndarray:
-    """Bytes :func:`encode_varint` spends on each of ``values`` (1 to 10)."""
+    """Bytes :func:`encode_varint` spends on each of ``values`` (1 to 10):
+    one pass per width the largest value needs."""
     values = np.asarray(values, np.uint64)
     widths = np.ones(len(values), np.uint8)
-    for bits in range(7, 64, 7):
-        widths += (values >> np.uint64(bits)) != 0
+    for bits in range(7, int(values.max(initial=0)).bit_length(), 7):
+        widths += values >= np.uint64(1 << bits)
     return widths
 
 

@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.superpost import EMPTY, Superpost
-from repro.index.stats import IndexStats, idf
+from repro.index.stats import IndexStats, frequencies_at, idf
 from repro.parsing.documents import Posting
 
 #: Default ranked result count when neither the request nor the service
@@ -60,6 +60,9 @@ DEFAULT_RANKED_K = 10
 #: Hard ceiling on ranked k — scoring is in-memory, but document retrieval
 #: for the final list is not, and an unbounded k defeats the mode's point.
 MAX_RANKED_K = 10_000
+
+#: A word's ``(document rows, tfs)`` in one shard's statistics.
+Entries = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,9 @@ def rank_candidates(
     fetched.  Ties break on the posting, so the order is deterministic.
     """
     params = params if params is not None else BM25Params()
-    num_documents, total_words, frequencies = _corpus(statistics, words, exclude)
+    # Each shard's entries of each word, decoded once for the whole query.
+    entries = [[[part.entries(word) for word in words] for part in parts] for parts in statistics]
+    num_documents, total_words, frequencies = _corpus(statistics, entries, len(words), exclude)
     idf_by_word = [idf(num_documents, df) for df in frequencies]
     weight_by_word = normalize_weights(words, weights)
     weight = [weight_by_word[word] for word in words]
@@ -143,7 +148,7 @@ def rank_candidates(
     avg_doc_length = total_words / num_documents if num_documents else 0.0
     scored = []
     for owner, share in shares:
-        tf, doc_words = _rows(statistics[owner], share, words)
+        tf, doc_words = _rows(statistics[owner], entries[owner], share, len(words))
         kept = np.flatnonzero((tf > 0).all(axis=0))
         scores = bm25(
             tf[:, kept], doc_words[kept], idf_by_word, weight, params, avg_doc_length, max_score
@@ -167,22 +172,23 @@ def rank_candidates(
 
 def _corpus(
     statistics: Sequence[Sequence[IndexStats]],
-    words: Sequence[str],
+    entries: Sequence[Sequence[Sequence[Entries]]],
+    num_words: int,
     exclude: AbstractSet[Posting],
 ) -> tuple[int, int, list[int]]:
     """``N``, total length and each word's ``df`` over the surviving corpus,
-    every document counted once."""
+    every document counted once; ``entries[m][s]`` are shard ``s`` of member
+    ``m``'s entries of each word."""
     condemned = Superpost(exclude) if exclude else EMPTY
     num_documents = total_words = 0
-    frequencies = [0] * len(words)
+    frequencies = [0] * num_words
     earlier: list[IndexStats] = []
-    for parts in statistics:
-        for part in parts:  # a member's shards are disjoint
+    for parts, part_entries in zip(statistics, entries):
+        for part, word_entries in zip(parts, part_entries):  # a member's shards are disjoint
             dropped = _dropped(part, condemned, earlier)
             num_documents += part.num_documents - len(dropped)
             total_words += part.total_words - int(part.doc_words[dropped].sum())
-            for at, word in enumerate(words):
-                docs, _ = part.entries(word)
+            for at, (docs, _) in enumerate(word_entries):
                 frequencies[at] += len(docs)
                 if len(dropped):
                     frequencies[at] -= int(np.isin(docs, dropped).sum())
@@ -201,19 +207,23 @@ def _dropped(part: IndexStats, condemned: Superpost, earlier: Sequence[IndexStat
 
 
 def _rows(
-    parts: Sequence[IndexStats], share: Superpost, words: Sequence[str]
+    parts: Sequence[IndexStats],
+    entries: Sequence[Sequence[Entries]],
+    share: Superpost,
+    num_words: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each candidate's tf per word (0 where its statistics lack it) and length."""
-    tf = np.zeros((len(words), len(share)), np.int64)
+    """Each candidate's tf per word (0 where its statistics lack it) and
+    length; ``entries[s]`` are shard ``s``'s entries of each word."""
+    tf = np.zeros((num_words, len(share)), np.int64)
     doc_words = np.zeros(len(share), np.int64)
-    for part in parts:
+    for part, word_entries in zip(parts, entries):
         rows = part.docs.positions(share)
         held = np.flatnonzero(rows >= 0)
         if len(held):
             rows = rows[held]
             doc_words[held] = part.doc_words[rows]
-            for at, word in enumerate(words):
-                tf[at, held] = part.frequencies(word, rows)
+            for at, found in enumerate(word_entries):
+                tf[at, held] = frequencies_at(found, rows)
     return tf, doc_words
 
 

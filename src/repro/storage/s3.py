@@ -28,6 +28,7 @@ import os
 import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from urllib.parse import parse_qsl, quote, urlencode, urlsplit
 
 from repro.observability import MetricsRegistry
@@ -77,6 +78,16 @@ class S3Credentials:
 
 def _hmac_sha256(key: bytes, message: str) -> bytes:
     return hmac.new(key, message.encode("utf-8"), hashlib.sha256).digest()
+
+
+@lru_cache(maxsize=16)
+def _signing_key(secret_key: str, datestamp: str, region: str) -> bytes:
+    """The SigV4 key of one day and region: four HMACs, derived once per
+    day rather than once per request."""
+    key = _hmac_sha256(f"AWS4{secret_key}".encode("utf-8"), datestamp)
+    key = _hmac_sha256(key, region)
+    key = _hmac_sha256(key, "s3")
+    return _hmac_sha256(key, "aws4_request")
 
 
 def sign_v4(
@@ -149,10 +160,7 @@ def sign_v4(
             hashlib.sha256(canonical_request.encode("utf-8")).hexdigest(),
         ]
     )
-    key = _hmac_sha256(f"AWS4{credentials.secret_key}".encode("utf-8"), datestamp)
-    key = _hmac_sha256(key, region)
-    key = _hmac_sha256(key, "s3")
-    key = _hmac_sha256(key, "aws4_request")
+    key = _signing_key(credentials.secret_key, datestamp, region)
     signature = hmac.new(key, string_to_sign.encode("utf-8"), hashlib.sha256).hexdigest()
 
     return {

@@ -1,8 +1,8 @@
 """Forgers of retired on-store formats and the reference blob placement.
 
 Each kind of stored blob has one format the engine reads; an index in an
-older one — a JSON header, superpost codec v1, a JSON stats blob, either
-retired sharded layout — is a typed "rebuild" error, not a reader kept
+older one — a JSON header, superpost codec v1, a JSON stats blob, a stats
+container v2, either retired sharded layout — is a typed "rebuild" error, not a reader kept
 forever.  This module keeps what the tests need to prove that, and that
 nothing else changed:
 
@@ -49,6 +49,13 @@ from repro.storage.base import ObjectStore
 
 LayoutNode = tuple[int, int]
 
+#: A v1 stats blob, as the builds of the JSON era began it.
+JSON_STATS_BLOB = b'{"magic":"airphant-stats","version":1}'
+#: A stats container v2 blob as far as a reader looks at it: its magic,
+#: version 2 and a preamble no longer read (its columns were uncompressed and
+#: unchecksummed).
+V2_STATS_BLOB = struct.pack("<8sII", b"AIRPSTA\n", 2, 8) + b'{}      '
+
 
 def encode_plain_v3_header(compacted: CompactedSketch) -> bytes:
     """A plain (unsharded) build's v3 header: prefix, preamble, then the five
@@ -93,22 +100,26 @@ def retire_sharded_layout(store: ObjectStore, build: str, layout: str) -> None:
     store.delete(header)
 
 
+#: The retired stats formats :func:`retire_format` writes, by name.
+STATS_LAYOUTS = {"json-stats": JSON_STATS_BLOB, "stats-v2": V2_STATS_BLOB}
+
+
 def retire_format(store: ObjectStore, build: str, layout: str) -> None:
     """Rewrite one blob of ``build`` in a format this engine no longer reads:
     either retired sharded layout (:func:`retire_sharded_layout`),
     ``"json-header"`` (a JSON header, as builds before header container v3
     wrote), ``"codec-v1"`` (its v3 header declaring superpost codec v1, a sharded
-    header's checksum recomputed to match) or
-    ``"json-stats"`` (a v1 JSON stats blob in place of its — a sharded
-    build's first shard's — statistics)."""
+    header's checksum recomputed to match), ``"json-stats"`` or
+    ``"stats-v2"`` (a v1 JSON stats blob, or a stats container v2 one, in
+    place of its — a sharded build's first shard's — statistics)."""
     header = header_blob_name(build)
     payload = store.get(header)
     if layout in ("container", "shards.json"):
         retire_sharded_layout(store, build, layout)
-    elif layout == "json-stats":
+    elif layout in STATS_LAYOUTS:
         manifest = decode_build_header(payload, build).manifest
         first = build if manifest is None else manifest.shard_names[0]
-        store.put(stats_blob_name(first), b'{"magic":"airphant-stats","version":1}')
+        store.put(stats_blob_name(first), STATS_LAYOUTS[layout])
     elif layout == "json-header":
         store.put(header, b'{"magic":"airphant-header","format_version":2}')
     else:

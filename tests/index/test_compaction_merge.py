@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import pytest
 
+from harness.legacy_header import STATS_LAYOUTS
 from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
@@ -71,7 +72,9 @@ def _build_blobs(store, prefix: str) -> dict[str, bytes]:
 @pytest.mark.parametrize("config", CONFIGS, ids=["optimized", "two-layer"])
 @pytest.mark.parametrize("shards,partitioner", BASES, ids=["plain", "hash4", "round-robin4"])
 @pytest.mark.parametrize(
-    "delta_stats", ["stats", "missing", "json"], ids=["stats", "fallback", "json-fallback"]
+    "delta_stats",
+    ["stats", "missing", "json-stats", "stats-v2"],
+    ids=["stats", "fallback", "json-fallback", "v2-fallback"],
 )
 def test_compaction_equals_a_fresh_build_over_survivors(config, shards, partitioner, delta_stats):
     store = InMemoryObjectStore()
@@ -81,8 +84,8 @@ def test_compaction_equals_a_fresh_build_over_survivors(config, shards, partitio
     # no longer read: its documents are re-read.
     if delta_stats == "missing":
         store.delete(delta)
-    elif delta_stats == "json":
-        store.put(delta, b'{"magic":"airphant-stats","version":1}')
+    elif delta_stats in STATS_LAYOUTS:
+        store.put(delta, STATS_LAYOUTS[delta_stats])
     tombstones = {d.ref for d in base[3:40:7]} | {d.ref for d in appended[5:100:11]}
 
     built = manager.compact(exclude=tombstones)

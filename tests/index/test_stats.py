@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from repro.index.builder import AirphantBuilder
 from repro.index.stats import (
     COLUMNS,
     STATS_MAGIC,
+    TERM_COLUMNS,
+    TERMS_PER_BLOCK,
     IndexStats,
     RankingUnsupportedError,
     build_stats,
@@ -22,8 +26,11 @@ from repro.index.stats import (
     idf,
     stats_blob_name,
 )
+from repro.index.store_layout import CorruptIndexError
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import WhitespaceAnalyzer
+
+from harness.legacy_header import JSON_STATS_BLOB, V2_STATS_BLOB
 
 
 def _doc(offset: int, text: str, blob: str = "corpus/a.txt") -> Document:
@@ -93,6 +100,36 @@ class TestBuildStats:
         assert stats.frequencies("alpha", rows).tolist() == [0, 0, 2]
 
 
+def _reseal(data: bytes | bytearray) -> bytes:
+    """``data`` with its CRC-32 trailer recomputed: a blob that passes its
+    checksum, so whatever is wrong with it is left to the decoder's checks."""
+    body = bytes(data[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _preamble(data: bytes) -> tuple[dict, int]:
+    """The preamble's fields and where the sections start."""
+    preamble_bytes = struct.unpack_from("<I", data, 12)[0]
+    return json.loads(data[16 : 16 + preamble_bytes]), 16 + preamble_bytes
+
+
+def _section(data: bytes, wanted: str) -> tuple[int, int, int]:
+    """``(offset, width, rows)`` of section ``wanted``."""
+    fields, position = _preamble(data)
+    for name, width, rows in fields["sections"]:
+        if name == wanted:
+            return position, width, rows
+        position += width * rows
+    raise KeyError(wanted)
+
+
+def _with_preamble(data: bytes, fields: dict) -> bytes:
+    preamble = json.dumps(fields).encode()
+    preamble += b" " * (-len(preamble) % 8)
+    _, position = _preamble(data)
+    return _reseal(data[:12] + struct.pack("<I", len(preamble)) + preamble + data[position:])
+
+
 class TestEncodeDecode:
     def test_round_trip(self):
         stats = build_stats(DOCS, WhitespaceAnalyzer())
@@ -101,6 +138,7 @@ class TestEncodeDecode:
         decoded = decode_stats(data)
         assert _same(decoded, stats)
         assert stats_dicts(decoded) == stats_dicts(stats)
+        assert encode_stats(decoded) == data
 
     def test_encoding_is_deterministic(self):
         docs = [_doc(0, "a b c"), _doc(10, "c b a")]
@@ -114,77 +152,148 @@ class TestEncodeDecode:
         assert widths["doc_offset"] == np.uint32
         assert widths["doc_length"] == widths["doc_words"] == widths["entry_tf"] == np.uint16
         assert widths["doc_blob"] == widths["entry_doc"] == np.uint8
+        decoded = decode_stats(encode_stats(stats))
+        assert {name: getattr(decoded, name).dtype for name in COLUMNS} == widths
 
-    def test_not_a_stats_blob_is_a_value_error(self):
-        with pytest.raises(ValueError):
-            decode_stats(b"[1, 2, 3] is not a stats blob")
-        with pytest.raises(ValueError):
-            decode_stats(b"AIRPHDR\n" + encode_stats(build_stats(DOCS, WhitespaceAnalyzer()))[8:])
+    def test_a_decoded_blob_reads_only_the_terms_asked_for(self):
+        stats = build_stats(DOCS, WhitespaceAnalyzer())
+        decoded = decode_stats(encode_stats(stats))
+        assert not set(TERM_COLUMNS) & set(vars(decoded))
+        assert decoded.num_terms == stats.num_terms == 4
+        assert [len(decoded.entries(w)[0]) for w in ("beta", "délta", "zzz")] == [3, 1, 0]
+        docs, tfs = decoded.entries("beta")
+        assert docs.tolist() == [0, 1, 2] and tfs.tolist() == [1, 2, 1]
+        assert decoded.frequencies("alpha", np.array([2, 1, 0])).tolist() == [0, 0, 2]
+        assert not set(TERM_COLUMNS) & set(vars(decoded))
+        # Build and compaction ask for whole columns: they materialise then.
+        assert decoded.profile() == stats.profile()
+        assert set(TERM_COLUMNS) <= set(vars(decoded))
 
-    def test_unknown_version_is_the_typed_error(self):
+    def test_terms_are_front_coded_in_blocks(self):
+        words = [f"shared-prefix-{n:03d}" for n in range(3 * TERMS_PER_BLOCK + 5)]
+        stats = build_stats([_doc(0, " ".join(words))], WhitespaceAnalyzer())
+        data = encode_stats(stats)
+        _, _, suffix_bytes = _section(data, "term_suffixes")
+        # A block's first term is whole; the others store what follows the
+        # prefix they share with the term before (here at most 2 bytes).
+        heads = len(words[0]) * -(-len(words) // TERMS_PER_BLOCK)
+        assert suffix_bytes <= heads + 2 * len(words) < len(stats.term_bytes)
+        decoded = decode_stats(data)
+        for word in words:
+            assert decoded.entries(word)[0].tolist() == [0]
+        for absent in ("shared-prefix-", "shared-prefix-0159", "a", "zzz"):
+            assert len(decoded.entries(absent)[0]) == 0
+        # Prefixes longer than the 64 bytes a term is stored as sharing.
+        long = ["x" * 100 + tail for tail in ("a", "b", "bb", "c")]
+        stats = build_stats([_doc(0, " ".join(long))], WhitespaceAnalyzer())
+        decoded = decode_stats(encode_stats(stats))
+        assert [len(decoded.entries(word)[0]) for word in long] == [1, 1, 1, 1]
+        assert decoded.words() == long
+
+    def test_not_a_stats_blob_is_corrupt_naming_it(self):
+        data = encode_stats(build_stats(DOCS, WhitespaceAnalyzer()))
+        for garbage in (b"", b"[1, 2, 3] is not a stats blob", b"AIRPHDR\n" + data[8:]):
+            with pytest.raises(CorruptIndexError, match="idx/stats.json") as excinfo:
+                decode_stats(garbage, index_name="idx")
+            assert excinfo.value.blob == "idx/stats.json"
+
+    def test_a_retired_or_unknown_format_is_the_typed_error(self):
         data = bytearray(encode_stats(build_stats(DOCS, WhitespaceAnalyzer())))
         struct.pack_into("<I", data, 8, 99)
-        with pytest.raises(RankingUnsupportedError) as excinfo:
-            decode_stats(bytes(data), index_name="new-index")
+        with pytest.raises(RankingUnsupportedError, match="v99") as excinfo:
+            decode_stats(_reseal(data), index_name="new-index")
         assert excinfo.value.index_name == "new-index"
         assert "rebuild" in str(excinfo.value)
-        # The v1 JSON blobs of early builds are not read either.
-        with pytest.raises(RankingUnsupportedError, match="JSON stats blob") as excinfo:
-            decode_stats(b'{"magic":"airphant-stats","version":1}', index_name="old-index")
-        assert excinfo.value.index_name == "old-index"
+        # Neither the v1 JSON blobs nor the v2 containers of earlier builds are read.
+        for retired, found in ((JSON_STATS_BLOB, "JSON stats blob"), (V2_STATS_BLOB, "v2")):
+            with pytest.raises(RankingUnsupportedError, match=found) as excinfo:
+                decode_stats(retired, index_name="old-index")
+            assert excinfo.value.index_name == "old-index"
 
-    def test_every_truncation_is_a_value_error(self):
+    def test_every_truncation_is_corrupt(self):
         data = encode_stats(build_stats(DOCS, WhitespaceAnalyzer()))
         for cut in range(len(data)):
-            with pytest.raises(ValueError):
+            with pytest.raises(CorruptIndexError):
                 decode_stats(data[:cut])
 
-    @pytest.mark.parametrize(
-        "column, value",
-        [("doc_blob", 7), ("entry_doc", 200), ("term_ends", 250), ("term_starts", 250)],
-    )
-    def test_an_index_outside_its_column_is_a_value_error(self, column, value):
-        data = bytearray(encode_stats(build_stats(DOCS, WhitespaceAnalyzer())))
-        preamble_bytes = struct.unpack_from("<I", data, 12)[0]
-        position = 16 + preamble_bytes
-        for name, width, rows in json.loads(data[16 : 16 + preamble_bytes])["columns"]:
-            if name == column:
-                data[position + (rows - 1) * width] = value  # the column's last row
-                break
-            position += width * rows
-        with pytest.raises(ValueError):
-            decode_stats(bytes(data))
-
-    def test_a_garbled_preamble_is_a_value_error(self):
+    def test_every_single_byte_flip_is_corrupt(self):
+        # The trailer covers every byte, and the magic is two bytes away from
+        # any retired format's: no flip reads as another format.
         data = encode_stats(build_stats(DOCS, WhitespaceAnalyzer()))
-        preamble_bytes = struct.unpack_from("<I", data, 12)[0]
-        fields = json.loads(data[16 : 16 + preamble_bytes])
+        for at in range(len(data)):
+            for flip in (0x01, 0x80, 0xFF):
+                flipped = bytearray(data)
+                flipped[at] ^= flip
+                with pytest.raises(CorruptIndexError, match="idx/stats.json"):
+                    decode_stats(bytes(flipped), index_name="idx")
+
+    @pytest.mark.parametrize(
+        "section, row, value",
+        [("doc_blob", -1, 7), ("doc_gaps", 0, 1), ("entry_runs", -1, 0x7F), ("term_fields", 0, 1)],
+    )
+    def test_a_section_pointing_outside_is_corrupt(self, section, row, value):
+        """Past the checksum (resealed here), the sections are still checked:
+        when decoded, or when the term they hold is read or materialised."""
+        data = bytearray(encode_stats(build_stats(DOCS, WhitespaceAnalyzer())))
+        position, width, rows = _section(bytes(data), section)
+        data[position + (row % rows) * width] = value
+        data = _reseal(data)
+        with pytest.raises(CorruptIndexError, match="idx/stats.json"):
+            decode_stats(data, "idx").entries("gamma")
+        with pytest.raises(CorruptIndexError, match="idx/stats.json"):
+            decode_stats(data, "idx").entry_doc
+
+    def test_a_garbled_preamble_is_corrupt(self):
+        data = encode_stats(build_stats(DOCS, WhitespaceAnalyzer()))
+        fields, _ = _preamble(data)
         for garbled in (
             {**fields, "num_documents": 4},
             {**fields, "total_words": 1},
+            {**fields, "num_terms": 40},
             {**fields, "blobs": fields["blobs"][::-1]},
-            {**fields, "columns": fields["columns"][1:]},
-            {**fields, "columns": [[n, 3, r] for n, _, r in fields["columns"]]},
+            {**fields, "sections": fields["sections"][1:]},
+            {**fields, "sections": [[n, 3, r] for n, _, r in fields["sections"]]},
         ):
-            preamble = json.dumps(garbled).encode()
-            preamble += b" " * (-len(preamble) % 8)
-            blob = data[:12] + struct.pack("<I", len(preamble)) + preamble
-            with pytest.raises(ValueError):
-                decode_stats(blob + data[16 + preamble_bytes :])
-        with pytest.raises(ValueError):
-            decode_stats(data[:16] + b"{" * preamble_bytes + data[16 + preamble_bytes :])
+            with pytest.raises(CorruptIndexError):
+                decode_stats(_with_preamble(data, garbled))
+        # A preamble that is not JSON at all, behind a valid checksum.
+        _, position = _preamble(data)
+        with pytest.raises(CorruptIndexError, match="idx/stats.json"):
+            decode_stats(_reseal(data[:16] + b"{" * (position - 16) + data[position:]), "idx")
+
+    def test_a_run_whose_rows_wrap_around_is_corrupt(self):
+        """Row deltas of up to 63 bits whose running sum wraps past 2**63:
+        every step is at least 1 and no row is N or more, yet the rows are
+        neither ascending nor all in range."""
+        stats = build_stats([_doc(10 * at, "w") for at in range(4)], WhitespaceAnalyzer())
+        assert stats.entry_doc.tolist() == [0, 1, 2, 3]
+        # Stored as the deltas 1, 2**63 - 1, 2**63 - 1, 2: the rows 1, -2**63, -1, 1.
+        wrapped = np.array([1, 2**63, 2**64 - 1, 1], np.uint64)
+        forged = SimpleNamespace(
+            **{name: getattr(stats, name) for name in COLUMNS if name != "entry_doc"},
+            entry_doc=wrapped,
+            num_documents=stats.num_documents,
+            total_words=stats.total_words,
+            num_terms=stats.num_terms,
+            blobs=stats.blobs,
+        )
+        data = encode_stats(forged)
+        with pytest.raises(CorruptIndexError, match="idx/stats.json"):
+            decode_stats(data, "idx").entries("w")
+        with pytest.raises(CorruptIndexError, match="idx/stats.json"):
+            decode_stats(data, "idx").entry_doc
 
     @given(st.integers(min_value=0), st.integers(min_value=0, max_value=255))
     @settings(max_examples=300, deadline=None)
-    def test_any_flipped_byte_decodes_or_is_a_typed_error(self, at, value):
+    def test_any_byte_set_to_any_value_decodes_identically_or_is_corrupt(self, at, value):
         data = bytearray(encode_stats(build_stats(DOCS, WhitespaceAnalyzer())))
+        unchanged = data[at % len(data)] == value
         data[at % len(data)] = value
-        try:
-            decoded = decode_stats(bytes(data))
-        except (ValueError, RankingUnsupportedError):
-            return
-        for word in ("alpha", "beta", "zzz"):
-            decoded.frequencies(word, np.arange(decoded.num_documents))
+        if unchanged:
+            assert _same(decode_stats(bytes(data)), build_stats(DOCS, WhitespaceAnalyzer()))
+        else:
+            with pytest.raises(CorruptIndexError):
+                decode_stats(bytes(data))
 
 
 class TestIdf:

@@ -18,7 +18,7 @@ for a retired ``shards.json`` a missing header earns.
 from __future__ import annotations
 
 import pytest
-from harness.legacy_header import retire_format
+from harness.legacy_header import STATS_LAYOUTS, retire_format
 from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
@@ -39,7 +39,7 @@ from repro.workloads.logs import generate_log_corpus
 CONFIG = SketchConfig(num_bins=256, target_false_positives=1.0, seed=7)
 SERVICE = ServiceConfig(ingest_interval_s=0)
 #: Each retired format ``retire_format`` can leave a build in.
-RETIRED = ("container", "shards.json", "json-header", "codec-v1", "json-stats")
+RETIRED = ("container", "shards.json", "json-header", "codec-v1", *STATS_LAYOUTS)
 
 
 @pytest.fixture(scope="module")
@@ -156,14 +156,14 @@ def test_a_retired_format_is_a_typed_error_after_the_same_waves(
     with AirphantService(store, SERVICE) as service:
         with pytest.raises(ServiceError) as caught:
             service.search(SearchRequest(query="INFO", index=name, mode="topk_bm25", top_k=3))
-        if layout == "json-stats":
+        if layout in STATS_LAYOUTS:
             # The index opened in the same waves; only ranking is refused.
             assert len(_batches(store.calls)) == waves + 1
             assert service.search(SearchRequest(query="INFO", index=name, top_k=3)).documents
-    expected = (400, "ranking_unavailable") if layout == "json-stats" else (409, "index_format")
+    expected = (400, "ranking_unavailable") if layout in STATS_LAYOUTS else (409, "index_format")
     assert (caught.value.info.status, caught.value.info.error) == expected
     assert "rebuild" in caught.value.info.message
-    if layout != "json-stats":
+    if layout not in STATS_LAYOUTS:
         assert len(_batches(store.calls)) == waves
 
 

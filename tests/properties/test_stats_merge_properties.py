@@ -8,7 +8,9 @@ two members counts once, as its first member has it), a member decoded from
 its stored blob, documents with no indexable token, and tombstones on any
 member included.  The splitting half (a row mask) must equal the statistics
 of the documents it keeps, and the profile the builder reads off the
-columns must equal the profile of the text.
+columns must equal the profile of the text.  Every set of statistics —
+built, merged or split — survives the stats blob: decoded, a word at a time
+or as whole columns, it is the set that was encoded.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.index.stats import (
     COLUMNS,
+    TERMS_PER_BLOCK,
     build_stats,
     decode_stats,
     encode_stats,
@@ -45,6 +48,43 @@ documents_strategy = st.lists(
     ),
     max_size=24,
 )
+
+
+#: Words sharing long prefixes, more than a vocabulary block of them, and
+#: Unicode and lone-surrogate words (the analyzer keeps them as they are).
+VOCABULARY = [
+    *(f"prefix{n:02d}" for n in range(TERMS_PER_BLOCK + 5)),
+    "é", "éé", "\u4e2d\u6587", "\ud800", "x\udfff", "\U0001f600",
+]
+
+#: Documents over several blobs whose words repeat (tf > 1), possibly none.
+vocabulary_documents = st.lists(
+    st.builds(
+        Document,
+        ref=st.builds(
+            Posting,
+            blob=st.sampled_from(["corpus/a.txt", "corpus/b.txt", "seg-1.log"]),
+            offset=st.integers(0, 10_000),
+            length=st.integers(1, 300),
+        ),
+        text=st.lists(st.sampled_from(VOCABULARY), max_size=12).map(" ".join),
+    ),
+    max_size=30,
+)
+
+
+def _round_trips(stats) -> None:
+    """``stats`` decodes from its blob word by word, then as whole columns,
+    to exactly what went in."""
+    decoded = decode_stats(encode_stats(stats))
+    rows = np.arange(stats.num_documents + 2)
+    for word in [*stats.words(), "absent", "prefix", "prefix99"]:
+        docs, tfs = decoded.entries(word)
+        expected_docs, expected_tfs = stats.entries(word)
+        assert docs.tolist() == expected_docs.tolist(), word
+        assert tfs.tolist() == expected_tfs.tolist(), word
+        assert decoded.frequencies(word, rows).tolist() == stats.frequencies(word, rows).tolist()
+    _same_columns(decoded, stats)
 
 
 def _same_columns(left, right) -> None:
@@ -84,6 +124,7 @@ def test_merge_equals_statistics_over_survivors(documents, cuts, doomed, stored,
         first.setdefault(document.ref, document)
     survivors = [document for ref, document in first.items() if ref not in exclude]
     _same_columns(merged, build_stats(survivors, tokenizer))
+    _round_trips(merged)
 
 
 @settings(max_examples=100, deadline=None)
@@ -109,3 +150,14 @@ def test_a_row_mask_splits_like_the_documents(documents, shards, seed):
     for shard, part in enumerate(split_stats(stats, shard_of_row, shards)):
         kept = [document for at, (_, document) in enumerate(unique) if shard_of_row[at] == shard]
         _same_columns(part, build_stats(kept, tokenizer))
+        _round_trips(part)
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents=vocabulary_documents)
+def test_the_stats_blob_round_trips(documents):
+    """Front-coded blocks, delta runs, tf exceptions and offset gaps lose
+    nothing: shared prefixes across block boundaries, Unicode and lone
+    surrogates, tf > 1, documents of several blobs (overlapping ones too)
+    and empty statistics included."""
+    _round_trips(build_stats(documents, WhitespaceAnalyzer()))

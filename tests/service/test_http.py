@@ -21,6 +21,8 @@ from repro.service import AirphantService, ServiceConfig, create_server
 from repro.service.config import READ_CACHE_BYTES
 from repro.storage.local import LocalObjectStore
 
+from harness.legacy_header import JSON_STATS_BLOB, V2_STATS_BLOB
+
 CORPUS = b"\n".join(
     [
         b"error disk full on node1",
@@ -470,6 +472,24 @@ class TestCorruptIndex:
         assert "split/header.json" in payload["message"]
 
     @pytest.mark.parametrize(
+        "kept", [lambda n: 1, lambda n: n // 2, lambda n: n - 1], ids=["byte", "half", "trailer"]
+    )
+    def test_a_truncated_stats_blob_is_502_index_corrupt(self, server, tmp_path, kept):
+        # The statistics are the store's bytes, not the request: a stats blob
+        # that does not decode is corrupt, never a 400 bad_query.
+        _build_index(server)
+        blob = tmp_path / "bucket" / "logs-index" / "stats.json"
+        data = blob.read_bytes()
+        blob.write_bytes(data[: kept(len(data))])
+        ranked = {"index": "logs-index", "query": "error", "mode": "topk_bm25", "top_k": 2}
+        status, payload = _post(server, "/search", ranked)
+        assert (status, payload["error"]) == (502, "index_corrupt")
+        assert "logs-index/stats.json" in payload["message"]
+        # Membership queries never read the statistics.
+        status, payload = self._search(server)
+        assert (status, payload["num_results"]) == (200, 3)
+
+    @pytest.mark.parametrize(
         "blob, forge",
         [
             ("shards.json", lambda header: b'{"shards":[{}]}'),
@@ -479,11 +499,12 @@ class TestCorruptIndex:
             ("header.json", lambda header: _codec(header, 1)),
             ("header.json", lambda header: _codec(header, 9)),
             ("header.json", lambda header: header[:8] + struct.pack("<I", 4) + header[12:]),
-            ("stats.json", lambda header: b'{"magic":"airphant-stats","version":1}'),
+            ("stats.json", lambda header: JSON_STATS_BLOB),
+            ("stats.json", lambda header: V2_STATS_BLOB),
         ],
         ids=[
             "shards.json", "shards.json-bytes", "container", "json-header", "codec-v1",
-            "codec-v9", "container-v4", "json-stats",
+            "codec-v9", "container-v4", "json-stats", "stats-v2",
         ],
     )
     def test_a_retired_format_is_a_typed_error(self, server, tmp_path, blob, forge):

@@ -158,6 +158,42 @@ class TestSigning:
         assert first == second
         assert first["x-amz-date"] == "20260727T120000Z"
 
+    def test_cached_signing_key_keeps_signatures_across_a_date_rollover(self):
+        """The signing key is derived once per (day, region); the headers stay
+        byte for byte what a per-request derivation gave, on both sides of
+        midnight and in either order."""
+        from datetime import datetime, timezone
+
+        creds = S3Credentials("AKIDEXAMPLE", "wJalrXUtnFEMI", "tok")
+        expected = {
+            ("20260727T235959Z", "us-east-1"): "dbbcbdcea1960bc07dac62ec9d1e1f2c"
+            "17684b411628023687dd013f79a4c0c7",
+            ("20260727T235959Z", "eu-west-1"): "c550047a6b4846b8ceee600043885bda"
+            "e6de7f4449de69e972d432bc682498d9",
+            ("20260728T000000Z", "us-east-1"): "5bcff238e1b6bfd103063be3b1c4f53e"
+            "395dc156fedc3ff2d9b3c06576f6cc2d",
+            ("20260728T000000Z", "eu-west-1"): "f35373384bf473eea451df7c69d7ca05"
+            "7f26e113d29e483a765749dd00b07dfd",
+        }
+        before = datetime(2026, 7, 27, 23, 59, 59, tzinfo=timezone.utc)
+        after = datetime(2026, 7, 28, 0, 0, 0, tzinfo=timezone.utc)
+        for now in (before, after, before, after):
+            for region in ("us-east-1", "eu-west-1"):
+                headers = sign_v4(
+                    "GET", "http://h/bucket/key?list-type=2", region, creds, "e3b0c442", now=now
+                )
+                stamp = headers["x-amz-date"]
+                assert headers == {
+                    "x-amz-date": stamp,
+                    "x-amz-content-sha256": "e3b0c442",
+                    "x-amz-security-token": "tok",
+                    "Authorization": (
+                        f"AWS4-HMAC-SHA256 Credential=AKIDEXAMPLE/{stamp[:8]}/{region}/s3/"
+                        "aws4_request, SignedHeaders=host;x-amz-content-sha256;x-amz-date;"
+                        f"x-amz-security-token, Signature={expected[stamp, region]}"
+                    ),
+                }
+
 
 class TestEndToEnd:
     def test_registry_resolves_s3_uri(self, s3_emulator):

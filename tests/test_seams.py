@@ -500,6 +500,35 @@ def test_checker_keeps_no_reader_of_a_retired_format(tmp_path):
     ]
 
 
+def test_checker_keeps_no_reader_of_a_retired_stats_container(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("index", "search"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the stats module names the v2 magic to refuse it, and the
+    # current container's decoder.
+    (root / "index" / "stats.py").write_text(
+        '_RETIRED_STATS = {b"AIRPSTA\\n": "a stats container v2 blob"}\n'
+        "def _decode_v3_stats(data):\n    pass\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a v2 decoder anywhere, or the v2 magic outside the stats module.
+    (root / "index" / "stats.py").write_text(
+        "def _decode_v2_stats(data):\n    pass\n", encoding="utf-8"
+    )
+    (root / "search" / "member.py").write_text(
+        'LEGACY = data.startswith(b"AIRPSTA\\n") and decode_v1_stats(data)\n', encoding="utf-8"
+    )
+    found = check_seams.findings(root)
+    assert sorted(problem.split("repro/")[1] for problem in found) == [
+        "index/stats.py:1: decoder of a retired stats container",
+        "search/member.py:1: decoder of a retired stats container",
+        "search/member.py:1: retired v2 stats magic outside index/stats.py",
+    ]
+
+
 def test_checker_keeps_one_cost_record_and_counters_on_their_fields(tmp_path):
     check_seams = _load()
     root = tmp_path / "src" / "repro"
