@@ -26,10 +26,9 @@ This script also fails on:
 * any ``isinstance(..., SimulatedCloudStore)`` outside ``storage/`` (the
   simulator is just another store; what a read cost is what ``read_batch``
   says it cost),
-* a ``ThreadPoolExecutor(`` anywhere under ``src/repro`` but the three
-  pools of ``POOL_SITES``: the fetch pool (``storage/parallel.py``), the
-  builder's shard pool (``index/builder.py``) and the router's one pool
-  (``cluster/router.py``), one each,
+* a ``ThreadPoolExecutor(`` anywhere under ``src/repro`` but the two
+  pools of ``POOL_SITES``: the fetch pool (``storage/parallel.py``) and the
+  router's one pool (``cluster/router.py``), one each,
 * a ``.batch.`` attribute read anywhere under ``src/repro``: what a wave
   cost is the ``requests``/``nbytes``/``wait_ms``/``download_ms`` of its
   ``FetchResult``, with no per-request record behind it,
@@ -126,7 +125,6 @@ MAX_SIMULATOR_CHECKS = 0
 #: The only files that may build a thread pool -> how many sites each may have.
 POOL_SITES = {
     ("storage", "parallel.py"): 1,
-    ("index", "builder.py"): 1,
     ("cluster", "router.py"): 1,
 }
 

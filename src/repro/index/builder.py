@@ -18,14 +18,13 @@ everything else derives from those columns:
 
 A sharded build runs 2–7 once, over the whole build, with each bin's and
 common word's list cut by shard (:func:`~repro.index.compaction.compact_sketch`),
-and writes one statistics blob per shard.
+and writes the same three blobs as a plain one: the statistics are the
+build's, byte for byte what a one-shard build of the corpus writes.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence, Union
 
@@ -42,7 +41,7 @@ from repro.index.compaction import compact_sketch, encode_header
 from repro.index.metadata import IndexMetadata, ShardEntry, ShardManifest
 from repro.index.serialization import CODEC_VERSION
 from repro.index.sharding import check_partitioning, route_rows
-from repro.index.stats import IndexStats, build_stats, encode_stats, split_stats
+from repro.index.stats import IndexStats, build_stats, encode_stats, shard_profiles
 from repro.index.store_layout import (
     build_blobs,
     build_bytes,
@@ -63,7 +62,8 @@ class BuiltIndex:
     """Handle to a freshly built (and persisted) index."""
 
     index_name: str
-    #: Empty for a shard: its header, like its superposts and ``mht``, is its build's.
+    #: Empty for a shard: its header and statistics, like its superposts and
+    #: ``mht``, are its build's.
     header_blob: str
     superpost_blob: str
     metadata: IndexMetadata
@@ -107,8 +107,8 @@ class AirphantBuilder:
     partitioned (document-hash or round-robin) and the build is one sketch
     whose every list is cut by shard; one header — a versioned
     :class:`~repro.index.metadata.ShardManifest` and each shard's split of
-    the runs — ties them together, and each shard keeps its own statistics,
-    written on a thread pool.  Single-shard builds keep the plain blob layout.
+    the runs — ties them together; the statistics stay whole, one blob for
+    the build.  Single-shard builds keep the plain header.
     """
 
     def __init__(
@@ -118,17 +118,13 @@ class AirphantBuilder:
         tokenizer: Tokenizer | None = None,
         num_shards: int = 1,
         partitioner: str = "hash",
-        build_concurrency: int | None = None,
     ) -> None:
         check_partitioning(num_shards, partitioner)
-        if build_concurrency is not None and build_concurrency < 1:
-            raise ValueError("build_concurrency must be positive when set")
         self._store = store
         self._config = config if config is not None else SketchConfig()
         self._tokenizer = tokenizer if tokenizer is not None else WhitespaceAnalyzer()
         self._num_shards = num_shards
         self._partitioner = partitioner
-        self._build_concurrency = build_concurrency
         # The configured hashed bins for each shard, so that adding shards
         # does not crowd the bins (the header stores only the occupied ones).
         self._sketch_bins = self._config.sketch_bins * num_shards
@@ -207,72 +203,63 @@ class AirphantBuilder:
         """Persist the build of ``stats`` (for the partitioner, each row's
         place in the corpus is in ``positions``, or else its row), then sweep
         what an earlier layout of the name left behind.  A sharded build is
-        one sketch too, its lists cut by shard; each shard's statistics are
-        written on a thread pool, and the header comes last, so a crash
-        mid-build leaves no blob that announces the build."""
+        one sketch too, its lists cut by shard, and writes the same three
+        blobs: its statistics are the build's, whatever the shard count."""
         profile = stats.profile()
         num_layers = self._choose_layers(profile)
         sketch = self._sketch(stats, profile, num_layers)
         superpost_blob, header_blob = superpost_blob_name(index_name), header_blob_name(index_name)
+        stats_blob = stats_blob_name(index_name)
+        weights = profile.document_frequencies
+        built: Union[BuiltIndex, BuiltShardedIndex]
         if self._num_shards == 1:
             metadata = self._make_metadata(corpus_name, profile, sketch, num_layers)
-            weights = profile.document_frequencies
             compacted = compact_sketch(sketch, superpost_blob, metadata, weights)
-            self._store.put(superpost_blob, compacted.superpost_blob_data)
-            self._store.put(header_blob, encode_header(compacted))
-            # Ranking statistics ride along with every build: exact doc
-            # lengths and term frequencies (mode="topk_bm25" scores from them
-            # without touching document text; compaction merges them).
-            # Written last, so a crash mid-build leaves a membership-only
-            # index rather than stats for a missing sketch.
-            self._store.put(stats_blob_name(index_name), encode_stats(stats))
-            built: Union[BuiltIndex, BuiltShardedIndex] = BuiltIndex(
+            built = BuiltIndex(
                 index_name, header_blob, superpost_blob, metadata, compacted.mht, profile,
-                self._config, stats_blob_name(index_name),
+                self._config, stats_blob,
             )
-            written = [built.stats_blob]
         else:
             shard_of_row = route_rows(stats, self._num_shards, self._partitioner, positions)
             names = [shard_index_name(index_name, shard) for shard in range(self._num_shards)]
-            split = split_stats(stats, shard_of_row, self._num_shards)
-
-            def build_shard(shard: int) -> tuple[CorpusProfile, IndexMetadata]:
-                self._store.put(stats_blob_name(names[shard]), encode_stats(split[shard]))
-                extra = dict(shard_index=shard, num_shards=self._num_shards)
-                extra.update(partitioner=self._partitioner, parent_index=index_name)
-                corpus, part_profile = f"{corpus_name}#shard-{shard:04d}", split[shard].profile()
-                metadata = self._make_metadata(corpus, part_profile, sketch, num_layers, extra)
-                return part_profile, metadata
-
-            workers = self._build_concurrency or min(self._num_shards, os.cpu_count() or 1)
-            with ThreadPoolExecutor(workers, thread_name_prefix="airphant-build") as pool:
-                parts = list(pool.map(build_shard, range(self._num_shards)))
+            profiles = shard_profiles(stats, shard_of_row, self._num_shards)
+            parts = [
+                self._make_metadata(
+                    f"{corpus_name}#shard-{shard:04d}", part_profile, sketch, num_layers,
+                    dict(
+                        shard_index=shard, num_shards=self._num_shards,
+                        partitioner=self._partitioner, parent_index=index_name,
+                    ),
+                )
+                for shard, part_profile in enumerate(profiles)
+            ]
             entries = [
                 ShardEntry(name, metadata.num_documents, metadata.num_terms)
-                for name, (_, metadata) in zip(names, parts)
+                for name, metadata in zip(names, parts)
             ]
             manifest = ShardManifest(index_name, self._partitioner, tuple(entries))
             compacted = compact_sketch(
-                sketch, superpost_blob, word_weights=profile.document_frequencies,
-                manifest=manifest, shard_metadata=[metadata for _, metadata in parts],
-                shard_of_row=shard_of_row,
+                sketch, superpost_blob, word_weights=weights, manifest=manifest,
+                shard_metadata=parts, shard_of_row=shard_of_row,
             )
-            self._store.put(superpost_blob, compacted.superpost_blob_data)
-            self._store.put(header_blob, encode_header(compacted))
             shards = [
-                BuiltIndex(
-                    name, "", superpost_blob, metadata, compacted.mht, part_profile,
-                    self._config, stats_blob_name(name),
-                )
-                for name, (part_profile, metadata) in zip(names, parts)
+                BuiltIndex(name, "", superpost_blob, metadata, compacted.mht, part, self._config)
+                for name, metadata, part in zip(names, parts, profiles)
             ]
             built = BuiltShardedIndex(index_name, manifest, shards)
-            written = [shard.stats_blob for shard in shards]
+        self._store.put(superpost_blob, compacted.superpost_blob_data)
+        self._store.put(header_blob, encode_header(compacted))
+        # Ranking statistics ride along with every build: exact doc lengths
+        # and term frequencies (mode="topk_bm25" scores from them without
+        # touching document text; compaction merges them).  Written last, so
+        # a crash mid-build leaves a membership-only index rather than stats
+        # for a missing sketch.
+        self._store.put(stats_blob, encode_stats(stats))
         # The builder makes a rebuild authoritative: whatever a previous
-        # layout of this name left behind (a retired layout's shard manifest
-        # and shard headers, shards beyond the new count) goes.
+        # layout of this name left behind (a retired layout's shard manifest,
+        # shard headers and shard statistics) goes.
         for blob in build_blobs(self._store, index_name):
-            if blob not in {header_blob, superpost_blob, *written}:
+            if blob not in {header_blob, superpost_blob, stats_blob}:
                 self._store.delete(blob)
         return built
 

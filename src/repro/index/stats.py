@@ -114,10 +114,11 @@ _ENCODE_CHUNK = 4096
 class RankingUnsupportedError(Exception):
     """The index cannot answer ranked queries (typed, maps to HTTP 400).
 
-    Raised when an index has no stats blob (it predates ranked retrieval)
-    or its stats blob is in a format this engine does not read.  Membership
-    queries against the same index keep working; rebuilding the index
-    writes current stats and enables ``mode="topk_bm25"``.
+    Raised when an index has no stats blob (it predates ranked retrieval,
+    or is a sharded build that kept one per shard) or its stats blob is in a
+    format this engine does not read.  Membership queries against the same
+    index keep working; rebuilding the index writes current stats and
+    enables ``mode="topk_bm25"``.
     """
 
     def __init__(self, index_name: str, reason: str) -> None:
@@ -424,35 +425,30 @@ def union_stats(
     )
 
 
-def split_stats(stats: IndexStats, shard_of_row: np.ndarray, num_shards: int) -> list[IndexStats]:
-    """``stats`` cut into one set per shard, ``shard_of_row`` naming each
-    row's: column for column what :func:`build_stats` gives over the shard's
-    documents, cut from one stable grouping by shard of the rows and one of
-    the (term-major) entries."""
+def shard_profiles(
+    stats: IndexStats, shard_of_row: np.ndarray, num_shards: int
+) -> list[CorpusProfile]:
+    """Each shard's profile as far as its header metadata reads one — its
+    documents, terms, words and each document's distinct words, in row
+    order — with ``shard_of_row`` naming each row's shard, from one grouping
+    of the rows by shard.  The per-word maps stay empty: a shard's sketch
+    and statistics are its build's."""
     entry_doc = stats.entry_doc.astype(np.int64)
     sizes = np.diff(stats.term_starts.astype(np.int64))
-    entry_term = np.repeat(np.arange(len(sizes)), sizes)
-    groups = [
-        np.split(np.argsort(of, kind="stable"), np.cumsum(np.bincount(of, minlength=num_shards)[:-1]))
-        for of in (shard_of_row, shard_of_row[entry_doc])
-    ]
-    terms, parts = stats.terms(), []
-    for own, picked in zip(*groups):
-        counts = np.bincount(entry_term[picked], minlength=len(sizes))
-        present = np.flatnonzero(counts).tolist()
-        used, doc_blob = np.unique(stats.doc_blob[own], return_inverse=True)
-        columns = [column[own] for column in (stats.doc_offset, stats.doc_length, stats.doc_words)]
-        parts.append(
-            _assemble(
-                [stats.blobs[at] for at in used.tolist()],
-                (doc_blob, *columns),
-                [terms[at] for at in present],
-                counts[present],
-                np.searchsorted(own, entry_doc[picked]),
-                stats.entry_tf[picked],
-            )
+    # Each (term, shard) pair once: a shard's terms.
+    term = np.repeat(np.arange(len(sizes)), sizes)
+    pairs = np.unique(term * num_shards + shard_of_row[entry_doc])
+    terms = np.bincount(pairs % num_shards, minlength=num_shards).tolist()
+    distinct = np.bincount(entry_doc, minlength=stats.num_documents)
+    doc_words = stats.doc_words.astype(np.int64)
+    counts = np.bincount(shard_of_row, minlength=num_shards)
+    rows = np.split(np.argsort(shard_of_row, kind="stable"), np.cumsum(counts)[:-1])
+    return [
+        CorpusProfile(
+            len(own), terms[shard], int(doc_words[own].sum()), distinct[own].tolist(), {}, {}
         )
-    return parts
+        for shard, own in enumerate(rows)
+    ]
 
 
 def encode_stats(stats: IndexStats) -> bytes:

@@ -342,15 +342,14 @@ class AppendOnlyIndexManager:
     def indexed_documents(self, exclude: AbstractSet[Posting] = frozenset()) -> list[Document]:
         """Enumerate every document covered by the base and delta indexes."""
         builds = open_headers(self._store, self.manifest().all_indexes).builds
-        return self._read_documents([(build.header, None) for build in builds], exclude)
+        return self._read_documents([build.header for build in builds], exclude)
 
     def _read_documents(
         self,
-        parts: Sequence[tuple[CompactedSketch, int | None]],
+        headers: Sequence[CompactedSketch],
         exclude: AbstractSet[Posting] = frozenset(),
     ) -> list[Document]:
-        """Every document the builds of ``parts`` index — each whole, or the
-        one shard its ordinal names — re-read from storage.
+        """Every document the builds of ``headers`` index, re-read from storage.
 
         The union of all superposts (plus the common-word lists) of an index
         is exactly its set of postings — of documents with at least one
@@ -361,17 +360,15 @@ class AppendOnlyIndexManager:
         """
         postings: set[Posting] = set()
         blobs: dict[str, bytes] = {}
-        for header, shard in parts:
+        for header in headers:
             # One read of each superpost blob, sliced by the pointer columns:
             # never a range read per bin.
             name = header.superpost_blob_name
             blob = blobs[name] = blobs[name] if name in blobs else self._store.get(name)
-            first, last = (0, None) if shard is None else (shard, shard + 1)
-            for row, run in enumerate(header.mht.ranges()):
-                offset, length = header.share_range(row, *run, first, last)
+            for row, (offset, length) in enumerate(header.mht.ranges()):
                 if length:
                     postings.update(
-                        header.decode_run(row, first, last, blob[offset : offset + length])
+                        header.decode_run(row, 0, None, blob[offset : offset + length])
                     )
         wanted = sorted(postings - set(exclude))
         fetch = self._store.read_batch([posting.to_range_read() for posting in wanted])
@@ -383,36 +380,27 @@ class AppendOnlyIndexManager:
     def _merged_stats(
         self, builds: Sequence[OpenedBuild], exclude: AbstractSet[Posting]
     ) -> IndexStats:
-        """The statistics of every opened build's members (its shards, for a
-        sharded build), merged minus ``exclude``.
+        """The statistics of every opened build, merged minus ``exclude``.
 
-        One wave reads every member's stats blob.  A member without one —
-        built before ranked retrieval, or whose blob is in a format no longer
-        read — contributes :func:`build_stats` over its documents, re-read
-        from storage, so old indexes still compact (and gain statistics).
+        One wave reads every build's stats blob.  A build without one —
+        built before ranked retrieval, or when a sharded build kept one per
+        shard — or whose blob is in a format no longer read contributes
+        :func:`build_stats` over its documents, re-read from storage, so old
+        indexes still compact (and gain statistics).
         """
-        members = [
-            (name, build.header, shard if build.manifest else None)
-            for build in builds
-            for shard, name in enumerate(
-                build.manifest.shard_names if build.manifest else [build.name]
-            )
-        ]
         fetch = self._store.read_batch(
-            [RangeRead(stats_blob_name(member), optional=True) for member, _, _ in members]
+            [RangeRead(stats_blob_name(build.name), optional=True) for build in builds]
         )
         tokenizer = self._tokenizer if self._tokenizer is not None else WhitespaceAnalyzer()
 
-        def statistics(
-            member: str, header: CompactedSketch, shard: int | None, payload: bytes | None
-        ) -> IndexStats:
+        def statistics(build: OpenedBuild, payload: bytes | None) -> IndexStats:
             if payload is not None:
                 with suppress(RankingUnsupportedError):
-                    return decode_stats(payload, member)
-            return build_stats(self._read_documents([(header, shard)], exclude), tokenizer)
+                    return decode_stats(payload, build.name)
+            return build_stats(self._read_documents([build.header], exclude), tokenizer)
 
         return union_stats(
-            [statistics(*member, payload) for member, payload in zip(members, fetch.payloads)],
+            [statistics(build, payload) for build, payload in zip(builds, fetch.payloads)],
             exclude,
         )
 

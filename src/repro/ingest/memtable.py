@@ -157,7 +157,7 @@ class MemtableMember:
         return LookupPlan(
             (),
             lambda _: {word: Superpost(self.memtable.postings(word)) for word in words},
-            statistics=(lambda: (self.memtable.statistics(),)) if ranked else None,
+            statistics=self.memtable.statistics if ranked else None,
         )
 
     def resident(self, posting: Posting) -> Document | None:

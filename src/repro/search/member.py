@@ -56,9 +56,9 @@ class LookupPlan(NamedTuple):
     #: One unsharded member's one non-common word: when this plan is a whole
     #: wave, a hedging executor may drop its slowest reads (Section IV-G).
     hedgeable: bool = False
-    #: Ranked plans: the member's exact BM25 statistics, one per shard —
-    #: valid once ``resolve`` has run.
-    statistics: Callable[[], Sequence[IndexStats]] | None = None
+    #: Ranked plans: the member's exact BM25 statistics — valid once
+    #: ``resolve`` has run.
+    statistics: Callable[[], IndexStats] | None = None
 
 
 class Member(Protocol):
@@ -109,8 +109,9 @@ class IndexMember:
     other member's — as one batch through ``pipeline``, the
     :class:`~repro.storage.pipeline.ReadPipeline` of the opened index this
     member belongs to (a base and its deltas share one), so the member
-    itself reads nothing.  Its ranking statistics ride the lookup wave of
-    its first ranked query and stay resident.
+    itself reads nothing.  Its ranking statistics — one blob for the whole
+    build, however it is sharded — ride the lookup wave of its first ranked
+    query and stay resident.
     """
 
     def __init__(
@@ -160,7 +161,7 @@ class IndexMember:
         #: The member whose shard list is the whole index (itself unless this
         #: is a restricted view): it holds the statistics every view scores with.
         self._whole = whole if whole is not None else self
-        self._statistics: tuple[IndexStats, ...] | None = None
+        self._statistics: IndexStats | None = None
 
     @property
     def num_shards(self) -> int:
@@ -275,14 +276,8 @@ class IndexMember:
 
     # -- ranking statistics --------------------------------------------------------
 
-    def _build_names(self) -> list[str]:
-        """Every build of the whole index — never just a view's shards."""
-        if self.shard_manifest is None:
-            return [self.name]
-        return [entry.name for entry in self.shard_manifest.shards]
-
     def _statistics_reads(self) -> list[RangeRead]:
-        """The stats blob of every build, unless the statistics are resident.
+        """The build's stats blob, unless the statistics are resident.
 
         Always the **whole** index's — so a shard-restricted view scores with
         exactly the same corpus-wide IDF and average length as the full
@@ -290,39 +285,38 @@ class IndexMember:
         """
         if self._whole._statistics is not None:
             return []
-        return [RangeRead(stats_blob_name(name), optional=True) for name in self._build_names()]
+        return [RangeRead(stats_blob_name(self.name), optional=True)]
 
     def _install(self, payloads: Sequence[bytes | None]) -> None:
-        """Decode the stats blobs and keep them (the first writer wins).
+        """Decode the stats blob and keep it (the first writer wins).
 
-        A missing blob — an index built before ranked retrieval existed — is
+        A missing blob — an index built before ranked retrieval existed, or a
+        sharded one built when each shard kept its own — is
         :class:`~repro.index.stats.RankingUnsupportedError`.
         """
-        if any(payload is None for payload in payloads):
+        (payload,) = payloads
+        if payload is None:
             raise RankingUnsupportedError(self.name, "no ranking statistics blob")
-        decoded = tuple(
-            decode_stats(payload, index_name=name)
-            for name, payload in zip(self._build_names(), payloads)
-        )
+        decoded = decode_stats(payload, index_name=self.name)
         with self._whole._lock:
             if self._whole._statistics is None:
                 self._whole._statistics = decoded
 
-    def _resident_statistics(self) -> tuple[IndexStats, ...]:
+    def _resident_statistics(self) -> IndexStats:
         statistics = self._whole._statistics
         assert statistics is not None, "a ranked plan installs the statistics it scores with"
         return statistics
 
-    def ranking_stats(self) -> tuple[IndexStats, ...]:
-        """This index's statistics, one per build — for tools and probes, not
-        part of the member contract (a query gets them from its ranked plan).
+    def ranking_stats(self) -> IndexStats:
+        """This index's statistics — for tools and probes, not part of the
+        member contract (a query gets them from its ranked plan).
 
         Unless a ranked query already installed them, the executor reads
-        them in one wave of this member's stats reads.
+        them in one wave of this member's stats read.
         """
         from repro.search.searcher import AirphantSearcher  # the executor imports members
 
-        return tuple(AirphantSearcher(members=[self]).ranking_statistics()[0])
+        return AirphantSearcher(members=[self]).ranking_statistics()[0]
 
     def resident(self, posting: Posting) -> None:
         """A persisted index holds no document in memory."""

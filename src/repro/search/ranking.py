@@ -25,12 +25,13 @@ scoring on top of it:
 Cross-tier identity hinges on one invariant: *every* execution scores with
 the same corpus-wide statistics.  :func:`rank_candidates` sums ``N``, the
 total length and each query word's ``df`` over every member's statistics
-(one :class:`~repro.index.stats.IndexStats` per shard), counting a document
-once — by the first member holding it, so a document transiently visible in
-two members mid-flush counts once — and not at all when it is condemned.  A
-shard-restricted view still brings its *full* index's statistics: a node
-answering shards {2,3} uses the same IDF as the node answering {0,1}, which
-is what makes routed answers byte-identical to single-node ones.  Nothing is
+(one :class:`~repro.index.stats.IndexStats` per build, however it is
+sharded), counting a document once — by the first member holding it, so a
+document transiently visible in two members mid-flush counts once — and not
+at all when it is condemned.  A shard-restricted view still brings its
+*full* index's statistics: a node answering shards {2,3} uses the same IDF
+as the node answering {0,1}, which is what makes routed answers
+byte-identical to single-node ones.  Nothing is
 merged or copied per query: a query reads its words' entries and its
 candidates' rows.
 
@@ -61,7 +62,7 @@ DEFAULT_RANKED_K = 10
 #: for the final list is not, and an unbounded k defeats the mode's point.
 MAX_RANKED_K = 10_000
 
-#: A word's ``(document rows, tfs)`` in one shard's statistics.
+#: A word's ``(document rows, tfs)`` in one member's statistics.
 Entries = tuple[np.ndarray, np.ndarray]
 
 
@@ -120,7 +121,7 @@ def bm25(
 
 def rank_candidates(
     shares: Sequence[tuple[int, Superpost]],
-    statistics: Sequence[Sequence[IndexStats]],
+    statistics: Sequence[IndexStats],
     words: Sequence[str],
     k: int,
     exclude: AbstractSet[Posting] = frozenset(),
@@ -131,15 +132,15 @@ def rank_candidates(
     and how many candidates the statistics did not refute.
 
     ``shares`` are the executor's ``(owning member's index, its
-    candidates)``; ``statistics[m]`` is member ``m``'s, one per shard, and
-    ``exclude`` the condemned postings.  A candidate's tf and length come
+    candidates)``; ``statistics[m]`` is member ``m``'s, and ``exclude`` the
+    condemned postings.  A candidate's tf and length come
     from its owner's statistics; one that misses a query word there
     (``tf == 0``, or unknown) is refuted without its bytes ever being
     fetched.  Ties break on the posting, so the order is deterministic.
     """
     params = params if params is not None else BM25Params()
-    # Each shard's entries of each word, decoded once for the whole query.
-    entries = [[[part.entries(word) for word in words] for part in parts] for parts in statistics]
+    # Each member's entries of each word, decoded once for the whole query.
+    entries = [[part.entries(word) for word in words] for part in statistics]
     num_documents, total_words, frequencies = _corpus(statistics, entries, len(words), exclude)
     idf_by_word = [idf(num_documents, df) for df in frequencies]
     weight_by_word = normalize_weights(words, weights)
@@ -171,28 +172,25 @@ def rank_candidates(
 
 
 def _corpus(
-    statistics: Sequence[Sequence[IndexStats]],
-    entries: Sequence[Sequence[Sequence[Entries]]],
+    statistics: Sequence[IndexStats],
+    entries: Sequence[Sequence[Entries]],
     num_words: int,
     exclude: AbstractSet[Posting],
 ) -> tuple[int, int, list[int]]:
     """``N``, total length and each word's ``df`` over the surviving corpus,
-    every document counted once; ``entries[m][s]`` are shard ``s`` of member
-    ``m``'s entries of each word."""
+    every document counted once; ``entries[m]`` are member ``m``'s entries
+    of each word."""
     condemned = Superpost(exclude) if exclude else EMPTY
     num_documents = total_words = 0
     frequencies = [0] * num_words
-    earlier: list[IndexStats] = []
-    for parts, part_entries in zip(statistics, entries):
-        for part, word_entries in zip(parts, part_entries):  # a member's shards are disjoint
-            dropped = _dropped(part, condemned, earlier)
-            num_documents += part.num_documents - len(dropped)
-            total_words += part.total_words - int(part.doc_words[dropped].sum())
-            for at, (docs, _) in enumerate(word_entries):
-                frequencies[at] += len(docs)
-                if len(dropped):
-                    frequencies[at] -= int(np.isin(docs, dropped).sum())
-        earlier.extend(parts)
+    for member, (part, word_entries) in enumerate(zip(statistics, entries)):
+        dropped = _dropped(part, condemned, statistics[:member])
+        num_documents += part.num_documents - len(dropped)
+        total_words += part.total_words - int(part.doc_words[dropped].sum())
+        for at, (docs, _) in enumerate(word_entries):
+            frequencies[at] += len(docs)
+            if len(dropped):
+                frequencies[at] -= int(np.isin(docs, dropped).sum())
     return num_documents, total_words, frequencies
 
 
@@ -207,23 +205,19 @@ def _dropped(part: IndexStats, condemned: Superpost, earlier: Sequence[IndexStat
 
 
 def _rows(
-    parts: Sequence[IndexStats],
-    entries: Sequence[Sequence[Entries]],
-    share: Superpost,
-    num_words: int,
+    part: IndexStats, entries: Sequence[Entries], share: Superpost, num_words: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each candidate's tf per word (0 where its statistics lack it) and
-    length; ``entries[s]`` are shard ``s``'s entries of each word."""
+    length; ``entries`` are the owner's entries of each word."""
     tf = np.zeros((num_words, len(share)), np.int64)
     doc_words = np.zeros(len(share), np.int64)
-    for part, word_entries in zip(parts, entries):
-        rows = part.docs.positions(share)
-        held = np.flatnonzero(rows >= 0)
-        if len(held):
-            rows = rows[held]
-            doc_words[held] = part.doc_words[rows]
-            for at, found in enumerate(word_entries):
-                tf[at, held] = frequencies_at(found, rows)
+    rows = part.docs.positions(share)
+    held = np.flatnonzero(rows >= 0)
+    if len(held):
+        rows = rows[held]
+        doc_words[held] = part.doc_words[rows]
+        for at, found in enumerate(entries):
+            tf[at, held] = frequencies_at(found, rows)
     return tf, doc_words
 
 

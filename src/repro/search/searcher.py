@@ -341,7 +341,7 @@ class AirphantSearcher:
             latency=latency,
         )
 
-    def ranking_statistics(self) -> list[Sequence[IndexStats]]:
+    def ranking_statistics(self) -> list[IndexStats]:
         """Every member's ranking statistics, in member order (for tools and
         probes) — those not resident yet read in one wave, the reads a cold
         ranked query adds to its lookup wave."""
@@ -394,7 +394,7 @@ class AirphantSearcher:
         fail_fast: bool,
         latency: LatencyBreakdown,
         ranked: bool = False,
-    ) -> tuple[Candidates, Superpost, list[Sequence[IndexStats]]]:
+    ) -> tuple[Candidates, Superpost, list[IndexStats]]:
         """Wave 1, once: every member's plan in one batch, then the merge.
 
         Returns the surviving candidates in member order — each member's

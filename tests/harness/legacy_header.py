@@ -2,9 +2,9 @@
 
 Each kind of stored blob has one format the engine reads; an index in an
 older one — a JSON header, superpost codec v1, a JSON stats blob, a stats
-container v2, either retired sharded layout — is a typed "rebuild" error, not a reader kept
-forever.  This module keeps what the tests need to prove that, and that
-nothing else changed:
+container v2, either retired sharded layout, statistics kept per shard — is
+a typed "rebuild" error, not a reader kept forever.  This module keeps what
+the tests need to prove that, and that nothing else changed:
 
 * :func:`encode_plain_v3_header` — a plain build's v3 header written column
   after column with no padding, as every v3 writer has laid it out, which
@@ -111,15 +111,21 @@ def retire_format(store: ObjectStore, build: str, layout: str) -> None:
     wrote), ``"codec-v1"`` (its v3 header declaring superpost codec v1, a sharded
     header's checksum recomputed to match), ``"json-stats"`` or
     ``"stats-v2"`` (a v1 JSON stats blob, or a stats container v2 one, in
-    place of its — a sharded build's first shard's — statistics)."""
+    place of its statistics) or, for a sharded build, ``"shard-stats"`` (its
+    statistics moved to ``shard-NNNN/stats.json``, one per shard, as sharded
+    builds kept them, and none at the build)."""
     header = header_blob_name(build)
     payload = store.get(header)
     if layout in ("container", "shards.json"):
         retire_sharded_layout(store, build, layout)
     elif layout in STATS_LAYOUTS:
+        store.put(stats_blob_name(build), STATS_LAYOUTS[layout])
+    elif layout == "shard-stats":
         manifest = decode_build_header(payload, build).manifest
-        first = build if manifest is None else manifest.shard_names[0]
-        store.put(stats_blob_name(first), STATS_LAYOUTS[layout])
+        statistics = store.get(stats_blob_name(build))
+        for shard in manifest.shard_names:
+            store.put(stats_blob_name(shard), statistics)
+        store.delete(stats_blob_name(build))
     elif layout == "json-header":
         store.put(header, b'{"magic":"airphant-header","format_version":2}')
     else:

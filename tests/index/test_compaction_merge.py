@@ -123,12 +123,9 @@ def test_compaction_reads_only_manifests_and_one_wave_of_statistics(shards, part
     ]
     headers, stats = _waves(recording.calls)
     # Every member's header (a sharded base's one header holds its shards'
-    # split and manifest), then every member's statistics.
+    # split and manifest), then every member's one stats blob.
     assert sorted(headers) == sorted(f"{member}/header.json" for member in members)
-    expected_members = (
-        [f"live/shard-{shard:04d}" for shard in range(shards)] if shards > 1 else members[:1]
-    ) + members[1:]
-    assert stats == [stats_blob_name(member) for member in expected_members]
+    assert stats == [stats_blob_name(member) for member in members]
 
 
 def _waves(calls):

@@ -8,9 +8,9 @@ cache on (the default); the two queries share no range, so the cold log is
 the same as an uncached one.  Moving who resolves name → manifest
 → members → headers, or who issues a wave, must not move a single store call
 on the open/query path; a change that *means* to regenerates the golden on
-purpose (last: an open stopped asking for the retired ``shards.json``,
-which only a missing header now probes; before that, a sharded build became
-one sketch, so its lookups read sub-ranges of one ``superposts.bin``)::
+purpose (last: a sharded build's first ranked query reads its one
+``stats.json`` instead of one per shard; before that, an open stopped asking
+for the retired ``shards.json``, which only a missing header now probes)::
 
     PYTHONPATH=src:tests python tests/index/test_golden_store_calls.py
 """

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from harness.legacy_header import retire_format
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder, BuiltShardedIndex
@@ -76,7 +77,7 @@ class TestShardManifest:
 
 
 class TestShardedBuild:
-    def test_sharded_build_persists_manifest_and_per_shard_blobs(
+    def test_sharded_build_persists_manifest_and_the_plain_blobs(
         self, sim_store, small_documents, small_config
     ):
         builder = AirphantBuilder(sim_store, config=small_config, num_shards=4)
@@ -88,12 +89,27 @@ class TestShardedBuild:
         assert manifest is not None
         assert manifest.shard_names == [shard_index_name("sharded", i) for i in range(4)]
         # The build's one header and one superpost blob hold every shard's
-        # share of one sketch; a shard owns only its statistics.
-        assert sim_store.exists("sharded/header.json")
-        assert sim_store.exists("sharded/superposts.bin")
-        assert not sim_store.exists("sharded/shards.json")
-        for name in manifest.shard_names:
-            assert sim_store.list_blobs(f"{name}/") == [f"{name}/stats.json"]
+        # share of one sketch, and its one stats blob every shard's
+        # statistics: a shard owns no blob.
+        assert sim_store.list_blobs("sharded/") == [
+            "sharded/header.json",
+            "sharded/stats.json",
+            "sharded/superposts.bin",
+        ]
+
+    @pytest.mark.parametrize("partitioner", ["hash", "round-robin"])
+    @pytest.mark.parametrize("num_shards", [1, 4, 16])
+    def test_the_statistics_are_the_one_shard_builds_byte_for_byte(
+        self, memory_store, sim_store, small_documents, small_config, num_shards, partitioner
+    ):
+        AirphantBuilder(memory_store, config=small_config).build_from_documents(
+            small_documents, index_name="one"
+        )
+        AirphantBuilder(
+            sim_store, config=small_config, num_shards=num_shards, partitioner=partitioner
+        ).build_from_documents(small_documents, index_name="idx")
+        assert sim_store.get("idx/stats.json") == memory_store.get("one/stats.json")
+        assert sim_store.list_blobs("idx/shard-") == []
 
     def test_manifest_stats_match_partition_sizes(
         self, sim_store, small_documents, small_config
@@ -133,20 +149,6 @@ class TestShardedBuild:
         assert built.num_shards == 16
         assert built.num_documents == len(small_documents)
 
-    def test_serial_and_parallel_builds_produce_identical_blobs(
-        self, sim_store, memory_store, small_documents, small_config
-    ):
-        serial = AirphantBuilder(
-            memory_store, config=small_config, num_shards=4, build_concurrency=1
-        )
-        serial.build_from_documents(small_documents, index_name="idx")
-        parallel = AirphantBuilder(
-            sim_store, config=small_config, num_shards=4, build_concurrency=4
-        )
-        parallel.build_from_documents(small_documents, index_name="idx")
-        for blob in memory_store.list_blobs("idx/"):
-            assert memory_store.get(blob) == sim_store.get(blob)
-
     def test_single_shard_rebuild_removes_stale_sharded_layout(
         self, sim_store, small_documents, small_config
     ):
@@ -171,11 +173,16 @@ class TestShardedBuild:
         AirphantBuilder(sim_store, config=small_config).build_from_documents(
             small_documents, index_name="idx"
         )
+        plain = {blob: sim_store.get(blob) for blob in sim_store.list_blobs("idx/")}
         AirphantBuilder(sim_store, config=small_config, num_shards=2).build_from_documents(
             small_documents, index_name="idx"
         )
-        assert not sim_store.exists("idx/stats.json")
         assert read_shard_manifest(sim_store, "idx").num_shards == 2
+        # The same three blobs: the sketch's two rewritten, the statistics
+        # those of the plain build.
+        assert sim_store.list_blobs("idx/") == sorted(plain)
+        assert sim_store.get("idx/stats.json") == plain["idx/stats.json"]
+        assert sim_store.get("idx/header.json") != plain["idx/header.json"]
 
     def test_resharding_to_fewer_shards_drops_orphans(
         self, sim_store, small_documents, small_config
@@ -183,19 +190,21 @@ class TestShardedBuild:
         AirphantBuilder(sim_store, config=small_config, num_shards=4).build_from_documents(
             small_documents, index_name="idx"
         )
+        # Four shards' statistics, as sharded builds once kept them.
+        retire_format(sim_store, "idx", "shard-stats")
+        assert len(sim_store.list_blobs("idx/shard-")) == 4
         AirphantBuilder(sim_store, config=small_config, num_shards=2).build_from_documents(
             small_documents, index_name="idx"
         )
-        shard_prefixes = {blob.rsplit("/", 1)[0] for blob in sim_store.list_blobs("idx/shard-")}
-        assert shard_prefixes == {"idx/shard-0000", "idx/shard-0001"}
+        assert read_shard_manifest(sim_store, "idx").num_shards == 2
+        assert sim_store.list_blobs("idx/shard-") == []
+        assert sim_store.exists("idx/stats.json")
 
     def test_invalid_shard_configuration_rejected(self, sim_store, small_config):
         with pytest.raises(ValueError):
             AirphantBuilder(sim_store, config=small_config, num_shards=0)
         with pytest.raises(ValueError):
             AirphantBuilder(sim_store, config=small_config, partitioner="alphabetical")
-        with pytest.raises(ValueError):
-            AirphantBuilder(sim_store, config=small_config, build_concurrency=0)
 
 
 class TestShardedBaseWithDeltas:

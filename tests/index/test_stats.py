@@ -316,23 +316,10 @@ class TestBuilderIntegration:
         assert data.startswith(STATS_MAGIC)
         assert decode_stats(data).num_documents == len(small_documents)
 
-    def test_sharded_build_writes_per_shard_stats(self, sim_store, small_documents, small_config):
+    def test_sharded_build_writes_one_stats_blob(self, sim_store, small_documents, small_config):
         builder = AirphantBuilder(sim_store, config=small_config, num_shards=2)
         built = builder.build_from_documents(small_documents, index_name="sh")
-        total = 0
+        stats = decode_stats(sim_store.get(stats_blob_name("sh")))
+        assert stats.num_documents == len(small_documents)
         for shard in built.shards:
-            stats = decode_stats(sim_store.get(stats_blob_name(shard.index_name)))
-            total += stats.num_documents
-        assert total == len(small_documents)
-
-    def test_sharded_rebuild_drops_stale_toplevel_stats(
-        self, sim_store, small_documents, small_config
-    ):
-        AirphantBuilder(sim_store, config=small_config).build_from_documents(
-            small_documents, index_name="re"
-        )
-        assert sim_store.exists(stats_blob_name("re"))
-        AirphantBuilder(sim_store, config=small_config, num_shards=2).build_from_documents(
-            small_documents, index_name="re"
-        )
-        assert not sim_store.exists(stats_blob_name("re"))
+            assert not sim_store.exists(stats_blob_name(shard.index_name))

@@ -145,6 +145,7 @@ class TestOpener:
             ("shards.json", "old/shards.json"),
             ("json-header", "old/header.json"),
             ("codec-v1", "old/header.json"),
+            ("shard-stats", "old/stats.json"),
         ],
     )
     def test_a_retired_format_is_a_typed_rebuild_error(self, layout, blob):
@@ -152,20 +153,39 @@ class TestOpener:
         store.put("corpus/base.txt", CORPUS)
         with AirphantService(store, ServiceConfig(ingest_interval_s=0)) as service:
             service.build_index("old", ["corpus/base.txt"], num_shards=3)
+        fresh = store.get("old/stats.json")
         retire_format(store, "old", layout)
-        with pytest.raises(UnsupportedIndexFormatError, match="rebuild") as caught:
+        if layout == "shard-stats":
+            # Statistics kept per shard are not read: the index opens and
+            # answers membership queries, ranked ones are refused, and a
+            # compaction re-derives the one stats blob a fresh build writes.
             open_headers(store, ["old"])
-        assert caught.value.blob == blob
+            copy = InMemoryObjectStore()
+            for name in store.list_blobs():
+                copy.put(name, store.get(name))
+            built = AppendOnlyIndexManager(copy, "old", config=CONFIG).compact()
+            assert copy.get(f"{built.index_name}/stats.json") == fresh
+            assert not copy.list_blobs(f"{built.index_name}/shard-")
+            expected, ranked = (400, "ranking_unavailable"), "topk_bm25"
+        else:
+            with pytest.raises(UnsupportedIndexFormatError, match="rebuild") as caught:
+                open_headers(store, ["old"])
+            assert caught.value.blob == blob
+            expected, ranked = (409, "index_format"), "keyword"
         with AirphantService(store, ServiceConfig(ingest_interval_s=0)) as service:
             with pytest.raises(ServiceError) as refused:
-                service.search(SearchRequest(index="old", query="error"))
-            assert (refused.value.info.status, refused.value.info.error) == (409, "index_format")
+                service.search(SearchRequest(index="old", query="error", mode=ranked))
+            assert (refused.value.info.status, refused.value.info.error) == expected
             assert "rebuild" in refused.value.info.message
+            if layout == "shard-stats":
+                assert service.search(SearchRequest(index="old", query="error")).documents
             # A rebuild over the retired layout is the way out: it sweeps
             # what the old layout left behind and answers again.
             service.build_index("old", ["corpus/base.txt"], num_shards=3)
-            assert service.search(SearchRequest(index="old", query="error")).documents
+            assert service.search(SearchRequest(index="old", query="error", mode=ranked)).documents
         assert not store.exists("old/shards.json")
+        assert not store.list_blobs("old/shard-")
+        assert store.get("old/stats.json") == fresh
 
     def test_a_shard_manifest_naming_another_index_is_corrupt(self):
         store = InMemoryObjectStore()

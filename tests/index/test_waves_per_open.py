@@ -8,8 +8,8 @@ name (member headers, WAL segments, tombstone records) is one more.  A
 build in a retired format (a sharded layout with a header container per
 shard, or ``shards.json``; a JSON header; a header over superpost codec v1 —
 ``harness.legacy_header``) costs no wave more: it is a typed "rebuild"
-error; one whose statistics are a JSON blob opens, answers membership
-queries and refuses ranked ones.  No ``exists`` on any open that
+error; one whose statistics are a JSON blob, or kept per shard, opens,
+answers membership queries and refuses ranked ones.  No ``exists`` on any open that
 succeeds, nothing re-read on a reopen that this process already knows, and
 a name that is not there costs the one discovery batch and the one probe
 for a retired ``shards.json`` a missing header earns.
@@ -38,8 +38,10 @@ from repro.workloads.logs import generate_log_corpus
 
 CONFIG = SketchConfig(num_bins=256, target_false_positives=1.0, seed=7)
 SERVICE = ServiceConfig(ingest_interval_s=0)
+#: The retired formats that only cost an index its ranked mode.
+UNRANKED = (*STATS_LAYOUTS, "shard-stats")
 #: Each retired format ``retire_format`` can leave a build in.
-RETIRED = ("container", "shards.json", "json-header", "codec-v1", *STATS_LAYOUTS)
+RETIRED = ("container", "shards.json", "json-header", "codec-v1", *UNRANKED)
 
 
 @pytest.fixture(scope="module")
@@ -156,14 +158,14 @@ def test_a_retired_format_is_a_typed_error_after_the_same_waves(
     with AirphantService(store, SERVICE) as service:
         with pytest.raises(ServiceError) as caught:
             service.search(SearchRequest(query="INFO", index=name, mode="topk_bm25", top_k=3))
-        if layout in STATS_LAYOUTS:
+        if layout in UNRANKED:
             # The index opened in the same waves; only ranking is refused.
             assert len(_batches(store.calls)) == waves + 1
             assert service.search(SearchRequest(query="INFO", index=name, top_k=3)).documents
-    expected = (400, "ranking_unavailable") if layout in STATS_LAYOUTS else (409, "index_format")
+    expected = (400, "ranking_unavailable") if layout in UNRANKED else (409, "index_format")
     assert (caught.value.info.status, caught.value.info.error) == expected
     assert "rebuild" in caught.value.info.message
-    if layout not in STATS_LAYOUTS:
+    if layout not in UNRANKED:
         assert len(_batches(store.calls)) == waves
 
 

@@ -265,6 +265,9 @@ class TestShardedHeader:
         assert encode_header(runs) == split.get("idx/header.json")
         assert list(runs.mht.bin_ids) == list(plain.mht.bin_ids)
         assert runs.mht.common_words == plain.mht.common_words
+        # The statistics are the build's: one blob, the one-shard build's.
+        assert split.get("idx/stats.json") == whole.get("idx/stats.json")
+        assert split.list_blobs("idx/shard-") == []
         blob = split.get("idx/superposts.bin")
         for row, ((offset, length), run) in enumerate(zip(plain.mht.ranges(), runs.mht.ranges())):
             union: set[Posting] = set()

@@ -21,7 +21,7 @@ from repro.service import AirphantService, ServiceConfig, create_server
 from repro.service.config import READ_CACHE_BYTES
 from repro.storage.local import LocalObjectStore
 
-from harness.legacy_header import JSON_STATS_BLOB, V2_STATS_BLOB
+from harness.legacy_header import JSON_STATS_BLOB, V2_STATS_BLOB, retire_format
 
 CORPUS = b"\n".join(
     [
@@ -501,10 +501,12 @@ class TestCorruptIndex:
             ("header.json", lambda header: header[:8] + struct.pack("<I", 4) + header[12:]),
             ("stats.json", lambda header: JSON_STATS_BLOB),
             ("stats.json", lambda header: V2_STATS_BLOB),
+            # A sharded build whose statistics are kept per shard, none at the build.
+            ("stats.json", None),
         ],
         ids=[
             "shards.json", "shards.json-bytes", "container", "json-header", "codec-v1",
-            "codec-v9", "container-v4", "json-stats", "stats-v2",
+            "codec-v9", "container-v4", "json-stats", "stats-v2", "shard-stats",
         ],
     )
     def test_a_retired_format_is_a_typed_error(self, server, tmp_path, blob, forge):
@@ -512,12 +514,16 @@ class TestCorruptIndex:
         # the index is rebuilt from its corpus, and the answer says so.  The
         # index is built by another node: the server opens it cold.
         bucket = tmp_path / "bucket"
-        with AirphantService(LocalObjectStore(str(bucket)), ServiceConfig()) as builder:
-            builder.build_index("broken", ["corpora/logs.txt"])
+        store = LocalObjectStore(str(bucket))
+        with AirphantService(store, ServiceConfig()) as builder:
+            builder.build_index("broken", ["corpora/logs.txt"], num_shards=1 if forge else 2)
         header = (bucket / "broken" / "header.json").read_bytes()
-        if blob == "shards.json":
-            (bucket / "broken" / "header.json").unlink()
-        (bucket / "broken" / blob).write_bytes(forge(header))
+        if forge is None:
+            retire_format(store, "broken", "shard-stats")
+        else:
+            if blob == "shards.json":
+                (bucket / "broken" / "header.json").unlink()
+            (bucket / "broken" / blob).write_bytes(forge(header))
         ranked = {"index": "broken", "query": "error", "mode": "topk_bm25", "top_k": 2}
         status, answer = _post(server, "/search", ranked)
         assert "rebuild" in answer["message"]

@@ -81,12 +81,11 @@ def test_checker_guards_the_clock_seam_and_the_one_pool(tmp_path):
     assert "baselines/_io.py:2" in found[1] and "search/member.py:2" in found[1]
 
 
-def test_checker_allows_three_thread_pools_and_no_hedge_pool(tmp_path):
+def test_checker_allows_two_thread_pools_and_no_hedge_or_build_pool(tmp_path):
     check_seams = _load()
     root = tmp_path / "src" / "repro"
     sites = {
         ("storage", "parallel.py"): "fetch",
-        ("index", "builder.py"): "shard",
         ("cluster", "router.py"): "router",
     }
     for (package, name), prefix in sites.items():
@@ -96,7 +95,8 @@ def test_checker_allows_three_thread_pools_and_no_hedge_pool(tmp_path):
         )
     assert check_seams.findings(root) == []
 
-    # A second router pool and a resilient store's own hedge pool both fail.
+    # A second router pool, a resilient store's own hedge pool and a pool
+    # for the builder's shards all fail.
     with (root / "cluster" / "router.py").open("a", encoding="utf-8") as router:
         router.write("hedge_pool = ThreadPoolExecutor(thread_name_prefix='hedge')\n")
     (root / "storage" / "resilient.py").write_text(
@@ -104,9 +104,14 @@ def test_checker_allows_three_thread_pools_and_no_hedge_pool(tmp_path):
         "    return ThreadPoolExecutor(thread_name_prefix='airphant-hedge')\n",
         encoding="utf-8",
     )
+    (root / "index").mkdir()
+    (root / "index" / "builder.py").write_text(
+        "pool = ThreadPoolExecutor(thread_name_prefix='airphant-build')\n", encoding="utf-8"
+    )
     found = check_seams.findings(root)
     assert [problem.rsplit("/", 2)[-2:] for problem in found] == [
         ["cluster", "router.py:2: a thread pool beyond the allowed sites"],
+        ["index", "builder.py:1: a thread pool beyond the allowed sites"],
         ["storage", "resilient.py:2: a thread pool beyond the allowed sites"],
     ]
 
