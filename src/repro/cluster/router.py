@@ -574,6 +574,7 @@ class QueryRouter:
             documents=tuple(documents),
             num_candidates=sum(r.num_candidates for r in responses),
             false_positive_count=sum(r.false_positive_count for r in responses),
+            oversampled=sum(r.oversampled for r in responses),
             latency=latency,
             partial=bool(shard_errors),
             shard_errors=tuple(

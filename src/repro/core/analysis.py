@@ -10,7 +10,8 @@ Implements the formulas of Section IV-A:
   lower bound Σ_i c_i 2^(−L*_i) used as the feasibility check of Algorithm 1.
 * Equation 5 — the Hoeffding concentration bound on the observed number of
   false positives.
-* Equation 6 — the top-K sample size R_K.
+* Equation 6 — the top-K sample size R_K, as the exact binomial quantile in
+  place of the paper's Hoeffding bound (11 postings, not 23, for K = 10).
 """
 
 from __future__ import annotations
@@ -173,9 +174,13 @@ def top_k_sample_size(
     """Number of postings to sample for a top-K query (Equation 6).
 
     Given a final postings list with R = ``num_postings`` entries of which F₀
-    are expected to be false positives, sampling R_K postings guarantees at
-    least K relevant documents with probability ≥ 1 − δ.  When K ≥ R − F₀ the
-    whole list must be fetched.
+    are expected to be false positives, each sampled posting is a true match
+    with probability p = 1 − F₀/R.  Sampling R_K postings yields at least K
+    true matches with probability ≥ 1 − δ; R_K is the exact quantile — the
+    smallest n with P(Binomial(n, p) < K) ≤ δ — so no sample is larger than
+    the guarantee needs (with F₀ = 0 it is exactly K).  When K ≥ R − F₀ the
+    whole list must be fetched.  The tail walks up from n = K by its
+    recurrence P(X_{n+1} < K) = P(X_n < K) − p·P(X_n = K − 1): O(R_K − K) steps.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -185,25 +190,35 @@ def top_k_sample_size(
         raise ValueError("expected_false_positives_f0 must be non-negative")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    if num_postings == 0:
-        return 0
     if k >= num_postings - expected_false_positives_f0:
         return num_postings
-    success_probability = 1.0 - expected_false_positives_f0 / num_postings
-    if success_probability <= 0:
-        return num_postings
-    log_term = 0.5 * math.log(1.0 / delta)
-    discriminant = (2 * success_probability * k + log_term) ** 2 - 4 * (
-        success_probability**2
-    ) * (k**2)
-    discriminant = max(discriminant, 0.0)
-    sample = (2 * success_probability * k + log_term + math.sqrt(discriminant)) / (
-        2 * success_probability**2
-    )
-    return min(num_postings, int(math.ceil(sample)))
+    q = expected_false_positives_f0 / num_postings
+    p = 1.0 - q
+    # P(X_n < K) and P(X_n = K − 1) at n = K.  Each step may cost the running
+    # tail ~1e-15 of absolute error: within that of δ, the K terms' sum decides.
+    n, tail, mass = k, -math.expm1(k * math.log1p(-q)), k * p ** (k - 1) * q
+    while n < num_postings and (
+        tail > delta + (slack := (n - k + 1) * 1e-15)
+        or (tail > delta - slack and _lower_tail(n, k, p, q, mass) > delta)
+    ):
+        tail -= p * mass
+        mass *= (n + 1) * q / (n + 2 - k)
+        n += 1
+    return n
 
 
 # -- internal helpers --------------------------------------------------------------
+
+
+def _lower_tail(n: int, k: int, p: float, q: float, mass: float) -> float:
+    """P(X < k) for X ~ Binomial(n, p), summed from ``mass`` = P(X = k − 1)
+    down through the ratios P(X = j − 1) / P(X = j) = j·q / ((n − j + 1)·p):
+    k positive terms, so accurate to its last digits even near tiny δ."""
+    term = total = mass
+    for j in range(k - 1, 0, -1):
+        term *= j * q / ((n - j + 1) * p)
+        total += term
+    return total
 
 
 def _validate_structure(num_layers: float, num_bins: int) -> None:

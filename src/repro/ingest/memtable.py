@@ -143,8 +143,6 @@ class MemtableMember:
     so it never holds a condemned document.
     """
 
-    expected_false_positives = 0.0
-
     def __init__(self, memtable: Memtable, name: str = "memtable") -> None:
         self.memtable = memtable
         self.name = name

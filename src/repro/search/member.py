@@ -2,7 +2,7 @@
 
 A query runs over an ordered list of *members* — the persisted base index,
 its delta indexes, the live memtables — and every one of them answers the
-same five-name contract, :class:`Member`.  Members do no I/O on the query
+same four-name contract, :class:`Member`.  Members do no I/O on the query
 path.  The executor (:class:`~repro.search.searcher.AirphantSearcher`) owns
 everything that is the same for all tiers (tokenizing, the two read waves,
 the Boolean tree, tombstone exclusion, top-K sampling, false-positive
@@ -59,6 +59,9 @@ class LookupPlan(NamedTuple):
     #: Ranked plans: the member's exact BM25 statistics — valid once
     #: ``resolve`` has run.
     statistics: Callable[[], IndexStats] | None = None
+    #: F₀ of Equation 6 for the words planned: 0.0 when every word read is a
+    #: common word (exact lists) or the member is exact, else its sketch's.
+    expected_false_positives: float = 0.0
 
 
 class Member(Protocol):
@@ -66,9 +69,6 @@ class Member(Protocol):
 
     #: Index (or memtable) name, for catalogs and diagnostics.
     name: str
-    #: The sketch's expected false positives per query (Equation 6 input);
-    #: 0.0 for exact members.
-    expected_false_positives: float
 
     def plan(
         self, words: Sequence[str], fail_fast: bool = False, ranked: bool = False
@@ -144,7 +144,8 @@ class IndexMember:
             self.shard_manifest,
             [header.metadata] if runs is None else [runs.metadata[o] for o in self.held],
         )
-        self.expected_false_positives = (
+        #: The sketch's expected false positives per query (Equation 2).
+        self._false_positives = (
             self.metadata.expected_false_positives if self.metadata is not None else 0.0
         )
         #: ``[first, last)`` of each block of adjacent held shards, a read per
@@ -272,6 +273,9 @@ class IndexMember:
             and len(fetch_words) == 1
             and not self.mht.is_common(fetch_words[0]),
             statistics=self._resident_statistics if ranked else None,
+            expected_false_positives=0.0
+            if all(map(self.mht.is_common, fetch_words))
+            else self._false_positives,
         )
 
     # -- ranking statistics --------------------------------------------------------

@@ -146,13 +146,13 @@ class RegexSearcher:
             for document in candidate_result.documents
             if compiled.search(document.text) is not None
         ]
-        if top_k is not None:
-            matched = matched[:top_k]
+        documents = matched[:top_k]
         return SearchResult(
             query=pattern,
-            documents=matched,
+            documents=documents,
             candidate_postings=candidate_result.candidate_postings,
             false_positive_count=candidate_result.false_positive_count
             + (len(candidate_result.documents) - len(matched)),
+            oversampled=len(matched) - len(documents),
             latency=candidate_result.latency,
         )

@@ -78,9 +78,13 @@ class Candidates(Sequence[Posting]):
     is the prefix wave 2 fetches.
     """
 
-    def __init__(self, shares: Sequence[tuple[int, Superpost]] = ()) -> None:
+    def __init__(
+        self, shares: Sequence[tuple[int, Superpost]] = (), expected_false_positives: float = 0.0
+    ) -> None:
         #: ``(owning member's index, its share)``, in member order.
         self.shares = shares
+        #: F₀ of Equation 6: the members' plans' expected false positives, summed.
+        self.expected_false_positives = expected_false_positives
         self._length = sum([len(share) for _, share in shares])
 
     def __len__(self) -> int:
@@ -121,11 +125,14 @@ class SearchResult:
     #: path (:class:`Candidates`, or one sorted ``Superpost`` for a ranked
     #: query), whose ``len`` is :attr:`num_candidates`.
     candidate_postings: Sequence[Posting] = field(default_factory=list)
+    #: Fetched documents that did not match (ranked: refuted candidates).
     false_positive_count: int = 0
     latency: LatencyBreakdown = field(default_factory=LatencyBreakdown)
     #: Ranked modes only: normalized BM25 scores aligned with ``documents``
     #: (best first).  ``None`` for membership/Boolean results.
     scores: list[float] | None = None
+    #: Matching documents fetched beyond ``top_k`` (the sample's surplus).
+    oversampled: int = 0
 
     @property
     def num_results(self) -> int:
@@ -173,6 +180,7 @@ class SearchResult:
             "num_results": self.num_results,
             "num_candidates": self.num_candidates,
             "false_positive_count": self.false_positive_count,
+            "oversampled": self.oversampled,
             "documents": documents,
             "latency": self.latency.to_dict(),
         }

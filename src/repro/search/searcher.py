@@ -373,17 +373,20 @@ class AirphantSearcher:
                         excluded=len(condemned), refunded_bytes=condemned.document_bytes()
                     )
                 matched, fetched = self._retrieve(candidates, tree, top_k, latency)
+                documents = matched[:top_k]
                 if candidates:
                     retrieve_span.set(
                         fetched=fetched,
-                        matched=len(matched),
+                        matched=len(documents),
                         false_positives=fetched - len(matched),
+                        oversampled=len(matched) - len(documents),
                     )
         return SearchResult(
             query=label,
-            documents=matched,
+            documents=documents,
             candidate_postings=candidates,
             false_positive_count=fetched - len(matched),
+            oversampled=len(matched) - len(documents),
             latency=latency,
         )
 
@@ -419,7 +422,8 @@ class AirphantSearcher:
             if found:
                 shares.append((index, found))
         statistics = [plan.statistics() for plan in plans] if ranked else []
-        return Candidates(shares), Superpost.union_all(condemned), statistics
+        expected = sum(plan.expected_false_positives for plan in plans)
+        return Candidates(shares, expected), Superpost.union_all(condemned), statistics
 
     def _resolve(
         self, plans: Sequence[LookupPlan], latency: LatencyBreakdown
@@ -459,8 +463,9 @@ class AirphantSearcher:
         top_k: int | None,
         latency: LatencyBreakdown,
     ) -> tuple[list[Document], int]:
-        """Wave 2 of a membership query: the true matches among ``candidates``
-        (the first ``top_k`` of them), and how many documents it took."""
+        """Wave 2 of a membership query: every true match among the documents
+        it fetched — all ``candidates``, or Equation 6's sample of them — and
+        how many documents that was."""
 
         def matching(start: int, stop: int) -> list[Document]:
             return [
@@ -476,15 +481,16 @@ class AirphantSearcher:
         if top_k > 0:
             # Equation 6, once over the merged list: F0 adds up because any
             # member's false positives may sit in the sampled prefix.
-            expected = sum(m.expected_false_positives for m in self._require_members())
-            fetched = top_k_sample_size(top_k, total, expected, self._top_k_delta)
+            fetched = top_k_sample_size(
+                top_k, total, candidates.expected_false_positives, self._top_k_delta
+            )
         matched = matching(0, fetched)
         if len(matched) < top_k and fetched < total:
             # The probabilistic sample came up short (probability <= delta);
             # fall back to fetching the remaining candidates.
             matched += matching(fetched, total)
             fetched = total
-        return matched[:top_k], fetched
+        return matched, fetched
 
     def _fetch(
         self,

@@ -90,11 +90,12 @@ class SearchRequest:
     * ``"topk_bm25"`` — BM25-ranked retrieval: the best ``top_k`` documents
       matching all keywords, each with a score normalized into [0, 1].
 
-    ``top_k`` caps the number of returned documents (top-K sampling,
-    Equation 6 of the paper; for ``"topk_bm25"`` it is the ranked ``k``,
-    defaulting to the service's configured value); ``include_text`` controls
-    whether document bodies are returned or only their
-    ``(blob, offset, length)`` references.
+    ``top_k`` caps the number of returned documents; a membership query then
+    fetches the fewest candidates holding ``top_k`` true matches with
+    probability ≥ 1 − δ (Equation 6 of the paper; exactly ``top_k`` over exact
+    lists).  For ``"topk_bm25"`` it is the ranked ``k``, defaulting to the
+    service's configured value.  ``include_text`` controls whether document
+    bodies are returned or only their ``(blob, offset, length)`` references.
 
     ``weights`` (ranked mode only) boosts or damps individual query terms:
     a ``{term: positive multiplier}`` mapping applied to each term's BM25
@@ -323,7 +324,10 @@ class SearchResponse:
     mode: str
     documents: tuple[DocumentHit, ...] = ()
     num_candidates: int = 0
+    #: Fetched documents that did not match; ``oversampled``: matching ones
+    #: fetched beyond ``top_k``.
     false_positive_count: int = 0
+    oversampled: int = 0
     latency: LatencyBreakdown = field(default_factory=LatencyBreakdown)
     partial: bool = False
     shard_errors: tuple[ShardErrorInfo, ...] = ()
@@ -359,6 +363,7 @@ class SearchResponse:
             documents=documents,
             num_candidates=result.num_candidates,
             false_positive_count=result.false_positive_count,
+            oversampled=result.oversampled,
             latency=result.latency,
         )
 
@@ -371,6 +376,7 @@ class SearchResponse:
             "num_results": self.num_results,
             "num_candidates": self.num_candidates,
             "false_positive_count": self.false_positive_count,
+            "oversampled": self.oversampled,
             "documents": [document.to_dict() for document in self.documents],
             "latency": self.latency.to_dict(),
         }
@@ -397,6 +403,7 @@ class SearchResponse:
             ),
             num_candidates=int(data.get("num_candidates", 0)),
             false_positive_count=int(data.get("false_positive_count", 0)),
+            oversampled=int(data.get("oversampled", 0)),
             latency=LatencyBreakdown.from_dict(data.get("latency", {})),
             partial=bool(data.get("partial", False)),
             shard_errors=tuple(

@@ -124,6 +124,7 @@ def routed_equals_local(cluster, request: SearchRequest) -> None:
         # everything the caller consumes must match byte for byte.
         payload.pop("latency")
         payload.pop("false_positive_count")
+        payload.pop("oversampled")
     assert routed_payload == local_payload
 
 

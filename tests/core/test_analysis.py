@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.analysis import (
     approx_false_positive_probability,
@@ -153,10 +155,15 @@ class TestHoeffdingDeviation:
 
 
 class TestTopKSampleSize:
-    def test_paper_configuration_selects_about_23_samples(self):
-        # Section V-A: K=10, delta=1e-6, F0=1 selects about 23 samples.
-        sample = top_k_sample_size(10, 1000, 1.0, 1e-6)
-        assert 20 <= sample <= 26
+    def test_paper_configuration_selects_the_exact_quantile(self):
+        # Section V-A's K = 10 and delta = 1e-6, over R = 2 274 candidates of
+        # which F0 = 0.0008 are expected false: each sampled candidate is false
+        # with q = F0 / R ~ 3.52e-7, and X counts the true ones.
+        #   n = 10: P(X < 10) = 1 - (1 - q)^10 ~ 10 q ~ 3.5e-6 > delta;
+        #   n = 11: P(X < 10) = P(2 or more false) ~ C(11, 2) q^2 ~ 6.8e-12 <= delta.
+        # So 11, where the Hoeffding bound asks for 23.
+        assert top_k_sample_size(10, 2274, 0.0008, 1e-6) == 11
+        assert _hoeffding_sample_size(10, 2274, 0.0008, 1e-6) == 23
 
     def test_whole_list_fetched_when_k_close_to_result_size(self):
         assert top_k_sample_size(10, 11, 1.0, 1e-6) == 11
@@ -180,6 +187,32 @@ class TestTopKSampleSize:
         noisy = top_k_sample_size(10, 10_000, 5_000.0, 1e-6)
         assert noisy > clean
 
+    def test_exact_lists_sample_exactly_k(self):
+        assert top_k_sample_size(10, 2500, 0.0, 1e-12) == 10
+
+    @given(
+        k=st.integers(1, 60),
+        num_postings=st.integers(0, 5000),
+        share=st.floats(0.0, 1.0),
+        delta=st.floats(1e-12, 0.5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_smallest_sample_meeting_delta(self, k, num_postings, share, delta):
+        f0 = share * num_postings
+        n = top_k_sample_size(k, num_postings, f0, delta)
+        assert min(k, num_postings) <= n <= num_postings
+        assert n <= _hoeffding_sample_size(k, num_postings, f0, delta)
+        if f0 == 0:
+            assert n == min(k, num_postings)
+        q = f0 / num_postings if num_postings else 0.0
+        # The brute force is good to ~1e-11 relative; exact ties such as
+        # 0.5^3 == 0.125 need that much room.
+        if n < num_postings:
+            # Fetching the whole list cannot come up short; a sample can.
+            assert _binomial_lower_tail(n, k, q) <= delta * (1 + 1e-9)
+        if k < n < num_postings:
+            assert _binomial_lower_tail(n - 1, k, q) > delta * (1 - 1e-9)
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             top_k_sample_size(0, 10, 1.0, 1e-6)
@@ -189,3 +222,32 @@ class TestTopKSampleSize:
             top_k_sample_size(1, 10, -1.0, 1e-6)
         with pytest.raises(ValueError):
             top_k_sample_size(1, 10, 1.0, 2.0)
+
+
+def _binomial_lower_tail(n: int, k: int, q: float) -> float:
+    """P(Binomial(n, 1 - q) < k) by brute force: every term in log space."""
+    if q == 0.0:
+        return 0.0
+    logs = [
+        math.lgamma(n + 1)
+        - math.lgamma(j + 1)
+        - math.lgamma(n - j + 1)
+        + j * math.log1p(-q)
+        + (n - j) * math.log(q)
+        for j in range(min(k, n + 1))
+    ]
+    top = max(logs)
+    return math.exp(top) * sum(math.exp(value - top) for value in logs)
+
+
+def _hoeffding_sample_size(k: int, num_postings: int, f0: float, delta: float) -> int:
+    """Equation 6 as the paper bounds it (Hoeffding): the reference the exact
+    quantile must never exceed."""
+    if num_postings == 0:
+        return 0
+    if k >= num_postings - f0:
+        return num_postings
+    p = 1.0 - f0 / num_postings
+    log_term = 0.5 * math.log(1.0 / delta)
+    root = math.sqrt(max((2 * p * k + log_term) ** 2 - 4 * p**2 * k**2, 0.0))
+    return min(num_postings, math.ceil((2 * p * k + log_term + root) / (2 * p**2)))

@@ -8,12 +8,15 @@ baselines) against a jittered, straggler-prone latency model and compares every
 :class:`~repro.search.results.LatencyBreakdown` with values captured before
 the store-level ``read_batch`` seam existed (``golden_latency.json``).  A
 refactor of the read stack that moves a draw, splits a wave differently or
-charges a byte twice fails here first (last: a sharded build's statistics
-are one blob, so the 4-shard index's first ranked lookup wave reads one stats
-blob where it read four — three draws fewer, and every later draw of that
-index moved up three; before that, stats container v3, so the first ranked
-query's lookup wave downloads a smaller stats blob — only its bytes and
-download time moved, no draw).
+charges a byte twice fails here first (last: the top-K sample is Equation
+6's exact quantile, and "INFO" is a common word, so F₀ = 0 — only the top-K
+query's wave-2 draws moved: it reads 5 documents where it read 16, and every
+later draw of its scenario moved with them; before that, a sharded build's
+statistics are one blob, so the 4-shard index's first ranked lookup wave
+reads one stats blob where it read four — three draws fewer, and every later
+draw of that index moved up three; before that, stats container v3, so the
+first ranked query's lookup wave downloads a smaller stats blob — only its
+bytes and download time moved, no draw).
 
 Regenerate (only when a latency change is intended)::
 

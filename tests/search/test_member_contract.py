@@ -173,10 +173,17 @@ class TestMemberContract:
         assert site.reads == []
 
     def test_exact_members_expect_no_false_positives(self, site):
-        if site.owner is None:
-            assert site.member.expected_false_positives == 0.0
-        else:
-            assert site.member.expected_false_positives > 0.0
+        # A plan expects the sketch's false positives only when it reads a
+        # hashed word: a common word's list is exact, and so is a memtable.
+        if site.owner is not None:
+            assert site.owner.mht.is_common("INFO") and not site.owner.mht.is_common("ERROR")
+        for word in WORDS:
+            plan = site.member.plan([word])
+            hashed = site.owner is not None and not all(map(site.owner.mht.is_common, plan.words))
+            assert (plan.expected_false_positives > 0.0) == hashed, word
+        both = site.member.plan(["INFO", "ERROR"]).expected_false_positives
+        assert both == site.member.plan(["ERROR"]).expected_false_positives
+        assert site.member.plan(["INFO"]).expected_false_positives == 0.0
 
     def test_restrict_partitions_exactly(self, site, pending):
         exclude = site.excluded(pending)

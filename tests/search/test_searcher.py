@@ -1,6 +1,9 @@
 """Unit and integration tests for the Airphant Searcher."""
 
+from collections import Counter
+
 import pytest
+from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
 from repro.core.superpost import CROSSOVER, Superpost
@@ -12,6 +15,7 @@ from repro.parsing.tokenizer import WhitespaceAnalyzer
 from repro.search.replication import HedgingPolicy
 from repro.search.searcher import AirphantSearcher
 from repro.storage.memory import InMemoryObjectStore
+from repro.workloads.logs import generate_log_corpus
 
 
 @pytest.fixture
@@ -298,8 +302,8 @@ class TestCandidatesStayColumns:
         monkeypatch.setattr(Superpost, "take", spy)
         assert "columns" in repr(_resolved(big.searcher.searchers[0], big.store, "common"))
         result = big.searcher.search("common", top_k=10)
-        fetched = result.false_positive_count + len(result.documents)
-        assert result.num_candidates == 2500 and fetched == 23  # Equation 6's sample
+        fetched = result.false_positive_count + result.oversampled + len(result.documents)
+        assert result.num_candidates == 2500 and fetched == 12  # Equation 6's sample
         assert sum(made) <= fetched + 2
         # The candidates are still all there, lazily.
         assert len(result.candidate_postings) == 2500
@@ -310,15 +314,18 @@ class TestCandidatesStayColumns:
         search = big.searcher.search
         head = [0, 23, 48, 73, 98, 123, 148, 173, 196, 221]
         sampled = search("common", top_k=10)
-        assert (sampled.num_candidates, sampled.false_positive_count) == (2500, 13)
+        # The exact Equation 6 sample (12 where Hoeffding took 23) moved the
+        # counts and bytes; the answers did not move.
+        assert (sampled.num_candidates, sampled.false_positive_count) == (2500, 0)
+        assert sampled.oversampled == 2
         assert [d.offset for d in sampled.documents] == head
-        assert sampled.latency.bytes_fetched == 21084 and sampled.latency.round_trips == 2
+        assert sampled.latency.bytes_fetched == 20802 and sampled.latency.round_trips == 2
         everything = search("common")
         assert (everything.num_candidates, everything.false_positive_count) == (2500, 0)
         assert everything.documents == big.holders("common")
         assert everything.latency.bytes_fetched == 88188
         both = search("common rare", top_k=10)
-        assert (both.num_candidates, both.false_positive_count) == (358, 13)
+        assert (both.num_candidates, both.false_positive_count, both.oversampled) == (358, 0, 3)
         assert [d.offset for d in both.documents] == [0, 173, 354, 541, 728, 915, 1102, 1289, 1470, 1653]
         scan = search("tok7")
         assert (scan.num_candidates, scan.false_positive_count) == (60, 0)
@@ -365,7 +372,8 @@ class TestCandidatesStayColumns:
         result, attrs = _traced(lambda: live.search("common", top_k=10))
         assert result.documents == holders[3:13]
         assert result.num_candidates == 2497
-        assert result.false_positive_count == 13  # the sample is as large as ever
+        # The sample is as large as without the deletes: 12, all matching.
+        assert (result.false_positive_count, result.oversampled) == (0, 2)
         assert attrs["excluded"] == 3
         assert attrs["refunded_bytes"] == sum(d.length for d in holders[:3])
         # Short side: a tuple-sized list, same contract.
@@ -376,3 +384,37 @@ class TestCandidatesStayColumns:
         assert result.documents == errors[1:3]
         assert errors[0].ref not in result.candidate_postings
         assert (attrs["excluded"], attrs["refunded_bytes"]) == (1, errors[0].length)
+
+
+class TestFalsePositiveCounter:
+    def test_counts_fetched_documents_that_do_not_match(self):
+        # A coarse sketch over hdfs logs: head terms collide, so wave 2 fetches
+        # true false positives, and a top-10 sample fetches true matches
+        # beyond the tenth (oversampled, not false).
+        store = RecordingStore(InMemoryObjectStore())
+        corpus = generate_log_corpus(store, "hdfs", num_documents=1000, seed=14)
+        documents = list(LineDelimitedCorpusParser().parse(store, corpus.blob_names))
+        config = SketchConfig(num_bins=256, target_false_positives=40.0, seed=7)
+        AirphantBuilder(store, config=config).build_from_documents(documents, index_name="hdfs")
+        searcher = AirphantSearcher.open(store, "hdfs")
+        terms = {d.ref: WhitespaceAnalyzer().distinct_terms(d.text) for d in documents}
+        head = [word for word, _ in Counter(w for t in terms.values() for w in t).most_common(12)]
+        queries = head + [f"{a} {b}" for a, b in zip(head, head[1:])]
+        totals = Counter()
+        for query in queries:
+            store.calls.clear()
+            result = searcher.search(query, top_k=10)
+            fetched = [
+                d
+                for d in documents
+                if any(
+                    name == d.blob and offset < d.offset + d.length and offset + length > d.offset
+                    for _, name, offset, length in store.calls
+                )
+            ]
+            non_matching = sum(not set(query.split()) <= terms[d.ref] for d in fetched)
+            assert result.false_positive_count == non_matching, query
+            assert result.oversampled == len(fetched) - non_matching - result.num_results, query
+            totals.update(false=non_matching, oversampled=result.oversampled)
+        # Both kinds occur, so the old count (fetched minus returned) fails here.
+        assert totals["false"] > 0 and totals["oversampled"] > 0

@@ -76,6 +76,7 @@ class TestSearchResponse:
             candidate_postings=[posting, Posting(blob="corpus/a.txt", offset=10, length=8)],
             false_positive_count=1,
             latency=latency,
+            oversampled=3,
         )
 
     def test_from_result_copies_everything(self):
@@ -84,6 +85,7 @@ class TestSearchResponse:
         assert response.num_results == 1
         assert response.num_candidates == 2
         assert response.false_positive_count == 1
+        assert response.oversampled == 3
         assert response.documents[0].text == "error one"
         assert response.latency.total_ms == pytest.approx(10.0)
         assert response.latency.round_trips == 2
@@ -106,7 +108,8 @@ class TestSearchResponse:
         response = SearchResponse.from_result(request, self._result())
         assert response.to_json() == (
             '{"query": "error", "index": "logs", "mode": "keyword", "num_results": 1, '
-            '"num_candidates": 2, "false_positive_count": 1, "documents": [{"blob": '
+            '"num_candidates": 2, "false_positive_count": 1, "oversampled": 3, '
+            '"documents": [{"blob": '
             '"corpus/a.txt", "offset": 0, "length": 9, "text": "error one"}], "latency": '
             '{"lookup_ms": 4.0, "retrieval_ms": 6.0, "wait_ms": 3.0, "download_ms": 7.0, '
             '"bytes_fetched": 384, "round_trips": 2, "total_ms": 10.0}}'
