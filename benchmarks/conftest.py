@@ -14,6 +14,7 @@ import getpass
 import json
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,12 @@ def new_store(seed: int = 1, jitter: float = 0.1) -> SimulatedCloudStore:
     return SimulatedCloudStore(latency_model=AffineLatencyModel(seed=seed, jitter_sigma=jitter))
 
 
+def fresh_view(store: SimulatedCloudStore) -> SimulatedCloudStore:
+    """A view of ``store``'s blobs whose latency model is a copy of its own,
+    its RNG back at the seed, so what it charges depends on no earlier read."""
+    return store.with_latency_model(replace(store.latency_model))
+
+
 def generate_corpus(store: SimulatedCloudStore, name: str) -> GeneratedCorpus:
     """Generate one of the paper's seven corpora (scaled) onto ``store``."""
     size = CORPUS_SIZES[name]
@@ -107,16 +114,28 @@ def generate_corpus(store: SimulatedCloudStore, name: str) -> GeneratedCorpus:
 
 
 class CorpusCatalog:
-    """Lazily generates and caches corpora plus their profiles for a session."""
+    """Lazily generates and caches corpora plus their profiles for a session.
+
+    Every benchmark reads through its own ``store``: a view of the session's
+    blobs whose latency model starts from the benchmark seed, so a figure
+    reads the same whichever benchmarks ran before it.
+    """
 
     def __init__(self) -> None:
-        self.store = new_store(seed=1)
+        #: Holds every corpus and index of the session.
+        self._blobs = new_store(seed=1)
+        self.store = fresh_view(self._blobs)
         self._corpora: dict[str, GeneratedCorpus] = {}
         self._profiles: dict[str, CorpusProfile] = {}
 
+    def reseeded(self) -> "CorpusCatalog":
+        """This catalog, reading through a freshly seeded view from now on."""
+        self.store = fresh_view(self._blobs)
+        return self
+
     def corpus(self, name: str) -> GeneratedCorpus:
         if name not in self._corpora:
-            self._corpora[name] = generate_corpus(self.store, name)
+            self._corpora[name] = generate_corpus(self._blobs, name)
         return self._corpora[name]
 
     def profile(self, name: str) -> CorpusProfile:
@@ -126,9 +145,15 @@ class CorpusCatalog:
 
 
 @pytest.fixture(scope="session")
-def catalog() -> CorpusCatalog:
+def corpora() -> CorpusCatalog:
     """Session-wide corpus catalog shared by all benchmarks."""
     return CorpusCatalog()
+
+
+@pytest.fixture
+def catalog(corpora: CorpusCatalog) -> CorpusCatalog:
+    """The session's corpora, read through a simulator seeded for this benchmark."""
+    return corpora.reseeded()
 
 
 @pytest.fixture(scope="session")

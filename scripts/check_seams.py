@@ -16,12 +16,18 @@ all of them.  Under ``search/`` and in ``ingest/memtable.py`` this script
 fails on:
 
 * a ``pipeline.fetch(`` or ``read_batch(`` anywhere but
-  ``search/searcher.py`` (the hedged wave) — a member's ranking statistics
-  ride the lookup wave too.
+  ``search/searcher.py`` — a member's ranking statistics ride the lookup
+  wave too.
 
-The read path has one clock seam — ``ObjectStore.read_batch`` — and one
-fetch pool per store, which also runs a resilient store's hedge racers.
-This script also fails on:
+The read path has one clock seam — ``ObjectStore.read_batch(requests,
+max_concurrency)``, every payload waited for — and one fetch pool per
+store, which also runs a resilient store's hedge racers.  This script also
+fails on:
+
+* a ``read_batch`` defined with a ``required`` parameter, or called with a
+  ``required=`` keyword, anywhere under ``src/repro``: a straggler defence
+  belongs to the store (``ResilientStore``'s hedge), not to a caller that
+  lets a wave give up on some of its reads,
 
 * any ``isinstance(..., SimulatedCloudStore)`` outside ``storage/`` (the
   simulator is just another store; what a read cost is what ``read_batch``
@@ -272,6 +278,24 @@ def enclosing_functions(path: Path) -> dict[int, str]:
     return owner
 
 
+def partial_waves(path: Path) -> list[int]:
+    """Lines of ``path`` that define ``read_batch`` with a ``required``
+    parameter or call it with a ``required=`` keyword."""
+    lines: list[int] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            names = (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs)
+            if node.name == "read_batch" and any(arg.arg == "required" for arg in names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            # ``store.read_batch(...)`` names it as an attribute, ``read_batch(...)`` bare.
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "read_batch" and any(kw.arg == "required" for kw in node.keywords):
+                lines.append(node.lineno)
+    return lines
+
+
 def findings(root: Path = SOURCE_ROOT) -> list[str]:
     """Every violation under ``root``, as ``path:line: what`` strings."""
     problems: list[str] = []
@@ -299,6 +323,11 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 for number, text in string_literals(path)
                 if RETIRED_STATS_MAGIC in text
             )
+        problems.extend(
+            f"{path.relative_to(root.parent.parent)}:{number}: "
+            "read_batch with a required count (every payload is waited for)"
+            for number in partial_waves(path)
+        )
         open_path = next(
             (prefix for prefix in OPEN_PATH if parts[: len(prefix)] == prefix), None
         )

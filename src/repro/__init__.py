@@ -88,7 +88,6 @@ from repro.profiling import CorpusProfile, profile_documents
 from repro.search import (
     AirphantSearcher,
     And,
-    HedgingPolicy,
     IndexMember,
     Member,
     Or,
@@ -147,7 +146,6 @@ __all__ = [
     "FlakyStore",
     "HTTPRangeStore",
     "HashTableEngine",
-    "HedgingPolicy",
     "IndexCatalog",
     "IndexInfo",
     "IndexMember",

@@ -9,7 +9,6 @@ from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder, BuiltIndex
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer
-from repro.search.replication import HedgingPolicy
 from repro.search.results import LatencyBreakdown, SearchResult
 from repro.search.searcher import AirphantSearcher
 from repro.storage.base import ObjectStore
@@ -27,11 +26,9 @@ class AirphantEngine(SearchEngine):
         tokenizer: Tokenizer | None = None,
         max_concurrency: int = 32,
         config: SketchConfig | None = None,
-        hedging: HedgingPolicy | None = None,
     ) -> None:
         super().__init__(store, index_name, tokenizer, max_concurrency)
         self._config = config if config is not None else SketchConfig()
-        self._hedging = hedging
         self._built: BuiltIndex | None = None
         self._searcher: AirphantSearcher | None = None
 
@@ -57,7 +54,6 @@ class AirphantEngine(SearchEngine):
             index_name=self._index_name,
             tokenizer=self._tokenizer,
             max_concurrency=self._max_concurrency,
-            hedging=self._hedging,
             top_k_delta=self._config.top_k_delta,
         )
         return self._searcher.initialize()

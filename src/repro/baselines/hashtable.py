@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.baselines.airphant import AirphantEngine
 from repro.core.config import SketchConfig
 from repro.parsing.tokenizer import Tokenizer
-from repro.search.replication import HedgingPolicy
 from repro.storage.base import ObjectStore
 
 
@@ -28,7 +27,6 @@ class HashTableEngine(AirphantEngine):
         tokenizer: Tokenizer | None = None,
         max_concurrency: int = 32,
         config: SketchConfig | None = None,
-        hedging: HedgingPolicy | None = None,
     ) -> None:
         base_config = config if config is not None else SketchConfig()
         super().__init__(
@@ -37,5 +35,4 @@ class HashTableEngine(AirphantEngine):
             tokenizer=tokenizer,
             max_concurrency=max_concurrency,
             config=base_config.with_layers(1),
-            hedging=hedging,
         )

@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import functools
 import http.client
-import inspect
 import json
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Protocol
 
 from repro.cluster.health import HealthTracker
 from repro.cluster.topology import ClusterTopology
@@ -71,15 +70,25 @@ from repro.service.api import (
 )
 from repro.storage.connections import ConnectionPool, send
 
-#: How a router reaches a node: ``(base_url, path, json_payload, timeout_s)``
-#: → decoded JSON.  ``payload=None`` means GET.  Implementations raise
-#: :class:`NodeQueryError` for node-level failures (unreachable, timeout,
-#: 5xx) and :class:`~repro.service.api.ServiceError` for definitive 4xx
-#: answers.  A transport *may* accept a keyword-only ``headers`` mapping;
-#: the router detects support by signature and uses it to propagate trace
-#: context to peers (transports without the parameter simply don't carry
-#: trace headers — routing is unaffected).
-Transport = Callable[[str, str, Mapping[str, Any] | None, float], Any]
+class Transport(Protocol):
+    """How a router reaches a node: ``(base_url, path, json_payload,
+    timeout_s, headers)`` → decoded JSON.
+
+    ``payload=None`` means GET; ``headers`` carries the trace context of a
+    traced query to the peer (``None`` otherwise).  Implementations raise
+    :class:`NodeQueryError` for node-level failures (unreachable, timeout,
+    5xx) and :class:`~repro.service.api.ServiceError` for definitive 4xx
+    answers.
+    """
+
+    def __call__(
+        self,
+        url: str,
+        path: str,
+        payload: Mapping[str, Any] | None,
+        timeout_s: float,
+        headers: Mapping[str, str] | None = None,
+    ) -> Any: ...
 
 
 class NodeQueryError(Exception):
@@ -181,15 +190,6 @@ class QueryRouter:
             self._connections = {peer: ConnectionPool(peer) for peer in self._topology.peers}
             transport = functools.partial(http_transport, pools=self._connections)
         self._transport: Transport = transport
-        # Trace headers are an optional transport capability: carry them
-        # only when the transport's signature declares a ``headers``
-        # parameter (older 4-arg transports keep working unchanged).
-        try:
-            self._transport_headers = (
-                "headers" in inspect.signature(self._transport).parameters
-            )
-        except (TypeError, ValueError):
-            self._transport_headers = False
         self._metrics = metrics if metrics is not None else NULL_REGISTRY
         if health is not None:
             self._health = health
@@ -484,7 +484,7 @@ class QueryRouter:
         with span("router.node", node=node, shards=list(ordinals)) as node_span:
             headers: dict[str, str] | None = None
             trace_id = getattr(node_span, "trace_id", None)
-            if trace_id is not None and self._transport_headers:
+            if trace_id is not None:
                 # Ask the peer to trace its share of the query under our
                 # trace id; its response carries the sub-tree to graft.
                 headers = {
@@ -492,12 +492,9 @@ class QueryRouter:
                     PARENT_SPAN_HEADER: node_span.span_id,
                 }
             try:
-                if headers is not None:
-                    body = self._transport(
-                        node, "/search", payload, self._shard_timeout_s, headers=headers
-                    )
-                else:
-                    body = self._transport(node, "/search", payload, self._shard_timeout_s)
+                body = self._transport(
+                    node, "/search", payload, self._shard_timeout_s, headers=headers
+                )
             except NodeQueryError as error:
                 node_span.set(error=error.code)
                 self._node_requests_metric.inc(node=node, outcome="failure")

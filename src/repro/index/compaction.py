@@ -44,7 +44,7 @@ from repro.core.hashing import LayeredHasher
 from repro.core.sketch import IoUSketch, PostingColumns, SketchColumns
 from repro.core.superpost import Superpost
 from repro.index.layout import coaccess_order
-from repro.index.metadata import IndexMetadata, ShardManifest
+from repro.index.metadata import IndexMetadata, ShardManifest, index_metadata
 from repro.index.serialization import (
     CODEC_VERSION,
     StringTable,
@@ -127,6 +127,16 @@ class CompactedSketch:
     def manifest(self) -> ShardManifest | None:
         """A sharded build's shard manifest (``None`` for a plain build)."""
         return None if self.shards is None else self.shards.manifest
+
+    def metadata_of(self, held: Sequence[int] | None = None) -> IndexMetadata | None:
+        """Corpus-wide metadata of the shards ``held`` (every shard, for
+        ``None``) — a plain build's is its own."""
+        if self.shards is None:
+            return self.metadata
+        shards = self.shards.metadata
+        return index_metadata(
+            self.manifest, list(shards) if held is None else [shards[o] for o in held]
+        )
 
     def share_range(
         self, run: int, offset: int, length: int, first: int, last: int | None

@@ -51,6 +51,7 @@ from repro.index.stats import (
 )
 from repro.index.store_layout import (
     OpenedBuild,
+    UnsupportedIndexFormatError,
     build_blobs,
     build_exists,
     delta_index_name,
@@ -66,7 +67,6 @@ from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
 from repro.storage.base import BlobNotFoundError, ObjectStore, RangeRead
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a runtime import cycle
-    from repro.search.replication import HedgingPolicy
     from repro.search.searcher import AirphantSearcher
 
 
@@ -318,11 +318,7 @@ class AppendOnlyIndexManager:
 
     # -- searching ------------------------------------------------------------------
 
-    def open_searcher(
-        self,
-        max_concurrency: int = 32,
-        hedging: "HedgingPolicy | None" = None,
-    ) -> "AirphantSearcher":
+    def open_searcher(self, max_concurrency: int = 32) -> "AirphantSearcher":
         """Open a searcher spanning the base index and every delta."""
         # Imported lazily: repro.search depends on repro.index, so importing
         # the searcher at module load time would create an import cycle.
@@ -334,7 +330,6 @@ class AppendOnlyIndexManager:
             manifest.all_indexes,
             tokenizer=self._tokenizer,
             max_concurrency=max_concurrency,
-            hedging=hedging,
         )
 
     # -- compaction ------------------------------------------------------------------
@@ -342,21 +337,14 @@ class AppendOnlyIndexManager:
     def indexed_documents(self, exclude: AbstractSet[Posting] = frozenset()) -> list[Document]:
         """Enumerate every document covered by the base and delta indexes."""
         builds = open_headers(self._store, self.manifest().all_indexes).builds
-        return self._read_documents([build.header for build in builds], exclude)
+        return self._read_documents(self._postings([build.header for build in builds]), exclude)
 
-    def _read_documents(
-        self,
-        headers: Sequence[CompactedSketch],
-        exclude: AbstractSet[Posting] = frozenset(),
-    ) -> list[Document]:
-        """Every document the builds of ``headers`` index, re-read from storage.
+    def _postings(self, headers: Sequence[CompactedSketch]) -> set[Posting]:
+        """Every posting the builds of ``headers`` index.
 
         The union of all superposts (plus the common-word lists) of an index
         is exactly its set of postings — of documents with at least one
-        token — and each posting locates a document's bytes, fetched as one
-        wave.  ``exclude`` (the pending tombstone set) drops condemned
-        postings *before* their bytes are fetched — deleted documents cost no
-        reads.
+        token.
         """
         postings: set[Posting] = set()
         blobs: dict[str, bytes] = {}
@@ -370,6 +358,16 @@ class AppendOnlyIndexManager:
                     postings.update(
                         header.decode_run(row, 0, None, blob[offset : offset + length])
                     )
+        return postings
+
+    def _read_documents(
+        self, postings: AbstractSet[Posting], exclude: AbstractSet[Posting]
+    ) -> list[Document]:
+        """The documents ``postings`` locate, re-read from storage as one wave.
+
+        ``exclude`` (the pending tombstone set) drops condemned postings
+        *before* their bytes are fetched — deleted documents cost no reads.
+        """
         wanted = sorted(postings - set(exclude))
         fetch = self._store.read_batch([posting.to_range_read() for posting in wanted])
         return [
@@ -387,6 +385,13 @@ class AppendOnlyIndexManager:
         shard — or whose blob is in a format no longer read contributes
         :func:`build_stats` over its documents, re-read from storage, so old
         indexes still compact (and gain statistics).
+
+        Only documents some superpost names can be re-read: when a build's
+        superposts cover fewer documents than its header counts (the rest
+        have no indexable token), re-deriving would lose them — N and the
+        average length, hence every score — so that is
+        :class:`~repro.index.store_layout.UnsupportedIndexFormatError`
+        asking for a rebuild, raised before anything is written.
         """
         fetch = self._store.read_batch(
             [RangeRead(stats_blob_name(build.name), optional=True) for build in builds]
@@ -397,7 +402,17 @@ class AppendOnlyIndexManager:
             if payload is not None:
                 with suppress(RankingUnsupportedError):
                     return decode_stats(payload, build.name)
-            return build_stats(self._read_documents([build.header], exclude), tokenizer)
+            postings = self._postings([build.header])
+            metadata = build.header.metadata_of()
+            if metadata is not None and len(postings) < metadata.num_documents:
+                raise UnsupportedIndexFormatError(
+                    stats_blob_name(build.name),
+                    f"no statistics for {metadata.num_documents - len(postings)} of the "
+                    f"{metadata.num_documents} documents of build {build.name!r} (no "
+                    "superpost names a document without an indexable token)",
+                    "statistics for all of them",
+                )
+            return build_stats(self._read_documents(postings, exclude), tokenizer)
 
         return union_stats(
             [statistics(build, payload) for build, payload in zip(builds, fetch.payloads)],

@@ -12,7 +12,6 @@ answering the :class:`Member` contract.
 from repro.search.boolean import And, BooleanQuery, Or, Term, parse_boolean_query
 from repro.search.member import IndexMember, Member
 from repro.search.regexsearch import RegexSearcher, extract_required_terms
-from repro.search.replication import HedgingPolicy
 from repro.search.results import LatencyBreakdown, SearchResult
 from repro.search.searcher import AirphantSearcher
 
@@ -20,7 +19,6 @@ __all__ = [
     "AirphantSearcher",
     "And",
     "BooleanQuery",
-    "HedgingPolicy",
     "IndexMember",
     "LatencyBreakdown",
     "Member",

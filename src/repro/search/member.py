@@ -25,7 +25,6 @@ from typing import Callable, Collection, NamedTuple, Protocol, Sequence
 
 from repro.core.superpost import EMPTY, Superpost
 from repro.index.compaction import CompactedSketch
-from repro.index.metadata import index_metadata
 from repro.index.stats import IndexStats, RankingUnsupportedError, decode_stats
 from repro.index.store_layout import MAX_SHARDED_CONCURRENCY, stats_blob_name
 from repro.parsing.documents import Document, Posting
@@ -47,15 +46,12 @@ class LookupPlan(NamedTuple):
     #: decoded (and, warm, from the read cache).
     reads: Sequence[RangeRead]
     #: Turns the payloads of ``reads`` (same order: a decoded superpost per
-    #: superpost read, ``None`` for a straggler the L⁺ drop gave up on, then
-    #: the statistics' bytes) into every queried word's final postings list.
+    #: superpost read, then the statistics' bytes) into every queried word's
+    #: final postings list.
     resolve: Callable[[Sequence[Superpost | bytes | None]], dict[str, Superpost]]
     #: The words ``reads`` serve, and over how many shards (diagnostics).
     words: Sequence[str] = ()
     shards: int = 0
-    #: One unsharded member's one non-common word: when this plan is a whole
-    #: wave, a hedging executor may drop its slowest reads (Section IV-G).
-    hedgeable: bool = False
     #: Ranked plans: the member's exact BM25 statistics — valid once
     #: ``resolve`` has run.
     statistics: Callable[[], IndexStats] | None = None
@@ -132,7 +128,6 @@ class IndexMember:
         self.mht = header.mht
         #: The shard manifest (``None`` for a plain, single-header index).
         manifest = self.shard_manifest = header.manifest
-        runs = header.shards
         #: The shard ordinals this view answers for, ascending.
         self.held = tuple(range(manifest.num_shards if manifest else 1) if held is None else held)
         #: Most requests this member alone wants in flight (scaled by its
@@ -140,10 +135,7 @@ class IndexMember:
         #: members together.
         self.max_concurrency = max_concurrency
         #: Corpus-wide metadata, aggregated over the shards this view holds.
-        self.metadata = index_metadata(
-            self.shard_manifest,
-            [header.metadata] if runs is None else [runs.metadata[o] for o in self.held],
-        )
+        self.metadata = header.metadata_of(self.held)
         #: The sketch's expected false positives per query (Equation 2).
         self._false_positives = (
             self.metadata.expected_false_positives if self.metadata is not None else 0.0
@@ -211,8 +203,7 @@ class IndexMember:
 
         A ``ranked`` plan of a member whose statistics are not resident yet
         also reads them (doomed or not: the other members' candidates score
-        against this member's documents too), and is never hedged — the L⁺
-        drop must not discard statistics.
+        against this member's documents too).
         """
         results: dict[str, Superpost] = {}
         unique = list(dict.fromkeys(words))
@@ -253,14 +244,12 @@ class IndexMember:
             if statistics:
                 self._install(payloads[len(requests) :])
             for word in fetch_words:
-                # A hedged-away straggler's payload is None: skip that layer
-                # (the intersection of the rest is still a valid superset).
-                unions = [
-                    Superpost.union_all(shares)
-                    for span in layers[word]
-                    if None not in (shares := [payloads[index] for index in span])
-                ]
-                results[word] = Superpost.intersect_all(unions)
+                results[word] = Superpost.intersect_all(
+                    [
+                        Superpost.union_all([payloads[index] for index in span])
+                        for span in layers[word]
+                    ]
+                )
             return results
 
         return LookupPlan(
@@ -268,10 +257,6 @@ class IndexMember:
             resolve,
             words=fetch_words,
             shards=len(self.held),
-            hedgeable=not statistics
-            and runs is None
-            and len(fetch_words) == 1
-            and not self.mht.is_common(fetch_words[0]),
             statistics=self._resident_statistics if ranked else None,
             expected_false_positives=0.0
             if all(map(self.mht.is_common, fetch_words))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Any, Iterator, Mapping, Sequence
@@ -153,38 +152,3 @@ class SearchResult:
     def latency_ms(self) -> float:
         """End-to-end simulated latency of this query."""
         return self.latency.total_ms
-
-    def to_dict(self, include_text: bool = True) -> dict[str, Any]:
-        """JSON-serializable representation of this result.
-
-        The service layer's ``SearchResponse`` wire format embeds the same
-        document and latency shapes, adding request context (index, mode).
-        ``include_text`` drops the document bodies, leaving only their
-        ``(blob, offset, length)`` references — useful when callers plan to
-        range-read the documents themselves.
-        """
-        documents = []
-        for position, document in enumerate(self.documents):
-            entry: dict[str, Any] = {
-                "blob": document.blob,
-                "offset": document.offset,
-                "length": document.length,
-            }
-            if self.scores is not None and position < len(self.scores):
-                entry["score"] = self.scores[position]
-            if include_text:
-                entry["text"] = document.text
-            documents.append(entry)
-        return {
-            "query": self.query,
-            "num_results": self.num_results,
-            "num_candidates": self.num_candidates,
-            "false_positive_count": self.false_positive_count,
-            "oversampled": self.oversampled,
-            "documents": documents,
-            "latency": self.latency.to_dict(),
-        }
-
-    def to_json(self, include_text: bool = True, indent: int | None = None) -> str:
-        """Serialize :meth:`to_dict` as a JSON string."""
-        return json.dumps(self.to_dict(include_text=include_text), indent=indent)

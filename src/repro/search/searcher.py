@@ -49,7 +49,6 @@ from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
 from repro.search.boolean import And, BooleanQuery, Term, parse_boolean_query
 from repro.search.member import IndexMember, LookupPlan, Member
 from repro.search.ranking import MAX_RANKED_K, BM25Params, rank_candidates
-from repro.search.replication import HedgingPolicy
 from repro.search.results import Candidates, LatencyBreakdown, SearchResult
 from repro.storage.base import ObjectStore, RangeRead
 from repro.storage.parallel import FetchResult
@@ -89,7 +88,6 @@ class AirphantSearcher:
         index_name: str | Sequence[str] = "airphant-index",
         tokenizer: Tokenizer | None = None,
         max_concurrency: int = 32,
-        hedging: HedgingPolicy | None = None,
         top_k_delta: float = 1e-6,
         read_cache_bytes: int = 0,
         *,
@@ -99,7 +97,6 @@ class AirphantSearcher:
         if (store is None) == (members is None):
             raise ValueError("pass either a store (with index_name) or members=")
         self._tokenizer = tokenizer if tokenizer is not None else WhitespaceAnalyzer()
-        self._hedging = hedging if hedging is not None else HedgingPolicy()
         self._top_k_delta = top_k_delta
         self._exclude = exclude
         self._members = list(members) if members is not None else None
@@ -126,7 +123,6 @@ class AirphantSearcher:
         index_name: str | Sequence[str] = "airphant-index",
         tokenizer: Tokenizer | None = None,
         max_concurrency: int = 32,
-        hedging: HedgingPolicy | None = None,
         top_k_delta: float = 1e-6,
         read_cache_bytes: int = 0,
         opened: OpenedHeaders | OpenedIndex | None = None,
@@ -138,7 +134,6 @@ class AirphantSearcher:
             index_name,
             tokenizer=tokenizer,
             max_concurrency=max_concurrency,
-            hedging=hedging,
             top_k_delta=top_k_delta,
             read_cache_bytes=read_cache_bytes,
         )
@@ -213,13 +208,12 @@ class AirphantSearcher:
     def with_members(
         self, members: Sequence[Member], exclude: AbstractSet[Posting] = frozenset()
     ) -> "AirphantSearcher":
-        """A searcher over other members with this one's tokenizer, hedging
-        policy and top-K bound."""
+        """A searcher over other members with this one's tokenizer and top-K
+        bound."""
         return AirphantSearcher(
             members=members,
             exclude=exclude,
             tokenizer=self._tokenizer,
-            hedging=self._hedging,
             top_k_delta=self._top_k_delta,
         )
 
@@ -434,21 +428,13 @@ class AirphantSearcher:
         payloads: list[Superpost | bytes | None] = []
         if reading:
             requests = [read for plan in reading for read in plan.reads]
-            # The L+ drop reasons about one word's layer reads, and with
-            # shards (or several members) a query already fans out wide.
-            hedged = self._hedging.enabled and len(reading) == 1 and reading[0].hedgeable
             with span(
                 "search.lookup",
                 words=list(dict.fromkeys(word for plan in reading for word in plan.words)),
                 requests=len(requests),
                 shards=sum(plan.shards for plan in reading),
-                hedged=hedged,
             ):
-                payloads = self._wave(
-                    requests,
-                    latency.add_lookup,
-                    self._hedging.required_of(len(requests)) if hedged else None,
-                )
+                payloads = self._wave(requests, latency.add_lookup)
         resolved = []
         start = 0
         for plan in plans:
@@ -517,24 +503,13 @@ class AirphantSearcher:
         return [document for document in documents if document is not None]
 
     def _wave(
-        self,
-        requests: list[RangeRead],
-        account: Callable[[FetchResult], None],
-        required: int | None = None,
+        self, requests: list[RangeRead], account: Callable[[FetchResult], None]
     ) -> list[Superpost | bytes | None]:
-        """One batch of range reads, each payload as its read's decoder makes
-        it; what the query waited for it goes to ``account``."""
+        """One batch of range reads through the pipeline, each payload as its
+        read's decoder makes it; what the query waited for it goes to
+        ``account``."""
         assert self.pipeline is not None, "no member of this searcher was opened on a store"
-        if required is None:
-            fetch = self.pipeline.fetch(requests)
-            payloads = fetch.payloads
-        else:
-            # Hedging needs per-request latencies, so it bypasses the pipeline
-            # (and its cache), decoding through the same hook.
-            fetch = self.pipeline.store.read_batch(
-                requests, self.pipeline.max_concurrency, required=required
-            )
-            payloads = [read.decoded(data) for read, data in zip(requests, fetch.payloads)]
+        fetch = self.pipeline.fetch(requests)
         if fetch.requests:
             account(fetch)
-        return payloads
+        return fetch.payloads

@@ -22,7 +22,6 @@ from __future__ import annotations
 from threading import RLock
 from typing import TYPE_CHECKING
 
-from repro.index.metadata import index_metadata
 from repro.index.store_layout import (
     OpenedIndex,
     discovery_blobs,
@@ -212,10 +211,7 @@ class IndexCatalog:
             found = self._open_index(name, probe_ingest=False, base_only=True)
             (base,) = found.builds
             shard_manifest = base.manifest
-            runs = base.header.shards
-            metadata = index_metadata(
-                shard_manifest, [base.header.metadata] if runs is None else list(runs.metadata)
-            )
+            metadata = base.header.metadata_of()
             delta_names = found.manifest.delta_indexes
         assert metadata is not None
         return IndexInfo(

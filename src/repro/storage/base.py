@@ -173,7 +173,6 @@ class ObjectStore(ABC):
         self,
         requests: Iterable[RangeRead],
         max_concurrency: int = 32,
-        required: int | None = None,
     ) -> FetchResult:
         """Read ``requests`` as one concurrent wave and report what it cost.
 
@@ -193,12 +192,6 @@ class ObjectStore(ABC):
             on the calling thread while the store's reads do not wait — the
             first that does sends the rest of its batch to the pool
             (:meth:`~repro.storage.parallel.FetchPool.run`).
-        required:
-            When set, the caller needs only this many of the payloads (the
-            L⁺ replication of Section IV-G: issue all, continue when
-            ``required`` have arrived).  A store returns *at least* that
-            many; the stragglers it gave up on are ``None``.  This default
-            simply waits for all of them.
 
         Returns
         -------
@@ -209,7 +202,7 @@ class ObjectStore(ABC):
         own (:class:`~repro.storage.simulated.SimulatedCloudStore`)
         overrides this method to report it.
         """
-        requests = self._checked_batch(requests, max_concurrency, required)
+        requests = self._checked_batch(requests, max_concurrency)
         if not requests:
             return FetchResult()
         # Pool threads do not inherit contextvars from the submitter, so the
@@ -230,13 +223,11 @@ class ObjectStore(ABC):
 
     @staticmethod
     def _checked_batch(
-        requests: Iterable[RangeRead], max_concurrency: int, required: int | None
+        requests: Iterable[RangeRead], max_concurrency: int
     ) -> list[RangeRead]:
         """Validate :meth:`read_batch` arguments; returns the requests as a list."""
         if max_concurrency <= 0:
             raise ValueError("max_concurrency must be positive")
-        if required is not None and required <= 0:
-            raise ValueError("required must be positive")
         return list(requests)
 
     def close(self) -> None:

@@ -96,7 +96,7 @@ class FetchResult:
     """
 
     payloads: list[Any] = field(default_factory=list)
-    #: Requests the store served (a hedged wave counts those it kept).
+    #: Requests the store served.
     requests: int = 0
     #: Bytes those requests returned.
     nbytes: int = 0

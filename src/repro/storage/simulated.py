@@ -11,9 +11,8 @@ bandwidth contention, and cross-region RTT inflation).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.observability.tracing import current_span
 from repro.storage.base import ObjectStore, RangeRead
 from repro.storage.latency import AffineLatencyModel
 from repro.storage.memory import InMemoryObjectStore
@@ -115,7 +114,6 @@ class SimulatedCloudStore(ObjectStore):
         self,
         requests: Iterable[RangeRead],
         max_concurrency: int = 32,
-        required: int | None = None,
     ) -> FetchResult:
         """Execute independent reads as one concurrent batch on the virtual clock.
 
@@ -129,16 +127,12 @@ class SimulatedCloudStore(ObjectStore):
         An ``optional`` request whose blob is missing yields ``None`` and is
         charged like any other answer: a first-byte wait and 0 bytes.
 
-        With ``required`` below the batch size the ``required`` fastest
-        requests are kept and the rest dropped (their payloads are ``None``):
-        latency is that of the kept ones, issued as a single wave.
-
         Returns
         -------
-        Payloads in request order plus the kept requests' count, bytes and
+        Payloads in request order plus the batch's count, bytes and
         virtual-clock cost (no real time passes).
         """
-        request_list = self._checked_batch(requests, max_concurrency, required)
+        request_list = self._checked_batch(requests, max_concurrency)
         if not request_list:
             return FetchResult()
         payloads: list[bytes | None] = []
@@ -149,34 +143,15 @@ class SimulatedCloudStore(ObjectStore):
             payloads.append(data)
             sizes.append(len(data) if data is not None else 0)
             waits.append(self._latency.sample_first_byte_ms())
-        kept: Sequence[int] = range(len(request_list))
-        if required is not None and required < len(request_list):
-            fastest = sorted(kept, key=lambda i: waits[i] + self._latency.transfer_ms(sizes[i]))
-            for index in fastest[required:]:
-                payloads[index] = None
-            kept = sorted(fastest[:required])
-            waves = [kept]
-            ambient = current_span()
-            if ambient is not None:
-                ambient.child(
-                    "fetch.hedged",
-                    requests=len(request_list),
-                    required=required,
-                    dropped=len(request_list) - required,
-                ).finish()
-        else:
-            waves = [
-                kept[start : start + max_concurrency]
-                for start in range(0, len(kept), max_concurrency)
-            ]
+        starts = range(0, len(request_list), max_concurrency)
         fetch = FetchResult(
             payloads=payloads,
-            requests=len(kept),
-            nbytes=sum(sizes[index] for index in kept),
-            wait_ms=sum(max(waits[index] for index in wave) for wave in waves),
+            requests=len(request_list),
+            nbytes=sum(sizes),
+            wait_ms=sum(max(waits[start : start + max_concurrency]) for start in starts),
             download_ms=sum(
-                self._latency.batch_transfer_ms([sizes[index] for index in wave])
-                for wave in waves
+                self._latency.batch_transfer_ms(sizes[start : start + max_concurrency])
+                for start in starts
             ),
         )
         self.metrics.record(fetch)

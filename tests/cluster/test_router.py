@@ -8,6 +8,7 @@ import pytest
 from repro.cluster.health import HealthTracker
 from repro.cluster.router import NodeQueryError, QueryRouter
 from repro.observability import MetricsRegistry
+from repro.observability.tracing import PARENT_SPAN_HEADER, TRACE_ID_HEADER, Span, attach
 from repro.search.results import LatencyBreakdown
 from repro.service.api import (
     DocumentHit,
@@ -42,7 +43,7 @@ class FakeCluster:
         self.hooks: dict[str, object] = {}
         self.lock = threading.Lock()
 
-    def transport(self, url, path, payload, timeout_s):
+    def transport(self, url, path, payload, timeout_s, headers=None):
         shards = None if payload is None else tuple(payload.get("shards", ()))
         with self.lock:
             self.calls.append((url, path, shards))
@@ -84,6 +85,41 @@ ALL_DOCS = sorted(
     (doc for docs in SHARD_DOCS.values() for doc in docs),
     key=lambda d: (d.blob, d.offset, d.length),
 )
+
+
+class TestTraceHeaders:
+    """Every transport takes ``headers``: the router hands each node the
+    trace context of a traced query, and ``None`` outside a trace."""
+
+    @staticmethod
+    def _recording(cluster, sent):
+        def transport(url, path, payload, timeout_s, headers=None):
+            if path == "/search":
+                sent.append(headers)
+            return cluster.transport(url, path, payload, timeout_s, headers)
+
+        return transport
+
+    def test_a_traced_query_sends_each_node_its_trace_context(self, cluster):
+        sent = []
+        root = Span("query")
+        with make_router(cluster, transport=self._recording(cluster, sent)) as router:
+            with attach(root):
+                response = router.route(SearchRequest(query="doc", index="logs"))
+        assert list(response.documents) == ALL_DOCS
+        nodes = [node for node in root.walk() if node.name == "router.node"]
+        assert sent and len(sent) == len(nodes)
+        assert {headers[TRACE_ID_HEADER] for headers in sent} == {root.trace_id}
+        assert sorted(headers[PARENT_SPAN_HEADER] for headers in sent) == sorted(
+            node.span_id for node in nodes
+        )
+
+    def test_an_untraced_query_sends_no_headers(self, cluster):
+        sent = []
+        with make_router(cluster, transport=self._recording(cluster, sent)) as router:
+            response = router.route(SearchRequest(query="doc", index="logs"))
+        assert list(response.documents) == ALL_DOCS
+        assert sent and all(headers is None for headers in sent)
 
 
 class TestRouting:

@@ -129,7 +129,6 @@ class RecordingStore(ObjectStore):
         self,
         requests: Iterable[RangeRead],
         max_concurrency: int = 32,
-        required: int | None = None,
     ) -> FetchResult:
         requests = list(requests)
         with self._lock:
@@ -138,7 +137,7 @@ class RecordingStore(ObjectStore):
                 ["batch_read", r.blob, r.offset, -1 if r.length is None else r.length]
                 for r in requests
             )
-        return self._backend.read_batch(requests, max_concurrency, required)
+        return self._backend.read_batch(requests, max_concurrency)
 
     def size(self, name: str) -> int:
         self._record("size", name)

@@ -12,7 +12,10 @@ generation from them.  These tests pin that
   update manifest, the shard manifest and one wave of ``stats.json``: no
   corpus blob, no WAL segment;
 * a document with no indexable token survives compaction in the ranking
-  statistics, so BM25 scores after a compaction equal a rebuild's.
+  statistics, so BM25 scores after a compaction equal a rebuild's;
+* a member without statistics whose superposts miss some of its documents
+  (those with no indexable token) is a typed "rebuild" error, not a new
+  base with fewer documents.
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
-from repro.index.store_layout import stats_blob_name
+from repro.index.store_layout import UnsupportedIndexFormatError, stats_blob_name
 from repro.index.updates import AppendOnlyIndexManager
 from repro.observability import MetricsRegistry
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import SimpleAnalyzer
 from repro.search.searcher import AirphantSearcher
-from repro.service import AirphantService, SearchRequest, ServiceConfig
+from repro.service import AirphantService, SearchRequest, ServiceConfig, ServiceError
 from repro.storage.memory import InMemoryObjectStore
 from repro.workloads.logs import generate_log_corpus
 
@@ -173,3 +176,26 @@ def test_compaction_keeps_documents_without_an_indexable_token():
     assert [(d.text, round(s, 9)) for d, s in zip(expected.documents, expected.scores)] == flushed
     reference.close()
     service.close()
+
+
+def test_a_member_whose_superposts_miss_documents_is_not_re_derived():
+    store = InMemoryObjectStore()
+    config = ServiceConfig(tokenizer="simple", ingest_interval_s=0)
+    store.put("corpus/base.txt", b"alpha beta\n!!\ngamma alpha\n--\nbeta delta\n")
+    with AirphantService(store, config) as service:
+        service.build_index("idx", ["corpus/base.txt"], num_shards=2)
+        assert service.index_info("idx").num_documents == 5
+    # Re-deriving the statistics from the superposts would find 3 documents:
+    # "!!" and "--" have no token, so no superpost names them.
+    store.delete(stats_blob_name("idx"))
+    before = {name: store.get(name) for name in store.list_blobs()}
+    with pytest.raises(UnsupportedIndexFormatError, match="rebuild") as caught:
+        AppendOnlyIndexManager(store, "idx", tokenizer=SimpleAnalyzer()).compact()
+    assert "2 of the 5 documents of build 'idx'" in str(caught.value)
+    assert {name: store.get(name) for name in store.list_blobs()} == before
+
+    with AirphantService(store, config) as service:
+        service.append_documents("idx", ["alpha gamma"])
+        with pytest.raises(ServiceError) as refused:
+            service.compact_index("idx")
+        assert (refused.value.status, refused.value.info.error) == (409, "index_format")

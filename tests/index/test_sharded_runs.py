@@ -9,7 +9,8 @@ Pinned here:
 * the run decoder cuts a run — or a block of adjacent shards' shares — by
   the split, decodes each non-empty share and unions them, and a byte that
   breaks one share is a :class:`CorruptIndexError` naming the blob;
-* a header whose split does not add up to its runs does not open.
+* a header whose split does not add up to its runs does not open;
+* a header's metadata is its shards' merged, over the shards asked for.
 """
 
 from __future__ import annotations
@@ -172,3 +173,22 @@ class TestTheRunDecoder:
         store.put("idx/superposts.bin", bytes(blob))
         with pytest.raises(CorruptIndexError, match="idx/superposts.bin"):
             AirphantSearcher.open(store, "idx").lookup_postings(word)
+
+
+class TestTheMetadata:
+    def test_a_header_merges_the_metadata_of_the_shards_asked_for(self):
+        store = _built()
+        header = decode_header(store.get("idx/header.json"))
+        per_shard = [metadata.num_documents for metadata in header.shards.metadata]
+        assert len(per_shard) == NUM_SHARDS and all(per_shard)
+        assert header.metadata_of().num_documents == sum(per_shard)
+        assert header.metadata_of([1, 3]).num_documents == per_shard[1] + per_shard[3]
+        assert header.metadata_of([2]).corpus_name == header.metadata_of().corpus_name
+        # A plain build's header is its own metadata, whatever is asked for.
+        AirphantBuilder(store, config=CONFIG).build_from_blobs(
+            [name for name in store.list_blobs() if not name.startswith("idx/")],
+            index_name="plain",
+        )
+        plain = decode_header(store.get("plain/header.json"))
+        assert plain.metadata_of() is plain.metadata
+        assert plain.metadata.num_documents == sum(per_shard)

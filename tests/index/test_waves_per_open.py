@@ -220,8 +220,8 @@ class _BatchLog(SimulatedCloudStore):
         super().__init__(backend=backend, latency_model=model)
         self.batches = []
 
-    def read_batch(self, requests, max_concurrency=32, required=None):
-        fetch = super().read_batch(requests, max_concurrency, required)
+    def read_batch(self, requests, max_concurrency=32):
+        fetch = super().read_batch(requests, max_concurrency)
         self.batches.append(fetch)
         return fetch
 

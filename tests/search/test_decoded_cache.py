@@ -18,7 +18,6 @@ import repro.index.compaction as compaction_module
 from repro.core.config import SketchConfig
 from repro.core.superpost import Superpost
 from repro.observability import MetricsRegistry
-from repro.search.replication import HedgingPolicy
 from repro.search.searcher import AirphantSearcher
 from repro.service import AirphantService, SearchRequest, ServiceConfig
 from repro.storage.faults import FlakyStore
@@ -125,43 +124,42 @@ class TestCacheOnEqualsCacheOff:
             assert len(service.catalog.open(INDEX).opened) == 2
         _assert_cache_changes_no_answer(store)
 
-    def test_the_hedged_lplus_path_under_a_flaky_store(self, monkeypatch):
+    def test_a_single_word_search_under_a_flaky_store(self, monkeypatch):
+        """Every wave goes through the pipeline, whatever the store: over a
+        simulated store with stragglers, a one-word search answers the same
+        with the cache on or off, and only its uncached repeats decode."""
         backend = _store()
         counter = _DecodeCounter(monkeypatch)
-        answers, decoded = [], []
+        answers = []
         for cache_bytes in (0, 1 << 20):
             flaky = FlakyStore(backend, slow_rate=0.3, slow_ms=1.0, seed=3)
-            # No jitter: which layer is slowest depends on its size alone, so
-            # both searchers drop the same straggler.
-            store = SimulatedCloudStore(flaky, AffineLatencyModel(jitter_sigma=0.0))
+            model = AffineLatencyModel(straggler_probability=0.3, straggler_multiplier=20.0)
             searcher = AirphantSearcher.open(
-                store,
+                SimulatedCloudStore(flaky, model),
                 index_name=INDEX,
-                hedging=HedgingPolicy(drop_slowest=1),
                 read_cache_bytes=cache_bytes,
             )
             (member,) = searcher.opened
-            layers = len(member.plan(["error"]).reads)
-            assert layers >= 2 and member.plan(["error"]).hedgeable
+            reads = member.plan(["error"]).reads
+            layers = len({(read.blob, read.offset, read.length) for read in reads})
+            assert layers >= 2
             observed = []
-            for _ in range(2):
-                calls = counter.during(lambda: observed.append(searcher.search("error")))
-                # Hedged reads bypass the cache, and the dropped one is never decoded.
-                decoded.append((calls, layers - 1))
-            answers.append(
-                [
-                    (
-                        [document.text for document in result.documents],
-                        list(result.candidate_postings),
-                        result.false_positive_count,
-                    )
-                    for result in observed
-                ]
-            )
+            decoded = [
+                counter.during(lambda: observed.append(searcher.search("error")))
+                for _ in range(2)
+            ]
+            assert decoded == ([layers, layers] if cache_bytes == 0 else [layers, 0])
+            answers += [
+                (
+                    [document.text for document in result.documents],
+                    list(result.candidate_postings),
+                    result.false_positive_count,
+                )
+                for result in observed
+            ]
             assert flaky.injected_slow > 0
             searcher.close()
-        assert answers[0] == answers[1]
-        assert all(calls == expected for calls, expected in decoded)
+        assert answers[0][0] and all(answer == answers[0] for answer in answers)
 
 
 class TestDecodeCount:

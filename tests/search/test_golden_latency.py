@@ -3,12 +3,14 @@
 Every paper figure is a function of the simulator's latencies, and those are
 a function of the RNG draw order — one ``sample_first_byte_ms`` per physical
 request, in request order.  This test replays a fixed sequence (open, keyword,
-Boolean, top-K, ranked cold and warm; plain, 4-shard and hedged; three
+Boolean, top-K, ranked cold and warm; plain and 4-shard; three
 baselines) against a jittered, straggler-prone latency model and compares every
 :class:`~repro.search.results.LatencyBreakdown` with values captured before
 the store-level ``read_batch`` seam existed (``golden_latency.json``).  A
 refactor of the read stack that moves a draw, splits a wave differently or
-charges a byte twice fails here first (last: the top-K sample is Equation
+charges a byte twice fails here first (last: the engine's L⁺ layer drop is
+gone, and with it the "hedged" scenario — every other value stayed; before
+that, the top-K sample is Equation
 6's exact quantile, and "INFO" is a common word, so F₀ = 0 — only the top-K
 query's wave-2 draws moved: it reads 5 documents where it read 16, and every
 later draw of its scenario moved with them; before that, a sharded build's
@@ -35,7 +37,6 @@ from repro.baselines import ElasticLikeEngine, LuceneLikeEngine, SQLiteLikeEngin
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
 from repro.parsing.corpus import LineDelimitedCorpusParser
-from repro.search.replication import HedgingPolicy
 from repro.search.searcher import AirphantSearcher
 from repro.storage.latency import AffineLatencyModel
 from repro.storage.memory import InMemoryObjectStore
@@ -76,10 +77,8 @@ def _build() -> InMemoryObjectStore:
     return backend
 
 
-def _airphant_sequence(
-    backend: InMemoryObjectStore, index: str, hedging: HedgingPolicy | None = None
-) -> dict[str, Any]:
-    searcher = AirphantSearcher.open(_simulated(backend), index_name=index, hedging=hedging)
+def _airphant_sequence(backend: InMemoryObjectStore, index: str) -> dict[str, Any]:
+    searcher = AirphantSearcher.open(_simulated(backend), index_name=index)
     observed: dict[str, Any] = {"init_latency_ms": searcher.init_latency_ms}
     for query in KEYWORD_QUERIES:
         observed[f"search:{query}"] = searcher.search(query).latency.to_dict()
@@ -111,7 +110,6 @@ def capture() -> dict[str, Any]:
     return {
         "plain": _airphant_sequence(backend, "plain"),
         "sharded": _airphant_sequence(backend, "sharded"),
-        "hedged": _airphant_sequence(backend, "plain", HedgingPolicy(drop_slowest=1)),
         "sqlite": _baseline_sequence(backend, SQLiteLikeEngine, "sqlite"),
         "lucene": _baseline_sequence(backend, LuceneLikeEngine, "lucene"),
         "elastic": _baseline_sequence(backend, ElasticLikeEngine, "elastic"),
@@ -144,10 +142,10 @@ def test_simulated_latencies_match_the_golden_capture():
 
 
 def test_the_sequence_exercises_the_clock():
-    """The golden is only worth its name if waves, drops and loads all cost time."""
+    """The golden is only worth its name if waves and loads all cost time."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     cold, warm = f"topk_bm25:{RANKED_QUERIES[0]}", f"topk_bm25:{RANKED_QUERIES[0]} warm"
-    for scenario in ("plain", "sharded", "hedged"):
+    for scenario in ("plain", "sharded"):
         assert golden[scenario]["init_latency_ms"] > 0
         assert golden[scenario]["search:ERROR"]["round_trips"] == 2
         # The first ranked lookup wave also carries the statistics, whose
@@ -156,8 +154,6 @@ def test_the_sequence_exercises_the_clock():
         assert golden[scenario][cold]["round_trips"] == 2
         assert golden[scenario][cold]["download_ms"] > golden[scenario][warm]["download_ms"]
         assert golden[scenario][cold]["bytes_fetched"] > golden[scenario][warm]["bytes_fetched"]
-    # Dropping the slowest layer changes what a single-word lookup waits for.
-    assert golden["hedged"]["lookup:ERROR"] != golden["plain"]["lookup:ERROR"]
 
 
 if __name__ == "__main__":

@@ -75,32 +75,3 @@ class TestSerialization:
         assert payload["total_ms"] == pytest.approx(60.0)
         assert payload["bytes_fetched"] == 768
         assert payload["round_trips"] == 2
-
-    def test_result_to_dict_round_trips_through_json(self):
-        import json
-
-        document = Document(DocumentRef("corpus/a.txt", 0, 9), "error one")
-        result = SearchResult(
-            query="error",
-            documents=[document],
-            candidate_postings=[document.ref, DocumentRef("corpus/a.txt", 10, 7)],
-            false_positive_count=1,
-        )
-        payload = json.loads(result.to_json())
-        assert payload["query"] == "error"
-        assert payload["num_results"] == 1
-        assert payload["num_candidates"] == 2
-        assert payload["false_positive_count"] == 1
-        assert payload["documents"][0] == {
-            "blob": "corpus/a.txt",
-            "offset": 0,
-            "length": 9,
-            "text": "error one",
-        }
-
-    def test_result_to_dict_can_omit_text(self):
-        document = Document(DocumentRef("corpus/a.txt", 0, 9), "error one")
-        result = SearchResult(query="error", documents=[document])
-        payload = result.to_dict(include_text=False)
-        assert "text" not in payload["documents"][0]
-        assert payload["documents"][0]["blob"] == "corpus/a.txt"

@@ -12,7 +12,6 @@ from repro.ingest.memtable import MemtableMember, memtable_from_documents
 from repro.observability.tracing import Tracer
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.tokenizer import WhitespaceAnalyzer
-from repro.search.replication import HedgingPolicy
 from repro.search.searcher import AirphantSearcher
 from repro.storage.memory import InMemoryObjectStore
 from repro.workloads.logs import generate_log_corpus
@@ -159,20 +158,28 @@ class TestLookupPostings:
         assert latency.lookup_ms > 0
         assert latency.retrieval_ms == 0
 
-
-class TestHedging:
-    def test_hedged_searcher_still_returns_correct_results(self, sim_store, small_documents):
+    def test_a_lookup_waits_for_every_layer_of_its_word(self, small_documents):
+        store = RecordingStore(InMemoryObjectStore())
         config = SketchConfig(num_bins=64, num_layers=3, seed=5)
-        builder = AirphantBuilder(sim_store, config=config)
-        built = builder.build_from_documents(small_documents, index_name="hedged")
-        searcher = AirphantSearcher.open(
-            sim_store, index_name="hedged", hedging=HedgingPolicy(drop_slowest=1)
+        AirphantBuilder(store, config=config).build_from_documents(
+            small_documents, index_name="layers"
         )
-        result = searcher.search("error")
-        assert {d.text for d in result.documents} == {
-            d.text for d in small_documents if "error" in d.text.split()
-        }
-        assert built.metadata.num_layers == 3
+        searcher = AirphantSearcher.open(store, "layers")
+        (member,) = searcher.opened
+        reads = member.plan(["error"]).reads
+        assert len(reads) == 3 and not any(read.optional for read in reads)
+        store.calls.clear()
+        postings, latency = searcher.lookup_postings("error")
+        # One wave, and it covers every layer's superpost.
+        assert latency.round_trips == store.round_trips == 1
+        fetched = [call[1:] for call in store.calls if call[0] == "batch_read"]
+        for read in reads:
+            assert any(
+                blob == read.blob and offset <= read.offset
+                and read.offset + read.length <= offset + length
+                for blob, offset, length in fetched
+            )
+        assert {d.ref for d in small_documents if "error" in d.text.split()} <= set(postings)
 
 
 class TestBooleanSearch:

@@ -132,7 +132,7 @@ def test_hedges_start_no_pool_and_close_ends_the_router_pool():
     seen |= _thread_names()
     assert store.stats.hedges > 0
 
-    def transport(url, path, payload, timeout_s):
+    def transport(url, path, payload, timeout_s, headers=None):
         if path.startswith("/indexes/"):
             return {"num_shards": 2}
         time.sleep(0.02)  # every node request outlasts the hedge delay

@@ -1,5 +1,5 @@
-"""Unit tests for ``ObjectStore.read_batch`` and the store-owned fetch pool
-(including hedged batches), and the rule that decides between them.
+"""Unit tests for ``ObjectStore.read_batch`` and the store-owned fetch pool,
+and the rule that decides between them.
 
 A batch runs inline while the store's reads are measured to be fast, so the
 tests of the pool itself run over :class:`~harness.stores.BlockingStore`,
@@ -76,53 +76,6 @@ class TestFetch:
         assert result.total_ms == 0.0
         assert (result.requests, result.nbytes) == (2, 10)
         assert fetch_threads()
-        backend.close()
-
-
-class TestHedgedFetch:
-    def _straggler_store(self) -> SimulatedCloudStore:
-        model = AffineLatencyModel(
-            first_byte_ms=50.0,
-            jitter_sigma=0.0,
-            straggler_probability=0.5,
-            straggler_multiplier=20.0,
-            seed=9,
-        )
-        store = SimulatedCloudStore(latency_model=model)
-        store.put("blob", bytes(1000))
-        return store
-
-    def test_hedged_fetch_drops_slowest_requests(self):
-        store = self._straggler_store()
-        requests = [RangeRead("blob", i * 10, 10) for i in range(6)]
-        result = store.read_batch(requests, required=4)
-        dropped = sum(1 for payload in result.payloads if payload is None)
-        assert dropped == 2
-        assert result.requests == 4
-
-    def test_hedged_latency_not_worse_than_waiting_for_all(self):
-        store = self._straggler_store()
-        requests = [RangeRead("blob", i * 10, 10) for i in range(6)]
-        hedged = store.read_batch(requests, required=3)
-        full = self._straggler_store().read_batch(requests)
-        assert hedged.total_ms <= full.total_ms + 1e-9
-
-    def test_required_larger_than_requests_keeps_everything(self, store):
-        requests = [RangeRead("blob", 0, 4), RangeRead("blob", 4, 4)]
-        result = store.read_batch(requests, required=10)
-        assert all(payload is not None for payload in result.payloads)
-
-    def test_required_must_be_positive(self, store):
-        with pytest.raises(ValueError):
-            store.read_batch([RangeRead("blob", 0, 1)], required=0)
-        with pytest.raises(ValueError):
-            InMemoryObjectStore().read_batch([RangeRead("blob", 0, 1)], required=0)
-
-    def test_hedged_on_plain_backend_waits_for_all(self):
-        backend = InMemoryObjectStore()
-        backend.put("b", b"0123456789")
-        result = backend.read_batch([RangeRead("b", 0, 5), RangeRead("b", 5, 5)], required=1)
-        assert result.payloads == [b"01234", b"56789"]
         backend.close()
 
 
@@ -523,8 +476,3 @@ class TestParityAcrossPaths:
         assert caught.value is _BrokenBackend.error
         # The failed batch poisons nothing.
         assert either_path.read_batch([RangeRead("b", 1, 2)]).payloads == [b"12"]
-
-    def test_required_waits_for_every_payload(self, either_path):
-        requests = [RangeRead("b", i, 1) for i in range(6)]
-        result = either_path.read_batch(requests, max_concurrency=2, required=2)
-        assert result.payloads == [bytes([ord("0") + i]) for i in range(6)]

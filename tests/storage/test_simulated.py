@@ -84,6 +84,44 @@ class TestTiming:
         # 10 requests at concurrency 4 -> 3 waves of first-byte latency.
         assert batch.wait_ms == pytest.approx(150.0)
 
+    def test_each_wave_waits_for_its_slowest_first_byte(self):
+        """One first-byte draw per request, in request order; a wave waits
+        for the slowest draw of its slice — stragglers included."""
+
+        def model() -> AffineLatencyModel:
+            return AffineLatencyModel(
+                first_byte_ms=50.0,
+                jitter_sigma=0.5,
+                straggler_probability=0.3,
+                straggler_multiplier=20.0,
+                seed=11,
+            )
+
+        store = SimulatedCloudStore(latency_model=model())
+        store.put("a", bytes(4096))
+        requests = [RangeRead("a", i * 100, 100) for i in range(10)]
+        twin = model()
+        draws = [twin.sample_first_byte_ms() for _ in requests]
+        assert max(draws) > 10 * min(draws)  # a straggler is among them
+        batch = store.read_batch(requests, max_concurrency=4)
+        assert batch.wait_ms == pytest.approx(max(draws[:4]) + max(draws[4:8]) + max(draws[8:]))
+        assert batch.payloads == [bytes(100)] * 10
+        assert (batch.requests, batch.nbytes) == (10, 1000)
+
+    def test_each_wave_pays_for_its_own_transfer(self, store):
+        sizes = [1000, 4000, 2000, 3000, 500]
+        store.put("a", bytes(sum(sizes)))
+        offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+        requests = [RangeRead("a", offset, size) for offset, size in zip(offsets, sizes)]
+        batch = store.read_batch(requests, max_concurrency=2)
+        model = store.latency_model
+        waves = [sizes[0:2], sizes[2:4], sizes[4:]]
+        assert batch.download_ms == pytest.approx(
+            sum(model.batch_transfer_ms(wave) for wave in waves)
+        )
+        assert batch.wait_ms == pytest.approx(3 * 50.0)
+        assert batch.nbytes == sum(sizes)
+
     def test_batch_is_faster_than_sequential(self, store):
         store.put("a", b"x" * 4096)
         requests = [RangeRead("a", i * 100, 100) for i in range(8)]

@@ -140,18 +140,20 @@ def test_whole_blob_requests_work(store):
     )
 
 
-def test_required_returns_at_least_that_many_payloads(store):
-    result = store.read_batch(REQUESTS[:6], required=4)
-    kept = [payload for payload in result.payloads if payload is not None]
-    assert len(result.payloads) == 6
-    assert len(kept) >= 4
-    for request, payload in zip(REQUESTS, result.payloads):
-        if payload is not None:
-            assert payload == store.get_range(request.blob, request.offset, request.length)
-    with pytest.raises(ValueError):
-        store.read_batch(REQUESTS, required=0)
+def test_a_non_positive_width_is_rejected(store):
     with pytest.raises(ValueError):
         store.read_batch(REQUESTS, max_concurrency=0)
+
+
+def test_every_width_waits_for_every_payload(store):
+    """``(requests, max_concurrency)`` is the whole contract: however narrow
+    or wide its waves, a batch gives up on none of its reads."""
+    expected = [store.get_range(r.blob, r.offset, r.length) for r in REQUESTS]
+    for width in (1, 2, len(REQUESTS) - 1, len(REQUESTS), 64):
+        result = store.read_batch(REQUESTS, max_concurrency=width)
+        assert result.payloads == expected
+        assert result.requests == len(REQUESTS)
+        assert result.nbytes == sum(len(payload) for payload in expected)
 
 
 def test_empty_batch(store):

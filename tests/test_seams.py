@@ -188,12 +188,11 @@ def test_checker_keeps_read_waves_in_the_executor(tmp_path):
     root = tmp_path / "src" / "repro"
     for package in ("search", "ingest", "storage"):
         (root / package).mkdir(parents=True)
-    # Allowed: the executor issues both waves (and the hedged one straight on
-    # the store), a member may name read_batch( in a docstring, and storage/
-    # is where read_batch lives.
+    # Allowed: the executor issues both waves, a member may name read_batch(
+    # in a docstring, and storage/ is where read_batch lives.
     (root / "search" / "searcher.py").write_text(
-        "fetch = self.pipeline.fetch(requests, width)\n"
-        "fetch = self.pipeline.store.read_batch(requests, width, required=required)\n",
+        "fetch = self.pipeline.fetch(requests)\n"
+        "fetch = self.pipeline.store.read_batch(requests, width)\n",
         encoding="utf-8",
     )
     (root / "search" / "member.py").write_text(
@@ -229,6 +228,53 @@ def test_checker_keeps_read_waves_in_the_executor(tmp_path):
         "search/member.py:2: a read wave issued outside the executor",
         "search/ranking.py:1: a read wave issued outside the executor",
     ]
+
+
+def test_checker_refuses_a_wave_that_waits_for_only_some_reads(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("search", "storage"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the two-argument contract, and "required" meaning anything else.
+    (root / "storage" / "base.py").write_text(
+        "def read_batch(self, requests, max_concurrency=32):\n"
+        "    return self._checked_batch(requests, max_concurrency)\n"
+        "def read(self, request, required=True):\n"
+        "    return None\n",
+        encoding="utf-8",
+    )
+    (root / "search" / "searcher.py").write_text(
+        '"""No read_batch(requests, width, required=2) here."""\n'
+        "fetch = self.pipeline.store.read_batch(requests, width)\n"
+        "parser.add_argument('--index', required=True)\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a required count in a definition or a call, however spelt.
+    (root / "storage" / "simulated.py").write_text(
+        "def read_batch(self, requests, max_concurrency=32, required=None):\n"
+        "    return None\n"
+        "class Store:\n"
+        "    def read_batch(self, requests, *, required: int | None = None):\n"
+        "        return None\n",
+        encoding="utf-8",
+    )
+    (root / "search" / "searcher.py").write_text(
+        "fetch = self.pipeline.store.read_batch(\n"
+        "    requests, self.pipeline.max_concurrency, required=required\n"
+        ")\n"
+        "fetch = read_batch(requests, required=1)\n",
+        encoding="utf-8",
+    )
+    found = check_seams.findings(root)
+    assert [problem.split("repro/")[1].split(": ")[0] for problem in found] == [
+        "search/searcher.py:1",
+        "search/searcher.py:4",
+        "storage/simulated.py:1",
+        "storage/simulated.py:4",
+    ]
+    assert all("read_batch with a required count" in problem for problem in found)
 
 
 def test_checker_keeps_the_build_side_on_waves_and_one_analyser(tmp_path):
