@@ -27,7 +27,6 @@ def main() -> None:
         store,
         base_index="hdfs-logs",
         config=SketchConfig(num_bins=2048, target_false_positives=1.0),
-        delta_config=SketchConfig(num_bins=256, target_false_positives=1.0),
     )
     base = manager.build_base(base_corpus.documents, corpus_name="hdfs-day0")
     print(f"base index: {base.metadata.num_documents} documents, L = {base.metadata.num_layers}")

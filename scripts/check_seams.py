@@ -208,8 +208,13 @@ _HTTP_CONNECTION = re.compile(r"\b(?:urlopen|HTTPS?Connection)\(")
 #: The one file that builds a read pipeline (one per opened index).
 PIPELINE_OWNER = ("search", "searcher.py")
 _PIPELINE_CONSTRUCTION = re.compile(r"\bReadPipeline\(")
-#: Knobs of deleted read-path mechanisms: gap bridging, the per-word cache.
-_RETIRED_KNOBS = re.compile(r"\b(?:coalesce_gap|max_gap|query_cache\w*)\b")
+#: Knobs of deleted mechanisms: gap bridging, the per-word cache, a settable
+#: top-K δ, a separate delta configuration, the size-ratio compaction
+#: trigger and round-robin sharding.
+_RETIRED_KNOBS = re.compile(
+    r"\b\w*(?:coalesce_gap|max_gap|query_cache\w*|top_k_delta|delta_config|compact_ratio)\b"
+    r"|\bround[-_]robin\b"
+)
 #: Readers of retired on-store formats, and the package they may live in.
 _RETIRED_FORMATS = re.compile(r"\b(?:FORMAT_V1|SUPPORTED_FORMAT_VERSIONS|_decode_legacy_\w*)\b")
 RETIRED_FORMATS_ALLOWED = "baselines"
@@ -312,7 +317,7 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 if literal in text and (parts, literal) not in LAYOUT_HOMONYMS
             )
         problems.extend(
-            f"{path.relative_to(root.parent.parent)}:{number}: retired read-path knob"
+            f"{path.relative_to(root.parent.parent)}:{number}: retired knob"
             for number, text in string_literals(path)
             if _RETIRED_KNOBS.search(text)
         )
@@ -371,7 +376,7 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                     f"{where}: read pipeline built outside {'/'.join(PIPELINE_OWNER)}"
                 )
             if _RETIRED_KNOBS.search(text):
-                problems.append(f"{where}: retired read-path knob")
+                problems.append(f"{where}: retired knob")
             if package != RETIRED_FORMATS_ALLOWED and _RETIRED_FORMATS.search(text):
                 problems.append(f"{where}: reader of a retired on-store format")
             if _RETIRED_STATS_DECODER.search(text):

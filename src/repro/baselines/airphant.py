@@ -54,7 +54,6 @@ class AirphantEngine(SearchEngine):
             index_name=self._index_name,
             tokenizer=self._tokenizer,
             max_concurrency=self._max_concurrency,
-            top_k_delta=self._config.top_k_delta,
         )
         return self._searcher.initialize()
 

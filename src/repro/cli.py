@@ -102,9 +102,6 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
         ingest_compact_deltas=getattr(
             args, "compact_deltas", defaults.ingest_compact_deltas
         ),
-        ingest_compact_ratio=getattr(
-            args, "compact_ratio", defaults.ingest_compact_ratio
-        ),
         ingest_interval_s=getattr(args, "ingest_interval_s", defaults.ingest_interval_s),
         peers=tuple(
             peer.strip()
@@ -252,11 +249,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     )
     try:
         info = service.build_index(
-            args.index,
-            args.blobs,
-            sketch_config=config,
-            num_shards=args.shards,
-            partitioner=args.partitioner,
+            args.index, args.blobs, sketch_config=config, num_shards=args.shards
         )
     except ServiceError as error:
         print(f"error: {error.info.message}", file=sys.stderr)
@@ -275,7 +268,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         f"storage = {info.storage_bytes} bytes"
     )
     if info.num_shards > 1:
-        print(f"sharded over {info.num_shards} shards ({args.partitioner}):")
+        print(f"sharded over {info.num_shards} shards (by document hash):")
         for shard in info.shards:
             print(f"  {shard.name}: {shard.num_documents} documents, {shard.num_terms} terms")
     return 0
@@ -535,12 +528,6 @@ def _add_ingest_arguments(parser: argparse.ArgumentParser) -> None:
         help="stacked-delta count that triggers background compaction (0 disables)",
     )
     parser.add_argument(
-        "--compact-ratio",
-        type=float,
-        default=defaults.ingest_compact_ratio,
-        help="delta/base byte ratio that triggers compaction (0 disables)",
-    )
-    parser.add_argument(
         "--ingest-interval-s",
         type=float,
         default=defaults.ingest_interval_s,
@@ -753,12 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="number of index shards (1 = classic single-shard layout)",
-    )
-    build.add_argument(
-        "--partitioner",
-        default="hash",
-        choices=["hash", "round-robin"],
-        help="how documents are routed to shards",
     )
     build.add_argument(
         "--listing",

@@ -25,6 +25,7 @@ from repro.profiling.distributions import QueryWordDistribution
 from repro.profiling.profiler import CorpusProfile
 
 __all__ = [
+    "TOP_K_DELTA",
     "approx_false_positive_probability",
     "expected_false_positives",
     "false_positive_probability",
@@ -35,6 +36,10 @@ __all__ = [
     "slow_region_limit",
     "top_k_sample_size",
 ]
+
+#: Failure probability δ of the top-K sampling guarantee (Equation 6): the
+#: paper's 10⁻⁶, the one value every query runs under.
+TOP_K_DELTA = 1e-6
 
 
 def false_positive_probability(num_layers: float, num_bins: int, distinct_words: int) -> float:

@@ -1,8 +1,9 @@
 """User-facing IoU Sketch configuration.
 
 Mirrors the knobs described in Sections III-C and V-A: the bin budget B (or a
-memory limit from which B is derived), the accuracy target F₀, the fraction
-of bins reserved for common words and the top-K failure probability δ.  The
+memory limit from which B is derived), the accuracy target F₀ and the
+fraction of bins reserved for common words.  The top-K failure probability δ
+is the paper's constant :data:`~repro.core.analysis.TOP_K_DELTA`, and the
 download concurrency is a query-side knob (``AirphantSearcher``,
 ``ServiceConfig``), not part of an index.  The number of layers is normally
 chosen by the optimizer; users can pin it explicitly to skip profiling and
@@ -11,7 +12,7 @@ optimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 #: In-memory (and on-disk) bytes of one non-empty bin's pointer row: a u32 bin
 #: id, offset and length.  (20 once a superpost blob outgrows 4 GiB and the
@@ -36,23 +37,15 @@ class SketchConfig:
     common_word_fraction:
         Fraction of bins set aside to store *exact* postings lists for the
         most common words (paper default 1 %).
-    top_k_delta:
-        Failure probability δ of the top-K sampling guarantee (paper default
-        10⁻⁶).
     seed:
         Seed of the layer hash functions.
-    max_layers:
-        Hard cap on the optimizer's layer count, bounding query fan-out.
     """
 
     num_bins: int = 100_000
     target_false_positives: float = 1.0
     num_layers: int | None = None
     common_word_fraction: float = 0.01
-    top_k_delta: float = 1e-6
     seed: int = 0
-    max_layers: int = 64
-    metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_bins <= 0:
@@ -63,10 +56,6 @@ class SketchConfig:
             raise ValueError("num_layers must be positive when specified")
         if not 0.0 <= self.common_word_fraction < 1.0:
             raise ValueError("common_word_fraction must be in [0, 1)")
-        if not 0.0 < self.top_k_delta < 1.0:
-            raise ValueError("top_k_delta must be in (0, 1)")
-        if self.max_layers <= 0:
-            raise ValueError("max_layers must be positive")
 
     @classmethod
     def from_memory_budget(
@@ -104,13 +93,4 @@ class SketchConfig:
 
     def with_layers(self, num_layers: int) -> "SketchConfig":
         """Return a copy with an explicit layer count."""
-        return SketchConfig(
-            num_bins=self.num_bins,
-            target_false_positives=self.target_false_positives,
-            num_layers=num_layers,
-            common_word_fraction=self.common_word_fraction,
-            top_k_delta=self.top_k_delta,
-            seed=self.seed,
-            max_layers=self.max_layers,
-            metadata=dict(self.metadata),
-        )
+        return replace(self, num_layers=num_layers)

@@ -15,7 +15,7 @@ from repro.index.compaction import (
     encode_header,
 )
 from repro.index.metadata import IndexMetadata, ShardEntry, ShardManifest
-from repro.index.sharding import PARTITIONERS, route_rows
+from repro.index.sharding import route_rows
 from repro.index.store_layout import (
     HEADER_BLOB_SUFFIX,
     SHARD_MANIFEST_SUFFIX,
@@ -47,7 +47,6 @@ __all__ = [
     "CorruptIndexError",
     "HEADER_BLOB_SUFFIX",
     "IndexMetadata",
-    "PARTITIONERS",
     "SHARD_MANIFEST_SUFFIX",
     "SHARD_MARKER",
     "SUPERPOST_BLOB_SUFFIX",

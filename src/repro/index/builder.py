@@ -9,7 +9,8 @@ everything else derives from those columns:
    tokenize each document once into the statistics (:func:`build_stats`) —
    or, when compacting, merge the members' statistics (:func:`union_stats`);
 2. profile the corpus from the columns;
-3. optimize the number of layers with Algorithm 1 (unless pinned);
+3. optimize the number of layers with Algorithm 1 (unless pinned), at most
+   :data:`MAX_LAYERS` of them;
 4. select the common words that receive exact bins;
 5. union the other terms' document rows into their bins, as sorted columns;
 6. compact the superposts into a single blob and persist it;
@@ -38,7 +39,7 @@ from repro.core.optimizer import minimize_layers
 from repro.core.analysis import expected_false_positives
 from repro.core.sketch import PostingColumns, SketchColumns
 from repro.index.compaction import compact_sketch, encode_header
-from repro.index.metadata import IndexMetadata, ShardEntry, ShardManifest
+from repro.index.metadata import PARTITIONER, IndexMetadata, ShardEntry, ShardManifest
 from repro.index.serialization import CODEC_VERSION
 from repro.index.sharding import check_partitioning, route_rows
 from repro.index.stats import IndexStats, build_stats, encode_stats, shard_profiles
@@ -55,6 +56,9 @@ from repro.parsing.documents import Document
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
 from repro.profiling.profiler import CorpusProfile
 from repro.storage.base import ObjectStore
+
+#: Cap on the layer count Algorithm 1 may choose, bounding query fan-out.
+MAX_LAYERS = 64
 
 
 @dataclass
@@ -104,7 +108,7 @@ class AirphantBuilder:
     """Creates and persists IoU Sketch indexes on an object store.
 
     With ``num_shards > 1`` the builder runs in *sharded mode*: documents are
-    partitioned (document-hash or round-robin) and the build is one sketch
+    partitioned by document hash and the build is one sketch
     whose every list is cut by shard; one header — a versioned
     :class:`~repro.index.metadata.ShardManifest` and each shard's split of
     the runs — ties them together; the statistics stay whole, one blob for
@@ -117,14 +121,12 @@ class AirphantBuilder:
         config: SketchConfig | None = None,
         tokenizer: Tokenizer | None = None,
         num_shards: int = 1,
-        partitioner: str = "hash",
     ) -> None:
-        check_partitioning(num_shards, partitioner)
+        check_partitioning(num_shards)
         self._store = store
         self._config = config if config is not None else SketchConfig()
         self._tokenizer = tokenizer if tokenizer is not None else WhitespaceAnalyzer()
         self._num_shards = num_shards
-        self._partitioner = partitioner
         # The configured hashed bins for each shard, so that adding shards
         # does not crowd the bins (the header stores only the occupied ones).
         self._sketch_bins = self._config.sketch_bins * num_shards
@@ -138,11 +140,6 @@ class AirphantBuilder:
     def num_shards(self) -> int:
         """Shard count of this builder (1 = legacy single-shard layout)."""
         return self._num_shards
-
-    @property
-    def partitioner(self) -> str:
-        """Document partitioner used in sharded mode."""
-        return self._partitioner
 
     # -- public build entry points -----------------------------------------------
 
@@ -169,16 +166,9 @@ class AirphantBuilder:
         Returns a :class:`BuiltIndex` in single-shard mode and a
         :class:`BuiltShardedIndex` when the builder was created with
         ``num_shards > 1``; a document goes to the shard
-        :func:`~repro.index.sharding.route_rows` gives its row (round-robin:
-        by its first place in ``documents``).
+        :func:`~repro.index.sharding.route_rows` gives its row.
         """
-        documents = list(documents)
-        stats = build_stats(documents, self._tokenizer)
-        positions = None
-        if self._num_shards > 1 and self._partitioner == "round-robin":
-            first = {document.ref: at for at, document in reversed(list(enumerate(documents)))}
-            positions = [first[ref] for ref in stats.docs]
-        return self._build(stats, index_name, corpus_name, positions)
+        return self._build(build_stats(list(documents), self._tokenizer), index_name, corpus_name)
 
     def build_from_stats(
         self,
@@ -187,10 +177,7 @@ class AirphantBuilder:
         corpus_name: str = "corpus",
     ) -> Union[BuiltIndex, BuiltShardedIndex]:
         """Build an index over statistics already in hand (compaction's
-        merged columns): no document is read or analysed again.
-
-        A sharded builder routes the rows as documents listed in row order.
-        """
+        merged columns): no document is read or analysed again."""
         return self._build(stats, index_name, corpus_name)
 
     def _build(
@@ -198,13 +185,11 @@ class AirphantBuilder:
         stats: IndexStats,
         index_name: str,
         corpus_name: str,
-        positions: Sequence[int] | None = None,
     ) -> Union[BuiltIndex, BuiltShardedIndex]:
-        """Persist the build of ``stats`` (for the partitioner, each row's
-        place in the corpus is in ``positions``, or else its row), then sweep
-        what an earlier layout of the name left behind.  A sharded build is
-        one sketch too, its lists cut by shard, and writes the same three
-        blobs: its statistics are the build's, whatever the shard count."""
+        """Persist the build of ``stats``, then sweep what an earlier layout
+        of the name left behind.  A sharded build is one sketch too, its
+        lists cut by shard, and writes the same three blobs: its statistics
+        are the build's, whatever the shard count."""
         profile = stats.profile()
         num_layers = self._choose_layers(profile)
         sketch = self._sketch(stats, profile, num_layers)
@@ -220,7 +205,7 @@ class AirphantBuilder:
                 self._config, stats_blob,
             )
         else:
-            shard_of_row = route_rows(stats, self._num_shards, self._partitioner, positions)
+            shard_of_row = route_rows(stats, self._num_shards)
             names = [shard_index_name(index_name, shard) for shard in range(self._num_shards)]
             profiles = shard_profiles(stats, shard_of_row, self._num_shards)
             parts = [
@@ -228,7 +213,7 @@ class AirphantBuilder:
                     f"{corpus_name}#shard-{shard:04d}", part_profile, sketch, num_layers,
                     dict(
                         shard_index=shard, num_shards=self._num_shards,
-                        partitioner=self._partitioner, parent_index=index_name,
+                        partitioner=PARTITIONER, parent_index=index_name,
                     ),
                 )
                 for shard, part_profile in enumerate(profiles)
@@ -237,7 +222,7 @@ class AirphantBuilder:
                 ShardEntry(name, metadata.num_documents, metadata.num_terms)
                 for name, metadata in zip(names, parts)
             ]
-            manifest = ShardManifest(index_name, self._partitioner, tuple(entries))
+            manifest = ShardManifest(index_name, tuple(entries))
             compacted = compact_sketch(
                 sketch, superpost_blob, word_weights=weights, manifest=manifest,
                 shard_metadata=parts, shard_of_row=shard_of_row,
@@ -276,7 +261,7 @@ class AirphantBuilder:
             target_false_positives=self._config.target_false_positives,
             profile=profile,
             distribution=None,
-            max_layers=self._config.max_layers,
+            max_layers=MAX_LAYERS,
         )
         return result.num_layers
 

@@ -16,6 +16,10 @@ from repro.index.store_layout import shard_index_name
 #: Magic marker of the shard-manifest format.
 _SHARD_MANIFEST_MAGIC = "airphant-shards"
 SHARD_MANIFEST_VERSION = 1
+#: The document partitioner a sharded header records, in its manifest and in
+#: each shard's metadata.  Routing is always by document hash
+#: (:mod:`repro.index.sharding`); readers ignore the field.
+PARTITIONER = "hash"
 
 
 @dataclass(frozen=True)
@@ -82,13 +86,11 @@ class ShardManifest:
     """Versioned description of a sharded index's layout.
 
     Persisted in the preamble of the build's header.  ``shards`` lists the
-    shard names (each owning its own statistics blob; their superposts share
-    the build's) in shard order, which the partitioner relies on: documents
-    are routed to ``shards[partition(doc)]``.
+    shard names (their superposts and statistics are the build's) in shard
+    order, which routing relies on: documents go to ``shards[partition(doc)]``.
     """
 
     index_name: str
-    partitioner: str = "hash"
     shards: tuple[ShardEntry, ...] = ()
     format_version: int = SHARD_MANIFEST_VERSION
 
@@ -116,7 +118,7 @@ class ShardManifest:
             "magic": _SHARD_MANIFEST_MAGIC,
             "format_version": self.format_version,
             "index_name": self.index_name,
-            "partitioner": self.partitioner,
+            "partitioner": PARTITIONER,
             "shards": [shard.to_dict() for shard in self.shards],
         }
 
@@ -130,7 +132,6 @@ class ShardManifest:
             raise ValueError(f"unsupported shard manifest version {version}")
         return cls(
             index_name=str(data["index_name"]),
-            partitioner=str(data.get("partitioner", "hash")),
             shards=tuple(ShardEntry.from_dict(entry) for entry in data.get("shards", [])),
             format_version=version,
         )
@@ -142,14 +143,10 @@ def index_metadata(
     """The metadata of one opened build: its header's, or its shards' merged."""
     if manifest is None:
         return metadatas[0]
-    return merge_shard_metadata(
-        [entry for entry in metadatas if entry is not None], partitioner=manifest.partitioner
-    )
+    return merge_shard_metadata([entry for entry in metadatas if entry is not None])
 
 
-def merge_shard_metadata(
-    metadatas: "list[IndexMetadata]", partitioner: str = "hash"
-) -> "IndexMetadata | None":
+def merge_shard_metadata(metadatas: "list[IndexMetadata]") -> "IndexMetadata | None":
     """Aggregate per-shard metadata into one corpus-wide description.
 
     Counts sum across shards (the partitions are disjoint); ``num_terms``
@@ -176,5 +173,5 @@ def merge_shard_metadata(
             metadata.expected_false_positives for metadata in metadatas
         ),
         format_version=first.format_version,
-        extra={"num_shards": len(metadatas), "partitioner": partitioner},
+        extra={"num_shards": len(metadatas)},
     )

@@ -8,7 +8,7 @@ pattern on top of the unchanged Builder and Searcher:
 * :class:`AppendOnlyIndexManager` keeps a tiny JSON *manifest* blob next to
   the base index listing the delta indexes created so far;
 * :meth:`AppendOnlyIndexManager.append` builds a new delta index over just
-  the new documents (same Builder, same configuration);
+  the new documents (same Builder, and the base's sketch parameters);
 * :meth:`AppendOnlyIndexManager.open_searcher` returns a
   :class:`~repro.search.searcher.AirphantSearcher` over the base plus all
   deltas;
@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, AbstractSet, Sequence
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder, BuiltIndex, BuiltShardedIndex
 from repro.index.compaction import CompactedSketch
+from repro.index.metadata import IndexMetadata
 from repro.index.stats import (
     IndexStats,
     RankingUnsupportedError,
@@ -205,24 +206,45 @@ class SnapshotInfo:
         )
 
 
+def base_config(metadata: IndexMetadata | None) -> SketchConfig:
+    """The sketch parameters a build's header records — bin budget B,
+    accuracy target F₀ and seed — as the configuration its deltas and
+    compactions are built under (the defaults, for a header without
+    metadata).  A pinned layer count is not recorded, so Algorithm 1 chooses
+    L again under the recorded B and F₀."""
+    if metadata is None:
+        return SketchConfig()
+    return SketchConfig(
+        num_bins=metadata.num_bins,
+        target_false_positives=metadata.target_false_positives,
+        seed=metadata.seed,
+    )
+
+
 class AppendOnlyIndexManager:
-    """Manages a base IoU Sketch index plus append-only delta indexes."""
+    """Manages a base IoU Sketch index plus append-only delta indexes.
+
+    ``config`` is the sketch configuration of every build the manager makes.
+    Without one, a rebuilt base takes the default :class:`SketchConfig`, and
+    every delta and compaction the active base's own parameters
+    (:func:`base_config`): an index keeps the bin budget, accuracy target and
+    seed it was built with.
+    """
 
     def __init__(
         self,
         store: ObjectStore,
         base_index: str,
         config: SketchConfig | None = None,
-        delta_config: SketchConfig | None = None,
         tokenizer: Tokenizer | None = None,
     ) -> None:
         self._store = store
         self._base_index = base_index
-        self._config = config if config is not None else SketchConfig()
-        # Deltas are usually much smaller than the base corpus; a smaller bin
-        # budget keeps their headers tiny unless the caller overrides it.
-        self._delta_config = delta_config if delta_config is not None else self._config
+        self._config = config
         self._tokenizer = tokenizer
+        #: ``((active base, generation), its configuration)`` as last learnt,
+        #: so that a long-lived manager reads a base's header at most once.
+        self._followed: tuple[tuple[str, int], SketchConfig] | None = None
 
     @property
     def manifest_blob(self) -> str:
@@ -266,11 +288,8 @@ class AppendOnlyIndexManager:
         compaction (or :meth:`reset`).
         """
         old = self.manifest()
-        builder = AirphantBuilder(
-            self._store,
-            config=self._config,
-            tokenizer=self._tokenizer,
-        )
+        config = self._config if self._config is not None else SketchConfig()
+        builder = AirphantBuilder(self._store, config=config, tokenizer=self._tokenizer)
         built = builder.build_from_documents(
             documents, index_name=self._base_index, corpus_name=corpus_name
         )
@@ -289,6 +308,7 @@ class AppendOnlyIndexManager:
                 retired=stranded,
             )
         )
+        self._followed = ((self._base_index, old.generation + 1), config)
         return built
 
     def append(self, documents: Sequence[Document], corpus_name: str = "delta") -> BuiltIndex:
@@ -299,9 +319,7 @@ class AppendOnlyIndexManager:
         manifest = self.manifest()
         delta_name = delta_index_name(self._base_index, manifest.next_delta)
         builder = AirphantBuilder(
-            self._store,
-            config=self._delta_config,
-            tokenizer=self._tokenizer,
+            self._store, config=self._config_of(manifest), tokenizer=self._tokenizer
         )
         built = builder.build_from_documents(documents, index_name=delta_name, corpus_name=corpus_name)
         self._write_manifest(
@@ -315,6 +333,23 @@ class AppendOnlyIndexManager:
             )
         )
         return built
+
+    def _config_of(
+        self, manifest: IndexManifest, base: CompactedSketch | None = None
+    ) -> SketchConfig:
+        """The configuration of a build on top of ``manifest``'s active base:
+        the manager's own, or else the base's (:func:`base_config`) — from
+        its decoded header ``base`` when the caller holds it, else from the
+        last one learnt, else from one read of that header."""
+        if self._config is not None:
+            return self._config
+        key = (str(manifest.active_base), manifest.generation)
+        if self._followed is None or self._followed[0] != key:
+            if base is None:
+                (build,) = open_headers(self._store, [key[0]]).builds
+                base = build.header
+            self._followed = (key, base_config(base.metadata_of()))
+        return self._followed[1]
 
     # -- searching ------------------------------------------------------------------
 
@@ -427,7 +462,7 @@ class AppendOnlyIndexManager:
         """Fold all deltas into a fresh generational base and swap atomically.
 
         The new base is built under the next generational prefix (keeping the
-        old base's shard count and partitioner; a sharded base returns a
+        old base's shard count and sketch parameters; a sharded base returns a
         :class:`~repro.index.builder.BuiltShardedIndex`), then committed with
         a single manifest write — the swap.  Readers that already hold the
         old manifest keep a complete, untouched snapshot: the blobs it
@@ -450,12 +485,12 @@ class AppendOnlyIndexManager:
         shard_manifest = builds[0].manifest
         generation = manifest.generation + 1
         new_base = generation_index_name(self._base_index, generation)
+        config = self._config_of(manifest, builds[0].header)
         builder = AirphantBuilder(
             self._store,
-            config=self._config,
+            config=config,
             tokenizer=self._tokenizer,
             num_shards=shard_manifest.num_shards if shard_manifest is not None else 1,
-            partitioner=shard_manifest.partitioner if shard_manifest is not None else "hash",
         )
         built = builder.build_from_stats(stats, index_name=new_base, corpus_name=corpus_name)
         # The whole old snapshot — including a legacy in-place base — gets
@@ -477,6 +512,7 @@ class AppendOnlyIndexManager:
                 retired=stranded + carried,
             )
         )
+        self._followed = ((new_base, generation), config)
         for name in manifest.retired:
             if name not in pinned:
                 self._purge_index_blobs(name)

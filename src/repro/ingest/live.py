@@ -7,7 +7,8 @@ Lifecycle of an appended document (read-your-writes at every step):
    immediately through the combined view.
 2. ``flush`` — the active memtable is atomically *sealed* (a fresh active
    one takes over for concurrent appends), its documents are built into an
-   Airphant delta index with ``AppendOnlyIndexManager.append``, the catalog
+   Airphant delta index with ``AppendOnlyIndexManager.append`` (under the
+   base's bin budget, accuracy target and seed), the catalog
    is invalidated so the next open includes the delta, and only then are the
    sealed memtable dropped and its WAL segments retired.  At no instant is a
    document invisible; at worst it is briefly visible twice, which the
@@ -34,7 +35,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro.index.store_layout import OpenedIndex, build_bytes
+from repro.index.store_layout import OpenedIndex
 from repro.index.updates import AppendOnlyIndexManager, IndexManifest
 from repro.ingest.memtable import Memtable, MemtableMember
 from repro.ingest.wal import WriteAheadLog, ingest_manifest_blob
@@ -113,7 +114,6 @@ class LiveIndex:
         if manifest is None:
             manifest = self._manager.manifest()
         self._delta_count = len(manifest.delta_indexes)
-        self._ratio_dirty = self._delta_count > 0
         # Pending deletes, keyed by tombstone record blob; the flattened
         # frozenset is what query-time filtering and flush-survivor selection
         # read (swapped atomically under the write lock on every mutation).
@@ -498,7 +498,6 @@ class LiveIndex:
                         self._active.add(documents)
                     raise
                 self._delta_count += 1
-                self._ratio_dirty = True
                 # New delta first, then drop the sealed memtable: queries in
                 # the gap see the documents twice (de-duplicated), never zero
                 # times.
@@ -519,29 +518,10 @@ class LiveIndex:
         }
 
     def should_compact(self) -> bool:
-        """Whether the compaction policy has triggered.
-
-        Two triggers, both disabled at 0: a maximum stacked-delta count, and
-        a delta-bytes / base-bytes ratio.  The ratio needs storage listings,
-        so it is only recomputed after a flush changed the delta stack.
-        """
-        if self._delta_count == 0:
-            return False
+        """Whether the compaction policy has triggered: at least
+        ``ingest_compact_deltas`` deltas are stacked (never, at 0)."""
         max_deltas = self._config.ingest_compact_deltas
-        if max_deltas > 0 and self._delta_count >= max_deltas:
-            return True
-        ratio = self._config.ingest_compact_ratio
-        if ratio > 0 and self._ratio_dirty:
-            manifest = self._manager.manifest()
-            # Own blobs only: an in-place base shares its prefix with the deltas.
-            base_bytes = build_bytes(self._store, manifest.active_base)
-            delta_bytes = sum(
-                build_bytes(self._store, delta) for delta in manifest.delta_indexes
-            )
-            self._ratio_dirty = False
-            if base_bytes > 0 and delta_bytes / base_bytes >= ratio:
-                return True
-        return False
+        return max_deltas > 0 and self._delta_count >= max_deltas
 
     def compact(self) -> dict[str, Any] | None:
         """Flush, then fold every delta into a new base generation.
@@ -570,7 +550,6 @@ class LiveIndex:
                 corpus_name="compacted", exclude=tombstone_refs
             )
             self._delta_count = 0
-            self._ratio_dirty = False
             self._invalidate(self._index_name)
             with self._commit_lock:
                 self._wal.retire_tombstones(tombstone_records)

@@ -34,7 +34,7 @@ from collections.abc import Set as AbstractSet
 from contextlib import nullcontext
 from typing import Callable, Collection, Sequence
 
-from repro.core.analysis import top_k_sample_size
+from repro.core.analysis import TOP_K_DELTA, top_k_sample_size
 from repro.core.superpost import Superpost
 from repro.index.stats import IndexStats
 from repro.index.store_layout import (
@@ -88,7 +88,6 @@ class AirphantSearcher:
         index_name: str | Sequence[str] = "airphant-index",
         tokenizer: Tokenizer | None = None,
         max_concurrency: int = 32,
-        top_k_delta: float = 1e-6,
         read_cache_bytes: int = 0,
         *,
         members: Sequence[Member] | None = None,
@@ -97,7 +96,6 @@ class AirphantSearcher:
         if (store is None) == (members is None):
             raise ValueError("pass either a store (with index_name) or members=")
         self._tokenizer = tokenizer if tokenizer is not None else WhitespaceAnalyzer()
-        self._top_k_delta = top_k_delta
         self._exclude = exclude
         self._members = list(members) if members is not None else None
         #: The members this searcher opened itself (and so closes).
@@ -123,7 +121,6 @@ class AirphantSearcher:
         index_name: str | Sequence[str] = "airphant-index",
         tokenizer: Tokenizer | None = None,
         max_concurrency: int = 32,
-        top_k_delta: float = 1e-6,
         read_cache_bytes: int = 0,
         opened: OpenedHeaders | OpenedIndex | None = None,
     ) -> "AirphantSearcher":
@@ -134,7 +131,6 @@ class AirphantSearcher:
             index_name,
             tokenizer=tokenizer,
             max_concurrency=max_concurrency,
-            top_k_delta=top_k_delta,
             read_cache_bytes=read_cache_bytes,
         )
         searcher.initialize(opened)
@@ -208,14 +204,8 @@ class AirphantSearcher:
     def with_members(
         self, members: Sequence[Member], exclude: AbstractSet[Posting] = frozenset()
     ) -> "AirphantSearcher":
-        """A searcher over other members with this one's tokenizer and top-K
-        bound."""
-        return AirphantSearcher(
-            members=members,
-            exclude=exclude,
-            tokenizer=self._tokenizer,
-            top_k_delta=self._top_k_delta,
-        )
+        """A searcher over other members with this one's tokenizer."""
+        return AirphantSearcher(members=members, exclude=exclude, tokenizer=self._tokenizer)
 
     def restrict(self, ordinals: Collection[int]) -> "AirphantSearcher":
         """A searcher answering only the given shard ordinals of every member.
@@ -468,7 +458,7 @@ class AirphantSearcher:
             # Equation 6, once over the merged list: F0 adds up because any
             # member's false positives may sit in the sampled prefix.
             fetched = top_k_sample_size(
-                top_k, total, candidates.expected_false_positives, self._top_k_delta
+                top_k, total, candidates.expected_false_positives, TOP_K_DELTA
             )
         matched = matching(0, fetched)
         if len(matched) < top_k and fetched < total:

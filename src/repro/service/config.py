@@ -45,7 +45,12 @@ READ_CACHE_BYTES = 8 << 20
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Query-side knobs shared by all indexes the service serves.
+    """Settings shared by all indexes the service serves: the query side
+    (tokenizer, fetch width, read cache), store resilience, the live write
+    path's flush, compaction and backpressure triggers, the cluster tier and
+    observability.  Sketch parameters are not among them: an index's are
+    chosen at build time and recorded in its header, and its deltas and
+    compactions are built under them.
 
     Parameters
     ----------
@@ -93,11 +98,7 @@ class ServiceConfig:
         Memtable byte budget (raw document bytes) that triggers a flush.
     ingest_compact_deltas:
         Stacked-delta count that triggers background compaction into a new
-        base generation; 0 disables the count trigger.
-    ingest_compact_ratio:
-        Delta-bytes / base-bytes ratio that triggers compaction; 0 disables
-        the ratio trigger (it needs storage listings, so it is only
-        evaluated after a flush changes the delta stack).
+        base generation (the one compaction trigger); 0 disables it.
     ingest_interval_s:
         Poll interval of the background ingest worker; 0 disables the
         worker entirely (flush/compaction happen only on explicit calls).
@@ -168,7 +169,6 @@ class ServiceConfig:
     ingest_flush_docs: int = 512
     ingest_flush_bytes: int = 1_048_576
     ingest_compact_deltas: int = 4
-    ingest_compact_ratio: float = 0.0
     ingest_interval_s: float = 0.25
     ingest_max_memtable_docs: int = 0
     ingest_max_memtable_bytes: int = 0
@@ -207,8 +207,6 @@ class ServiceConfig:
             raise ValueError("ingest_flush_bytes must be positive")
         if self.ingest_compact_deltas < 0:
             raise ValueError("ingest_compact_deltas must be non-negative")
-        if self.ingest_compact_ratio < 0:
-            raise ValueError("ingest_compact_ratio must be non-negative")
         if self.ingest_interval_s < 0:
             raise ValueError("ingest_interval_s must be non-negative")
         if self.ingest_max_memtable_docs < 0:

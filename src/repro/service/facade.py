@@ -784,23 +784,20 @@ class AirphantService:
         blobs: Sequence[str],
         sketch_config: SketchConfig | None = None,
         num_shards: int = 1,
-        partitioner: str = "hash",
     ) -> IndexInfo:
         """Build (or rebuild) index ``name`` over the given corpus blobs.
 
-        ``num_shards > 1`` builds a sharded index: the corpus is partitioned
-        (``"hash"`` or ``"round-robin"``), per-shard sub-indexes build in
-        parallel, and queries later fan out across the shards in one batch.
-        Any previously cached searcher for ``name`` is invalidated so the
-        next query reopens the fresh header(s).
+        ``num_shards > 1`` builds a sharded index: documents are routed to
+        shards by document hash, the build is one sketch whose every list is
+        cut by shard, and queries later fan out across the shards in one
+        batch.  ``sketch_config``'s bin budget, accuracy target and seed are
+        recorded in the header, and the index's deltas and compactions are
+        built under them.  Any previously cached searcher for ``name`` is
+        invalidated so the next query reopens the fresh header.
         """
         with self._accounted(self._builds_metric, self._build_seconds_metric):
             return self._build_index(
-                name,
-                blobs,
-                sketch_config=sketch_config,
-                num_shards=num_shards,
-                partitioner=partitioner,
+                name, blobs, sketch_config=sketch_config, num_shards=num_shards
             )
 
     def _build_index(
@@ -809,7 +806,6 @@ class AirphantService:
         blobs: Sequence[str],
         sketch_config: SketchConfig | None = None,
         num_shards: int = 1,
-        partitioner: str = "hash",
     ) -> IndexInfo:
         if not is_index_name(name):
             raise ServiceError(400, "bad_index_name", f"invalid index name {name!r}")
@@ -827,10 +823,9 @@ class AirphantService:
                 config=sketch_config,
                 tokenizer=self._config.make_tokenizer(),
                 num_shards=num_shards,
-                partitioner=partitioner,
             )
         except ValueError as error:
-            # Bad num_shards / partitioner — the request is at fault.
+            # A bad num_shards — the request is at fault.
             raise ServiceError(400, "bad_build_request", str(error)) from error
         # The builder removes any stale blobs from a previous layout of this
         # name (e.g. resharding, or sharded -> single-shard), so a rebuild is

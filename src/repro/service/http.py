@@ -21,7 +21,10 @@ query node can be started anywhere the bucket is reachable:
   locally over just those ordinals (the router's sub-request form);
 * ``POST /indexes/{name}/build`` — build/rebuild an index from corpus blobs
   already present in the bucket (body: ``{"blobs": [...], "num_bins": ...,
-  "num_shards": ..., "partitioner": ...}``);
+  "target_false_positives": ..., "num_layers": ..., "seed": ...,
+  "num_shards": ...}``; any other field is a 400 ``bad_build_request``).
+  The index's later deltas and compactions keep its ``num_bins``,
+  ``target_false_positives`` and ``seed``;
 * ``POST /indexes/{name}/docs`` — append documents to a live index (body:
   ``{"documents": ["one doc per entry", ...]}``); WAL-durable and
   searchable in every query mode when the call returns;
@@ -85,9 +88,6 @@ _BUILD_CONFIG_FIELDS = (
     "seed",
 )
 
-#: Sharding fields a build request body may set (passed to the builder, not
-#: the sketch configuration).
-_BUILD_SHARD_FIELDS = ("num_shards", "partitioner")
 
 
 def _reject_unknown_fields(
@@ -332,7 +332,7 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
         }
         _reject_unknown_fields(
             body,
-            {"blobs", *_BUILD_CONFIG_FIELDS, *_BUILD_SHARD_FIELDS},
+            {"blobs", "num_shards", *_BUILD_CONFIG_FIELDS},
             "bad_build_request",
             "build",
         )
@@ -342,21 +342,12 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
             num_shards = 1
         if not isinstance(num_shards, int) or isinstance(num_shards, bool):
             raise ServiceError(400, "bad_build_request", "num_shards must be an integer")
-        partitioner = body.get("partitioner")
-        if partitioner is None:
-            partitioner = "hash"
-        if not isinstance(partitioner, str):
-            raise ServiceError(400, "bad_build_request", "partitioner must be a string")
         try:
             config = SketchConfig(**overrides) if overrides else None
         except (ValueError, TypeError) as error:
             raise ServiceError(400, "bad_build_request", str(error)) from error
         return self.server.service.build_index(
-            name,
-            blobs,
-            sketch_config=config,
-            num_shards=num_shards,
-            partitioner=partitioner,
+            name, blobs, sketch_config=config, num_shards=num_shards
         )
 
     # -- plumbing --------------------------------------------------------------------

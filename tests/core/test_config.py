@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.analysis import TOP_K_DELTA
 from repro.core.config import BYTES_PER_BIN_POINTER, SketchConfig
 
 
@@ -11,7 +12,7 @@ class TestDefaults:
         assert config.num_bins == 100_000
         assert config.target_false_positives == 1.0
         assert config.common_word_fraction == pytest.approx(0.01)
-        assert config.top_k_delta == pytest.approx(1e-6)
+        assert TOP_K_DELTA == pytest.approx(1e-6)
         assert config.num_layers is None
 
     def test_common_word_bins_are_one_percent(self):
@@ -43,15 +44,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             SketchConfig(common_word_fraction=-0.1)
 
-    def test_invalid_delta(self):
-        with pytest.raises(ValueError):
-            SketchConfig(top_k_delta=0.0)
-        with pytest.raises(ValueError):
-            SketchConfig(top_k_delta=1.0)
+    def test_delta_is_not_an_index_setting(self):
+        # δ is the paper's constant, passed by the searcher to Equation 6.
+        with pytest.raises(TypeError):
+            SketchConfig(top_k_delta=1e-3)
 
-    def test_invalid_max_layers(self):
-        with pytest.raises(ValueError):
-            SketchConfig(max_layers=0)
+    def test_layer_cap_and_metadata_are_not_settings(self):
+        with pytest.raises(TypeError):
+            SketchConfig(max_layers=8)
+        with pytest.raises(TypeError):
+            SketchConfig(metadata={"note": "x"})
+
+    def test_with_layers_pins_only_the_layer_count(self):
+        config = SketchConfig(num_bins=3000, target_false_positives=0.5, seed=5)
+        assert config.with_layers(3) == SketchConfig(
+            num_bins=3000, target_false_positives=0.5, num_layers=3, seed=5
+        )
 
     def test_download_concurrency_is_not_an_index_setting(self):
         with pytest.raises(TypeError):

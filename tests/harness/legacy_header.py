@@ -14,6 +14,8 @@ the tests need to prove that, and that nothing else changed:
 * :func:`retire_format` — rewrites a build in any retired format: those,
   or its header or statistics from a few literal bytes or one replaced
   field;
+* :func:`build_round_robin` — a sharded build as the retired round-robin
+  partitioner wrote it, routing and all;
 * :func:`legacy_superpost_blob` — the old placement walk over *all* bins and
   the concatenation it produced, as the reference ``superposts.bin`` must
   stay byte-identical to;
@@ -27,13 +29,15 @@ import json
 import struct
 import zlib
 from collections import defaultdict
-from typing import Mapping
+from typing import Mapping, Sequence
+from unittest import mock
 
 import numpy as np
 
 from repro.core.common_words import CommonWordTable, select_common_words
 from repro.core.config import SketchConfig
 from repro.core.sketch import IoUSketch
+from repro.index.builder import AirphantBuilder
 from repro.index.compaction import (
     HEADER_MAGIC,
     RETIRED_SHARDED_MAGIC,
@@ -136,6 +140,44 @@ def retire_format(store: ObjectStore, build: str, layout: str) -> None:
             # so the forged header declares codec v1 rather than corruption.
             forged = forged[:-4] + struct.pack("<I", zlib.crc32(forged[:-4]))
         store.put(header, forged)
+
+
+def build_round_robin(
+    store: ObjectStore,
+    documents: Sequence[Document],
+    index_name: str,
+    config: SketchConfig,
+    num_shards: int,
+) -> None:
+    """Build ``documents`` as ``num_shards`` shards the way the retired
+    round-robin partitioner did: a document goes to shard (its first place
+    in ``documents``) mod N, and the header's shard manifest and every
+    shard's metadata say ``"partitioner":"round-robin"`` — its preamble
+    length and CRC-32 recomputed to match."""
+    first = {document.ref: at for at, document in reversed(list(enumerate(documents)))}
+
+    def round_robin(stats, shards: int) -> np.ndarray:
+        return np.asarray([first[ref] for ref in stats.docs], np.int64) % shards
+
+    with mock.patch("repro.index.builder.route_rows", round_robin):
+        AirphantBuilder(store, config=config, num_shards=num_shards).build_from_documents(
+            documents, index_name=index_name
+        )
+    header = header_blob_name(index_name)
+    payload = store.get(header)
+    _, version, length = struct.unpack_from("<8sII", payload)
+    preamble = payload[16 : 16 + length].rstrip(b" ")
+    assert preamble.count(b'"partitioner":"hash"') == num_shards + 1
+    preamble = preamble.replace(b'"partitioner":"hash"', b'"partitioner":"round-robin"')
+    preamble += b" " * (-len(preamble) % 8)
+    body = b"".join(
+        [
+            struct.pack("<8sII", HEADER_MAGIC, version, len(preamble)),
+            preamble,
+            payload[16 + length : -4],
+        ]
+    )
+    store.put(header, body + struct.pack("<I", zlib.crc32(body)))
 
 
 def _legacy_plain_order(num_layers: int, bins_per_layer: int) -> list[LayoutNode]:

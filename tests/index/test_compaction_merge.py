@@ -5,9 +5,11 @@ wave, merges the columns minus the pending tombstones and builds the new
 generation from them.  These tests pin that
 
 * the generation it writes is byte-identical to ``build_from_documents``
-  over the surviving documents — plain and 4-shard (``hash`` and
-  ``round-robin``) bases, tombstones on base and delta rows, and a member
-  whose statistics were deleted (it is re-read and re-analysed instead);
+  over the surviving documents — plain and 4-shard bases, the latter also
+  as the retired round-robin partitioner built them (the new generation is
+  hash-routed, as every build is), tombstones on base and delta rows, and a
+  member whose statistics were deleted (it is re-read and re-analysed
+  instead);
 * a compaction of members that all have statistics reads nothing but the
   update manifest, the shard manifest and one wave of ``stats.json``: no
   corpus blob, no WAL segment;
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import pytest
 
-from harness.legacy_header import STATS_LAYOUTS
+from harness.legacy_header import STATS_LAYOUTS, build_round_robin
 from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
@@ -43,17 +45,21 @@ CONFIGS = [
     SketchConfig(num_bins=3_000, seed=5),
     SketchConfig(num_bins=3_000, num_layers=2, seed=9),
 ]
-BASES = [(1, "hash"), (4, "hash"), (4, "round-robin")]
+#: Shard count of the base, and whether an older build routed it round-robin.
+BASES = [(1, False), (4, False), (4, True)]
 
 
 def _live_index(
-    store, config: SketchConfig, shards: int, partitioner: str
+    store, config: SketchConfig, shards: int, round_robin: bool = False
 ) -> tuple[AppendOnlyIndexManager, list[Document], list[Document]]:
     """A base of 300 log lines and three appended deltas of 40."""
     base = generate_log_corpus(store, "hdfs", 300, seed=21).documents
-    AirphantBuilder(
-        store, config=config, num_shards=shards, partitioner=partitioner
-    ).build_from_documents(base, index_name="live")
+    if round_robin:
+        build_round_robin(store, base, "live", config, shards)
+    else:
+        AirphantBuilder(store, config=config, num_shards=shards).build_from_documents(
+            base, index_name="live"
+        )
     manager = AppendOnlyIndexManager(store, "live", config=config)
     feed = generate_log_corpus(InMemoryObjectStore(), "hdfs", 120, seed=22).documents
     appended: list[Document] = []
@@ -73,15 +79,15 @@ def _build_blobs(store, prefix: str) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=["optimized", "two-layer"])
-@pytest.mark.parametrize("shards,partitioner", BASES, ids=["plain", "hash4", "round-robin4"])
+@pytest.mark.parametrize("shards,round_robin", BASES, ids=["plain", "hash4", "round-robin4"])
 @pytest.mark.parametrize(
     "delta_stats",
     ["stats", "missing", "json-stats", "stats-v2"],
     ids=["stats", "fallback", "json-fallback", "v2-fallback"],
 )
-def test_compaction_equals_a_fresh_build_over_survivors(config, shards, partitioner, delta_stats):
+def test_compaction_equals_a_fresh_build_over_survivors(config, shards, round_robin, delta_stats):
     store = InMemoryObjectStore()
-    manager, base, appended = _live_index(store, config, shards, partitioner)
+    manager, base, appended = _live_index(store, config, shards, round_robin)
     delta = stats_blob_name(manager.manifest().delta_indexes[1])
     # A delta written before ranked retrieval, or with statistics in a format
     # no longer read: its documents are re-read.
@@ -97,9 +103,9 @@ def test_compaction_equals_a_fresh_build_over_survivors(config, shards, partitio
         (d for d in base + appended if d.ref not in tombstones), key=lambda d: d.ref
     )
     fresh = InMemoryObjectStore()
-    AirphantBuilder(
-        fresh, config=config, num_shards=shards, partitioner=partitioner
-    ).build_from_documents(survivors, index_name=built.index_name)
+    AirphantBuilder(fresh, config=config, num_shards=shards).build_from_documents(
+        survivors, index_name=built.index_name
+    )
     compacted = _build_blobs(store, built.index_name)
     assert sorted(compacted) == sorted(_build_blobs(fresh, built.index_name))
     for name, payload in _build_blobs(fresh, built.index_name).items():
@@ -108,10 +114,10 @@ def test_compaction_equals_a_fresh_build_over_survivors(config, shards, partitio
     assert documents == len(survivors)
 
 
-@pytest.mark.parametrize("shards,partitioner", BASES[:2], ids=["plain", "hash4"])
-def test_compaction_reads_only_manifests_and_one_wave_of_statistics(shards, partitioner):
+@pytest.mark.parametrize("shards", [1, 4], ids=["plain", "hash4"])
+def test_compaction_reads_only_manifests_and_one_wave_of_statistics(shards):
     backend = InMemoryObjectStore()
-    manager, base, _ = _live_index(backend, CONFIGS[0], shards, partitioner)
+    manager, base, _ = _live_index(backend, CONFIGS[0], shards)
     members = manager.manifest().all_indexes
     recording = RecordingStore(backend)
     AppendOnlyIndexManager(recording, "live", config=CONFIGS[0]).compact(

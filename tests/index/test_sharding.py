@@ -26,7 +26,7 @@ def _rows(documents):
 
 class TestPartitioning:
     def test_partitions_are_disjoint_and_complete(self, small_documents):
-        shards = route_rows(_rows(small_documents), 3, "hash")
+        shards = route_rows(_rows(small_documents), 3)
         assert len(shards) == len(small_documents)
         assert set(shards.tolist()) <= {0, 1, 2}
 
@@ -36,26 +36,25 @@ class TestPartitioning:
             zip(backward.docs, route_rows(backward, 4).tolist())
         )
 
-    def test_round_robin_is_balanced(self, small_documents):
-        shards = route_rows(_rows(small_documents), 5, "round-robin")
-        sizes = np.bincount(shards, minlength=5)
-        assert max(sizes) - min(sizes) <= 1
-
     def test_invalid_arguments_rejected(self, small_documents):
         with pytest.raises(ValueError):
-            route_rows(_rows(small_documents), 0, "hash")
-        with pytest.raises(ValueError):
-            route_rows(_rows(small_documents), 2, "modulo")
+            route_rows(_rows(small_documents), 0)
 
 
 class TestShardManifest:
     def test_round_trips_through_json(self):
         manifest = ShardManifest(
             index_name="idx",
-            partitioner="round-robin",
-            shards=tuple(),
+            shards=(ShardEntry("idx/shard-0000", 3, 9), ShardEntry("idx/shard-0001", 2, 4)),
         )
         assert ShardManifest.from_dict(json.loads(json.dumps(manifest.to_dict()))) == manifest
+
+    def test_records_hash_routing_and_reads_any_partitioner_alike(self):
+        manifest = ShardManifest("idx", shards=(ShardEntry("idx/shard-0000"),))
+        payload = manifest.to_dict()
+        assert payload["partitioner"] == "hash"
+        # An older build's manifest may name round-robin: the field is not read.
+        assert ShardManifest.from_dict({**payload, "partitioner": "round-robin"}) == manifest
 
     def test_rejects_wrong_magic(self):
         with pytest.raises(ValueError):
@@ -97,17 +96,16 @@ class TestShardedBuild:
             "sharded/superposts.bin",
         ]
 
-    @pytest.mark.parametrize("partitioner", ["hash", "round-robin"])
     @pytest.mark.parametrize("num_shards", [1, 4, 16])
     def test_the_statistics_are_the_one_shard_builds_byte_for_byte(
-        self, memory_store, sim_store, small_documents, small_config, num_shards, partitioner
+        self, memory_store, sim_store, small_documents, small_config, num_shards
     ):
         AirphantBuilder(memory_store, config=small_config).build_from_documents(
             small_documents, index_name="one"
         )
-        AirphantBuilder(
-            sim_store, config=small_config, num_shards=num_shards, partitioner=partitioner
-        ).build_from_documents(small_documents, index_name="idx")
+        AirphantBuilder(sim_store, config=small_config, num_shards=num_shards).build_from_documents(
+            small_documents, index_name="idx"
+        )
         assert sim_store.get("idx/stats.json") == memory_store.get("one/stats.json")
         assert sim_store.list_blobs("idx/shard-") == []
 
@@ -129,25 +127,22 @@ class TestShardedBuild:
         assert read_shard_manifest(sim_store, "plain") is None
 
     def test_shard_metadata_records_its_place(self, sim_store, small_documents, small_config):
-        builder = AirphantBuilder(
-            sim_store, config=small_config, num_shards=2, partitioner="round-robin"
-        )
+        builder = AirphantBuilder(sim_store, config=small_config, num_shards=2)
         built = builder.build_from_documents(small_documents, index_name="sharded")
         for shard_index, shard in enumerate(built.shards):
             extra = shard.metadata.extra
             assert extra["shard_index"] == shard_index
             assert extra["num_shards"] == 2
-            assert extra["partitioner"] == "round-robin"
+            assert extra["partitioner"] == "hash"
             assert extra["parent_index"] == "sharded"
 
     def test_empty_partitions_build_empty_shards(self, sim_store, small_documents, small_config):
         # More shards than documents guarantees at least one empty partition.
-        builder = AirphantBuilder(
-            sim_store, config=small_config, num_shards=16, partitioner="round-robin"
-        )
+        builder = AirphantBuilder(sim_store, config=small_config, num_shards=16)
         built = builder.build_from_documents(small_documents, index_name="wide")
         assert built.num_shards == 16
         assert built.num_documents == len(small_documents)
+        assert 0 in [entry.num_documents for entry in built.manifest.shards]
 
     def test_single_shard_rebuild_removes_stale_sharded_layout(
         self, sim_store, small_documents, small_config
@@ -203,8 +198,8 @@ class TestShardedBuild:
     def test_invalid_shard_configuration_rejected(self, sim_store, small_config):
         with pytest.raises(ValueError):
             AirphantBuilder(sim_store, config=small_config, num_shards=0)
-        with pytest.raises(ValueError):
-            AirphantBuilder(sim_store, config=small_config, partitioner="alphabetical")
+        with pytest.raises(TypeError):
+            AirphantBuilder(sim_store, config=small_config, num_shards=2, partitioner="hash")
 
 
 class TestShardedBaseWithDeltas:

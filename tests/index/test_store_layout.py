@@ -83,9 +83,7 @@ def _assert_opens_like_a_direct_read(store, name):
         assert member.metadata == expected.metadata
     else:
         assert member.held == tuple(range(manifest.num_shards))
-        assert member.metadata == merge_shard_metadata(
-            list(expected.shards.metadata), partitioner=manifest.partitioner
-        )
+        assert member.metadata == merge_shard_metadata(list(expected.shards.metadata))
     return opened
 
 

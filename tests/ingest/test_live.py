@@ -250,15 +250,20 @@ class TestPolicies:
         live.flush()
         assert live.should_compact()
 
-    def test_compact_policy_triggers_on_byte_ratio(self):
+    def test_compact_policy_counts_deltas_alone(self):
         store = InMemoryObjectStore()
         _base(store)
-        # Any delta at all exceeds a tiny ratio.
-        live, _ = _live(store, ingest_compact_deltas=0, ingest_compact_ratio=0.0001)
-        assert not live.should_compact()
-        live.append(["error fresh one"])
+        live, _ = _live(store, ingest_compact_deltas=2)
+        # One delta far larger than the base does not trigger: bytes are not weighed.
+        live.append([f"error fresh {n} " + "padding " * 200 for n in range(50)])
         live.flush()
-        assert live.should_compact()
+        assert not live.should_compact()
+        other = InMemoryObjectStore()
+        _base(other)
+        disabled, _ = _live(other, ingest_compact_deltas=0)
+        disabled.append(["warn fresh two"])
+        disabled.flush()
+        assert not disabled.should_compact()
 
 
 class TestCoordinator:

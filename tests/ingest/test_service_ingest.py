@@ -17,9 +17,14 @@ import urllib.request
 
 import pytest
 from harness.prometheus import parse_prometheus
+from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
+from repro.index.builder import AirphantBuilder
+from repro.index.store_layout import open_headers
+from repro.index.updates import AppendOnlyIndexManager
 from repro.observability import MetricsRegistry
+from repro.parsing.documents import Document, Posting
 from repro.service import (
     AirphantService,
     SearchRequest,
@@ -28,6 +33,7 @@ from repro.service import (
     create_server,
 )
 from repro.storage.memory import InMemoryObjectStore
+from repro.workloads.logs import generate_log_corpus
 
 CORPUS = b"error disk full\ninfo service ok\nwarn slow response\n"
 
@@ -287,3 +293,75 @@ class TestHTTPEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(f"{base}/indexes/nope/docs", {"documents": ["x"]})
         assert excinfo.value.code == 404
+
+
+def _recorded(store, build: str) -> tuple[int, float, int]:
+    """``(B, F₀, seed)`` as build ``build``'s header records them."""
+    metadata = open_headers(store, [build]).builds[0].header.metadata_of()
+    return metadata.num_bins, metadata.target_false_positives, metadata.seed
+
+
+def _blobs(store, build: str) -> dict[str, bytes]:
+    return {name: store.get(name) for name in store.list_blobs(prefix=f"{build}/")}
+
+
+class TestSketchParameters:
+    """A live index builds its deltas and compactions under the bin budget,
+    accuracy target and seed its base was built with, not the defaults."""
+
+    CONFIG = SketchConfig(num_bins=3000, seed=5)
+
+    def test_deltas_and_compactions_keep_the_base_parameters(self):
+        store = InMemoryObjectStore()
+        corpus = generate_log_corpus(store, "hdfs", 400, seed=8)
+        service = AirphantService(store, MANUAL, metrics=MetricsRegistry())
+        service.build_index("logs", corpus.blob_names, sketch_config=self.CONFIG)
+        texts = ["ERROR fresh disk full", "INFO fresh block report", "WARN fresh slow"]
+        refs = [Posting(**ref) for ref in service.append_documents("logs", texts)["refs"]]
+        delta = service.flush_index("logs")["delta"]
+        condemned = {corpus.documents[7].ref, refs[1]}
+        service.delete_documents("logs", sorted(condemned))
+        generation = service.compact_index("logs")["base"]
+        service.close()
+
+        for build in ("logs", delta, generation):
+            assert _recorded(store, build) == (3000, 1.0, 5), build
+        appended = [Document(ref, text) for ref, text in zip(refs, texts)]
+        survivors = [d for d in corpus.documents + appended if d.ref not in condemned]
+        fresh = InMemoryObjectStore()
+        AirphantBuilder(fresh, config=self.CONFIG).build_from_documents(
+            survivors, index_name=generation, corpus_name="compacted"
+        )
+        assert _blobs(store, generation) == _blobs(fresh, generation)
+
+    def test_a_manager_without_config_reads_the_base_header_once(self):
+        backend = InMemoryObjectStore()
+        corpus = generate_log_corpus(backend, "hdfs", 200, seed=9)
+        AirphantBuilder(backend, config=self.CONFIG).build_from_documents(
+            corpus.documents, index_name="logs"
+        )
+        store = RecordingStore(backend)
+        manager = AppendOnlyIndexManager(store, "logs")
+        batches = generate_log_corpus(InMemoryObjectStore(), "hdfs", 20, seed=10).documents
+        deltas = [manager.append(batches[:10]), manager.append(batches[10:])]
+        header_reads = [call for call in store.calls if call[1].endswith("header.json")]
+        assert [call[1] for call in header_reads if call[0] != "put"] == ["logs/header.json"]
+        compacted = manager.compact()
+        for build in [*deltas, compacted]:
+            assert _recorded(backend, build.index_name) == (3000, 1.0, 5)
+        # The compaction opened the new base: appending to it reads no header.
+        store.calls.clear()
+        later = manager.append(batches[:3])
+        reads = [call for call in store.calls if call[0] != "put"]
+        assert not [call for call in reads if call[1].endswith("header.json")]
+        assert _recorded(backend, later.index_name) == (3000, 1.0, 5)
+
+    def test_a_managers_own_config_wins(self):
+        store = InMemoryObjectStore()
+        corpus = generate_log_corpus(store, "hdfs", 100, seed=11)
+        AirphantBuilder(store, config=self.CONFIG).build_from_documents(
+            corpus.documents, index_name="logs"
+        )
+        manager = AppendOnlyIndexManager(store, "logs", config=SketchConfig(num_bins=700, seed=2))
+        delta = manager.append(corpus.documents[:5])
+        assert _recorded(store, delta.index_name) == (700, 1.0, 2)

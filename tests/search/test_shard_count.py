@@ -11,12 +11,15 @@ Pinned here for 1, 4 and 16 shards over the same documents:
   whatever the shard count: L for a hashed word, one for a common word;
 * a shard-restricted view reads only its shards' sub-ranges — one range
   per run for each block of adjacent held shards — never more bytes than
-  the whole index.
+  the whole index;
+* a 4-shard build an older engine routed round-robin (its header says so)
+  answers the same: routing is never read back.
 """
 
 from __future__ import annotations
 
 import pytest
+from harness.legacy_header import build_round_robin
 from harness.shards import shard_pointers
 from harness.stores import RecordingStore
 
@@ -151,3 +154,28 @@ def test_a_restricted_view_plans_one_read_per_block_of_held_shards(bucket):
         assert len(member.restrict({0, 2}).plan([word]).reads) == 2 * len(runs), word
         assert len(member.restrict({1, 2}).plan([word]).reads) == len(runs), word
     assert checked
+
+
+def test_an_older_round_robin_build_answers_as_the_one_shard_build(bucket):
+    backend, layers = bucket
+    documents = list(LineDelimitedCorpusParser().parse(backend, ["corpora/hdfs.txt"]))
+    config = SketchConfig(num_bins=3000, num_layers=layers, seed=5)
+    build_round_robin(backend, documents, f"rr4-L{layers}", config, 4)
+    assert backend.get(f"rr4-L{layers}/header.json").count(b'"partitioner":"round-robin"') == 5
+    legacy, one = (AirphantSearcher.open(backend, name) for name in (f"rr4-L{layers}", "s1"))
+    (member,) = legacy.opened
+    # Round-robin, not hash, routing: 600 documents in four shards of 150.
+    assert [shard.num_documents for shard in member.shard_manifest.shards] == [150] * 4
+    for query in QUERIES:
+        assert legacy.search(query).documents == one.search(query).documents, query
+        ranked, expected = legacy.search_topk(query, k=10), one.search_topk(query, k=10)
+        assert [d.ref for d in ranked.documents] == [d.ref for d in expected.documents]
+        assert ranked.scores == expected.scores, query
+    for query in BOOLEAN:
+        assert legacy.search_boolean(query).documents == one.search_boolean(query).documents
+    # The oracle: a keyword answer is every document holding the word.
+    analyzer = WhitespaceAnalyzer()
+    for word in ("ERROR", "WARN", "block"):
+        holding = {d.ref for d in documents if word in analyzer.distinct_terms(d.text)}
+        assert holding, word
+        assert {d.ref for d in legacy.search(word).documents} == holding, word

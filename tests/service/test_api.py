@@ -292,7 +292,7 @@ class TestServiceConfigRoundTrip:
 
         config = ServiceConfig()
         assert set(config.to_dict()) == {field.name for field in fields(ServiceConfig)}
-        assert len(fields(ServiceConfig)) == 25
+        assert len(fields(ServiceConfig)) == 24
         json.dumps(config.to_dict())  # what /healthz serializes
 
     def test_non_default_config_survives_the_round_trip(self):
@@ -337,6 +337,14 @@ class TestServiceConfigRoundTrip:
         config = ServiceConfig.from_dict(saved)
         assert config == ServiceConfig(max_concurrency=7)
         assert not {"default_top_k", "top_k_delta"} & set(config.to_dict())
+
+    def test_a_saved_config_with_the_retired_compaction_ratio_still_loads(self):
+        from repro.service.config import ServiceConfig
+
+        saved = {**ServiceConfig(ingest_compact_deltas=3).to_dict(), "ingest_compact_ratio": 0.5}
+        config = ServiceConfig.from_dict(saved)
+        assert config == ServiceConfig(ingest_compact_deltas=3)
+        assert "ingest_compact_ratio" not in config.to_dict()
 
     def test_a_saved_config_with_the_retired_regex_and_trace_knobs_still_loads(self):
         from repro.service.config import ServiceConfig

@@ -69,8 +69,6 @@ class TestLazyOpen:
         inner = searcher.searchers[0]
         assert inner.pipeline.cache_bytes == 4096
         assert inner.pipeline.max_concurrency == 8
-        # The sampling bound's failure probability is the searcher's own.
-        assert searcher._top_k_delta == 1e-6
 
     def test_slow_open_of_one_index_does_not_block_an_open_one(self):
         class GateStore(InMemoryObjectStore):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.index.compaction import decode_header, encode_header
+from repro.index.store_layout import open_headers
 from repro.service import AirphantService, ServiceConfig, create_server
 from repro.service.config import READ_CACHE_BYTES
 from repro.storage.local import LocalObjectStore
@@ -157,6 +158,37 @@ class TestIndexes:
             "message": "unknown build field(s): format",
         }
         assert _get(server, "/indexes/x")[0] == 404
+
+
+    def test_build_partitioner_field_is_an_unknown_build_field(self, server):
+        # Every sharded build routes by document hash: there is no partitioner to pick.
+        status, payload = _post(
+            server,
+            "/indexes/x/build",
+            {"blobs": ["corpora/logs.txt"], "num_shards": 2, "partitioner": "round-robin"},
+        )
+        assert status == 400
+        assert payload == {
+            "status": 400,
+            "error": "bad_build_request",
+            "message": "unknown build field(s): partitioner",
+        }
+        assert _get(server, "/indexes/x")[0] == 404
+
+    def test_build_body_sketch_parameters_carry_to_the_deltas(self, server):
+        status, _ = _post(
+            server,
+            "/indexes/x/build",
+            {"blobs": ["corpora/logs.txt"], "num_bins": 500, "seed": 5},
+        )
+        assert status == 200
+        assert _post(server, "/indexes/x/docs", {"documents": ["error fresh one"]})[0] == 200
+        status, flushed = _post(server, "/indexes/x/flush", {})
+        assert status == 200
+        store = server.service.store
+        for build in ("x", flushed["delta"]):
+            metadata = open_headers(store, [build]).builds[0].header.metadata_of()
+            assert (metadata.num_bins, metadata.seed) == (500, 5), build
 
 
 class TestSearch:

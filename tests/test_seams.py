@@ -510,10 +510,59 @@ def test_checker_keeps_one_pipeline_and_no_retired_read_knobs(tmp_path):
     found = check_seams.findings(root)
     assert sorted(problem.split("repro/")[1] for problem in found) == [
         "search/member.py:1: read pipeline built outside search/searcher.py",
-        "service/config.py:1: retired read-path knob",
-        "service/config.py:2: retired read-path knob",
-        "storage/pipeline.py:1: retired read-path knob",
-        "storage/pipeline.py:2: retired read-path knob",
+        "service/config.py:1: retired knob",
+        "service/config.py:2: retired knob",
+        "storage/pipeline.py:1: retired knob",
+        "storage/pipeline.py:2: retired knob",
+    ]
+
+
+def test_checker_keeps_the_retired_options_out(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("search", "index", "service", "ingest"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the on-store constant spells "partitioner", the optimizer
+    # keeps its own max_layers argument, and docstrings or comments may name
+    # what was deleted.
+    (root / "index" / "metadata.py").write_text(
+        'PARTITIONER = "hash"\n'
+        'payload = {"partitioner": PARTITIONER}  # no round-robin any more\n',
+        encoding="utf-8",
+    )
+    (root / "index" / "builder.py").write_text(
+        '"""No top_k_delta, delta_config, compact_ratio or round_robin here."""\n'
+        "result = minimize_layers(bins, target, profile, max_layers=MAX_LAYERS)\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: each retired option, in code or in a string.
+    (root / "search" / "searcher.py").write_text(
+        "self._top_k_delta = top_k_delta\n", encoding="utf-8"
+    )
+    (root / "index" / "updates.py").write_text(
+        "def __init__(self, store, delta_config=None): pass\n", encoding="utf-8"
+    )
+    (root / "service" / "config.py").write_text(
+        "ingest_compact_ratio: float = 0.0\n", encoding="utf-8"
+    )
+    (root / "index" / "sharding.py").write_text(
+        'PARTITIONERS = ("hash", "round-robin")\n'
+        "routing = shard_of if round_robin else route_rows\n",
+        encoding="utf-8",
+    )
+    (root / "ingest" / "live.py").write_text(
+        'ratio = getattr(args, "compact_ratio", 0.0)\n', encoding="utf-8"
+    )
+    found = check_seams.findings(root)
+    assert sorted(problem.split("repro/")[1] for problem in found) == [
+        "index/sharding.py:1: retired knob",
+        "index/sharding.py:2: retired knob",
+        "index/updates.py:1: retired knob",
+        "ingest/live.py:1: retired knob",
+        "search/searcher.py:1: retired knob",
+        "service/config.py:1: retired knob",
     ]
 
 
