@@ -99,11 +99,14 @@ class Metric:
         return self._registry is None or self._registry.enabled
 
     def _key(self, labels: Mapping[str, str]) -> tuple[str, ...]:
-        if set(labels) != set(self.label_names):
+        names = self.label_names
+        if tuple(labels) == names:  # the declared order: no sets per record
+            return tuple(map(str, labels.values()))
+        if len(labels) != len(names) or not all(name in labels for name in names):
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.label_names}, got {tuple(labels)}"
             )
-        return tuple(str(labels[name]) for name in self.label_names)
+        return tuple(str(labels[name]) for name in names)
 
     def clear(self) -> None:
         """Drop every recorded series (registration survives)."""
@@ -129,7 +132,8 @@ class Counter(Metric):
             return
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (amount={amount})")
-        key = self._key(labels)
+        # An unlabeled counter (every mirrored stats field) has nothing to check.
+        key = self._key(labels) if labels or self.label_names else ()
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 

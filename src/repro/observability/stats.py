@@ -48,14 +48,14 @@ class MirroredStats:
 
     def add(self, **deltas: int | float) -> None:
         """Atomically add ``field=delta`` increments (and mirror them)."""
-        with self._lock:
-            for field_name, delta in deltas.items():
-                setattr(self, field_name, getattr(self, field_name) + delta)
         counters = self._counters
-        if counters is not None:
+        with self._lock:
+            values = vars(self)
             for field_name, delta in deltas.items():
                 if delta:
-                    counters[field_name].inc(delta)
+                    values[field_name] += delta
+                    if counters is not None:
+                        counters[field_name].inc(delta)
 
     def snapshot(self) -> dict[str, Any]:
         """Consistent point-in-time copy (same shape as ``to_dict()``)."""

@@ -30,21 +30,28 @@ Three pieces:
 Ambient propagation uses a :mod:`contextvars` variable: instrumented code
 calls :func:`span` and gets a real child span when a trace is active in the
 current context, or a shared no-op object (a single contextvar read, no
-allocation) when not.  Worker threads do not inherit contextvars from their
-submitter, so pool-based fan-out (a store's ``read_batch`` pool, the router's
-scatter pool) captures :func:`current_span` at submit time and re-attaches
-it inside the worker with :func:`attach`.
+allocation) when not; either is its own context manager.  Worker threads
+do not inherit contextvars from their submitter, so pool-based fan-out (a
+store's ``read_batch`` pool, the router's scatter pool) captures
+:func:`current_span` at submit time and re-attaches it inside the worker
+with :func:`attach`.
+
+At the default sample rate of 0 every query still builds its whole tree —
+whether it is kept (slow, explained) is known only when it ends — so a span
+is cheap by construction: creating one makes no syscall and takes no lock,
+and entering it runs no generator.  Its id is a per-process counter under a
+random prefix; trace ids stay random, one per request.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Callable, Iterator, Mapping
 
@@ -72,8 +79,23 @@ _active_span: ContextVar["Span | None"] = ContextVar(
 
 
 def new_id(nbytes: int = 8) -> str:
-    """A fresh random hex id (trace ids and span ids)."""
+    """A fresh random hex id (trace ids: one per request)."""
     return os.urandom(nbytes).hex()
+
+
+def _reseed_span_ids() -> None:
+    """A new random prefix and counter for span ids: at import, and in every
+    forked child, so the processes of one routed tree never share an id."""
+    global _span_prefix, _span_serial
+    _span_prefix, _span_serial = new_id(4), itertools.count(1).__next__
+
+
+_reseed_span_ids()
+os.register_at_fork(after_in_child=_reseed_span_ids)
+
+#: The one lock every :meth:`Span.inc` takes: accumulation is rare (store
+#: attempts, fan-out), so no span pays for a lock of its own.
+_INC_LOCK = threading.Lock()
 
 
 class Span:
@@ -81,9 +103,12 @@ class Span:
 
     Thread-compatible by construction: attribute writes replace dict keys
     and child registration appends to a list — both atomic under the GIL —
-    while read-modify-write accumulation (:meth:`inc`) takes the span's own
+    while read-modify-write accumulation (:meth:`inc`) takes one shared
     lock.  Pool threads therefore attach children to a shared parent
     without coordination beyond :func:`attach`.
+
+    A span is also the context manager :func:`span` hands out: entering
+    makes it ambient, leaving restores its parent and finishes it.
     """
 
     __slots__ = (
@@ -96,7 +121,7 @@ class Span:
         "attrs",
         "children",
         "_t0",
-        "_lock",
+        "_token",
     )
 
     def __init__(
@@ -108,14 +133,25 @@ class Span:
     ) -> None:
         self.name = name
         self.trace_id = trace_id if trace_id is not None else new_id()
-        self.span_id = new_id(4)
+        self.span_id = f"{_span_prefix}{_span_serial():x}"
         self.parent_id = parent_id
         self.started_at = time.time()
         self.duration_ms: float | None = None
         self.attrs: dict[str, Any] = dict(attrs) if attrs else {}
         self.children: list[Span] = []
         self._t0 = time.perf_counter()
-        self._lock = threading.Lock()
+
+    def __enter__(self) -> "Span":
+        self._token = _active_span.set(self)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        _active_span.reset(self._token)
+        # The token holds the parent, which holds this span: dropping it
+        # keeps the tree acyclic, so a finished tree is freed at once
+        # instead of waiting for the cycle collector.
+        self._token = None
+        self.finish()
 
     # -- building ----------------------------------------------------------------
 
@@ -125,7 +161,7 @@ class Span:
 
     def inc(self, **attrs: float) -> None:
         """Accumulate numeric attributes (thread-safe read-modify-write)."""
-        with self._lock:
+        with _INC_LOCK:
             for key, value in attrs.items():
                 self.attrs[key] = self.attrs.get(key, 0) + value
 
@@ -195,7 +231,6 @@ class Span:
             if isinstance(child, Mapping)
         ]
         node._t0 = 0.0
-        node._lock = threading.Lock()
         return node
 
 
@@ -207,6 +242,12 @@ class _NoopSpan:
     """
 
     __slots__ = ()
+
+    def __enter__(self) -> "_NoopSpan":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        pass
 
     def set(self, **attrs: Any) -> None:
         pass
@@ -232,8 +273,7 @@ def current_span() -> Span | None:
     return _active_span.get()
 
 
-@contextmanager
-def attach(parent: Span | None) -> Iterator[None]:
+class attach:
     """Re-attach a captured span as ambient inside a worker thread.
 
     Thread pools do not inherit contextvars from the submitting thread;
@@ -241,27 +281,26 @@ def attach(parent: Span | None) -> Iterator[None]:
     worker body in ``attach(parent)`` so nested :func:`span` calls land
     under the right request.
     """
-    token = _active_span.set(parent)
-    try:
-        yield
-    finally:
-        _active_span.reset(token)
+
+    __slots__ = ("_parent", "_token")
+
+    def __init__(self, parent: Span | None) -> None:
+        self._parent = parent
+
+    def __enter__(self) -> None:
+        self._token = _active_span.set(self._parent)
+
+    def __exit__(self, *exc_info: object) -> None:
+        _active_span.reset(self._token)
 
 
-@contextmanager
-def span(name: str, **attrs: Any) -> Iterator[Span | _NoopSpan]:
-    """Open a child of the ambient span (no-op when no trace is active)."""
+def span(name: str, **attrs: Any) -> Span | _NoopSpan:
+    """A child of the ambient span, to enter with ``with`` — the shared
+    :data:`NOOP_SPAN`, and no allocation, when no trace is active."""
     parent = _active_span.get()
     if parent is None:
-        yield NOOP_SPAN
-        return
-    node = parent.child(name, **attrs)
-    token = _active_span.set(node)
-    try:
-        yield node
-    finally:
-        _active_span.reset(token)
-        node.finish()
+        return NOOP_SPAN
+    return parent.child(name, **attrs)
 
 
 class TraceStore:

@@ -16,8 +16,7 @@ import dataclasses
 import re
 import time
 import weakref
-from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.cluster.router import QueryRouter
 from repro.core.config import SketchConfig
@@ -71,6 +70,81 @@ def _error_code(error: Exception) -> str:
     it all the same, so the worst outage class is never a flat line.
     """
     return error.info.error if isinstance(error, ServiceError) else "internal_error"
+
+
+class _StoreErrors:
+    """Translates storage failures into the service's typed errors.
+
+    One definition for every endpoint: stored index bytes that do not
+    decode become ``502 index_corrupt``, and an index in a retired layout
+    ``409 index_format`` (rebuild it) — both before any ``ValueError`` can
+    read as the request's fault; transient failures (including exhausted
+    retries) become ``503 store_unavailable``; definitive access denials
+    become ``403 store_access_denied``; write refusals (builds or ingest
+    against e.g. a static http:// export) become ``400 store_read_only``.
+    Stateless, so one shared instance serves every request.
+    """
+
+    _TYPED = (
+        (CorruptIndexError, 502, "index_corrupt"),
+        (UnsupportedIndexFormatError, 409, "index_format"),
+        (TransientStoreError, 503, "store_unavailable"),
+        (StoreAccessError, 403, "store_access_denied"),
+        (ReadOnlyStoreError, 400, "store_read_only"),
+    )
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: type | None, error: BaseException | None, tb: Any) -> None:
+        if error is None:
+            return
+        for failure, status, code in self._TYPED:
+            if isinstance(error, failure):
+                raise ServiceError(status, code, str(error)) from error
+
+
+_STORE_ERRORS = _StoreErrors()
+
+
+class _Accounted:
+    """One request's accounting: ``done`` + wall-clock ``seconds`` when it
+    is answered, ``errors`` (by typed code) when it is rejected."""
+
+    __slots__ = ("_errors", "_done", "_seconds", "_labels", "_started")
+
+    def __init__(
+        self, errors: Counter, done: Counter, seconds: Histogram, labels: dict[str, str]
+    ) -> None:
+        self._errors, self._done, self._seconds, self._labels = errors, done, seconds, labels
+
+    def __enter__(self) -> None:
+        self._started = time.perf_counter()
+
+    def __exit__(self, kind: type | None, error: BaseException | None, tb: Any) -> None:
+        if error is None:
+            self._done.inc(**self._labels)
+            self._seconds.observe(time.perf_counter() - self._started, **self._labels)
+        elif isinstance(error, Exception):
+            self._errors.inc(error=_error_code(error))
+
+
+class _Traced:
+    """Finishes a request's root span, stamped with the error code if it failed."""
+
+    __slots__ = ("_handle",)
+
+    def __init__(self, handle: TraceHandle | None) -> None:
+        self._handle = handle
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: type | None, error: BaseException | None, tb: Any) -> None:
+        if self._handle is not None:
+            if isinstance(error, Exception):
+                self._handle.root.set(error=_error_code(error))
+            self._handle.finish()
 
 
 class AirphantService:
@@ -175,60 +249,9 @@ class AirphantService:
             searcher.pipeline.cached_bytes for searcher in self._catalog.open_searchers()
         )
 
-    @contextmanager
-    def _store_errors(self) -> Iterator[None]:
-        """Translate storage failures into the service's typed errors.
-
-        One definition for every endpoint: stored index bytes that do not
-        decode become ``502 index_corrupt``, and an index in a retired
-        layout ``409 index_format`` (rebuild it) — both before any
-        ``ValueError`` can read as the request's fault; transient failures (including
-        exhausted retries) become ``503 store_unavailable``; definitive
-        access denials become ``403 store_access_denied``; write refusals
-        (builds or ingest against e.g. a static http:// export) become
-        ``400 store_read_only``.
-        """
-        try:
-            yield
-        except CorruptIndexError as error:
-            raise ServiceError(502, "index_corrupt", str(error)) from error
-        except UnsupportedIndexFormatError as error:
-            raise ServiceError(409, "index_format", str(error)) from error
-        except TransientStoreError as error:
-            raise ServiceError(503, "store_unavailable", str(error)) from error
-        except StoreAccessError as error:
-            raise ServiceError(403, "store_access_denied", str(error)) from error
-        except ReadOnlyStoreError as error:
-            raise ServiceError(400, "store_read_only", str(error)) from error
-
-    @contextmanager
-    def _accounted(
-        self, done: Counter, seconds: Histogram, **labels: str
-    ) -> Iterator[None]:
-        """Account one request: ``done`` + wall-clock ``seconds`` when it is
-        answered, the error counter (by typed code) when it is rejected."""
-        started = time.perf_counter()
-        try:
-            yield
-        except Exception as error:
-            self._query_errors_metric.inc(error=_error_code(error))
-            raise
-        done.inc(**labels)
-        seconds.observe(time.perf_counter() - started, **labels)
-
-    @staticmethod
-    @contextmanager
-    def _traced(handle: TraceHandle | None) -> Iterator[None]:
-        """Finish a request's root span, stamped with the error code if it failed."""
-        try:
-            yield
-        except Exception as error:
-            if handle is not None:
-                handle.root.set(error=_error_code(error))
-            raise
-        finally:
-            if handle is not None:
-                handle.finish()
+    def _accounted(self, done: Counter, seconds: Histogram, **labels: str) -> "_Accounted":
+        """The accounting of one request (see :class:`_Accounted`)."""
+        return _Accounted(self._query_errors_metric, done, seconds, labels)
 
     @classmethod
     def from_uri(cls, uri: str, config: ServiceConfig | None = None) -> "AirphantService":
@@ -368,7 +391,7 @@ class AirphantService:
     def list_indexes(self) -> list[IndexInfo]:
         """Describe every index the service can answer queries against."""
         try:
-            with self._store_errors():
+            with _STORE_ERRORS:
                 return self._catalog.list_infos()
         except BlobNotFoundError as error:
             # The store's container itself is missing (nonexistent bucket):
@@ -378,7 +401,7 @@ class AirphantService:
     def index_info(self, name: str) -> IndexInfo:
         """Describe one index; raises :class:`ServiceError` (404) if unknown."""
         try:
-            with self._store_errors():
+            with _STORE_ERRORS:
                 return self._catalog.info(name)
         except KeyError:
             raise ServiceError(404, "index_not_found", f"no index named {name!r}") from None
@@ -429,7 +452,7 @@ class AirphantService:
             mode=request.mode,
             query=request.query,
         )
-        with self._traced(handle):
+        with _Traced(handle):
             if self._router is not None and request.shards is None:
                 response = self._router.route(request)
             else:
@@ -458,7 +481,7 @@ class AirphantService:
             if current_span() is None
             else None
         )
-        with self._traced(handle), self._accounted(
+        with _Traced(handle), self._accounted(
             self._queries_metric,
             self._query_seconds_metric,
             mode=request.mode,
@@ -469,9 +492,9 @@ class AirphantService:
     def _execute(self, request: SearchRequest) -> SearchResult:
         searcher = self._open(request.index, shards=request.shards)
         try:
-            # _store_errors: the backend (not the request) failing — retries,
+            # _STORE_ERRORS: the backend (not the request) failing — retries,
             # if configured, are already exhausted by the time it raises.
-            with self._store_errors():
+            with _STORE_ERRORS:
                 if request.mode == "boolean":
                     return searcher.search_boolean(request.query, top_k=request.top_k)
                 if request.mode == "regex":
@@ -496,7 +519,7 @@ class AirphantService:
         """Term-index lookup only (the paper's Figure 14 operation)."""
         with self._accounted(
             self._queries_metric, self._query_seconds_metric, mode="lookup", index=index
-        ), self._store_errors():
+        ), _STORE_ERRORS:
             return self._open(index).lookup_postings(word)
 
     def searcher(self, index: str) -> AirphantSearcher:
@@ -521,9 +544,9 @@ class AirphantService:
         exactly the catalog searcher's members.
         """
         try:
-            # _store_errors: the open's waves failing (they carry the first
+            # _STORE_ERRORS: the open's waves failing (they carry the first
             # touch of the index's WAL state too).
-            with self._store_errors():
+            with _STORE_ERRORS:
                 opened = self._catalog.open(index, self._ingest)
                 live = self._ingest.live(index)
         except KeyError:
@@ -578,7 +601,7 @@ class AirphantService:
         """
         if not documents:
             raise ServiceError(400, "bad_ingest_request", "append needs at least one document")
-        with self._store_errors():
+        with _STORE_ERRORS:
             self._require_index(index)
             live = self._ingest.live(index, create=True)
             try:
@@ -603,7 +626,7 @@ class AirphantService:
             raise ServiceError(
                 400, "bad_ingest_request", "delete needs at least one document reference"
             )
-        with self._store_errors():
+        with _STORE_ERRORS:
             self._require_index(index)
             live = self._ingest.live(index, create=True)
             try:
@@ -620,7 +643,7 @@ class AirphantService:
         indexes, 400 for text the WAL format cannot hold, and 429 under
         memtable backpressure.
         """
-        with self._store_errors():
+        with _STORE_ERRORS:
             self._require_index(index)
             live = self._ingest.live(index, create=True)
             try:
@@ -644,7 +667,7 @@ class AirphantService:
 
     def flush_index(self, index: str) -> dict[str, Any]:
         """Fold ``index``'s memtable into a delta now (no-op when empty)."""
-        with self._store_errors():
+        with _STORE_ERRORS:
             live = self._ingest.live(index)
             if live is None:
                 self._require_index(index)
@@ -660,7 +683,7 @@ class AirphantService:
 
         Answers ``{"compacted": false}`` when there is nothing to fold.
         """
-        with self._store_errors():
+        with _STORE_ERRORS:
             live = self._ingest.live(index)
             if live is None:
                 self._require_index(index)
@@ -691,7 +714,7 @@ class AirphantService:
         tombstone set.  Raises :class:`ServiceError` 404 for unknown indexes
         and 400 for invalid snapshot names.
         """
-        with self._store_errors():
+        with _STORE_ERRORS:
             self._require_index(index)
             live = self._ingest.live(index)
             tombstones: Sequence[Posting] = ()
@@ -713,7 +736,7 @@ class AirphantService:
 
     def list_snapshots(self, index: str) -> list[dict[str, Any]]:
         """Describe every snapshot of ``index`` (404 for unknown indexes)."""
-        with self._store_errors():
+        with _STORE_ERRORS:
             self._require_index(index)
             infos = self._manager(index).list_snapshots()
         return [
@@ -738,7 +761,7 @@ class AirphantService:
         404 for unknown indexes/snapshots and 409 when the snapshot's blobs
         no longer exist.
         """
-        with self._store_errors():
+        with _STORE_ERRORS:
             self._require_index(index)
             try:
                 info = self._manager(index).restore_snapshot(snapshot)
@@ -766,7 +789,7 @@ class AirphantService:
 
     def delete_snapshot(self, index: str, snapshot: str) -> dict[str, Any]:
         """Drop one snapshot; its pinned blobs become purgeable at compaction."""
-        with self._store_errors():
+        with _STORE_ERRORS:
             self._require_index(index)
             try:
                 self._manager(index).delete_snapshot(snapshot)
@@ -831,8 +854,8 @@ class AirphantService:
         # name (e.g. resharding, or sharded -> single-shard), so a rebuild is
         # authoritative regardless of what was there before.  A read-only
         # backend (static http:// export) surfaces as 400 store_read_only
-        # through _store_errors.
-        with self._store_errors():
+        # through _STORE_ERRORS.
+        with _STORE_ERRORS:
             builder.build_from_blobs(blobs, index_name=name, corpus_name=name)
         # A full rebuild is authoritative: any previous generational bases,
         # deltas, unflushed WAL segments, and snapshots describe documents

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Protocol
 
 from repro.observability import MetricsRegistry, MirroredStats, get_registry
@@ -121,15 +121,26 @@ class PipelineStats(MirroredStats):
         return {**super().to_dict(), "requests_saved": self.requests_saved}
 
 
-@dataclass(frozen=True)
-class _Placement:
-    """Where one logical request's bytes come from."""
+class _Plan:
+    """One wave's plan.  Cache hits and zero-length reads are answered in
+    :attr:`payloads` while planning; only misses are recorded: the
+    pass-through reads, each bounded range's requesting indexes (in request
+    order), and the coalesced runs covering those ranges — together the
+    :attr:`physical` batch, pass-through reads first."""
 
-    source: str  # "cache", "physical", or "empty"
-    physical_index: int = 0
-    start: int = 0  # slice start within the physical payload
-    length: int | None = None  # slice length (None = to the end)
-    payload: _Entry = b""  # resolved value for "cache"/"empty" placements
+    __slots__ = (
+        "payloads", "passthrough", "bounded", "runs", "physical",
+        "cache_hits", "cache_misses", "bytes_requested", "coalesced",
+    )
+
+    def __init__(self, size: int) -> None:
+        self.payloads: list[Any] = [b""] * size
+        self.passthrough: list[int] = []
+        self.bounded: dict[_RangeKey, list[int]] = {}
+        self.runs: list[_Run] = []
+        self.physical: list[RangeRead] = []
+        #: Stats deltas of the planning phase, completed by the fetch.
+        self.cache_hits = self.cache_misses = self.bytes_requested = self.coalesced = 0
 
 
 @dataclass
@@ -253,14 +264,12 @@ class ReadPipeline:
             return FetchResult()
 
         with span("pipeline.fetch") as trace_span:
-            placements, physical, passed, deltas = self._plan(requests)
-            deltas["requests_out"] = len(physical)
-            deltas["batches"] = 1 if physical else 0
-            fetch = FetchResult()
+            plan = self._plan(requests)
+            wave = FetchResult()
             try:
-                if physical:
-                    fetch = self._store.read_batch(physical, self._max_concurrency)
-                payloads = self._resolve(requests, placements, fetch.payloads)
+                if plan.physical:
+                    wave = self._store.read_batch(plan.physical, self._max_concurrency)
+                    self._fill(requests, plan, wave.payloads)
             finally:
                 # One commit per wave, also when the store raised (retries
                 # exhausted): the pipeline counters must not flatline exactly
@@ -268,97 +277,75 @@ class ReadPipeline:
                 # A pass-through read's extent is what it returned: raw
                 # fetching would have transferred exactly that, so it is
                 # requested too.
-                deltas["bytes_requested"] += sum(
-                    len(data) for data in fetch.payloads[:passed] if data is not None
+                bytes_requested = plan.bytes_requested
+                if plan.passthrough:
+                    passed = wave.payloads[: len(plan.passthrough)]
+                    bytes_requested += sum(len(data) for data in passed if data is not None)
+                batches = 1 if plan.physical else 0
+                self.stats.add(
+                    requests_in=len(requests),
+                    requests_out=len(plan.physical),
+                    batches=batches,
+                    cache_hits=plan.cache_hits,
+                    cache_misses=plan.cache_misses,
+                    coalesced_requests=plan.coalesced,
+                    bytes_requested=bytes_requested,
+                    bytes_fetched=wave.nbytes,
                 )
-                deltas["bytes_fetched"] = fetch.nbytes
-                self.stats.add(**deltas)
                 # The span carries the very deltas committed, so explain
                 # output is checkable against the counters to the byte.
                 trace_span.set(
-                    requests=deltas["requests_in"],
-                    physical_requests=deltas["requests_out"],
-                    batches=deltas["batches"],
-                    cache_hits=deltas["cache_hits"],
-                    cache_misses=deltas["cache_misses"],
-                    coalesced=deltas["coalesced_requests"],
-                    bytes_requested=deltas["bytes_requested"],
-                    bytes_fetched=deltas["bytes_fetched"],
-                    batch_ms=round(fetch.total_ms, 3),
+                    requests=len(requests),
+                    physical_requests=len(plan.physical),
+                    batches=batches,
+                    cache_hits=plan.cache_hits,
+                    cache_misses=plan.cache_misses,
+                    coalesced=plan.coalesced,
+                    bytes_requested=bytes_requested,
+                    bytes_fetched=wave.nbytes,
+                    batch_ms=round(wave.total_ms, 3),
                 )
-        return replace(fetch, payloads=payloads)
+        return FetchResult(
+            plan.payloads, wave.requests, wave.nbytes, wave.wait_ms, wave.download_ms
+        )
 
     # -- planning ----------------------------------------------------------------
 
-    def _plan(
-        self, requests: list[RangeRead]
-    ) -> tuple[list[_Placement], list[RangeRead], int, dict[str, int]]:
-        """Map logical requests to cache hits and coalesced physical reads.
-
-        Returns the placements, the physical reads to issue (the pass-through
-        reads first), how many of them pass through, and the stats deltas of
-        the planning phase — completed and committed by :meth:`fetch`.
-        """
-        placements: list[_Placement | None] = [None] * len(requests)
-        bounded: dict[_RangeKey, list[int]] = {}
-        passthrough: list[int] = []
-        deltas = {
-            "requests_in": len(requests),
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "bytes_requested": 0,
-            "coalesced_requests": 0,
-        }
-
+    def _plan(self, requests: list[RangeRead]) -> _Plan:
+        """Resolve what needs no store; plan one physical batch for the rest."""
+        plan = _Plan(len(requests))
+        payloads, passthrough, bounded = plan.payloads, plan.passthrough, plan.bounded
+        cache = self._cache
+        hits = requested = 0
         with self._lock:
             for index, request in enumerate(requests):
-                if request.length == 0:
-                    # Zero-length reads need no bytes at all.
-                    placements[index] = _Placement(source="empty")
-                    continue
-                if request.length is None or request.optional:
+                length = request.length
+                if length == 0:
+                    continue  # needs no bytes at all: its payload stays b""
+                if length is None or request.optional:
                     passthrough.append(index)
-                    deltas["cache_misses"] += 1
                     continue
-                deltas["bytes_requested"] += request.length
-                key = (request.blob, request.offset, request.length)
-                cached = self._cache_get(key)
+                requested += length
+                key = (request.blob, request.offset, length)
+                cached = cache.get(key)
                 if cached is not None:
-                    placements[index] = _Placement(source="cache", payload=cached)
-                    deltas["cache_hits"] += 1
-                    continue
-                deltas["cache_misses"] += 1
-                bounded.setdefault(key, []).append(index)
-
-        physical: list[RangeRead] = []
-        # Open-ended and optional reads pass through one-to-one, uncoalesced.
-        for index in passthrough:
-            placements[index] = _Placement(
-                source="physical", physical_index=len(physical), start=0, length=None
-            )
-            physical.append(requests[index])
-
-        runs = self._coalesce(sorted(bounded))
-        coalesced = 0
-        for run in runs:
-            physical_index = len(physical)
-            physical.append(run.to_range_read())
-            folded = sum(len(bounded[key]) for key in run.keys)
-            if folded > 1:
-                coalesced += folded
-            for key in run.keys:
-                _, offset, length = key
-                for index in bounded[key]:
-                    placements[index] = _Placement(
-                        source="physical",
-                        physical_index=physical_index,
-                        start=offset - run.start,
-                        length=length,
-                    )
-        deltas["coalesced_requests"] = coalesced
-
-        assert all(placement is not None for placement in placements)
-        return placements, physical, len(passthrough), deltas  # type: ignore[return-value]
+                    cache.move_to_end(key)
+                    payloads[index] = cached
+                    hits += 1
+                else:
+                    bounded.setdefault(key, []).append(index)
+        plan.cache_hits, plan.bytes_requested = hits, requested
+        plan.cache_misses = len(passthrough) + sum(map(len, bounded.values()))
+        if passthrough or bounded:
+            # Open-ended and optional reads pass through one-to-one, first.
+            plan.physical = [requests[index] for index in passthrough]
+            plan.runs = self._coalesce(sorted(bounded))
+            for run in plan.runs:
+                plan.physical.append(run.to_range_read())
+                folded = sum(len(bounded[key]) for key in run.keys)
+                if folded > 1:
+                    plan.coalesced += folded
+        return plan
 
     def _coalesce(self, keys: list[_RangeKey]) -> list[_Run]:
         """Merge sorted unique ranges into physical runs.
@@ -379,50 +366,34 @@ class ReadPipeline:
             current.keys.append(key)
         return runs
 
-    def _resolve(
-        self,
-        requests: list[RangeRead],
-        placements: list[_Placement],
-        physical_payloads: list[bytes | None],
-    ) -> list[Any]:
-        """Slice each logical payload out of its physical (or cached) source;
-        a read with a decoder gets its slice decoded, once per range."""
-        payloads: list[Any] = []
-        fills: dict[_RangeKey, _Entry] = {}
-        for request, placement in zip(requests, placements):
-            if placement.source != "physical":  # served from the cache, or empty
-                payloads.append(placement.payload)
-                continue
-            source = physical_payloads[placement.physical_index]
-            if placement.length is None:  # passed through: neither sliced nor cached
-                payloads.append(request.decoded(source))
-                continue
-            key = (request.blob, request.offset, request.length)
-            entry = fills.get(key)
-            if entry is None:
-                end = placement.start + placement.length
-                if request.decode is None:
-                    entry = source[placement.start : end]
-                else:  # decoded straight from the physical payload: no copy
-                    entry = request.decode(memoryview(source)[placement.start : end])
-                fills[key] = entry
-            payloads.append(entry)
-        if fills and self._cache_bytes > 0:
+    def _fill(
+        self, requests: list[RangeRead], plan: _Plan, physical_payloads: list[bytes | None]
+    ) -> None:
+        """Place each miss's payload: a pass-through read's as it came, a
+        bounded range's sliced out of its run — decoded once per range when
+        its read has a decoder — and cached in request order."""
+        payloads = plan.payloads
+        for index, source in zip(plan.passthrough, physical_payloads):
+            payloads[index] = requests[index].decoded(source)
+        placed: dict[_RangeKey, tuple[bytes, int]] = {}
+        for run, source in zip(plan.runs, physical_payloads[len(plan.passthrough) :]):
+            for key in run.keys:
+                placed[key] = (source, key[1] - run.start)
+        for key, indexes in plan.bounded.items():
+            source, start = placed[key]
+            decode = requests[indexes[0]].decode
+            if decode is None:
+                entry = source[start : start + key[2]]
+            else:  # decoded straight from the physical payload: no copy
+                entry = decode(memoryview(source)[start : start + key[2]])
+            for index in indexes:
+                payloads[index] = entry
+        if self._cache_bytes > 0:
             with self._lock:
-                for key, entry in fills.items():
-                    self._cache_put(key, entry)
-        return payloads
+                for key, indexes in plan.bounded.items():
+                    self._cache_put(key, payloads[indexes[0]])
 
     # -- cache (callers hold self._lock) ------------------------------------------
-
-    def _cache_get(self, key: _RangeKey) -> _Entry | None:
-        if self._cache_bytes <= 0:
-            return None
-        entry = self._cache.get(key)
-        if entry is None:
-            return None
-        self._cache.move_to_end(key)
-        return entry
 
     def _cache_put(self, key: _RangeKey, entry: _Entry) -> None:
         charge = _charge(entry)

@@ -85,6 +85,12 @@ def post_search(url: str, payload: dict, timeout_s: float = 30.0) -> dict:
         return json.loads(response.read())
 
 
+def _walk(node: dict):
+    yield node
+    for child in node.get("children") or []:
+        yield from _walk(child)
+
+
 @pytest.fixture(scope="module")
 def bucket(tmp_path_factory):
     bucket = str(tmp_path_factory.mktemp("cluster-bucket"))
@@ -133,6 +139,19 @@ def test_router_process_over_node_processes(bucket):
         local.pop("latency")
         assert routed == local
         assert routed["num_results"] > 0
+
+        # One routed explain tree spans three processes: every span id in it
+        # is distinct, and every node carries the router's trace id.
+        explained = post_search(
+            router_url, {"query": "INFO dfs.DataNode", "index": "logs", "explain": True}
+        )
+        trace = explained["trace"]
+        nodes = list(_walk(trace["spans"]))
+        span_ids = [node["span_id"] for node in nodes]
+        assert len(set(span_ids)) == len(span_ids)
+        assert {node["trace_id"] for node in nodes} == {trace["trace_id"]}
+        # The router's own root, then one grafted root per node it asked.
+        assert [node["name"] for node in nodes].count("query") >= 2
 
         # The router process exposes the cluster view over HTTP.
         with urllib.request.urlopen(f"{router_url}/cluster", timeout=10.0) as response:

@@ -9,6 +9,7 @@ sampling, slow-query capture), and the explain-payload helpers.
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -344,3 +345,154 @@ class TestExplainHelpers:
         assert len(new_id(4)) == 8
         assert TRACE_ID_HEADER == "X-Airphant-Trace-Id"
         assert PARENT_SPAN_HEADER == "X-Airphant-Parent-Span"
+
+
+class TestCheapSpans:
+    """A span makes no syscall and takes no lock of its own; what it records
+    and how it nests must not change with that."""
+
+    @staticmethod
+    def _on_32_threads(work) -> None:
+        """``work(i)`` on 32 pool threads, switching as often as possible."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=32) as pool:
+                assert len(list(pool.map(work, range(32), timeout=60))) == 32
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_span_ids_are_distinct_across_pool_threads_in_one_trace(self):
+        root = Span("query")
+
+        def work(_):
+            with attach(root):
+                for _ in range(50):
+                    with span("store.attempt"):
+                        with span("store.read"):
+                            pass
+
+        self._on_32_threads(work)
+        ids = [node.span_id for node in root.walk()]
+        assert len(ids) == 1 + 32 * 50 * 2
+        assert len(set(ids)) == len(ids)
+        assert {node.trace_id for node in root.walk()} == {root.trace_id}
+
+    def test_inc_from_32_threads_sums_exactly(self):
+        node = Span("pipeline.fetch")
+
+        def work(_):
+            for _ in range(500):
+                node.inc(requests=1, bytes_fetched=3)
+
+        self._on_32_threads(work)
+        assert node.attrs == {"requests": 32 * 500, "bytes_fetched": 3 * 32 * 500}
+
+    def test_no_trace_means_no_span_is_created(self, monkeypatch):
+        created = []
+        original = Span.__init__
+
+        def counting(self, *args, **kwargs):
+            created.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting)
+        assert current_span() is None
+        with span("pipeline.fetch", requests=3) as node:
+            node.set(bytes_fetched=1)
+        assert node is NOOP_SPAN
+        assert created == []
+        root = Span("query")
+        with attach(root), span("pipeline.fetch") as child:
+            assert child is not NOOP_SPAN and current_span() is child
+        assert len(created) == 2
+
+    def test_a_forked_child_draws_span_ids_of_its_own(self):
+        """Without a fresh draw at fork, a child's next ids would be exactly
+        the parent's next ids."""
+        import os
+
+        from harness.stores import passes_in_forked_child
+
+        before = {Span("query").span_id for _ in range(3)}
+        read, write = os.pipe()
+
+        def report() -> bool:
+            os.write(write, " ".join(Span("query").span_id for _ in range(3)).encode())
+            return True
+
+        assert passes_in_forked_child(report)
+        os.close(write)
+        child = set(os.read(read, 4096).decode().split())
+        os.close(read)
+        after = {Span("query").span_id for _ in range(3)}
+        assert len(child) == 3 and not child & (before | after)
+
+    def test_the_explain_payload_of_a_fixed_query_keeps_its_shape(self):
+        from repro.core.config import SketchConfig
+        from repro.service import AirphantService, SearchRequest, ServiceConfig
+        from repro.storage.memory import InMemoryObjectStore
+
+        store = InMemoryObjectStore()
+        store.put(
+            "corpus/shape.txt",
+            b"error disk full on node7\ninfo request served\n"
+            b"error timeout contacting node3\nwarn retry scheduled",
+        )
+        service = AirphantService(store, ServiceConfig())
+        service.build_index(
+            "shape",
+            ["corpus/shape.txt"],
+            SketchConfig(num_bins=64, target_false_positives=1.0, seed=7),
+        )
+        request = SearchRequest(
+            query="error AND node3", index="shape", mode="boolean", explain=True
+        )
+        trace = service.search(request).to_dict()["trace"]
+        service.close()
+
+        def shape(node):
+            children = [shape(child) for child in node.get("children", [])]
+            return [node["name"], sorted(node.get("attrs", {})), children]
+
+        fetch = [
+            "pipeline.fetch",
+            [
+                "batch_ms", "batches", "bytes_fetched", "bytes_requested", "cache_hits",
+                "cache_misses", "coalesced", "physical_requests", "requests",
+            ],
+            [],
+        ]
+        assert sorted(trace) == ["duration_ms", "spans", "summary", "trace_id"]
+        assert shape(trace["spans"]) == [
+            "query",
+            ["index", "mode", "query"],
+            [
+                ["live.members", ["members"], []],
+                ["search.lookup", ["requests", "shards", "words"], [fetch]],
+                [
+                    "search.retrieve",
+                    ["candidates", "false_positives", "fetched", "matched", "oversampled"],
+                    [fetch],
+                ],
+            ],
+        ]
+        assert trace["summary"]["totals"] == {
+            "requests": 4,
+            "physical_requests": 4,
+            "bytes_requested": 70,
+            "bytes_fetched": 70,
+            "cache_hits": 0,
+            "refunded_bytes": 0,
+            "attempts": 0,
+            "retries": 0,
+            "hedges": 0,
+            "timeouts": 0,
+            "spans": 6,
+            "waves": 2,
+        }
+        wave_keys = [
+            "bytes_fetched", "bytes_requested", "cache_hits", "cache_misses",
+            "duration_ms", "physical_requests", "requests",
+        ]
+        assert [sorted(wave) for wave in trace["summary"]["waves"]] == [wave_keys] * 2

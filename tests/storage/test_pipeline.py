@@ -452,3 +452,156 @@ class TestFailureAccounting:
         assert (wave.attrs["batches"], delta["batches"]) == (1, 1)
         assert wave.attrs["bytes_fetched"] == delta["bytes_fetched"] == 0
         store.close()
+
+
+def _reversed(data: bytes) -> _Decoded:
+    return _Decoded(memoryview(data))
+
+
+#: One wave per shape: (cache_bytes, warm-up wave or None, the wave, its
+#: payloads, and its PipelineStats deltas in the order of
+#: ``_DELTA_FIELDS``).  The numbers were recorded before the planner kept
+#: cache hits out of its placement records, and must not move with it.
+_WAVES = {
+    "all_hits": (
+        4096,
+        [RangeRead("blob", 0, 8), RangeRead("other", 16, 8)],
+        [RangeRead("blob", 0, 8), RangeRead("other", 16, 8)],
+        [BLOB_DATA[0:8], BLOB_DATA[::-1][16:24]],
+        (2, 0, 0, 2, 0, 0, 16, 0),
+    ),
+    "all_misses": (
+        0,
+        None,
+        [RangeRead("blob", 0, 8), RangeRead("other", 100, 4)],
+        [BLOB_DATA[0:8], BLOB_DATA[::-1][100:104]],
+        (2, 2, 1, 0, 2, 0, 12, 12),
+    ),
+    "mixed": (
+        4096,
+        [RangeRead("blob", 0, 8)],
+        [RangeRead("blob", 0, 8), RangeRead("blob", 32, 8), RangeRead("other", 0, 4)],
+        [BLOB_DATA[0:8], BLOB_DATA[32:40], BLOB_DATA[::-1][0:4]],
+        (3, 2, 1, 1, 2, 0, 20, 12),
+    ),
+    "duplicates": (
+        0,
+        None,
+        [RangeRead("blob", 32, 8)] * 3,
+        [BLOB_DATA[32:40]] * 3,
+        (3, 1, 1, 0, 3, 3, 24, 8),
+    ),
+    "abutting": (
+        0,
+        None,
+        [
+            RangeRead("blob", 8, 8),
+            RangeRead("blob", 0, 8),
+            RangeRead("blob", 16, 4),
+            RangeRead("blob", 40, 4),
+            RangeRead("blob", 12, 8),
+        ],
+        [BLOB_DATA[8:16], BLOB_DATA[0:8], BLOB_DATA[16:20], BLOB_DATA[40:44], BLOB_DATA[12:20]],
+        (5, 2, 1, 0, 5, 4, 32, 24),
+    ),
+    "zero_length": (
+        4096,
+        None,
+        [RangeRead("blob", 5, 0), RangeRead("blob", 0, 4), RangeRead("missing", 0, 0)],
+        [b"", BLOB_DATA[0:4], b""],
+        (3, 1, 1, 0, 1, 0, 4, 4),
+    ),
+    "optional": (
+        0,
+        None,
+        [
+            RangeRead("blob", 0, 4, optional=True),
+            RangeRead("missing", 0, 4, optional=True),
+            RangeRead("blob", 0, 4),
+        ],
+        [BLOB_DATA[0:4], None, BLOB_DATA[0:4]],
+        (3, 3, 1, 0, 3, 0, 8, 8),
+    ),
+    "open_ended": (
+        4096,
+        None,
+        [RangeRead("blob", 2040), RangeRead("blob", 2044, 4), RangeRead("blob", 2040, 100)],
+        [BLOB_DATA[2040:], BLOB_DATA[2044:], BLOB_DATA[2040:]],
+        (3, 2, 1, 0, 3, 2, 112, 16),
+    ),
+    "decoded": (
+        4096,
+        [RangeRead("blob", 0, 8, decode=_reversed)],
+        [
+            RangeRead("blob", 0, 8, decode=_reversed),
+            RangeRead("blob", 8, 8, decode=_reversed),
+            RangeRead("blob", 8, 8, decode=_reversed),
+            RangeRead("blob", 2040, None, decode=_reversed),
+        ],
+        [BLOB_DATA[7::-1], BLOB_DATA[15:7:-1], BLOB_DATA[15:7:-1], BLOB_DATA[:2039:-1]],
+        (4, 2, 1, 1, 3, 2, 32, 16),
+    ),
+    "store_raises": (
+        0,
+        None,
+        [RangeRead("blob", 0, 8), RangeRead("blob", 0, 8), RangeRead("blob", 4, 0)],
+        None,
+        (3, 1, 1, 0, 2, 2, 16, 0),
+    ),
+}
+
+_DELTA_FIELDS = (
+    "requests_in",
+    "requests_out",
+    "batches",
+    "cache_hits",
+    "cache_misses",
+    "coalesced_requests",
+    "bytes_requested",
+    "bytes_fetched",
+)
+
+#: The ``pipeline.fetch`` attribute each delta is carried under.
+_SPAN_ATTRS = (
+    "requests",
+    "physical_requests",
+    "batches",
+    "cache_hits",
+    "cache_misses",
+    "coalesced",
+    "bytes_requested",
+    "bytes_fetched",
+)
+
+
+class TestWaveAccounting:
+    @pytest.mark.parametrize("shape", list(_WAVES))
+    def test_every_wave_shape_counts_what_it_counted_before(self, shape):
+        """Payloads, counter deltas and the wave's span attributes, pinned per
+        wave shape — a planner rewrite must leave all three as they were."""
+        from repro.observability import MetricsRegistry
+        from repro.observability.tracing import Tracer
+
+        cache_bytes, warm, wave, payloads, deltas = _WAVES[shape]
+        store = _DownStore() if shape == "store_raises" else InMemoryObjectStore()
+        store.put("blob", BLOB_DATA)
+        store.put("other", BLOB_DATA[::-1])
+        pipeline = ReadPipeline(store, cache_bytes=cache_bytes, metrics=MetricsRegistry())
+        if warm is not None:
+            pipeline.fetch(warm)
+        before = pipeline.stats.snapshot()
+        handle = Tracer(sample_rate=1.0).begin("query")
+        try:
+            if payloads is None:
+                with pytest.raises(TransientStoreError):
+                    pipeline.fetch(wave)
+            else:
+                got = pipeline.fetch(wave).payloads
+                assert [p.data if isinstance(p, _Decoded) else p for p in got] == payloads
+        finally:
+            root = handle.finish()
+        after = pipeline.stats.snapshot()
+        assert tuple(after[name] - before[name] for name in _DELTA_FIELDS) == deltas
+        (fetch_span,) = [child for child in root.children if child.name == "pipeline.fetch"]
+        assert fetch_span.attrs == {**dict(zip(_SPAN_ATTRS, deltas)), "batch_ms": 0.0}
+        store.close()
