@@ -15,7 +15,7 @@ Members do no I/O on the query path: the executor issues each wave once for
 all of them.  Under ``search/`` and in ``ingest/memtable.py`` this script
 fails on:
 
-* a ``pipeline.fetch(`` or ``read_batch(`` anywhere but
+* a ``pipeline.fetch(``, ``pipeline.fetch_ranges(`` or ``read_batch(`` anywhere but
   ``search/searcher.py`` — a member's ranking statistics ride the lookup
   wave too.
 
@@ -143,7 +143,7 @@ _FORBIDDEN = {
 #: (call pattern -> the files allowed to make it).
 MEMBER_FILES = (("search",), ("ingest", "memtable.py"))
 _WAVE_CALLS = {
-    re.compile(r"\bpipeline\.fetch\("): {("search", "searcher.py")},
+    re.compile(r"\bpipeline\.fetch(?:_ranges)?\("): {("search", "searcher.py")},
     re.compile(r"\bread_batch\("): {("search", "searcher.py")},
 }
 #: The one file that may spell the on-store layout.

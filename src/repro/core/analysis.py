@@ -17,7 +17,7 @@ Implements the formulas of Section IV-A:
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from repro.profiling.profiler import CorpusProfile
 
 __all__ = [
     "TOP_K_DELTA",
+    "SizeClasses",
     "approx_false_positive_probability",
     "expected_false_positives",
     "false_positive_probability",
@@ -33,6 +34,7 @@ __all__ = [
     "hoeffding_deviation",
     "lemma1_lower_bound",
     "optimal_layer_for_document",
+    "size_classes",
     "slow_region_limit",
     "top_k_sample_size",
 ]
@@ -40,6 +42,22 @@ __all__ = [
 #: Failure probability δ of the top-K sampling guarantee (Equation 6): the
 #: paper's 10⁻⁶, the one value every query runs under.
 TOP_K_DELTA = 1e-6
+
+
+class SizeClasses(NamedTuple):
+    """A corpus as Equation 2 and Lemmas 1–3 read it: the distinct document
+    sizes |Wᵢ| > 0 ascending, and the summed cᵢ of the documents of each.
+
+    Every formula below takes one in place of a profile, so Algorithm 1
+    groups the documents once (:func:`size_classes`) and then evaluates F(L)
+    at each candidate L from the classes alone."""
+
+    sizes: np.ndarray
+    weights: np.ndarray
+
+
+#: What the formulas read: a profile, raw |Wᵢ| (uniform cᵢ = 1), or their classes.
+Corpus = Union[CorpusProfile, Sequence[int], SizeClasses]
 
 
 def false_positive_probability(num_layers: float, num_bins: int, distinct_words: int) -> float:
@@ -78,19 +96,20 @@ def approx_false_positive_probability(
 def expected_false_positives(
     num_layers: float,
     num_bins: int,
-    profile: CorpusProfile | Sequence[int],
+    profile: Corpus,
     distribution: QueryWordDistribution | None = None,
     exact: bool = True,
 ) -> float:
     """Expected number of false positives per query, F(L) of Equation 2.
 
-    ``profile`` may be a :class:`CorpusProfile` or a raw sequence of per-
+    ``profile`` may be a :class:`CorpusProfile`, a raw sequence of per-
     document distinct word counts |W_i| (in which case a uniform query prior
-    with c_i ≈ 1 is assumed, matching the worst case in the paper's remarks).
+    with c_i ≈ 1 is assumed, matching the worst case in the paper's remarks),
+    or :class:`SizeClasses` already grouped under their prior.
     ``exact`` selects between q_i (True) and the approximation q̂_i (False).
     """
     _validate_structure(num_layers, num_bins)
-    sizes, weights = _aggregate_documents(profile, distribution)
+    sizes, weights = size_classes(profile, distribution)
     if sizes.size == 0:
         return 0.0
     if exact:
@@ -117,7 +136,7 @@ def optimal_layer_for_document(num_bins: int, distinct_words: int) -> float:
 
 def lemma1_lower_bound(
     num_bins: int,
-    profile: CorpusProfile | Sequence[int],
+    profile: Corpus,
     distribution: QueryWordDistribution | None = None,
 ) -> float:
     """Lower bound Σ_i c_i·2^(−L*_i) ≤ F(L) from Lemma 1.
@@ -125,7 +144,7 @@ def lemma1_lower_bound(
     Used by Algorithm 1 as a cheap feasibility check: if even this bound
     exceeds the target F₀, no number of layers can satisfy the constraint.
     """
-    sizes, weights = _aggregate_documents(profile, distribution)
+    sizes, weights = size_classes(profile, distribution)
     if sizes.size == 0:
         return 0.0
     exponents = num_bins / sizes * math.log(2.0)
@@ -135,30 +154,28 @@ def lemma1_lower_bound(
     return float(np.dot(weights, terms))
 
 
-def fast_region_limit(num_bins: int, profile: CorpusProfile | Sequence[int]) -> float:
+def fast_region_limit(num_bins: int, profile: Corpus) -> float:
     """L_min = min_i L*_i = (B / max_i |W_i|) · ln 2 (Lemma 2).
 
     For L < L_min, F̂(L) is strictly (exponentially) decreasing, so Algorithm 1
     can binary-search this region.
     """
-    sizes = _document_sizes(profile)
-    positive = [size for size in sizes if size > 0]
-    if not positive:
+    sizes = size_classes(profile).sizes
+    if not sizes.size:
         return float(num_bins)
-    return optimal_layer_for_document(num_bins, max(positive))
+    return optimal_layer_for_document(num_bins, float(sizes[-1]))
 
 
-def slow_region_limit(num_bins: int, profile: CorpusProfile | Sequence[int]) -> float:
+def slow_region_limit(num_bins: int, profile: Corpus) -> float:
     """L_max = max_i L*_i = (B / min_i |W_i|) · ln 2 (Lemma 3).
 
     For L > L_max, F̂(L) is strictly increasing, so no solution can lie beyond
     it and Algorithm 1 stops its iterative search there.
     """
-    sizes = _document_sizes(profile)
-    positive = [size for size in sizes if size > 0]
-    if not positive:
+    sizes = size_classes(profile).sizes
+    if not sizes.size:
         return float(num_bins)
-    return optimal_layer_for_document(num_bins, min(positive))
+    return optimal_layer_for_document(num_bins, float(sizes[0]))
 
 
 def hoeffding_deviation(sigma_x: float, delta: float) -> float:
@@ -233,35 +250,29 @@ def _validate_structure(num_layers: float, num_bins: int) -> None:
         raise ValueError(f"num_layers must satisfy 1 <= L <= B, got L={num_layers}, B={num_bins}")
 
 
-def _document_sizes(profile: CorpusProfile | Sequence[int]) -> list[int]:
-    if isinstance(profile, CorpusProfile):
-        return list(profile.distinct_words_per_document)
-    return list(profile)
-
-
-def _aggregate_documents(
-    profile: CorpusProfile | Sequence[int],
-    distribution: QueryWordDistribution | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group documents by |W_i| and sum their c_i weights.
+def size_classes(
+    profile: Corpus, distribution: QueryWordDistribution | None = None
+) -> SizeClasses:
+    """Group documents by |W_i| > 0 and sum their c_i weights (classes pass
+    through as they are).
 
     Evaluating F(L) touches every document; grouping identical sizes keeps the
     optimizer fast even for corpora with millions of documents.
     """
+    if isinstance(profile, SizeClasses):
+        return profile
     if isinstance(profile, CorpusProfile):
         sizes = np.asarray(profile.distinct_words_per_document, dtype=float)
         weights = np.asarray(profile.irrelevance_coefficients(distribution), dtype=float)
     else:
         sizes = np.asarray(list(profile), dtype=float)
         weights = np.ones_like(sizes)
-    if sizes.size == 0:
-        return sizes, weights
     mask = sizes > 0
     sizes = sizes[mask]
     weights = weights[mask]
     if sizes.size == 0:
-        return sizes, weights
+        return SizeClasses(sizes, weights)
     unique_sizes, inverse = np.unique(sizes, return_inverse=True)
     grouped_weights = np.zeros_like(unique_sizes)
     np.add.at(grouped_weights, inverse, weights)
-    return unique_sizes, grouped_weights
+    return SizeClasses(unique_sizes, grouped_weights)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Sequence
 
 #: Mersenne prime 2^61 - 1, comfortably larger than any 60-bit digest.
 _MERSENNE_PRIME = (1 << 61) - 1
@@ -100,3 +101,9 @@ class LayeredHasher:
         """The bin index of ``word`` in every layer (length L)."""
         digest = stable_word_digest(word)
         return [layer.bin_of_digest(digest) for layer in self.layers]
+
+    def layer_bins(self, words: Sequence[str]) -> list[list[int]]:
+        """Per layer, the bin index of each of ``words``: :meth:`bins_of`
+        transposed, each word digested once."""
+        digests = list(map(stable_word_digest, words))
+        return [list(map(layer.bin_of_digest, digests)) for layer in self.layers]

@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.analysis import (
+    Corpus,
     expected_false_positives,
     fast_region_limit,
     lemma1_lower_bound,
+    size_classes,
     slow_region_limit,
 )
 from repro.profiling.distributions import QueryWordDistribution
-from repro.profiling.profiler import CorpusProfile
 
 
 class InfeasibleConfigurationError(ValueError):
@@ -57,7 +57,7 @@ class OptimizationResult:
 def minimize_layers(
     num_bins: int,
     target_false_positives: float,
-    profile: CorpusProfile | Sequence[int],
+    profile: Corpus,
     distribution: QueryWordDistribution | None = None,
     max_layers: int | None = None,
     exact: bool = True,
@@ -71,7 +71,8 @@ def minimize_layers(
     target_false_positives:
         Accuracy target F₀ (expected irrelevant documents per query).
     profile:
-        Corpus profile (or a raw list of per-document distinct word counts).
+        Corpus profile (or a raw list of per-document distinct word counts,
+        or their :class:`~repro.core.analysis.SizeClasses`).
     distribution:
         Query word prior; defaults to the uniform prior implied by the profile.
     max_layers:
@@ -93,17 +94,18 @@ def minimize_layers(
     if layer_cap < 1:
         raise ValueError("max_layers must allow at least one layer")
 
-    def objective(num_layers: int) -> float:
-        return expected_false_positives(
-            num_layers, num_bins, profile, distribution, exact=exact
-        )
+    # Every evaluation below reads the documents grouped once.
+    classes = size_classes(profile, distribution)
 
-    lower_bound = lemma1_lower_bound(num_bins, profile, distribution)
+    def objective(num_layers: int) -> float:
+        return expected_false_positives(num_layers, num_bins, classes, exact=exact)
+
+    lower_bound = lemma1_lower_bound(num_bins, classes)
     if lower_bound > target_false_positives:
         raise InfeasibleConfigurationError(num_bins, target_false_positives, lower_bound)
 
-    l_min = max(1, min(layer_cap, int(math.floor(fast_region_limit(num_bins, profile)))))
-    l_max = max(l_min, min(layer_cap, int(math.ceil(slow_region_limit(num_bins, profile)))))
+    l_min = max(1, min(layer_cap, int(math.floor(fast_region_limit(num_bins, classes)))))
+    l_max = max(l_min, min(layer_cap, int(math.ceil(slow_region_limit(num_bins, classes)))))
 
     if objective(l_min) <= target_false_positives:
         best = _binary_search_smallest(objective, 1, l_min, target_false_positives)

@@ -24,7 +24,7 @@ from repro.index.store_layout import (
     CorruptIndexError,
     shard_index_name,
 )
-from repro.index.layout import coaccess_order, plain_order
+from repro.index.layout import CoAccess, coaccess_order
 from repro.index.updates import AppendOnlyIndexManager, IndexManifest
 from repro.index.serialization import (
     CODEC_VERSION,
@@ -53,6 +53,7 @@ __all__ = [
     "ShardEntry",
     "ShardManifest",
     "StringTable",
+    "CoAccess",
     "coaccess_order",
     "compact_sketch",
     "decode_header",
@@ -61,7 +62,6 @@ __all__ = [
     "encode_header",
     "encode_superpost",
     "encode_varint",
-    "plain_order",
     "route_rows",
     "shard_index_name",
     "uncompressed_superpost_bytes",

@@ -5,15 +5,20 @@ IoU Sketch (Figure 3, left half).  Its one input is a build's exact inverted
 index — the ranking statistics columns of :mod:`repro.index.stats` — and
 everything else derives from those columns:
 
-1. parse the corpus blobs into documents with byte-range references, and
-   tokenize each document once into the statistics (:func:`build_stats`) —
-   or, when compacting, merge the members' statistics (:func:`union_stats`);
-2. profile the corpus from the columns;
+1. cut the corpus blobs into one table of byte-range references and texts
+   (:meth:`~repro.parsing.corpus.CorpusParser.table`, no object per
+   document), and tokenize each document once into the statistics
+   (:func:`build_stats`) — or, when compacting, merge the members'
+   statistics (:func:`union_stats`);
+2. profile the corpus from the columns, its documents grouped by size once;
 3. optimize the number of layers with Algorithm 1 (unless pinned), at most
    :data:`MAX_LAYERS` of them;
 4. select the common words that receive exact bins;
-5. union the other terms' document rows into their bins, as sorted columns;
-6. compact the superposts into a single blob and persist it;
+5. hash every other term once and union its document rows into its bins,
+   as sorted columns;
+6. lay the superposts out along those same hash chains
+   (:mod:`~repro.index.layout`), compact them into a single blob and
+   persist it;
 7. persist the header blob (hash seeds, bin pointers, string table, metadata)
    and, last, the statistics themselves.
 
@@ -25,20 +30,19 @@ build's, byte for byte what a one-shard build of the corpus writes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
-from repro.core.common_words import select_common_words
+from repro.core.analysis import SizeClasses, expected_false_positives, size_classes
 from repro.core.config import SketchConfig
 from repro.core.hashing import LayeredHasher
 from repro.core.mht import MultilayerHashTable
 from repro.core.optimizer import minimize_layers
-from repro.core.analysis import expected_false_positives
 from repro.core.sketch import PostingColumns, SketchColumns
 from repro.index.compaction import compact_sketch, encode_header
+from repro.index.layout import CoAccess
 from repro.index.metadata import PARTITIONER, IndexMetadata, ShardEntry, ShardManifest
 from repro.index.serialization import CODEC_VERSION
 from repro.index.sharding import check_partitioning, route_rows
@@ -72,6 +76,7 @@ class BuiltIndex:
     superpost_blob: str
     metadata: IndexMetadata
     mht: MultilayerHashTable
+    #: What the metadata was made from; its per-word maps stay empty.
     profile: CorpusProfile
     config: SketchConfig
     stats_blob: str = ""
@@ -152,8 +157,8 @@ class AirphantBuilder:
     ) -> Union[BuiltIndex, BuiltShardedIndex]:
         """Build an index over the documents contained in the named blobs."""
         parser = corpus_parser if corpus_parser is not None else LineDelimitedCorpusParser()
-        documents = list(parser.parse(self._store, blob_names))
-        return self.build_from_documents(documents, index_name=index_name, corpus_name=corpus_name)
+        table = parser.table(self._store, blob_names)
+        return self._build(build_stats(table, self._tokenizer), index_name, corpus_name)
 
     def build_from_documents(
         self,
@@ -168,7 +173,7 @@ class AirphantBuilder:
         ``num_shards > 1``; a document goes to the shard
         :func:`~repro.index.sharding.route_rows` gives its row.
         """
-        return self._build(build_stats(list(documents), self._tokenizer), index_name, corpus_name)
+        return self._build(build_stats(documents, self._tokenizer), index_name, corpus_name)
 
     def build_from_stats(
         self,
@@ -191,15 +196,15 @@ class AirphantBuilder:
         lists cut by shard, and writes the same three blobs: its statistics
         are the build's, whatever the shard count."""
         profile = stats.profile()
-        num_layers = self._choose_layers(profile)
-        sketch = self._sketch(stats, profile, num_layers)
+        documents = size_classes(profile)
+        num_layers = self._choose_layers(profile, documents)
+        sketch, coaccess = self._sketch(stats, num_layers)
         superpost_blob, header_blob = superpost_blob_name(index_name), header_blob_name(index_name)
         stats_blob = stats_blob_name(index_name)
-        weights = profile.document_frequencies
         built: Union[BuiltIndex, BuiltShardedIndex]
         if self._num_shards == 1:
-            metadata = self._make_metadata(corpus_name, profile, sketch, num_layers)
-            compacted = compact_sketch(sketch, superpost_blob, metadata, weights)
+            metadata = self._make_metadata(corpus_name, profile, sketch, num_layers, documents)
+            compacted = compact_sketch(sketch, superpost_blob, metadata, coaccess)
             built = BuiltIndex(
                 index_name, header_blob, superpost_blob, metadata, compacted.mht, profile,
                 self._config, stats_blob,
@@ -211,6 +216,7 @@ class AirphantBuilder:
             parts = [
                 self._make_metadata(
                     f"{corpus_name}#shard-{shard:04d}", part_profile, sketch, num_layers,
+                    size_classes(part_profile),
                     dict(
                         shard_index=shard, num_shards=self._num_shards,
                         partitioner=PARTITIONER, parent_index=index_name,
@@ -224,7 +230,7 @@ class AirphantBuilder:
             ]
             manifest = ShardManifest(index_name, tuple(entries))
             compacted = compact_sketch(
-                sketch, superpost_blob, word_weights=weights, manifest=manifest,
+                sketch, superpost_blob, coaccess=coaccess, manifest=manifest,
                 shard_metadata=parts, shard_of_row=shard_of_row,
             )
             shards = [
@@ -250,8 +256,9 @@ class AirphantBuilder:
 
     # -- build steps ----------------------------------------------------------------
 
-    def _choose_layers(self, profile: CorpusProfile) -> int:
-        """Pin the configured layer count or run Algorithm 1."""
+    def _choose_layers(self, profile: CorpusProfile, documents: SizeClasses) -> int:
+        """Pin the configured layer count or run Algorithm 1 over the
+        profile's ``documents``."""
         if self._config.num_layers is not None:
             return self._config.num_layers
         if profile.num_documents == 0 or profile.num_terms == 0:
@@ -259,28 +266,30 @@ class AirphantBuilder:
         result = minimize_layers(
             num_bins=self._sketch_bins,
             target_false_positives=self._config.target_false_positives,
-            profile=profile,
-            distribution=None,
+            profile=documents,
             max_layers=MAX_LAYERS,
         )
         return result.num_layers
 
-    def _sketch(self, stats: IndexStats, profile: CorpusProfile, num_layers: int) -> SketchColumns:
+    def _sketch(self, stats: IndexStats, num_layers: int) -> tuple[SketchColumns, CoAccess]:
         """The IoU Sketch of the exact inverted index ``stats``: the common
-        words keep their own entries as exact lists, and every other term's
-        document rows are unioned into its bin of each layer."""
+        words — the most frequent, ties to the lower term — keep their own
+        entries as exact lists, and every other term's document rows are
+        unioned into its bin of each layer.  Those terms' hash chains, with
+        their document frequencies, are what the layout walks."""
         words = stats.words()
         sizes = np.diff(stats.term_starts.astype(np.int64))
         common = np.zeros(len(sizes), bool)
-        for word in select_common_words(profile, self._config.common_word_bins):
-            common[bisect_left(words, word)] = True
+        common[np.argsort(-sizes, kind="stable")[: self._config.common_word_bins]] = True
         total_bins = max(self._sketch_bins, num_layers)
         hasher = LayeredHasher.build(
             num_layers, max(1, total_bins // num_layers), seed=self._config.seed
         )
-        hashed_terms = np.flatnonzero(~common).tolist()
-        chains = np.array([hasher.bins_of(words[term]) for term in hashed_terms], np.int64)
-        chains = chains.reshape(-1, num_layers) + np.arange(num_layers) * hasher.bins_per_layer
+        hashed_terms = np.flatnonzero(~common)
+        # Each hashed term's flat bin id in every layer, one row a term.
+        chains = hasher.layer_bins([words[term] for term in hashed_terms.tolist()])
+        chains = np.array(chains, np.int64).reshape(num_layers, -1).T
+        chains += np.arange(num_layers) * hasher.bins_per_layer
         # Entry by entry: its term, and that term's place among the hashed ones.
         term = np.repeat(np.arange(len(sizes)), sizes)
         slot = np.cumsum(~common) - 1
@@ -294,7 +303,7 @@ class AirphantBuilder:
         bin_ids, bin_starts = np.unique(keys // width, return_index=True)
         # The bins' lists, then the common words' (their own entries).
         counts = np.concatenate([np.diff(np.append(bin_starts, len(keys))), sizes[common]])
-        return SketchColumns(
+        sketch = SketchColumns(
             hasher,
             bin_ids,
             [words[term] for term in np.flatnonzero(common).tolist()],
@@ -308,6 +317,7 @@ class AirphantBuilder:
                 counts,
             ),
         )
+        return sketch, CoAccess(chains, sizes[hashed_terms])
 
     def _make_metadata(
         self,
@@ -315,12 +325,11 @@ class AirphantBuilder:
         profile: CorpusProfile,
         sketch: SketchColumns,
         num_layers: int,
+        documents: SizeClasses,
         extra: dict[str, Any] | None = None,
     ) -> IndexMetadata:
         if profile.num_documents > 0 and profile.num_terms > 0:
-            expected = expected_false_positives(
-                num_layers, sketch.total_bins, profile, distribution=None
-            )
+            expected = expected_false_positives(num_layers, sketch.total_bins, documents)
         else:
             expected = 0.0
         return IndexMetadata(

@@ -43,7 +43,7 @@ from repro.core.mht import MultilayerHashTable
 from repro.core.hashing import LayeredHasher
 from repro.core.sketch import IoUSketch, PostingColumns, SketchColumns
 from repro.core.superpost import Superpost
-from repro.index.layout import coaccess_order
+from repro.index.layout import CoAccess, coaccess_order
 from repro.index.metadata import IndexMetadata, ShardManifest, index_metadata
 from repro.index.serialization import (
     CODEC_VERSION,
@@ -178,7 +178,7 @@ def compact_sketch(
     sketch: IoUSketch | SketchColumns,
     superpost_blob_name: str,
     metadata: IndexMetadata | None = None,
-    word_weights: Mapping[str, int] | None = None,
+    coaccess: CoAccess | None = None,
     *,
     manifest: ShardManifest | None = None,
     shard_metadata: Sequence[IndexMetadata] = (),
@@ -187,9 +187,9 @@ def compact_sketch(
     """Serialize and concatenate all superposts of ``sketch`` with the v2 codec.
 
     The bins are placed in co-access order (:func:`coaccess_order`): each
-    word's layer chain adjacent, weighted by ``word_weights`` (word →
-    document frequency, supplied by the builder), so the read pipeline can
-    coalesce a query's fetches.  Without weights that order is layer-major.
+    word's layer chain adjacent, weighted by its document frequency (the
+    builder's ``coaccess`` chains), so the read pipeline can coalesce a
+    query's fetches.  Without chains that order is layer-major.
 
     Only non-empty bins are placed, encoded and given a pointer row; a bin
     without a row is empty and the Searcher skips it without a request.  The
@@ -203,10 +203,7 @@ def compact_sketch(
     if isinstance(sketch, IoUSketch):
         sketch = sketch.columns()
 
-    placement = coaccess_order(sketch, word_weights or {})
-    bin_ids = np.array(
-        [layer * sketch.bins_per_layer + bin_index for layer, bin_index in placement], np.int64
-    )
+    bin_ids = coaccess_order(sketch, coaccess)
     # Every superpost in blob order: the placed bins, then the common words.
     lists = sketch.lists
     order = np.concatenate(
@@ -227,7 +224,7 @@ def compact_sketch(
     # as u32 columns widened to u64 only when an offset needs it.
     dtype = np.uint32 if len(blob) < 1 << 32 else np.uint64
     offsets, lengths = (np.cumsum(sizes) - sizes).astype(dtype), sizes.astype(dtype)
-    count = len(placement)
+    count = len(bin_ids)
     by_id = np.argsort(bin_ids)
     mht = MultilayerHashTable(
         sketch.hasher, superpost_blob_name, len(blob),

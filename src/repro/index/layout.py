@@ -11,7 +11,7 @@ the same batch collapses into one fat contiguous range read.
 The layout problem is a weighted linear arrangement (NP-hard in general), so
 the builder uses a deterministic greedy chain walk over the co-access graph:
 
-* **nodes** are ``(layer, bin)`` pairs;
+* **nodes** are bins, by flat id ``layer * bins_per_layer + bin``;
 * **edges** connect the consecutive-layer bins of each word's hash chain,
   weighted by the word's document frequency (how many documents — and hence
   how much query traffic under an occurrence-shaped workload — share those
@@ -23,79 +23,72 @@ the builder uses a deterministic greedy chain walk over the co-access graph:
 Frequent words therefore get their whole chain laid out contiguously (the
 superposts are concatenated with no padding, so chain members are *exactly*
 adjacent and the pipeline merges them without fetching a byte more), and
-words sharing bins with frequent words land nearby.
+words sharing bins with frequent words land nearby.  The walk runs on the
+chains the builder hashed for the sketch (:class:`CoAccess`), over arrays.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Mapping
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.core.sketch import SketchColumns
 
-#: One placement slot: (layer index, bin index).
-LayoutNode = tuple[int, int]
+
+class CoAccess(NamedTuple):
+    """The words the layout walks: one row of ``chains`` a word — its flat
+    bin id in every layer — and its weight (its document frequency) in
+    ``weights``.  Words of weight 0 or less are left out of the graph."""
+
+    chains: np.ndarray
+    weights: np.ndarray
 
 
-def plain_order(sketch: SketchColumns) -> list[LayoutNode]:
-    """Layer-major placement of the non-empty bins: layer 0, then layer 1, ..."""
-    bins_per_layer = sketch.bins_per_layer
-    return [divmod(bin_id, bins_per_layer) for bin_id in sketch.bin_ids.tolist()]
+def coaccess_order(sketch: SketchColumns, coaccess: CoAccess | None) -> np.ndarray:
+    """Blob placement order of the non-empty hashed bins (flat ids), heaviest
+    co-access first.
 
-
-def coaccess_order(sketch: SketchColumns, word_weights: Mapping[str, int]) -> list[LayoutNode]:
-    """Blob placement order of the non-empty hashed bins, heaviest co-access first.
-
-    ``word_weights`` maps each inserted word to its weight (document
-    frequency); common words are skipped — they are answered from a single
-    exact pointer, so adjacency buys them nothing.  The returned order
-    contains every non-empty ``(layer, bin)`` node exactly once and is
-    deterministic for a given sketch + weights (ties break on node index).
-    Empty bins occupy no bytes and are left out; the walk still passes
-    *through* weighted empty nodes, so the non-empty ones keep the relative
-    order they had when every bin was placed (``superposts.bin`` is
-    byte-identical across that change).
+    Without chains, or with one layer, that order is layer-major: the
+    ascending ``sketch.bin_ids``.  Otherwise the order contains every
+    non-empty bin exactly once and is deterministic for a given sketch +
+    chains (ties break on the lower flat id).  Empty bins occupy no bytes and
+    are left out; the walk still passes *through* weighted empty nodes, so
+    the non-empty ones keep the relative order they had when every bin was
+    placed.  Non-empty bins no weighted chain reaches follow the walk in
+    plain order.
     """
-    nonempty = plain_order(sketch)
-    if sketch.num_layers < 2 or not word_weights:
+    nonempty = sketch.bin_ids
+    weighted = None if coaccess is None else coaccess.weights > 0
+    if weighted is None or sketch.num_layers < 2 or not weighted.any():
         return nonempty
+    chains, weights = coaccess.chains[weighted], coaccess.weights[weighted].astype(np.int64)
+    layers = chains.shape[1]
+    nodes, node_of = np.unique(chains, return_inverse=True)
+    node_of = node_of.reshape(chains.shape)
+    count = len(nodes)
+    node_weight = np.bincount(node_of.ravel(), np.repeat(weights, layers), count)
+    # Each (layer i, layer i + 1) pair of a chain, its words' weights summed.
+    pairs = (node_of[:, :-1] * count + node_of[:, 1:]).ravel()
+    edges, edge_of = np.unique(pairs, return_inverse=True)
+    edge_weight = np.bincount(edge_of, np.repeat(weights, layers - 1), len(edges))
+    # Both directions, each node's neighbours heaviest first (then lower id).
+    source = np.concatenate([edges // count, edges % count])
+    target = np.concatenate([edges % count, edges // count])
+    by_source = np.lexsort((target, -np.tile(edge_weight, 2), source))
+    neighbours = target[by_source].tolist()
+    bounds = np.searchsorted(source[by_source], np.arange(count + 1)).tolist()
 
-    common = set(sketch.common_words)
-    edge_weights: dict[tuple[LayoutNode, LayoutNode], int] = defaultdict(int)
-    node_weights: dict[LayoutNode, int] = defaultdict(int)
-    for word, weight in word_weights.items():
-        if weight <= 0 or word in common:
-            continue
-        chain = list(enumerate(sketch.hasher.bins_of(word)))
-        for node in chain:
-            node_weights[node] += weight
-        for left, right in zip(chain, chain[1:]):
-            edge_weights[(left, right)] += weight
-
-    neighbours: dict[LayoutNode, list[tuple[int, LayoutNode]]] = defaultdict(list)
-    for (left, right), weight in edge_weights.items():
-        neighbours[left].append((weight, right))
-        neighbours[right].append((weight, left))
-    for candidates in neighbours.values():
-        candidates.sort(key=lambda item: (-item[0], item[1]))
-
-    # Unweighted nodes have no neighbours, so they are never reached by the
-    # walk: they follow it in plain order.
-    seeds = sorted(node_weights, key=lambda node: (-node_weights[node], node))
-    seeds += [node for node in nonempty if node not in node_weights]
-    keep = set(nonempty)
-    order: list[LayoutNode] = []
-    placed: set[LayoutNode] = set()
-    for seed in seeds:
-        if seed in placed:
-            continue
-        current = seed
-        while current is not None:
-            if current in keep:
-                order.append(current)
-            placed.add(current)
-            current = next(
-                (node for _, node in neighbours.get(current, ()) if node not in placed),
-                None,
-            )
-    return order
+    placed = bytearray(count)
+    walk: list[int] = []
+    for node in np.argsort(-node_weight, kind="stable").tolist():
+        while not placed[node]:
+            placed[node] = 1
+            walk.append(node)
+            # Each node is left once, so its list is scanned once.
+            for neighbour in neighbours[bounds[node] : bounds[node + 1]]:
+                if not placed[neighbour]:
+                    node = neighbour
+                    break
+    order = nodes[walk]
+    return np.concatenate([order[np.isin(order, nonempty)], nonempty[~np.isin(nonempty, nodes)]])

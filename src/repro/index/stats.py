@@ -41,19 +41,17 @@ import json
 import math
 import struct
 import zlib
-from array import array
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain
 from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.superpost import POSTING_ORDER, Superpost
+from repro.core.superpost import Superpost
 from repro.index.serialization import decode_varint, decode_varints, encode_varints, varint_widths
 from repro.index.store_layout import STATS_BLOB_SUFFIX, CorruptIndexError, stats_blob_name
-from repro.parsing.documents import Document, Posting
+from repro.parsing.documents import Document, DocumentTable, Posting
 from repro.parsing.tokenizer import Tokenizer
 from repro.profiling.profiler import CorpusProfile
 
@@ -230,20 +228,13 @@ class IndexStats:
         return [term.decode("utf-8", "surrogatepass") for term in self.terms()]
 
     def profile(self) -> CorpusProfile:
-        """The corpus profile Algorithm 1 reads, straight from the columns:
-        a document's distinct words are its entries, a word's document
-        frequency its entry count, its occurrences the sum of its tfs."""
-        words = self.words()
-        starts = self.term_starts.astype(np.int64)
-        totals = np.append(0, np.cumsum(self.entry_tf, dtype=np.int64))
+        """The corpus profile Algorithm 1 and the header read, straight from
+        the columns: a document's distinct words are its entries.  The
+        per-word maps stay empty: a word's document frequency (its entry
+        count) and occurrences (the sum of its tfs) are columns already."""
         distinct = np.bincount(self.entry_doc.astype(np.int64), minlength=self.num_documents)
         return CorpusProfile(
-            num_documents=self.num_documents,
-            num_terms=self.num_terms,
-            num_words=self.total_words,
-            distinct_words_per_document=distinct.tolist(),
-            document_frequencies=dict(zip(words, np.diff(starts).tolist())),
-            word_counts=dict(zip(words, (totals[starts[1:]] - totals[starts[:-1]]).tolist())),
+            self.num_documents, self.num_terms, self.total_words, distinct.tolist(), {}, {}
         )
 
     def entries(self, term: str) -> tuple[np.ndarray, np.ndarray]:
@@ -314,44 +305,39 @@ def _assemble(
     )
 
 
-def build_stats(documents: Iterable[Document], tokenizer: Tokenizer) -> IndexStats:
+def build_stats(
+    documents: Iterable[Document] | DocumentTable, tokenizer: Tokenizer
+) -> IndexStats:
     """Compute exact ranking statistics over already-parsed documents.
 
     The one place the build side analyses text: every document is tokenized
     once, and the sketch, its profile and its layout all derive from these
-    columns.  A reference seen twice counts once (its first text).
+    columns.  ``documents`` are a parser's :class:`DocumentTable`, or any
+    documents, which become one: a reference seen twice counts once (its
+    first text).
     """
-    unique: dict[Posting, Document] = {}
-    for document in documents:
-        unique.setdefault(document.ref, document)
-    ordered = sorted(unique, key=POSTING_ORDER)
-    blobs = sorted({ref.blob for ref in ordered})
-    rank = {blob: index for index, blob in enumerate(blobs)}
-    doc_words: list[int] = []
-    # Each token as the number of its word in order of first appearance.
-    numbers: defaultdict[str, int] = defaultdict(count().__next__)
-    tokens = array("q")
-    for ref in ordered:
-        analysed = tokenizer.tokenize(unique[ref].text)
-        doc_words.append(len(analysed))
-        tokens.extend(map(numbers.__getitem__, analysed))
+    table = documents if isinstance(documents, DocumentTable) else DocumentTable.of(documents)
+    # Every document's tokens back to back, and how many each has.
+    tokens: list[str] = []
+    extend = tokens.extend
+    counts = [
+        extend(analysed) or len(analysed) for analysed in map(tokenizer.tokenize, table.texts)
+    ]
     # Code-point order is UTF-8 byte order: the sorted words are the sorted terms.
-    words = sorted(numbers)
-    term_of = np.empty(len(words), np.int64)  # word number -> term index
-    term_of[[numbers[word] for word in words]] = np.arange(len(words))
-    width = max(len(ordered), 1)
-    keys = term_of[np.frombuffer(tokens, np.int64)] * width
-    keys += np.repeat(np.arange(len(ordered)), doc_words)
+    words = sorted(set(tokens))
+    term_of = {word: term for term, word in enumerate(words)}
+    num_documents = len(counts)
+    width = max(num_documents, 1)
+    doc_words = np.array(counts, np.int64)
+    keys = np.fromiter(map(term_of.__getitem__, tokens), np.int64, len(tokens)) * width
+    keys += np.repeat(np.arange(num_documents), doc_words)
     # One entry per distinct (term, document), counted: sorted by term, then document.
     entries, tfs = np.unique(keys, return_counts=True)
-    doc_columns = (
-        [rank[ref.blob] for ref in ordered],
-        [ref.offset for ref in ordered],
-        [ref.length for ref in ordered],
-        doc_words,
-    )
+    doc_columns = (table.rank, table.offset, table.length, doc_words)
     sizes = np.bincount(entries // width, minlength=len(words))
-    return _assemble(blobs, doc_columns, [*map(_term_key, words)], sizes, entries % width, tfs)
+    return _assemble(
+        table.names, doc_columns, [*map(_term_key, words)], sizes, entries % width, tfs
+    )
 
 
 def union_stats(

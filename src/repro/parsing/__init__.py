@@ -13,7 +13,7 @@ from repro.parsing.corpus import (
     WholeBlobCorpusParser,
     parse_corpus,
 )
-from repro.parsing.documents import Document, DocumentRef, Posting
+from repro.parsing.documents import Document, DocumentRef, DocumentTable, Posting
 from repro.parsing.tokenizer import (
     SimpleAnalyzer,
     Tokenizer,
@@ -24,6 +24,7 @@ __all__ = [
     "CorpusParser",
     "Document",
     "DocumentRef",
+    "DocumentTable",
     "LineDelimitedCorpusParser",
     "Posting",
     "SimpleAnalyzer",

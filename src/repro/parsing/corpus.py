@@ -3,7 +3,8 @@
 A corpus in Airphant is a set of blobs in cloud storage.  A corpus-document
 parser turns those blobs into :class:`~repro.parsing.documents.Document`
 objects whose :class:`~repro.parsing.documents.DocumentRef` records the byte
-range of each document so it can later be fetched directly.
+range of each document so it can later be fetched directly — or, for the
+Builder, into one :class:`~repro.parsing.documents.DocumentTable`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Iterable, Iterator
 
-from repro.parsing.documents import Document, DocumentRef
+import numpy as np
+
+from repro.parsing.documents import Document, DocumentRef, DocumentTable
 from repro.storage.base import ObjectStore
 
 
@@ -27,6 +30,11 @@ class CorpusParser(ABC):
         for blob_name in blob_names:
             yield from self.parse_blob(blob_name, store.get(blob_name))
 
+    def table(self, store: ObjectStore, blob_names: Iterable[str]) -> DocumentTable:
+        """The documents of the named blobs as one table: what
+        :meth:`parse` yields, each reference once (its first text), sorted."""
+        return DocumentTable.of(self.parse(store, blob_names))
+
 
 class LineDelimitedCorpusParser(CorpusParser):
     """One document per line; the paper's default for log corpora.
@@ -41,15 +49,48 @@ class LineDelimitedCorpusParser(CorpusParser):
         self._skip_empty = skip_empty
 
     def parse_blob(self, blob_name: str, data: bytes) -> Iterator[Document]:
+        for offset, length, text in zip(*self._cut(data)):
+            yield Document(ref=DocumentRef(blob=blob_name, offset=offset, length=length), text=text)
+
+    def table(self, store: ObjectStore, blob_names: Iterable[str]) -> DocumentTable:
+        """:meth:`parse` straight into columns, with no object per line: a
+        blob's lines already come in offset order, each once."""
+        data = {name: store.get(name) for name in dict.fromkeys(blob_names)}
+        names: list[str] = []
+        rank: list[int] = []
+        offset: list[int] = []
+        length: list[int] = []
+        texts: list[str] = []
+        for name in sorted(data):
+            blob_offsets, blob_lengths, blob_texts = self._cut(data.pop(name))
+            if blob_texts:  # a blob without a document is not one of the table's
+                rank += [len(names)] * len(blob_texts)
+                names.append(name)
+                offset += blob_offsets
+                length += blob_lengths
+                texts += blob_texts
+        return DocumentTable(
+            names, *(np.array(column, np.int64) for column in (rank, offset, length)), texts
+        )
+
+    def _cut(self, data: bytes) -> tuple[list[int], list[int], list[str]]:
+        """The byte offsets, byte lengths and texts of ``data``'s documents,
+        in order: one per ``b"\\n"``-separated line, empty ones skipped when
+        ``skip_empty`` (the newline is not part of a document's range)."""
+        offsets: list[int] = []
+        lengths: list[int] = []
+        texts: list[str] = []
         offset = 0
         for raw_line in data.split(b"\n"):
             length = len(raw_line)
             if length > 0 or not self._skip_empty:
                 text = raw_line.decode(self._encoding)
                 if text or not self._skip_empty:
-                    ref = DocumentRef(blob=blob_name, offset=offset, length=length)
-                    yield Document(ref=ref, text=text)
+                    offsets.append(offset)
+                    lengths.append(length)
+                    texts.append(text)
             offset += length + 1  # account for the newline separator
+        return offsets, lengths, texts
 
 
 class WholeBlobCorpusParser(CorpusParser):

@@ -9,6 +9,10 @@ document's raw bytes in a single request without any directory lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from repro.storage.base import RangeRead
 
@@ -55,3 +59,36 @@ class Document:
     def length(self) -> int:
         """Byte length of this document within its blob."""
         return self.ref.length
+
+
+class DocumentTable(NamedTuple):
+    """Documents as columns, in ``(blob, offset, length)`` order, each once.
+
+    Document ``i`` is the bytes ``[offset[i], offset[i] + length[i])`` of
+    blob ``names[rank[i]]`` (``names`` sorted) and reads ``texts[i]``: what
+    the build side analyses, with no object per document.
+    """
+
+    names: list[str]
+    rank: np.ndarray
+    offset: np.ndarray
+    length: np.ndarray
+    texts: list[str]
+
+    @classmethod
+    def of(cls, documents: Iterable[Document]) -> "DocumentTable":
+        """The table of ``documents``: a reference seen twice counts once,
+        with its first text."""
+        unique: dict[DocumentRef, str] = {}
+        for document in documents:
+            unique.setdefault(document.ref, document.text)
+        ordered = sorted(unique, key=attrgetter("blob", "offset", "length"))
+        names = sorted({ref.blob for ref in ordered})
+        position = {name: at for at, name in enumerate(names)}
+        return cls(
+            names,
+            np.array([position[ref.blob] for ref in ordered], np.int64),
+            np.array([ref.offset for ref in ordered], np.int64),
+            np.array([ref.length for ref in ordered], np.int64),
+            [unique[ref] for ref in ordered],
+        )

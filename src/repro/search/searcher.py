@@ -54,6 +54,8 @@ from repro.storage.base import ObjectStore, RangeRead
 from repro.storage.parallel import FetchResult
 from repro.storage.pipeline import ReadPipeline
 
+_NO_PIPELINE = "no member of this searcher was opened on a store"
+
 
 def _conjunction(words: Sequence[str]) -> BooleanQuery:
     """All of ``words``, taken as tokens — never re-parsed as Boolean syntax."""
@@ -482,10 +484,14 @@ class AirphantSearcher:
         ]
         remote = [at for at, document in enumerate(documents) if document is None]
         if remote:
-            payloads = self._wave(
-                [postings[at].to_range_read() for at in remote], latency.add_retrieval
+            # Plain byte ranges: a read object is made only for what the
+            # block cache does not hold.
+            assert self.pipeline is not None, _NO_PIPELINE
+            wanted = [postings[at] for at in remote]
+            fetch = self.pipeline.fetch_ranges(
+                [(ref.blob, ref.offset, ref.length) for ref in wanted]
             )
-            for at, payload in zip(remote, payloads):
+            for at, payload in zip(remote, _waited(fetch, latency.add_retrieval)):
                 if payload is not None:
                     documents[at] = Document(
                         ref=postings[at], text=payload.decode("utf-8", errors="replace")
@@ -498,8 +504,14 @@ class AirphantSearcher:
         """One batch of range reads through the pipeline, each payload as its
         read's decoder makes it; what the query waited for it goes to
         ``account``."""
-        assert self.pipeline is not None, "no member of this searcher was opened on a store"
-        fetch = self.pipeline.fetch(requests)
-        if fetch.requests:
-            account(fetch)
-        return fetch.payloads
+        assert self.pipeline is not None, _NO_PIPELINE
+        return _waited(self.pipeline.fetch(requests), account)
+
+
+def _waited(
+    fetch: FetchResult, account: Callable[[FetchResult], None]
+) -> list[Superpost | bytes | None]:
+    """``fetch``'s payloads, its cost handed to ``account`` when it made a request."""
+    if fetch.requests:
+        account(fetch)
+    return fetch.payloads

@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any, Protocol, Sequence
 
 from repro.observability import MetricsRegistry, MirroredStats, get_registry
 from repro.observability.stats import counter
@@ -39,8 +39,9 @@ from repro.observability.tracing import span
 from repro.storage.base import ObjectStore, RangeRead
 from repro.storage.parallel import FetchResult
 
-#: Cache key of one bounded logical range.
-_RangeKey = tuple[str, int, int]
+#: One bounded logical range, ``(blob, offset, length)``, read as bytes: what
+#: :meth:`ReadPipeline.fetch_ranges` takes, and the block cache's key.
+ByteRange = tuple[str, int, int]
 
 
 class Decoded(Protocol):
@@ -136,7 +137,7 @@ class _Plan:
     def __init__(self, size: int) -> None:
         self.payloads: list[Any] = [b""] * size
         self.passthrough: list[int] = []
-        self.bounded: dict[_RangeKey, list[int]] = {}
+        self.bounded: dict[ByteRange, list[int]] = {}
         self.runs: list[_Run] = []
         self.physical: list[RangeRead] = []
         #: Stats deltas of the planning phase, completed by the fetch.
@@ -150,7 +151,7 @@ class _Run:
     blob: str
     start: int
     end: int  # exclusive
-    keys: list[_RangeKey] = field(default_factory=list)
+    keys: list[ByteRange] = field(default_factory=list)
 
     def to_range_read(self) -> RangeRead:
         return RangeRead(blob=self.blob, offset=self.start, length=self.end - self.start)
@@ -197,7 +198,7 @@ class ReadPipeline:
         self._store = store
         self._max_concurrency = max_concurrency
         self._cache_bytes = cache_bytes
-        self._cache: OrderedDict[_RangeKey, _Entry] = OrderedDict()
+        self._cache: OrderedDict[ByteRange, _Entry] = OrderedDict()
         self._cached_bytes = 0
         # The cache is shared across server threads; all cache mutations
         # happen under this lock (the physical fetch itself runs outside it;
@@ -260,11 +261,30 @@ class ReadPipeline:
         coalesced physical requests — the whole point — so it is not
         comparable with a raw per-request replay of the same logical batch.
         """
-        if not requests:
+        ranges = [
+            None if request.length is None or (request.optional and request.length)
+            else (request.blob, request.offset, request.length)
+            for request in requests
+        ]
+        return self._fetch(ranges, requests)
+
+    def fetch_ranges(self, ranges: Sequence[ByteRange]) -> FetchResult:
+        """:meth:`fetch` of bounded ranges read as bytes, ``(blob, offset,
+        length)`` each: the same payloads, counters and span, with no
+        :class:`RangeRead` made for a range — only for the runs the store
+        reads, so a cache hit costs no read object at all."""
+        return self._fetch(ranges, None)
+
+    def _fetch(
+        self, ranges: Sequence[ByteRange | None], requests: Sequence[RangeRead] | None
+    ) -> FetchResult:
+        """One wave over ``ranges`` (``None`` for a pass-through read, which
+        only ``requests`` — the reads they came from, if any — can carry)."""
+        if not ranges:
             return FetchResult()
 
         with span("pipeline.fetch") as trace_span:
-            plan = self._plan(requests)
+            plan = self._plan(ranges, requests)
             wave = FetchResult()
             try:
                 if plan.physical:
@@ -283,7 +303,7 @@ class ReadPipeline:
                     bytes_requested += sum(len(data) for data in passed if data is not None)
                 batches = 1 if plan.physical else 0
                 self.stats.add(
-                    requests_in=len(requests),
+                    requests_in=len(ranges),
                     requests_out=len(plan.physical),
                     batches=batches,
                     cache_hits=plan.cache_hits,
@@ -295,7 +315,7 @@ class ReadPipeline:
                 # The span carries the very deltas committed, so explain
                 # output is checkable against the counters to the byte.
                 trace_span.set(
-                    requests=len(requests),
+                    requests=len(ranges),
                     physical_requests=len(plan.physical),
                     batches=batches,
                     cache_hits=plan.cache_hits,
@@ -311,22 +331,23 @@ class ReadPipeline:
 
     # -- planning ----------------------------------------------------------------
 
-    def _plan(self, requests: list[RangeRead]) -> _Plan:
+    def _plan(
+        self, ranges: Sequence[ByteRange | None], requests: Sequence[RangeRead] | None
+    ) -> _Plan:
         """Resolve what needs no store; plan one physical batch for the rest."""
-        plan = _Plan(len(requests))
+        plan = _Plan(len(ranges))
         payloads, passthrough, bounded = plan.payloads, plan.passthrough, plan.bounded
         cache = self._cache
         hits = requested = 0
         with self._lock:
-            for index, request in enumerate(requests):
-                length = request.length
-                if length == 0:
-                    continue  # needs no bytes at all: its payload stays b""
-                if length is None or request.optional:
+            for index, key in enumerate(ranges):
+                if key is None:
                     passthrough.append(index)
                     continue
+                length = key[2]
+                if length == 0:
+                    continue  # needs no bytes at all: its payload stays b""
                 requested += length
-                key = (request.blob, request.offset, length)
                 cached = cache.get(key)
                 if cached is not None:
                     cache.move_to_end(key)
@@ -347,7 +368,7 @@ class ReadPipeline:
                     plan.coalesced += folded
         return plan
 
-    def _coalesce(self, keys: list[_RangeKey]) -> list[_Run]:
+    def _coalesce(self, keys: list[ByteRange]) -> list[_Run]:
         """Merge sorted unique ranges into physical runs.
 
         ``keys`` is sorted by (blob, offset, length); ranges on the same blob
@@ -367,7 +388,10 @@ class ReadPipeline:
         return runs
 
     def _fill(
-        self, requests: list[RangeRead], plan: _Plan, physical_payloads: list[bytes | None]
+        self,
+        requests: Sequence[RangeRead] | None,
+        plan: _Plan,
+        physical_payloads: list[bytes | None],
     ) -> None:
         """Place each miss's payload: a pass-through read's as it came, a
         bounded range's sliced out of its run — decoded once per range when
@@ -375,13 +399,13 @@ class ReadPipeline:
         payloads = plan.payloads
         for index, source in zip(plan.passthrough, physical_payloads):
             payloads[index] = requests[index].decoded(source)
-        placed: dict[_RangeKey, tuple[bytes, int]] = {}
+        placed: dict[ByteRange, tuple[bytes, int]] = {}
         for run, source in zip(plan.runs, physical_payloads[len(plan.passthrough) :]):
             for key in run.keys:
                 placed[key] = (source, key[1] - run.start)
         for key, indexes in plan.bounded.items():
             source, start = placed[key]
-            decode = requests[indexes[0]].decode
+            decode = None if requests is None else requests[indexes[0]].decode
             if decode is None:
                 entry = source[start : start + key[2]]
             else:  # decoded straight from the physical payload: no copy
@@ -395,7 +419,7 @@ class ReadPipeline:
 
     # -- cache (callers hold self._lock) ------------------------------------------
 
-    def _cache_put(self, key: _RangeKey, entry: _Entry) -> None:
+    def _cache_put(self, key: ByteRange, entry: _Entry) -> None:
         charge = _charge(entry)
         if charge > self._cache_bytes:
             return  # an entry larger than the whole budget is never cached

@@ -20,7 +20,9 @@ the tests need to prove that, and that nothing else changed:
   the concatenation it produced, as the reference ``superposts.bin`` must
   stay byte-identical to;
 * :func:`reference_sketch` — the sketch as the builder once populated it,
-  word by word into sets of postings, for that walk to lay out.
+  word by word into sets of postings, for that walk to lay out;
+* :func:`coaccess_of` — a set-based sketch's words as the layout's
+  :class:`~repro.index.layout.CoAccess` chains, hashed word by word.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.index.compaction import (
     CompactedSketch,
     decode_build_header,
 )
+from repro.index.layout import CoAccess
 from repro.index.serialization import CODEC_VERSION, StringTable, encode_superpost
 from repro.index.store_layout import header_blob_name, shard_manifest_blob_name, stats_blob_name
 from repro.parsing.documents import Document, Posting
@@ -284,3 +287,13 @@ def reference_sketch(
     for word, postings in postings_by_word.items():
         sketch.insert(word, postings)
     return sketch, {word: len(postings) for word, postings in postings_by_word.items()}
+
+
+def coaccess_of(sketch: IoUSketch, word_weights: Mapping[str, int]) -> CoAccess:
+    """The chains the builder hands the layout, for ``sketch``'s non-common
+    words of ``word_weights`` (word -> weight), each hashed here."""
+    words = [word for word in word_weights if word not in sketch.common_words]
+    chains = np.array([sketch.hasher.bins_of(word) for word in words], np.int64)
+    chains = chains.reshape(-1, sketch.num_layers)
+    chains += np.arange(sketch.num_layers) * sketch.bins_per_layer
+    return CoAccess(chains, np.array([word_weights[word] for word in words], np.int64))

@@ -38,7 +38,7 @@ from repro.index.store_layout import CorruptIndexError, UnsupportedIndexFormatEr
 from repro.parsing.documents import Posting
 from repro.storage.memory import InMemoryObjectStore
 
-from harness.legacy_header import encode_plain_v3_header
+from harness.legacy_header import coaccess_of, encode_plain_v3_header
 
 words_strategy = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Nd")), min_size=1, max_size=8
@@ -84,7 +84,7 @@ class TestSketchHeaderRoundTrip:
         before = compact_sketch(
             sketch,
             "idx/superposts.bin",
-            word_weights=weights if weighted else None,
+            coaccess=coaccess_of(sketch, weights) if weighted else None,
         )
         data = encode_header(before)
         after = decode_header(data)

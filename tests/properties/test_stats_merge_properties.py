@@ -15,6 +15,8 @@ whole columns, it is the set that was encoded.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,13 +133,20 @@ def test_merge_equals_statistics_over_survivors(documents, cuts, doomed, stored,
 @given(documents=documents_strategy, simple=st.booleans())
 def test_the_profile_of_the_columns_is_the_profile_of_the_text(documents, simple):
     """The builder profiles its statistics, not the text: the two must agree
-    (tokenless documents and repeated references included)."""
+    (tokenless documents and repeated references included).  The columns'
+    profile leaves the per-word maps empty; the columns hold them."""
     tokenizer = SimpleAnalyzer() if simple else WhitespaceAnalyzer()
     first: dict[Posting, Document] = {}
     for document in documents:
         first.setdefault(document.ref, document)
     expected = profile_documents([first[ref] for ref in sorted(first)], tokenizer)
-    assert build_stats(documents, tokenizer).profile() == expected
+    stats = build_stats(documents, tokenizer)
+    assert stats.profile() == replace(expected, document_frequencies={}, word_counts={})
+    terms = stats.words()
+    starts = stats.term_starts.astype(np.int64)
+    assert dict(zip(terms, np.diff(starts).tolist())) == expected.document_frequencies
+    tfs = np.add.reduceat(stats.entry_tf.astype(np.int64), starts[:-1]) if terms else []
+    assert dict(zip(terms, list(map(int, tfs)))) == expected.word_counts
 
 
 @settings(max_examples=80, deadline=None)

@@ -20,6 +20,7 @@ from repro.core.superpost import Superpost
 from repro.observability import MetricsRegistry
 from repro.search.searcher import AirphantSearcher
 from repro.service import AirphantService, SearchRequest, ServiceConfig
+from repro.storage.base import RangeRead
 from repro.storage.faults import FlakyStore
 from repro.storage.latency import AffineLatencyModel
 from repro.storage.memory import InMemoryObjectStore
@@ -191,13 +192,19 @@ class TestDecodeCount:
         with _service(store) as service:
             pipeline = service.catalog.open(INDEX).pipeline
             batches: list[list] = []
-            fetch = pipeline.fetch
+            fetch, fetch_ranges = pipeline.fetch, pipeline.fetch_ranges
 
             def recording(requests):
                 batches.append(list(requests))
                 return fetch(requests)
 
+            def recording_ranges(ranges):
+                # Documents are read as plain byte ranges: replayed as reads.
+                batches.append([RangeRead(*key) for key in ranges])
+                return fetch_ranges(ranges)
+
             monkeypatch.setattr(pipeline, "fetch", recording)
+            monkeypatch.setattr(pipeline, "fetch_ranges", recording_ranges)
             for _ in range(2):
                 _answers(service)
             decoded = pipeline.stats.to_dict()

@@ -605,3 +605,46 @@ class TestWaveAccounting:
         (fetch_span,) = [child for child in root.children if child.name == "pipeline.fetch"]
         assert fetch_span.attrs == {**dict(zip(_SPAN_ATTRS, deltas)), "batch_ms": 0.0}
         store.close()
+
+
+class TestByteRanges:
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            shape
+            for shape, (_, _, wave, _, _) in _WAVES.items()
+            if all(
+                read.length is not None and not read.optional and read.decode is None
+                for read in wave
+            )
+        ],
+    )
+    def test_byte_ranges_count_what_their_reads_count(self, shape):
+        """``fetch_ranges`` over a wave's ranges: the payloads, counter deltas
+        and span ``fetch`` pins for the same wave as reads."""
+        from repro.observability import MetricsRegistry
+        from repro.observability.tracing import Tracer
+
+        cache_bytes, warm, wave, payloads, deltas = _WAVES[shape]
+        store = _DownStore() if shape == "store_raises" else InMemoryObjectStore()
+        store.put("blob", BLOB_DATA)
+        store.put("other", BLOB_DATA[::-1])
+        pipeline = ReadPipeline(store, cache_bytes=cache_bytes, metrics=MetricsRegistry())
+        if warm is not None:
+            pipeline.fetch_ranges([(read.blob, read.offset, read.length) for read in warm])
+        ranges = [(read.blob, read.offset, read.length) for read in wave]
+        before = pipeline.stats.snapshot()
+        handle = Tracer(sample_rate=1.0).begin("query")
+        try:
+            if payloads is None:
+                with pytest.raises(TransientStoreError):
+                    pipeline.fetch_ranges(ranges)
+            else:
+                assert pipeline.fetch_ranges(ranges).payloads == payloads
+        finally:
+            root = handle.finish()
+        after = pipeline.stats.snapshot()
+        assert tuple(after[name] - before[name] for name in _DELTA_FIELDS) == deltas
+        (fetch_span,) = [child for child in root.children if child.name == "pipeline.fetch"]
+        assert fetch_span.attrs == {**dict(zip(_SPAN_ATTRS, deltas)), "batch_ms": 0.0}
+        store.close()
