@@ -107,6 +107,12 @@ This script also fails on:
   ``index/stats.py`` — which names it only to refuse it with the typed
   "rebuild" error.
 
+The query tier routes whole queries and knows nothing of how an index is
+laid out or searched.  This script also fails on:
+
+* an import of ``repro.index`` or ``repro.search`` (or anything under
+  them) in a module under ``cluster/``.
+
 Comments and docstrings are ignored.  Exit code 1 lists every finding.
 
 Usage: ``python scripts/check_seams.py``
@@ -223,6 +229,10 @@ _RETIRED_STATS_DECODER = re.compile(r"\b_?decode_v[12]_stats\b")
 RETIRED_STATS_MAGIC = "AIRPSTA"
 STATS_FORMAT_FILE = ("index", "stats.py")
 
+#: The query tier's package, and the packages it may not import from.
+CLUSTER_PACKAGE = "cluster"
+CLUSTER_FORBIDDEN_IMPORTS = ("repro.index", "repro.search")
+
 _SIMULATOR_CHECK = re.compile(r"isinstance\([^)]*\bSimulatedCloudStore\b")
 _BATCH_RECORD = re.compile(r"\.batch\.")
 #: The one module that may hold a table of metric counters.
@@ -301,6 +311,26 @@ def partial_waves(path: Path) -> list[int]:
     return lines
 
 
+def forbidden_imports(path: Path, packages: tuple[str, ...]) -> list[int]:
+    """Lines of ``path`` importing from any of ``packages`` or below them."""
+    lines: list[int] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            # ``from repro import search`` names the package as an alias.
+            modules = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if any(
+            module == package or module.startswith(package + ".")
+            for module in modules
+            for package in packages
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
 def findings(root: Path = SOURCE_ROOT) -> list[str]:
     """Every violation under ``root``, as ``path:line: what`` strings."""
     problems: list[str] = []
@@ -333,6 +363,12 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
             "read_batch with a required count (every payload is waited for)"
             for number in partial_waves(path)
         )
+        if package == CLUSTER_PACKAGE:
+            problems.extend(
+                f"{path.relative_to(root.parent.parent)}:{number}: "
+                "the query tier imports from repro.index or repro.search"
+                for number in forbidden_imports(path, CLUSTER_FORBIDDEN_IMPORTS)
+            )
         open_path = next(
             (prefix for prefix in OPEN_PATH if parts[: len(prefix)] == prefix), None
         )

@@ -109,9 +109,6 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
             for peer in entry.split(",")
             if peer.strip()
         ),
-        replication_factor=getattr(
-            args, "replication_factor", defaults.replication_factor
-        ),
         shard_timeout_s=getattr(args, "shard_timeout_s", defaults.shard_timeout_s),
         node_hedge_ms=getattr(args, "node_hedge_ms", defaults.node_hedge_ms),
         node_retries=getattr(args, "node_retries", defaults.node_retries),
@@ -646,33 +643,27 @@ def _add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="URL[,URL...]",
         help=(
             "base URLs of the cluster's searcher nodes (repeat or "
-            "comma-separate; include this node's own URL); turns the node "
-            "into a scatter-gather query router"
+            "comma-separate; this node's own URL may be one); turns the "
+            "node into a query router that sends each query to one peer"
         ),
-    )
-    cluster.add_argument(
-        "--replication-factor",
-        type=int,
-        default=ServiceConfig.replication_factor,
-        help="distinct nodes each shard is placed on (failover/hedge targets)",
     )
     cluster.add_argument(
         "--shard-timeout-s",
         type=float,
         default=ServiceConfig.shard_timeout_s,
-        help="wall-clock bound on one node's shard-subset answer",
+        help="wall-clock bound on one node's answer to a routed query",
     )
     cluster.add_argument(
         "--node-hedge-ms",
         type=float,
         default=ServiceConfig.node_hedge_ms,
-        help="duplicate an unanswered shard query to the next replica after this many ms (0 disables)",
+        help="duplicate an unanswered query to the next node after this many ms (0 disables)",
     )
     cluster.add_argument(
         "--node-retries",
         type=int,
         default=ServiceConfig.node_retries,
-        help="extra passes over a shard's replica set before answering partially",
+        help="extra passes over the peer list before the query fails with 503",
     )
     cluster.add_argument(
         "--probe-interval-s",

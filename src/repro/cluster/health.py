@@ -6,7 +6,7 @@ and must notice when they come back.  :class:`HealthTracker` keeps one
 
 * **background probes** — a daemon thread GETs each peer's ``/healthz``
   every ``probe_interval_s``; any HTTP answer counts as alive (a node
-  reporting ``degraded`` can still answer its shards — that is the same
+  reporting ``degraded`` can still answer queries — that is the same
   liveness contract the endpoint itself promises);
 * **query outcomes** — the router reports per-node successes and failures,
   so a dead node is marked down by the very first query that trips over
@@ -252,10 +252,10 @@ class HealthTracker:
     def ordered(self, candidates: Sequence[str]) -> list[str]:
         """``candidates`` reordered for routing: usable nodes first.
 
-        Keeps the replica order within each class, so the consistent-hash
-        owner stays first among the live replicas; known-down nodes (still
-        inside their backoff window) go last as a final resort — a fully
-        dead replica set should still be *tried* rather than skipped.
+        Keeps the given order within each class, so the rendezvous winner
+        stays first among the live nodes; known-down nodes (still inside
+        their backoff window) go last as a final resort — a fully dead
+        fleet should still be *tried* rather than skipped.
         """
         usable = [url for url in candidates if self.is_live(url)]
         rest = [url for url in candidates if url not in usable]

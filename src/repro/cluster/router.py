@@ -1,56 +1,47 @@
-"""The scatter-gather query router of the scale-out tier.
+"""The query router of the scale-out tier.
 
-:class:`QueryRouter` turns one :class:`~repro.service.api.SearchRequest`
-into per-node shard-subset requests, fans them out over HTTP, and merges
-the partial answers back into a single typed
-:class:`~repro.service.api.SearchResponse`:
+Every node reads the same bucket and can answer every query, so
+:class:`QueryRouter` sends each :class:`~repro.service.api.SearchRequest`,
+unchanged, to one node and returns that node's answer:
 
-* **scatter** — the consistent-hash topology assigns every shard ordinal
-  an ordered replica set; ordinals sharing the same (health-ordered)
-  replica sequence travel together as one node request carrying
-  ``shards=[...]``.  Unsharded members ride with ordinal 0, so each piece
-  of the index is answered exactly once.
-* **resilience** — each node request has a wall-clock bound
-  (``shard_timeout_s``); a failed or timed-out node is marked down in the
-  health tracker and the group fails over to the next replica, with up to
-  ``node_retries`` extra passes over the replica set.  With
-  ``node_hedge_ms`` set, a request still unanswered after the delay is
-  *duplicated* to the next replica and the first answer wins — the
-  storage layer's hedged-read defense (Section IV-G /
-  :class:`~repro.storage.resilient.ResilientStore`) applied one level up,
-  across nodes instead of requests.  The calling thread drives failover
-  and hedging for every group; the router's one pool runs only the node
-  requests themselves, so no pooled task ever waits on another.
-* **gather** — surviving answers merge exactly like a single node would:
-  documents are de-duplicated by ``(blob, offset, length)`` and sorted in
-  posting order (partitions are disjoint, so this reproduces the
-  single-node result byte for byte); candidate and false-positive counts
-  sum; simulated latency charges the max across nodes (they proceed in
-  parallel) while bytes and round trips sum.  Shards whose every replica
-  failed appear as :class:`~repro.service.api.ShardErrorInfo` entries on a
-  ``partial: true`` response instead of failing the query; only a query
-  no shard could answer raises (``503 cluster_unavailable``).
+* **candidate order** — the peers ranked by a rendezvous hash of
+  ``(index, query)`` (:func:`rendezvous`): the same query goes to the same
+  node first, which keeps that node's read cache warm for it, and every
+  router process computes the same order without talking to the others.
+  The health tracker then moves marked-down peers to the end.
+* **failover** — each node request has a wall-clock bound
+  (``shard_timeout_s``); a node that fails or times out is marked down and
+  the query goes to the next candidate, with ``node_retries`` extra passes
+  over the list.  A query therefore makes at most
+  ``peers × (1 + node_retries)`` attempts.
+* **hedging** — with ``node_hedge_ms`` set, a first candidate still
+  unanswered after the delay is raced by the second and the first answer
+  wins — the storage layer's hedged read
+  (:class:`~repro.storage.resilient.ResilientStore`) one level up.  A first
+  candidate that fails sooner falls over to the second at once.
+
+A node answering with a typed 4xx (bad query, unknown index) fails the
+query with that same error: the request is at fault, not the node.  When
+every attempt fails the query fails with ``503 cluster_unavailable``.  A
+router may list its own URL among its peers: every node request carries
+:data:`ROUTED_HEADER`, and a node answers a request so marked itself.
 
 The router is transport-agnostic: the default transport speaks JSON over a
 keep-alive connection pool per peer (shared with the health probes), tests
-inject an in-process one.  A node answering with a 4xx body (bad query,
-unknown index) fails the whole query with that same typed error — a
-*request* defect is not a node failure and must not fail over.
+inject an in-process one.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import http.client
 import json
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Protocol
+from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from repro.cluster.health import HealthTracker
-from repro.cluster.topology import ClusterTopology
 from repro.observability import NULL_REGISTRY, MetricsRegistry
 from repro.observability.tracing import (
     PARENT_SPAN_HEADER,
@@ -60,22 +51,21 @@ from repro.observability.tracing import (
     current_span,
     span,
 )
-from repro.service.api import (
-    DocumentHit,
-    ErrorInfo,
-    SearchRequest,
-    SearchResponse,
-    ServiceError,
-    ShardErrorInfo,
-)
+from repro.service.api import ErrorInfo, SearchRequest, SearchResponse, ServiceError
 from repro.storage.connections import ConnectionPool, send
+
+#: Marks a request the router sent to a node: the node answers it itself
+#: instead of routing it again (a router may be one of its own peers).
+ROUTED_HEADER = "X-Airphant-Routed"
+
 
 class Transport(Protocol):
     """How a router reaches a node: ``(base_url, path, json_payload,
     timeout_s, headers)`` → decoded JSON.
 
-    ``payload=None`` means GET; ``headers`` carries the trace context of a
-    traced query to the peer (``None`` otherwise).  Implementations raise
+    ``payload=None`` means GET; ``headers`` carries a search's
+    :data:`ROUTED_HEADER` and, on a traced query, its trace context (``None``
+    on a probe).  Implementations raise
     :class:`NodeQueryError` for node-level failures (unreachable, timeout,
     5xx) and :class:`~repro.service.api.ServiceError` for definitive 4xx
     answers.
@@ -145,28 +135,32 @@ def http_transport(
         raise NodeQueryError("node_error", f"{url} answered non-JSON: {error}") from error
 
 
-@dataclass(frozen=True)
-class RoutePlan:
-    """The scatter plan of one routed query (exposed for tests / /cluster)."""
+def rendezvous(peers: Sequence[str], index: str, query: str) -> list[str]:
+    """``peers`` ranked for one query, highest rendezvous score first.
 
-    index: str
-    num_shards: int
-    #: Health-ordered candidate nodes → the ordinals they are asked for.
-    groups: tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]
+    A peer's score is BLAKE2b over ``index``, ``query`` and the peer's URL
+    (not the builtin ``hash``, which differs between processes).  A peer
+    that leaves moves only the queries it ranked first for; every other
+    query keeps its first node.
+    """
+
+    def score(peer: str) -> bytes:
+        key = "\0".join((index, query, peer)).encode("utf-8")
+        return hashlib.blake2b(key, digest_size=8).digest()
+
+    return sorted(peers, key=score, reverse=True)
 
 
 class QueryRouter:
-    """Scatter-gathers search requests over the cluster's searcher nodes."""
+    """Sends each search request whole to one of the cluster's nodes."""
 
     def __init__(
         self,
         peers: Iterable[str],
-        replication_factor: int = 2,
         shard_timeout_s: float = 5.0,
         node_hedge_ms: float = 0.0,
         node_retries: int = 1,
         probe_interval_s: float = 5.0,
-        vnodes: int = 64,
         transport: Transport | None = None,
         health: HealthTracker | None = None,
         metrics: MetricsRegistry | None = None,
@@ -177,9 +171,9 @@ class QueryRouter:
             raise ValueError("node_hedge_ms must be non-negative")
         if node_retries < 0:
             raise ValueError("node_retries must be non-negative")
-        self._topology = ClusterTopology(
-            peers, replication_factor=replication_factor, vnodes=vnodes
-        )
+        self._peers = tuple(dict.fromkeys(peers))
+        if not self._peers:
+            raise ValueError("QueryRouter needs at least one peer")
         self._shard_timeout_s = shard_timeout_s
         self._node_hedge_ms = node_hedge_ms
         self._node_retries = node_retries
@@ -187,7 +181,7 @@ class QueryRouter:
         #: requests and health probes alike).
         self._connections: dict[str, ConnectionPool] = {}
         if transport is None:
-            self._connections = {peer: ConnectionPool(peer) for peer in self._topology.peers}
+            self._connections = {peer: ConnectionPool(peer) for peer in self._peers}
             transport = functools.partial(http_transport, pools=self._connections)
         self._transport: Transport = transport
         self._metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -196,7 +190,7 @@ class QueryRouter:
             self._owns_health = False
         else:
             self._health = HealthTracker(
-                self._topology.peers,
+                self._peers,
                 probe_interval_s=probe_interval_s,
                 probe_timeout_s=min(shard_timeout_s, 2.0),
                 probe=self._probe,
@@ -204,20 +198,16 @@ class QueryRouter:
             )
             self._owns_health = True
             self._health.start()
-        # Shard counts are immutable per build; cache them so steady-state
-        # routing costs zero extra round trips.  Invalidated on 404 replans.
-        self._num_shards: dict[str, int] = {}
-        self._num_shards_lock = threading.Lock()
-        # Node requests, primaries and hedges alike: wide enough for a full
-        # fan-out.  Its tasks never wait on one another (``_scatter``).
+        # Node requests, first candidates and hedges alike.  Its tasks never
+        # wait on one another (``_ask``).
         self._pool = ThreadPoolExecutor(
-            max_workers=max(8, 2 * len(self._topology.peers)),
+            max_workers=max(8, 2 * len(self._peers)),
             thread_name_prefix="airphant-router",
         )
 
         self._requests_metric = self._metrics.counter(
             "airphant_router_requests_total",
-            "Routed queries, by outcome (ok / partial / error)",
+            "Routed queries, by outcome (ok / rejected / error)",
             label_names=("outcome",),
         )
         self._seconds_metric = self._metrics.histogram(
@@ -225,20 +215,16 @@ class QueryRouter:
         )
         self._node_requests_metric = self._metrics.counter(
             "airphant_router_node_requests_total",
-            "Per-node shard-subset requests, by node and outcome",
+            "Search requests sent to nodes, by node and outcome",
             label_names=("node", "outcome"),
         )
         self._failovers_metric = self._metrics.counter(
             "airphant_router_failovers_total",
-            "Shard groups retried on a different replica after a node failure",
+            "Queries sent to the next node after a node failure",
         )
         self._hedges_metric = self._metrics.counter(
             "airphant_router_hedges_total",
-            "Shard-subset requests duplicated to a backup replica (node hedging)",
-        )
-        self._shard_errors_metric = self._metrics.counter(
-            "airphant_router_shard_errors_total",
-            "Shards left unanswered after all replicas failed",
+            "Queries duplicated to a backup node (node hedging)",
         )
 
     def _probe(self, url: str, timeout_s: float) -> None:
@@ -248,17 +234,12 @@ class QueryRouter:
     # -- lifecycle ---------------------------------------------------------------
 
     @property
-    def topology(self) -> ClusterTopology:
-        """The shard→node placement."""
-        return self._topology
-
-    @property
     def health(self) -> HealthTracker:
         """The peer health tracker feeding routing decisions."""
         return self._health
 
     def close(self) -> None:
-        """Stop probing, release the scatter pool and idle connections (idempotent)."""
+        """Stop probing, release the pool and idle connections (idempotent)."""
         if self._owns_health:
             self._health.close()
         self._pool.shutdown(wait=False)
@@ -271,229 +252,92 @@ class QueryRouter:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- planning ----------------------------------------------------------------
-
-    def _resolve_num_shards(self, index: str) -> int:
-        with self._num_shards_lock:
-            cached = self._num_shards.get(index)
-        if cached is not None:
-            return cached
-        errors: list[str] = []
-        for node in self._health.ordered(self._topology.peers):
-            try:
-                info = self._transport(
-                    node, f"/indexes/{index}", None, self._shard_timeout_s
-                )
-            except NodeQueryError as error:
-                self._health.record_failure(node, str(error))
-                errors.append(f"{node}: {error}")
-                continue
-            self._health.record_success(node)
-            num_shards = max(1, int(info.get("num_shards", 1)))
-            with self._num_shards_lock:
-                self._num_shards[index] = num_shards
-            return num_shards
-        raise ServiceError(
-            503,
-            "cluster_unavailable",
-            f"no node could describe index {index!r}: {'; '.join(errors)}",
-        )
-
-    def invalidate(self, index: str | None = None) -> None:
-        """Drop cached shard counts (all of them when ``index`` is None)."""
-        with self._num_shards_lock:
-            if index is None:
-                self._num_shards.clear()
-            else:
-                self._num_shards.pop(index, None)
-
-    def plan(self, index: str, num_shards: int) -> RoutePlan:
-        """Group shard ordinals by their health-ordered replica sequence.
-
-        Ordinals sharing the same candidate sequence travel as one node
-        request; distinct sequences scatter independently so one slow or
-        dead owner only degrades its own shards.
-        """
-        assignments = self._topology.assignments(index, num_shards)
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for ordinal in range(num_shards):
-            candidates = tuple(self._health.ordered(assignments[ordinal]))
-            groups.setdefault(candidates, []).append(ordinal)
-        return RoutePlan(
-            index=index,
-            num_shards=num_shards,
-            groups=tuple(
-                (candidates, tuple(ordinals)) for candidates, ordinals in groups.items()
-            ),
-        )
-
     # -- routing -----------------------------------------------------------------
 
+    def candidates(self, request: SearchRequest) -> list[str]:
+        """The nodes ``request`` is tried on, in order: rendezvous order,
+        marked-down peers last."""
+        return self._health.ordered(rendezvous(self._peers, request.index, request.query))
+
     def route(self, request: SearchRequest) -> SearchResponse:
-        """Answer ``request`` by scatter-gathering over the cluster."""
-        if request.shards is not None:
-            raise ServiceError(
-                400,
-                "bad_request",
-                "routed requests must not pin shards; send shard subsets to a node directly",
-            )
+        """Answer ``request`` on one node of the cluster."""
         started = time.perf_counter()
         try:
-            response = self._route(request)
+            candidates = self.candidates(request)
+            with span("router.route", index=request.index, candidates=len(candidates)):
+                response = self._ask(request, candidates)
         except ServiceError as error:
             self._requests_metric.inc(
                 outcome="error" if error.status >= 500 else "rejected"
             )
             raise
-        self._requests_metric.inc(outcome="partial" if response.partial else "ok")
+        self._requests_metric.inc(outcome="ok")
         self._seconds_metric.observe(time.perf_counter() - started)
         return response
 
-    def _route(self, request: SearchRequest) -> SearchResponse:
-        num_shards = self._resolve_num_shards(request.index)
-        plan = self.plan(request.index, num_shards)
-        with span(
-            "router.route",
-            index=request.index,
-            shards=num_shards,
-            groups=len(plan.groups),
-        ):
-            outcomes = self._scatter(request, plan.groups)
-            responses: list[SearchResponse] = []
-            shard_errors: list[ShardErrorInfo] = []
-            definitive: ServiceError | None = None
-            for (candidates, ordinals), outcome in zip(plan.groups, outcomes):
-                if isinstance(outcome, SearchResponse):
-                    responses.append(outcome)
-                elif isinstance(outcome, ServiceError):
-                    # A typed 4xx from any node condemns the whole request
-                    # (same query everywhere — the others would reject it too).
-                    definitive = definitive or outcome
-                else:
-                    self._shard_errors_metric.inc(len(ordinals))
-                    shard_errors.extend(
-                        ShardErrorInfo(
-                            shard=ordinal,
-                            node=candidates[-1] if candidates else "",
-                            error=outcome.code,
-                            message=str(outcome),
-                        )
-                        for ordinal in ordinals
-                    )
-            if definitive is not None:
-                raise definitive
-            if not responses:
-                detail = "; ".join(
-                    f"shard {e.shard} via {e.node}: {e.message}"
-                    for e in shard_errors[:4]
-                )
-                raise ServiceError(
-                    503, "cluster_unavailable", f"every shard failed: {detail}"
-                )
-            return self._merge(request, responses, shard_errors)
-
-    def _scatter(
-        self,
-        request: SearchRequest,
-        groups: tuple[tuple[tuple[str, ...], tuple[int, ...]], ...],
-    ) -> list[SearchResponse | ServiceError | NodeQueryError]:
-        """Every group's answer, or the error that ended it, in plan order.
+    def _ask(self, request: SearchRequest, candidates: Sequence[str]) -> SearchResponse:
+        """The first answer of ``candidates``, tried in order.
 
         This thread coordinates; the pool runs only :meth:`_query_node`
-        calls, so no pooled task waits on the pool it runs on.  A group tries
-        its health-ordered candidates one at a time, with ``node_retries``
-        extra passes over them.  With hedging on, a group whose primary is
-        still alone in flight after ``node_hedge_ms`` races a backup on the
-        second candidate and the first answer wins; a primary that fails
-        sooner skips the backup, and a failed race falls over to the
-        candidates after the pair.  A typed 4xx ends its group at once.
-        Losers of a race finish in the background, unwaited for.
+        calls, so no pooled task waits on the pool it runs on.  The
+        candidates are tried one at a time, with ``node_retries`` extra
+        passes over them.  With hedging on, a first candidate still alone
+        in flight after ``node_hedge_ms`` races the second, and the first
+        answer wins; one that fails sooner falls over to the second at once.
+        A node failing while its racer is still out leaves the racer to
+        answer.  A typed 4xx fails the query at once.  Losers of a race
+        finish in the background, unwaited for.
         """
         # Pool threads do not inherit contextvars; re-attach the ambient
         # span so each node span lands under the route span.
         parent = current_span()
 
-        def query_node(node: str, ordinals: tuple[int, ...]) -> SearchResponse:
+        def query_node(node: str) -> SearchResponse:
             with attach(parent):
-                return self._query_node(request, node, ordinals)
+                return self._query_node(request, node)
 
+        queue = list(candidates) * (1 + self._node_retries)
         hedge_s = self._node_hedge_ms / 1000.0
-        outcomes: list[SearchResponse | ServiceError | NodeQueryError | None] = []
-        #: Per group: the nodes still to fall over to, in order.
-        queues: list[list[str]] = []
-        #: Group -> (when to hedge, the backup node) while its primary runs alone.
-        backups: dict[int, tuple[float, str]] = {}
-        running: dict[Future[SearchResponse], int] = {}
-
-        def launch(group: int, node: str) -> None:
-            running[self._pool.submit(query_node, node, groups[group][1])] = group
-
-        for group, (candidates, _) in enumerate(groups):
-            hedged = hedge_s > 0 and len(candidates) > 1
-            queues.append(
-                list(candidates[2 if hedged else 1 :]) + list(candidates) * self._node_retries
-            )
-            if not candidates:
-                outcomes.append(NodeQueryError("no_replicas", "no replica assigned"))
-                continue
-            outcomes.append(None)
-            if hedged:
-                backups[group] = (time.monotonic() + hedge_s, candidates[1])
-            launch(group, candidates[0])
-        while None in outcomes:
-            timeout = None
-            if backups:
-                next_hedge = min(at for at, _ in backups.values())
-                timeout = max(0.0, next_hedge - time.monotonic())
+        hedge_at = time.monotonic() + hedge_s if hedge_s > 0 and len(candidates) > 1 else None
+        running: set[Future[SearchResponse]] = {self._pool.submit(query_node, queue.pop(0))}
+        failure: NodeQueryError | None = None
+        while running:
+            timeout = None if hedge_at is None else max(0.0, hedge_at - time.monotonic())
             done, _ = wait(running, timeout=timeout, return_when=FIRST_COMPLETED)
             for future in done:
-                group = running.pop(future, None)
-                if group is None:
-                    continue  # the loser of a race its group already settled
+                running.discard(future)
                 try:
-                    outcomes[group] = future.result()
-                except ServiceError as error:
-                    outcomes[group] = error
+                    return future.result()
                 except NodeQueryError as error:
-                    if group in running.values():
-                        continue  # its racer is still out
-                    backups.pop(group, None)
-                    if not queues[group]:
-                        outcomes[group] = error
-                        continue
+                    failure = error
+            if done:
+                # Every node in flight failed: no hedge; fall over, if any
+                # attempt is left.
+                hedge_at = None
+                if not running and queue:
                     self._failovers_metric.inc()
-                    launch(group, queues[group].pop(0))
-                    continue
-                backups.pop(group, None)
-                for loser in [f for f, owner in running.items() if owner == group]:
-                    del running[loser]
-            now = time.monotonic()
-            for group, (at, node) in list(backups.items()):
-                if at <= now:
-                    del backups[group]
-                    self._hedges_metric.inc()
-                    launch(group, node)
-        return outcomes  # type: ignore[return-value]
+                    running.add(self._pool.submit(query_node, queue.pop(0)))
+            else:
+                hedge_at = None
+                self._hedges_metric.inc()
+                running.add(self._pool.submit(query_node, queue.pop(0)))
+        raise ServiceError(
+            503, "cluster_unavailable", f"no node answered the query: {failure}"
+        )
 
-    def _query_node(
-        self, request: SearchRequest, node: str, ordinals: tuple[int, ...]
-    ) -> SearchResponse:
-        """POST one shard-subset request to ``node`` and record the outcome."""
-        payload = request.to_dict()
-        payload["shards"] = list(ordinals)
-        with span("router.node", node=node, shards=list(ordinals)) as node_span:
-            headers: dict[str, str] | None = None
+    def _query_node(self, request: SearchRequest, node: str) -> SearchResponse:
+        """POST ``request`` to ``node`` and record the outcome."""
+        with span("router.node", node=node) as node_span:
+            headers = {ROUTED_HEADER: "1"}
             trace_id = getattr(node_span, "trace_id", None)
             if trace_id is not None:
-                # Ask the peer to trace its share of the query under our
-                # trace id; its response carries the sub-tree to graft.
-                headers = {
-                    TRACE_ID_HEADER: trace_id,
-                    PARENT_SPAN_HEADER: node_span.span_id,
-                }
+                # Ask the node to trace the query under our trace id; its
+                # response carries the sub-tree to graft.
+                headers[TRACE_ID_HEADER] = trace_id
+                headers[PARENT_SPAN_HEADER] = node_span.span_id
             try:
                 body = self._transport(
-                    node, "/search", payload, self._shard_timeout_s, headers=headers
+                    node, "/search", request.to_dict(), self._shard_timeout_s, headers=headers
                 )
             except NodeQueryError as error:
                 node_span.set(error=error.code)
@@ -520,73 +364,12 @@ class QueryRouter:
                     "node_error", f"{node} answered a malformed response: {error}"
                 ) from error
 
-    # -- merging -----------------------------------------------------------------
-
-    def _merge(
-        self,
-        request: SearchRequest,
-        responses: list[SearchResponse],
-        shard_errors: list[ShardErrorInfo],
-    ) -> SearchResponse:
-        """Union the per-node answers back into one response.
-
-        Shard partitions are disjoint, so documents de-duplicate by their
-        storage reference and sort back into the global posting order —
-        the exact order a single node produces.  Nodes really do proceed in
-        parallel, so the elapsed times are the slowest node's (all four from
-        that one node, so ``wait_ms + download_ms`` still equals
-        ``total_ms``), while bytes and round trips are real work and add
-        up.  (Within one node nothing is merged: its executor waits for two
-        waves and reports their sum.)
-        """
-        seen: set[tuple[str, int, int]] = set()
-        documents: list[DocumentHit] = []
-        for response in responses:
-            for document in response.documents:
-                ref = (document.blob, document.offset, document.length)
-                if ref not in seen:
-                    seen.add(ref)
-                    documents.append(document)
-        if request.mode == "topk_bm25":
-            # Ranked gather: every node scored with the same corpus-wide
-            # statistics, so merging the per-node top-k lists best-first
-            # (posting order breaks ties) reproduces the single-node ranked
-            # list exactly.
-            documents.sort(
-                key=lambda d: (-(d.score or 0.0), d.blob, d.offset, d.length)
-            )
-        else:
-            documents.sort(key=lambda d: (d.blob, d.offset, d.length))
-        if request.top_k is not None:
-            documents = documents[: request.top_k]
-        latency = replace(
-            max((r.latency for r in responses), key=lambda latency: latency.total_ms),
-            bytes_fetched=sum(r.latency.bytes_fetched for r in responses),
-            round_trips=sum(r.latency.round_trips for r in responses),
-        )
-        return SearchResponse(
-            query=request.query,
-            index=request.index,
-            mode=request.mode,
-            documents=tuple(documents),
-            num_candidates=sum(r.num_candidates for r in responses),
-            false_positive_count=sum(r.false_positive_count for r in responses),
-            oversampled=sum(r.oversampled for r in responses),
-            latency=latency,
-            partial=bool(shard_errors),
-            shard_errors=tuple(
-                sorted(shard_errors, key=lambda error: error.shard)
-            ),
-        )
-
     # -- inspection --------------------------------------------------------------
 
     def describe(self) -> dict[str, Any]:
         """JSON-ready cluster view (the ``GET /cluster`` payload)."""
-        with self._num_shards_lock:
-            known = sorted(self._num_shards.items())
         return {
-            "topology": self._topology.describe(indexes=known),
+            "peers": list(self._peers),
             "health": self._health.summary(),
             "router": {
                 "shard_timeout_s": self._shard_timeout_s,

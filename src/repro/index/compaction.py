@@ -128,33 +128,17 @@ class CompactedSketch:
         """A sharded build's shard manifest (``None`` for a plain build)."""
         return None if self.shards is None else self.shards.manifest
 
-    def metadata_of(self, held: Sequence[int] | None = None) -> IndexMetadata | None:
-        """Corpus-wide metadata of the shards ``held`` (every shard, for
-        ``None``) — a plain build's is its own."""
+    def metadata_of(self) -> IndexMetadata | None:
+        """Corpus-wide metadata: a plain build's own, a sharded build's
+        merged over its shards."""
         if self.shards is None:
             return self.metadata
-        shards = self.shards.metadata
-        return index_metadata(
-            self.manifest, list(shards) if held is None else [shards[o] for o in held]
-        )
+        return index_metadata(self.manifest, list(self.shards.metadata))
 
-    def share_range(
-        self, run: int, offset: int, length: int, first: int, last: int | None
-    ) -> tuple[int, int]:
-        """``(offset, length)`` of the shares of shards ``first`` to
-        ``last - 1`` in run ``run`` (a pointer's row) at ``offset`` — the
-        whole run ``length`` bytes long for ``last`` ``None``."""
-        if last is None:
-            return offset, length
-        shares = self.shards.by_run[run]
-        return offset + int(shares[:first].sum()), int(shares[first:last].sum())
-
-    def decode_run(
-        self, run: int, first: int, last: int | None, payload: bytes | memoryview
-    ) -> Superpost:
-        """The postings of shards ``first`` to ``last - 1`` (to the last, for
-        ``None``) in run ``run`` (a pointer's row), whose shares ``payload``
-        holds back to back — a plain build's run is one superpost.
+    def decode_run(self, run: int, payload: bytes | memoryview) -> Superpost:
+        """The postings of run ``run`` (a pointer's row), whose shards'
+        shares ``payload`` holds back to back — a plain build's run is one
+        superpost.
 
         Each non-empty share decodes on its own and the shares union: shards
         partition the documents, so the union is exact.  A payload that is
@@ -162,7 +146,7 @@ class CompactedSketch:
         :class:`~repro.index.store_layout.CorruptIndexError` naming the blob.
         """
         runs, pieces, start = self.shards, [], 0
-        shares = [len(payload)] if runs is None else runs.by_run[run, first:last].tolist()
+        shares = [len(payload)] if runs is None else runs.by_run[run].tolist()
         try:
             if sum(shares) != len(payload):
                 raise ValueError(f"run {run} holds {len(payload)} bytes, its shares {sum(shares)}")

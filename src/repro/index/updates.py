@@ -391,7 +391,7 @@ class AppendOnlyIndexManager:
             for row, (offset, length) in enumerate(header.mht.ranges()):
                 if length:
                     postings.update(
-                        header.decode_run(row, 0, None, blob[offset : offset + length])
+                        header.decode_run(row, blob[offset : offset + length])
                     )
         return postings
 

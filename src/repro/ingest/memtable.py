@@ -16,7 +16,7 @@ in the query path.
 from __future__ import annotations
 
 import threading
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.superpost import Superpost
 from repro.index.stats import IndexStats, build_stats
@@ -162,10 +162,6 @@ class MemtableMember:
         """The held document (``None`` once a flush has evicted it: its bytes
         are in its durable WAL segment, where wave 2 reads them)."""
         return self.memtable.document(posting)
-
-    def restrict(self, ordinals: Collection[int]) -> "MemtableMember | None":
-        """Unsharded: rides with ordinal 0."""
-        return self if 0 in ordinals else None
 
 
 def memtable_from_documents(

@@ -32,7 +32,7 @@ calls :func:`span` and gets a real child span when a trace is active in the
 current context, or a shared no-op object (a single contextvar read, no
 allocation) when not; either is its own context manager.  Worker threads
 do not inherit contextvars from their submitter, so pool-based fan-out (a
-store's ``read_batch`` pool, the router's scatter pool) captures
+store's ``read_batch`` pool, the router's pool) captures
 :func:`current_span` at submit time and re-attaches it inside the worker
 with :func:`attach`.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from functools import partial
-from typing import Callable, Collection, NamedTuple, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 from repro.core.superpost import EMPTY, Superpost
 from repro.index.compaction import CompactedSketch
@@ -85,27 +85,17 @@ class Member(Protocol):
         ``None`` when its bytes must come from the store in wave 2."""
         ...
 
-    def restrict(self, ordinals: Collection[int]) -> "Member | None":
-        """The part of this member living on the given shard ordinals.
-
-        ``None`` when it holds none of them.  Unsharded members ride with
-        ordinal 0, so disjoint ordinal subsets across the nodes of a cluster
-        partition any member list exactly.
-        """
-        ...
-
 
 class IndexMember:
-    """A persisted IoU Sketch index — every shard of it, or a subset.
+    """A persisted IoU Sketch index.
 
     A build is one table; a sharded build's points at *runs*, each bin's
     shard superposts side by side.  A word is hashed once and read as one
-    range per run (per block of held shards, in a restricted view), decoded
-    into the union of its shares.  The executor runs the plan — with every
-    other member's — as one batch through ``pipeline``, the
-    :class:`~repro.storage.pipeline.ReadPipeline` of the opened index this
-    member belongs to (a base and its deltas share one), so the member
-    itself reads nothing.  Its ranking statistics — one blob for the whole
+    range per run, decoded into the union of its shares.  The executor runs
+    the plan — with every other member's — as one batch through
+    ``pipeline``, the :class:`~repro.storage.pipeline.ReadPipeline` of the
+    opened index this member belongs to (a base and its deltas share one),
+    so the member itself reads nothing.  Its ranking statistics — one blob for the whole
     build, however it is sharded — ride the lookup wave of its first ranked
     query and stay resident.
     """
@@ -116,8 +106,6 @@ class IndexMember:
         pipeline: ReadPipeline,
         header: CompactedSketch,
         max_concurrency: int,
-        held: Sequence[int] | None = None,
-        whole: "IndexMember | None" = None,
     ) -> None:
         self.name = name
         #: The opened index's one read pipeline (the executor reads through it).
@@ -128,60 +116,22 @@ class IndexMember:
         self.mht = header.mht
         #: The shard manifest (``None`` for a plain, single-header index).
         manifest = self.shard_manifest = header.manifest
-        #: The shard ordinals this view answers for, ascending.
-        self.held = tuple(range(manifest.num_shards if manifest else 1) if held is None else held)
+        #: Shards of the build (1 for a plain index).
+        self.num_shards = manifest.num_shards if manifest else 1
         #: Most requests this member alone wants in flight (scaled by its
         #: shard count); the opened index's pipeline is as wide as all its
         #: members together.
         self.max_concurrency = max_concurrency
-        #: Corpus-wide metadata, aggregated over the shards this view holds.
-        self.metadata = header.metadata_of(self.held)
+        #: Corpus-wide metadata, aggregated over the shards.
+        self.metadata = header.metadata_of()
         #: The sketch's expected false positives per query (Equation 2).
         self._false_positives = (
             self.metadata.expected_false_positives if self.metadata is not None else 0.0
         )
-        #: ``[first, last)`` of each block of adjacent held shards, a read per
-        #: run each: ``[0, None)``, the whole run, unless this is a view.
-        self._blocks: list[list] = [[0, None]] if held is None else []
-        for ordinal in () if held is None else self.held:
-            if self._blocks and self._blocks[-1][1] == ordinal:
-                self._blocks[-1][1] = ordinal + 1
-            else:
-                self._blocks.append([ordinal, ordinal + 1])
         # The statistics are shared across server threads
         # (ThreadingHTTPServer); guard their installation.
         self._lock = threading.Lock()
-        #: The member whose shard list is the whole index (itself unless this
-        #: is a restricted view): it holds the statistics every view scores with.
-        self._whole = whole if whole is not None else self
         self._statistics: IndexStats | None = None
-
-    @property
-    def num_shards(self) -> int:
-        """Shards this member answers for (1 for a plain index)."""
-        return len(self.held)
-
-    def restrict(self, ordinals: Collection[int]) -> "IndexMember | None":
-        """A view answering only the given shard ordinals — positions among
-        the shards this member holds — (``None`` if it holds none).
-
-        The scatter half of the cluster tier's scatter-gather: a router
-        assigns each node a subset of ordinals, and the node answers its
-        subset through this view while the router unions the partial
-        answers (partitions are disjoint, so the union is exact).
-
-        The view shares this member's table, pipeline — its block cache
-        included — and ranking statistics; only the held ordinals (and the
-        metadata merged over them) differ.
-        """
-        held = [self.held[o] for o in sorted({o for o in ordinals if 0 <= o < len(self.held)})]
-        if not held:
-            return None
-        if len(held) == len(self.held):
-            return self
-        return IndexMember(
-            self.name, self.pipeline, self.header, self.max_concurrency, held, self._whole
-        )
 
     # -- wave 1: superpost reads + per-word intersection ---------------------------
 
@@ -193,7 +143,7 @@ class IndexMember:
         A Boolean query over N terms therefore costs the same single wave as
         a one-word query.  A word's layers intersect over its runs' decoded
         unions — exact, since shards partition the documents.  A word that
-        no held shard has in all its bins is empty, and nothing is read for it.
+        no shard has in all its bins is empty, and nothing is read for it.
 
         With ``fail_fast`` (the AND path) such a word dooms the whole
         conjunction, so no superpost is read — matching a real engine that
@@ -209,29 +159,22 @@ class IndexMember:
         unique = list(dict.fromkeys(words))
         header, runs = self.header, self.header.shards
 
-        # Collect the reads per word, remembering which belong to which layer.
+        # Collect the reads per word: one per layer's run, whole.
         requests: list[RangeRead] = []
-        layers: dict[str, list[range]] = {}
+        layers: dict[str, range] = {}
         for word in unique:
             pointers = self.mht.pointers_for(word)
-            # Alive: some held shard has a share in every one of its runs.
+            # Alive: some shard has a share in every one of its runs.
             if not all(pointer.length for pointer in pointers) or (
-                runs is not None
-                and not runs.by_run[[p.row for p in pointers]][:, self.held].all(0).any()
+                runs is not None and not runs.by_run[[p.row for p in pointers]].all(0).any()
             ):
                 results[word] = EMPTY
                 continue
-            spans = layers[word] = []
-            for pointer in pointers:
-                start = len(requests)
-                for first, last in self._blocks:
-                    offset, length = header.share_range(
-                        pointer.row, pointer.offset, pointer.length, first, last
-                    )
-                    if length:
-                        decode = partial(header.decode_run, pointer.row, first, last)
-                        requests.append(RangeRead(pointer.blob, offset, length, decode=decode))
-                spans.append(range(start, len(requests)))
+            layers[word] = range(len(requests), len(requests) + len(pointers))
+            requests.extend(
+                RangeRead(p.blob, p.offset, p.length, decode=partial(header.decode_run, p.row))
+                for p in pointers
+            )
         fetch_words = list(layers)
 
         if fail_fast and len(fetch_words) < len(unique):
@@ -244,19 +187,14 @@ class IndexMember:
             if statistics:
                 self._install(payloads[len(requests) :])
             for word in fetch_words:
-                results[word] = Superpost.intersect_all(
-                    [
-                        Superpost.union_all([payloads[index] for index in span])
-                        for span in layers[word]
-                    ]
-                )
+                results[word] = Superpost.intersect_all([payloads[i] for i in layers[word]])
             return results
 
         return LookupPlan(
             [*requests, *statistics],
             resolve,
             words=fetch_words,
-            shards=len(self.held),
+            shards=self.num_shards,
             statistics=self._resident_statistics if ranked else None,
             expected_false_positives=0.0
             if all(map(self.mht.is_common, fetch_words))
@@ -268,11 +206,9 @@ class IndexMember:
     def _statistics_reads(self) -> list[RangeRead]:
         """The build's stats blob, unless the statistics are resident.
 
-        Always the **whole** index's — so a shard-restricted view scores with
-        exactly the same corpus-wide IDF and average length as the full
-        member (and as every other node of a routed cluster).
+        One blob for the whole build, however it is sharded.
         """
-        if self._whole._statistics is not None:
+        if self._statistics is not None:
             return []
         return [RangeRead(stats_blob_name(self.name), optional=True)]
 
@@ -287,12 +223,12 @@ class IndexMember:
         if payload is None:
             raise RankingUnsupportedError(self.name, "no ranking statistics blob")
         decoded = decode_stats(payload, index_name=self.name)
-        with self._whole._lock:
-            if self._whole._statistics is None:
-                self._whole._statistics = decoded
+        with self._lock:
+            if self._statistics is None:
+                self._statistics = decoded
 
     def _resident_statistics(self) -> IndexStats:
-        statistics = self._whole._statistics
+        statistics = self._statistics
         assert statistics is not None, "a ranked plan installs the statistics it scores with"
         return statistics
 

@@ -28,10 +28,7 @@ total length and each query word's ``df`` over every member's statistics
 (one :class:`~repro.index.stats.IndexStats` per build, however it is
 sharded), counting a document once — by the first member holding it, so a
 document transiently visible in two members mid-flush counts once — and not
-at all when it is condemned.  A shard-restricted view still brings its
-*full* index's statistics: a node answering shards {2,3} uses the same IDF
-as the node answering {0,1}, which is what makes routed answers
-byte-identical to single-node ones.  Nothing is
+at all when it is condemned.  Nothing is
 merged or copied per query: a query reads its words' entries and its
 candidates' rows.
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from contextlib import nullcontext
-from typing import Callable, Collection, Sequence
+from typing import Callable, Sequence
 
 from repro.core.analysis import TOP_K_DELTA, top_k_sample_size
 from repro.core.superpost import Superpost
@@ -208,24 +208,6 @@ class AirphantSearcher:
     ) -> "AirphantSearcher":
         """A searcher over other members with this one's tokenizer."""
         return AirphantSearcher(members=members, exclude=exclude, tokenizer=self._tokenizer)
-
-    def restrict(self, ordinals: Collection[int]) -> "AirphantSearcher":
-        """A searcher answering only the given shard ordinals of every member.
-
-        Members holding none of the ordinals drop out (unsharded ones ride
-        with ordinal 0).  Raises ``ValueError`` when no member is left.
-        """
-        members = self._require_members()
-        views = [
-            view for member in members if (view := member.restrict(ordinals)) is not None
-        ]
-        if not views:
-            raise ValueError(f"no member holds shard ordinal(s) {sorted(ordinals)}")
-        if len(views) == len(members) and all(
-            view is member for view, member in zip(views, members)
-        ):
-            return self
-        return self.with_members(views, self._exclude)
 
     def _require_members(self) -> list[Member]:
         if self._members is None:

@@ -29,7 +29,6 @@ __all__ = [
     "SearchRequest",
     "SearchResponse",
     "ServiceError",
-    "ShardErrorInfo",
     "ShardInfo",
 ]
 
@@ -101,13 +100,6 @@ class SearchRequest:
     a ``{term: positive multiplier}`` mapping applied to each term's BM25
     contribution.  Terms not named keep weight 1.0.
 
-    ``shards`` restricts execution to a subset of the index's shard
-    ordinals — the scatter half of the cluster tier's scatter-gather: a
-    router sends each searcher node the same query with a different
-    ``shards`` list and merges the partial answers.  ``None`` (the default)
-    answers over every shard; unsharded members (a plain index, deltas, the
-    memtable) belong to ordinal 0.
-
     ``explain`` asks the service to attach the query's full span tree (plus
     a per-wave summary) to the response — see ``docs/OBSERVABILITY.md``.
     """
@@ -117,7 +109,6 @@ class SearchRequest:
     mode: str = "keyword"
     top_k: int | None = None
     include_text: bool = True
-    shards: tuple[int, ...] | None = None
     weights: tuple[tuple[str, float], ...] | None = None
     explain: bool = False
 
@@ -137,19 +128,6 @@ class SearchRequest:
                 raise ValueError(f"top_k must be an integer, got {self.top_k!r}")
             if self.top_k <= 0:
                 raise ValueError(f"top_k must be positive, got {self.top_k}")
-        if self.shards is not None:
-            if isinstance(self.shards, (str, bytes)) or not isinstance(
-                self.shards, (list, tuple)
-            ):
-                raise ValueError(f"shards must be a list of shard ordinals, got {self.shards!r}")
-            ordinals = tuple(self.shards)
-            if not ordinals:
-                raise ValueError("shards must name at least one shard ordinal")
-            for ordinal in ordinals:
-                if not isinstance(ordinal, int) or isinstance(ordinal, bool) or ordinal < 0:
-                    raise ValueError(f"shard ordinals must be non-negative integers, got {ordinal!r}")
-            # Canonical form: sorted, de-duplicated, immutable.
-            object.__setattr__(self, "shards", tuple(sorted(set(ordinals))))
         if self.weights is not None:
             if self.mode != "topk_bm25":
                 raise ValueError("weights are only valid with mode='topk_bm25'")
@@ -189,7 +167,7 @@ class SearchRequest:
         return dict(self.weights)
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable representation (``shards``/``weights`` only when set)."""
+        """JSON-serializable representation (``weights`` only when set)."""
         payload: dict[str, Any] = {
             "query": self.query,
             "index": self.index,
@@ -197,8 +175,6 @@ class SearchRequest:
             "top_k": self.top_k,
             "include_text": self.include_text,
         }
-        if self.shards is not None:
-            payload["shards"] = list(self.shards)
         if self.weights is not None:
             payload["weights"] = dict(self.weights)
         if self.explain:
@@ -267,52 +243,8 @@ class DocumentHit:
 
 
 @dataclass(frozen=True)
-class ShardErrorInfo:
-    """One shard a routed query could not answer (the degraded detail).
-
-    Attached to a partial :class:`SearchResponse` by the cluster router:
-    ``shard`` is the unanswered ordinal, ``node`` the last replica tried,
-    ``error`` a stable machine-readable code (``node_timeout``,
-    ``node_unreachable``, ``node_error``, ``no_replicas``), and ``message``
-    the human-readable cause.
-    """
-
-    shard: int
-    node: str
-    error: str
-    message: str
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable representation."""
-        return {
-            "shard": self.shard,
-            "node": self.node,
-            "error": self.error,
-            "message": self.message,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardErrorInfo":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            shard=int(data["shard"]),
-            node=str(data["node"]),
-            error=str(data["error"]),
-            message=str(data["message"]),
-        )
-
-
-@dataclass(frozen=True)
 class SearchResponse:
     """The service's answer to one :class:`SearchRequest`.
-
-    ``partial`` / ``shard_errors`` are set only by the cluster router when
-    some shards could not be answered: the response then holds the merged
-    results of the *surviving* shards plus one :class:`ShardErrorInfo` per
-    unanswered shard.  A complete answer (every single-node response, and
-    every fully-merged routed one) leaves them at their defaults, and
-    ``to_dict`` omits them — so a healthy routed answer serializes exactly
-    like a single-node one.
 
     ``trace`` carries the query's serialized span tree (plus a per-wave
     summary): attached on explain queries and on sub-requests that received
@@ -329,8 +261,6 @@ class SearchResponse:
     false_positive_count: int = 0
     oversampled: int = 0
     latency: LatencyBreakdown = field(default_factory=LatencyBreakdown)
-    partial: bool = False
-    shard_errors: tuple[ShardErrorInfo, ...] = ()
     trace: Mapping[str, Any] | None = None
 
     @property
@@ -368,7 +298,7 @@ class SearchResponse:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable representation (partial fields only when set)."""
+        """JSON-serializable representation (``trace`` only when set)."""
         payload: dict[str, Any] = {
             "query": self.query,
             "index": self.index,
@@ -380,9 +310,6 @@ class SearchResponse:
             "documents": [document.to_dict() for document in self.documents],
             "latency": self.latency.to_dict(),
         }
-        if self.partial or self.shard_errors:
-            payload["partial"] = self.partial
-            payload["shard_errors"] = [error.to_dict() for error in self.shard_errors]
         if self.trace is not None:
             payload["trace"] = dict(self.trace)
         return payload
@@ -405,10 +332,6 @@ class SearchResponse:
             false_positive_count=int(data.get("false_positive_count", 0)),
             oversampled=int(data.get("oversampled", 0)),
             latency=LatencyBreakdown.from_dict(data.get("latency", {})),
-            partial=bool(data.get("partial", False)),
-            shard_errors=tuple(
-                ShardErrorInfo.from_dict(entry) for entry in data.get("shard_errors", ())
-            ),
             trace=data.get("trace"),
         )
 

@@ -77,8 +77,8 @@ class ServiceConfig:
         Sharded indexes widen this by their shard count, capped at 128.
     read_cache_bytes:
         Byte budget of the read pipeline's LRU block cache — one pipeline
-        per opened index, shared by its base, its deltas and every
-        shard-restricted view of it; 0 disables it.  Defaults to
+        per opened index, shared by its base and its deltas; 0 disables
+        it.  Defaults to
         :data:`READ_CACHE_BYTES`.
     retries:
         Transient store failures retried per request by the
@@ -113,25 +113,23 @@ class ServiceConfig:
         How long an over-limit write blocks waiting for a flush to drain
         the memtable before the 429 is raised; 0 rejects immediately.
     peers:
-        Base URLs of the cluster's searcher nodes (normally including this
-        node's own URL).  Empty — the default — keeps the node standalone;
-        non-empty turns the service into a query router that scatters
-        ``POST /search`` over the peers' shard subsets and merges the
-        partial answers (see :mod:`repro.cluster`).
-    replication_factor:
-        Distinct nodes each shard is assigned to; replicas beyond the
-        first serve as failover / hedge targets for the router.
+        Base URLs of the cluster's searcher nodes (this node's own URL may
+        be one of them).  Empty — the default — keeps the node standalone;
+        non-empty turns the service into a query router that sends each
+        ``POST /search`` whole to one peer (see :mod:`repro.cluster`).
     shard_timeout_s:
-        Wall-clock bound on one node's answer for its shard subset; a
-        timed-out node counts as failed and the next replica is tried.
+        Wall-clock bound on one node's answer to a routed query; a
+        timed-out node counts as failed and the next node is tried.  (The
+        name predates whole-query routing and is kept so configs that set
+        it keep working.)
     node_hedge_ms:
-        Delay after which the router duplicates a still-unanswered shard
-        query to the next replica (node-level hedged reads, mirroring the
-        storage layer's :class:`ResilientStore`); 0 disables hedging and
-        replicas are only tried sequentially on failure.
+        Delay after which the router duplicates a still-unanswered query
+        to the next node (node-level hedged reads, mirroring the storage
+        layer's :class:`ResilientStore`); 0 disables hedging and nodes are
+        only tried one after another on failure.
     node_retries:
-        Extra full passes over a shard's replica set before the router
-        gives the shard up and answers partially.
+        Extra full passes over the peer list before the router fails the
+        query with ``503 cluster_unavailable``.
     probe_interval_s:
         Period of the background ``/healthz`` probes feeding the router's
         mark-down/mark-up decisions; 0 disables background probing (peers
@@ -174,7 +172,6 @@ class ServiceConfig:
     ingest_max_memtable_bytes: int = 0
     ingest_overload_wait_s: float = 0.0
     peers: tuple[str, ...] = ()
-    replication_factor: int = 2
     shard_timeout_s: float = 5.0
     node_hedge_ms: float = 0.0
     node_retries: int = 1
@@ -224,8 +221,6 @@ class ServiceConfig:
             if not peer.startswith(("http://", "https://")):
                 raise ValueError(f"peer {peer!r} must be an http(s):// base URL")
         object.__setattr__(self, "peers", peers)
-        if self.replication_factor <= 0:
-            raise ValueError("replication_factor must be positive")
         if self.shard_timeout_s <= 0:
             raise ValueError("shard_timeout_s must be positive")
         if self.node_hedge_ms < 0:

@@ -228,14 +228,13 @@ class AirphantService:
             self.store, self._config, self._metrics, self._catalog.manifest_written
         )
         # The scale-out query tier: with peers configured this node doubles
-        # as a router — whole queries scatter over the peers' shard subsets
-        # (including, usually, this node itself via its own URL) and merge;
-        # requests that already pin shards are answered locally.
+        # as a router that sends each query whole to one peer (possibly this
+        # node itself, via its own URL); requests a router sent are answered
+        # locally.
         self._router: QueryRouter | None = None
         if self._config.peers:
             self._router = QueryRouter(
                 self._config.peers,
-                replication_factor=self._config.replication_factor,
                 shard_timeout_s=self._config.shard_timeout_s,
                 node_hedge_ms=self._config.node_hedge_ms,
                 node_retries=self._config.node_retries,
@@ -418,27 +417,22 @@ class AirphantService:
         request: SearchRequest,
         trace_id: str | None = None,
         parent_span_id: str | None = None,
+        routed: bool = False,
     ) -> SearchResponse:
         """Answer one typed search request (the service's main entry point).
 
-        On a clustered node a whole-index request scatter-gathers over the
-        peers; a request already pinned to shard ordinals — the routed
-        sub-requests themselves — is always answered locally, which is what
-        keeps routing from recursing.
+        On a clustered node a request goes to one of the peers; a ``routed``
+        one — a router sent it — is always answered locally, which is what
+        keeps routing from recursing when a router is one of its own peers.
 
         ``trace_id``/``parent_span_id`` carry propagated trace context from
-        the HTTP layer (a router upstream asked this node to trace its share
-        of a query).  The span tree is attached to the response — for the
+        the HTTP layer (a router upstream asked this node to trace the
+        query).  The span tree is attached to the response — for the
         client on ``explain`` requests, for the router to graft on
         propagated ones; otherwise tracing stays internal (the ``/traces``
         ring and the slow-query log).
         """
-        if request.mode == "topk_bm25" and request.top_k is None:
-            # Materialize the default k into the request *before* any
-            # routing: the scattered sub-requests and the router's global
-            # truncation must agree on the same explicit k.
-            request = dataclasses.replace(request, top_k=DEFAULT_RANKED_K)
-        # A parent span id marks a routed sub-request (the caller grafts the
+        # A parent span id marks a routed request (the caller grafts the
         # returned tree); a bare trace_id only *names* the trace — the HTTP
         # layer pre-generates one so access-log lines correlate — and must
         # not force retention or a trace-bearing response.
@@ -453,7 +447,7 @@ class AirphantService:
             query=request.query,
         )
         with _Traced(handle):
-            if self._router is not None and request.shards is None:
+            if self._router is not None and not routed:
                 response = self._router.route(request)
             else:
                 response = SearchResponse.from_result(request, self.execute(request))
@@ -490,7 +484,7 @@ class AirphantService:
             return self._execute(request)
 
     def _execute(self, request: SearchRequest) -> SearchResult:
-        searcher = self._open(request.index, shards=request.shards)
+        searcher = self._open(request.index)
         try:
             # _STORE_ERRORS: the backend (not the request) failing — retries,
             # if configured, are already exhausted by the time it raises.
@@ -532,16 +526,15 @@ class AirphantService:
         """
         return self._open(index)
 
-    def _open(self, index: str, shards: Sequence[int] | None = None) -> AirphantSearcher:
+    def _open(self, index: str) -> AirphantSearcher:
         """Resolve ``index``'s members, once, into the searcher for one request.
 
         The combined live view: the catalog's (cached) persisted members —
         re-resolved per request, so flush/compaction invalidations take
         effect on the next query — plus one exact member per live memtable,
         with the pending deletes excluded on every route a condemned
-        document could surface through (local, shard-pinned, or
-        cluster-scattered).  For an index with no write state this is
-        exactly the catalog searcher's members.
+        document could surface through.  For an index with no write state
+        this is exactly the catalog searcher's members.
         """
         try:
             # _STORE_ERRORS: the open's waves failing (they carry the first
@@ -551,18 +544,6 @@ class AirphantService:
                 live = self._ingest.live(index)
         except KeyError:
             raise ServiceError(404, "index_not_found", f"no index named {index!r}") from None
-        if shards is not None:
-            # Validate eagerly (typed 400, not a silent empty answer): every
-            # requested ordinal must exist somewhere among the members.
-            num_shards = max(member.num_shards for member in opened.opened)
-            invalid = [ordinal for ordinal in shards if ordinal >= num_shards]
-            if invalid:
-                raise ServiceError(
-                    400,
-                    "bad_shards",
-                    f"index {index!r} has {num_shards} shard(s); "
-                    f"ordinal(s) {invalid} do not exist",
-                )
         with span("live.members") as members_span:
             members: list[Member] = opened.searchers
             exclude: frozenset[Posting] = frozenset()
@@ -570,16 +551,6 @@ class AirphantService:
                 members += live.memtable_members()
                 exclude = live.tombstone_refs()
             searcher = opened.with_members(members, exclude)
-            if shards is not None:
-                # Shard-subset execution (the scatter half of the cluster
-                # tier): a sharded member answers with a view over the
-                # requested ordinals it actually holds; everything unsharded
-                # — plain indexes, deltas, live memtables — rides with
-                # ordinal 0.  Disjoint ordinal subsets across nodes therefore
-                # partition the full member set exactly: each shard is
-                # answered once, and the write-path members exactly once (by
-                # whichever node owns ordinal 0).
-                searcher = searcher.restrict(shards)
             members_span.set(members=len(searcher.searchers))
         return searcher
 
@@ -756,7 +727,7 @@ class AirphantService:
         One atomic manifest PUT re-points the index at the frozen base +
         delta set; the WAL is reset to the snapshot's write state (its
         tombstones pending again, every later append abandoned) and the live
-        registry, catalog, and router caches are invalidated so the next
+        registry and catalog caches are invalidated so the next
         query serves the restored timeline.  Raises :class:`ServiceError`
         404 for unknown indexes/snapshots and 409 when the snapshot's blobs
         no longer exist.
@@ -777,8 +748,6 @@ class AirphantService:
             self._ingest.discard(index)
             WriteAheadLog(self.store, index).restore(info.tombstones)
             self._catalog.invalidate(index)
-            if self._router is not None:
-                self._router.invalidate(index)
         return {
             "index": index,
             "snapshot": info.snapshot,
@@ -867,7 +836,4 @@ class AirphantService:
             manager.reset()
         self._ingest.discard(name, destroy_wal=True)
         self._catalog.invalidate(name)
-        if self._router is not None:
-            # The rebuild may have changed the shard count.
-            self._router.invalidate(name)
         return self.index_info(name)

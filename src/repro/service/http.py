@@ -11,14 +11,14 @@ query node can be started anywhere the bucket is reachable:
   (404 when ``tracing_enabled`` is off; ``?limit=N`` caps the list);
 * ``GET  /traces/{id}`` — one retained trace as its full span tree plus
   the per-wave fetch summary;
-* ``GET  /cluster`` — topology, per-index shard assignments, and peer
-  health of a clustered node (404 when no peers are configured);
+* ``GET  /cluster`` — the peers, their health and the router's settings
+  on a clustered node (404 when no peers are configured);
 * ``GET  /indexes`` — every servable index as an ``IndexInfo`` list;
 * ``GET  /indexes/{name}`` — one index's ``IndexInfo``;
 * ``POST /search`` — a ``SearchRequest`` JSON body, answered with a
-  ``SearchResponse``.  On a clustered node a request without ``shards``
-  is scatter-gathered over the peers; with ``shards`` it is answered
-  locally over just those ordinals (the router's sub-request form);
+  ``SearchResponse``.  On a clustered node a request goes whole to one
+  peer; one carrying the ``X-Airphant-Routed`` header (a router sent it)
+  is answered locally;
 * ``POST /indexes/{name}/build`` — build/rebuild an index from corpus blobs
   already present in the bucket (body: ``{"blobs": [...], "num_bins": ...,
   "target_false_positives": ..., "num_layers": ..., "seed": ...,
@@ -58,6 +58,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterable, Mapping
 from urllib.parse import parse_qs, urlsplit
 
+from repro.cluster.router import ROUTED_HEADER
 from repro.core.config import SketchConfig
 from repro.observability import PROMETHEUS_CONTENT_TYPE
 from repro.observability.tracing import (
@@ -241,16 +242,20 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
                 request = SearchRequest.from_dict(body)
             except (ValueError, TypeError) as error:
                 raise ServiceError(400, "bad_request", str(error)) from error
-            # Propagated trace context (a router upstream) rides in on the
-            # two trace headers; without them a trace id is pre-generated
-            # so this request's access-log line still correlates.
+            # A router upstream marks its requests, which this node answers
+            # itself, and may send its trace context on the two trace
+            # headers; without them a trace id is pre-generated so this
+            # request's access-log line still correlates.
             trace_id = self.headers.get(TRACE_ID_HEADER)
             parent_span_id = self.headers.get(PARENT_SPAN_HEADER)
             if trace_id is None and service.tracer.enabled:
                 trace_id = new_id()
             self._trace_id = trace_id
             return 200, service.search(
-                request, trace_id=trace_id, parent_span_id=parent_span_id
+                request,
+                trace_id=trace_id,
+                parent_span_id=parent_span_id,
+                routed=ROUTED_HEADER in self.headers,
             ).to_dict()
         if path.startswith("/indexes/") and path.endswith("/build"):
             name = path[len("/indexes/") : -len("/build")]
@@ -462,7 +467,7 @@ class AirphantRequestHandler(BaseHTTPRequestHandler):
             self.flush_headers()
         except ConnectionError:
             # The client hung up (e.g. a router abandoned us after its
-            # per-shard timeout and failed over to a replica).  There is
+            # per-node timeout and failed over to the next node).  There is
             # nobody left to answer; don't let the threading server spam
             # a traceback for a normal disconnect.
             self.close_connection = True

@@ -41,7 +41,6 @@ def test_routed_queries_reuse_a_connection_per_peer():
         expected = services[0].search(SearchRequest(query="INFO", index="logs")).documents
         for query in ["INFO", "ERROR", "block", "INFO block"] * 5:
             response = router.search(SearchRequest(query=query, index="logs"))
-            assert not response.partial
             if query == "INFO":
                 assert response.documents == expected
         router.router.health.probe_once()  # the probes ride the same pools

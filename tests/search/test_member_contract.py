@@ -1,13 +1,12 @@
 """The member contract, checked once over every kind of member.
 
-Every tier a query runs over — a plain index, a 4-shard index, a
-shard-restricted view of it, a live memtable — answers the same
-:class:`~repro.search.member.Member` contract, and the one executor
-(:class:`~repro.search.searcher.AirphantSearcher`) does everything else.
-This suite pins both halves: the per-member obligations (a resolved ``plan``
-is a superset of the truth and the member itself reads nothing, ``restrict``
-partitions exactly, scores under pending deletes equal a rebuild over the
-survivors, an excluded document's bytes are never requested), each with and
+Every tier a query runs over — a plain index, a 4-shard index, a live
+memtable — answers the same :class:`~repro.search.member.Member` contract,
+and the one executor (:class:`~repro.search.searcher.AirphantSearcher`) does
+everything else.  This suite pins both halves: the per-member obligations
+(a resolved ``plan`` is a superset of the truth and the member itself reads
+nothing, scores under pending deletes equal a rebuild over the survivors,
+an excluded document's bytes are never requested), each with and
 without pending deletes, and — at the executor level — that one corpus
 served as a plain index, as 4 shards, or as base + 2 deltas + memtable
 yields the same answers in every query mode.
@@ -23,8 +22,6 @@ from harness.shards import shard_pointers
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
-from repro.index.sharding import route_rows
-from repro.index.stats import build_stats
 from repro.ingest.memtable import MemtableMember, memtable_from_documents
 from repro.parsing.documents import Document
 from repro.parsing.tokenizer import WhitespaceAnalyzer
@@ -37,10 +34,8 @@ from repro.workloads.logs import generate_log_corpus
 TOKENIZER = WhitespaceAnalyzer()
 CONFIG = SketchConfig(num_bins=256, target_false_positives=1.0, seed=7)
 NUM_SHARDS = 4
-#: The ordinals the shard-restricted view answers for.
-VIEW_ORDINALS = (1, 3)
 WORDS = ("ERROR", "INFO", "block", "WRITE_BLOCK", "nonexistentzzz")
-MEMBER_KINDS = ("plain", "sharded", "view", "memtable")
+MEMBER_KINDS = ("plain", "sharded", "memtable")
 
 
 class ReadLogStore(InMemoryObjectStore):
@@ -74,10 +69,6 @@ class Site:
         self.documents = generate_log_corpus(
             self.store, "hdfs", num_documents=240, seed=13
         ).documents
-        #: What the member holds (a view holds only its shards' partitions).
-        self.held = self.documents
-        #: What its ranking statistics cover (a view's cover the whole index).
-        self.ranked = self.documents
         self.owner: IndexMember | None = None
         if kind == "memtable":
             self.member: Member = MemtableMember(memtable_from_documents(self.documents))
@@ -88,16 +79,9 @@ class Site:
         )
         (self.owner,) = AirphantSearcher.open(self.store, "idx").opened
         self.member = self.owner
-        if kind == "view":
-            view = self.owner.restrict(VIEW_ORDINALS)
-            assert view is not None and view is not self.owner
-            self.member = view
-            stats = build_stats(self.documents, TOKENIZER)
-            shard_of = dict(zip(stats.docs, route_rows(stats, NUM_SHARDS).tolist()))
-            self.held = [d for d in self.documents if shard_of[d.ref] in VIEW_ORDINALS]
 
     def truth(self, word: str) -> set:
-        return {d.ref for d in self.held if word in TOKENIZER.distinct_terms(d.text)}
+        return {d.ref for d in self.documents if word in TOKENIZER.distinct_terms(d.text)}
 
     def excluded(self, pending: bool) -> frozenset:
         """Every third holder of "ERROR" condemned — or nothing."""
@@ -138,6 +122,20 @@ class TestMemberContract:
             assert set(per_word[word]) >= site.truth(word), word
         assert set(per_word["nonexistentzzz"]) == set()
 
+    def test_a_plan_reads_each_live_word_s_runs_whole(self, site):
+        """One read per run of a word's layers, each the whole run — every
+        shard's share of it — with the run's own decoder; nothing for an
+        exact member."""
+        for word in WORDS:
+            plan = site.member.plan([word])
+            if site.owner is None or word not in plan.words:
+                assert list(plan.reads) == [], word
+                continue
+            runs = [(p.blob, p.offset, p.length) for p in site.owner.mht.pointers_for(word)]
+            assert [(r.blob, r.offset, r.length) for r in plan.reads] == runs, word
+            assert all(read.decode is not None for read in plan.reads)
+        assert site.reads == []
+
     def test_a_doomed_conjunction_plans_nothing(self, site):
         if site.owner is None:
             # An exact member never has anything to read: it answers either way.
@@ -167,7 +165,7 @@ class TestMemberContract:
         assert set(per_word[doomed]) == set()
 
     def test_only_an_exact_member_holds_documents_resident(self, site):
-        wanted = site.held[:5]
+        wanted = site.documents[:5]
         resident = [site.member.resident(d.ref) for d in wanted]
         assert resident == (wanted if site.owner is None else [None] * 5)
         assert site.reads == []
@@ -185,57 +183,23 @@ class TestMemberContract:
         assert both == site.member.plan(["ERROR"]).expected_false_positives
         assert site.member.plan(["INFO"]).expected_false_positives == 0.0
 
-    def test_restrict_partitions_exactly(self, site, pending):
-        exclude = site.excluded(pending)
-        whole = AirphantSearcher(members=[site.member], exclude=exclude)
-        expected = {d.ref for d in whole.search("ERROR").documents}
-        assert expected == site.truth("ERROR") - exclude
-        union: set = set()
-        for ordinals in [(0, 2), (1, 3)]:
-            part = site.member.restrict(ordinals)
-            if part is None:
-                continue
-            refs = {
-                d.ref
-                for d in AirphantSearcher(members=[part], exclude=exclude)
-                .search("ERROR")
-                .documents
-            }
-            assert union.isdisjoint(refs)
-            union |= refs
-        assert union == expected
-        assert site.member.restrict(()) is None
-
-    def test_unsharded_members_ride_with_ordinal_zero(self, site):
-        even, odd = site.member.restrict([0, 2]), site.member.restrict([1, 3])
-        if site.owner is not None and site.owner.shard_manifest is not None:
-            # Sharded members hold their own ordinals: two proper views.
-            assert even is not None and odd is not None
-            assert site.member not in (even, odd)
-            assert even.num_shards + odd.num_shards == site.member.num_shards
-        else:
-            assert even is site.member
-            assert odd is None
-
     def test_scores_under_pending_tombstones_equal_a_rebuild_over_survivors(self, site, pending):
         exclude = site.excluded(pending)
-        survivors = [d for d in site.ranked if d.ref not in exclude]
+        survivors = [d for d in site.documents if d.ref not in exclude]
         AirphantBuilder(site.store, config=CONFIG).build_from_documents(
             survivors, index_name="rebuilt"
         )
         rebuilt = AirphantSearcher.open(site.store, "rebuilt")
         searcher = AirphantSearcher(members=[site.member], exclude=exclude)
-        held = {d.ref for d in site.held}
         for query in ("ERROR", "INFO block"):
-            # A view ranks its own shards' documents against the whole index.
             expected = rebuilt.search_topk(query, k=500)
-            expected = [(r, s) for r, s in zip(expected.postings, expected.scores) if r in held]
+            expected = list(zip(expected.postings, expected.scores))
             result = searcher.search_topk(query, k=500)
             assert list(zip(result.postings, result.scores)) == expected, query
 
     def test_excluded_bytes_are_never_requested(self, site, pending):
         exclude = site.excluded(pending)
-        condemned = [d for d in site.held if d.ref in exclude]
+        condemned = [d for d in site.documents if d.ref in exclude]
         searcher = AirphantSearcher(members=[site.member], exclude=exclude)
         site.store.reads.clear()
         results = [

@@ -126,22 +126,3 @@ class TestShardedRanking:
             b = split.search_topk(query, k=5)
             assert [d.ref for d in a.documents] == [d.ref for d in b.documents], query
             assert a.scores == b.scores, query
-
-    def test_restricted_views_merge_to_full_ranking(
-        self, sim_store, small_documents, small_config
-    ):
-        AirphantBuilder(sim_store, config=small_config, num_shards=3).build_from_documents(
-            small_documents, index_name="rv"
-        )
-        searcher = AirphantSearcher.open(sim_store, index_name="rv")
-        full = searcher.search_topk("error", k=5)
-        partial_hits = []
-        for ordinals in ([0], [1, 2]):
-            view = searcher.restrict(ordinals)
-            result = view.search_topk("error", k=5)
-            partial_hits.extend(zip(result.scores, (d.ref for d in result.documents)))
-        partial_hits.sort(key=lambda hit: (-hit[0], hit[1]))
-        merged = partial_hits[:5]
-        assert [(s, r) for s, r in merged] == list(
-            zip(full.scores, (d.ref for d in full.documents))
-        )

@@ -9,9 +9,6 @@ Pinned here for 1, 4 and 16 shards over the same documents:
   identical to the one-shard build's;
 * a whole-index lookup of a word issues one physical store read per bin,
   whatever the shard count: L for a hashed word, one for a common word;
-* a shard-restricted view reads only its shards' sub-ranges — one range
-  per run for each block of adjacent held shards — never more bytes than
-  the whole index;
 * a 4-shard build an older engine routed round-robin (its header says so)
   answers the same: routing is never read back.
 """
@@ -20,7 +17,6 @@ from __future__ import annotations
 
 import pytest
 from harness.legacy_header import build_round_robin
-from harness.shards import shard_pointers
 from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
@@ -50,12 +46,10 @@ def bucket(request):
     return backend, request.param
 
 
-def _lookup(backend, name, word, ordinals=None):
+def _lookup(backend, name, word):
     """``(postings, [(offset, length) of each physical superpost read], searcher)``."""
     store = RecordingStore(backend)
     searcher = AirphantSearcher.open(store, name)
-    if ordinals is not None:
-        searcher = searcher.restrict(ordinals)
     start = len(store.calls)
     postings, _ = searcher.lookup_postings(word)
     reads = [
@@ -108,52 +102,6 @@ def test_a_lookup_reads_one_range_per_bin_whatever_the_shard_count(bucket, shard
         else:
             assert 1 <= len(reads) <= layers, word
     assert present > len(common)
-
-
-def test_a_restricted_view_reads_only_its_shards_sub_ranges(bucket):
-    backend, _ = bucket
-    common, hashed = _words(backend)
-    for word in common + hashed:
-        whole_postings, whole_reads, whole = _lookup(backend, "s4", word)
-        postings, reads, _ = _lookup(backend, "s4", word, ordinals={0, 2})
-        (member,) = whole.opened
-        shards = shard_pointers(member, word)
-        held = [
-            (pointer.offset, pointer.offset + pointer.length)
-            for shard in (shards[0], shards[2])
-            for pointer in shard
-            if pointer.length
-        ]
-        for offset, length in reads:
-            # Each physical read is one of the held sub-ranges, or adjacent
-            # held sub-ranges merged: it never spans a byte of shards 1 or 3.
-            covered = sum(
-                max(0, min(end, offset + length) - max(start, offset)) for start, end in held
-            )
-            assert covered == length, (word, offset, length)
-        assert sum(length for _, length in reads) <= sum(length for _, length in whole_reads)
-        # Its answer is exactly its shards' answers together.
-        alone = [set(_lookup(backend, "s4", word, ordinals={shard})[0]) for shard in (0, 2)]
-        assert set(postings) == alone[0] | alone[1]
-        assert set(postings) <= set(whole_postings)
-
-
-def test_a_restricted_view_plans_one_read_per_block_of_held_shards(bucket):
-    backend, _ = bucket
-    common, hashed = _words(backend)
-    (member,) = AirphantSearcher.open(backend, "s4").opened
-    checked = 0
-    for word in common + hashed:
-        runs = [pointer for pointer in member.mht.pointers_for(word) if pointer.length]
-        shares = shard_pointers(member, word)[:3]
-        if not runs or not all(pointer.length for shard in shares for pointer in shard):
-            continue
-        checked += 1
-        # Shards 0 and 2 are two blocks of a run, 1 and 2 one.
-        assert len(member.plan([word]).reads) == len(runs), word
-        assert len(member.restrict({0, 2}).plan([word]).reads) == 2 * len(runs), word
-        assert len(member.restrict({1, 2}).plan([word]).reads) == len(runs), word
-    assert checked
 
 
 def test_an_older_round_robin_build_answers_as_the_one_shard_build(bucket):

@@ -198,78 +198,6 @@ class TestShardedThroughService:
         assert response.num_results > 0
 
 
-class TestShardRestriction:
-    """restrict(): the node-side half of the cluster scatter-gather."""
-
-    def test_disjoint_subsets_partition_the_results(self, searchers):
-        _, sharded = searchers
-        full = doc_keys(sharded.search("ERROR"))
-        union = set()
-        for ordinals in [(0, 2), (1, 3)]:
-            subset = doc_keys(sharded.restrict(ordinals).search("ERROR"))
-            assert union.isdisjoint(subset)
-            union |= subset
-        assert union == full
-
-    def test_single_ordinal_views_cover_all_modes(self, searchers):
-        single, sharded = searchers
-        for query, run in [
-            ("ERROR", lambda s: s.search("ERROR")),
-            ("ERROR AND block", lambda s: s.search_boolean("ERROR AND block")),
-        ]:
-            expected = doc_keys(run(single))
-            union = set()
-            for ordinal in range(member(sharded).num_shards):
-                union |= doc_keys(run(sharded.restrict([ordinal])))
-            assert union == expected
-
-    def test_full_subset_returns_self(self, searchers):
-        _, sharded = searchers
-        assert sharded.restrict(range(member(sharded).num_shards)) is sharded
-        assert member(sharded).restrict(range(4)) is member(sharded)
-
-    def test_view_shares_the_pipeline_and_its_block_cache(self, sim_store, searchers):
-        sharded = AirphantSearcher.open(sim_store, index_name="sharded", read_cache_bytes=1 << 20)
-        view = sharded.restrict([1])
-        assert view is not sharded
-        assert member(view).pipeline is member(sharded).pipeline is view.pipeline
-        cold = view.search("ERROR")
-        warm = view.search("ERROR")
-        assert cold.latency.round_trips == 2 and warm.latency.round_trips == 0
-        # The cache is keyed by byte range, not by word: a view's warm answer
-        # is its own subset, exactly as cold, and the whole index's answer is
-        # still the whole one.
-        assert doc_keys(warm) == doc_keys(cold)
-        assert doc_keys(sharded.search("ERROR")) == doc_keys(searchers[0].search("ERROR"))
-
-    def test_view_metadata_covers_only_the_subset(self, searchers):
-        _, sharded = searchers
-        view = member(sharded.restrict([0, 1]))
-        assert view.num_shards == 2
-        assert 0 < view.metadata.num_documents < member(sharded).metadata.num_documents
-
-    def test_empty_subset_raises(self, searchers):
-        _, sharded = searchers
-        with pytest.raises(ValueError):
-            sharded.restrict([])
-
-    def test_out_of_range_ordinal_raises(self, searchers):
-        _, sharded = searchers
-        with pytest.raises(ValueError):
-            sharded.restrict([member(sharded).num_shards])
-
-    def test_single_shard_index_only_accepts_ordinal_zero(self, searchers):
-        single, _ = searchers
-        assert single.restrict([0]) is single
-        with pytest.raises(ValueError):
-            single.restrict([1])
-
-    def test_uninitialized_restrict_raises(self, sim_store, searchers):
-        searcher = AirphantSearcher(sim_store, index_name="sharded")
-        with pytest.raises(RuntimeError):
-            searcher.restrict([0])
-
-
 class TestShardedConcurrencyScaling:
     """The 16-shard regression fix: the concurrency asked for widens with the shard count."""
 

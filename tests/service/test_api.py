@@ -13,7 +13,6 @@ from repro.service.api import (
     SearchRequest,
     SearchResponse,
     ServiceError,
-    ShardErrorInfo,
 )
 from repro.storage.parallel import FetchResult
 
@@ -167,25 +166,10 @@ class TestErrorInfo:
         assert "parenthesis" in str(error)
 
 
-class TestSearchRequestShards:
-    def test_shards_default_to_none_and_are_omitted(self):
-        request = SearchRequest(query="error")
-        assert request.shards is None
-        assert "shards" not in request.to_dict()
-
-    def test_shards_are_sorted_and_deduplicated(self):
-        request = SearchRequest(query="error", shards=[3, 1, 3, 0])
-        assert request.shards == (0, 1, 3)
-        assert request.to_dict()["shards"] == [0, 1, 3]
-
-    def test_shards_round_trip(self):
-        request = SearchRequest(query="error", shards=(2, 5))
-        assert SearchRequest.from_json(request.to_json()) == request
-
-    @pytest.mark.parametrize("shards", [[], "0", 3, [0, -1], [True], [1.5]])
-    def test_invalid_shards_rejected(self, shards):
-        with pytest.raises(ValueError):
-            SearchRequest(query="error", shards=shards)
+class TestSearchRequestHasNoShardPin:
+    def test_a_request_naming_shards_is_refused(self):
+        with pytest.raises(ValueError, match="shards"):
+            SearchRequest.from_dict({"query": "error", "shards": [0]})
 
 
 class TestRankedRequest:
@@ -252,38 +236,6 @@ class TestRankedResponse:
         assert DocumentHit.from_dict(scored.to_dict()) == scored
 
 
-class TestShardErrorInfo:
-    def test_round_trip(self):
-        error = ShardErrorInfo(
-            shard=3, node="http://n1:8080", error="node_timeout", message="5s elapsed"
-        )
-        assert ShardErrorInfo.from_dict(error.to_dict()) == error
-
-    def test_partial_response_round_trip(self):
-        response = SearchResponse(
-            query="error",
-            index="logs",
-            mode="keyword",
-            partial=True,
-            shard_errors=(
-                ShardErrorInfo(shard=1, node="http://n2", error="node_unreachable", message="refused"),
-            ),
-        )
-        payload = response.to_dict()
-        assert payload["partial"] is True
-        assert payload["shard_errors"][0]["shard"] == 1
-        assert SearchResponse.from_json(response.to_json()) == response
-
-    def test_complete_response_omits_partial_fields(self):
-        response = SearchResponse(query="error", index="logs", mode="keyword")
-        payload = response.to_dict()
-        assert "partial" not in payload
-        assert "shard_errors" not in payload
-        rebuilt = SearchResponse.from_dict(payload)
-        assert rebuilt.partial is False
-        assert rebuilt.shard_errors == ()
-
-
 class TestServiceConfigRoundTrip:
     def test_to_dict_names_every_field(self):
         from dataclasses import fields
@@ -292,7 +244,7 @@ class TestServiceConfigRoundTrip:
 
         config = ServiceConfig()
         assert set(config.to_dict()) == {field.name for field in fields(ServiceConfig)}
-        assert len(fields(ServiceConfig)) == 24
+        assert len(fields(ServiceConfig)) == 23
         json.dumps(config.to_dict())  # what /healthz serializes
 
     def test_non_default_config_survives_the_round_trip(self):
@@ -308,7 +260,6 @@ class TestServiceConfigRoundTrip:
             ingest_flush_docs=99,
             ingest_max_memtable_docs=1000,
             peers=("http://n1:1/", "http://n2:2"),
-            replication_factor=2,
             metrics_enabled=False,
             trace_sample_rate=0.25,
             slow_query_ms=80.0,
@@ -353,3 +304,12 @@ class TestServiceConfigRoundTrip:
         config = ServiceConfig.from_dict(saved)
         assert config == ServiceConfig()
         assert not {"min_literal_length", "trace_buffer"} & set(config.to_dict())
+
+    def test_a_saved_config_with_the_retired_replication_factor_still_loads(self):
+        from repro.service.config import ServiceConfig
+
+        peers = ("http://n1:1", "http://n2:2")
+        saved = {**ServiceConfig(peers=peers).to_dict(), "replication_factor": 3}
+        config = ServiceConfig.from_dict(saved)
+        assert config == ServiceConfig(peers=peers)
+        assert "replication_factor" not in config.to_dict()

@@ -2,7 +2,7 @@
 
 Read-your-writes for the mutable lifecycle at every searcher tier the
 facade composes: the memtable, a flushed delta, the (optionally sharded)
-base, and a scatter-gather cluster router — plus the typed 429 overload
+base, and a cluster router — plus the typed 429 overload
 answer and the HTTP wire format of ``/docs/delete`` and ``/docs/update``.
 """
 
@@ -238,9 +238,9 @@ class TestClusterTier:
             local.delete_documents("live", [BASE_REF])
             result = router.search(SearchRequest(index="live", query="error"))
             texts = {d["text"] for d in result.to_dict()["documents"]}
-            # Every peer answers its shard-pinned sub-request from the shared
-            # store's WAL manifest, so the routed answer filters the delete
-            # committed through a *different* service instance.
+            # The peer answers the routed query from the shared store's WAL
+            # manifest, so the routed answer filters the delete committed
+            # through a *different* service instance.
             assert "error disk full" not in texts
         finally:
             router.close()

@@ -127,25 +127,3 @@ def test_an_in_place_rebuild_over_another_corpus_retires_the_cached_bytes(built)
         service.build_index(INDEX, [blob], sketch_config=CONFIG)
 
     _assert_fresh_after(store, service, rebuild)
-
-
-def test_a_shard_restricted_view_answers_a_warm_repeat_as_it_answered_cold():
-    store = InMemoryObjectStore()
-    corpus = generate_log_corpus(store, "hdfs", 200, seed=5)
-    with _service(store) as service:
-        service.build_index(INDEX, corpus.blob_names, sketch_config=CONFIG, num_shards=4)
-        views = [
-            SearchRequest(query="ERROR", index=INDEX, shards=(1, 3)),
-            SearchRequest(query="INFO block", index=INDEX, mode="topk_bm25", top_k=5, shards=(0,)),
-        ]
-        cold = [service.search(request) for request in views]
-        warm = [service.search(request) for request in views]
-        assert [response.latency.round_trips for response in warm] == [0, 0]
-        assert _answers(service, views) == [
-            {key: value for key, value in response.to_dict().items() if key != "latency"}
-            for response in cold
-        ]
-        # The views warmed the whole index's cache with their subsets' bytes;
-        # the whole index still answers exactly as a fresh node does.
-        whole = _answers(service)
-    assert whole == _uncached_answers(store)

@@ -75,7 +75,7 @@ class TestParser:
         assert args.read_cache_bytes == 0
 
     def test_retired_read_path_flags_are_gone(self):
-        for flag in ("--query-cache-size", "--coalesce-gap"):
+        for flag in ("--query-cache-size", "--coalesce-gap", "--replication-factor"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve", "--bucket", "/tmp/b", flag, "16"])
         search = ["search", "--bucket", "/tmp/b", "--index", "i", "--query", "q"]

@@ -669,3 +669,38 @@ def test_checker_keeps_one_cost_record_and_counters_on_their_fields(tmp_path):
         "storage/pipeline.py:1: a metric-counter table outside observability/stats.py",
         "storage/pipeline.py:5: a metric-counter table outside observability/stats.py",
     ]
+
+
+def test_checker_keeps_the_query_tier_off_the_index_and_search_packages(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("cluster", "service"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the router speaks the service's types and the store's
+    # connections; a docstring may name the packages; the service itself
+    # may import what it likes.
+    (root / "cluster" / "router.py").write_text(
+        '"""Knows nothing of repro.index.store_layout."""\n'
+        "from repro.service.api import SearchRequest\n"
+        "from repro.storage.connections import send\n"
+        "import repro.indexing_helpers\n",
+        encoding="utf-8",
+    )
+    (root / "service" / "facade.py").write_text(
+        "from repro.search.searcher import AirphantSearcher\n", encoding="utf-8"
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a planted import of either package, in either spelling.
+    (root / "cluster" / "topology.py").write_text(
+        "from repro.index.store_layout import shard_index_name\n"
+        "import repro.search.member\n"
+        "from repro import search\n",
+        encoding="utf-8",
+    )
+    found = check_seams.findings(root)
+    assert sorted(problem.split("repro/")[1] for problem in found) == [
+        "cluster/topology.py:1: the query tier imports from repro.index or repro.search",
+        "cluster/topology.py:2: the query tier imports from repro.index or repro.search",
+        "cluster/topology.py:3: the query tier imports from repro.index or repro.search",
+    ]
