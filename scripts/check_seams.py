@@ -79,6 +79,13 @@ Builder and compaction work from a build's statistics columns.  Under
 * a ``.tokenize(`` or ``.distinct_terms(`` call anywhere but
   ``index/stats.py``.
 
+The write path tokenizes an appended line once, into the memtable's
+columns, which its queries, ranking statistics and flush all read.  Under
+``ingest/`` this script also fails on:
+
+* a ``.tokenize(`` or ``.distinct_terms(`` call anywhere but
+  ``ingest/memtable.py``.
+
 Every HTTP request the program makes rides a pooled keep-alive connection
 (``storage/connections.py``).  This script also fails on:
 
@@ -201,9 +208,10 @@ POSTING_LIST_FILES = {
 _ARRAY_CODE = re.compile(r"\bnp\.|\bnumpy\b")
 _RESORT = re.compile(r"\bsorted\((?!\w+\.terms\(\)\))|\.sorted_postings\(")
 
-#: The build side's package, and the one file in it that analyses text.
+#: The build side's package.
 BUILD_PACKAGE = "index"
-ANALYSIS_FILE = ("index", "stats.py")
+#: The packages that analyse text -> the one file in each that does.
+ANALYSIS_FILES = {"index": ("index", "stats.py"), "ingest": ("ingest", "memtable.py")}
 _RANGE_READ = re.compile(r"\bget_range\(")
 _ANALYSIS = re.compile(r"\.(?:tokenize|distinct_terms)\(")
 
@@ -403,8 +411,9 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 problems.append(f"{where}: header decoder called outside index/")
             if package == BUILD_PACKAGE and _RANGE_READ.search(text):
                 problems.append(f"{where}: a dependent get_range on the build side")
-            if package == BUILD_PACKAGE and parts != ANALYSIS_FILE and _ANALYSIS.search(text):
-                problems.append(f"{where}: documents analysed outside index/stats.py")
+            analyser = ANALYSIS_FILES.get(package, parts)
+            if parts != analyser and _ANALYSIS.search(text):
+                problems.append(f"{where}: documents analysed outside {'/'.join(analyser)}")
             if parts not in HTTP_CLIENT_FILES and _HTTP_CONNECTION.search(text):
                 problems.append(f"{where}: HTTP connection outside the pooled client")
             if parts != PIPELINE_OWNER and _PIPELINE_CONSTRUCTION.search(text):

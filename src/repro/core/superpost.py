@@ -141,9 +141,11 @@ class Superpost(Sequence[Posting]):
     __slots__ = ("_items", "_names", "_key", "_length", "_runs")
 
     def __init__(self, postings: Iterable[Posting] = ()) -> None:
-        self._items: tuple[Posting, ...] | None = tuple(
-            sorted(set(postings), key=POSTING_ORDER)
-        )
+        self._pack(tuple(sorted(set(postings), key=POSTING_ORDER)))
+
+    def _pack(self, items: tuple[Posting, ...]) -> None:
+        """Hold ``items`` (distinct, in order): as columns above :data:`CROSSOVER`."""
+        self._items: tuple[Posting, ...] | None = items
         self._names: tuple[str, ...] = ()
         self._key = self._length = _NO_COLUMN
         self._runs = 1
@@ -171,8 +173,11 @@ class Superpost(Sequence[Posting]):
 
     @classmethod
     def ordered(cls, items: Iterable[Posting]) -> "Superpost":
-        """Adopt postings already distinct and in order (the scalar decoder's)."""
-        return cls._adopt(tuple(items))
+        """Adopt postings already distinct and in order (the scalar decoder's,
+        a memtable's)."""
+        self = cls.__new__(cls)
+        self._pack(tuple(items))
+        return self
 
     @classmethod
     def from_columns(

@@ -317,12 +317,21 @@ def build_stats(
     first text).
     """
     table = documents if isinstance(documents, DocumentTable) else DocumentTable.of(documents)
+    analysed = map(tokenizer.tokenize, table.texts)
+    return count_stats(table.names, (table.rank, table.offset, table.length), analysed)
+
+
+def count_stats(
+    names: Sequence[str], doc_columns: Sequence[Sequence[int]], analysed: Iterable[list[str]]
+) -> IndexStats:
+    """The counting half of :func:`build_stats`, over documents tokenized
+    already (a memtable's): ``doc_columns`` are the documents' blob ranks in
+    the sorted ``names``, offsets and lengths, in that order, each document
+    once, and ``analysed`` yields each document's tokens in the same order."""
     # Every document's tokens back to back, and how many each has.
     tokens: list[str] = []
     extend = tokens.extend
-    counts = [
-        extend(analysed) or len(analysed) for analysed in map(tokenizer.tokenize, table.texts)
-    ]
+    counts = [extend(tokenized) or len(tokenized) for tokenized in analysed]
     # Code-point order is UTF-8 byte order: the sorted words are the sorted terms.
     words = sorted(set(tokens))
     term_of = {word: term for term, word in enumerate(words)}
@@ -333,10 +342,9 @@ def build_stats(
     keys += np.repeat(np.arange(num_documents), doc_words)
     # One entry per distinct (term, document), counted: sorted by term, then document.
     entries, tfs = np.unique(keys, return_counts=True)
-    doc_columns = (table.rank, table.offset, table.length, doc_words)
     sizes = np.bincount(entries // width, minlength=len(words))
     return _assemble(
-        table.names, doc_columns, [*map(_term_key, words)], sizes, entries % width, tfs
+        names, (*doc_columns, doc_words), [*map(_term_key, words)], sizes, entries % width, tfs
     )
 
 

@@ -311,17 +311,22 @@ class AppendOnlyIndexManager:
         self._followed = ((self._base_index, old.generation + 1), config)
         return built
 
-    def append(self, documents: Sequence[Document], corpus_name: str = "delta") -> BuiltIndex:
-        """Index newly arrived documents as a fresh delta index."""
-        documents = list(documents)
-        if not documents:
+    def append(
+        self, documents: Sequence[Document] | IndexStats, corpus_name: str = "delta"
+    ) -> BuiltIndex:
+        """Index newly arrived documents — or their statistics, a memtable's —
+        as a fresh delta index."""
+        stats = documents if isinstance(documents, IndexStats) else build_stats(
+            documents, self._tokenizer or WhitespaceAnalyzer()
+        )
+        if not stats.num_documents:
             raise ValueError("append() needs at least one document")
         manifest = self.manifest()
         delta_name = delta_index_name(self._base_index, manifest.next_delta)
         builder = AirphantBuilder(
             self._store, config=self._config_of(manifest), tokenizer=self._tokenizer
         )
-        built = builder.build_from_documents(documents, index_name=delta_name, corpus_name=corpus_name)
+        built = builder.build_from_stats(stats, index_name=delta_name, corpus_name=corpus_name)
         self._write_manifest(
             IndexManifest(
                 base_index=manifest.base_index,

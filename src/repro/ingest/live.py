@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from repro.index.store_layout import OpenedIndex
 from repro.index.updates import AppendOnlyIndexManager, IndexManifest
 from repro.ingest.memtable import Memtable, MemtableMember
-from repro.ingest.wal import WriteAheadLog, ingest_manifest_blob
+from repro.ingest.wal import WriteAheadLog, encode_segment, encode_tombstones, ingest_manifest_blob
 from repro.observability import MetricsRegistry
 from repro.parsing.documents import Posting
 from repro.storage.base import ObjectStore, RangeRead
@@ -285,18 +285,17 @@ class LiveIndex:
     def replay(self) -> int:
         """Rebuild the memtable from unflushed WAL segments (crash recovery).
 
-        Replayed documents are filtered against the pending tombstone set, so
-        a document appended *and* deleted before the crash stays deleted — a
+        Each replayed line is tokenized once, as the memtable takes it, and
+        the pending tombstones are applied to it as deletes, so a
+        document appended *and* deleted before the crash stays deleted — a
         replay must never resurrect an acknowledged delete.
         """
-        documents = self._wal.replay()
-        if not documents:
+        segments = self._wal.replay()
+        if not segments:
             return 0
         with self._write_lock:
-            tombstones = self._tombstone_set
-            added = self._active.add(
-                document for document in documents if document.ref not in tombstones
-            )
+            added = sum(self._active.add(*segment) for segment in segments)
+            added -= self._active.remove(self._tombstone_set)
         self._replayed_metric.inc(added, index=self._index_name)
         self._update_gauges()
         return added
@@ -340,33 +339,30 @@ class LiveIndex:
         error leaves the batch's fate unknown: a segment PUT that landed
         before it failed is replayed at the next open.
         """
-        from repro.ingest.wal import encode_segment
-
-        texts = list(texts)
-        encode_segment(texts)  # validation before any I/O or locking
+        data = encode_segment(list(texts))  # validation before any I/O or locking
         self._wait_for_capacity()
         # The segment PUT runs under the commit lock only: queries (which
         # briefly take the write lock to snapshot the memtables) never stall
         # behind a slow or retried upload, and no append is in flight while
         # a flush seals the memtable.
         with self._commit_lock:
-            blob, documents = self._wal.append(texts)
+            segment = self._wal.append(data)
             with self._write_lock:
-                self._active.add(documents)
-        nbytes = sum(document.length for document in documents)
-        self._documents_metric.inc(len(documents), index=self._index_name)
+                self._active.add(*segment)
+        blob, offsets, lengths, _ = segment
+        self._documents_metric.inc(len(offsets), index=self._index_name)
         self._batches_metric.inc(index=self._index_name)
         self._wal_segments_metric.inc(index=self._index_name)
-        self._wal_bytes_metric.inc(nbytes, index=self._index_name)
+        self._wal_bytes_metric.inc(sum(lengths), index=self._index_name)
         self._update_gauges()
         return {
             "index": self._index_name,
-            "appended": len(documents),
+            "appended": len(offsets),
             "wal_segment": blob,
             "memtable_documents": self.memtable_documents(),
             "refs": [
-                {"blob": doc.blob, "offset": doc.offset, "length": doc.length}
-                for doc in documents
+                {"blob": blob, "offset": offset, "length": length}
+                for offset, length in zip(offsets, lengths)
             ],
         }
 
@@ -380,8 +376,6 @@ class LiveIndex:
         idempotent), and the memtable tier applies the delete physically on
         the spot.
         """
-        from repro.ingest.wal import encode_tombstones
-
         refs = list(dict.fromkeys(refs))
         encode_tombstones(refs)  # validation before any I/O or locking
         with self._commit_lock:
@@ -411,34 +405,31 @@ class LiveIndex:
         ``ValueError`` for text the segment format cannot hold and
         :class:`IngestOverloadedError` under backpressure.
         """
-        from repro.ingest.wal import encode_segment, encode_tombstones
-
-        segment_data = encode_segment([text])  # validation before any I/O
+        data = encode_segment([text])  # validation before any I/O
         encode_tombstones([ref])
         self._wait_for_capacity()
         with self._commit_lock:
-            segment, tombstone, documents = self._wal.update(ref, text)
+            tombstone, segment = self._wal.update(ref, data)
             with self._write_lock:
                 self._record_tombstones(tombstone, [ref])
                 self._active.remove([ref])
                 for table in self._sealed:
                     table.remove([ref])
-                self._active.add(documents)
+                self._active.add(*segment)
         self._updates_metric.inc(index=self._index_name)
-        self._documents_metric.inc(len(documents), index=self._index_name)
+        self._documents_metric.inc(len(segment.offsets), index=self._index_name)
         self._wal_segments_metric.inc(index=self._index_name)
-        self._wal_bytes_metric.inc(len(segment_data), index=self._index_name)
+        self._wal_bytes_metric.inc(len(data), index=self._index_name)
         self._update_gauges()
-        new_ref = documents[0].ref
         return {
             "index": self._index_name,
             "updated": {"blob": ref.blob, "offset": ref.offset, "length": ref.length},
             "ref": {
-                "blob": new_ref.blob,
-                "offset": new_ref.offset,
-                "length": new_ref.length,
+                "blob": segment.blob,
+                "offset": segment.offsets[0],
+                "length": segment.lengths[0],
             },
-            "wal_segment": segment,
+            "wal_segment": segment.blob,
             "tombstone_record": tombstone,
         }
 
@@ -459,9 +450,11 @@ class LiveIndex:
         sight of a document (they may briefly see it from both places; the
         combined view de-duplicates).
 
+        The delta is built from the sealed memtable's statistics, through
+        ``build_from_stats`` as compaction's: nothing is tokenized again.
         Deletes interact here in two ways: documents tombstoned before the
-        seal are filtered out of the delta build (they must not reappear in
-        the persisted tier), and a memtable fully emptied by deletes still
+        seal are dropped from the sealed memtable, so they do not reappear
+        in the persisted tier, and a memtable fully emptied by deletes still
         retires its WAL segments — the tombstone records, not the segments,
         carry the deletes forward.
         """
@@ -476,17 +469,10 @@ class LiveIndex:
                 sealed = self._active
                 self._active = Memtable(self._tokenizer_factory())
                 self._sealed.append(sealed)
-                # Snapshot once: the build input, the undo payload, and the
-                # survivor filter all read this same list (the old code
-                # re-queried the sealed memtable in the undo path, racing
-                # with concurrent deletes against it).
-                documents = sealed.documents()
-                tombstones = self._tombstone_set
-            survivors = [
-                document for document in documents if document.ref not in tombstones
-            ]
+                sealed.remove(self._tombstone_set)
+            survivors = sealed.statistics()
             built = None
-            if survivors:
+            if survivors.num_documents:
                 try:
                     built = self._manager.append(survivors, corpus_name="ingest")
                 except BaseException:
@@ -495,7 +481,7 @@ class LiveIndex:
                     # next flush retries them.
                     with self._write_lock:
                         self._sealed.remove(sealed)
-                        self._active.add(documents)
+                        self._active.absorb(sealed)
                     raise
                 self._delta_count += 1
                 # New delta first, then drop the sealed memtable: queries in
@@ -512,7 +498,7 @@ class LiveIndex:
         self._update_gauges()
         return {
             "index": self._index_name,
-            "flushed": len(survivors),
+            "flushed": survivors.num_documents,
             "delta": built.index_name if built is not None else None,
             "seconds": elapsed,
         }

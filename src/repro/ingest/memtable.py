@@ -7,6 +7,11 @@ a memtable keeps an **exact** inverted map — it is bounded by the flush
 policy to at most a few thousand documents, so exact per-word postings cost
 almost nothing and introduce zero false positives.
 
+It holds one row per int id, in arrival order — a document's ``(blob,
+offset, length)``, text and tokens — and a ``word → [ids]`` map: a line is
+tokenized once, on arrival, and queries, ranking statistics and the flush
+all read what it stored.
+
 :class:`MemtableMember` puts a memtable behind the same
 :class:`~repro.search.member.Member` contract a persisted index answers, so
 the combined live view is just "one more member" — no special cases anywhere
@@ -16,13 +21,20 @@ in the query path.
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from repro.core.superpost import Superpost
-from repro.index.stats import IndexStats, build_stats
+from repro.index.stats import IndexStats, count_stats
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
 from repro.search.member import LookupPlan
+
+#: A document's ``(blob, offset, length)``: its id's key, and its order.
+Key = tuple[str, int, int]
+#: What a memtable holds of a document: its key, its text and its tokens.
+Row = tuple[Key, str, list[str]]
 
 
 class Memtable:
@@ -31,102 +43,150 @@ class Memtable:
     def __init__(self, tokenizer: Tokenizer | None = None) -> None:
         self._tokenizer = tokenizer if tokenizer is not None else WhitespaceAnalyzer()
         self._lock = threading.Lock()
-        self._postings: dict[str, set[Posting]] = {}
-        self._documents: dict[Posting, Document] = {}
+        #: Rows by id (a removed id keeps its slot until a renumbering), the
+        #: live ids by key, each id's ``Document`` once a query asked for it,
+        #: and each word's ascending ids.
+        self._rows: list[Row] = []
+        self._ids: dict[Key, int] = {}
+        self._documents: dict[int, Document] = {}
+        self._postings: defaultdict[str, list[int]] = defaultdict(list)
+        #: Whether id order is key order, which an update's ``upd-`` segment (sorted
+        #: after later ``seg-`` ones) or a flush's undo breaks until the next read.
+        self._ordered = True
         self._bytes = 0
         #: Bumped by every mutation; the ranking statistics are memoized per value.
         self._version = 0
         self._statistics: tuple[int, IndexStats] | None = None
 
     @property
-    def tokenizer(self) -> Tokenizer:
-        """The analyzer documents are tokenized with (must match the index)."""
-        return self._tokenizer
-
-    @property
-    def num_documents(self) -> int:
-        """Documents currently held."""
-        with self._lock:
-            return len(self._documents)
-
-    @property
     def approximate_bytes(self) -> int:
         """Raw UTF-8 bytes of the held documents (the flush-policy input)."""
-        with self._lock:
-            return self._bytes
+        return self._bytes
 
     def __len__(self) -> int:
-        return self.num_documents
+        return len(self._ids)
 
-    def add(self, documents: Iterable[Document]) -> int:
-        """Insert parsed documents; returns how many were new."""
-        added = 0
+    def add(
+        self, blob: str, offsets: Sequence[int], lengths: Sequence[int], texts: Sequence[str]
+    ) -> int:
+        """Insert one blob's documents (a WAL segment's columns), tokenizing
+        each once; returns how many were new."""
+        analysed = map(self._tokenizer.tokenize, texts)
         with self._lock:
-            for document in documents:
-                if document.ref in self._documents:
-                    continue
-                self._documents[document.ref] = document
-                self._bytes += document.length
-                for word in self._tokenizer.distinct_terms(document.text):
-                    self._postings.setdefault(word, set()).add(document.ref)
-                added += 1
-            self._version += bool(added)
+            return self._insert(zip(zip(repeat(blob), offsets, lengths), texts, analysed))
+
+    def absorb(self, other: "Memtable") -> int:
+        """Insert every document ``other`` holds, tokens and all (a flush's undo)."""
+        with other._lock:
+            rows = list(map(other._rows.__getitem__, other._ids.values()))
+        with self._lock:
+            return self._insert(rows)
+
+    def _insert(self, rows: Iterable[Row]) -> int:
+        """Insert ``rows`` not held yet; returns how many (caller holds the lock)."""
+        ids, held, postings = self._ids, self._rows, self._postings
+        before = len(ids)
+        for row in rows:
+            key = row[0]
+            if key in ids:
+                continue
+            if held and key < held[-1][0]:
+                self._ordered = False
+            ids[key] = ident = len(held)
+            held.append(row)
+            self._bytes += key[2]
+            for word in set(row[2]):
+                postings[word].append(ident)
+        added = len(ids) - before
+        self._version += bool(added)
         return added
 
     def remove(self, refs: Iterable[Posting]) -> int:
         """Drop documents by reference (the delete path); returns how many held.
 
-        The memtable tier applies deletes *physically* — the document and its
-        postings vanish at once — so unflushed documents never need tombstone
-        filtering at query time.  References not held are ignored (deletes
-        are idempotent and may target already-flushed documents).
+        The memtable tier applies deletes *physically* — the document's id
+        leaves every list at once — so unflushed documents never need
+        tombstone filtering at query time.  References not held are ignored
+        (deletes are idempotent and may target already-flushed documents).
         """
         removed = 0
         with self._lock:
             for ref in refs:
-                document = self._documents.pop(ref, None)
-                if document is None:
-                    continue
-                self._bytes -= document.length
-                for word in self._tokenizer.distinct_terms(document.text):
-                    postings = self._postings.get(word)
-                    if postings is not None:
-                        postings.discard(ref)
-                        if not postings:
+                ident = self._ids.pop((ref.blob, ref.offset, ref.length), None)
+                if ident is not None:
+                    self._bytes -= ref.length
+                    for word in set(self._rows[ident][2]):
+                        held = self._postings[word]
+                        held.remove(ident)
+                        if not held:
                             del self._postings[word]
-                removed += 1
+                    removed += 1
             self._version += bool(removed)
         return removed
 
-    def documents(self) -> list[Document]:
-        """Every held document, in insertion order."""
-        with self._lock:
-            return list(self._documents.values())
+    def _order(self) -> None:
+        """Renumber the ids in key order if arrivals broke it (caller holds the lock)."""
+        if not self._ordered:
+            rows = sorted(map(self._rows.__getitem__, self._ids.values()))
+            self._rows, self._ids, self._documents, self._postings = [], {}, {}, defaultdict(list)
+            self._bytes, self._ordered = 0, True
+            self._insert(rows)
 
-    def postings(self, word: str) -> set[Posting]:
-        """Exact postings of ``word`` (empty set when absent)."""
+    def _document(self, ident: int) -> Document:
+        """Id ``ident``'s document, made once a query first asks (caller holds the lock)."""
+        made = self._documents
+        if ident in made:
+            return made[ident]
+        key, text, _ = self._rows[ident]
+        document = made[ident] = Document(Posting(*key), text)
+        return document
+
+    def documents(self) -> list[Document]:
+        """Every held document, in ``(blob, offset, length)`` order."""
         with self._lock:
-            return set(self._postings.get(word, ()))
+            self._order()
+            return list(map(self._document, self._ids.values()))
+
+    def superposts(self, words: Iterable[str]) -> dict[str, Superpost]:
+        """Exact postings of each of ``words`` (empty when absent), in order
+        already: no set copy, no sort."""
+        with self._lock:
+            if not self._ordered:
+                self._order()
+            made, make = self._documents, self._document
+            lists = {word: self._postings.get(word, ()) for word in words}
+            # A subscript per id, and a call only for a document not made yet.
+            return {
+                word: Superpost.ordered([(made[i] if i in made else make(i)).ref for i in ids])
+                for word, ids in lists.items()
+            }
 
     def document(self, posting: Posting) -> Document | None:
         """The document at ``posting``, if held."""
         with self._lock:
-            return self._documents.get(posting)
+            ident = self._ids.get((posting.blob, posting.offset, posting.length))
+            return None if ident is None else self._document(ident)
 
     def statistics(self) -> IndexStats:
         """Exact ranking statistics over the held documents.
 
-        Computed from the in-memory text with the same analyzer as the
-        persisted stats blobs, so an unflushed document scores exactly as it
-        will after the flush persists it — and only once per mutation: every
-        ranked query in between reuses them.
+        Counted from the tokens stored on arrival by the build's own code,
+        so an unflushed document scores exactly as it will after the flush
+        persists it — and only once per mutation: every ranked query in
+        between, and the flush, reuse them.
         """
         with self._lock:
+            self._order()
             version, memo = self._version, self._statistics
             if memo is not None and memo[0] == version:
                 return memo[1]
-            documents = list(self._documents.values())
-        statistics = build_stats(documents, self._tokenizer)
+            rows = list(map(self._rows.__getitem__, self._ids.values()))
+        keys = [key for key, _, _ in rows]
+        names = sorted({blob for blob, _, _ in keys})
+        rank = {blob: at for at, blob in enumerate(names)}
+        offsets, lengths = ([key[at] for key in keys] for at in (1, 2))
+        columns = ([rank[blob] for blob, _, _ in keys], offsets, lengths)
+        statistics = count_stats(names, columns, [tokens for _, _, tokens in rows])
         with self._lock:
             if self._version == version:
                 self._statistics = (version, statistics)
@@ -154,7 +214,7 @@ class MemtableMember:
         with nothing to read."""
         return LookupPlan(
             (),
-            lambda _: {word: Superpost(self.memtable.postings(word)) for word in words},
+            lambda _: self.memtable.superposts(words),
             statistics=self.memtable.statistics if ranked else None,
         )
 
@@ -167,7 +227,8 @@ class MemtableMember:
 def memtable_from_documents(
     documents: Sequence[Document], tokenizer: Tokenizer | None = None
 ) -> Memtable:
-    """Build a memtable pre-loaded with ``documents`` (replay helper)."""
+    """Build a memtable pre-loaded with ``documents`` (a test and oracle helper)."""
     memtable = Memtable(tokenizer)
-    memtable.add(documents)
+    for document in documents:
+        memtable.add(document.blob, [document.offset], [document.length], [document.text])
     return memtable

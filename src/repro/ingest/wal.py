@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.index.store_layout import (
     ingest_manifest_blob,
@@ -54,7 +54,7 @@ from repro.index.store_layout import (
     update_blob,
 )
 from repro.parsing.corpus import LineDelimitedCorpusParser
-from repro.parsing.documents import Document, Posting
+from repro.parsing.documents import Posting
 from repro.storage.base import BlobNotFoundError, ObjectStore, RangeRead
 
 #: Sequence numbers one manifest PUT reserves for appends.  The trade: a
@@ -196,14 +196,24 @@ def parse_tombstones(data: bytes) -> list[Posting]:
     ]
 
 
-def parse_segment(blob_name: str, data: bytes) -> list[Document]:
-    """Documents of one segment, with byte-exact postings into the blob.
+class Segment(NamedTuple):
+    """One segment's lines as columns: line ``i`` is ``blob``'s bytes
+    ``[offsets[i], offsets[i] + lengths[i])`` and reads ``texts[i]``."""
 
-    Uses the standard line-delimited corpus parser, so offsets agree with
-    what a flush-time delta build (or a later compaction) computes for the
+    blob: str
+    offsets: list[int]
+    lengths: list[int]
+    texts: list[str]
+
+
+def parse_segment(blob_name: str, data: bytes) -> Segment:
+    """The columns of one segment, with byte-exact ranges into the blob.
+
+    Cut by the standard line-delimited corpus parser's rule, so offsets
+    agree with what a delta build (or a later compaction) computes for the
     very same blob.
     """
-    return list(LineDelimitedCorpusParser().parse_blob(blob_name, data))
+    return Segment(blob_name, *LineDelimitedCorpusParser()._cut(data))
 
 
 class WriteAheadLog:
@@ -291,22 +301,22 @@ class WriteAheadLog:
 
     # -- writing -------------------------------------------------------------------
 
-    def append(self, texts: list[str]) -> tuple[str, list[Document]]:
-        """Persist one batch as a new segment; returns ``(blob, documents)``.
+    def append(self, data: bytes) -> Segment:
+        """Persist one batch, :func:`encode_segment`'s ``data``, as a new
+        segment; returns its columns.
 
         One PUT, the commit point — plus one manifest PUT reserving the next
         :data:`SEGMENT_BLOCK` numbers when the reservation is used up.  A
         segment PUT that raises burns its number: the hole it may leave is
         skipped on replay.
         """
-        data = encode_segment(texts)
         manifest = self.manifest()
         if self._next >= manifest.reserved_end:
             self._commit(replace(manifest, reserved_end=self._next + SEGMENT_BLOCK))
         blob = segment_blob(self._index_name, self._allocate())
         self._store.put(blob, data)
         self._unflushed.append(blob)
-        return blob, parse_segment(blob, data)
+        return parse_segment(blob, data)
 
     def append_tombstones(self, refs: Sequence[Posting]) -> str:
         """Persist one batch of deletes as a tombstone record; returns its blob.
@@ -321,19 +331,19 @@ class WriteAheadLog:
         self._commit_with(tombstone_segments=self.manifest().tombstone_segments + (blob,))
         return blob
 
-    def update(self, ref: Posting, text: str) -> tuple[str, str, list[Document]]:
-        """Replace document ``ref`` by ``text``: ``(segment, tombstone, documents)``.
+    def update(self, ref: Posting, data: bytes) -> tuple[str, Segment]:
+        """Replace document ``ref`` by the one-line segment ``data``:
+        ``(tombstone, segment)``.
 
         The replacement segment and the old reference's tombstone are
         written first, then one manifest PUT lists both, so the operation is
         atomic: a crash before it shows the old document untouched, after it
         the replacement — never a window with both or neither visible.
         """
-        segment_data = encode_segment([text])
         tombstone_data = encode_tombstones([ref])
         segment = update_blob(self._index_name, self._allocate())
         tombstone = tombstone_blob(self._index_name, self._allocate())
-        self._store.put(segment, segment_data)
+        self._store.put(segment, data)
         self._store.put(tombstone, tombstone_data)
         manifest = self.manifest()
         self._commit_with(
@@ -341,7 +351,7 @@ class WriteAheadLog:
             tombstone_segments=manifest.tombstone_segments + (tombstone,),
         )
         self._unflushed.append(segment)
-        return segment, tombstone, parse_segment(segment, segment_data)
+        return tombstone, parse_segment(segment, data)
 
     def retire(self, segments: Sequence[str]) -> IngestManifest:
         """Retire flushed ``segments`` (the flush commit).
@@ -441,8 +451,8 @@ class WriteAheadLog:
             self._fetched.update(zip(missing, fetch.payloads))
         return [self._fetched.pop(blob) for blob in blobs]
 
-    def replay(self) -> list[Document]:
-        """Documents of every unflushed segment: the range, then the listed ones.
+    def replay(self) -> list[Segment]:
+        """Every unflushed segment's columns: the range, then the listed ones.
 
         A probed segment that is not there was never acknowledged and is
         skipped; a *listed* one that is not there is lost data
@@ -450,18 +460,16 @@ class WriteAheadLog:
         """
         manifest = self.manifest()
         blobs = manifest.segments(self._index_name)
-        present = []
-        documents: list[Document] = []
+        segments = []
         for blob, data in zip(blobs, self._recovered(blobs)):
             if data is None:
                 if blob in manifest.listed_segments:
                     raise BlobNotFoundError(blob)
                 continue
-            present.append(blob)
-            documents += parse_segment(blob, data)
-        self._unflushed = present
+            segments.append(parse_segment(blob, data))
+        self._unflushed = [segment.blob for segment in segments]
         self._replayed_from = manifest.first_unflushed
-        return documents
+        return segments
 
     def load_tombstones(self, refresh: bool = False) -> dict[str, tuple[Posting, ...]]:
         """Pending deletes, per tombstone record blob (crash recovery).

@@ -51,8 +51,10 @@ concurrent reads.
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterable, Mapping
@@ -145,7 +147,8 @@ def _split_snapshot_path(path: str, action: str) -> tuple[str, str]:
 
 
 class AirphantHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`AirphantService`."""
+    """A threading HTTP server bound to one :class:`AirphantService`; closing
+    it also shuts down the connections its handler threads still serve."""
 
     daemon_threads = True
 
@@ -165,6 +168,29 @@ class AirphantHTTPServer(ThreadingHTTPServer):
         self.service = service
         self.quiet = quiet
         self.log_format = log_format
+        #: Open connections (a set's add, discard and copy are atomic).
+        self._connections: set[socket.socket] = set()
+
+    def process_request(self, request: socket.socket, client_address: Any) -> None:
+        self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request: socket.socket, client_address: Any) -> None:
+        # A reset (the client went away, or server_close cut it) is no error.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def server_close(self) -> None:
+        """Close the listening socket, then every open connection: a handler
+        waiting for a kept-alive client's next request reads end of file."""
+        super().server_close()
+        for connection in list(self._connections):
+            with suppress(OSError):  # closed by its client meanwhile
+                connection.shutdown(socket.SHUT_RDWR)
 
     @property
     def port(self) -> int:

@@ -15,7 +15,7 @@ import pytest
 from harness.crashpoints import FaultPointStore
 
 from repro.index.updates import AppendOnlyIndexManager, IndexManifest
-from repro.ingest.wal import IngestManifest, WriteAheadLog
+from repro.ingest.wal import IngestManifest, WriteAheadLog, encode_segment
 from repro.parsing.documents import Document, Posting
 from repro.storage.base import BlobNotFoundError
 from repro.storage.memory import InMemoryObjectStore
@@ -59,10 +59,10 @@ def test_update_manifest_is_read_once_and_a_purged_one_is_the_empty_manifest():
 def test_ingest_manifest_is_read_once_and_a_purged_one_is_the_empty_manifest():
     store = PurgedAfterProbe(InMemoryObjectStore())
     wal = WriteAheadLog(store, "idx")
-    blob, _ = wal.append(["one document"])
+    blob = wal.append(encode_segment(["one document"])).blob
     reopened = WriteAheadLog(store, "idx")
     assert blob in reopened.manifest().segments("idx")
-    assert [d.text for d in reopened.replay()] == ["one document"]
+    assert [segment.texts for segment in reopened.replay()] == [["one document"]]
     store.backend.delete(wal.manifest_blob)  # a rebuild destroyed the WAL meanwhile
     assert WriteAheadLog(store, "idx").manifest() == IngestManifest()
     assert reopened.manifest(refresh=True) == IngestManifest()

@@ -167,8 +167,8 @@ class TestConcurrentAppendsAndFlushes:
         append = live.wal.append
         flusher = threading.Thread(target=live.flush)
 
-        def append_then_flush(texts):
-            written = append(texts)  # durable, not yet in the memtable
+        def append_then_flush(data):
+            written = append(data)  # durable, not yet in the memtable
             flusher.start()
             flusher.join(0.2)  # a flush that did not wait would be done by now
             return written

@@ -16,6 +16,7 @@ from repro.ingest.live import IngestCoordinator, IngestOverloadedError, LiveInde
 from repro.ingest.memtable import Memtable, memtable_from_documents
 from repro.ingest.wal import (
     WriteAheadLog,
+    encode_segment,
     encode_tombstones,
     parse_tombstones,
 )
@@ -88,7 +89,7 @@ class TestTombstoneRecords:
     def test_segment_retire_keeps_tombstones(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
-        segment, _ = wal.append(["error fresh one"])
+        segment = wal.append(encode_segment(["error fresh one"])).blob
         tomb = wal.append_tombstones([BASE_REFS[0]])
         manifest = wal.retire((segment,))
         assert manifest.segments("idx") == ()
@@ -107,8 +108,10 @@ class TestTombstoneRecords:
     def test_update_commit_is_one_manifest_swap(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
-        segment, tomb, documents = wal.update(BASE_REFS[0], "replacement text")
-        assert [d.text for d in documents] == ["replacement text"]
+        tomb, (segment, _, _, texts) = wal.update(
+            BASE_REFS[0], encode_segment(["replacement text"])
+        )
+        assert texts == ["replacement text"]
         # Both blobs land first, then one manifest PUT lists both; the
         # replacement is named outside the probed segment range.
         puts = [name for name in store.list_blobs(prefix="idx/ingest/")]
@@ -122,7 +125,7 @@ class TestTombstoneRecords:
     def test_restore_resets_segments_but_preserves_counter(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
-        wal.append(["error one"])
+        wal.append(encode_segment(["error one"]))
         wal.append_tombstones([BASE_REFS[0]])
         before = wal.manifest().reserved_end
         manifest = wal.restore([BASE_REFS[1]])
@@ -144,19 +147,19 @@ class TestMemtableRemove:
         )
         removed = table.remove([Posting(blob="seg", offset=0, length=10)])
         assert removed == 1
-        assert table.num_documents == 1
+        assert len(table) == 1
         assert table.approximate_bytes == len("error net")
         assert {d.text for d in table.documents()} == {"error net"}
-        assert len(table.postings("error")) == 1
+        assert len(table.superposts(["error"])["error"]) == 1
         # The word "disk" only occurred in the removed document.
-        assert table.postings("disk") == set()
+        assert not table.superposts(["disk"])["disk"]
 
     def test_remove_is_idempotent(self):
         table = memtable_from_documents([_doc("seg", 0, "error disk")])
         ref = Posting(blob="seg", offset=0, length=10)
         assert table.remove([ref]) == 1
         assert table.remove([ref]) == 0
-        assert table.num_documents == 0
+        assert len(table) == 0
 
 
 class TestTombstoneView:

@@ -35,6 +35,11 @@ V1_WAL = {
 }
 
 
+def _texts(segments) -> list[str]:
+    """The texts of replayed segments, in replay order."""
+    return [text for segment in segments for text in segment.texts]
+
+
 class TestSegmentFormat:
     def test_segment_is_line_delimited_corpus_bytes(self):
         data = encode_segment(["error one", "info two"])
@@ -45,15 +50,16 @@ class TestSegmentFormat:
         # the standard corpus parser computes for the same blob.
         texts = ["error disk full", "warn high load", "info ok"]
         data = encode_segment(texts)
-        documents = parse_segment("idx/ingest/seg-00000000.log", data)
+        blob, offsets, lengths, parsed = parse_segment("idx/ingest/seg-00000000.log", data)
         reparsed = list(
             LineDelimitedCorpusParser().parse_blob("idx/ingest/seg-00000000.log", data)
         )
-        assert [d.ref for d in documents] == [d.ref for d in reparsed]
-        assert [d.text for d in documents] == texts
-        for document in documents:
-            window = data[document.offset : document.offset + document.length]
-            assert window.decode("utf-8") == document.text
+        assert [(blob, *at) for at in zip(offsets, lengths)] == [
+            (d.blob, d.offset, d.length) for d in reparsed
+        ]
+        assert parsed == texts
+        for offset, length, text in zip(offsets, lengths, parsed):
+            assert data[offset : offset + length].decode("utf-8") == text
 
     def test_rejects_documents_the_format_cannot_hold(self):
         with pytest.raises(ValueError):
@@ -90,9 +96,9 @@ class TestWriteAheadLog:
     def test_append_reserves_a_block_then_commits_at_the_segment_put(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
-        blob, documents = wal.append(["error one", "info two"])
+        blob, _, _, texts = wal.append(encode_segment(["error one", "info two"]))
         assert blob == "idx/ingest/seg-00000000.log"
-        assert [d.text for d in documents] == ["error one", "info two"]
+        assert texts == ["error one", "info two"]
         assert store.exists(blob)
         manifest = WriteAheadLog(store, "idx").manifest()
         assert (manifest.first_unflushed, manifest.reserved_end) == (0, SEGMENT_BLOCK)
@@ -103,31 +109,31 @@ class TestWriteAheadLog:
         store = RecordingStore(InMemoryObjectStore())
         wal = WriteAheadLog(store, "idx")
         for n in range(2 * SEGMENT_BLOCK + 1):
-            wal.append([f"document {n}"])
+            wal.append(encode_segment([f"document {n}"]))
         puts = [blob for method, blob, _, _ in store.calls if method == "put"]
         assert len(puts) == 2 * SEGMENT_BLOCK + 1 + 3
         assert puts.count(ingest_manifest_blob("idx")) == 3
-        assert [d.text for d in WriteAheadLog(store, "idx").replay()] == [
+        assert _texts(WriteAheadLog(store, "idx").replay()) == [
             f"document {n}" for n in range(2 * SEGMENT_BLOCK + 1)
         ]
 
     def test_a_new_process_numbers_from_the_reservation_end(self):
         store = InMemoryObjectStore()
-        WriteAheadLog(store, "idx").append(["error one"])
-        blob, _ = WriteAheadLog(store, "idx").append(["error two"])
+        WriteAheadLog(store, "idx").append(encode_segment(["error one"]))
+        blob = WriteAheadLog(store, "idx").append(encode_segment(["error two"])).blob
         # Numbers 1 … SEGMENT_BLOCK - 1 may be in flight in the first
         # process: a second one never reuses them.
         assert blob == segment_blob("idx", SEGMENT_BLOCK)
-        assert [d.text for d in WriteAheadLog(store, "idx").replay()] == [
+        assert _texts(WriteAheadLog(store, "idx").replay()) == [
             "error one", "error two"
         ]
 
     def test_segment_numbering_is_monotonic_across_retire(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
-        first, _ = wal.append(["one doc"])
+        first = wal.append(encode_segment(["one doc"])).blob
         wal.retire((first,))
-        second, _ = wal.append(["two doc"])
+        second = wal.append(encode_segment(["two doc"])).blob
         # The retired segment's number is never reused: a reader holding a
         # pre-flush manifest must never see its blob overwritten.
         assert second == "idx/ingest/seg-00000001.log"
@@ -139,17 +145,17 @@ class TestWriteAheadLog:
     def test_replay_returns_unflushed_documents_in_order(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
-        first, _ = wal.append(["error one"])
-        wal.append(["warn two", "info three"])
+        first = wal.append(encode_segment(["error one"])).blob
+        wal.append(encode_segment(["warn two", "info three"]))
         wal.retire((first,))
         # A fresh WAL over the same store (simulated process restart).
         replayed = WriteAheadLog(store, "idx").replay()
-        assert [d.text for d in replayed] == ["warn two", "info three"]
+        assert _texts(replayed) == ["warn two", "info three"]
 
     def test_destroy_removes_all_wal_state(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
-        wal.append(["error one"])
+        wal.append(encode_segment(["error one"]))
         wal.destroy()
         assert store.list_blobs(prefix="idx/ingest/") == []
         assert WriteAheadLog(store, "idx").manifest() == IngestManifest()
@@ -164,7 +170,7 @@ class TestFormatCompatibility:
 
     def test_a_v1_manifest_replays_identically(self):
         wal = WriteAheadLog(self._v1_store(), "idx")
-        assert [d.text for d in wal.replay()] == [
+        assert _texts(wal.replay()) == [
             "warn slow response", "info service ok", "error late write"
         ]
         assert wal.load_tombstones() == {
@@ -181,12 +187,12 @@ class TestFormatCompatibility:
         store = self._v1_store()
         wal = WriteAheadLog(store, "idx")
         wal.replay()
-        blob, _ = wal.append(["info after upgrade"])
+        blob = wal.append(encode_segment(["info after upgrade"])).blob
         assert blob == segment_blob("idx", 4)  # the v1 counter carries over
         payload = json.loads(store.get(ingest_manifest_blob("idx")))
         assert payload["version"] == 2
         reopened = WriteAheadLog(store, "idx")
-        assert [d.text for d in reopened.replay()] == [
+        assert _texts(reopened.replay()) == [
             "info after upgrade", "warn slow response", "info service ok", "error late write"
         ]
         assert list(reopened.load_tombstones()) == ["idx/ingest/tomb-00000002.json"]

@@ -1,4 +1,5 @@
-"""Property: the live combined view ≡ a fresh full rebuild (byte-identical).
+"""Property: the live combined view ≡ a fresh full rebuild (byte-identical),
+and each memtable ≡ a brute-force map of its documents.
 
 The acceptance criterion of the ingestion subsystem: for any split of a
 corpus into an initial build plus a sequence of ingested batches — with any
@@ -16,8 +17,12 @@ from hypothesis import strategies as st
 from repro.core.config import SketchConfig
 from repro.service import AirphantService, SearchRequest, ServiceConfig
 from repro.index.builder import AirphantBuilder
+from repro.index.stats import build_stats, encode_stats
+from repro.ingest.memtable import Memtable
 from repro.observability import MetricsRegistry
 from repro.parsing.corpus import LineDelimitedCorpusParser
+from repro.parsing.documents import Document, Posting
+from repro.parsing.tokenizer import WhitespaceAnalyzer
 from repro.search.searcher import AirphantSearcher
 from repro.storage.memory import InMemoryObjectStore
 
@@ -103,3 +108,81 @@ def test_combined_view_equals_full_rebuild(initial, batches, actions, data):
 
     reference.close()
     service.close()
+
+
+#: Blob names whose order differs from arrival order: an update's ``upd-``
+#: segment sorts after later ``seg-`` ones.
+BLOBS = ["idx/ingest/seg-00000003.log", "idx/ingest/upd-00000001.log", "idx/ingest/seg-00000007.log"]
+text_strategy = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join)
+
+memtable_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.sampled_from(BLOBS),
+            st.lists(st.tuples(st.integers(0, 6), text_strategy), max_size=4),
+        ),
+        st.tuples(st.just("remove"), st.lists(st.integers(0, 40), max_size=3)),
+        st.tuples(st.just("seal")),
+        st.tuples(st.just("undo")),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operations=memtable_operations)
+def test_memtable_equals_a_brute_force_map_under_add_remove_seal_and_undo(operations):
+    """Each memtable answers, lists and counts like a plain dict of its
+    documents: in ``(blob, offset, length)`` order, whatever order they came in."""
+    active, sealed = Memtable(), []
+    model: dict[Posting, str] = {}
+    models: list[dict[Posting, str]] = []
+    for operation in operations:
+        if operation[0] == "add":
+            _, blob, lines = operation
+            # Few offsets, so a line often arrives again at a key held
+            # already (same offset and length): the first text stays.
+            texts = [text for _, text in lines]
+            offsets = [10 * slot for slot, _ in lines]
+            lengths = [len(text.encode("utf-8")) for text in texts]
+            added = active.add(blob, offsets, lengths, texts)
+            fresh = 0
+            for offset, length, text in zip(offsets, lengths, texts):
+                ref = Posting(blob, offset, length)
+                fresh += ref not in model
+                model.setdefault(ref, text)
+            assert added == fresh
+        elif operation[0] == "remove":
+            held = sorted({ref for table in (model, *models) for ref in table})
+            refs = [held[at] for at in operation[1] if at < len(held)]
+            refs.append(Posting("absent", 0, 1))
+            for table, table_model in ((active, model), *zip(sealed, models)):
+                assert table.remove(refs) == sum(ref in table_model for ref in set(refs))
+                for ref in refs:
+                    table_model.pop(ref, None)
+        elif operation[0] == "seal":
+            sealed.append(active)
+            models.append(model)
+            active, model = Memtable(), {}
+        elif sealed:  # undo the last seal
+            active.absorb(sealed.pop())
+            for ref, text in models.pop().items():
+                model.setdefault(ref, text)
+        for table, table_model in ((active, model), *zip(sealed, models)):
+            _assert_memtable_is(table, table_model)
+
+
+def _assert_memtable_is(table: Memtable, model: dict[Posting, str]) -> None:
+    documents = [Document(ref, text) for ref, text in sorted(model.items())]
+    # Statistics first: the first read after out-of-order arrivals renumbers.
+    expected = build_stats(documents, WhitespaceAnalyzer())
+    assert encode_stats(table.statistics()) == encode_stats(expected)
+    answers = table.superposts(WORDS + ["absent"])
+    for word, answer in answers.items():
+        assert list(answer) == [d.ref for d in documents if word in d.text.split()]
+    assert table.documents() == documents
+    assert len(table) == len(model)
+    assert table.approximate_bytes == sum(ref.length for ref in model)
+    for document in documents:
+        assert table.document(document.ref) == document

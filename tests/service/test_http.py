@@ -20,6 +20,7 @@ from repro.index.compaction import decode_header, encode_header
 from repro.index.store_layout import open_headers
 from repro.service import AirphantService, ServiceConfig, create_server
 from repro.service.config import READ_CACHE_BYTES
+from repro.storage.connections import ConnectionPool
 from repro.storage.local import LocalObjectStore
 
 from harness.legacy_header import JSON_STATS_BLOB, V2_STATS_BLOB, retire_format
@@ -103,6 +104,26 @@ class TestHealthz:
         status, payload = _get(server, "/healthz?verbose=1")
         assert status == 200
         assert payload["status"] == "ok"
+
+
+class TestServerClose:
+    def test_a_kept_alive_connection_is_not_answered_after_the_close(self, tmp_path):
+        service = AirphantService(LocalObjectStore(str(tmp_path / "bucket")), ServiceConfig())
+        server = create_server(service, host="127.0.0.1", port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        pool = ConnectionPool(server.url)
+        try:
+            status, _, _ = pool.request("GET", f"{server.url}/healthz", 5.0)
+            assert status == 200  # the connection is now idle in the pool
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            with pytest.raises((OSError, http.client.HTTPException)):
+                pool.request("GET", f"{server.url}/healthz", 5.0)
+        finally:
+            pool.close()
+            service.close()
 
 
 class TestIndexes:

@@ -317,6 +317,38 @@ def test_checker_keeps_the_build_side_on_waves_and_one_analyser(tmp_path):
     ]
 
 
+def test_checker_keeps_the_write_path_to_one_tokenize_per_line(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    (root / "ingest").mkdir(parents=True)
+    # Allowed: the memtable tokenizes each line as it arrives, and a
+    # docstring elsewhere may name the call.
+    (root / "ingest" / "memtable.py").write_text(
+        "tokens = self._tokenizer.tokenize(text)\n"
+        "words = self._tokenizer.distinct_terms(text)\n",
+        encoding="utf-8",
+    )
+    (root / "ingest" / "live.py").write_text(
+        '"""The memtable is the one .tokenize( of a line."""\n'
+        "self._active.add(*segment)\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: the write path analysing a line again outside the memtable.
+    (root / "ingest" / "live.py").write_text(
+        "survivors = [self._tokenizer.tokenize(text) for text in texts]\n", encoding="utf-8"
+    )
+    (root / "ingest" / "wal.py").write_text(
+        "terms = tokenizer.distinct_terms(line)\n", encoding="utf-8"
+    )
+    found = check_seams.findings(root)
+    assert [problem.split("repro/")[1] for problem in found] == [
+        "ingest/live.py:1: documents analysed outside ingest/memtable.py",
+        "ingest/wal.py:1: documents analysed outside ingest/memtable.py",
+    ]
+
+
 def test_checker_keeps_exists_probes_off_the_open_path(tmp_path):
     check_seams = _load()
     root = tmp_path / "src" / "repro"
