@@ -314,8 +314,13 @@ class AppendOnlyIndexManager:
     def append(
         self, documents: Sequence[Document] | IndexStats, corpus_name: str = "delta"
     ) -> BuiltIndex:
-        """Index newly arrived documents — or their statistics, a memtable's —
-        as a fresh delta index."""
+        """Index newly arrived documents as a fresh delta index.
+
+        The live write path hands the statistics a flushing memtable already
+        counted.  Documents are a convenience for callers holding them
+        (examples, tests): :func:`build_stats` counts them with the manager's
+        tokenizer first, so both forms take the one ``build_from_stats`` path.
+        """
         stats = documents if isinstance(documents, IndexStats) else build_stats(
             documents, self._tokenizer or WhitespaceAnalyzer()
         )

@@ -43,7 +43,7 @@ class Memtable:
     def __init__(self, tokenizer: Tokenizer | None = None) -> None:
         self._tokenizer = tokenizer if tokenizer is not None else WhitespaceAnalyzer()
         self._lock = threading.Lock()
-        #: Rows by id (a removed id keeps its slot until a renumbering), the
+        #: Rows by id (a removed id keeps only its key, until a renumbering), the
         #: live ids by key, each id's ``Document`` once a query asked for it,
         #: and each word's ascending ids.
         self._rows: list[Row] = []
@@ -51,7 +51,8 @@ class Memtable:
         self._documents: dict[int, Document] = {}
         self._postings: defaultdict[str, list[int]] = defaultdict(list)
         #: Whether id order is key order, which an update's ``upd-`` segment (sorted
-        #: after later ``seg-`` ones) or a flush's undo breaks until the next read.
+        #: after later ``seg-`` ones) or a flush's undo breaks until the next read;
+        #: ``remove`` lowers it too, to drop removed slots.
         self._ordered = True
         self._bytes = 0
         #: Bumped by every mutation; the ranking statistics are memoized per value.
@@ -61,10 +62,12 @@ class Memtable:
     @property
     def approximate_bytes(self) -> int:
         """Raw UTF-8 bytes of the held documents (the flush-policy input)."""
-        return self._bytes
+        with self._lock:
+            return self._bytes
 
     def __len__(self) -> int:
-        return len(self._ids)
+        with self._lock:
+            return len(self._ids)
 
     def add(
         self, blob: str, offsets: Sequence[int], lengths: Sequence[int], texts: Sequence[str]
@@ -108,11 +111,15 @@ class Memtable:
         leaves every list at once — so unflushed documents never need
         tombstone filtering at query time.  References not held are ignored
         (deletes are idempotent and may target already-flushed documents).
+        A removed document's text and tokens are freed at once, and its
+        slot by the renumbering that runs once removed slots outnumber held
+        ones, so deletes alone never grow the table.
         """
         removed = 0
         with self._lock:
             for ref in refs:
-                ident = self._ids.pop((ref.blob, ref.offset, ref.length), None)
+                key = (ref.blob, ref.offset, ref.length)
+                ident = self._ids.pop(key, None)
                 if ident is not None:
                     self._bytes -= ref.length
                     for word in set(self._rows[ident][2]):
@@ -120,12 +127,18 @@ class Memtable:
                         held.remove(ident)
                         if not held:
                             del self._postings[word]
+                    self._rows[ident] = (key, "", [])
+                    self._documents.pop(ident, None)
                     removed += 1
             self._version += bool(removed)
+            if 2 * len(self._ids) < len(self._rows):
+                self._ordered = False
+                self._order()
         return removed
 
     def _order(self) -> None:
-        """Renumber the ids in key order if arrivals broke it (caller holds the lock)."""
+        """Renumber the held rows in key order unless ``_ordered`` (caller
+        holds the lock); removed slots go with it."""
         if not self._ordered:
             rows = sorted(map(self._rows.__getitem__, self._ids.values()))
             self._rows, self._ids, self._documents, self._postings = [], {}, {}, defaultdict(list)

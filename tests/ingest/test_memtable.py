@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
+import time
+import weakref
 
 from repro.ingest.memtable import Memtable, MemtableMember, memtable_from_documents
 from repro.parsing.documents import Document, DocumentRef
@@ -37,6 +40,26 @@ class TestMemtable:
         assert table.add("seg", [0], [9], ["error one"]) == 0
         assert len(table) == 1
         assert table.approximate_bytes == len("error one")
+
+    def test_a_delete_frees_the_document_and_deletes_never_grow_the_table(self):
+        class Text(str):
+            """A text a weak reference can watch."""
+
+        table = Memtable()
+        text = Text("error disk")
+        watched = weakref.ref(text)
+        table.add("seg", [0, 11], [10, 4], [text, "keep"])
+        table.superposts(["error"])  # a query makes (and keeps) its document
+        table.remove([DocumentRef("seg", 0, 10)])
+        del text
+        gc.collect()
+        assert watched() is None
+        # Append then delete, with no read in between: the removed slots go.
+        for n in range(1, 200):
+            table.add("seg", [n * 16], [5], ["error"])
+            table.remove([DocumentRef("seg", n * 16, 5)])
+        assert len(table) == 1
+        assert len(table._rows) <= 2
 
     def test_postings_are_exact(self):
         table = _table("error disk", "error net", "info ok")
@@ -181,3 +204,51 @@ class TestConcurrentReaders:
         for word in ("error", "info", "absent"):
             assert list(table.superposts([word])[word]) == list(fresh.superposts([word])[word])
         assert table.statistics().num_documents == len(table)
+
+    def test_size_never_dips_while_readers_renumber(self):
+        # Out-of-order adds make every read renumber the ids; the flush
+        # policy and the member filter read len() and approximate_bytes
+        # meanwhile, and must never see fewer than the documents held.
+        held = 200
+        table = Memtable()
+        table.add("seg-000", [6 * n for n in range(held)], [5] * held, ["keep"] * held)
+        done = threading.Event()
+        added = [0, 0, 0]
+        dips: list[tuple[int, int]] = []
+
+        def writer(worker: int) -> None:
+            for n in range(300):
+                if done.is_set():
+                    return
+                table.add(f"seg-{(n * 13) % 301 + 1:03d}-{worker}", [0], [5], ["error"])
+                added[worker] += 1
+                time.sleep(0)
+
+        def reader() -> None:
+            while not done.is_set():
+                table.superposts(["error"])
+
+        def watcher() -> None:
+            while not done.is_set():
+                size = (len(table), table.approximate_bytes)
+                if size[0] < held or size[1] < 5 * held:
+                    dips.append(size)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(w,)) for w in range(3)]
+            threads += [threading.Thread(target=reader) for _ in range(2)]
+            threads.append(threading.Thread(target=watcher))
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+            done.set()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert dips == []
+        assert sum(added) > 0
+        assert len(table) == held + sum(added)
