@@ -114,6 +114,17 @@ This script also fails on:
   ``index/stats.py`` — which names it only to refuse it with the typed
   "rebuild" error.
 
+Every build that opens has its statistics (the header is written last),
+and compaction merges them: a build without current ones is refused, not
+re-derived.  This script also fails on:
+
+* a ``decode_run(`` call anywhere under ``src/repro`` but
+  ``search/member.py`` and ``index/compaction.py`` — compaction never
+  decodes superposts;
+* a ``RankingUnsupportedError`` or ``ranking_unavailable`` (in code or a
+  string literal) anywhere under ``src/repro``: a missing or retired stats
+  blob is the one typed "rebuild" error, ``409 index_format``.
+
 The query tier routes whole queries and knows nothing of how an index is
 laid out or searched.  This script also fails on:
 
@@ -236,6 +247,12 @@ RETIRED_FORMATS_ALLOWED = "baselines"
 _RETIRED_STATS_DECODER = re.compile(r"\b_?decode_v[12]_stats\b")
 RETIRED_STATS_MAGIC = "AIRPSTA"
 STATS_FORMAT_FILE = ("index", "stats.py")
+
+#: The only files that may decode a superpost run.
+RUN_DECODER_FILES = {("search", "member.py"), ("index", "compaction.py")}
+_RUN_DECODE = re.compile(r"\bdecode_run\(")
+#: The retired "membership-only" build's error and its code.
+_UNRANKED_BUILD = re.compile(r"\b(?:RankingUnsupportedError|ranking_unavailable)\b")
 
 #: The query tier's package, and the packages it may not import from.
 CLUSTER_PACKAGE = "cluster"
@@ -368,6 +385,12 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
             )
         problems.extend(
             f"{path.relative_to(root.parent.parent)}:{number}: "
+            "a build without statistics answered as a second kind of index"
+            for number, text in string_literals(path)
+            if _UNRANKED_BUILD.search(text)
+        )
+        problems.extend(
+            f"{path.relative_to(root.parent.parent)}:{number}: "
             "read_batch with a required count (every payload is waited for)"
             for number in partial_waves(path)
         )
@@ -426,6 +449,12 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 problems.append(f"{where}: reader of a retired on-store format")
             if _RETIRED_STATS_DECODER.search(text):
                 problems.append(f"{where}: decoder of a retired stats container")
+            if parts not in RUN_DECODER_FILES and _RUN_DECODE.search(text):
+                problems.append(f"{where}: a superpost run decoded outside its reader")
+            if _UNRANKED_BUILD.search(text):
+                problems.append(
+                    f"{where}: a build without statistics answered as a second kind of index"
+                )
             if _BATCH_RECORD.search(text):
                 problems.append(f"{where}: a per-request batch record read")
             if parts != STATS_FILE and _COUNTER_TABLE.search(text):

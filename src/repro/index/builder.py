@@ -19,8 +19,9 @@ everything else derives from those columns:
 6. lay the superposts out along those same hash chains
    (:mod:`~repro.index.layout`), compact them into a single blob and
    persist it;
-7. persist the header blob (hash seeds, bin pointers, string table, metadata)
-   and, last, the statistics themselves.
+7. persist the statistics themselves, then, last, the header blob (hash
+   seeds, bin pointers, string table, metadata): the header is the build's
+   commit point, so every build that opens has its statistics.
 
 A sharded build runs 2–7 once, over the whole build, with each bin's and
 common word's list cut by shard (:func:`~repro.index.compaction.compact_sketch`),
@@ -238,14 +239,12 @@ class AirphantBuilder:
                 for name, metadata, part in zip(names, parts, profiles)
             ]
             built = BuiltShardedIndex(index_name, manifest, shards)
+        # The header is the build's commit point, written last: a crash
+        # mid-build leaves no header (the name does not open) or a header
+        # whose superposts and ranking statistics are both there.
         self._store.put(superpost_blob, compacted.superpost_blob_data)
-        self._store.put(header_blob, encode_header(compacted))
-        # Ranking statistics ride along with every build: exact doc lengths
-        # and term frequencies (mode="topk_bm25" scores from them without
-        # touching document text; compaction merges them).  Written last, so
-        # a crash mid-build leaves a membership-only index rather than stats
-        # for a missing sketch.
         self._store.put(stats_blob, encode_stats(stats))
+        self._store.put(header_blob, encode_header(compacted))
         # The builder makes a rebuild authoritative: whatever a previous
         # layout of this name left behind (a retired layout's shard manifest,
         # shard headers and shard statistics) goes.

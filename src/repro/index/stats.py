@@ -27,11 +27,13 @@ documents; a term's vocabulary block and run are decoded only when a query
 asks for that term (:meth:`IndexStats.entries`), and the whole term-side
 columns only when build or compaction reads them.
 
-Container v3 is the one format read: an index without a stats blob, or with
-the v1 JSON or v2 container of earlier builds, stays fully readable for
-membership queries and rejects the ranked mode with the typed
-:class:`RankingUnsupportedError` — rebuilding (or compacting) the index
-writes current statistics.  A blob that does not decode is
+The Builder writes the stats blob before the header, the build's commit
+point, so every build that opens has its statistics.  Container v3 is the
+one format read: a missing stats blob, or one in the v1 JSON or v2 container
+of earlier builds (or any other container version), is
+:class:`~repro.index.store_layout.UnsupportedIndexFormatError` naming the
+blob — the index answers membership queries, but a ranked query or a
+compaction asks for a rebuild.  A blob that does not decode is
 :class:`~repro.index.store_layout.CorruptIndexError` naming it.
 """
 
@@ -50,7 +52,12 @@ import numpy as np
 
 from repro.core.superpost import Superpost
 from repro.index.serialization import decode_varint, decode_varints, encode_varints, varint_widths
-from repro.index.store_layout import STATS_BLOB_SUFFIX, CorruptIndexError, stats_blob_name
+from repro.index.store_layout import (
+    STATS_BLOB_SUFFIX,
+    CorruptIndexError,
+    UnsupportedIndexFormatError,
+    stats_blob_name,
+)
 from repro.parsing.documents import Document, DocumentTable, Posting
 from repro.parsing.tokenizer import Tokenizer
 from repro.profiling.profiler import CorpusProfile
@@ -70,6 +77,8 @@ _RETIRED_STATS = {
     b'{"': "a JSON stats blob (v1)",
     b"AIRPSTA\n": "a stats container v2 blob",
 }
+#: The one stats format read.
+_READ_FORMAT = f"stats container v{STATS_CONTAINER_VERSION}"
 #: Terms per front-coded vocabulary block: each block starts with a whole
 #: term, and a lookup decodes at most one block.
 TERMS_PER_BLOCK = 16
@@ -107,25 +116,6 @@ SECTIONS = (
 _BYTE_SECTIONS = ("term_fields", "term_suffixes", "entry_runs")
 #: Values one vectorised varint encoding pass takes on.
 _ENCODE_CHUNK = 4096
-
-
-class RankingUnsupportedError(Exception):
-    """The index cannot answer ranked queries (typed, maps to HTTP 400).
-
-    Raised when an index has no stats blob (it predates ranked retrieval,
-    or is a sharded build that kept one per shard) or its stats blob is in a
-    format this engine does not read.  Membership queries against the same
-    index keep working; rebuilding the index writes current stats and
-    enables ``mode="topk_bm25"``.
-    """
-
-    def __init__(self, index_name: str, reason: str) -> None:
-        super().__init__(
-            f"index {index_name!r} does not support ranked retrieval: {reason}; "
-            "rebuild the index to generate ranking statistics"
-        )
-        self.index_name = index_name
-        self.reason = reason
 
 
 class _Materialized:
@@ -610,11 +600,12 @@ def _group_starts(group: np.ndarray) -> np.ndarray:
     return first
 
 
-def decode_stats(data: bytes, index_name: str = "index") -> IndexStats:
+def decode_stats(data: bytes | None, index_name: str = "index") -> IndexStats:
     """Inverse of :func:`encode_stats`: checks the trailer and decodes the
     documents; the terms' side is decoded as it is asked for.
 
-    Raises the typed :class:`RankingUnsupportedError` for a blob in a format
+    Raises :class:`~repro.index.store_layout.UnsupportedIndexFormatError`
+    naming the blob when it is missing (``data`` is ``None``) or in a format
     this reader does not know — a v1 JSON blob, a v2 container, or an
     intact blob of another container version — and
     :class:`~repro.index.store_layout.CorruptIndexError` naming the blob for
@@ -622,6 +613,8 @@ def decode_stats(data: bytes, index_name: str = "index") -> IndexStats:
     truncated, failing its checksum, or pointing outside its own sections.
     """
     blob = stats_blob_name(index_name)
+    if data is None:
+        raise UnsupportedIndexFormatError(blob, "nothing (the blob is missing)", _READ_FORMAT)
     end = len(data) - _CHECKSUM.size
     if (
         end >= _STATS_PREFIX.size
@@ -630,14 +623,14 @@ def decode_stats(data: bytes, index_name: str = "index") -> IndexStats:
     ):
         version = _STATS_PREFIX.unpack_from(data)[1]
         if version != STATS_CONTAINER_VERSION:
-            raise RankingUnsupportedError(index_name, f"stats container v{version}")
+            raise UnsupportedIndexFormatError(blob, f"stats container v{version}", _READ_FORMAT)
         try:
             return _decode_v3_stats(data, end, blob)
         except (ValueError, KeyError, TypeError, IndexError, OverflowError) as error:
             raise CorruptIndexError(blob, error) from error
     for signature, found in _RETIRED_STATS.items():
         if data.startswith(signature):
-            raise RankingUnsupportedError(index_name, found)
+            raise UnsupportedIndexFormatError(blob, found, _READ_FORMAT)
     raise CorruptIndexError(blob, "not a stats blob, or one that fails its checksum")
 
 
@@ -878,7 +871,6 @@ __all__ = [
     "STATS_CONTAINER_VERSION",
     "STATS_MAGIC",
     "IndexStats",
-    "RankingUnsupportedError",
     "build_stats",
     "decode_stats",
     "encode_stats",

@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import re
 import time
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Sequence
 
@@ -43,16 +42,9 @@ from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder, BuiltIndex, BuiltShardedIndex
 from repro.index.compaction import CompactedSketch
 from repro.index.metadata import IndexMetadata
-from repro.index.stats import (
-    IndexStats,
-    RankingUnsupportedError,
-    build_stats,
-    decode_stats,
-    union_stats,
-)
+from repro.index.stats import IndexStats, build_stats, decode_stats, union_stats
 from repro.index.store_layout import (
     OpenedBuild,
-    UnsupportedIndexFormatError,
     build_blobs,
     build_exists,
     delta_index_name,
@@ -379,88 +371,21 @@ class AppendOnlyIndexManager:
 
     # -- compaction ------------------------------------------------------------------
 
-    def indexed_documents(self, exclude: AbstractSet[Posting] = frozenset()) -> list[Document]:
-        """Enumerate every document covered by the base and delta indexes."""
-        builds = open_headers(self._store, self.manifest().all_indexes).builds
-        return self._read_documents(self._postings([build.header for build in builds]), exclude)
-
-    def _postings(self, headers: Sequence[CompactedSketch]) -> set[Posting]:
-        """Every posting the builds of ``headers`` index.
-
-        The union of all superposts (plus the common-word lists) of an index
-        is exactly its set of postings — of documents with at least one
-        token.
-        """
-        postings: set[Posting] = set()
-        blobs: dict[str, bytes] = {}
-        for header in headers:
-            # One read of each superpost blob, sliced by the pointer columns:
-            # never a range read per bin.
-            name = header.superpost_blob_name
-            blob = blobs[name] = blobs[name] if name in blobs else self._store.get(name)
-            for row, (offset, length) in enumerate(header.mht.ranges()):
-                if length:
-                    postings.update(
-                        header.decode_run(row, blob[offset : offset + length])
-                    )
-        return postings
-
-    def _read_documents(
-        self, postings: AbstractSet[Posting], exclude: AbstractSet[Posting]
-    ) -> list[Document]:
-        """The documents ``postings`` locate, re-read from storage as one wave.
-
-        ``exclude`` (the pending tombstone set) drops condemned postings
-        *before* their bytes are fetched — deleted documents cost no reads.
-        """
-        wanted = sorted(postings - set(exclude))
-        fetch = self._store.read_batch([posting.to_range_read() for posting in wanted])
-        return [
-            Document(ref=posting, text=data.decode("utf-8", errors="replace"))
-            for posting, data in zip(wanted, fetch.payloads)
-        ]
-
     def _merged_stats(
         self, builds: Sequence[OpenedBuild], exclude: AbstractSet[Posting]
     ) -> IndexStats:
         """The statistics of every opened build, merged minus ``exclude``.
 
-        One wave reads every build's stats blob.  A build without one —
-        built before ranked retrieval, or when a sharded build kept one per
-        shard — or whose blob is in a format no longer read contributes
-        :func:`build_stats` over its documents, re-read from storage, so old
-        indexes still compact (and gain statistics).
-
-        Only documents some superpost names can be re-read: when a build's
-        superposts cover fewer documents than its header counts (the rest
-        have no indexable token), re-deriving would lose them — N and the
-        average length, hence every score — so that is
-        :class:`~repro.index.store_layout.UnsupportedIndexFormatError`
-        asking for a rebuild, raised before anything is written.
+        One wave reads every build's stats blob.  A blob that is missing or
+        in a retired format is
+        :class:`~repro.index.store_layout.UnsupportedIndexFormatError` naming
+        it, raised before anything is written: that build must be rebuilt.
         """
         fetch = self._store.read_batch(
             [RangeRead(stats_blob_name(build.name), optional=True) for build in builds]
         )
-        tokenizer = self._tokenizer if self._tokenizer is not None else WhitespaceAnalyzer()
-
-        def statistics(build: OpenedBuild, payload: bytes | None) -> IndexStats:
-            if payload is not None:
-                with suppress(RankingUnsupportedError):
-                    return decode_stats(payload, build.name)
-            postings = self._postings([build.header])
-            metadata = build.header.metadata_of()
-            if metadata is not None and len(postings) < metadata.num_documents:
-                raise UnsupportedIndexFormatError(
-                    stats_blob_name(build.name),
-                    f"no statistics for {metadata.num_documents - len(postings)} of the "
-                    f"{metadata.num_documents} documents of build {build.name!r} (no "
-                    "superpost names a document without an indexable token)",
-                    "statistics for all of them",
-                )
-            return build_stats(self._read_documents(postings, exclude), tokenizer)
-
         return union_stats(
-            [statistics(build, payload) for build, payload in zip(builds, fetch.payloads)],
+            [decode_stats(payload, build.name) for build, payload in zip(builds, fetch.payloads)],
             exclude,
         )
 

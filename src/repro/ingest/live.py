@@ -264,10 +264,18 @@ class LiveIndex:
             "tombstones_pending": len(self.tombstone_refs()),
         }
 
-    def _update_gauges(self) -> None:
-        self._memtable_docs_gauge.set(self.memtable_documents(), index=self._index_name)
-        self._memtable_bytes_gauge.set(self.memtable_bytes(), index=self._index_name)
-        self._tombstones_gauge.set(len(self.tombstone_refs()), index=self._index_name)
+    def _update_gauges(self) -> int:
+        """Set the occupancy gauges from one hold of the write lock; returns
+        the memtable document count they were set to."""
+        with self._write_lock:
+            tables = (*self._sealed, self._active)
+            documents = sum(len(table) for table in tables)
+            nbytes = sum(table.approximate_bytes for table in tables)
+            tombstones = len(self._tombstone_set)
+        self._memtable_docs_gauge.set(documents, index=self._index_name)
+        self._memtable_bytes_gauge.set(nbytes, index=self._index_name)
+        self._tombstones_gauge.set(tombstones, index=self._index_name)
+        return documents
 
     def clear_gauges(self) -> None:
         """Drop this index's occupancy series (the index is being discarded)."""
@@ -354,12 +362,12 @@ class LiveIndex:
         self._batches_metric.inc(index=self._index_name)
         self._wal_segments_metric.inc(index=self._index_name)
         self._wal_bytes_metric.inc(sum(lengths), index=self._index_name)
-        self._update_gauges()
+        documents = self._update_gauges()
         return {
             "index": self._index_name,
             "appended": len(offsets),
             "wal_segment": blob,
-            "memtable_documents": self.memtable_documents(),
+            "memtable_documents": documents,
             "refs": [
                 {"blob": blob, "offset": offset, "length": length}
                 for offset, length in zip(offsets, lengths)
@@ -377,14 +385,15 @@ class LiveIndex:
         the spot.
         """
         refs = list(dict.fromkeys(refs))
-        encode_tombstones(refs)  # validation before any I/O or locking
+        data = encode_tombstones(refs)  # validation before any I/O or locking
         with self._commit_lock:
-            blob = self._wal.append_tombstones(refs)
+            blob = self._wal.append_tombstones(data)
             with self._write_lock:
                 self._record_tombstones(blob, refs)
                 removed = self._active.remove(refs)
                 for table in self._sealed:
                     removed += table.remove(refs)
+                pending = len(self._tombstone_set)
         self._deletes_metric.inc(len(refs), index=self._index_name)
         self._update_gauges()
         return {
@@ -392,7 +401,7 @@ class LiveIndex:
             "deleted": len(refs),
             "memtable_removed": removed,
             "tombstone_record": blob,
-            "tombstones_pending": len(self.tombstone_refs()),
+            "tombstones_pending": pending,
         }
 
     def update(self, ref: Posting, text: str) -> dict[str, Any]:
@@ -406,10 +415,10 @@ class LiveIndex:
         :class:`IngestOverloadedError` under backpressure.
         """
         data = encode_segment([text])  # validation before any I/O
-        encode_tombstones([ref])
+        tombstone_data = encode_tombstones([ref])
         self._wait_for_capacity()
         with self._commit_lock:
-            tombstone, segment = self._wal.update(ref, data)
+            tombstone, segment = self._wal.update(tombstone_data, data)
             with self._write_lock:
                 self._record_tombstones(tombstone, [ref])
                 self._active.remove([ref])

@@ -9,8 +9,8 @@ cheap:
   :class:`~repro.parsing.corpus.LineDelimitedCorpusParser` reads and the
   Builder indexes.  The segment therefore *is* the documents' permanent
   storage: postings created at flush time point straight into it with
-  ``(blob, offset, length)`` ranges, and compaction re-reads documents from
-  it like from any corpus blob.  Nothing is ever copied out of the WAL.
+  ``(blob, offset, length)`` ranges, and queries fetch documents from it
+  like from any corpus blob.  Nothing is ever copied out of the WAL.
 * **The segment PUT is an append's commit point** — one round trip per
   acknowledged batch.  ``<index>/ingest/ingest.json`` does not list
   segments; it records a *range* of sequence numbers, ``first_unflushed``
@@ -318,21 +318,22 @@ class WriteAheadLog:
         self._unflushed.append(blob)
         return parse_segment(blob, data)
 
-    def append_tombstones(self, refs: Sequence[Posting]) -> str:
-        """Persist one batch of deletes as a tombstone record; returns its blob.
+    def append_tombstones(self, data: bytes) -> str:
+        """Persist one batch of deletes, :func:`encode_tombstones`'s ``data``,
+        as a tombstone record; returns its blob.
 
         The commit point is the manifest PUT listing the record: until it
         lands, the delete was never acknowledged and a crash strands at most
         an unreferenced record blob.
         """
-        data = encode_tombstones(refs)
         blob = tombstone_blob(self._index_name, self._allocate())
         self._store.put(blob, data)
         self._commit_with(tombstone_segments=self.manifest().tombstone_segments + (blob,))
         return blob
 
-    def update(self, ref: Posting, data: bytes) -> tuple[str, Segment]:
-        """Replace document ``ref`` by the one-line segment ``data``:
+    def update(self, tombstone_data: bytes, data: bytes) -> tuple[str, Segment]:
+        """Replace the document that :func:`encode_tombstones`'s
+        ``tombstone_data`` condemns by the one-line segment ``data``:
         ``(tombstone, segment)``.
 
         The replacement segment and the old reference's tombstone are
@@ -340,7 +341,6 @@ class WriteAheadLog:
         atomic: a crash before it shows the old document untouched, after it
         the replacement — never a window with both or neither visible.
         """
-        tombstone_data = encode_tombstones([ref])
         segment = update_blob(self._index_name, self._allocate())
         tombstone = tombstone_blob(self._index_name, self._allocate())
         self._store.put(segment, data)

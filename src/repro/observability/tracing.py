@@ -4,7 +4,7 @@ The metrics registry answers "how is the fleet doing"; this module answers
 "why was *this* query slow".  Airphant's design thesis is that query latency
 is dominated by cloud-storage round-trip waves (the paper's two-wave read
 path, §IV), so the unit of observability here is the **span tree of one
-request**: every pipeline fetch wave, store attempt, hedge, shard fan-out,
+request**: every pipeline fetch wave, store attempt, hedge, routed peer
 and tombstone filter of a single query, nested and timed.
 
 Three pieces:

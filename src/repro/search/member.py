@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Protocol, Sequence
 
 from repro.core.superpost import EMPTY, Superpost
 from repro.index.compaction import CompactedSketch
-from repro.index.stats import IndexStats, RankingUnsupportedError, decode_stats
+from repro.index.stats import IndexStats, decode_stats
 from repro.index.store_layout import MAX_SHARDED_CONCURRENCY, stats_blob_name
 from repro.parsing.documents import Document, Posting
 from repro.storage.base import RangeRead
@@ -75,8 +75,9 @@ class Member(Protocol):
         With ``fail_fast`` (a pure conjunction) a word with no postings dooms
         the query, so a member may plan no superpost reads and answer every
         word empty.  A ``ranked`` plan also yields the member's statistics
-        (its ``resolve`` may raise
-        :class:`~repro.index.stats.RankingUnsupportedError`).
+        (its ``resolve`` raises
+        :class:`~repro.index.store_layout.UnsupportedIndexFormatError` for a
+        stats blob that is missing or in a retired format).
         """
         ...
 
@@ -215,13 +216,12 @@ class IndexMember:
     def _install(self, payloads: Sequence[bytes | None]) -> None:
         """Decode the stats blob and keep it (the first writer wins).
 
-        A missing blob — an index built before ranked retrieval existed, or a
-        sharded one built when each shard kept its own — is
-        :class:`~repro.index.stats.RankingUnsupportedError`.
+        A missing blob — a build older than the header-last write order, or a
+        sharded one built when each shard kept its own — or one in a retired
+        format is :class:`~repro.index.store_layout.UnsupportedIndexFormatError`
+        naming it: the index must be rebuilt.
         """
         (payload,) = payloads
-        if payload is None:
-            raise RankingUnsupportedError(self.name, "no ranking statistics blob")
         decoded = decode_stats(payload, index_name=self.name)
         with self._lock:
             if self._statistics is None:

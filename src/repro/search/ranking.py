@@ -19,7 +19,7 @@ scoring on top of it:
    across queries;
 4. **merging** is deterministic: ties break on the posting's
    ``(blob, offset, length)`` order, so repeated runs, rebuilt indexes,
-   sharded fan-outs, and routed clusters all produce the identical ranked
+   sharded builds, and routed clusters all produce the identical ranked
    list.
 
 Cross-tier identity hinges on one invariant: *every* execution scores with

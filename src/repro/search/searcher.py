@@ -267,9 +267,9 @@ class AirphantSearcher:
         false positives, so text is fetched for the winners only and needs
         no check.
 
-        Raises :class:`~repro.index.stats.RankingUnsupportedError` if any
-        member index lacks ranking statistics, and ``ValueError`` for an
-        invalid ``k``.
+        Raises :class:`~repro.index.store_layout.UnsupportedIndexFormatError`
+        if any member index's stats blob is missing or in a retired format,
+        and ``ValueError`` for an invalid ``k``.
         """
         if k <= 0:
             raise ValueError(f"ranked queries need a positive k, got {k}")

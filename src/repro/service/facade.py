@@ -35,7 +35,6 @@ from repro.observability.tracing import (
     span,
 )
 from repro.index.builder import AirphantBuilder
-from repro.index.stats import RankingUnsupportedError
 from repro.index.store_layout import (
     CorruptIndexError,
     UnsupportedIndexFormatError,
@@ -500,10 +499,6 @@ class AirphantService:
                         weights=request.weight_map,
                     )
                 return searcher.search(request.query, top_k=request.top_k)
-        except RankingUnsupportedError as error:
-            # The index predates ranked retrieval (no stats blob): a typed
-            # rejection telling the caller to rebuild, not a crash.
-            raise ServiceError(400, "ranking_unavailable", str(error)) from error
         except (ValueError, re.error) as error:
             # Malformed Boolean syntax, bad regex, or a regex with no literal
             # words to filter on — the request, not the service, is at fault.
@@ -781,11 +776,12 @@ class AirphantService:
 
         ``num_shards > 1`` builds a sharded index: documents are routed to
         shards by document hash, the build is one sketch whose every list is
-        cut by shard, and queries later fan out across the shards in one
-        batch.  ``sketch_config``'s bin budget, accuracy target and seed are
-        recorded in the header, and the index's deltas and compactions are
-        built under them.  Any previously cached searcher for ``name`` is
-        invalidated so the next query reopens the fresh header.
+        cut by shard, and a query reads each run (every shard's share of one
+        bin) as one range.  ``sketch_config``'s bin budget, accuracy target
+        and seed are recorded in the header, and the index's deltas and
+        compactions are built under them.  Any previously cached searcher
+        for ``name`` is invalidated so the next query reopens the fresh
+        header.
         """
         with self._accounted(self._builds_metric, self._build_seconds_metric):
             return self._build_index(

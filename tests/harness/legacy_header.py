@@ -111,6 +111,14 @@ def retire_sharded_layout(store: ObjectStore, build: str, layout: str) -> None:
 STATS_LAYOUTS = {"json-stats": JSON_STATS_BLOB, "stats-v2": V2_STATS_BLOB}
 
 
+def stats_of_version(data: bytes, version: int) -> bytes:
+    """``data``, a current stats container, as an intact container of
+    ``version``: the checksum is recomputed, so only the version is wrong."""
+    body = bytearray(data[:-4])
+    struct.pack_into("<I", body, 8, version)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
 def retire_format(store: ObjectStore, build: str, layout: str) -> None:
     """Rewrite one blob of ``build`` in a format this engine no longer reads:
     either retired sharded layout (:func:`retire_sharded_layout`),

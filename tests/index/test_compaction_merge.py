@@ -7,16 +7,17 @@ generation from them.  These tests pin that
 * the generation it writes is byte-identical to ``build_from_documents``
   over the surviving documents — plain and 4-shard bases, the latter also
   as the retired round-robin partitioner built them (the new generation is
-  hash-routed, as every build is), tombstones on base and delta rows, and a
-  member whose statistics were deleted (it is re-read and re-analysed
-  instead);
+  hash-routed, as every build is), tombstones on base and delta rows;
+* a member whose statistics are missing or in a retired container (v1
+  JSON, v2, or any version but 3) is a typed "rebuild" error raised before
+  any PUT: compaction never re-derives statistics from superposts;
 * a compaction of members that all have statistics reads nothing but the
   update manifest, the shard manifest and one wave of ``stats.json``: no
   corpus blob, no WAL segment;
 * a document with no indexable token survives compaction in the ranking
   statistics, so BM25 scores after a compaction equal a rebuild's;
 * a member without statistics whose superposts miss some of its documents
-  (those with no indexable token) is a typed "rebuild" error, not a new
+  (those with no indexable token) is the same "rebuild" error, not a new
   base with fewer documents.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import pytest
 
-from harness.legacy_header import STATS_LAYOUTS, build_round_robin
+from harness.legacy_header import STATS_LAYOUTS, build_round_robin, stats_of_version
 from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
@@ -80,21 +81,9 @@ def _build_blobs(store, prefix: str) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("config", CONFIGS, ids=["optimized", "two-layer"])
 @pytest.mark.parametrize("shards,round_robin", BASES, ids=["plain", "hash4", "round-robin4"])
-@pytest.mark.parametrize(
-    "delta_stats",
-    ["stats", "missing", "json-stats", "stats-v2"],
-    ids=["stats", "fallback", "json-fallback", "v2-fallback"],
-)
-def test_compaction_equals_a_fresh_build_over_survivors(config, shards, round_robin, delta_stats):
+def test_compaction_equals_a_fresh_build_over_survivors(config, shards, round_robin):
     store = InMemoryObjectStore()
     manager, base, appended = _live_index(store, config, shards, round_robin)
-    delta = stats_blob_name(manager.manifest().delta_indexes[1])
-    # A delta written before ranked retrieval, or with statistics in a format
-    # no longer read: its documents are re-read.
-    if delta_stats == "missing":
-        store.delete(delta)
-    elif delta_stats in STATS_LAYOUTS:
-        store.put(delta, STATS_LAYOUTS[delta_stats])
     tombstones = {d.ref for d in base[3:40:7]} | {d.ref for d in appended[5:100:11]}
 
     built = manager.compact(exclude=tombstones)
@@ -112,6 +101,27 @@ def test_compaction_equals_a_fresh_build_over_survivors(config, shards, round_ro
         assert compacted[name] == payload, name
     documents = built.num_documents if shards > 1 else built.metadata.num_documents
     assert documents == len(survivors)
+
+
+@pytest.mark.parametrize("member", [0, 2], ids=["base", "delta"])
+@pytest.mark.parametrize("state", ["missing", "json-stats", "stats-v2", "v99"])
+@pytest.mark.parametrize("shards", [1, 4], ids=["plain", "hash4"])
+def test_a_member_without_current_statistics_is_refused_before_any_put(shards, member, state):
+    store = InMemoryObjectStore()
+    manager, _, _ = _live_index(store, CONFIGS[0], shards)
+    blob = stats_blob_name(manager.manifest().all_indexes[member])
+    if state == "missing":
+        store.delete(blob)
+    elif state == "v99":
+        store.put(blob, stats_of_version(store.get(blob), 99))
+    else:
+        store.put(blob, STATS_LAYOUTS[state])
+    before = {name: store.get(name) for name in store.list_blobs()}
+
+    with pytest.raises(UnsupportedIndexFormatError, match="rebuild") as caught:
+        manager.compact()
+    assert caught.value.blob == blob
+    assert {name: store.get(name) for name in store.list_blobs()} == before
 
 
 @pytest.mark.parametrize("shards", [1, 4], ids=["plain", "hash4"])
@@ -197,7 +207,9 @@ def test_a_member_whose_superposts_miss_documents_is_not_re_derived():
     before = {name: store.get(name) for name in store.list_blobs()}
     with pytest.raises(UnsupportedIndexFormatError, match="rebuild") as caught:
         AppendOnlyIndexManager(store, "idx", tokenizer=SimpleAnalyzer()).compact()
-    assert "2 of the 5 documents of build 'idx'" in str(caught.value)
+    assert "index blob 'idx/stats.json' holds nothing (the blob is missing)" in str(
+        caught.value
+    )
     assert {name: store.get(name) for name in store.list_blobs()} == before
 
     with AirphantService(store, config) as service:

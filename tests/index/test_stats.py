@@ -19,14 +19,13 @@ from repro.index.stats import (
     TERM_COLUMNS,
     TERMS_PER_BLOCK,
     IndexStats,
-    RankingUnsupportedError,
     build_stats,
     decode_stats,
     encode_stats,
     idf,
     stats_blob_name,
 )
-from repro.index.store_layout import CorruptIndexError
+from repro.index.store_layout import CorruptIndexError, UnsupportedIndexFormatError
 from repro.parsing.documents import Document, Posting
 from repro.parsing.tokenizer import WhitespaceAnalyzer
 
@@ -200,15 +199,21 @@ class TestEncodeDecode:
     def test_a_retired_or_unknown_format_is_the_typed_error(self):
         data = bytearray(encode_stats(build_stats(DOCS, WhitespaceAnalyzer())))
         struct.pack_into("<I", data, 8, 99)
-        with pytest.raises(RankingUnsupportedError, match="v99") as excinfo:
+        with pytest.raises(UnsupportedIndexFormatError, match="v99") as excinfo:
             decode_stats(_reseal(data), index_name="new-index")
-        assert excinfo.value.index_name == "new-index"
+        assert excinfo.value.blob == "new-index/stats.json"
         assert "rebuild" in str(excinfo.value)
         # Neither the v1 JSON blobs nor the v2 containers of earlier builds are read.
         for retired, found in ((JSON_STATS_BLOB, "JSON stats blob"), (V2_STATS_BLOB, "v2")):
-            with pytest.raises(RankingUnsupportedError, match=found) as excinfo:
+            with pytest.raises(UnsupportedIndexFormatError, match=found) as excinfo:
                 decode_stats(retired, index_name="old-index")
-            assert excinfo.value.index_name == "old-index"
+            assert excinfo.value.blob == "old-index/stats.json"
+
+    def test_a_missing_blob_is_the_typed_error(self):
+        with pytest.raises(UnsupportedIndexFormatError, match="missing") as excinfo:
+            decode_stats(None, index_name="idx")
+        assert excinfo.value.blob == "idx/stats.json"
+        assert "rebuild" in str(excinfo.value)
 
     def test_every_truncation_is_corrupt(self):
         data = encode_stats(build_stats(DOCS, WhitespaceAnalyzer()))

@@ -5,10 +5,6 @@ import pytest
 from repro.core.config import SketchConfig
 from repro.index.updates import AppendOnlyIndexManager
 from repro.parsing.corpus import LineDelimitedCorpusParser
-from repro.storage.memory import InMemoryObjectStore
-
-from harness.corpora import SMALL_CORPUS_TEXT
-from harness.stores import CountingStore
 
 
 def _documents(store, blob_name: str, lines: list[str]):
@@ -75,36 +71,6 @@ class TestSearchAcrossDeltas:
 
 
 class TestCompaction:
-    def test_indexed_documents_enumerates_everything(self, manager, sim_store):
-        manager.append(_documents(sim_store, "corpus/d1.txt", ["error gpu four"]))
-        documents = manager.indexed_documents()
-        assert {doc.text for doc in documents} == {
-            "error disk one",
-            "info start one",
-            "error net two",
-            "warn cpu three",
-            "error gpu four",
-        }
-
-    def test_indexed_documents_reads_each_member_once(self):
-        backend = InMemoryObjectStore()
-        backend.put("corpus.txt", SMALL_CORPUS_TEXT.encode("utf-8"))
-        documents = list(LineDelimitedCorpusParser().parse(backend, ["corpus.txt"]))
-        config = SketchConfig(num_bins=256, num_layers=2, seed=11)
-        manager = AppendOnlyIndexManager(backend, "live", config=config)
-        manager.build_base(documents[:6])
-        manager.append(documents[6:])
-        counting = CountingStore(backend)
-        enumerated = AppendOnlyIndexManager(counting, "live", config=config).indexed_documents()
-        assert sorted(document.text for document in enumerated) == sorted(
-            SMALL_CORPUS_TEXT.split("\n")
-        )
-        # Per member: its header and its superpost blob, whole — never a range
-        # read per bin.  The only range reads left fetch the documents, plus
-        # each of the two members' headers (the opener's batch reads a whole
-        # blob as an open-ended range from 0).
-        assert counting.range_calls == len(documents) + 2
-
     def test_compact_folds_deltas_into_base(self, manager, sim_store):
         manager.append(_documents(sim_store, "corpus/d1.txt", ["error gpu four"]))
         manager.append(_documents(sim_store, "corpus/d2.txt", ["info mem five"]))

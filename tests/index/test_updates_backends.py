@@ -3,8 +3,8 @@
 The single-shard ``mem://`` path is covered by ``test_updates.py``; these
 tests exercise the two previously untested axes the manager must handle:
 
-* a **sharded** base (append, enumeration, generation-safe compaction that
-  preserves the shard layout), and
+* a **sharded** base (append, generation-safe compaction that preserves
+  the shard layout), and
 * an emulated **``s3://``** backend from ``tests/harness`` (every manifest
   write, delta build, and compaction swap issuing real HTTP traffic).
 """
@@ -61,19 +61,14 @@ def _drive_full_lifecycle(store, num_shards: int) -> None:
     }
     searcher.close()
 
-    # Enumeration spans the (possibly sharded) base and both deltas.
-    enumerated = {d.text for d in manager.indexed_documents()}
-    assert enumerated == {d.text for d in base_documents} | {
-        "error fresh alpha",
-        "info fresh beta",
-    }
-
     manager.compact()
     manifest = manager.manifest()
     assert manifest.delta_indexes == ()
     assert manifest.active_base == "idx/gen-00000001"
+    (base,) = open_headers(store, [manifest.active_base]).builds
+    # The new base spans the (possibly sharded) base and both deltas.
+    assert base.header.metadata_of().num_documents == len(base_documents) + 2
     if num_shards > 1:
-        (base,) = open_headers(store, [manifest.active_base]).builds
         assert base.manifest.num_shards == num_shards
     searcher = manager.open_searcher()
     assert len(searcher.search("error").documents) == 4  # 3 base + 1 delta

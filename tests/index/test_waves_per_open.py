@@ -9,7 +9,7 @@ build in a retired format (a sharded layout with a header container per
 shard, or ``shards.json``; a JSON header; a header over superpost codec v1 —
 ``harness.legacy_header``) costs no wave more: it is a typed "rebuild"
 error; one whose statistics are a JSON blob, or kept per shard, opens,
-answers membership queries and refuses ranked ones.  No ``exists`` on any open that
+answers membership queries and refuses ranked ones with the same error.  No ``exists`` on any open that
 succeeds, nothing re-read on a reopen that this process already knows, and
 a name that is not there costs the one discovery batch and the one probe
 for a retired ``shards.json`` a missing header earns.
@@ -38,7 +38,7 @@ from repro.workloads.logs import generate_log_corpus
 
 CONFIG = SketchConfig(num_bins=256, target_false_positives=1.0, seed=7)
 SERVICE = ServiceConfig(ingest_interval_s=0)
-#: The retired formats that only cost an index its ranked mode.
+#: The retired formats an index opens with: only its ranked queries are refused.
 UNRANKED = (*STATS_LAYOUTS, "shard-stats")
 #: Each retired format ``retire_format`` can leave a build in.
 RETIRED = ("container", "shards.json", "json-header", "codec-v1", *UNRANKED)
@@ -159,11 +159,11 @@ def test_a_retired_format_is_a_typed_error_after_the_same_waves(
         with pytest.raises(ServiceError) as caught:
             service.search(SearchRequest(query="INFO", index=name, mode="topk_bm25", top_k=3))
         if layout in UNRANKED:
-            # The index opened in the same waves; only ranking is refused.
+            # The index opened in the same waves; the statistics rode the
+            # lookup wave, and only ranking is refused.
             assert len(_batches(store.calls)) == waves + 1
             assert service.search(SearchRequest(query="INFO", index=name, top_k=3)).documents
-    expected = (400, "ranking_unavailable") if layout in UNRANKED else (409, "index_format")
-    assert (caught.value.info.status, caught.value.info.error) == expected
+    assert (caught.value.info.status, caught.value.info.error) == (409, "index_format")
     assert "rebuild" in caught.value.info.message
     if layout not in UNRANKED:
         assert len(_batches(store.calls)) == waves

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import pytest
 
+from harness.legacy_header import STATS_LAYOUTS, stats_of_version
+
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
 from repro.index.stats import stats_blob_name
+from repro.index.updates import AppendOnlyIndexManager
 from repro.observability import MetricsRegistry
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.search.searcher import AirphantSearcher
@@ -121,16 +124,47 @@ class TestLiveMatchesRebuild:
         service.close()
 
 
-class TestRankingUnavailableThroughService:
-    def test_missing_stats_blob_is_a_typed_400(self):
+class TestMissingStatisticsThroughService:
+    def test_missing_stats_blob_is_a_typed_409(self):
         store = InMemoryObjectStore()
         service = _service(store)
         store.delete(stats_blob_name("idx"))
         with pytest.raises(ServiceError) as excinfo:
             service.execute(SearchRequest(query=QUERY, index="idx", mode="topk_bm25"))
-        assert excinfo.value.status == 400
-        assert excinfo.value.info.error == "ranking_unavailable"
+        assert excinfo.value.status == 409
+        assert excinfo.value.info.error == "index_format"
+        assert "idx/stats.json" in str(excinfo.value) and "rebuild" in str(excinfo.value)
         # Membership queries on the same index still answer.
         result = service.execute(SearchRequest(query=QUERY, index="idx"))
         assert result.num_results > 0
+        service.close()
+
+    @pytest.mark.parametrize("member", ["base", "delta"])
+    @pytest.mark.parametrize("state", ["missing", *STATS_LAYOUTS, "v99"])
+    def test_a_member_without_current_statistics_is_a_typed_409(self, member, state):
+        store = InMemoryObjectStore()
+        service = _service(store)
+        service.append_documents("idx", ["error error replication stalled"])
+        service.flush_index("idx")
+        service.close()
+        manifest = AppendOnlyIndexManager(store, "idx").manifest()
+        blob = stats_blob_name(manifest.delta_indexes[0] if member == "delta" else "idx")
+        if state == "missing":
+            store.delete(blob)
+        elif state == "v99":
+            store.put(blob, stats_of_version(store.get(blob), 99))
+        else:
+            store.put(blob, STATS_LAYOUTS[state])
+
+        # A node that opens the index afterwards refuses only its ranked queries.
+        service = AirphantService(store, MANUAL, metrics=MetricsRegistry())
+        with pytest.raises(ServiceError) as excinfo:
+            service.execute(SearchRequest(query=QUERY, index="idx", mode="topk_bm25"))
+        assert (excinfo.value.status, excinfo.value.info.error) == (409, "index_format")
+        assert blob in str(excinfo.value) and "rebuild" in str(excinfo.value)
+        result = service.execute(SearchRequest(query=QUERY, index="idx"))
+        assert {document.text for document in result.documents} == {
+            "error disk full",
+            "error error replication stalled",
+        }
         service.close()

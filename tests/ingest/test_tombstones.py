@@ -80,7 +80,7 @@ class TestTombstoneRecords:
     def test_append_commits_record_into_manifest(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
-        blob = wal.append_tombstones([BASE_REFS[0]])
+        blob = wal.append_tombstones(encode_tombstones([BASE_REFS[0]]))
         assert blob == "idx/ingest/tomb-00000000.json"
         assert store.exists(blob)
         assert wal.manifest().tombstone_segments == (blob,)
@@ -90,7 +90,7 @@ class TestTombstoneRecords:
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
         segment = wal.append(encode_segment(["error fresh one"])).blob
-        tomb = wal.append_tombstones([BASE_REFS[0]])
+        tomb = wal.append_tombstones(encode_tombstones([BASE_REFS[0]]))
         manifest = wal.retire((segment,))
         assert manifest.segments("idx") == ()
         # Tombstones outlive the flush that retires their era's segments:
@@ -100,7 +100,7 @@ class TestTombstoneRecords:
     def test_retire_tombstones_drops_manifest_entry_then_blob(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
-        tomb = wal.append_tombstones([BASE_REFS[0]])
+        tomb = wal.append_tombstones(encode_tombstones([BASE_REFS[0]]))
         manifest = wal.retire_tombstones([tomb])
         assert manifest.tombstone_segments == ()
         assert not store.exists(tomb)
@@ -109,7 +109,7 @@ class TestTombstoneRecords:
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
         tomb, (segment, _, _, texts) = wal.update(
-            BASE_REFS[0], encode_segment(["replacement text"])
+            encode_tombstones([BASE_REFS[0]]), encode_segment(["replacement text"])
         )
         assert texts == ["replacement text"]
         # Both blobs land first, then one manifest PUT lists both; the
@@ -126,7 +126,7 @@ class TestTombstoneRecords:
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
         wal.append(encode_segment(["error one"]))
-        wal.append_tombstones([BASE_REFS[0]])
+        wal.append_tombstones(encode_tombstones([BASE_REFS[0]]))
         before = wal.manifest().reserved_end
         manifest = wal.restore([BASE_REFS[1]])
         assert manifest.segments("idx") == ()
@@ -302,6 +302,31 @@ class TestLiveUpdate:
         with pytest.raises(ValueError):
             live.update(BASE_REFS[0], "with\nnewline")
         assert live.tombstone_refs() == frozenset()
+
+
+class TestTombstonesEncodedOnce:
+    def test_each_delete_and_update_encodes_its_record_once(self, monkeypatch):
+        import repro.ingest.live as live_module
+        import repro.ingest.wal as wal_module
+
+        store = InMemoryObjectStore()
+        _base(store)
+        live = _live(store)
+        calls: list[int] = []
+
+        def counted(refs):
+            calls.append(1)
+            return encode_tombstones(refs)
+
+        for module in (live_module, wal_module):
+            monkeypatch.setattr(module, "encode_tombstones", counted)
+        live.delete([BASE_REFS[0], BASE_REFS[1]])
+        assert len(calls) == 1
+        live.update(BASE_REFS[2], "warn replacement")
+        assert len(calls) == 2
+        # The bytes validated are the records written.
+        records = live.wal.load_tombstones(refresh=True)
+        assert sorted(ref for refs in records.values() for ref in refs) == sorted(BASE_REFS)
 
 
 class TestFlushUnderDeletes:

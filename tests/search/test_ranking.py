@@ -6,7 +6,8 @@ import pytest
 from harness.legacy_header import retire_format
 
 from repro.index.builder import AirphantBuilder
-from repro.index.stats import RankingUnsupportedError, stats_blob_name
+from repro.index.stats import stats_blob_name
+from repro.index.store_layout import UnsupportedIndexFormatError
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.search.ranking import BM25Params, MAX_RANKED_K
 from repro.search.searcher import AirphantSearcher
@@ -91,9 +92,9 @@ class TestRankingUnsupported:
     def test_missing_stats_blob_raises_typed_error(self, sim_store, built_small_index):
         sim_store.delete(stats_blob_name(built_small_index.index_name))
         searcher = AirphantSearcher.open(sim_store, index_name=built_small_index.index_name)
-        with pytest.raises(RankingUnsupportedError) as excinfo:
+        with pytest.raises(UnsupportedIndexFormatError, match="rebuild") as excinfo:
             searcher.search_topk("error", k=3)
-        assert excinfo.value.index_name == built_small_index.index_name
+        assert excinfo.value.blob == stats_blob_name(built_small_index.index_name)
         # Membership queries keep working on the same index.
         assert searcher.search("error").num_results > 0
 
@@ -106,7 +107,7 @@ class TestRankingUnsupported:
         # Statistics kept per shard, as sharded builds once wrote them, are not read.
         retire_format(sim_store, "sh-missing", "shard-stats")
         searcher = AirphantSearcher.open(sim_store, index_name="sh-missing")
-        with pytest.raises(RankingUnsupportedError):
+        with pytest.raises(UnsupportedIndexFormatError, match="sh-missing/stats.json"):
             searcher.search_topk("error", k=3)
         assert searcher.search("error").num_results > 0
 

@@ -314,15 +314,18 @@ class TestSearch:
         assert status == 400
         assert payload["error"] == "bad_request"
 
-    def test_ranked_search_without_stats_blob_is_typed_400(self, server, tmp_path):
+    def test_ranked_search_without_stats_blob_is_typed_409(self, server, tmp_path):
         _build_index(server)
         (tmp_path / "bucket" / "logs-index" / "stats.json").unlink()
         status, payload = _post(
             server, "/search", {"index": "logs-index", "query": "error", "mode": "topk_bm25"}
         )
-        assert status == 400
-        assert payload["error"] == "ranking_unavailable"
+        assert status == 409
+        assert payload["error"] == "index_format"
+        assert "logs-index/stats.json" in payload["message"]
         assert "rebuild" in payload["message"]
+        status, payload = _post(server, "/search", {"index": "logs-index", "query": "error"})
+        assert status == 200 and payload["num_results"] > 0
 
     def test_search_unknown_index_is_404(self, server):
         status, payload = _post(server, "/search", {"index": "missing", "query": "error"})
@@ -580,12 +583,11 @@ class TestCorruptIndex:
         ranked = {"index": "broken", "query": "error", "mode": "topk_bm25", "top_k": 2}
         status, answer = _post(server, "/search", ranked)
         assert "rebuild" in answer["message"]
+        assert (status, answer["error"]) == (409, "index_format")
+        assert f"broken/{blob}" in answer["message"]
         if blob != "stats.json":
-            assert (status, answer["error"]) == (409, "index_format")
-            assert f"broken/{blob}" in answer["message"]
             return
         # Only ranking needs the statistics: membership still answers.
-        assert (status, answer["error"]) == (400, "ranking_unavailable")
         status, answer = self._search(server, "broken")
         assert (status, answer["num_results"]) == (200, 3)
 

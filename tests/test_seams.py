@@ -736,3 +736,43 @@ def test_checker_keeps_the_query_tier_off_the_index_and_search_packages(tmp_path
         "cluster/topology.py:2: the query tier imports from repro.index or repro.search",
         "cluster/topology.py:3: the query tier imports from repro.index or repro.search",
     ]
+
+
+def test_checker_keeps_every_opened_build_ranked_and_compaction_off_superposts(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("index", "search", "service"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the member and the header decode runs; a private decoder
+    # with a longer name, and a docstring naming the retired error, are fine.
+    (root / "search" / "member.py").write_text(
+        "postings = header.decode_run(row, payload)\n", encoding="utf-8"
+    )
+    (root / "index" / "compaction.py").write_text(
+        "def decode_run(self, run, payload):\n    pass\n", encoding="utf-8"
+    )
+    (root / "index" / "stats.py").write_text(
+        '"""Once raised RankingUnsupportedError (ranking_unavailable)."""\n'
+        "rows = self._decode_run(key)\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: compaction decoding superposts, and the retired error or
+    # its code, in code or in a string literal.
+    (root / "index" / "updates.py").write_text(
+        "postings.update(header.decode_run(row, blob))\n", encoding="utf-8"
+    )
+    (root / "service" / "facade.py").write_text(
+        "try:\n"
+        "    answer()\n"
+        "except RankingUnsupportedError as error:\n"
+        '    raise ServiceError(400, "ranking_unavailable", str(error))\n',
+        encoding="utf-8",
+    )
+    found = check_seams.findings(root)
+    assert sorted(problem.split("repro/")[1] for problem in found) == [
+        "index/updates.py:1: a superpost run decoded outside its reader",
+        "service/facade.py:3: a build without statistics answered as a second kind of index",
+        "service/facade.py:4: a build without statistics answered as a second kind of index",
+    ]
