@@ -125,6 +125,18 @@ re-derived.  This script also fails on:
   string literal) anywhere under ``src/repro``: a missing or retired stats
   blob is the one typed "rebuild" error, ``409 index_format``.
 
+A base over a name lands where one module decides — a fresh name in
+place, any other in the next generation, committed by a manifest swap —
+and that module is the one that purges what a swap retired.  This script
+also fails on:
+
+* an ``AirphantBuilder(`` construction anywhere under ``src/repro`` but
+  ``index/updates.py`` and ``baselines/airphant.py`` (the paper's engine
+  as a baseline, which builds its own private index);
+* a ``build_blobs(`` call anywhere under ``src/repro`` but
+  ``index/store_layout.py`` (which defines the ownership rule) and
+  ``index/updates.py``.
+
 The query tier routes whole queries and knows nothing of how an index is
 laid out or searched.  This script also fails on:
 
@@ -253,6 +265,12 @@ RUN_DECODER_FILES = {("search", "member.py"), ("index", "compaction.py")}
 _RUN_DECODE = re.compile(r"\bdecode_run\(")
 #: The retired "membership-only" build's error and its code.
 _UNRANKED_BUILD = re.compile(r"\b(?:RankingUnsupportedError|ranking_unavailable)\b")
+
+#: The files that may construct the Builder, and call the ownership rule.
+BUILDER_SITES = {("index", "updates.py"), ("baselines", "airphant.py")}
+_BUILDER_CONSTRUCTION = re.compile(r"\bAirphantBuilder\(")
+BUILD_BLOBS_SITES = {("index", "store_layout.py"), ("index", "updates.py")}
+_BUILD_BLOBS_CALL = re.compile(r"\bbuild_blobs\(")
 
 #: The query tier's package, and the packages it may not import from.
 CLUSTER_PACKAGE = "cluster"
@@ -455,6 +473,10 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 problems.append(
                     f"{where}: a build without statistics answered as a second kind of index"
                 )
+            if parts not in BUILDER_SITES and _BUILDER_CONSTRUCTION.search(text):
+                problems.append(f"{where}: a Builder constructed outside the index manager")
+            if parts not in BUILD_BLOBS_SITES and _BUILD_BLOBS_CALL.search(text):
+                problems.append(f"{where}: a build's blobs listed outside the index manager")
             if _BATCH_RECORD.search(text):
                 problems.append(f"{where}: a per-request batch record read")
             if parts != STATS_FILE and _COUNTER_TABLE.search(text):

@@ -49,7 +49,6 @@ from repro.index.serialization import CODEC_VERSION
 from repro.index.sharding import check_partitioning, route_rows
 from repro.index.stats import IndexStats, build_stats, encode_stats, shard_profiles
 from repro.index.store_layout import (
-    build_blobs,
     build_bytes,
     header_blob_name,
     shard_index_name,
@@ -192,8 +191,10 @@ class AirphantBuilder:
         index_name: str,
         corpus_name: str,
     ) -> Union[BuiltIndex, BuiltShardedIndex]:
-        """Persist the build of ``stats``, then sweep what an earlier layout
-        of the name left behind.  A sharded build is one sketch too, its
+        """Persist the build of ``stats`` as its three blobs under
+        ``index_name``, touching nothing else there (where a base over a name
+        lands is :meth:`~repro.index.updates.AppendOnlyIndexManager.build_base`'s
+        decision).  A sharded build is one sketch too, its
         lists cut by shard, and writes the same three blobs: its statistics
         are the build's, whatever the shard count."""
         profile = stats.profile()
@@ -245,12 +246,6 @@ class AirphantBuilder:
         self._store.put(superpost_blob, compacted.superpost_blob_data)
         self._store.put(stats_blob, encode_stats(stats))
         self._store.put(header_blob, encode_header(compacted))
-        # The builder makes a rebuild authoritative: whatever a previous
-        # layout of this name left behind (a retired layout's shard manifest,
-        # shard headers and shard statistics) goes.
-        for blob in build_blobs(self._store, index_name):
-            if blob not in {header_blob, superpost_blob, stats_blob}:
-                self._store.delete(blob)
         return built
 
     # -- build steps ----------------------------------------------------------------

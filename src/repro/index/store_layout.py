@@ -10,8 +10,8 @@ an answer" reads → every member header and WAL record those name, as a
 second: at most two dependent waves whatever the member, delta, shard and
 segment count; a sharded build says all it is in its ``header.json``) and
 its second half :func:`open_headers` (build names → decoded headers); one **ownership
-rule**, :func:`build_blobs` (what a purge deletes, a size sums and a rebuild
-may find stale).  What is *inside* a blob, and who writes when, stays with
+rule**, :func:`build_blobs` (what a purge deletes, a size sums and a build
+checks to tell a fresh name).  What is *inside* a blob, and who writes when, stays with
 each subsystem; other modules re-export these names where callers already
 import them, but define none.
 """
@@ -374,7 +374,8 @@ def build_blobs(store: ObjectStore, index_name: str) -> list[str]:
     Delta, generational and shard builds own their whole prefix.  An
     in-place base shares its prefix with the update manifest, deltas,
     generations, snapshots and the WAL, so it owns only its own four blobs
-    and its ``shard-NNNN/`` members.
+    and its ``shard-NNNN/`` members.  Only the index manager deletes them
+    (a swap's purge); it also asks whether a name is fresh.
     """
     blobs = store.list_blobs(prefix=f"{index_name}/")
     if not is_index_name(index_name):

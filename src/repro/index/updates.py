@@ -7,6 +7,8 @@ pattern on top of the unchanged Builder and Searcher:
 
 * :class:`AppendOnlyIndexManager` keeps a tiny JSON *manifest* blob next to
   the base index listing the delta indexes created so far;
+* :meth:`AppendOnlyIndexManager.build_base` builds (or rebuilds) the base,
+  the one code that decides where a base over a name lands;
 * :meth:`AppendOnlyIndexManager.append` builds a new delta index over just
   the new documents (same Builder, and the base's sketch parameters);
 * :meth:`AppendOnlyIndexManager.open_searcher` returns a
@@ -16,22 +18,23 @@ pattern on top of the unchanged Builder and Searcher:
   base index by *merging* the members' ranking statistics — each build's
   exact inverted index — minus the pending deletes, and handing the merged
   columns to the Builder; it reads no document and analyses no text, so the
-  new base is a fresh rebuild over the survivors by construction.  Then it
-  resets the manifest.
+  new base is a fresh rebuild over the survivors by construction.
 
-Compaction is *generation-safe*: every compaction builds the new base under a
-fresh generational prefix and commits it with one atomic manifest write,
-so a concurrent reader either sees the complete old snapshot or the complete
-new one — never a half-built mix.  The builds a swap strands (the previous
-base build and the folded deltas) are recorded in the manifest's ``retired``
-list and physically deleted one compaction *later*, giving readers that
-opened the old manifest a full generation of grace before their blobs
-disappear.  Where each of these lives in the bucket, and which blobs one
+Compaction, a rebuild over an existing name and a restore each replace the
+index's builds by one swap, with one rule (:meth:`_swap`): the first two
+build the new base under a fresh generational prefix, a restore points back
+at a snapshot's builds, and each commits with one atomic manifest write, so
+a concurrent reader either sees the complete old snapshot or the complete
+new one — never a half-built mix.  The builds a swap strands are recorded
+in the manifest's ``retired`` list and physically deleted one swap *later*,
+giving readers that opened the old manifest a full swap of grace before
+their blobs disappear.  Where each of these lives in the bucket, and which blobs one
 build owns, is :mod:`repro.index.store_layout`'s business alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import time
@@ -55,7 +58,7 @@ from repro.index.store_layout import (
     stats_blob_name,
     update_manifest_blob_name,
 )
-from repro.parsing.documents import Document, Posting
+from repro.parsing.documents import Document, DocumentTable, Posting
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
 from repro.storage.base import BlobNotFoundError, ObjectStore, RangeRead
 
@@ -73,10 +76,9 @@ _SNAPSHOT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 class SnapshotRestoreError(Exception):
     """The snapshot exists but its referenced blobs no longer do.
 
-    Raised when a restore finds a member build missing — e.g. the snapshot
-    pinned a legacy in-place base that a later full rebuild overwrote, or
-    its blobs were purged outside the manager's pin protection.  Typed so
-    the service layer can answer 409 instead of restoring a broken timeline.
+    Raised when a restore finds a member build missing: its blobs were
+    purged outside the manager's pin protection.  Typed so the service
+    layer can answer 409 instead of restoring a broken timeline.
     """
 
     def __init__(self, base_index: str, snapshot: str, missing: Sequence[str]) -> None:
@@ -100,7 +102,7 @@ class IndexManifest:
     monotonically across compactions so a fresh delta never reuses (and
     overwrites) the prefix of a retired one that readers may still hold.
     ``retired`` lists prefixes stranded by the previous swap, physically
-    purged at the *next* compaction.
+    purged at the *next* swap.
     """
 
     base_index: str
@@ -271,37 +273,38 @@ class AppendOnlyIndexManager:
 
     # -- building ------------------------------------------------------------------
 
-    def build_base(self, documents: Sequence[Document], corpus_name: str = "corpus") -> BuiltIndex:
-        """Build (or rebuild) the base index in place and reset the manifest.
+    def build_base(
+        self,
+        documents: Sequence[Document] | DocumentTable | IndexStats,
+        corpus_name: str = "corpus",
+        num_shards: int = 1,
+    ) -> BuiltIndex | BuiltShardedIndex:
+        """Build (or rebuild) the base: the one code that decides where a
+        base over this name lands.
 
-        The rebuild keeps the legacy in-place layout (blobs directly under
-        the index name).  Whatever the previous manifest referenced — a
-        generational base, deltas — is marked retired and purged by the next
-        compaction (or :meth:`reset`).
+        A fresh name (no update manifest, no build blobs) is built in place
+        with no manifest: its header is the commit point, and a cold open
+        stays one wave.  Any other name is built in the next generation and
+        swapped in (:meth:`_swap`), as a compaction is.  Documents and
+        tables are counted with the manager's tokenizer.
         """
-        old = self.manifest()
         config = self._config if self._config is not None else SketchConfig()
-        builder = AirphantBuilder(self._store, config=config, tokenizer=self._tokenizer)
-        built = builder.build_from_documents(
-            documents, index_name=self._base_index, corpus_name=corpus_name
+        builder = AirphantBuilder(
+            self._store, config=config, tokenizer=self._tokenizer, num_shards=num_shards
         )
-        stranded = tuple(
-            name
-            for name in dict.fromkeys((*old.all_indexes, *old.retired))
-            # The in-place blobs were just overwritten by this rebuild; a
-            # retirement entry for them would purge the *new* base later.
-            if name != self._base_index
+        stats = documents if isinstance(documents, IndexStats) else build_stats(
+            documents, self._tokenizer or WhitespaceAnalyzer()
         )
-        self._write_manifest(
-            IndexManifest(
-                base_index=self._base_index,
-                generation=old.generation + 1,
-                next_delta=old.next_delta,
-                retired=stranded,
+        old = self.manifest()
+        if old == IndexManifest(self._base_index) and not build_blobs(
+            self._store, self._base_index
+        ):
+            built = builder.build_from_stats(
+                stats, index_name=self._base_index, corpus_name=corpus_name
             )
-        )
-        self._followed = ((self._base_index, old.generation + 1), config)
-        return built
+            self._followed = ((self._base_index, old.generation), config)
+            return built
+        return self._build_generation(old, builder, stats, corpus_name)
 
     def append(
         self, documents: Sequence[Document] | IndexStats, corpus_name: str = "delta"
@@ -399,10 +402,11 @@ class AppendOnlyIndexManager:
         The new base is built under the next generational prefix (keeping the
         old base's shard count and sketch parameters; a sharded base returns a
         :class:`~repro.index.builder.BuiltShardedIndex`), then committed with
-        a single manifest write — the swap.  Readers that already hold the
-        old manifest keep a complete, untouched snapshot: the blobs it
-        references are only *marked* retired now and physically deleted at
-        the **next** compaction, after every reasonable reader has reopened.
+        a single manifest write — the swap (:meth:`_swap`).  Readers that
+        already hold the old manifest keep a complete, untouched snapshot:
+        the blobs it references are only *marked* retired now and physically
+        deleted at the **next** swap, after every reasonable reader has
+        reopened.
 
         The new base is built from the members' ranking statistics merged
         into one exact inverted index (:func:`~repro.index.stats.union_stats`)
@@ -411,79 +415,60 @@ class AppendOnlyIndexManager:
         tombstone set) is how deletes become physical: condemned documents
         are left out of the merged statistics, hence of the new base, so
         after the swap no tombstone filtering is needed for them anywhere.
-        Prefixes pinned by a snapshot are never purged; they stay on the
-        retired list until the snapshot is deleted.
         """
         manifest = self.manifest()
         builds = open_headers(self._store, manifest.all_indexes).builds
         stats = self._merged_stats(builds, exclude)
         shard_manifest = builds[0].manifest
-        generation = manifest.generation + 1
-        new_base = generation_index_name(self._base_index, generation)
-        config = self._config_of(manifest, builds[0].header)
         builder = AirphantBuilder(
             self._store,
-            config=config,
+            config=self._config_of(manifest, builds[0].header),
             tokenizer=self._tokenizer,
             num_shards=shard_manifest.num_shards if shard_manifest is not None else 1,
         )
+        return self._build_generation(manifest, builder, stats, corpus_name)
+
+    def _build_generation(
+        self, old: IndexManifest, builder: AirphantBuilder, stats: IndexStats, corpus_name: str
+    ) -> BuiltIndex | BuiltShardedIndex:
+        """Build ``stats`` as the base of the generation after ``old``'s,
+        under its own prefix, and swap it in (:meth:`_swap`)."""
+        generation = old.generation + 1
+        new_base = generation_index_name(self._base_index, generation)
         built = builder.build_from_stats(stats, index_name=new_base, corpus_name=corpus_name)
-        # The whole old snapshot — including a legacy in-place base — gets
-        # one generation of grace before deletion.
-        stranded = tuple(manifest.all_indexes)
-        # Grace expired for what the *previous* swap stranded — except what a
-        # snapshot still pins, which stays on the retired list for later.
-        pinned = self._snapshot_pins()
-        carried = tuple(
-            name for name in manifest.retired if name in pinned and name not in stranded
-        )
-        # The atomic swap: one blob PUT moves every reader to the new snapshot.
-        self._write_manifest(
+        self._swap(
+            old,
             IndexManifest(
                 base_index=self._base_index,
                 generation=generation,
                 active_base=new_base,
-                next_delta=manifest.next_delta,
-                retired=stranded + carried,
-            )
+                next_delta=old.next_delta,
+            ),
         )
-        self._followed = ((new_base, generation), config)
-        for name in manifest.retired:
-            if name not in pinned:
-                self._purge_index_blobs(name)
+        self._followed = ((new_base, generation), builder.config)
         return built
 
-    def reset(self) -> None:
-        """Delete every delta/generation artifact and reset the manifest.
+    def _swap(self, old: IndexManifest, new: IndexManifest) -> None:
+        """Commit ``new`` in place of ``old``: the one swap rule of a rebuild,
+        a compaction and a restore.
 
-        Used by full rebuilds over an existing name: the rebuild writes a
-        fresh in-place base, so old deltas, generational bases, and the
-        retired backlog are all garbage — readers are expected to reopen
-        (the service invalidates its catalog after builds).  Prefixes pinned
-        by a surviving snapshot are kept (on the retired list); the facade's
-        rebuild path deletes the snapshots first, making the reset total.
+        The builds ``old`` references and ``new`` does not are retired: a
+        reader holding ``old`` keeps a complete snapshot for one swap of
+        grace.  What ``old`` retired has had its grace and is purged after
+        the PUT — unless ``new`` references it again, or a snapshot pins it
+        (it then stays on the retired list until the snapshot is deleted).
         """
-        manifest = self.manifest()
-        pinned = self._snapshot_pins()
-        kept: list[str] = []
-        for name in dict.fromkeys(manifest.retired + tuple(manifest.all_indexes)):
-            if name == self._base_index:
-                continue
-            if name in pinned:
-                kept.append(name)
-            else:
-                self._purge_index_blobs(name)
-        self._write_manifest(
-            IndexManifest(
-                base_index=self._base_index,
-                generation=manifest.generation + 1,
-                # Keep delta numbering monotonic: a reader holding the
-                # pre-reset manifest must never see a retired delta prefix
-                # reused for fresh content.
-                next_delta=manifest.next_delta,
-                retired=tuple(kept),
-            )
-        )
+        referenced = set(new.all_indexes)
+        stranded = [name for name in old.all_indexes if name not in referenced]
+        expired = [name for name in old.retired if name not in referenced]
+        pinned = self._snapshot_pins() if expired else set()
+        carried = [name for name in expired if name in pinned]
+        # The atomic swap: one blob PUT moves every reader to the new snapshot.
+        self._write_manifest(dataclasses.replace(new, retired=tuple(stranded + carried)))
+        for name in expired:
+            if name not in pinned:
+                for blob in build_blobs(self._store, name):
+                    self._store.delete(blob)
 
     # -- snapshots -----------------------------------------------------------------
 
@@ -547,8 +532,8 @@ class AppendOnlyIndexManager:
     def delete_snapshot(self, snapshot: str) -> None:
         """Drop one snapshot record; raises ``KeyError`` if it does not exist.
 
-        The blobs it pinned become purgeable at the next compaction (they
-        stay on the manifest's retired list until then).
+        The blobs it pinned become purgeable at the next swap (they stay on
+        the manifest's retired list until then).
         """
         blob = snapshot_blob_name(self._base_index, snapshot)
         if not self._store.exists(blob):
@@ -565,8 +550,8 @@ class AppendOnlyIndexManager:
     def restore_snapshot(self, snapshot: str) -> SnapshotInfo:
         """Point the index back at ``snapshot``'s manifest (one atomic PUT).
 
-        The current timeline's builds become retired (purged by a later
-        compaction, unless another snapshot pins them); ``generation`` and
+        The swap (:meth:`_swap`) retires the current timeline's builds and
+        purges what the previous swap stranded; ``generation`` and
         ``next_delta`` keep counting from the *maximum* of both timelines so
         post-restore builds never reuse an abandoned prefix.  Raises
         ``KeyError`` for an unknown snapshot and
@@ -580,25 +565,14 @@ class AppendOnlyIndexManager:
         if missing:
             raise SnapshotRestoreError(self._base_index, snapshot, missing)
         current = self.manifest()
-        referenced = set(target.all_indexes)
-        stranded = tuple(
-            name
-            for name in dict.fromkeys((*current.all_indexes, *current.retired))
-            if name not in referenced
-        )
-        self._write_manifest(
+        self._swap(
+            current,
             IndexManifest(
                 base_index=self._base_index,
                 delta_indexes=target.delta_indexes,
                 generation=max(current.generation, target.generation),
                 active_base=target.active_base,
                 next_delta=max(current.next_delta or 0, target.next_delta or 0),
-                retired=stranded,
-            )
+            ),
         )
         return info
-
-    def _purge_index_blobs(self, index_name: str) -> None:
-        """Physically delete every blob one retired base/delta build owns."""
-        for blob in build_blobs(self._store, index_name):
-            self._store.delete(blob)

@@ -89,6 +89,7 @@ class LiveIndex:
         invalidate: Callable[[str], None],
         manifest: IndexManifest | None = None,
         fetched: Mapping[str, bytes | None] | None = None,
+        maintenance_lock: threading.RLock | None = None,
     ) -> None:
         self._store = store
         self._index_name = index_name
@@ -107,10 +108,10 @@ class LiveIndex:
         # tombstone set (short holds, no I/O — queries take it); the order
         # is always commit before write.  _maintenance_lock serializes
         # flushes/compactions (long holds) so a manual POST /flush and the
-        # background worker never interleave.
+        # background worker never interleave (IngestCoordinator.maintenance_lock).
         self._commit_lock = threading.Lock()
         self._write_lock = threading.RLock()
-        self._maintenance_lock = threading.RLock()
+        self._maintenance_lock = maintenance_lock or threading.RLock()
         if manifest is None:
             manifest = self._manager.manifest()
         self._delta_count = len(manifest.delta_indexes)
@@ -591,6 +592,8 @@ class IngestCoordinator:
         self._metrics = metrics
         self._invalidate = invalidate
         self._lives: dict[str, LiveIndex] = {}
+        #: Per name, the lock every manifest swap of this process holds.
+        self._maintenance: dict[str, threading.RLock] = {}
         #: Names already probed for leftover WAL state (one probe per name).
         self._probed: set[str] = set()
         self._lock = threading.RLock()
@@ -603,6 +606,13 @@ class IngestCoordinator:
         )
 
     # -- registry -----------------------------------------------------------------
+
+    def maintenance_lock(self, name: str) -> threading.RLock:
+        """The lock ``name``'s manifest swaps in this process — flush,
+        compaction, rebuild, restore — hold from manifest read to PUT; it
+        outlives the name's live index, which a rebuild or restore discards."""
+        with self._lock:
+            return self._maintenance.setdefault(name, threading.RLock())
 
     def probed(self, name: str) -> bool:
         """Whether ``name``'s leftover WAL state has been looked for already."""
@@ -648,6 +658,7 @@ class IngestCoordinator:
                 self._invalidate,
                 opened.manifest if opened is not None else None,
                 fetched,
+                self.maintenance_lock(name),
             )
             # Always: a WAL that has not replayed its range may not retire
             # past it (without a manifest this reads nothing).

@@ -16,7 +16,7 @@ import dataclasses
 import re
 import time
 import weakref
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.cluster.router import QueryRouter
 from repro.core.config import SketchConfig
@@ -34,7 +34,7 @@ from repro.observability.tracing import (
     explain_payload,
     span,
 )
-from repro.index.builder import AirphantBuilder
+from repro.index.sharding import check_partitioning
 from repro.index.store_layout import (
     CorruptIndexError,
     UnsupportedIndexFormatError,
@@ -43,6 +43,7 @@ from repro.index.store_layout import (
 from repro.index.updates import AppendOnlyIndexManager, SnapshotRestoreError
 from repro.ingest.live import IngestCoordinator, IngestOverloadedError
 from repro.ingest.wal import WriteAheadLog
+from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Posting
 from repro.search.member import Member
 from repro.search.ranking import DEFAULT_RANKED_K
@@ -483,33 +484,54 @@ class AirphantService:
             return self._execute(request)
 
     def _execute(self, request: SearchRequest) -> SearchResult:
-        searcher = self._open(request.index)
+        def answer(searcher: AirphantSearcher) -> SearchResult:
+            if request.mode == "boolean":
+                return searcher.search_boolean(request.query, top_k=request.top_k)
+            if request.mode == "regex":
+                return RegexSearcher(searcher).search(request.query, top_k=request.top_k)
+            if request.mode == "topk_bm25":
+                return searcher.search_topk(
+                    request.query,
+                    k=request.top_k if request.top_k is not None else DEFAULT_RANKED_K,
+                    weights=request.weight_map,
+                )
+            return searcher.search(request.query, top_k=request.top_k)
+
         try:
-            # _STORE_ERRORS: the backend (not the request) failing — retries,
-            # if configured, are already exhausted by the time it raises.
-            with _STORE_ERRORS:
-                if request.mode == "boolean":
-                    return searcher.search_boolean(request.query, top_k=request.top_k)
-                if request.mode == "regex":
-                    return RegexSearcher(searcher).search(request.query, top_k=request.top_k)
-                if request.mode == "topk_bm25":
-                    return searcher.search_topk(
-                        request.query,
-                        k=request.top_k if request.top_k is not None else DEFAULT_RANKED_K,
-                        weights=request.weight_map,
-                    )
-                return searcher.search(request.query, top_k=request.top_k)
+            return self._answer(request.index, answer)
         except (ValueError, re.error) as error:
             # Malformed Boolean syntax, bad regex, or a regex with no literal
             # words to filter on — the request, not the service, is at fault.
             raise ServiceError(400, "bad_query", str(error)) from error
 
+    def _answer(self, index: str, query: Callable[[AirphantSearcher], Any]) -> Any:
+        """``query`` over ``index``, with storage failures typed.
+
+        A searcher opened earlier holds the manifest it read then; two swaps
+        later its builds are purged.  A query that meets a missing blob on
+        it (a missing ``stats.json`` reads as a format error) reopens the
+        index from the current manifest once; a blob missing after that is
+        the store's fault, ``502 index_corrupt``.
+        """
+        with _STORE_ERRORS:
+            try:
+                if self._catalog.is_open(index):
+                    try:
+                        return query(self._open(index))
+                    except (BlobNotFoundError, UnsupportedIndexFormatError):
+                        self._catalog.invalidate(index)
+                return query(self._open(index))
+            except BlobNotFoundError as error:
+                raise ServiceError(
+                    502, "index_corrupt", f"index {index!r} misses {error.name!r}"
+                ) from error
+
     def lookup_postings(self, index: str, word: str) -> tuple[list[Posting], LatencyBreakdown]:
         """Term-index lookup only (the paper's Figure 14 operation)."""
         with self._accounted(
             self._queries_metric, self._query_seconds_metric, mode="lookup", index=index
-        ), _STORE_ERRORS:
-            return self._open(index).lookup_postings(word)
+        ):
+            return self._answer(index, lambda searcher: searcher.lookup_postings(word))
 
     def searcher(self, index: str) -> AirphantSearcher:
         """A searcher over ``index`` as it stands now, for callers needing raw
@@ -667,9 +689,9 @@ class AirphantService:
 
     # -- snapshots ---------------------------------------------------------------------
 
-    def _manager(self, index: str) -> AppendOnlyIndexManager:
+    def _manager(self, index: str, config: SketchConfig | None = None) -> AppendOnlyIndexManager:
         return AppendOnlyIndexManager(
-            self.store, base_index=index, tokenizer=self._config.make_tokenizer()
+            self.store, index, config, tokenizer=self._config.make_tokenizer()
         )
 
     def create_snapshot(self, index: str, snapshot: str) -> dict[str, Any]:
@@ -720,14 +742,15 @@ class AirphantService:
         """Roll ``index`` back to a snapshot (point-in-time restore).
 
         One atomic manifest PUT re-points the index at the frozen base +
-        delta set; the WAL is reset to the snapshot's write state (its
-        tombstones pending again, every later append abandoned) and the live
-        registry and catalog caches are invalidated so the next
-        query serves the restored timeline.  Raises :class:`ServiceError`
-        404 for unknown indexes/snapshots and 409 when the snapshot's blobs
-        no longer exist.
+        delta set, under the index's maintenance lock, so no flush or
+        compaction of this process interleaves; the WAL is reset to the
+        snapshot's write state (its tombstones pending again, every later
+        append abandoned) and the live registry and catalog caches are
+        invalidated so the next query serves the restored timeline.  Raises
+        :class:`ServiceError` 404 for unknown indexes/snapshots and 409 when
+        the snapshot's blobs no longer exist.
         """
-        with _STORE_ERRORS:
+        with _STORE_ERRORS, self._ingest.maintenance_lock(index):
             self._require_index(index)
             try:
                 info = self._manager(index).restore_snapshot(snapshot)
@@ -779,9 +802,9 @@ class AirphantService:
         cut by shard, and a query reads each run (every shard's share of one
         bin) as one range.  ``sketch_config``'s bin budget, accuracy target
         and seed are recorded in the header, and the index's deltas and
-        compactions are built under them.  Any previously cached searcher
-        for ``name`` is invalidated so the next query reopens the fresh
-        header.
+        compactions are built under them.  An existing name is rebuilt as a
+        generation swap (:meth:`AppendOnlyIndexManager.build_base`).  Any
+        cached searcher for ``name`` is invalidated.
         """
         with self._accounted(self._builds_metric, self._build_seconds_metric):
             return self._build_index(
@@ -806,30 +829,20 @@ class AirphantService:
                 404, "blob_not_found", f"corpus blob(s) not found: {', '.join(missing)}"
             )
         try:
-            builder = AirphantBuilder(
-                self.store,
-                config=sketch_config,
-                tokenizer=self._config.make_tokenizer(),
-                num_shards=num_shards,
-            )
+            check_partitioning(num_shards)
         except ValueError as error:
             # A bad num_shards — the request is at fault.
             raise ServiceError(400, "bad_build_request", str(error)) from error
-        # The builder removes any stale blobs from a previous layout of this
-        # name (e.g. resharding, or sharded -> single-shard), so a rebuild is
-        # authoritative regardless of what was there before.  A read-only
-        # backend (static http:// export) surfaces as 400 store_read_only
-        # through _STORE_ERRORS.
+        manager = self._manager(name, sketch_config)
+        # A read-only backend (static http:// export) surfaces as 400
+        # store_read_only through _STORE_ERRORS.
         with _STORE_ERRORS:
-            builder.build_from_blobs(blobs, index_name=name, corpus_name=name)
-        # A full rebuild is authoritative: any previous generational bases,
-        # deltas, unflushed WAL segments, and snapshots describe documents
-        # that are no longer part of this index.  Snapshots go first, so the
-        # reset's purge is total (nothing left pinned).
-        manager = AppendOnlyIndexManager(self.store, base_index=name)
-        manager.delete_all_snapshots()
-        if self.store.exists(manager.manifest_blob):
-            manager.reset()
-        self._ingest.discard(name, destroy_wal=True)
+            table = LineDelimitedCorpusParser().table(self.store, blobs)
+            with self._ingest.maintenance_lock(name):
+                manager.build_base(table, corpus_name=name, num_shards=num_shards)
+                # Snapshots and unflushed WAL segments describe documents
+                # that are no longer part of this index.
+                manager.delete_all_snapshots()
+                self._ingest.discard(name, destroy_wal=True)
         self._catalog.invalidate(name)
         return self.index_info(name)

@@ -130,6 +130,19 @@ def test_build_writes_the_captured_bytes(case):
     assert digests(case) == json.loads(GOLDEN.read_text(encoding="utf-8"))[case]
 
 
+#: The lifecycle's compacted header as a fresh base that wrote a generation-1
+#: manifest captured it: its first compaction was generation 2.
+GENERATION_2_HEADER = "1ba0da3c34ec016ad9e54ca7c8b0eea84f9b607b775987954b28946c5bed4398"
+
+
+def test_a_fresh_manager_base_moves_only_the_generation_number():
+    """A fresh ``build_base`` writes no manifest, so the first compaction is
+    generation 1: its header is the generation-2 one with the name moved."""
+    header = _lifecycle().get("live/gen-00000001/header.json")
+    renamed = header.replace(b"gen-00000001", b"gen-00000002")
+    assert hashlib.sha256(renamed).hexdigest() == GENERATION_2_HEADER
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(
         json.dumps({case: digests(case) for case in sorted(BUILDS)}, indent=1) + "\n",

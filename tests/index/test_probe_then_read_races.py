@@ -49,9 +49,10 @@ def test_update_manifest_is_read_once_and_a_purged_one_is_the_empty_manifest():
     store = PurgedAfterProbe(InMemoryObjectStore())
     manager = AppendOnlyIndexManager(store, "idx")
     manager.build_base(_documents(store))
+    manager.build_base(_documents(store))  # the rebuild's swap writes the manifest
     written = manager.manifest()
     assert written.generation == 1 and store.probes == 0  # never probed, never purged
-    store.backend.delete(manager.manifest_blob)  # the concurrent reset wins the race
+    store.backend.delete(manager.manifest_blob)  # purged under the reader
     assert manager.manifest() == IndexManifest(base_index="idx")
     assert store.probes == 0
 

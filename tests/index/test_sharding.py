@@ -12,6 +12,7 @@ from repro.index.metadata import ShardEntry, ShardManifest, merge_shard_metadata
 from repro.index.sharding import route_rows, shard_index_name
 from repro.index.stats import build_stats
 from repro.index.store_layout import open_headers
+from repro.index.updates import AppendOnlyIndexManager
 from repro.parsing.tokenizer import WhitespaceAnalyzer
 
 
@@ -188,12 +189,17 @@ class TestShardedBuild:
         # Four shards' statistics, as sharded builds once kept them.
         retire_format(sim_store, "idx", "shard-stats")
         assert len(sim_store.list_blobs("idx/shard-")) == 4
-        AirphantBuilder(sim_store, config=small_config, num_shards=2).build_from_documents(
-            small_documents, index_name="idx"
-        )
-        assert read_shard_manifest(sim_store, "idx").num_shards == 2
+        manager = AppendOnlyIndexManager(sim_store, "idx", config=small_config)
+        manager.build_base(small_documents, num_shards=2)
+        base = manager.manifest().active_base
+        assert read_shard_manifest(sim_store, base).num_shards == 2
+        # The old layout is retired, readable for one swap of grace; the
+        # next swap purges it.
+        assert len(sim_store.list_blobs("idx/shard-")) == 4
+        manager.build_base(small_documents, num_shards=2)
         assert sim_store.list_blobs("idx/shard-") == []
-        assert sim_store.exists("idx/stats.json")
+        assert not sim_store.exists("idx/stats.json")
+        assert sim_store.exists(f"{manager.manifest().active_base}/stats.json")
 
     def test_invalid_shard_configuration_rejected(self, sim_store, small_config):
         with pytest.raises(ValueError):
@@ -206,7 +212,6 @@ class TestShardedBaseWithDeltas:
     def test_append_and_compact_work_on_a_sharded_base(
         self, sim_store, small_documents, small_config
     ):
-        from repro.index.updates import AppendOnlyIndexManager
         from repro.parsing.documents import Document, Posting
 
         AirphantBuilder(sim_store, config=small_config, num_shards=4).build_from_documents(
@@ -245,7 +250,6 @@ class TestShardedBaseWithDeltas:
     def test_open_searcher_spans_sharded_base_and_deltas(
         self, sim_store, small_documents, small_config
     ):
-        from repro.index.updates import AppendOnlyIndexManager
         from repro.parsing.documents import Document, Posting
 
         AirphantBuilder(sim_store, config=small_config, num_shards=2).build_from_documents(

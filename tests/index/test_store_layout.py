@@ -117,8 +117,8 @@ class TestOpener:
         for name in manager.manifest().all_indexes:
             _assert_opens_like_a_direct_read(store, name)
         manager.compact()
-        assert manager.manifest().all_indexes == ["idx/gen-00000002"]
-        opened = _assert_opens_like_a_direct_read(store, "idx/gen-00000002")
+        assert manager.manifest().all_indexes == ["idx/gen-00000001"]
+        opened = _assert_opens_like_a_direct_read(store, "idx/gen-00000001")
         assert opened.header.metadata.num_documents == len(documents)
 
     def test_sharded_base_stays_sharded_through_compaction(self):
@@ -174,13 +174,18 @@ class TestOpener:
             assert "rebuild" in refused.value.info.message
             if layout == "shard-stats":
                 assert service.search(SearchRequest(index="old", query="error")).documents
-            # A rebuild over the retired layout is the way out: it sweeps
-            # what the old layout left behind and answers again.
+            # A rebuild over the retired layout is the way out: it builds the
+            # next generation, retires what the old layout left behind, and
+            # answers again.  The next swap purges the retired blobs.
+            service.build_index("old", ["corpus/base.txt"], num_shards=3)
+            assert service.search(SearchRequest(index="old", query="error", mode=ranked)).documents
+            assert AppendOnlyIndexManager(store, "old").manifest().retired == ("old",)
             service.build_index("old", ["corpus/base.txt"], num_shards=3)
             assert service.search(SearchRequest(index="old", query="error", mode=ranked)).documents
         assert not store.exists("old/shards.json")
         assert not store.list_blobs("old/shard-")
-        assert store.get("old/stats.json") == fresh
+        assert not store.exists("old/stats.json")
+        assert store.get("old/gen-00000002/stats.json") == fresh
 
     def test_a_shard_manifest_naming_another_index_is_corrupt(self):
         store = InMemoryObjectStore()

@@ -32,9 +32,10 @@ class TestManifest:
         assert manifest.base_index == "fresh"
         assert manifest.delta_indexes == ()
 
-    def test_build_base_writes_manifest(self, manager):
-        manifest = manager.manifest()
-        assert manifest.all_indexes == ["logs"]
+    def test_a_fresh_base_is_built_in_place_without_a_manifest(self, manager, sim_store):
+        assert manager.manifest().all_indexes == ["logs"]
+        assert not sim_store.exists(manager.manifest_blob)
+        assert sim_store.exists("logs/header.json")
 
     def test_append_registers_delta(self, manager, sim_store):
         manager.append(_documents(sim_store, "corpus/d1.txt", ["error gpu four"]))
@@ -80,10 +81,10 @@ class TestCompaction:
         assert manifest.delta_indexes == ()
         # The swap moved the base into a fresh generation directory; the old
         # base and the folded deltas are retired (still readable for one
-        # generation of grace) and purged by the *next* compaction.
-        # build_base wrote generation 1; the compaction swap is generation 2.
-        assert manifest.generation == 2
-        assert manifest.active_base == "logs/gen-00000002"
+        # swap of grace) and purged by the *next* swap.  A fresh build_base
+        # wrote no manifest; the compaction swap is generation 1.
+        assert manifest.generation == 1
+        assert manifest.active_base == "logs/gen-00000001"
         assert set(manifest.retired) == {"logs", "logs/delta-0000", "logs/delta-0001"}
         assert sim_store.list_blobs("logs/delta-0000/") != []
         searcher = manager.open_searcher()
@@ -92,3 +93,73 @@ class TestCompaction:
         manager.compact()
         assert sim_store.list_blobs("logs/delta-0000/") == []
         assert not sim_store.exists("logs/header.json")
+
+
+def _texts(manager, word: str) -> set[str]:
+    searcher = manager.open_searcher()
+    try:
+        return {document.text for document in searcher.search(word).documents}
+    finally:
+        searcher.close()
+
+
+class TestSwaps:
+    """Rebuild, compaction and restore share one swap rule: what a swap
+    replaces is retired for one swap of grace, then purged unless pinned."""
+
+    def _rebuild(self, manager, sim_store, name: str):
+        return manager.build_base(_documents(sim_store, f"corpus/{name}.txt", [f"error {name}"]))
+
+    def test_a_rebuild_swaps_in_the_next_generation(self, manager, sim_store):
+        manager.append(_documents(sim_store, "corpus/d1.txt", ["error gpu four"]))
+        built = self._rebuild(manager, sim_store, "rebuilt")
+        manifest = manager.manifest()
+        assert built.index_name == manifest.active_base == "logs/gen-00000001"
+        assert (manifest.generation, manifest.delta_indexes, manifest.next_delta) == (1, (), 1)
+        assert manifest.retired == ("logs", "logs/delta-0000")
+        # Readers of the old manifest keep their builds for one swap.
+        assert sim_store.exists("logs/header.json")
+        assert sim_store.list_blobs("logs/delta-0000/")
+        assert _texts(manager, "error") == {"error rebuilt"}
+
+    def test_the_next_swap_purges_what_the_last_one_stranded(self, manager, sim_store):
+        manager.append(_documents(sim_store, "corpus/d1.txt", ["error gpu four"]))
+        self._rebuild(manager, sim_store, "first")
+        self._rebuild(manager, sim_store, "second")
+        manifest = manager.manifest()
+        assert manifest.active_base == "logs/gen-00000002"
+        assert manifest.retired == ("logs/gen-00000001",)
+        assert not sim_store.exists("logs/header.json")
+        assert not sim_store.exists("logs/superposts.bin")
+        assert sim_store.list_blobs("logs/delta-0000/") == []
+        assert sim_store.list_blobs("logs/gen-00000001/")
+        assert _texts(manager, "error") == {"error second"}
+
+    def test_pinned_builds_stay_retired_until_their_snapshot_goes(self, manager, sim_store):
+        manager.create_snapshot("before")
+        self._rebuild(manager, sim_store, "first")
+        self._rebuild(manager, sim_store, "second")
+        assert set(manager.manifest().retired) == {"logs/gen-00000001", "logs"}
+        assert sim_store.exists("logs/header.json")
+        manager.delete_snapshot("before")
+        self._rebuild(manager, sim_store, "third")
+        assert manager.manifest().retired == ("logs/gen-00000002",)
+        assert not sim_store.exists("logs/header.json")
+
+    def test_a_restore_purges_what_the_previous_swap_stranded(self, manager, sim_store):
+        manager.append(_documents(sim_store, "corpus/d1.txt", ["error gpu four"]))
+        manager.create_snapshot("s")
+        manager.compact()
+        manager.append(_documents(sim_store, "corpus/d2.txt", ["error mem five"]))
+        manager.compact()
+        assert set(manager.manifest().retired) == {
+            "logs/gen-00000001", "logs/delta-0001", "logs", "logs/delta-0000",
+        }
+        manager.restore_snapshot("s")
+        manifest = manager.manifest()
+        assert manifest.all_indexes == ["logs", "logs/delta-0000"]
+        assert manifest.retired == ("logs/gen-00000002",)
+        assert sim_store.list_blobs("logs/gen-00000001/") == []
+        assert sim_store.list_blobs("logs/delta-0001/") == []
+        assert sim_store.list_blobs("logs/gen-00000002/")
+        assert _texts(manager, "error") == {"error disk one", "error net two", "error gpu four"}

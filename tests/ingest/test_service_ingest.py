@@ -130,13 +130,17 @@ class TestDurability:
         assert _texts(service, "fresh") == set()
         assert _texts(service, "leftover") == set()
         assert store.list_blobs(prefix="idx/ingest/") == []
-        assert store.list_blobs(prefix="idx/delta-") == []
+        # The old base and delta are retired (one swap of grace for readers
+        # that hold the old manifest), not referenced.
+        manifest = AppendOnlyIndexManager(store, "idx").manifest()
+        assert manifest.all_indexes == ["idx/gen-00000001"]
+        assert set(manifest.retired) == {"idx", "idx/delta-0000"}
         # The discarded predecessor's occupancy gauges go with it: no
         # phantom memtable documents on a freshly rebuilt index.
         gauge = service.metrics.gauge("airphant_memtable_documents", label_names=("index",))
         assert gauge.series() == {}
         # Post-rebuild deltas never reuse a retired prefix: numbering stays
-        # monotonic across the reset.
+        # monotonic across the rebuild.
         service.append_documents("idx", ["info post rebuild"])
         flushed = service.flush_index("idx")
         assert flushed["delta"] == "idx/delta-0001"

@@ -132,8 +132,8 @@ class TestErrorAccounting:
         assert errors.value(error="index_not_found") == 1
         service.close()
 
-    def test_untyped_failures_count_as_internal_error(self):
-        """A corrupted/deleted index blob (HTTP 500 class) must not be a
+    def test_untyped_failures_count_as_internal_error(self, monkeypatch):
+        """A failure without a typed code (HTTP 500 class) must not be a
         flat line in the error counters."""
         registry = MetricsRegistry()
         service = AirphantService(open_store("mem://"), metrics=registry)
@@ -141,11 +141,35 @@ class TestErrorAccounting:
         service.build_index(
             "logs", ["corpora/logs.txt"], sketch_config=SketchConfig(num_bins=64)
         )
-        service.store.delete("corpora/logs.txt")  # document retrieval will 500
-        with pytest.raises(Exception):
+        service.searcher("logs")
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("a programming error")
+
+        monkeypatch.setattr(service.store, "read_batch", broken)
+        with pytest.raises(RuntimeError):
             service.search(SearchRequest(query="error", index="logs"))
         errors = registry.counter("airphant_query_errors_total", label_names=("error",))
         assert errors.value(error="internal_error") == 1
+        service.close()
+
+    def test_a_missing_document_blob_counts_as_index_corrupt(self):
+        """A blob missing from an index opened from its current manifest is
+        the store's fault: typed, and counted under its code."""
+        registry = MetricsRegistry()
+        service = AirphantService(open_store("mem://"), metrics=registry)
+        service.store.put("corpora/logs.txt", CORPUS)
+        service.build_index(
+            "logs", ["corpora/logs.txt"], sketch_config=SketchConfig(num_bins=64)
+        )
+        service.store.delete("corpora/logs.txt")
+        with pytest.raises(ServiceError) as caught:
+            service.search(SearchRequest(query="error", index="logs"))
+        assert (caught.value.info.status, caught.value.info.error) == (502, "index_corrupt")
+        assert "corpora/logs.txt" in caught.value.info.message
+        errors = registry.counter("airphant_query_errors_total", label_names=("error",))
+        assert errors.value(error="index_corrupt") == 1
+        assert errors.value(error="internal_error") == 0
         service.close()
 
 

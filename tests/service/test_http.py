@@ -50,6 +50,9 @@ def server(tmp_path):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+        # Ends the ingest worker a test's append started, which would keep
+        # the store, and its fetch pool, alive for the rest of the session.
+        service.close()
 
 
 def _get(server, path):

@@ -776,3 +776,52 @@ def test_checker_keeps_every_opened_build_ranked_and_compaction_off_superposts(t
         "service/facade.py:3: a build without statistics answered as a second kind of index",
         "service/facade.py:4: a build without statistics answered as a second kind of index",
     ]
+
+
+def test_checker_keeps_where_a_base_lands_and_what_is_purged_in_the_manager(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("index", "baselines", "service"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the manager builds and purges, the layout module defines and
+    # sums the ownership rule, the baseline builds its private index; a
+    # docstring or a comment may name either.
+    (root / "index" / "updates.py").write_text(
+        "builder = AirphantBuilder(store, config)\n"
+        "for blob in build_blobs(store, name):\n"
+        "    store.delete(blob)\n",
+        encoding="utf-8",
+    )
+    (root / "index" / "store_layout.py").write_text(
+        "def build_blobs(store, name):\n"
+        "    pass\n"
+        "total = sum(store.size(blob) for blob in build_blobs(store, name))\n",
+        encoding="utf-8",
+    )
+    (root / "baselines" / "airphant.py").write_text(
+        "builder = AirphantBuilder(store, config=config)\n", encoding="utf-8"
+    )
+    (root / "index" / "builder.py").write_text(
+        '"""Usage: AirphantBuilder(store).build_from_stats(stats)."""\n'
+        "class AirphantBuilder:  # no build_blobs(store, name) sweep\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a facade deciding where a base lands, a builder sweeping
+    # what an earlier layout of the name left behind.
+    (root / "service" / "facade.py").write_text(
+        "AirphantBuilder(self.store, num_shards=n).build_from_blobs(blobs, name)\n",
+        encoding="utf-8",
+    )
+    (root / "index" / "builder.py").write_text(
+        "for blob in build_blobs(self._store, index_name):\n"
+        "    self._store.delete(blob)\n",
+        encoding="utf-8",
+    )
+    found = check_seams.findings(root)
+    assert sorted(problem.split("repro/")[1] for problem in found) == [
+        "index/builder.py:1: a build's blobs listed outside the index manager",
+        "service/facade.py:1: a Builder constructed outside the index manager",
+    ]
