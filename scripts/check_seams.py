@@ -137,6 +137,17 @@ also fails on:
   ``index/store_layout.py`` (which defines the ownership rule) and
   ``index/updates.py``.
 
+A logical index has one commit point, its update manifest, and one
+module writes it.  This script also fails on:
+
+* a ``.put(`` of a manifest blob (an argument naming ``manifest_blob`` or
+  ``update_manifest_blob_name``) anywhere under ``src/repro`` but
+  ``index/updates.py``;
+* a use of ``ingest_manifest_blob`` — the legacy WAL manifest, written by
+  no code — anywhere under ``src/repro`` but the fold-in of
+  ``index/updates.py``: ``manifest_reads``, which reads it beside the
+  manifest, and ``commit``, which deletes it once folded in.
+
 The query tier routes whole queries and knows nothing of how an index is
 laid out or searched.  This script also fails on:
 
@@ -272,6 +283,14 @@ _BUILDER_CONSTRUCTION = re.compile(r"\bAirphantBuilder\(")
 BUILD_BLOBS_SITES = {("index", "store_layout.py"), ("index", "updates.py")}
 _BUILD_BLOBS_CALL = re.compile(r"\bbuild_blobs\(")
 
+#: The one file that PUTs an update manifest, and what names a manifest blob.
+MANIFEST_WRITER = ("index", "updates.py")
+_MANIFEST_BLOB_NAMES = {"manifest_blob", "update_manifest_blob_name"}
+#: The legacy WAL manifest's namer, and the fold-in: (file, function) pairs
+#: that may use it.
+LEGACY_WAL_MANIFEST = "ingest_manifest_blob"
+FOLD_IN = {(MANIFEST_WRITER, "manifest_reads"), (MANIFEST_WRITER, "commit")}
+
 #: The query tier's package, and the packages it may not import from.
 CLUSTER_PACKAGE = "cluster"
 CLUSTER_FORBIDDEN_IMPORTS = ("repro.index", "repro.search")
@@ -354,6 +373,23 @@ def partial_waves(path: Path) -> list[int]:
     return lines
 
 
+def commit_sites(path: Path) -> tuple[list[int], list[tuple[int, str]]]:
+    """Lines of ``path`` that PUT a manifest blob, and ``(line, function)``
+    of every use of the legacy WAL manifest's namer (imports aside)."""
+    functions = enclosing_functions(path)
+    puts: list[int] = []
+    legacy: list[tuple[int, str]] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "put" and node.args:
+            blob = {getattr(part, "id", getattr(part, "attr", None)) for part in ast.walk(node.args[0])}
+            if blob & _MANIFEST_BLOB_NAMES:
+                puts.append(node.lineno)
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            if getattr(node, "id", getattr(node, "attr", None)) == LEGACY_WAL_MANIFEST:
+                legacy.append((node.lineno, functions.get(node.lineno, "")))
+    return puts, legacy
+
+
 def forbidden_imports(path: Path, packages: tuple[str, ...]) -> list[int]:
     """Lines of ``path`` importing from any of ``packages`` or below them."""
     lines: list[int] = []
@@ -411,6 +447,19 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
             f"{path.relative_to(root.parent.parent)}:{number}: "
             "read_batch with a required count (every payload is waited for)"
             for number in partial_waves(path)
+        )
+        puts, legacy = commit_sites(path)
+        if parts != MANIFEST_WRITER:
+            problems.extend(
+                f"{path.relative_to(root.parent.parent)}:{number}: "
+                f"a manifest PUT outside {'/'.join(MANIFEST_WRITER)}"
+                for number in puts
+            )
+        problems.extend(
+            f"{path.relative_to(root.parent.parent)}:{number}: "
+            "the legacy WAL manifest named outside the fold-in"
+            for number, function in legacy
+            if (parts, function) not in FOLD_IN
         )
         if package == CLUSTER_PACKAGE:
             problems.extend(

@@ -10,14 +10,16 @@ an answer" reads → every member header and WAL record those name, as a
 second: at most two dependent waves whatever the member, delta, shard and
 segment count; a sharded build says all it is in its ``header.json``) and
 its second half :func:`open_headers` (build names → decoded headers); one **ownership
-rule**, :func:`build_blobs` (what a purge deletes, a size sums and a build
-checks to tell a fresh name).  What is *inside* a blob, and who writes when, stays with
+rule**, :func:`build_of` and :func:`wal_record` (which build or WAL record
+a blob is: what a purge weighs and a size sums).  What is *inside* a blob,
+and who writes when, stays with
 each subsystem; other modules re-export these names where callers already
 import them, but define none.
 """
 
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from repro.storage.base import BlobNotFoundError, ObjectStore, RangeRead
@@ -50,6 +52,9 @@ _GENERATION_MARKER = "/gen-"
 _SNAPSHOT_MARKER = "/snapshots/"
 _SNAPSHOT_SUFFIX = ".snap.json"
 _MEMBER_MARKERS = (_DELTA_MARKER, SHARD_MARKER, _GENERATION_MARKER, _SNAPSHOT_MARKER)
+
+#: A WAL record's name under the ingest prefix: segment, update, tombstone.
+_WAL_RECORD = re.compile(r"(?P<kind>seg|upd)-(?P<number>\d{8})\.log|tomb-(?P<tomb>\d{8})\.json")
 
 #: The update manifest of a logical index: active base, deltas, retired builds.
 _UPDATE_MANIFEST_SUFFIX = "manifest.json"
@@ -152,7 +157,7 @@ def ingest_prefix(index_name: str) -> str:
 
 
 def ingest_manifest_blob(index_name: str) -> str:
-    """Blob holding ``index_name``'s ingest manifest."""
+    """``index_name``'s legacy WAL manifest, which the update manifest folds in."""
     return f"{ingest_prefix(index_name)}ingest.json"
 
 
@@ -230,9 +235,7 @@ class OpenedIndex(NamedTuple):
 
     #: The update manifest (the empty one when none was ever written).
     manifest: IndexManifest
-    #: The raw ingest manifest (``None``: absent, or not asked for).
-    ingest: bytes | None
-    #: Payload of every WAL blob ``ingest`` may need (``None``: not there).
+    #: Payload of every WAL blob the manifest names (``None``: not there).
     wal: dict[str, bytes | None]
     #: The active base, then the deltas in creation order.
     builds: list[OpenedBuild]
@@ -315,12 +318,12 @@ def open_index(
     """Open logical index ``name`` in at most two dependent waves.
 
     Wave 1 is one batch of "missing is an answer" reads for every blob that
-    says what the index *is*: the in-place header, the update manifest and
-    — with ``probe_ingest`` — the ingest manifest.  A lone build, plain or sharded, is fully open after it.
-    Wave 2, only when the manifests name more, is one :func:`open_headers`
-    batch over every member not yet in hand with every WAL blob the ingest
-    manifest may need riding along — the probed segment range, listed
-    segments and tombstone records.
+    says what the index *is*: the in-place header and the update manifest
+    (:func:`~repro.index.updates.manifest_reads`: with ``probe_ingest``, and
+    the legacy WAL manifest it folds in).  A lone build, plain or sharded,
+    is fully open after it.  Wave 2, only when the manifest names more, is
+    one :func:`open_headers` batch over every member not yet in hand, with
+    (``probe_ingest``) every WAL blob the manifest names riding along.
 
     ``known`` says this process has already seen an update manifest for
     ``name``: that manifest alone decides where the base lives, so wave 1
@@ -329,35 +332,30 @@ def open_index(
     Raises ``KeyError`` when neither the header nor the update manifest is
     there (:class:`UnsupportedIndexFormatError` for a retired sharded build).
     """
-    from repro.index.updates import IndexManifest
-    from repro.ingest.wal import IngestManifest
+    from repro.index.updates import IndexManifest, manifest_reads
 
-    manifest_blob, ingest_blob = update_manifest_blob_name(name), ingest_manifest_blob(name)
-    blobs = [manifest_blob] if known else [header_blob_name(name), manifest_blob]
-    if probe_ingest:
-        blobs.append(ingest_blob)
+    reads = manifest_reads(name, legacy=probe_ingest)
+    blobs = reads if known else [header_blob_name(name), *reads]
     fetch = store.read_batch([RangeRead(blob, optional=True) for blob in blobs], max_concurrency)
     have = dict(zip(blobs, fetch.payloads))
-    ingest = have.pop(ingest_blob, None)
-    if have[manifest_blob] is None and known:
+    payloads = [have.pop(blob) for blob in reads]
+    if payloads[0] is None and known:
         # The manifest this process knew is gone: discover the name afresh.
         return open_index(
             store, name, max_concurrency, probe_ingest=probe_ingest, base_only=base_only
         )
-    if all(payload is None for payload in have.values()):
+    if payloads[0] is None and all(payload is None for payload in have.values()):
         _refuse_retired_layout(store, name)
         raise KeyError(name)
-    manifest = IndexManifest.from_bytes(name, have.pop(manifest_blob))
+    manifest = IndexManifest.read(name, *payloads)
     opened = open_headers(
         store,
         [manifest.active_base] if base_only else manifest.all_indexes,
         max_concurrency,
         fetched=have,
-        riders=IngestManifest.from_bytes(ingest).recovery_blobs(name),
+        riders=manifest.recovery_blobs() if probe_ingest else (),
     )
-    return OpenedIndex(
-        manifest, ingest, opened.riders, opened.builds, fetch.total_ms + opened.elapsed_ms
-    )
+    return OpenedIndex(manifest, opened.riders, opened.builds, fetch.total_ms + opened.elapsed_ms)
 
 
 def build_exists(store: ObjectStore, index_name: str) -> bool:
@@ -368,21 +366,41 @@ def build_exists(store: ObjectStore, index_name: str) -> bool:
     )
 
 
-def build_blobs(store: ObjectStore, index_name: str) -> list[str]:
-    """Every blob the base/delta build under ``index_name`` owns.
+def build_of(index_name: str, blob: str) -> str | None:
+    """The build of logical index ``index_name`` that owns ``blob``, if any.
 
-    Delta, generational and shard builds own their whole prefix.  An
-    in-place base shares its prefix with the update manifest, deltas,
-    generations, snapshots and the WAL, so it owns only its own four blobs
-    and its ``shard-NNNN/`` members.  Only the index manager deletes them
-    (a swap's purge); it also asks whether a name is fresh.
+    Delta and generational builds own their whole prefix.  The in-place
+    base shares its prefix with the manifest, the other builds, the
+    snapshots and the WAL, so it owns only its own four blobs and its
+    ``shard-NNNN/`` members.
     """
+    rest = blob.removeprefix(f"{index_name}/")
+    member, _, inside = rest.partition("/")
+    if rest == blob:
+        return None
+    if rest in _BUILD_SUFFIXES or f"/{member}".startswith(SHARD_MARKER):
+        return index_name
+    if inside and f"/{member}".startswith((_DELTA_MARKER, _GENERATION_MARKER)):
+        return f"{index_name}/{member}"
+    return None
+
+
+def wal_record(index_name: str, blob: str) -> tuple[str, int] | None:
+    """``(kind, number)`` of a WAL record of ``index_name`` — a ``"seg"``,
+    ``"upd"`` or ``"tomb"`` blob — or ``None`` for any other blob."""
+    name = blob.removeprefix(ingest_prefix(index_name))
+    match = _WAL_RECORD.fullmatch(name) if name != blob else None
+    if match is None:
+        return None
+    return match["kind"] or "tomb", int(match["number"] or match["tomb"])
+
+
+def build_blobs(store: ObjectStore, index_name: str) -> list[str]:
+    """Every blob the build under ``index_name`` owns (:func:`build_of`)."""
     blobs = store.list_blobs(prefix=f"{index_name}/")
     if not is_index_name(index_name):
         return blobs
-    own = {f"{index_name}/{suffix}" for suffix in _BUILD_SUFFIXES}
-    shards = f"{index_name}{SHARD_MARKER}"
-    return [blob for blob in blobs if blob in own or blob.startswith(shards)]
+    return [blob for blob in blobs if build_of(index_name, blob) == index_name]
 
 
 def build_bytes(store: ObjectStore, index_name: str) -> int:

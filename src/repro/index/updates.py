@@ -6,7 +6,9 @@ would be wasteful, so this module implements the standard append-only
 pattern on top of the unchanged Builder and Searcher:
 
 * :class:`AppendOnlyIndexManager` keeps a tiny JSON *manifest* blob next to
-  the base index listing the delta indexes created so far;
+  the base index: the builds (base, deltas, retired) and the state of the
+  index's write-ahead log — the index's one commit point, which every write
+  commits through with one PUT;
 * :meth:`AppendOnlyIndexManager.build_base` builds (or rebuilds) the base,
   the one code that decides where a base over a name lands;
 * :meth:`AppendOnlyIndexManager.append` builds a new delta index over just
@@ -21,25 +23,24 @@ pattern on top of the unchanged Builder and Searcher:
   new base is a fresh rebuild over the survivors by construction.
 
 Compaction, a rebuild over an existing name and a restore each replace the
-index's builds by one swap, with one rule (:meth:`_swap`): the first two
-build the new base under a fresh generational prefix, a restore points back
-at a snapshot's builds, and each commits with one atomic manifest write, so
-a concurrent reader either sees the complete old snapshot or the complete
-new one — never a half-built mix.  The builds a swap strands are recorded
-in the manifest's ``retired`` list and physically deleted one swap *later*,
-giving readers that opened the old manifest a full swap of grace before
-their blobs disappear.  Where each of these lives in the bucket, and which blobs one
-build owns, is :mod:`repro.index.store_layout`'s business alone.
+index's builds by one swap (:meth:`_swap`), committed with one atomic
+manifest write: a concurrent reader sees the complete old snapshot or the
+complete new one.  What a swap strands stays one swap on the manifest's
+``retired`` list, as grace for readers of the old manifest; after each
+swap, whatever under the index neither the manifest, its retired list nor
+a snapshot names is deleted, so a purge a crash cut short is finished by
+the next.  Where each of these lives in the bucket is
+:mod:`repro.index.store_layout`'s business alone.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
+import threading
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Sequence
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder, BuiltIndex, BuiltShardedIndex
@@ -48,15 +49,22 @@ from repro.index.metadata import IndexMetadata
 from repro.index.stats import IndexStats, build_stats, decode_stats, union_stats
 from repro.index.store_layout import (
     OpenedBuild,
+    UnsupportedIndexFormatError,
     build_blobs,
     build_exists,
+    build_of,
     delta_index_name,
     generation_index_name,
+    ingest_manifest_blob,
     open_headers,
+    segment_blob,
     snapshot_blob_name,
     snapshot_blobs,
     stats_blob_name,
+    tombstone_blob,
+    update_blob,
     update_manifest_blob_name,
+    wal_record,
 )
 from repro.parsing.documents import Document, DocumentTable, Posting
 from repro.parsing.tokenizer import Tokenizer, WhitespaceAnalyzer
@@ -93,16 +101,21 @@ class SnapshotRestoreError(Exception):
 
 @dataclass(frozen=True)
 class IndexManifest:
-    """One consistent snapshot of an index: base build, deltas, generation.
+    """The one commit point of a logical index: its builds and its WAL's state.
 
-    ``base_index`` is the *logical* name (the catalog entry and blob-prefix
-    root); ``active_base`` is the blob prefix actually holding the current
-    base build — equal to ``base_index`` until the first compaction moves it
-    under a generational prefix.  ``next_delta`` numbers deltas
-    monotonically across compactions so a fresh delta never reuses (and
-    overwrites) the prefix of a retired one that readers may still hold.
-    ``retired`` lists prefixes stranded by the previous swap, physically
-    purged at the *next* swap.
+    ``base_index`` is the *logical* name; ``active_base`` the prefix holding
+    the current base — ``base_index`` until a swap moves it to a generation.
+    ``next_delta`` numbers deltas monotonically, so no delta reuses a
+    retired one's prefix; ``retired`` lists the builds the previous swap
+    stranded, kept for one swap of grace.
+
+    The rest is the WAL's state (:mod:`repro.ingest.wal`), by sequence
+    number: the ``seg-``/``upd-`` blobs from ``floor`` up hold documents the
+    builds point into (from ``retired_floor`` up, the retired builds'); the
+    segments ``first_unflushed`` … ``reserved_end - 1`` that exist, and the
+    listed ``updates``, hold the unflushed ones; ``tombstones`` are the
+    pending delete records.  ``legacy_wal``: a legacy ``ingest.json`` sits
+    beside the manifest, for the next commit to delete.
     """
 
     base_index: str
@@ -111,37 +124,131 @@ class IndexManifest:
     active_base: str | None = None
     next_delta: int | None = None
     retired: tuple[str, ...] = ()
+    floor: int = 0
+    retired_floor: int | None = None
+    first_unflushed: int = 0
+    reserved_end: int | None = None
+    updates: tuple[int, ...] = ()
+    tombstones: tuple[int, ...] = ()
+    legacy_wal: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.active_base is None:
-            object.__setattr__(self, "active_base", self.base_index)
-        if self.next_delta is None:
-            object.__setattr__(self, "next_delta", len(self.delta_indexes))
+        derived = (self.base_index, len(self.delta_indexes), self.floor, self.first_unflushed)
+        for name, default in zip(_DERIVED, derived):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
 
     @property
     def all_indexes(self) -> list[str]:
         """Active base first, then deltas in creation order."""
         return [self.active_base, *self.delta_indexes]
 
-    @classmethod
-    def from_bytes(cls, base_index: str, data: bytes | None) -> "IndexManifest":
-        """Parse a manifest blob (``None``: none was written yet — the empty one).
+    @property
+    def in_place(self) -> bool:
+        """Whether the builds are the in-place base alone (whatever the WAL)."""
+        return replace(self, **_EMPTY_WAL) == IndexManifest(self.base_index)
 
-        Pre-generation manifests (no ``generation``/``active_base`` fields)
-        load with their defaults, so indexes written by older builds keep
-        working unchanged.
-        """
-        if data is None:
-            return cls(base_index=base_index)
-        payload = json.loads(data.decode("utf-8"))
-        return cls(
-            base_index=payload["base_index"],
-            delta_indexes=tuple(payload["delta_indexes"]),
-            generation=int(payload.get("generation", 0)),
-            active_base=payload.get("active_base"),
-            next_delta=payload.get("next_delta"),
-            retired=tuple(payload.get("retired", ())),
+    def builds(self) -> "IndexManifest":
+        """The builds and the WAL floor they point above: what a snapshot freezes."""
+        return replace(self, retired=(), **{**_EMPTY_WAL, "floor": self.floor})
+
+    def wal_from(self, counter: int, tombstones: tuple[int, ...] = ()) -> "IndexManifest":
+        """This manifest with an empty WAL that numbers on from ``counter``."""
+        return replace(
+            self, first_unflushed=counter, reserved_end=counter, updates=(), tombstones=tombstones
         )
+
+    @property
+    def has_wal(self) -> bool:
+        """Whether a reopening node has a segment range, update or delete to read."""
+        return self.first_unflushed < self.reserved_end or bool(self.updates or self.tombstones)
+
+    def segments(self) -> tuple[str, ...]:
+        """Every blob that may hold unflushed documents: the range, then the listed."""
+        probed = range(self.first_unflushed, self.reserved_end)
+        return tuple(segment_blob(self.base_index, n) for n in probed) + tuple(
+            update_blob(self.base_index, n) for n in self.updates
+        )
+
+    def recovery_blobs(self) -> tuple[str, ...]:
+        """Every blob a reopening node reads back: segments, then tombstone records."""
+        return self.segments() + tuple(tombstone_blob(self.base_index, n) for n in self.tombstones)
+
+    def to_dict(self) -> dict[str, Any]:
+        """The JSON payload: every field that does not hold its default (the
+        name, too: the manifest's own prefix says it)."""
+        derived = replace(self, **dict.fromkeys(_DERIVED))
+        payload: dict[str, Any] = {}
+        for spec in fields(self)[1:]:
+            value = getattr(self, spec.name)
+            default = getattr(derived, spec.name) if spec.default is None else spec.default
+            if spec.compare and value != default:
+                payload[spec.name] = list(value) if isinstance(value, tuple) else value
+        return payload
+
+    @classmethod
+    def from_dict(cls, base_index: str, payload: dict[str, Any]) -> "IndexManifest":
+        """Inverse of :meth:`to_dict`; a field that is absent holds its default."""
+        names = {spec.name for spec in fields(cls) if spec.compare}
+        values = {
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in payload.items()
+            if name in names
+        }
+        return cls(**{"base_index": base_index, **values})
+
+    @classmethod
+    def read(
+        cls, base_index: str, data: bytes | None, legacy: bytes | None = None
+    ) -> "IndexManifest":
+        """The manifest from what :func:`manifest_reads` fetched (``None``:
+        not there).  A legacy ``ingest.json`` beside a manifest without WAL
+        state is that state (version 1's listed segments widen the probed
+        range down to the first of them); beside one with WAL state it is
+        garbage.  Either way the next commit deletes it."""
+        manifest = cls(base_index)
+        if data is not None:
+            manifest = cls.from_dict(base_index, json.loads(data.decode("utf-8")))
+        if legacy is None or replace(manifest, **_EMPTY_WAL) != manifest:
+            return replace(manifest, legacy_wal=legacy is not None)
+        payload = json.loads(legacy.decode("utf-8"))
+        version = payload.get("version")
+        if version not in (1, 2):
+            found = f"WAL manifest version {version!r}"
+            raise UnsupportedIndexFormatError(manifest_reads(base_index)[1], found, "version 1 or 2")
+        v1 = version == 1
+        first = int(payload["next_segment" if v1 else "first_unflushed"])
+        reserved = int(payload["next_segment" if v1 else "reserved_end"])
+        listed = payload["active_segments" if v1 else "listed_segments"]
+        records = [wal_record(base_index, blob) for blob in listed]
+        return replace(
+            manifest,
+            first_unflushed=min([first, *(n for kind, n in records if kind == "seg")]),
+            reserved_end=reserved,
+            updates=tuple(n for kind, n in records if kind == "upd"),
+            tombstones=tuple(
+                wal_record(base_index, blob)[1] for blob in payload.get("tombstone_segments", ())
+            ),
+            legacy_wal=True,
+        )
+
+
+#: The fields whose default (``None``) is what other fields say.
+_DERIVED = ("active_base", "next_delta", "retired_floor", "reserved_end")
+#: The WAL fields at their defaults.
+_EMPTY_WAL: dict[str, Any] = dict(
+    floor=0, retired_floor=None, first_unflushed=0, reserved_end=None, updates=(), tombstones=()
+)
+
+
+def manifest_reads(base_index: str, legacy: bool = True) -> list[str]:
+    """The blobs one read of ``base_index``'s manifest asks for, as one
+    batch: the manifest, then — with ``legacy`` — the legacy WAL manifest
+    :meth:`IndexManifest.read` folds in."""
+    blobs = [update_manifest_blob_name(base_index)]
+    if legacy:
+        blobs.append(ingest_manifest_blob(base_index))
+    return blobs
 
 
 @dataclass(frozen=True)
@@ -168,31 +275,19 @@ class SnapshotInfo:
             "snapshot": self.snapshot,
             "base_index": self.base_index,
             "created_at": self.created_at,
-            "manifest": {
-                "base_index": self.manifest.base_index,
-                "delta_indexes": list(self.manifest.delta_indexes),
-                "generation": self.manifest.generation,
-                "active_base": self.manifest.active_base,
-                "next_delta": self.manifest.next_delta,
-            },
+            "manifest": self.manifest.builds().to_dict(),
             "tombstones": [[ref.blob, ref.offset, ref.length] for ref in self.tombstones],
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SnapshotInfo":
         """Inverse of :meth:`to_dict`."""
-        manifest = payload["manifest"]
+        base_index = str(payload["base_index"])
         return cls(
             snapshot=str(payload["snapshot"]),
-            base_index=str(payload["base_index"]),
+            base_index=base_index,
             created_at=float(payload.get("created_at", 0.0)),
-            manifest=IndexManifest(
-                base_index=manifest["base_index"],
-                delta_indexes=tuple(manifest["delta_indexes"]),
-                generation=int(manifest.get("generation", 0)),
-                active_base=manifest.get("active_base"),
-                next_delta=manifest.get("next_delta"),
-            ),
+            manifest=IndexManifest.from_dict(base_index, payload["manifest"]).builds(),
             tombstones=tuple(
                 Posting(blob=str(blob), offset=int(offset), length=int(length))
                 for blob, offset, length in payload.get("tombstones", ())
@@ -223,6 +318,13 @@ class AppendOnlyIndexManager:
     every delta and compaction the active base's own parameters
     (:func:`base_config`): an index keeps the bin budget, accuracy target and
     seed it was built with.
+
+    The manager holds the live manifest in memory (``manifest``, or read on
+    first use): every change is one read-modify-write of it with one PUT
+    (:meth:`commit`).  Each commit, and each build before it picks a name,
+    first reads ``manifest.json`` again (:meth:`refresh`), so what another
+    process committed meanwhile is adopted, never overwritten.  Two
+    processes writing one index *at the same time* are not fenced.
     """
 
     def __init__(
@@ -231,45 +333,79 @@ class AppendOnlyIndexManager:
         base_index: str,
         config: SketchConfig | None = None,
         tokenizer: Tokenizer | None = None,
+        manifest: IndexManifest | None = None,
     ) -> None:
         self._store = store
         self._base_index = base_index
         self._config = config
         self._tokenizer = tokenizer
+        self._manifest = manifest
+        #: Commits this manager made (:meth:`refresh` drops a read one overtook).
+        self._commits = 0
+        #: The lock of every manifest change in this process — and of the
+        #: WAL writes that number from the manifest's reservation.
+        self.lock = threading.RLock()
+        #: The lock a flush, compaction, rebuild or restore holds throughout.
+        self.maintenance_lock = threading.RLock()
         #: ``((active base, generation), its configuration)`` as last learnt,
         #: so that a long-lived manager reads a base's header at most once.
         self._followed: tuple[tuple[str, int], SketchConfig] | None = None
 
-    @property
-    def manifest_blob(self) -> str:
-        """Blob holding the manifest."""
-        return update_manifest_blob_name(self._base_index)
-
     # -- manifest ------------------------------------------------------------------
 
     def manifest(self) -> IndexManifest:
-        """Read the current manifest (an empty one if none was written yet).
+        """The live manifest (the empty one if none was written yet), read
+        once as one batch of "missing is an answer" reads with the legacy
+        WAL manifest it folds in (:func:`manifest_reads`)."""
+        if self._manifest is None:  # once read, no lock: a query never waits on a commit
+            with self.lock:
+                if self._manifest is None:
+                    reads = manifest_reads(self._base_index)
+                    fetch = self._store.read_batch([RangeRead(b, optional=True) for b in reads])
+                    self._manifest = IndexManifest.read(self._base_index, *fetch.payloads)
+        return self._manifest
 
-        One ``get``: a manifest purged between a probe and the read would
-        otherwise surface as a missing blob instead of the empty manifest.
-        """
-        try:
-            data = self._store.get(self.manifest_blob)
-        except BlobNotFoundError:
-            data = None
-        return IndexManifest.from_bytes(self._base_index, data)
+    def refresh(self) -> IndexManifest:
+        """The live manifest, checked against the store with one read of
+        ``manifest.json`` (none on first use, which reads it anyway): when
+        another process committed since this one last read or wrote it, the
+        stored manifest becomes the live one.  Beside a legacy
+        ``ingest.json`` only the builds are compared, since the blob does
+        not yet hold the WAL state folded in from it.
 
-    def _write_manifest(self, manifest: IndexManifest) -> None:
-        """Commit one snapshot atomically (a single blob PUT is the swap)."""
-        payload = {
-            "base_index": manifest.base_index,
-            "delta_indexes": list(manifest.delta_indexes),
-            "generation": manifest.generation,
-            "active_base": manifest.active_base,
-            "next_delta": manifest.next_delta,
-            "retired": list(manifest.retired),
-        }
-        self._store.put(self.manifest_blob, json.dumps(payload).encode("utf-8"))
+        The read does not hold :attr:`lock`.  When a commit of this process
+        lands meanwhile, the read may predate it and is dropped: that commit
+        refreshed under the lock."""
+        if self._manifest is None:
+            return self.manifest()
+        commits = self._commits
+        read = RangeRead(update_manifest_blob_name(self._base_index), optional=True)
+        (data,) = self._store.read_batch([read]).payloads
+        with self.lock:
+            live = self._manifest
+            if commits == self._commits:
+                stored = IndexManifest.read(self._base_index, data)
+                wal = _EMPTY_WAL if live.legacy_wal else {}
+                if replace(stored, **wal) != replace(live, **wal):
+                    self._manifest = replace(stored, legacy_wal=live.legacy_wal)
+            return self._manifest
+
+    def commit(self, change: Callable[[IndexManifest], IndexManifest]) -> IndexManifest:
+        """Commit ``change`` of the live manifest with one PUT; returns what
+        was committed.  ``change`` runs under :attr:`lock` on the manifest as
+        it is then, just refreshed (:meth:`refresh`), so concurrent changes
+        merge.  A legacy ``ingest.json`` is deleted after the first commit,
+        which folded it in."""
+        self.refresh()
+        with self.lock:
+            old = self.manifest()
+            new = replace(change(old), legacy_wal=False)
+            payload = json.dumps(new.to_dict(), separators=(",", ":")).encode()
+            self._store.put(update_manifest_blob_name(self._base_index), payload)
+            self._manifest, self._commits = new, self._commits + 1
+            if old.legacy_wal:
+                self._store.delete(ingest_manifest_blob(self._base_index))
+            return new
 
     # -- building ------------------------------------------------------------------
 
@@ -278,24 +414,27 @@ class AppendOnlyIndexManager:
         documents: Sequence[Document] | DocumentTable | IndexStats,
         corpus_name: str = "corpus",
         num_shards: int = 1,
+        config: SketchConfig | None = None,
     ) -> BuiltIndex | BuiltShardedIndex:
         """Build (or rebuild) the base: the one code that decides where a
         base over this name lands.
 
         A fresh name (no update manifest, no build blobs) is built in place
-        with no manifest: its header is the commit point, and a cold open
-        stays one wave.  Any other name is built in the next generation and
-        swapped in (:meth:`_swap`), as a compaction is.  Documents and
-        tables are counted with the manager's tokenizer.
+        with no manifest: its header is the commit point.  Any other name is
+        built in the next generation and swapped in (:meth:`_swap`) with an
+        empty WAL numbering on from the old one's reservation, which is
+        retired with the old builds.  Documents and tables are counted with
+        the manager's tokenizer; ``config`` (else the manager's, else the
+        default) is the new base's.
         """
-        config = self._config if self._config is not None else SketchConfig()
+        config = config or self._config or SketchConfig()
         builder = AirphantBuilder(
             self._store, config=config, tokenizer=self._tokenizer, num_shards=num_shards
         )
         stats = documents if isinstance(documents, IndexStats) else build_stats(
             documents, self._tokenizer or WhitespaceAnalyzer()
         )
-        old = self.manifest()
+        old = self.refresh()
         if old == IndexManifest(self._base_index) and not build_blobs(
             self._store, self._base_index
         ):
@@ -304,39 +443,48 @@ class AppendOnlyIndexManager:
             )
             self._followed = ((self._base_index, old.generation), config)
             return built
-        return self._build_generation(old, builder, stats, corpus_name)
+        return self._build_generation(
+            old,
+            builder,
+            stats,
+            corpus_name,
+            lambda wal: replace(wal.wal_from(wal.reserved_end), floor=wal.reserved_end),
+        )
 
     def append(
-        self, documents: Sequence[Document] | IndexStats, corpus_name: str = "delta"
+        self,
+        documents: Sequence[Document] | IndexStats,
+        corpus_name: str = "delta",
+        wal: Callable[[IndexManifest], IndexManifest] | None = None,
     ) -> BuiltIndex:
         """Index newly arrived documents as a fresh delta index.
 
         The live write path hands the statistics a flushing memtable already
-        counted.  Documents are a convenience for callers holding them
-        (examples, tests): :func:`build_stats` counts them with the manager's
-        tokenizer first, so both forms take the one ``build_from_stats`` path.
+        counted, and ``wal``, the change that moves the WAL past them: one
+        PUT commits both.  Documents (examples, tests) are counted with the
+        manager's tokenizer first (:func:`build_stats`).
         """
         stats = documents if isinstance(documents, IndexStats) else build_stats(
             documents, self._tokenizer or WhitespaceAnalyzer()
         )
         if not stats.num_documents:
             raise ValueError("append() needs at least one document")
-        manifest = self.manifest()
+        manifest = self.refresh()
         delta_name = delta_index_name(self._base_index, manifest.next_delta)
         builder = AirphantBuilder(
             self._store, config=self._config_of(manifest), tokenizer=self._tokenizer
         )
         built = builder.build_from_stats(stats, index_name=delta_name, corpus_name=corpus_name)
-        self._write_manifest(
-            IndexManifest(
-                base_index=manifest.base_index,
-                delta_indexes=manifest.delta_indexes + (delta_name,),
-                generation=manifest.generation,
-                active_base=manifest.active_base,
+
+        def added(current: IndexManifest) -> IndexManifest:
+            current = replace(
+                current,
+                delta_indexes=current.delta_indexes + (delta_name,),
                 next_delta=manifest.next_delta + 1,
-                retired=manifest.retired,
             )
-        )
+            return wal(current) if wal else current
+
+        self.commit(added)
         return built
 
     def _config_of(
@@ -396,27 +544,23 @@ class AppendOnlyIndexManager:
         self,
         corpus_name: str = "corpus",
         exclude: AbstractSet[Posting] = frozenset(),
+        applied: AbstractSet[str] = frozenset(),
     ) -> BuiltIndex | "BuiltShardedIndex":
         """Fold all deltas into a fresh generational base and swap atomically.
 
         The new base is built under the next generational prefix (keeping the
         old base's shard count and sketch parameters; a sharded base returns a
-        :class:`~repro.index.builder.BuiltShardedIndex`), then committed with
-        a single manifest write — the swap (:meth:`_swap`).  Readers that
-        already hold the old manifest keep a complete, untouched snapshot:
-        the blobs it references are only *marked* retired now and physically
-        deleted at the **next** swap, after every reasonable reader has
-        reopened.
-
-        The new base is built from the members' ranking statistics merged
-        into one exact inverted index (:func:`~repro.index.stats.union_stats`)
-        — no document is re-read and nothing re-analysed, so each document
-        keeps the analysis it was built with.  ``exclude`` (the pending
+        :class:`~repro.index.builder.BuiltShardedIndex`) and committed with
+        one manifest write, the swap (:meth:`_swap`), which retires what it
+        replaced for one swap of grace.  It is built from the members'
+        ranking statistics merged (:func:`~repro.index.stats.union_stats`):
+        no document is re-read or re-analysed.  ``exclude`` (the pending
         tombstone set) is how deletes become physical: condemned documents
-        are left out of the merged statistics, hence of the new base, so
-        after the swap no tombstone filtering is needed for them anywhere.
+        are left out of the new base, and the swap drops ``applied``, the
+        tombstone records they came from; one committed during the build
+        stays pending.
         """
-        manifest = self.manifest()
+        manifest = self.refresh()
         builds = open_headers(self._store, manifest.all_indexes).builds
         stats = self._merged_stats(builds, exclude)
         shard_manifest = builds[0].manifest
@@ -426,58 +570,105 @@ class AppendOnlyIndexManager:
             tokenizer=self._tokenizer,
             num_shards=shard_manifest.num_shards if shard_manifest is not None else 1,
         )
-        return self._build_generation(manifest, builder, stats, corpus_name)
+        return self._build_generation(
+            manifest,
+            builder,
+            stats,
+            corpus_name,
+            lambda wal: replace(
+                wal,
+                tombstones=tuple(
+                    n for n in wal.tombstones
+                    if tombstone_blob(self._base_index, n) not in applied
+                ),
+            ),
+        )
 
     def _build_generation(
-        self, old: IndexManifest, builder: AirphantBuilder, stats: IndexStats, corpus_name: str
+        self,
+        old: IndexManifest,
+        builder: AirphantBuilder,
+        stats: IndexStats,
+        corpus_name: str,
+        wal: Callable[[IndexManifest], IndexManifest],
     ) -> BuiltIndex | BuiltShardedIndex:
         """Build ``stats`` as the base of the generation after ``old``'s,
-        under its own prefix, and swap it in (:meth:`_swap`)."""
+        under its own prefix, and swap it in (:meth:`_swap`) with the WAL
+        state as ``wal`` changes it at the swap."""
         generation = old.generation + 1
         new_base = generation_index_name(self._base_index, generation)
         built = builder.build_from_stats(stats, index_name=new_base, corpus_name=corpus_name)
         self._swap(
-            old,
-            IndexManifest(
-                base_index=self._base_index,
-                generation=generation,
-                active_base=new_base,
-                next_delta=old.next_delta,
-            ),
+            lambda current: wal(
+                replace(current, delta_indexes=(), generation=generation, active_base=new_base)
+            )
         )
         self._followed = ((new_base, generation), builder.config)
         return built
 
-    def _swap(self, old: IndexManifest, new: IndexManifest) -> None:
-        """Commit ``new`` in place of ``old``: the one swap rule of a rebuild,
-        a compaction and a restore.
+    def _swap(self, change: Callable[[IndexManifest], IndexManifest]) -> None:
+        """Commit ``change`` of the live manifest as a swap: the one swap
+        rule of a rebuild, a compaction and a restore.
 
-        The builds ``old`` references and ``new`` does not are retired: a
-        reader holding ``old`` keeps a complete snapshot for one swap of
-        grace.  What ``old`` retired has had its grace and is purged after
-        the PUT — unless ``new`` references it again, or a snapshot pins it
-        (it then stays on the retired list until the snapshot is deleted).
+        The builds the old manifest references and the new one does not are
+        retired, and so is the old WAL when the new one starts above it
+        (``retired_floor``): one swap of grace for readers of the old
+        manifest (a build a snapshot pins stays retired).  After the PUT,
+        the purge deletes every listed blob under the index that neither the
+        new manifest, its retired list nor a snapshot names — what the
+        previous swap retired, and what a purge a crash cut short left.
+
+        The snapshots and the index are listed before the commit takes
+        :attr:`lock`, so no write waits on the listings.  A blob made after
+        them is not listed; a WAL record whose write was in flight during
+        them is committed before the swap's commit (a write holds the lock
+        across its PUT and its commit), so the new manifest names it.
         """
-        referenced = set(new.all_indexes)
-        stranded = [name for name in old.all_indexes if name not in referenced]
-        expired = [name for name in old.retired if name not in referenced]
-        pinned = self._snapshot_pins() if expired else set()
-        carried = [name for name in expired if name in pinned]
+        pins = [info.manifest for info in self.list_snapshots()]
+        listing = self._store.list_blobs(prefix=f"{self._base_index}/")
+
+        def swapped(old: IndexManifest) -> IndexManifest:
+            new = change(old)
+            referenced = set(new.all_indexes)
+            pinned = {name for pin in pins for name in pin.all_indexes} - referenced
+            return replace(
+                new,
+                retired=tuple(name for name in old.all_indexes if name not in referenced)
+                + tuple(name for name in old.retired if name in pinned),
+                retired_floor=old.floor,
+            )
+
         # The atomic swap: one blob PUT moves every reader to the new snapshot.
-        self._write_manifest(dataclasses.replace(new, retired=tuple(stranded + carried)))
-        for name in expired:
-            if name not in pinned:
-                for blob in build_blobs(self._store, name):
-                    self._store.delete(blob)
+        new = self.commit(swapped)
+        for blob in self._unnamed(new, pins, listing):
+            self._store.delete(blob)
+
+    def _unnamed(
+        self, manifest: IndexManifest, pins: Sequence[IndexManifest], listing: Sequence[str]
+    ) -> list[str]:
+        """Every blob of ``listing`` that none of ``manifest``, its retired
+        list and the snapshots ``pins`` names: a build by name, a segment or
+        update by a number at or above the lowest floor, a tombstone record
+        by the list or a number at or above the reservation (a delete in
+        flight).  Manifests and snapshot records are always named."""
+        builds = {*manifest.all_indexes, *manifest.retired}
+        builds.update(name for pin in pins for name in pin.all_indexes)
+        floor = min([manifest.floor, manifest.retired_floor, *(pin.floor for pin in pins)])
+        unnamed = []
+        for blob in listing:
+            build = build_of(self._base_index, blob)
+            kind, number = wal_record(self._base_index, blob) or ("", 0)
+            if build is not None:
+                named = build in builds
+            elif kind == "tomb":
+                named = number in manifest.tombstones or number >= manifest.reserved_end
+            else:
+                named = not kind or number >= floor
+            if not named:
+                unnamed.append(blob)
+        return unnamed
 
     # -- snapshots -----------------------------------------------------------------
-
-    def _snapshot_pins(self) -> set[str]:
-        """Every index prefix some snapshot still references (purge guard)."""
-        pinned: set[str] = set()
-        for info in self.list_snapshots():
-            pinned.update(info.manifest.all_indexes)
-        return pinned
 
     def create_snapshot(
         self, snapshot: str, tombstones: Sequence[Posting] = ()
@@ -495,7 +686,7 @@ class AppendOnlyIndexManager:
                 f"invalid snapshot name {snapshot!r}; expected 1-64 characters "
                 "from [A-Za-z0-9._-] starting with a letter or digit"
             )
-        manifest = self.manifest()
+        manifest = self.refresh()
         info = SnapshotInfo(
             snapshot=snapshot,
             base_index=self._base_index,
@@ -548,15 +739,19 @@ class AppendOnlyIndexManager:
         return len(blobs)
 
     def restore_snapshot(self, snapshot: str) -> SnapshotInfo:
-        """Point the index back at ``snapshot``'s manifest (one atomic PUT).
+        """Point the index back at ``snapshot`` with one swap (:meth:`_swap`).
 
-        The swap (:meth:`_swap`) retires the current timeline's builds and
-        purges what the previous swap stranded; ``generation`` and
-        ``next_delta`` keep counting from the *maximum* of both timelines so
-        post-restore builds never reuse an abandoned prefix.  Raises
-        ``KeyError`` for an unknown snapshot and
+        ``generation`` and ``next_delta`` keep counting from the *maximum* of
+        both timelines, so later builds never reuse an abandoned prefix.  The
+        WAL drops every unflushed write and keeps its floor, or the
+        snapshot's when lower (the snapshot outlived a rebuild a crash cut
+        short); its pending deletes are the snapshot's, written first as one
+        tombstone record.
+        Raises ``KeyError`` for an unknown snapshot and
         :class:`SnapshotRestoreError` when the pinned blobs are gone.
         """
+        from repro.ingest.wal import encode_tombstones
+
         info = self.get_snapshot(snapshot)
         target = info.manifest
         missing = [
@@ -564,15 +759,23 @@ class AppendOnlyIndexManager:
         ]
         if missing:
             raise SnapshotRestoreError(self._base_index, snapshot, missing)
-        current = self.manifest()
-        self._swap(
-            current,
-            IndexManifest(
-                base_index=self._base_index,
+        record = encode_tombstones(info.tombstones) if info.tombstones else None
+
+        def restored(current: IndexManifest) -> IndexManifest:
+            # Under the lock: no WAL write holds a number at or above the
+            # reservation, so the record's number is no one else's.
+            counter, tombstones = current.reserved_end, ()
+            if record is not None:
+                self._store.put(tombstone_blob(self._base_index, counter), record)
+                counter, tombstones = counter + 1, (counter,)
+            return replace(
+                current.wal_from(counter, tombstones),
                 delta_indexes=target.delta_indexes,
                 generation=max(current.generation, target.generation),
                 active_base=target.active_base,
-                next_delta=max(current.next_delta or 0, target.next_delta or 0),
-            ),
-        )
+                next_delta=max(current.next_delta, target.next_delta),
+                floor=min(current.floor, target.floor),
+            )
+
+        self._swap(restored)
         return info

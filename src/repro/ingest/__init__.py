@@ -11,8 +11,9 @@ write path a serving node can expose:
 * :mod:`repro.ingest.wal` — every appended batch is persisted first as a
   write-ahead-log *segment* blob (plain line-delimited corpus bytes, so the
   segment doubles as the documents' permanent storage) whose one PUT commits
-  it; the ingest manifest reserves ranges of segment numbers and commits
-  deletes, updates and flushes; reopening a store replays unflushed segments;
+  it; the index's update manifest holds the WAL's state, reserves ranges of
+  segment numbers and commits deletes, updates and flushes; reopening a
+  store replays unflushed segments;
 * :class:`~repro.ingest.live.LiveIndex` — one index's write path: append →
   WAL → memtable, flush → delta index (via ``AppendOnlyIndexManager``),
   compact → generational base swap;
@@ -30,11 +31,10 @@ from repro.ingest.live import (
     LiveIndex,
 )
 from repro.ingest.memtable import Memtable, MemtableMember
-from repro.ingest.wal import IngestManifest, WriteAheadLog
+from repro.ingest.wal import WriteAheadLog
 
 __all__ = [
     "IngestCoordinator",
-    "IngestManifest",
     "IngestOverloadedError",
     "LiveIndex",
     "Memtable",

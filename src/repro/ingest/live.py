@@ -9,10 +9,11 @@ Lifecycle of an appended document (read-your-writes at every step):
    one takes over for concurrent appends), its documents are built into an
    Airphant delta index with ``AppendOnlyIndexManager.append`` (under the
    base's bin budget, accuracy target and seed), the catalog
-   is invalidated so the next open includes the delta, and only then are the
-   sealed memtable dropped and its WAL segments retired.  At no instant is a
-   document invisible; at worst it is briefly visible twice, which the
-   query executor's de-duplication by ``(blob, offset, length)`` absorbs.
+   is committed with the WAL's move past its segments in one manifest PUT,
+   the catalog is invalidated, and only then is the sealed memtable
+   dropped.  At no instant is a document invisible; at worst it is briefly
+   visible twice, which the query executor's de-duplication by
+   ``(blob, offset, length)`` absorbs.
 3. ``compact`` — deltas fold into a fresh generational base via the
    manager's atomic manifest swap (see :mod:`repro.index.updates`).
 
@@ -36,12 +37,12 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.index.store_layout import OpenedIndex
-from repro.index.updates import AppendOnlyIndexManager, IndexManifest
+from repro.index.updates import AppendOnlyIndexManager
 from repro.ingest.memtable import Memtable, MemtableMember
-from repro.ingest.wal import WriteAheadLog, encode_segment, encode_tombstones, ingest_manifest_blob
+from repro.ingest.wal import WriteAheadLog, encode_segment, encode_tombstones
 from repro.observability import MetricsRegistry
 from repro.parsing.documents import Posting
-from repro.storage.base import ObjectStore, RangeRead
+from repro.storage.base import ObjectStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.config import ServiceConfig
@@ -75,9 +76,8 @@ class IngestOverloadedError(RuntimeError):
 class LiveIndex:
     """The write path of one index: WAL, memtables, flush, compaction.
 
-    ``manifest`` (the update manifest) and ``fetched`` (WAL blobs, see
-    :class:`~repro.ingest.wal.WriteAheadLog`) are what the opener of the
-    index already read; without them the store is asked.
+    ``manager`` holds the index's live manifest (else a fresh one reads the
+    store); ``fetched`` is what the opener already read of the WAL.
     """
 
     def __init__(
@@ -87,9 +87,8 @@ class LiveIndex:
         config: "ServiceConfig",
         metrics: MetricsRegistry,
         invalidate: Callable[[str], None],
-        manifest: IndexManifest | None = None,
+        manager: AppendOnlyIndexManager | None = None,
         fetched: Mapping[str, bytes | None] | None = None,
-        maintenance_lock: threading.RLock | None = None,
     ) -> None:
         self._store = store
         self._index_name = index_name
@@ -97,24 +96,22 @@ class LiveIndex:
         self._invalidate = invalidate
         tokenizer = config.make_tokenizer()
         self._tokenizer_factory = config.make_tokenizer
-        self._wal = WriteAheadLog(store, index_name, fetched)
-        self._manager = AppendOnlyIndexManager(
-            store, base_index=index_name, tokenizer=tokenizer
-        )
+        self._manager = manager or AppendOnlyIndexManager(store, index_name, tokenizer=tokenizer)
+        self._wal = WriteAheadLog(store, index_name, self._manager, fetched)
         self._active = Memtable(tokenizer)
         self._sealed: list[Memtable] = []
-        # _commit_lock serializes every WAL write (store calls: segment,
-        # tombstone and manifest PUTs); _write_lock guards the memtables and
+        # _commit_lock (the manager's) serializes every WAL write and every
+        # manifest commit of the index; _write_lock guards the memtables and
         # tombstone set (short holds, no I/O — queries take it); the order
-        # is always commit before write.  _maintenance_lock serializes
-        # flushes/compactions (long holds) so a manual POST /flush and the
-        # background worker never interleave (IngestCoordinator.maintenance_lock).
-        self._commit_lock = threading.Lock()
+        # is always commit before write.  _maintenance_lock (the manager's)
+        # serializes flushes, compactions, rebuilds and restores (long holds)
+        # so a manual POST /flush and the background worker never interleave.
+        self._commit_lock = self._manager.lock
         self._write_lock = threading.RLock()
-        self._maintenance_lock = maintenance_lock or threading.RLock()
-        if manifest is None:
-            manifest = self._manager.manifest()
-        self._delta_count = len(manifest.delta_indexes)
+        self._maintenance_lock = self._manager.maintenance_lock
+        #: Set once a rebuild or restore replaced this write state.
+        self._discarded = False
+        self._delta_count = len(self._manager.manifest().delta_indexes)
         # Pending deletes, keyed by tombstone record blob; the flattened
         # frozenset is what query-time filtering and flush-survivor selection
         # read (swapped atomically under the write lock on every mutation).
@@ -278,8 +275,10 @@ class LiveIndex:
         self._tombstones_gauge.set(tombstones, index=self._index_name)
         return documents
 
-    def clear_gauges(self) -> None:
-        """Drop this index's occupancy series (the index is being discarded)."""
+    def discard(self) -> None:
+        """Flush and compact no more (the caller, holding the maintenance
+        lock, replaced this write state), and drop the occupancy series."""
+        self._discarded = True
         self._memtable_docs_gauge.remove(index=self._index_name)
         self._memtable_bytes_gauge.remove(index=self._index_name)
         self._tombstones_gauge.remove(index=self._index_name)
@@ -462,18 +461,21 @@ class LiveIndex:
 
         The delta is built from the sealed memtable's statistics, through
         ``build_from_stats`` as compaction's: nothing is tokenized again.
-        Deletes interact here in two ways: documents tombstoned before the
-        seal are dropped from the sealed memtable, so they do not reappear
-        in the persisted tier, and a memtable fully emptied by deletes still
-        retires its WAL segments — the tombstone records, not the segments,
-        carry the deletes forward.
+        One manifest PUT commits it with the WAL's move past the sealed
+        segments.  Deletes interact here in two ways: documents
+        tombstoned before the seal are dropped from the sealed memtable, so
+        they do not reappear in the persisted tier, and a memtable fully
+        emptied by deletes still retires its WAL segments — the tombstone
+        records, not the segments, carry the deletes forward.
         """
         started = time.perf_counter()
         with self._maintenance_lock:
+            if self._discarded:
+                return None
             # The commit lock makes the seal exact: every segment the WAL
             # holds unflushed has its documents in the memtable sealed here.
             with self._commit_lock, self._write_lock:
-                segments = self._wal.unflushed
+                segments, retire = self._wal.seal()
                 if len(self._active) == 0 and not segments:
                     return None
                 sealed = self._active
@@ -482,17 +484,20 @@ class LiveIndex:
                 sealed.remove(self._tombstone_set)
             survivors = sealed.statistics()
             built = None
-            if survivors.num_documents:
-                try:
-                    built = self._manager.append(survivors, corpus_name="ingest")
-                except BaseException:
-                    # Undo the seal: the documents return to the (new) active
-                    # memtable — still searchable, still WAL-covered — so the
-                    # next flush retries them.
-                    with self._write_lock:
-                        self._sealed.remove(sealed)
-                        self._active.absorb(sealed)
-                    raise
+            try:
+                if survivors.num_documents:
+                    built = self._manager.append(survivors, corpus_name="ingest", wal=retire)
+                else:
+                    self._manager.commit(retire)
+            except BaseException:
+                # Undo the seal: the documents return to the (new) active
+                # memtable — still searchable, still WAL-covered — so the
+                # next flush retries them.
+                with self._write_lock:
+                    self._sealed.remove(sealed)
+                    self._active.absorb(sealed)
+                raise
+            if built is not None:
                 self._delta_count += 1
                 # New delta first, then drop the sealed memtable: queries in
                 # the gap see the documents twice (de-duplicated), never zero
@@ -500,8 +505,6 @@ class LiveIndex:
                 self._invalidate(self._index_name)
             with self._write_lock:
                 self._sealed.remove(sealed)
-            with self._commit_lock:
-                self._wal.retire(segments)
         elapsed = time.perf_counter() - started
         self._flushes_metric.inc(index=self._index_name)
         self._flush_seconds_metric.observe(elapsed)
@@ -527,28 +530,33 @@ class LiveIndex:
 
         This is where deletes become physical: the rebuild excludes every
         tombstoned reference, so the new generation — including its ranking
-        stats — contains only surviving documents, and the applied tombstone
-        records are retired from the WAL afterwards.  Tombstones committed
-        *during* the rebuild are not retired; they keep filtering until the
-        next compaction.
+        stats — contains only surviving documents, and the swap's one
+        manifest PUT drops the applied tombstone records.  Only deletes
+        committed before the flush are applied: a later one may condemn a
+        document whose segment the WAL still holds unflushed, and must keep
+        filtering it after a replay.
         """
         started = time.perf_counter()
         with self._maintenance_lock:
-            self.flush()
-            manifest = self._manager.manifest()
+            if self._discarded:
+                return None
             with self._write_lock:
                 tombstone_records = tuple(self._tombstones.keys())
                 tombstone_refs = self._tombstone_set
+            self.flush()
+            manifest = self._manager.manifest()
             if not manifest.delta_indexes and not tombstone_refs:
                 return None
             folded = len(manifest.delta_indexes)
             built = self._manager.compact(
-                corpus_name="compacted", exclude=tombstone_refs
+                corpus_name="compacted",
+                exclude=tombstone_refs,
+                applied=frozenset(tombstone_records),
             )
+            # Swaps hold the maintenance lock: this compaction's manifest.
+            generation = self._manager.manifest().generation
             self._delta_count = 0
             self._invalidate(self._index_name)
-            with self._commit_lock:
-                self._wal.retire_tombstones(tombstone_records)
             with self._write_lock:
                 for record in tombstone_records:
                     self._tombstones.pop(record, None)
@@ -559,11 +567,10 @@ class LiveIndex:
         self._compactions_metric.inc(index=self._index_name)
         self._compact_seconds_metric.observe(elapsed)
         self._update_gauges()
-        manager_manifest = self._manager.manifest()
         return {
             "index": self._index_name,
             "deltas_folded": folded,
-            "generation": manager_manifest.generation,
+            "generation": generation,
             "base": built.index_name,
             "tombstones_purged": len(tombstone_refs),
             "seconds": elapsed,
@@ -592,8 +599,8 @@ class IngestCoordinator:
         self._metrics = metrics
         self._invalidate = invalidate
         self._lives: dict[str, LiveIndex] = {}
-        #: Per name, the lock every manifest swap of this process holds.
-        self._maintenance: dict[str, threading.RLock] = {}
+        #: Per name, the manager holding its live manifest in this process.
+        self._managers: dict[str, AppendOnlyIndexManager] = {}
         #: Names already probed for leftover WAL state (one probe per name).
         self._probed: set[str] = set()
         self._lock = threading.RLock()
@@ -608,11 +615,22 @@ class IngestCoordinator:
     # -- registry -----------------------------------------------------------------
 
     def maintenance_lock(self, name: str) -> threading.RLock:
-        """The lock ``name``'s manifest swaps in this process — flush,
-        compaction, rebuild, restore — hold from manifest read to PUT; it
-        outlives the name's live index, which a rebuild or restore discards."""
+        """The lock ``name``'s flushes, compactions, rebuilds and restores in
+        this process hold throughout (its manager's); it outlives the name's
+        live index, which a rebuild or restore discards."""
+        return self.manager(name).maintenance_lock
+
+    def manager(self, name: str, opened: OpenedIndex | None = None) -> AppendOnlyIndexManager:
+        """The one manager every write of ``name`` in this process commits
+        through, made on first use (from ``opened``'s manifest when given);
+        it outlives the name's live index."""
         with self._lock:
-            return self._maintenance.setdefault(name, threading.RLock())
+            if name not in self._managers:
+                manifest = opened.manifest if opened is not None else None
+                self._managers[name] = AppendOnlyIndexManager(
+                    self._store, name, tokenizer=self._config.make_tokenizer(), manifest=manifest
+                )
+            return self._managers[name]
 
     def probed(self, name: str) -> bool:
         """Whether ``name``'s leftover WAL state has been looked for already."""
@@ -629,49 +647,33 @@ class IngestCoordinator:
         unflushed WAL segments and replays them — this is the crash-recovery
         path, and it also serves reopened processes.  ``opened`` is an
         :func:`~repro.index.store_layout.open_index` of ``name`` that probed
-        the ingest manifest: the first touch then reads nothing further.
+        the WAL: the first touch then reads nothing further.
         """
         with self._lock:
             existing = self._lives.get(name)
             if existing is not None:
                 return existing
-            manifest_blob = ingest_manifest_blob(name)
-            fetched: dict[str, bytes | None] = {}
-            if name not in self._probed:
-                # Mark probed only after the probe (and replay below)
-                # succeed: a transient store failure here must leave the
-                # leftover-WAL check pending, not silently skipped forever.
-                if opened is not None:
-                    fetched = {manifest_blob: opened.ingest, **opened.wal}
-                else:
-                    probe = RangeRead(manifest_blob, optional=True)
-                    fetched = {manifest_blob: self._store.read(probe)}
-            has_wal = fetched.get(manifest_blob) is not None
-            if not create and not has_wal:
+            if not create and name in self._probed:
+                return None
+            # Mark probed only after the probe (and replay below) succeed: a
+            # transient store failure here must leave the leftover-WAL check
+            # pending, not silently skipped forever.
+            manager = self.manager(name, opened)
+            if not create and not manager.manifest().has_wal:
                 self._probed.add(name)
                 return None
+            fetched = opened.wal if opened is not None else None
             live = LiveIndex(
-                self._store,
-                name,
-                self._config,
-                self._metrics,
-                self._invalidate,
-                opened.manifest if opened is not None else None,
-                fetched,
-                self.maintenance_lock(name),
+                self._store, name, self._config, self._metrics, self._invalidate, manager, fetched
             )
             # Always: a WAL that has not replayed its range may not retire
-            # past it (without a manifest this reads nothing).
+            # past it.
             live.replay()
             self._probed.add(name)
-            if (
-                not create
-                and live.memtable_documents() == 0
-                and not live.tombstone_refs()
-            ):
-                # The WAL manifest exists but everything was flushed and no
-                # deletes are pending: no write state to serve; queries stay
-                # on the persisted view.
+            if not create and live.memtable_documents() == 0 and not live.tombstone_refs():
+                # The reserved range holds no segment and no deletes are
+                # pending: no write state to serve; queries stay on the
+                # persisted view.
                 return None
             self._lives[name] = live
             self._ensure_worker()
@@ -682,22 +684,16 @@ class IngestCoordinator:
         live = self.live(name)
         return live.tombstone_refs() if live is not None else frozenset()
 
-    def discard(self, name: str, destroy_wal: bool = False) -> None:
-        """Forget ``name``'s live state (full rebuild path).
-
-        ``destroy_wal=True`` also deletes its WAL segments — only valid when
-        the whole index is rebuilt from scratch, making the old documents
-        (and hence the segment blobs holding their bytes) garbage.
-        """
+    def discard(self, name: str) -> None:
+        """Forget ``name``'s live state: a rebuild or restore, holding the
+        maintenance lock, just replaced it in the manifest."""
         with self._lock:
             live = self._lives.pop(name, None)
             if live is not None:
                 # A rebuilt index must not keep reporting phantom memtable
                 # occupancy from its discarded predecessor.
-                live.clear_gauges()
+                live.discard()
             self._probed.discard(name)
-            if destroy_wal:
-                WriteAheadLog(self._store, name).destroy()
 
     def lives(self) -> list[LiveIndex]:
         """Every currently tracked live index."""
@@ -769,5 +765,5 @@ class IngestCoordinator:
         # Serialize with any maintenance that was mid-flight when the stop
         # flag was set (manual flush/compact callers hold the same locks).
         for live in self.lives():
-            with live._maintenance_lock:
+            with self.maintenance_lock(live.index_name):
                 pass

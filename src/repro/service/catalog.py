@@ -29,7 +29,6 @@ from repro.index.store_layout import (
     is_index_name,
     open_index,
 )
-from repro.index.updates import IndexManifest
 from repro.search.searcher import AirphantSearcher
 from repro.service.api import IndexInfo
 from repro.service.config import ServiceConfig
@@ -115,8 +114,8 @@ class IndexCatalog:
             )
         except BlobNotFoundError:
             raise KeyError(name) from None
-        if found.manifest == IndexManifest(base_index=name):
-            self._manifested.discard(name)  # nothing was written: the build is in place
+        if found.manifest.in_place:
+            self._manifested.discard(name)  # no build was written: the base is in place
         else:
             self._manifested.add(name)
         return found
@@ -129,8 +128,8 @@ class IndexCatalog:
         stall queries to every index that is already in memory.
 
         A cold open hands ``ingest`` — when it has not looked for ``name``'s
-        leftover WAL state yet — the ingest manifest and the WAL blobs that
-        rode the open's waves, so recovery reads nothing of its own.
+        leftover WAL state yet — the manifest and the WAL blobs that rode
+        the open's waves, so recovery reads nothing of its own.
 
         Raises ``KeyError`` if no such index exists in the store.
         """

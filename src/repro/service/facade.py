@@ -40,9 +40,8 @@ from repro.index.store_layout import (
     UnsupportedIndexFormatError,
     is_index_name,
 )
-from repro.index.updates import AppendOnlyIndexManager, SnapshotRestoreError
+from repro.index.updates import SnapshotRestoreError
 from repro.ingest.live import IngestCoordinator, IngestOverloadedError
-from repro.ingest.wal import WriteAheadLog
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Posting
 from repro.search.member import Member
@@ -678,8 +677,7 @@ class AirphantService:
                 # No write state this process and nothing replayable: only
                 # pre-existing deltas (e.g. built offline via the manager)
                 # would justify registering a live index + worker here.
-                manifest = AppendOnlyIndexManager(self.store, base_index=index).manifest()
-                if not manifest.delta_indexes:
+                if not self._ingest.manager(index).refresh().delta_indexes:
                     return {"index": index, "compacted": False, "deltas_folded": 0}
                 live = self._ingest.live(index, create=True)
             outcome = live.compact()
@@ -688,11 +686,6 @@ class AirphantService:
         return {"compacted": True, **outcome}
 
     # -- snapshots ---------------------------------------------------------------------
-
-    def _manager(self, index: str, config: SketchConfig | None = None) -> AppendOnlyIndexManager:
-        return AppendOnlyIndexManager(
-            self.store, index, config, tokenizer=self._config.make_tokenizer()
-        )
 
     def create_snapshot(self, index: str, snapshot: str) -> dict[str, Any]:
         """Create (or overwrite) a named point-in-time snapshot of ``index``.
@@ -710,7 +703,7 @@ class AirphantService:
                 live.flush()
                 tombstones = sorted(live.tombstone_refs())
             try:
-                info = self._manager(index).create_snapshot(snapshot, tombstones)
+                info = self._ingest.manager(index).create_snapshot(snapshot, tombstones)
             except ValueError as error:
                 raise ServiceError(400, "bad_snapshot_name", str(error)) from error
         return {
@@ -726,7 +719,7 @@ class AirphantService:
         """Describe every snapshot of ``index`` (404 for unknown indexes)."""
         with _STORE_ERRORS:
             self._require_index(index)
-            infos = self._manager(index).list_snapshots()
+            infos = self._ingest.manager(index).list_snapshots()
         return [
             {
                 "snapshot": info.snapshot,
@@ -742,35 +735,36 @@ class AirphantService:
         """Roll ``index`` back to a snapshot (point-in-time restore).
 
         One atomic manifest PUT re-points the index at the frozen base +
-        delta set, under the index's maintenance lock, so no flush or
-        compaction of this process interleaves; the WAL is reset to the
-        snapshot's write state (its tombstones pending again, every later
-        append abandoned) and the live registry and catalog caches are
-        invalidated so the next query serves the restored timeline.  Raises
+        delta set and resets the WAL to the snapshot's write state (its
+        tombstones pending again, every later append abandoned), under the
+        index's maintenance lock, so no flush or compaction of this process
+        interleaves; the live registry and catalog caches are invalidated so
+        the next query serves the restored timeline.  Raises
         :class:`ServiceError` 404 for unknown indexes/snapshots and 409 when
         the snapshot's blobs no longer exist.
         """
         with _STORE_ERRORS, self._ingest.maintenance_lock(index):
             self._require_index(index)
+            manager = self._ingest.manager(index)
             try:
-                info = self._manager(index).restore_snapshot(snapshot)
+                info = manager.restore_snapshot(snapshot)
             except KeyError:
                 raise ServiceError(
                     404, "snapshot_not_found", f"index {index!r} has no snapshot {snapshot!r}"
                 ) from None
             except SnapshotRestoreError as error:
                 raise ServiceError(409, "snapshot_unrestorable", str(error)) from error
-            # Abandon the live write state *after* the manifest swap: the
-            # restored WAL carries exactly the snapshot's tombstones, and the
-            # next touch of the index replays from it.
+            # Abandon the live write state *after* the swap: the next touch
+            # replays the restored WAL.  Swaps hold this lock: the manifest is
+            # the restore's.
             self._ingest.discard(index)
-            WriteAheadLog(self.store, index).restore(info.tombstones)
             self._catalog.invalidate(index)
+            generation = manager.manifest().generation
         return {
             "index": index,
             "snapshot": info.snapshot,
             "restored": True,
-            "generation": self._manager(index).manifest().generation,
+            "generation": generation,
             "tombstones": len(info.tombstones),
         }
 
@@ -779,7 +773,7 @@ class AirphantService:
         with _STORE_ERRORS:
             self._require_index(index)
             try:
-                self._manager(index).delete_snapshot(snapshot)
+                self._ingest.manager(index).delete_snapshot(snapshot)
             except KeyError:
                 raise ServiceError(
                     404, "snapshot_not_found", f"index {index!r} has no snapshot {snapshot!r}"
@@ -833,16 +827,18 @@ class AirphantService:
         except ValueError as error:
             # A bad num_shards — the request is at fault.
             raise ServiceError(400, "bad_build_request", str(error)) from error
-        manager = self._manager(name, sketch_config)
         # A read-only backend (static http:// export) surfaces as 400
         # store_read_only through _STORE_ERRORS.
         with _STORE_ERRORS:
             table = LineDelimitedCorpusParser().table(self.store, blobs)
             with self._ingest.maintenance_lock(name):
-                manager.build_base(table, corpus_name=name, num_shards=num_shards)
-                # Snapshots and unflushed WAL segments describe documents
+                manager = self._ingest.manager(name)
+                manager.build_base(
+                    table, corpus_name=name, num_shards=num_shards, config=sketch_config
+                )
+                # Snapshots and the live write state describe documents
                 # that are no longer part of this index.
                 manager.delete_all_snapshots()
-                self._ingest.discard(name, destroy_wal=True)
+                self._ingest.discard(name)
         self._catalog.invalidate(name)
         return self.index_info(name)

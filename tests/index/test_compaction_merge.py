@@ -135,12 +135,11 @@ def test_compaction_reads_only_manifests_and_one_wave_of_statistics(shards):
     )
 
     reads = [call for call in recording.calls if call[0] in ("get", "get_range", "read_batch")]
-    assert [call[:2] for call in reads] == [
-        ["get", "live/manifest.json"],
-        ["read_batch", ""],
-        ["read_batch", ""],
-    ]
-    headers, stats = _waves(recording.calls)
+    assert [call[:2] for call in reads] == [["read_batch", ""]] * 4
+    manifest, headers, stats, committed = _waves(recording.calls)
+    assert manifest == ["live/manifest.json", "live/ingest/ingest.json"]
+    # The swap's commit reads the manifest again before its PUT.
+    assert committed == ["live/manifest.json"]
     # Every member's header (a sharded base's one header holds its shards'
     # split and manifest), then every member's one stats blob.
     assert sorted(headers) == sorted(f"{member}/header.json" for member in members)

@@ -1,6 +1,6 @@
 """A blob that vanishes between a probe and the read is "not there", typed.
 
-``AppendOnlyIndexManager.manifest``, ``WriteAheadLog.manifest`` and
+``AppendOnlyIndexManager.manifest`` (which holds the WAL's state too) and
 ``get_snapshot`` used to ask ``exists`` and then ``get``: two round trips,
 and a window in which a concurrent purge, reset or ``delete_snapshot`` turned
 a clean "not there" into an uncaught ``BlobNotFoundError`` (a 500 where the
@@ -14,8 +14,9 @@ from __future__ import annotations
 import pytest
 from harness.crashpoints import FaultPointStore
 
+from repro.index.store_layout import update_manifest_blob_name
 from repro.index.updates import AppendOnlyIndexManager, IndexManifest
-from repro.ingest.wal import IngestManifest, WriteAheadLog, encode_segment
+from repro.ingest.wal import WriteAheadLog, encode_segment
 from repro.parsing.documents import Document, Posting
 from repro.storage.base import BlobNotFoundError
 from repro.storage.memory import InMemoryObjectStore
@@ -52,21 +53,20 @@ def test_update_manifest_is_read_once_and_a_purged_one_is_the_empty_manifest():
     manager.build_base(_documents(store))  # the rebuild's swap writes the manifest
     written = manager.manifest()
     assert written.generation == 1 and store.probes == 0  # never probed, never purged
-    store.backend.delete(manager.manifest_blob)  # purged under the reader
-    assert manager.manifest() == IndexManifest(base_index="idx")
+    store.backend.delete(update_manifest_blob_name("idx"))  # purged under the reader
+    assert AppendOnlyIndexManager(store, "idx").manifest() == IndexManifest(base_index="idx")
     assert store.probes == 0
 
 
-def test_ingest_manifest_is_read_once_and_a_purged_one_is_the_empty_manifest():
+def test_the_wal_state_is_read_once_and_a_purged_one_is_the_empty_manifest():
     store = PurgedAfterProbe(InMemoryObjectStore())
     wal = WriteAheadLog(store, "idx")
     blob = wal.append(encode_segment(["one document"])).blob
     reopened = WriteAheadLog(store, "idx")
-    assert blob in reopened.manifest().segments("idx")
+    assert blob in reopened.manifest().segments()
     assert [segment.texts for segment in reopened.replay()] == [["one document"]]
-    store.backend.delete(wal.manifest_blob)  # a rebuild destroyed the WAL meanwhile
-    assert WriteAheadLog(store, "idx").manifest() == IngestManifest()
-    assert reopened.manifest(refresh=True) == IngestManifest()
+    store.backend.delete(update_manifest_blob_name("idx"))  # purged under the reader
+    assert WriteAheadLog(store, "idx").manifest() == IndexManifest(base_index="idx")
     assert store.probes == 0
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import SketchConfig
+from repro.index.store_layout import update_manifest_blob_name
 from repro.index.updates import AppendOnlyIndexManager
 from repro.parsing.corpus import LineDelimitedCorpusParser
 
@@ -34,7 +35,7 @@ class TestManifest:
 
     def test_a_fresh_base_is_built_in_place_without_a_manifest(self, manager, sim_store):
         assert manager.manifest().all_indexes == ["logs"]
-        assert not sim_store.exists(manager.manifest_blob)
+        assert not sim_store.exists(update_manifest_blob_name("logs"))
         assert sim_store.exists("logs/header.json")
 
     def test_append_registers_delta(self, manager, sim_store):

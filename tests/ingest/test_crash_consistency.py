@@ -8,16 +8,15 @@ state must honour the WAL contract:
 
 * an **acknowledged** operation (commit-point PUT reached the store)
   survives the crash — for an append that is its segment PUT, for a
-  delete, an update and a flush the ingest-manifest PUT;
+  delete, an update, a flush and a compaction the one manifest PUT;
 * an **unacknowledged** operation (killed before the commit point) vanishes
   without a trace on the query path, and so does a killed segment-block
   reservation;
 * a hole in the probed segment range (an append whose PUT failed) does not
   end the log: later acknowledged appends still replay;
-* a crash *between* the index-manifest swap and the WAL retire leaves
-  documents transiently in both a delta and the replayed memtable — the
-  query path deduplicates by reference, so answers still equal a fresh
-  rebuild.
+* a flush commits its delta and the WAL's move past the flushed segments
+  in that one PUT, so no crash leaves a document in both a delta and the
+  replayed WAL: the next flush makes no second delta.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ CORPUS = b"error disk full\ninfo service ok\nwarn slow response\n"
 
 BASE_REF = Posting(blob="corpus/base.txt", offset=0, length=15)
 
-#: Commit point of a delete, an update and a flush (the WAL manifest swap),
-#: and the segment-block reservation of an append.
-COMMIT = "ingest/ingest.json"
+#: Commit point of a delete, an update, a flush and a compaction, and the
+#: segment-block reservation of an append: the index's one manifest.
+COMMIT = "idx/manifest.json"
 #: Commit point of an append: its segment PUT.
 SEGMENT = "ingest/seg-"
 
@@ -230,36 +229,29 @@ class TestFlushCrashes:
             "info fresh two",
         }
 
-    def test_killed_between_manifest_swap_and_wal_retire_deduplicates(self):
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_killed_at_the_flush_commit_flushes_into_one_delta(self, when):
         store = _store()
         live = _live(store)
         live.append(["error fresh one"])
-        # The delta is committed into the index manifest, but the WAL's
-        # first unflushed number was not moved past the segment: recovery
-        # replays it into the memtable, so the document transiently exists
-        # in two tiers.
-        store.arm("put", COMMIT, when="before")
+        # The delta and the WAL's move past its segment are one PUT: killed
+        # before it, the segment replays and no delta exists; after it, the
+        # delta holds the document and nothing replays.
+        point = store.arm("put", COMMIT, when=when)
         with pytest.raises(SimulatedCrash):
             live.flush()
+        assert point.fired
         recovered = _restart(store)
-        assert recovered.memtable_documents() == 1
-        assert recovered.manager.manifest().delta_indexes != ()
-        searcher = recovered.manager.open_searcher()
-        members = [*recovered.memtable_members(), *searcher.searchers]
-        hits = [
-            d
-            for m in members
-            for d in searcher.with_members([m]).search("fresh").documents
-        ]
-        # Both tiers answer, but they answer with the *same reference* — the
-        # query path's posting-keyed merge keeps exactly one copy.
-        assert {(d.blob, d.offset, d.length) for d in hits} == {
-            (hits[0].blob, hits[0].offset, hits[0].length)
-        }
-        searcher.close()
-        # The next flush retires the replayed segment for good.
+        assert recovered.memtable_documents() == (1 if when == "before" else 0)
+        assert _visible_texts(recovered, "fresh") == {"error fresh one"}
+        # A flush after the restart: one delta holds the document, as in a
+        # run without the crash.
         recovered.flush()
         assert recovered.wal.unflushed == ()
+        assert len(recovered.manager.manifest().delta_indexes) == 1
+        assert len(store.backend.list_blobs(prefix="idx/delta-")) == len(
+            store.backend.list_blobs(prefix="idx/delta-0000/")
+        )
         assert _restart(store).memtable_documents() == 0
 
     def test_failed_flush_with_concurrent_delete_keeps_exactly_survivors(self):
@@ -298,7 +290,7 @@ class TestCompactCrashes:
         live.append(["error fresh one"])
         live.flush()
         live.delete([BASE_REF])
-        store.arm("put", "idx/manifest.json")
+        store.arm("put", COMMIT)
         with pytest.raises(SimulatedCrash):
             live.compact()
         recovered = _restart(store)
@@ -310,23 +302,22 @@ class TestCompactCrashes:
         assert "error fresh one" in visible
         assert "error disk full" not in visible
 
-    def test_killed_after_swap_before_tombstone_retire_stays_filtered(self):
+    def test_killed_after_swap_drops_the_applied_tombstones_with_it(self):
         store = _store()
         live = _live(store)
         live.delete([BASE_REF])
-        store.arm("put", "idx/manifest.json", when="after")
+        store.arm("put", COMMIT, when="after")
         with pytest.raises(SimulatedCrash):
             live.compact()
         recovered = _restart(store)
-        # The new generation no longer holds the document *and* the WAL
-        # still lists the tombstone — filtering is idempotent, so the
-        # answer is the same either way, and the next compaction retires it.
-        assert recovered.tombstone_refs() == frozenset({BASE_REF})
+        # The swap's one PUT installed the new generation, which no longer
+        # holds the document, and dropped the tombstone it applied.
+        assert recovered.tombstone_refs() == frozenset()
         assert "error disk full" not in _visible_texts(recovered, "error")
         recovered.append(["error fresh one"])
         recovered.compact()
-        assert recovered.tombstone_refs() == frozenset()
         assert "error disk full" not in _visible_texts(recovered, "error")
+        assert "error fresh one" in _visible_texts(recovered, "error")
 
 
 class TestSnapshotCrashes:
@@ -346,7 +337,7 @@ class TestSnapshotCrashes:
         live.append(["error fresh one"])
         live.flush()
         before = live.manager.manifest()
-        store.arm("put", "idx/manifest.json")
+        store.arm("put", COMMIT)
         with pytest.raises(SimulatedCrash):
             live.manager.restore_snapshot("s1")
         store.disarm()

@@ -316,12 +316,17 @@ class TestCoordinator:
         assert live.delta_count == 0
         coordinator.close()
 
-    def test_discard_with_destroy_removes_wal(self):
+    def test_discard_forgets_the_live_state_and_keeps_the_wal(self):
         store = InMemoryObjectStore()
         _base(store)
         coordinator, _ = self._coordinator(store)
-        coordinator.live("idx", create=True).append(["error fresh one"])
-        coordinator.discard("idx", destroy_wal=True)
-        assert store.list_blobs(prefix="idx/ingest/") == []
-        assert coordinator.live("idx") is None
+        discarded = coordinator.live("idx", create=True)
+        discarded.append(["error fresh one"])
+        coordinator.discard("idx")
+        # A discarded index is maintained no more; its WAL blobs leave only
+        # through a swap's purge, once no manifest names them.
+        assert discarded.flush() is None and discarded.compact() is None
+        assert store.list_blobs(prefix="idx/ingest/seg-")
+        # The manifest still names the WAL: the next touch replays it.
+        assert coordinator.live("idx").memtable_documents() == 1
         coordinator.close()

@@ -2,8 +2,8 @@
 
 Queries take :class:`~repro.ingest.live.LiveIndex`'s write lock to snapshot
 the memtables and the pending deletes; every PUT of the write path — segment,
-block reservation, tombstone record, manifest commit — runs under the commit
-lock instead.  A store whose PUTs park until released pins that: a search on
+tombstone record, and the manifest commit of a block reservation or a
+delete — runs under the commit lock instead.  A store whose PUTs park until released pins that: a search on
 the same service answers while an append, then a delete, hangs in its PUT.
 """
 
@@ -62,7 +62,7 @@ def _search_returns(service: AirphantService, query: str) -> set[str]:
     return {document.text for document in outcome[0]}
 
 
-@pytest.mark.parametrize("pattern", ["ingest/ingest.json", "idx/ingest/"])
+@pytest.mark.parametrize("pattern", ["idx/manifest.json", "idx/ingest/"])
 def test_a_search_returns_while_an_append_and_a_delete_are_parked(pattern):
     backend = InMemoryObjectStore()
     corpus = generate_log_corpus(backend, "hdfs", 60, seed=11)

@@ -129,21 +129,29 @@ class TestDurability:
         service.build_index("idx", ["corpus/base.txt"], sketch_config=SketchConfig(num_bins=64))
         assert _texts(service, "fresh") == set()
         assert _texts(service, "leftover") == set()
-        assert store.list_blobs(prefix="idx/ingest/") == []
         # The old base and delta are retired (one swap of grace for readers
-        # that hold the old manifest), not referenced.
+        # that hold the old manifest), not referenced; so is the old WAL,
+        # whose segments the old delta points into.
         manifest = AppendOnlyIndexManager(store, "idx").manifest()
         assert manifest.all_indexes == ["idx/gen-00000001"]
         assert set(manifest.retired) == {"idx", "idx/delta-0000"}
+        assert (manifest.retired_floor, manifest.floor) == (0, manifest.reserved_end)
+        assert not manifest.has_wal
+        assert len(store.list_blobs(prefix="idx/ingest/seg-")) == 2
         # The discarded predecessor's occupancy gauges go with it: no
         # phantom memtable documents on a freshly rebuilt index.
         gauge = service.metrics.gauge("airphant_memtable_documents", label_names=("index",))
         assert gauge.series() == {}
         # Post-rebuild deltas never reuse a retired prefix: numbering stays
         # monotonic across the rebuild.
-        service.append_documents("idx", ["info post rebuild"])
+        appended = service.append_documents("idx", ["info post rebuild"])
         flushed = service.flush_index("idx")
         assert flushed["delta"] == "idx/delta-0001"
+        # The next swap purges the old WAL with the old builds; the WAL it
+        # retires in turn keeps its grace.
+        service.build_index("idx", ["corpus/base.txt"], sketch_config=SketchConfig(num_bins=64))
+        assert store.list_blobs(prefix="idx/ingest/") == [appended["wal_segment"]]
+        assert store.list_blobs(prefix="idx/delta-0000/") == []
         service.close()
 
     def test_read_only_store_append_is_a_typed_400(self, monkeypatch):

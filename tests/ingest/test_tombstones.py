@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
+from repro.index.updates import AppendOnlyIndexManager
 from repro.ingest.live import IngestCoordinator, IngestOverloadedError, LiveIndex
 from repro.ingest.memtable import Memtable, memtable_from_documents
 from repro.ingest.wal import (
@@ -83,27 +84,20 @@ class TestTombstoneRecords:
         blob = wal.append_tombstones(encode_tombstones([BASE_REFS[0]]))
         assert blob == "idx/ingest/tomb-00000000.json"
         assert store.exists(blob)
-        assert wal.manifest().tombstone_segments == (blob,)
+        assert wal.manifest().tombstones == (0,)
         assert wal.load_tombstones() == {blob: (BASE_REFS[0],)}
 
-    def test_segment_retire_keeps_tombstones(self):
+    def test_a_flush_keeps_tombstones(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
-        segment = wal.append(encode_segment(["error fresh one"])).blob
+        wal.append(encode_segment(["error fresh one"]))
         tomb = wal.append_tombstones(encode_tombstones([BASE_REFS[0]]))
-        manifest = wal.retire((segment,))
-        assert manifest.segments("idx") == ()
+        _, retire = wal.seal()
+        manifest = wal.manager.commit(retire)
+        assert manifest.segments() == ()
         # Tombstones outlive the flush that retires their era's segments:
         # only compaction (which physically drops the documents) retires them.
-        assert manifest.tombstone_segments == (tomb,)
-
-    def test_retire_tombstones_drops_manifest_entry_then_blob(self):
-        store = InMemoryObjectStore()
-        wal = WriteAheadLog(store, "idx")
-        tomb = wal.append_tombstones(encode_tombstones([BASE_REFS[0]]))
-        manifest = wal.retire_tombstones([tomb])
-        assert manifest.tombstone_segments == ()
-        assert not store.exists(tomb)
+        assert manifest.recovery_blobs() == (tomb,)
 
     def test_update_commit_is_one_manifest_swap(self):
         store = InMemoryObjectStore()
@@ -114,29 +108,31 @@ class TestTombstoneRecords:
         assert texts == ["replacement text"]
         # Both blobs land first, then one manifest PUT lists both; the
         # replacement is named outside the probed segment range.
-        puts = [name for name in store.list_blobs(prefix="idx/ingest/")]
-        assert sorted(puts) == sorted(["idx/ingest/ingest.json", segment, tomb])
+        assert sorted(store.list_blobs()) == sorted(["idx/manifest.json", segment, tomb])
         assert segment == "idx/ingest/upd-00000000.log"
         manifest = wal.manifest()
-        assert manifest.listed_segments == (segment,)
-        assert manifest.tombstone_segments == (tomb,)
+        assert (manifest.updates, manifest.tombstones) == ((0,), (1,))
         assert manifest.reserved_end == 2
 
     def test_restore_resets_segments_but_preserves_counter(self):
         store = InMemoryObjectStore()
-        wal = WriteAheadLog(store, "idx")
-        wal.append(encode_segment(["error one"]))
-        wal.append_tombstones(encode_tombstones([BASE_REFS[0]]))
-        before = wal.manifest().reserved_end
-        manifest = wal.restore([BASE_REFS[1]])
-        assert manifest.segments("idx") == ()
+        _base(store)
+        live = _live(store)
+        live.manager.create_snapshot("s", [BASE_REFS[1]])
+        live.append(["error one"])
+        live.delete([BASE_REFS[0]])
+        before = live.wal.manifest().reserved_end
+        live.manager.restore_snapshot("s")
+        manifest = live.manager.manifest()
+        assert manifest.segments() == ()
         # One fresh record holding exactly the restored tombstones.
-        assert len(manifest.tombstone_segments) == 1
-        assert wal.load_tombstones(refresh=True) == {
-            manifest.tombstone_segments[0]: (BASE_REFS[1],)
+        assert len(manifest.tombstones) == 1
+        assert WriteAheadLog(store, "idx").load_tombstones() == {
+            manifest.recovery_blobs()[0]: (BASE_REFS[1],)
         }
         # The counter never rewinds: blobs from the abandoned timeline are
         # permanent document storage and must not be overwritten.
+        assert manifest.tombstones[0] >= before
         assert manifest.reserved_end > before
 
 
@@ -280,8 +276,8 @@ class TestLiveUpdate:
         assert texts == {"error replacement text"}
         # One manifest swap carries both the new segment and the tombstone.
         manifest = live.wal.manifest()
-        assert outcome["wal_segment"] in manifest.listed_segments
-        assert outcome["tombstone_record"] in manifest.tombstone_segments
+        assert outcome["wal_segment"] in manifest.segments()
+        assert outcome["tombstone_record"] in manifest.recovery_blobs()
         assert new_ref.blob == outcome["wal_segment"]
 
     def test_update_of_memtable_document_swaps_in_place(self):
@@ -325,7 +321,7 @@ class TestTombstonesEncodedOnce:
         live.update(BASE_REFS[2], "warn replacement")
         assert len(calls) == 2
         # The bytes validated are the records written.
-        records = live.wal.load_tombstones(refresh=True)
+        records = WriteAheadLog(store, "idx").load_tombstones()
         assert sorted(ref for refs in records.values() for ref in refs) == sorted(BASE_REFS)
 
 
@@ -373,7 +369,8 @@ class TestCompactionPurge:
         assert outcome is not None
         assert outcome["tombstones_purged"] == 1
         assert live.tombstone_refs() == frozenset()
-        assert live.wal.manifest(refresh=True).tombstone_segments == ()
+        assert AppendOnlyIndexManager(store, "idx").manifest().tombstones == ()
+        assert not store.list_blobs(prefix="idx/ingest/tomb-")
         # The compacted base genuinely does not contain the deleted ref —
         # no tombstone filtering needed anymore.
         searcher = live.manager.open_searcher()

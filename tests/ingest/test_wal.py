@@ -7,13 +7,12 @@ import json
 import pytest
 from harness.stores import RecordingStore
 
+from repro.index.store_layout import UnsupportedIndexFormatError, ingest_manifest_blob
+from repro.index.updates import AppendOnlyIndexManager, IndexManifest
 from repro.ingest.wal import (
     SEGMENT_BLOCK,
-    IngestManifest,
-    IngestManifestError,
     WriteAheadLog,
     encode_segment,
-    ingest_manifest_blob,
     parse_segment,
     segment_blob,
 )
@@ -32,6 +31,21 @@ V1_WAL = {
     "idx/ingest/seg-00000003.log": b"error late write\n",
     "idx/ingest/tomb-00000002.json": b'{"version": 1, "refs": [["corpus/base.txt", 0, 15], '
     b'["idx/ingest/seg-00000000.log", 0, 15]]}',
+}
+
+#: The same history as a version-2 WAL left it: a reserved range, an update
+#: listed beside it.
+V2_WAL = {
+    "idx/ingest/ingest.json": b'{"version": 2, "first_unflushed": 1, "reserved_end": 6, '
+    b'"listed_segments": ["idx/ingest/upd-00000004.log"], '
+    b'"tombstone_segments": ["idx/ingest/tomb-00000002.json", "idx/ingest/tomb-00000005.json"]}',
+    "idx/ingest/seg-00000000.log": b"error disk full\n",
+    "idx/ingest/seg-00000001.log": b"warn slow response\ninfo service ok\n",
+    "idx/ingest/seg-00000003.log": b"error late write\n",
+    "idx/ingest/upd-00000004.log": b"info updated line\n",
+    "idx/ingest/tomb-00000002.json": b'{"version": 1, "refs": [["corpus/base.txt", 0, 15], '
+    b'["idx/ingest/seg-00000000.log", 0, 15]]}',
+    "idx/ingest/tomb-00000005.json": b'{"version": 1, "refs": [["corpus/base.txt", 16, 15]]}',
 }
 
 
@@ -74,21 +88,33 @@ class TestSegmentFormat:
 
 class TestManifest:
     def test_round_trip(self):
-        manifest = IngestManifest(3, 7, ("idx/ingest/upd-00000004.log",), ("t",))
-        assert IngestManifest.from_bytes(manifest.to_bytes()) == manifest
-        assert json.loads(manifest.to_bytes())["version"] == 2
+        manifest = IndexManifest(
+            "idx", first_unflushed=3, reserved_end=7, updates=(4,), tombstones=(5,)
+        )
+        assert IndexManifest.read("idx", manifest_bytes(manifest)) == manifest
+
+    def test_a_reservation_alone_is_a_small_manifest(self):
+        # Fields at their defaults are left out — the name too, which the
+        # blob's prefix says — so a manifest holding only a reservation is
+        # far smaller than the WAL manifest it replaces.
+        manifest = IndexManifest("bench-writes", reserved_end=SEGMENT_BLOCK)
+        assert json.loads(manifest_bytes(manifest)) == {"reserved_end": SEGMENT_BLOCK}
+        assert len(manifest_bytes(manifest)) <= 105
+        flushed = IndexManifest("idx", first_unflushed=7, reserved_end=7)
+        assert json.loads(manifest_bytes(flushed)) == {"first_unflushed": 7}
 
     def test_the_range_is_probed_then_the_listed_segments(self):
-        manifest = IngestManifest(3, 5, ("idx/ingest/upd-00000001.log",), ("t",))
-        assert manifest.recovery_blobs("idx") == (
+        manifest = IndexManifest(
+            "idx", first_unflushed=3, reserved_end=5, updates=(1,), tombstones=(2,)
+        )
+        assert manifest.recovery_blobs() == (
             "idx/ingest/seg-00000003.log",
             "idx/ingest/seg-00000004.log",
             "idx/ingest/upd-00000001.log",
-            "t",
+            "idx/ingest/tomb-00000002.json",
         )
 
     def test_blob_names(self):
-        assert ingest_manifest_blob("idx") == "idx/ingest/ingest.json"
         assert segment_blob("idx", 3) == "idx/ingest/seg-00000003.log"
 
 
@@ -102,7 +128,7 @@ class TestWriteAheadLog:
         assert store.exists(blob)
         manifest = WriteAheadLog(store, "idx").manifest()
         assert (manifest.first_unflushed, manifest.reserved_end) == (0, SEGMENT_BLOCK)
-        assert manifest.listed_segments == ()
+        assert manifest.updates == ()
         assert wal.unflushed == (blob,)
 
     def test_one_put_per_append_and_one_manifest_put_per_block(self):
@@ -112,7 +138,7 @@ class TestWriteAheadLog:
             wal.append(encode_segment([f"document {n}"]))
         puts = [blob for method, blob, _, _ in store.calls if method == "put"]
         assert len(puts) == 2 * SEGMENT_BLOCK + 1 + 3
-        assert puts.count(ingest_manifest_blob("idx")) == 3
+        assert puts.count("idx/manifest.json") == 3
         assert _texts(WriteAheadLog(store, "idx").replay()) == [
             f"document {n}" for n in range(2 * SEGMENT_BLOCK + 1)
         ]
@@ -128,48 +154,45 @@ class TestWriteAheadLog:
             "error one", "error two"
         ]
 
-    def test_segment_numbering_is_monotonic_across_retire(self):
+    def test_segment_numbering_is_monotonic_across_a_flush(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
         first = wal.append(encode_segment(["one doc"])).blob
-        wal.retire((first,))
+        _flush(wal)
         second = wal.append(encode_segment(["two doc"])).blob
-        # The retired segment's number is never reused: a reader holding a
+        # The flushed segment's number is never reused: a reader holding a
         # pre-flush manifest must never see its blob overwritten.
         assert second == "idx/ingest/seg-00000001.log"
         assert wal.unflushed == (second,)
         assert wal.manifest().first_unflushed == 1
-        # Retire never deletes blobs (they hold the document bytes).
+        # A flush never deletes segments (they hold the document bytes).
         assert store.exists(first)
 
     def test_replay_returns_unflushed_documents_in_order(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
-        first = wal.append(encode_segment(["error one"])).blob
+        wal.append(encode_segment(["error one"]))
+        segments, retire = wal.seal()
         wal.append(encode_segment(["warn two", "info three"]))
-        wal.retire((first,))
+        wal.manager.commit(retire)
+        assert wal.unflushed == ("idx/ingest/seg-00000001.log",)
         # A fresh WAL over the same store (simulated process restart).
         replayed = WriteAheadLog(store, "idx").replay()
         assert _texts(replayed) == ["warn two", "info three"]
 
-    def test_destroy_removes_all_wal_state(self):
-        store = InMemoryObjectStore()
-        wal = WriteAheadLog(store, "idx")
-        wal.append(encode_segment(["error one"]))
-        wal.destroy()
-        assert store.list_blobs(prefix="idx/ingest/") == []
-        assert WriteAheadLog(store, "idx").manifest() == IngestManifest()
-
 
 class TestFormatCompatibility:
-    def _v1_store(self) -> InMemoryObjectStore:
+    """A legacy ``ingest.json`` is the WAL's state until the first manifest
+    write folds it in; no code writes one."""
+
+    def _store(self, wal: dict[str, bytes]) -> InMemoryObjectStore:
         store = InMemoryObjectStore()
-        for blob, data in V1_WAL.items():
+        for blob, data in wal.items():
             store.put(blob, data)
         return store
 
     def test_a_v1_manifest_replays_identically(self):
-        wal = WriteAheadLog(self._v1_store(), "idx")
+        wal = WriteAheadLog(self._store(V1_WAL), "idx")
         assert _texts(wal.replay()) == [
             "warn slow response", "info service ok", "error late write"
         ]
@@ -183,27 +206,65 @@ class TestFormatCompatibility:
             "idx/ingest/seg-00000001.log", "idx/ingest/seg-00000003.log"
         )
 
-    def test_the_first_commit_rewrites_v1_as_v2_without_losing_a_segment(self):
-        store = self._v1_store()
+    def test_a_v2_manifest_replays_identically(self):
+        wal = WriteAheadLog(self._store(V2_WAL), "idx")
+        assert _texts(wal.replay()) == [
+            "warn slow response", "info service ok", "error late write", "info updated line"
+        ]
+        assert wal.load_tombstones() == {
+            "idx/ingest/tomb-00000002.json": (
+                Posting("corpus/base.txt", 0, 15),
+                Posting("idx/ingest/seg-00000000.log", 0, 15),
+            ),
+            "idx/ingest/tomb-00000005.json": (Posting("corpus/base.txt", 16, 15),),
+        }
+
+    @pytest.mark.parametrize("legacy", [V1_WAL, V2_WAL], ids=["v1", "v2"])
+    def test_the_first_manifest_write_folds_it_in_then_deletes_it(self, legacy):
+        store = self._store(legacy)
+        before = WriteAheadLog(store, "idx")
+        replayed = _texts(before.replay())
+        tombstones = before.load_tombstones()
         wal = WriteAheadLog(store, "idx")
         wal.replay()
         blob = wal.append(encode_segment(["info after upgrade"])).blob
-        assert blob == segment_blob("idx", 4)  # the v1 counter carries over
-        payload = json.loads(store.get(ingest_manifest_blob("idx")))
-        assert payload["version"] == 2
+        assert blob == segment_blob("idx", wal.manifest().reserved_end - SEGMENT_BLOCK)
+        assert not store.exists(ingest_manifest_blob("idx"))  # folded in, then deleted
         reopened = WriteAheadLog(store, "idx")
-        assert _texts(reopened.replay()) == [
-            "info after upgrade", "warn slow response", "info service ok", "error late write"
-        ]
-        assert list(reopened.load_tombstones()) == ["idx/ingest/tomb-00000002.json"]
+        assert sorted(_texts(reopened.replay())) == sorted([*replayed, "info after upgrade"])
+        assert reopened.load_tombstones() == tombstones
         # A flush of everything retires the upgraded segments too.
-        wal.retire(wal.unflushed)
+        _flush(wal)
         assert WriteAheadLog(store, "idx").replay() == []
+
+    def test_beside_a_manifest_with_wal_state_it_is_garbage(self):
+        store = InMemoryObjectStore()
+        WriteAheadLog(store, "idx").append(encode_segment(["error current"]))
+        legacy = ingest_manifest_blob("idx")
+        store.put(legacy, V1_WAL[legacy])  # a leftover a crash kept from its deletion
+        wal = WriteAheadLog(store, "idx")
+        assert _texts(wal.replay()) == ["error current"]
+        assert wal.load_tombstones() == {}
+        wal.append(encode_segment(["error next"]))
+        assert not store.exists(ingest_manifest_blob("idx"))
 
     def test_an_unknown_manifest_version_is_a_typed_error_not_an_empty_wal(self):
         store = InMemoryObjectStore()
         store.put(ingest_manifest_blob("idx"), b'{"version": 3, "segments": "elsewhere"}')
-        with pytest.raises(IngestManifestError, match="version 3"):
-            WriteAheadLog(store, "idx").manifest()
-        with pytest.raises(IngestManifestError):
-            IngestManifest.from_bytes(b'{"next_segment": 4, "active_segments": []}')
+        with pytest.raises(UnsupportedIndexFormatError, match="version 3"):
+            WriteAheadLog(store, "idx")
+        with pytest.raises(UnsupportedIndexFormatError):
+            IndexManifest.read("idx", None, b'{"next_segment": 4, "active_segments": []}')
+
+
+def manifest_bytes(manifest: IndexManifest) -> bytes:
+    """``manifest`` as its commit writes it."""
+    store = InMemoryObjectStore()
+    AppendOnlyIndexManager(store, manifest.base_index).commit(lambda _: manifest)
+    return store.get(f"{manifest.base_index}/manifest.json")
+
+
+def _flush(wal: WriteAheadLog) -> None:
+    """A flush's WAL half: seal everything, commit the move past it."""
+    _, retire = wal.seal()
+    wal.manager.commit(retire)

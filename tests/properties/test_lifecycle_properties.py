@@ -229,7 +229,7 @@ def test_lifecycle_property_holds_under_crash_injection(initial, steps, crash):
                 model[Posting(blob=killed.blob, offset=0, length=17)] = "error crash probe"
     elif operation == 1 and model:
         ref = _pick(model, selector)
-        store.arm("put", "ingest/ingest.json", when=when)
+        store.arm("put", "live/manifest.json", when=when)
         try:
             service.delete_documents("live", [ref])
         except SimulatedCrash:
@@ -238,7 +238,7 @@ def test_lifecycle_property_holds_under_crash_injection(initial, steps, crash):
             del model[ref]
     elif operation == 2 and model:
         ref = _pick(model, selector)
-        store.arm("put", "ingest/ingest.json", when=when)
+        store.arm("put", "live/manifest.json", when=when)
         try:
             service.update_document("live", ref, "warn crash probe")
         except SimulatedCrash:

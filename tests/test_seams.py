@@ -825,3 +825,55 @@ def test_checker_keeps_where_a_base_lands_and_what_is_purged_in_the_manager(tmp_
         "index/builder.py:1: a build's blobs listed outside the index manager",
         "service/facade.py:1: a Builder constructed outside the index manager",
     ]
+
+
+def test_checker_keeps_the_one_commit_point_in_the_manager(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("index", "ingest"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the manager PUTs its manifest, reads the legacy WAL manifest
+    # beside it and deletes it once folded in; an import, a docstring or a
+    # comment may name it, and other blobs are PUT anywhere.
+    (root / "index" / "updates.py").write_text(
+        "from repro.index.store_layout import ingest_manifest_blob\n"
+        "def manifest_reads(name):\n"
+        "    return [update_manifest_blob_name(name), ingest_manifest_blob(name)]\n"
+        "def commit(self, change):\n"
+        "    self._store.put(self.manifest_blob, change(self.manifest()))\n"
+        "    self._store.delete(ingest_manifest_blob(self._base_index))\n",
+        encoding="utf-8",
+    )
+    (root / "index" / "store_layout.py").write_text(
+        "def ingest_manifest_blob(name):\n"
+        '    """Read beside update_manifest_blob_name(name), never written."""\n',
+        encoding="utf-8",
+    )
+    (root / "ingest" / "wal.py").write_text(
+        "self._store.put(segment_blob(self._index_name, sequence), data)\n"
+        "# the legacy ingest_manifest_blob is the manager's business\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a second writer of the manifest, and the legacy WAL
+    # manifest named outside the fold-in (read, written or probed).
+    (root / "ingest" / "wal.py").write_text(
+        "self._store.put(self.manifest_blob, data)\n"
+        "self._store.put(ingest_manifest_blob(self._index_name), data)\n",
+        encoding="utf-8",
+    )
+    (root / "index" / "store_layout.py").write_text(
+        "def open_index(store, name):\n"
+        "    blob = update_manifest_blob_name(name)\n"
+        "    store.put(update_manifest_blob_name(name), b'{}')\n"
+        "    return store.get(ingest_manifest_blob(name))\n",
+        encoding="utf-8",
+    )
+    found = check_seams.findings(root)
+    assert sorted(problem.split("repro/")[1] for problem in found) == [
+        "index/store_layout.py:3: a manifest PUT outside index/updates.py",
+        "index/store_layout.py:4: the legacy WAL manifest named outside the fold-in",
+        "ingest/wal.py:1: a manifest PUT outside index/updates.py",
+        "ingest/wal.py:2: the legacy WAL manifest named outside the fold-in",
+    ]
