@@ -148,6 +148,15 @@ module writes it.  This script also fails on:
   ``index/updates.py``: ``manifest_reads``, which reads it beside the
   manifest, and ``commit``, which deletes it once folded in.
 
+Pending deletes are manifest state: a delete is one manifest PUT, and the
+legacy per-delete records are read only to be folded in.  This script also
+fails on:
+
+* a ``.put(`` of a ``tombstone_blob(...)`` name or of a ``tomb-`` literal
+  anywhere under ``src/repro``;
+* a use of ``parse_tombstones`` anywhere under ``src/repro`` but the
+  fold-in, ``IndexManifest.folded`` in ``index/updates.py``.
+
 The query tier routes whole queries and knows nothing of how an index is
 laid out or searched.  This script also fails on:
 
@@ -290,6 +299,12 @@ _MANIFEST_BLOB_NAMES = {"manifest_blob", "update_manifest_blob_name"}
 #: that may use it.
 LEGACY_WAL_MANIFEST = "ingest_manifest_blob"
 FOLD_IN = {(MANIFEST_WRITER, "manifest_reads"), (MANIFEST_WRITER, "commit")}
+# Pending deletes live in the manifest: no delete record is written, and the
+# legacy ones are decoded only where they are folded in.
+_DELETE_RECORD_NAMER = "tombstone_blob"
+_DELETE_RECORD_LITERAL = "tomb-"
+LEGACY_RECORD_READER = "parse_tombstones"
+RECORD_FOLD_IN = {(MANIFEST_WRITER, "folded")}
 
 #: The query tier's package, and the packages it may not import from.
 CLUSTER_PACKAGE = "cluster"
@@ -390,6 +405,29 @@ def commit_sites(path: Path) -> tuple[list[int], list[tuple[int, str]]]:
     return puts, legacy
 
 
+def delete_record_sites(path: Path) -> tuple[list[int], list[tuple[int, str]]]:
+    """Lines of ``path`` that PUT a delete record (a ``tombstone_blob(...)``
+    name or a ``tomb-`` literal), and ``(line, function)`` of every use of
+    the legacy record reader (its definition and imports aside)."""
+    functions = enclosing_functions(path)
+    puts: list[int] = []
+    reads: list[tuple[int, str]] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "put" and node.args:
+            for part in ast.walk(node.args[0]):
+                name = getattr(part, "id", getattr(part, "attr", None))
+                literal = getattr(part, "value", None)
+                if name == _DELETE_RECORD_NAMER or (
+                    isinstance(literal, str) and _DELETE_RECORD_LITERAL in literal
+                ):
+                    puts.append(node.lineno)
+                    break
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            if getattr(node, "id", getattr(node, "attr", None)) == LEGACY_RECORD_READER:
+                reads.append((node.lineno, functions.get(node.lineno, "")))
+    return puts, reads
+
+
 def forbidden_imports(path: Path, packages: tuple[str, ...]) -> list[int]:
     """Lines of ``path`` importing from any of ``packages`` or below them."""
     lines: list[int] = []
@@ -460,6 +498,17 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
             "the legacy WAL manifest named outside the fold-in"
             for number, function in legacy
             if (parts, function) not in FOLD_IN
+        )
+        record_puts, record_reads = delete_record_sites(path)
+        problems.extend(
+            f"{path.relative_to(root.parent.parent)}:{number}: a delete record written"
+            for number in record_puts
+        )
+        problems.extend(
+            f"{path.relative_to(root.parent.parent)}:{number}: "
+            "a legacy delete record read outside the fold-in"
+            for number, function in record_reads
+            if (parts, function) not in RECORD_FOLD_IN
         )
         if package == CLUSTER_PACKAGE:
             problems.extend(

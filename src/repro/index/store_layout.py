@@ -53,7 +53,7 @@ _SNAPSHOT_MARKER = "/snapshots/"
 _SNAPSHOT_SUFFIX = ".snap.json"
 _MEMBER_MARKERS = (_DELTA_MARKER, SHARD_MARKER, _GENERATION_MARKER, _SNAPSHOT_MARKER)
 
-#: A WAL record's name under the ingest prefix: segment, update, tombstone.
+#: A WAL record's name under the ingest prefix: segment, update, legacy delete record.
 _WAL_RECORD = re.compile(r"(?P<kind>seg|upd)-(?P<number>\d{8})\.log|tomb-(?P<tomb>\d{8})\.json")
 
 #: The update manifest of a logical index: active base, deltas, retired builds.
@@ -84,15 +84,15 @@ class UnsupportedIndexFormatError(ValueError):
     corpus.  Names the blob, what it holds and what is read instead.
 
     The rebuild is lossless only for an index without live writes: a build
-    has no tombstones, so a live index rebuilt over its corpus and its
+    has no pending deletes, so a live index rebuilt over its corpus and its
     ingest segments gets back the documents its deletes and updates
-    condemned."""
+    condemned (which its ``manifest.json`` lists)."""
 
     def __init__(self, blob: str, found: str, expected: str) -> None:
         super().__init__(
             f"index blob {blob!r} holds {found}, not {expected}: rebuild the index "
             "from its corpus (a live index also from its ingest segments, losing "
-            "the deletes and updates its tombstones record)"
+            "the deletes and updates its manifest lists)"
         )
         self.blob, self.found, self.expected = blob, found, expected
 
@@ -177,10 +177,11 @@ def update_blob(index_name: str, sequence: int) -> str:
 
 
 def tombstone_blob(index_name: str, sequence: int) -> str:
-    """Blob holding tombstone record number ``sequence`` of ``index_name``.
+    """Blob of legacy delete record number ``sequence`` of ``index_name``.
 
-    Tombstones draw from the same monotonic counter as document segments, so
-    a sequence number is never reused across the two record kinds either.
+    Written by no code: a manifest that lists such records by number is
+    folded in (their references become its pending deletes), and the next
+    swap's purge deletes them.
     """
     return f"{ingest_prefix(index_name)}tomb-{sequence:08d}.json"
 
@@ -323,7 +324,8 @@ def open_index(
     the legacy WAL manifest it folds in).  A lone build, plain or sharded,
     is fully open after it.  Wave 2, only when the manifest names more, is
     one :func:`open_headers` batch over every member not yet in hand, with
-    (``probe_ingest``) every WAL blob the manifest names riding along.
+    (``probe_ingest``) every WAL segment the manifest names riding along —
+    and the legacy delete records it lists, folded into its pending deletes.
 
     ``known`` says this process has already seen an update manifest for
     ``name``: that manifest alone decides where the base lives, so wave 1
@@ -353,8 +355,10 @@ def open_index(
         [manifest.active_base] if base_only else manifest.all_indexes,
         max_concurrency,
         fetched=have,
-        riders=manifest.recovery_blobs() if probe_ingest else (),
+        riders=manifest.segments() + manifest.legacy_records if probe_ingest else (),
     )
+    if probe_ingest:
+        manifest = manifest.folded(opened.riders)
     return OpenedIndex(manifest, opened.riders, opened.builds, fetch.total_ms + opened.elapsed_ms)
 
 
@@ -387,7 +391,7 @@ def build_of(index_name: str, blob: str) -> str | None:
 
 def wal_record(index_name: str, blob: str) -> tuple[str, int] | None:
     """``(kind, number)`` of a WAL record of ``index_name`` — a ``"seg"``,
-    ``"upd"`` or ``"tomb"`` blob — or ``None`` for any other blob."""
+    ``"upd"`` or legacy ``"tomb"`` blob — or ``None`` for any other blob."""
     name = blob.removeprefix(ingest_prefix(index_name))
     match = _WAL_RECORD.fullmatch(name) if name != blob else None
     if match is None:

@@ -40,7 +40,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Mapping, Sequence
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder, BuiltIndex, BuiltShardedIndex
@@ -48,6 +48,7 @@ from repro.index.compaction import CompactedSketch
 from repro.index.metadata import IndexMetadata
 from repro.index.stats import IndexStats, build_stats, decode_stats, union_stats
 from repro.index.store_layout import (
+    CorruptIndexError,
     OpenedBuild,
     UnsupportedIndexFormatError,
     build_blobs,
@@ -99,6 +100,16 @@ class SnapshotRestoreError(Exception):
         self.missing = tuple(missing)
 
 
+def parse_tombstones(data: bytes) -> list[Posting]:
+    """The condemned references of a legacy delete record (``tomb-*.json``,
+    format version 1), which no code writes any more."""
+    payload = json.loads(data.decode("utf-8"))
+    if payload.get("version") != 1:
+        raise ValueError(f"unknown tombstone record version {payload.get('version')!r}")
+    refs = payload["refs"]
+    return [Posting(str(blob), int(offset), int(length)) for blob, offset, length in refs]
+
+
 @dataclass(frozen=True)
 class IndexManifest:
     """The one commit point of a logical index: its builds and its WAL's state.
@@ -113,9 +124,14 @@ class IndexManifest:
     number: the ``seg-``/``upd-`` blobs from ``floor`` up hold documents the
     builds point into (from ``retired_floor`` up, the retired builds'); the
     segments ``first_unflushed`` … ``reserved_end - 1`` that exist, and the
-    listed ``updates``, hold the unflushed ones; ``tombstones`` are the
-    pending delete records.  ``legacy_wal``: a legacy ``ingest.json`` sits
-    beside the manifest, for the next commit to delete.
+    listed ``updates``, hold the unflushed ones.  ``tombstones`` are the
+    pending deletes themselves, the condemned references.
+
+    ``legacy_wal``: the store holds this WAL state in a legacy form — an
+    ``ingest.json`` beside the manifest, or delete records listed by number
+    — which the next commit rewrites (and deletes that ``ingest.json``);
+    ``legacy_records``: those delete records, while their references are
+    not yet folded in (:meth:`folded`).
     """
 
     base_index: str
@@ -129,8 +145,9 @@ class IndexManifest:
     first_unflushed: int = 0
     reserved_end: int | None = None
     updates: tuple[int, ...] = ()
-    tombstones: tuple[int, ...] = ()
+    tombstones: frozenset[Posting] = frozenset()
     legacy_wal: bool = field(default=False, compare=False, repr=False)
+    legacy_records: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         derived = (self.base_index, len(self.delta_indexes), self.floor, self.first_unflushed)
@@ -152,10 +169,10 @@ class IndexManifest:
         """The builds and the WAL floor they point above: what a snapshot freezes."""
         return replace(self, retired=(), **{**_EMPTY_WAL, "floor": self.floor})
 
-    def wal_from(self, counter: int, tombstones: tuple[int, ...] = ()) -> "IndexManifest":
+    def wal_from(self, counter: int) -> "IndexManifest":
         """This manifest with an empty WAL that numbers on from ``counter``."""
         return replace(
-            self, first_unflushed=counter, reserved_end=counter, updates=(), tombstones=tombstones
+            self, first_unflushed=counter, reserved_end=counter, updates=(), tombstones=frozenset()
         )
 
     @property
@@ -170,13 +187,22 @@ class IndexManifest:
             update_blob(self.base_index, n) for n in self.updates
         )
 
-    def recovery_blobs(self) -> tuple[str, ...]:
-        """Every blob a reopening node reads back: segments, then tombstone records."""
-        return self.segments() + tuple(tombstone_blob(self.base_index, n) for n in self.tombstones)
+    def folded(self, records: Mapping[str, bytes | None]) -> "IndexManifest":
+        """This manifest with the references of its legacy delete records,
+        whose payloads ``records`` holds, in ``tombstones``.  A listed record
+        that is not there (``None``) is lost data:
+        :class:`~repro.index.store_layout.CorruptIndexError`."""
+        refs = set(self.tombstones)
+        for blob in self.legacy_records:
+            if records[blob] is None:
+                raise CorruptIndexError(blob, "a delete record the manifest lists is missing")
+            refs.update(parse_tombstones(records[blob]))
+        return replace(self, tombstones=frozenset(refs), legacy_records=())
 
     def to_dict(self) -> dict[str, Any]:
         """The JSON payload: every field that does not hold its default (the
-        name, too: the manifest's own prefix says it)."""
+        name, too: the manifest's own prefix says it).  ``tombstones`` is
+        grouped by blob, ``{blob: [offset, length, offset, length, …]}``."""
         derived = replace(self, **dict.fromkeys(_DERIVED))
         payload: dict[str, Any] = {}
         for spec in fields(self)[1:]:
@@ -184,17 +210,34 @@ class IndexManifest:
             default = getattr(derived, spec.name) if spec.default is None else spec.default
             if spec.compare and value != default:
                 payload[spec.name] = list(value) if isinstance(value, tuple) else value
+        if self.tombstones:
+            grouped: dict[str, list[int]] = {}
+            for ref in sorted(self.tombstones):
+                grouped.setdefault(ref.blob, []).extend((ref.offset, ref.length))
+            payload["tombstones"] = grouped
         return payload
 
     @classmethod
     def from_dict(cls, base_index: str, payload: dict[str, Any]) -> "IndexManifest":
-        """Inverse of :meth:`to_dict`; a field that is absent holds its default."""
+        """Inverse of :meth:`to_dict`; a field that is absent holds its
+        default.  A ``tombstones`` list numbers delete records (the legacy
+        form): they become :attr:`legacy_records`."""
         names = {spec.name for spec in fields(cls) if spec.compare}
         values = {
             name: tuple(value) if isinstance(value, list) else value
             for name, value in payload.items()
             if name in names
         }
+        tombstones = values.pop("tombstones", {})
+        if isinstance(tombstones, tuple):
+            records = tuple(tombstone_blob(base_index, n) for n in tombstones)
+            values.update(legacy_records=records, legacy_wal=bool(records))
+        else:
+            values["tombstones"] = frozenset(
+                Posting(blob, offset, length)
+                for blob, flat in tombstones.items()
+                for offset, length in zip(flat[::2], flat[1::2])
+            )
         return cls(**{"base_index": base_index, **values})
 
     @classmethod
@@ -205,12 +248,13 @@ class IndexManifest:
         not there).  A legacy ``ingest.json`` beside a manifest without WAL
         state is that state (version 1's listed segments widen the probed
         range down to the first of them); beside one with WAL state it is
-        garbage.  Either way the next commit deletes it."""
+        garbage.  Either way the next commit deletes it.  Legacy delete
+        records are named, not read: :meth:`folded` takes their payloads."""
         manifest = cls(base_index)
         if data is not None:
             manifest = cls.from_dict(base_index, json.loads(data.decode("utf-8")))
-        if legacy is None or replace(manifest, **_EMPTY_WAL) != manifest:
-            return replace(manifest, legacy_wal=legacy is not None)
+        if legacy is None or manifest.legacy_wal or replace(manifest, **_EMPTY_WAL) != manifest:
+            return replace(manifest, legacy_wal=manifest.legacy_wal or legacy is not None)
         payload = json.loads(legacy.decode("utf-8"))
         version = payload.get("version")
         if version not in (1, 2):
@@ -226,9 +270,7 @@ class IndexManifest:
             first_unflushed=min([first, *(n for kind, n in records if kind == "seg")]),
             reserved_end=reserved,
             updates=tuple(n for kind, n in records if kind == "upd"),
-            tombstones=tuple(
-                wal_record(base_index, blob)[1] for blob in payload.get("tombstone_segments", ())
-            ),
+            legacy_records=tuple(payload.get("tombstone_segments", ())),
             legacy_wal=True,
         )
 
@@ -237,7 +279,12 @@ class IndexManifest:
 _DERIVED = ("active_base", "next_delta", "retired_floor", "reserved_end")
 #: The WAL fields at their defaults.
 _EMPTY_WAL: dict[str, Any] = dict(
-    floor=0, retired_floor=None, first_unflushed=0, reserved_end=None, updates=(), tombstones=()
+    floor=0,
+    retired_floor=None,
+    first_unflushed=0,
+    reserved_end=None,
+    updates=(),
+    tombstones=frozenset(),
 )
 
 
@@ -255,8 +302,8 @@ def manifest_reads(base_index: str, legacy: bool = True) -> list[str]:
 class SnapshotInfo:
     """One named point-in-time snapshot of an index.
 
-    A snapshot *is* a copy of the generational manifest (plus the pending
-    tombstone set at creation time): the base build and delta prefixes it
+    A snapshot *is* a copy of the generational manifest (plus its pending
+    deletes at creation time): the base build and delta prefixes it
     references are immutable, so freezing the manifest freezes the whole
     index.  The manager's purge paths skip prefixes any snapshot pins, which
     is what keeps the referenced blobs alive past later compactions.
@@ -356,22 +403,29 @@ class AppendOnlyIndexManager:
     def manifest(self) -> IndexManifest:
         """The live manifest (the empty one if none was written yet), read
         once as one batch of "missing is an answer" reads with the legacy
-        WAL manifest it folds in (:func:`manifest_reads`)."""
+        WAL manifest it folds in (:func:`manifest_reads`) — and, when it
+        lists legacy delete records, one more batch that folds them in."""
         if self._manifest is None:  # once read, no lock: a query never waits on a commit
             with self.lock:
                 if self._manifest is None:
                     reads = manifest_reads(self._base_index)
                     fetch = self._store.read_batch([RangeRead(b, optional=True) for b in reads])
-                    self._manifest = IndexManifest.read(self._base_index, *fetch.payloads)
+                    manifest = IndexManifest.read(self._base_index, *fetch.payloads)
+                    records = manifest.legacy_records
+                    if records:
+                        reads = [RangeRead(blob, optional=True) for blob in records]
+                        payloads = self._store.read_batch(reads).payloads
+                        manifest = manifest.folded(dict(zip(records, payloads)))
+                    self._manifest = manifest
         return self._manifest
 
     def refresh(self) -> IndexManifest:
         """The live manifest, checked against the store with one read of
         ``manifest.json`` (none on first use, which reads it anyway): when
         another process committed since this one last read or wrote it, the
-        stored manifest becomes the live one.  Beside a legacy
-        ``ingest.json`` only the builds are compared, since the blob does
-        not yet hold the WAL state folded in from it.
+        stored manifest becomes the live one.  While the WAL state is in a
+        legacy form only the builds are compared, since the blob does not
+        yet hold the state folded in from it.
 
         The read does not hold :attr:`lock`.  When a commit of this process
         lands meanwhile, the read may predate it and is dropped: that commit
@@ -541,10 +595,7 @@ class AppendOnlyIndexManager:
         )
 
     def compact(
-        self,
-        corpus_name: str = "corpus",
-        exclude: AbstractSet[Posting] = frozenset(),
-        applied: AbstractSet[str] = frozenset(),
+        self, corpus_name: str = "corpus", exclude: AbstractSet[Posting] = frozenset()
     ) -> BuiltIndex | "BuiltShardedIndex":
         """Fold all deltas into a fresh generational base and swap atomically.
 
@@ -554,11 +605,11 @@ class AppendOnlyIndexManager:
         one manifest write, the swap (:meth:`_swap`), which retires what it
         replaced for one swap of grace.  It is built from the members'
         ranking statistics merged (:func:`~repro.index.stats.union_stats`):
-        no document is re-read or re-analysed.  ``exclude`` (the pending
-        tombstone set) is how deletes become physical: condemned documents
-        are left out of the new base, and the swap drops ``applied``, the
-        tombstone records they came from; one committed during the build
-        stays pending.
+        no document is re-read or re-analysed.  ``exclude`` (pending
+        deletes) is how deletes become physical: condemned documents are
+        left out of the new base, and the swap drops exactly them from the
+        manifest's ``tombstones``; one committed during the build stays
+        pending.
         """
         manifest = self.refresh()
         builds = open_headers(self._store, manifest.all_indexes).builds
@@ -575,13 +626,7 @@ class AppendOnlyIndexManager:
             builder,
             stats,
             corpus_name,
-            lambda wal: replace(
-                wal,
-                tombstones=tuple(
-                    n for n in wal.tombstones
-                    if tombstone_blob(self._base_index, n) not in applied
-                ),
-            ),
+            lambda wal: replace(wal, tombstones=wal.tombstones - exclude),
         )
 
     def _build_generation(
@@ -648,9 +693,9 @@ class AppendOnlyIndexManager:
     ) -> list[str]:
         """Every blob of ``listing`` that none of ``manifest``, its retired
         list and the snapshots ``pins`` names: a build by name, a segment or
-        update by a number at or above the lowest floor, a tombstone record
-        by the list or a number at or above the reservation (a delete in
-        flight).  Manifests and snapshot records are always named."""
+        update by a number at or above the lowest floor.  A legacy delete
+        record is never named (the manifest holds its references); manifests
+        and snapshot records always are."""
         builds = {*manifest.all_indexes, *manifest.retired}
         builds.update(name for pin in pins for name in pin.all_indexes)
         floor = min([manifest.floor, manifest.retired_floor, *(pin.floor for pin in pins)])
@@ -660,22 +705,18 @@ class AppendOnlyIndexManager:
             kind, number = wal_record(self._base_index, blob) or ("", 0)
             if build is not None:
                 named = build in builds
-            elif kind == "tomb":
-                named = number in manifest.tombstones or number >= manifest.reserved_end
             else:
-                named = not kind or number >= floor
+                named = not kind or (kind != "tomb" and number >= floor)
             if not named:
                 unnamed.append(blob)
         return unnamed
 
     # -- snapshots -----------------------------------------------------------------
 
-    def create_snapshot(
-        self, snapshot: str, tombstones: Sequence[Posting] = ()
-    ) -> SnapshotInfo:
+    def create_snapshot(self, snapshot: str) -> SnapshotInfo:
         """Freeze the current manifest under ``snapshot`` (point-in-time copy).
 
-        The snapshot captures the manifest *and* the pending tombstone set,
+        The snapshot captures the manifest *and* its pending deletes,
         so a restore reproduces exactly what queries answered at creation
         time — deletes awaiting compaction included.  Re-creating an existing
         name overwrites it.  Raises ``ValueError`` on names the blob layout
@@ -692,7 +733,7 @@ class AppendOnlyIndexManager:
             base_index=self._base_index,
             created_at=time.time(),
             manifest=manifest,
-            tombstones=tuple(sorted(set(tombstones))),
+            tombstones=tuple(sorted(manifest.tombstones)),
         )
         self._store.put(
             snapshot_blob_name(self._base_index, snapshot),
@@ -745,13 +786,10 @@ class AppendOnlyIndexManager:
         both timelines, so later builds never reuse an abandoned prefix.  The
         WAL drops every unflushed write and keeps its floor, or the
         snapshot's when lower (the snapshot outlived a rebuild a crash cut
-        short); its pending deletes are the snapshot's, written first as one
-        tombstone record.
+        short); its pending deletes are the snapshot's.
         Raises ``KeyError`` for an unknown snapshot and
         :class:`SnapshotRestoreError` when the pinned blobs are gone.
         """
-        from repro.ingest.wal import encode_tombstones
-
         info = self.get_snapshot(snapshot)
         target = info.manifest
         missing = [
@@ -759,17 +797,11 @@ class AppendOnlyIndexManager:
         ]
         if missing:
             raise SnapshotRestoreError(self._base_index, snapshot, missing)
-        record = encode_tombstones(info.tombstones) if info.tombstones else None
 
         def restored(current: IndexManifest) -> IndexManifest:
-            # Under the lock: no WAL write holds a number at or above the
-            # reservation, so the record's number is no one else's.
-            counter, tombstones = current.reserved_end, ()
-            if record is not None:
-                self._store.put(tombstone_blob(self._base_index, counter), record)
-                counter, tombstones = counter + 1, (counter,)
             return replace(
-                current.wal_from(counter, tombstones),
+                current.wal_from(current.reserved_end),
+                tombstones=frozenset(info.tombstones),
                 delta_indexes=target.delta_indexes,
                 generation=max(current.generation, target.generation),
                 active_base=target.active_base,

@@ -10,10 +10,10 @@ Lifecycle of an appended document (read-your-writes at every step):
    Airphant delta index with ``AppendOnlyIndexManager.append`` (under the
    base's bin budget, accuracy target and seed), the catalog
    is committed with the WAL's move past its segments in one manifest PUT,
-   the catalog is invalidated, and only then is the sealed memtable
-   dropped.  At no instant is a document invisible; at worst it is briefly
-   visible twice, which the query executor's de-duplication by
-   ``(blob, offset, length)`` absorbs.
+   the catalog is handed the committed manifest, and only then is the
+   sealed memtable dropped.  At no instant is a document invisible; at
+   worst it is briefly visible twice, which the query executor's
+   de-duplication by ``(blob, offset, length)`` absorbs.
 3. ``compact`` — deltas fold into a fresh generational base via the
    manager's atomic manifest swap (see :mod:`repro.index.updates`).
 
@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.index.store_layout import OpenedIndex
-from repro.index.updates import AppendOnlyIndexManager
+from repro.index.updates import AppendOnlyIndexManager, IndexManifest
 from repro.ingest.memtable import Memtable, MemtableMember
-from repro.ingest.wal import WriteAheadLog, encode_segment, encode_tombstones
+from repro.ingest.wal import WriteAheadLog, check_refs, encode_segment
 from repro.observability import MetricsRegistry
 from repro.parsing.documents import Posting
 from repro.storage.base import ObjectStore
@@ -77,7 +78,9 @@ class LiveIndex:
     """The write path of one index: WAL, memtables, flush, compaction.
 
     ``manager`` holds the index's live manifest (else a fresh one reads the
-    store); ``fetched`` is what the opener already read of the WAL.
+    store), pending deletes included; ``fetched`` is what the opener already
+    read of the WAL.  ``invalidate(name, manifest)`` is told of each flush
+    or compaction this index commits, with the manifest it committed.
     """
 
     def __init__(
@@ -86,7 +89,7 @@ class LiveIndex:
         index_name: str,
         config: "ServiceConfig",
         metrics: MetricsRegistry,
-        invalidate: Callable[[str], None],
+        invalidate: Callable[[str, IndexManifest], None],
         manager: AppendOnlyIndexManager | None = None,
         fetched: Mapping[str, bytes | None] | None = None,
     ) -> None:
@@ -101,8 +104,8 @@ class LiveIndex:
         self._active = Memtable(tokenizer)
         self._sealed: list[Memtable] = []
         # _commit_lock (the manager's) serializes every WAL write and every
-        # manifest commit of the index; _write_lock guards the memtables and
-        # tombstone set (short holds, no I/O — queries take it); the order
+        # manifest commit of the index; _write_lock guards the memtables
+        # (short holds, no I/O — queries take it); the order
         # is always commit before write.  _maintenance_lock (the manager's)
         # serializes flushes, compactions, rebuilds and restores (long holds)
         # so a manual POST /flush and the background worker never interleave.
@@ -112,15 +115,6 @@ class LiveIndex:
         #: Set once a rebuild or restore replaced this write state.
         self._discarded = False
         self._delta_count = len(self._manager.manifest().delta_indexes)
-        # Pending deletes, keyed by tombstone record blob; the flattened
-        # frozenset is what query-time filtering and flush-survivor selection
-        # read (swapped atomically under the write lock on every mutation).
-        self._tombstones: dict[str, tuple[Posting, ...]] = dict(
-            self._wal.load_tombstones()
-        )
-        self._tombstone_set: frozenset[Posting] = frozenset(
-            ref for refs in self._tombstones.values() for ref in refs
-        )
 
         self._documents_metric = metrics.counter(
             "airphant_ingest_documents_total",
@@ -247,10 +241,11 @@ class LiveIndex:
 
         Query tiers that may still surface a condemned document (deltas,
         base, cluster-routed shards) filter against this set; the memtable
-        tier never needs it (deletes are applied there physically).
+        tier never needs it (deletes are applied there physically).  It is
+        the live manifest's, so what another process committed counts once
+        this one has read its manifest.
         """
-        with self._write_lock:
-            return self._tombstone_set
+        return self._manager.manifest().tombstones
 
     def summary(self) -> dict[str, Any]:
         """Compact state block for ``/healthz``."""
@@ -269,7 +264,7 @@ class LiveIndex:
             tables = (*self._sealed, self._active)
             documents = sum(len(table) for table in tables)
             nbytes = sum(table.approximate_bytes for table in tables)
-            tombstones = len(self._tombstone_set)
+        tombstones = len(self.tombstone_refs())
         self._memtable_docs_gauge.set(documents, index=self._index_name)
         self._memtable_bytes_gauge.set(nbytes, index=self._index_name)
         self._tombstones_gauge.set(tombstones, index=self._index_name)
@@ -282,11 +277,6 @@ class LiveIndex:
         self._memtable_docs_gauge.remove(index=self._index_name)
         self._memtable_bytes_gauge.remove(index=self._index_name)
         self._tombstones_gauge.remove(index=self._index_name)
-
-    def _record_tombstones(self, blob: str, refs: Sequence[Posting]) -> None:
-        """Track one committed tombstone record (caller holds the write lock)."""
-        self._tombstones[blob] = tuple(refs)
-        self._tombstone_set = self._tombstone_set | frozenset(refs)
 
     # -- recovery -----------------------------------------------------------------
 
@@ -303,7 +293,7 @@ class LiveIndex:
             return 0
         with self._write_lock:
             added = sum(self._active.add(*segment) for segment in segments)
-            added -= self._active.remove(self._tombstone_set)
+            added -= self._active.remove(self.tombstone_refs())
         self._replayed_metric.inc(added, index=self._index_name)
         self._update_gauges()
         return added
@@ -377,50 +367,46 @@ class LiveIndex:
     def delete(self, refs: Sequence[Posting]) -> dict[str, Any]:
         """Durably delete documents by reference; invisible on return.
 
-        The commit point is the manifest PUT referencing the tombstone
-        record: before it, a crash strands at most an unreferenced record
-        blob; after it, every tier filters the refs until a compaction
-        physically drops them.  Unknown refs are accepted (deletes are
-        idempotent), and the memtable tier applies the delete physically on
-        the spot.
+        One manifest PUT, which adds the refs to its pending deletes, is the
+        commit point: before it nothing happened; after it every tier
+        filters the refs until a compaction physically drops them.  Unknown
+        refs are accepted (deletes are idempotent), and the memtable tier
+        applies the delete physically on the spot.
         """
-        refs = list(dict.fromkeys(refs))
-        data = encode_tombstones(refs)  # validation before any I/O or locking
+        refs = check_refs(refs)  # validation before any I/O or locking
         with self._commit_lock:
-            blob = self._wal.append_tombstones(data)
+            manifest = self._manager.commit(
+                lambda current: replace(current, tombstones=current.tombstones | set(refs))
+            )
             with self._write_lock:
-                self._record_tombstones(blob, refs)
                 removed = self._active.remove(refs)
                 for table in self._sealed:
                     removed += table.remove(refs)
-                pending = len(self._tombstone_set)
         self._deletes_metric.inc(len(refs), index=self._index_name)
         self._update_gauges()
         return {
             "index": self._index_name,
             "deleted": len(refs),
             "memtable_removed": removed,
-            "tombstone_record": blob,
-            "tombstones_pending": pending,
+            "tombstones_pending": len(manifest.tombstones),
         }
 
     def update(self, ref: Posting, text: str) -> dict[str, Any]:
         """Durably replace one document; read-your-writes on return.
 
-        One new WAL segment (the replacement text) plus one tombstone record
-        (the old reference), committed with a **single** manifest PUT: a
-        crash before it leaves the old document untouched, after it the
+        One new WAL segment (the replacement text), then a **single**
+        manifest PUT that lists it and condemns the old reference: a crash
+        before it leaves the old document untouched, after it the
         replacement — no window shows both or neither.  Raises
         ``ValueError`` for text the segment format cannot hold and
         :class:`IngestOverloadedError` under backpressure.
         """
         data = encode_segment([text])  # validation before any I/O
-        tombstone_data = encode_tombstones([ref])
+        (ref,) = check_refs([ref])
         self._wait_for_capacity()
         with self._commit_lock:
-            tombstone, segment = self._wal.update(tombstone_data, data)
+            segment = self._wal.update(ref, data)
             with self._write_lock:
-                self._record_tombstones(tombstone, [ref])
                 self._active.remove([ref])
                 for table in self._sealed:
                     table.remove([ref])
@@ -439,7 +425,6 @@ class LiveIndex:
                 "length": segment.lengths[0],
             },
             "wal_segment": segment.blob,
-            "tombstone_record": tombstone,
         }
 
     def should_flush(self) -> bool:
@@ -465,8 +450,8 @@ class LiveIndex:
         segments.  Deletes interact here in two ways: documents
         tombstoned before the seal are dropped from the sealed memtable, so
         they do not reappear in the persisted tier, and a memtable fully
-        emptied by deletes still retires its WAL segments — the tombstone
-        records, not the segments, carry the deletes forward.
+        emptied by deletes still retires its WAL segments — the manifest's
+        pending deletes, not the segments, carry the deletes forward.
         """
         started = time.perf_counter()
         with self._maintenance_lock:
@@ -481,7 +466,7 @@ class LiveIndex:
                 sealed = self._active
                 self._active = Memtable(self._tokenizer_factory())
                 self._sealed.append(sealed)
-                sealed.remove(self._tombstone_set)
+                sealed.remove(self.tombstone_refs())
             survivors = sealed.statistics()
             built = None
             try:
@@ -502,7 +487,7 @@ class LiveIndex:
                 # New delta first, then drop the sealed memtable: queries in
                 # the gap see the documents twice (de-duplicated), never zero
                 # times.
-                self._invalidate(self._index_name)
+                self._invalidate(self._index_name, self._manager.manifest())
             with self._write_lock:
                 self._sealed.remove(sealed)
         elapsed = time.perf_counter() - started
@@ -531,7 +516,7 @@ class LiveIndex:
         This is where deletes become physical: the rebuild excludes every
         tombstoned reference, so the new generation — including its ranking
         stats — contains only surviving documents, and the swap's one
-        manifest PUT drops the applied tombstone records.  Only deletes
+        manifest PUT drops exactly the deletes it applied.  Only deletes
         committed before the flush are applied: a later one may condemn a
         document whose segment the WAL still holds unflushed, and must keep
         filtering it after a replay.
@@ -540,29 +525,17 @@ class LiveIndex:
         with self._maintenance_lock:
             if self._discarded:
                 return None
-            with self._write_lock:
-                tombstone_records = tuple(self._tombstones.keys())
-                tombstone_refs = self._tombstone_set
+            tombstone_refs = self.tombstone_refs()
             self.flush()
             manifest = self._manager.manifest()
             if not manifest.delta_indexes and not tombstone_refs:
                 return None
             folded = len(manifest.delta_indexes)
-            built = self._manager.compact(
-                corpus_name="compacted",
-                exclude=tombstone_refs,
-                applied=frozenset(tombstone_records),
-            )
+            built = self._manager.compact(corpus_name="compacted", exclude=tombstone_refs)
             # Swaps hold the maintenance lock: this compaction's manifest.
-            generation = self._manager.manifest().generation
+            manifest = self._manager.manifest()
             self._delta_count = 0
-            self._invalidate(self._index_name)
-            with self._write_lock:
-                for record in tombstone_records:
-                    self._tombstones.pop(record, None)
-                self._tombstone_set = frozenset(
-                    ref for refs in self._tombstones.values() for ref in refs
-                )
+            self._invalidate(self._index_name, manifest)
         elapsed = time.perf_counter() - started
         self._compactions_metric.inc(index=self._index_name)
         self._compact_seconds_metric.observe(elapsed)
@@ -570,7 +543,7 @@ class LiveIndex:
         return {
             "index": self._index_name,
             "deltas_folded": folded,
-            "generation": generation,
+            "generation": manifest.generation,
             "base": built.index_name,
             "tombstones_purged": len(tombstone_refs),
             "seconds": elapsed,
@@ -592,7 +565,7 @@ class IngestCoordinator:
         store: ObjectStore,
         config: "ServiceConfig",
         metrics: MetricsRegistry,
-        invalidate: Callable[[str], None],
+        invalidate: Callable[[str, IndexManifest], None],
     ) -> None:
         self._store = store
         self._config = config

@@ -21,22 +21,21 @@ it read — and segments leave only through a swap's purge, one swap after a
 rebuild started the WAL above them.
 
 Deletes and updates must not become visible on their own PUT, so they
-commit through the manifest: a ``DELETE`` writes a ``tomb-NNNNNNNN.json``
-record of condemned ``(blob, offset, length)`` references and lists its
-number; an ``UPDATE`` writes its replacement text as ``upd-NNNNNNNN.log``
-(outside the probed ``seg-`` range) plus a tombstone for the old
-reference, and lists **both** in one manifest PUT.  Tombstones outlive
+commit through the manifest, which holds the pending deletes themselves —
+the condemned ``(blob, offset, length)`` references: a ``DELETE`` is one
+manifest PUT that adds them; an ``UPDATE`` writes its replacement text as
+``upd-NNNNNNNN.log`` (outside the probed ``seg-`` range), then one manifest
+PUT lists it and condemns the old reference.  Pending deletes outlive
 flushes — they keep shadowing copies in deltas and the base — until a
 compaction drops the condemned documents and, with the same PUT, them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from repro.index.store_layout import segment_blob, tombstone_blob, update_blob
+from repro.index.store_layout import segment_blob, update_blob
 from repro.index.updates import AppendOnlyIndexManager, IndexManifest
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Posting
@@ -72,19 +71,15 @@ def encode_segment(texts: list[str]) -> bytes:
     return ("\n".join(texts) + "\n").encode("utf-8")
 
 
-#: Format version written into tombstone record blobs.
-TOMBSTONE_FORMAT_V1 = 1
+def check_refs(refs: Sequence[Posting]) -> list[Posting]:
+    """The distinct document references a delete condemns, in order.
 
-
-def encode_tombstones(refs: Sequence[Posting]) -> bytes:
-    """Encode one batch of condemned document references as a tombstone record.
-
-    Raises ``ValueError`` on an empty batch — an empty tombstone would be a
-    durable no-op that still costs a manifest entry forever.
+    Raises ``ValueError`` on an empty batch (a durable no-op that still
+    costs a commit) and on a reference no document can have.
     """
-    refs = list(refs)
+    refs = list(dict.fromkeys(refs))
     if not refs:
-        raise ValueError("a tombstone record needs at least one document reference")
+        raise ValueError("a delete needs at least one document reference")
     for position, ref in enumerate(refs):
         if not isinstance(ref, Posting):
             raise ValueError(f"tombstone entry {position} is not a document reference")
@@ -93,23 +88,7 @@ def encode_tombstones(refs: Sequence[Posting]) -> bytes:
                 f"tombstone entry {position} is not a valid document reference: "
                 f"({ref.blob!r}, {ref.offset}, {ref.length})"
             )
-    payload = {
-        "version": TOMBSTONE_FORMAT_V1,
-        "refs": [[ref.blob, ref.offset, ref.length] for ref in refs],
-    }
-    return json.dumps(payload).encode("utf-8")
-
-
-def parse_tombstones(data: bytes) -> list[Posting]:
-    """Decode a tombstone record blob back into document references."""
-    payload = json.loads(data.decode("utf-8"))
-    version = payload.get("version")
-    if version != TOMBSTONE_FORMAT_V1:
-        raise ValueError(f"unknown tombstone record version {version!r}")
-    return [
-        Posting(blob=str(blob), offset=int(offset), length=int(length))
-        for blob, offset, length in payload["refs"]
-    ]
+    return refs
 
 
 class Segment(NamedTuple):
@@ -216,43 +195,27 @@ class WriteAheadLog:
         self._segments.append(blob)
         return parse_segment(blob, data)
 
-    def append_tombstones(self, data: bytes) -> str:
-        """Persist one batch of deletes, :func:`encode_tombstones`'s ``data``,
-        as a tombstone record; returns its blob.
+    def update(self, ref: Posting, data: bytes) -> Segment:
+        """Replace the document ``ref`` by the one-line segment ``data``;
+        returns the replacement's columns.
 
-        The commit point is the manifest PUT listing the record: until it
-        lands, the delete was never acknowledged and a crash strands at most
-        an unreferenced record blob.
+        The replacement segment is written first, then one manifest PUT
+        lists it and condemns ``ref``, so the operation is atomic: a crash
+        before it shows the old document untouched, after it the
+        replacement — never a window with both or neither visible.
         """
         sequence = self._allocate()
-        blob = tombstone_blob(self._index_name, sequence)
+        blob = update_blob(self._index_name, sequence)
         self._store.put(blob, data)
-        self._commit(lambda manifest: replace(manifest, tombstones=manifest.tombstones + (sequence,)))
-        return blob
-
-    def update(self, tombstone_data: bytes, data: bytes) -> tuple[str, Segment]:
-        """Replace the document that :func:`encode_tombstones`'s
-        ``tombstone_data`` condemns by the one-line segment ``data``:
-        ``(tombstone, segment)``.
-
-        The replacement segment and the old reference's tombstone are
-        written first, then one manifest PUT lists both, so the operation is
-        atomic: a crash before it shows the old document untouched, after it
-        the replacement — never a window with both or neither visible.
-        """
-        segment, tombstone = self._allocate(), self._allocate()
-        blobs = update_blob(self._index_name, segment), tombstone_blob(self._index_name, tombstone)
-        self._store.put(blobs[0], data)
-        self._store.put(blobs[1], tombstone_data)
         self._commit(
             lambda manifest: replace(
                 manifest,
-                updates=manifest.updates + (segment,),
-                tombstones=manifest.tombstones + (tombstone,),
+                updates=manifest.updates + (sequence,),
+                tombstones=manifest.tombstones | {ref},
             )
         )
-        self._segments.append(blobs[0])
-        return blobs[1], parse_segment(blobs[0], data)
+        self._segments.append(blob)
+        return parse_segment(blob, data)
 
     def seal(self) -> tuple[tuple[str, ...], Callable[[IndexManifest], IndexManifest]]:
         """A flush's seal: the unflushed segments, and the manifest change
@@ -286,18 +249,16 @@ class WriteAheadLog:
     # -- recovery ------------------------------------------------------------------
 
     def _recovered(self, blobs: Sequence[str]) -> list[bytes | None]:
-        """Payloads of ``blobs`` (segments or tombstone records), in order;
-        ``None`` is a blob that is not there.
+        """Payloads of the segments ``blobs``, in order; ``None`` is a blob
+        that is not there.
 
         What is not in hand is read as **one** batch of optional reads with
-        every other blob the manifest names, so a reopening node pays one
-        wave for its segments and tombstone records; each payload is handed
-        out once (segments are the documents' storage, not a cache).
+        every other segment the manifest names, so a reopening node pays one
+        wave for them; each payload is handed out once (segments are the
+        documents' storage, not a cache).
         """
         if any(blob not in self._fetched for blob in blobs):
-            missing = [
-                blob for blob in self.manifest().recovery_blobs() if blob not in self._fetched
-            ]
+            missing = [blob for blob in self.manifest().segments() if blob not in self._fetched]
             fetch = self._store.read_batch([RangeRead(blob, optional=True) for blob in missing])
             self._fetched.update(zip(missing, fetch.payloads))
         return [self._fetched.pop(blob) for blob in blobs]
@@ -322,16 +283,3 @@ class WriteAheadLog:
         self._segments = [segment.blob for segment in segments]
         self._replayed_from = manifest.first_unflushed
         return segments
-
-    def load_tombstones(self) -> dict[str, tuple[Posting, ...]]:
-        """Pending deletes, ``{record_blob: condemned_refs}`` for every
-        record the manifest lists — what a reopened
-        :class:`~repro.ingest.live.LiveIndex` filters queries with until a
-        compaction applies them physically."""
-        records = [tombstone_blob(self._index_name, n) for n in self.manifest().tombstones]
-        loaded = {}
-        for blob, data in zip(records, self._recovered(records)):
-            if data is None:
-                raise BlobNotFoundError(blob)
-            loaded[blob] = tuple(parse_tombstones(data))
-        return loaded

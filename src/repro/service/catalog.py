@@ -23,10 +23,12 @@ from threading import RLock
 from typing import TYPE_CHECKING
 
 from repro.index.store_layout import (
+    OpenedBuild,
     OpenedIndex,
     discovery_blobs,
     index_name_of,
     is_index_name,
+    open_headers,
     open_index,
 )
 from repro.search.searcher import AirphantSearcher
@@ -35,6 +37,7 @@ from repro.service.config import ServiceConfig
 from repro.storage.base import BlobNotFoundError, ObjectStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.index.updates import IndexManifest
     from repro.ingest.live import IngestCoordinator
 
 
@@ -50,6 +53,9 @@ class IndexCatalog:
         #: not re-read an in-place header that may be a retired leftover).
         #: Only ever added to / discarded from, so ``info`` needs no lock.
         self._manifested: set[str] = set()
+        #: Per name, the manifest this node just committed and the builds
+        #: the searcher it dropped held: what the next open opens from.
+        self._committed: dict[str, tuple[IndexManifest, list[OpenedBuild]]] = {}
         self._lock = RLock()
 
     @property
@@ -141,7 +147,11 @@ class IndexCatalog:
             if searcher is not None:
                 return searcher
             probe = ingest is not None and not ingest.probed(name)
-            found = self._open_index(name, probe_ingest=probe)
+            committed = self._committed.pop(name, None)
+            if committed is not None and not probe:
+                found = self._reopen(*committed)
+            else:
+                found = self._open_index(name, probe_ingest=probe)
             searcher = AirphantSearcher.open(
                 self._store,
                 found.manifest.all_indexes,
@@ -157,8 +167,24 @@ class IndexCatalog:
             ingest.live(name, opened=found)
         return searcher
 
+    def _reopen(self, manifest: IndexManifest, held: list[OpenedBuild]) -> OpenedIndex:
+        """``manifest``'s index, the ``held`` builds already decoded: one
+        wave for the member headers it lacks, and no manifest read — unless
+        one is gone (another process's swaps purged it), when the index is
+        opened from the store's manifest instead."""
+        have = {build.name: build for build in held}
+        lacking = [name for name in manifest.all_indexes if name not in have]
+        try:
+            opened = open_headers(self._store, lacking, self._config.max_concurrency)
+        except BlobNotFoundError:
+            return self._open_index(manifest.base_index, probe_ingest=False)
+        have.update((build.name, build) for build in opened.builds)
+        builds = [have[name] for name in manifest.all_indexes]
+        return OpenedIndex(manifest, {}, builds, opened.elapsed_ms)
+
     def invalidate(self, name: str | None = None) -> None:
-        """Drop cached searcher(s) so the next use re-reads headers.
+        """Drop cached searcher(s) so the next use re-reads the manifest and
+        headers.
 
         Call after rebuilding an index (or appending a delta); with ``None``
         the whole cache is cleared.  Dropped searchers are closed, releasing
@@ -168,17 +194,27 @@ class IndexCatalog:
             if name is None:
                 dropped = list(self._searchers.values())
                 self._searchers.clear()
+                self._committed.clear()
             else:
                 searcher = self._searchers.pop(name, None)
                 dropped = [searcher] if searcher is not None else []
+                self._committed.pop(name, None)
         for searcher in dropped:
             searcher.close()
 
-    def manifest_written(self, name: str) -> None:
-        """This node just committed ``name``'s update manifest (a flush, a
-        compaction): invalidate it, and reopen through that manifest alone."""
-        self._manifested.add(name)
-        self.invalidate(name)
+    def manifest_written(self, name: str, manifest: IndexManifest) -> None:
+        """This node just committed ``manifest`` for ``name`` (a flush, a
+        compaction): drop its searcher, and open the next one from that
+        manifest, with the headers the dropped one decoded."""
+        with self._lock:
+            searcher = self._searchers.get(name)
+            held = [
+                OpenedBuild(member.name, member.header, member.max_concurrency)
+                for member in (searcher.opened if searcher is not None else ())
+            ]
+            self.invalidate(name)
+            self._committed[name] = (manifest, held)
+            self._manifested.add(name)
 
     def close(self) -> None:
         """Close every opened searcher (the catalog stays usable afterwards)."""

@@ -603,7 +603,7 @@ class AirphantService:
     ) -> dict[str, Any]:
         """Durably delete documents by reference; invisible on return.
 
-        The deletes are committed as a WAL tombstone record, applied
+        The deletes are committed as one manifest PUT, applied
         physically in the memtable tier, filtered at query time everywhere
         else, and purged for good at the next compaction.  Unknown refs are
         accepted (deletes are idempotent).  Raises :class:`ServiceError` 404
@@ -624,7 +624,7 @@ class AirphantService:
     def update_document(self, index: str, ref: Posting, text: str) -> dict[str, Any]:
         """Durably replace one document; read-your-writes on return.
 
-        Atomic: one WAL manifest write commits the replacement segment and
+        Atomic: one manifest write commits the replacement segment and
         the old reference's tombstone together, so no query sees both (or
         neither) version.  Raises :class:`ServiceError` 404 for unknown
         indexes, 400 for text the WAL format cannot hold, and 429 under
@@ -691,19 +691,17 @@ class AirphantService:
         """Create (or overwrite) a named point-in-time snapshot of ``index``.
 
         The memtable is flushed first, so the frozen manifest covers every
-        acknowledged write; pending deletes ride along as the snapshot's
-        tombstone set.  Raises :class:`ServiceError` 404 for unknown indexes
+        acknowledged write; the manifest's pending deletes ride along as the
+        snapshot's tombstone set.  Raises :class:`ServiceError` 404 for unknown indexes
         and 400 for invalid snapshot names.
         """
         with _STORE_ERRORS:
             self._require_index(index)
             live = self._ingest.live(index)
-            tombstones: Sequence[Posting] = ()
             if live is not None:
                 live.flush()
-                tombstones = sorted(live.tombstone_refs())
             try:
-                info = self._ingest.manager(index).create_snapshot(snapshot, tombstones)
+                info = self._ingest.manager(index).create_snapshot(snapshot)
             except ValueError as error:
                 raise ServiceError(400, "bad_snapshot_name", str(error)) from error
         return {

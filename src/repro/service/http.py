@@ -29,10 +29,13 @@ query node can be started anywhere the bucket is reachable:
   ``{"documents": ["one doc per entry", ...]}``); WAL-durable and
   searchable in every query mode when the call returns;
 * ``POST /indexes/{name}/docs/delete`` — tombstone documents by reference
-  (body: ``{"refs": [{"blob": ..., "offset": ..., "length": ...}, ...]}``);
-  WAL-durable and invisible in every tier when the call returns;
+  (body: ``{"refs": [{"blob": ..., "offset": ..., "length": ...}, ...]}``):
+  one ``manifest.json`` PUT adds the refs to the index's pending deletes,
+  durable and invisible in every tier when the call returns;
 * ``POST /indexes/{name}/docs/update`` — atomically replace one document
-  (body: ``{"ref": {...}, "document": "new text"}``);
+  (body: ``{"ref": {...}, "document": "new text"}``): the replacement's
+  ``upd-`` segment PUT, then one ``manifest.json`` PUT that lists it and
+  condemns the old ref;
 * ``POST /indexes/{name}/flush`` — fold the memtable into a delta index now;
 * ``POST /indexes/{name}/compact`` — flush, then fold all deltas into a new
   base generation now (this is also what physically purges tombstones);

@@ -10,10 +10,11 @@ cache on (the default); the two queries share no range, so the cold log is
 the same as an uncached one.  Moving who resolves name → manifest
 → members → headers, or who issues a wave, must not move a single store call
 on the open/query path, nor a write's commit; a change that *means* to
-regenerates the golden on purpose (last: the WAL's state moved into
-``manifest.json``, so each write commits with one read and one PUT of it and
-no ``ingest/ingest.json`` PUT; before that, a sharded build's first ranked
-query read its one ``stats.json`` instead of one per shard)::
+regenerates the golden on purpose (last: pending deletes moved into
+``manifest.json``, so a delete writes no ``tomb-`` record and the
+compaction's purge has none to delete; before that, the WAL's state moved
+into ``manifest.json``, so each write commits with one read and one PUT of
+it and no ``ingest/ingest.json`` PUT)::
 
     PYTHONPATH=src:tests python tests/index/test_golden_store_calls.py
 """

@@ -4,7 +4,8 @@ The open-path twin of ``tests/search/test_waves_per_query.py``.  A cold node
 asks for every blob that says what an index *is* — header (a sharded
 build's holds every shard's split of one sketch), update manifest, ingest
 manifest — as one batch of "missing is an answer" reads; whatever those
-name (member headers, WAL segments, tombstone records) is one more.  A
+name (member headers, WAL segments) is one more.  Pending deletes are the
+manifest's own, so they cost no read past it.  A
 build in a retired format (a sharded layout with a header container per
 shard, or ``shards.json``; a JSON header; a header over superpost codec v1 —
 ``harness.legacy_header``) costs no wave more: it is a typed "rebuild"
@@ -75,7 +76,7 @@ def bucket():
         base = AppendOnlyIndexManager(backend, f"legacy-{layout}-generational").manifest()
         retire_format(backend, base.active_base, layout)
     # A live index another process left behind: base, one flushed delta, 20
-    # unflushed one-document WAL segments, one tombstone record.
+    # unflushed one-document WAL segments, one pending delete.
     with AirphantService(backend, SERVICE) as writer:
         writer.build_index("live", corpus.blob_names, sketch_config=CONFIG)
         writer.append_documents("live", ["flushed needle one", "flushed needle two"])
@@ -133,15 +134,17 @@ def test_dependent_batches_before_the_first_query_wave(bucket, name, waves):
         )
         assert searcher.search("INFO", top_k=3).documents
         if name == "live":
-            # Replay rode wave 2 beside the delta's header.json: the probed segment range (the 20 segments, plus at most
-            # one block of numbers no append wrote) and the tombstone record.
-            assert len(batches[1]) <= 1 + 20 + SEGMENT_BLOCK + 1
-            assert sum("/tomb-" in blob for blob in batches[1]) == 1
+            # Replay rode wave 2 beside the delta's header.json: the probed
+            # segment range (the 20 segments, plus at most one block of
+            # numbers no append wrote), and no delete record.
+            assert len(batches[1]) <= 1 + 20 + SEGMENT_BLOCK
+            assert not any("/tomb-" in blob for blob in batches[1])
             assert len(searcher.searchers) == 3  # base, delta, the replayed memtable
             found = searcher.search("unflushed").documents
             assert sorted(d.text for d in found) == sorted(appended)
+            # The pending delete came with wave 1's manifest.
             live = service.ingest.live(name)
-            assert live.tombstone_refs()
+            assert len(live.tombstone_refs()) == 1
             # The segments replayed, not the width of the probed range.
             assert live.summary()["wal_segments_active"] == 20
         assert not any(method == "exists" for method, _, _, _ in store.calls)
@@ -179,20 +182,30 @@ def test_a_reopen_after_this_nodes_own_flush_reads_only_what_it_does_not_know(bu
         assert service.flush_index("idx")["delta"]
         start = len(store.calls)
         assert service.searcher("idx").search("needle").documents
-        first, second = _batches(store.calls[start:])[:2]
-        # This node wrote the manifest, and its live index is registered: the
-        # manifest alone is wave 1, base and delta headers are wave 2.
-        assert first == ["idx/manifest.json"]
-        assert sorted(second) == ["idx/delta-0000/header.json", "idx/header.json"]
+        first = _batches(store.calls[start:])[0]
+        # This node committed the manifest, and its live index is registered:
+        # the reopen opens from that manifest, with no read of it — base and
+        # delta headers are its one wave.
+        assert sorted(first) == ["idx/delta-0000/header.json", "idx/header.json"]
+        assert "idx/manifest.json" not in {blob for _, blob, _, _ in store.calls[start:]}
+        # With the index open, a flush's reopen decodes only the new delta's
+        # header.
+        service.append_documents("idx", ["reopen needle two"])
+        assert service.flush_index("idx")["delta"]
+        start = len(store.calls)
+        assert len(service.searcher("idx").search("needle").documents) == 2
+        assert _batches(store.calls[start:])[0] == ["idx/delta-0001/header.json"]
+        assert "idx/manifest.json" not in {blob for _, blob, _, _ in store.calls[start:]}
         # After a compaction the in-place header lingers, retired, for one
         # generation of reader grace: a reopen must not download it.
-        service.append_documents("idx", ["reopen needle two"])
+        service.append_documents("idx", ["reopen needle three"])
         assert service.compact_index("idx")["compacted"]
         assert backend.exists("idx/header.json")
         start = len(store.calls)
-        assert len(service.searcher("idx").search("needle").documents) == 2
+        assert len(service.searcher("idx").search("needle").documents) == 3
         reads = [blob for batch in _batches(store.calls[start:]) for blob in batch]
-        assert "idx/header.json" not in reads and "idx/ingest/ingest.json" not in reads
+        assert reads[0] == "idx/gen-00000001/header.json"
+        assert "idx/header.json" not in reads and "idx/manifest.json" not in reads
         assert not any(method == "exists" for method, _, _, _ in store.calls[start:])
 
 

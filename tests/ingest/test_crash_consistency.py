@@ -62,7 +62,7 @@ def _live(store) -> LiveIndex:
         "idx",
         ServiceConfig(ingest_interval_s=0),
         MetricsRegistry(),
-        lambda name: None,
+        lambda name, manifest: None,
     )
 
 
@@ -187,14 +187,14 @@ class TestUpdateCrashes:
     def test_killed_before_commit_shows_the_old_document_only(self):
         store = _store()
         live = _live(store)
-        # The segment and tombstone PUTs both land; the one manifest swap
-        # referencing them does not — the update must vanish atomically.
+        # The replacement segment lands; the one manifest PUT that lists it
+        # and condemns the old ref does not — the update must vanish
+        # atomically.
         store.arm("put", COMMIT, when="before")
         with pytest.raises(SimulatedCrash):
             live.update(BASE_REF, "error replacement text")
         landed = store.backend.list_blobs(prefix="idx/ingest/")
-        assert any("/upd-" in blob for blob in landed)
-        assert any("/tomb-" in blob for blob in landed)
+        assert [blob for blob in landed if "/upd-" in blob] == landed != []
         recovered = _restart(store)
         assert recovered.tombstone_refs() == frozenset()
         assert "error disk full" in _visible_texts(recovered, "error")

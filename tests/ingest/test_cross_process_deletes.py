@@ -1,0 +1,69 @@
+"""A delete committed by another process filters this one's queries.
+
+Pending deletes are the manifest's own state, and every commit of a process
+first adopts what another one committed.  So once node 1 commits anything
+after node 2's delete (here, a flush), node 1 filters the condemned document
+too, and its next compaction applies the delete physically: the document
+does not come back in the compacted base.
+"""
+
+from __future__ import annotations
+
+from repro.core.config import SketchConfig
+from repro.index.builder import AirphantBuilder
+from repro.ingest.live import LiveIndex
+from repro.observability import MetricsRegistry
+from repro.parsing.corpus import LineDelimitedCorpusParser
+from repro.parsing.documents import Posting
+from repro.search.searcher import AirphantSearcher
+from repro.service.config import ServiceConfig
+from repro.storage.memory import InMemoryObjectStore
+
+CORPUS = b"error disk full\ninfo service ok\nwarn slow response\n"
+CONDEMNED = Posting(blob="corpus/base.txt", offset=0, length=15)
+
+
+def _store() -> InMemoryObjectStore:
+    store = InMemoryObjectStore()
+    store.put("corpus/base.txt", CORPUS)
+    documents = list(LineDelimitedCorpusParser().parse(store, ["corpus/base.txt"]))
+    AirphantBuilder(store, config=SketchConfig(num_bins=64, seed=3)).build_from_documents(
+        documents, index_name="idx"
+    )
+    return store
+
+
+def _node(store) -> LiveIndex:
+    """One process's write path over the shared store."""
+    return LiveIndex(
+        store, "idx", ServiceConfig(ingest_interval_s=0), MetricsRegistry(), lambda *_: None
+    )
+
+
+def _answers(live: LiveIndex, query: str) -> set[str]:
+    """What ``live``'s node answers: memtables, deltas and base, minus its pending deletes."""
+    searcher = live.manager.open_searcher()
+    view = searcher.with_members(
+        [*live.memtable_members(), *searcher.searchers], live.tombstone_refs()
+    )
+    texts = {document.text for document in view.search(query).documents}
+    searcher.close()
+    return texts
+
+
+def test_a_delete_from_another_process_filters_after_this_ones_next_commit():
+    store = _store()
+    node1, node2 = _node(store), _node(store)
+    node1.append(["error fresh one"])
+    node2.delete([CONDEMNED])
+    assert node1.flush() is not None
+    assert node1.tombstone_refs() == frozenset({CONDEMNED})
+    assert _answers(node1, "error") == {"error fresh one"}
+
+    assert node1.compact() is not None
+    assert _answers(node1, "error") == {"error fresh one"}
+    assert node1.tombstone_refs() == frozenset()  # applied, so no longer pending
+    # The compacted base does not hold the document: no filter hides it.
+    base = AirphantSearcher.open(store, node1.manager.manifest().active_base)
+    assert CONDEMNED not in {document.ref for document in base.search("error").documents}
+    base.close()

@@ -41,7 +41,7 @@ def _store() -> InMemoryObjectStore:
 
 def _live(store) -> LiveIndex:
     config = ServiceConfig(ingest_interval_s=0)
-    return LiveIndex(store, "idx", config, MetricsRegistry(), lambda name: None)
+    return LiveIndex(store, "idx", config, MetricsRegistry(), lambda name, manifest: None)
 
 
 class Survivors:
@@ -137,7 +137,7 @@ def test_a_document_condemned_before_it_arrived_stays_out_of_the_delta():
     survivors = Survivors()
     survivors.appended(live.append(["error kept one"]), ["error kept one"])
     # A delete that names the next append's line before it exists.
-    blob = live.wal.unflushed[0].replace("00000000", "00000002")  # after the tombstone's
+    blob = live.wal.unflushed[0].replace("00000000", "00000001")  # a delete takes no number
     condemned = Posting(blob, 0, len("error condemned"))
     live.delete([condemned])
     answer = live.append(["error condemned"])

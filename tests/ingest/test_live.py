@@ -35,7 +35,7 @@ def _live(store, **config) -> tuple[LiveIndex, list[str]]:
         "idx",
         ServiceConfig(ingest_interval_s=0, **config),
         MetricsRegistry(),
-        invalidated.append,
+        lambda name, manifest: invalidated.append(name),
     )
     return live, invalidated
 
@@ -273,7 +273,7 @@ class TestCoordinator:
             store,
             ServiceConfig(ingest_interval_s=0, **config),
             MetricsRegistry(),
-            invalidated.append,
+            lambda name, manifest: invalidated.append(name),
         )
         return coordinator, invalidated
 

@@ -1,9 +1,9 @@
 """A query on a writing node never waits for a store call of the write path.
 
 Queries take :class:`~repro.ingest.live.LiveIndex`'s write lock to snapshot
-the memtables and the pending deletes; every PUT of the write path — segment,
-tombstone record, and the manifest commit of a block reservation or a
-delete — runs under the commit lock instead.  A store whose PUTs park until released pins that: a search on
+the memtables; every PUT of the write path — a segment, and the manifest
+commit of a block reservation or a delete — runs under the commit lock
+instead.  A store whose PUTs park until released pins that: a search on
 the same service answers while an append, then a delete, hangs in its PUT.
 """
 
@@ -82,6 +82,7 @@ def test_a_search_returns_while_an_append_and_a_delete_are_parked(pattern):
         assert _search_returns(service, "parked") == {"error parked event"}
 
         ref = Posting(**appended[0]["refs"][0])
+        store.pattern = "idx/manifest.json"  # a delete's one PUT
         store.arm()
         delete, _ = _in_thread(lambda: service.delete_documents("idx", [ref]))
         assert store.parked.wait(PATIENCE_S)

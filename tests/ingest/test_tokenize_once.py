@@ -53,7 +53,7 @@ def _store() -> InMemoryObjectStore:
 
 def _live(store) -> LiveIndex:
     config = ServiceConfig(ingest_interval_s=0)
-    return LiveIndex(store, "idx", config, MetricsRegistry(), lambda name: None)
+    return LiveIndex(store, "idx", config, MetricsRegistry(), lambda name, manifest: None)
 
 
 def _view(store, live: LiveIndex) -> AirphantSearcher:

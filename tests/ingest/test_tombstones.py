@@ -1,26 +1,25 @@
 """Tests for the mutable-document lifecycle: tombstone deletes and updates.
 
-Covers every layer a delete travels through: the WAL tombstone records, the
-memtable's exact removal, the query executor's ``exclude`` filter (ranked
+Covers every layer a delete travels through: the manifest's pending deletes
+(one PUT per delete), the memtable's exact removal, the query executor's ``exclude`` filter (ranked
 scores included), the flush-time survivor filter, and the compaction
 that finally drops deleted documents from the physical index.
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import pytest
+from harness.stores import RecordingStore
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
-from repro.index.updates import AppendOnlyIndexManager
+from repro.index.updates import AppendOnlyIndexManager, IndexManifest
 from repro.ingest.live import IngestCoordinator, IngestOverloadedError, LiveIndex
 from repro.ingest.memtable import Memtable, memtable_from_documents
-from repro.ingest.wal import (
-    WriteAheadLog,
-    encode_segment,
-    encode_tombstones,
-    parse_tombstones,
-)
+from repro.ingest.wal import WriteAheadLog, check_refs, encode_segment
 from repro.observability import MetricsRegistry
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.parsing.documents import Document, Posting
@@ -52,7 +51,7 @@ def _live(store, **config) -> LiveIndex:
         "idx",
         ServiceConfig(ingest_interval_s=0, **config),
         MetricsRegistry(),
-        lambda name: None,
+        lambda name, manifest: None,
     )
 
 
@@ -68,72 +67,78 @@ def _doc(blob: str, offset: int, text: str) -> Document:
 
 
 class TestTombstoneRecords:
+    """Pending deletes are the manifest's: the condemned refs, grouped by blob."""
+
     def test_round_trip(self):
-        refs = [BASE_REFS[0], BASE_REFS[2]]
-        assert parse_tombstones(encode_tombstones(refs)) == refs
+        manifest = IndexManifest("idx", tombstones=frozenset({BASE_REFS[2], BASE_REFS[0]}))
+        payload = manifest.to_dict()
+        assert payload == {"tombstones": {"corpus/base.txt": [0, 15, 32, 18]}}
+        assert IndexManifest.from_dict("idx", json.loads(json.dumps(payload))) == manifest
 
     def test_rejects_empty_and_bad_refs(self):
         with pytest.raises(ValueError):
-            encode_tombstones([])
+            check_refs([])
         with pytest.raises(ValueError):
-            encode_tombstones([Posting(blob="", offset=0, length=3)])
+            check_refs([Posting(blob="", offset=0, length=3)])
+        assert check_refs([BASE_REFS[1], BASE_REFS[0], BASE_REFS[1]]) == list(BASE_REFS[1::-1])
 
-    def test_append_commits_record_into_manifest(self):
+    def test_a_delete_commits_its_refs_into_the_manifest(self):
         store = InMemoryObjectStore()
-        wal = WriteAheadLog(store, "idx")
-        blob = wal.append_tombstones(encode_tombstones([BASE_REFS[0]]))
-        assert blob == "idx/ingest/tomb-00000000.json"
-        assert store.exists(blob)
-        assert wal.manifest().tombstones == (0,)
-        assert wal.load_tombstones() == {blob: (BASE_REFS[0],)}
+        _base(store)
+        live = _live(store)
+        live.delete([BASE_REFS[0]])
+        assert not store.list_blobs(prefix="idx/ingest/")
+        manifest = AppendOnlyIndexManager(store, "idx").manifest()
+        assert manifest.tombstones == frozenset({BASE_REFS[0]})
+        # A delete takes no sequence number: nothing is reserved for it.
+        assert manifest.reserved_end == 0
 
     def test_a_flush_keeps_tombstones(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
         wal.append(encode_segment(["error fresh one"]))
-        tomb = wal.append_tombstones(encode_tombstones([BASE_REFS[0]]))
+        pending = frozenset({BASE_REFS[0]})
+        wal.manager.commit(lambda manifest: replace(manifest, tombstones=pending))
         _, retire = wal.seal()
         manifest = wal.manager.commit(retire)
         assert manifest.segments() == ()
-        # Tombstones outlive the flush that retires their era's segments:
-        # only compaction (which physically drops the documents) retires them.
-        assert manifest.recovery_blobs() == (tomb,)
+        # Pending deletes outlive the flush that retires their era's
+        # segments: only compaction (which physically drops the documents)
+        # retires them.
+        assert manifest.tombstones == frozenset({BASE_REFS[0]})
 
     def test_update_commit_is_one_manifest_swap(self):
         store = InMemoryObjectStore()
         wal = WriteAheadLog(store, "idx")
-        tomb, (segment, _, _, texts) = wal.update(
-            encode_tombstones([BASE_REFS[0]]), encode_segment(["replacement text"])
-        )
+        segment, _, _, texts = wal.update(BASE_REFS[0], encode_segment(["replacement text"]))
         assert texts == ["replacement text"]
-        # Both blobs land first, then one manifest PUT lists both; the
-        # replacement is named outside the probed segment range.
-        assert sorted(store.list_blobs()) == sorted(["idx/manifest.json", segment, tomb])
+        # The replacement lands first, then one manifest PUT lists it and
+        # condemns the old ref; it is named outside the probed segment range.
+        assert sorted(store.list_blobs()) == sorted(["idx/manifest.json", segment])
         assert segment == "idx/ingest/upd-00000000.log"
         manifest = wal.manifest()
-        assert (manifest.updates, manifest.tombstones) == ((0,), (1,))
-        assert manifest.reserved_end == 2
+        assert (manifest.updates, manifest.tombstones) == ((0,), frozenset({BASE_REFS[0]}))
+        assert manifest.reserved_end == 1
 
     def test_restore_resets_segments_but_preserves_counter(self):
         store = InMemoryObjectStore()
         _base(store)
         live = _live(store)
-        live.manager.create_snapshot("s", [BASE_REFS[1]])
+        live.delete([BASE_REFS[1]])
+        live.manager.create_snapshot("s")
         live.append(["error one"])
         live.delete([BASE_REFS[0]])
         before = live.wal.manifest().reserved_end
         live.manager.restore_snapshot("s")
         manifest = live.manager.manifest()
         assert manifest.segments() == ()
-        # One fresh record holding exactly the restored tombstones.
-        assert len(manifest.tombstones) == 1
-        assert WriteAheadLog(store, "idx").load_tombstones() == {
-            manifest.recovery_blobs()[0]: (BASE_REFS[1],)
-        }
+        # The snapshot's pending deletes, in the manifest; no record blob.
+        assert manifest.tombstones == frozenset({BASE_REFS[1]})
+        assert AppendOnlyIndexManager(store, "idx").manifest() == manifest
+        assert not store.list_blobs(prefix="idx/ingest/tomb-")
         # The counter never rewinds: blobs from the abandoned timeline are
         # permanent document storage and must not be overwritten.
-        assert manifest.tombstones[0] >= before
-        assert manifest.reserved_end > before
+        assert manifest.reserved_end >= before
 
 
 class TestMemtableRemove:
@@ -213,7 +218,9 @@ class TestLiveDelete:
         outcome = live.delete([BASE_REFS[0]])
         assert outcome["deleted"] == 1
         assert outcome["memtable_removed"] == 0
-        assert store.exists(outcome["tombstone_record"])
+        assert outcome["tombstones_pending"] == 1
+        stored = AppendOnlyIndexManager(store, "idx").manifest().tombstones
+        assert stored == frozenset({BASE_REFS[0]})
         assert live.tombstone_refs() == frozenset({BASE_REFS[0]})
         # The memtable tier returns nothing for the deleted base doc, and the
         # base tier (excluded the same way by the service facade) filters it.
@@ -277,7 +284,7 @@ class TestLiveUpdate:
         # One manifest swap carries both the new segment and the tombstone.
         manifest = live.wal.manifest()
         assert outcome["wal_segment"] in manifest.segments()
-        assert outcome["tombstone_record"] in manifest.recovery_blobs()
+        assert manifest.tombstones == frozenset({BASE_REFS[0]})
         assert new_ref.blob == outcome["wal_segment"]
 
     def test_update_of_memtable_document_swaps_in_place(self):
@@ -300,29 +307,35 @@ class TestLiveUpdate:
         assert live.tombstone_refs() == frozenset()
 
 
-class TestTombstonesEncodedOnce:
-    def test_each_delete_and_update_encodes_its_record_once(self, monkeypatch):
-        import repro.ingest.live as live_module
-        import repro.ingest.wal as wal_module
+class TestOnePutPerWrite:
+    def _puts(self, store: RecordingStore) -> list[str]:
+        puts = [blob for method, blob, _, _ in store.calls if method == "put"]
+        store.calls.clear()
+        return puts
 
-        store = InMemoryObjectStore()
-        _base(store)
+    def test_a_delete_is_one_put_and_an_update_two(self):
+        backend = InMemoryObjectStore()
+        _base(backend)
+        store = RecordingStore(backend)
         live = _live(store)
-        calls: list[int] = []
-
-        def counted(refs):
-            calls.append(1)
-            return encode_tombstones(refs)
-
-        for module in (live_module, wal_module):
-            monkeypatch.setattr(module, "encode_tombstones", counted)
         live.delete([BASE_REFS[0], BASE_REFS[1]])
-        assert len(calls) == 1
+        assert self._puts(store) == ["idx/manifest.json"]
         live.update(BASE_REFS[2], "warn replacement")
-        assert len(calls) == 2
-        # The bytes validated are the records written.
-        records = WriteAheadLog(store, "idx").load_tombstones()
-        assert sorted(ref for refs in records.values() for ref in refs) == sorted(BASE_REFS)
+        assert self._puts(store) == ["idx/ingest/upd-00000000.log", "idx/manifest.json"]
+        assert live.tombstone_refs() == frozenset(BASE_REFS)
+
+    def test_a_restore_writes_no_delete_record(self):
+        backend = InMemoryObjectStore()
+        _base(backend)
+        store = RecordingStore(backend)
+        live = _live(store)
+        live.delete([BASE_REFS[0]])
+        live.manager.create_snapshot("s")
+        live.delete([BASE_REFS[1]])
+        store.calls.clear()
+        live.manager.restore_snapshot("s")
+        assert self._puts(store) == ["idx/manifest.json"]
+        assert live.manager.manifest().tombstones == frozenset({BASE_REFS[0]})
 
 
 class TestFlushUnderDeletes:
@@ -369,7 +382,7 @@ class TestCompactionPurge:
         assert outcome is not None
         assert outcome["tombstones_purged"] == 1
         assert live.tombstone_refs() == frozenset()
-        assert AppendOnlyIndexManager(store, "idx").manifest().tombstones == ()
+        assert AppendOnlyIndexManager(store, "idx").manifest().tombstones == frozenset()
         assert not store.list_blobs(prefix="idx/ingest/tomb-")
         # The compacted base genuinely does not contain the deleted ref —
         # no tombstone filtering needed anymore.
@@ -454,7 +467,7 @@ class TestCoordinatorTombstones:
         store = InMemoryObjectStore()
         _base(store)
         coordinator = IngestCoordinator(
-            store, ServiceConfig(ingest_interval_s=0), MetricsRegistry(), lambda n: None
+            store, ServiceConfig(ingest_interval_s=0), MetricsRegistry(), lambda name, manifest: None
         )
         live = coordinator.live("idx", create=True)
         live.delete([BASE_REFS[0]])
@@ -463,7 +476,7 @@ class TestCoordinatorTombstones:
         # memtable must still surface the pending tombstones, or the deleted
         # document would resurrect on the query path.
         reopened = IngestCoordinator(
-            store, ServiceConfig(ingest_interval_s=0), MetricsRegistry(), lambda n: None
+            store, ServiceConfig(ingest_interval_s=0), MetricsRegistry(), lambda name, manifest: None
         )
         assert reopened.live("idx") is not None
         assert reopened.tombstone_refs("idx") == frozenset({BASE_REFS[0]})
@@ -473,7 +486,7 @@ class TestCoordinatorTombstones:
     def test_tombstone_refs_of_unknown_index_is_empty(self):
         store = InMemoryObjectStore()
         coordinator = IngestCoordinator(
-            store, ServiceConfig(ingest_interval_s=0), MetricsRegistry(), lambda n: None
+            store, ServiceConfig(ingest_interval_s=0), MetricsRegistry(), lambda name, manifest: None
         )
         assert coordinator.tombstone_refs("nope") == frozenset()
         coordinator.close()

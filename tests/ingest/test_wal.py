@@ -7,8 +7,15 @@ import json
 import pytest
 from harness.stores import RecordingStore
 
-from repro.index.store_layout import UnsupportedIndexFormatError, ingest_manifest_blob
+from repro.core.config import SketchConfig
+from repro.index.builder import AirphantBuilder
+from repro.index.store_layout import (
+    UnsupportedIndexFormatError,
+    ingest_manifest_blob,
+    open_index,
+)
 from repro.index.updates import AppendOnlyIndexManager, IndexManifest
+from repro.ingest.live import LiveIndex
 from repro.ingest.wal import (
     SEGMENT_BLOCK,
     WriteAheadLog,
@@ -17,7 +24,9 @@ from repro.ingest.wal import (
     segment_blob,
 )
 from repro.parsing.corpus import LineDelimitedCorpusParser
+from repro.observability import MetricsRegistry
 from repro.parsing.documents import Posting
+from repro.service.config import ServiceConfig
 from repro.storage.memory import InMemoryObjectStore
 
 #: A version-1 WAL as the list-of-segments writer left it: three appends, a
@@ -47,6 +56,25 @@ V2_WAL = {
     b'["idx/ingest/seg-00000000.log", 0, 15]]}',
     "idx/ingest/tomb-00000005.json": b'{"version": 1, "refs": [["corpus/base.txt", 16, 15]]}',
 }
+
+#: The same history as a manifest that listed its delete records by number
+#: left it, beside those records.
+NUMBERED_RECORDS = {
+    "idx/manifest.json": b'{"first_unflushed":1,"reserved_end":6,"updates":[4],"tombstones":[2,5]}',
+    **{blob: data for blob, data in V2_WAL.items() if not blob.endswith("ingest.json")},
+}
+
+#: What the delete records of each legacy WAL condemn.
+V1_REFS = frozenset(
+    {Posting("corpus/base.txt", 0, 15), Posting("idx/ingest/seg-00000000.log", 0, 15)}
+)
+V2_REFS = V1_REFS | {Posting("corpus/base.txt", 16, 15)}
+
+LEGACY = pytest.mark.parametrize(
+    "legacy, refs",
+    [(V1_WAL, V1_REFS), (V2_WAL, V2_REFS), (NUMBERED_RECORDS, V2_REFS)],
+    ids=["v1", "v2", "numbered-records"],
+)
 
 
 def _texts(segments) -> list[str]:
@@ -89,7 +117,11 @@ class TestSegmentFormat:
 class TestManifest:
     def test_round_trip(self):
         manifest = IndexManifest(
-            "idx", first_unflushed=3, reserved_end=7, updates=(4,), tombstones=(5,)
+            "idx",
+            first_unflushed=3,
+            reserved_end=7,
+            updates=(4,),
+            tombstones=V2_REFS,
         )
         assert IndexManifest.read("idx", manifest_bytes(manifest)) == manifest
 
@@ -104,14 +136,11 @@ class TestManifest:
         assert json.loads(manifest_bytes(flushed)) == {"first_unflushed": 7}
 
     def test_the_range_is_probed_then_the_listed_segments(self):
-        manifest = IndexManifest(
-            "idx", first_unflushed=3, reserved_end=5, updates=(1,), tombstones=(2,)
-        )
-        assert manifest.recovery_blobs() == (
+        manifest = IndexManifest("idx", first_unflushed=3, reserved_end=5, updates=(1,))
+        assert manifest.segments() == (
             "idx/ingest/seg-00000003.log",
             "idx/ingest/seg-00000004.log",
             "idx/ingest/upd-00000001.log",
-            "idx/ingest/tomb-00000002.json",
         )
 
     def test_blob_names(self):
@@ -182,8 +211,9 @@ class TestWriteAheadLog:
 
 
 class TestFormatCompatibility:
-    """A legacy ``ingest.json`` is the WAL's state until the first manifest
-    write folds it in; no code writes one."""
+    """A legacy ``ingest.json``, and delete records a manifest lists by
+    number, are the WAL's state until the first manifest write folds them
+    in; no code writes either."""
 
     def _store(self, wal: dict[str, bytes]) -> InMemoryObjectStore:
         store = InMemoryObjectStore()
@@ -196,46 +226,71 @@ class TestFormatCompatibility:
         assert _texts(wal.replay()) == [
             "warn slow response", "info service ok", "error late write"
         ]
-        assert wal.load_tombstones() == {
-            "idx/ingest/tomb-00000002.json": (
-                Posting("corpus/base.txt", 0, 15),
-                Posting("idx/ingest/seg-00000000.log", 0, 15),
-            )
-        }
+        assert wal.manifest().tombstones == V1_REFS
         assert wal.unflushed == (
             "idx/ingest/seg-00000001.log", "idx/ingest/seg-00000003.log"
         )
 
-    def test_a_v2_manifest_replays_identically(self):
-        wal = WriteAheadLog(self._store(V2_WAL), "idx")
+    @pytest.mark.parametrize("legacy", [V2_WAL, NUMBERED_RECORDS], ids=["v2", "numbered-records"])
+    def test_a_v2_manifest_replays_identically(self, legacy):
+        wal = WriteAheadLog(self._store(legacy), "idx")
         assert _texts(wal.replay()) == [
             "warn slow response", "info service ok", "error late write", "info updated line"
         ]
-        assert wal.load_tombstones() == {
-            "idx/ingest/tomb-00000002.json": (
-                Posting("corpus/base.txt", 0, 15),
-                Posting("idx/ingest/seg-00000000.log", 0, 15),
-            ),
-            "idx/ingest/tomb-00000005.json": (Posting("corpus/base.txt", 16, 15),),
-        }
+        assert wal.manifest().tombstones == V2_REFS
 
-    @pytest.mark.parametrize("legacy", [V1_WAL, V2_WAL], ids=["v1", "v2"])
-    def test_the_first_manifest_write_folds_it_in_then_deletes_it(self, legacy):
+    @LEGACY
+    def test_the_first_manifest_write_folds_it_in_then_deletes_it(self, legacy, refs):
         store = self._store(legacy)
         before = WriteAheadLog(store, "idx")
         replayed = _texts(before.replay())
-        tombstones = before.load_tombstones()
+        assert before.manifest().tombstones == refs
         wal = WriteAheadLog(store, "idx")
         wal.replay()
         blob = wal.append(encode_segment(["info after upgrade"])).blob
         assert blob == segment_blob("idx", wal.manifest().reserved_end - SEGMENT_BLOCK)
         assert not store.exists(ingest_manifest_blob("idx"))  # folded in, then deleted
+        # The first commit wrote the condemned refs themselves.
+        stored = json.loads(store.get("idx/manifest.json"))
+        assert isinstance(stored["tombstones"], dict)
+        assert IndexManifest.from_dict("idx", stored).tombstones == refs
         reopened = WriteAheadLog(store, "idx")
         assert sorted(_texts(reopened.replay())) == sorted([*replayed, "info after upgrade"])
-        assert reopened.load_tombstones() == tombstones
+        assert reopened.manifest().tombstones == refs
         # A flush of everything retires the upgraded segments too.
         _flush(wal)
         assert WriteAheadLog(store, "idx").replay() == []
+
+    @LEGACY
+    def test_an_open_folds_the_records_in_and_the_next_swap_purges_them(self, legacy, refs):
+        store = self._store(legacy)
+        store.put("corpus/base.txt", b"error disk full\ninfo service ok\nwarn slow response\n")
+        documents = list(LineDelimitedCorpusParser().parse(store, ["corpus/base.txt"]))
+        AirphantBuilder(store, config=SketchConfig(num_bins=64, seed=3)).build_from_documents(
+            documents, index_name="idx"
+        )
+        # The records ride the open's second wave and are folded in there.
+        opened = open_index(store, "idx")
+        assert opened.manifest.tombstones == refs
+        assert opened.manifest.legacy_records == ()
+        live = LiveIndex(
+            store,
+            "idx",
+            ServiceConfig(ingest_interval_s=0),
+            MetricsRegistry(),
+            lambda name, manifest: None,
+            AppendOnlyIndexManager(store, "idx", manifest=opened.manifest),
+            opened.wal,
+        )
+        live.replay()
+        assert live.tombstone_refs() == refs
+        assert live.compact() is not None
+        assert not store.list_blobs(prefix="idx/ingest/tomb-")
+        assert live.tombstone_refs() == frozenset()
+        searcher = live.manager.open_searcher()
+        found = {d.ref for query in ("error", "info") for d in searcher.search(query).documents}
+        searcher.close()
+        assert found and not found & refs
 
     def test_beside_a_manifest_with_wal_state_it_is_garbage(self):
         store = InMemoryObjectStore()
@@ -244,7 +299,7 @@ class TestFormatCompatibility:
         store.put(legacy, V1_WAL[legacy])  # a leftover a crash kept from its deletion
         wal = WriteAheadLog(store, "idx")
         assert _texts(wal.replay()) == ["error current"]
-        assert wal.load_tombstones() == {}
+        assert wal.manifest().tombstones == frozenset()
         wal.append(encode_segment(["error next"]))
         assert not store.exists(ingest_manifest_blob("idx"))
 

@@ -7,7 +7,8 @@ swap of grace.  The contracts under test:
 * a node that opened the index before another node rebuilt it answers the
   old corpus until it reopens, then the new one — never 502, 409 or 500;
 * a node whose manifest is two swaps old, whose builds are purged, reopens
-  once and answers from the current manifest; a second miss is typed;
+  once and answers from the current manifest — also when that manifest is
+  the one its own flush committed; a second miss is typed;
 * a rebuild or a restore in one process waits for a compaction that has
   already read the manifest, so the index answers the rebuilt or restored
   timeline, not the compaction's;
@@ -87,11 +88,17 @@ def test_a_node_that_opened_the_old_build_answers_it_until_it_reopens(history):
 
 
 @pytest.mark.parametrize("first", [0, 1], ids=["keyword-first", "ranked-first"])
-def test_a_node_past_its_grace_reopens_once_and_answers_the_current_manifest(first):
+@pytest.mark.parametrize("last", ["opened", "flushed"])
+def test_a_node_past_its_grace_reopens_once_and_answers_the_current_manifest(last, first):
     backend = _backend()
     _build_history(backend, "plain")
     node1 = AirphantService(backend, SERVICE)
-    node1.searcher("idx")  # opened: the in-place build, statistics not yet read
+    if last == "opened":
+        node1.searcher("idx")  # opened: the in-place build, statistics not yet read
+    else:
+        # Its own flush: the next open would start from the manifest it committed.
+        node1.append_documents("idx", ["error flushed by node one"])
+        node1.flush_index("idx")
     with AirphantService(backend, SERVICE) as node2:
         for text in ("error disk first append", "error second append"):
             node2.append_documents("idx", [text])

@@ -877,3 +877,55 @@ def test_checker_keeps_the_one_commit_point_in_the_manager(tmp_path):
         "ingest/wal.py:1: a manifest PUT outside index/updates.py",
         "ingest/wal.py:2: the legacy WAL manifest named outside the fold-in",
     ]
+
+
+def test_checker_keeps_pending_deletes_in_the_manifest(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("index", "ingest"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the layout names a legacy record, the fold-in decodes it, a
+    # purge deletes it, and a docstring or comment may name the reader.
+    (root / "index" / "store_layout.py").write_text(
+        "def tombstone_blob(name, n):\n"
+        '    return f"{name}/ingest/tomb-{n:08d}.json"\n',
+        encoding="utf-8",
+    )
+    (root / "index" / "updates.py").write_text(
+        "from repro.ingest.records import parse_tombstones\n"
+        "def parse_tombstones(data):\n"
+        "    return []\n"
+        "def folded(self, records):\n"
+        "    return [parse_tombstones(records[blob]) for blob in self.legacy_records]\n"
+        "def purge(self, blob):\n"
+        "    self._store.delete(tombstone_blob(self._base_index, 2))\n",
+        encoding="utf-8",
+    )
+    (root / "ingest" / "wal.py").write_text(
+        '"""No parse_tombstones here: a delete is one manifest PUT."""\n'
+        "self._store.put(segment_blob(self._index_name, sequence), data)\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a delete record written, by namer or by literal, and the
+    # legacy reader used outside the fold-in.
+    (root / "ingest" / "wal.py").write_text(
+        "self._store.put(tombstone_blob(self._index_name, sequence), data)\n"
+        "records = [parse_tombstones(data) for data in payloads]\n",
+        encoding="utf-8",
+    )
+    (root / "index" / "updates.py").write_text(
+        "def restore(self, record):\n"
+        '    self._store.put(f"{self._base_index}/ingest/tomb-{self.counter:08d}.json", record)\n'
+        "def folded(self, records):\n"
+        "    return [parse_tombstones(records[blob]) for blob in self.legacy_records]\n",
+        encoding="utf-8",
+    )
+    found = check_seams.findings(root)
+    assert sorted(problem.split("repro/")[1] for problem in found) == [
+        "index/updates.py:2: a delete record written",
+        "index/updates.py:2: layout literal 'tomb-' outside index/store_layout.py",
+        "ingest/wal.py:1: a delete record written",
+        "ingest/wal.py:2: a legacy delete record read outside the fold-in",
+    ]
