@@ -157,6 +157,14 @@ fails on:
 * a use of ``parse_tombstones`` anywhere under ``src/repro`` but the
   fold-in, ``IndexManifest.folded`` in ``index/updates.py``.
 
+A process holds one copy of a name's manifest: its one
+``AppendOnlyIndexManager``, which the catalog owns and opens from.  This
+script also fails on:
+
+* an ``AppendOnlyIndexManager(`` construction under ``service/`` or
+  ``ingest/`` anywhere but ``IndexCatalog.manager`` in
+  ``service/catalog.py``.
+
 The query tier routes whole queries and knows nothing of how an index is
 laid out or searched.  This script also fails on:
 
@@ -305,6 +313,11 @@ _DELETE_RECORD_NAMER = "tombstone_blob"
 _DELETE_RECORD_LITERAL = "tomb-"
 LEGACY_RECORD_READER = "parse_tombstones"
 RECORD_FOLD_IN = {(MANIFEST_WRITER, "folded")}
+
+#: The packages that commit through a name's manager, and its one maker.
+MANAGER_PACKAGES = ("service", "ingest")
+MANAGER_OWNER = (("service", "catalog.py"), "manager")
+_MANAGER_CONSTRUCTION = re.compile(r"\bAppendOnlyIndexManager\(")
 
 #: The query tier's package, and the packages it may not import from.
 CLUSTER_PACKAGE = "cluster"
@@ -573,6 +586,9 @@ def findings(root: Path = SOURCE_ROOT) -> list[str]:
                 )
             if parts not in BUILDER_SITES and _BUILDER_CONSTRUCTION.search(text):
                 problems.append(f"{where}: a Builder constructed outside the index manager")
+            if package in MANAGER_PACKAGES and _MANAGER_CONSTRUCTION.search(text):
+                if (parts, enclosing_functions(path).get(number)) != MANAGER_OWNER:
+                    problems.append(f"{where}: an index manager made outside IndexCatalog.manager")
             if parts not in BUILD_BLOBS_SITES and _BUILD_BLOBS_CALL.search(text):
                 problems.append(f"{where}: a build's blobs listed outside the index manager")
             if _BATCH_RECORD.search(text):

@@ -366,12 +366,13 @@ class AppendOnlyIndexManager:
     (:func:`base_config`): an index keeps the bin budget, accuracy target and
     seed it was built with.
 
-    The manager holds the live manifest in memory (``manifest``, or read on
-    first use): every change is one read-modify-write of it with one PUT
-    (:meth:`commit`).  Each commit, and each build before it picks a name,
-    first reads ``manifest.json`` again (:meth:`refresh`), so what another
-    process committed meanwhile is adopted, never overwritten.  Two
-    processes writing one index *at the same time* are not fenced.
+    The manager holds the live manifest in memory (read on first use, or
+    :meth:`adopt`-ed from an opener's read): every change is one
+    read-modify-write of it with one PUT (:meth:`commit`).  Each commit, and
+    each build before it picks a name, first reads ``manifest.json`` again
+    (:meth:`refresh`), so what another process committed meanwhile is
+    adopted, never overwritten.  Two processes writing one index *at the
+    same time* are not fenced.
     """
 
     def __init__(
@@ -380,15 +381,12 @@ class AppendOnlyIndexManager:
         base_index: str,
         config: SketchConfig | None = None,
         tokenizer: Tokenizer | None = None,
-        manifest: IndexManifest | None = None,
     ) -> None:
         self._store = store
         self._base_index = base_index
         self._config = config
         self._tokenizer = tokenizer
-        self._manifest = manifest
-        #: Commits this manager made (:meth:`refresh` drops a read one overtook).
-        self._commits = 0
+        self._manifest: IndexManifest | None = None
         #: The lock of every manifest change in this process — and of the
         #: WAL writes that number from the manifest's reservation.
         self.lock = threading.RLock()
@@ -427,18 +425,31 @@ class AppendOnlyIndexManager:
         legacy form only the builds are compared, since the blob does not
         yet hold the state folded in from it.
 
-        The read does not hold :attr:`lock`.  When a commit of this process
-        lands meanwhile, the read may predate it and is dropped: that commit
-        refreshed under the lock."""
-        if self._manifest is None:
+        The read does not hold :attr:`lock` (:meth:`adopt`)."""
+        held = self._manifest
+        if held is None:
             return self.manifest()
-        commits = self._commits
         read = RangeRead(update_manifest_blob_name(self._base_index), optional=True)
         (data,) = self._store.read_batch([read]).payloads
+        return self.adopt(IndexManifest.read(self._base_index, data), held)
+
+    @property
+    def held(self) -> IndexManifest | None:
+        """The live manifest, or ``None`` before the first read (never reads)."""
+        return self._manifest
+
+    def adopt(self, stored: IndexManifest, held: IndexManifest | None) -> IndexManifest:
+        """Make ``stored``, a read of the store begun while :attr:`held` was
+        ``held``, the live manifest when it differs (by :meth:`refresh`'s
+        rule); returns the live one.  When a commit of this process (or
+        another adoption) landed since, the read may predate it and is
+        dropped: that commit refreshed under :attr:`lock`.  A first
+        manifest must come from a read of every blob :meth:`manifest` reads."""
         with self.lock:
             live = self._manifest
-            if commits == self._commits:
-                stored = IndexManifest.read(self._base_index, data)
+            if live is None:
+                self._manifest = stored
+            elif live is held:
                 wal = _EMPTY_WAL if live.legacy_wal else {}
                 if replace(stored, **wal) != replace(live, **wal):
                     self._manifest = replace(stored, legacy_wal=live.legacy_wal)
@@ -456,7 +467,7 @@ class AppendOnlyIndexManager:
             new = replace(change(old), legacy_wal=False)
             payload = json.dumps(new.to_dict(), separators=(",", ":")).encode()
             self._store.put(update_manifest_blob_name(self._base_index), payload)
-            self._manifest, self._commits = new, self._commits + 1
+            self._manifest = new
             if old.legacy_wal:
                 self._store.delete(ingest_manifest_blob(self._base_index))
             return new

@@ -8,21 +8,22 @@ Lifecycle of an appended document (read-your-writes at every step):
 2. ``flush`` — the active memtable is atomically *sealed* (a fresh active
    one takes over for concurrent appends), its documents are built into an
    Airphant delta index with ``AppendOnlyIndexManager.append`` (under the
-   base's bin budget, accuracy target and seed), the catalog
-   is committed with the WAL's move past its segments in one manifest PUT,
-   the catalog is handed the committed manifest, and only then is the
-   sealed memtable dropped.  At no instant is a document invisible; at
-   worst it is briefly visible twice, which the query executor's
-   de-duplication by ``(blob, offset, length)`` absorbs.
+   base's bin budget, accuracy target and seed), the delta is committed
+   with the WAL's move past its segments in one manifest PUT — from then on
+   the manager's manifest names it, so the catalog's next open serves it —
+   and only then is the sealed memtable dropped.  At no instant is a
+   document invisible; at worst it is briefly visible twice, which the
+   query executor's de-duplication by ``(blob, offset, length)`` absorbs.
 3. ``compact`` — deltas fold into a fresh generational base via the
    manager's atomic manifest swap (see :mod:`repro.index.updates`).
 
 The combined memtable ∪ deltas ∪ base view is not an object: per query, the
 service facade resolves the catalog's (cached) persisted members plus
 :meth:`LiveIndex.memtable_members` and hands them, with the pending
-tombstones, to one :class:`~repro.search.searcher.AirphantSearcher` — so
-catalog invalidations (new delta, new generation) and memtable swaps are
-picked up without any notification plumbing.
+tombstones, to one :class:`~repro.search.searcher.AirphantSearcher`.  The
+catalog reopens when the builds the manager's manifest names change (new
+delta, new generation), so commits and memtable swaps are picked up
+without any notification plumbing.
 
 :class:`IngestCoordinator` owns every live index of a service plus one
 background worker thread that applies the flush/compaction policies from
@@ -38,7 +39,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.index.store_layout import OpenedIndex
-from repro.index.updates import AppendOnlyIndexManager, IndexManifest
+from repro.index.updates import AppendOnlyIndexManager
 from repro.ingest.memtable import Memtable, MemtableMember
 from repro.ingest.wal import WriteAheadLog, check_refs, encode_segment
 from repro.observability import MetricsRegistry
@@ -77,10 +78,10 @@ class IngestOverloadedError(RuntimeError):
 class LiveIndex:
     """The write path of one index: WAL, memtables, flush, compaction.
 
-    ``manager`` holds the index's live manifest (else a fresh one reads the
-    store), pending deletes included; ``fetched`` is what the opener already
-    read of the WAL.  ``invalidate(name, manifest)`` is told of each flush
-    or compaction this index commits, with the manifest it committed.
+    ``manager`` is the one manager of the index in this process: its live
+    manifest holds the builds, the WAL's state and the pending deletes, and
+    every write commits through it.  ``fetched`` is what the opener already
+    read of the WAL.
     """
 
     def __init__(
@@ -89,19 +90,14 @@ class LiveIndex:
         index_name: str,
         config: "ServiceConfig",
         metrics: MetricsRegistry,
-        invalidate: Callable[[str, IndexManifest], None],
-        manager: AppendOnlyIndexManager | None = None,
+        manager: AppendOnlyIndexManager,
         fetched: Mapping[str, bytes | None] | None = None,
     ) -> None:
-        self._store = store
         self._index_name = index_name
         self._config = config
-        self._invalidate = invalidate
-        tokenizer = config.make_tokenizer()
-        self._tokenizer_factory = config.make_tokenizer
-        self._manager = manager or AppendOnlyIndexManager(store, index_name, tokenizer=tokenizer)
-        self._wal = WriteAheadLog(store, index_name, self._manager, fetched)
-        self._active = Memtable(tokenizer)
+        self._manager = manager
+        self._wal = WriteAheadLog(store, index_name, manager, fetched)
+        self._active = Memtable(config.make_tokenizer())
         self._sealed: list[Memtable] = []
         # _commit_lock (the manager's) serializes every WAL write and every
         # manifest commit of the index; _write_lock guards the memtables
@@ -114,7 +110,6 @@ class LiveIndex:
         self._maintenance_lock = self._manager.maintenance_lock
         #: Set once a rebuild or restore replaced this write state.
         self._discarded = False
-        self._delta_count = len(self._manager.manifest().delta_indexes)
 
         self._documents_metric = metrics.counter(
             "airphant_ingest_documents_total",
@@ -211,8 +206,8 @@ class LiveIndex:
 
     @property
     def delta_count(self) -> int:
-        """Delta indexes currently stacked on the base (compaction input)."""
-        return self._delta_count
+        """Delta indexes the live manifest stacks on the base (compaction input)."""
+        return len(self._manager.manifest().delta_indexes)
 
     def memtable_documents(self) -> int:
         """Searchable-but-unflushed documents (active + sealed memtables)."""
@@ -253,7 +248,7 @@ class LiveIndex:
             "memtable_documents": self.memtable_documents(),
             "memtable_bytes": self.memtable_bytes(),
             "wal_segments_active": len(self._wal.unflushed),
-            "delta_indexes": self._delta_count,
+            "delta_indexes": self.delta_count,
             "tombstones_pending": len(self.tombstone_refs()),
         }
 
@@ -440,9 +435,9 @@ class LiveIndex:
 
         Returns ``None`` when there was nothing to flush.  Concurrency: the
         sealed memtable stays searchable while the delta builds, and the
-        catalog is invalidated *before* it is dropped, so readers never lose
-        sight of a document (they may briefly see it from both places; the
-        combined view de-duplicates).
+        manager's manifest names the delta *before* it is dropped, so
+        readers never lose sight of a document (they may briefly see it
+        from both places; the combined view de-duplicates).
 
         The delta is built from the sealed memtable's statistics, through
         ``build_from_stats`` as compaction's: nothing is tokenized again.
@@ -464,7 +459,7 @@ class LiveIndex:
                 if len(self._active) == 0 and not segments:
                     return None
                 sealed = self._active
-                self._active = Memtable(self._tokenizer_factory())
+                self._active = Memtable(self._config.make_tokenizer())
                 self._sealed.append(sealed)
                 sealed.remove(self.tombstone_refs())
             survivors = sealed.statistics()
@@ -482,12 +477,9 @@ class LiveIndex:
                     self._sealed.remove(sealed)
                     self._active.absorb(sealed)
                 raise
-            if built is not None:
-                self._delta_count += 1
-                # New delta first, then drop the sealed memtable: queries in
-                # the gap see the documents twice (de-duplicated), never zero
-                # times.
-                self._invalidate(self._index_name, self._manager.manifest())
+            # The manifest names the new delta first, then the sealed memtable
+            # is dropped: queries in the gap see the documents twice
+            # (de-duplicated), never zero times.
             with self._write_lock:
                 self._sealed.remove(sealed)
         elapsed = time.perf_counter() - started
@@ -505,7 +497,7 @@ class LiveIndex:
         """Whether the compaction policy has triggered: at least
         ``ingest_compact_deltas`` deltas are stacked (never, at 0)."""
         max_deltas = self._config.ingest_compact_deltas
-        return max_deltas > 0 and self._delta_count >= max_deltas
+        return max_deltas > 0 and self.delta_count >= max_deltas
 
     def compact(self) -> dict[str, Any] | None:
         """Flush, then fold every delta into a new base generation.
@@ -534,8 +526,6 @@ class LiveIndex:
             built = self._manager.compact(corpus_name="compacted", exclude=tombstone_refs)
             # Swaps hold the maintenance lock: this compaction's manifest.
             manifest = self._manager.manifest()
-            self._delta_count = 0
-            self._invalidate(self._index_name, manifest)
         elapsed = time.perf_counter() - started
         self._compactions_metric.inc(index=self._index_name)
         self._compact_seconds_metric.observe(elapsed)
@@ -557,7 +547,8 @@ class IngestCoordinator:
     thread per service, started lazily with the first live index.  A live
     index exists for ``name`` once documents were appended this process, or
     once a query found unflushed WAL segments from a previous process (the
-    crash-recovery replay).
+    crash-recovery replay).  ``manager(name)`` is the catalog's one manager
+    of ``name``, which outlives the name's live index.
     """
 
     def __init__(
@@ -565,15 +556,13 @@ class IngestCoordinator:
         store: ObjectStore,
         config: "ServiceConfig",
         metrics: MetricsRegistry,
-        invalidate: Callable[[str, IndexManifest], None],
+        manager: Callable[[str], AppendOnlyIndexManager],
     ) -> None:
         self._store = store
         self._config = config
         self._metrics = metrics
-        self._invalidate = invalidate
+        self._manager = manager
         self._lives: dict[str, LiveIndex] = {}
-        #: Per name, the manager holding its live manifest in this process.
-        self._managers: dict[str, AppendOnlyIndexManager] = {}
         #: Names already probed for leftover WAL state (one probe per name).
         self._probed: set[str] = set()
         self._lock = threading.RLock()
@@ -587,29 +576,6 @@ class IngestCoordinator:
 
     # -- registry -----------------------------------------------------------------
 
-    def maintenance_lock(self, name: str) -> threading.RLock:
-        """The lock ``name``'s flushes, compactions, rebuilds and restores in
-        this process hold throughout (its manager's); it outlives the name's
-        live index, which a rebuild or restore discards."""
-        return self.manager(name).maintenance_lock
-
-    def manager(self, name: str, opened: OpenedIndex | None = None) -> AppendOnlyIndexManager:
-        """The one manager every write of ``name`` in this process commits
-        through, made on first use (from ``opened``'s manifest when given);
-        it outlives the name's live index."""
-        with self._lock:
-            if name not in self._managers:
-                manifest = opened.manifest if opened is not None else None
-                self._managers[name] = AppendOnlyIndexManager(
-                    self._store, name, tokenizer=self._config.make_tokenizer(), manifest=manifest
-                )
-            return self._managers[name]
-
-    def probed(self, name: str) -> bool:
-        """Whether ``name``'s leftover WAL state has been looked for already."""
-        with self._lock:
-            return name in self._probed
-
     def live(
         self, name: str, create: bool = False, opened: OpenedIndex | None = None
     ) -> LiveIndex | None:
@@ -620,7 +586,8 @@ class IngestCoordinator:
         unflushed WAL segments and replays them — this is the crash-recovery
         path, and it also serves reopened processes.  ``opened`` is an
         :func:`~repro.index.store_layout.open_index` of ``name`` that probed
-        the WAL: the first touch then reads nothing further.
+        the WAL and gave the name's manager its manifest: the first touch
+        then reads nothing further.
         """
         with self._lock:
             existing = self._lives.get(name)
@@ -631,14 +598,12 @@ class IngestCoordinator:
             # Mark probed only after the probe (and replay below) succeed: a
             # transient store failure here must leave the leftover-WAL check
             # pending, not silently skipped forever.
-            manager = self.manager(name, opened)
+            manager = self._manager(name)
             if not create and not manager.manifest().has_wal:
                 self._probed.add(name)
                 return None
             fetched = opened.wal if opened is not None else None
-            live = LiveIndex(
-                self._store, name, self._config, self._metrics, self._invalidate, manager, fetched
-            )
+            live = LiveIndex(self._store, name, self._config, self._metrics, manager, fetched)
             # Always: a WAL that has not replayed its range may not retire
             # past it.
             live.replay()
@@ -738,5 +703,5 @@ class IngestCoordinator:
         # Serialize with any maintenance that was mid-flight when the stop
         # flag was set (manual flush/compact callers hold the same locks).
         for live in self.lives():
-            with self.maintenance_lock(live.index_name):
+            with live.manager.maintenance_lock:
                 pass

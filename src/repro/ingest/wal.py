@@ -112,8 +112,8 @@ def parse_segment(blob_name: str, data: bytes) -> Segment:
 
 
 class WriteAheadLog:
-    """The segmented WAL of one index, committing through ``manager`` (a
-    fresh one over ``store`` when not given).
+    """The segmented WAL of one index, committing through ``manager``, the
+    one manager of the index in this process.
 
     Not itself thread-safe: :class:`~repro.ingest.live.LiveIndex` serializes
     every WAL write on the manager's lock, which every manifest commit
@@ -126,12 +126,12 @@ class WriteAheadLog:
         self,
         store: ObjectStore,
         index_name: str,
-        manager: AppendOnlyIndexManager | None = None,
+        manager: AppendOnlyIndexManager,
         fetched: Mapping[str, bytes | None] | None = None,
     ) -> None:
         self._store = store
         self._index_name = index_name
-        self._manager = manager or AppendOnlyIndexManager(store, index_name)
+        self._manager = manager
         self._fetched = dict(fetched or {})
         reserved_end = self.manifest().reserved_end
         #: The next sequence number this process hands out.

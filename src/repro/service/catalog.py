@@ -15,6 +15,11 @@ decode surfaces as :class:`~repro.index.store_layout.CorruptIndexError`
 from the open, one in a retired layout (a ``shards.json`` manifest, a
 header container per shard) as
 :class:`~repro.index.store_layout.UnsupportedIndexFormatError`.
+
+The catalog owns each name's one manager (:meth:`IndexCatalog.manager`),
+through which every write of the name in this process commits; its
+manifest is the only copy of the name's manifest in memory.  Nothing tells
+the catalog of a commit: each open compares its searcher's builds with it.
 """
 
 from __future__ import annotations
@@ -31,13 +36,13 @@ from repro.index.store_layout import (
     open_headers,
     open_index,
 )
+from repro.index.updates import AppendOnlyIndexManager, IndexManifest
 from repro.search.searcher import AirphantSearcher
 from repro.service.api import IndexInfo
 from repro.service.config import ServiceConfig
 from repro.storage.base import BlobNotFoundError, ObjectStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.index.updates import IndexManifest
     from repro.ingest.live import IngestCoordinator
 
 
@@ -48,14 +53,10 @@ class IndexCatalog:
         self._store = store
         self._config = config if config is not None else ServiceConfig()
         self._searchers: dict[str, AirphantSearcher] = {}
-        #: Names an update manifest has been seen for: from then on it alone
-        #: says where the base lives (survives invalidation — a reopen must
-        #: not re-read an in-place header that may be a retired leftover).
-        #: Only ever added to / discarded from, so ``info`` needs no lock.
-        self._manifested: set[str] = set()
-        #: Per name, the manifest this node just committed and the builds
-        #: the searcher it dropped held: what the next open opens from.
-        self._committed: dict[str, tuple[IndexManifest, list[OpenedBuild]]] = {}
+        self._managers: dict[str, AppendOnlyIndexManager] = {}
+        #: Names an invalidate dropped: their next open reads the store's
+        #: manifest, not the one their manager holds.
+        self._doubted: set[str] = set()
         self._lock = RLock()
 
     @property
@@ -98,61 +99,91 @@ class IndexCatalog:
             return len(self._searchers)
 
     def open_searchers(self) -> list[AirphantSearcher]:
-        """Every currently opened searcher (for cache/occupancy accounting)."""
+        """Every currently opened searcher (for cache/occupancy accounting); one
+        whose builds its manager no longer names is closed, releasing its cache."""
         with self._lock:
-            return list(self._searchers.values())
+            opened = list(self._searchers.items())
+        for name, searcher in opened:
+            if not self._serves(name, searcher):
+                searcher.close()
+        return [searcher for _, searcher in opened]
 
     # -- opening --------------------------------------------------------------------
 
+    def manager(self, name: str) -> AppendOnlyIndexManager:
+        """The one manager every write of ``name`` in this process commits
+        through, made on first use; its manifest is the one the catalog
+        opens from."""
+        manager = self._managers.get(name)
+        if manager is None:  # setdefault: of two racing first uses, one wins
+            tokenizer = self._config.make_tokenizer()
+            made = AppendOnlyIndexManager(self._store, name, tokenizer=tokenizer)
+            manager = self._managers.setdefault(name, made)
+        return manager
+
+    def _held(self, name: str) -> IndexManifest | None:
+        """The manifest ``name``'s manager holds (``None``: none yet)."""
+        manager = self._managers.get(name)
+        return manager.held if manager is not None else None
+
+    def _serves(self, name: str, searcher: AirphantSearcher) -> bool:
+        """Whether ``searcher`` holds the builds ``name``'s manager names.
+        Build names are never reused, so equal names are equal bytes."""
+        held = self._held(name)
+        return held is None or held.all_indexes == searcher.index_names
+
     def _open_index(self, name: str, probe_ingest: bool, base_only: bool = False) -> OpenedIndex:
         """One :func:`~repro.index.store_layout.open_index` of ``name``
-        (``KeyError`` when it is no index, or its base build is gone)."""
+        (``KeyError`` when it is no index, or its base build is gone); the
+        manager adopts its manifest, as its first only from a probing read."""
         if not is_index_name(name):
             raise KeyError(name)
+        held = self._held(name)
         try:
             found = open_index(
                 self._store,
                 name,
                 self._config.max_concurrency,
-                known=name in self._manifested,
+                known=held is not None and not held.in_place,
                 probe_ingest=probe_ingest,
                 base_only=base_only,
             )
         except BlobNotFoundError:
             raise KeyError(name) from None
-        if found.manifest.in_place:
-            self._manifested.discard(name)  # no build was written: the base is in place
-        else:
-            self._manifested.add(name)
+        if held is not None or probe_ingest:
+            self.manager(name).adopt(found.manifest, held)
+            self._doubted.discard(name)
         return found
 
     def open(self, name: str, ingest: "IngestCoordinator | None" = None) -> AirphantSearcher:
         """Return the searcher for ``name``, opening it on first use.
 
-        An already-open index is returned without taking the catalog lock:
-        the lock is held across header downloads, and one slow open must not
-        stall queries to every index that is already in memory.
-
-        A cold open hands ``ingest`` — when it has not looked for ``name``'s
-        leftover WAL state yet — the manifest and the WAL blobs that rode
-        the open's waves, so recovery reads nothing of its own.
+        A cached searcher is returned while it holds the builds ``name``'s
+        manager names, without taking the catalog lock: the lock is held
+        across header downloads, and one slow open must not stall queries
+        to every index that is already in memory.  Otherwise the index is
+        opened from the manager's manifest — no manifest read, only the
+        headers the cached searcher lacks — or, after an :meth:`invalidate`
+        and on the manager's first use, from the store.  The open that gives
+        the manager its first manifest hands ``ingest`` the WAL blobs that
+        rode its waves, so recovery reads nothing of its own.
 
         Raises ``KeyError`` if no such index exists in the store.
         """
         searcher = self._searchers.get(name)
-        if searcher is not None:
+        if searcher is not None and self._serves(name, searcher):
             return searcher
         with self._lock:
             searcher = self._searchers.get(name)
-            if searcher is not None:
+            if searcher is not None and self._serves(name, searcher):
                 return searcher
-            probe = ingest is not None and not ingest.probed(name)
-            committed = self._committed.pop(name, None)
-            if committed is not None and not probe:
-                found = self._reopen(*committed)
+            held = self._held(name)
+            probe = held is None and ingest is not None
+            if held is not None and name not in self._doubted:
+                found = self._reopen(held, searcher)
             else:
                 found = self._open_index(name, probe_ingest=probe)
-            searcher = AirphantSearcher.open(
+            opened = AirphantSearcher.open(
                 self._store,
                 found.manifest.all_indexes,
                 tokenizer=self._config.make_tokenizer(),
@@ -160,19 +191,23 @@ class IndexCatalog:
                 read_cache_bytes=self._config.read_cache_bytes,
                 opened=found,
             )
-            self._searchers[name] = searcher
+            self._searchers[name] = opened
+        if searcher is not None:
+            searcher.close()
         if probe:
             # Outside the lock: parsing the replayed segments must not stall
             # the opening of other indexes.
             ingest.live(name, opened=found)
-        return searcher
+        return opened
 
-    def _reopen(self, manifest: IndexManifest, held: list[OpenedBuild]) -> OpenedIndex:
-        """``manifest``'s index, the ``held`` builds already decoded: one
-        wave for the member headers it lacks, and no manifest read — unless
-        one is gone (another process's swaps purged it), when the index is
-        opened from the store's manifest instead."""
-        have = {build.name: build for build in held}
+    def _reopen(self, manifest: IndexManifest, searcher: AirphantSearcher | None) -> OpenedIndex:
+        """``manifest``'s index, with the headers ``searcher`` decoded: one
+        wave for the headers it lacks, no manifest read — unless one is gone
+        (another process's swaps purged it): then from the store's manifest."""
+        have = {
+            member.name: OpenedBuild(member.name, member.header, member.max_concurrency)
+            for member in (searcher.opened if searcher is not None else ())
+        }
         lacking = [name for name in manifest.all_indexes if name not in have]
         try:
             opened = open_headers(self._store, lacking, self._config.max_concurrency)
@@ -184,37 +219,23 @@ class IndexCatalog:
 
     def invalidate(self, name: str | None = None) -> None:
         """Drop cached searcher(s) so the next use re-reads the manifest and
-        headers.
+        headers from the store.
 
-        Call after rebuilding an index (or appending a delta); with ``None``
-        the whole cache is cleared.  Dropped searchers are closed, releasing
-        their block caches.
+        Call after rebuilding an index elsewhere (or finding a build gone);
+        with ``None`` the whole cache is cleared.  Dropped searchers are
+        closed, releasing their block caches.
         """
         with self._lock:
             if name is None:
                 dropped = list(self._searchers.values())
                 self._searchers.clear()
-                self._committed.clear()
+                self._doubted.update(self._managers)
             else:
                 searcher = self._searchers.pop(name, None)
                 dropped = [searcher] if searcher is not None else []
-                self._committed.pop(name, None)
+                self._doubted.add(name)
         for searcher in dropped:
             searcher.close()
-
-    def manifest_written(self, name: str, manifest: IndexManifest) -> None:
-        """This node just committed ``manifest`` for ``name`` (a flush, a
-        compaction): drop its searcher, and open the next one from that
-        manifest, with the headers the dropped one decoded."""
-        with self._lock:
-            searcher = self._searchers.get(name)
-            held = [
-                OpenedBuild(member.name, member.header, member.max_concurrency)
-                for member in (searcher.opened if searcher is not None else ())
-            ]
-            self.invalidate(name)
-            self._committed[name] = (manifest, held)
-            self._manifested.add(name)
 
     def close(self) -> None:
         """Close every opened searcher (the catalog stays usable afterwards)."""
@@ -226,14 +247,15 @@ class IndexCatalog:
         """Describe ``name`` without forcing it open.
 
         For an unopened index the metadata is decoded from its header blob(s)
-        directly; an opened index answers from memory.  Sharded indexes
+        directly; an opened index answers from memory, once reopened to the
+        builds its manager names (:meth:`open`).  Sharded indexes
         report their shard count and per-shard stats (taken from the shard
         manifest) alongside the aggregated corpus-wide metadata.
 
         Raises ``KeyError`` if no such index exists.
         """
-        searcher = self._searchers.get(name)
-        if searcher is not None:
+        if name in self._searchers:
+            searcher = self.open(name)
             base = searcher.opened[0]
             metadata = base.metadata
             delta_names = tuple(searcher.index_names[1:])

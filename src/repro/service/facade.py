@@ -224,7 +224,7 @@ class AirphantService:
         # The live write path: per-index ingesters (WAL + memtable) plus the
         # background flush/compaction worker.
         self._ingest = IngestCoordinator(
-            self.store, self._config, self._metrics, self._catalog.manifest_written
+            self.store, self._config, self._metrics, self._catalog.manager
         )
         # The scale-out query tier: with peers configured this node doubles
         # as a router that sends each query whole to one peer (possibly this
@@ -546,8 +546,8 @@ class AirphantService:
         """Resolve ``index``'s members, once, into the searcher for one request.
 
         The combined live view: the catalog's (cached) persisted members —
-        re-resolved per request, so flush/compaction invalidations take
-        effect on the next query — plus one exact member per live memtable,
+        re-resolved per request, so a flush's or compaction's new builds are
+        served from the next query on — plus one exact member per live memtable,
         with the pending deletes excluded on every route a condemned
         document could surface through.  For an index with no write state
         this is exactly the catalog searcher's members.
@@ -677,7 +677,7 @@ class AirphantService:
                 # No write state this process and nothing replayable: only
                 # pre-existing deltas (e.g. built offline via the manager)
                 # would justify registering a live index + worker here.
-                if not self._ingest.manager(index).refresh().delta_indexes:
+                if not self._catalog.manager(index).refresh().delta_indexes:
                     return {"index": index, "compacted": False, "deltas_folded": 0}
                 live = self._ingest.live(index, create=True)
             outcome = live.compact()
@@ -701,7 +701,7 @@ class AirphantService:
             if live is not None:
                 live.flush()
             try:
-                info = self._ingest.manager(index).create_snapshot(snapshot)
+                info = self._catalog.manager(index).create_snapshot(snapshot)
             except ValueError as error:
                 raise ServiceError(400, "bad_snapshot_name", str(error)) from error
         return {
@@ -717,7 +717,7 @@ class AirphantService:
         """Describe every snapshot of ``index`` (404 for unknown indexes)."""
         with _STORE_ERRORS:
             self._require_index(index)
-            infos = self._ingest.manager(index).list_snapshots()
+            infos = self._catalog.manager(index).list_snapshots()
         return [
             {
                 "snapshot": info.snapshot,
@@ -736,14 +736,14 @@ class AirphantService:
         delta set and resets the WAL to the snapshot's write state (its
         tombstones pending again, every later append abandoned), under the
         index's maintenance lock, so no flush or compaction of this process
-        interleaves; the live registry and catalog caches are invalidated so
-        the next query serves the restored timeline.  Raises
+        interleaves; the live write state is discarded, and the next query
+        reopens the index at the restored builds.  Raises
         :class:`ServiceError` 404 for unknown indexes/snapshots and 409 when
         the snapshot's blobs no longer exist.
         """
-        with _STORE_ERRORS, self._ingest.maintenance_lock(index):
+        manager = self._catalog.manager(index)
+        with _STORE_ERRORS, manager.maintenance_lock:
             self._require_index(index)
-            manager = self._ingest.manager(index)
             try:
                 info = manager.restore_snapshot(snapshot)
             except KeyError:
@@ -756,7 +756,6 @@ class AirphantService:
             # replays the restored WAL.  Swaps hold this lock: the manifest is
             # the restore's.
             self._ingest.discard(index)
-            self._catalog.invalidate(index)
             generation = manager.manifest().generation
         return {
             "index": index,
@@ -771,7 +770,7 @@ class AirphantService:
         with _STORE_ERRORS:
             self._require_index(index)
             try:
-                self._ingest.manager(index).delete_snapshot(snapshot)
+                self._catalog.manager(index).delete_snapshot(snapshot)
             except KeyError:
                 raise ServiceError(
                     404, "snapshot_not_found", f"index {index!r} has no snapshot {snapshot!r}"
@@ -829,8 +828,8 @@ class AirphantService:
         # store_read_only through _STORE_ERRORS.
         with _STORE_ERRORS:
             table = LineDelimitedCorpusParser().table(self.store, blobs)
-            with self._ingest.maintenance_lock(name):
-                manager = self._ingest.manager(name)
+            manager = self._catalog.manager(name)
+            with manager.maintenance_lock:
                 manager.build_base(
                     table, corpus_name=name, num_shards=num_shards, config=sketch_config
                 )

@@ -23,7 +23,7 @@ Typical use::
         live.append(["doc one", "doc two"])
     store.disarm()
     # "restart": reopen over the same backend and assert recovery
-    reopened = LiveIndex(store, "idx")
+    reopened = LiveIndex(store, "idx", config, metrics, AppendOnlyIndexManager(store, "idx"))
 
 Fault points are one-shot (each fires once, then disarms itself) and matched
 in arming order; ``skip`` skips the first N matching calls, which targets

@@ -60,13 +60,13 @@ def test_update_manifest_is_read_once_and_a_purged_one_is_the_empty_manifest():
 
 def test_the_wal_state_is_read_once_and_a_purged_one_is_the_empty_manifest():
     store = PurgedAfterProbe(InMemoryObjectStore())
-    wal = WriteAheadLog(store, "idx")
+    wal = WriteAheadLog(store, "idx", AppendOnlyIndexManager(store, "idx"))
     blob = wal.append(encode_segment(["one document"])).blob
-    reopened = WriteAheadLog(store, "idx")
+    reopened = WriteAheadLog(store, "idx", AppendOnlyIndexManager(store, "idx"))
     assert blob in reopened.manifest().segments()
     assert [segment.texts for segment in reopened.replay()] == [["one document"]]
     store.backend.delete(update_manifest_blob_name("idx"))  # purged under the reader
-    assert WriteAheadLog(store, "idx").manifest() == IndexManifest(base_index="idx")
+    assert WriteAheadLog(store, "idx", AppendOnlyIndexManager(store, "idx")).manifest() == IndexManifest(base_index="idx")
     assert store.probes == 0
 
 

@@ -209,6 +209,30 @@ def test_a_reopen_after_this_nodes_own_flush_reads_only_what_it_does_not_know(bu
         assert not any(method == "exists" for method, _, _, _ in store.calls[start:])
 
 
+def test_a_reopen_after_this_nodes_restore_reads_only_the_headers_it_lacks(bucket):
+    backend = InMemoryObjectStore()
+    corpus = generate_log_corpus(backend, "hdfs", 120, seed=5)
+    store = RecordingStore(backend)
+    with AirphantService(store, SERVICE) as service:
+        service.build_index("idx", corpus.blob_names, sketch_config=CONFIG)
+        assert service.searcher("idx").search("INFO").documents  # holds the base
+        service.append_documents("idx", ["restore needle one"])
+        service.create_snapshot("idx", "one")  # flushes delta-0000 first
+        service.append_documents("idx", ["restore needle two"])
+        assert service.flush_index("idx")["delta"] == "idx/delta-0001"
+        service.restore_snapshot("idx", "one")
+        start = len(store.calls)
+        found = service.searcher("idx").search("needle").documents
+        assert [document.text for document in found] == ["restore needle one"]
+        # This node committed the restore: the reopen starts from that
+        # manifest and decodes only the header the cached searcher lacks.
+        reads = [blob for _, blob, _, _ in store.calls[start:]]
+        assert "idx/manifest.json" not in reads and "idx/ingest/ingest.json" not in reads
+        assert [blob for blob in reads if blob.endswith("header.json")] == [
+            "idx/delta-0000/header.json"
+        ]
+
+
 def test_a_name_that_is_not_there_costs_the_discovery_batch_and_a_404(bucket):
     backend, _ = bucket
     store = RecordingStore(backend)

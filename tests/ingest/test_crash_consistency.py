@@ -26,6 +26,7 @@ from harness.crashpoints import FaultPointStore, SimulatedCrash
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
+from repro.index.updates import AppendOnlyIndexManager
 from repro.ingest.live import LiveIndex
 from repro.ingest.wal import SEGMENT_BLOCK
 from repro.observability import MetricsRegistry
@@ -57,13 +58,9 @@ def _store() -> FaultPointStore:
 
 
 def _live(store) -> LiveIndex:
-    return LiveIndex(
-        store,
-        "idx",
-        ServiceConfig(ingest_interval_s=0),
-        MetricsRegistry(),
-        lambda name, manifest: None,
-    )
+    config = ServiceConfig(ingest_interval_s=0)
+    manager = AppendOnlyIndexManager(store, "idx", tokenizer=config.make_tokenizer())
+    return LiveIndex(store, "idx", config, MetricsRegistry(), manager)
 
 
 def _restart(store) -> LiveIndex:

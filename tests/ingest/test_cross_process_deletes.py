@@ -4,13 +4,16 @@ Pending deletes are the manifest's own state, and every commit of a process
 first adopts what another one committed.  So once node 1 commits anything
 after node 2's delete (here, a flush), node 1 filters the condemned document
 too, and its next compaction applies the delete physically: the document
-does not come back in the compacted base.
+does not come back in the compacted base.  What node 1 counts as stacked
+deltas is the manifest it adopted, too: after node 2's compaction its
+compaction policy waits for new deltas.
 """
 
 from __future__ import annotations
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
+from repro.index.updates import AppendOnlyIndexManager
 from repro.ingest.live import LiveIndex
 from repro.observability import MetricsRegistry
 from repro.parsing.corpus import LineDelimitedCorpusParser
@@ -35,9 +38,9 @@ def _store() -> InMemoryObjectStore:
 
 def _node(store) -> LiveIndex:
     """One process's write path over the shared store."""
-    return LiveIndex(
-        store, "idx", ServiceConfig(ingest_interval_s=0), MetricsRegistry(), lambda *_: None
-    )
+    config = ServiceConfig(ingest_interval_s=0)
+    manager = AppendOnlyIndexManager(store, "idx", tokenizer=config.make_tokenizer())
+    return LiveIndex(store, "idx", config, MetricsRegistry(), manager)
 
 
 def _answers(live: LiveIndex, query: str) -> set[str]:
@@ -67,3 +70,21 @@ def test_a_delete_from_another_process_filters_after_this_ones_next_commit():
     base = AirphantSearcher.open(store, node1.manager.manifest().active_base)
     assert CONDEMNED not in {document.ref for document in base.search("error").documents}
     base.close()
+
+
+def test_the_delta_count_is_the_live_manifests_after_another_process_compacts():
+    store = _store()
+    node1 = _node(store)
+    stacked = ServiceConfig().ingest_compact_deltas
+    for n in range(stacked):
+        node1.append([f"error flushed number{n}"])
+        assert node1.flush() is not None
+    assert node1.delta_count == stacked and node1.should_compact()
+    assert _node(store).compact()["deltas_folded"] == stacked
+    # Node 1's delete adopts node 2's compacted manifest: no delta is
+    # stacked, so the compaction policy waits for new ones.
+    node1.delete([CONDEMNED])
+    assert node1.manager.manifest().delta_indexes == ()
+    assert node1.delta_count == 0
+    assert not node1.should_compact()
+    assert node1.summary()["delta_indexes"] == 0

@@ -17,6 +17,7 @@ from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
 from repro.index.stats import encode_stats
 from repro.index.store_layout import delta_index_name
+from repro.index.updates import AppendOnlyIndexManager
 from repro.ingest.live import LiveIndex
 from repro.ingest.memtable import memtable_from_documents
 from repro.observability import MetricsRegistry
@@ -41,7 +42,8 @@ def _store() -> InMemoryObjectStore:
 
 def _live(store) -> LiveIndex:
     config = ServiceConfig(ingest_interval_s=0)
-    return LiveIndex(store, "idx", config, MetricsRegistry(), lambda name, manifest: None)
+    manager = AppendOnlyIndexManager(store, "idx", tokenizer=config.make_tokenizer())
+    return LiveIndex(store, "idx", config, MetricsRegistry(), manager)
 
 
 class Survivors:

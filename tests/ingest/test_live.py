@@ -13,6 +13,7 @@ from repro.ingest.live import IngestCoordinator, LiveIndex
 from repro.observability import MetricsRegistry
 from repro.parsing.corpus import LineDelimitedCorpusParser
 from repro.search.searcher import AirphantSearcher
+from repro.service.catalog import IndexCatalog
 from repro.service.config import ServiceConfig
 from repro.storage.base import TransientStoreError
 from repro.storage.memory import InMemoryObjectStore
@@ -28,16 +29,12 @@ def _base(store: InMemoryObjectStore, num_shards: int = 1) -> None:
     ).build_from_documents(documents, index_name="idx")
 
 
-def _live(store, **config) -> tuple[LiveIndex, list[str]]:
-    invalidated: list[str] = []
-    live = LiveIndex(
-        store,
-        "idx",
-        ServiceConfig(ingest_interval_s=0, **config),
-        MetricsRegistry(),
-        lambda name, manifest: invalidated.append(name),
-    )
-    return live, invalidated
+def _live(store, **config) -> tuple[LiveIndex, IndexCatalog]:
+    """A live index committing through the manager of a catalog over ``store``."""
+    config = ServiceConfig(ingest_interval_s=0, **config)
+    catalog = IndexCatalog(store, config)
+    live = LiveIndex(store, "idx", config, MetricsRegistry(), catalog.manager("idx"))
+    return live, catalog
 
 
 def _memtable_texts(live: LiveIndex) -> set[str]:
@@ -74,7 +71,8 @@ class TestFlush:
     def test_flush_builds_delta_and_retires_segments(self):
         store = InMemoryObjectStore()
         _base(store)
-        live, invalidated = _live(store)
+        live, catalog = _live(store)
+        assert catalog.open("idx").index_names == ["idx"]
         live.append(["error fresh one", "info fresh two"])
         outcome = live.flush()
         assert outcome["flushed"] == 2
@@ -82,7 +80,10 @@ class TestFlush:
         assert live.memtable_documents() == 0
         assert live.wal.unflushed == ()
         assert live.delta_count == 1
-        assert invalidated == ["idx"]
+        # The manager's manifest names the delta, and the catalog's next
+        # open serves it.
+        assert live.manager.manifest().delta_indexes == ("idx/delta-0000",)
+        assert catalog.open("idx").index_names == ["idx", "idx/delta-0000"]
         # The delta is searchable through the manager's combined searcher,
         # with postings pointing into the WAL segment blob.
         searcher = live.manager.open_searcher()
@@ -93,9 +94,12 @@ class TestFlush:
     def test_flush_of_empty_memtable_is_a_noop(self):
         store = InMemoryObjectStore()
         _base(store)
-        live, invalidated = _live(store)
+        live, catalog = _live(store)
+        opened = catalog.open("idx")
+        before = live.manager.manifest()
         assert live.flush() is None
-        assert invalidated == []
+        assert live.manager.manifest() == before
+        assert catalog.open("idx") is opened
 
     def test_failed_flush_keeps_documents_searchable_and_durable(self, monkeypatch):
         store = InMemoryObjectStore()
@@ -268,14 +272,10 @@ class TestPolicies:
 
 class TestCoordinator:
     def _coordinator(self, store, **config):
-        invalidated: list[str] = []
-        coordinator = IngestCoordinator(
-            store,
-            ServiceConfig(ingest_interval_s=0, **config),
-            MetricsRegistry(),
-            lambda name, manifest: invalidated.append(name),
-        )
-        return coordinator, invalidated
+        config = ServiceConfig(ingest_interval_s=0, **config)
+        catalog = IndexCatalog(store, config)
+        coordinator = IngestCoordinator(store, config, MetricsRegistry(), catalog.manager)
+        return coordinator, catalog
 
     def test_live_is_created_on_demand_and_reused(self):
         store = InMemoryObjectStore()

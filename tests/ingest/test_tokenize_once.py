@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.config import SketchConfig
 from repro.index.builder import AirphantBuilder
+from repro.index.updates import AppendOnlyIndexManager
 from repro.ingest.live import LiveIndex
 from repro.observability import MetricsRegistry
 from repro.parsing.corpus import LineDelimitedCorpusParser
@@ -53,7 +54,8 @@ def _store() -> InMemoryObjectStore:
 
 def _live(store) -> LiveIndex:
     config = ServiceConfig(ingest_interval_s=0)
-    return LiveIndex(store, "idx", config, MetricsRegistry(), lambda name, manifest: None)
+    manager = AppendOnlyIndexManager(store, "idx", tokenizer=config.make_tokenizer())
+    return LiveIndex(store, "idx", config, MetricsRegistry(), manager)
 
 
 def _view(store, live: LiveIndex) -> AirphantSearcher:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from typing import Callable
 
 import pytest
 from harness.stores import RecordingStore
@@ -46,13 +47,15 @@ def _base(store: InMemoryObjectStore, num_shards: int = 1) -> None:
 
 
 def _live(store, **config) -> LiveIndex:
-    return LiveIndex(
-        store,
-        "idx",
-        ServiceConfig(ingest_interval_s=0, **config),
-        MetricsRegistry(),
-        lambda name, manifest: None,
-    )
+    config = ServiceConfig(ingest_interval_s=0, **config)
+    manager = AppendOnlyIndexManager(store, "idx", tokenizer=config.make_tokenizer())
+    return LiveIndex(store, "idx", config, MetricsRegistry(), manager)
+
+
+def _managers(store) -> Callable[[str], AppendOnlyIndexManager]:
+    """One manager per name over ``store``, made on first use (a catalog's rule)."""
+    managers: dict[str, AppendOnlyIndexManager] = {}
+    return lambda name: managers.setdefault(name, AppendOnlyIndexManager(store, name))
 
 
 def _memtable_view(live: LiveIndex) -> AirphantSearcher:
@@ -95,7 +98,7 @@ class TestTombstoneRecords:
 
     def test_a_flush_keeps_tombstones(self):
         store = InMemoryObjectStore()
-        wal = WriteAheadLog(store, "idx")
+        wal = WriteAheadLog(store, "idx", AppendOnlyIndexManager(store, "idx"))
         wal.append(encode_segment(["error fresh one"]))
         pending = frozenset({BASE_REFS[0]})
         wal.manager.commit(lambda manifest: replace(manifest, tombstones=pending))
@@ -109,7 +112,7 @@ class TestTombstoneRecords:
 
     def test_update_commit_is_one_manifest_swap(self):
         store = InMemoryObjectStore()
-        wal = WriteAheadLog(store, "idx")
+        wal = WriteAheadLog(store, "idx", AppendOnlyIndexManager(store, "idx"))
         segment, _, _, texts = wal.update(BASE_REFS[0], encode_segment(["replacement text"]))
         assert texts == ["replacement text"]
         # The replacement lands first, then one manifest PUT lists it and
@@ -467,7 +470,7 @@ class TestCoordinatorTombstones:
         store = InMemoryObjectStore()
         _base(store)
         coordinator = IngestCoordinator(
-            store, ServiceConfig(ingest_interval_s=0), MetricsRegistry(), lambda name, manifest: None
+            store, ServiceConfig(ingest_interval_s=0), MetricsRegistry(), _managers(store)
         )
         live = coordinator.live("idx", create=True)
         live.delete([BASE_REFS[0]])
@@ -476,7 +479,7 @@ class TestCoordinatorTombstones:
         # memtable must still surface the pending tombstones, or the deleted
         # document would resurrect on the query path.
         reopened = IngestCoordinator(
-            store, ServiceConfig(ingest_interval_s=0), MetricsRegistry(), lambda name, manifest: None
+            store, ServiceConfig(ingest_interval_s=0), MetricsRegistry(), _managers(store)
         )
         assert reopened.live("idx") is not None
         assert reopened.tombstone_refs("idx") == frozenset({BASE_REFS[0]})
@@ -486,7 +489,7 @@ class TestCoordinatorTombstones:
     def test_tombstone_refs_of_unknown_index_is_empty(self):
         store = InMemoryObjectStore()
         coordinator = IngestCoordinator(
-            store, ServiceConfig(ingest_interval_s=0), MetricsRegistry(), lambda name, manifest: None
+            store, ServiceConfig(ingest_interval_s=0), MetricsRegistry(), _managers(store)
         )
         assert coordinator.tombstone_refs("nope") == frozenset()
         coordinator.close()

@@ -150,42 +150,42 @@ class TestManifest:
 class TestWriteAheadLog:
     def test_append_reserves_a_block_then_commits_at_the_segment_put(self):
         store = InMemoryObjectStore()
-        wal = WriteAheadLog(store, "idx")
+        wal = _wal(store)
         blob, _, _, texts = wal.append(encode_segment(["error one", "info two"]))
         assert blob == "idx/ingest/seg-00000000.log"
         assert texts == ["error one", "info two"]
         assert store.exists(blob)
-        manifest = WriteAheadLog(store, "idx").manifest()
+        manifest = _wal(store).manifest()
         assert (manifest.first_unflushed, manifest.reserved_end) == (0, SEGMENT_BLOCK)
         assert manifest.updates == ()
         assert wal.unflushed == (blob,)
 
     def test_one_put_per_append_and_one_manifest_put_per_block(self):
         store = RecordingStore(InMemoryObjectStore())
-        wal = WriteAheadLog(store, "idx")
+        wal = _wal(store)
         for n in range(2 * SEGMENT_BLOCK + 1):
             wal.append(encode_segment([f"document {n}"]))
         puts = [blob for method, blob, _, _ in store.calls if method == "put"]
         assert len(puts) == 2 * SEGMENT_BLOCK + 1 + 3
         assert puts.count("idx/manifest.json") == 3
-        assert _texts(WriteAheadLog(store, "idx").replay()) == [
+        assert _texts(_wal(store).replay()) == [
             f"document {n}" for n in range(2 * SEGMENT_BLOCK + 1)
         ]
 
     def test_a_new_process_numbers_from_the_reservation_end(self):
         store = InMemoryObjectStore()
-        WriteAheadLog(store, "idx").append(encode_segment(["error one"]))
-        blob = WriteAheadLog(store, "idx").append(encode_segment(["error two"])).blob
+        _wal(store).append(encode_segment(["error one"]))
+        blob = _wal(store).append(encode_segment(["error two"])).blob
         # Numbers 1 … SEGMENT_BLOCK - 1 may be in flight in the first
         # process: a second one never reuses them.
         assert blob == segment_blob("idx", SEGMENT_BLOCK)
-        assert _texts(WriteAheadLog(store, "idx").replay()) == [
+        assert _texts(_wal(store).replay()) == [
             "error one", "error two"
         ]
 
     def test_segment_numbering_is_monotonic_across_a_flush(self):
         store = InMemoryObjectStore()
-        wal = WriteAheadLog(store, "idx")
+        wal = _wal(store)
         first = wal.append(encode_segment(["one doc"])).blob
         _flush(wal)
         second = wal.append(encode_segment(["two doc"])).blob
@@ -199,14 +199,14 @@ class TestWriteAheadLog:
 
     def test_replay_returns_unflushed_documents_in_order(self):
         store = InMemoryObjectStore()
-        wal = WriteAheadLog(store, "idx")
+        wal = _wal(store)
         wal.append(encode_segment(["error one"]))
         segments, retire = wal.seal()
         wal.append(encode_segment(["warn two", "info three"]))
         wal.manager.commit(retire)
         assert wal.unflushed == ("idx/ingest/seg-00000001.log",)
         # A fresh WAL over the same store (simulated process restart).
-        replayed = WriteAheadLog(store, "idx").replay()
+        replayed = _wal(store).replay()
         assert _texts(replayed) == ["warn two", "info three"]
 
 
@@ -222,7 +222,7 @@ class TestFormatCompatibility:
         return store
 
     def test_a_v1_manifest_replays_identically(self):
-        wal = WriteAheadLog(self._store(V1_WAL), "idx")
+        wal = _wal(self._store(V1_WAL))
         assert _texts(wal.replay()) == [
             "warn slow response", "info service ok", "error late write"
         ]
@@ -233,7 +233,7 @@ class TestFormatCompatibility:
 
     @pytest.mark.parametrize("legacy", [V2_WAL, NUMBERED_RECORDS], ids=["v2", "numbered-records"])
     def test_a_v2_manifest_replays_identically(self, legacy):
-        wal = WriteAheadLog(self._store(legacy), "idx")
+        wal = _wal(self._store(legacy))
         assert _texts(wal.replay()) == [
             "warn slow response", "info service ok", "error late write", "info updated line"
         ]
@@ -242,10 +242,10 @@ class TestFormatCompatibility:
     @LEGACY
     def test_the_first_manifest_write_folds_it_in_then_deletes_it(self, legacy, refs):
         store = self._store(legacy)
-        before = WriteAheadLog(store, "idx")
+        before = _wal(store)
         replayed = _texts(before.replay())
         assert before.manifest().tombstones == refs
-        wal = WriteAheadLog(store, "idx")
+        wal = _wal(store)
         wal.replay()
         blob = wal.append(encode_segment(["info after upgrade"])).blob
         assert blob == segment_blob("idx", wal.manifest().reserved_end - SEGMENT_BLOCK)
@@ -254,12 +254,12 @@ class TestFormatCompatibility:
         stored = json.loads(store.get("idx/manifest.json"))
         assert isinstance(stored["tombstones"], dict)
         assert IndexManifest.from_dict("idx", stored).tombstones == refs
-        reopened = WriteAheadLog(store, "idx")
+        reopened = _wal(store)
         assert sorted(_texts(reopened.replay())) == sorted([*replayed, "info after upgrade"])
         assert reopened.manifest().tombstones == refs
         # A flush of everything retires the upgraded segments too.
         _flush(wal)
-        assert WriteAheadLog(store, "idx").replay() == []
+        assert _wal(store).replay() == []
 
     @LEGACY
     def test_an_open_folds_the_records_in_and_the_next_swap_purges_them(self, legacy, refs):
@@ -273,14 +273,10 @@ class TestFormatCompatibility:
         opened = open_index(store, "idx")
         assert opened.manifest.tombstones == refs
         assert opened.manifest.legacy_records == ()
+        manager = AppendOnlyIndexManager(store, "idx")
+        manager.adopt(opened.manifest, None)
         live = LiveIndex(
-            store,
-            "idx",
-            ServiceConfig(ingest_interval_s=0),
-            MetricsRegistry(),
-            lambda name, manifest: None,
-            AppendOnlyIndexManager(store, "idx", manifest=opened.manifest),
-            opened.wal,
+            store, "idx", ServiceConfig(ingest_interval_s=0), MetricsRegistry(), manager, opened.wal
         )
         live.replay()
         assert live.tombstone_refs() == refs
@@ -294,10 +290,10 @@ class TestFormatCompatibility:
 
     def test_beside_a_manifest_with_wal_state_it_is_garbage(self):
         store = InMemoryObjectStore()
-        WriteAheadLog(store, "idx").append(encode_segment(["error current"]))
+        _wal(store).append(encode_segment(["error current"]))
         legacy = ingest_manifest_blob("idx")
         store.put(legacy, V1_WAL[legacy])  # a leftover a crash kept from its deletion
-        wal = WriteAheadLog(store, "idx")
+        wal = _wal(store)
         assert _texts(wal.replay()) == ["error current"]
         assert wal.manifest().tombstones == frozenset()
         wal.append(encode_segment(["error next"]))
@@ -307,7 +303,7 @@ class TestFormatCompatibility:
         store = InMemoryObjectStore()
         store.put(ingest_manifest_blob("idx"), b'{"version": 3, "segments": "elsewhere"}')
         with pytest.raises(UnsupportedIndexFormatError, match="version 3"):
-            WriteAheadLog(store, "idx")
+            _wal(store)
         with pytest.raises(UnsupportedIndexFormatError):
             IndexManifest.read("idx", None, b'{"next_segment": 4, "active_segments": []}')
 
@@ -317,6 +313,11 @@ def manifest_bytes(manifest: IndexManifest) -> bytes:
     store = InMemoryObjectStore()
     AppendOnlyIndexManager(store, manifest.base_index).commit(lambda _: manifest)
     return store.get(f"{manifest.base_index}/manifest.json")
+
+
+def _wal(store) -> WriteAheadLog:
+    """A WAL of ``idx`` committing through a fresh manager (one process's)."""
+    return WriteAheadLog(store, "idx", AppendOnlyIndexManager(store, "idx"))
 
 
 def _flush(wal: WriteAheadLog) -> None:

@@ -929,3 +929,49 @@ def test_checker_keeps_pending_deletes_in_the_manifest(tmp_path):
         "ingest/wal.py:1: a delete record written",
         "ingest/wal.py:2: a legacy delete record read outside the fold-in",
     ]
+
+
+def test_checker_keeps_one_manager_per_name(tmp_path):
+    check_seams = _load()
+    root = tmp_path / "src" / "repro"
+    for package in ("service", "ingest", "index"):
+        (root / package).mkdir(parents=True)
+    # Allowed: the catalog makes a name's one manager, the index package
+    # defines it, and a docstring or comment may name the constructor.
+    (root / "service" / "catalog.py").write_text(
+        "class IndexCatalog:\n"
+        "    def manager(self, name):\n"
+        "        return self._managers.setdefault(name, AppendOnlyIndexManager(self._store, name))\n",
+        encoding="utf-8",
+    )
+    (root / "index" / "updates.py").write_text(
+        "class AppendOnlyIndexManager:\n"
+        "    def copy(self):\n"
+        "        return AppendOnlyIndexManager(self._store, self._base_index)\n",
+        encoding="utf-8",
+    )
+    (root / "ingest" / "live.py").write_text(
+        '"""Commits through the catalog\'s AppendOnlyIndexManager(store, name)."""\n'
+        "# never AppendOnlyIndexManager(store, name) here\n"
+        "manager = self._manager(name)\n",
+        encoding="utf-8",
+    )
+    assert check_seams.findings(root) == []
+
+    # Forbidden: a second manager for a name, as a fallback or elsewhere in
+    # the catalog.
+    (root / "ingest" / "live.py").write_text(
+        "self._manager = manager or AppendOnlyIndexManager(store, index_name)\n",
+        encoding="utf-8",
+    )
+    (root / "service" / "catalog.py").write_text(
+        "class IndexCatalog:\n"
+        "    def open(self, name):\n"
+        "        return AppendOnlyIndexManager(self._store, name).manifest()\n",
+        encoding="utf-8",
+    )
+    found = check_seams.findings(root)
+    assert sorted(problem.split("repro/")[1] for problem in found) == [
+        "ingest/live.py:1: an index manager made outside IndexCatalog.manager",
+        "service/catalog.py:3: an index manager made outside IndexCatalog.manager",
+    ]
